@@ -1,6 +1,11 @@
 # Development targets. `make check` is the gate every change must pass:
 # vet, formatting, and the full test suite under the race detector
 # (which exercises the concurrent obs registry, among others).
+#
+# Experiment targets write BENCH_<id>.json (and the trace/cluster
+# targets <id>.perfetto.json) into the working directory. All of it is
+# regenerated output, ignored by git and removed by `make clean`; the
+# only committed results are the gate baselines under baseline/.
 
 GO ?= go
 

@@ -19,7 +19,8 @@
 // Each experiment's result is also written as machine-readable JSON to
 // BENCH_<id>.json under -json-dir (default the working directory; set
 // -json-dir "" to disable), so the bench trajectory can be tracked
-// across commits.
+// across commits. The trace and cluster experiments' Chrome trace
+// exports land beside it as <id>.perfetto.json.
 package main
 
 import (
@@ -51,10 +52,6 @@ type benchRecord struct {
 	Time      string     `json:"time"`
 }
 
-// commitHash resolves the building commit; shared with the
-// pano_build_info gauge every binary exports.
-func commitHash() string { return obs.BuildCommit() }
-
 func main() {
 	scale := flag.String("scale", "quick", "dataset scale: quick or paper")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -84,7 +81,7 @@ func main() {
 		ids = experiments.IDs()
 	}
 	d := experiments.NewDataset(s)
-	commit := commitHash()
+	commit := obs.BuildCommit() // as in every binary's pano_build_info gauge
 	exit := 0
 	for _, id := range ids {
 		start := time.Now()
@@ -107,6 +104,12 @@ func main() {
 			if err := writeJSON(filepath.Join(*jsonDir, "BENCH_"+id+".json"), rec); err != nil {
 				fmt.Fprintf(os.Stderr, "pano-bench: %s: %v\n", id, err)
 				exit = 1
+			}
+			if table.Perfetto != nil {
+				if err := os.WriteFile(filepath.Join(*jsonDir, id+".perfetto.json"), table.Perfetto, 0o644); err != nil {
+					fmt.Fprintf(os.Stderr, "pano-bench: %s: %v\n", id, err)
+					exit = 1
+				}
 			}
 		}
 	}

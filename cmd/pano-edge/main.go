@@ -15,8 +15,7 @@
 // across the origins on a consistent-hash ring, active /healthz probes
 // and passive error signals drive per-origin circuit breakers, failed
 // fetches fail over along the ring, and slow ones race a hedged backup
-// request — all under a token-bucket retry budget. -origin (singular)
-// is a deprecated alias for a one-entry -origins.
+// request — all under a token-bucket retry budget.
 //
 // -cache-bytes 0 disables caching entirely: the edge becomes a
 // transparent pass-through whose responses are byte-identical to the
@@ -56,7 +55,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8361", "listen address")
-	origin := flag.String("origin", "", "origin server base URL (deprecated alias for -origins with one entry)")
 	origins := flag.String("origins", "", "comma-separated origin base URLs; two or more enable fleet mode (consistent-hash sharding, failover, breakers, hedged fetches)")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "fleet mode: active /healthz probe period per origin (0 = passive health only)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "cache byte budget (0 = pass-through, no caching)")
@@ -78,13 +76,7 @@ func main() {
 			fleetOrigins = append(fleetOrigins, o)
 		}
 	}
-	switch {
-	case *origin != "" && len(fleetOrigins) > 0:
-		log.Fatal("pano-edge: -origin and -origins are mutually exclusive")
-	case *origin != "":
-		log.Printf("-origin is deprecated; use -origins")
-		fleetOrigins = []string{*origin}
-	case len(fleetOrigins) == 0:
+	if len(fleetOrigins) == 0 {
 		log.Fatal("pano-edge: -origins is required")
 	}
 	for _, o := range fleetOrigins {

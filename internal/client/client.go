@@ -1,8 +1,9 @@
-// Package client implements the HTTP streaming client of §7: it fetches
-// the manifest, runs the same MPC + tile-level adaptation loop as the
-// simulator against a real HTTP server over a persistent connection,
-// measures throughput from its own downloads, and stitches per-tile
-// buffers into panoramic frames with row-major copies.
+// Package client implements the streaming client of §7. RunSession is
+// the adaptation loop — MPC + tile-level allocation, the fetch ladder,
+// buffer accounting — over any Transport and Clock; Client is its HTTP
+// transport (persistent connection, throughput measured from its own
+// downloads), and Stitch assembles per-tile buffers into panoramic
+// frames with row-major copies.
 package client
 
 import (
@@ -129,11 +130,18 @@ func (c *Client) FetchTile(ctx context.Context, k, ti int, l codec.Level) ([]byt
 // ChunkResult records one chunk's streaming outcome.
 type ChunkResult struct {
 	Chunk int
+	// Planned is the planner's allocation, before any transport loss,
+	// and PlayheadSec the media time that was playing when the chunk was
+	// planned: the plan-time facts a scorer needs next to what arrived.
+	Planned     abr.Allocation
+	PlayheadSec float64
 	// Levels are the delivered per-tile levels: degraded tiles show the
 	// level they were actually fetched at, skipped tiles the lowest
 	// level (their on-screen content is the previous chunk's, §7).
-	Levels     abr.Allocation
-	Bytes      int
+	Levels abr.Allocation
+	Bytes  int
+	// Bits is the delivered volume before Bytes' per-tile truncation.
+	Bits       float64
 	Download   time.Duration
 	Throughput float64 // bits/s measured from this chunk's successful attempts
 	// Retries counts failed fetch attempts across the chunk's tiles;
@@ -183,20 +191,31 @@ type StreamConfig struct {
 	// internal/swarm injects a virtual clock to run sessions in
 	// discrete-event time.
 	Clock Clock
-	// MaxBufferSec caps prefetch like sim.Config.MaxBufferSec: when the
-	// post-chunk buffer would exceed it, the session idles on the Clock
-	// without draining (playback continues against buffered media).
+	// MaxBufferSec caps prefetch: when the post-chunk buffer would exceed
+	// it, the session idles on the Clock without draining (playback
+	// continues against buffered media).
 	// 0 disables pacing — the historical HTTP behaviour, where the
 	// real link is the pace.
 	MaxBufferSec float64
-	// SimModel aligns the chunk-level control model with sim.Run so a
-	// virtual-transport session reproduces the simulator's decisions:
-	// cold start pins prev to the lowest level, the MPC horizon uses
-	// reference-PSPNR qualities (player.MeanRefPSPNR/10) instead of
-	// level ranks, and leftover predicted capacity tops up the tile
-	// budget. Off (the default) keeps the HTTP client's historical
-	// model bit-for-bit.
+	// SimModel selects the chunk-level control model of the simulated
+	// sessions (sim.Run, the swarm): cold start pins prev to the lowest
+	// level, the MPC horizon uses reference-PSPNR qualities
+	// (player.MeanRefPSPNR/10) instead of level ranks, and leftover
+	// predicted capacity tops up the tile budget. Off (the default)
+	// keeps the HTTP client's historical model bit-for-bit.
 	SimModel bool
+	// Controller overrides the chunk-level bitrate algorithm (default:
+	// the §6.1 MPC at BufferTargetSec; abr.NewBOLA is the alternative).
+	Controller abr.Controller
+	// BWErrorFrac perturbs the bandwidth prediction the controller sees
+	// by ±frac, alternating sign per chunk (§8.3's throughput error).
+	BWErrorFrac float64
+	// ScoreChunk, when set, is called once per streamed chunk with its
+	// final ChunkResult (valid for the call only), inside the chunk's
+	// "stitch" span (carried by ctx). It is how a caller that knows more
+	// than the session does — sim.Run holds the clean viewpoint trace —
+	// scores what was delivered.
+	ScoreChunk func(ctx context.Context, cr *ChunkResult)
 	// Live tunes low-latency behaviour against a live manifest
 	// (edge-poll cadence, skip-to-edge policy, dead-feed timeout). It is
 	// ignored for VOD manifests; the zero value selects defaults derived
@@ -267,9 +286,10 @@ func (c *Client) Stream(ctx context.Context, tr *viewport.Trace, cfg StreamConfi
 
 // RunSession runs the full adaptive session loop (estimate → MPC →
 // assign → fetch → stitch → QoE) over an arbitrary Transport and
-// Clock. Client.Stream is this loop over HTTP and the wall clock;
-// internal/swarm runs the same loop over a logical network in virtual
-// time. See Stream for the loop's contract.
+// Clock. It is the repo's only session loop: Client.Stream is it over
+// HTTP and the wall clock, sim.Run over one emulated link and
+// internal/swarm over a logical network, both in virtual time. See
+// Stream for the loop's contract.
 func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg StreamConfig) (result *StreamResult, err error) {
 	if cfg.BufferTargetSec == 0 {
 		cfg.BufferTargetSec = 2
@@ -283,7 +303,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	}
 	clk := cfg.Clock
 	instrumented := cfg.Obs != nil || cfg.Log != nil
-	pol := cfg.Fetch.withDefaults()
+	pol := cfg.Fetch.WithDefaults()
 
 	res := &StreamResult{}
 	sess := cfg.Log.Session("planner", cfg.Planner.Name(), "base_url", tp.Target())
@@ -370,6 +390,10 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	est := player.NewEstimator()
 	mpc := abr.NewMPC(cfg.BufferTargetSec)
 	mpc.Obs = cfg.Obs
+	var ctrl abr.Controller = mpc
+	if cfg.Controller != nil {
+		ctrl = cfg.Controller
+	}
 	bw := abr.NewBandwidthPredictor()
 	bw.Obs = cfg.Obs
 	live := m.Live
@@ -420,16 +444,26 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			budget = m.ChunkBits(k, codec.Level(codec.NumLevels-1))
 			if cfg.SimModel {
 				// Cold start pins prev so the switch penalty binds from
-				// chunk 1, as in sim.Run.
+				// chunk 1.
 				prev = codec.Level(codec.NumLevels - 1)
 			}
 		} else {
+			if cfg.BWErrorFrac > 0 {
+				sign := 1.0
+				if k%2 == 1 {
+					sign = -1
+				}
+				pred *= 1 + sign*cfg.BWErrorFrac
+			}
 			horizon := make([]abr.ChunkPlan, 0, mpc.Horizon)
 			for j := k; j < k+mpc.Horizon && j < m.NumChunks(); j++ {
 				var p abr.ChunkPlan
 				for l := 0; l < codec.NumLevels; l++ {
 					p.Bits[l] = m.ChunkBits(j, codec.Level(l))
 					if cfg.SimModel {
+						// Normalize dB to MOS-like units so the rebuffer
+						// and buffer penalties bind (a level step is worth
+						// ~1-2 units, far less than a second of stall).
 						p.Quality[l] = player.MeanRefPSPNR(m, j, codec.Level(l)) / 10
 					} else {
 						p.Quality[l] = float64(codec.NumLevels - l)
@@ -437,13 +471,13 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 				}
 				horizon = append(horizon, p)
 			}
-			lv := mpc.PickLevelCtx(cctx, buffer, pred, m.ChunkSec, prev, horizon)
+			lv := pickLevelCtx(cctx, ctrl, buffer, pred, m.ChunkSec, prev, horizon)
 			budget = m.ChunkBits(k, lv)
 			prev = lv
 			if cfg.SimModel {
 				// The level menu is coarse; fill the remaining predicted
-				// capacity (sim.Run's top-up) so the tile allocator can
-				// spend what the link actually offers.
+				// capacity so the tile allocator can spend what the link
+				// actually offers (identically for every system).
 				capacity := 0.9 * pred * (m.ChunkSec + math.Max(0, buffer-cfg.BufferTargetSec))
 				if capacity > budget {
 					budget = math.Min(capacity, m.ChunkBits(k, 0))
@@ -509,7 +543,8 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			bw.Observe(thr)
 		}
 		res.Chunks = append(res.Chunks, ChunkResult{
-			Chunk: k, Levels: delivered, Bytes: bytes, Download: dl, Throughput: thr,
+			Chunk: k, Planned: alloc, PlayheadSec: nowMedia,
+			Levels: delivered, Bytes: bytes, Bits: goodBits, Download: dl, Throughput: thr,
 			Retries: retries, Degraded: degraded, Skipped: skipped, Stale: stale,
 		})
 		res.TotalBytes += bytes
@@ -530,8 +565,8 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		}
 		buffer += m.ChunkSec
 		if cfg.MaxBufferSec > 0 && buffer > cfg.MaxBufferSec {
-			// Paced prefetch (sim parity): idle without draining —
-			// playback continues against the buffered media.
+			// Paced prefetch: idle without draining — playback continues
+			// against the buffered media.
 			idle := buffer - cfg.MaxBufferSec
 			if serr := clk.Sleep(ctx, time.Duration(idle*float64(time.Second))); serr != nil {
 				chunkSpan.End()
@@ -545,22 +580,27 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		rebufTotal.Add(stall)
 		dlSeconds.ObserveExemplar(dl.Seconds(), chunkSpan.TraceHex())
 		bufGauge.Set(buffer)
-		if instrumented {
+		if instrumented || cfg.ScoreChunk != nil {
 			// Phase: stitch + viewport-quality scoring of what was
 			// actually delivered (degraded/stale tiles included).
-			_, sSpan := trace.StartSpan(cctx, "stitch")
-			guess := est.BestGuessView(m, tr, k, nowMedia)
-			e := player.FramePSPNRDegraded(m, k, delivered, stale, guess, prof)
-			sSpan.Annotate("est_pspnr_db", e)
+			sctx, sSpan := trace.StartSpan(cctx, "stitch")
+			if cfg.ScoreChunk != nil {
+				cfg.ScoreChunk(sctx, &res.Chunks[len(res.Chunks)-1])
+			}
+			if instrumented {
+				guess := est.BestGuessView(m, tr, k, nowMedia)
+				e := player.FramePSPNRDegraded(m, k, delivered, stale, guess, prof)
+				sSpan.Annotate("est_pspnr_db", e)
+				estPSPNR.Observe(e)
+				estSum += e
+				res.MeanEstPSPNR = estSum / float64(streamed+1)
+				sess.Debug("chunk_done",
+					"chunk", k, "bytes", bytes, "download_sec", dl.Seconds(),
+					"throughput_bps", thr, "stall_sec", stall, "buffer_sec", buffer,
+					"est_pspnr_db", e, "retries", retries,
+					"tiles_degraded", degraded, "tiles_skipped", skipped)
+			}
 			sSpan.End()
-			estPSPNR.Observe(e)
-			estSum += e
-			res.MeanEstPSPNR = estSum / float64(streamed+1)
-			sess.Debug("chunk_done",
-				"chunk", k, "bytes", bytes, "download_sec", dl.Seconds(),
-				"throughput_bps", thr, "stall_sec", stall, "buffer_sec", buffer,
-				"est_pspnr_db", e, "retries", retries,
-				"tiles_degraded", degraded, "tiles_skipped", skipped)
 		}
 		chunkSpan.Annotate("bytes", bytes)
 		chunkSpan.Annotate("stall_sec", stall)
@@ -592,6 +632,22 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			"Table 3 opinion-score band of the estimated session quality").Set(float64(res.MOS()))
 	}
 	return res, nil
+}
+
+// pickLevelCtx routes the chunk-level decision through the controller's
+// PickLevelCtx when it has one (the MPC does, opening its own "mpc"
+// span); plain controllers get wrapped in an "mpc" span here so the
+// decision phase always appears in the trace.
+func pickLevelCtx(ctx context.Context, c abr.Controller, bufferSec, predBWbps, chunkSec float64, prev codec.Level, horizon []abr.ChunkPlan) codec.Level {
+	if cc, ok := c.(abr.ContextController); ok {
+		return cc.PickLevelCtx(ctx, bufferSec, predBWbps, chunkSec, prev, horizon)
+	}
+	_, sp := trace.StartSpan(ctx, "mpc",
+		trace.A("buffer_sec", bufferSec), trace.A("pred_bps", predBWbps))
+	lv := c.PickLevel(bufferSec, predBWbps, chunkSec, prev, horizon)
+	sp.Annotate("level", int(lv))
+	sp.End()
+	return lv
 }
 
 // Stitch assembles per-tile luma buffers into a panoramic frame using

@@ -88,8 +88,11 @@ func DefaultFetchPolicy() FetchPolicy {
 	}
 }
 
-// withDefaults fills zero fields from DefaultFetchPolicy.
-func (p FetchPolicy) withDefaults() FetchPolicy {
+// WithDefaults returns the policy with zero fields filled from
+// DefaultFetchPolicy — the normalization every fetch entry point
+// applies, exported so the fleet layer resolves hedge tuning
+// identically.
+func (p FetchPolicy) WithDefaults() FetchPolicy {
 	d := DefaultFetchPolicy()
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = d.MaxAttempts
@@ -124,12 +127,6 @@ func (p FetchPolicy) withDefaults() FetchPolicy {
 	return p
 }
 
-// WithDefaults returns the policy with zero fields filled from
-// DefaultFetchPolicy — the same normalization every fetch entry point
-// applies, exported so the fleet layer resolves hedge tuning
-// identically.
-func (p FetchPolicy) WithDefaults() FetchPolicy { return p.withDefaults() }
-
 // HedgingEnabled reports whether the policy allows hedged fetches
 // (negative HedgeDelay turns them off).
 func (p FetchPolicy) HedgingEnabled() bool { return p.HedgeDelay >= 0 }
@@ -153,9 +150,10 @@ func (p FetchPolicy) attemptTimeout(bufferSec float64, startup bool) time.Durati
 	return t
 }
 
-// backoff returns the jittered delay before retry number attempt
-// (0-based).
-func (p FetchPolicy) backoff(attempt int, rng *mathx.RNG) time.Duration {
+// Backoff returns the jittered delay before retry number attempt
+// (0-based); exported so the fleet layer paces its failover rounds
+// like the ladder.
+func (p FetchPolicy) Backoff(attempt int, rng *mathx.RNG) time.Duration {
 	d := p.BaseBackoff
 	for i := 0; i < attempt && d < p.MaxBackoff; i++ {
 		d *= 2
@@ -169,17 +167,6 @@ func (p FetchPolicy) backoff(attempt int, rng *mathx.RNG) time.Duration {
 	return d
 }
 
-// Backoff returns the jittered delay before retry number attempt
-// (0-based) — the exported form of the ladder's backoff, so the fleet
-// layer paces its failover rounds identically.
-func (p FetchPolicy) Backoff(attempt int, rng *mathx.RNG) time.Duration {
-	return p.backoff(attempt, rng)
-}
-
-// ErrorClass buckets a fetch error into the pipeline's low-cardinality
-// class names (see errorClass) for metrics shared across packages.
-func ErrorClass(err error) string { return errorClass(err) }
-
 // retryable classifies a fetch error: 4xx server answers are final for
 // this rung; everything else (5xx, transport errors, truncated or
 // corrupt bodies, attempt deadline expiry) is worth retrying.
@@ -191,7 +178,7 @@ func retryable(err error) bool {
 	return true
 }
 
-// errorClass buckets a fetch error into a low-cardinality class, so
+// ErrorClass buckets a fetch error into a low-cardinality class, so
 // retry events and counters aggregate cleanly under chaos instead of
 // exploding into raw error strings:
 //
@@ -201,7 +188,7 @@ func retryable(err error) bool {
 //	conn_reset — the connection died (reset, refused, broken pipe, EOF)
 //	truncated  — a short or corrupt body (length/header mismatch)
 //	other      — anything else
-func errorClass(err error) string {
+func ErrorClass(err error) string {
 	if err == nil {
 		return ""
 	}
@@ -346,7 +333,7 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 				}
 				return out, nil
 			}
-			class := errorClass(err)
+			class := ErrorClass(err)
 			aspan.SetError(class)
 			if ctx.Err() != nil {
 				// The session itself was canceled (or hit its overall
@@ -366,7 +353,7 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 			}
 			var backoff time.Duration
 			if attempt < pol.MaxAttempts-1 {
-				backoff = pol.backoff(attempt, rng)
+				backoff = pol.Backoff(attempt, rng)
 				aspan.Annotate("backoff_sec", backoff.Seconds())
 			}
 			aspan.End()
@@ -381,13 +368,6 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 	ins.skipped.Inc()
 	sess.Warn("tile_skipped",
 		"chunk", k, "tile", ti, "planned_level", int(planned),
-		"retries", out.retries, "class", errorClass(lastErr), "error", errString(lastErr))
+		"retries", out.retries, "class", ErrorClass(lastErr), "error", lastErr.Error())
 	return out, nil
-}
-
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
 }

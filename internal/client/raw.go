@@ -38,7 +38,7 @@ type RawResult struct {
 // return immediately. ctx cancellation and attempt exhaustion are the
 // only error paths.
 func (c *Client) FetchRaw(ctx context.Context, path, etag string, pol FetchPolicy, rng *mathx.RNG) (RawResult, error) {
-	pol = pol.withDefaults()
+	pol = pol.WithDefaults()
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		actx, cancel := context.WithTimeout(ctx, pol.AttemptTimeout)
@@ -55,7 +55,7 @@ func (c *Client) FetchRaw(ctx context.Context, path, etag string, pol FetchPolic
 			break
 		}
 		if attempt < pol.MaxAttempts-1 {
-			if serr := sleepCtx(ctx, pol.backoff(attempt, rng)); serr != nil {
+			if serr := sleepCtx(ctx, pol.Backoff(attempt, rng)); serr != nil {
 				return RawResult{}, serr
 			}
 		}

@@ -246,12 +246,15 @@ func (p *prefetcher) enqueueLocked(k, ti int, l codec.Level) {
 		p.e.prefetchCount("throttled")
 		return
 	}
+	// Count the job before a worker can see it: a worker that finishes
+	// first would otherwise drive jobWG negative.
+	p.jobWG.Add(1)
 	select {
 	case p.jobs <- prefetchJob{k: k, ti: ti, l: l}:
 		p.tokens--
 		set[ti] = true
-		p.jobWG.Add(1)
 	default:
+		p.jobWG.Done()
 		p.e.prefetchCount("queue_full")
 	}
 }

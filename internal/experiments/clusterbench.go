@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"time"
 
@@ -346,22 +345,11 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 	// Export the full assembled cluster view for Perfetto and validate
 	// the export's shape, like the trace bench does for one process.
 	assembled := sc.AssembleTraces()
-	pf, err := os.Create("cluster.perfetto.json")
-	if err != nil {
+	var export bytes.Buffer
+	if err := trace.WriteAssembledChromeTrace(&export, assembled...); err != nil {
 		return res, nil, err
 	}
-	if err := trace.WriteAssembledChromeTrace(pf, assembled...); err != nil {
-		pf.Close()
-		return res, nil, err
-	}
-	if err := pf.Close(); err != nil {
-		return res, nil, err
-	}
-	pfData, err := os.ReadFile("cluster.perfetto.json")
-	if err != nil {
-		return res, nil, err
-	}
-	if res.PerfettoEvents, err = trace.ValidateChromeTrace(pfData); err != nil {
+	if res.PerfettoEvents, err = trace.ValidateChromeTrace(export.Bytes()); err != nil {
 		return fail("cluster.perfetto.json invalid: %v", err)
 	}
 
@@ -585,8 +573,9 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 		return "0"
 	}
 	t := &Table{
-		Title:  "Cluster observability plane: federated /metrics, fleet-wide SLOs, cross-process traces",
-		Header: []string{"metric", "value", "info"},
+		Title:    "Cluster observability plane: federated /metrics, fleet-wide SLOs, cross-process traces",
+		Header:   []string{"metric", "value", "info"},
+		Perfetto: export.Bytes(),
 		Rows: [][]string{
 			{"processes", f0(float64(res.Processes)), "2 origins + 2 edges + client"},
 			{"scrape_targets", f0(float64(res.Targets)), "federated by obsd plane"},

@@ -189,6 +189,10 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
+	// Perfetto, when set, is the run's validated Chrome trace-event
+	// export. Experiments never write files themselves; cmd/pano-bench
+	// saves it as <id>.perfetto.json next to the BENCH_<id>.json.
+	Perfetto []byte
 }
 
 // String renders an aligned text table.

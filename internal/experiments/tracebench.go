@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"os"
 	"time"
 
 	"pano/internal/chaos"
@@ -45,17 +45,18 @@ type TraceBenchResult struct {
 	// fault annotation.
 	ServerSpans int
 	ChaosFaults int
-	// PerfettoEvents is the validated event count of trace.perfetto.json.
+	// PerfettoEvents is the validated event count of the Chrome trace
+	// export (the Table's Perfetto bytes).
 	PerfettoEvents int
-	PerfettoPath   string
 }
 
 // TraceBench records one seeded simulator session and one chaos-wrapped
 // HTTP session as span trees, breaks the simulator session down by
-// pipeline phase, exports everything as Chrome trace-event JSON
-// (trace.perfetto.json, loadable in Perfetto), and validates the
-// export's shape. It fails when the HTTP trace does not stitch —
-// i.e. when no server-side handler span joined the client's trace.
+// pipeline phase, exports everything as Chrome trace-event JSON (the
+// Table's Perfetto bytes; pano-bench saves them as trace.perfetto.json,
+// loadable in Perfetto), and validates the export's shape. It fails
+// when the HTTP trace does not stitch — i.e. when no server-side
+// handler span joined the client's trace.
 func TraceBench(d *Dataset) (TraceBenchResult, *Table, error) {
 	vi := d.TracedIndices()[0]
 	m, err := d.Manifest(vi, provider.ModePano)
@@ -111,9 +112,8 @@ func TraceBench(d *Dataset) (TraceBenchResult, *Table, error) {
 	}
 
 	res := TraceBenchResult{
-		SimTraceID:   simRes.TraceID,
-		HTTPTraceID:  httpRes.TraceID,
-		PerfettoPath: "trace.perfetto.json",
+		SimTraceID:  simRes.TraceID,
+		HTTPTraceID: httpRes.TraceID,
 	}
 
 	traces := tracer.Traces()
@@ -170,32 +170,22 @@ func TraceBench(d *Dataset) (TraceBenchResult, *Table, error) {
 	}
 
 	// Export both traces and validate the export's shape.
-	f, err := os.Create(res.PerfettoPath)
-	if err != nil {
+	var export bytes.Buffer
+	if err := trace.WriteChromeTrace(&export, simTrace, httpTrace); err != nil {
 		return res, nil, err
 	}
-	if err := trace.WriteChromeTrace(f, simTrace, httpTrace); err != nil {
-		f.Close()
-		return res, nil, err
-	}
-	if err := f.Close(); err != nil {
-		return res, nil, err
-	}
-	data, err := os.ReadFile(res.PerfettoPath)
-	if err != nil {
-		return res, nil, err
-	}
-	res.PerfettoEvents, err = trace.ValidateChromeTrace(data)
+	res.PerfettoEvents, err = trace.ValidateChromeTrace(export.Bytes())
 	if err != nil {
 		return res, nil, fmt.Errorf("tracebench: invalid Chrome trace export: %w", err)
 	}
 
 	t := &Table{
 		Title: fmt.Sprintf(
-			"Per-phase session timeline (sim trace %s; http trace %s: %d server spans, %d chaos faults; %s: %d events)",
+			"Per-phase session timeline (sim trace %s; http trace %s: %d server spans, %d chaos faults; trace.perfetto.json: %d events)",
 			res.SimTraceID, res.HTTPTraceID, res.ServerSpans, res.ChaosFaults,
-			res.PerfettoPath, res.PerfettoEvents),
-		Header: []string{"phase", "spans", "total_ms", "mean_us", "max_us", "share_pct"},
+			res.PerfettoEvents),
+		Header:   []string{"phase", "spans", "total_ms", "mean_us", "max_us", "share_pct"},
+		Perfetto: export.Bytes(),
 	}
 	for _, st := range res.Phases {
 		t.Rows = append(t.Rows, []string{

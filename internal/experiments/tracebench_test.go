@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"os"
-	"testing"
-)
+import "testing"
 
 func TestTraceBenchContract(t *testing.T) {
 	if testing.Short() {
@@ -14,7 +11,6 @@ func TestTraceBenchContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { os.Remove(res.PerfettoPath) })
 
 	if res.SimTraceID == "" || res.HTTPTraceID == "" || res.SimTraceID == res.HTTPTraceID {
 		t.Fatalf("trace ids: sim=%q http=%q", res.SimTraceID, res.HTTPTraceID)

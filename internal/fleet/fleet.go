@@ -254,21 +254,14 @@ func (f *Fleet) Fetch(ctx context.Context, path, etag string) (client.RawResult,
 	for round := 0; round < f.pol.MaxAttempts; round++ {
 		for oi, idx := range order {
 			o := f.ors[idx]
-			allowed, probe := o.brk.Allow(f.now())
-			if !allowed {
-				continue
-			}
 			// Every request beyond the first spends failover budget; a
 			// dry bucket ends the ladder instead of piling load onto a
 			// struggling fleet.
-			if tried > 0 && !f.budget.Spend() {
-				if probe {
-					// The half-open probe slot was consumed by Allow but
-					// no request will resolve it; give it back or the
-					// breaker stays wedged half-open (permanently so in
-					// passive-only mode, where no active prober runs).
-					o.brk.ReleaseProbe()
-				}
+			adm, probe := Admit(o.brk, f.budget, f.now(), tried > 0)
+			if adm == BreakerDenied {
+				continue
+			}
+			if adm == BudgetDry {
 				f.budgetExhausted.IncExemplar(span.TraceHex())
 				span.SetError("budget_exhausted")
 				return client.RawResult{}, fmt.Errorf("fleet: %s: retry budget exhausted after %d attempts: %w", path, tried, lastErr)
@@ -299,7 +292,7 @@ func (f *Fleet) Fetch(ctx context.Context, path, etag string) (client.RawResult,
 				"path", path, "origin", idx, "class", client.ErrorClass(err))
 		}
 		if round < f.pol.MaxAttempts-1 {
-			if err := sleepCtx(ctx, f.pol.Backoff(round, rng)); err != nil {
+			if err := (client.RealClock{}).Sleep(ctx, f.pol.Backoff(round, rng)); err != nil {
 				return client.RawResult{}, err
 			}
 		}
@@ -382,15 +375,11 @@ func (f *Fleet) attempt(ctx context.Context, span *trace.Span, path, etag string
 		select {
 		case <-hedgeC:
 			hedgeC = nil
-			ballowed, bprobe := backup.brk.Allow(f.now())
-			if !ballowed {
-				continue
-			}
-			if !f.budget.Spend() {
-				if bprobe {
-					backup.brk.ReleaseProbe()
-				}
+			adm, bprobe := Admit(backup.brk, f.budget, f.now(), true)
+			if adm == BudgetDry {
 				f.budgetExhausted.IncExemplar(span.TraceHex())
+			}
+			if adm != Admitted {
 				continue
 			}
 			f.hedgeIssued.IncExemplar(span.TraceHex())
@@ -438,21 +427,6 @@ func (f *Fleet) originFailure(idx int, err error) {
 	f.cfg.Obs.Counter("pano_fleet_failures_total",
 		"origin requests that failed, by origin and error class",
 		obs.L("origin", strconv.Itoa(idx)), obs.L("class", client.ErrorClass(err))).Inc()
-}
-
-// sleepCtx sleeps d or returns early with ctx's error.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // latTracker keeps a small reservoir of recent successful fetch

@@ -44,13 +44,15 @@ func ServeListener(ln net.Listener, h http.Handler, drain time.Duration, stop ..
 	if drain <= 0 {
 		drain = DefaultDrain
 	}
-	srv := &http.Server{Handler: h}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
+	// Catch signals before the first request can be served: a SIGTERM
+	// landing between Serve and Notify would kill the process outright.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
+
+	srv := &http.Server{Handler: h}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
 
 	stopAll := func() {
 		for _, s := range stop {

@@ -9,18 +9,26 @@
 //
 // The metric set mirrors the evaluation signals of the Pano paper
 // (SIGCOMM 2019), so scraping a running server or simulator reproduces
-// the paper's per-session time series:
+// the paper's per-session time series. Every session — HTTP, sim.Run,
+// swarm — runs the one client loop and emits its pano_client_*
+// families; a simulated session adds exactly the three pano_sim_*
+// families below, the ground truth only it can compute:
 //
-//	pano_sim_chunk_pspnr_db / pano_client_est_pspnr_db
-//	    per-chunk viewport PSPNR — the quality axis of Figures 13, 15,
-//	    and the estimation-error gap of Figure 16(a).
-//	pano_sim_rebuffer_seconds_total / pano_client_rebuffer_seconds_total
+//	pano_client_est_pspnr_db / pano_sim_chunk_pspnr_db
+//	    per-chunk viewport PSPNR as the client estimates it / as scored
+//	    against the clean viewpoint trace — the quality axis of Figures
+//	    13, 15; their gap is the estimation error of Figure 16(a).
+//	pano_client_rebuffer_seconds_total / pano_client_buffer_sec
 //	    stall time, the numerator of the buffering ratio in Figure 12's
-//	    QoE comparison and the rebuffering axis of Figure 17.
-//	pano_sim_bits_total / pano_client_bytes_total / pano_tile_bytes_total
+//	    QoE comparison and the rebuffering axis of Figure 17; the
+//	    playback buffer after each chunk.
+//	pano_client_bytes_total / pano_tile_bytes_total
 //	    downloaded volume — the bandwidth-savings axis of Figure 18.
-//	pano_sim_session_mos / pano_client_session_mos
-//	    the Table 3 opinion-score band of the session's mean PSPNR.
+//	pano_client_chunks_total / pano_client_chunk_download_seconds / pano_client_sessions_total
+//	    chunks streamed, their download times, sessions by final status.
+//	pano_client_session_{pspnr_db,mos} / pano_sim_session_{pspnr_db,mos}
+//	    session mean PSPNR and its Table 3 opinion-score band, as
+//	    estimated / against ground truth.
 //	pano_abr_decision_seconds
 //	    MPC chunk-level decision latency, the §6.1 runtime overhead.
 //	pano_abr_bw_prediction_error_ratio
@@ -39,8 +47,8 @@
 //	    retried by the resilient fetch pipeline.
 //	pano_client_tiles_degraded_total / pano_client_tiles_skipped_total
 //	    tiles that fell down the degradation ladder (§7 re-fetch at
-//	    lowest quality, then stitch-at-previous-content skip); the
-//	    simulator mirrors these as pano_sim_tiles_{degraded,skipped}_total.
+//	    lowest quality, then stitch-at-previous-content skip) — under
+//	    sim.Config.TileLossRate too, which walks the same ladder.
 //	pano_chaos_requests_total / pano_chaos_injections_total
 //	    the fault-injection middleware's traffic and injected faults by
 //	    endpoint and kind (error, abort, truncate, stall, latency,
@@ -103,7 +111,8 @@
 //	    exemplars point back at these traces).
 //	stitch
 //	    §7's stitch-and-score step (the est_pspnr_db annotation feeds
-//	    pano_client_est_pspnr_db).
+//	    pano_client_est_pspnr_db; a simulated session's pspnr_db
+//	    annotation feeds pano_sim_chunk_pspnr_db).
 //	http_request
 //	    the §6.2 server's handler span, stitched into the client's
 //	    trace via the W3C traceparent header and annotated with any
@@ -115,10 +124,10 @@
 // guards one paper claim (the same map lives in each SLO's Guards
 // field, shown at /debug/slo and on the dashboard):
 //
-//	rebuffer (rate of pano_{client,sim}_rebuffer_seconds_total vs wall time)
+//	rebuffer (rate of pano_client_rebuffer_seconds_total vs wall time)
 //	    the buffering-ratio axis of Figures 12/17 — the paper's systems
 //	    comparison holds stall time near zero; the SLO budgets it at 5%.
-//	pspnr_floor (pano_{client,sim}_session_pspnr_db >= 30 dB)
+//	pspnr_floor (pano_client_session_pspnr_db >= 30 dB)
 //	    the quality axis of Figures 13/15 — sessions below the Table 3
 //	    MOS-2 band are the regressions those figures would show.
 //	tile_p99 (p99 of pano_client_tile_attempt_seconds | pano_http_request_seconds <= 0.5s)

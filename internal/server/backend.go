@@ -3,8 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"net/http"
-	"strconv"
 	"time"
 
 	"pano/internal/codec"
@@ -15,8 +13,8 @@ import (
 // whose content changes underneath them — internal/store's Backend
 // reads a shared content-addressed store that a live publisher appends
 // to, which is what makes N origins stateless front-ends over one
-// directory. The static server.New path never consults a Backend and
-// is byte-identical with or without this file.
+// directory; server.New wraps a fixed manifest in an in-memory one, so
+// both constructors share every handler.
 type Backend interface {
 	// Manifest returns the current manifest, its exact wire encoding,
 	// and the ETag of those bytes. Implementations refresh on change;
@@ -50,28 +48,14 @@ var ErrObjectGone = errors.New("server: object gone")
 // once; later refreshes are trusted to come from a publisher that
 // validated before publishing.
 func NewBackend(b Backend, opts ...Option) (*Server, error) {
-	man, body, etag, err := b.Manifest()
+	man, _, _, err := b.Manifest()
 	if err != nil {
 		return nil, fmt.Errorf("server: backend: %w", err)
 	}
 	if err := man.Validate(); err != nil {
 		return nil, fmt.Errorf("server: backend: %w", err)
 	}
-	s := &Server{man: man, backend: b, maxAge: 60 * time.Second}
-	for _, o := range opts {
-		o(s)
-	}
-	s.manJSON = body
-	s.manETag = etag
-	s.lastMod = time.Now().UTC().Truncate(time.Second)
-	if s.reg != nil {
-		s.reg.Gauge("pano_video_chunks", "chunks in the served manifest").Set(float64(man.NumChunks()))
-		if man.NumChunks() > 0 {
-			s.reg.Gauge("pano_video_tiles_per_chunk", "tiles per chunk in the served manifest").
-				Set(float64(len(man.Chunks[0].Tiles)))
-		}
-	}
-	return s, nil
+	return newServer(man, b, opts), nil
 }
 
 // liveManifestMaxAge shortens the manifest's advertised freshness while
@@ -88,42 +72,4 @@ func liveManifestMaxAge(chunkSec float64, def time.Duration) time.Duration {
 		d = def
 	}
 	return d
-}
-
-// handleTileBackend is handleTile's dynamic path: existence, size, and
-// ETag come from the backend, with 404/410 distinguishing unpublished
-// from retired objects.
-func (s *Server) handleTileBackend(w http.ResponseWriter, r *http.Request, k, ti int, l codec.Level) {
-	st, err := s.backend.TileStat(k, ti, l)
-	switch {
-	case errors.Is(err, ErrObjectGone):
-		http.Error(w, "tile retired from availability window", http.StatusGone)
-		return
-	case errors.Is(err, ErrObjectNotFound):
-		http.NotFound(w, r)
-		return
-	case err != nil:
-		http.Error(w, "server: backend: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.cacheHeaders(w, st.ETag, s.maxAge)
-	if etagMatch(r.Header.Get("If-None-Match"), st.ETag) {
-		// 304 from the stat alone: the blob is never read.
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(maxInt(st.Size, 16)))
-	if r.Method == http.MethodHead {
-		return
-	}
-	body, err := s.backend.TileData(k, ti, l)
-	if err != nil {
-		// Headers are already written; surface the truncation server-side.
-		s.writeError("tile", err)
-		return
-	}
-	if _, err := w.Write(body); err != nil {
-		s.writeError("tile", err)
-	}
 }

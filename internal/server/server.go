@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -29,24 +30,19 @@ import (
 
 // Server serves one video.
 type Server struct {
-	man    *manifest.Video
 	reg    *obs.Registry
 	log    *obs.EventLog
 	tracer *trace.Tracer
 	tel    *telemetry.Sampler
 
-	// backend, when set (NewBackend), overrides the static in-memory
-	// serving path: manifest and tiles come from it on every request,
-	// so a live publisher's appends become visible without restarting.
-	// nil for servers built with New — that path is untouched.
+	// backend supplies the manifest and every tile object. New wraps a
+	// fixed manifest in an in-memory Backend; NewBackend takes one whose
+	// content may change underneath (a live publisher's store).
 	backend Backend
 
-	// Cache-validation state: the manifest is encoded once at New so
-	// every response is byte-identical and its ETag is a true content
-	// hash; tiles get a derived ETag (payloads are pure functions of
-	// their address, see TileETag). lastMod anchors Last-Modified.
-	manJSON []byte
-	manETag string
+	// Cache-validation state shared by every response: the advertised
+	// freshness lifetime and the Last-Modified anchor. ETags come from
+	// the backend.
 	maxAge  time.Duration
 	lastMod time.Time
 }
@@ -98,34 +94,73 @@ func WithTelemetry(t *telemetry.Sampler) Option {
 	return func(s *Server) { s.tel = t }
 }
 
-// New validates the manifest and returns a server for it.
+// New validates the manifest and returns a server for it: NewBackend
+// over an in-memory Backend holding that one manifest.
 func New(m *manifest.Video, opts ...Option) (*Server, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	s := &Server{man: m, maxAge: 60 * time.Second}
-	for _, o := range opts {
-		o(s)
-	}
-	// Encode once: responses are served from this buffer (byte-identical
-	// to streaming the encoder) and the ETag is a hash of exactly the
-	// bytes on the wire.
+	// Encode once, so every response is byte-identical and the ETag is
+	// a hash of exactly the bytes on the wire.
 	var buf bytes.Buffer
 	if err := m.Encode(&buf); err != nil {
 		return nil, fmt.Errorf("server: encode manifest: %w", err)
 	}
-	s.manJSON = buf.Bytes()
-	sum := sha256.Sum256(s.manJSON)
-	s.manETag = `"` + hex.EncodeToString(sum[:8]) + `"`
+	sum := sha256.Sum256(buf.Bytes())
+	b := &memBackend{man: m, body: buf.Bytes(), etag: `"` + hex.EncodeToString(sum[:8]) + `"`}
+	return newServer(m, b, opts), nil
+}
+
+// newServer is the construction New and NewBackend share; man is the
+// backend's already-validated manifest.
+func newServer(man *manifest.Video, b Backend, opts []Option) *Server {
+	s := &Server{backend: b, maxAge: 60 * time.Second}
+	for _, o := range opts {
+		o(s)
+	}
 	s.lastMod = time.Now().UTC().Truncate(time.Second)
 	if s.reg != nil {
-		s.reg.Gauge("pano_video_chunks", "chunks in the served manifest").Set(float64(m.NumChunks()))
-		if m.NumChunks() > 0 {
+		s.reg.Gauge("pano_video_chunks", "chunks in the served manifest").Set(float64(man.NumChunks()))
+		if man.NumChunks() > 0 {
 			s.reg.Gauge("pano_video_tiles_per_chunk", "tiles per chunk in the served manifest").
-				Set(float64(len(m.Chunks[0].Tiles)))
+				Set(float64(len(man.Chunks[0].Tiles)))
 		}
 	}
-	return s, nil
+	return s
+}
+
+// memBackend is the static Backend behind New: one immutable manifest
+// in process memory, its encoding and ETag fixed at construction. Tile
+// payloads are pure functions of their address (TilePayload, TileETag),
+// generated on demand.
+type memBackend struct {
+	man  *manifest.Video
+	body []byte
+	etag string
+}
+
+// Manifest implements Backend.
+func (b *memBackend) Manifest() (*manifest.Video, []byte, string, error) {
+	return b.man, b.body, b.etag, nil
+}
+
+// TileStat implements Backend; an address outside the manifest is
+// ErrObjectNotFound.
+func (b *memBackend) TileStat(k, ti int, l codec.Level) (TileStat, error) {
+	if k < 0 || k >= b.man.NumChunks() || ti < 0 || ti >= len(b.man.Chunks[k].Tiles) || !l.Valid() {
+		return TileStat{}, ErrObjectNotFound
+	}
+	size := TileSizeBytes(&b.man.Chunks[k].Tiles[ti], l)
+	return TileStat{Size: size, ETag: TileETag(k, ti, l, size)}, nil
+}
+
+// TileData implements Backend.
+func (b *memBackend) TileData(k, ti int, l codec.Level) ([]byte, error) {
+	st, err := b.TileStat(k, ti, l)
+	if err != nil {
+		return nil, err
+	}
+	return TilePayload(k, ti, l, st.Size), nil
 }
 
 // Handler returns the HTTP handler:
@@ -149,7 +184,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/manifest.mpd", s.instrument("mpd", s.handleMPD))
 	mux.HandleFunc("/video/", s.instrument("tile", s.handleTile))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGetHead(w, r) {
+		if !obs.AllowGetHead(w, r) {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -175,7 +210,7 @@ func (s *Server) Handler() http.Handler {
 // JSON array of {time, level, msg, attrs} objects — a zero-dependency
 // peek at recent server activity without scraping stderr.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if !allowGetHead(w, r) {
+	if !obs.AllowGetHead(w, r) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -268,30 +303,18 @@ func (s *Server) writeError(endpoint string, err error) {
 	s.log.Logger().Warn("http_write_error", "endpoint", endpoint, "error", err.Error())
 }
 
-// allowGetHead rejects everything but GET and HEAD with 405 (every
-// endpoint, uniformly) and reports whether the request may proceed.
-// Delegates to the shared obs helper so every binary's endpoints
-// answer methods identically.
-func allowGetHead(w http.ResponseWriter, r *http.Request) bool {
-	return obs.AllowGetHead(w, r)
-}
-
 func (s *Server) handleMPD(w http.ResponseWriter, r *http.Request) {
-	if !allowGetHead(w, r) {
+	if !obs.AllowGetHead(w, r) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/dash+xml")
 	if r.Method == http.MethodHead {
 		return
 	}
-	man := s.man
-	if s.backend != nil {
-		bm, _, _, err := s.backend.Manifest()
-		if err != nil {
-			s.writeError("mpd", err)
-			return
-		}
-		man = bm
+	man, _, _, err := s.backend.Manifest()
+	if err != nil {
+		s.writeError("mpd", err)
+		return
 	}
 	if err := man.MPD().Encode(w); err != nil {
 		s.writeError("mpd", err)
@@ -327,22 +350,19 @@ func etagMatch(header, etag string) bool {
 }
 
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	if !allowGetHead(w, r) {
+	if !obs.AllowGetHead(w, r) {
 		return
 	}
-	body, etag, maxAge := s.manJSON, s.manETag, s.maxAge
-	if s.backend != nil {
-		man, b, e, err := s.backend.Manifest()
-		if err != nil {
-			http.Error(w, "server: backend: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		body, etag = b, e
-		if man.Live {
-			// A live manifest changes every publish; don't let caches
-			// hold it for the VOD lifetime.
-			maxAge = liveManifestMaxAge(man.ChunkSec, s.maxAge)
-		}
+	man, body, etag, err := s.backend.Manifest()
+	if err != nil {
+		http.Error(w, "server: backend: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	maxAge := s.maxAge
+	if man.Live {
+		// A live manifest changes every publish; don't let caches
+		// hold it for the VOD lifetime.
+		maxAge = liveManifestMaxAge(man.ChunkSec, s.maxAge)
 	}
 	s.cacheHeaders(w, etag, maxAge)
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
@@ -437,7 +457,7 @@ func TilePath(chunk, tile int, level codec.Level) string {
 }
 
 func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
-	if !allowGetHead(w, r) {
+	if !obs.AllowGetHead(w, r) {
 		return
 	}
 	k, ti, l, err := ParseTilePath(r.URL.Path)
@@ -449,41 +469,38 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	if s.backend != nil {
-		s.handleTileBackend(w, r, k, ti, l)
+	// Existence, size, and ETag come from the backend, with 404/410
+	// distinguishing unpublished from retired objects.
+	st, err := s.backend.TileStat(k, ti, l)
+	switch {
+	case errors.Is(err, ErrObjectGone):
+		http.Error(w, "tile retired from availability window", http.StatusGone)
 		return
-	}
-	if k >= s.man.NumChunks() {
+	case errors.Is(err, ErrObjectNotFound):
 		http.NotFound(w, r)
 		return
-	}
-	tiles := s.man.Chunks[k].Tiles
-	if ti >= len(tiles) {
-		http.NotFound(w, r)
+	case err != nil:
+		http.Error(w, "server: backend: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	size := TileSizeBytes(&tiles[ti], l)
-	etag := TileETag(k, ti, l, size)
-	s.cacheHeaders(w, etag, s.maxAge)
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		// 304 before generating the payload: revalidation is the cheap
-		// path by construction.
+	s.cacheHeaders(w, st.ETag, s.maxAge)
+	if etagMatch(r.Header.Get("If-None-Match"), st.ETag) {
+		// 304 from the stat alone: no payload is read or generated.
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(maxInt(size, 16)))
+	w.Header().Set("Content-Length", strconv.Itoa(max(st.Size, 16)))
 	if r.Method == http.MethodHead {
 		return
 	}
-	if _, err := w.Write(TilePayload(k, ti, l, size)); err != nil {
+	body, err := s.backend.TileData(k, ti, l)
+	if err != nil {
+		// Headers are already written; surface the truncation server-side.
+		s.writeError("tile", err)
+		return
+	}
+	if _, err := w.Write(body); err != nil {
 		s.writeError("tile", err)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

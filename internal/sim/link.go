@@ -13,7 +13,7 @@ func RateForLevel(m *manifest.Video, l codec.Level) float64 {
 		return 0
 	}
 	var bits float64
-	for k := 0; k < m.NumChunks(); k++ {
+	for k := range m.Chunks {
 		bits += m.ChunkBits(k, l)
 	}
 	return bits / m.DurationSec()

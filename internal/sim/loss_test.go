@@ -32,10 +32,10 @@ func TestTileLossDegradesAndSkips(t *testing.T) {
 	if lossy.MeanPSPNR >= clean.MeanPSPNR {
 		t.Errorf("loss did not hurt quality: %v vs clean %v", lossy.MeanPSPNR, clean.MeanPSPNR)
 	}
-	if got := reg.CounterValue("pano_sim_tiles_skipped_total"); got != float64(lossy.SkippedTiles) {
+	if got := reg.CounterValue("pano_client_tiles_skipped_total"); got != float64(lossy.SkippedTiles) {
 		t.Errorf("skipped counter %v, result has %d", got, lossy.SkippedTiles)
 	}
-	if got := reg.CounterValue("pano_sim_tiles_degraded_total"); got != float64(lossy.DegradedTiles) {
+	if got := reg.CounterValue("pano_client_tiles_degraded_total"); got != float64(lossy.DegradedTiles) {
 		t.Errorf("degraded counter %v, result has %d", got, lossy.DegradedTiles)
 	}
 }

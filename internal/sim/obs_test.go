@@ -10,8 +10,9 @@ import (
 )
 
 // TestRunRecordsQoEMetrics asserts the registry agrees with the run's
-// own Result: per-chunk PSPNR observations, rebuffer seconds, and
-// downloaded bits.
+// own Result: the ground-truth PSPNR series only the simulator can
+// compute, and the session loop's own chunk, rebuffer, and byte
+// counters (a simulated session emits them like any other).
 func TestRunRecordsQoEMetrics(t *testing.T) {
 	f := fixture(t)
 	reg := obs.NewRegistry()
@@ -35,14 +36,17 @@ func TestRunRecordsQoEMetrics(t *testing.T) {
 	if got := reg.HistogramSum("pano_sim_chunk_pspnr_db"); math.Abs(got-sum) > 1e-6 {
 		t.Errorf("pspnr sum %v, result per-chunk sum %v", got, sum)
 	}
-	if got := reg.CounterValue("pano_sim_chunks_total"); got != float64(n) {
+	if got := reg.CounterValue("pano_client_chunks_total"); got != float64(n) {
 		t.Errorf("chunks counter %v, want %d", got, n)
 	}
-	if got := reg.CounterValue("pano_sim_rebuffer_seconds_total"); math.Abs(got-res.StallSec) > 1e-9 {
+	if got := reg.CounterValue("pano_client_rebuffer_seconds_total"); math.Abs(got-res.StallSec) > 1e-9 {
 		t.Errorf("rebuffer counter %v, result StallSec %v", got, res.StallSec)
 	}
-	if got := reg.CounterValue("pano_sim_bits_total"); math.Abs(got-res.TotalBits) > 1e-6 {
-		t.Errorf("bits counter %v, result TotalBits %v", got, res.TotalBits)
+	// Bytes truncate per tile, so the counter trails TotalBits by under
+	// a byte per tile.
+	tiles := float64(n * len(f.pano.Chunks[0].Tiles))
+	if got := 8 * reg.CounterValue("pano_client_bytes_total"); got > res.TotalBits || got < res.TotalBits-8*tiles {
+		t.Errorf("bytes counter holds %v bits, result TotalBits %v", got, res.TotalBits)
 	}
 	if got := reg.GaugeValue("pano_sim_session_pspnr_db"); math.Abs(got-res.MeanPSPNR) > 1e-9 {
 		t.Errorf("session pspnr gauge %v, result %v", got, res.MeanPSPNR)
@@ -61,7 +65,8 @@ func TestRunRecordsQoEMetrics(t *testing.T) {
 		t.Error("no bandwidth prediction error recorded")
 	}
 
-	// Session summary event carries the result's QoE.
+	// The loop's session summary fired, and the closing session_scored
+	// event carries the result's ground-truth QoE.
 	e, ok := el.Last("session_summary")
 	if !ok {
 		t.Fatal("no session_summary event")
@@ -69,8 +74,12 @@ func TestRunRecordsQoEMetrics(t *testing.T) {
 	if e.Str("status") != "ok" {
 		t.Errorf("summary status %q", e.Str("status"))
 	}
+	e, ok = el.Last("session_scored")
+	if !ok {
+		t.Fatal("no session_scored event")
+	}
 	if got := e.Attr("mean_pspnr_db").(float64); math.Abs(got-res.MeanPSPNR) > 1e-9 {
-		t.Errorf("summary pspnr %v, result %v", got, res.MeanPSPNR)
+		t.Errorf("scored pspnr %v, result %v", got, res.MeanPSPNR)
 	}
 
 	// And the whole registry renders as valid exposition text.

@@ -1,22 +1,25 @@
 // Package sim runs trace-driven end-to-end streaming sessions (§8.1):
 // a manifest (the encoded video), a user's viewpoint trace, a cellular
-// bandwidth trace, and a quality-adaptation planner in a closed loop of
-// MPC bitrate control, tile-level allocation, download timing, buffer
-// dynamics, and perceived-quality accounting.
+// bandwidth trace, and a quality-adaptation planner.
 //
-// The simulator decides with what the client would know (predicted
-// viewpoint, lower-bound factors, harmonic-mean bandwidth), and scores
-// with ground truth (the real trace, the real factors), so prediction
-// error hurts exactly as it would in a deployment.
+// The closed loop itself — MPC bitrate control, tile-level allocation,
+// the fetch ladder, buffer dynamics — is client.RunSession, the same
+// code an HTTP session runs. This package supplies what makes a session
+// simulated: a Transport that turns nettrace.Link into download time on
+// a virtual clock, and the ground-truth scorer. The session decides
+// with what the client would know (predicted viewpoint, lower-bound
+// factors, harmonic-mean bandwidth) and is scored with what it could
+// not (the real trace, the real factors), so prediction error hurts
+// exactly as it would in a deployment.
 package sim
 
 import (
 	"context"
 	"fmt"
-	"math"
-	"strconv"
+	"time"
 
 	"pano/internal/abr"
+	"pano/internal/client"
 	"pano/internal/codec"
 	"pano/internal/jnd"
 	"pano/internal/manifest"
@@ -34,7 +37,7 @@ import (
 type Config struct {
 	// BufferTargetSec is the MPC buffer target (the paper tests 1-3 s).
 	BufferTargetSec float64
-	// MaxBufferSec caps prefetch (default 2x target).
+	// MaxBufferSec caps prefetch (default target + 1).
 	MaxBufferSec float64
 	// Profile is the 360JND profile used for scoring (default
 	// jnd.Default()).
@@ -48,12 +51,11 @@ type Config struct {
 	BWErrorFrac float64
 	// Seed drives the noise.
 	Seed uint64
-	// TileLossRate is the probability that a tile's fetch permanently
-	// fails in the simulated transport (all retries exhausted). A lost
-	// tile follows the client's degradation ladder (§7): it is re-fetched
-	// at the lowest level; if that draw fails too the tile is skipped and
-	// scored as stale content. 0 disables the model entirely (no RNG
-	// draws), keeping existing sessions bit-identical.
+	// TileLossRate is the probability that a tile request fails for
+	// good in the simulated transport. A lost tile goes down the
+	// client's degradation ladder (§7): re-fetched at the lowest level,
+	// and if that draw fails too, skipped and scored as stale content.
+	// 0 disables the model entirely (no RNG draws).
 	TileLossRate float64
 	// Scene, when set, enables ground-truth quality scoring at unit-
 	// tile granularity (independent of the system's tiling). Without
@@ -68,17 +70,17 @@ type Config struct {
 	// C(i,j). Hit/miss counters register in the cache's own registry
 	// (see jnd.NewFieldCache); nil recomputes every field.
 	FieldCache *jnd.FieldCache
-	// Obs receives per-chunk QoE metrics (PSPNR, rebuffer seconds,
-	// bits, level decisions) and session gauges; nil disables
-	// instrumentation at zero cost.
+	// Obs receives the session loop's pano_client_* QoE metrics plus the
+	// ground-truth pano_sim_{chunk,session}_pspnr_db and
+	// pano_sim_session_mos; nil disables instrumentation at zero cost.
 	Obs *obs.Registry
-	// Log receives structured per-chunk and session-summary events;
-	// nil disables them.
+	// Log receives the session loop's structured events and a closing
+	// session_scored event with the ground-truth QoE; nil disables them.
 	Log *obs.EventLog
-	// Trace, when set, records the session as a span tree with the same
-	// taxonomy as the HTTP client — session → chunk → {estimate, mpc,
-	// assign, fetch, stitch} — so simulated and real sessions decompose
-	// identically in Perfetto. nil disables tracing at zero cost.
+	// Trace, when set, records the session as the loop's span tree —
+	// session → chunk → {estimate, mpc, assign, fetch, stitch} — so
+	// simulated and real sessions decompose identically in Perfetto.
+	// nil disables tracing at zero cost.
 	Trace *trace.Tracer
 }
 
@@ -139,7 +141,8 @@ type Result struct {
 // MOS returns the Table 3 opinion-score band of the session quality.
 func (r *Result) MOS() int { return quality.MOSFromPSPNR(r.MeanPSPNR) }
 
-// Run simulates one full playback session.
+// Run simulates one full playback session: client.RunSession over the
+// link on a virtual clock, each chunk scored against the clean trace.
 func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.Planner, cfg Config) (*Result, error) {
 	cfg.fillDefaults()
 	if m.NumChunks() == 0 {
@@ -149,211 +152,70 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 
+	// The client sees the possibly-noisy trace (§8.3); scoring always
+	// uses the clean one.
 	clientTrace := tr
 	if cfg.ViewNoiseDeg > 0 {
 		clientTrace = tr.AddNoise(cfg.ViewNoiseDeg, mathx.NewRNG(cfg.Seed+0x5eed))
 	}
-	scoreEnc := codec.NewEncoder()
-	est := player.NewEstimator()
-	mpc := abr.NewMPC(cfg.BufferTargetSec)
-	mpc.Obs = cfg.Obs
-	var ctrl abr.Controller = mpc
-	if cfg.Controller != nil {
-		ctrl = cfg.Controller
-	}
-	bw := abr.NewBandwidthPredictor()
-	bw.Obs = cfg.Obs
-
 	res := &Result{System: pl.Name()}
-	pl = player.Instrument(pl, cfg.Obs)
-
-	// QoE instruments (all no-ops when cfg.Obs is nil).
+	enc, est := codec.NewEncoder(), player.NewEstimator()
 	chunkPSPNR := cfg.Obs.Histogram("pano_sim_chunk_pspnr_db",
 		"delivered per-chunk viewport PSPNR", quality.PSPNRBuckets)
-	chunksTotal := cfg.Obs.Counter("pano_sim_chunks_total", "chunks simulated")
-	rebufTotal := cfg.Obs.Counter("pano_sim_rebuffer_seconds_total", "total stall seconds")
-	bitsTotal := cfg.Obs.Counter("pano_sim_bits_total", "bits downloaded")
-	dlSeconds := cfg.Obs.Histogram("pano_sim_chunk_download_seconds",
-		"per-chunk download time on the simulated link", nil)
-	bufGauge := cfg.Obs.Gauge("pano_sim_buffer_sec", "playback buffer after each chunk")
-	degradedTotal := cfg.Obs.Counter("pano_sim_tiles_degraded_total",
-		"tiles delivered at the lowest level after simulated transport loss")
-	skippedTotal := cfg.Obs.Counter("pano_sim_tiles_skipped_total",
-		"tiles lost after the full degradation ladder (scored as stale)")
-	var lossRNG *mathx.RNG
-	if cfg.TileLossRate > 0 {
-		lossRNG = mathx.NewRNG(cfg.Seed + 0x10e55)
-	}
-	sess := cfg.Log.Session(
-		"system", pl.Name(), "video", m.Name,
-		"chunks", m.NumChunks(), "tiles", len(m.Chunks[0].Tiles))
-	ctx, sessSpan := cfg.Trace.Start(context.Background(), "session",
-		trace.A("component", "sim"), trace.A("planner", pl.Name()),
-		trace.A("video", m.Name))
-	res.TraceID = sessSpan.TraceHex()
-	var wall, buffer float64
-	prevLevel := codec.Level(-1)
-	chunkSec := m.ChunkSec
-
-	for k := 0; k < m.NumChunks(); k++ {
-		cctx, chunkSpan := trace.StartSpan(ctx, "chunk", trace.A("chunk", k))
-		nowMedia := math.Max(0, float64(k)*chunkSec-buffer)
-
-		// Phase: bandwidth + viewpoint estimation (the client's view of
-		// the world; the possibly-noisy trace, §8.3).
-		_, eSpan := trace.StartSpan(cctx, "estimate")
-		pred := bw.Predict()
-		view := est.View(m, clientTrace, k, nowMedia)
-		eSpan.Annotate("pred_bps", pred)
-		eSpan.End()
-
-		// Chunk-level bitrate via MPC.
-		var budget float64
-		if pred == 0 {
-			// Cold start: lowest level.
-			budget = m.ChunkBits(k, codec.Level(codec.NumLevels-1))
-			prevLevel = codec.Level(codec.NumLevels - 1)
-		} else {
-			if cfg.BWErrorFrac > 0 {
-				sign := 1.0
-				if k%2 == 1 {
-					sign = -1
-				}
-				pred *= 1 + sign*cfg.BWErrorFrac
-			}
-			horizon := make([]abr.ChunkPlan, 0, mpc.Horizon)
-			for j := k; j < k+mpc.Horizon && j < m.NumChunks(); j++ {
-				var p abr.ChunkPlan
-				for l := 0; l < codec.NumLevels; l++ {
-					p.Bits[l] = m.ChunkBits(j, codec.Level(l))
-					// Normalize dB to MOS-like units so the rebuffer
-					// and buffer penalties bind (a level step is worth
-					// ~1-2 units, far less than a second of stall).
-					p.Quality[l] = meanRefPSPNR(m, j, codec.Level(l)) / 10
-				}
-				horizon = append(horizon, p)
-			}
-			lv := pickLevelCtx(cctx, ctrl, buffer, pred, chunkSec, prevLevel, horizon)
-			budget = m.ChunkBits(k, lv)
-			prevLevel = lv
-			// The level menu is coarse; fill the remaining predicted
-			// capacity so the tile allocator can spend what the link
-			// actually offers (identically for every system).
-			capacity := 0.9 * pred * (chunkSec + math.Max(0, buffer-cfg.BufferTargetSec))
-			if capacity > budget {
-				budget = math.Min(capacity, m.ChunkBits(k, 0))
-			}
-		}
-
-		// Tile-level allocation on the client's (possibly noisy) view.
-		alloc := player.PlanWithContext(cctx, pl, m, k, view, budget)
-
-		// Phase: the simulated "fetch" — transport losses plus the
-		// link-model download. Wall time here is trivial; the simulated
-		// outcome rides on the span as annotations.
-		_, fSpan := trace.StartSpan(cctx, "fetch")
-
-		// Transport losses: walk the ladder per tile (degrade to lowest,
-		// then skip). Delivered levels and the stale mask drive both the
-		// bit accounting and the quality scoring below.
-		delivered, stale := alloc, []bool(nil)
-		var degraded, skippedNow int
-		if cfg.TileLossRate > 0 {
-			delivered = append(abr.Allocation(nil), alloc...)
-			stale = make([]bool, len(alloc))
-			lowest := codec.Level(codec.NumLevels - 1)
-			for i := range delivered {
-				if lossRNG.Float64() >= cfg.TileLossRate {
-					continue
-				}
-				if delivered[i] != lowest && lossRNG.Float64() >= cfg.TileLossRate {
-					delivered[i] = lowest
-					degraded++
-					continue
-				}
-				delivered[i] = lowest
-				stale[i] = true
-				skippedNow++
-			}
-			res.DegradedTiles += degraded
-			res.SkippedTiles += skippedNow
-			degradedTotal.Add(float64(degraded))
-			skippedTotal.Add(float64(skippedNow))
-		}
-		bits := deliveredBits(m, k, delivered, stale)
-
-		// Download.
-		dl := link.DownloadTime(wall, bits)
-		wall += dl
-		bw.Observe(bits / dl)
-		var stall float64
-		if k == 0 {
-			res.StartupDelaySec = dl
-		} else if dl > buffer {
-			stall = dl - buffer
-			res.StallSec += stall
-		}
-		buffer = math.Max(buffer-dl, 0) + chunkSec
-		if buffer > cfg.MaxBufferSec {
-			// Paced prefetch: wait without draining (playback continues
-			// against the buffered media).
-			wall += buffer - cfg.MaxBufferSec
-			buffer = cfg.MaxBufferSec
-		}
-		res.TotalBits += bits
-		fSpan.Annotate("bits", bits)
-		fSpan.Annotate("download_sec", dl)
-		fSpan.Annotate("tiles_degraded", degraded)
-		fSpan.Annotate("tiles_skipped", skippedNow)
-		fSpan.End()
-
-		// Phase: stitch + quality scoring of the delivered frame.
-		// The estimate uses the client's best-guess view (Figure 16a
-		// measures this gap); the allocation above used the conservative
-		// view.
-		_, sSpan := trace.StartSpan(cctx, "stitch")
-		guess := est.BestGuessView(m, clientTrace, k, nowMedia)
-		var score float64
+	// score is the ground-truth half of the session: RunSession hands
+	// it what was planned and what arrived, chunk by chunk.
+	score := func(ctx context.Context, cr *client.ChunkResult) {
+		k := cr.Chunk
+		var pspnr float64
 		if cfg.Scene != nil {
 			// Pixel-accurate scoring has no staleness model; stale tiles
-			// are already pinned to the lowest level in delivered, which
+			// are already pinned to the lowest level in cr.Levels, which
 			// underestimates their distortion slightly.
-			score = pixelFramePSPNR(m, cfg.Scene, k, delivered, tr, cfg.Profile, scoreEnc, cfg.FieldCache)
+			pspnr = pixelFramePSPNR(m, cfg.Scene, k, cr.Levels, tr, cfg.Profile, enc, cfg.FieldCache)
 		} else {
-			actual := est.ActualView(m, tr, k)
-			score = player.FramePSPNRDegraded(m, k, delivered, stale, actual, cfg.Profile)
+			pspnr = player.FramePSPNRDegraded(m, k, cr.Levels, cr.Stale, est.ActualView(m, tr, k), cfg.Profile)
 		}
-		// The client's plan-time estimate predates any transport loss, so
-		// it scores the planned allocation.
-		estimated := player.FramePSPNR(m, k, alloc, guess, cfg.Profile)
-		sSpan.Annotate("pspnr_db", score)
-		sSpan.End()
-		res.PerChunkPSPNR = append(res.PerChunkPSPNR, score)
-		res.PerChunkEstPSPNR = append(res.PerChunkEstPSPNR, estimated)
-		res.PerChunkAlloc = append(res.PerChunkAlloc, delivered)
+		// The client's plan-time estimate uses its best-guess view
+		// (Figure 16a measures the gap to pspnr) and predates any
+		// transport loss, so it scores the planned allocation.
+		guess := est.BestGuessView(m, clientTrace, k, cr.PlayheadSec)
+		estimated := player.FramePSPNR(m, k, cr.Planned, guess, cfg.Profile)
 
-		chunkPSPNR.Observe(score)
-		chunksTotal.Inc()
-		rebufTotal.Add(stall)
-		bitsTotal.Add(bits)
-		dlSeconds.ObserveExemplar(dl, chunkSpan.TraceHex())
-		bufGauge.Set(buffer)
-		if cfg.Obs != nil {
-			cfg.Obs.Counter("pano_sim_level_decisions_total",
-				"chunk-level bitrate decisions by level",
-				obs.L("level", "L"+strconv.Itoa(int(prevLevel)))).Inc()
-		}
-		sess.Debug("chunk_done",
-			"chunk", k, "level", int(prevLevel), "bits", bits,
-			"download_sec", dl, "stall_sec", stall, "buffer_sec", buffer,
-			"pspnr_db", score, "est_pspnr_db", estimated,
-			"tiles_degraded", degraded, "tiles_skipped", skippedNow)
-		chunkSpan.Annotate("bits", bits)
-		chunkSpan.Annotate("stall_sec", stall)
-		chunkSpan.Annotate("buffer_sec", buffer)
-		chunkSpan.End()
+		trace.FromContext(ctx).Annotate("pspnr_db", pspnr)
+		chunkPSPNR.Observe(pspnr)
+		res.PerChunkPSPNR = append(res.PerChunkPSPNR, pspnr)
+		res.PerChunkEstPSPNR = append(res.PerChunkEstPSPNR, estimated)
+		res.PerChunkAlloc = append(res.PerChunkAlloc, cr.Levels)
+		res.TotalBits += cr.Bits
+	}
+	clk := client.NewVirtualClock(0)
+	tp := &linkTransport{m: m, link: link, clk: clk, chunk: -1, lossRate: cfg.TileLossRate}
+	if cfg.TileLossRate > 0 {
+		tp.loss = mathx.NewRNG(cfg.Seed + 0x10e55)
 	}
 
+	sess, err := client.RunSession(context.Background(), tp, clientTrace, client.StreamConfig{
+		BufferTargetSec: cfg.BufferTargetSec,
+		MaxBufferSec:    cfg.MaxBufferSec,
+		SimModel:        true,
+		Planner:         pl,
+		Controller:      cfg.Controller,
+		BWErrorFrac:     cfg.BWErrorFrac,
+		ScoreChunk:      score,
+		Obs:             cfg.Obs,
+		Log:             cfg.Log,
+		Trace:           cfg.Trace,
+		Clock:           noDeadlineClock{clk},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+
+	res.TraceID = sess.TraceID
+	res.StartupDelaySec = sess.StartupDelay.Seconds()
+	res.StallSec = sess.RebufferSec
+	res.DegradedTiles = sess.DegradedTiles
+	res.SkippedTiles = sess.SkippedTiles
 	dur := m.DurationSec()
 	var sum float64
 	for _, p := range res.PerChunkPSPNR {
@@ -363,59 +225,67 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 	res.BufferingRatio = 100 * res.StallSec / (dur + res.StallSec)
 	res.BandwidthMbps = res.TotalBits / dur / 1e6
 
-	sessSpan.Annotate("mean_pspnr_db", res.MeanPSPNR)
-	sessSpan.Annotate("chunks", len(res.PerChunkPSPNR))
-	sessSpan.Annotate("stall_sec", res.StallSec)
-	sessSpan.End()
 	cfg.Obs.Gauge("pano_sim_session_pspnr_db", "session mean viewport PSPNR").Set(res.MeanPSPNR)
 	cfg.Obs.Gauge("pano_sim_session_mos", "Table 3 opinion-score band of the session").Set(float64(res.MOS()))
-	sess.Info("session_summary",
-		"status", "ok", "mean_pspnr_db", res.MeanPSPNR, "mos", res.MOS(),
-		"buffering_pct", res.BufferingRatio, "stall_sec", res.StallSec,
-		"bandwidth_mbps", res.BandwidthMbps, "startup_sec", res.StartupDelaySec,
-		"total_bits", res.TotalBits,
-		"tiles_degraded", res.DegradedTiles, "tiles_skipped", res.SkippedTiles)
+	cfg.Log.Session("system", res.System, "video", m.Name).Info("session_scored",
+		"mean_pspnr_db", res.MeanPSPNR, "mos", res.MOS(),
+		"buffering_pct", res.BufferingRatio, "bandwidth_mbps", res.BandwidthMbps)
 	return res, nil
 }
 
-// pickLevelCtx routes the chunk-level decision through the controller's
-// PickLevelCtx when it has one (the MPC does, opening its own "mpc"
-// span); plain controllers get wrapped in an "mpc" span here so the
-// decision phase always appears in the trace.
-func pickLevelCtx(ctx context.Context, c abr.Controller, bufferSec, predBWbps, chunkSec float64, prev codec.Level, horizon []abr.ChunkPlan) codec.Level {
-	if cc, ok := c.(abr.ContextController); ok {
-		return cc.PickLevelCtx(ctx, bufferSec, predBWbps, chunkSec, prev, horizon)
-	}
-	_, sp := trace.StartSpan(ctx, "mpc",
-		trace.A("buffer_sec", bufferSec), trace.A("pred_bps", predBWbps))
-	lv := c.PickLevel(bufferSec, predBWbps, chunkSec, prev, horizon)
-	sp.Annotate("level", int(lv))
-	sp.End()
-	return lv
+// linkTransport is the simulator's client.Transport: one emulated link
+// carrying each chunk as one pipelined transfer. Every delivered tile
+// moves the virtual clock to chunkStart + DownloadTime(chunkStart,
+// bits delivered so far), so a chunk's total is the link's time for all
+// of its bits with the RTT charged once — not once per tile.
+type linkTransport struct {
+	m    *manifest.Video
+	link *nettrace.Link
+	clk  *client.VirtualClock
+
+	// The transfer in progress: chunk index, the virtual time of its
+	// first request, and the bits delivered since.
+	chunk    int
+	start    time.Time
+	startSec float64
+	bits     float64
+
+	// lossRate is Config.TileLossRate; loss is nil when it is 0, so a
+	// lossless session draws nothing.
+	lossRate float64
+	loss     *mathx.RNG
 }
 
-func allocBits(m *manifest.Video, k int, a abr.Allocation) float64 {
-	var s float64
-	for i, l := range a {
-		s += m.Chunks[k].Tiles[i].Bits[l]
+// Target implements client.Transport.
+func (t *linkTransport) Target() string { return "sim://link" }
+
+// Manifest implements client.Transport; the manifest is already on the
+// client, so it costs no link time.
+func (t *linkTransport) Manifest(context.Context) (*manifest.Video, error) { return t.m, nil }
+
+// Tile implements client.Transport. A lost tile answers 404: a final
+// answer the fetch ladder does not retry at the same rung, so one draw
+// decides each rung — planned level, then lowest level, then skip —
+// and costs no link time.
+func (t *linkTransport) Tile(_ context.Context, k, ti int, l codec.Level) (float64, error) {
+	if k != t.chunk {
+		t.chunk, t.start, t.startSec, t.bits = k, t.clk.Now(), t.clk.NowSec(), 0
 	}
-	return s
+	if t.loss != nil && t.loss.Float64() < t.lossRate {
+		return 0, &client.StatusError{Code: 404}
+	}
+	bits := t.m.Chunks[k].Tiles[ti].Bits[l]
+	t.bits += bits
+	dl := t.link.DownloadTime(t.startSec, t.bits)
+	t.clk.AdvanceTo(t.start.Add(time.Duration(dl * float64(time.Second))))
+	return bits, nil
 }
 
-// deliveredBits sums the bits of the tiles that actually arrived:
-// skipped tiles contribute nothing (their retries' waste is not goodput,
-// matching the client's retry-excluding throughput accounting).
-func deliveredBits(m *manifest.Video, k int, a abr.Allocation, stale []bool) float64 {
-	var s float64
-	for i, l := range a {
-		if stale != nil && stale[i] {
-			continue
-		}
-		s += m.Chunks[k].Tiles[i].Bits[l]
-	}
-	return s
-}
+// noDeadlineClock is the virtual clock minus attempt deadlines: the
+// simulated link never times a request out, so none is installed.
+type noDeadlineClock struct{ *client.VirtualClock }
 
-func meanRefPSPNR(m *manifest.Video, k int, l codec.Level) float64 {
-	return player.MeanRefPSPNR(m, k, l)
+// WithTimeout implements client.Clock.
+func (noDeadlineClock) WithTimeout(ctx context.Context, _ time.Duration) (context.Context, context.CancelFunc) {
+	return ctx, func() {}
 }

@@ -1,86 +1,12 @@
 package swarm
 
-import (
-	"context"
-	"time"
-)
+import "pano/internal/client"
 
-// epoch anchors virtual time. It is a constant (not time.Now) so every
-// run of the same configuration produces byte-identical timelines.
-var epoch = time.Unix(0, 0).UTC()
-
-// VirtualClock implements client.Clock in discrete-event time: Sleep
-// advances instead of blocking, WithTimeout installs a logical
-// deadline the virtual transport honours, and Now derives from a fixed
-// epoch plus the session's accumulated offset. Each running session
-// owns exactly one goroutine, so the clock is deliberately unlocked —
-// sharing one VirtualClock across goroutines is a bug.
-type VirtualClock struct {
-	off time.Duration // virtual time since epoch
-}
+// VirtualClock is the discrete-event session clock. It lives in
+// internal/client, next to the Clock interface it implements, so that
+// internal/sim can run sessions on it too.
+type VirtualClock = client.VirtualClock
 
 // NewVirtualClock returns a clock positioned startSec virtual seconds
 // past the global epoch (the session's arrival time).
-func NewVirtualClock(startSec float64) *VirtualClock {
-	return &VirtualClock{off: time.Duration(startSec * float64(time.Second))}
-}
-
-// Now implements client.Clock.
-func (c *VirtualClock) Now() time.Time { return epoch.Add(c.off) }
-
-// Since implements client.Clock.
-func (c *VirtualClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
-
-// NowSec returns the current virtual time in seconds past the epoch —
-// the time axis shared by bandwidth traces and origin-load buckets.
-func (c *VirtualClock) NowSec() float64 { return c.off.Seconds() }
-
-// Advance moves the clock forward by d (negative d is ignored).
-func (c *VirtualClock) Advance(d time.Duration) {
-	if d > 0 {
-		c.off += d
-	}
-}
-
-// AdvanceSec moves the clock forward by s seconds.
-func (c *VirtualClock) AdvanceSec(s float64) {
-	c.Advance(time.Duration(s * float64(time.Second)))
-}
-
-// AdvanceTo moves the clock forward to t (never backward).
-func (c *VirtualClock) AdvanceTo(t time.Time) {
-	if d := t.Sub(epoch); d > c.off {
-		c.off = d
-	}
-}
-
-// Sleep implements client.Clock: it advances virtual time instantly.
-func (c *VirtualClock) Sleep(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.Advance(d)
-	return nil
-}
-
-// deadlineKey carries the earliest virtual deadline through a context.
-type deadlineKey struct{}
-
-// WithTimeout implements client.Clock: the returned context carries a
-// virtual deadline (the earliest of d from now and any deadline
-// already installed) that the virtual transport checks before
-// advancing past it. The cancel func is a no-op — virtual deadlines
-// hold no resources.
-func (c *VirtualClock) WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	dl := c.Now().Add(d)
-	if cur, ok := virtualDeadline(ctx); ok && cur.Before(dl) {
-		dl = cur
-	}
-	return context.WithValue(ctx, deadlineKey{}, dl), func() {}
-}
-
-// virtualDeadline returns the context's virtual deadline, if any.
-func virtualDeadline(ctx context.Context) (time.Time, bool) {
-	dl, ok := ctx.Value(deadlineKey{}).(time.Time)
-	return dl, ok
-}
+func NewVirtualClock(startSec float64) *VirtualClock { return client.NewVirtualClock(startSec) }

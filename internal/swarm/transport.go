@@ -10,6 +10,7 @@ import (
 	"pano/internal/chaos"
 	"pano/internal/client"
 	"pano/internal/codec"
+	"pano/internal/fleet"
 	"pano/internal/manifest"
 	"pano/internal/nettrace"
 )
@@ -171,7 +172,7 @@ func (s *netem) plan(o chaos.Outcome, bits float64) (float64, error) {
 // at the deadline, not at completion.
 func (s *netem) advanceCost(ctx context.Context, cost float64) error {
 	done := s.clock.Now().Add(time.Duration(cost * float64(time.Second)))
-	if dl, ok := virtualDeadline(ctx); ok && done.After(dl) {
+	if dl, ok := client.VirtualDeadline(ctx); ok && done.After(dl) {
 		s.clock.AdvanceTo(dl)
 		return context.DeadlineExceeded
 	}
@@ -192,17 +193,11 @@ func (s *netem) fleetTile(ctx context.Context, k, ti int, l codec.Level, bits fl
 	tried := 0
 	var lastErr error
 	for oi, shard := range order {
-		allowed, probe := fs.brks[shard].Allow(s.clock.Now())
-		if !allowed {
+		adm, _ := fleet.Admit(fs.brks[shard], fs.budget, s.clock.Now(), tried > 0)
+		if adm == fleet.BreakerDenied {
 			continue
 		}
-		if tried > 0 && !fs.budget.Spend() {
-			if probe {
-				// No request will resolve the half-open slot Allow just
-				// consumed; swarm breakers have no active prober, so a
-				// leaked slot would wedge the shard out for the session.
-				fs.brks[shard].ReleaseProbe()
-			}
+		if adm == fleet.BudgetDry {
 			fs.budgetDenied++
 			break
 		}

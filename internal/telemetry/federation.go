@@ -42,7 +42,6 @@ func defaultGaugeAgg() map[string]GaugeAgg {
 		// average instance, not the sum.
 		"pano_edge_hit_ratio":          AggAvg,
 		"pano_client_buffer_sec":       AggAvg,
-		"pano_sim_buffer_sec":          AggAvg,
 		"pano_client_session_mos":      AggAvg,
 		"pano_sim_session_mos":         AggAvg,
 		"pano_client_session_pspnr_db": AggAvg,

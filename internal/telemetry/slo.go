@@ -51,9 +51,9 @@ type SLO struct {
 	Name string
 	Kind SLOKind
 	// Metric names the source family; "|"-separated alternatives are
-	// pooled (e.g. the client's and the simulator's rebuffer counters),
-	// so one SLO set serves every binary and absent families cost
-	// nothing.
+	// pooled (e.g. the client's tile-attempt and the server's request
+	// latency), so one SLO set serves every binary and absent families
+	// cost nothing.
 	Metric string
 	// MatchKey/MatchValues select which label sets of the family count
 	// as "bad" (SLORate numerators, e.g. status=tile_error); empty

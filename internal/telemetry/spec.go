@@ -9,8 +9,10 @@ import (
 )
 
 // DefaultSLOs returns the QoE objective set every pano binary ships
-// with. Source families are "|"-pooled across the client, simulator,
-// server, and edge so the same set is meaningful on each; a family
+// with. Every session — HTTP, simulated, swarm — runs the one client
+// loop and reports through its pano_client_* families; where a server
+// or edge measures the same thing from its side the source families are
+// "|"-pooled, so the same set is meaningful on each binary. A family
 // that never appears simply holds its SLO at ok. The Guards strings
 // map each SLO to the paper claim it protects (mirrored in
 // internal/obs/doc.go).
@@ -18,13 +20,13 @@ func DefaultSLOs() []SLO {
 	return []SLO{
 		{
 			Name: "rebuffer", Kind: SLORate,
-			Metric: "pano_client_rebuffer_seconds_total|pano_sim_rebuffer_seconds_total",
+			Metric: "pano_client_rebuffer_seconds_total",
 			Budget: 0.05, WarnBurn: 2, PageBurn: 6,
 			Guards: "buffering-ratio axis of Figures 12/17: stall time under 5% of wall time",
 		},
 		{
 			Name: "pspnr_floor", Kind: SLOFloor,
-			Metric:    "pano_client_session_pspnr_db|pano_sim_session_pspnr_db",
+			Metric:    "pano_client_session_pspnr_db",
 			Threshold: 30, Budget: 0.1, WarnBurn: 1, PageBurn: 3,
 			Guards: "quality axis of Figures 13/15: session viewport PSPNR above the MOS-2 band",
 		},

@@ -10,6 +10,10 @@
 //	manifest → Serve (DASH-style HTTP) → Stream (adaptive client)
 //	manifest + traces → Simulate (trace-driven evaluation)
 //
+// Stream and Simulate are one adaptation loop: Simulate runs it over an
+// emulated link in virtual time and scores what it delivers against
+// the viewer's real head trajectory.
+//
 // An optional edge cache tier (NewEdge, cmd/pano-edge) slots between
 // Serve and Stream: the same HTTP interface, with tile fetches
 // coalesced, cached, and prefetched close to the clients.
@@ -275,8 +279,9 @@ func ScaledLink(m *Manifest, frac float64, seed uint64) *Link {
 // buffer target).
 func DefaultSimConfig() SimConfig { return sim.DefaultConfig() }
 
-// Simulate runs a trace-driven playback session and reports delivered
-// quality, buffering, and bandwidth.
+// Simulate runs a trace-driven playback session — the Stream loop over
+// an emulated link, in virtual time — and reports delivered quality,
+// buffering, and bandwidth.
 func Simulate(m *Manifest, tr *ViewTrace, link *Link, pl Planner, cfg SimConfig) (*SessionResult, error) {
 	return sim.Run(m, tr, link, pl, cfg)
 }
