@@ -147,13 +147,14 @@ check: vet fmt race race-kernels chaos trace edge dash swarm fleet cluster live
 bench: build microbench
 	$(GO) run ./cmd/pano-bench -scale quick
 
-# Kernel micro-benchmarks (serial vs parallel vs cached); appends to
-# BENCH_micro.txt with the commit hash so runs diff across commits with
-# benchstat or plain text tools.
+# Kernel micro-benchmarks (serial vs parallel vs cached) and the
+# client's per-chunk tile allocator; appends to BENCH_micro.txt with the
+# commit hash so runs diff across commits with benchstat or plain text
+# tools.
 microbench:
 	@echo "## $$(git rev-parse --short HEAD 2>/dev/null || echo dirty) $$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> BENCH_micro.txt
-	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan' -benchmem \
-		./internal/jnd ./internal/quality ./internal/tiling | tee -a BENCH_micro.txt
+	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned' -benchmem \
+		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr | tee -a BENCH_micro.txt
 
 clean:
 	rm -f BENCH_*.json BENCH_micro.txt trace.perfetto.json cluster.perfetto.json

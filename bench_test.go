@@ -299,11 +299,13 @@ func BenchmarkAllocators(b *testing.B) {
 	}
 	budget := abr.TotalBits(tiles, make(abr.Allocation, 30)) / 2
 	b.Run("pruned", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			abr.AllocatePruned(tiles, budget, 0)
 		}
 	})
 	b.Run("greedy", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			abr.AllocateGreedy(tiles, budget)
 		}
@@ -311,6 +313,7 @@ func BenchmarkAllocators(b *testing.B) {
 	b.Run("exhaustive8", func(b *testing.B) {
 		sub := tiles[:8]
 		subBudget := budget * 8 / 30
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := abr.AllocateExhaustive(sub, subBudget); err != nil {
 				b.Fatal(err)

@@ -12,12 +12,18 @@
 // enumeration (exact Pareto-frontier dynamic programming over tiles), a
 // fast greedy marginal-utility allocator, and an exhaustive search for
 // small instances (ground truth in tests and the pruning benchmark).
+//
+// The pruned enumeration is what a session spends its compute on. Its
+// tile step is a merge, not a sort, and all frontiers of a call live in
+// one pooled slab, so a call allocates only its result; AllocatePruned
+// documents the ordering rules that make the merge the same search.
 package abr
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"pano/internal/codec"
 )
@@ -64,7 +70,8 @@ func lowestLevels(n int) Allocation {
 // AllocateGreedy assigns levels by repeated marginal-utility upgrades:
 // starting from the lowest quality everywhere, it upgrades whichever
 // tile yields the largest distortion reduction per additional bit until
-// the budget is exhausted. Runs in O(N·L·log N).
+// the budget is exhausted. Every upgrade rescans all tiles and there
+// are at most N·(L−1) upgrades, so it runs in O(N²·L).
 func AllocateGreedy(tiles []TileChoice, budget float64) Allocation {
 	a := lowestLevels(len(tiles))
 	spent := TotalBits(tiles, a)
@@ -113,9 +120,22 @@ func AllocateGreedy(tiles []TileChoice, budget float64) Allocation {
 // paretoState is a partial assignment on the (bits, cost) plane.
 type paretoState struct {
 	bits, cost float64
-	parent     int         // index into the previous frontier
-	level      codec.Level // level chosen for the current tile
+	parent     int32 // index into the previous tile's frontier
+	level      uint8 // level chosen for the current tile
 }
+
+// prunedScratch is the working memory of one AllocatePruned call: every
+// tile's frontier back to back in one slab (the empty assignment first),
+// with starts[i] the slab offset of tile i's frontier.
+type prunedScratch struct {
+	slab   []paretoState
+	starts []int
+}
+
+// prunedPool recycles scratch across calls: planners are shared between
+// goroutines (one Planner serves every swarm worker), so the scratch
+// cannot live on the caller's value.
+var prunedPool = sync.Pool{New: func() any { return new(prunedScratch) }}
 
 // AllocatePruned is the paper's enumeration with dominance pruning: it
 // sweeps tiles one at a time, extending every non-dominated partial
@@ -125,101 +145,178 @@ type paretoState struct {
 // which keeps the search polynomial while staying within a hair of the
 // exact optimum (≤0.5% extra distortion at the default cap on
 // 30–72-tile instances); pass 0 for the default cap.
+//
+// A frontier is strictly bits-ascending and cost-descending, so its
+// copy shifted by one level's (bits, cost) is already in order and the
+// tile step is a merge of NumLevels ordered lists through the dominance
+// filter, not a sort. Two rules make the merged order the sorted one.
+// Parents an ulp apart can round to equal shifted bits; such a run is
+// represented by its cheapest member (levelCursor.advance). And among
+// candidates of identical (bits, cost) — flat tiles have identical
+// bottom rungs — the lower level index wins, then the lower parent
+// index: the free upgrade, as AllocateGreedy takes it.
 func AllocatePruned(tiles []TileChoice, budget float64, maxFrontier int) Allocation {
 	if maxFrontier <= 0 {
 		maxFrontier = 1024
 	}
-	n := len(tiles)
-	if n == 0 {
+	if len(tiles) == 0 {
 		return nil
 	}
-	frontiers := make([][]paretoState, n)
-	cur := []paretoState{{bits: 0, cost: 0, parent: -1}}
-	for i := 0; i < n; i++ {
-		var next []paretoState
-		for pi, st := range cur {
-			for l := 0; l < codec.NumLevels; l++ {
-				b := st.bits + tiles[i].Bits[l]
-				if b > budget && l != codec.NumLevels-1 {
-					// Over budget: only the lowest level remains viable
-					// as a fallback path.
-					continue
-				}
-				next = append(next, paretoState{
-					bits:   b,
-					cost:   st.cost + tiles[i].Cost[l],
-					parent: pi,
-					level:  codec.Level(l),
-				})
-			}
-		}
-		next = pruneDominated(next, maxFrontier)
-		frontiers[i] = next
-		cur = next
+	sc := prunedPool.Get().(*prunedScratch)
+	a := sc.search(tiles, budget, maxFrontier)
+	prunedPool.Put(sc)
+	return a
+}
+
+// search runs the sweep over at least one tile, leaving every frontier
+// in the scratch.
+func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier int) Allocation {
+	slab := append(sc.slab[:0], paretoState{parent: -1})
+	starts := sc.starts[:0]
+	lo := 0 // the current frontier is slab[lo:]
+	for i := range tiles {
+		hi := len(slab)
+		room := codec.NumLevels * (hi - lo)
+		slab = slices.Grow(slab, room)
+		next := slab[hi : hi+room]
+		next = next[:extendFrontier(next, slab[lo:hi], &tiles[i], budget)]
+		slab = slab[:hi+thinFrontier(next, maxFrontier)]
+		starts = append(starts, hi)
+		lo = hi
 	}
+	sc.slab, sc.starts = slab, starts
 	// Pick the best final state within budget; if none fits (budget
 	// below even the all-lowest size), fall back to all-lowest.
+	a := lowestLevels(len(tiles))
 	bestIdx := -1
 	bestCost := math.Inf(1)
-	for i, st := range cur {
+	for i, st := range slab[lo:] {
 		if st.bits <= budget && st.cost < bestCost {
 			bestCost = st.cost
 			bestIdx = i
 		}
 	}
-	if bestIdx < 0 {
-		return lowestLevels(n)
-	}
-	// Reconstruct.
-	a := make(Allocation, n)
-	idx := bestIdx
-	for i := n - 1; i >= 0; i-- {
-		st := frontiers[i][idx]
-		a[i] = st.level
-		idx = st.parent
+	if bestIdx >= 0 {
+		for i := len(tiles) - 1; i >= 0; i-- {
+			st := slab[starts[i]+bestIdx]
+			a[i] = codec.Level(st.level)
+			bestIdx = int(st.parent)
+		}
 	}
 	return a
 }
 
-// pruneDominated keeps only Pareto-optimal states (no other state has
-// both fewer bits and lower cost), then, if still over cap, thins by
-// keeping the cheapest state per bits bucket.
-func pruneDominated(states []paretoState, cap int) []paretoState {
-	if len(states) == 0 {
-		return states
-	}
-	sort.Slice(states, func(i, j int) bool {
-		if states[i].bits != states[j].bits {
-			return states[i].bits < states[j].bits
+// levelCursor walks the parent frontier shifted by one level's row
+// entry: a list already sorted by bits ascending, cost descending.
+type levelCursor struct {
+	dBits, dCost float64
+	maxBits      float64     // candidates above it are not viable
+	next         int         // first unread parent
+	head         paretoState // the list's current candidate
+}
+
+// advance loads the cursor's next candidate that can still pass the
+// dominance filter, and reports whether there is one.
+//
+// Parents whose bits differ by an ulp can round to equal shifted bits.
+// Sorted by (bits, cost), only the cheapest of such a run could survive
+// the filter, and it is a later parent, not the first: the whole run is
+// read at once and represented by its cheapest member, the earliest one
+// on equal cost.
+func (c *levelCursor) advance(cur []paretoState, bestCost float64) bool {
+	for p := c.next; p < len(cur); {
+		bits := cur[p].bits + c.dBits
+		if bits > c.maxBits {
+			break // so is every later parent
 		}
-		return states[i].cost < states[j].cost
-	})
-	out := states[:0]
+		cost, parent := cur[p].cost+c.dCost, p
+		for p++; p < len(cur) && cur[p].bits+c.dBits == bits; p++ {
+			if x := cur[p].cost + c.dCost; x < cost {
+				cost, parent = x, p
+			}
+		}
+		// bestCost only falls, so a candidate dominated now stays so.
+		if cost < bestCost-1e-12 {
+			c.head.bits, c.head.cost, c.head.parent = bits, cost, int32(parent)
+			c.next = p
+			return true
+		}
+	}
+	return false
+}
+
+// extendFrontier extends every state of the frontier cur by every level
+// of tile t and writes the non-dominated results — no other has both
+// fewer bits and lower cost — into next, bits ascending; it returns
+// their number. next must hold NumLevels·len(cur) states.
+//
+// It merges the NumLevels shifted copies of cur by (bits, cost); on an
+// exact tie the lower level wins. An assignment over budget stays
+// viable only through the lowest level, the fallback path.
+func extendFrontier(next, cur []paretoState, t *TileChoice, budget float64) int {
+	var (
+		cursors [codec.NumLevels]levelCursor
+		live    [codec.NumLevels]int // levels of the unexhausted cursors, ascending
+		nLive   int
+	)
 	bestCost := math.Inf(1)
-	for _, st := range states {
-		if st.cost < bestCost-1e-12 {
-			out = append(out, st)
-			bestCost = st.cost
+	for l := range cursors {
+		c := &cursors[l]
+		c.dBits, c.dCost, c.maxBits = t.Bits[l], t.Cost[l], budget
+		if l == codec.NumLevels-1 {
+			c.maxBits = math.Inf(1)
+		}
+		c.head.level = uint8(l)
+		if c.advance(cur, bestCost) {
+			live[nLive] = l
+			nLive++
 		}
 	}
-	if len(out) <= cap {
-		return out
+	n := 0
+	for nLive > 0 {
+		mi, m := 0, &cursors[live[0]]
+		for j := 1; j < nLive; j++ {
+			c := &cursors[live[j]]
+			if c.head.bits < m.head.bits || c.head.bits == m.head.bits && c.head.cost < m.head.cost {
+				mi, m = j, c
+			}
+		}
+		if m.head.cost < bestCost-1e-12 {
+			next[n] = m.head
+			n++
+			bestCost = m.head.cost
+		}
+		if !m.advance(cur, bestCost) {
+			copy(live[mi:], live[mi+1:nLive])
+			nLive--
+		}
 	}
-	lo, hi := out[0].bits, out[len(out)-1].bits
+	return n
+}
+
+// thinFrontier caps a frontier at limit states in place by keeping the
+// first (cheapest in bits) state of each of limit equal-width bits
+// buckets, and returns the new length.
+func thinFrontier(f []paretoState, limit int) int {
+	if len(f) <= limit {
+		return len(f)
+	}
+	lo, hi := f[0].bits, f[len(f)-1].bits
 	span := hi - lo
 	if span <= 0 {
-		return out[:1]
+		return 1
 	}
-	thinned := out[:0]
+	n := 0
 	lastBucket := -1
-	for _, st := range out {
-		b := int(float64(cap-1) * (st.bits - lo) / span)
+	for _, st := range f {
+		b := int(float64(limit-1) * (st.bits - lo) / span)
 		if b != lastBucket {
-			thinned = append(thinned, st)
+			f[n] = st
+			n++
 			lastBucket = b
 		}
 	}
-	return thinned
+	return n
 }
 
 // AllocateExhaustive brute-forces all level combinations; it is

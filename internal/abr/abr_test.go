@@ -2,11 +2,17 @@ package abr
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"pano/internal/codec"
+	"pano/internal/manifest"
 	"pano/internal/mathx"
+	"pano/internal/provider"
+	"pano/internal/scene"
+	"pano/internal/viewport"
 )
 
 // randomTiles builds a plausible tile menu: bits decrease and cost
@@ -244,5 +250,426 @@ func TestBandwidthPredictorHarmonicMean(t *testing.T) {
 	p.Observe(-5)
 	if got := p.Predict(); math.Abs(got-4e6) > 1 {
 		t.Error("negative observation should be ignored")
+	}
+}
+
+// refState, referencePruned and referencePrune are AllocatePruned and
+// pruneDominated as they stood before the tile step became a merge: a
+// fresh candidate slice per tile, sorted with sort.Slice. They are the
+// oracle the merge must reproduce. Two additions: the frontiers are
+// returned, and so is the ambiguous flag — the sort is unstable, so
+// where a state the filter keeps has an identical (bits, cost) twin,
+// which of the two paths the old code returned was an accident of the
+// sort.
+type refState struct {
+	bits, cost float64
+	parent     int         // index into the previous frontier
+	level      codec.Level // level chosen for the current tile
+}
+
+func referencePruned(tiles []TileChoice, budget float64, maxFrontier int) (a Allocation, frontiers [][]refState, ambiguous bool) {
+	if maxFrontier <= 0 {
+		maxFrontier = 1024
+	}
+	n := len(tiles)
+	if n == 0 {
+		return nil, nil, false
+	}
+	frontiers = make([][]refState, n)
+	cur := []refState{{bits: 0, cost: 0, parent: -1}}
+	for i := 0; i < n; i++ {
+		var next []refState
+		for pi, st := range cur {
+			for l := 0; l < codec.NumLevels; l++ {
+				b := st.bits + tiles[i].Bits[l]
+				if b > budget && l != codec.NumLevels-1 {
+					// Over budget: only the lowest level remains viable
+					// as a fallback path.
+					continue
+				}
+				next = append(next, refState{
+					bits:   b,
+					cost:   st.cost + tiles[i].Cost[l],
+					parent: pi,
+					level:  codec.Level(l),
+				})
+			}
+		}
+		next = referencePrune(next, maxFrontier, &ambiguous)
+		frontiers[i] = next
+		cur = next
+	}
+	// Pick the best final state within budget; if none fits (budget
+	// below even the all-lowest size), fall back to all-lowest.
+	bestIdx := -1
+	bestCost := math.Inf(1)
+	for i, st := range cur {
+		if st.bits <= budget && st.cost < bestCost {
+			bestCost = st.cost
+			bestIdx = i
+		}
+	}
+	if bestIdx < 0 {
+		return lowestLevels(n), frontiers, ambiguous
+	}
+	// Reconstruct.
+	a = make(Allocation, n)
+	idx := bestIdx
+	for i := n - 1; i >= 0; i-- {
+		st := frontiers[i][idx]
+		a[i] = st.level
+		idx = st.parent
+	}
+	return a, frontiers, ambiguous
+}
+
+func referencePrune(states []refState, cap int, ambiguous *bool) []refState {
+	if len(states) == 0 {
+		return states
+	}
+	sort.Slice(states, func(i, j int) bool {
+		if states[i].bits != states[j].bits {
+			return states[i].bits < states[j].bits
+		}
+		return states[i].cost < states[j].cost
+	})
+	out := states[:0]
+	bestCost := math.Inf(1)
+	for i, st := range states {
+		if st.cost < bestCost-1e-12 {
+			if i+1 < len(states) && states[i+1].bits == st.bits && states[i+1].cost == st.cost {
+				*ambiguous = true
+			}
+			out = append(out, st)
+			bestCost = st.cost
+		}
+	}
+	if len(out) <= cap {
+		return out
+	}
+	lo, hi := out[0].bits, out[len(out)-1].bits
+	span := hi - lo
+	if span <= 0 {
+		return out[:1]
+	}
+	thinned := out[:0]
+	lastBucket := -1
+	for _, st := range out {
+		b := int(float64(cap-1) * (st.bits - lo) / span)
+		if b != lastBucket {
+			thinned = append(thinned, st)
+			lastBucket = b
+		}
+	}
+	return thinned
+}
+
+// againstReference runs both allocators on one instance. The search is
+// the same search: every tile's frontier must be the same (bits, cost)
+// sequence, so the totals are equal as float64s, and the levels are
+// equal wherever the old code's answer was determined.
+func againstReference(t testing.TB, tiles []TileChoice, budget float64, maxFrontier int) (ambiguous bool) {
+	t.Helper()
+	want, frontiers, ambiguous := referencePruned(tiles, budget, maxFrontier)
+	got := AllocatePruned(tiles, budget, maxFrontier)
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("n=%d budget=%v cap=%d: "+format, append([]any{len(tiles), budget, maxFrontier}, args...)...)
+	}
+	if len(got) != len(want) {
+		fail("%d levels, want %d", len(got), len(want))
+	}
+	if len(tiles) == 0 {
+		return false
+	}
+	var sc prunedScratch
+	if maxFrontier <= 0 {
+		maxFrontier = 1024
+	}
+	if a := sc.search(tiles, budget, maxFrontier); !slices.Equal(a, got) {
+		fail("search on fresh scratch %v, on pooled scratch %v", a, got)
+	}
+	for i, ref := range frontiers {
+		end := len(sc.slab)
+		if i+1 < len(sc.starts) {
+			end = sc.starts[i+1]
+		}
+		f := sc.slab[sc.starts[i]:end]
+		if len(f) != len(ref) {
+			fail("tile %d: frontier of %d states, reference %d", i, len(f), len(ref))
+		}
+		for j := range f {
+			if f[j].bits != ref[j].bits || f[j].cost != ref[j].cost {
+				fail("tile %d state %d: (%v, %v), reference (%v, %v)", i, j, f[j].bits, f[j].cost, ref[j].bits, ref[j].cost)
+			}
+		}
+	}
+	if g, w := TotalBits(tiles, got), TotalBits(tiles, want); g != w {
+		fail("total bits %v, reference %v", g, w)
+	}
+	if g, w := TotalCost(tiles, got), TotalCost(tiles, want); g != w {
+		fail("total cost %v, reference %v", g, w)
+	}
+	if !ambiguous && !slices.Equal(got, want) {
+		fail("levels %v, reference %v", got, want)
+	}
+	return ambiguous
+}
+
+// hasDuplicateRows reports whether some tile offers the same (bits,
+// cost) at two levels.
+func hasDuplicateRows(tiles []TileChoice) bool {
+	for _, t := range tiles {
+		for l := 1; l < codec.NumLevels; l++ {
+			for k := 0; k < l; k++ {
+				if t.Bits[k] == t.Bits[l] && t.Cost[k] == t.Cost[l] {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// Menu roundings of oracleInstance. Integer menus make exact (bits,
+// cost) ties between different paths common. Centi-unit menus, the
+// manifest's own precision, are not representable in binary, so the
+// same real sum reached in two association orders differs by an ulp
+// and the next shift can round the two onto equal bits.
+const (
+	menuContinuous = iota
+	menuCenti
+	menuInteger
+	numMenus
+)
+
+// oracleInstance derives one seeded allocator problem: n tiles with the
+// given menu rounding and a budget that is a multiple (0.5–6, so below
+// the all-lowest size too) of the all-lowest size.
+func oracleInstance(seed uint64, n, menu int) ([]TileChoice, float64) {
+	rng := mathx.NewRNG(seed)
+	tiles := randomTiles(rng, n)
+	for i := range tiles {
+		for l := range tiles[i].Bits {
+			switch menu {
+			case menuCenti:
+				tiles[i].Bits[l] = math.Round(tiles[i].Bits[l]/10) / 100
+				tiles[i].Cost[l] = math.Round(tiles[i].Cost[l]*10) / 100
+			case menuInteger:
+				tiles[i].Bits[l] = 1000 * math.Ceil(tiles[i].Bits[l]/1000)
+				tiles[i].Cost[l] = math.Round(tiles[i].Cost[l])
+			}
+		}
+	}
+	return tiles, TotalBits(tiles, lowestLevels(n)) * rng.Range(0.5, 6)
+}
+
+var oracleCaps = []int{0, 256, 16}
+
+func TestPrunedMatchesReference(t *testing.T) {
+	const instances = 540
+	determined := 0
+	for s := 0; s < instances; s++ {
+		n := 1 + s%72
+		menu := s % numMenus
+		tiles, budget := oracleInstance(uint64(1000+s), n, menu)
+		ambiguous := againstReference(t, tiles, budget, oracleCaps[(s/numMenus)%len(oracleCaps)])
+		if ambiguous && menu == menuContinuous && !hasDuplicateRows(tiles) {
+			t.Errorf("instance %d: continuous menus without duplicate rows met an exact tie", s)
+		}
+		if !ambiguous {
+			determined++
+		}
+	}
+	// The levels comparison must not be vacuous.
+	if determined < instances/2 {
+		t.Errorf("only %d of %d instances had a determined answer", determined, instances)
+	}
+}
+
+// manifestFixture is a real provider manifest: 8 one-second chunks.
+func manifestFixture(t testing.TB) *manifest.Video {
+	t.Helper()
+	v := scene.Generate(scene.Sports, 17, scene.Options{W: 240, H: 120, FPS: 10, DurationSec: 8})
+	tr := viewport.Synthesize(v, 3, viewport.DefaultSynthesizeOpts())
+	m, err := provider.Preprocess(v, []*viewport.Trace{tr}, provider.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// manifestRows builds chunk k's allocator input the way
+// player.PanoPlanner.Plan does (player imports abr, so the arithmetic
+// is repeated here): bits from the manifest, cost = area × PMSE of the
+// lookup-table PSPNR estimate at the tile's action ratio.
+func manifestRows(m *manifest.Video, k int, ratio func(tile int) float64) []TileChoice {
+	rows := make([]TileChoice, len(m.Chunks[k].Tiles))
+	for i := range rows {
+		t := &m.Chunks[k].Tiles[i]
+		area := float64(t.Rect.Area())
+		for l := 0; l < codec.NumLevels; l++ {
+			rows[i].Bits[l] = t.Bits[l]
+			if p := t.LUT[l].PSPNR(t.RefPSPNR[l], ratio(i)); p < 100 {
+				rows[i].Cost[l] = area * 65025 * math.Exp(-p*(math.Ln10/10))
+			}
+		}
+	}
+	return rows
+}
+
+func TestPrunedMatchesReferenceOnManifest(t *testing.T) {
+	m := manifestFixture(t)
+	if m.NumChunks() != 8 {
+		t.Fatalf("%d chunks, want 8", m.NumChunks())
+	}
+	ratios := []func(int) float64{
+		func(int) float64 { return 1 },
+		func(i int) float64 { return 1 + 0.35*float64(i%7) },
+	}
+	flat := 0
+	for k := 0; k < m.NumChunks(); k++ {
+		for ri, ratio := range ratios {
+			rows := manifestRows(m, k, ratio)
+			if hasDuplicateRows(rows) {
+				flat++
+			}
+			for l := 0; l < codec.NumLevels; l++ {
+				for _, frac := range []float64{0.9, 1, 1.1} {
+					budget := frac * m.ChunkBits(k, codec.Level(l))
+					againstReference(t, rows, budget, oracleCaps[(k+ri+l)%len(oracleCaps)])
+				}
+			}
+		}
+	}
+	if flat == 0 {
+		t.Error("no chunk of the manifest had a flat tile; the tie path went unexercised")
+	}
+}
+
+func FuzzAllocatePruned(f *testing.F) {
+	f.Add(uint64(1), uint8(1), uint16(0), uint8(menuContinuous))
+	f.Add(uint64(2), uint8(30), uint16(0), uint8(menuContinuous))
+	f.Add(uint64(3), uint8(72), uint16(256), uint8(menuCenti))
+	f.Add(uint64(4), uint8(30), uint16(16), uint8(menuCenti))
+	f.Add(uint64(5), uint8(12), uint16(1), uint8(menuInteger))
+	f.Add(uint64(6), uint8(72), uint16(0), uint8(menuInteger))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint8, maxFrontier uint16, menu uint8) {
+		tiles, budget := oracleInstance(seed, 1+int(n)%72, int(menu)%numMenus)
+		againstReference(t, tiles, budget, int(maxFrontier))
+	})
+}
+
+// flatBottom makes levels from..lowest of a tile identical rows, as the
+// encoder does for flat content (the rungs below some QP cost the same
+// bits and lose nothing more).
+func flatBottom(t *TileChoice, from int) {
+	for l := from + 1; l < codec.NumLevels; l++ {
+		t.Bits[l], t.Cost[l] = t.Bits[from], t.Cost[from]
+	}
+}
+
+// Identical rows tie exactly on (bits, cost); the lower level index is
+// the defined winner, at every budget and cap.
+func TestPrunedTieTakesLowerLevel(t *testing.T) {
+	rng := mathx.NewRNG(11)
+	tiles := randomTiles(rng, 12)
+	flatBottom(&tiles[2], 3) // two identical rows
+	flatBottom(&tiles[7], 3)
+	flatBottom(&tiles[9], 2) // three identical rows
+	low := TotalBits(tiles, lowestLevels(len(tiles)))
+	for _, maxFrontier := range oracleCaps {
+		for _, frac := range []float64{0.5, 1, 1.05, 1.3, 2, 4} {
+			a := AllocatePruned(tiles, low*frac, maxFrontier)
+			for i, l := range a {
+				if l > 0 && tiles[i].Bits[l-1] == tiles[i].Bits[l] && tiles[i].Cost[l-1] == tiles[i].Cost[l] && frac >= 1 {
+					t.Errorf("cap %d budget %.2f×: tile %d at level %d, identical to level %d", maxFrontier, frac, i, l, l-1)
+				}
+			}
+			if frac < 1 && !slices.Equal(a, lowestLevels(len(tiles))) {
+				t.Errorf("cap %d: below the all-lowest size the fallback is all-lowest, got %v", maxFrontier, a)
+			}
+			againstReference(t, tiles, low*frac, maxFrontier)
+		}
+		// At exactly the all-lowest size only the flat tiles can move.
+		a := AllocatePruned(tiles, low, maxFrontier)
+		want := lowestLevels(len(tiles))
+		want[2], want[7], want[9] = 3, 3, 2
+		if !slices.Equal(a, want) {
+			t.Errorf("cap %d: at the all-lowest size levels %v, want %v", maxFrontier, a, want)
+		}
+	}
+}
+
+// Two parents an ulp of bits apart whose extensions round to the same
+// bits: sorted, the cheaper one — the later parent — comes first and is
+// the only survivor. A frontier that kept both would be over cap 2 and
+// thinned to the dearer of each pair.
+func TestPrunedEqualBitsRunKeepsCheapest(t *testing.T) {
+	up := math.Nextafter(1, 2)
+	tiles := []TileChoice{
+		// Frontier after tile 0: (1, 1.5) via level 1, (1+ulp, 1) via
+		// level 0; levels 2–4 are dominated.
+		{Bits: [codec.NumLevels]float64{up, 1, 1, 1, 1}, Cost: [codec.NumLevels]float64{1, 1.5, 2, 2, 2}},
+		// 512 and 1024 swallow the ulp: the frontier after tile 1 is
+		// (513, 21), (1025, 11), both through the second parent.
+		{Bits: [codec.NumLevels]float64{1024, 512, 512, 512, 512}, Cost: [codec.NumLevels]float64{10, 20, 30, 30, 30}},
+	}
+	for _, maxFrontier := range []int{0, 256, 16, 2} {
+		a := AllocatePruned(tiles, 1e6, maxFrontier)
+		if want := (Allocation{0, 0}); !slices.Equal(a, want) {
+			t.Errorf("cap %d: levels %v, want %v", maxFrontier, a, want)
+		}
+		againstReference(t, tiles, 1e6, maxFrontier)
+	}
+}
+
+// The same two parents, now also a hair (more than the filter's 1e-12,
+// less than an ulp of the shifted cost) apart in cost, so that their
+// extensions are identical in bits and cost: the lower parent index is
+// the defined winner.
+func TestPrunedTieTakesLowerParent(t *testing.T) {
+	up := math.Nextafter(1, 2)
+	tiles := []TileChoice{
+		{Bits: [codec.NumLevels]float64{up, 1, 1, 1, 1}, Cost: [codec.NumLevels]float64{1, 1 + 1e-9, 2, 2, 2}},
+		{Bits: [codec.NumLevels]float64{1024, 1024, 1024, 1024, 1024}, Cost: [codec.NumLevels]float64{1 << 30, 1 << 31, 1 << 31, 1 << 31, 1 << 31}},
+	}
+	for _, maxFrontier := range oracleCaps {
+		a := AllocatePruned(tiles, 1e6, maxFrontier)
+		if want := (Allocation{1, 0}); !slices.Equal(a, want) {
+			t.Errorf("cap %d: levels %v, want %v", maxFrontier, a, want)
+		}
+		againstReference(t, tiles, 1e6, maxFrontier)
+	}
+}
+
+// manifestShapedTiles builds rows shaped like a real manifest's: sizes
+// falling ~1.6× per level, distortion rising, level 0 lossless to the
+// eye, and every tenth tile flat (its two bottom rungs identical).
+func manifestShapedTiles(n int) []TileChoice {
+	rng := mathx.NewRNG(9)
+	tiles := randomTiles(rng, n)
+	for i := 4; i < n; i += 10 {
+		flatBottom(&tiles[i], 3)
+	}
+	return tiles
+}
+
+var sinkAllocation Allocation
+
+func BenchmarkAllocatePruned(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		n    int
+	}{{"30tiles", 30}, {"72tiles", 72}} {
+		b.Run(bc.name, func(b *testing.B) {
+			tiles := manifestShapedTiles(bc.n)
+			budget := TotalBits(tiles, lowestLevels(bc.n)) * 2.5
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkAllocation = AllocatePruned(tiles, budget, 0)
+			}
+		})
 	}
 }

@@ -1,8 +1,12 @@
 package player
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
+	"pano/internal/abr"
 	"pano/internal/codec"
 	"pano/internal/jnd"
 )
@@ -149,5 +153,57 @@ func TestBestGuessViewUsesCurrentSpeed(t *testing.T) {
 	view := est.View(m, tr, 3, now)
 	if view.SpeedLB > guess.SpeedLB+1e-9 {
 		t.Errorf("lower bound %v exceeds best guess %v", view.SpeedLB, guess.SpeedLB)
+	}
+}
+
+// One planner value serves every concurrent session (the swarm hands
+// the same Planner to all its workers), and Plan draws its cost rows
+// and the allocator's frontier slab from shared pools: concurrent calls
+// must return exactly the serial answers. Run under -race (make race).
+func TestPanoPlannerSharedAcrossGoroutines(t *testing.T) {
+	m, tr := fixture(t)
+	est := NewEstimator()
+	pl := NewPanoPlanner()
+	const workers, calls = 8, 50
+	type job struct {
+		k      int
+		view   ChunkView
+		budget float64
+	}
+	jobs := make([]job, workers*calls)
+	want := make([]abr.Allocation, len(jobs))
+	for j := range jobs {
+		k := j % m.NumChunks()
+		l := codec.Level(j / m.NumChunks() % codec.NumLevels)
+		jobs[j] = job{
+			k:      k,
+			view:   est.View(m, tr, k, 0.1*float64(j%40)),
+			budget: m.ChunkBits(k, l) * (0.8 + 0.01*float64(j%50)),
+		}
+		want[j] = pl.Plan(m, jobs[j].k, jobs[j].view, jobs[j].budget)
+	}
+	got := make([]abr.Allocation, len(jobs))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Strided, so neighbouring goroutines work on different
+			// chunks and budgets at the same moment.
+			for j := w; j < len(jobs); j += workers {
+				got[j] = pl.Plan(m, jobs[j].k, jobs[j].view, jobs[j].budget)
+			}
+		}(w)
+	}
+	wg.Wait()
+	distinct := map[string]bool{}
+	for j := range jobs {
+		if !slices.Equal(got[j], want[j]) {
+			t.Fatalf("job %d (chunk %d, budget %.0f): concurrent plan %v, serial %v", j, jobs[j].k, jobs[j].budget, got[j], want[j])
+		}
+		distinct[fmt.Sprint(want[j])] = true
+	}
+	if len(distinct) < 10 {
+		t.Errorf("only %d distinct plans over %d jobs; the workload does not vary", len(distinct), len(jobs))
 	}
 }

@@ -11,6 +11,8 @@ package player
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"pano/internal/abr"
 	"pano/internal/codec"
@@ -177,6 +179,11 @@ func (p *PanoPlanner) Name() string {
 	return "pano"
 }
 
+// costRowsPool recycles PanoPlanner.Plan's allocator input. It is
+// package-level because one planner value is shared by concurrent
+// sessions (every swarm worker calls the same Planner).
+var costRowsPool = sync.Pool{New: func() any { return new([]abr.TileChoice) }}
+
 // Plan implements Planner.
 func (p *PanoPlanner) Plan(m *manifest.Video, k int, view ChunkView, budget float64) abr.Allocation {
 	prof := p.Profile
@@ -187,7 +194,11 @@ func (p *PanoPlanner) Plan(m *manifest.Video, k int, view ChunkView, budget floa
 	if hedge == 0 {
 		hedge = 1
 	}
-	tiles := make([]abr.TileChoice, len(m.Chunks[k].Tiles))
+	rows := costRowsPool.Get().(*[]abr.TileChoice)
+	defer costRowsPool.Put(rows)
+	n := len(m.Chunks[k].Tiles)
+	*rows = slices.Grow((*rows)[:0], n)[:n]
+	tiles := *rows
 	for i := range m.Chunks[k].Tiles {
 		t := &m.Chunks[k].Tiles[i]
 		ratio := 1.0
