@@ -35,10 +35,13 @@ race:
 	$(GO) test -race -short ./...
 
 # The parallel pixel pipeline and its golden/property suite run in full
-# (no -short) under the race detector: worker pool, field cache, and
-# the serial≡parallel properties at explicit worker counts.
+# (no -short) under the race detector: worker pool, field cache, the
+# serial≡parallel properties at explicit worker counts, and the
+# provider's chunk analysis (quantizer tables, pooled error planes,
+# manifest digests) with its codec and scene kernels.
 race-kernels:
-	$(GO) test -race ./internal/parallel ./internal/jnd ./internal/quality ./internal/tiling
+	$(GO) test -race ./internal/parallel ./internal/jnd ./internal/quality ./internal/tiling \
+		./internal/codec ./internal/scene ./internal/provider
 
 # The fault-injection suite under the race detector: the chaos
 # middleware itself plus the client's resilient fetch pipeline
@@ -147,14 +150,16 @@ check: vet fmt race race-kernels chaos trace edge dash swarm fleet cluster live
 bench: build microbench
 	$(GO) run ./cmd/pano-bench -scale quick
 
-# Kernel micro-benchmarks (serial vs parallel vs cached) and the
-# client's per-chunk tile allocator; appends to BENCH_micro.txt with the
-# commit hash so runs diff across commits with benchstat or plain text
-# tools.
+# Kernel micro-benchmarks (serial vs parallel vs cached), the client's
+# per-chunk tile allocator and the provider's chunk analysis (scene
+# render, quantizer, one chunk, one video); appends to BENCH_micro.txt
+# with the commit hash so runs diff across commits with benchstat or
+# plain text tools.
 microbench:
 	@echo "## $$(git rev-parse --short HEAD 2>/dev/null || echo dirty) $$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> BENCH_micro.txt
-	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned' -benchmem \
-		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr | tee -a BENCH_micro.txt
+	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|RenderFrame|ErrorPlanes|DistortRegion|ChunkAt|Preprocess' -benchmem \
+		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr \
+		./internal/scene ./internal/codec ./internal/provider | tee -a BENCH_micro.txt
 
 clean:
 	rm -f BENCH_*.json BENCH_micro.txt trace.perfetto.json cluster.perfetto.json

@@ -19,6 +19,7 @@ package codec
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"pano/internal/frame"
 	"pano/internal/geom"
@@ -88,50 +89,228 @@ func NewEncoder() *Encoder {
 	}
 }
 
-// DistortRegion returns a copy of region r of f with the quantization
-// distortion of the given QP applied. The region must lie within f.
-func (e *Encoder) DistortRegion(f *frame.Frame, r geom.Rect, qp int) (*frame.Frame, error) {
-	sub, err := f.Region(r)
-	if err != nil {
-		return nil, err
-	}
-	e.distortInPlace(sub, qp)
-	return sub, nil
+// quantMean and quantResidual are the block quantizer, stated once: a
+// block's mean is quantized at half the step and each pixel's residual
+// from the mean at the full step.
+func quantMean(mean, step float64) float64 {
+	dcStep := step / 2
+	return math.Round(mean/dcStep) * dcStep
 }
 
-// distortInPlace applies block quantization to an owned frame.
-func (e *Encoder) distortInPlace(f *frame.Frame, qp int) {
-	step := QStep(qp)
-	dcStep := step / 2
+func quantResidual(res, step float64) float64 {
+	return math.Round(res/step) * step
+}
+
+// coefBits is the bit cost of one residual coefficient at the given
+// step: ~2*log2(|level|+1)+1 bits when it quantizes to a nonzero level.
+func coefBits(res, step float64) float64 {
+	level := math.Round(res / step)
+	if level == 0 {
+		return 0
+	}
+	return 2*math.Log2(math.Abs(level)+1) + 1
+}
+
+// reconstruct returns the decoded pixel for a quantized block mean and
+// a quantized residual: their sum clamped to [0, 255] and rounded half
+// up. v minus its integer part is exact in float64 and so is twice it,
+// so this is math.Round for every v in range, without a data-dependent
+// branch.
+func reconstruct(qMean, qRes float64) uint8 {
+	v := qMean + qRes
+	if v < 0 {
+		return 0
+	}
+	if v > 255 {
+		return 255
+	}
+	u := int(v)
+	frac := v - float64(u)
+	return uint8(u + int(frac+frac))
+}
+
+// quantizer is the block quantizer of one (block size, QP). For a full
+// B×B block with B a power of two, the mean Σ/B² and the residual
+// p − Σ/B² = (B²·p − Σ)/B² are exact in float64, so the quantized mean
+// is a function of the integer Σ ∈ [0, 255·B²] and the quantized
+// residual and its bit cost functions of the integer
+// n = B²·p − Σ ∈ [−255·B², 255·B²]: those functions are tabulated.
+// Partial blocks — and every block when B does not meet the
+// precondition, the tables then being nil — evaluate them directly.
+type quantizer struct {
+	step  float64
+	block int       // B
+	off   int       // 255·B²: the index of n = 0 in res and bits
+	mean  []float64 // quantMean by Σ
+	res   []float64 // quantResidual by n+off
+	bits  []float64 // coefBits by n+off
+}
+
+// maxTableBlock bounds the table size (3·255·B² float64 per QP).
+const maxTableBlock = 8
+
+type quantizerKey struct{ block, qp int }
+
+// quantizers memoizes quantizer by (block size, QP); entries are pure
+// functions of their key.
+var quantizers sync.Map
+
+// quantizer returns the encoder's quantizer at qp, building its tables
+// on first use.
+func (e *Encoder) quantizer(qp int) *quantizer {
+	key := quantizerKey{e.BlockSize, qp}
+	if q, ok := quantizers.Load(key); ok {
+		return q.(*quantizer)
+	}
 	b := e.BlockSize
-	for by := 0; by < f.H; by += b {
-		for bx := 0; bx < f.W; bx += b {
-			r := geom.Rect{X0: bx, Y0: by, X1: minInt(bx+b, f.W), Y1: minInt(by+b, f.H)}
-			mean := f.MeanLuma(r)
-			qMean := math.Round(mean/dcStep) * dcStep
-			for y := r.Y0; y < r.Y1; y++ {
-				for x := r.X0; x < r.X1; x++ {
-					p := float64(f.At(x, y))
-					res := p - mean
-					qRes := math.Round(res/step) * step
-					f.Set(x, y, clampPix(qMean+qRes))
-				}
+	q := &quantizer{step: QStep(qp), block: b}
+	if b&(b-1) == 0 && b <= maxTableBlock {
+		area := b * b
+		q.off = 255 * area
+		q.mean = make([]float64, q.off+1)
+		for sum := range q.mean {
+			q.mean[sum] = quantMean(float64(sum)/float64(area), q.step)
+		}
+		q.res = make([]float64, 2*q.off+1)
+		q.bits = make([]float64, 2*q.off+1)
+		for i := range q.res {
+			res := float64(i-q.off) / float64(area)
+			q.res[i] = quantResidual(res, q.step)
+			q.bits[i] = coefBits(res, q.step)
+		}
+	}
+	actual, _ := quantizers.LoadOrStore(key, q)
+	return actual.(*quantizer)
+}
+
+// tabulated reports whether a w×h block can read the tables.
+func (q *quantizer) tabulated(w, h int) bool {
+	return q.mean != nil && w == q.block && h == q.block
+}
+
+func (e *Encoder) checkBlockSize() error {
+	if e.BlockSize <= 0 {
+		return fmt.Errorf("codec: encoder block size %d, want > 0 (use NewEncoder)", e.BlockSize)
+	}
+	return nil
+}
+
+// blockSum returns the pixel sum of the w×h block whose top-left pixel
+// is pix[0], in a plane of the given stride.
+func blockSum(pix []uint8, stride, w, h int) int {
+	sum := 0
+	for y := 0; y < h; y++ {
+		for _, p := range pix[y*stride : y*stride+w] {
+			sum += int(p)
+		}
+	}
+	return sum
+}
+
+// decode writes the decoded pixels of the w×h block at src[0], whose
+// pixel sum is sum, to the same positions of dst (which may be src).
+func (q *quantizer) decode(dst, src []uint8, stride, w, h, sum int) {
+	area := w * h
+	if q.tabulated(w, h) {
+		qMean, res := q.mean[sum], q.res[q.off-sum:]
+		for y := 0; y < h; y++ {
+			out := dst[y*stride : y*stride+w]
+			for x, p := range src[y*stride : y*stride+w] {
+				out[x] = reconstruct(qMean, res[area*int(p)])
 			}
+		}
+		return
+	}
+	mean := float64(sum) / float64(area)
+	qMean := quantMean(mean, q.step)
+	for y := 0; y < h; y++ {
+		out := dst[y*stride : y*stride+w]
+		for x, p := range src[y*stride : y*stride+w] {
+			out[x] = reconstruct(qMean, quantResidual(float64(p)-mean, q.step))
 		}
 	}
 }
 
-// blockBits estimates the bit cost of one block at the given step, from
-// its residual levels: ~2*log2(|level|+1)+1 bits per nonzero coefficient
-// plus a small DC cost. boundary marks blocks on the tile edge.
-func (e *Encoder) blockBits(f *frame.Frame, r geom.Rect, step float64, boundary bool) float64 {
-	mean := f.MeanLuma(r)
+// DistortRegion returns a copy of region r of f with the quantization
+// distortion of the given QP applied. The region must lie within f.
+func (e *Encoder) DistortRegion(f *frame.Frame, r geom.Rect, qp int) (*frame.Frame, error) {
+	if err := e.checkBlockSize(); err != nil {
+		return nil, err
+	}
+	sub, err := f.Region(r)
+	if err != nil {
+		return nil, err
+	}
+	q, b := e.quantizer(qp), e.BlockSize
+	for by := 0; by < sub.H; by += b {
+		for bx := 0; bx < sub.W; bx += b {
+			blk := sub.Pix[by*sub.W+bx:]
+			w, h := minInt(b, sub.W-bx), minInt(b, sub.H-by)
+			q.decode(blk, blk, sub.W, w, h, blockSum(blk, sub.W, w, h))
+		}
+	}
+	return sub, nil
+}
+
+// ErrorPlanes fills planes with |original − decoded| per pixel of f at
+// every quality level: level l occupies planes[l*W*H:(l+1)*W*H],
+// row-major like f.Pix. The decoded pixels are DistortRegion's over the
+// whole frame; each block is visited once for all levels and the
+// decoded frames are never materialized.
+func (e *Encoder) ErrorPlanes(f *frame.Frame, planes []uint8) error {
+	if err := e.checkBlockSize(); err != nil {
+		return err
+	}
+	size := f.W * f.H
+	if len(planes) != NumLevels*size {
+		return fmt.Errorf("codec: error planes hold %d bytes, want %d", len(planes), NumLevels*size)
+	}
+	var qs [NumLevels]*quantizer
+	for l := range qs {
+		qs[l] = e.quantizer(Level(l).QP())
+	}
+	b := e.BlockSize
+	for by := 0; by < f.H; by += b {
+		for bx := 0; bx < f.W; bx += b {
+			at := by*f.W + bx
+			src := f.Pix[at:]
+			w, h := minInt(b, f.W-bx), minInt(b, f.H-by)
+			sum := blockSum(src, f.W, w, h)
+			for l, q := range qs {
+				dst := planes[l*size+at:]
+				q.decode(dst, src, f.W, w, h, sum)
+				for y := 0; y < h; y++ {
+					out := dst[y*f.W : y*f.W+w]
+					for x, p := range src[y*f.W : y*f.W+w] {
+						d := int(p) - int(out[x])
+						sign := d >> 63 // branch-free |d|: the sign is a coin flip
+						out[x] = uint8((d ^ sign) - sign)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// blockBits estimates the bit cost of the w×h block at pix[0] from its
+// residual levels: coefBits per coefficient plus a small DC cost.
+// boundary marks blocks on the tile edge.
+func (e *Encoder) blockBits(q *quantizer, pix []uint8, stride, w, h int, boundary bool) float64 {
+	sum, area := blockSum(pix, stride, w, h), w*h
 	bits := 4.0 // quantized DC / mode signalling
-	for y := r.Y0; y < r.Y1; y++ {
-		for x := r.X0; x < r.X1; x++ {
-			level := math.Round((float64(f.At(x, y)) - mean) / step)
-			if level != 0 {
-				bits += 2*math.Log2(math.Abs(level)+1) + 1
+	if q.tabulated(w, h) {
+		tab := q.bits[q.off-sum:]
+		for y := 0; y < h; y++ {
+			for _, p := range pix[y*stride : y*stride+w] {
+				bits += tab[area*int(p)]
+			}
+		}
+	} else {
+		mean := float64(sum) / float64(area)
+		for y := 0; y < h; y++ {
+			for _, p := range pix[y*stride : y*stride+w] {
+				bits += coefBits(float64(p)-mean, q.step)
 			}
 		}
 	}
@@ -144,15 +323,19 @@ func (e *Encoder) blockBits(f *frame.Frame, r geom.Rect, step float64, boundary 
 // FrameRegionBits estimates the intra bit cost of encoding region r of
 // frame f at the given QP, treating r as one tile (boundary blocks pay
 // the prediction-loss penalty). The per-tile header is not included.
+// The region is clipped to the frame. It panics on an encoder without a
+// block size (the zero value; use NewEncoder).
 func (e *Encoder) FrameRegionBits(f *frame.Frame, r geom.Rect, qp int) float64 {
-	step := QStep(qp)
-	b := e.BlockSize
+	if err := e.checkBlockSize(); err != nil {
+		panic(err)
+	}
+	r = r.Intersect(geom.Rect{X1: f.W, Y1: f.H})
+	q, b := e.quantizer(qp), e.BlockSize
 	var bits float64
 	for by := r.Y0; by < r.Y1; by += b {
 		for bx := r.X0; bx < r.X1; bx += b {
-			blk := geom.Rect{X0: bx, Y0: by, X1: minInt(bx+b, r.X1), Y1: minInt(by+b, r.Y1)}
 			boundary := bx == r.X0 || by == r.Y0 || bx+b >= r.X1 || by+b >= r.Y1
-			bits += e.blockBits(f, blk, step, boundary)
+			bits += e.blockBits(q, f.Pix[by*f.W+bx:], f.W, minInt(b, r.X1-bx), minInt(b, r.Y1-by), boundary)
 		}
 	}
 	return bits
@@ -194,20 +377,23 @@ func (e *Encoder) TemporalActivity(a, b *frame.Frame, r geom.Rect) float64 {
 // activity. key is the chunk's first frame; next is a later frame used
 // to estimate activity (pass key again for a static estimate).
 func (e *Encoder) TileChunkBits(key, next *frame.Frame, r geom.Rect, qp int, framesPerChunk int) float64 {
-	intra := e.FrameRegionBits(key, r, qp)
-	act := e.TemporalActivity(key, next, r)
-	inter := intra * act * float64(framesPerChunk-1)
-	return e.HeaderBits + intra + inter
+	return e.chunkBits(e.FrameRegionBits(key, r, qp), e.TemporalActivity(key, next, r), framesPerChunk)
 }
 
-func clampPix(v float64) uint8 {
-	if v < 0 {
-		return 0
+// TileLevelBits returns TileChunkBits at every quality level. Temporal
+// activity does not depend on the QP and is measured once.
+func (e *Encoder) TileLevelBits(key, next *frame.Frame, r geom.Rect, framesPerChunk int) [NumLevels]float64 {
+	act := e.TemporalActivity(key, next, r)
+	var bits [NumLevels]float64
+	for l := range bits {
+		bits[l] = e.chunkBits(e.FrameRegionBits(key, r, Level(l).QP()), act, framesPerChunk)
 	}
-	if v > 255 {
-		return 255
-	}
-	return uint8(math.Round(v))
+	return bits
+}
+
+func (e *Encoder) chunkBits(intra, act float64, framesPerChunk int) float64 {
+	inter := intra * act * float64(framesPerChunk-1)
+	return e.HeaderBits + intra + inter
 }
 
 func minInt(a, b int) int {

@@ -127,24 +127,31 @@ func (f *Frame) Variance(r geom.Rect) float64 {
 
 // GradientEnergy returns the mean absolute horizontal+vertical gradient
 // over rectangle r, a cheap proxy for texture complexity used by the
-// content-dependent JND.
+// content-dependent JND. Neighbours wrap in x and clamp in y like At.
 func (f *Frame) GradientEnergy(r geom.Rect) float64 {
 	r = r.Intersect(geom.Rect{X1: f.W, Y1: f.H})
 	if r.Empty() {
 		return 0
 	}
-	var sum float64
-	var n int
+	// Gradients are integers, so an integer sum is exact — the value the
+	// float64 accumulation it replaces produced.
+	var sum int
 	for y := r.Y0; y < r.Y1; y++ {
+		row := f.Pix[y*f.W : (y+1)*f.W]
+		below := row // the bottom row's vertical neighbour is itself
+		if y+1 < f.H {
+			below = f.Pix[(y+1)*f.W : (y+2)*f.W]
+		}
 		for x := r.X0; x < r.X1; x++ {
-			v := float64(f.At(x, y))
-			gx := v - float64(f.At(x+1, y))
-			gy := v - float64(f.At(x, y+1))
-			sum += abs(gx) + abs(gy)
-			n++
+			right := x + 1
+			if right == f.W {
+				right = 0
+			}
+			v := int(row[x])
+			sum += absInt(v-int(row[right])) + absInt(v-int(below[x]))
 		}
 	}
-	return sum / float64(n)
+	return float64(sum) / float64(r.Area())
 }
 
 // ToGray converts the frame to a standard image.Gray (shared backing
@@ -189,7 +196,7 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-func abs(x float64) float64 {
+func absInt(x int) int {
 	if x < 0 {
 		return -x
 	}

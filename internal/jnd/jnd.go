@@ -174,12 +174,44 @@ func ContentJNDBlock(meanLuma, gradient float64) float64 {
 // the content JND. 8 matches the Chou–Li neighborhood scale.
 const FieldBlockSize = 8
 
-// ContentField computes the content-dependent JND over rectangle r of
-// the original frame, at FieldBlockSize granularity. The returned field
-// has one value per pixel of r (block values replicated), laid out
-// row-major with width r.W(). Block rows are computed in parallel on
-// the process-default worker count; the result is bit-identical for
-// every worker count because each block writes only its own pixels.
+// ContentBlocks computes the content-dependent JND over rectangle r of
+// the original frame at its native granularity: one value per
+// FieldBlockSize×FieldBlockSize block (the last block of a row or
+// column may be partial), row-major with cols blocks per row. The pixel
+// at (x, y) of r has the value at (y/FieldBlockSize)*cols +
+// x/FieldBlockSize. Block rows are computed in parallel on the
+// process-default worker count.
+func ContentBlocks(orig *frame.Frame, r geom.Rect) (blocks []float64, cols int) {
+	return contentBlocks(orig, r, parallel.Workers())
+}
+
+func contentBlocks(orig *frame.Frame, r geom.Rect, workers int) (blocks []float64, cols int) {
+	w, h := r.W(), r.H()
+	if w <= 0 || h <= 0 {
+		return nil, 0
+	}
+	cols = (w + FieldBlockSize - 1) / FieldBlockSize
+	rows := (h + FieldBlockSize - 1) / FieldBlockSize
+	blocks = make([]float64, rows*cols)
+	parallel.ForWorkers(workers, rows, func(br int) {
+		y0 := r.Y0 + br*FieldBlockSize
+		for bx := 0; bx < cols; bx++ {
+			x0 := r.X0 + bx*FieldBlockSize
+			block := geom.Rect{
+				X0: x0, Y0: y0,
+				X1: minInt(x0+FieldBlockSize, r.X1),
+				Y1: minInt(y0+FieldBlockSize, r.Y1),
+			}
+			blocks[br*cols+bx] = ContentJNDBlock(orig.MeanLuma(block), orig.GradientEnergy(block))
+		}
+	})
+	return blocks, cols
+}
+
+// ContentField is ContentBlocks with one value per pixel of r (block
+// values replicated), laid out row-major with width r.W(). The result
+// is bit-identical for every worker count because each block and each
+// pixel row is written by exactly one worker.
 func ContentField(orig *frame.Frame, r geom.Rect) []float64 {
 	return ContentFieldWorkers(orig, r, parallel.Workers())
 }
@@ -188,26 +220,16 @@ func ContentField(orig *frame.Frame, r geom.Rect) []float64 {
 // (<= 1 runs serially). The serial≡parallel property tests inject
 // counts here.
 func ContentFieldWorkers(orig *frame.Frame, r geom.Rect, workers int) []float64 {
-	w, h := r.W(), r.H()
-	if w <= 0 || h <= 0 {
+	blocks, cols := contentBlocks(orig, r, workers)
+	if blocks == nil {
 		return nil
 	}
-	out := make([]float64, w*h)
-	blockRows := (h + FieldBlockSize - 1) / FieldBlockSize
-	parallel.ForWorkers(workers, blockRows, func(br int) {
-		by := br * FieldBlockSize
-		for bx := 0; bx < w; bx += FieldBlockSize {
-			block := geom.Rect{
-				X0: r.X0 + bx, Y0: r.Y0 + by,
-				X1: minInt(r.X0+bx+FieldBlockSize, r.X1),
-				Y1: minInt(r.Y0+by+FieldBlockSize, r.Y1),
-			}
-			c := ContentJNDBlock(orig.MeanLuma(block), orig.GradientEnergy(block))
-			for y := by; y < by+FieldBlockSize && y < h; y++ {
-				for x := bx; x < bx+FieldBlockSize && x < w; x++ {
-					out[y*w+x] = c
-				}
-			}
+	w := r.W()
+	out := make([]float64, w*r.H())
+	parallel.ForWorkers(workers, r.H(), func(y int) {
+		src := blocks[y/FieldBlockSize*cols:]
+		for x := range out[y*w : (y+1)*w] {
+			out[y*w+x] = src[x/FieldBlockSize]
 		}
 	})
 	return out

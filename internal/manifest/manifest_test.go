@@ -133,6 +133,19 @@ func TestPowerLUTEval(t *testing.T) {
 	}
 }
 
+// TestAnchorRatiosAscendPositive: the provider's PMSE kernel stops at
+// the first anchor a pixel's error does not reach, which is only right
+// for positive, strictly ascending anchors.
+func TestAnchorRatiosAscendPositive(t *testing.T) {
+	prev := 0.0
+	for i, a := range AnchorRatios {
+		if a <= prev {
+			t.Fatalf("AnchorRatios[%d] = %v after %v: want positive and strictly ascending", i, a, prev)
+		}
+		prev = a
+	}
+}
+
 func TestFitPowerLUT(t *testing.T) {
 	// PSPNR(A) = 50 * 1.05 * A^0.3.
 	ratios := AnchorRatios

@@ -209,57 +209,74 @@ type preprocessor struct {
 }
 
 // sampledFrame bundles one analyzed frame: the original, its content
-// JND field, and the per-level distorted versions.
+// JND at block granularity, and the per-level absolute coding error.
 type sampledFrame struct {
-	orig      *frame.Frame
-	content   []float64 // full-frame content JND, row-major
-	distorted [codec.NumLevels]*frame.Frame
+	orig        *frame.Frame
+	content     []float64 // jnd.ContentBlocks of the full frame
+	contentCols int
+	errs        [codec.NumLevels][]uint8 // |orig − encoded| per level, row-major; views of slab
+	slab        *[]uint8                 // from errorSlabs, returned by release
 }
+
+// errorSlabs recycles the per-frame error planes (NumLevels bytes per
+// pixel) across chunks.
+var errorSlabs = sync.Pool{New: func() any { return new([]uint8) }}
 
 func (p *preprocessor) analyzeFrame(idx int) (*sampledFrame, error) {
 	orig := p.video.RenderFrame(idx)
-	sf := &sampledFrame{
-		orig:    orig,
-		content: jnd.ContentField(orig, geom.Rect{X1: orig.W, Y1: orig.H}),
+	sf := &sampledFrame{orig: orig}
+	sf.content, sf.contentCols = jnd.ContentBlocks(orig, geom.Rect{X1: orig.W, Y1: orig.H})
+	size := len(orig.Pix)
+	sf.slab = errorSlabs.Get().(*[]uint8)
+	if cap(*sf.slab) < codec.NumLevels*size {
+		*sf.slab = make([]uint8, codec.NumLevels*size)
 	}
-	full := geom.Rect{X1: orig.W, Y1: orig.H}
-	for l := 0; l < codec.NumLevels; l++ {
-		d, err := p.cfg.Encoder.DistortRegion(orig, full, codec.Level(l).QP())
-		if err != nil {
-			return nil, err
-		}
-		sf.distorted[l] = d
+	planes := (*sf.slab)[:codec.NumLevels*size]
+	if err := p.cfg.Encoder.ErrorPlanes(orig, planes); err != nil {
+		sf.release()
+		return nil, err
+	}
+	for l := range sf.errs {
+		sf.errs[l] = planes[l*size : (l+1)*size]
 	}
 	return sf, nil
 }
 
-// pmseAtAnchors computes, for one rect of one sampled frame and level,
-// the PMSE at each anchor action ratio in a single pass.
-func pmseAtAnchors(sf *sampledFrame, level int, r geom.Rect, anchors []float64) []float64 {
-	sums := make([]float64, len(anchors))
+// release returns the error planes to the pool; the frame must not be
+// read afterwards.
+func (sf *sampledFrame) release() {
+	errorSlabs.Put(sf.slab)
+	*sf = sampledFrame{}
+}
+
+// perceptibleError is the one pixel kernel of the chunk analysis. For
+// rect r of one sampled frame at one level it adds to sums[i] the sum
+// over pixels of max(d − c·anchors[i], 0)², where d is the pixel's
+// coding error and c its content JND (the PMSE numerator at action
+// ratio anchors[i]), accumulated in row-major pixel order, and returns
+// Σd² (the MSE numerator). anchors must be positive and ascending: the
+// thresholds c·a then ascend too (c > 0), so the first anchor a pixel's
+// error does not reach ends that pixel.
+func perceptibleError(sf *sampledFrame, level int, r geom.Rect, anchors, sums []float64) (sq uint64) {
 	w := sf.orig.W
-	enc := sf.distorted[level]
+	errs := sf.errs[level]
+	sums = sums[:len(anchors)]
 	for y := r.Y0; y < r.Y1; y++ {
-		for x := r.X0; x < r.X1; x++ {
-			d := math.Abs(float64(sf.orig.Pix[y*w+x]) - float64(enc.Pix[y*w+x]))
-			if d == 0 {
-				continue
-			}
-			c := sf.content[y*w+x]
-			for ai, a := range anchors {
+		content := sf.content[y/jnd.FieldBlockSize*sf.contentCols:]
+		for x, e := range errs[y*w+r.X0 : y*w+r.X1] {
+			sq += uint64(e) * uint64(e)
+			d, c := float64(e), content[(r.X0+x)/jnd.FieldBlockSize]
+			for i, a := range anchors {
 				th := c * a
-				if d >= th {
-					ex := d - th
-					sums[ai] += ex * ex
+				if d < th {
+					break
 				}
+				ex := d - th
+				sums[i] += ex * ex
 			}
 		}
 	}
-	area := float64(r.Area())
-	for ai := range sums {
-		sums[ai] /= area
-	}
-	return sums
+	return sq
 }
 
 // chunkFactors estimates, per unit tile, the mean action ratio over the
@@ -275,20 +292,25 @@ func (p *preprocessor) chunkFactors(k int, rects []geom.Rect) []float64 {
 		}
 		return out
 	}
+	// What a viewer contributes depends on the trace and tMid only, not
+	// on the tile.
+	type viewer struct{ speed, focusDoF, luma float64 }
+	viewers := make([]viewer, len(p.history))
+	for i, tr := range p.history {
+		viewers[i] = viewer{
+			speed:    tr.SpeedAt(tMid),
+			focusDoF: p.video.DepthAt(tr.At(tMid), tMid),
+			luma:     tr.MaxLumaChange(tMid, p.cfg.LumaWindowSec, p.video.LumaAt),
+		}
+	}
 	parallel.For(len(rects), func(i int) {
-		r := rects[i]
-		objSpeed, tileDoF := p.tileMotionDepth(r, tMid)
+		objSpeed, tileDoF := p.tileMotionDepth(rects[i], tMid)
 		var sumA float64
-		for _, tr := range p.history {
-			vpSpeed := tr.SpeedAt(tMid)
-			rel := math.Abs(vpSpeed - objSpeed)
-			focusDoF := p.video.DepthAt(tr.At(tMid), tMid)
-			dof := math.Abs(tileDoF - focusDoF)
-			luma := tr.MaxLumaChange(tMid, p.cfg.LumaWindowSec, p.video.LumaAt)
+		for _, vw := range viewers {
 			sumA += p.cfg.Profile.ActionRatio(jnd.Factors{
-				SpeedDegS:  rel,
-				DoFDiff:    dof,
-				LumaChange: luma,
+				SpeedDegS:  math.Abs(vw.speed - objSpeed),
+				DoFDiff:    math.Abs(tileDoF - vw.focusDoF),
+				LumaChange: vw.luma,
 			})
 		}
 		out[i] = sumA / float64(len(p.history))
@@ -343,6 +365,13 @@ func (p *preprocessor) chunk(k int) (manifest.Chunk, error) {
 		}
 		samples[i] = sf
 	})
+	defer func() {
+		for _, sf := range samples {
+			if sf != nil {
+				sf.release()
+			}
+		}
+	}()
 	if sampleErr != nil {
 		return manifest.Chunk{}, sampleErr
 	}
@@ -367,10 +396,15 @@ func (p *preprocessor) chunk(k int) (manifest.Chunk, error) {
 				// action ratio.
 				i := row*tiling.UnitCols + col
 				ur := unitRects[i]
+				area := float64(ur.Area())
+				anchor := [1]float64{ratios[i]}
 				var hi, lo float64
 				for _, sf := range samples {
-					hi += pmseAtAnchors(sf, 0, ur, []float64{ratios[i]})[0]
-					lo += pmseAtAnchors(sf, codec.NumLevels-1, ur, []float64{ratios[i]})[0]
+					var sum [2]float64
+					perceptibleError(sf, 0, ur, anchor[:], sum[:1])
+					perceptibleError(sf, codec.NumLevels-1, ur, anchor[:], sum[1:])
+					hi += sum[0] / area
+					lo += sum[1] / area
 				}
 				n := float64(len(samples))
 				pHi := quality.PSPNRFromPMSE(hi / n)
@@ -408,11 +442,11 @@ func (p *preprocessor) chunk(k int) (manifest.Chunk, error) {
 		t := manifest.Tile{Rect: r}
 		t.AvgLuma = key.MeanLuma(r)
 		t.ObjSpeedDeg, t.AvgDoF = p.tileMotionDepth(r, tMid)
+		t.Bits = p.cfg.Encoder.TileLevelBits(key, next, r, framesPerChunk)
 		tiles[i] = t
 	})
 	type levelData struct {
-		bits float64   // encoded tile-chunk size
-		mse  float64   // plain MSE (A=0 anchor), mean over samples
+		mse  float64   // plain MSE, mean over samples
 		pmse []float64 // PMSE per anchor ratio, mean over samples
 	}
 	levels := make([]levelData, nTiles*codec.NumLevels)
@@ -420,15 +454,17 @@ func (p *preprocessor) chunk(k int) (manifest.Chunk, error) {
 		i, l := j/codec.NumLevels, j%codec.NumLevels
 		r := tiles[i].Rect
 		ld := &levels[j]
-		ld.bits = p.cfg.Encoder.TileChunkBits(key, next, r, codec.Level(l).QP(), framesPerChunk)
-		// Plain MSE (the A=0 anchor degenerates to unfiltered error)
-		// feeds the JND-agnostic PSNR used by the baselines.
+		// Plain MSE feeds the JND-agnostic PSNR used by the baselines.
+		area := float64(r.Area())
 		var mse float64
 		acc := make([]float64, len(manifest.AnchorRatios))
+		sums := make([]float64, len(manifest.AnchorRatios))
 		for _, sf := range samples {
-			mse += pmseAtAnchors(sf, l, r, []float64{0})[0]
-			for ai, v := range pmseAtAnchors(sf, l, r, manifest.AnchorRatios) {
-				acc[ai] += v
+			clear(sums)
+			sq := perceptibleError(sf, l, r, manifest.AnchorRatios, sums)
+			mse += float64(sq) / area
+			for ai, v := range sums {
+				acc[ai] += v / area
 			}
 		}
 		ld.mse = mse / float64(len(samples))
@@ -442,7 +478,6 @@ func (p *preprocessor) chunk(k int) (manifest.Chunk, error) {
 		var pspnrs [codec.NumLevels][]float64
 		for l := 0; l < codec.NumLevels; l++ {
 			ld := levels[i*codec.NumLevels+l]
-			t.Bits[l] = ld.bits
 			t.PSNR[l] = quality.PSNR(ld.mse)
 			if l > 0 && t.PSNR[l] > t.PSNR[l-1] {
 				t.PSNR[l] = t.PSNR[l-1]

@@ -120,20 +120,31 @@ func (v *Video) noise(x, y int) float64 {
 	return float64(h>>11)/(1<<52) - 1
 }
 
-// bgLuma returns the analytic background luminance at an angle and time.
+// bgLuma returns the analytic background luminance at an angle and
+// time. It is separable: a yaw (and time) term plus a pitch term.
 func (v *Video) bgLuma(a geom.Angle, t float64) float64 {
+	return v.bgYawLuma(a.Yaw, t) + bgPitchLuma(a.Pitch)
+}
+
+// bgYawLuma is the part of bgLuma that varies with yaw: base level,
+// spatial banding and flicker.
+func (v *Video) bgYawLuma(yaw, t float64) float64 {
 	l := v.Bg.BaseLuma
-	l += v.Bg.BandAmp * math.Sin(a.Yaw*math.Pi/180*v.Bg.BandCycles)
+	l += v.Bg.BandAmp * math.Sin(yaw*math.Pi/180*v.Bg.BandCycles)
 	if v.Bg.FlickerAmp > 0 {
 		// Flicker phase varies across the sphere so different view
 		// directions see different brightness at the same instant —
 		// the urban night scenario of Figure 2(b).
-		phase := a.Yaw * math.Pi / 90
+		phase := yaw * math.Pi / 90
 		l += v.Bg.FlickerAmp * math.Sin(2*math.Pi*v.Bg.FlickerHz*t+phase)
 	}
-	// Sky is brighter than ground.
-	l += 20 * math.Sin(a.Pitch*math.Pi/180)
 	return l
+}
+
+// bgPitchLuma is the part of bgLuma that varies with pitch: the sky is
+// brighter than the ground.
+func bgPitchLuma(pitch float64) float64 {
+	return 20 * math.Sin(pitch*math.Pi/180)
 }
 
 // BgDepthAt returns the background depth (dioptre) at an angle: the sky
@@ -184,12 +195,20 @@ func (v *Video) RenderFrame(idx int) *frame.Frame {
 	f := frame.New(v.W, v.H)
 	g := v.Geometry()
 
-	// Background pass.
+	// Background pass. The analytic luminance is separable, so its
+	// sines are evaluated once per column and once per row (a pixel's
+	// yaw depends only on x, its pitch only on y) and summed per pixel
+	// in bgLuma's order.
+	yawLuma := make([]float64, v.W)
+	for x := range yawLuma {
+		yawLuma[x] = v.bgYawLuma(g.ToAngle(x, 0).Yaw, t)
+	}
 	for y := 0; y < v.H; y++ {
-		for x := 0; x < v.W; x++ {
-			a := g.ToAngle(x, y)
-			l := v.bgLuma(a, t) + v.Bg.Texture*v.noise(x, y)
-			f.Pix[y*v.W+x] = uint8(clampLuma(l))
+		pitchLuma := bgPitchLuma(g.ToAngle(0, y).Pitch)
+		row := f.Pix[y*v.W : (y+1)*v.W]
+		for x := range row {
+			l := yawLuma[x] + pitchLuma + v.Bg.Texture*v.noise(x, y)
+			row[x] = uint8(clampLuma(l))
 		}
 	}
 

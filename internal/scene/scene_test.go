@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pano/internal/frame"
 	"pano/internal/geom"
 )
 
@@ -185,5 +186,78 @@ func TestGenreString(t *testing.T) {
 	}
 	if Genre(99).String() != "Genre(99)" {
 		t.Error("unknown genre format wrong")
+	}
+}
+
+// referenceRenderFrame is RenderFrame as it was before the separable
+// background pass: the luminance formula evaluated per pixel, up to
+// three sines each.
+func referenceRenderFrame(v *Video, idx int) *frame.Frame {
+	t := float64(idx) / float64(v.FPS)
+	f := frame.New(v.W, v.H)
+	g := v.Geometry()
+	for y := 0; y < v.H; y++ {
+		for x := 0; x < v.W; x++ {
+			a := g.ToAngle(x, y)
+			l := v.Bg.BaseLuma
+			l += v.Bg.BandAmp * math.Sin(a.Yaw*math.Pi/180*v.Bg.BandCycles)
+			if v.Bg.FlickerAmp > 0 {
+				phase := a.Yaw * math.Pi / 90
+				l += v.Bg.FlickerAmp * math.Sin(2*math.Pi*v.Bg.FlickerHz*t+phase)
+			}
+			l += 20 * math.Sin(a.Pitch*math.Pi/180)
+			f.Pix[y*v.W+x] = uint8(clampLuma(l + v.Bg.Texture*v.noise(x, y)))
+		}
+	}
+	for oi := range v.Objects {
+		o := &v.Objects[oi]
+		p := o.PositionAt(t)
+		halfW := int(o.SizeDeg / 2 * g.PPDYaw())
+		halfH := int(o.SizeDeg / 2 * g.PPDPitch())
+		cx, cy := g.ToPixel(p)
+		for dy := -halfH; dy <= halfH; dy++ {
+			y := cy + dy
+			if y < 0 || y >= v.H {
+				continue
+			}
+			for dx := -halfW; dx <= halfW; dx++ {
+				l := float64(o.Luma) + o.Texture*v.noise(dx+4096*o.ID, dy)
+				f.Set(cx+dx, y, uint8(clampLuma(l)))
+			}
+		}
+	}
+	return f
+}
+
+// TestRenderFrameMatchesPerPixelReference: the separable background
+// must produce the per-pixel formula's bits on every genre, with the
+// flicker term on and off.
+func TestRenderFrameMatchesPerPixelReference(t *testing.T) {
+	for _, genre := range AllGenres() {
+		for _, flicker := range []bool{false, true} {
+			v := Generate(genre, 31, testOpts())
+			if flicker {
+				v.Bg.FlickerAmp, v.Bg.FlickerHz = 60, 0.7
+			} else {
+				v.Bg.FlickerAmp = 0
+			}
+			for _, idx := range []int{0, 7, v.Frames() - 1} {
+				got, want := v.RenderFrame(idx).Pix, referenceRenderFrame(v, idx).Pix
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%v flicker=%v frame %d: pixel (%d,%d) = %d, reference %d",
+							genre, flicker, idx, i%v.W, i/v.W, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkRenderFrame(b *testing.B) {
+	v := Generate(Sports, 2019, Options{W: 480, H: 240, FPS: 30, DurationSec: 8})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		v.RenderFrame(i * 10 % v.Frames())
 	}
 }
