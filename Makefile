@@ -151,15 +151,17 @@ bench: build microbench
 	$(GO) run ./cmd/pano-bench -scale quick
 
 # Kernel micro-benchmarks (serial vs parallel vs cached), the client's
-# per-chunk tile allocator and the provider's chunk analysis (scene
-# render, quantizer, one chunk, one video); appends to BENCH_micro.txt
+# per-chunk tile allocator, the provider's chunk analysis (scene
+# render, quantizer, one chunk, one video) and the virtual-time session
+# loop (one session, one netem tile); appends to BENCH_micro.txt
 # with the commit hash so runs diff across commits with benchstat or
 # plain text tools.
 microbench:
 	@echo "## $$(git rev-parse --short HEAD 2>/dev/null || echo dirty) $$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> BENCH_micro.txt
-	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|RenderFrame|ErrorPlanes|DistortRegion|ChunkAt|Preprocess' -benchmem \
+	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|RenderFrame|ErrorPlanes|DistortRegion|ChunkAt|Preprocess|RunSessionVirtual|NetemTile' -benchmem \
 		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr \
-		./internal/scene ./internal/codec ./internal/provider | tee -a BENCH_micro.txt
+		./internal/scene ./internal/codec ./internal/provider \
+		./internal/client ./internal/swarm | tee -a BENCH_micro.txt
 
 clean:
 	rm -f BENCH_*.json BENCH_micro.txt trace.perfetto.json cluster.perfetto.json

@@ -12,8 +12,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
+	"slices"
 	"time"
 
 	"pano/internal/abr"
@@ -306,12 +308,23 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	pol := cfg.Fetch.WithDefaults()
 
 	res := &StreamResult{}
-	sess := cfg.Log.Session("planner", cfg.Planner.Name(), "base_url", tp.Target())
-	ctx, sessSpan := cfg.Trace.Start(ctx, "session",
-		trace.A("component", "client"), trace.A("planner", cfg.Planner.Name()),
-		trace.A("base_url", tp.Target()))
+	// sess is nil without an event log and traced false without a span
+	// in ctx: every call site below checks before it builds an argument
+	// list, so an unobserved session boxes and allocates nothing for
+	// either.
+	var sess *slog.Logger
+	if cfg.Log != nil {
+		sess = cfg.Log.Session("planner", cfg.Planner.Name(), "base_url", tp.Target())
+	}
+	var sessSpan *trace.Span
+	if cfg.Trace != nil {
+		ctx, sessSpan = cfg.Trace.Start(ctx, "session",
+			trace.A("component", "client"), trace.A("planner", cfg.Planner.Name()),
+			trace.A("base_url", tp.Target()))
+	}
+	traced := trace.FromContext(ctx) != nil
 	res.TraceID = sessSpan.TraceHex()
-	if res.TraceID != "" {
+	if res.TraceID != "" && sess != nil {
 		sess = sess.With("trace_id", res.TraceID)
 	}
 	stage := "manifest"
@@ -330,15 +343,22 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		case res.DegradedTiles > 0:
 			status = "tile_degraded"
 		}
-		sessSpan.Annotate("status", status)
-		sessSpan.Annotate("chunks", len(res.Chunks))
-		sessSpan.Annotate("retries", res.TotalRetries)
-		if err != nil {
-			sessSpan.SetError(status)
+		if sessSpan != nil {
+			sessSpan.Annotate("status", status)
+			sessSpan.Annotate("chunks", len(res.Chunks))
+			sessSpan.Annotate("retries", res.TotalRetries)
+			if err != nil {
+				sessSpan.SetError(status)
+			}
+			sessSpan.End()
 		}
-		sessSpan.End()
-		cfg.Obs.Counter("pano_client_sessions_total", "streaming sessions by terminal status",
-			obs.L("status", status)).Inc()
+		if cfg.Obs != nil {
+			cfg.Obs.Counter("pano_client_sessions_total", "streaming sessions by terminal status",
+				obs.L("status", status)).Inc()
+		}
+		if sess == nil {
+			return
+		}
 		args := []any{
 			"status", status, "chunks_streamed", len(res.Chunks),
 			"total_bytes", res.TotalBytes, "rebuffer_sec", res.RebufferSec,
@@ -366,9 +386,11 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	if len(m.Chunks) > 0 {
 		tiles0 = len(m.Chunks[0].Tiles)
 	}
-	sess = sess.With("video", m.Name, "chunks", m.NumChunks(), "tiles", tiles0)
-	if m.Live {
-		sess = sess.With("live", true)
+	if sess != nil {
+		sess = sess.With("video", m.Name, "chunks", m.NumChunks(), "tiles", tiles0)
+		if m.Live {
+			sess = sess.With("live", true)
+		}
 	}
 
 	// QoE instruments (no-ops when cfg.Obs is nil).
@@ -398,6 +420,13 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	bw.Obs = cfg.Obs
 	live := m.Live
 	livePol := cfg.Live.withDefaults(m.ChunkSec)
+	menus := horizonMemo{simModel: cfg.SimModel}
+	if n := m.NumChunks() - m.FirstChunk; !live && n > 0 {
+		if cfg.MaxChunks > 0 && cfg.MaxChunks < n {
+			n = cfg.MaxChunks
+		}
+		res.Chunks = make([]ChunkResult, 0, n)
+	}
 	var buffer, estSum float64
 	var liveLatSum float64
 	liveChunks := 0
@@ -424,7 +453,10 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		if k >= m.NumChunks() {
 			break
 		}
-		cctx, chunkSpan := trace.StartSpan(ctx, "chunk", trace.A("chunk", k))
+		cctx, chunkSpan := ctx, (*trace.Span)(nil)
+		if traced {
+			cctx, chunkSpan = trace.StartSpan(ctx, "chunk", trace.A("chunk", k))
+		}
 		nowMedia := float64(k)*m.ChunkSec - buffer
 		if nowMedia < 0 {
 			nowMedia = 0
@@ -436,12 +468,16 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			pred = cfg.MaxRateBps
 		}
 		view := est.View(m, tr, k, nowMedia)
-		eSpan.Annotate("pred_bps", pred)
-		eSpan.End()
-		// Phase: chunk-level MPC decision.
+		if eSpan != nil {
+			eSpan.Annotate("pred_bps", pred)
+			eSpan.End()
+		}
+		// Phase: chunk-level MPC decision. horizon[0] is chunk k's own
+		// menu: its Bits are the budget of whichever level is picked.
+		horizon := menus.window(m, k, min(k+mpc.Horizon, m.NumChunks()))
 		var budget float64
 		if pred == 0 {
-			budget = m.ChunkBits(k, codec.Level(codec.NumLevels-1))
+			budget = horizon[0].Bits[codec.NumLevels-1]
 			if cfg.SimModel {
 				// Cold start pins prev so the switch penalty binds from
 				// chunk 1.
@@ -455,24 +491,8 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 				}
 				pred *= 1 + sign*cfg.BWErrorFrac
 			}
-			horizon := make([]abr.ChunkPlan, 0, mpc.Horizon)
-			for j := k; j < k+mpc.Horizon && j < m.NumChunks(); j++ {
-				var p abr.ChunkPlan
-				for l := 0; l < codec.NumLevels; l++ {
-					p.Bits[l] = m.ChunkBits(j, codec.Level(l))
-					if cfg.SimModel {
-						// Normalize dB to MOS-like units so the rebuffer
-						// and buffer penalties bind (a level step is worth
-						// ~1-2 units, far less than a second of stall).
-						p.Quality[l] = player.MeanRefPSPNR(m, j, codec.Level(l)) / 10
-					} else {
-						p.Quality[l] = float64(codec.NumLevels - l)
-					}
-				}
-				horizon = append(horizon, p)
-			}
 			lv := pickLevelCtx(cctx, ctrl, buffer, pred, m.ChunkSec, prev, horizon)
-			budget = m.ChunkBits(k, lv)
+			budget = horizon[0].Bits[lv]
 			prev = lv
 			if cfg.SimModel {
 				// The level menu is coarse; fill the remaining predicted
@@ -480,7 +500,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 				// actually offers (identically for every system).
 				capacity := 0.9 * pred * (m.ChunkSec + math.Max(0, buffer-cfg.BufferTargetSec))
 				if capacity > budget {
-					budget = math.Min(capacity, m.ChunkBits(k, 0))
+					budget = math.Min(capacity, horizon[0].Bits[0])
 				}
 			}
 		}
@@ -527,11 +547,13 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		if dl <= 0 {
 			dl = time.Microsecond
 		}
-		fSpan.Annotate("bytes", bytes)
-		fSpan.Annotate("retries", retries)
-		fSpan.Annotate("tiles_degraded", degraded)
-		fSpan.Annotate("tiles_skipped", skipped)
-		fSpan.End()
+		if fSpan != nil {
+			fSpan.Annotate("bytes", bytes)
+			fSpan.Annotate("retries", retries)
+			fSpan.Annotate("tiles_degraded", degraded)
+			fSpan.Annotate("tiles_skipped", skipped)
+			fSpan.End()
+		}
 		// Throughput from successful attempts only: retry and backoff
 		// overhead must not poison the bandwidth predictor.
 		var thr float64
@@ -590,22 +612,28 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			if instrumented {
 				guess := est.BestGuessView(m, tr, k, nowMedia)
 				e := player.FramePSPNRDegraded(m, k, delivered, stale, guess, prof)
-				sSpan.Annotate("est_pspnr_db", e)
+				if sSpan != nil {
+					sSpan.Annotate("est_pspnr_db", e)
+				}
 				estPSPNR.Observe(e)
 				estSum += e
 				res.MeanEstPSPNR = estSum / float64(streamed+1)
-				sess.Debug("chunk_done",
-					"chunk", k, "bytes", bytes, "download_sec", dl.Seconds(),
-					"throughput_bps", thr, "stall_sec", stall, "buffer_sec", buffer,
-					"est_pspnr_db", e, "retries", retries,
-					"tiles_degraded", degraded, "tiles_skipped", skipped)
+				if sess != nil {
+					sess.Debug("chunk_done",
+						"chunk", k, "bytes", bytes, "download_sec", dl.Seconds(),
+						"throughput_bps", thr, "stall_sec", stall, "buffer_sec", buffer,
+						"est_pspnr_db", e, "retries", retries,
+						"tiles_degraded", degraded, "tiles_skipped", skipped)
+				}
 			}
 			sSpan.End()
 		}
-		chunkSpan.Annotate("bytes", bytes)
-		chunkSpan.Annotate("stall_sec", stall)
-		chunkSpan.Annotate("buffer_sec", buffer)
-		chunkSpan.Annotate("throughput_bps", thr)
+		if chunkSpan != nil {
+			chunkSpan.Annotate("bytes", bytes)
+			chunkSpan.Annotate("stall_sec", stall)
+			chunkSpan.Annotate("buffer_sec", buffer)
+			chunkSpan.Annotate("throughput_bps", thr)
+		}
 		if live {
 			// Live latency: fully published chunks between the playhead
 			// and the edge, plus the media already buffered.
@@ -617,7 +645,9 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			}
 			cfg.Obs.Gauge("pano_client_live_latency_sec",
 				"playhead-to-edge live latency after each chunk").Set(lat)
-			chunkSpan.Annotate("live_latency_sec", lat)
+			if chunkSpan != nil {
+				chunkSpan.Annotate("live_latency_sec", lat)
+			}
 		}
 		chunkSpan.End()
 		streamed++
@@ -634,6 +664,52 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	return res, nil
 }
 
+// horizonRow is chunk j's menu for the chunk-level controller: its size
+// at each uniform level and that level's quality.
+func horizonRow(m *manifest.Video, j int, simModel bool) abr.ChunkPlan {
+	var p abr.ChunkPlan
+	for l := 0; l < codec.NumLevels; l++ {
+		p.Bits[l] = m.ChunkBits(j, codec.Level(l))
+		if simModel {
+			// Normalize dB to MOS-like units so the rebuffer and buffer
+			// penalties bind (a level step is worth ~1-2 units, far less
+			// than a second of stall).
+			p.Quality[l] = player.MeanRefPSPNR(m, j, codec.Level(l)) / 10
+		} else {
+			p.Quality[l] = float64(codec.NumLevels - l)
+		}
+	}
+	return p
+}
+
+// horizonMemo keeps a session's horizon rows. A row is a function of
+// the manifest alone, so it is computed once per manifest the session
+// sees rather than once per chunk that looks ahead to it; a live
+// refresh is a new *manifest.Video (or a longer one) and starts over.
+type horizonMemo struct {
+	simModel bool
+	m        *manifest.Video
+	rows     []abr.ChunkPlan
+	have     []bool
+}
+
+// window returns the rows of chunks [lo, hi) of m, valid until the next
+// call.
+func (h *horizonMemo) window(m *manifest.Video, lo, hi int) []abr.ChunkPlan {
+	if n := m.NumChunks(); h.m != m || len(h.rows) != n {
+		h.m = m
+		h.rows = slices.Grow(h.rows[:0], n)[:n]
+		h.have = slices.Grow(h.have[:0], n)[:n]
+		clear(h.have)
+	}
+	for j := lo; j < hi; j++ {
+		if !h.have[j] {
+			h.rows[j], h.have[j] = horizonRow(m, j, h.simModel), true
+		}
+	}
+	return h.rows[lo:hi]
+}
+
 // pickLevelCtx routes the chunk-level decision through the controller's
 // PickLevelCtx when it has one (the MPC does, opening its own "mpc"
 // span); plain controllers get wrapped in an "mpc" span here so the
@@ -641,6 +717,9 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 func pickLevelCtx(ctx context.Context, c abr.Controller, bufferSec, predBWbps, chunkSec float64, prev codec.Level, horizon []abr.ChunkPlan) codec.Level {
 	if cc, ok := c.(abr.ContextController); ok {
 		return cc.PickLevelCtx(ctx, bufferSec, predBWbps, chunkSec, prev, horizon)
+	}
+	if trace.FromContext(ctx) == nil {
+		return c.PickLevel(bufferSec, predBWbps, chunkSec, prev, horizon)
 	}
 	_, sp := trace.StartSpan(ctx, "mpc",
 		trace.A("buffer_sec", bufferSec), trace.A("pred_bps", predBWbps))

@@ -251,6 +251,9 @@ func newFetchInstruments(reg *obs.Registry) fetchInstruments {
 // retry counts one failed attempt under its error class, so chaos runs
 // aggregate by failure mode instead of raw error strings.
 func (ins fetchInstruments) retry(class string) {
+	if ins.reg == nil {
+		return
+	}
 	ins.reg.Counter("pano_client_tile_retries_total",
 		"failed tile fetch attempts that were retried or degraded, by error class",
 		obs.L("class", class)).Inc()
@@ -284,37 +287,48 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 	pol FetchPolicy, bufferSec float64, startup bool, rng *mathx.RNG,
 	ins fetchInstruments, sess *slog.Logger) (outF tileFetch, outErr error) {
 
-	ctx, tspan := trace.StartSpan(ctx, "tile_fetch",
-		trace.A("tile", ti), trace.A("planned_level", int(planned)))
-	defer func() {
-		tspan.Annotate("retries", outF.retries)
-		tspan.Annotate("level", int(outF.level))
-		switch {
-		case outErr != nil:
-			tspan.SetError("canceled")
-		case outF.skipped:
-			tspan.Annotate("outcome", "skipped")
-		case outF.degraded:
-			tspan.Annotate("outcome", "degraded")
-		default:
-			tspan.Annotate("outcome", "ok")
-		}
-		tspan.End()
-	}()
+	// Spans and attribute lists are built only under a traced context,
+	// event argument lists only with a log attached (sess non-nil): the
+	// unobserved ladder allocates nothing per tile.
+	traced := trace.FromContext(ctx) != nil
+	if traced {
+		var tspan *trace.Span
+		ctx, tspan = trace.StartSpan(ctx, "tile_fetch",
+			trace.A("tile", ti), trace.A("planned_level", int(planned)))
+		defer func() {
+			tspan.Annotate("retries", outF.retries)
+			tspan.Annotate("level", int(outF.level))
+			switch {
+			case outErr != nil:
+				tspan.SetError("canceled")
+			case outF.skipped:
+				tspan.Annotate("outcome", "skipped")
+			case outF.degraded:
+				tspan.Annotate("outcome", "degraded")
+			default:
+				tspan.Annotate("outcome", "ok")
+			}
+			tspan.End()
+		}()
+	}
 
 	out := tileFetch{level: planned}
 	lowest := codec.Level(codec.NumLevels - 1)
-	rungs := []codec.Level{planned}
-	if planned != lowest {
-		rungs = append(rungs, lowest)
+	rungs := [2]codec.Level{planned, lowest}
+	nRungs := 2
+	if planned == lowest {
+		nRungs = 1
 	}
 	var lastErr error
-	for ri, lv := range rungs {
+	for ri, lv := range rungs[:nRungs] {
 		for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 			timeout := pol.attemptTimeout(bufferSec, startup)
-			actx, aspan := trace.StartSpan(ctx, "attempt",
-				trace.A("attempt", attempt+1), trace.A("rung", ri), trace.A("level", int(lv)),
-				trace.A("deadline_sec", timeout.Seconds()))
+			actx, aspan := ctx, (*trace.Span)(nil)
+			if traced {
+				actx, aspan = trace.StartSpan(ctx, "attempt",
+					trace.A("attempt", attempt+1), trace.A("rung", ri), trace.A("level", int(lv)),
+					trace.A("deadline_sec", timeout.Seconds()))
+			}
 			actx, cancel := clk.WithTimeout(actx, timeout)
 			t0 := clk.Now()
 			bits, err := tp.Tile(actx, k, ti, lv)
@@ -327,9 +341,11 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 				if ri > 0 {
 					out.degraded = true
 					ins.degraded.Inc()
-					sess.Warn("tile_degraded",
-						"chunk", k, "tile", ti, "planned_level", int(planned),
-						"level", int(lv), "retries", out.retries)
+					if sess != nil {
+						sess.Warn("tile_degraded",
+							"chunk", k, "tile", ti, "planned_level", int(planned),
+							"level", int(lv), "retries", out.retries)
+					}
 				}
 				return out, nil
 			}
@@ -344,9 +360,11 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 			lastErr = err
 			out.retries++
 			ins.retry(class)
-			sess.Debug("tile_retry",
-				"chunk", k, "tile", ti, "level", int(lv), "attempt", attempt+1,
-				"timeout_sec", timeout.Seconds(), "class", class)
+			if sess != nil {
+				sess.Debug("tile_retry",
+					"chunk", k, "tile", ti, "level", int(lv), "attempt", attempt+1,
+					"timeout_sec", timeout.Seconds(), "class", class)
+			}
 			if !retryable(err) {
 				aspan.End()
 				break // this rung is hopeless; drop a level
@@ -354,7 +372,9 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 			var backoff time.Duration
 			if attempt < pol.MaxAttempts-1 {
 				backoff = pol.Backoff(attempt, rng)
-				aspan.Annotate("backoff_sec", backoff.Seconds())
+				if aspan != nil {
+					aspan.Annotate("backoff_sec", backoff.Seconds())
+				}
 			}
 			aspan.End()
 			if backoff > 0 {
@@ -366,8 +386,10 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 	}
 	out.skipped = true
 	ins.skipped.Inc()
-	sess.Warn("tile_skipped",
-		"chunk", k, "tile", ti, "planned_level", int(planned),
-		"retries", out.retries, "class", ErrorClass(lastErr), "error", lastErr.Error())
+	if sess != nil {
+		sess.Warn("tile_skipped",
+			"chunk", k, "tile", ti, "planned_level", int(planned),
+			"retries", out.retries, "class", ErrorClass(lastErr), "error", lastErr.Error())
+	}
 	return out, nil
 }

@@ -82,7 +82,9 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 			res.LiveSkippedChunks += m.FirstChunk - k
 			reg.Counter("pano_client_live_skips_total",
 				"chunks skipped by the live catch-up policy").Add(float64(m.FirstChunk - k))
-			sess.Info("live_skip", "reason", "window_expired", "from", k, "to", m.FirstChunk)
+			if sess != nil {
+				sess.Info("live_skip", "reason", "window_expired", "from", k, "to", m.FirstChunk)
+			}
 			k = m.FirstChunk
 		}
 		if edge := m.NumChunks(); k < edge {
@@ -93,7 +95,9 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 				res.LiveSkippedChunks += to - k
 				reg.Counter("pano_client_live_skips_total",
 					"chunks skipped by the live catch-up policy").Add(float64(to - k))
-				sess.Info("live_skip", "reason", "latency", "from", k, "to", to)
+				if sess != nil {
+					sess.Info("live_skip", "reason", "latency", "from", k, "to", to)
+				}
 				k = to
 			}
 			return liveSyncResult{m: m, k: k}, nil
@@ -103,7 +107,9 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 			return liveSyncResult{m: m, k: k, ended: true}, nil
 		}
 		if waited >= pol.EdgeTimeout {
-			sess.Warn("live_edge_timeout", "chunk", k, "waited_sec", waited.Seconds())
+			if sess != nil {
+				sess.Warn("live_edge_timeout", "chunk", k, "waited_sec", waited.Seconds())
+			}
 			reg.Counter("pano_client_live_edge_timeouts_total",
 				"sessions that gave up waiting for the live edge to move").Inc()
 			return liveSyncResult{m: m, k: k, ended: true}, nil
@@ -138,7 +144,9 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 			}
 			// Transient refresh failure: keep the old manifest, retry
 			// until EdgeTimeout. Refresh errors never abort a session.
-			sess.Debug("live_refresh_error", "error", err.Error())
+			if sess != nil {
+				sess.Debug("live_refresh_error", "error", err.Error())
+			}
 			continue
 		}
 		// Monotonicity: never adopt a refresh whose edge or sequence went

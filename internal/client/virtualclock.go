@@ -17,7 +17,8 @@ var epoch = time.Unix(0, 0).UTC()
 // owns exactly one goroutine, so the clock is deliberately unlocked —
 // sharing one VirtualClock across goroutines is a bug.
 type VirtualClock struct {
-	off time.Duration // virtual time since epoch
+	off     time.Duration // virtual time since epoch
+	attempt deadlineCtx   // the context WithTimeout hands out
 }
 
 // NewVirtualClock returns a clock positioned startSec virtual seconds
@@ -64,26 +65,56 @@ func (c *VirtualClock) Sleep(ctx context.Context, d time.Duration) error {
 	return nil
 }
 
-// deadlineKey carries the earliest virtual deadline through a context.
+// deadlineKey finds the nearest deadlineCtx in a context chain.
 type deadlineKey struct{}
+
+// deadlineCtx is its parent context plus a virtual deadline. Value
+// answers deadlineKey with the node itself, so reading the deadline
+// boxes nothing.
+type deadlineCtx struct {
+	context.Context
+	dl time.Time
+}
+
+func (d *deadlineCtx) Value(key any) any {
+	if _, ok := key.(deadlineKey); ok {
+		return d
+	}
+	return d.Context.Value(key)
+}
+
+func nopCancel() {}
 
 // WithTimeout implements Clock: the returned context carries a
 // virtual deadline (the earliest of d from now and any deadline
 // already installed) that the virtual transport checks before
 // advancing past it. The cancel func is a no-op — virtual deadlines
 // hold no resources.
+//
+// A session's attempts are strictly sequential, so a context derived
+// from one without a deadline is the clock's own node, rebound: it is
+// valid until the next such call, and the call allocates nothing. A
+// nested call (ctx already carries a deadline, possibly this clock's
+// own node) gets a fresh node, so the clock's node never becomes its
+// own ancestor.
 func (c *VirtualClock) WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	dl := c.Now().Add(d)
-	if cur, ok := VirtualDeadline(ctx); ok && cur.Before(dl) {
-		dl = cur
+	out, dl := &c.attempt, c.Now().Add(d)
+	if cur, ok := ctx.Value(deadlineKey{}).(*deadlineCtx); ok {
+		out = new(deadlineCtx)
+		if cur.dl.Before(dl) {
+			dl = cur.dl
+		}
 	}
-	return context.WithValue(ctx, deadlineKey{}, dl), func() {}
+	out.Context, out.dl = ctx, dl
+	return out, nopCancel
 }
 
 // VirtualDeadline returns the virtual deadline a VirtualClock's
 // WithTimeout installed on ctx, if any; virtual transports check it
 // before advancing the clock past it.
 func VirtualDeadline(ctx context.Context) (time.Time, bool) {
-	dl, ok := ctx.Value(deadlineKey{}).(time.Time)
-	return dl, ok
+	if d, ok := ctx.Value(deadlineKey{}).(*deadlineCtx); ok {
+		return d.dl, true
+	}
+	return time.Time{}, false
 }

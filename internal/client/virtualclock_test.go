@@ -36,3 +36,78 @@ func TestVirtualClock(t *testing.T) {
 		t.Fatalf("nested deadline = %v ok=%v", dl.Sub(c.Now()), ok)
 	}
 }
+
+// TestVirtualClockWithTimeoutAllocatesNothing: an attempt deadline under
+// a context that carries none rebinds the clock's own node — no boxed
+// time.Time, no context.WithValue node, no cancel closure.
+func TestVirtualClockWithTimeoutAllocatesNothing(t *testing.T) {
+	c := NewVirtualClock(3)
+	type sessionKey struct{}
+	parent := context.WithValue(context.Background(), sessionKey{}, "s")
+	allocs := testing.AllocsPerRun(100, func() {
+		ctx, cancel := c.WithTimeout(parent, time.Second)
+		dl, ok := VirtualDeadline(ctx)
+		cancel()
+		if !ok || dl.Sub(c.Now()) != time.Second || ctx.Value(sessionKey{}) != "s" {
+			t.Fatalf("deadline %v ok=%v", dl, ok)
+		}
+		c.Advance(time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per WithTimeout, want 0", allocs)
+	}
+	if _, ok := VirtualDeadline(parent); ok {
+		t.Error("parent context gained a deadline")
+	}
+}
+
+// TestVirtualClockNestedWithTimeout: a nested deadline keeps the earliest
+// of the two whichever is outer, leaves the outer context's own deadline
+// alone, and — derived from the clock's own node, directly or through a
+// wrapper — never makes that node its own ancestor (a lookup that misses
+// must terminate).
+func TestVirtualClockNestedWithTimeout(t *testing.T) {
+	type otherKey struct{}
+	wrap := func(ctx context.Context) context.Context { return context.WithValue(ctx, otherKey{}, 1) }
+	plain := func(ctx context.Context) context.Context { return ctx }
+	for _, tc := range []struct {
+		name         string
+		outer, inner time.Duration
+		derive       func(context.Context) context.Context
+	}{
+		{"outer earlier", time.Minute, time.Hour, plain},
+		{"outer later", time.Hour, time.Minute, plain},
+		{"outer earlier, wrapped", time.Minute, time.Hour, wrap},
+		{"outer later, wrapped", time.Hour, time.Minute, wrap},
+	} {
+		c := NewVirtualClock(10)
+		outer, _ := c.WithTimeout(context.Background(), tc.outer)
+		inner, _ := c.WithTimeout(tc.derive(outer), tc.inner)
+		if dl, ok := VirtualDeadline(inner); !ok || dl.Sub(c.Now()) != min(tc.outer, tc.inner) {
+			t.Errorf("%s: inner deadline %v ok=%v", tc.name, dl.Sub(c.Now()), ok)
+		}
+		if dl, ok := VirtualDeadline(outer); !ok || dl.Sub(c.Now()) != tc.outer {
+			t.Errorf("%s: outer deadline moved to %v ok=%v", tc.name, dl.Sub(c.Now()), ok)
+		}
+		type missKey struct{}
+		if v := inner.Value(missKey{}); v != nil {
+			t.Errorf("%s: miss returned %v", tc.name, v)
+		}
+		// A third level, over the nested node.
+		third, _ := c.WithTimeout(wrap(inner), time.Second)
+		if dl, _ := VirtualDeadline(third); dl.Sub(c.Now()) != time.Second {
+			t.Errorf("%s: third deadline %v", tc.name, dl.Sub(c.Now()))
+		}
+		if v := third.Value(missKey{}); v != nil {
+			t.Errorf("%s: miss through three levels returned %v", tc.name, v)
+		}
+	}
+	// Cancellation still flows from the parent through the clock's node.
+	c := NewVirtualClock(0)
+	parent, cancel := context.WithCancel(context.Background())
+	ctx, _ := c.WithTimeout(parent, time.Second)
+	cancel()
+	if ctx.Err() == nil {
+		t.Error("parent cancellation not visible through the deadline context")
+	}
+}

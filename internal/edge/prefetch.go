@@ -200,8 +200,8 @@ func tileAtCenter(m *manifest.Video, next, k, ti int) (int, bool) {
 	}
 	r := tiles[ti].Rect
 	cx, cy := (r.X0+r.X1)/2, (r.Y0+r.Y1)/2
-	for nti, nt := range m.Chunks[next].Tiles {
-		nr := nt.Rect
+	for nti := range m.Chunks[next].Tiles {
+		nr := &m.Chunks[next].Tiles[nti].Rect
 		if cx >= nr.X0 && cx < nr.X1 && cy >= nr.Y0 && cy < nr.Y1 {
 			return nti, true
 		}

@@ -144,8 +144,9 @@ func (v *Video) ChunkBits(k int, l codec.Level) float64 {
 		return 0
 	}
 	var s float64
-	for _, t := range v.Chunks[k].Tiles {
-		s += t.Bits[l]
+	tiles := v.Chunks[k].Tiles
+	for i := range tiles {
+		s += tiles[i].Bits[l]
 	}
 	return s
 }
@@ -164,7 +165,8 @@ func (v *Video) Validate() error {
 	}
 	for _, c := range v.Chunks {
 		area := 0
-		for ti, t := range c.Tiles {
+		for ti := range c.Tiles {
+			t := &c.Tiles[ti]
 			if t.Rect.Empty() || t.Rect.X0 < 0 || t.Rect.Y0 < 0 || t.Rect.X1 > v.W || t.Rect.Y1 > v.H {
 				return fmt.Errorf("manifest: chunk %d tile %d rect %v out of %dx%d", c.Index, ti, t.Rect, v.W, v.H)
 			}

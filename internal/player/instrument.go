@@ -68,10 +68,15 @@ type ctxPlanner interface {
 // PlanWithContext routes a Plan call through the planner's PlanCtx when
 // it has one (the instrumented wrapper does), so the allocation is
 // traced and exemplar-linked; otherwise it wraps the plain Plan in an
-// "assign" span itself. Behaviour is identical either way.
+// "assign" span itself — when ctx carries a span to be the parent of;
+// an untraced context is a plain Plan call. Behaviour is identical
+// either way.
 func PlanWithContext(ctx context.Context, p Planner, m *manifest.Video, k int, view ChunkView, budget float64) abr.Allocation {
 	if cp, ok := p.(ctxPlanner); ok {
 		return cp.PlanCtx(ctx, m, k, view, budget)
+	}
+	if trace.FromContext(ctx) == nil {
+		return p.Plan(m, k, view, budget)
 	}
 	_, sp := trace.StartSpan(ctx, "assign", trace.A("planner", p.Name()), trace.A("budget_bits", budget))
 	a := p.Plan(m, k, view, budget)

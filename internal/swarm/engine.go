@@ -20,7 +20,6 @@ package swarm
 import (
 	"container/heap"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -72,7 +71,7 @@ type Config struct {
 	// Fetch tunes the client's retry ladder (zero = defaults).
 	Fetch client.FetchPolicy
 	// Planner decides per-tile levels (default: the greedy Pano
-	// planner — the pruned DP is ~100x slower per chunk, which matters
+	// planner — the pruned DP is ≈55× slower per chunk, which matters
 	// at a million sessions).
 	Planner player.Planner
 	// MaxChunks bounds each session's length (0 = whole video).
@@ -270,15 +269,21 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	wallStart := time.Now()
 
+	// What a session's manifest GET moves over its link: the wire size
+	// of /manifest.json, counted through the encoder rather than
+	// buffered — less Encode's closing newline, the byte the committed
+	// baselines' session timelines were sized without.
+	var wire byteCounter
 	manifestBits := float64(0)
-	if raw, err := json.Marshal(cfg.Manifest); err == nil {
-		manifestBits = float64(len(raw) * 8)
+	if err := cfg.Manifest.Encode(&wire); err == nil {
+		manifestBits = float64((wire - 1) * 8)
 	}
 	prof := jnd.Default()
+	objects := newObjectIndex(cfg.Manifest)
 	var place *placement
 	if cfg.Fleet != nil {
 		// One immutable shard map shared by every session.
-		place = newPlacement(cfg.Manifest, cfg.Fleet)
+		place = newPlacement(objects, cfg.Fleet)
 	}
 
 	// Arrival schedule: the priority queue orders the dispatch feed.
@@ -300,21 +305,20 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}()
 
 	slots := make([]sessionStats, cfg.Sessions)
-	loads := make([]map[int32]int64, cfg.Workers)
+	workers := make([]scratch, cfg.Workers)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for i := range workers {
 		wg.Add(1)
-		loads[w] = make(map[int32]int64)
-		go func(load map[int32]int64) {
+		go func(w *scratch) {
 			defer wg.Done()
 			for id := range feed {
-				slots[id] = runSession(ctx, &cfg, id, manifestBits, prof, load, place)
+				slots[id] = runSession(ctx, &cfg, id, manifestBits, prof, objects, place, w)
 			}
-		}(loads[w])
+		}(&workers[i])
 	}
 	wg.Wait()
 
-	rep := fold(&cfg, slots, loads)
+	rep := fold(&cfg, slots, workers)
 	rep.Workers = cfg.Workers
 	rep.WallSec = time.Since(wallStart).Seconds()
 	if rep.WallSec > 0 {
@@ -326,12 +330,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 // runSession drives one full virtual session and, when sampled, scores
 // the delivered frames against the ground-truth viewpoint trace.
-func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, prof *jnd.Profile, load map[int32]int64, place *placement) sessionStats {
+func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, prof *jnd.Profile, objects *objectIndex, place *placement, w *scratch) sessionStats {
 	p := sessionParams(cfg, id)
 	vp := cfg.Viewports[p.vp]
 	clk := NewVirtualClock(p.arrival)
 	link := &nettrace.Link{Trace: cfg.Bandwidth[p.bw], RTTSec: cfg.RTTSec}
-	tp := newNetem(cfg.Manifest, clk, link, cfg.Fault, p.faultSeed, manifestBits, load)
+	tp := newNetem(cfg.Manifest, objects, clk, link, cfg.Fault, p.faultSeed, manifestBits, w)
 	pol := cfg.Fetch
 	pol.Seed = p.fetchSeed
 	if cfg.Fleet != nil {
@@ -396,7 +400,7 @@ func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, 
 
 // fold reduces the per-session slots — in session-id order, so float
 // accumulation is deterministic — into the Report.
-func fold(cfg *Config, slots []sessionStats, loads []map[int32]int64) *Report {
+func fold(cfg *Config, slots []sessionStats, workers []scratch) *Report {
 	s := Summary{Sessions: len(slots)}
 	if cfg.Fleet != nil {
 		s.FleetOrigins = cfg.Fleet.Origins
@@ -404,8 +408,12 @@ func fold(cfg *Config, slots []sessionStats, loads []map[int32]int64) *Report {
 	}
 	var stallSum, watchSum, startupSum float64
 	var pspnr []float64
-	load := make(map[int32]int64)
-	for _, wl := range loads {
+	var load []int64
+	for i := range workers {
+		wl := workers[i].load
+		if len(wl) > len(load) {
+			load = append(load, make([]int64, len(wl)-len(load))...)
+		}
 		for sec, n := range wl {
 			load[sec] += n
 		}
@@ -495,6 +503,14 @@ func fold(cfg *Config, slots []sessionStats, loads []map[int32]int64) *Report {
 		}
 	}
 	return &Report{Summary: s, Results: retained}
+}
+
+// byteCounter is an io.Writer that only counts.
+type byteCounter int
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
 }
 
 // quantile reads a sorted slice at q in [0, 1] (nearest rank).

@@ -7,7 +7,6 @@ import (
 	"pano/internal/chaos"
 	"pano/internal/codec"
 	"pano/internal/fleet"
-	"pano/internal/manifest"
 	"pano/internal/server"
 )
 
@@ -40,27 +39,24 @@ type FleetConfig struct {
 type placement struct {
 	n        int
 	manifest []int
-	tiles    [][]int // flat (k, ti, l) index -> ring order
-	tilesPer int     // tiles per chunk (uniform grid)
+	objects  *objectIndex
+	tiles    [][]int // objects.at(k, ti, l) -> ring order
 }
 
-func newPlacement(m *manifest.Video, fc *FleetConfig) *placement {
+func newPlacement(objects *objectIndex, fc *FleetConfig) *placement {
 	names := make([]string, fc.Origins)
 	for i := range names {
 		names[i] = shardName(i)
 	}
 	ring := fleet.NewRing(names, fc.Vnodes)
-	p := &placement{n: fc.Origins}
+	p := &placement{n: fc.Origins, objects: objects}
 	p.manifest = ring.Order(ring.Key("/manifest.json"))
-	if m.NumChunks() > 0 {
-		p.tilesPer = len(m.Chunks[0].Tiles)
-	}
-	p.tiles = make([][]int, m.NumChunks()*p.tilesPer*codec.NumLevels)
-	for k := range m.Chunks {
-		for ti := range m.Chunks[k].Tiles {
+	p.tiles = make([][]int, objects.len())
+	for k := range objects.firstTile[1:] { // every chunk
+		for ti := 0; ti < objects.tilesIn(k); ti++ {
 			for l := 0; l < codec.NumLevels; l++ {
 				key := ring.Key(server.TilePath(k, ti, codec.Level(l)))
-				p.tiles[p.index(k, ti, codec.Level(l))] = ring.Order(key)
+				p.tiles[objects.at(k, ti, codec.Level(l))] = ring.Order(key)
 			}
 		}
 	}
@@ -69,12 +65,8 @@ func newPlacement(m *manifest.Video, fc *FleetConfig) *placement {
 
 func shardName(i int) string { return "shard-" + strconv.Itoa(i) }
 
-func (p *placement) index(k, ti int, l codec.Level) int {
-	return (k*p.tilesPer+ti)*codec.NumLevels + int(l)
-}
-
 func (p *placement) tileOrder(k, ti int, l codec.Level) []int {
-	return p.tiles[p.index(k, ti, l)]
+	return p.tiles[p.objects.at(k, ti, l)]
 }
 
 // fleetSim is one session's client-side fleet state: breakers, budget,
@@ -100,9 +92,10 @@ func newFleetSim(fc *FleetConfig, place *placement, seed uint64, ratio, burst fl
 		place:  place,
 		budget: fleet.NewBudget(ratio, burst),
 		reqs:   make([]int64, fc.Origins),
+		brks:   make([]*fleet.Breaker, fc.Origins),
 	}
-	for i := 0; i < fc.Origins; i++ {
-		fs.brks = append(fs.brks, fleet.NewBreaker(fc.Breaker, seed^0xf1ee7^uint64(i)*0x9e3779b97f4a7c15))
+	for i := range fs.brks {
+		fs.brks[i] = fleet.NewBreaker(fc.Breaker, seed^0xf1ee7^uint64(i)*0x9e3779b97f4a7c15)
 	}
 	return fs
 }

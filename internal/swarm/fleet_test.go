@@ -24,7 +24,7 @@ func fleetConfig(f *fixtureT) Config {
 func TestPlacementCoversAllShards(t *testing.T) {
 	f := fixture(t)
 	fc := &FleetConfig{Origins: 4}
-	p := newPlacement(f.pano, fc)
+	p := newPlacement(newObjectIndex(f.pano), fc)
 	if len(p.manifest) != 4 {
 		t.Fatalf("manifest order %v", p.manifest)
 	}
@@ -172,7 +172,8 @@ func TestFleetBudgetDryReleasesProbe(t *testing.T) {
 		Origins: 2,
 		Breaker: fleet.BreakerConfig{FailureThreshold: 1, OpenFor: time.Second},
 	}
-	place := newPlacement(m, fc)
+	objects := newObjectIndex(m)
+	place := newPlacement(objects, fc)
 	order := place.tileOrder(0, 0, 0)
 	// The object's owner shard is hard-down: the first rung fails
 	// without consuming budget, so the ladder consults the budget at
@@ -186,7 +187,7 @@ func TestFleetBudgetDryReleasesProbe(t *testing.T) {
 		flat.Mbps[i] = 10
 	}
 	clk := NewVirtualClock(0)
-	s := newNetem(m, clk, &nettrace.Link{Trace: flat}, chaos.Rule{}, 1, 1e4, map[int32]int64{})
+	s := newNetem(m, objects, clk, &nettrace.Link{Trace: flat}, chaos.Rule{}, 1, 1e4, &scratch{})
 	s.fleet = newFleetSim(fc, place, 1, 0.001, 1)
 
 	s.fleet.brks[order[1]].Failure(clk.Now()) // threshold 1: successor opens

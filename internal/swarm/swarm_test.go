@@ -29,7 +29,7 @@ var (
 // fixture builds a small Pano-tiled video, a pool of synthetic head
 // traces, and a pool of LTE-like bandwidth traces scaled to fractions
 // of the top encoding rate.
-func fixture(t *testing.T) *fixtureT {
+func fixture(t testing.TB) *fixtureT {
 	t.Helper()
 	fxOnce.Do(func() {
 		v := scene.Generate(scene.Sports, 23, scene.Options{W: 240, H: 120, FPS: 10, DurationSec: 8})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"syscall"
 	"time"
 
@@ -33,7 +34,7 @@ type netem struct {
 	seed         uint64
 	manifestBits float64
 
-	seq        map[uint64]uint64 // per-object request count (fault draw index)
+	objects    *objectIndex
 	originReqs int64
 	// fleet, when set, shards objects across virtual origins with
 	// per-session breakers and ring failover; hedgeDelaySec > 0
@@ -41,20 +42,58 @@ type netem struct {
 	// delay is a wall-clock construct and is not modelled here).
 	fleet         *fleetSim
 	hedgeDelaySec float64
-	// load buckets origin requests per virtual second. It is owned by
-	// the calling worker and shared across its sessions (integer adds
-	// commute, so the merged histogram is deterministic regardless of
-	// which worker ran which session) — one map per worker instead of
-	// one per session keeps a million-session run off the GC's back.
-	load map[int32]int64
+	// w is the calling worker's scratch: the load histogram every
+	// session of the worker adds to, and this session's draw counters.
+	w *scratch
 }
 
-func newNetem(m *manifest.Video, clk *VirtualClock, link *nettrace.Link, fault chaos.Rule, seed uint64, manifestBits float64, load map[int32]int64) *netem {
+// objectIndex numbers a manifest's (chunk, tile, level) objects densely,
+// chunk by chunk. Chunks may differ in tile count (Pano tiles each chunk
+// on its own), so the table is per-chunk offsets, not a stride. One per
+// run, immutable: netem's draw counters and placement's ring orders are
+// both flat slices over it.
+type objectIndex struct {
+	firstTile []int // firstTile[k] = tiles in chunks before k; len = chunks+1
+}
+
+func newObjectIndex(m *manifest.Video) *objectIndex {
+	x := &objectIndex{firstTile: make([]int, m.NumChunks()+1)}
+	for k := range m.Chunks {
+		x.firstTile[k+1] = x.firstTile[k] + len(m.Chunks[k].Tiles)
+	}
+	return x
+}
+
+// len is the number of objects.
+func (x *objectIndex) len() int { return x.firstTile[len(x.firstTile)-1] * codec.NumLevels }
+
+// tilesIn is chunk k's tile count.
+func (x *objectIndex) tilesIn(k int) int { return x.firstTile[k+1] - x.firstTile[k] }
+
+func (x *objectIndex) at(k, ti int, l codec.Level) int {
+	return (x.firstTile[k]+ti)*codec.NumLevels + int(l)
+}
+
+// scratch is one worker's reusable state. Sessions run one after
+// another on a worker, so they share it instead of allocating their own.
+type scratch struct {
+	// load buckets origin requests per virtual second, summed over the
+	// worker's sessions (integer adds commute, so the merged histogram
+	// is deterministic regardless of which worker ran which session).
+	load []int64
+	// seq is the running session's per-object request count — the fault
+	// draw index — over objectIndex; newNetem zeroes it.
+	seq []uint32
+}
+
+func newNetem(m *manifest.Video, objects *objectIndex, clk *VirtualClock, link *nettrace.Link, fault chaos.Rule, seed uint64, manifestBits float64, w *scratch) *netem {
+	n := objects.len()
+	w.seq = slices.Grow(w.seq[:0], n)[:n]
+	clear(w.seq)
 	return &netem{
-		m: m, clock: clk, link: link, fault: fault, seed: seed,
+		m: m, objects: objects, clock: clk, link: link, fault: fault, seed: seed,
 		manifestBits: manifestBits,
-		seq:          make(map[uint64]uint64),
-		load:         load,
+		w:            w,
 	}
 }
 
@@ -64,7 +103,11 @@ func (s *netem) Target() string { return "swarm://netem" }
 // hit records one origin request at the current virtual second.
 func (s *netem) hit() {
 	s.originReqs++
-	s.load[int32(s.clock.NowSec())]++
+	sec := int(s.clock.NowSec())
+	if sec >= len(s.w.load) {
+		s.w.load = append(s.w.load, make([]int64, sec+1-len(s.w.load))...)
+	}
+	s.w.load[sec]++
 }
 
 // Manifest implements client.Transport: one logical GET over the link.
@@ -125,10 +168,10 @@ func (s *netem) Tile(ctx context.Context, k, ti int, l codec.Level) (float64, er
 // per-session and advances once per origin attempt, so outcomes are
 // deterministic regardless of which shard serves which attempt.
 func (s *netem) draw(k, ti int, l codec.Level) chaos.Outcome {
-	key := tileKey(k, ti, l)
-	n := s.seq[key]
-	s.seq[key] = n + 1
-	return s.fault.Draw(s.seed, key, n)
+	n := &s.w.seq[s.objects.at(k, ti, l)]
+	o := s.fault.Draw(s.seed, tileKey(k, ti, l), uint64(*n))
+	*n++
+	return o
 }
 
 // plan maps one attempt's fault outcome to its virtual-time cost and

@@ -149,11 +149,18 @@ type Predictor struct {
 // NewPredictor returns a predictor with the paper's 1 s history window.
 func NewPredictor() *Predictor { return &Predictor{HistoryWindow: 1.0} }
 
+// predictStackSamples is the history Predict fits without allocating
+// (a 1.55 s window).
+const predictStackSamples = 32
+
 // Predict returns the predicted viewpoint at now+horizon, fitting
 // separate lines to unwrapped yaw and pitch over the history window.
 func (p *Predictor) Predict(tr *Trace, now, horizon float64) geom.Angle {
 	t0 := math.Max(0, now-p.HistoryWindow)
-	var ts, ys, ps []float64
+	// The default one-second window is 21 samples: fit over stack
+	// buffers, and let append move a longer window to the heap.
+	var buf [3][predictStackSamples]float64
+	ts, ys, ps := buf[0][:0], buf[1][:0], buf[2][:0]
 	for t := t0; t <= now+1e-9; t += RefreshInterval {
 		y, pi := tr.raw(t)
 		ts = append(ts, t)

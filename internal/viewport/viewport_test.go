@@ -113,6 +113,25 @@ func TestPredictorDegenerateTraces(t *testing.T) {
 	}
 }
 
+// TestPredictAllocatesOnlyBeyondItsBuffer: the default window is fitted
+// over stack buffers; a window longer than predictStackSamples moves to
+// the heap and predicts the same line.
+func TestPredictAllocatesOnlyBeyondItsBuffer(t *testing.T) {
+	tr := linearTrace(15, 3, 401)
+	p := NewPredictor()
+	if allocs := testing.AllocsPerRun(100, func() { p.Predict(tr, 10, 1) }); allocs != 0 {
+		t.Errorf("%v allocs per Predict over a %.1f s window, want 0", allocs, p.HistoryWindow)
+	}
+	long := &Predictor{HistoryWindow: 2 * predictStackSamples * RefreshInterval}
+	if allocs := testing.AllocsPerRun(100, func() { long.Predict(tr, 10, 1) }); allocs == 0 {
+		t.Errorf("a %d-sample window cannot fit %d-sample stack buffers", 2*predictStackSamples, predictStackSamples)
+	}
+	got, want := long.Predict(tr, 10, 1), tr.At(11)
+	if geom.GreatCircleDeg(got, want) > 1e-6 {
+		t.Errorf("long-window prediction %v, truth %v", got, want)
+	}
+}
+
 func TestSynthesizeDeterministicAndCoversDuration(t *testing.T) {
 	v := testVideo()
 	a := Synthesize(v, 9, DefaultSynthesizeOpts())
