@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmt race race-kernels chaos trace edge dash swarm fleet cluster live benchdiff bench microbench clean
+.PHONY: build test check vet fmt race race-kernels testbed chaos trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,11 @@ race:
 race-kernels:
 	$(GO) test -race ./internal/parallel ./internal/jnd ./internal/quality ./internal/tiling \
 		./internal/codec ./internal/scene ./internal/provider
+
+# The testbed every multi-hop experiment below stands on, in full under
+# the race detector: kill/revive, the breaker poll, leak-free Close.
+testbed:
+	$(GO) test -race ./internal/testbed -count 1
 
 # The fault-injection suite under the race detector: the chaos
 # middleware itself plus the client's resilient fetch pipeline
@@ -144,7 +149,7 @@ THRESHOLD ?= 0.10
 benchdiff:
 	$(GO) run ./cmd/pano-benchdiff -threshold $(THRESHOLD) $(OLD) $(NEW)
 
-check: vet fmt race race-kernels chaos trace edge dash swarm fleet cluster live
+check: vet fmt race race-kernels testbed chaos trace edge dash swarm fleet cluster live
 
 # Quick-scale paper evaluation; writes BENCH_<id>.json files.
 bench: build microbench
@@ -162,6 +167,14 @@ microbench:
 		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr \
 		./internal/scene ./internal/codec ./internal/provider \
 		./internal/client ./internal/swarm | tee -a BENCH_micro.txt
+
+# The three line counts ROADMAP quotes, so "net LoC down" is one command:
+# non-test Go outside benchmark/, test Go outside benchmark/, and the
+# non-test Go of internal/experiments (the largest package).
+loc:
+	@echo "non-test Go outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
+	@echo "tests outside benchmark/:       $$(find . -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
+	@echo "internal/experiments non-test:  $$(find internal/experiments -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 clean:
 	rm -f BENCH_*.json BENCH_micro.txt trace.perfetto.json cluster.perfetto.json

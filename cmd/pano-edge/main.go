@@ -37,19 +37,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"net/http/pprof"
 	"net/url"
 	"os"
 	"strings"
 	"time"
 
-	"pano/internal/chaos"
+	"pano/cmd/internal/ops"
 	"pano/internal/edge"
-	"pano/internal/graceful"
-	"pano/internal/obs"
-	"pano/internal/telemetry"
-	"pano/internal/trace"
 	"pano/internal/viewport"
 )
 
@@ -84,7 +78,7 @@ func main() {
 			log.Fatalf("pano-edge: bad origin %q (want http[s]://host[:port])", o)
 		}
 	}
-	chaosProfile, err := chaos.Parse(*chaosSpec)
+	kit, err := ops.New(*enablePprof, *logRequests, *chaosSpec, *enableTrace, *sloSpec)
 	if err != nil {
 		log.Fatalf("pano-edge: %v", err)
 	}
@@ -104,28 +98,6 @@ func main() {
 		}
 	}
 
-	reg := obs.NewRegistry()
-	obs.ExportBuildInfo(reg)
-	var evlog *obs.EventLog
-	if *logRequests {
-		evlog = obs.NewEventLog(os.Stderr, 0)
-	}
-	var tracer *trace.Tracer
-	if *enableTrace {
-		tracer = trace.New(trace.Config{Obs: reg, Log: evlog})
-	}
-	slos, err := telemetry.ParseSLOs(*sloSpec)
-	if err != nil {
-		log.Fatalf("pano-edge: %v", err)
-	}
-	var sampler *telemetry.Sampler
-	if slos != nil {
-		evlog.ObserveDrops(reg)
-		sampler = telemetry.New(telemetry.Config{
-			Obs: reg, SLOs: slos, Log: evlog, Tracer: tracer,
-		})
-	}
-
 	ecfg := edge.Config{
 		Origin:         fleetOrigins[0],
 		CacheBytes:     *cacheBytes,
@@ -134,10 +106,10 @@ func main() {
 		StaleFor:       *staleFor,
 		PrefetchBudget: *prefetch,
 		Peers:          peers,
-		Obs:            reg,
-		Log:            evlog,
-		Tracer:         tracer,
-		Telemetry:      sampler,
+		Obs:            kit.Reg,
+		Log:            kit.Log,
+		Tracer:         kit.Tracer,
+		Telemetry:      kit.Sampler,
 	}
 	if len(fleetOrigins) > 1 {
 		ecfg.Origins = fleetOrigins
@@ -149,37 +121,6 @@ func main() {
 	}
 	defer e.Close()
 
-	handler := e.Handler()
-	if chaosProfile.Enabled() {
-		injectorOpts := []chaos.Option{chaos.WithObs(reg)}
-		if evlog != nil {
-			injectorOpts = append(injectorOpts, chaos.WithEventLog(evlog))
-		}
-		handler = chaos.New(chaosProfile, injectorOpts...).Wrap(handler)
-		log.Printf("chaos injection enabled: %s", chaosProfile)
-	}
-	if tracer != nil {
-		// Outermost, so chaos and edge lookup/fill spans stitch into the
-		// requesting client's trace.
-		handler = trace.Middleware(tracer, handler)
-		log.Printf("span tracing enabled (traces at /debug/traces)")
-	}
-	if *enablePprof {
-		mux := http.NewServeMux()
-		mux.Handle("/", handler)
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		handler = mux
-		log.Printf("pprof mounted at /debug/pprof/")
-	}
-
-	if sampler != nil {
-		sampler.Start()
-		log.Printf("SLO telemetry enabled (%d objectives; /debug/slo, dashboard at /debug/dash)", len(slos))
-	}
 	mode := "caching"
 	if *cacheBytes == 0 {
 		mode = "pass-through"
@@ -191,9 +132,7 @@ func main() {
 	}
 	log.Printf("edge (%s) for origin %s on %s (cache %d bytes, ttl %s, prefetch budget %d, %d peer traces; metrics at /metrics)",
 		mode, originDesc, *addr, *cacheBytes, *ttl, *prefetch, len(peers))
-	// Same graceful pattern as pano-server: drain in-flight responses on
-	// SIGINT/SIGTERM.
-	if err := graceful.Serve(*addr, handler, graceful.DefaultDrain, sampler); err != nil {
+	if err := kit.Serve(*addr, e.Handler()); err != nil {
 		log.Fatalf("pano-edge: %v", err)
 	}
 	log.Printf("drained; bye")

@@ -30,7 +30,6 @@ package main
 
 import (
 	"flag"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -96,19 +95,10 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", sc.MetricsHandler())
-	mux.Handle("/debug/slo", sampler.SLOHandler())
-	mux.Handle("/debug/dash", sampler.DashHandler())
 	mux.Handle("/debug/traces", sc.TraceHandler())
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if !obs.AllowGetHead(w, r) {
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if r.Method == http.MethodHead {
-			return
-		}
-		io.WriteString(w, "ok\n")
-	})
+	// The rest is the shared ops surface; /metrics and /debug/traces
+	// above are the scraper's federated views, not this process's own.
+	telemetry.Mount(mux, nil, nil, nil, sampler)
 
 	sampler.Start()
 	log.Printf("obsd federating %d targets every %s on %s (%d SLOs; /metrics, /debug/slo, /debug/dash, /debug/traces)",

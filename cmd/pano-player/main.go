@@ -24,6 +24,7 @@ import (
 	"os"
 	"time"
 
+	"pano/cmd/internal/ops"
 	"pano/internal/client"
 	"pano/internal/obs"
 	"pano/internal/player"
@@ -75,39 +76,25 @@ func main() {
 	})
 	tr := viewport.Synthesize(proxy, *traceSeed, viewport.DefaultSynthesizeOpts())
 
-	reg := obs.NewRegistry()
-	obs.ExportBuildInfo(reg)
-	var evlog *obs.EventLog
+	evlog := obs.NewEventLog(nil, 0)
 	if *events {
 		evlog = obs.NewEventLog(os.Stderr, 0)
-	} else {
-		evlog = obs.NewEventLog(nil, 0)
 	}
-	var tracer *trace.Tracer
-	if *traceOut != "" {
-		tracer = trace.New(trace.Config{Obs: reg, Log: evlog})
-	}
-	slos, err := telemetry.ParseSLOs(*sloSpec)
+	// Sessions are short: sample fast.
+	kit, err := ops.NewKit(evlog, *traceOut != "", *sloSpec, 250*time.Millisecond)
 	if err != nil {
 		log.Fatalf("pano-player: %v", err)
 	}
-	var sampler *telemetry.Sampler
-	if slos != nil {
-		evlog.ObserveDrops(reg)
-		sampler = telemetry.New(telemetry.Config{
-			Obs: reg, SLOs: slos, Log: evlog, Tracer: tracer,
-			Interval: 250 * time.Millisecond, // sessions are short; sample fast
-		})
-		sampler.Start()
-		defer sampler.Stop()
+	reg, tracer := kit.Reg, kit.Tracer
+	if kit.Sampler != nil {
+		kit.Sampler.Start()
+		defer kit.Sampler.Stop()
 		if *telAddr != "" {
 			// A session-local debug endpoint: watch the SLO dashboard live
 			// while the player streams. Plain http.Serve — the process exits
 			// with the session, so graceful drain buys nothing here.
 			mux := http.NewServeMux()
-			mux.Handle("/metrics", reg.Handler())
-			mux.Handle("/debug/slo", sampler.SLOHandler())
-			mux.Handle("/debug/dash", sampler.DashHandler())
+			telemetry.Mount(mux, reg, evlog, tracer, kit.Sampler)
 			ln, lerr := net.Listen("tcp", *telAddr)
 			if lerr != nil {
 				log.Fatalf("pano-player: %v", lerr)

@@ -32,23 +32,17 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"strings"
 	"time"
 
-	"pano/internal/chaos"
-	"pano/internal/graceful"
+	"pano/cmd/internal/ops"
 	"pano/internal/live"
 	"pano/internal/manifest"
-	"pano/internal/obs"
 	"pano/internal/provider"
 	"pano/internal/scene"
 	"pano/internal/server"
 	"pano/internal/store"
-	"pano/internal/telemetry"
-	"pano/internal/trace"
 	"pano/internal/viewport"
 )
 
@@ -70,10 +64,11 @@ func main() {
 	liveInterval := flag.Duration("live-interval", 0, "capture pacing for -live (0 = real time: one chunk duration per chunk)")
 	flag.Parse()
 
-	chaosProfile, err := chaos.Parse(*chaosSpec)
+	kit, err := ops.New(*enablePprof, *logRequests, *chaosSpec, *enableTrace, *sloSpec)
 	if err != nil {
 		log.Fatalf("pano-server: %v", err)
 	}
+	reg, evlog, tracer := kit.Reg, kit.Log, kit.Tracer
 	if *liveMode && *storeDir == "" {
 		log.Fatalf("pano-server: -live requires -store")
 	}
@@ -120,34 +115,8 @@ func main() {
 			}
 		}
 	}
-	reg := obs.NewRegistry()
-	obs.ExportBuildInfo(reg)
-	opts := []server.Option{server.WithObs(reg)}
-	// One shared event log: server requests, chaos injections, and span
-	// records all land in the same stderr stream and the same
-	// /debug/events ring buffer.
-	var evlog *obs.EventLog
-	if *logRequests {
-		evlog = obs.NewEventLog(os.Stderr, 0)
-		opts = append(opts, server.WithEventLog(evlog))
-	}
-	var tracer *trace.Tracer
-	if *enableTrace {
-		tracer = trace.New(trace.Config{Obs: reg, Log: evlog})
-		opts = append(opts, server.WithTracer(tracer))
-	}
-	slos, err := telemetry.ParseSLOs(*sloSpec)
-	if err != nil {
-		log.Fatalf("pano-server: %v", err)
-	}
-	var sampler *telemetry.Sampler
-	if slos != nil {
-		evlog.ObserveDrops(reg)
-		sampler = telemetry.New(telemetry.Config{
-			Obs: reg, SLOs: slos, Log: evlog, Tracer: tracer,
-		})
-		opts = append(opts, server.WithTelemetry(sampler))
-	}
+	opts := []server.Option{server.WithObs(reg), server.WithEventLog(evlog),
+		server.WithTracer(tracer), server.WithTelemetry(kit.Sampler)}
 	var s *server.Server
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.WithObs(reg), store.WithEventLog(evlog))
@@ -200,46 +169,13 @@ func main() {
 			log.Fatalf("pano-server: %v", err)
 		}
 	}
-	handler := s.Handler()
-	if chaosProfile.Enabled() {
-		injectorOpts := []chaos.Option{chaos.WithObs(reg)}
-		if evlog != nil {
-			injectorOpts = append(injectorOpts, chaos.WithEventLog(evlog))
-		}
-		handler = chaos.New(chaosProfile, injectorOpts...).Wrap(handler)
-		log.Printf("chaos injection enabled: %s", chaosProfile)
-	}
-	if tracer != nil {
-		// Outermost, so the chaos injector and the handler instrumentation
-		// both see (and annotate) the active span via the request context.
-		handler = trace.Middleware(tracer, handler)
-		log.Printf("span tracing enabled (traces at /debug/traces)")
-	}
-	if *enablePprof {
-		mux := http.NewServeMux()
-		mux.Handle("/", handler)
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		handler = mux
-		log.Printf("pprof mounted at /debug/pprof/")
-	}
-	if sampler != nil {
-		sampler.Start()
-		log.Printf("SLO telemetry enabled (%d objectives; /debug/slo, dashboard at /debug/dash)", len(slos))
-	}
 	tiles0 := 0
 	if len(m.Chunks) > 0 {
 		tiles0 = len(m.Chunks[0].Tiles)
 	}
 	log.Printf("serving %q (%d chunks, %d tiles/chunk) on %s (metrics at /metrics)",
 		m.Name, m.NumChunks(), tiles0, *addr)
-	// Graceful shutdown: SIGINT/SIGTERM drains in-flight tile responses
-	// (bounded) instead of severing them mid-body; the telemetry sampler
-	// stops after the drain.
-	if err := graceful.Serve(*addr, handler, graceful.DefaultDrain, sampler); err != nil {
+	if err := kit.Serve(*addr, s.Handler()); err != nil {
 		log.Fatalf("pano-server: %v", err)
 	}
 	log.Printf("drained; bye")

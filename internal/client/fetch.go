@@ -58,11 +58,6 @@ type FetchPolicy struct {
 	// selects an adaptive delay tracking the observed p95 fetch latency,
 	// a negative value disables hedging.
 	HedgeDelay time.Duration
-	// HedgeMinDelay/HedgeMaxDelay clamp the adaptive delay (defaults
-	// 10ms and 1s) so a cold latency tracker neither hedges instantly
-	// nor never.
-	HedgeMinDelay time.Duration
-	HedgeMaxDelay time.Duration
 	// HedgeBudgetRatio is the token-bucket earn rate guarding hedges and
 	// failover retries: each primary request earns this many tokens and
 	// each hedge or failover spends one (default 0.1 — at most ~10%
@@ -81,8 +76,6 @@ func DefaultFetchPolicy() FetchPolicy {
 		JitterFrac:        0.5,
 		AttemptTimeout:    5 * time.Second,
 		MinAttemptTimeout: 100 * time.Millisecond,
-		HedgeMinDelay:     10 * time.Millisecond,
-		HedgeMaxDelay:     time.Second,
 		HedgeBudgetRatio:  0.1,
 		HedgeBudgetBurst:  8,
 	}
@@ -111,12 +104,6 @@ func (p FetchPolicy) WithDefaults() FetchPolicy {
 	}
 	if p.MinAttemptTimeout <= 0 {
 		p.MinAttemptTimeout = d.MinAttemptTimeout
-	}
-	if p.HedgeMinDelay <= 0 {
-		p.HedgeMinDelay = d.HedgeMinDelay
-	}
-	if p.HedgeMaxDelay <= 0 {
-		p.HedgeMaxDelay = d.HedgeMaxDelay
 	}
 	if p.HedgeBudgetRatio <= 0 {
 		p.HedgeBudgetRatio = d.HedgeBudgetRatio

@@ -74,7 +74,8 @@ func newPrefetcher(e *Edge, cfg Config) *prefetcher {
 		planned: make(map[int]map[int]bool),
 		jobs:    make(chan prefetchJob, 4*cfg.PrefetchBudget),
 	}
-	for i := 0; i < cfg.PrefetchWorkers; i++ {
+	const workers = 2 // bounds concurrent prefetch fills
+	for i := 0; i < workers; i++ {
 		p.workerWG.Add(1)
 		go p.worker()
 	}

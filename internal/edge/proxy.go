@@ -60,8 +60,6 @@ type Config struct {
 	// one per demand request, so prefetch can never outrun (and thus
 	// starve) demand.
 	PrefetchBudget int
-	// PrefetchWorkers bounds concurrent prefetch fills (default 2).
-	PrefetchWorkers int
 	// Peers are other users' viewpoint traces for the served video; with
 	// peers the prefetcher warms the tiles under their consensus
 	// viewpoint (cross-user prediction), without it falls back to the
@@ -88,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StaleFor <= 0 {
 		c.StaleFor = 5 * time.Minute
-	}
-	if c.PrefetchWorkers <= 0 {
-		c.PrefetchWorkers = 2
 	}
 	return c
 }
@@ -201,12 +196,11 @@ func (e *Edge) CacheBytes() int64 {
 //
 //	GET /manifest.json, /manifest.mpd, /video/{chunk}/{tile}/{level}.bin
 //	    — proxied (and, unless CacheBytes is 0, cached) from the origin
-//	GET /healthz        — liveness probe (fleet health checks target it)
-//	GET /metrics        — Prometheus exposition (only with Obs)
-//	GET /debug/events   — event-log ring buffer (only with Log)
-//	GET /debug/traces   — finished traces (only with Tracer)
-//	GET /debug/slo      — SLO burn-rate state (only with Telemetry)
-//	GET /debug/dash     — live telemetry dashboard (only with Telemetry)
+//
+// plus the shared ops surface (telemetry.Mount): /healthz always, and
+// /metrics, /debug/events, /debug/traces, /debug/slo + /debug/dash for
+// whichever of Obs, Log, Tracer, Telemetry is set — the same handlers,
+// and so the same bytes, as the origin's.
 //
 // Callers that want edge spans stitched into client traces should wrap
 // the handler in trace.Middleware (outermost), exactly like the origin
@@ -222,54 +216,8 @@ func (e *Edge) Handler() http.Handler {
 	mux.HandleFunc("/video/", func(w http.ResponseWriter, r *http.Request) {
 		e.proxy("tile", w, r)
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if !obs.AllowGetHead(w, r) {
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if r.Method == http.MethodHead {
-			return
-		}
-		io.WriteString(w, "ok\n")
-	})
-	if e.reg != nil {
-		mux.Handle("/metrics", e.reg.Handler())
-	}
-	if e.log != nil {
-		mux.HandleFunc("/debug/events", e.handleEvents)
-	}
-	if e.tracer != nil {
-		mux.Handle("/debug/traces", e.tracer.Handler())
-	}
-	if e.cfg.Telemetry != nil {
-		mux.Handle("/debug/slo", e.cfg.Telemetry.SLOHandler())
-		mux.Handle("/debug/dash", e.cfg.Telemetry.DashHandler())
-	}
+	telemetry.Mount(mux, e.reg, e.log, e.tracer, e.cfg.Telemetry)
 	return mux
-}
-
-func (e *Edge) handleEvents(w http.ResponseWriter, r *http.Request) {
-	// Same JSON shape as the origin's /debug/events; small enough to
-	// inline rather than export from internal/server.
-	if !obs.AllowGetHead(w, r) {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if r.Method == http.MethodHead {
-		return
-	}
-	evs := e.log.Events()
-	var b strings.Builder
-	b.WriteString("[")
-	for i, ev := range evs {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		fmt.Fprintf(&b, "{\"time\":%q,\"level\":%q,\"msg\":%q}",
-			ev.Time.Format(time.RFC3339Nano), ev.Level.String(), ev.Msg)
-	}
-	b.WriteString("]\n")
-	io.WriteString(w, b.String())
 }
 
 // etagMatch mirrors the origin's If-None-Match comparison (RFC 9110

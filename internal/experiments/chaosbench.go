@@ -3,14 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"time"
 
 	"pano/internal/chaos"
 	"pano/internal/client"
 	"pano/internal/obs"
 	"pano/internal/provider"
-	"pano/internal/server"
+	"pano/internal/testbed"
 )
 
 // ChaosProfileResult summarizes streaming under one fault profile.
@@ -74,36 +73,23 @@ func ChaosBench(d *Dataset) (ChaosBenchResult, *Table, error) {
 	if err != nil {
 		return ChaosBenchResult{}, nil, err
 	}
-	s, err := server.New(m)
-	if err != nil {
-		return ChaosBenchResult{}, nil, err
-	}
-
-	// Backoffs are loopback-scaled (the bench's point is counts and
-	// fractions, not wall-clock realism); the bound semantics are
-	// identical at any time scale.
-	pol := client.FetchPolicy{
-		MaxAttempts:       3,
-		BaseBackoff:       500 * time.Microsecond,
-		MaxBackoff:        2 * time.Millisecond,
-		JitterFrac:        0.5,
-		AttemptTimeout:    2 * time.Second,
-		MinAttemptTimeout: 20 * time.Millisecond,
-	}
+	pol := testbed.LoopbackPolicy()
 	sessions := 10 + 10*d.Scale.Users
 	if sessions > 50 {
 		sessions = 50
 	}
-	// The controller's bandwidth input is capped so decisions don't
-	// depend on loopback throughput noise and profiles stay comparable.
-	rateCap := 0.35 * m.ChunkBits(0, 0) / m.ChunkSec
+	rateCap := testbed.RateCap(m)
 
 	res := ChaosBenchResult{MaxAttempts: pol.MaxAttempts}
 	tilesPerChunk := len(m.Chunks[0].Tiles)
 	for _, cp := range chaosProfiles() {
+		// One registry takes the injector's counters and the sessions'.
 		reg := obs.NewRegistry()
-		in := chaos.New(cp.p, chaos.WithObs(reg))
-		ts := httptest.NewServer(in.Wrap(s.Handler()))
+		tb := testbed.New()
+		origin, err := tb.AddOrigin(testbed.OriginConfig{Manifest: m, Chaos: chaos.New(cp.p, chaos.WithObs(reg))})
+		if err != nil {
+			return res, nil, err
+		}
 
 		n := sessions
 		if !cp.p.Enabled() {
@@ -116,7 +102,7 @@ func ChaosBench(d *Dataset) (ChaosBenchResult, *Table, error) {
 			p := pol
 			p.Seed = uint64(u + 1)
 			tr := d.Traces(d.TracedIndices()[0])[u%d.Scale.Users]
-			out, serr := client.New(ts.URL).Stream(context.Background(), tr, client.StreamConfig{
+			out, serr := tb.Client(origin.URL).Stream(context.Background(), tr, client.StreamConfig{
 				MaxRateBps: rateCap,
 				Fetch:      p,
 				Obs:        reg,
@@ -137,7 +123,7 @@ func ChaosBench(d *Dataset) (ChaosBenchResult, *Table, error) {
 			pspnrSum += out.MeanEstPSPNR
 			rebufSum += out.RebufferSec
 		}
-		ts.Close()
+		tb.Close()
 		if done := n - pr.Aborts; done > 0 {
 			pr.MeanEstPSPNR = pspnrSum / float64(done)
 			pr.MeanRebufferSec = rebufSum / float64(done)

@@ -47,6 +47,7 @@ func TestChaosBenchContract(t *testing.T) {
 	if faulty.MeanEstPSPNR <= 0 {
 		t.Errorf("faulty profile mean PSPNR = %v", faulty.MeanEstPSPNR)
 	}
+	checkTable(t, "chaos", table)
 	if len(table.Rows) != len(res.Profiles) {
 		t.Errorf("table rows %d, profiles %d", len(table.Rows), len(res.Profiles))
 	}

@@ -7,19 +7,17 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"time"
 
-	"pano/internal/chaos"
 	"pano/internal/client"
 	"pano/internal/edge"
 	"pano/internal/fleet"
 	"pano/internal/obs"
 	"pano/internal/player"
 	"pano/internal/provider"
-	"pano/internal/server"
 	"pano/internal/sim"
 	"pano/internal/telemetry"
+	"pano/internal/testbed"
 	"pano/internal/trace"
 )
 
@@ -86,15 +84,6 @@ const (
 const clusterSLOSpec = "rebuffer<=0.05@8s/24s!1.5/3;breaker_open<=1@8s/24s!1/2;" +
 	"pspnr_floor=off;tile_p99=off;edge_hit=off;abort=off;failover_p99=off;hedge_rate=off"
 
-// clusterProcess is one in-process "machine": its own registry and
-// tracer, scraped as one federation target.
-type clusterProcess struct {
-	name string
-	reg  *obs.Registry
-	tr   *trace.Tracer
-	url  string
-}
-
 // ClusterBench runs the cluster observability-plane experiment; the
 // acceptance contract lives in the assertions (any failure errors the
 // experiment out) and the table carries only deterministic values —
@@ -119,112 +108,47 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 	}
 	traces := d.Traces(idx)
 
-	var closers []func()
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}()
+	tb := testbed.New()
+	defer tb.Close()
 
-	// newProcess allocates a registry+tracer pair. Tracer seeds are
-	// high-bit separated: newTraceID mixes seed^counter, so adjacent
-	// small seeds would collide across tracers at small counters.
-	procSeq := 0
-	newProcess := func(name string) *clusterProcess {
-		procSeq++
-		reg := obs.NewRegistry()
-		obs.ExportBuildInfo(reg)
-		return &clusterProcess{
-			name: name,
-			reg:  reg,
-			tr:   trace.New(trace.Config{Obs: reg, Seed: uint64(procSeq) << 16}),
-		}
-	}
-
-	// Shard origins: real pano-servers with their own observability,
-	// some tile latency, and a hard-kill switch on origin 0.
-	originLatency := chaos.Profile{
-		Seed: d.Scale.Seed,
-		Tile: chaos.Rule{Latency: 2 * time.Millisecond, Jitter: time.Millisecond},
-	}
-	origins := make([]*clusterProcess, clusterOriginCount)
-	originCounters := make([]*tileCounter, clusterOriginCount)
-	originURLs := make([]string, clusterOriginCount)
-	var kill *downSwitch
-	for i := range origins {
-		p := newProcess(fmt.Sprintf("origin%d", i))
-		srv, err := server.New(m, server.WithObs(p.reg), server.WithTracer(p.tr))
-		if err != nil {
+	// Shard origins: real pano-servers with their own observability and
+	// some tile latency; origin 0 is the one killed and revived.
+	for i := 0; i < clusterOriginCount; i++ {
+		reg, tr := tb.NewObs()
+		if _, err := tb.AddOrigin(testbed.OriginConfig{
+			Manifest: m, Chaos: d.originLatency(2 * time.Millisecond), Obs: reg, Tracer: tr,
+		}); err != nil {
 			return res, nil, err
 		}
-		originCounters[i] = &tileCounter{h: chaos.New(originLatency).Wrap(srv.Handler())}
-		// Middleware outermost so a traced client's traceparent reaches
-		// the origin's span store; the kill switch outermost of all, so a
-		// dead origin resets even its /metrics scrapes (that is what
-		// federation staleness must absorb).
-		var h http.Handler = trace.Middleware(p.tr, originCounters[i])
-		if i == 0 {
-			kill = &downSwitch{h: h}
-			h = kill
-		}
-		ts := httptest.NewServer(h)
-		closers = append(closers, ts.Close)
-		p.url = ts.URL
-		origins[i], originURLs[i] = p, ts.URL
 	}
 
 	// Caching edges in fleet mode over both origins: probes + breakers
 	// give the cluster its pano_fleet_origins_open signal.
-	pol := client.FetchPolicy{
-		MaxAttempts:       3,
-		BaseBackoff:       500 * time.Microsecond,
-		MaxBackoff:        2 * time.Millisecond,
-		JitterFrac:        0.5,
-		AttemptTimeout:    2 * time.Second,
-		MinAttemptTimeout: 20 * time.Millisecond,
-		HedgeDelay:        150 * time.Millisecond,
-	}
-	edges := make([]*clusterProcess, clusterEdgeCount)
-	edgeProxies := make([]*edge.Edge, clusterEdgeCount)
-	fronts := make([]*httptest.Server, clusterEdgeCount)
-	for i := range edges {
-		p := newProcess(fmt.Sprintf("edge%d", i))
-		e, err := edge.New(edge.Config{
-			Origins:       originURLs,
+	pol := testbed.LoopbackPolicy()
+	pol.HedgeDelay = 150 * time.Millisecond
+	for i := 0; i < clusterEdgeCount; i++ {
+		reg, tr := tb.NewObs()
+		if _, err := tb.AddEdge(edge.Config{
 			ProbeInterval: clusterProbeInterval,
 			Breaker:       fleet.BreakerConfig{FailureThreshold: 2, OpenFor: 400 * time.Millisecond},
 			CacheBytes:    32 << 20,
 			TTL:           5 * time.Minute,
 			Fetch:         pol,
-			Obs:           p.reg,
-			Tracer:        p.tr,
-			HTTP:          &http.Client{Transport: pooledTransport()},
-		})
-		if err != nil {
+			Obs:           reg,
+			Tracer:        tr,
+		}); err != nil {
 			return res, nil, err
 		}
-		edgeProxies[i] = e
-		fronts[i] = httptest.NewServer(trace.Middleware(p.tr, e.Handler()))
-		closers = append(closers, fronts[i].Close)
-		p.url = fronts[i].URL
-		edges[i] = p
 	}
 
 	// The client/simulator "process": live sessions and starved sim
-	// sessions share one registry, exposed like pano-player's
-	// -telemetry-addr endpoint.
-	cproc := newProcess("client")
-	cmux := http.NewServeMux()
-	cmux.Handle("/metrics", cproc.reg.Handler())
-	cmux.Handle("/debug/traces", cproc.tr.Handler())
-	cts := httptest.NewServer(cmux)
-	closers = append(closers, cts.Close)
-	cproc.url = cts.URL
+	// sessions share one registry.
+	clientReg, clientTracer := tb.NewObs()
 
 	// The obsd plane, built exactly like cmd/pano-obsd: scrape-target
 	// CSV through the flag parser, scraper as the sampler's Source.
 	targetCSV := fmt.Sprintf("client=%s,edge0=%s,edge1=%s,origin0=%s,origin1=%s",
-		cproc.url, edges[0].url, edges[1].url, origins[0].url, origins[1].url)
+		tb.ServeOps(clientReg, clientTracer), tb.Edges[0].URL, tb.Edges[1].URL, tb.Origins[0].URL, tb.Origins[1].URL)
 	targets, err := telemetry.ParseScrapeTargets(targetCSV)
 	if err != nil {
 		return res, nil, err
@@ -267,46 +191,30 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 		step++
 	}
 
-	liveSession := func(u int, tr *trace.Tracer) (string, error) {
+	liveSession := func(u int, tr *trace.Tracer) (*client.StreamResult, error) {
 		p := pol
 		p.Seed = uint64(u + 1)
-		c := client.New(fronts[u%clusterEdgeCount].URL)
-		c.HTTP = &http.Client{Transport: pooledTransport()}
-		out, err := c.Stream(context.Background(), traces[u%len(traces)], client.StreamConfig{
+		return tb.Client(tb.Edges[u%clusterEdgeCount].URL).Stream(context.Background(), traces[u%len(traces)], client.StreamConfig{
 			Fetch: p,
-			Obs:   cproc.reg,
+			Obs:   clientReg,
 			Trace: tr,
 		})
-		if err != nil {
-			return "", err
-		}
-		return out.TraceID, nil
 	}
 
 	// Phase 1 — healthy. Session 0 runs alone and traced, so its cold
 	// cache misses fill from its own request context and the origin
 	// spans join its trace; the rest run concurrently, untraced.
-	sessionTraceID, err := liveSession(0, cproc.tr)
+	traced, err := liveSession(0, clientTracer)
 	if err != nil {
 		return fail("traced healthy session: %v", err)
 	}
+	sessionTraceID := traced.TraceID
 	if sessionTraceID == "" {
 		return fail("traced session returned no trace id")
 	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for u := 1; u < clusterHealthySessions; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			if _, err := liveSession(u, nil); err != nil {
-				mu.Lock()
-				res.Aborted++
-				mu.Unlock()
-			}
-		}(u)
-	}
-	wg.Wait()
+	_, res.Aborted = testbed.Sessions(clusterHealthySessions-1, 0, func(u int) (*client.StreamResult, error) {
+		return liveSession(u+1, nil)
+	})
 	for i := 0; i < clusterHealthySteps; i++ {
 		tick()
 	}
@@ -356,22 +264,9 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 	// Phase 2 — kill origin 0 and wait (wall clock) for both edges'
 	// breakers to leave Closed, so the outage ticks below scrape a fleet
 	// that has already noticed.
-	kill.down.Store(true)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		open := 0
-		for _, e := range edgeProxies {
-			if e.Fleet().Snapshot()[0].Breaker != fleet.Closed {
-				open++
-			}
-		}
-		if open == clusterEdgeCount {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fail("breakers never opened after origin0 kill (%d/%d)", open, clusterEdgeCount)
-		}
-		time.Sleep(2 * time.Millisecond)
+	tb.Origins[0].Kill()
+	if _, err := tb.WaitBreaker(0, fleet.Open, 5*time.Second); err != nil {
+		return fail("after origin0 kill: %v", err)
 	}
 
 	// Outage ticks: starved, lossy simulator sessions pour rebuffer
@@ -384,7 +279,7 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 		if i < clusterOutageSteps/2 {
 			link := sim.ScaledLink(m, 0.05, d.Scale.Seed+100+uint64(i))
 			if _, err := sim.Run(m, traces[0], link, player.NewPanoPlanner(), sim.Config{
-				Seed: d.Scale.Seed + 100 + uint64(i), Obs: cproc.reg, TileLossRate: 0.1,
+				Seed: d.Scale.Seed + 100 + uint64(i), Obs: clientReg, TileLossRate: 0.1,
 			}); err != nil {
 				return res, nil, err
 			}
@@ -416,22 +311,9 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 	// Phase 3 — revive and recover. Wall-clock wait for the breakers to
 	// close again (half-open probes succeed), then clean logical ticks
 	// drain the burn windows and flap damping steps both SLOs down.
-	kill.down.Store(false)
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		closed := 0
-		for _, e := range edgeProxies {
-			if e.Fleet().Snapshot()[0].Breaker == fleet.Closed {
-				closed++
-			}
-		}
-		if closed == clusterEdgeCount {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fail("breakers never re-closed after origin0 revival (%d/%d)", closed, clusterEdgeCount)
-		}
-		time.Sleep(5 * time.Millisecond)
+	tb.Origins[0].Revive()
+	if _, err := tb.WaitBreaker(0, fleet.Closed, 5*time.Second); err != nil {
+		return fail("after origin0 revival: %v", err)
 	}
 	for i := 0; i < clusterRecoverSteps; i++ {
 		tick()
@@ -451,7 +333,7 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 	// here every registry is immutable, so the per-target /metrics text
 	// re-fetched below describes exactly the bytes the rollup was
 	// computed from.
-	for _, e := range edgeProxies {
+	for _, e := range tb.Edges {
 		e.Close()
 	}
 	now = now.Add(time.Second)

@@ -16,9 +16,7 @@ func TestClusterBenchContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table == nil || len(table.Rows) == 0 {
-		t.Fatalf("no table rows")
-	}
+	checkTable(t, "cluster", table)
 	if res.Targets != 5 || res.FinalUp != 5 {
 		t.Errorf("targets %d, final up %d, want 5/5", res.Targets, res.FinalUp)
 	}

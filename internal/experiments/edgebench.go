@@ -3,12 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pano/internal/chaos"
@@ -16,7 +10,7 @@ import (
 	"pano/internal/edge"
 	"pano/internal/obs"
 	"pano/internal/provider"
-	"pano/internal/server"
+	"pano/internal/testbed"
 )
 
 // EdgeArmResult summarizes one arm (direct-to-origin or via edge) of
@@ -52,62 +46,19 @@ type EdgeBenchResult struct {
 // is origin offload for 20 concurrent overlapping viewers.
 const edgeBenchSessions = 20
 
-// latencyTransport records time-to-first-byte for tile requests; both
-// arms are measured identically so the comparison is fair even though
-// body-read time is excluded.
-type latencyTransport struct {
-	base http.RoundTripper
-	mu   sync.Mutex
-	ms   []float64
-	n    atomic.Int64
-}
+// sessionStagger is testbed.Sessions' launch spacing in the edge and
+// fleet benches.
+const sessionStagger = 15 * time.Millisecond
 
-func (lt *latencyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if !strings.HasPrefix(req.URL.Path, "/video/") {
-		return lt.base.RoundTrip(req)
-	}
-	lt.n.Add(1)
-	t0 := time.Now()
-	resp, err := lt.base.RoundTrip(req)
-	dt := float64(time.Since(t0).Microseconds()) / 1000
-	lt.mu.Lock()
-	lt.ms = append(lt.ms, dt)
-	lt.mu.Unlock()
-	return resp, err
-}
-
-func (lt *latencyTransport) percentile(p float64) float64 {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	if len(lt.ms) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), lt.ms...)
-	sort.Float64s(s)
-	i := int(p * float64(len(s)-1))
-	return s[i]
-}
-
-// pooledTransport returns a transport with enough idle connections for
-// 20 concurrent sessions against one host — the default of 2 would
-// measure connection churn, not cache behaviour.
-func pooledTransport() *http.Transport {
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConnsPerHost = 4 * edgeBenchSessions
-	return tr
-}
-
-// tileCounter counts /video/ requests reaching the origin.
-type tileCounter struct {
-	h http.Handler
-	n atomic.Int64
-}
-
-func (tc *tileCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if strings.HasPrefix(r.URL.Path, "/video/") {
-		tc.n.Add(1)
-	}
-	tc.h.ServeHTTP(w, r)
+// originLatency injects a few milliseconds of per-tile latency at an
+// origin, standing in for the client↔origin WAN hop an edge deployment
+// shortcuts — large against loopback noise, small enough to keep a
+// bench fast.
+func (d *Dataset) originLatency(lat time.Duration) *chaos.Injector {
+	return chaos.New(chaos.Profile{
+		Seed: d.Scale.Seed,
+		Tile: chaos.Rule{Latency: lat, Jitter: time.Millisecond},
+	})
 }
 
 // EdgeBench streams 20 concurrent overlapping sessions twice — direct
@@ -129,131 +80,83 @@ func EdgeBench(d *Dataset) (EdgeBenchResult, *Table, error) {
 	if err != nil {
 		return EdgeBenchResult{}, nil, err
 	}
-	s, err := server.New(m)
-	if err != nil {
-		return EdgeBenchResult{}, nil, err
-	}
 	traces := d.Traces(idx)
 
 	// Loopback-scaled policy and rate cap, as in ChaosBench: decisions
 	// must not depend on local throughput noise.
-	pol := client.FetchPolicy{
-		MaxAttempts:       3,
-		BaseBackoff:       500 * time.Microsecond,
-		MaxBackoff:        2 * time.Millisecond,
-		JitterFrac:        0.5,
-		AttemptTimeout:    2 * time.Second,
-		MinAttemptTimeout: 20 * time.Millisecond,
-	}
-	rateCap := 0.35 * m.ChunkBits(0, 0) / m.ChunkSec
-	// A few milliseconds of injected per-tile latency stands in for the
-	// client↔origin WAN hop an edge deployment shortcuts — large against
-	// loopback noise, small enough to keep the bench fast.
-	originLatency := chaos.Profile{
-		Seed: d.Scale.Seed,
-		Tile: chaos.Rule{Latency: 5 * time.Millisecond, Jitter: time.Millisecond},
-	}
+	pol := testbed.LoopbackPolicy()
+	rateCap := testbed.RateCap(m)
 
-	runArm := func(name string, mkHandler func(origin *tileCounter) (http.Handler, *edge.Edge, *obs.Registry, func(), error)) (EdgeArmResult, error) {
-		origin := &tileCounter{h: chaos.New(originLatency).Wrap(s.Handler())}
-		front, e, reg, cleanup, err := mkHandler(origin)
+	runArm := func(name string, viaEdge bool) (EdgeArmResult, error) {
+		tb := testbed.New()
+		defer tb.Close()
+		origin, err := tb.AddOrigin(testbed.OriginConfig{Manifest: m, Chaos: d.originLatency(5 * time.Millisecond)})
 		if err != nil {
 			return EdgeArmResult{}, err
 		}
-		if cleanup != nil {
-			defer cleanup()
-		}
-		ts := httptest.NewServer(front)
-		defer ts.Close()
-		if e != nil {
-			defer e.Close()
+		front := origin.URL
+		var e *testbed.Edge
+		reg := obs.NewRegistry()
+		if viaEdge {
+			e, err = tb.AddEdge(edge.Config{
+				CacheBytes:     64 << 20,
+				TTL:            5 * time.Minute,
+				Fetch:          pol,
+				PrefetchBudget: 32,
+				Peers:          traces[:min(len(traces), 4)],
+				Obs:            reg,
+			})
+			if err != nil {
+				return EdgeArmResult{}, err
+			}
+			front = e.URL
 		}
 
-		lt := &latencyTransport{base: pooledTransport()}
-		httpc := &http.Client{Transport: lt}
 		clientReg := obs.NewRegistry() // enables the client's PSPNR estimate
 		ar := EdgeArmResult{Arm: name, Sessions: edgeBenchSessions}
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var pspnrSum, rebufSum float64
-		for u := 0; u < edgeBenchSessions; u++ {
-			wg.Add(1)
-			go func(u int) {
-				defer wg.Done()
-				// Overlapping, not lock-step: viewers join a live moment a
-				// beat apart, so early sessions populate the cache the rest
-				// hit.
-				time.Sleep(time.Duration(u) * 15 * time.Millisecond)
-				p := pol
-				p.Seed = uint64(u + 1)
-				c := client.New(ts.URL)
-				c.HTTP = httpc
-				out, serr := c.Stream(context.Background(), traces[u%len(traces)], client.StreamConfig{
-					MaxRateBps: rateCap,
-					Fetch:      p,
-					Obs:        clientReg,
-				})
-				mu.Lock()
-				defer mu.Unlock()
-				if serr != nil {
-					ar.Aborts++
-					return
-				}
-				pspnrSum += out.MeanEstPSPNR
-				rebufSum += out.RebufferSec
-			}(u)
-		}
-		wg.Wait()
+		outs, aborts := testbed.Sessions(edgeBenchSessions, sessionStagger, func(u int) (*client.StreamResult, error) {
+			p := pol
+			p.Seed = uint64(u + 1)
+			return tb.Client(front).Stream(context.Background(), traces[u%len(traces)], client.StreamConfig{
+				MaxRateBps: rateCap,
+				Fetch:      p,
+				Obs:        clientReg,
+			})
+		})
 		if e != nil {
 			e.DrainPrefetch()
 		}
-		if done := ar.Sessions - ar.Aborts; done > 0 {
-			ar.MeanEstPSPNR = pspnrSum / float64(done)
-			ar.MeanRebufferSec = rebufSum / float64(done)
+		ar.Aborts = aborts
+		for _, out := range outs {
+			ar.MeanEstPSPNR += out.MeanEstPSPNR
+			ar.MeanRebufferSec += out.RebufferSec
 		}
-		ar.OriginTileReqs = origin.n.Load()
-		ar.ClientTileReqs = lt.n.Load()
-		ar.TileP50Ms = lt.percentile(0.50)
-		ar.TileP99Ms = lt.percentile(0.99)
-		if reg != nil {
+		if len(outs) > 0 {
+			ar.MeanEstPSPNR /= float64(len(outs))
+			ar.MeanRebufferSec /= float64(len(outs))
+		}
+		ar.OriginTileReqs = origin.TileRequests()
+		// Both arms are measured identically (time to first byte), so the
+		// comparison is fair even though body-read time is excluded.
+		ttfb := tb.TileTTFB()
+		ar.ClientTileReqs = int64(ttfb.N())
+		ar.TileP50Ms = ttfb.Quantile(0.50)
+		ar.TileP99Ms = ttfb.Quantile(0.99)
+		if e != nil {
 			ar.HitRatio = reg.GaugeValue("pano_edge_hit_ratio")
 			ar.CoalescedTile = reg.CounterValue("pano_edge_coalesced_total", obs.L("endpoint", "tile"))
 			ar.PrefetchWarmed = reg.CounterValue("pano_edge_prefetch_total", obs.L("result", "warmed"))
 			ar.Evictions = reg.CounterValue("pano_edge_evictions_total")
-		}
-		if e != nil {
 			ar.CacheBytesUsed = e.CacheBytes()
 		}
 		return ar, nil
 	}
 
 	res := EdgeBenchResult{Sessions: edgeBenchSessions}
-	res.Direct, err = runArm("direct", func(origin *tileCounter) (http.Handler, *edge.Edge, *obs.Registry, func(), error) {
-		return origin, nil, nil, nil, nil
-	})
-	if err != nil {
+	if res.Direct, err = runArm("direct", false); err != nil {
 		return res, nil, err
 	}
-	res.Edge, err = runArm("edge", func(origin *tileCounter) (http.Handler, *edge.Edge, *obs.Registry, func(), error) {
-		ots := httptest.NewServer(origin)
-		reg := obs.NewRegistry()
-		e, err := edge.New(edge.Config{
-			Origin:         ots.URL,
-			CacheBytes:     64 << 20,
-			TTL:            5 * time.Minute,
-			Fetch:          pol,
-			PrefetchBudget: 32,
-			Peers:          traces[:min(len(traces), 4)],
-			Obs:            reg,
-			HTTP:           &http.Client{Transport: pooledTransport()},
-		})
-		if err != nil {
-			ots.Close()
-			return nil, nil, nil, nil, err
-		}
-		return e.Handler(), e, reg, ots.Close, nil
-	})
-	if err != nil {
+	if res.Edge, err = runArm("edge", true); err != nil {
 		return res, nil, err
 	}
 	if res.Direct.OriginTileReqs > 0 {

@@ -11,7 +11,8 @@ func TestEdgeBenchContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table == nil || len(table.Rows) != 2 {
+	checkTable(t, "edge", table)
+	if len(table.Rows) != 2 {
 		t.Fatalf("table rows = %v, want direct + edge", table)
 	}
 	if res.Direct.Aborts != 0 || res.Edge.Aborts != 0 {

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pano/internal/mathx"
 	"pano/internal/scene"
@@ -213,6 +216,27 @@ func TestFig10BoundHolds(t *testing.T) {
 	}
 }
 
+// contractTested are the registry ids that have their own
+// Test*BenchContract, which runs the experiment once at the size it
+// chooses and ends with checkTable; the sweep below runs every other id.
+// TestEveryExperimentRunsOnce holds the two sets to a partition.
+var contractTested = map[string]bool{
+	"chaos": true, "cluster": true, "edge": true, "fleet": true,
+	"live": true, "telemetry": true, "trace": true,
+}
+
+// checkTable is what tier-1 asks of every registry id: a table with at
+// least one row that renders.
+func checkTable(t *testing.T, id string, table *Table) {
+	t.Helper()
+	if table == nil || len(table.Rows) == 0 {
+		t.Fatalf("%s: empty table", id)
+	}
+	if table.String() == "" {
+		t.Fatalf("%s: empty render", id)
+	}
+}
+
 func TestRegistryRunsEverything(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry is slow")
@@ -225,15 +249,59 @@ func TestRegistryRunsEverything(t *testing.T) {
 	SwarmPopulations = []int{200, 400} // the full ladder lives in `make swarm`
 	defer func() { SwarmPopulations = oldPops }()
 	for _, id := range IDs() {
+		if contractTested[id] {
+			continue
+		}
+		t0 := time.Now()
 		table, err := Run(d, id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if table == nil || len(table.Rows) == 0 {
-			t.Fatalf("%s: empty table", id)
+		checkTable(t, id, table)
+		t.Logf("%-9s %6.2fs", id, time.Since(t0).Seconds())
+	}
+}
+
+// TestEveryExperimentRunsOnce: tier-1 runs each registry id exactly
+// once — in its contract test or in the sweep, never both, never
+// neither. A contract test is recognised by its checkTable(t, "<id>", …)
+// call, so an id cannot be listed as contract-tested without one.
+func TestEveryExperimentRunsOnce(t *testing.T) {
+	files, err := filepath.Glob("*_test.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no test sources found: %v", err)
+	}
+	calls := map[string]int{}
+	re := regexp.MustCompile(`checkTable\(t, "([a-z0-9]+)"`)
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if table.String() == "" {
-			t.Fatalf("%s: empty render", id)
+		for _, m := range re.FindAllSubmatch(src, -1) {
+			calls[string(m[1])]++
+		}
+	}
+	known := map[string]bool{}
+	for _, id := range IDs() {
+		known[id] = true
+		want := 0
+		if contractTested[id] {
+			want = 1
+		}
+		if calls[id] != want {
+			t.Errorf("%s: %d contract tests end with checkTable, want %d (contractTested = %v)",
+				id, calls[id], want, contractTested[id])
+		}
+	}
+	for id := range contractTested {
+		if !known[id] {
+			t.Errorf("contractTested lists %q, which is not a registry id", id)
+		}
+	}
+	for id := range calls {
+		if !known[id] {
+			t.Errorf("a test calls checkTable for %q, which is not a registry id", id)
 		}
 	}
 }

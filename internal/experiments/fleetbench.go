@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pano/internal/chaos"
@@ -16,8 +13,8 @@ import (
 	"pano/internal/fleet"
 	"pano/internal/obs"
 	"pano/internal/provider"
-	"pano/internal/server"
 	"pano/internal/swarm"
+	"pano/internal/testbed"
 )
 
 // FleetScenarioResult is one row of the fleet bench: a session
@@ -44,7 +41,7 @@ type FleetScenarioResult struct {
 	// Live-only figures.
 	MeanEstPSPNR  float64 // client-side estimate, mean over sessions
 	LiveTileReqs  int64   // /video/ requests across all shard origins
-	BreakerOpenMs float64 // kill -> first edge breaker leaving Closed
+	BreakerOpenMs float64 // kill -> the shard's breaker out of Closed on every edge
 	WallSec       float64
 }
 
@@ -100,21 +97,6 @@ func zipfAssign(n, k int) []int {
 		out = append(out, 0)
 	}
 	return out
-}
-
-// downSwitch hard-kills a shard: once down, every request panics with
-// http.ErrAbortHandler, which resets the connection mid-response — the
-// bluntest failure mode a real origin exhibits.
-type downSwitch struct {
-	h    http.Handler
-	down atomic.Bool
-}
-
-func (d *downSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if d.down.Load() {
-		panic(http.ErrAbortHandler)
-	}
-	d.h.ServeHTTP(w, r)
 }
 
 func maxShare(load []int64) float64 {
@@ -203,140 +185,78 @@ func FleetBench(d *Dataset) (FleetBenchResult, *Table, error) {
 	if err != nil {
 		return res, nil, err
 	}
-	srv, err := server.New(m)
-	if err != nil {
-		return res, nil, err
-	}
 	traces := d.Traces(idx)
 	pick := zipfAssign(fleetLiveSessions, len(traces))
 
 	// Loopback-scaled policy as in EdgeBench, plus a fixed hedge delay:
 	// adaptive hedging tracks wall-clock p95 and would burn the shared
 	// hedge/failover budget on scheduler noise under load.
-	pol := client.FetchPolicy{
-		MaxAttempts:       3,
-		BaseBackoff:       500 * time.Microsecond,
-		MaxBackoff:        2 * time.Millisecond,
-		JitterFrac:        0.5,
-		AttemptTimeout:    2 * time.Second,
-		MinAttemptTimeout: 20 * time.Millisecond,
-		HedgeDelay:        150 * time.Millisecond,
-	}
-	rateCap := 0.35 * m.ChunkBits(0, 0) / m.ChunkSec
-	originLatency := chaos.Profile{
-		Seed: d.Scale.Seed,
-		Tile: chaos.Rule{Latency: 5 * time.Millisecond, Jitter: time.Millisecond},
-	}
+	pol := testbed.LoopbackPolicy()
+	pol.HedgeDelay = 150 * time.Millisecond
+	rateCap := testbed.RateCap(m)
 
 	runLive := func(scenario string, kill bool) (FleetScenarioResult, error) {
 		t0 := time.Now()
 		r := FleetScenarioResult{Scenario: scenario, Live: true, Sessions: fleetLiveSessions}
 
-		shards := make([]*tileCounter, fleetOriginCount)
-		urls := make([]string, fleetOriginCount)
-		var sw *downSwitch
-		var closers []func()
-		defer func() {
-			for i := len(closers) - 1; i >= 0; i-- {
-				closers[i]()
+		tb := testbed.New()
+		defer tb.Close()
+		for i := 0; i < fleetOriginCount; i++ {
+			if _, err := tb.AddOrigin(testbed.OriginConfig{Manifest: m, Chaos: d.originLatency(5 * time.Millisecond)}); err != nil {
+				return r, err
 			}
-		}()
-		for i := range shards {
-			shards[i] = &tileCounter{h: chaos.New(originLatency).Wrap(srv.Handler())}
-			var h http.Handler = shards[i]
-			if i == 0 {
-				sw = &downSwitch{h: h}
-				h = sw
-			}
-			ts := httptest.NewServer(h)
-			closers = append(closers, ts.Close)
-			urls[i] = ts.URL
 		}
-
-		edges := make([]*edge.Edge, fleetEdgeCount)
-		fronts := make([]*httptest.Server, fleetEdgeCount)
-		for i := range edges {
-			e, err := edge.New(edge.Config{
-				Origins:       urls,
+		for i := 0; i < fleetEdgeCount; i++ {
+			if _, err := tb.AddEdge(edge.Config{
 				ProbeInterval: fleetProbeInterval,
 				Breaker:       fleet.BreakerConfig{FailureThreshold: 2, OpenFor: 500 * time.Millisecond},
 				CacheBytes:    32 << 20,
 				TTL:           5 * time.Minute,
 				Fetch:         pol,
 				Obs:           obs.NewRegistry(),
-				HTTP:          &http.Client{Transport: pooledTransport()},
-			})
-			if err != nil {
+			}); err != nil {
 				return r, err
 			}
-			edges[i] = e
-			closers = append(closers, e.Close)
-			fronts[i] = httptest.NewServer(e.Handler())
-			closers = append(closers, fronts[i].Close)
 		}
 
 		// The kill watcher fires mid-run, then clocks how long the fleet
-		// takes to notice: first Snapshot on any edge showing shard 0's
-		// breaker out of Closed.
+		// takes to notice: shard 0's breaker out of Closed on every edge.
 		var watch sync.WaitGroup
 		if kill {
 			watch.Add(1)
 			go func() {
 				defer watch.Done()
 				time.Sleep(fleetKillAfter)
-				sw.down.Store(true)
-				killed := time.Now()
-				deadline := killed.Add(5 * time.Second)
-				for time.Now().Before(deadline) {
-					for _, e := range edges {
-						if e.Fleet().Snapshot()[0].Breaker != fleet.Closed {
-							r.BreakerOpenMs = float64(time.Since(killed).Microseconds()) / 1000
-							return
-						}
-					}
-					time.Sleep(2 * time.Millisecond)
+				tb.Origins[0].Kill()
+				if took, err := tb.WaitBreaker(0, fleet.Open, 5*time.Second); err == nil {
+					r.BreakerOpenMs = float64(took.Microseconds()) / 1000
 				}
 			}()
 		}
 
-		httpc := &http.Client{Transport: pooledTransport()}
 		clientReg := obs.NewRegistry()
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var pspnrSum float64
-		for u := 0; u < fleetLiveSessions; u++ {
-			wg.Add(1)
-			go func(u int) {
-				defer wg.Done()
-				time.Sleep(time.Duration(u) * 15 * time.Millisecond)
-				p := pol
-				p.Seed = uint64(u + 1)
-				c := client.New(fronts[u%fleetEdgeCount].URL)
-				c.HTTP = httpc
-				out, serr := c.Stream(context.Background(), traces[pick[u]], client.StreamConfig{
-					MaxRateBps: rateCap,
-					Fetch:      p,
-					Obs:        clientReg,
-				})
-				mu.Lock()
-				defer mu.Unlock()
-				if serr != nil {
-					r.Aborted++
-					return
-				}
-				r.SkippedTiles += int64(out.SkippedTiles)
-				pspnrSum += out.MeanEstPSPNR
-			}(u)
-		}
-		wg.Wait()
+		outs, aborted := testbed.Sessions(fleetLiveSessions, sessionStagger, func(u int) (*client.StreamResult, error) {
+			p := pol
+			p.Seed = uint64(u + 1)
+			return tb.Client(tb.Edges[u%fleetEdgeCount].URL).Stream(context.Background(), traces[pick[u]], client.StreamConfig{
+				MaxRateBps: rateCap,
+				Fetch:      p,
+				Obs:        clientReg,
+			})
+		})
 		watch.Wait()
 
-		if done := r.Sessions - r.Aborted; done > 0 {
-			r.MeanEstPSPNR = pspnrSum / float64(done)
+		r.Aborted = aborted
+		for _, out := range outs {
+			r.SkippedTiles += int64(out.SkippedTiles)
+			r.MeanEstPSPNR += out.MeanEstPSPNR
+		}
+		if len(outs) > 0 {
+			r.MeanEstPSPNR /= float64(len(outs))
 		}
 		r.ShardLoad = make([]int64, fleetOriginCount)
-		for i, tc := range shards {
-			r.ShardLoad[i] = tc.n.Load()
+		for i, o := range tb.Origins {
+			r.ShardLoad[i] = o.TileRequests()
 			r.LiveTileReqs += r.ShardLoad[i]
 		}
 		r.MaxShardShare = maxShare(r.ShardLoad)

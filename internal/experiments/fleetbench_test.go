@@ -45,7 +45,8 @@ func TestFleetBenchContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table == nil || len(table.Rows) != 4 || len(res.Rows) != 4 {
+	checkTable(t, "fleet", table)
+	if len(table.Rows) != 4 || len(res.Rows) != 4 {
 		t.Fatalf("want 4 scenario rows, got table %v, res %+v", table, res.Rows)
 	}
 	healthy, outage := res.Rows[0], res.Rows[1]

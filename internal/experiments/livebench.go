@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"sync"
 	"time"
 
 	"pano/internal/client"
@@ -16,8 +13,8 @@ import (
 	"pano/internal/fleet"
 	"pano/internal/live"
 	"pano/internal/obs"
-	"pano/internal/server"
 	"pano/internal/store"
+	"pano/internal/testbed"
 )
 
 // LiveScenarioResult is one row of the live bench.
@@ -60,37 +57,47 @@ const (
 	liveFailoverClients = 4
 )
 
-// liveRunFeed captures, encodes, and publishes the whole feed into a
-// fresh store directory, returning the pipeline, its report, and the
-// directory (caller removes it).
-func liveRunFeed(d *Dataset, deadline time.Duration) (*live.Pipeline, *live.Report, string, error) {
+// liveFeed returns a pipeline set to capture, encode, and publish the
+// whole feed into a fresh store directory (caller runs it and removes
+// the directory).
+func liveFeed(d *Dataset, interval, deadline time.Duration) (*live.Pipeline, string, error) {
 	idx := d.TracedIndices()[0]
 	dir, err := os.MkdirTemp("", "pano-live-")
 	if err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	s, err := store.Open(dir)
 	if err != nil {
 		os.RemoveAll(dir)
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	p, err := live.New(live.Config{
 		Video:           d.Video(idx),
 		History:         d.Traces(idx),
 		Store:           s,
-		CaptureInterval: liveCaptureInterval,
+		CaptureInterval: interval,
 		Deadline:        deadline,
 	})
 	if err != nil {
 		os.RemoveAll(dir)
-		return nil, nil, "", err
+		return nil, "", err
+	}
+	return p, dir, nil
+}
+
+// liveRunFeed runs a whole feed to completion, returning its report and
+// the directory it published into (caller removes it).
+func liveRunFeed(d *Dataset, deadline time.Duration) (*live.Report, string, error) {
+	p, dir, err := liveFeed(d, liveCaptureInterval, deadline)
+	if err != nil {
+		return nil, "", err
 	}
 	rep, err := p.Run(context.Background())
 	if err != nil {
 		os.RemoveAll(dir)
-		return nil, nil, "", err
+		return nil, "", err
 	}
-	return p, rep, dir, nil
+	return rep, dir, nil
 }
 
 func livePipelineRow(scenario string, rep *live.Report) LiveScenarioResult {
@@ -162,102 +169,46 @@ func liveCompareOrigins(dir string) (int, int, error) {
 // and live client sessions following the edge. Origin 0 dies once half
 // the feed is out; no session may abort and every published chunk must
 // be played or deliberately skipped — never lost.
-func liveFailoverRow(d *Dataset) (LiveScenarioResult, error) {
-	r := LiveScenarioResult{Scenario: "live_failover", Sessions: liveFailoverClients}
+func liveFailoverRow(d *Dataset) (r LiveScenarioResult, _ error) {
 	t0 := time.Now()
-	idx := d.TracedIndices()[0]
-	dir, err := os.MkdirTemp("", "pano-live-")
+	// Every publish is "late": prove that never aborts a client.
+	pipe, dir, err := liveFeed(d, 2*liveCaptureInterval, time.Nanosecond)
 	if err != nil {
 		return r, err
 	}
 	defer os.RemoveAll(dir)
-	pubStore, err := store.Open(dir)
-	if err != nil {
-		return r, err
-	}
-	pipe, err := live.New(live.Config{
-		Video:           d.Video(idx),
-		History:         d.Traces(idx),
-		Store:           pubStore,
-		CaptureInterval: 2 * liveCaptureInterval,
-		Deadline:        time.Nanosecond, // every publish is "late": prove that never aborts a client
-	})
-	if err != nil {
-		return r, err
-	}
-	feedDone := make(chan *live.Report, 1)
+	var rep *live.Report
 	feedErr := make(chan error, 1)
 	go func() {
-		rep, err := pipe.Run(context.Background())
-		feedDone <- rep
+		var err error
+		rep, err = pipe.Run(context.Background())
 		feedErr <- err
 	}()
 
-	var closers []func()
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
+	// Two stateless origins over the publisher's directory (bring-up
+	// waits for its first catalog) behind one fleet-mode edge. A short
+	// base TTL keeps the cached live manifest close to the compressed
+	// feed clock (the chunkSec/2 clamp assumes real time).
+	tb := testbed.New()
+	defer tb.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := tb.AddOrigin(testbed.OriginConfig{StoreDir: dir}); err != nil {
+			return r, err
 		}
-	}()
-	origin := func() (*downSwitch, string, error) {
-		s, err := store.Open(dir)
-		if err != nil {
-			return nil, "", err
-		}
-		var b *store.Backend
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			b, err = store.NewBackend(s)
-			if err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				return nil, "", fmt.Errorf("livebench: catalog never appeared: %w", err)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		srv, err := server.NewBackend(b)
-		if err != nil {
-			return nil, "", err
-		}
-		sw := &downSwitch{h: srv.Handler()}
-		ts := httptest.NewServer(sw)
-		closers = append(closers, ts.Close)
-		return sw, ts.URL, nil
 	}
-	sw0, u0, err := origin()
-	if err != nil {
-		return r, err
-	}
-	_, u1, err := origin()
-	if err != nil {
-		return r, err
-	}
-
-	// A short base TTL keeps the cached live manifest close to the
-	// compressed feed clock (the chunkSec/2 clamp assumes real time).
-	e, err := edge.New(edge.Config{
-		Origins:       []string{u0, u1},
+	pol := testbed.LoopbackPolicy()
+	pol.MaxBackoff = 5 * time.Millisecond
+	e, err := tb.AddEdge(edge.Config{
 		ProbeInterval: 25 * time.Millisecond,
 		Breaker:       fleet.BreakerConfig{FailureThreshold: 2, OpenFor: 100 * time.Millisecond},
 		CacheBytes:    32 << 20,
 		TTL:           25 * time.Millisecond,
 		Obs:           obs.NewRegistry(),
-		Fetch: client.FetchPolicy{
-			MaxAttempts:       3,
-			BaseBackoff:       500 * time.Microsecond,
-			MaxBackoff:        5 * time.Millisecond,
-			AttemptTimeout:    2 * time.Second,
-			MinAttemptTimeout: 20 * time.Millisecond,
-		},
-		HTTP: &http.Client{Transport: pooledTransport()},
+		Fetch:         pol,
 	})
 	if err != nil {
 		return r, err
 	}
-	closers = append(closers, e.Close)
-	front := httptest.NewServer(e.Handler())
-	closers = append(closers, front.Close)
 
 	// Kill origin 0 once half the feed is published.
 	killDone := make(chan struct{})
@@ -268,55 +219,33 @@ func liveFailoverRow(d *Dataset) (LiveScenarioResult, error) {
 		for pipe.Edge() < half && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		sw0.down.Store(true)
+		tb.Origins[0].Kill()
 	}()
 
-	traces := d.Traces(idx)
-	httpc := &http.Client{Transport: pooledTransport()}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	results := make([]*client.StreamResult, 0, liveFailoverClients)
-	for u := 0; u < liveFailoverClients; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			p := client.FetchPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond,
-				MaxBackoff: 10 * time.Millisecond, AttemptTimeout: 2 * time.Second,
-				MinAttemptTimeout: 20 * time.Millisecond, Seed: uint64(u + 1)}
-			c := client.New(front.URL)
-			c.HTTP = httpc
-			out, serr := c.Stream(context.Background(), traces[u%len(traces)], client.StreamConfig{
-				Fetch: p,
-				Live: client.LivePolicy{
-					PollInterval: 2 * time.Millisecond,
-					// Sessions must never fall behind by policy in this row:
-					// a skip would be indistinguishable from a lost chunk.
-					MaxLatencyChunks: 1 << 10,
-					EdgeTimeout:      10 * time.Second,
-				},
-			})
-			mu.Lock()
-			defer mu.Unlock()
-			if serr != nil {
-				r.Aborted++
-				return
-			}
-			results = append(results, out)
-		}(u)
-	}
-	wg.Wait()
+	traces := d.Traces(d.TracedIndices()[0])
+	results, aborted := testbed.Sessions(liveFailoverClients, 0, func(u int) (*client.StreamResult, error) {
+		p := client.FetchPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond,
+			MaxBackoff: 10 * time.Millisecond, AttemptTimeout: 2 * time.Second,
+			MinAttemptTimeout: 20 * time.Millisecond, Seed: uint64(u + 1)}
+		return tb.Client(e.URL).Stream(context.Background(), traces[u%len(traces)], client.StreamConfig{
+			Fetch: p,
+			Live: client.LivePolicy{
+				PollInterval: 2 * time.Millisecond,
+				// Sessions must never fall behind by policy in this row:
+				// a skip would be indistinguishable from a lost chunk.
+				MaxLatencyChunks: 1 << 10,
+				EdgeTimeout:      10 * time.Second,
+			},
+		})
+	})
 	<-killDone
-	rep := <-feedDone
 	if err := <-feedErr; err != nil {
 		return r, err
 	}
 
 	final := pipe.Manifest()
-	r.Chunks = rep.Chunks
-	r.DeadlineMisses = rep.DeadlineMisses
-	r.Degraded = rep.Degraded
-	r.OnTimeFrac = rep.OnTimeFrac()
-	r.MeanPublishMs = float64(rep.MeanPublishLatency.Microseconds()) / 1000
+	r = livePipelineRow("live_failover", rep)
+	r.Sessions, r.Aborted = liveFailoverClients, aborted
 	var latSum float64
 	for _, out := range results {
 		r.SkippedChunks += out.LiveSkippedChunks
@@ -349,7 +278,7 @@ func LiveBench(d *Dataset) (LiveBenchResult, *Table, error) {
 	res := LiveBenchResult{}
 
 	t0 := time.Now()
-	_, rep, dir, err := liveRunFeed(d, time.Second)
+	rep, dir, err := liveRunFeed(d, time.Second)
 	if err != nil {
 		return res, nil, err
 	}
@@ -360,7 +289,7 @@ func LiveBench(d *Dataset) (LiveBenchResult, *Table, error) {
 	res.OnTimeFrac = row.OnTimeFrac
 
 	t0 = time.Now()
-	_, rep2, dir2, err := liveRunFeed(d, time.Nanosecond)
+	rep2, dir2, err := liveRunFeed(d, time.Nanosecond)
 	if err != nil {
 		return res, nil, err
 	}

@@ -17,7 +17,8 @@ func TestLiveBenchContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table == nil || len(table.Rows) != 4 || len(res.Rows) != 4 {
+	checkTable(t, "live", table)
+	if len(table.Rows) != 4 || len(res.Rows) != 4 {
 		t.Fatalf("want 4 scenario rows, got table %v, res %+v", table, res.Rows)
 	}
 	jit, tight, origins, failover := res.Rows[0], res.Rows[1], res.Rows[2], res.Rows[3]

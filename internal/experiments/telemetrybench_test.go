@@ -38,7 +38,8 @@ func TestTelemetryBenchContract(t *testing.T) {
 	if res.ScrapeNsOp <= 0 || res.ScrapeAllocsOp <= 0 {
 		t.Errorf("scrape cost %d ns / %d allocs, want measured", res.ScrapeNsOp, res.ScrapeAllocsOp)
 	}
-	if table == nil || len(table.Rows) != 10 {
+	checkTable(t, "telemetry", table)
+	if len(table.Rows) != 10 {
 		t.Fatalf("table = %+v, want 10 rows", table)
 	}
 }

@@ -4,15 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net/http/httptest"
-	"time"
 
 	"pano/internal/chaos"
 	"pano/internal/client"
 	"pano/internal/player"
 	"pano/internal/provider"
-	"pano/internal/server"
 	"pano/internal/sim"
+	"pano/internal/testbed"
 	"pano/internal/trace"
 )
 
@@ -81,32 +79,26 @@ func TraceBench(d *Dataset) (TraceBenchResult, *Table, error) {
 	}
 
 	// Session 2: a real HTTP session through the acceptance chaos profile
-	// ("seed=7,tile-error=0.1"), traced end to end. The trace middleware
-	// wraps OUTSIDE the injector so chaos faults annotate handler spans.
+	// ("seed=7,tile-error=0.1"), traced end to end: the origin shares the
+	// tracer, so its handler spans (annotated by the chaos faults) land in
+	// the client's trace.
 	prof, err := chaos.Parse("seed=7,tile-error=0.1")
 	if err != nil {
 		return TraceBenchResult{}, nil, err
 	}
-	srv, err := server.New(m, server.WithTracer(tracer))
+	tb := testbed.New()
+	origin, err := tb.AddOrigin(testbed.OriginConfig{Manifest: m, Chaos: chaos.New(prof), Tracer: tracer})
 	if err != nil {
 		return TraceBenchResult{}, nil, err
 	}
-	ts := httptest.NewServer(trace.Middleware(tracer, chaos.New(prof).Wrap(srv.Handler())))
-	pol := client.FetchPolicy{
-		MaxAttempts:       3,
-		BaseBackoff:       500 * time.Microsecond,
-		MaxBackoff:        2 * time.Millisecond,
-		JitterFrac:        0.5,
-		AttemptTimeout:    2 * time.Second,
-		MinAttemptTimeout: 20 * time.Millisecond,
-		Seed:              7,
-	}
-	httpRes, err := client.New(ts.URL).Stream(context.Background(), tr, client.StreamConfig{
-		MaxRateBps: 0.35 * m.ChunkBits(0, 0) / m.ChunkSec,
+	pol := testbed.LoopbackPolicy()
+	pol.Seed = 7
+	httpRes, err := tb.Client(origin.URL).Stream(context.Background(), tr, client.StreamConfig{
+		MaxRateBps: testbed.RateCap(m),
 		Fetch:      pol,
 		Trace:      tracer,
 	})
-	ts.Close()
+	tb.Close() // waits for in-flight handlers, so every server span has ended
 	if err != nil {
 		return TraceBenchResult{}, nil, err
 	}

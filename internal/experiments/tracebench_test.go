@@ -48,6 +48,7 @@ func TestTraceBenchContract(t *testing.T) {
 	if share < 0.999 || share > 1.001 {
 		t.Errorf("phase shares sum to %v, want 1", share)
 	}
+	checkTable(t, "trace", table)
 	if len(table.Rows) != len(res.Phases) {
 		t.Errorf("table rows %d, phases %d", len(table.Rows), len(res.Phases))
 	}

@@ -21,9 +21,6 @@ import (
 type Config struct {
 	// Origins are the origin base URLs (e.g. "http://10.0.0.1:8080").
 	Origins []string
-	// Vnodes is the virtual-node count per origin on the ring (<= 0
-	// selects the default 64).
-	Vnodes int
 	// Fetch tunes per-attempt deadlines, failover backoff, and hedging
 	// (zero value = client.DefaultFetchPolicy).
 	Fetch client.FetchPolicy
@@ -99,7 +96,7 @@ func New(cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:  cfg,
 		pol:  cfg.Fetch.WithDefaults(),
-		ring: NewRing(cfg.Origins, cfg.Vnodes),
+		ring: NewRing(cfg.Origins, defaultVnodes),
 		now:  cfg.Now,
 		stop: make(chan struct{}),
 		lat:  newLatTracker(),
@@ -208,18 +205,19 @@ func (f *Fleet) refreshGauges() {
 }
 
 // hedgeDelay resolves the backup-request delay: a fixed positive
-// HedgeDelay, or the adaptive p95 of recent fetch latencies clamped to
-// [HedgeMinDelay, HedgeMaxDelay].
+// HedgeDelay, or the adaptive p95 of recent fetch latencies, clamped so
+// a cold latency tracker neither hedges instantly nor never.
 func (f *Fleet) hedgeDelay() time.Duration {
+	const minDelay, maxDelay = 10 * time.Millisecond, time.Second
 	if f.pol.HedgeDelay > 0 {
 		return f.pol.HedgeDelay
 	}
 	d := f.lat.p95()
-	if d < f.pol.HedgeMinDelay {
-		d = f.pol.HedgeMinDelay
+	if d < minDelay {
+		d = minDelay
 	}
-	if d > f.pol.HedgeMaxDelay {
-		d = f.pol.HedgeMaxDelay
+	if d > maxDelay {
+		d = maxDelay
 	}
 	return d
 }
@@ -451,7 +449,7 @@ func (l *latTracker) observe(d time.Duration) {
 }
 
 // p95 returns the 95th percentile of the reservoir (0 when empty — the
-// caller clamps to HedgeMinDelay).
+// caller clamps it).
 func (l *latTracker) p95() time.Duration {
 	l.mu.Lock()
 	n := l.n

@@ -2,20 +2,23 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
+	"net/http"
 	"strings"
 	"sync"
 	"time"
 )
 
 // Event is one captured log record, flattened for test assertions.
-// Group names are joined into the attribute key with dots.
+// Group names are joined into the attribute key with dots. The JSON
+// form is what /debug/events serves (a Level marshals as its name).
 type Event struct {
-	Time  time.Time
-	Level slog.Level
-	Msg   string
-	Attrs map[string]any
+	Time  time.Time      `json:"time"`
+	Level slog.Level     `json:"level"`
+	Msg   string         `json:"msg"`
+	Attrs map[string]any `json:"attrs,omitempty"`
 }
 
 // Attr returns the named attribute (nil when absent).
@@ -221,6 +224,24 @@ func (l *EventLog) Events() []Event {
 		return nil
 	}
 	return l.ring.events()
+}
+
+// Handler serves the ring buffer, oldest first, as a JSON array of
+// {time, level, msg, attrs} objects; mount it at /debug/events — a
+// zero-dependency peek at recent activity without scraping stderr.
+func (l *EventLog) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !AllowGetHead(w, r) {
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		if r.Method == http.MethodHead {
+			return
+		}
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		_ = enc.Encode(append([]Event{}, l.Events()...)) // [] when empty, never null
+	})
 }
 
 // Find returns every buffered event with the given message.

@@ -11,10 +11,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -168,71 +166,17 @@ func (b *memBackend) TileData(k, ti int, l codec.Level) ([]byte, error) {
 //	GET /manifest.json   — the native Pano manifest
 //	GET /manifest.mpd    — DASH MPD projection (SRD-tiled, multi-period)
 //	GET /video/{chunk}/{tile}/{level}.bin
-//	GET /healthz         — liveness probe (fleet health checks target it)
-//	GET /metrics         — Prometheus exposition (only with WithObs)
-//	GET /debug/events    — the event-log ring buffer as a JSON array
-//	                       (only with WithEventLog)
-//	GET /debug/traces    — finished traces as Chrome trace-event JSON
-//	                       (only with WithTracer; ?trace=<hex id> for one)
-//	GET /debug/slo       — SLO burn-rate state as JSON
-//	                       (only with WithTelemetry)
-//	GET /debug/dash      — live telemetry dashboard (HTML + SSE)
-//	                       (only with WithTelemetry)
+//
+// plus the shared ops surface (telemetry.Mount): /healthz always, and
+// /metrics, /debug/events, /debug/traces, /debug/slo + /debug/dash for
+// whichever of WithObs, WithEventLog, WithTracer, WithTelemetry is set.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/manifest.json", s.instrument("manifest", s.handleManifest))
 	mux.HandleFunc("/manifest.mpd", s.instrument("mpd", s.handleMPD))
 	mux.HandleFunc("/video/", s.instrument("tile", s.handleTile))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if !obs.AllowGetHead(w, r) {
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, "ok\n")
-	})
-	if s.reg != nil {
-		mux.Handle("/metrics", s.reg.Handler())
-	}
-	if s.log != nil {
-		mux.HandleFunc("/debug/events", s.handleEvents)
-	}
-	if s.tracer != nil {
-		mux.Handle("/debug/traces", s.tracer.Handler())
-	}
-	if s.tel != nil {
-		mux.Handle("/debug/slo", s.tel.SLOHandler())
-		mux.Handle("/debug/dash", s.tel.DashHandler())
-	}
+	telemetry.Mount(mux, s.reg, s.log, s.tracer, s.tel)
 	return mux
-}
-
-// handleEvents serves the event-log ring buffer, oldest first, as a
-// JSON array of {time, level, msg, attrs} objects — a zero-dependency
-// peek at recent server activity without scraping stderr.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if !obs.AllowGetHead(w, r) {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if r.Method == http.MethodHead {
-		return
-	}
-	evs := s.log.Events()
-	type jsonEvent struct {
-		Time  time.Time      `json:"time"`
-		Level string         `json:"level"`
-		Msg   string         `json:"msg"`
-		Attrs map[string]any `json:"attrs,omitempty"`
-	}
-	out := make([]jsonEvent, len(evs))
-	for i, e := range evs {
-		out[i] = jsonEvent{Time: e.Time, Level: e.Level.String(), Msg: e.Msg, Attrs: e.Attrs}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(out); err != nil {
-		s.writeError("events", err)
-	}
 }
 
 // statusWriter captures the response code and body size for metrics.

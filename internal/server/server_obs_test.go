@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"pano/internal/obs"
 )
@@ -98,10 +99,18 @@ func TestTileBytesCounterMatchesBody(t *testing.T) {
 
 func TestRequestEventLogged(t *testing.T) {
 	ts, _, el := obsServer(t)
-	if _, err := http.Get(ts.URL + "/manifest.json"); err != nil {
+	resp, err := http.Get(ts.URL + "/manifest.json")
+	if err != nil {
 		t.Fatal(err)
 	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	// The handler logs after it has written the response, so the client
+	// can hold the whole body before the event exists: wait for it.
 	e, ok := el.Last("http_request")
+	for deadline := time.Now().Add(2 * time.Second); !ok && time.Now().Before(deadline); e, ok = el.Last("http_request") {
+		time.Sleep(time.Millisecond)
+	}
 	if !ok {
 		t.Fatal("no http_request event captured")
 	}

@@ -20,9 +20,6 @@ import (
 type FleetConfig struct {
 	// Origins is the shard count (>= 1; failover needs >= 2).
 	Origins int
-	// Vnodes is the ring's virtual-node count per shard (0 = the fleet
-	// default).
-	Vnodes int
 	// Outages schedules whole-shard outages: Outages[i] is shard i's
 	// chaos.Down window, evaluated against the session's virtual clock
 	// (virtual t=0 is the swarm epoch, shared by all sessions). Shorter
@@ -48,7 +45,7 @@ func newPlacement(objects *objectIndex, fc *FleetConfig) *placement {
 	for i := range names {
 		names[i] = shardName(i)
 	}
-	ring := fleet.NewRing(names, fc.Vnodes)
+	ring := fleet.NewRing(names, 0) // the fleet's default vnode count
 	p := &placement{n: fc.Origins, objects: objects}
 	p.manifest = ring.Order(ring.Key("/manifest.json"))
 	p.tiles = make([][]int, objects.len())

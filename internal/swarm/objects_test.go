@@ -71,7 +71,7 @@ func TestPlacementRaggedManifest(t *testing.T) {
 	m := raggedManifest(t)
 	fc := &FleetConfig{Origins: 4}
 	p := newPlacement(newObjectIndex(m), fc)
-	ring := fleet.NewRing([]string{shardName(0), shardName(1), shardName(2), shardName(3)}, fc.Vnodes)
+	ring := fleet.NewRing([]string{shardName(0), shardName(1), shardName(2), shardName(3)}, 0)
 	for k := range m.Chunks {
 		for ti := range m.Chunks[k].Tiles {
 			for l := 0; l < codec.NumLevels; l++ {
