@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmt race race-kernels testbed chaos trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
+.PHONY: build test check vet fmt race race-kernels fuzz-abr testbed chaos trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,13 @@ race:
 race-kernels:
 	$(GO) test -race ./internal/parallel ./internal/jnd ./internal/quality ./internal/tiling \
 		./internal/codec ./internal/scene ./internal/provider
+
+# Twenty seconds of fuzzing the bounded tile search against its oracle
+# contract (internal/abr: subsequence of the exact reference frontiers,
+# same plan where neither thinned, never over budget). Not part of
+# check: a fuzz run has no fixed end and its corpus is not committed.
+fuzz-abr:
+	$(GO) test -run '^$$' -fuzz FuzzAllocatePruned -fuzztime 20s ./internal/abr
 
 # The testbed every multi-hop experiment below stands on, in full under
 # the race detector: kill/revive, the breaker poll, leak-free Close.
@@ -156,7 +163,9 @@ bench: build microbench
 	$(GO) run ./cmd/pano-bench -scale quick
 
 # Kernel micro-benchmarks (serial vs parallel vs cached), the client's
-# per-chunk tile allocator, the provider's chunk analysis (scene
+# per-chunk tile allocator (BenchmarkAllocatePruned: synthetic 30- and
+# 72-tile rows, and bench_video, a real manifest's chunks at MPC-like
+# budgets — the row to quote), the provider's chunk analysis (scene
 # render, quantizer, one chunk, one video) and the virtual-time session
 # loop (one session, one netem tile); appends to BENCH_micro.txt
 # with the commit hash so runs diff across commits with benchstat or

@@ -14,12 +14,15 @@
 // small instances (ground truth in tests and the pruning benchmark).
 //
 // The pruned enumeration is what a session spends its compute on. Its
-// tile step is a merge, not a sort, and all frontiers of a call live in
-// one pooled slab, so a call allocates only its result; AllocatePruned
-// documents the ordering rules that make the merge the same search.
+// tile step is a merge, not a sort; the program's LP relaxation bounds
+// it, so that most partial assignments are dropped as they are formed;
+// and the frontiers and the LP tables of a call live in one pooled
+// scratch, so a call allocates only its result. AllocatePruned documents
+// the cuts and the ordering rules that make the merge the same search.
 package abr
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -124,12 +127,28 @@ type paretoState struct {
 	level      uint8 // level chosen for the current tile
 }
 
-// prunedScratch is the working memory of one AllocatePruned call: every
-// tile's frontier back to back in one slab (the empty assignment first),
-// with starts[i] the slab offset of tile i's frontier.
+// hullUpgrade is one step along the lower convex hull of a tile's
+// (bits, cost) rows: dBits more bits buy eff less cost per bit.
+type hullUpgrade struct {
+	eff, dBits float64
+	seq        int32 // position before sorting: tile-major, cheapest step first
+	tile       int32
+	from, to   uint8
+}
+
+// prunedScratch is the working memory of one search: every tile's
+// frontier back to back in one slab (the empty assignment first), with
+// starts[i] the slab offset of tile i's frontier, and the tables of the
+// call's LP relaxation (bound).
 type prunedScratch struct {
 	slab   []paretoState
 	starts []int
+	// ups is every tile's hull upgrades, most efficient first. restCost[i]
+	// and restBits[i] are what tiles i.. cost at the least: the sums over
+	// j ≥ i of min_l(Cost_jl + λ·Bits_jl) and of min_l Bits_jl.
+	ups                []hullUpgrade
+	restCost, restBits []float64
+	forced             Allocation
 }
 
 // prunedPool recycles scratch across calls: planners are shared between
@@ -137,14 +156,48 @@ type prunedScratch struct {
 // cannot live on the caller's value.
 var prunedPool = sync.Pool{New: func() any { return new(prunedScratch) }}
 
+// SearchStats counts what one pruned search did.
+type SearchStats struct {
+	States  int // frontier states kept, summed over the tile steps
+	Thinned int // tile steps whose frontier hit the cap and was thinned
+}
+
+// boundSlack is the relative rounding slack of the search's two cuts.
+// A cut compares sums of the same ≤ N+2 terms taken in different orders,
+// which differ by ≈ N·2⁻⁵³ of their magnitude; 1e-9 is five orders above
+// that for any N that fits a frontier, and five below the gap between
+// the incumbent and the LP bound (about one upgrade in N), so it costs
+// the cut nothing.
+const boundSlack = 1e-9
+
 // AllocatePruned is the paper's enumeration with dominance pruning: it
 // sweeps tiles one at a time, extending every non-dominated partial
 // assignment by each level and discarding assignments that another
 // assignment beats on both total size and total distortion (§6.1). The
 // frontier is capped at maxFrontier states by bits-bucket quantization,
-// which keeps the search polynomial while staying within a hair of the
-// exact optimum (≤0.5% extra distortion at the default cap on
-// 30–72-tile instances); pass 0 for the default cap.
+// the guard that keeps the worst case polynomial; pass 0 for the default
+// cap of 1024, which the bounded search below seldom reaches.
+//
+// The program is a multiple-choice knapsack, and its LP relaxation —
+// one sort of the tiles' convex-hull upgrades, filled greedily — gives a
+// multiplier λ, the efficiency of the first upgrade that does not fit,
+// and, rounded, a feasible incumbent of cost U (bound). A partial
+// assignment (bits, cost) after tile i is dropped when no completion can
+// matter:
+//
+//   - bits > budget − Σ_{j>i} min_l Bits_jl: every completion is over
+//     budget;
+//   - cost + λ·bits > U + λ·budget − Σ_{j>i} min_l(Cost_jl + λ·Bits_jl):
+//     every completion within budget costs more than the incumbent,
+//     because C ≤ C + λ·(budget − B) for any B ≤ budget and λ ≥ 0.
+//
+// Both hold for every λ ≥ 0, so the cuts only ever remove states that
+// cannot lead to the answer, and a state that dominates a kept state is
+// itself kept: the frontiers are subsequences of the uncut search's, and
+// unless the cap thins one the result is the optimum. Both thresholds
+// carry boundSlack. The result is the cheapest final state within
+// budget; the incumbent where thinning lost every state as good; and
+// all-lowest when the budget is below even that.
 //
 // A frontier is strictly bits-ascending and cost-descending, so its
 // copy shifted by one level's (bits, cost) is already in order and the
@@ -155,39 +208,213 @@ var prunedPool = sync.Pool{New: func() any { return new(prunedScratch) }}
 // candidates of identical (bits, cost) — flat tiles have identical
 // bottom rungs — the lower level index wins, then the lower parent
 // index: the free upgrade, as AllocateGreedy takes it.
+//
+// Bits and Cost must be non-negative.
 func AllocatePruned(tiles []TileChoice, budget float64, maxFrontier int) Allocation {
+	a, _ := SearchPruned(tiles, budget, maxFrontier)
+	return a
+}
+
+// SearchPruned is AllocatePruned that also reports what the search did;
+// the prune experiment and the tests read it.
+func SearchPruned(tiles []TileChoice, budget float64, maxFrontier int) (Allocation, SearchStats) {
 	if maxFrontier <= 0 {
 		maxFrontier = 1024
 	}
 	if len(tiles) == 0 {
-		return nil
+		return nil, SearchStats{}
 	}
 	sc := prunedPool.Get().(*prunedScratch)
-	a := sc.search(tiles, budget, maxFrontier)
+	a, stats := sc.search(tiles, budget, maxFrontier)
 	prunedPool.Put(sc)
-	return a
+	return a, stats
+}
+
+// smallestRow returns the level of a tile's row with the fewest bits:
+// the lowest level, unless a level above it costs no more at the same
+// size (flat tiles), which is then the free upgrade.
+func smallestRow(t *TileChoice) codec.Level {
+	s := codec.Level(codec.NumLevels - 1)
+	for l := s - 1; l >= 0; l-- {
+		if t.Bits[l] < t.Bits[s] || t.Bits[l] == t.Bits[s] && t.Cost[l] <= t.Cost[s] {
+			s = l
+		}
+	}
+	return s
+}
+
+// smallestRows sets a to every tile's smallest row.
+func smallestRows(tiles []TileChoice, a Allocation) {
+	for i := range tiles {
+		a[i] = smallestRow(&tiles[i])
+	}
+}
+
+// bound solves the LP relaxation of the call into the scratch tables. It
+// leaves the incumbent — the cheaper of two roundings of the LP optimum,
+// feasible by the forward sum the final pick uses — in a and returns its
+// cost and λ. low is the size of the all-smallest plan, within budget.
+func (sc *prunedScratch) bound(tiles []TileChoice, budget, low float64, a Allocation) (incumbent, lambda float64) {
+	smallestRows(tiles, a)
+	ups := sc.ups[:0]
+	for i := range tiles {
+		t := &tiles[i]
+		// Gift-wrap the hull from the smallest row: each step goes to the
+		// row that saves the most cost per extra bit, the lower level on
+		// a tie. Rounding must not make a step look more efficient than
+		// the one before it, or the sort would put it first.
+		for from, last := int(a[i]), math.Inf(1); ; {
+			to, eff := -1, 0.0
+			for l := codec.NumLevels - 1; l >= 0; l-- {
+				db, dc := t.Bits[l]-t.Bits[from], t.Cost[from]-t.Cost[l]
+				if db > 0 && dc > 0 && dc/db >= eff {
+					to, eff = l, dc/db
+				}
+			}
+			if to < 0 {
+				break
+			}
+			last = min(last, eff)
+			ups = append(ups, hullUpgrade{
+				eff: last, dBits: t.Bits[to] - t.Bits[from],
+				seq: int32(len(ups)), tile: int32(i), from: uint8(from), to: uint8(to),
+			})
+			from = to
+		}
+	}
+	slices.SortFunc(ups, func(x, y hullUpgrade) int {
+		if x.eff != y.eff {
+			return cmp.Compare(y.eff, x.eff)
+		}
+		return cmp.Compare(x.seq, y.seq)
+	})
+	sc.ups = ups
+
+	// The LP optimum takes upgrades in this order until one does not
+	// fit, the break upgrade; its efficiency is λ. Two roundings of it
+	// are feasible plans. One leaves the break upgrade out and goes on
+	// past it, taking whatever still fits. The other forces it in, takes
+	// back the least efficient upgrades before it until the plan fits,
+	// and then goes on the same way: where one tile's upgrade is a large
+	// share of the budget, that is the shape of the optimum.
+	forced := append(sc.forced[:0], a...)
+	sc.forced = forced
+	brk := fillUpgrades(a, ups, low, budget)
+	if brk < len(ups) {
+		lambda = ups[brk].eff
+		spent := low
+		for _, u := range ups[:brk+1] {
+			spent += u.dBits
+			forced[u.tile] = codec.Level(u.to)
+		}
+		j := brk - 1
+		for ; j >= 0 && spent > budget; j-- {
+			if u := ups[j]; u.tile != ups[brk].tile {
+				spent -= u.dBits
+				forced[u.tile] = codec.Level(u.from)
+			}
+		}
+		if spent <= budget {
+			fillUpgrades(forced, ups[j+1:], spent, budget)
+			if TotalBits(tiles, forced) <= budget && TotalCost(tiles, forced) < TotalCost(tiles, a) {
+				copy(a, forced)
+			}
+		}
+	}
+	if TotalBits(tiles, a) > budget {
+		// The running sum is not the forward sum; an ulp over is over.
+		smallestRows(tiles, a)
+	}
+
+	n := len(tiles)
+	sc.restCost = slices.Grow(sc.restCost[:0], n+1)[:n+1]
+	sc.restBits = slices.Grow(sc.restBits[:0], n+1)[:n+1]
+	sc.restCost[n], sc.restBits[n] = 0, 0
+	for i := n - 1; i >= 0; i-- {
+		t := &tiles[i]
+		minCost, minBits := math.Inf(1), math.Inf(1)
+		for l := 0; l < codec.NumLevels; l++ {
+			minCost = min(minCost, t.Cost[l]+lambda*t.Bits[l])
+			minBits = min(minBits, t.Bits[l])
+		}
+		sc.restCost[i] = sc.restCost[i+1] + minCost
+		sc.restBits[i] = sc.restBits[i+1] + minBits
+	}
+	return TotalCost(tiles, a), lambda
+}
+
+// fillUpgrades applies to a, in order, every upgrade that continues its
+// tile's chain and fits in what spent leaves of the budget. It returns
+// the index of the first one that did not fit, or len(ups).
+func fillUpgrades(a Allocation, ups []hullUpgrade, spent, budget float64) int {
+	brk := len(ups)
+	for j, u := range ups {
+		if a[u.tile] != codec.Level(u.from) {
+			continue
+		}
+		if spent+u.dBits <= budget {
+			spent += u.dBits
+			a[u.tile] = codec.Level(u.to)
+		} else if brk == len(ups) {
+			brk = j
+		}
+	}
+	return brk
 }
 
 // search runs the sweep over at least one tile, leaving every frontier
-// in the scratch.
-func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier int) Allocation {
+// in the scratch (none when the budget admits no plan at all).
+func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier int) (Allocation, SearchStats) {
+	var low float64
+	for i := range tiles {
+		low += tiles[i].Bits[smallestRow(&tiles[i])]
+	}
+	if budget < low {
+		// Nothing fits: the fallback is all-lowest.
+		return lowestLevels(len(tiles)), SearchStats{}
+	}
+	a := make(Allocation, len(tiles))
+	incumbent, lambda := sc.bound(tiles, budget, low, a)
+	// No state with cost + λ·bits above limit, less what the remaining
+	// tiles add at the least, completes to a plan as cheap as the
+	// incumbent within budget.
+	limit := incumbent + lambda*budget
+	slack := boundSlack * limit
+	limit += slack
+
+	var stats SearchStats
 	slab := append(sc.slab[:0], paretoState{parent: -1})
 	starts := sc.starts[:0]
-	lo := 0 // the current frontier is slab[lo:]
+	lo := 0            // the current frontier is slab[lo:]
+	var minVal float64 // min of cost + λ·bits over it, or below
 	for i := range tiles {
 		hi := len(slab)
 		room := codec.NumLevels * (hi - lo)
 		slab = slices.Grow(slab, room)
 		next := slab[hi : hi+room]
-		next = next[:extendFrontier(next, slab[lo:hi], &tiles[i], budget)]
-		slab = slab[:hi+thinFrontier(next, maxFrontier)]
+		cut := frontierCut{
+			lambda:  lambda,
+			maxBits: min(budget, budget-sc.restBits[i+1]+boundSlack*budget),
+			maxVal:  limit - sc.restCost[i+1],
+			minVal:  minVal,
+		}
+		var n int
+		n, minVal = extendFrontier(next, slab[lo:hi], &tiles[i], &cut)
+		kept := thinFrontier(next[:n], maxFrontier)
+		if kept < n {
+			stats.Thinned++
+		}
+		stats.States += kept
+		slab = slab[:hi+kept]
 		starts = append(starts, hi)
 		lo = hi
+		if kept == 0 {
+			break // thinning lost every state as good as the incumbent
+		}
 	}
 	sc.slab, sc.starts = slab, starts
-	// Pick the best final state within budget; if none fits (budget
-	// below even the all-lowest size), fall back to all-lowest.
-	a := lowestLevels(len(tiles))
+	// Pick the best final state within budget, unless thinning left
+	// nothing as good as the incumbent.
 	bestIdx := -1
 	bestCost := math.Inf(1)
 	for i, st := range slab[lo:] {
@@ -196,37 +423,44 @@ func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier 
 			bestIdx = i
 		}
 	}
-	if bestIdx >= 0 {
+	if bestIdx >= 0 && bestCost <= incumbent+slack {
 		for i := len(tiles) - 1; i >= 0; i-- {
 			st := slab[starts[i]+bestIdx]
 			a[i] = codec.Level(st.level)
 			bestIdx = int(st.parent)
 		}
 	}
-	return a
+	return a, stats
+}
+
+// frontierCut is what a tile step may keep: states of at most maxBits
+// bits and at most maxVal in cost + λ·bits. minVal is a lower bound of
+// cost + λ·bits over the parent frontier.
+type frontierCut struct {
+	lambda, maxBits, maxVal, minVal float64
 }
 
 // levelCursor walks the parent frontier shifted by one level's row
 // entry: a list already sorted by bits ascending, cost descending.
 type levelCursor struct {
 	dBits, dCost float64
-	maxBits      float64     // candidates above it are not viable
 	next         int         // first unread parent
 	head         paretoState // the list's current candidate
+	headVal      float64     // its cost + λ·bits
 }
 
-// advance loads the cursor's next candidate that can still pass the
-// dominance filter, and reports whether there is one.
+// advance loads the cursor's next candidate that the cut keeps and that
+// can still pass the dominance filter, and reports whether there is one.
 //
 // Parents whose bits differ by an ulp can round to equal shifted bits.
 // Sorted by (bits, cost), only the cheapest of such a run could survive
 // the filter, and it is a later parent, not the first: the whole run is
 // read at once and represented by its cheapest member, the earliest one
 // on equal cost.
-func (c *levelCursor) advance(cur []paretoState, bestCost float64) bool {
+func (c *levelCursor) advance(cur []paretoState, cut *frontierCut, bestCost float64) bool {
 	for p := c.next; p < len(cur); {
 		bits := cur[p].bits + c.dBits
-		if bits > c.maxBits {
+		if bits > cut.maxBits {
 			break // so is every later parent
 		}
 		cost, parent := cur[p].cost+c.dCost, p
@@ -237,23 +471,27 @@ func (c *levelCursor) advance(cur []paretoState, bestCost float64) bool {
 		}
 		// bestCost only falls, so a candidate dominated now stays so.
 		if cost < bestCost-1e-12 {
-			c.head.bits, c.head.cost, c.head.parent = bits, cost, int32(parent)
-			c.next = p
-			return true
+			if val := cost + cut.lambda*bits; val <= cut.maxVal {
+				c.head.bits, c.head.cost, c.head.parent = bits, cost, int32(parent)
+				c.headVal = val
+				c.next = p
+				return true
+			}
 		}
 	}
 	return false
 }
 
 // extendFrontier extends every state of the frontier cur by every level
-// of tile t and writes the non-dominated results — no other has both
-// fewer bits and lower cost — into next, bits ascending; it returns
-// their number. next must hold NumLevels·len(cur) states.
+// of tile t and writes the results that the cut keeps and that are not
+// dominated — no other has both fewer bits and lower cost — into next,
+// bits ascending; it returns their number and their smallest
+// cost + λ·bits. next must hold NumLevels·len(cur) states.
 //
 // It merges the NumLevels shifted copies of cur by (bits, cost); on an
-// exact tie the lower level wins. An assignment over budget stays
-// viable only through the lowest level, the fallback path.
-func extendFrontier(next, cur []paretoState, t *TileChoice, budget float64) int {
+// exact tie the lower level wins. A level whose reduced cost alone takes
+// the best parent past the cut is never started.
+func extendFrontier(next, cur []paretoState, t *TileChoice, cut *frontierCut) (int, float64) {
 	var (
 		cursors [codec.NumLevels]levelCursor
 		live    [codec.NumLevels]int // levels of the unexhausted cursors, ascending
@@ -261,18 +499,18 @@ func extendFrontier(next, cur []paretoState, t *TileChoice, budget float64) int 
 	)
 	bestCost := math.Inf(1)
 	for l := range cursors {
-		c := &cursors[l]
-		c.dBits, c.dCost, c.maxBits = t.Bits[l], t.Cost[l], budget
-		if l == codec.NumLevels-1 {
-			c.maxBits = math.Inf(1)
+		if cut.minVal+(t.Cost[l]+cut.lambda*t.Bits[l]) > cut.maxVal {
+			continue
 		}
+		c := &cursors[l]
+		c.dBits, c.dCost = t.Bits[l], t.Cost[l]
 		c.head.level = uint8(l)
-		if c.advance(cur, bestCost) {
+		if c.advance(cur, cut, bestCost) {
 			live[nLive] = l
 			nLive++
 		}
 	}
-	n := 0
+	n, minVal := 0, math.Inf(1)
 	for nLive > 0 {
 		mi, m := 0, &cursors[live[0]]
 		for j := 1; j < nLive; j++ {
@@ -285,13 +523,16 @@ func extendFrontier(next, cur []paretoState, t *TileChoice, budget float64) int 
 			next[n] = m.head
 			n++
 			bestCost = m.head.cost
+			if m.headVal < minVal {
+				minVal = m.headVal
+			}
 		}
-		if !m.advance(cur, bestCost) {
+		if !m.advance(cur, cut, bestCost) {
 			copy(live[mi:], live[mi+1:nLive])
 			nLive--
 		}
 	}
-	return n
+	return n, minVal
 }
 
 // thinFrontier caps a frontier at limit states in place by keeping the

@@ -254,28 +254,40 @@ func TestBandwidthPredictorHarmonicMean(t *testing.T) {
 }
 
 // refState, referencePruned and referencePrune are AllocatePruned and
-// pruneDominated as they stood before the tile step became a merge: a
-// fresh candidate slice per tile, sorted with sort.Slice. They are the
-// oracle the merge must reproduce. Two additions: the frontiers are
-// returned, and so is the ambiguous flag — the sort is unstable, so
-// where a state the filter keeps has an identical (bits, cost) twin,
-// which of the two paths the old code returned was an accident of the
-// sort.
+// pruneDominated as they stood before the tile step became a merge and
+// before the search was bounded: a fresh candidate slice per tile, sorted
+// with sort.Slice, no cut. They are the oracle; the only copy of the old
+// algorithm. Three additions: the frontiers are returned, so is the
+// number of thinned tile steps, and so is the ambiguous flag — the sort
+// is unstable, so where a state the filter keeps has an identical (bits,
+// cost) twin, which of the two paths the old code returned was an
+// accident of the sort.
 type refState struct {
 	bits, cost float64
 	parent     int         // index into the previous frontier
 	level      codec.Level // level chosen for the current tile
 }
 
-func referencePruned(tiles []TileChoice, budget float64, maxFrontier int) (a Allocation, frontiers [][]refState, ambiguous bool) {
+type refResult struct {
+	levels    Allocation
+	frontiers [][]refState
+	ambiguous bool
+	thinned   int
+}
+
+// uncapped is a frontier cap no instance reaches: the reference run with
+// it is the exact search.
+const uncapped = math.MaxInt32
+
+func referencePruned(tiles []TileChoice, budget float64, maxFrontier int) (r refResult) {
 	if maxFrontier <= 0 {
 		maxFrontier = 1024
 	}
 	n := len(tiles)
 	if n == 0 {
-		return nil, nil, false
+		return r
 	}
-	frontiers = make([][]refState, n)
+	r.frontiers = make([][]refState, n)
 	cur := []refState{{bits: 0, cost: 0, parent: -1}}
 	for i := 0; i < n; i++ {
 		var next []refState
@@ -295,8 +307,8 @@ func referencePruned(tiles []TileChoice, budget float64, maxFrontier int) (a All
 				})
 			}
 		}
-		next = referencePrune(next, maxFrontier, &ambiguous)
-		frontiers[i] = next
+		next = referencePrune(next, maxFrontier, &r)
+		r.frontiers[i] = next
 		cur = next
 	}
 	// Pick the best final state within budget; if none fits (budget
@@ -310,20 +322,21 @@ func referencePruned(tiles []TileChoice, budget float64, maxFrontier int) (a All
 		}
 	}
 	if bestIdx < 0 {
-		return lowestLevels(n), frontiers, ambiguous
+		r.levels = lowestLevels(n)
+		return r
 	}
 	// Reconstruct.
-	a = make(Allocation, n)
+	r.levels = make(Allocation, n)
 	idx := bestIdx
 	for i := n - 1; i >= 0; i-- {
-		st := frontiers[i][idx]
-		a[i] = st.level
+		st := r.frontiers[i][idx]
+		r.levels[i] = st.level
 		idx = st.parent
 	}
-	return a, frontiers, ambiguous
+	return r
 }
 
-func referencePrune(states []refState, cap int, ambiguous *bool) []refState {
+func referencePrune(states []refState, cap int, r *refResult) []refState {
 	if len(states) == 0 {
 		return states
 	}
@@ -338,7 +351,7 @@ func referencePrune(states []refState, cap int, ambiguous *bool) []refState {
 	for i, st := range states {
 		if st.cost < bestCost-1e-12 {
 			if i+1 < len(states) && states[i+1].bits == st.bits && states[i+1].cost == st.cost {
-				*ambiguous = true
+				r.ambiguous = true
 			}
 			out = append(out, st)
 			bestCost = st.cost
@@ -347,6 +360,7 @@ func referencePrune(states []refState, cap int, ambiguous *bool) []refState {
 	if len(out) <= cap {
 		return out
 	}
+	r.thinned++
 	lo, hi := out[0].bits, out[len(out)-1].bits
 	span := hi - lo
 	if span <= 0 {
@@ -364,57 +378,174 @@ func referencePrune(states []refState, cap int, ambiguous *bool) []refState {
 	return thinned
 }
 
-// againstReference runs both allocators on one instance. The search is
-// the same search: every tile's frontier must be the same (bits, cost)
-// sequence, so the totals are equal as float64s, and the levels are
-// equal wherever the old code's answer was determined.
-func againstReference(t testing.TB, tiles []TileChoice, budget float64, maxFrontier int) (ambiguous bool) {
+// frontier returns tile i's frontier of the scratch's last search.
+func (sc *prunedScratch) frontier(i int) []paretoState {
+	end := len(sc.slab)
+	if i+1 < len(sc.starts) {
+		end = sc.starts[i+1]
+	}
+	return sc.slab[sc.starts[i]:end]
+}
+
+// notIn returns the index of the first state of f that breaks f being a
+// subsequence of ref with bits and cost equal as float64s, or -1.
+func notIn(f []paretoState, ref []refState) int {
+	j := 0
+	for i, st := range f {
+		for j < len(ref) && (ref[j].bits != st.bits || ref[j].cost != st.cost) {
+			j++
+		}
+		if j == len(ref) {
+			return i
+		}
+		j++
+	}
+	return -1
+}
+
+// oracleOutcome is what againstReference saw, for the counters that keep
+// its comparisons from being vacuous.
+type oracleOutcome struct {
+	ambiguous           bool // the reference's path was an accident of its sort
+	thinned, refThinned bool // at the instance's cap
+	states, refStates   int  // frontier states kept by the exact (uncapped) searches
+}
+
+// costTolerance is how far two costs of one instance may differ and still
+// count as equal where the comparison crosses searches that filter
+// differently: the dominance filter's 1e-12 per tile and the rounding of
+// the sums, far below any real difference between two plans.
+func costTolerance(cost float64) float64 { return 1e-9 * (1 + math.Abs(cost)) }
+
+// againstReference runs the bounded search and the reference on one
+// instance and asserts the oracle contract:
+//
+//	(a) every frontier of the search, until the cap first thins one and
+//	    including that one, is a subsequence of the exact reference
+//	    frontier — the reference run uncapped — with (bits, cost) equal
+//	    as float64s; the cut removes states and invents none;
+//	(b) where neither search thinned, totals are equal as float64s, and
+//	    levels are equal unless the reference's own answer was ambiguous;
+//	    the search run uncapped is held to the same against the reference
+//	    run uncapped;
+//	(c) where the search did not thin, its cost is at most the
+//	    reference's at the same cap;
+//	(d) the plan is within budget, or all-lowest when nothing is;
+//
+// and, on instances of at most exhaustiveTiles tiles, that the search run
+// uncapped returns the cost AllocateExhaustive does.
+func againstReference(t testing.TB, tiles []TileChoice, budget float64, maxFrontier int) (o oracleOutcome) {
 	t.Helper()
-	want, frontiers, ambiguous := referencePruned(tiles, budget, maxFrontier)
-	got := AllocatePruned(tiles, budget, maxFrontier)
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("n=%d budget=%v cap=%d: "+format, append([]any{len(tiles), budget, maxFrontier}, args...)...)
 	}
-	if len(got) != len(want) {
-		fail("%d levels, want %d", len(got), len(want))
+	got, stats := SearchPruned(tiles, budget, maxFrontier)
+	if len(got) != len(tiles) {
+		fail("%d levels, want %d", len(got), len(tiles))
 	}
 	if len(tiles) == 0 {
-		return false
+		return o
 	}
-	var sc prunedScratch
 	if maxFrontier <= 0 {
 		maxFrontier = 1024
 	}
-	if a := sc.search(tiles, budget, maxFrontier); !slices.Equal(a, got) {
-		fail("search on fresh scratch %v, on pooled scratch %v", a, got)
+	var sc prunedScratch
+	if a, st := sc.search(tiles, budget, maxFrontier); !slices.Equal(a, got) || st != stats {
+		fail("search on fresh scratch %v %+v, on pooled scratch %v %+v", a, st, got, stats)
 	}
-	for i, ref := range frontiers {
-		end := len(sc.slab)
-		if i+1 < len(sc.starts) {
-			end = sc.starts[i+1]
+	if kept := max(len(sc.slab)-1, 0); kept != stats.States {
+		fail("stats count %d states, the slab holds %d", stats.States, kept)
+	}
+
+	// (d)
+	if low := TotalBits(tiles, lowestLevels(len(tiles))); budget < low {
+		if !slices.Equal(got, lowestLevels(len(tiles))) {
+			fail("below the all-lowest size %v the fallback is all-lowest, got %v", low, got)
 		}
-		f := sc.slab[sc.starts[i]:end]
-		if len(f) != len(ref) {
-			fail("tile %d: frontier of %d states, reference %d", i, len(f), len(ref))
+	} else if b := TotalBits(tiles, got); b > budget {
+		fail("plan of %v bits is over budget", b)
+	}
+
+	ref := referencePruned(tiles, budget, maxFrontier)
+	exact := ref
+	if ref.thinned > 0 {
+		exact = referencePruned(tiles, budget, uncapped)
+	}
+	whole, wholeLevels := &sc, got
+	if stats.Thinned > 0 {
+		whole = new(prunedScratch)
+		wholeLevels, _ = whole.search(tiles, budget, uncapped)
+	}
+	o = oracleOutcome{ambiguous: ref.ambiguous, thinned: stats.Thinned > 0, refThinned: ref.thinned > 0}
+
+	// (a)
+	if len(whole.starts) != len(tiles) && budget >= TotalBits(tiles, lowestLevels(len(tiles))) {
+		fail("the uncapped search stopped after %d tiles", len(whole.starts))
+	}
+	for i := range whole.starts {
+		f := whole.frontier(i)
+		if j := notIn(f, exact.frontiers[i]); j >= 0 {
+			fail("tile %d state %d: (%v, %v) is not in the reference frontier, or out of order", i, j, f[j].bits, f[j].cost)
 		}
-		for j := range f {
-			if f[j].bits != ref[j].bits || f[j].cost != ref[j].cost {
-				fail("tile %d state %d: (%v, %v), reference (%v, %v)", i, j, f[j].bits, f[j].cost, ref[j].bits, ref[j].cost)
+		o.states += len(f)
+		o.refStates += len(exact.frontiers[i])
+	}
+	if stats.Thinned > 0 {
+		first := -1
+		for i := range sc.starts {
+			f, w := sc.frontier(i), whole.frontier(i)
+			if len(f) > maxFrontier {
+				fail("tile %d: frontier of %d states over the cap", i, len(f))
+			}
+			if j := notIn(f, exact.frontiers[i]); j >= 0 {
+				fail("tile %d state %d: (%v, %v) is not in the reference frontier, or out of order", i, j, f[j].bits, f[j].cost)
+			}
+			if len(f) != len(w) {
+				if len(w) <= maxFrontier {
+					fail("tile %d: %d states, the uncapped search %d, neither over the cap", i, len(f), len(w))
+				}
+				first = i
+				break
 			}
 		}
+		if first < 0 {
+			fail("stats count %d thinned steps, but every frontier is the uncapped one", stats.Thinned)
+		}
 	}
-	if g, w := TotalBits(tiles, got), TotalBits(tiles, want); g != w {
-		fail("total bits %v, reference %v", g, w)
+
+	// (b) Where neither thinned, whole is the search at the cap and exact
+	// the reference at the cap.
+	if g, w := TotalBits(tiles, wholeLevels), TotalBits(tiles, exact.levels); g != w {
+		fail("unthinned: total bits %v, reference %v", g, w)
 	}
-	if g, w := TotalCost(tiles, got), TotalCost(tiles, want); g != w {
-		fail("total cost %v, reference %v", g, w)
+	if g, w := TotalCost(tiles, wholeLevels), TotalCost(tiles, exact.levels); g != w {
+		fail("unthinned: total cost %v, reference %v", g, w)
 	}
-	if !ambiguous && !slices.Equal(got, want) {
-		fail("levels %v, reference %v", got, want)
+	if !exact.ambiguous && !slices.Equal(wholeLevels, exact.levels) {
+		fail("unthinned: levels %v, reference %v", wholeLevels, exact.levels)
 	}
-	return ambiguous
+
+	// (c)
+	if g, w := TotalCost(tiles, got), TotalCost(tiles, ref.levels); stats.Thinned == 0 && g > w+costTolerance(w) {
+		fail("exact search cost %v above the reference's %v", g, w)
+	}
+	// Small instances have the brute-force optimum too.
+	if len(tiles) <= exhaustiveTiles {
+		best, err := AllocateExhaustive(tiles, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := TotalCost(tiles, wholeLevels), TotalCost(tiles, best); math.Abs(g-w) > costTolerance(w) {
+			fail("uncapped search cost %v, exhaustive optimum %v", g, w)
+		}
+	}
+	return o
 }
+
+// exhaustiveTiles is the largest instance the oracle also brute-forces:
+// 5⁸ ≈ 390 000 plans.
+const exhaustiveTiles = 8
 
 // hasDuplicateRows reports whether some tile offers the same (bits,
 // cost) at two levels.
@@ -466,26 +597,80 @@ func oracleInstance(seed uint64, n, menu int) ([]TileChoice, float64) {
 
 var oracleCaps = []int{0, 256, 16}
 
-func TestPrunedMatchesReference(t *testing.T) {
-	const instances = 540
-	determined := 0
-	for s := 0; s < instances; s++ {
-		n := 1 + s%72
-		menu := s % numMenus
-		tiles, budget := oracleInstance(uint64(1000+s), n, menu)
-		ambiguous := againstReference(t, tiles, budget, oracleCaps[(s/numMenus)%len(oracleCaps)])
-		if ambiguous && menu == menuContinuous && !hasDuplicateRows(tiles) {
-			t.Errorf("instance %d: continuous menus without duplicate rows met an exact tie", s)
-		}
-		if !ambiguous {
-			determined++
+// oracleCounters accumulates what the oracle saw over a table of
+// instances, so that none of its comparisons passes by being vacuous.
+type oracleCounters struct {
+	instances, determined  int
+	thinned, refThinned    int
+	exactWhereRefThinned   int // (c) compared an exact answer with an approximate one
+	states, refStates, cut int // cut: instances where the bound removed a state
+}
+
+func (c *oracleCounters) add(o oracleOutcome) {
+	c.instances++
+	if !o.ambiguous {
+		c.determined++
+	}
+	if o.thinned {
+		c.thinned++
+	}
+	if o.refThinned {
+		c.refThinned++
+		if !o.thinned {
+			c.exactWhereRefThinned++
 		}
 	}
-	// The levels comparison must not be vacuous.
-	if determined < instances/2 {
-		t.Errorf("only %d of %d instances had a determined answer", determined, instances)
+	c.states += o.states
+	c.refStates += o.refStates
+	if o.states < o.refStates {
+		c.cut++
 	}
 }
+
+func (c *oracleCounters) check(t *testing.T) {
+	t.Helper()
+	t.Logf("%d instances: %d determined; thinned %d (reference %d, exact where it thinned %d); exact frontiers hold %d states, reference %d; the bound cut %d instances",
+		c.instances, c.determined, c.thinned, c.refThinned, c.exactWhereRefThinned, c.states, c.refStates, c.cut)
+	if c.cut < c.instances/2 || c.states*2 > c.refStates {
+		t.Errorf("the bound cut %d of %d instances and kept %d of %d states: the subsequence check compares a frontier with itself", c.cut, c.instances, c.states, c.refStates)
+	}
+	if c.exactWhereRefThinned == 0 {
+		t.Error("no instance where only the reference thinned: cost ≤ reference went unexercised")
+	}
+	if c.thinned == 0 {
+		t.Error("the search never thinned: the capped half of the subsequence check went unexercised")
+	}
+}
+
+func TestPrunedMatchesReference(t *testing.T) {
+	const instances = 540
+	var c oracleCounters
+	for s := 0; s < instances; s++ {
+		n := 1 + s%72
+		if testing.Short() && n > shortOracleTiles {
+			continue
+		}
+		menu := s % numMenus
+		tiles, budget := oracleInstance(uint64(1000+s), n, menu)
+		o := againstReference(t, tiles, budget, oracleCaps[(s/numMenus)%len(oracleCaps)])
+		if o.ambiguous && menu == menuContinuous && !hasDuplicateRows(tiles) {
+			t.Errorf("instance %d: continuous menus without duplicate rows met an exact tie", s)
+		}
+		c.add(o)
+	}
+	c.check(t)
+	// Every chunk of a real manifest has a flat tile, so only here can
+	// the levels comparison be asked not to be vacuous.
+	if c.determined < c.instances/2 {
+		t.Errorf("only %d of %d instances had a determined answer", c.determined, c.instances)
+	}
+}
+
+// shortOracleTiles bounds the seeded instances under -short, which is how
+// make race runs: the exact reference on the larger ones sorts frontiers
+// of thousands of states per tile, ≈3 minutes under the race detector.
+// The plain tier-1 run takes every instance.
+const shortOracleTiles = 40
 
 // manifestFixture is a real provider manifest: 8 one-second chunks.
 func manifestFixture(t testing.TB) *manifest.Video {
@@ -528,6 +713,7 @@ func TestPrunedMatchesReferenceOnManifest(t *testing.T) {
 		func(i int) float64 { return 1 + 0.35*float64(i%7) },
 	}
 	flat := 0
+	var c oracleCounters
 	for k := 0; k < m.NumChunks(); k++ {
 		for ri, ratio := range ratios {
 			rows := manifestRows(m, k, ratio)
@@ -536,12 +722,16 @@ func TestPrunedMatchesReferenceOnManifest(t *testing.T) {
 			}
 			for l := 0; l < codec.NumLevels; l++ {
 				for _, frac := range []float64{0.9, 1, 1.1} {
+					if testing.Short() && frac != 1 {
+						continue // see shortOracleTiles
+					}
 					budget := frac * m.ChunkBits(k, codec.Level(l))
-					againstReference(t, rows, budget, oracleCaps[(k+ri+l)%len(oracleCaps)])
+					c.add(againstReference(t, rows, budget, oracleCaps[(k+ri+l)%len(oracleCaps)]))
 				}
 			}
 		}
 	}
+	c.check(t)
 	if flat == 0 {
 		t.Error("no chunk of the manifest had a flat tile; the tie path went unexercised")
 	}
@@ -657,6 +847,14 @@ func manifestShapedTiles(n int) []TileChoice {
 
 var sinkAllocation Allocation
 
+// BenchmarkAllocatePruned times one call. The 30tiles and 72tiles rows
+// are synthetic menus with smooth costs. bench_video is a real manifest:
+// every chunk of manifestFixture at the budgets the MPC hands the planner,
+// the sizes of its uniform levels 1–3. Real costs are heavy-tailed — one
+// large tile's upgrade can be a fifth of the budget — which is where the
+// LP gap, and so the search, is widest; the benchmark's vod_session calls
+// on its larger video average about five times this row (EXPERIMENTS.md,
+// "What bounding the search changed").
 func BenchmarkAllocatePruned(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -672,4 +870,24 @@ func BenchmarkAllocatePruned(b *testing.B) {
 			}
 		})
 	}
+	b.Run("bench_video", func(b *testing.B) {
+		m := manifestFixture(b)
+		type call struct {
+			rows   []TileChoice
+			budget float64
+		}
+		var calls []call
+		for k := 0; k < m.NumChunks(); k++ {
+			rows := manifestRows(m, k, func(i int) float64 { return 1 + 0.35*float64(i%7) })
+			for l := codec.Level(1); l <= 3; l++ {
+				calls = append(calls, call{rows, m.ChunkBits(k, l)})
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := &calls[i%len(calls)]
+			sinkAllocation = AllocatePruned(c.rows, c.budget, 0)
+		}
+	})
 }

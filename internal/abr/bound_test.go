@@ -1,0 +1,382 @@
+package abr
+
+import (
+	"math"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"pano/internal/codec"
+	"pano/internal/mathx"
+)
+
+const lowest = codec.Level(codec.NumLevels - 1)
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
+// lpOf solves the LP relaxation as the search does before its sweep: the
+// incumbent, its cost, λ, and the hull upgrades in LP order. The budget
+// must admit the all-smallest plan.
+func lpOf(tiles []TileChoice, budget float64) (inc Allocation, cost, lambda float64, ups []hullUpgrade) {
+	var sc prunedScratch
+	inc = make(Allocation, len(tiles))
+	smallestRows(tiles, inc)
+	cost, lambda = sc.bound(tiles, budget, TotalBits(tiles, inc), inc)
+	return inc, cost, lambda, sc.ups
+}
+
+// The cases the cut creates. Each runs the whole oracle contract at the
+// default cap and at a cap that thins, and pins what the unbounded search
+// returned for it.
+func TestPrunedBoundEdgeCases(t *testing.T) {
+	contract := func(t *testing.T, tiles []TileChoice, budget float64) Allocation {
+		t.Helper()
+		againstReference(t, tiles, budget, 16)
+		againstReference(t, tiles, budget, 0)
+		return AllocatePruned(tiles, budget, 0)
+	}
+
+	// The first chunk of every session is planned with exactly the
+	// all-lowest size: nothing but the free upgrades of flat tiles fits.
+	// The suffix sums of the feasibility cut add the same sizes in another
+	// order and may land an ulp above the forward sum.
+	t.Run("budget is the all-lowest size to the ulp", func(t *testing.T) {
+		m := manifestFixture(t)
+		moved := 0
+		for k := 0; k < m.NumChunks(); k++ {
+			rows := manifestRows(m, k, func(i int) float64 { return 1 + 0.35*float64(i%7) })
+			budget := m.ChunkBits(k, lowest)
+			want := lowestLevels(len(rows))
+			for i, r := range rows {
+				for l := lowest; l > 0 && r.Bits[l-1] == r.Bits[lowest] && r.Cost[l-1] <= r.Cost[l]; l-- {
+					want[i] = l - 1
+					moved++
+				}
+			}
+			if got := contract(t, rows, budget); !slices.Equal(got, want) {
+				t.Errorf("chunk %d at the all-lowest size: levels %v, want %v", k, got, want)
+			}
+			below := math.Nextafter(budget, 0)
+			if got := contract(t, rows, below); !slices.Equal(got, lowestLevels(len(rows))) {
+				t.Errorf("chunk %d an ulp below the all-lowest size: levels %v, want all-lowest", k, got)
+			}
+		}
+		if moved == 0 {
+			t.Error("no flat tile in the manifest: the exact-fit path only ever saw all-lowest")
+		}
+	})
+
+	// Everything fits, no upgrade is left out, λ = 0: the cut is on cost
+	// alone and the answer is every tile's cheapest row, the smaller one
+	// where two cost the same.
+	t.Run("budget at and above all-top", func(t *testing.T) {
+		rng := mathx.NewRNG(21)
+		tiles := randomTiles(rng, 24)
+		tiles[5].Cost[1] = 0 // as cheap as level 0, and smaller
+		tiles[9].Cost[1], tiles[9].Cost[2] = 0, 0
+		top := TotalBits(tiles, make(Allocation, len(tiles)))
+		want := make(Allocation, len(tiles))
+		want[5], want[9] = 1, 2
+		for _, budget := range []float64{top, top * 3} {
+			if _, _, lambda, _ := lpOf(tiles, budget); lambda != 0 {
+				t.Fatalf("budget %v: λ = %v, want 0", budget, lambda)
+			}
+			if got := contract(t, tiles, budget); !slices.Equal(got, want) {
+				t.Errorf("budget %v: levels %v, want %v", budget, got, want)
+			}
+		}
+	})
+
+	// Bits[3] == Bits[4] at equal cost: the hull starts from level 3, and
+	// no plan, the incumbent's included, sits on level 4 of such a tile.
+	t.Run("flat tiles", func(t *testing.T) {
+		tiles := manifestShapedTiles(30)
+		low := TotalBits(tiles, lowestLevels(len(tiles)))
+		for _, frac := range []float64{1, 1.01, 1.7, 2.5, 4} {
+			plans := []Allocation{contract(t, tiles, low*frac), AllocatePruned(tiles, low*frac, 1)}
+			inc, _, _, _ := lpOf(tiles, low*frac)
+			for _, a := range append(plans, inc) {
+				for i := 4; i < len(tiles); i += 10 {
+					if a[i] == lowest {
+						t.Errorf("budget %.2f×: flat tile %d on level %d, identical to level %d", frac, i, lowest, lowest-1)
+					}
+				}
+			}
+		}
+	})
+
+	// A level above the lower convex hull is no LP upgrade, but the
+	// optimum can sit on it: the search must reach it through the cut.
+	t.Run("levels above the hull", func(t *testing.T) {
+		rng := mathx.NewRNG(22)
+		tiles := randomTiles(rng, 8)
+		for i := range tiles {
+			// Level 2 a hair below the chord from level 3 to level 1 in
+			// cost saved, level 1 well above the chord from 2 to 0.
+			c := &tiles[i]
+			c.Cost[2] = c.Cost[3] - 0.9*(c.Cost[3]-c.Cost[1])*(c.Bits[2]-c.Bits[3])/(c.Bits[1]-c.Bits[3])
+		}
+		low := TotalBits(tiles, lowestLevels(len(tiles)))
+		if _, _, _, ups := lpOf(tiles, low); len(ups) == 0 {
+			t.Fatal("no hull upgrades")
+		} else {
+			for _, u := range ups {
+				if u.to == 2 {
+					t.Fatalf("tile %d: level 2 is on the hull", u.tile)
+				}
+			}
+		}
+		offHull := 0
+		for _, frac := range []float64{1.3, 1.6, 2, 2.4, 3} {
+			budget := low * frac
+			got := contract(t, tiles, budget)
+			want, err := AllocateExhaustive(tiles, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := TotalCost(tiles, got), TotalCost(tiles, want); g != w {
+				t.Errorf("budget %.1f×: cost %v, exhaustive %v", frac, g, w)
+			}
+			for _, l := range got {
+				if l == 2 {
+					offHull++
+				}
+			}
+		}
+		if offHull == 0 {
+			t.Error("no optimum used a level above the hull")
+		}
+	})
+
+	t.Run("a single tile", func(t *testing.T) {
+		tile := randomTiles(mathx.NewRNG(23), 1)
+		for l := codec.Level(0); l <= lowest; l++ {
+			at := tile[0].Bits[l]
+			if got := contract(t, tile, at); got[0] != l {
+				t.Errorf("budget of level %d: level %d", l, got[0])
+			}
+			want := l + 1
+			if l == lowest {
+				want = lowest // the fallback
+			}
+			if got := contract(t, tile, math.Nextafter(at, 0)); got[0] != want {
+				t.Errorf("an ulp below the budget of level %d: level %d, want %d", l, got[0], want)
+			}
+		}
+	})
+
+	// Budgets that a prefix of the LP's upgrade order fills exactly: the
+	// LP optimum is integral, the incumbent is the optimum, the search can
+	// find nothing better and must still return the same plan as ever.
+	t.Run("the incumbent is the optimum", func(t *testing.T) {
+		tiles := randomTiles(mathx.NewRNG(24), 9)
+		for i := range tiles {
+			for l := range tiles[i].Bits {
+				tiles[i].Bits[l] = math.Round(tiles[i].Bits[l]) // sums in any order are exact
+			}
+		}
+		_, _, _, ups := lpOf(tiles, TotalBits(tiles, lowestLevels(len(tiles))))
+		for cut := 1; cut <= len(ups); cut += 3 {
+			plan := lowestLevels(len(tiles))
+			for _, u := range ups[:cut] {
+				plan[u.tile] = codec.Level(u.to)
+			}
+			budget := TotalBits(tiles, plan)
+			inc, cost, _, _ := lpOf(tiles, budget)
+			if !slices.Equal(inc, plan) {
+				t.Fatalf("prefix %d: incumbent %v, want the prefix plan %v", cut, inc, plan)
+			}
+			got := contract(t, tiles, budget)
+			if !slices.Equal(got, plan) || TotalCost(tiles, got) != cost {
+				t.Errorf("prefix %d: levels %v cost %v, want the incumbent %v cost %v", cut, got, TotalCost(tiles, got), plan, cost)
+			}
+			want, err := AllocateExhaustive(tiles, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(want, plan) {
+				t.Errorf("prefix %d: exhaustive %v, so the incumbent %v was not the optimum", cut, want, plan)
+			}
+		}
+	})
+
+	// A cap of one keeps a single state per tile, which the cut then
+	// drops: nothing reaches the last tile and the answer is the
+	// incumbent, far better than what thinning to one state leaves the
+	// unbounded search.
+	t.Run("thinning loses every state", func(t *testing.T) {
+		tiles, budget := oracleInstance(1007, 40, menuContinuous)
+		budget = 2.5 * TotalBits(tiles, lowestLevels(len(tiles)))
+		got, stats := SearchPruned(tiles, budget, 1)
+		inc, cost, _, _ := lpOf(tiles, budget)
+		if stats.Thinned == 0 || !slices.Equal(got, inc) {
+			t.Fatalf("thinned %d steps, levels %v, want the incumbent %v", stats.Thinned, got, inc)
+		}
+		if ref := referencePruned(tiles, budget, 1); cost >= TotalCost(tiles, ref.levels) {
+			t.Errorf("incumbent cost %v, the reference at the same cap %v", cost, TotalCost(tiles, ref.levels))
+		}
+		againstReference(t, tiles, budget, 1)
+	})
+}
+
+// budgetAxisBracket brackets the optimum of the program with a textbook
+// knapsack DP over the budget axis in cells integer units — nothing of
+// the frontier search in it, the tile rate-adaptation DP of Ghosh et al.
+// (arXiv 1704.08215). With every size rounded down the program is a
+// relaxation and its optimum a lower bound; rounded up it is a
+// restriction and its optimum an upper bound, +Inf when nothing fits.
+func budgetAxisBracket(tiles []TileChoice, budget float64, cells int) (lo, hi float64) {
+	unit := budget / float64(cells)
+	solve := func(round func(float64) float64) float64 {
+		best := make([]float64, cells+1) // best[c]: cheapest prefix of at most c units
+		next := make([]float64, cells+1)
+		for i := range tiles {
+			var w [codec.NumLevels]int
+			for l := range w {
+				w[l] = int(round(tiles[i].Bits[l] / unit))
+			}
+			for c := range next {
+				next[c] = math.Inf(1)
+				for l, wl := range w {
+					if wl <= c {
+						next[c] = math.Min(next[c], best[c-wl]+tiles[i].Cost[l])
+					}
+				}
+			}
+			best, next = next, best
+		}
+		return best[cells]
+	}
+	// The guard factors keep a quotient that is an integer but for its
+	// last bit on the safe side of the rounding.
+	lo = solve(func(x float64) float64 { return math.Floor(x * (1 - 1e-12)) })
+	hi = solve(func(x float64) float64 { return math.Ceil(x * (1 + 1e-12)) })
+	return lo, hi
+}
+
+// The search's cost lies inside the independent bracket, and the bracket
+// is narrow enough to mean something: the greedy allocator falls out of
+// it on a good share of the same instances.
+func TestPrunedInsideBudgetAxisBracket(t *testing.T) {
+	stride := 1
+	if testing.Short() {
+		stride = 4 // the DPs are seconds of plain arithmetic, ×10 under -race
+	}
+	var widths mathx.Stats
+	greedyOut, n := 0, 0
+	check := func(tiles []TileChoice, budget float64) {
+		t.Helper()
+		if budget < TotalBits(tiles, lowestLevels(len(tiles))) {
+			return
+		}
+		got, stats := SearchPruned(tiles, budget, 0)
+		cost := TotalCost(tiles, got)
+		lo, hi := budgetAxisBracket(tiles, budget, 4096)
+		if cost < lo-costTolerance(lo) {
+			t.Fatalf("n=%d budget=%v: cost %v below the relaxation's optimum %v", len(tiles), budget, cost, lo)
+		}
+		if stats.Thinned == 0 && cost > hi+costTolerance(hi) {
+			t.Fatalf("n=%d budget=%v: unthinned cost %v above the restriction's optimum %v", len(tiles), budget, cost, hi)
+		}
+		if math.IsInf(hi, 1) || hi == 0 {
+			return
+		}
+		widths.Add((hi - lo) / hi)
+		n++
+		if TotalCost(tiles, AllocateGreedy(tiles, budget)) > hi+costTolerance(hi) {
+			greedyOut++
+		}
+	}
+	for s := 0; s < 540; s += stride {
+		check(oracleInstance(uint64(1000+s), 1+s%72, s%numMenus))
+	}
+	m := manifestFixture(t)
+	for k := 0; k < m.NumChunks(); k++ {
+		rows := manifestRows(m, k, func(i int) float64 { return 1 + 0.35*float64(i%7) })
+		for l := 0; l < codec.NumLevels; l += stride {
+			for _, frac := range []float64{0.9, 1, 1.1} {
+				check(rows, frac*m.ChunkBits(k, codec.Level(l)))
+			}
+		}
+	}
+	t.Logf("%d brackets: mean relative width %.4f, max %.4f; greedy above the bracket on %d", n, widths.Mean(), widths.Max(), greedyOut)
+	if n < 100/stride || widths.Mean() > 0.05 {
+		t.Errorf("%d finite brackets of mean relative width %v: too few or too wide to bracket anything", n, widths.Mean())
+	}
+	if greedyOut*10 < n {
+		t.Errorf("greedy is above the bracket on %d of %d instances only: the bracket has no teeth", greedyOut, n)
+	}
+}
+
+// Warm, a call allocates its result and nothing else: the LP tables live
+// in the pooled scratch with the frontiers. sync.Pool drops a quarter of
+// its Puts under the race detector, so the pin reads there whatever the
+// pool lost.
+func TestAllocatePrunedAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	for _, n := range []int{1, 30, 72} {
+		tiles := manifestShapedTiles(n)
+		low := TotalBits(tiles, lowestLevels(n))
+		for _, frac := range []float64{0.5, 1, 2.5, 100} {
+			AllocatePruned(tiles, low*frac, 0) // warm the scratch
+			if allocs := testing.AllocsPerRun(50, func() { sinkAllocation = AllocatePruned(tiles, low*frac, 0) }); allocs != 1 {
+				t.Errorf("%d tiles at %v× the all-lowest size: %v allocs per call, want 1", n, frac, allocs)
+			}
+		}
+	}
+}
+
+// One allocator serves every goroutine of a process (a Planner is shared
+// by all swarm workers): concurrent calls return the serial answers —
+// under -race this is what shows the tables are per call, not shared —
+// and, the pools warm, still allocate about one object per call.
+func TestAllocatePrunedSharedAcrossGoroutines(t *testing.T) {
+	const workers, calls = 8, 60
+	type job struct {
+		tiles  []TileChoice
+		budget float64
+		cap    int
+	}
+	jobs := make([]job, workers*calls)
+	want := make([]Allocation, len(jobs))
+	for j := range jobs {
+		tiles, budget := oracleInstance(uint64(5000+j%40), 1+(7*j)%72, j%numMenus)
+		jobs[j] = job{tiles, budget, oracleCaps[j%len(oracleCaps)]}
+		want[j] = AllocatePruned(tiles, budget, jobs[j].cap)
+	}
+	got := make([]Allocation, len(jobs))
+	round := func() (mallocs uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for j := w; j < len(jobs); j += workers {
+					got[j] = AllocatePruned(jobs[j].tiles, jobs[j].budget, jobs[j].cap)
+				}
+			}(w)
+		}
+		wg.Wait()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	round() // every P's scratch grows to the largest instance once
+	mallocs := round()
+	for j := range jobs {
+		if !slices.Equal(got[j], want[j]) {
+			t.Fatalf("job %d (n=%d): concurrent levels %v, serial %v", j, len(jobs[j].tiles), got[j], want[j])
+		}
+	}
+	// The results, eight goroutines, and whatever a garbage collection
+	// mid-round makes a pool rebuild. Tables built per call would be four
+	// more objects per call, ≈2 000.
+	if !raceEnabled && mallocs > uint64(len(jobs))+150 {
+		t.Errorf("%d mallocs over %d concurrent calls, want about one per call", mallocs, len(jobs))
+	}
+}

@@ -216,6 +216,28 @@ func TestFig10BoundHolds(t *testing.T) {
 	}
 }
 
+// The pruned row reports what the search did, not the size of its input:
+// states kept per call, and how often the cap made the plan approximate.
+func TestAllocationPruningMeasuresTheSearch(t *testing.T) {
+	rows, table, err := AllocationPruning(testDataset(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned, greedy, exhaustive := rows[0], rows[1], rows[2]
+	if pruned.States < 1 || pruned.CapHitFrac < 0 || pruned.CapHitFrac > 1 {
+		t.Errorf("pruned row: %v states per call, cap hit on %v of calls", pruned.States, pruned.CapHitFrac)
+	}
+	if pruned.CapHitFrac == 0 && (exhaustive.CostRatio < 1-1e-9 || exhaustive.CostRatio > 1+1e-9) {
+		t.Errorf("no call hit the cap, yet pruned costs %v× the exhaustive optimum", exhaustive.CostRatio)
+	}
+	if greedy.CostRatio < 1-1e-9 {
+		t.Errorf("greedy costs %v× the pruned plan: below an optimum", greedy.CostRatio)
+	}
+	if got := table.Header[len(table.Header)-1]; got != "cap_hit_pct" {
+		t.Errorf("last column %q, want cap_hit_pct", got)
+	}
+}
+
 // contractTested are the registry ids that have their own
 // Test*BenchContract, which runs the experiment once at the size it
 // chooses and ends with checkTable; the sweep below runs every other id.

@@ -151,9 +151,14 @@ type PruneRow struct {
 	// CostRatio is the achieved distortion relative to the pruned
 	// (exact) allocator, averaged over instances.
 	CostRatio float64
-	// States is the mean number of explored states (pruned) or
-	// evaluated combinations (exhaustive bound), for scale.
+	// States is the measured mean number of frontier states the search
+	// kept per call (pruned) or the number of combinations (exhaustive
+	// bound), for scale.
 	States float64
+	// CapHitFrac is the share of the pruned allocator's calls in which a
+	// frontier hit the cap and was thinned, i.e. whose plan is an
+	// approximation; -1 on rows that run no frontier search.
+	CapHitFrac float64
 }
 
 // AllocationPruning reproduces the §6.1 claim that dominance-pruned
@@ -168,7 +173,8 @@ func AllocationPruning(d *Dataset) ([]PruneRow, *Table, error) {
 	est := player.NewEstimator()
 	tr := d.Traces(d.TracedIndices()[0])[0]
 
-	var greedyRatio, exhRatio mathx.Stats
+	var greedyRatio, exhRatio, states mathx.Stats
+	capHits := 0
 	chunks := m.NumChunks()
 	if chunks > 4 {
 		chunks = 4
@@ -187,7 +193,11 @@ func AllocationPruning(d *Dataset) ([]PruneRow, *Table, error) {
 			}
 		}
 		budget := m.ChunkBits(k, codec.Level(2))
-		pruned := abr.AllocatePruned(tiles, budget, 0)
+		pruned, search := abr.SearchPruned(tiles, budget, 0)
+		states.Add(float64(search.States))
+		if search.Thinned > 0 {
+			capHits++
+		}
 		greedy := abr.AllocateGreedy(tiles, budget)
 		pc := abr.TotalCost(tiles, pruned)
 		if pc > 0 {
@@ -206,17 +216,22 @@ func AllocationPruning(d *Dataset) ([]PruneRow, *Table, error) {
 		}
 	}
 	rows := []PruneRow{
-		{Allocator: "pruned (Pano §6.1)", CostRatio: 1.0, States: float64(len(m.Chunks[0].Tiles) * codec.NumLevels)},
-		{Allocator: "greedy", CostRatio: greedyRatio.Mean()},
+		{Allocator: "pruned (Pano §6.1)", CostRatio: 1.0, States: states.Mean(),
+			CapHitFrac: float64(capHits) / float64(chunks)},
+		{Allocator: "greedy", CostRatio: greedyRatio.Mean(), CapHitFrac: -1},
 		{Allocator: "pruned vs exhaustive (8 tiles)", CostRatio: exhRatio.Mean(),
-			States: fpow(codec.NumLevels, 8)},
+			States: fpow(codec.NumLevels, 8), CapHitFrac: -1},
 	}
 	t := &Table{
 		Title:  "§6.1: tile allocation — pruned enumeration vs alternatives",
-		Header: []string{"allocator", "cost_ratio", "search_space"},
+		Header: []string{"allocator", "cost_ratio", "search_space", "cap_hit_pct"},
 	}
 	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Allocator, fmt.Sprintf("%.4f", r.CostRatio), f0(r.States)})
+		capHit := "-"
+		if r.CapHitFrac >= 0 {
+			capHit = f1(r.CapHitFrac * 100)
+		}
+		t.Rows = append(t.Rows, []string{r.Allocator, fmt.Sprintf("%.4f", r.CostRatio), f0(r.States), capHit})
 	}
 	return rows, t, nil
 }

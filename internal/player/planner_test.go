@@ -11,6 +11,9 @@ import (
 	"pano/internal/jnd"
 )
 
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
 func TestPlannerNames(t *testing.T) {
 	if NewPanoPlanner().Name() != "pano" {
 		t.Error("pano planner name")
@@ -205,5 +208,29 @@ func TestPanoPlannerSharedAcrossGoroutines(t *testing.T) {
 	}
 	if len(distinct) < 10 {
 		t.Errorf("only %d distinct plans over %d jobs; the workload does not vary", len(distinct), len(jobs))
+	}
+}
+
+// Warm, Plan allocates the plan it returns and nothing else: the cost
+// rows, the allocator's frontiers and its LP tables all come from pools.
+// The figure is the one the unbounded search had. sync.Pool drops items
+// at random under the race detector, so the pin is skipped there;
+// TestPanoPlannerSharedAcrossGoroutines is what runs under -race.
+func TestPanoPlannerPlanAllocatesOnlyThePlan(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	m, tr := fixture(t)
+	est := NewEstimator()
+	pl := NewPanoPlanner()
+	for k := 0; k < m.NumChunks(); k++ {
+		view := est.View(m, tr, k, float64(k)*m.ChunkSec)
+		for l := 0; l < codec.NumLevels; l++ {
+			budget := m.ChunkBits(k, codec.Level(l))
+			pl.Plan(m, k, view, budget) // warm both pools
+			if allocs := testing.AllocsPerRun(20, func() { pl.Plan(m, k, view, budget) }); allocs != 1 {
+				t.Errorf("chunk %d at the level-%d budget: %v allocs per Plan, want 1", k, l, allocs)
+			}
+		}
 	}
 }

@@ -157,11 +157,13 @@ type PanoPlanner struct {
 	// viewpoint can slow down between the decision and playback; a
 	// hedge below 1 keeps those misses cheap (§6.1's conservatism).
 	Hedge float64
-	// Greedy swaps the pruned DP for the greedy marginal-utility
-	// allocator: same cost model, no frontier search, ≈55× faster per
-	// chunk (≈8 µs against ≈0.45 ms on the 30-tile bench video; ROADMAP
-	// has the measurement) at a fraction-of-a-dB quality cost — the knob
-	// internal/swarm's million-session populations turn.
+	// Greedy swaps the pruned search for the greedy marginal-utility
+	// allocator: same cost model, no frontier search, ≈4–8× faster per
+	// chunk (≈8 µs against ≈32 µs on the benchmark's warm probe and
+	// ≈60 µs mean inside a vod_session on the 30-tile bench video;
+	// ROADMAP has the measurement) at a quality cost — ≈3.3 % more
+	// distortion there. It is the knob internal/swarm's million-session
+	// populations turn.
 	Greedy bool
 }
 

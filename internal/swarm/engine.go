@@ -71,8 +71,9 @@ type Config struct {
 	// Fetch tunes the client's retry ladder (zero = defaults).
 	Fetch client.FetchPolicy
 	// Planner decides per-tile levels (default: the greedy Pano
-	// planner — the pruned DP is ≈55× slower per chunk, which matters
-	// at a million sessions).
+	// planner — the pruned search costs ≈7 µs more per chunk where the
+	// swarm's sessions sit, a third of swarm_population's throughput;
+	// ROADMAP item 2 has the measurement).
 	Planner player.Planner
 	// MaxChunks bounds each session's length (0 = whole video).
 	MaxChunks int
