@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmt race race-kernels fuzz-abr testbed chaos trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
+.PHONY: build test check vet fmt race race-kernels fuzz-abr fuzz-player testbed chaos trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,13 @@ race-kernels:
 # check: a fuzz run has no fixed end and its corpus is not committed.
 fuzz-abr:
 	$(GO) test -run '^$$' -fuzz FuzzAllocatePruned -fuzztime 20s ./internal/abr
+
+# Twenty seconds of fuzzing the planner's table-read cost rows
+# (internal/player: total over NaN, negative and huge coefficients,
+# bit-for-bit the exact value outside the tables' domains, within
+# 1e-4 dB of it inside). Not part of check, for the same reason.
+fuzz-player:
+	$(GO) test -run '^$$' -fuzz FuzzCostRows -fuzztime 20s ./internal/player
 
 # The testbed every multi-hop experiment below stands on, in full under
 # the race detector: kill/revive, the breaker poll, leak-free Close.
@@ -165,16 +172,18 @@ bench: build microbench
 # Kernel micro-benchmarks (serial vs parallel vs cached), the client's
 # per-chunk tile allocator (BenchmarkAllocatePruned: synthetic 30- and
 # 72-tile rows, and bench_video, a real manifest's chunks at MPC-like
-# budgets — the row to quote), the provider's chunk analysis (scene
-# render, quantizer, one chunk, one video) and the virtual-time session
-# loop (one session, one netem tile); appends to BENCH_micro.txt
+# budgets — the row to quote), the planner's cost rows for one chunk
+# (BenchmarkCostRows: exact is the Pow-and-Exp definition, table what
+# Plan runs), the provider's chunk analysis (scene render, quantizer,
+# one chunk, one video) and the virtual-time session loop (one session,
+# one netem tile); appends to BENCH_micro.txt
 # with the commit hash so runs diff across commits with benchstat or
 # plain text tools.
 microbench:
 	@echo "## $$(git rev-parse --short HEAD 2>/dev/null || echo dirty) $$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> BENCH_micro.txt
-	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|RenderFrame|ErrorPlanes|DistortRegion|ChunkAt|Preprocess|RunSessionVirtual|NetemTile' -benchmem \
+	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|CostRows|RenderFrame|ErrorPlanes|DistortRegion|ChunkAt|Preprocess|RunSessionVirtual|NetemTile' -benchmem \
 		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr \
-		./internal/scene ./internal/codec ./internal/provider \
+		./internal/player ./internal/scene ./internal/codec ./internal/provider \
 		./internal/client ./internal/swarm | tee -a BENCH_micro.txt
 
 # The three line counts ROADMAP quotes, so "net LoC down" is one command:

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"time"
 
+	"pano/internal/abr"
 	"pano/internal/client"
 	"pano/internal/codec"
 	"pano/internal/frame"
+	"pano/internal/mathx"
 	"pano/internal/player"
 	"pano/internal/provider"
+	"pano/internal/quality"
 	"pano/internal/server"
 )
 
@@ -248,6 +252,37 @@ func LookupTableCompression(d *Dataset) ([]LUTRow, *Table, error) {
 	}
 	t.Rows = append(t.Rows, []string{"compression full→power",
 		fmt.Sprintf("%.0fx", float64(full)/float64(power))})
+
+	// What the last two steps cost in accuracy, in dB of a tile's
+	// estimate: the power fit against the one measured anchor the
+	// manifest keeps (A = 1, RefPSPNR; capped cells are not fitted), and
+	// the two tables the planner reads (PanoPlanner.CostRows) against the
+	// power fit evaluated exactly, over one viewer's plan-time views.
+	var fit, tables mathx.Stats
+	planner := player.NewPanoPlanner()
+	est := player.NewEstimator()
+	tr := d.Traces(d.TracedIndices()[0])[0]
+	var got []abr.TileChoice
+	for k := range m.Chunks {
+		view := est.View(m, tr, k, float64(k)*m.ChunkSec)
+		got = planner.CostRows(got, m, k, view)
+		for i := range m.Chunks[k].Tiles {
+			tl := &m.Chunks[k].Tiles[i]
+			ratio := planner.Profile.ActionRatio(player.FactorsFor(tl, view))
+			for l := 0; l < codec.NumLevels; l++ {
+				if ref := tl.RefPSPNR[l]; ref < quality.PSPNRCap {
+					fit.Add(math.Abs(ref*tl.LUT[l].ACoeff - ref))
+				}
+				exact := float64(tl.Rect.Area()) * player.PMSEFromPSPNR(player.EstimatePSPNR(tl, codec.Level(l), ratio))
+				if exact > 0 && got[i].Cost[l] > 0 {
+					tables.Add(math.Abs(10 * math.Log10(got[i].Cost[l]/exact)))
+				}
+			}
+		}
+	}
+	t.Rows = append(t.Rows,
+		[]string{"error: power fit vs measured PSPNR at A=1 (mean / max)", fmt.Sprintf("%.2f / %.2f dB", fit.Mean(), fit.Max())},
+		[]string{"error: plan-time tables vs power fit (mean / max)", fmt.Sprintf("%.1e / %.1e dB", tables.Mean(), tables.Max())})
 	return rows, t, nil
 }
 

@@ -171,6 +171,7 @@ func AllocationPruning(d *Dataset) ([]PruneRow, *Table, error) {
 		return nil, nil, err
 	}
 	est := player.NewEstimator()
+	planner := player.NewPanoPlanner()
 	tr := d.Traces(d.TracedIndices()[0])[0]
 
 	var greedyRatio, exhRatio, states mathx.Stats
@@ -181,17 +182,7 @@ func AllocationPruning(d *Dataset) ([]PruneRow, *Table, error) {
 	}
 	for k := 0; k < chunks; k++ {
 		view := est.View(m, tr, k, float64(k)*m.ChunkSec)
-		tiles := make([]abr.TileChoice, len(m.Chunks[k].Tiles))
-		prof := player.NewPanoPlanner().Profile
-		for i := range m.Chunks[k].Tiles {
-			tl := &m.Chunks[k].Tiles[i]
-			ratio := prof.ActionRatio(player.FactorsFor(tl, view))
-			for l := 0; l < codec.NumLevels; l++ {
-				tiles[i].Bits[l] = tl.Bits[l]
-				tiles[i].Cost[l] = float64(tl.Rect.Area()) *
-					player.PMSEFromPSPNR(player.EstimatePSPNR(tl, codec.Level(l), ratio))
-			}
-		}
+		tiles := planner.CostRows(nil, m, k, view)
 		budget := m.ChunkBits(k, codec.Level(2))
 		pruned, search := abr.SearchPruned(tiles, budget, 0)
 		states.Add(float64(search.States))

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -428,23 +428,36 @@ func (f *Fleet) originFailure(idx int, err error) {
 }
 
 // latTracker keeps a small reservoir of recent successful fetch
-// latencies and reports their p95 for the adaptive hedge delay.
+// latencies and reports their p95 for the adaptive hedge delay. The
+// reservoir is held twice — in arrival order, to know which sample the
+// next one evicts, and ascending — so that p95, which every hedged
+// attempt reads, is an index, and observe moves at most the 128 sorted
+// samples.
 type latTracker struct {
-	mu   sync.Mutex
-	buf  [128]time.Duration
-	n    int // filled entries
-	next int // ring write position
+	mu     sync.Mutex
+	buf    [128]time.Duration // ring, arrival order
+	sorted [128]time.Duration // the same n samples, ascending
+	n      int                // filled entries
+	next   int                // ring write position
 }
 
 func newLatTracker() *latTracker { return &latTracker{} }
 
 func (l *latTracker) observe(d time.Duration) {
 	l.mu.Lock()
-	l.buf[l.next] = d
-	l.next = (l.next + 1) % len(l.buf)
-	if l.n < len(l.buf) {
+	s := l.sorted[:l.n]
+	if l.n == len(l.buf) {
+		evicted, _ := slices.BinarySearch(s, l.buf[l.next])
+		s = slices.Delete(s, evicted, evicted+1)
+	} else {
 		l.n++
 	}
+	at, _ := slices.BinarySearch(s, d)
+	s = s[:len(s)+1]
+	copy(s[at+1:], s[at:])
+	s[at] = d
+	l.buf[l.next] = d
+	l.next = (l.next + 1) % len(l.buf)
 	l.mu.Unlock()
 }
 
@@ -452,17 +465,9 @@ func (l *latTracker) observe(d time.Duration) {
 // caller clamps it).
 func (l *latTracker) p95() time.Duration {
 	l.mu.Lock()
-	n := l.n
-	scratch := make([]time.Duration, n)
-	copy(scratch, l.buf[:n])
-	l.mu.Unlock()
-	if n == 0 {
+	defer l.mu.Unlock()
+	if l.n == 0 {
 		return 0
 	}
-	sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-	i := n * 95 / 100
-	if i >= n {
-		i = n - 1
-	}
-	return scratch[i]
+	return l.sorted[l.n*95/100]
 }

@@ -211,10 +211,11 @@ func TestPanoPlannerSharedAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// Warm, Plan allocates the plan it returns and nothing else: the cost
-// rows, the allocator's frontiers and its LP tables all come from pools.
-// The figure is the one the unbounded search had. sync.Pool drops items
-// at random under the race detector, so the pin is skipped there;
+// Warm, Plan allocates the plan it returns and nothing else, with
+// either allocator: the cost rows, the search's frontiers and its LP
+// tables all come from pools. The figure is the one the unbounded search
+// and the inline row loop had. sync.Pool drops items at random under the
+// race detector, so the pin is skipped there;
 // TestPanoPlannerSharedAcrossGoroutines is what runs under -race.
 func TestPanoPlannerPlanAllocatesOnlyThePlan(t *testing.T) {
 	if raceEnabled {
@@ -222,14 +223,17 @@ func TestPanoPlannerPlanAllocatesOnlyThePlan(t *testing.T) {
 	}
 	m, tr := fixture(t)
 	est := NewEstimator()
-	pl := NewPanoPlanner()
-	for k := 0; k < m.NumChunks(); k++ {
-		view := est.View(m, tr, k, float64(k)*m.ChunkSec)
-		for l := 0; l < codec.NumLevels; l++ {
-			budget := m.ChunkBits(k, codec.Level(l))
-			pl.Plan(m, k, view, budget) // warm both pools
-			if allocs := testing.AllocsPerRun(20, func() { pl.Plan(m, k, view, budget) }); allocs != 1 {
-				t.Errorf("chunk %d at the level-%d budget: %v allocs per Plan, want 1", k, l, allocs)
+	for _, greedy := range []bool{false, true} {
+		pl := NewPanoPlanner()
+		pl.Greedy = greedy
+		for k := 0; k < m.NumChunks(); k++ {
+			view := est.View(m, tr, k, float64(k)*m.ChunkSec)
+			for l := 0; l < codec.NumLevels; l++ {
+				budget := m.ChunkBits(k, codec.Level(l))
+				pl.Plan(m, k, view, budget) // warm both pools
+				if allocs := testing.AllocsPerRun(20, func() { pl.Plan(m, k, view, budget) }); allocs != 1 {
+					t.Errorf("%s, chunk %d at the level-%d budget: %v allocs per Plan, want 1", pl.Name(), k, l, allocs)
+				}
 			}
 		}
 	}

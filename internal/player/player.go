@@ -11,7 +11,6 @@ package player
 
 import (
 	"math"
-	"slices"
 	"sync"
 
 	"pano/internal/abr"
@@ -158,12 +157,14 @@ type PanoPlanner struct {
 	// hedge below 1 keeps those misses cheap (§6.1's conservatism).
 	Hedge float64
 	// Greedy swaps the pruned search for the greedy marginal-utility
-	// allocator: same cost model, no frontier search, ≈4–8× faster per
-	// chunk (≈8 µs against ≈32 µs on the benchmark's warm probe and
-	// ≈60 µs mean inside a vod_session on the 30-tile bench video;
-	// ROADMAP has the measurement) at a quality cost — ≈3.3 % more
-	// distortion there. It is the knob internal/swarm's million-session
-	// populations turn.
+	// allocator: the same cost rows (≈3 µs per 30-tile chunk either way),
+	// no frontier search. On the bench video the allocator call is ≈8 µs
+	// against ≈32 µs on the benchmark's warm probe and ≈100 µs mean,
+	// heavy-tailed, over a vod_session's calls; at the all-lowest budgets
+	// the swarm's sessions run at, the search costs ≈16–20 µs of CPU per
+	// chunk more than greedy (ROADMAP item 2 has the measurements). The
+	// price is quality: ≈3.3–4.1 % more distortion on that video. It is
+	// the knob internal/swarm's million-session populations turn.
 	Greedy bool
 }
 
@@ -190,36 +191,13 @@ var costRowsPool = sync.Pool{New: func() any { return new([]abr.TileChoice) }}
 
 // Plan implements Planner.
 func (p *PanoPlanner) Plan(m *manifest.Video, k int, view ChunkView, budget float64) abr.Allocation {
-	prof := p.Profile
-	if prof == nil {
-		prof = jnd.Default()
-	}
-	hedge := p.Hedge
-	if hedge == 0 {
-		hedge = 1
-	}
 	rows := costRowsPool.Get().(*[]abr.TileChoice)
 	defer costRowsPool.Put(rows)
-	n := len(m.Chunks[k].Tiles)
-	*rows = slices.Grow((*rows)[:0], n)[:n]
-	tiles := *rows
-	for i := range m.Chunks[k].Tiles {
-		t := &m.Chunks[k].Tiles[i]
-		ratio := 1.0
-		if !p.Traditional {
-			ratio = 1 + hedge*(prof.ActionRatio(FactorsFor(t, view))-1)
-		}
-		area := float64(t.Rect.Area())
-		for l := 0; l < codec.NumLevels; l++ {
-			tiles[i].Bits[l] = t.Bits[l]
-			est := EstimatePSPNR(t, codec.Level(l), ratio)
-			tiles[i].Cost[l] = area * PMSEFromPSPNR(est)
-		}
-	}
+	*rows = p.CostRows(*rows, m, k, view)
 	if p.Greedy {
-		return abr.AllocateGreedy(tiles, budget)
+		return abr.AllocateGreedy(*rows, budget)
 	}
-	return abr.AllocatePruned(tiles, budget, 0)
+	return abr.AllocatePruned(*rows, budget, 0)
 }
 
 // MeanRefPSPNR returns the area-weighted mean reference PSPNR of chunk
