@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmt race race-kernels fuzz-abr fuzz-player testbed chaos trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
+.PHONY: build test check vet fmt race race-kernels fuzz-abr fuzz-player fuzz-server testbed chaos trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,13 @@ fuzz-abr:
 # 1e-4 dB of it inside). Not part of check, for the same reason.
 fuzz-player:
 	$(GO) test -run '^$$' -fuzz FuzzCostRows -fuzztime 20s ./internal/player
+
+# Twenty seconds of fuzzing the origin's tile-path parser against the
+# strings.Split parser it replaced (internal/server: same triple or the
+# same error text, which is the 400 response's body). Not part of
+# check, for the same reason.
+fuzz-server:
+	$(GO) test -run '^$$' -fuzz FuzzParseTilePath -fuzztime 20s ./internal/server
 
 # The testbed every multi-hop experiment below stands on, in full under
 # the race detector: kill/revive, the breaker poll, leak-free Close.
@@ -175,16 +182,20 @@ bench: build microbench
 # budgets — the row to quote), the planner's cost rows for one chunk
 # (BenchmarkCostRows: exact is the Pow-and-Exp definition, table what
 # Plan runs), the provider's chunk analysis (scene render, quantizer,
-# one chunk, one video) and the virtual-time session loop (one session,
-# one netem tile); appends to BENCH_micro.txt
-# with the commit hash so runs diff across commits with benchstat or
-# plain text tools.
+# one chunk, one video), the virtual-time session loop (one session,
+# one netem tile) and the request path hop by hop (BenchmarkOriginTileGET:
+# a store-backed origin's tile GET into a recorder; BenchmarkFleetFetch:
+# one Fetch over loopback through two origins; BenchmarkEdgeHit: a cache
+# hit over loopback, with and without a registry); appends to
+# BENCH_micro.txt with the commit hash so runs diff across commits with
+# benchstat or plain text tools.
 microbench:
 	@echo "## $$(git rev-parse --short HEAD 2>/dev/null || echo dirty) $$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> BENCH_micro.txt
-	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|CostRows|RenderFrame|ErrorPlanes|DistortRegion|ChunkAt|Preprocess|RunSessionVirtual|NetemTile' -benchmem \
+	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|CostRows|RenderFrame|ErrorPlanes|DistortRegion|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|OriginTileGET|FleetFetch|EdgeHit' -benchmem \
 		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr \
 		./internal/player ./internal/scene ./internal/codec ./internal/provider \
-		./internal/client ./internal/swarm | tee -a BENCH_micro.txt
+		./internal/client ./internal/swarm ./internal/store ./internal/fleet \
+		./internal/edge | tee -a BENCH_micro.txt
 
 # The three line counts ROADMAP quotes, so "net LoC down" is one command:
 # non-test Go outside benchmark/, test Go outside benchmark/, and the

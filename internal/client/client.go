@@ -67,16 +67,11 @@ func drainClose(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// FetchManifest downloads and validates the manifest.
+// FetchManifest downloads and validates the manifest. It runs under the
+// caller's context alone — no attempt deadline — so HTTP.Timeout is
+// what bounds it.
 func (c *Client) FetchManifest(ctx context.Context) (*manifest.Video, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/manifest.json", nil)
-	if err != nil {
-		return nil, err
-	}
-	if s := trace.FromContext(ctx); s != nil {
-		req.Header.Set("traceparent", s.Traceparent())
-	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.get(ctx, c.BaseURL+"/manifest.json", "")
 	if err != nil {
 		return nil, fmt.Errorf("client: manifest: %w", err)
 	}
@@ -96,16 +91,7 @@ func (c *Client) FetchManifest(ctx context.Context) (*manifest.Video, error) {
 
 // FetchTile downloads one tile object and verifies its header.
 func (c *Client) FetchTile(ctx context.Context, k, ti int, l codec.Level) ([]byte, error) {
-	url := c.BaseURL + server.TilePath(k, ti, l)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	if s := trace.FromContext(ctx); s != nil {
-		// Stitch the server's handler span into this trace (W3C hop).
-		req.Header.Set("traceparent", s.Traceparent())
-	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.get(ctx, c.BaseURL+server.TilePath(k, ti, l), "")
 	if err != nil {
 		return nil, fmt.Errorf("client: tile %d/%d/%d: %w", k, ti, int(l), err)
 	}
@@ -113,7 +99,7 @@ func (c *Client) FetchTile(ctx context.Context, k, ti int, l codec.Level) ([]byt
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("client: tile %d/%d/%d: %w", k, ti, int(l), &StatusError{Code: resp.StatusCode})
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}

@@ -66,17 +66,7 @@ func (c *Client) FetchRaw(ctx context.Context, path, etag string, pol FetchPolic
 // fetchRawOnce is one attempt: errors are returned only for retryable
 // transport/server failures; origin answers below 500 are results.
 func (c *Client) fetchRawOnce(ctx context.Context, path, etag string) (RawResult, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return RawResult{}, err
-	}
-	if etag != "" {
-		req.Header.Set("If-None-Match", etag)
-	}
-	if s := trace.FromContext(ctx); s != nil {
-		req.Header.Set("traceparent", s.Traceparent())
-	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.get(ctx, c.BaseURL+path, etag)
 	if err != nil {
 		return RawResult{}, err
 	}
@@ -93,10 +83,48 @@ func (c *Client) fetchRawOnce(ctx context.Context, path, etag string) (RawResult
 	if resp.StatusCode >= 500 {
 		return RawResult{}, &StatusError{Code: resp.StatusCode}
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp)
 	if err != nil {
 		return RawResult{}, err
 	}
 	out.Body = body
 	return out, nil
+}
+
+// get issues the one kind of request this client makes: a GET of url
+// under ctx, conditional when etag is set, carrying the context's span
+// as a W3C traceparent so the server's handler span joins the trace.
+// The caller owns the response (drainClose).
+func (c *Client) get(ctx context.Context, url, etag string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	if etag != "" {
+		req.Header.Set("If-None-Match", etag)
+	}
+	if s := trace.FromContext(ctx); s != nil {
+		req.Header.Set("traceparent", s.Traceparent())
+	}
+	return c.httpClient().Do(req)
+}
+
+// maxSizedBody is the largest body readBody allocates for on the
+// response's word; manifests are a few hundred KiB, tiles a few dozen.
+const maxSizedBody = 16 << 20
+
+// readBody reads a response body whole. The length is on the wire, so
+// the buffer is made once at that size instead of grown by doubling; a
+// body that ends early is io.ErrUnexpectedEOF either way. Unknown
+// (chunked) and implausibly large lengths are read by io.ReadAll.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxSizedBody {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
 }

@@ -1,9 +1,14 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -127,5 +132,125 @@ func TestFetchRawExhaustsAttempts(t *testing.T) {
 	}
 	if got := n.Load(); got != int64(rawTestPolicy().MaxAttempts) {
 		t.Errorf("origin saw %d requests, want %d", got, rawTestPolicy().MaxAttempts)
+	}
+}
+
+// TestStalledAttemptEndsAtAttemptTimeout: an attempt against a server
+// that never answers ends at the policy's AttemptTimeout — or at
+// HTTP.Timeout where that is the shorter — and is classified a timeout,
+// whatever http.Client the shared GET helper is handed.
+func TestStalledAttemptEndsAtAttemptTimeout(t *testing.T) {
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer ts.Close()
+	defer close(release)
+
+	pol := FetchPolicy{MaxAttempts: 1, AttemptTimeout: 60 * time.Millisecond}
+	for name, hc := range map[string]*http.Client{
+		"New's client":                    New(ts.URL).HTTP,
+		"overridden, Timeout == 0":        {Transport: &http.Transport{}},
+		"HTTP.Timeout inside the attempt": {Transport: &http.Transport{}, Timeout: 20 * time.Millisecond},
+		"nil HTTP (http.DefaultClient)":   nil,
+	} {
+		c := &Client{BaseURL: ts.URL, HTTP: hc}
+		t0 := time.Now()
+		_, err := c.FetchRaw(context.Background(), "/stall", "", pol, nil)
+		took := time.Since(t0)
+		if err == nil {
+			t.Fatalf("%s: a stalled server produced an answer", name)
+		}
+		if class := ErrorClass(err); class != "timeout" {
+			t.Errorf("%s: classified %q (%v), want timeout", name, class, err)
+		}
+		floor := pol.AttemptTimeout
+		if hc != nil && hc.Timeout > 0 && hc.Timeout < floor {
+			floor = hc.Timeout // the client's own, shorter, timer is the bound there
+		}
+		if took < floor-5*time.Millisecond || took > 2*time.Second {
+			t.Errorf("%s: attempt ended after %v, want about %v", name, took, floor)
+		}
+		if hc != nil {
+			hc.CloseIdleConnections()
+		}
+	}
+}
+
+// TestReadBodySizedAndNot: a body whose length is on the wire is read
+// into one buffer of that length; chunked and implausibly long ones go
+// through io.ReadAll; a body that ends early is io.ErrUnexpectedEOF —
+// "truncated" — on both paths; and a connection whose body was read
+// sized goes back to the pool.
+func TestReadBodySizedAndNot(t *testing.T) {
+	payload := bytes.Repeat([]byte("tile"), 5000)
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/sized":
+			w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
+			w.Write(payload)
+		case "/empty":
+			w.Header().Set("Content-Length", "0")
+		case "/chunked":
+			w.Write(payload[:8000])
+			w.(http.Flusher).Flush()
+			w.Write(payload[8000:])
+		case "/short":
+			w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
+			w.Write(payload[:100])
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		case "/short-chunked":
+			w.Write(payload[:100])
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		case "/huge":
+			w.Header().Set("Content-Length", strconv.Itoa(maxSizedBody+1))
+			w.Write(payload)
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler) // and then the connection drops
+		}
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	c := New(ts.URL)
+	defer c.HTTP.CloseIdleConnections()
+	once := FetchPolicy{MaxAttempts: 1}
+
+	for i := 0; i < 20; i++ {
+		for _, p := range []string{"/sized", "/chunked", "/empty"} {
+			res, err := c.FetchRaw(context.Background(), p, "", once, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			want := payload
+			if p == "/empty" {
+				want = nil
+			}
+			if !bytes.Equal(res.Body, want) {
+				t.Fatalf("%s: %d body bytes, want %d", p, len(res.Body), len(want))
+			}
+			if p == "/sized" && cap(res.Body) != len(payload) {
+				t.Fatalf("/sized: body buffer has capacity %d for %d bytes", cap(res.Body), len(payload))
+			}
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("60 sequential GETs used %d connections, want 1: a fully read body must free its connection", n)
+	}
+	for _, p := range []string{"/short", "/short-chunked", "/huge"} {
+		_, err := c.FetchRaw(context.Background(), p, "", once, nil)
+		if !errors.Is(err, io.ErrUnexpectedEOF) || ErrorClass(err) != "truncated" {
+			t.Errorf("%s: %v (class %q), want io.ErrUnexpectedEOF, truncated", p, err, ErrorClass(err))
+		}
 	}
 }

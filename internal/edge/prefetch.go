@@ -284,7 +284,7 @@ func (p *prefetcher) run(job prefetchJob) {
 		e.prefetchCount("dup")
 		return
 	}
-	fr, _ := e.fill(ctx, path, "prefetch", ent, state)
+	fr, _ := e.fill(ctx, path, &e.prefetchEP, ent, state)
 	switch {
 	case fr.err != nil:
 		sp.SetError("origin")

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -109,7 +108,50 @@ type Edge struct {
 	hitN    atomic.Uint64 // cache-absorbed requests (fresh/304/coalesced/stale)
 	missN   atomic.Uint64 // full origin body fetches
 	evictCt *obs.Counter
+
+	// The series a request touches whose labels come from closed sets —
+	// which endpoint, where the bytes came from — are resolved by the
+	// first request that needs them (obs.CounterIn: no series exists
+	// before the traffic that would have created it) and kept. The
+	// per-status counter is a plain labelled lookup (requestDone).
+	manifestEP, mpdEP, tileEP, prefetchEP endpointSeries
+	bytesBy                               [numSources]atomic.Pointer[obs.Counter]
+	hitRatio                              atomic.Pointer[obs.Gauge]
 }
+
+// endpointSeries are one endpoint's per-request series.
+type endpointSeries struct {
+	name                             string
+	hits, misses, coalesced, fetches atomic.Pointer[obs.Counter]
+}
+
+// source says where a response's bytes came from: the X-Cache value and
+// the pano_edge_bytes_total label.
+type source int
+
+const (
+	srcHit source = iota
+	srcStale
+	srcCoalesced
+	srcRevalidated
+	srcMiss
+	srcOrigin      // bytes fetched from the origin by a fill
+	srcPassthrough // bytes relayed with caching off
+	numSources
+)
+
+var sourceNames = [numSources]string{"hit", "stale", "coalesced", "revalidated", "miss", "origin", "passthrough"}
+
+func (s source) String() string { return sourceNames[s] }
+
+// xCache holds each source's X-Cache header value, shared by every
+// response (net/http only reads it).
+var xCache = func() (v [numSources][]string) {
+	for i, n := range sourceNames {
+		v[i] = []string{n}
+	}
+	return v
+}()
 
 // New validates cfg and returns an Edge.
 func New(cfg Config) (*Edge, error) {
@@ -123,6 +165,7 @@ func New(cfg Config) (*Edge, error) {
 		log:    cfg.Log,
 		tracer: cfg.Tracer,
 	}
+	e.manifestEP.name, e.mpdEP.name, e.tileEP.name, e.prefetchEP.name = "manifest", "mpd", "tile", "prefetch"
 	if len(cfg.Origins) > 0 {
 		fl, err := fleet.New(fleet.Config{
 			Origins:       cfg.Origins,
@@ -208,111 +251,101 @@ func (e *Edge) CacheBytes() int64 {
 func (e *Edge) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/manifest.json", func(w http.ResponseWriter, r *http.Request) {
-		e.proxy("manifest", w, r)
+		e.proxy(&e.manifestEP, w, r)
 	})
 	mux.HandleFunc("/manifest.mpd", func(w http.ResponseWriter, r *http.Request) {
-		e.proxy("mpd", w, r)
+		e.proxy(&e.mpdEP, w, r)
 	})
 	mux.HandleFunc("/video/", func(w http.ResponseWriter, r *http.Request) {
-		e.proxy("tile", w, r)
+		e.proxy(&e.tileEP, w, r)
 	})
 	telemetry.Mount(mux, e.reg, e.log, e.tracer, e.cfg.Telemetry)
 	return mux
 }
 
-// etagMatch mirrors the origin's If-None-Match comparison (RFC 9110
-// weak comparison over a comma-separated candidate list).
-func etagMatch(header, etag string) bool {
-	if header == "" || etag == "" {
-		return false
-	}
-	for _, cand := range strings.Split(header, ",") {
-		cand = strings.TrimSpace(cand)
-		if cand == "*" || strings.TrimPrefix(cand, "W/") == etag {
-			return true
-		}
-	}
-	return false
-}
-
 // proxy serves one cacheable origin object.
-func (e *Edge) proxy(endpoint string, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		w.Header().Set("Allow", "GET, HEAD")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+func (e *Edge) proxy(ep *endpointSeries, w http.ResponseWriter, r *http.Request) {
+	if !obs.AllowGetHead(w, r) {
 		return
 	}
 	if e.cache == nil {
-		e.passthrough(endpoint, w, r)
+		e.passthrough(ep, w, r)
 		return
 	}
 	path := r.URL.Path
-	ctx, lsp := trace.StartSpan(r.Context(), "edge.lookup",
-		trace.A("component", "edge"), trace.A("endpoint", endpoint), trace.A("path", path))
-	defer lsp.End()
+	// Span attributes and annotations box their values: under an untraced
+	// request (lsp nil) none is built.
+	ctx, lsp := r.Context(), (*trace.Span)(nil)
+	if trace.FromContext(ctx) != nil {
+		ctx, lsp = trace.StartSpan(ctx, "edge.lookup",
+			trace.A("component", "edge"), trace.A("endpoint", ep.name), trace.A("path", path))
+		defer lsp.End()
+	}
 	now := time.Now()
 	ent, state := e.cache.Get(path, now)
-	lsp.Annotate("state", state.String())
+	if lsp != nil {
+		lsp.Annotate("state", state.String())
+	}
 
-	src := "hit"
+	src := srcHit
 	switch state {
 	case Fresh:
-		e.count(endpoint, "hits")
+		e.countHit(ep)
 		e.hitN.Add(1)
 	default: // Stale or Miss: fill (coalesced with concurrent fillers).
-		fr, leader := e.fill(ctx, path, endpoint, ent, state)
+		fr, leader := e.fill(ctx, path, ep, ent, state)
 		switch {
 		case fr.err != nil && ent != nil:
 			// Origin faulty but a stale copy is at hand: serve it. The
 			// retention window already bounded how stale it may be.
-			src = "stale"
+			src = srcStale
 			e.hitN.Add(1)
 			e.reg.Counter("pano_edge_stale_serves_total",
 				"stale entries served because the origin was unreachable").Inc()
-			e.log.Logger().Warn("edge_stale_serve",
-				"path", path, "age_sec", ent.Age(now).Seconds(), "error", fr.err.Error())
+			if e.log != nil {
+				e.log.Logger().Warn("edge_stale_serve",
+					"path", path, "age_sec", ent.Age(now).Seconds(), "error", fr.err.Error())
+			}
 			lsp.Annotate("served", "stale")
 		case fr.err != nil:
 			e.reg.Counter("pano_edge_origin_errors_total",
 				"requests failed: origin unreachable and nothing cached").Inc()
 			lsp.SetError("origin_unreachable")
-			e.requestDone(endpoint, http.StatusBadGateway, 0)
+			e.requestDone(ep, http.StatusBadGateway)
 			http.Error(w, "edge: origin unreachable: "+fr.err.Error(), http.StatusBadGateway)
 			return
 		case !leader:
-			src = "coalesced"
+			src = srcCoalesced
 			ent = fr.entry
 			e.hitN.Add(1)
-			e.count(endpoint, "coalesced")
+			e.reg.CounterIn(&ep.coalesced, "pano_edge_coalesced_total",
+				"requests coalesced onto another caller's origin fetch", obs.L("endpoint", ep.name)).Inc()
 		case fr.revalidated:
-			src = "revalidated"
+			src = srcRevalidated
 			ent = fr.entry
 			e.hitN.Add(1)
-			e.count(endpoint, "hits")
+			e.countHit(ep)
 		default:
-			src = "miss"
+			src = srcMiss
 			ent = fr.entry
 			e.missN.Add(1)
-			e.count(endpoint, "misses")
+			e.reg.CounterIn(&ep.misses, "pano_edge_misses_total",
+				"requests that required a full origin fetch", obs.L("endpoint", ep.name)).Inc()
 		}
 	}
 	e.updateHitRatio()
-	lsp.Annotate("src", src)
-	e.serve(endpoint, w, r, ent, src, now)
-	if endpoint == "tile" && e.pf != nil {
+	if lsp != nil {
+		lsp.Annotate("src", src.String())
+	}
+	e.serve(ep, w, r, ent, src, now)
+	if ep == &e.tileEP && e.pf != nil {
 		e.pf.observe(path)
 	}
 }
 
-// count bumps one of the pano_edge_{hits,misses,coalesced}_total
-// counters for an endpoint.
-func (e *Edge) count(endpoint, which string) {
-	help := map[string]string{
-		"hits":      "requests served from cache (fresh or revalidated)",
-		"misses":    "requests that required a full origin fetch",
-		"coalesced": "requests coalesced onto another caller's origin fetch",
-	}[which]
-	e.reg.Counter("pano_edge_"+which+"_total", help, obs.L("endpoint", endpoint)).Inc()
+func (e *Edge) countHit(ep *endpointSeries) {
+	e.reg.CounterIn(&ep.hits, "pano_edge_hits_total",
+		"requests served from cache (fresh or revalidated)", obs.L("endpoint", ep.name)).Inc()
 }
 
 func (e *Edge) updateHitRatio() {
@@ -320,22 +353,46 @@ func (e *Edge) updateHitRatio() {
 	if h+m == 0 {
 		return
 	}
-	e.reg.Gauge("pano_edge_hit_ratio",
+	e.reg.GaugeIn(&e.hitRatio, "pano_edge_hit_ratio",
 		"fraction of requests absorbed without a full origin fetch").
 		Set(float64(h) / float64(h+m))
 }
 
-// requestDone records the per-request counters shared by every exit
+// countBytes adds body bytes to pano_edge_bytes_total under their source.
+func (e *Edge) countBytes(src source, n int) {
+	e.reg.CounterIn(&e.bytesBy[src], "pano_edge_bytes_total", "body bytes served by the edge, by source",
+		obs.L("source", src.String())).Add(float64(n))
+}
+
+// requestDone records the per-request counter shared by every exit
 // path.
-func (e *Edge) requestDone(endpoint string, code, bytes int) {
+func (e *Edge) requestDone(ep *endpointSeries, code int) {
 	e.reg.Counter("pano_edge_requests_total", "edge requests by endpoint and status",
-		obs.L("endpoint", endpoint), obs.L("code", strconv.Itoa(code))).Inc()
+		obs.L("endpoint", ep.name), obs.L("code", codeLabel(code))).Inc()
+}
+
+// codeLabel renders a status code as a label value; the statuses the
+// edge answers with day to day are constants.
+func codeLabel(code int) string {
+	switch code {
+	case http.StatusOK:
+		return "200"
+	case http.StatusNotModified:
+		return "304"
+	case http.StatusNotFound:
+		return "404"
+	case http.StatusGone:
+		return "410"
+	case http.StatusBadGateway:
+		return "502"
+	}
+	return strconv.Itoa(code)
 }
 
 // serve replays a cache entry to the client, honoring its own
 // If-None-Match (a fresh entry revalidates downstream caches without
 // any origin traffic at all).
-func (e *Edge) serve(endpoint string, w http.ResponseWriter, r *http.Request, ent *Entry, src string, now time.Time) {
+func (e *Edge) serve(ep *endpointSeries, w http.ResponseWriter, r *http.Request, ent *Entry, src source, now time.Time) {
 	h := w.Header()
 	if ent.ContentType != "" {
 		h.Set("Content-Type", ent.ContentType)
@@ -343,11 +400,11 @@ func (e *Edge) serve(endpoint string, w http.ResponseWriter, r *http.Request, en
 	if ent.ETag != "" {
 		h.Set("ETag", ent.ETag)
 	}
-	h.Set("X-Cache", src)
+	h["X-Cache"] = xCache[src]
 	h.Set("Age", strconv.Itoa(int(ent.Age(now).Seconds())))
-	if ent.Status == http.StatusOK && etagMatch(r.Header.Get("If-None-Match"), ent.ETag) {
+	if ent.Status == http.StatusOK && obs.ETagMatch(r.Header.Get("If-None-Match"), ent.ETag) {
 		w.WriteHeader(http.StatusNotModified)
-		e.requestDone(endpoint, http.StatusNotModified, 0)
+		e.requestDone(ep, http.StatusNotModified)
 		return
 	}
 	h.Set("Content-Length", strconv.Itoa(len(ent.Body)))
@@ -356,9 +413,8 @@ func (e *Edge) serve(endpoint string, w http.ResponseWriter, r *http.Request, en
 	if r.Method != http.MethodHead && len(ent.Body) > 0 {
 		n, _ = w.Write(ent.Body)
 	}
-	e.reg.Counter("pano_edge_bytes_total", "body bytes served by the edge, by source",
-		obs.L("source", src)).Add(float64(n))
-	e.requestDone(endpoint, ent.Status, n)
+	e.countBytes(src, n)
+	e.requestDone(ep, ent.Status)
 }
 
 // fillResult is what one coalesced origin fetch resolves to.
@@ -371,20 +427,25 @@ type fillResult struct {
 // fill fetches path from the origin exactly once across all concurrent
 // callers (singleflight). A stale entry's ETag rides along as
 // If-None-Match so an unchanged object costs a 304, not a body.
-func (e *Edge) fill(ctx context.Context, path, endpoint string, stale *Entry, state State) (*fillResult, bool) {
+func (e *Edge) fill(ctx context.Context, path string, ep *endpointSeries, stale *Entry, state State) (*fillResult, bool) {
 	return e.flight.Do(path, func() *fillResult {
-		fctx, sp := trace.StartSpan(ctx, "edge.fill",
-			trace.A("path", path), trace.A("stale", state == Stale))
-		defer sp.End()
+		fctx, sp := ctx, (*trace.Span)(nil)
+		if trace.FromContext(ctx) != nil {
+			fctx, sp = trace.StartSpan(ctx, "edge.fill",
+				trace.A("path", path), trace.A("stale", state == Stale))
+			defer sp.End()
+		}
 		etag := ""
 		if stale != nil {
 			etag = stale.ETag
 		}
-		rng := mathx.NewRNG(e.cfg.Fetch.Seed ^ 0xed6e ^ e.seq.Add(1))
-		e.reg.Counter("pano_edge_origin_fetches_total",
+		e.reg.CounterIn(&ep.fetches, "pano_edge_origin_fetches_total",
 			"origin round-trips issued by the edge (conditional and full), by endpoint",
-			obs.L("endpoint", endpoint)).Inc()
-		t0 := time.Now()
+			obs.L("endpoint", ep.name)).Inc()
+		var t0 time.Time
+		if e.log != nil {
+			t0 = time.Now()
+		}
 		var res client.RawResult
 		var err error
 		if e.fl != nil {
@@ -392,6 +453,8 @@ func (e *Edge) fill(ctx context.Context, path, endpoint string, stale *Entry, st
 			// fleet; the ring decides which origin answers this path.
 			res, err = e.fl.Fetch(fctx, path, etag)
 		} else {
+			// Only the single origin's retry ladder draws backoff jitter.
+			rng := mathx.NewRNG(e.cfg.Fetch.Seed ^ 0xed6e ^ e.seq.Add(1))
 			res, err = e.origin.FetchRaw(fctx, path, etag, e.cfg.Fetch, rng)
 		}
 		if err != nil {
@@ -456,13 +519,16 @@ func (e *Edge) fill(ctx context.Context, path, endpoint string, stale *Entry, st
 		if evicted > 0 {
 			e.evictCt.Add(float64(evicted))
 		}
-		e.reg.Counter("pano_edge_bytes_total", "body bytes served by the edge, by source",
-			obs.L("source", "origin")).Add(float64(len(res.Body)))
-		sp.Annotate("status", res.Status)
-		sp.Annotate("bytes", len(res.Body))
-		e.log.Logger().Debug("edge_fill",
-			"path", path, "status", res.Status, "bytes", len(res.Body),
-			"seconds", time.Since(t0).Seconds())
+		e.countBytes(srcOrigin, len(res.Body))
+		if sp != nil {
+			sp.Annotate("status", res.Status)
+			sp.Annotate("bytes", len(res.Body))
+		}
+		if e.log != nil {
+			e.log.Logger().Debug("edge_fill",
+				"path", path, "status", res.Status, "bytes", len(res.Body),
+				"seconds", time.Since(t0).Seconds())
+		}
 		return &fillResult{entry: ent}
 	})
 }
@@ -490,7 +556,7 @@ func (e *Edge) learnManifest(body []byte) *manifest.Video {
 // passthrough forwards one request verbatim and replays the origin's
 // answer byte-for-byte — the cache-disabled mode whose wire behaviour
 // is indistinguishable from talking to the origin directly.
-func (e *Edge) passthrough(endpoint string, w http.ResponseWriter, r *http.Request) {
+func (e *Edge) passthrough(ep *endpointSeries, w http.ResponseWriter, r *http.Request) {
 	base := e.cfg.Origin
 	if e.fl != nil {
 		// Fleet mode keeps ring placement even without a cache: the
@@ -509,7 +575,7 @@ func (e *Edge) passthrough(endpoint string, w http.ResponseWriter, r *http.Reque
 	}
 	resp, err := e.origin.HTTP.Do(req)
 	if err != nil {
-		e.requestDone(endpoint, http.StatusBadGateway, 0)
+		e.requestDone(ep, http.StatusBadGateway)
 		http.Error(w, "edge: origin unreachable: "+err.Error(), http.StatusBadGateway)
 		return
 	}
@@ -522,7 +588,6 @@ func (e *Edge) passthrough(endpoint string, w http.ResponseWriter, r *http.Reque
 	}
 	w.WriteHeader(resp.StatusCode)
 	n, _ := io.Copy(w, resp.Body)
-	e.reg.Counter("pano_edge_bytes_total", "body bytes served by the edge, by source",
-		obs.L("source", "passthrough")).Add(float64(n))
-	e.requestDone(endpoint, resp.StatusCode, int(n))
+	e.countBytes(srcPassthrough, int(n))
+	e.requestDone(ep, resp.StatusCode)
 }

@@ -2,7 +2,6 @@ package edge
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"pano/internal/client"
+	"pano/internal/codec"
 	"pano/internal/manifest"
 	"pano/internal/obs"
 	"pano/internal/provider"
@@ -20,13 +20,16 @@ import (
 	"pano/internal/viewport"
 )
 
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
 var (
 	fixOnce sync.Once
 	fixMan  *manifest.Video
 	fixVid  *scene.Video
 )
 
-func fixture(t *testing.T) (*manifest.Video, *scene.Video) {
+func fixture(t testing.TB) (*manifest.Video, *scene.Video) {
 	t.Helper()
 	fixOnce.Do(func() {
 		v := scene.Generate(scene.Sports, 7, scene.Options{W: 240, H: 120, FPS: 10, DurationSec: 3})
@@ -442,43 +445,91 @@ func TestEdgeRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func BenchmarkEdgeHit(b *testing.B) {
-	fixOnce.Do(func() {
-		v := scene.Generate(scene.Sports, 7, scene.Options{W: 240, H: 120, FPS: 10, DurationSec: 3})
-		m, err := provider.Preprocess(v, nil, provider.DefaultConfig())
-		if err != nil {
-			panic(err)
-		}
-		fixMan, fixVid = m, v
-	})
-	s, err := server.New(fixMan)
+// hitEdge returns an edge over an in-memory origin with every tile of
+// the fixture already cached, and the tile paths.
+func hitEdge(tb testing.TB, reg *obs.Registry) (http.Handler, []string) {
+	tb.Helper()
+	m, _ := fixture(tb)
+	s, err := server.New(m)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ots := httptest.NewServer(s.Handler())
-	defer ots.Close()
-	e, err := New(Config{Origin: ots.URL, CacheBytes: 32 << 20, TTL: time.Hour})
+	tb.Cleanup(ots.Close)
+	e, err := New(Config{Origin: ots.URL, CacheBytes: 32 << 20, TTL: time.Hour, Obs: reg})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer e.Close()
-	ets := httptest.NewServer(e.Handler())
-	defer ets.Close()
-	url := ets.URL + "/video/0/0/0.bin"
-	if resp, err := http.Get(url); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			resp, err := http.Get(url)
-			if err != nil {
-				b.Fatal(err)
+	tb.Cleanup(e.Close)
+	h := e.Handler()
+	var paths []string
+	for ti := range m.Chunks[0].Tiles {
+		for l := 0; l < codec.NumLevels; l++ {
+			p := server.TilePath(0, ti, codec.Level(l))
+			paths = append(paths, p)
+			if rec := serveInto(h, p); rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
+				tb.Fatalf("fill %s: %d, X-Cache %q", p, rec.Code, rec.Header().Get("X-Cache"))
 			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
 		}
-	})
-	_ = fmt.Sprint() // keep fmt imported if assertions change
+	}
+	return h, paths
+}
+
+func serveInto(h http.Handler, path string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	return rec
+}
+
+// TestEdgeHitAllocations pins an edge cache hit into a recorder (request
+// and recorder included, as the benchmark's edge.handler_hit_allocs
+// counts it; 32 before). A registry must not cost a hit anything: its
+// series are resolved, their labels built, by the first request.
+func TestEdgeHitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for name, reg := range map[string]*obs.Registry{"nil registry": nil, "registry attached": obs.NewRegistry()} {
+		h, paths := hitEdge(t, reg)
+		i := 0
+		n := testing.AllocsPerRun(300, func() {
+			if rec := serveInto(h, paths[i%len(paths)]); rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" {
+				t.Fatalf("%d, X-Cache %q", rec.Code, rec.Header().Get("X-Cache"))
+			}
+			i++
+		})
+		t.Logf("%s: %v allocs/op", name, n)
+		if n > 30 {
+			t.Errorf("%s: edge hit %v allocs/op, want <= 30", name, n)
+		}
+	}
+}
+
+// BenchmarkEdgeHit is a cache hit over loopback HTTP, GOMAXPROCS clients
+// in parallel, with and without a metrics registry attached to the
+// edge.
+func BenchmarkEdgeHit(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		reg  *obs.Registry
+	}{{"nil_registry", nil}, {"registry", obs.NewRegistry()}} {
+		b.Run(c.name, func(b *testing.B) {
+			h, paths := hitEdge(b, c.reg)
+			ets := httptest.NewServer(h)
+			defer ets.Close()
+			url := ets.URL + paths[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					resp, err := http.Get(url)
+					if err != nil {
+						b.Fatal(err)
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			})
+		})
+	}
 }

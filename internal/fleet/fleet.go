@@ -44,11 +44,18 @@ type Config struct {
 	Now func() time.Time
 }
 
-// origin is one shard: its base URL, raw-fetch client, and breaker.
+// origin is one shard: its base URL, raw-fetch client, and breaker,
+// and the per-origin series, resolved by the first request or gauge
+// refresh that needs them (the origin index is the label).
 type origin struct {
 	url string
 	cli *client.Client
 	brk *Breaker
+
+	label     string // the index, as the "origin" label value
+	requests  atomic.Pointer[obs.Counter]
+	state     atomic.Pointer[obs.Gauge]
+	published atomic.Int32 // BreakerState last written to the gauge, -1 before the first; written under Fleet.gaugeMu
 }
 
 // Fleet routes object fetches across a set of origins. See the package
@@ -66,6 +73,7 @@ type Fleet struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
+	gaugeMu  sync.Mutex // held only while a breaker position is being published
 
 	// instruments (all nil-safe)
 	failovers       *obs.Counter
@@ -110,11 +118,14 @@ func New(cfg Config) (*Fleet, error) {
 		if cfg.HTTP != nil {
 			cli.HTTP = cfg.HTTP
 		}
-		f.ors = append(f.ors, &origin{
-			url: u,
-			cli: cli,
-			brk: NewBreaker(cfg.Breaker, cfg.Seed^0xb4ea^uint64(i)*0x9e3779b97f4a7c15),
-		})
+		o := &origin{
+			url:   u,
+			cli:   cli,
+			brk:   NewBreaker(cfg.Breaker, cfg.Seed^0xb4ea^uint64(i)*0x9e3779b97f4a7c15),
+			label: strconv.Itoa(i),
+		}
+		o.published.Store(-1)
+		f.ors = append(f.ors, o)
 	}
 	reg := cfg.Obs
 	f.failovers = reg.Counter("pano_fleet_failovers_total",
@@ -184,22 +195,52 @@ func (f *Fleet) Snapshot() []OriginState {
 	return out
 }
 
-// refreshGauges republishes the open-breaker count after a state-moving
-// event.
+// refreshGauges republishes breaker positions after an event that may
+// have moved one. It runs after every origin request, and a request
+// almost never moves a breaker: the common call reads each breaker,
+// finds what the gauges already say and takes no fleet-wide lock.
+// Whoever does publish looks again afterwards, so a caller that skipped
+// on a reading about to be overwritten is covered by the overwriter.
 func (f *Fleet) refreshGauges() {
 	if f.cfg.Obs == nil {
 		return
 	}
+	for f.gaugesStale() {
+		f.publishGauges()
+	}
+}
+
+// gaugesStale reports whether some breaker's position differs from the
+// one last published.
+func (f *Fleet) gaugesStale() bool {
+	now := f.now()
+	for _, o := range f.ors {
+		if int32(o.brk.State(now)) != o.published.Load() {
+			return true
+		}
+	}
+	return false
+}
+
+// publishGauges writes the positions that changed. Reading the states
+// and writing the gauges happen under one lock: two publishers racing
+// could otherwise leave the older reading on a gauge.
+func (f *Fleet) publishGauges() {
+	f.gaugeMu.Lock()
+	defer f.gaugeMu.Unlock()
 	now := f.now()
 	open := 0
-	for i, o := range f.ors {
+	for _, o := range f.ors {
 		st := o.brk.State(now)
 		if st == Open {
 			open++
 		}
-		f.cfg.Obs.Gauge("pano_fleet_breaker_state",
-			"per-origin breaker position (0 closed, 1 half-open, 2 open)",
-			obs.L("origin", strconv.Itoa(i))).Set(float64(st))
+		if int32(st) != o.published.Load() {
+			o.published.Store(int32(st))
+			f.cfg.Obs.GaugeIn(&o.state, "pano_fleet_breaker_state",
+				"per-origin breaker position (0 closed, 1 half-open, 2 open)",
+				obs.L("origin", o.label)).Set(float64(st))
+		}
 	}
 	f.originsOpen.Set(float64(open))
 }
@@ -238,11 +279,17 @@ type attemptResult struct {
 // client.FetchRaw, ctx cancellation and exhaustion (of attempts or
 // budget) are the only error paths.
 func (f *Fleet) Fetch(ctx context.Context, path, etag string) (client.RawResult, error) {
-	ctx, span := trace.StartSpan(ctx, "fleet.route", trace.A("path", path))
-	defer span.End()
+	// The attribute boxes path: only under a traced context.
+	var span *trace.Span
+	if trace.FromContext(ctx) != nil {
+		ctx, span = trace.StartSpan(ctx, "fleet.route", trace.A("path", path))
+		defer span.End()
+	}
 	key := f.ring.Key(path)
 	order := f.ring.Order(key)
-	span.Annotate("owner", order[0])
+	if span != nil {
+		span.Annotate("owner", order[0])
+	}
 
 	f.budget.Earn()
 	rng := mathx.NewRNG(f.cfg.Seed ^ key ^ f.seq.Add(1)*0x9e3779b97f4a7c15)
@@ -272,8 +319,10 @@ func (f *Fleet) Fetch(ctx context.Context, path, etag string) (client.RawResult,
 			}
 			res, err := f.attempt(ctx, span, path, etag, o, idx, backup, backupIdx, probe)
 			if err == nil {
-				span.Annotate("origin", res.idx)
-				span.Annotate("attempts", tried)
+				if span != nil {
+					span.Annotate("origin", res.idx)
+					span.Annotate("attempts", tried)
+				}
 				if tried > 1 || res.idx != idx || res.hedge {
 					f.failovers.Inc()
 				}
@@ -286,8 +335,10 @@ func (f *Fleet) Fetch(ctx context.Context, path, etag string) (client.RawResult,
 			if ctx.Err() != nil {
 				return client.RawResult{}, ctx.Err()
 			}
-			f.cfg.Log.Logger().Warn("fleet_failover",
-				"path", path, "origin", idx, "class", client.ErrorClass(err))
+			if f.cfg.Log != nil {
+				f.cfg.Log.Logger().Warn("fleet_failover",
+					"path", path, "origin", idx, "class", client.ErrorClass(err))
+			}
 		}
 		if round < f.pol.MaxAttempts-1 {
 			if err := (client.RealClock{}).Sleep(ctx, f.pol.Backoff(round, rng)); err != nil {
@@ -390,7 +441,9 @@ func (f *Fleet) attempt(ctx context.Context, span *trace.Span, path, etag string
 				cancel() // first definitive answer wins; the loser unwinds as cancelled
 				if r.hedge {
 					f.hedgeWins.IncExemplar(span.TraceHex())
-					f.cfg.Log.Logger().Info("fleet_hedge_win", "path", path, "origin", r.idx)
+					if f.cfg.Log != nil {
+						f.cfg.Log.Logger().Info("fleet_hedge_win", "path", path, "origin", r.idx)
+					}
 				}
 				return r, nil
 			}
@@ -416,15 +469,16 @@ func (f *Fleet) fetchOnce(ctx context.Context, o *origin, path, etag string) (cl
 }
 
 func (f *Fleet) countRequest(idx int) {
-	f.cfg.Obs.Counter("pano_fleet_requests_total",
+	o := f.ors[idx]
+	f.cfg.Obs.CounterIn(&o.requests, "pano_fleet_requests_total",
 		"origin requests issued by the fleet (primaries, failovers, and hedges)",
-		obs.L("origin", strconv.Itoa(idx))).Inc()
+		obs.L("origin", o.label)).Inc()
 }
 
 func (f *Fleet) originFailure(idx int, err error) {
 	f.cfg.Obs.Counter("pano_fleet_failures_total",
 		"origin requests that failed, by origin and error class",
-		obs.L("origin", strconv.Itoa(idx)), obs.L("class", client.ErrorClass(err))).Inc()
+		obs.L("origin", f.ors[idx].label), obs.L("class", client.ErrorClass(err))).Inc()
 }
 
 // latTracker keeps a small reservoir of recent successful fetch

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"net/http"
-	"strconv"
 	"time"
 
 	"pano/internal/mathx"
@@ -81,6 +80,6 @@ func (f *Fleet) probe(i int, o *origin) {
 	}
 	f.cfg.Obs.Counter("pano_fleet_probes_total",
 		"active health probes by origin and result",
-		obs.L("origin", strconv.Itoa(i)), obs.L("result", result)).Inc()
+		obs.L("origin", o.label), obs.L("result", result)).Inc()
 	f.refreshGauges()
 }

@@ -12,7 +12,6 @@
 package fleet
 
 import (
-	"hash/fnv"
 	"sort"
 	"strconv"
 )
@@ -27,6 +26,11 @@ const defaultVnodes = 64
 type Ring struct {
 	origins []string
 	vn      []vnode
+	// orders[i] is the failover ladder of every key whose owner is
+	// vn[i]: the distinct origins met walking clockwise from there. A
+	// lookup is a binary search and an index; the N·vnodes ladders (N
+	// ints each) are walked once, here, not once per request.
+	orders [][]int
 }
 
 type vnode struct {
@@ -53,6 +57,21 @@ func NewRing(origins []string, vnodes int) *Ring {
 		}
 		return r.vn[i].o < r.vn[j].o
 	})
+	n := len(r.origins)
+	flat := make([]int, 0, len(r.vn)*n)
+	seen := make([]bool, n)
+	r.orders = make([][]int, len(r.vn))
+	for start := range r.vn {
+		clear(seen)
+		from := len(flat)
+		for i := 0; i < len(r.vn) && len(flat)-from < n; i++ {
+			if v := r.vn[(start+i)%len(r.vn)]; !seen[v.o] {
+				seen[v.o] = true
+				flat = append(flat, int(v.o))
+			}
+		}
+		r.orders[start] = flat[from:len(flat):len(flat)]
+	}
 	return r
 }
 
@@ -65,11 +84,15 @@ func (r *Ring) Key(path string) uint64 { return hashKey(path) }
 // hashKey is fnv-64a finished with a splitmix64 avalanche: fnv alone
 // clusters similar short strings ("origin#0".."origin#63") badly enough
 // to skew vnode placement by 3x, and the finalizer restores a uniform
-// spread.
+// spread. The fnv loop is written out (hash/fnv's New64a, byte for
+// byte) because every routed request hashes its path and the hash.Hash
+// behind an interface costs it two allocations.
 func hashKey(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	x := h.Sum64()
+	x := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		x ^= uint64(s[i])
+		x *= 1099511628211
+	}
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -86,21 +109,15 @@ func (r *Ring) Owner(key uint64) int { return r.Order(key)[0] }
 // the key's owner — the failover ladder for that key. Successive keys
 // spread both their owners and their fallback targets across the fleet,
 // so losing one shard redistributes its load instead of dogpiling a
-// single neighbour.
+// single neighbour. The slice is the ring's own, shared by every key
+// with the same owner vnode: read it, do not modify it.
 func (r *Ring) Order(key uint64) []int {
-	n := len(r.origins)
-	out := make([]int, 0, n)
-	if n == 0 {
-		return out
+	if len(r.vn) == 0 {
+		return []int{}
 	}
-	seen := make([]bool, n)
 	start := sort.Search(len(r.vn), func(i int) bool { return r.vn[i].h >= key })
-	for i := 0; i < len(r.vn) && len(out) < n; i++ {
-		v := r.vn[(start+i)%len(r.vn)]
-		if !seen[v.o] {
-			seen[v.o] = true
-			out = append(out, int(v.o))
-		}
+	if start == len(r.vn) {
+		start = 0
 	}
-	return out
+	return r.orders[start]
 }

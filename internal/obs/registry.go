@@ -100,17 +100,22 @@ func (r *Registry) family(name, help string, typ metricType, buckets []float64) 
 	return f
 }
 
+// entry returns (creating if needed) the series for a label set. The
+// lookup key is built in a stack buffer and the map is indexed with it
+// directly, so finding a series that exists allocates nothing; only
+// the first use of a label set pays for the key and the sorted copy.
 func (f *family) entry(labels []Label) *seriesEntry {
-	key := labelKey(labels)
+	var buf [128]byte
+	key := appendLabelKey(buf[:0], labels)
 	f.mu.RLock()
-	e := f.series[key]
+	e := f.series[string(key)]
 	f.mu.RUnlock()
 	if e != nil {
 		return e
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if e = f.series[key]; e != nil {
+	if e = f.series[string(key)]; e != nil {
 		return e
 	}
 	e = &seriesEntry{labels: sortedLabels(labels)}
@@ -122,7 +127,7 @@ func (f *family) entry(labels []Label) *seriesEntry {
 	case histogramType:
 		e.hist = newHistogram(f.buckets)
 	}
-	f.series[key] = e
+	f.series[string(key)] = e
 	return e
 }
 
@@ -141,6 +146,32 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 		return nil
 	}
 	return r.family(name, help, gaugeType, nil).entry(labels).gauge
+}
+
+// CounterIn is Counter through a slot the caller keeps: the first call
+// resolves the series — registering it exactly when the plain Counter
+// call it stands for would have, so /metrics lists the same series
+// after the same traffic — and every later call is one atomic load. It
+// is for request paths whose label values come from a small closed set
+// (an endpoint, a source, an origin index): one slot per value, always
+// used with the same name and labels.
+func (r *Registry) CounterIn(slot *atomic.Pointer[Counter], name, help string, labels ...Label) *Counter {
+	if c := slot.Load(); c != nil || r == nil {
+		return c
+	}
+	c := r.Counter(name, help, labels...)
+	slot.Store(c)
+	return c
+}
+
+// GaugeIn is Gauge through a caller-held slot; see CounterIn.
+func (r *Registry) GaugeIn(slot *atomic.Pointer[Gauge], name, help string, labels ...Label) *Gauge {
+	if g := slot.Load(); g != nil || r == nil {
+		return g
+	}
+	g := r.Gauge(name, help, labels...)
+	slot.Store(g)
+	return g
 }
 
 // Histogram returns the histogram series for name+labels. The bucket
@@ -572,10 +603,24 @@ func fmtFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// sortedLabels returns a copy of labels ordered by key.
 func sortedLabels(labels []Label) []Label {
-	out := append([]Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	return sortLabelsInto(make([]Label, 0, len(labels)), labels)
+}
+
+// sortLabelsInto appends labels to dst in key order (a stable insertion
+// sort: label sets are a handful of entries, and this is the one order
+// both the stored labels and the series key use).
+func sortLabelsInto(dst, labels []Label) []Label {
+	for _, l := range labels {
+		i := len(dst)
+		dst = append(dst, l)
+		for ; i > 0 && dst[i-1].Key > l.Key; i-- {
+			dst[i] = dst[i-1]
+		}
+		dst[i] = l
+	}
+	return dst
 }
 
 // labelKey renders a canonical map key for a label set. The '=' and
@@ -586,27 +631,36 @@ func labelKey(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := sortedLabels(labels)
-	var b strings.Builder
-	for _, l := range ls {
-		keyEscape(&b, l.Key)
-		b.WriteByte('=')
-		keyEscape(&b, l.Value)
-		b.WriteByte(';')
-	}
-	return b.String()
+	return string(appendLabelKey(nil, labels))
 }
 
-func keyEscape(b *strings.Builder, s string) {
+// appendLabelKey appends labelKey's rendering to dst. With a stack
+// buffer for dst and up to eight labels it allocates nothing.
+func appendLabelKey(dst []byte, labels []Label) []byte {
+	var stack [8]Label
+	ls := stack[:0]
+	if len(labels) > len(stack) {
+		ls = make([]Label, 0, len(labels))
+	}
+	for _, l := range sortLabelsInto(ls, labels) {
+		dst = keyEscape(dst, l.Key)
+		dst = append(dst, '=')
+		dst = keyEscape(dst, l.Value)
+		dst = append(dst, ';')
+	}
+	return dst
+}
+
+func keyEscape(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; c {
 		case '\\', '=', ';':
-			b.WriteByte('\\')
-			b.WriteByte(c)
+			dst = append(dst, '\\', c)
 		default:
-			b.WriteByte(c)
+			dst = append(dst, c)
 		}
 	}
+	return dst
 }
 
 // SeriesKey renders the canonical series key for a label set — the same

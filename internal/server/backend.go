@@ -20,16 +20,18 @@ type Backend interface {
 	// and the ETag of those bytes. Implementations refresh on change;
 	// every origin over the same store returns identical bytes and tags.
 	Manifest() (*manifest.Video, []byte, string, error)
-	// TileStat resolves a tile's size and strong ETag without producing
-	// the payload (the 304 path). It returns ErrObjectNotFound for
-	// not-yet-published objects and ErrObjectGone for objects retired
-	// from the availability window.
-	TileStat(k, ti int, l codec.Level) (TileStat, error)
-	// TileData returns the tile's payload bytes.
-	TileData(k, ti int, l codec.Level) ([]byte, error)
+	// Tile resolves a tile once per request: its size and strong ETag,
+	// and a read the handler invokes only when it is about to send a
+	// body (not for HEAD, not for a 304). It returns ErrObjectNotFound
+	// for not-yet-published objects and ErrObjectGone for objects retired
+	// from the availability window; read may itself return ErrObjectGone
+	// when the bytes were collected after the tile was resolved.
+	Tile(k, ti int, l codec.Level) (st TileStat, read func() ([]byte, error), err error)
 }
 
-// TileStat is a tile object's serving metadata.
+// TileStat is a tile object's serving metadata. Size is the nominal
+// size; the payload on the wire is never shorter than its 16-byte
+// header (TilePayload).
 type TileStat struct {
 	Size int
 	ETag string

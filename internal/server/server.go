@@ -43,7 +43,15 @@ type Server struct {
 	// the backend.
 	maxAge  time.Duration
 	lastMod time.Time
+
+	// What a response header carries that no request changes, rendered
+	// once in newServer. net/http only reads a handler's header values,
+	// so every response can share these one-element slices.
+	cacheControl, lastModified []string
 }
+
+// The two Content-Type values, shared the same way.
+var typeOctet, typeJSON = []string{"application/octet-stream"}, []string{"application/json"}
 
 // Option configures a Server.
 type Option func(*Server)
@@ -117,6 +125,8 @@ func newServer(man *manifest.Video, b Backend, opts []Option) *Server {
 		o(s)
 	}
 	s.lastMod = time.Now().UTC().Truncate(time.Second)
+	s.cacheControl = []string{maxAgeValue(s.maxAge)}
+	s.lastModified = []string{s.lastMod.Format(http.TimeFormat)}
 	if s.reg != nil {
 		s.reg.Gauge("pano_video_chunks", "chunks in the served manifest").Set(float64(man.NumChunks()))
 		if man.NumChunks() > 0 {
@@ -142,23 +152,15 @@ func (b *memBackend) Manifest() (*manifest.Video, []byte, string, error) {
 	return b.man, b.body, b.etag, nil
 }
 
-// TileStat implements Backend; an address outside the manifest is
+// Tile implements Backend; an address outside the manifest is
 // ErrObjectNotFound.
-func (b *memBackend) TileStat(k, ti int, l codec.Level) (TileStat, error) {
+func (b *memBackend) Tile(k, ti int, l codec.Level) (TileStat, func() ([]byte, error), error) {
 	if k < 0 || k >= b.man.NumChunks() || ti < 0 || ti >= len(b.man.Chunks[k].Tiles) || !l.Valid() {
-		return TileStat{}, ErrObjectNotFound
+		return TileStat{}, nil, ErrObjectNotFound
 	}
 	size := TileSizeBytes(&b.man.Chunks[k].Tiles[ti], l)
-	return TileStat{Size: size, ETag: TileETag(k, ti, l, size)}, nil
-}
-
-// TileData implements Backend.
-func (b *memBackend) TileData(k, ti int, l codec.Level) ([]byte, error) {
-	st, err := b.TileStat(k, ti, l)
-	if err != nil {
-		return nil, err
-	}
-	return TilePayload(k, ti, l, st.Size), nil
+	read := func() ([]byte, error) { return TilePayload(k, ti, l, size), nil }
+	return TileStat{Size: size, ETag: TileETag(k, ti, l, size)}, read, nil
 }
 
 // Handler returns the HTTP handler:
@@ -214,12 +216,16 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		start := time.Now()
 		h(sw, r)
 		dur := time.Since(start)
+		// Span annotations and log arguments box their values: build them
+		// only for a span or a log that exists.
 		sp := trace.FromContext(r.Context())
-		sp.Annotate("endpoint", endpoint)
-		sp.Annotate("code", sw.code)
-		sp.Annotate("bytes", sw.bytes)
-		if sw.code >= 500 {
-			sp.SetError("http_5xx")
+		if sp != nil {
+			sp.Annotate("endpoint", endpoint)
+			sp.Annotate("code", sw.code)
+			sp.Annotate("bytes", sw.bytes)
+			if sw.code >= 500 {
+				sp.SetError("http_5xx")
+			}
 		}
 		lat.ObserveExemplar(dur.Seconds(), sp.TraceHex())
 		s.reg.Counter("pano_http_requests_total", "HTTP requests by endpoint, method, and status",
@@ -230,9 +236,11 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		if endpoint == "tile" && sw.code == http.StatusOK {
 			s.reg.Counter("pano_tile_bytes_total", "tile media bytes served").Add(float64(sw.bytes))
 		}
-		s.log.Logger().Info("http_request",
-			"endpoint", endpoint, "method", r.Method, "path", r.URL.Path,
-			"code", sw.code, "bytes", sw.bytes, "seconds", dur.Seconds())
+		if s.log != nil {
+			s.log.Logger().Info("http_request",
+				"endpoint", endpoint, "method", r.Method, "path", r.URL.Path,
+				"code", sw.code, "bytes", sw.bytes, "seconds", dur.Seconds())
+		}
 	}
 }
 
@@ -268,29 +276,19 @@ func (s *Server) handleMPD(w http.ResponseWriter, r *http.Request) {
 // cacheHeaders stamps the validators a downstream cache needs: a strong
 // ETag, an explicit freshness lifetime, and Last-Modified (§7: the
 // manifest and tile objects are ordinary HTTP objects, so any DASH-
-// compatible cache can hold them).
-func (s *Server) cacheHeaders(w http.ResponseWriter, etag string, maxAge time.Duration) {
+// compatible cache can hold them). Only the ETag is this response's
+// own; keys are written in canonical form, which is what Header.Set
+// would have made of them.
+func (s *Server) cacheHeaders(w http.ResponseWriter, etag string, cacheControl []string) {
 	h := w.Header()
-	h.Set("ETag", etag)
-	h.Set("Cache-Control", fmt.Sprintf("max-age=%d", int(maxAge.Seconds())))
-	h.Set("Last-Modified", s.lastMod.Format(http.TimeFormat))
+	h["Etag"] = []string{etag}
+	h["Cache-Control"] = cacheControl
+	h["Last-Modified"] = s.lastModified
 }
 
-// etagMatch reports whether an If-None-Match header value matches the
-// representation's ETag: "*" matches anything, otherwise any member of
-// the comma-separated list compares equal (weak-comparison: a W/ prefix
-// is ignored, per RFC 9110 §8.8.3.2).
-func etagMatch(header, etag string) bool {
-	if header == "" || etag == "" {
-		return false
-	}
-	for _, cand := range strings.Split(header, ",") {
-		cand = strings.TrimSpace(cand)
-		if cand == "*" || strings.TrimPrefix(cand, "W/") == etag {
-			return true
-		}
-	}
-	return false
+// maxAgeValue renders a Cache-Control freshness lifetime.
+func maxAgeValue(d time.Duration) string {
+	return "max-age=" + strconv.Itoa(int(d.Seconds()))
 }
 
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
@@ -302,19 +300,19 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server: backend: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	maxAge := s.maxAge
+	cacheControl := s.cacheControl
 	if man.Live {
 		// A live manifest changes every publish; don't let caches
 		// hold it for the VOD lifetime.
-		maxAge = liveManifestMaxAge(man.ChunkSec, s.maxAge)
+		cacheControl = []string{maxAgeValue(liveManifestMaxAge(man.ChunkSec, s.maxAge))}
 	}
-	s.cacheHeaders(w, etag, maxAge)
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
+	s.cacheHeaders(w, etag, cacheControl)
+	if obs.ETagMatch(r.Header.Get("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Header()["Content-Type"] = typeJSON
+	w.Header()["Content-Length"] = []string{strconv.Itoa(len(body))}
 	if r.Method == http.MethodHead {
 		return
 	}
@@ -370,34 +368,58 @@ func TileETag(k, ti int, l codec.Level, size int) string {
 	h = mix(h, uint64(ti))
 	h = mix(h, uint64(l))
 	h = mix(h, uint64(size))
-	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h))
+	// The quoted 16-digit lower-case hex of h — what %q of %016x renders,
+	// hex digits needing no escape.
+	const digits = "0123456789abcdef"
+	var tag [18]byte
+	tag[0], tag[17] = '"', '"'
+	for i := 16; i >= 1; i-- {
+		tag[i] = digits[h&0xf]
+		h >>= 4
+	}
+	return string(tag[:])
 }
 
-// ParseTilePath parses "/video/{chunk}/{tile}/{level}.bin".
+// ParseTilePath parses "/video/{chunk}/{tile}/{level}.bin". It runs on
+// every tile request at the origin and allocates nothing for a path
+// that parses.
 func ParseTilePath(path string) (chunk, tile int, level codec.Level, err error) {
-	rest := strings.TrimPrefix(path, "/video/")
-	parts := strings.Split(rest, "/")
-	if len(parts) != 3 || !strings.HasSuffix(parts[2], ".bin") {
+	c, rest, ok := strings.Cut(strings.TrimPrefix(path, "/video/"), "/")
+	t, lv, ok2 := strings.Cut(rest, "/")
+	if !ok || !ok2 || strings.IndexByte(lv, '/') >= 0 || !strings.HasSuffix(lv, ".bin") {
 		return 0, 0, 0, fmt.Errorf("server: bad tile path %q", path)
 	}
-	chunk, err = strconv.Atoi(parts[0])
+	chunk, err = strconv.Atoi(c)
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("server: bad chunk in %q", path)
 	}
-	tile, err = strconv.Atoi(parts[1])
+	tile, err = strconv.Atoi(t)
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("server: bad tile in %q", path)
 	}
-	lv, err := strconv.Atoi(strings.TrimSuffix(parts[2], ".bin"))
+	n, err := strconv.Atoi(strings.TrimSuffix(lv, ".bin"))
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("server: bad level in %q", path)
 	}
-	return chunk, tile, codec.Level(lv), nil
+	return chunk, tile, codec.Level(n), nil
 }
 
 // TilePath renders the URL path for a tile object.
 func TilePath(chunk, tile int, level codec.Level) string {
-	return fmt.Sprintf("/video/%d/%d/%d.bin", chunk, tile, int(level))
+	var buf [48]byte
+	return string(AppendTilePath(buf[:0], chunk, tile, level))
+}
+
+// AppendTilePath appends TilePath's rendering to dst, for callers that
+// only look the path up (a catalog keyed by it) and need no string.
+func AppendTilePath(dst []byte, chunk, tile int, level codec.Level) []byte {
+	dst = append(dst, "/video/"...)
+	dst = strconv.AppendInt(dst, int64(chunk), 10)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(tile), 10)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(level), 10)
+	return append(dst, ".bin"...)
 }
 
 func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
@@ -413,38 +435,51 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	// Existence, size, and ETag come from the backend, with 404/410
-	// distinguishing unpublished from retired objects.
-	st, err := s.backend.TileStat(k, ti, l)
-	switch {
-	case errors.Is(err, ErrObjectGone):
-		http.Error(w, "tile retired from availability window", http.StatusGone)
-		return
-	case errors.Is(err, ErrObjectNotFound):
-		http.NotFound(w, r)
-		return
-	case err != nil:
-		http.Error(w, "server: backend: "+err.Error(), http.StatusInternalServerError)
+	// Existence, size, and ETag come from the backend, resolved once.
+	st, read, err := s.backend.Tile(k, ti, l)
+	if err != nil {
+		tileError(w, r, err)
 		return
 	}
-	s.cacheHeaders(w, st.ETag, s.maxAge)
-	if etagMatch(r.Header.Get("If-None-Match"), st.ETag) {
+	if obs.ETagMatch(r.Header.Get("If-None-Match"), st.ETag) {
 		// 304 from the stat alone: no payload is read or generated.
+		s.cacheHeaders(w, st.ETag, s.cacheControl)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(max(st.Size, 16)))
-	if r.Method == http.MethodHead {
-		return
+	var body []byte
+	if r.Method != http.MethodHead {
+		// Read before the first header is set: nothing is on the wire yet,
+		// so a payload that cannot be produced still gets its own status
+		// instead of a 200 whose declared length never arrives.
+		if body, err = read(); err != nil {
+			tileError(w, r, err)
+			return
+		}
 	}
-	body, err := s.backend.TileData(k, ti, l)
-	if err != nil {
-		// Headers are already written; surface the truncation server-side.
-		s.writeError("tile", err)
+	s.cacheHeaders(w, st.ETag, s.cacheControl)
+	w.Header()["Content-Type"] = typeOctet
+	w.Header()["Content-Length"] = []string{strconv.Itoa(max(st.Size, 16))}
+	if r.Method == http.MethodHead {
 		return
 	}
 	if _, err := w.Write(body); err != nil {
 		s.writeError("tile", err)
+	}
+}
+
+// tileError answers a tile the backend could not resolve or read: 404
+// for unpublished objects, 410 for retired ones — including one whose
+// bytes were collected between the catalog naming it and the read,
+// which downstream caches may negative-cache like any other retirement
+// — and 500 for anything else.
+func tileError(w http.ResponseWriter, r *http.Request, err error) {
+	switch {
+	case errors.Is(err, ErrObjectGone):
+		http.Error(w, "tile retired from availability window", http.StatusGone)
+	case errors.Is(err, ErrObjectNotFound):
+		http.NotFound(w, r)
+	default:
+		http.Error(w, "server: backend: "+err.Error(), http.StatusInternalServerError)
 	}
 }

@@ -126,23 +126,3 @@ func TestTileCacheValidators(t *testing.T) {
 		t.Error("tile body empty")
 	}
 }
-
-func TestEtagMatch(t *testing.T) {
-	cases := []struct {
-		header, etag string
-		want         bool
-	}{
-		{"", `"abc"`, false},
-		{`"abc"`, `"abc"`, true},
-		{`W/"abc"`, `"abc"`, true},
-		{`"x", "abc"`, `"abc"`, true},
-		{`"x"`, `"abc"`, false},
-		{"*", `"abc"`, true},
-		{`"abc"`, "", false},
-	}
-	for _, c := range cases {
-		if got := etagMatch(c.header, c.etag); got != c.want {
-			t.Errorf("etagMatch(%q, %q) = %v, want %v", c.header, c.etag, got, c.want)
-		}
-	}
-}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -52,7 +53,7 @@ func NewBackend(s *Store) (*Backend, error) {
 // reload reads the catalog head and the manifest blob it names.
 // Caller must not hold b.mu.
 func (b *Backend) reload() error {
-	info, err := os.Stat(b.s.CatalogPath())
+	info, err := os.Stat(b.s.catalogPath)
 	if err != nil {
 		return fmt.Errorf("store: backend: %w", err)
 	}
@@ -83,26 +84,36 @@ func (b *Backend) reload() error {
 	return nil
 }
 
-// refresh reloads the catalog iff its file stamp changed (or force).
-func (b *Backend) refresh(force bool) error {
+// head returns the current catalog, reloading first iff the head file's
+// stamp changed (or force): one stat per call, and deliberately not a
+// timed cache — that stat is what makes a publish visible to the very
+// next request. A loaded catalog is never modified, so callers read it
+// without the lock.
+func (b *Backend) head(force bool) (*Catalog, error) {
 	if !force {
-		info, err := os.Stat(b.s.CatalogPath())
+		info, err := os.Stat(b.s.catalogPath)
 		if err != nil {
-			return fmt.Errorf("store: backend: %w", err)
+			return nil, fmt.Errorf("store: backend: %w", err)
 		}
 		b.mu.Lock()
-		unchanged := b.cat != nil && b.stamp.mod.Equal(info.ModTime()) && b.stamp.size == info.Size()
+		cat := b.cat
+		unchanged := cat != nil && b.stamp.mod.Equal(info.ModTime()) && b.stamp.size == info.Size()
 		b.mu.Unlock()
 		if unchanged {
-			return nil
+			return cat, nil
 		}
 	}
-	return b.reload()
+	if err := b.reload(); err != nil {
+		return nil, err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.cat, nil
 }
 
 // Manifest implements server.Backend.
 func (b *Backend) Manifest() (*manifest.Video, []byte, string, error) {
-	if err := b.refresh(false); err != nil {
+	if _, err := b.head(false); err != nil {
 		return nil, nil, "", err
 	}
 	b.mu.Lock()
@@ -110,65 +121,64 @@ func (b *Backend) Manifest() (*manifest.Video, []byte, string, error) {
 	return b.man, b.manJSON, b.manETag, nil
 }
 
-// TileStat implements server.Backend. The ETag is the same pure
-// function of (chunk, tile, level, size) the static server derives, so
-// a client moving between a static origin and a store origin — or
-// between two store origins — revalidates with a single 304.
-func (b *Backend) TileStat(k, ti int, l codec.Level) (server.TileStat, error) {
+// Tile implements server.Backend: one catalog poll and one lookup per
+// request. The ETag is the same pure function of (chunk, tile, level,
+// size) the static server derives, so a client moving between a static
+// origin and a store origin — or between two store origins —
+// revalidates with a single 304.
+func (b *Backend) Tile(k, ti int, l codec.Level) (server.TileStat, func() ([]byte, error), error) {
 	ref, err := b.lookup(k, ti, l)
 	if err != nil {
-		return server.TileStat{}, err
+		return server.TileStat{}, nil, err
 	}
-	return server.TileStat{Size: ref.Size, ETag: server.TileETag(k, ti, l, ref.Size)}, nil
+	read := func() ([]byte, error) {
+		// The blob is TilePayload's, never shorter than its header, so the
+		// length to expect is the one the handler declares.
+		data, err := b.s.getSized(ref.Digest, max(ref.Size, 16))
+		if errors.Is(err, ErrNotFound) {
+			// Catalog references a GC'd blob: the retention horizon was
+			// shorter than this origin's refresh lag. Resolve as retired.
+			return nil, server.ErrObjectGone
+		}
+		return data, err
+	}
+	return server.TileStat{Size: ref.Size, ETag: server.TileETag(k, ti, l, ref.Size)}, read, nil
 }
 
-// TileData implements server.Backend.
+// TileStat resolves a tile's size and ETag without touching its blob.
+func (b *Backend) TileStat(k, ti int, l codec.Level) (server.TileStat, error) {
+	st, _, err := b.Tile(k, ti, l)
+	return st, err
+}
+
+// TileData returns a tile's payload bytes.
 func (b *Backend) TileData(k, ti int, l codec.Level) ([]byte, error) {
-	ref, err := b.lookup(k, ti, l)
+	_, read, err := b.Tile(k, ti, l)
 	if err != nil {
 		return nil, err
 	}
-	data, err := b.s.Get(ref.Digest)
-	if err != nil {
-		// Catalog references a GC'd blob: the retention horizon was
-		// shorter than this origin's refresh lag. Resolve as retired.
-		return nil, server.ErrObjectGone
-	}
-	return data, nil
+	return read()
 }
 
-// lookup resolves a tile path against the catalog, force-reloading once
+// lookup resolves a tile against the catalog, force-reloading once
 // before answering 404 so an origin with a stale head never 404s a tile
 // that a fresher catalog already names (the edge would negative-cache
-// that miss for NegTTL).
+// that miss for NegTTL). The catalog is keyed by URL path; the key is
+// rendered into a stack buffer and never becomes a string.
 func (b *Backend) lookup(k, ti int, l codec.Level) (TileRef, error) {
-	if err := b.refresh(false); err != nil {
-		return TileRef{}, err
+	var buf [48]byte
+	path := server.AppendTilePath(buf[:0], k, ti, l)
+	for _, force := range [2]bool{false, true} {
+		cat, err := b.head(force)
+		if err != nil {
+			return TileRef{}, err
+		}
+		if ref, ok := cat.Tiles[string(path)]; ok {
+			return ref, nil
+		}
+		if k < cat.FirstChunk {
+			return TileRef{}, server.ErrObjectGone
+		}
 	}
-	path := server.TilePath(k, ti, l)
-	b.mu.Lock()
-	ref, ok := b.cat.Tiles[path]
-	first := b.cat.FirstChunk
-	b.mu.Unlock()
-	if ok {
-		return ref, nil
-	}
-	if k < first {
-		return TileRef{}, server.ErrObjectGone
-	}
-	if err := b.refresh(true); err != nil {
-		return TileRef{}, err
-	}
-	b.mu.Lock()
-	ref, ok = b.cat.Tiles[path]
-	first = b.cat.FirstChunk
-	b.mu.Unlock()
-	switch {
-	case ok:
-		return ref, nil
-	case k < first:
-		return TileRef{}, server.ErrObjectGone
-	default:
-		return TileRef{}, server.ErrObjectNotFound
-	}
+	return TileRef{}, server.ErrObjectNotFound
 }

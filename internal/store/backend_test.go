@@ -16,7 +16,7 @@ import (
 
 // tinyManifest preprocesses a small synthetic video — the cheapest valid
 // manifest the provider can make.
-func tinyManifest(t *testing.T) *manifest.Video {
+func tinyManifest(t testing.TB) *manifest.Video {
 	t.Helper()
 	opts := scene.Options{W: 240, H: 120, FPS: 10, DurationSec: 4}
 	v := scene.Generate(scene.Sports, 42, opts)
@@ -31,7 +31,7 @@ func tinyManifest(t *testing.T) *manifest.Video {
 // publishAll writes every tile of m plus the manifest blob into s and
 // installs the catalog head — what internal/live does incrementally,
 // done in one shot for tests.
-func publishAll(t *testing.T, s *store.Store, m *manifest.Video) {
+func publishAll(t testing.TB, s *store.Store, m *manifest.Video) {
 	t.Helper()
 	tiles := make(map[string]store.TileRef)
 	for k := range m.Chunks {

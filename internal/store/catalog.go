@@ -34,7 +34,7 @@ type TileRef struct {
 const catalogName = "catalog.json"
 
 // CatalogPath returns the catalog's on-disk path.
-func (s *Store) CatalogPath() string { return filepath.Join(s.dir, catalogName) }
+func (s *Store) CatalogPath() string { return s.catalogPath }
 
 // WriteCatalog atomically replaces the catalog (tmp + rename, like a
 // blob): a reading origin sees either the old or the new head, never a
@@ -46,7 +46,7 @@ func (s *Store) WriteCatalog(c *Catalog) error {
 	}
 	s.mu.Lock()
 	s.seq++
-	tmp := filepath.Join(s.tmpRoot(), fmt.Sprintf("cat-%d-%d", os.Getpid(), s.seq))
+	tmp := filepath.Join(s.tmpDir, fmt.Sprintf("cat-%d-%d", os.Getpid(), s.seq))
 	s.mu.Unlock()
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("store: catalog: %w", err)

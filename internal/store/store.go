@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pano/internal/obs"
@@ -42,8 +43,13 @@ const tmpGrace = time.Minute
 // use.
 type Store struct {
 	dir string
-	reg *obs.Registry
-	log *obs.EventLog
+	// The three paths under dir, joined once: an origin stats the
+	// catalog and opens a blob on every request.
+	catalogPath, blobDir, tmpDir string
+
+	reg  *obs.Registry
+	log  *obs.EventLog
+	gets atomic.Pointer[obs.Counter] // pano_store_gets_total, resolved by the first read
 
 	mu    sync.Mutex
 	blobs map[string]*blobState
@@ -82,11 +88,17 @@ func WithEventLog(l *obs.EventLog) Option {
 // torn or corrupted file is deleted instead of indexed — the cost is
 // one read of the store, paid once per process start.
 func Open(dir string, opts ...Option) (*Store, error) {
-	s := &Store{dir: dir, blobs: make(map[string]*blobState)}
+	s := &Store{
+		dir:         dir,
+		catalogPath: filepath.Join(dir, catalogName),
+		blobDir:     filepath.Join(dir, "blobs"),
+		tmpDir:      filepath.Join(dir, "tmp"),
+		blobs:       make(map[string]*blobState),
+	}
 	for _, o := range opts {
 		o(s)
 	}
-	for _, sub := range []string{s.blobRoot(), s.tmpRoot()} {
+	for _, sub := range []string{s.blobDir, s.tmpDir} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
@@ -96,7 +108,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	// qualify: a reader origin opening the directory mid-feed must not
 	// delete the live publisher's in-flight Put (which writes and
 	// renames within milliseconds, far inside the grace window).
-	tmps, err := os.ReadDir(s.tmpRoot())
+	tmps, err := os.ReadDir(s.tmpDir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -104,11 +116,11 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		if info, err := e.Info(); err == nil && time.Since(info.ModTime()) < tmpGrace {
 			continue
 		}
-		os.Remove(filepath.Join(s.tmpRoot(), e.Name()))
+		os.Remove(filepath.Join(s.tmpDir, e.Name()))
 		s.count("pano_store_recovered_tmp_total", "leftover tmp files removed on open")
 	}
 	corrupt := 0
-	err = filepath.WalkDir(s.blobRoot(), func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(s.blobDir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
@@ -147,13 +159,10 @@ func Open(dir string, opts ...Option) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) blobRoot() string { return filepath.Join(s.dir, "blobs") }
-func (s *Store) tmpRoot() string  { return filepath.Join(s.dir, "tmp") }
-
 // blobPath shards blobs by the digest's first byte to keep directory
 // fan-out bounded.
 func (s *Store) blobPath(digest string) string {
-	return filepath.Join(s.blobRoot(), digest[:2], digest[2:])
+	return filepath.Join(s.blobDir, digest[:2], digest[2:])
 }
 
 // Put stores payload and returns its sha256 digest (hex). Writing is
@@ -170,7 +179,7 @@ func (s *Store) Put(payload []byte) (string, error) {
 		return digest, nil
 	}
 	s.seq++
-	tmp := filepath.Join(s.tmpRoot(), fmt.Sprintf("put-%d-%d", os.Getpid(), s.seq))
+	tmp := filepath.Join(s.tmpDir, fmt.Sprintf("put-%d-%d", os.Getpid(), s.seq))
 	s.mu.Unlock()
 
 	if err := os.WriteFile(tmp, payload, 0o644); err != nil {
@@ -208,8 +217,28 @@ func (s *Store) Get(digest string) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("store: get: %w", err)
 	}
-	s.count("pano_store_gets_total", "blob reads")
+	s.countGet()
 	return data, nil
+}
+
+// getSized is Get for a caller that knows how long the blob is — the
+// catalog records every tile's size — and so needs neither the fstat
+// that sizes ReadFile's buffer nor the second read that finds EOF:
+// open, one read into size+1 bytes, close. It is only ever a shortcut:
+// anything but exactly size bytes coming back — a truncated or
+// over-long blob, a short read, a blob that cannot be opened — is
+// answered by Get itself, bytes and error, so the two cannot disagree.
+func (s *Store) getSized(digest string, size int) ([]byte, error) {
+	if f, err := os.Open(s.lookupPath(digest)); err == nil {
+		buf := make([]byte, size+1)
+		n, err := f.Read(buf)
+		f.Close()
+		if err == nil && n == size {
+			s.countGet()
+			return buf[:size], nil
+		}
+	}
+	return s.Get(digest)
 }
 
 // Open returns a reader over the blob (large-object path; Get is the
@@ -222,7 +251,7 @@ func (s *Store) Open(digest string) (io.ReadCloser, error) {
 		}
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	s.count("pano_store_gets_total", "blob reads")
+	s.countGet()
 	return f, nil
 }
 
@@ -230,7 +259,7 @@ func (s *Store) Open(digest string) (io.ReadCloser, error) {
 // path for malformed digests (so the read fails cleanly).
 func (s *Store) lookupPath(digest string) string {
 	if len(digest) < 3 {
-		return filepath.Join(s.tmpRoot(), "invalid-digest")
+		return filepath.Join(s.tmpDir, "invalid-digest")
 	}
 	return s.blobPath(digest)
 }
@@ -322,6 +351,10 @@ func (s *Store) Has(digest string) bool {
 
 func (s *Store) count(name, help string) {
 	s.reg.Counter(name, help).Inc()
+}
+
+func (s *Store) countGet() {
+	s.reg.CounterIn(&s.gets, "pano_store_gets_total", "blob reads").Inc()
 }
 
 func (s *Store) gauges() {

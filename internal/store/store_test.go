@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pano/internal/obs"
 )
 
 func TestPutGetRoundtrip(t *testing.T) {
@@ -257,4 +259,60 @@ func TestCatalogRoundtrip(t *testing.T) {
 	if got.Seq != 8 || len(got.Tiles) != 0 {
 		t.Fatalf("replaced catalog = %+v", got)
 	}
+}
+
+// TestGetSizedMatchesGet: the sized read answers exactly what Get
+// answers — same bytes, same error — whether the catalog's size is
+// right or the blob on disk is truncated, over-long, empty or gone, and
+// either way one successful read is one pano_store_gets_total.
+func TestGetSizedMatchesGet(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := Open(t.TempDir(), WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 100)
+	digest, err := s.Put(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what, digest string, size int) {
+		t.Helper()
+		before := reg.CounterValue("pano_store_gets_total")
+		want, werr := s.Get(digest)
+		mid := reg.CounterValue("pano_store_gets_total")
+		got, gerr := s.getSized(digest, size)
+		after := reg.CounterValue("pano_store_gets_total")
+		if !bytes.Equal(got, want) || (gerr == nil) != (werr == nil) ||
+			errors.Is(gerr, ErrNotFound) != errors.Is(werr, ErrNotFound) {
+			t.Errorf("%s: getSized = %d bytes, %v; Get = %d bytes, %v", what, len(got), gerr, len(want), werr)
+		}
+		if after-mid != mid-before {
+			t.Errorf("%s: getSized counted %v reads, Get %v", what, after-mid, mid-before)
+		}
+	}
+	check("exact size", digest, len(payload))
+	check("catalog says shorter", digest, len(payload)-1)
+	check("catalog says longer", digest, len(payload)+1)
+	check("catalog says empty", digest, 0)
+	check("missing blob", hex.EncodeToString(make([]byte, sha256.Size)), 16)
+	check("malformed digest", "zz", 16)
+
+	path := s.blobPath(digest)
+	if err := os.WriteFile(path, payload[:700], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check("truncated on disk", digest, len(payload))
+	if err := os.WriteFile(path, append(append([]byte(nil), payload...), "tail"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check("over-long on disk", digest, len(payload))
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check("emptied on disk", digest, len(payload))
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	check("collected", digest, len(payload))
 }
