@@ -45,8 +45,10 @@ race-kernels:
 
 # Twenty seconds of fuzzing the bounded tile search against its oracle
 # contract (internal/abr: subsequence of the exact reference frontiers,
-# same plan where neither thinned, never over budget). Not part of
-# check: a fuzz run has no fixed end and its corpus is not committed.
+# same plan where neither thinned, never over budget, no frontier exactly
+# when no upgrade fits). Not part of check: a fuzz run has no fixed end.
+# The committed seeds under internal/abr/testdata/fuzz/ are the boundary
+# cases of that last clause; plain `go test` replays them.
 fuzz-abr:
 	$(GO) test -run '^$$' -fuzz FuzzAllocatePruned -fuzztime 20s ./internal/abr
 
@@ -178,8 +180,9 @@ bench: build microbench
 
 # Kernel micro-benchmarks (serial vs parallel vs cached), the client's
 # per-chunk tile allocator (BenchmarkAllocatePruned: synthetic 30- and
-# 72-tile rows, and bench_video, a real manifest's chunks at MPC-like
-# budgets — the row to quote), the planner's cost rows for one chunk
+# 72-tile rows, the same at the all-lowest budget no upgrade fits
+# (nothing_affordable, the swarm's operating point), and bench_video, a
+# real manifest's chunks at MPC-like budgets — the row to quote), the planner's cost rows for one chunk
 # (BenchmarkCostRows: exact is the Pow-and-Exp definition, table what
 # Plan runs), the provider's chunk analysis (scene render, quantizer,
 # one chunk, one video), the virtual-time session loop (one session,

@@ -9,9 +9,11 @@
 //     size staying within budget.
 //
 // Three tile allocators are provided: the paper's dominance-pruned
-// enumeration (exact Pareto-frontier dynamic programming over tiles), a
-// fast greedy marginal-utility allocator, and an exhaustive search for
-// small instances (ground truth in tests and the pruning benchmark).
+// enumeration (exact Pareto-frontier dynamic programming over tiles),
+// which every Pano plan goes through; a fast greedy marginal-utility
+// allocator, the viewport-driven baselines' (§8); and an exhaustive
+// search for small instances (ground truth in tests and the pruning
+// benchmark).
 //
 // The pruned enumeration is what a session spends its compute on. Its
 // tile step is a merge, not a sort; the program's LP relaxation bounds
@@ -199,6 +201,14 @@ const boundSlack = 1e-9
 // budget; the incumbent where thinning lost every state as good; and
 // all-lowest when the budget is below even that.
 //
+// A budget that fits the all-smallest plan and not its cheapest step up
+// — the all-lowest size every session's first chunk is planned with,
+// and every chunk of a starved one — leaves the sweep nothing to decide:
+// it would end on the all-smallest plan, so that is returned before the
+// LP is set up, by the same pass that sizes the plan. The step must miss
+// the budget by more than boundSlack of it; closer than that, the sweep
+// decides as ever.
+//
 // A frontier is strictly bits-ascending and cost-descending, so its
 // copy shifted by one level's (bits, cost) is already in order and the
 // tile step is a merge of NumLevels ordered lists through the dominance
@@ -216,7 +226,9 @@ func AllocatePruned(tiles []TileChoice, budget float64, maxFrontier int) Allocat
 }
 
 // SearchPruned is AllocatePruned that also reports what the search did;
-// the prune experiment and the tests read it.
+// the prune experiment and the tests read it. A call answered without a
+// sweep — no tiles, a budget below the all-smallest size, or one that
+// affords no upgrade — built no frontier and reports zero stats.
 func SearchPruned(tiles []TileChoice, budget float64, maxFrontier int) (Allocation, SearchStats) {
 	if maxFrontier <= 0 {
 		maxFrontier = 1024
@@ -253,9 +265,9 @@ func smallestRows(tiles []TileChoice, a Allocation) {
 // bound solves the LP relaxation of the call into the scratch tables. It
 // leaves the incumbent — the cheaper of two roundings of the LP optimum,
 // feasible by the forward sum the final pick uses — in a and returns its
-// cost and λ. low is the size of the all-smallest plan, within budget.
+// cost and λ. a comes in as the all-smallest plan and low is its size,
+// within budget.
 func (sc *prunedScratch) bound(tiles []TileChoice, budget, low float64, a Allocation) (incumbent, lambda float64) {
-	smallestRows(tiles, a)
 	ups := sc.ups[:0]
 	for i := range tiles {
 		t := &tiles[i]
@@ -363,17 +375,38 @@ func fillUpgrades(a Allocation, ups []hullUpgrade, spent, budget float64) int {
 }
 
 // search runs the sweep over at least one tile, leaving every frontier
-// in the scratch (none when the budget admits no plan at all).
+// in the scratch (none when the budget admits no plan at all, or no
+// upgrade: the two answers below that need no search).
 func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier int) (Allocation, SearchStats) {
-	var low float64
+	a := make(Allocation, len(tiles))
+	// low is the size of the all-smallest plan and minUp the cheapest
+	// step up from it: the fewest extra bits any row of any tile costs
+	// over its tile's smallest.
+	low, minUp := 0.0, math.Inf(1)
 	for i := range tiles {
-		low += tiles[i].Bits[smallestRow(&tiles[i])]
+		t := &tiles[i]
+		a[i] = smallestRow(t)
+		small := t.Bits[a[i]]
+		low += small
+		for _, b := range t.Bits {
+			if d := b - small; d > 0 && d < minUp {
+				minUp = d
+			}
+		}
 	}
 	if budget < low {
 		// Nothing fits: the fallback is all-lowest.
-		return lowestLevels(len(tiles)), SearchStats{}
+		for i := range a {
+			a[i] = codec.Level(codec.NumLevels - 1)
+		}
+		return a, SearchStats{}
 	}
-	a := make(Allocation, len(tiles))
+	if low+minUp > budget+boundSlack*budget {
+		// No upgrade fits: the sweep would end on a as it stands. A plan
+		// whose forward sum rounds under a budget this sum rounds over is
+		// inside the slack, and left for the sweep to find.
+		return a, SearchStats{}
+	}
 	incumbent, lambda := sc.bound(tiles, budget, low, a)
 	// No state with cost + λ·bits above limit, less what the remaining
 	// tiles add at the least, completes to a plan as cheap as the

@@ -1,6 +1,7 @@
 package abr
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -407,6 +408,7 @@ func notIn(f []paretoState, ref []refState) int {
 // its comparisons from being vacuous.
 type oracleOutcome struct {
 	ambiguous           bool // the reference's path was an accident of its sort
+	guarded             bool // no upgrade fit: answered without a search
 	thinned, refThinned bool // at the instance's cap
 	states, refStates   int  // frontier states kept by the exact (uncapped) searches
 }
@@ -431,6 +433,10 @@ func costTolerance(cost float64) float64 { return 1e-9 * (1 + math.Abs(cost)) }
 //	(c) where the search did not thin, its cost is at most the
 //	    reference's at the same cap;
 //	(d) the plan is within budget, or all-lowest when nothing is;
+//	(e) on a budget that fits the all-smallest plan and no step up from it
+//	    (nothingAffordable), and on no other, the search builds no frontier
+//	    and reports zero stats; (b) then holds its answer, the all-smallest
+//	    plan, to the reference's like any other;
 //
 // and, on instances of at most exhaustiveTiles tiles, that the search run
 // uncapped returns the cost AllocateExhaustive does.
@@ -480,7 +486,12 @@ func againstReference(t testing.TB, tiles []TileChoice, budget float64, maxFront
 	o = oracleOutcome{ambiguous: ref.ambiguous, thinned: stats.Thinned > 0, refThinned: ref.thinned > 0}
 
 	// (a)
-	if len(whole.starts) != len(tiles) && budget >= TotalBits(tiles, lowestLevels(len(tiles))) {
+	o.guarded = nothingAffordable(tiles, budget)
+	if o.guarded {
+		if len(whole.starts) != 0 || stats != (SearchStats{}) {
+			fail("no upgrade fits, and the search still built %d frontiers, stats %+v", len(whole.starts), stats)
+		}
+	} else if len(whole.starts) != len(tiles) && budget >= TotalBits(tiles, lowestLevels(len(tiles))) {
 		fail("the uncapped search stopped after %d tiles", len(whole.starts))
 	}
 	for i := range whole.starts {
@@ -541,6 +552,31 @@ func againstReference(t testing.TB, tiles []TileChoice, budget float64, maxFront
 		}
 	}
 	return o
+}
+
+// smallestAndStep returns the size of the all-smallest plan and its
+// cheapest step up: the fewest extra bits of any row over its tile's
+// smallest, +Inf when every row of every tile is its smallest.
+func smallestAndStep(tiles []TileChoice) (low, minUp float64) {
+	small := make(Allocation, len(tiles))
+	smallestRows(tiles, small)
+	low, minUp = TotalBits(tiles, small), math.Inf(1)
+	for i := range tiles {
+		for _, b := range tiles[i].Bits {
+			if d := b - tiles[i].Bits[small[i]]; d > 0 {
+				minUp = min(minUp, d)
+			}
+		}
+	}
+	return low, minUp
+}
+
+// nothingAffordable restates the one case the search answers without
+// searching: the all-smallest plan fits the budget and its cheapest step
+// up does not, by more than the rounding slack of the cuts.
+func nothingAffordable(tiles []TileChoice, budget float64) bool {
+	low, minUp := smallestAndStep(tiles)
+	return budget >= low && low+minUp > budget+boundSlack*budget
 }
 
 // exhaustiveTiles is the largest instance the oracle also brute-forces:
@@ -737,6 +773,116 @@ func TestPrunedMatchesReferenceOnManifest(t *testing.T) {
 	}
 }
 
+// Budget placements of guardInstance, around [low, low+minUp): the
+// interval on which the all-smallest plan fits and no step up from it
+// does. placeUnderSlack is the edge the search's guard really has, the
+// rounding slack below the step.
+const (
+	placeMultiple   = iota // oracleInstance's own: 0.5–6 × the all-lowest size
+	placeBelowLow          // an ulp under low: the all-lowest fallback
+	placeLow               // every session's first chunk
+	placeAboveLow          // an ulp over
+	placeInside            // drawn from the interval
+	placeUnderSlack        // the largest budget the guard answers
+	placeBelowStep         // an ulp under low+minUp: inside the slack, searched
+	placeStep              // the cheapest upgrade fits exactly
+	placeAboveStep         // an ulp over
+	numPlaces
+)
+
+// Row shapes of guardInstance: what every third tile is turned into.
+const (
+	shapeSmooth    = iota // randomTiles' rows as they are
+	shapeFlat             // the bottom rungs identical rows: the free upgrade
+	shapeEqualBits        // the bottom rungs one size at rising cost
+	shapeZeroCost         // no cost at any level
+	numShapes
+)
+
+// guardInstance is oracleInstance with the row shape and the budget
+// placement folded into the fuzz target's menu byte after the rounding:
+// menu = rounding + numMenus·(place + numPlaces·shape). Menus below
+// numMenus are oracleInstance's instances unchanged.
+func guardInstance(seed uint64, n, menu int) ([]TileChoice, float64) {
+	tiles, budget := oracleInstance(seed, n, menu%numMenus)
+	place, shape := menu/numMenus%numPlaces, menu/numMenus/numPlaces%numShapes
+	for i := 0; i < n; i += 3 {
+		t, from := &tiles[i], 2+i%2
+		switch shape {
+		case shapeFlat:
+			flatBottom(t, from)
+		case shapeEqualBits:
+			for l := from + 1; l < codec.NumLevels; l++ {
+				t.Bits[l] = t.Bits[from]
+			}
+		case shapeZeroCost:
+			t.Cost = [codec.NumLevels]float64{}
+		}
+	}
+	if place == placeMultiple {
+		return tiles, budget
+	}
+	low, minUp := smallestAndStep(tiles)
+	// The guard's own edge: the largest budget with
+	// low+minUp > budget+boundSlack·budget, found from the quotient.
+	edge := (low + minUp) / (1 + boundSlack)
+	for low+minUp > edge+boundSlack*edge {
+		edge = math.Nextafter(edge, math.Inf(1))
+	}
+	for !(low+minUp > edge+boundSlack*edge) {
+		edge = math.Nextafter(edge, 0)
+	}
+	switch place {
+	case placeBelowLow:
+		budget = math.Nextafter(low, 0)
+	case placeLow:
+		budget = low
+	case placeAboveLow:
+		budget = math.Nextafter(low, math.Inf(1))
+	case placeInside:
+		budget = low + mathx.NewRNG(seed^0x9e37).Range(0, 0.999)*minUp
+	case placeUnderSlack:
+		budget = edge
+	case placeBelowStep:
+		budget = math.Nextafter(low+minUp, 0)
+	case placeStep:
+		budget = low + minUp
+	case placeAboveStep:
+		budget = math.Nextafter(low+minUp, math.Inf(1))
+	}
+	return tiles, budget
+}
+
+// The guard is the search: on budgets at, inside and an ulp either side
+// of both ends of the interval where no upgrade fits, over smooth, flat,
+// equal-size and zero-cost rows down to a single tile, the contract holds
+// — (e) says which calls may skip the sweep, (b) that what they return is
+// what the reference's sweep ends on.
+func TestPrunedGuardMatchesSearch(t *testing.T) {
+	var guarded, calls [numPlaces]int
+	for s := 0; s < 96; s++ {
+		n := 1 + (5*s)%48
+		if s%8 == 0 {
+			n = 1
+		}
+		for place := placeBelowLow; place < numPlaces; place++ {
+			shape := (s + place) % numShapes
+			tiles, budget := guardInstance(uint64(7000+s), n, s%numMenus+numMenus*(place+numPlaces*shape))
+			calls[place]++
+			if againstReference(t, tiles, budget, oracleCaps[s%len(oracleCaps)]).guarded {
+				guarded[place]++
+			}
+		}
+	}
+	t.Logf("answered without a search, by placement: %v of %v", guarded, calls)
+	for place := placeBelowLow; place < numPlaces; place++ {
+		inside := place >= placeLow && place <= placeUnderSlack
+		if inside && guarded[place] != calls[place] || !inside && guarded[place] != 0 {
+			t.Errorf("placement %d: %d of %d calls answered without a search", place, guarded[place], calls[place])
+		}
+	}
+}
+
 func FuzzAllocatePruned(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint16(0), uint8(menuContinuous))
 	f.Add(uint64(2), uint8(30), uint16(0), uint8(menuContinuous))
@@ -745,7 +891,7 @@ func FuzzAllocatePruned(f *testing.F) {
 	f.Add(uint64(5), uint8(12), uint16(1), uint8(menuInteger))
 	f.Add(uint64(6), uint8(72), uint16(0), uint8(menuInteger))
 	f.Fuzz(func(t *testing.T, seed uint64, n uint8, maxFrontier uint16, menu uint8) {
-		tiles, budget := oracleInstance(seed, 1+int(n)%72, int(menu)%numMenus)
+		tiles, budget := guardInstance(seed, 1+int(n)%72, int(menu))
 		againstReference(t, tiles, budget, int(maxFrontier))
 	})
 }
@@ -848,7 +994,8 @@ func manifestShapedTiles(n int) []TileChoice {
 var sinkAllocation Allocation
 
 // BenchmarkAllocatePruned times one call. The 30tiles and 72tiles rows
-// are synthetic menus with smooth costs. bench_video is a real manifest:
+// are synthetic menus with smooth costs, nothing_affordable the same menus
+// at a budget of exactly the all-lowest size. bench_video is a real manifest:
 // every chunk of manifestFixture at the budgets the MPC hands the planner,
 // the sizes of its uniform levels 1–3. Real costs are heavy-tailed — one
 // large tile's upgrade can be a fifth of the budget — which is where the
@@ -863,6 +1010,19 @@ func BenchmarkAllocatePruned(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			tiles := manifestShapedTiles(bc.n)
 			budget := TotalBits(tiles, lowestLevels(bc.n)) * 2.5
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkAllocation = AllocatePruned(tiles, budget, 0)
+			}
+		})
+	}
+	// The swarm's operating point: the budget is the all-lowest size, no
+	// upgrade fits, and the call is the pass that finds that out.
+	for _, n := range []int{30, 72} {
+		b.Run(fmt.Sprintf("nothing_affordable/%dtiles", n), func(b *testing.B) {
+			tiles := manifestShapedTiles(n)
+			budget := TotalBits(tiles, lowestLevels(n))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -311,9 +311,11 @@ func TestPrunedInsideBudgetAxisBracket(t *testing.T) {
 }
 
 // Warm, a call allocates its result and nothing else: the LP tables live
-// in the pooled scratch with the frontiers. sync.Pool drops a quarter of
-// its Puts under the race detector, so the pin reads there whatever the
-// pool lost.
+// in the pooled scratch with the frontiers, and the two answers that need
+// no search — the fallback at 0.5× and the nothing-affordable plan at 1× —
+// are written into the result itself. sync.Pool drops a quarter of its
+// Puts under the race detector, so the pin reads there whatever the pool
+// lost.
 func TestAllocatePrunedAllocatesOnlyItsResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -321,6 +323,9 @@ func TestAllocatePrunedAllocatesOnlyItsResult(t *testing.T) {
 	for _, n := range []int{1, 30, 72} {
 		tiles := manifestShapedTiles(n)
 		low := TotalBits(tiles, lowestLevels(n))
+		if !nothingAffordable(tiles, low) {
+			t.Fatalf("%d tiles: the all-lowest size affords an upgrade; the guarded call went unpinned", n)
+		}
 		for _, frac := range []float64{0.5, 1, 2.5, 100} {
 			AllocatePruned(tiles, low*frac, 0) // warm the scratch
 			if allocs := testing.AllocsPerRun(50, func() { sinkAllocation = AllocatePruned(tiles, low*frac, 0) }); allocs != 1 {

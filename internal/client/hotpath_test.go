@@ -114,8 +114,8 @@ var (
 
 // BenchmarkRunSessionVirtual is one 8-chunk session over a constant-rate
 // transport in virtual time: the loop net of tile assignment (whole) and
-// with the swarm's allocator (greedy). -benchmem carries the allocs/op
-// the swarm's allocs_per_session is made of.
+// with Pano's allocator (pano). -benchmem carries the allocs/op the
+// swarm's allocs_per_session is made of.
 func BenchmarkRunSessionVirtual(b *testing.B) {
 	benchOnce.Do(func() {
 		v := scene.Generate(scene.Sports, 23, scene.Options{W: 240, H: 120, FPS: 10, DurationSec: 8})
@@ -126,12 +126,10 @@ func BenchmarkRunSessionVirtual(b *testing.B) {
 		}
 		benchMan = m
 	})
-	greedy := player.NewPanoPlanner()
-	greedy.Greedy = true
 	for _, bc := range []struct {
 		name    string
 		planner player.Planner
-	}{{"whole", player.WholePlanner{}}, {"greedy", greedy}} {
+	}{{"whole", player.WholePlanner{}}, {"pano", player.NewPanoPlanner()}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

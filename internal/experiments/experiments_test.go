@@ -216,8 +216,9 @@ func TestFig10BoundHolds(t *testing.T) {
 	}
 }
 
-// The pruned row reports what the search did, not the size of its input:
-// states kept per call, and how often the cap made the plan approximate.
+// The pruned rows report what the search did, not the size of its input:
+// states kept per call, how often the cap made the plan approximate, and
+// how often there was nothing to search.
 func TestAllocationPruningMeasuresTheSearch(t *testing.T) {
 	rows, table, err := AllocationPruning(testDataset(t))
 	if err != nil {
@@ -233,8 +234,18 @@ func TestAllocationPruningMeasuresTheSearch(t *testing.T) {
 	if greedy.CostRatio < 1-1e-9 {
 		t.Errorf("greedy costs %v× the pruned plan: below an optimum", greedy.CostRatio)
 	}
-	if got := table.Header[len(table.Header)-1]; got != "cap_hit_pct" {
-		t.Errorf("last column %q, want cap_hit_pct", got)
+	if got := table.Header[len(table.Header)-2:]; got[0] != "cap_hit_pct" || got[1] != "no_search_pct" {
+		t.Errorf("last columns %q, want cap_hit_pct, no_search_pct", got)
+	}
+	// Where the sessions sit: a simulator session's first chunk is planned
+	// at the all-lowest size and the rest have room to upgrade; a swarm
+	// session (RTT per object, ROADMAP item 1) never has.
+	simCalls, swarmCalls := rows[3], rows[4]
+	if simCalls.NoSearchFrac <= 0 || simCalls.NoSearchFrac > 0.5 || simCalls.States < 1 {
+		t.Errorf("sim sessions: %v of calls answered without a search, %v states per call", simCalls.NoSearchFrac, simCalls.States)
+	}
+	if swarmCalls.NoSearchFrac < 0.9 {
+		t.Errorf("swarm population: %v of calls answered without a search, want nearly all", swarmCalls.NoSearchFrac)
 	}
 }
 

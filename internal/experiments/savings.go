@@ -1,15 +1,19 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
 
 	"pano/internal/abr"
 	"pano/internal/codec"
+	"pano/internal/manifest"
 	"pano/internal/mathx"
 	"pano/internal/player"
 	"pano/internal/provider"
 	"pano/internal/scene"
 	"pano/internal/sim"
+	"pano/internal/swarm"
 )
 
 // isoQualityBandwidth finds, by bisection on the link's operating
@@ -149,7 +153,8 @@ func Fig18b(d *Dataset) ([]Fig18bRow, *Table, error) {
 type PruneRow struct {
 	Allocator string
 	// CostRatio is the achieved distortion relative to the pruned
-	// (exact) allocator, averaged over instances.
+	// (exact) allocator, averaged over instances; 0 on the session rows,
+	// which compare nothing.
 	CostRatio float64
 	// States is the measured mean number of frontier states the search
 	// kept per call (pruned) or the number of combinations (exhaustive
@@ -159,23 +164,57 @@ type PruneRow struct {
 	// frontier hit the cap and was thinned, i.e. whose plan is an
 	// approximation; -1 on rows that run no frontier search.
 	CapHitFrac float64
+	// NoSearchFrac is the share of its calls the pruned allocator
+	// answered without building a frontier — the budget afforded no
+	// upgrade over the all-smallest plan, or not even that plan; -1 on
+	// rows that run no frontier search.
+	NoSearchFrac float64
+}
+
+// searchTally is the Pano planner with what its search did counted over
+// the calls of whole sessions (atomically: a swarm's workers share it).
+type searchTally struct {
+	*player.PanoPlanner
+	calls, states, thinned, unsearched atomic.Int64
+}
+
+func (c *searchTally) Plan(m *manifest.Video, k int, view player.ChunkView, budget float64) abr.Allocation {
+	a, st := abr.SearchPruned(c.CostRows(nil, m, k, view), budget, 0)
+	c.calls.Add(1)
+	c.states.Add(int64(st.States))
+	if st.Thinned > 0 {
+		c.thinned.Add(1)
+	}
+	if st.States == 0 {
+		c.unsearched.Add(1)
+	}
+	return a
+}
+
+func (c *searchTally) row(name string) PruneRow {
+	n := float64(c.calls.Load())
+	return PruneRow{Allocator: name, States: float64(c.states.Load()) / n,
+		CapHitFrac: float64(c.thinned.Load()) / n, NoSearchFrac: float64(c.unsearched.Load()) / n}
 }
 
 // AllocationPruning reproduces the §6.1 claim that dominance-pruned
 // enumeration makes optimal tile allocation tractable: it compares the
 // pruned allocator, the greedy allocator, and (on truncated instances)
-// exhaustive search.
+// exhaustive search, and then counts what the search does over the calls
+// of whole sessions at the two operating points the benchmark measures:
+// simulator sessions on vod_session's links, and a swarm population.
 func AllocationPruning(d *Dataset) ([]PruneRow, *Table, error) {
-	m, err := d.Manifest(d.TracedIndices()[0], provider.ModePano)
+	vi := d.TracedIndices()[0]
+	m, err := d.Manifest(vi, provider.ModePano)
 	if err != nil {
 		return nil, nil, err
 	}
 	est := player.NewEstimator()
 	planner := player.NewPanoPlanner()
-	tr := d.Traces(d.TracedIndices()[0])[0]
+	tr := d.Traces(vi)[0]
 
-	var greedyRatio, exhRatio, states mathx.Stats
-	capHits := 0
+	var greedyRatio, exhRatio mathx.Stats
+	onRows := &searchTally{PanoPlanner: planner}
 	chunks := m.NumChunks()
 	if chunks > 4 {
 		chunks = 4
@@ -184,11 +223,7 @@ func AllocationPruning(d *Dataset) ([]PruneRow, *Table, error) {
 		view := est.View(m, tr, k, float64(k)*m.ChunkSec)
 		tiles := planner.CostRows(nil, m, k, view)
 		budget := m.ChunkBits(k, codec.Level(2))
-		pruned, search := abr.SearchPruned(tiles, budget, 0)
-		states.Add(float64(search.States))
-		if search.Thinned > 0 {
-			capHits++
-		}
+		pruned := onRows.Plan(m, k, view, budget)
 		greedy := abr.AllocateGreedy(tiles, budget)
 		pc := abr.TotalCost(tiles, pruned)
 		if pc > 0 {
@@ -206,23 +241,52 @@ func AllocationPruning(d *Dataset) ([]PruneRow, *Table, error) {
 			exhRatio.Add(abr.TotalCost(sub, subPruned) / c)
 		}
 	}
+
+	simCalls := &searchTally{PanoPlanner: planner}
+	for _, frac := range []float64{0.18, 0.30} {
+		for u, tr := range d.Traces(vi) {
+			link := sim.ScaledLink(m, frac, d.Scale.Seed+uint64(u))
+			if _, err := sim.Run(m, tr, link, simCalls, sim.DefaultConfig()); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	swarmCalls := &searchTally{PanoPlanner: planner}
+	cfg, err := d.swarmConfig()
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.Sessions, cfg.Planner = 200, swarmCalls
+	cfg.ScoreEvery = cfg.Sessions + 1 // the plans are counted, not scored
+	if _, err := swarm.Run(context.Background(), cfg); err != nil {
+		return nil, nil, err
+	}
+
 	rows := []PruneRow{
-		{Allocator: "pruned (Pano §6.1)", CostRatio: 1.0, States: states.Mean(),
-			CapHitFrac: float64(capHits) / float64(chunks)},
-		{Allocator: "greedy", CostRatio: greedyRatio.Mean(), CapHitFrac: -1},
+		onRows.row("pruned (Pano §6.1)"),
+		{Allocator: "greedy", CostRatio: greedyRatio.Mean(), CapHitFrac: -1, NoSearchFrac: -1},
 		{Allocator: "pruned vs exhaustive (8 tiles)", CostRatio: exhRatio.Mean(),
-			States: fpow(codec.NumLevels, 8), CapHitFrac: -1},
+			States: fpow(codec.NumLevels, 8), CapHitFrac: -1, NoSearchFrac: -1},
+		simCalls.row("pruned, sim sessions on 0.18x and 0.30x links"),
+		swarmCalls.row("pruned, swarm population of 200"),
 	}
 	t := &Table{
 		Title:  "§6.1: tile allocation — pruned enumeration vs alternatives",
-		Header: []string{"allocator", "cost_ratio", "search_space", "cap_hit_pct"},
+		Header: []string{"allocator", "cost_ratio", "search_space", "cap_hit_pct", "no_search_pct"},
 	}
-	for _, r := range rows {
-		capHit := "-"
-		if r.CapHitFrac >= 0 {
-			capHit = f1(r.CapHitFrac * 100)
+	pct := func(frac float64) string {
+		if frac < 0 {
+			return "-"
 		}
-		t.Rows = append(t.Rows, []string{r.Allocator, fmt.Sprintf("%.4f", r.CostRatio), f0(r.States), capHit})
+		return f1(frac * 100)
+	}
+	rows[0].CostRatio = 1
+	for _, r := range rows {
+		ratio := "-"
+		if r.CostRatio > 0 {
+			ratio = fmt.Sprintf("%.4f", r.CostRatio)
+		}
+		t.Rows = append(t.Rows, []string{r.Allocator, ratio, f0(r.States), pct(r.CapHitFrac), pct(r.NoSearchFrac)})
 	}
 	return rows, t, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"pano/internal/manifest"
 	"pano/internal/mathx"
 	"pano/internal/player"
 	"pano/internal/provider"
@@ -291,13 +290,4 @@ func Fig13(d *Dataset) ([]Fig13Row, *Table, error) {
 		}
 	}
 	return rows, t, nil
-}
-
-// manifestOrDie is a test helper used by benches; it panics on error.
-func (d *Dataset) manifestOrDie(i int, mode provider.Mode) *manifest.Video {
-	m, err := d.Manifest(i, mode)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }

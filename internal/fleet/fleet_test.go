@@ -36,15 +36,12 @@ func TestRingDeterministicAndStable(t *testing.T) {
 			}
 			seen[o1[j]] = true
 		}
-		if r1.Owner(k) != o1[0] {
-			t.Fatalf("Owner != Order[0]")
-		}
 	}
 	// Placement hashes origin names, so reordering the list moves no keys.
 	rev := NewRing([]string{"http://d:1", "http://c:1", "http://b:1", "http://a:1"}, 64)
 	for i := 0; i < 200; i++ {
 		k := r1.Key(fmt.Sprintf("/video/%d/0/0.bin", i))
-		if origins[r1.Owner(k)] != rev.Origins()[rev.Owner(k)] {
+		if origins[r1.Order(k)[0]] != rev.Origins()[rev.Order(k)[0]] {
 			t.Fatalf("owner moved under origin-list reordering (key %d)", k)
 		}
 	}
@@ -56,7 +53,7 @@ func TestRingBalance(t *testing.T) {
 	counts := make([]int, len(origins))
 	const n = 4000
 	for i := 0; i < n; i++ {
-		counts[r.Owner(r.Key(fmt.Sprintf("/video/%d/%d/2.bin", i/16, i%16)))]++
+		counts[r.Order(r.Key(fmt.Sprintf("/video/%d/%d/2.bin", i/16, i%16)))[0]]++
 	}
 	for i, c := range counts {
 		if c < n/len(origins)/3 || c > n*2/len(origins) {
@@ -351,7 +348,7 @@ func TestHedgedFetchWinsOnSlowPrimary(t *testing.T) {
 	var path string
 	for i := 0; ; i++ {
 		p := fmt.Sprintf("/video/%d/3/1.bin", i)
-		if f.Ring().Owner(f.Ring().Key(p)) == 0 {
+		if f.Ring().Order(f.Ring().Key(p))[0] == 0 {
 			path = p
 			break
 		}
@@ -474,7 +471,7 @@ func TestPickAvoidsOpenBreakers(t *testing.T) {
 	var path string
 	for i := 0; ; i++ {
 		p := "/video/" + strconv.Itoa(i) + "/0/0.bin"
-		if f.Ring().Owner(f.Ring().Key(p)) == 0 {
+		if f.Ring().Order(f.Ring().Key(p))[0] == 0 {
 			path = p
 			break
 		}

@@ -101,10 +101,6 @@ func hashKey(s string) uint64 {
 	return x
 }
 
-// Owner returns the origin id owning key: the origin of the first
-// virtual node at or clockwise after the key.
-func (r *Ring) Owner(key uint64) int { return r.Order(key)[0] }
-
 // Order returns every origin id in deterministic ring order starting at
 // the key's owner — the failover ladder for that key. Successive keys
 // spread both their owners and their fallback targets across the fleet,

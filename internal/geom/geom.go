@@ -284,18 +284,6 @@ func (v Viewport) Contains(a Angle) bool {
 	return dx <= v.WidthDeg/2 && dy <= v.HeightDeg/2
 }
 
-// SolidAngleFraction approximates the fraction of the sphere covered by
-// the viewport, using the spherical-cap band formula for the pitch range
-// and the yaw fraction within it.
-func (v Viewport) SolidAngleFraction() float64 {
-	c := v.Center.Norm()
-	top := ClampPitch(c.Pitch+v.HeightDeg/2) * math.Pi / 180
-	bot := ClampPitch(c.Pitch-v.HeightDeg/2) * math.Pi / 180
-	band := (math.Sin(top) - math.Sin(bot)) / 2 // fraction of sphere in band
-	yawFrac := math.Min(v.WidthDeg/FullYawDeg, 1)
-	return band * yawFrac
-}
-
 func clampInt(v, lo, hi int) int {
 	if v < lo {
 		return lo

@@ -194,18 +194,6 @@ func TestViewportContains(t *testing.T) {
 	}
 }
 
-func TestSolidAngleFraction(t *testing.T) {
-	full := Viewport{Center: Angle{}, WidthDeg: 360, HeightDeg: 180}
-	if got := full.SolidAngleFraction(); math.Abs(got-1) > 1e-9 {
-		t.Errorf("full sphere fraction = %v, want 1", got)
-	}
-	v := DefaultViewport(Angle{})
-	got := v.SolidAngleFraction()
-	if got <= 0.1 || got >= 0.35 {
-		t.Errorf("110x90 viewport fraction = %v, want ~0.2", got)
-	}
-}
-
 func anyBad(vs ...float64) bool {
 	for _, v := range vs {
 		if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e9 {

@@ -218,17 +218,6 @@ func (c *CDF) Mean() float64 {
 	return s / float64(len(c.sorted))
 }
 
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // Interp performs piecewise-linear interpolation of y(x) over anchor
 // points (xs ascending). Outside the range it clamps to the end values.
 func Interp(x float64, xs, ys []float64) float64 {

@@ -185,12 +185,6 @@ func TestInterp(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 10) != 5 || Clamp(-1, 0, 10) != 0 || Clamp(11, 0, 10) != 10 {
-		t.Error("Clamp misbehaves")
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42)
 	b := NewRNG(42)

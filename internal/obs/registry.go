@@ -444,15 +444,6 @@ func (r *Registry) CounterExemplar(name string, labels ...Label) (Exemplar, bool
 	return Exemplar{}, false
 }
 
-// HistogramExemplars reads a histogram series' bucket exemplars (nil
-// when the series does not exist or holds none).
-func (r *Registry) HistogramExemplars(name string, labels ...Label) []Exemplar {
-	if e := r.lookup(name, labels); e != nil && e.hist != nil {
-		return e.hist.Exemplars()
-	}
-	return nil
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {

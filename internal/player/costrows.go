@@ -97,10 +97,6 @@ func (p *PanoPlanner) CostRows(dst []abr.TileChoice, m *manifest.Video, k int, v
 	if prof == nil {
 		prof = jnd.Default()
 	}
-	hedge := p.Hedge
-	if hedge == 0 {
-		hedge = 1
-	}
 	tiles := m.Chunks[k].Tiles
 	dst = slices.Grow(dst[:0], len(tiles))[:len(tiles)]
 	// Equation 4's luminance factor depends on the view alone.
@@ -110,8 +106,9 @@ func (p *PanoPlanner) CostRows(dst []abr.TileChoice, m *manifest.Video, k int, v
 		ratio, lnA := 1.0, 0.0
 		if !p.Traditional {
 			f := FactorsFor(t, view)
-			// prof.ActionRatio(f), in its order of multiplication.
-			ratio = 1 + hedge*(prof.Fv(f.SpeedDegS)*prof.Fd(f.DoFDiff)*fl-1)
+			// prof.ActionRatio(f), in its order of multiplication; 1 + (A − 1)
+			// rounds A the way the golden sessions' plans were computed.
+			ratio = 1 + (prof.Fv(f.SpeedDegS)*prof.Fd(f.DoFDiff)*fl - 1)
 			// A ratio below 1 clamps to 1 (PowerLUT.PSPNR); NaN stays NaN
 			// and falls through to the exact formula.
 			if !(ratio <= 1) {

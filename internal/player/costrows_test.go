@@ -28,16 +28,12 @@ func exactCostRows(p *PanoPlanner, m *manifest.Video, k int, view ChunkView) []a
 	if prof == nil {
 		prof = jnd.Default()
 	}
-	hedge := p.Hedge
-	if hedge == 0 {
-		hedge = 1
-	}
 	rows := make([]abr.TileChoice, len(m.Chunks[k].Tiles))
 	for i := range m.Chunks[k].Tiles {
 		t := &m.Chunks[k].Tiles[i]
 		ratio := 1.0
 		if !p.Traditional {
-			ratio = 1 + hedge*(prof.ActionRatio(FactorsFor(t, view))-1)
+			ratio = 1 + (prof.ActionRatio(FactorsFor(t, view)) - 1)
 		}
 		area := float64(t.Rect.Area())
 		for l := 0; l < codec.NumLevels; l++ {
@@ -97,7 +93,7 @@ func lutManifest(cells []lutCell) *manifest.Video {
 // PSPNR, fit coefficients and action ratio that covers flat fits
 // (b = 0), A ≤ 1, estimates on both sides of the 100 dB cap down to an
 // ulp, fits outside expTab's domain (b < 0, b·ln A ≥ 2.5), and the
-// planner's Hedge and Traditional settings.
+// planner's Traditional setting.
 func TestCostRowsWithinBoundOfExact(t *testing.T) {
 	ratios := []float64{0.5, 1, 1 + 1e-9, 1.05, 1.3, 2, 3.7, 9, 38, 400}
 	coeffs := []float64{0.6, 0.93, 1, 1.08, 1.6}
@@ -106,9 +102,7 @@ func TestCostRowsWithinBoundOfExact(t *testing.T) {
 	// Relative offsets of the estimate from the cap.
 	capOffsets := []float64{-1e-3, -2e-5, -1e-5, -1e-6, -1e-9, -2e-16, 0, 2e-16, 1e-9, 1e-6, 1e-5, 2e-5, 1e-3}
 
-	planners := []*PanoPlanner{
-		{Hedge: 1}, {Hedge: 0.5}, {Hedge: 1.7}, {Hedge: 1, Traditional: true},
-	}
+	planners := []*PanoPlanner{{}, {Traditional: true}}
 	var worst float64
 	total, zeros, tabled := 0, 0, 0
 	for _, a := range ratios {
@@ -118,7 +112,7 @@ func TestCostRowsWithinBoundOfExact(t *testing.T) {
 			// The ratio CostRows will use, for placing estimates at the cap.
 			ratio := 1.0
 			if !p.Traditional {
-				ratio = 1 + p.Hedge*(a-1)
+				ratio = 1 + (a - 1)
 			}
 			var cells []lutCell
 			for _, c := range coeffs {
@@ -145,8 +139,8 @@ func TestCostRowsWithinBoundOfExact(t *testing.T) {
 					db, ok := cellErrorDB(g, w)
 					if !ok || !(db <= rowBoundDB) {
 						c := cells[min(i*codec.NumLevels+l, len(cells)-1)]
-						t.Errorf("A=%v hedge=%v trad=%v ref=%v fit=%+v: table %v, exact %v (%.3g dB)",
-							a, p.Hedge, p.Traditional, c.ref, c.fit, g, w, db)
+						t.Errorf("A=%v trad=%v ref=%v fit=%+v: table %v, exact %v (%.3g dB)",
+							a, p.Traditional, c.ref, c.fit, g, w, db)
 					}
 					worst = math.Max(worst, db)
 					total++
@@ -194,22 +188,22 @@ func TestTablesWithinTheirChordBounds(t *testing.T) {
 // the tables' domains is bit-for-bit the exact cell, and every other
 // cell is within rowBoundDB of it and zero exactly where it is.
 func FuzzCostRows(f *testing.F) {
-	f.Add(64.0, 1.0, 0.1, 2.0, 1.0, false)
-	f.Add(100.0, 1.0, 0.0, 1.0, 1.0, true)
-	f.Add(99.9999, 1.0, 1e-7, 1.5, 0.5, false)
-	f.Add(50.0, 1.0, 0.68, 38.0, 1.0, false)
-	f.Add(50.0, 1.0, 2.5, math.E, 1.0, false)
-	f.Add(-30.0, 1.0, 0.2, 2.0, 1.0, false)
-	f.Add(40.0, -1.0, -0.5, 3.0, 2.0, false)
-	f.Add(math.NaN(), 1.0, 0.1, 2.0, 1.0, false)
-	f.Add(40.0, math.Inf(1), 0.1, 2.0, 1.0, false)
-	f.Add(40.0, 1.0, math.NaN(), 2.0, 1.0, false)
-	f.Add(40.0, 1.0, 0.1, math.NaN(), 1.0, false)
-	f.Add(40.0, 1.0, 1e300, 1e300, 1e300, false)
-	f.Add(1e-300, 1e-300, 1e-300, 1+1e-15, -1.0, false)
-	f.Fuzz(func(t *testing.T, ref, coeff, bexp, a, hedge float64, traditional bool) {
+	f.Add(64.0, 1.0, 0.1, 2.0, false)
+	f.Add(100.0, 1.0, 0.0, 1.0, true)
+	f.Add(99.9999, 1.0, 1e-7, 1.5, false)
+	f.Add(50.0, 1.0, 0.68, 38.0, false)
+	f.Add(50.0, 1.0, 2.5, math.E, false)
+	f.Add(-30.0, 1.0, 0.2, 2.0, false)
+	f.Add(40.0, -1.0, -0.5, 3.0, false)
+	f.Add(math.NaN(), 1.0, 0.1, 2.0, false)
+	f.Add(40.0, math.Inf(1), 0.1, 2.0, false)
+	f.Add(40.0, 1.0, math.NaN(), 2.0, false)
+	f.Add(40.0, 1.0, 0.1, math.NaN(), false)
+	f.Add(40.0, 1.0, 1e300, 1e300, false)
+	f.Add(1e-300, 1e-300, 1e-300, 1+1e-15, false)
+	f.Fuzz(func(t *testing.T, ref, coeff, bexp, a float64, traditional bool) {
 		prof, view := ratioProfile(a)
-		p := &PanoPlanner{Profile: prof, Hedge: hedge, Traditional: traditional}
+		p := &PanoPlanner{Profile: prof, Traditional: traditional}
 		// Five estimates per input, spread around the given one.
 		fit := manifest.PowerLUT{ACoeff: coeff, BExp: bexp}
 		var cells []lutCell
@@ -222,10 +216,7 @@ func FuzzCostRows(f *testing.F) {
 
 		ratio := 1.0
 		if !traditional {
-			if hedge == 0 {
-				hedge = 1
-			}
-			ratio = 1 + hedge*(a-1)
+			ratio = 1 + (a - 1)
 		}
 		x := bexp * math.Log(math.Max(ratio, 1)) // NaN if either is
 		for l, w := range want.Cost {
@@ -271,54 +262,46 @@ func benchFixture(tb testing.TB) (*manifest.Video, []*viewport.Trace) {
 
 // What the bound buys: over the benchmark's manifest, its 8 viewers and
 // a ladder of budgets from the all-lowest to the all-highest size, the
-// rows are within rowBoundDB of the exact ones and Plan — both
-// allocators — returns the levels the exact rows give. A 1e-5
-// relative change of a cost can only flip an allocator's choice between
-// two plans that close, so an exception is tolerated when, under the
-// exact rows, its plan costs within 1e-4 of the exact plan's (it is
-// logged with that Δcost), and they must stay exceptions.
+// rows are within rowBoundDB of the exact ones and Plan returns the
+// levels the exact rows give. A 1e-5 relative change of a cost can only
+// flip the allocator's choice between two plans that close, so an
+// exception is tolerated when, under the exact rows, its plan costs
+// within 1e-4 of the exact plan's (it is logged with that Δcost), and
+// they must stay exceptions.
 func TestPlanMatchesExactRows(t *testing.T) {
 	m, trs := benchFixture(t)
 	est := NewEstimator()
 	const rungs = 16
 	calls, exceptions := 0, 0
-	for _, greedy := range []bool{false, true} {
-		p := NewPanoPlanner()
-		p.Greedy = greedy
-		for u, tr := range trs {
-			for k := 0; k < m.NumChunks(); k++ {
-				view := est.View(m, tr, k, float64(k)*m.ChunkSec)
-				exact := exactCostRows(p, m, k, view)
-				// The rows too: the sweep's profile is flat in DoF and
-				// luminance, this one is the real Equation 4.
-				for i, row := range p.CostRows(nil, m, k, view) {
-					for l, g := range row.Cost {
-						if db, ok := cellErrorDB(g, exact[i].Cost[l]); !ok || !(db <= rowBoundDB) {
-							t.Fatalf("viewer %d chunk %d tile %d level %d: table %v, exact %v (%.3g dB)", u, k, i, l, g, exact[i].Cost[l], db)
-						}
+	p := NewPanoPlanner()
+	for u, tr := range trs {
+		for k := 0; k < m.NumChunks(); k++ {
+			view := est.View(m, tr, k, float64(k)*m.ChunkSec)
+			exact := exactCostRows(p, m, k, view)
+			// The rows too: the sweep's profile is flat in DoF and
+			// luminance, this one is the real Equation 4.
+			for i, row := range p.CostRows(nil, m, k, view) {
+				for l, g := range row.Cost {
+					if db, ok := cellErrorDB(g, exact[i].Cost[l]); !ok || !(db <= rowBoundDB) {
+						t.Fatalf("viewer %d chunk %d tile %d level %d: table %v, exact %v (%.3g dB)", u, k, i, l, g, exact[i].Cost[l], db)
 					}
 				}
-				lo, hi := m.ChunkBits(k, codec.Level(codec.NumLevels-1)), m.ChunkBits(k, 0)
-				for r := 0; r <= rungs; r++ {
-					budget := lo * math.Pow(hi/lo, float64(r)/rungs)
-					got := p.Plan(m, k, view, budget)
-					var want abr.Allocation
-					if greedy {
-						want = abr.AllocateGreedy(exact, budget)
-					} else {
-						want = abr.AllocatePruned(exact, budget, 0)
-					}
-					calls++
-					if slices.Equal(got, want) {
-						continue
-					}
-					exceptions++
-					gc, wc := abr.TotalCost(exact, got), abr.TotalCost(exact, want)
-					t.Logf("%s viewer %d chunk %d budget %.0f: plan %v, exact rows give %v; Δcost %+.3g relative",
-						p.Name(), u, k, budget, got, want, gc/wc-1)
-					if math.Abs(gc/wc-1) > 1e-4 || abr.TotalBits(exact, got) > budget {
-						t.Errorf("%s viewer %d chunk %d budget %.0f: plan differs from the exact rows' by more than a tie", p.Name(), u, k, budget)
-					}
+			}
+			lo, hi := m.ChunkBits(k, codec.Level(codec.NumLevels-1)), m.ChunkBits(k, 0)
+			for r := 0; r <= rungs; r++ {
+				budget := lo * math.Pow(hi/lo, float64(r)/rungs)
+				got := p.Plan(m, k, view, budget)
+				want := abr.AllocatePruned(exact, budget, 0)
+				calls++
+				if slices.Equal(got, want) {
+					continue
+				}
+				exceptions++
+				gc, wc := abr.TotalCost(exact, got), abr.TotalCost(exact, want)
+				t.Logf("viewer %d chunk %d budget %.0f: plan %v, exact rows give %v; Δcost %+.3g relative",
+					u, k, budget, got, want, gc/wc-1)
+				if math.Abs(gc/wc-1) > 1e-4 || abr.TotalBits(exact, got) > budget {
+					t.Errorf("viewer %d chunk %d budget %.0f: plan differs from the exact rows' by more than a tie", u, k, budget)
 				}
 			}
 		}

@@ -114,31 +114,6 @@ func (e *Estimator) ActualView(m *manifest.Video, tr *viewport.Trace, k int) Chu
 	}
 }
 
-// ViewportPSNR is ViewportPSPNR's JND-agnostic sibling: the
-// area-weighted plain PSNR of the tiles under the true viewport. It is
-// the "PSNR" reference predictor of Figure 8.
-func ViewportPSNR(m *manifest.Video, k int, alloc abr.Allocation, center geom.Angle) float64 {
-	g := geom.Frame{W: m.W, H: m.H}
-	foot := geom.DefaultViewport(center).Footprint(g)
-	var num, den float64
-	for i := range m.Chunks[k].Tiles {
-		t := &m.Chunks[k].Tiles[i]
-		overlap := 0
-		for _, r := range foot {
-			overlap += t.Rect.OverlapArea(r)
-		}
-		if overlap == 0 {
-			continue
-		}
-		num += float64(overlap) * PMSEFromPSPNR(t.PSNR[alloc[i]])
-		den += float64(overlap)
-	}
-	if den == 0 {
-		return 0
-	}
-	return quality.PSPNRFromPMSE(num / den)
-}
-
 func clampChunk(m *manifest.Video, k int) int {
 	if k < 0 {
 		return 0

@@ -144,42 +144,26 @@ type Planner interface {
 // area-weighted sum of perceptible distortion Σ Sₜ·Mₜ(qₜ) over all
 // tiles, with PSPNR estimated via 360JND and the manifest lookup table.
 // The viewpoint influences the plan only through the per-tile factors —
-// exactly the paper's formulation, with no viewport-distance term.
+// exactly the paper's formulation, with no viewport-distance term. Every
+// session plans with the one search, abr.AllocatePruned: sim, the HTTP
+// client and the swarm's populations alike.
 type PanoPlanner struct {
 	// Profile supplies the multipliers for factor→ratio conversion.
 	Profile *jnd.Profile
 	// Traditional disables the action ratio (A = 1 always), yielding
 	// the "Pano (traditional PSPNR)" ablation of Figure 18a.
 	Traditional bool
-	// Hedge shrinks the planned action ratio toward 1:
-	// A' = 1 + Hedge·(A−1). Even with lower-bound factor estimates the
-	// viewpoint can slow down between the decision and playback; a
-	// hedge below 1 keeps those misses cheap (§6.1's conservatism).
-	Hedge float64
-	// Greedy swaps the pruned search for the greedy marginal-utility
-	// allocator: the same cost rows (≈3 µs per 30-tile chunk either way),
-	// no frontier search. On the bench video the allocator call is ≈8 µs
-	// against ≈32 µs on the benchmark's warm probe and ≈100 µs mean,
-	// heavy-tailed, over a vod_session's calls; at the all-lowest budgets
-	// the swarm's sessions run at, the search costs ≈16–20 µs of CPU per
-	// chunk more than greedy (ROADMAP item 2 has the measurements). The
-	// price is quality: ≈3.3–4.1 % more distortion on that video. It is
-	// the knob internal/swarm's million-session populations turn.
-	Greedy bool
 }
 
 // NewPanoPlanner returns the default Pano planner.
 func NewPanoPlanner() *PanoPlanner {
-	return &PanoPlanner{Profile: jnd.Default(), Hedge: 1.0}
+	return &PanoPlanner{Profile: jnd.Default()}
 }
 
 // Name implements Planner.
 func (p *PanoPlanner) Name() string {
 	if p.Traditional {
 		return "pano-traditional-jnd"
-	}
-	if p.Greedy {
-		return "pano-greedy"
 	}
 	return "pano"
 }
@@ -194,9 +178,6 @@ func (p *PanoPlanner) Plan(m *manifest.Video, k int, view ChunkView, budget floa
 	rows := costRowsPool.Get().(*[]abr.TileChoice)
 	defer costRowsPool.Put(rows)
 	*rows = p.CostRows(*rows, m, k, view)
-	if p.Greedy {
-		return abr.AllocateGreedy(*rows, budget)
-	}
 	return abr.AllocatePruned(*rows, budget, 0)
 }
 

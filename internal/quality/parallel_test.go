@@ -110,7 +110,7 @@ func TestTilePSPNRSerialParallelAndCachedAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pmseCached, err := TilePMSECached(prof, cache, "k", orig, enc, r, f)
+		pmseCached, err := tilePMSE(prof, cache, "k", orig, enc, r, f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,15 +78,6 @@ func PMSEWorkers(orig, enc *frame.Frame, jndField []float64, workers int) (float
 	return sum / float64(len(orig.Pix)), nil
 }
 
-// UniformJND returns a constant JND field of the given size.
-func UniformJND(w, h int, v float64) []float64 {
-	f := make([]float64, w*h)
-	for i := range f {
-		f[i] = v
-	}
-	return f
-}
-
 // ScaleField multiplies every entry of a JND field by k, returning a new
 // slice. It implements the content/action decomposition of Equation 4:
 // the content field is computed once and the action ratio applied per
@@ -127,12 +118,6 @@ func TilePSPNRCached(p *jnd.Profile, cache *jnd.FieldCache, chunkKey string, ori
 // (§6.1).
 func TilePMSE(p *jnd.Profile, orig *frame.Frame, enc *frame.Frame, r geom.Rect, f jnd.Factors) (float64, error) {
 	return tilePMSE(p, nil, "", orig, enc, r, f)
-}
-
-// TilePMSECached is TilePMSE with the content-JND field served from
-// cache under (chunkKey, r).
-func TilePMSECached(p *jnd.Profile, cache *jnd.FieldCache, chunkKey string, orig *frame.Frame, enc *frame.Frame, r geom.Rect, f jnd.Factors) (float64, error) {
-	return tilePMSE(p, cache, chunkKey, orig, enc, r, f)
 }
 
 func tilePMSE(p *jnd.Profile, cache *jnd.FieldCache, chunkKey string, orig *frame.Frame, enc *frame.Frame, r geom.Rect, f jnd.Factors) (float64, error) {
@@ -179,20 +164,6 @@ func MOSFromPSPNR(p float64) int {
 		}
 	}
 	return 5
-}
-
-// PSPNRForMOS returns the lower edge of the PSPNR band for a target MOS,
-// e.g. PSPNRForMOS(5) == 70 (used by the iso-quality bandwidth
-// experiments, Figure 18).
-func PSPNRForMOS(mos int) float64 {
-	switch {
-	case mos <= 1:
-		return 0
-	case mos >= 5:
-		return 70
-	default:
-		return mosBands[mos-2] + 1
-	}
 }
 
 // PSPNRBuckets are histogram bounds for per-chunk PSPNR metrics,

@@ -11,6 +11,15 @@ import (
 	"pano/internal/scene"
 )
 
+// uniformJND returns a constant JND field of the given size.
+func uniformJND(w, h int, v float64) []float64 {
+	f := make([]float64, w*h)
+	for i := range f {
+		f[i] = v
+	}
+	return f
+}
+
 func TestPSNR(t *testing.T) {
 	if PSNR(0) != PSPNRCap {
 		t.Error("zero MSE should cap")
@@ -32,7 +41,7 @@ func TestPMSEFiltersSubJNDNoise(t *testing.T) {
 		enc.Pix[i] += 4 // distortion of 4 grey levels everywhere
 	}
 	// JND 5: fully imperceptible.
-	p, err := PMSE(orig, enc, UniformJND(16, 16, 5))
+	p, err := PMSE(orig, enc, uniformJND(16, 16, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +49,7 @@ func TestPMSEFiltersSubJNDNoise(t *testing.T) {
 		t.Errorf("sub-JND PMSE = %v, want 0", p)
 	}
 	// JND 1: perceptible excess is 3 per pixel -> PMSE 9.
-	p, err = PMSE(orig, enc, UniformJND(16, 16, 1))
+	p, err = PMSE(orig, enc, uniformJND(16, 16, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +61,10 @@ func TestPMSEFiltersSubJNDNoise(t *testing.T) {
 func TestPMSEErrors(t *testing.T) {
 	a := frame.New(8, 8)
 	b := frame.New(4, 4)
-	if _, err := PMSE(a, b, UniformJND(8, 8, 1)); err == nil {
+	if _, err := PMSE(a, b, uniformJND(8, 8, 1)); err == nil {
 		t.Error("size mismatch should error")
 	}
-	if _, err := PMSE(a, a.Clone(), UniformJND(4, 4, 1)); err == nil {
+	if _, err := PMSE(a, a.Clone(), uniformJND(4, 4, 1)); err == nil {
 		t.Error("field length mismatch should error")
 	}
 }
@@ -170,23 +179,5 @@ func TestMOSBands(t *testing.T) {
 		if got := MOSFromPSPNR(c.pspnr); got != c.mos {
 			t.Errorf("MOS(%v) = %d, want %d", c.pspnr, got, c.mos)
 		}
-	}
-}
-
-func TestPSPNRForMOSInverse(t *testing.T) {
-	for mos := 2; mos <= 5; mos++ {
-		edge := PSPNRForMOS(mos)
-		if got := MOSFromPSPNR(edge); got != mos {
-			t.Errorf("MOS at band edge %v = %d, want %d", edge, got, mos)
-		}
-		if got := MOSFromPSPNR(edge - 1.5); got != mos-1 {
-			t.Errorf("MOS just below band edge = %d, want %d", got, mos-1)
-		}
-	}
-	if PSPNRForMOS(1) != 0 || PSPNRForMOS(0) != 0 {
-		t.Error("MOS 1 band starts at 0")
-	}
-	if PSPNRForMOS(5) != 70 || PSPNRForMOS(9) != 70 {
-		t.Error("MOS 5 band starts at 70")
 	}
 }

@@ -38,20 +38,26 @@ type Server struct {
 	// content may change underneath (a live publisher's store).
 	backend Backend
 
-	// Cache-validation state shared by every response: the advertised
-	// freshness lifetime and the Last-Modified anchor. ETags come from
-	// the backend.
-	maxAge  time.Duration
-	lastMod time.Time
-
-	// What a response header carries that no request changes, rendered
-	// once in newServer. net/http only reads a handler's header values,
-	// so every response can share these one-element slices.
-	cacheControl, lastModified []string
+	// Cache-validation state shared by every response: the
+	// Last-Modified anchor, and its header value rendered once in
+	// newServer. ETags come from the backend.
+	lastMod      time.Time
+	lastModified []string
 }
 
-// The two Content-Type values, shared the same way.
-var typeOctet, typeJSON = []string{"application/octet-stream"}, []string{"application/json"}
+// maxAge is the freshness lifetime advertised in Cache-Control on
+// manifest and tile responses: downstream HTTP caches — the
+// internal/edge tier included — revalidate with If-None-Match after this
+// long and get a 304 when the content is unchanged.
+const maxAge = 60 * time.Second
+
+// What a response header carries that no request changes. net/http only
+// reads a handler's header values, so every response can share these
+// one-element slices.
+var (
+	cacheControl        = []string{maxAgeValue(maxAge)}
+	typeOctet, typeJSON = []string{"application/octet-stream"}, []string{"application/json"}
+)
 
 // Option configures a Server.
 type Option func(*Server)
@@ -68,18 +74,6 @@ func WithObs(reg *obs.Registry) Option {
 // default.
 func WithEventLog(l *obs.EventLog) Option {
 	return func(s *Server) { s.log = l }
-}
-
-// WithCacheTTL sets the max-age the server advertises in Cache-Control
-// on manifest and tile responses (default 60s). Downstream HTTP caches
-// — including the internal/edge tier — revalidate with If-None-Match
-// after this long and get a 304 when the content is unchanged.
-func WithCacheTTL(d time.Duration) Option {
-	return func(s *Server) {
-		if d > 0 {
-			s.maxAge = d
-		}
-	}
 }
 
 // WithTracer attaches a span tracer: handler spans opened by
@@ -120,12 +114,11 @@ func New(m *manifest.Video, opts ...Option) (*Server, error) {
 // newServer is the construction New and NewBackend share; man is the
 // backend's already-validated manifest.
 func newServer(man *manifest.Video, b Backend, opts []Option) *Server {
-	s := &Server{backend: b, maxAge: 60 * time.Second}
+	s := &Server{backend: b}
 	for _, o := range opts {
 		o(s)
 	}
 	s.lastMod = time.Now().UTC().Truncate(time.Second)
-	s.cacheControl = []string{maxAgeValue(s.maxAge)}
 	s.lastModified = []string{s.lastMod.Format(http.TimeFormat)}
 	if s.reg != nil {
 		s.reg.Gauge("pano_video_chunks", "chunks in the served manifest").Set(float64(man.NumChunks()))
@@ -300,13 +293,13 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server: backend: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	cacheControl := s.cacheControl
+	control := cacheControl
 	if man.Live {
 		// A live manifest changes every publish; don't let caches
 		// hold it for the VOD lifetime.
-		cacheControl = []string{maxAgeValue(liveManifestMaxAge(man.ChunkSec, s.maxAge))}
+		control = []string{maxAgeValue(liveManifestMaxAge(man.ChunkSec, maxAge))}
 	}
-	s.cacheHeaders(w, etag, cacheControl)
+	s.cacheHeaders(w, etag, control)
 	if obs.ETagMatch(r.Header.Get("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
@@ -443,7 +436,7 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	}
 	if obs.ETagMatch(r.Header.Get("If-None-Match"), st.ETag) {
 		// 304 from the stat alone: no payload is read or generated.
-		s.cacheHeaders(w, st.ETag, s.cacheControl)
+		s.cacheHeaders(w, st.ETag, cacheControl)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -457,7 +450,7 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.cacheHeaders(w, st.ETag, s.cacheControl)
+	s.cacheHeaders(w, st.ETag, cacheControl)
 	w.Header()["Content-Type"] = typeOctet
 	w.Header()["Content-Length"] = []string{strconv.Itoa(max(st.Size, 16))}
 	if r.Method == http.MethodHead {

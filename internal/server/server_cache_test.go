@@ -12,7 +12,7 @@ import (
 // ETag, an explicit max-age, and Last-Modified; If-None-Match with the
 // current tag gets a bodyless 304, a stale tag the full body again.
 func TestManifestCacheValidators(t *testing.T) {
-	s, err := New(testManifest(t), WithCacheTTL(30*time.Second))
+	s, err := New(testManifest(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +29,8 @@ func TestManifestCacheValidators(t *testing.T) {
 	if etag == "" {
 		t.Fatal("manifest response has no ETag")
 	}
-	if got := resp.Header.Get("Cache-Control"); got != "max-age=30" {
-		t.Errorf("Cache-Control = %q, want max-age=30", got)
+	if got := resp.Header.Get("Cache-Control"); got != "max-age=60" {
+		t.Errorf("Cache-Control = %q, want max-age=60", got)
 	}
 	if lm := resp.Header.Get("Last-Modified"); lm == "" {
 		t.Error("manifest response has no Last-Modified")

@@ -70,10 +70,8 @@ type Config struct {
 	Fleet *FleetConfig
 	// Fetch tunes the client's retry ladder (zero = defaults).
 	Fetch client.FetchPolicy
-	// Planner decides per-tile levels (default: the greedy Pano
-	// planner — the pruned search costs ≈7 µs more per chunk where the
-	// swarm's sessions sit, a third of swarm_population's throughput;
-	// ROADMAP item 2 has the measurement).
+	// Planner decides per-tile levels (default: player.NewPanoPlanner,
+	// the §6.1 search every other session loop plans with).
 	Planner player.Planner
 	// MaxChunks bounds each session's length (0 = whole video).
 	MaxChunks int
@@ -131,9 +129,7 @@ func (c *Config) fillDefaults() error {
 		c.ScoreEvery = 1
 	}
 	if c.Planner == nil {
-		p := player.NewPanoPlanner()
-		p.Greedy = true
-		c.Planner = p
+		c.Planner = player.NewPanoPlanner()
 	}
 	if c.Fleet != nil {
 		if c.Fleet.Origins <= 0 {

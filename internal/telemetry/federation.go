@@ -33,25 +33,23 @@ const (
 )
 
 // defaultGaugeAgg carries the aggregation hints for the repo's own
-// gauge families. Anything unlisted sums — the right default for
-// capacity-like gauges (cache budgets, open origins, build_info
-// instance counts).
-func defaultGaugeAgg() map[string]GaugeAgg {
-	return map[string]GaugeAgg{
-		// Ratios and per-session quality levels: the fleet value is the
-		// average instance, not the sum.
-		"pano_edge_hit_ratio":          AggAvg,
-		"pano_client_buffer_sec":       AggAvg,
-		"pano_client_session_mos":      AggAvg,
-		"pano_sim_session_mos":         AggAvg,
-		"pano_client_session_pspnr_db": AggAvg,
-		"pano_sim_session_pspnr_db":    AggAvg,
-		// Alert/health states: the fleet is as bad as its worst member.
-		"pano_slo_state":                         AggMax,
-		"pano_fleet_breaker_state":               AggMax,
-		"pano_runtime_gc_pause_p99_seconds":      AggMax,
-		"pano_runtime_sched_latency_p99_seconds": AggMax,
-	}
+// gauge families; it is read, never written. Anything unlisted sums —
+// the right default for capacity-like gauges (cache budgets, open
+// origins, build_info instance counts).
+var defaultGaugeAgg = map[string]GaugeAgg{
+	// Ratios and per-session quality levels: the fleet value is the
+	// average instance, not the sum.
+	"pano_edge_hit_ratio":          AggAvg,
+	"pano_client_buffer_sec":       AggAvg,
+	"pano_client_session_mos":      AggAvg,
+	"pano_sim_session_mos":         AggAvg,
+	"pano_client_session_pspnr_db": AggAvg,
+	"pano_sim_session_pspnr_db":    AggAvg,
+	// Alert/health states: the fleet is as bad as its worst member.
+	"pano_slo_state":                         AggMax,
+	"pano_fleet_breaker_state":               AggMax,
+	"pano_runtime_gc_pause_p99_seconds":      AggMax,
+	"pano_runtime_sched_latency_p99_seconds": AggMax,
 }
 
 // ScrapeTarget is one /metrics endpoint to federate.
@@ -109,8 +107,6 @@ type ScraperConfig struct {
 	// Interval is the expected scrape period; it only shapes the
 	// dashboard's histogram quantile window (default 1s).
 	Interval time.Duration
-	// GaugeAgg overrides/extends the built-in per-family gauge hints.
-	GaugeAgg map[string]GaugeAgg
 	// HTTP is the client used for scrapes (default http.DefaultClient;
 	// tests inject httptest clients here).
 	HTTP *http.Client
@@ -149,7 +145,6 @@ type targetState struct {
 type Scraper struct {
 	cfg    ScraperConfig
 	client *http.Client
-	agg    map[string]GaugeAgg
 
 	mu      sync.Mutex
 	targets []*targetState
@@ -178,10 +173,6 @@ func NewScraper(cfg ScraperConfig) (*Scraper, error) {
 	if cfg.Self != nil && cfg.SelfInstance == "" {
 		cfg.SelfInstance = "obsd"
 	}
-	agg := defaultGaugeAgg()
-	for k, v := range cfg.GaugeAgg {
-		agg[k] = v
-	}
 	client := cfg.HTTP
 	if client == nil {
 		client = http.DefaultClient
@@ -189,7 +180,6 @@ func NewScraper(cfg ScraperConfig) (*Scraper, error) {
 	s := &Scraper{
 		cfg:         cfg,
 		client:      client,
-		agg:         agg,
 		unmergeable: map[string]bool{},
 		instStore:   NewStore(2 * dashPoints),
 	}
@@ -331,7 +321,7 @@ func (s *Scraper) buildRollupLocked() []obs.SnapshotSeries {
 			case "counter":
 				a.series.Value += ss.Value
 			default: // gauge
-				switch s.agg[ss.Name] {
+				switch defaultGaugeAgg[ss.Name] {
 				case AggMax:
 					if ss.Value > a.series.Value {
 						a.series.Value = ss.Value
@@ -352,7 +342,7 @@ func (s *Scraper) buildRollupLocked() []obs.SnapshotSeries {
 			continue // layout conflict: family stays per-instance only
 		}
 		if a.series.Type != "histogram" && a.series.Type != "counter" &&
-			s.agg[a.series.Name] == AggAvg && a.n > 0 {
+			defaultGaugeAgg[a.series.Name] == AggAvg && a.n > 0 {
 			a.series.Value /= a.n
 		}
 		out = append(out, a.series)

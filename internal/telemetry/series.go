@@ -138,10 +138,6 @@ func (s *Series) Oldest() (Point, bool) {
 func (s *Series) DeltaSince(t time.Time) (float64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.deltaLocked(t)
-}
-
-func (s *Series) deltaLocked(t time.Time) (float64, bool) {
 	last, ok := s.ring.latest()
 	if !ok {
 		return 0, false
@@ -156,24 +152,6 @@ func (s *Series) deltaLocked(t time.Time) (float64, bool) {
 		d = last.V
 	}
 	return d, true
-}
-
-// RateSince returns the per-second rate over [t, latest] (0 when the
-// window has no extent yet).
-func (s *Series) RateSince(t time.Time) float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	last, ok := s.ring.latest()
-	if !ok {
-		return 0
-	}
-	first, _ := s.ring.atOrBefore(t)
-	dt := last.T.Sub(first.T).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	d, _ := s.deltaLocked(t)
-	return d / dt
 }
 
 // histSnap is one scrape of a histogram's cumulative state.
@@ -256,12 +234,6 @@ func (h *HistSeries) QuantileSince(q float64, t time.Time) (float64, bool) {
 		return 0, false
 	}
 	return obs.HistogramQuantile(q, h.Uppers, counts), true
-}
-
-// CountSince returns how many observations landed in [t, latest].
-func (h *HistSeries) CountSince(t time.Time) uint64 {
-	_, n, _ := h.deltaSince(t)
-	return n
 }
 
 // Store is the in-process time-series database: every registry series,

@@ -39,9 +39,6 @@ func TestCounterSeriesWindowedDelta(t *testing.T) {
 	if !ok || d != 18 {
 		t.Errorf("DeltaSince(clamped) = %v,%v, want 18,true", d, ok)
 	}
-	if r := s.RateSince(at(4)); math.Abs(r-2) > 1e-9 {
-		t.Errorf("RateSince = %v, want 2/s", r)
-	}
 }
 
 func TestCounterResetHandling(t *testing.T) {
@@ -134,8 +131,8 @@ func TestHistSeriesWindowedQuantile(t *testing.T) {
 
 	hs := st.HistFamily("lat_seconds")[0]
 	// Full-history window includes both epochs.
-	if n := hs.CountSince(at(-1)); n != 100 {
-		t.Errorf("CountSince(full) = %d, want 100 (delta vs first snapshot)", n)
+	if _, n, _ := hs.deltaSince(at(-1)); n != 100 {
+		t.Errorf("full-window count = %d, want 100 (delta vs first snapshot)", n)
 	}
 	// The windowed p99 sees the recent tail; the first epoch's 100 fast
 	// observations are outside the delta and cannot dilute it.
@@ -252,7 +249,6 @@ func TestStoreConcurrentScrapeAndRead(t *testing.T) {
 					s.Last()
 					s.Oldest()
 					s.DeltaSince(at(0))
-					s.RateSince(at(0))
 				}
 				for _, s := range gauges {
 					s.Points()
@@ -260,7 +256,6 @@ func TestStoreConcurrentScrapeAndRead(t *testing.T) {
 				}
 				for _, hs := range hists {
 					hs.QuantileSince(0.99, at(0))
-					hs.CountSince(at(0))
 				}
 				st.DeltaSum([]string{"reqs_total"}, "", nil, at(0))
 				st.ViolationFrac([]string{"depth"}, at(0), 5, true)

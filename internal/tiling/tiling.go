@@ -127,39 +127,6 @@ func (l Layout) Validate() error {
 	return nil
 }
 
-// PixelRects converts every tile to pixel coordinates on a w×h frame.
-func (l Layout) PixelRects(w, h int) []geom.Rect {
-	out := make([]geom.Rect, len(l.Tiles))
-	for i, t := range l.Tiles {
-		out[i] = t.Pixels(w, h, l.Rows, l.Cols)
-	}
-	return out
-}
-
-// WeightedVariance returns the layout's objective value on a score
-// matrix: the sum over tiles of (tile unit count) × (variance of scores
-// within the tile). Lower is better.
-func (l Layout) WeightedVariance(scores [][]float64) float64 {
-	var total float64
-	for _, t := range l.Tiles {
-		n := float64(t.Units())
-		var sum, sum2 float64
-		for r := t.R0; r < t.R1; r++ {
-			for c := t.C0; c < t.C1; c++ {
-				s := scores[r][c]
-				sum += s
-				sum2 += s * s
-			}
-		}
-		mean := sum / n
-		total += n * (sum2/n - mean*mean)
-	}
-	if total < 0 {
-		total = 0
-	}
-	return total
-}
-
 // prefix holds 2-D prefix sums of the score matrix and its square for
 // O(1) rectangle variance queries.
 type prefix struct {

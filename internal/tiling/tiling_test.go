@@ -18,6 +18,27 @@ func flatScores(rows, cols int, v float64) [][]float64 {
 	return s
 }
 
+// weightedVariance is the tiler's objective evaluated directly, without
+// its prefix sums: the sum over tiles of (tile unit count) × (variance of
+// scores within the tile).
+func weightedVariance(l Layout, scores [][]float64) float64 {
+	var total float64
+	for _, t := range l.Tiles {
+		n := float64(t.Units())
+		var sum, sum2 float64
+		for r := t.R0; r < t.R1; r++ {
+			for c := t.C0; c < t.C1; c++ {
+				s := scores[r][c]
+				sum += s
+				sum2 += s * s
+			}
+		}
+		mean := sum / n
+		total += n * (sum2/n - mean*mean)
+	}
+	return max(total, 0)
+}
+
 func TestGridRectsCoverFrame(t *testing.T) {
 	for _, g := range []Grid{Grid3x6, Grid6x12, Grid12x24, {Rows: 5, Cols: 7}} {
 		rects := g.Rects(480, 240)
@@ -115,8 +136,8 @@ func TestVariableTilingIsolatesHotRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	uni, _ := UniformLayout(Grid3x6)
-	wvVar := varLayout.WeightedVariance(scores)
-	wvUni := uni.WeightedVariance(scores)
+	wvVar := weightedVariance(varLayout, scores)
+	wvUni := weightedVariance(uni, scores)
 	if wvVar >= wvUni/4 {
 		t.Errorf("variable tiling variance %v should be ≪ uniform %v", wvVar, wvUni)
 	}
@@ -133,7 +154,7 @@ func TestVariableTilingFlatScoresStillPartitions(t *testing.T) {
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if wv := l.WeightedVariance(flatScores(UnitRows, UnitCols, 2)); wv != 0 {
+	if wv := weightedVariance(l, flatScores(UnitRows, UnitCols, 2)); wv != 0 {
 		t.Errorf("flat-score variance = %v, want 0", wv)
 	}
 }
@@ -199,22 +220,6 @@ func TestVariableTilingPropertyAlwaysPartition(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPixelRects(t *testing.T) {
-	l, _ := UniformLayout(Grid3x6)
-	rects := l.PixelRects(480, 240)
-	area := 0
-	for _, r := range rects {
-		area += r.Area()
-	}
-	if area != 480*240 {
-		t.Errorf("pixel area %d, want full frame", area)
-	}
-	// First tile is the top-left 80x80 block (480/6 x 240/3).
-	if rects[0].W() != 80 || rects[0].H() != 80 {
-		t.Errorf("tile 0 = %v, want 80x80", rects[0])
 	}
 }
 
