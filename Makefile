@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmt race race-kernels fuzz-abr fuzz-player fuzz-server testbed chaos trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
+.PHONY: build test check vet fmt race race-kernels fuzz-abr fuzz-player fuzz-server fuzz-manifest testbed chaos trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,16 @@ fuzz-player:
 # check, for the same reason.
 fuzz-server:
 	$(GO) test -run '^$$' -fuzz FuzzParseTilePath -fuzztime 20s ./internal/server
+
+# Twenty seconds of fuzzing the manifest's wire decoder
+# (internal/manifest: never panics, allocates at most a constant times
+# its input, and whatever it accepts re-encodes to exactly the input).
+# Not part of check, for the same reason; the committed seeds under
+# internal/manifest/testdata/fuzz/ — an encoding cut at each section
+# boundary, forged counts, oversized and padded varints — replay under
+# plain `go test`.
+fuzz-manifest:
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 20s ./internal/manifest
 
 # The testbed every multi-hop experiment below stands on, in full under
 # the race detector: kill/revive, the breaker poll, leak-free Close.
@@ -186,19 +196,21 @@ bench: build microbench
 # (BenchmarkCostRows: exact is the Pow-and-Exp definition, table what
 # Plan runs), the provider's chunk analysis (scene render, quantizer,
 # one chunk, one video), the virtual-time session loop (one session,
-# one netem tile) and the request path hop by hop (BenchmarkOriginTileGET:
+# one netem tile), the request path hop by hop (BenchmarkOriginTileGET:
 # a store-backed origin's tile GET into a recorder; BenchmarkFleetFetch:
 # one Fetch over loopback through two origins; BenchmarkEdgeHit: a cache
-# hit over loopback, with and without a registry); appends to
+# hit over loopback, with and without a registry) and the manifest's
+# wire codec (BenchmarkManifestWire: encode and decode of the benchmark
+# manifest's shape, with its bytes per tile); appends to
 # BENCH_micro.txt with the commit hash so runs diff across commits with
 # benchstat or plain text tools.
 microbench:
 	@echo "## $$(git rev-parse --short HEAD 2>/dev/null || echo dirty) $$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> BENCH_micro.txt
-	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|CostRows|RenderFrame|ErrorPlanes|DistortRegion|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|OriginTileGET|FleetFetch|EdgeHit' -benchmem \
+	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|CostRows|RenderFrame|ErrorPlanes|DistortRegion|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|OriginTileGET|FleetFetch|EdgeHit|ManifestWire' -benchmem \
 		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr \
 		./internal/player ./internal/scene ./internal/codec ./internal/provider \
 		./internal/client ./internal/swarm ./internal/store ./internal/fleet \
-		./internal/edge | tee -a BENCH_micro.txt
+		./internal/edge ./internal/manifest | tee -a BENCH_micro.txt
 
 # The three line counts ROADMAP quotes, so "net LoC down" is one command:
 # non-test Go outside benchmark/, test Go outside benchmark/, and the

@@ -4,14 +4,15 @@
 //
 // Usage:
 //
-//	pano-server [-addr :8360] [-manifest path.json]
+//	pano-server [-addr :8360] [-manifest video.manifest]
 //	pano-server [-addr :8360] [-genre sports] [-seed 1] [-duration 30]
 //	pano-server -chaos "seed=7,tile-error=0.1,tile-latency=20ms"
 //	pano-server -store /var/pano/store            (stateless origin)
 //	pano-server -store /var/pano/store -live      (origin + JIT publisher)
 //
-// With -manifest it serves a preprocessed manifest (e.g. produced by
-// pano-tracegen); otherwise it generates a synthetic video of the given
+// With -manifest it serves a preprocessed manifest in the wire encoding
+// of internal/manifest (e.g. a .manifest file of pano-tracegen);
+// otherwise it generates a synthetic video of the given
 // genre and preprocesses it on startup.
 //
 // With -store it serves from a content-addressed tile store directory
@@ -48,7 +49,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8360", "listen address")
-	manPath := flag.String("manifest", "", "serve this preprocessed manifest JSON")
+	manPath := flag.String("manifest", "", "serve this preprocessed manifest file (wire encoding, e.g. from pano-tracegen)")
 	genre := flag.String("genre", "sports", "genre for the generated video")
 	seed := flag.Uint64("seed", 1, "generation seed")
 	duration := flag.Int("duration", 10, "video duration in seconds")
@@ -81,16 +82,13 @@ func main() {
 	var history []*viewport.Trace
 	switch {
 	case *manPath != "":
-		f, err := os.Open(*manPath)
+		wire, err := os.ReadFile(*manPath)
 		if err != nil {
 			log.Fatalf("pano-server: %v", err)
 		}
-		m2, err := manifest.Decode(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("pano-server: %v", err)
+		if m, err = manifest.Unmarshal(wire); err != nil {
+			log.Fatalf("pano-server: %s: %v", *manPath, err)
 		}
-		m = m2
 	case *storeDir != "" && !*liveMode:
 		// Stateless origin: the manifest lives in the store's catalog.
 	default:

@@ -3,7 +3,7 @@
 // bandwidth traces, written under an output directory:
 //
 //	out/
-//	  video-<i>-<genre>.manifest.json
+//	  video-<i>-<genre>.manifest      (internal/manifest's wire encoding)
 //	  video-<i>-<genre>.user-<u>.viewtrace.csv
 //	  nettrace-1.csv  (0.71 Mbps-class)
 //	  nettrace-2.csv  (1.05 Mbps-class)
@@ -59,7 +59,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("pano-tracegen: %v", err)
 		}
-		if err := writeFile(filepath.Join(*out, base+".manifest.json"), m.Encode); err != nil {
+		if err := writeFile(filepath.Join(*out, base+".manifest"), m.Encode); err != nil {
 			log.Fatalf("pano-tracegen: %v", err)
 		}
 		for u, tr := range d.Traces(i) {

@@ -79,7 +79,11 @@ func (c *Client) FetchManifest(ctx context.Context) (*manifest.Video, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("client: manifest: %w", &StatusError{Code: resp.StatusCode})
 	}
-	m, err := manifest.Decode(resp.Body)
+	body, err := readBody(resp)
+	if err != nil {
+		return nil, fmt.Errorf("client: manifest: %w", err)
+	}
+	m, err := manifest.Unmarshal(body)
 	if err != nil {
 		return nil, err
 	}

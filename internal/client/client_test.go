@@ -2,6 +2,8 @@ package client
 
 import (
 	"context"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -67,6 +69,26 @@ func TestFetchManifestBadServer(t *testing.T) {
 	c := New("http://127.0.0.1:1") // nothing listens
 	if _, err := c.FetchManifest(context.Background()); err == nil {
 		t.Error("unreachable server should error")
+	}
+}
+
+// TestFetchManifestRejectsNonFinite: the wire carries raw float bits, so
+// a NaN can arrive; Validate after the decode is the client's one gate.
+// JSON — what the path's name still says — is not a manifest at all.
+func TestFetchManifestRejectsNonFinite(t *testing.T) {
+	poisoned, err := manifest.Unmarshal(fixture(t).man.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned.Chunks[1].Tiles[0].LUT[2].BExp = math.NaN()
+	for name, body := range map[string][]byte{"NaN": poisoned.Marshal(), "JSON": []byte(`{"name":"x"}`)} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write(body)
+		}))
+		if m, err := New(ts.URL).FetchManifest(context.Background()); err == nil {
+			t.Errorf("%s manifest adopted: %d chunks", name, m.NumChunks())
+		}
+		ts.Close()
 	}
 }
 

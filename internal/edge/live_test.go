@@ -1,7 +1,7 @@
 package edge
 
 import (
-	"bytes"
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -123,18 +123,20 @@ func TestLearnManifestMonotonic(t *testing.T) {
 
 	newer := liveFixture(t, 3, 3)
 	older := liveFixture(t, 2, 2)
-	enc := func(m *manifest.Video) []byte {
-		var buf bytes.Buffer
-		if err := m.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if got := e.learnManifest(enc(newer)); got == nil {
+	if got := e.learnManifest(newer.Marshal()); got == nil {
 		t.Fatal("fresh manifest rejected")
 	}
-	if got := e.learnManifest(enc(older)); got != nil {
+	if got := e.learnManifest(older.Marshal()); got != nil {
 		t.Fatal("stale manifest adopted")
+	}
+	// Newer still, but carrying a float only raw bits can: not learned.
+	poisoned, err := manifest.Unmarshal(liveFixture(t, 3, 4).Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned.Chunks[2].Tiles[0].Bits[0] = math.NaN()
+	if got := e.learnManifest(poisoned.Marshal()); got != nil {
+		t.Fatal("manifest with a NaN size adopted")
 	}
 	if m := e.Manifest(); m.NumChunks() != 3 || m.Seq != 3 {
 		t.Fatalf("edge regressed to %d chunks seq %d", m.NumChunks(), m.Seq)

@@ -1,7 +1,6 @@
 package edge
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -540,7 +539,7 @@ func (e *Edge) fill(ctx context.Context, path string, ep *endpointSeries, stale 
 // (live refreshes may race through concurrent fills; chunk count and
 // Seq never go backwards).
 func (e *Edge) learnManifest(body []byte) *manifest.Video {
-	m, err := manifest.Decode(bytes.NewReader(body))
+	m, err := manifest.Unmarshal(body)
 	if err != nil || m.Validate() != nil {
 		return nil
 	}

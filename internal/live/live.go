@@ -30,7 +30,6 @@
 package live
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -182,11 +181,11 @@ func (p *Pipeline) Seq() int64 { return p.pub.seqNum() }
 // (decoded fresh from the published bytes; callers own the copy). nil
 // before the first publish.
 func (p *Pipeline) Manifest() *manifest.Video {
-	body := p.pub.manifestJSON()
+	body := p.pub.manifestWire()
 	if body == nil {
 		return nil
 	}
-	m, err := manifest.Decode(bytes.NewReader(body))
+	m, err := manifest.Unmarshal(body)
 	if err != nil {
 		return nil
 	}

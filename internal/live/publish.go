@@ -1,7 +1,6 @@
 package live
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -23,7 +22,7 @@ type publisher struct {
 
 	mu      sync.Mutex
 	man     manifest.Video
-	manJSON []byte
+	manWire []byte
 	rep     Report
 	latSum  time.Duration
 
@@ -68,10 +67,10 @@ func (pb *publisher) seqNum() int64 {
 	return pb.man.Seq
 }
 
-func (pb *publisher) manifestJSON() []byte {
+func (pb *publisher) manifestWire() []byte {
 	pb.mu.Lock()
 	defer pb.mu.Unlock()
-	return pb.manJSON
+	return pb.manWire
 }
 
 func (pb *publisher) report() *Report {
@@ -207,12 +206,7 @@ func (pb *publisher) retireLocked(k int) {
 func (pb *publisher) writeHead() error {
 	cfg := pb.p.cfg
 	pb.mu.Lock()
-	var buf bytes.Buffer
-	if err := pb.man.Encode(&buf); err != nil {
-		pb.mu.Unlock()
-		return fmt.Errorf("live: encode manifest: %w", err)
-	}
-	body := buf.Bytes()
+	body := pb.man.Marshal()
 	seq := pb.man.Seq
 	first := pb.man.FirstChunk
 	prevDigest := pb.manDigest
@@ -232,7 +226,7 @@ func (pb *publisher) writeHead() error {
 		return err
 	}
 	pb.mu.Lock()
-	pb.manJSON = body
+	pb.manWire = body
 	pb.manDigest = digest
 	pb.mu.Unlock()
 	return nil

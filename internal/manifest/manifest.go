@@ -16,12 +16,16 @@
 //
 // The manifest always carries schema (c); the other schemas exist so the
 // compression experiment (§6.3) can be reproduced byte-for-byte.
+//
+// On the wire (/manifest.json, the store's manifest blob, the files of
+// pano-tracegen and pano-server -manifest) a Video is one lossless,
+// canonical binary encoding — wire.go. The json tags below serve only a
+// test or debugger that json.Marshals one; /manifest.mpd is the
+// human-readable view.
 package manifest
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"pano/internal/codec"
@@ -104,8 +108,7 @@ type Video struct {
 	// Live marks a manifest still being produced: Chunks holds every
 	// chunk published so far (the live edge is NumChunks()) and clients
 	// must refresh to see more. The final publish of a feed clears Live,
-	// which is the end-of-stream signal. All live fields are omitempty so
-	// a VOD manifest's JSON encoding is unchanged byte for byte.
+	// which is the end-of-stream signal.
 	Live bool `json:"live,omitempty"`
 	// Seq increments on every live publish; together with the content
 	// ETag it orders manifest refreshes (a client never adopts a refresh
@@ -151,10 +154,14 @@ func (v *Video) ChunkBits(k int, l codec.Level) float64 {
 	return s
 }
 
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
 // Validate checks structural invariants: tiles partition the frame,
-// sizes grow with quality, PSPNR values are sane.
+// sizes grow with quality, PSPNR values are sane, and every float is
+// finite — the wire's raw bits can carry a NaN or an infinity, and each
+// range check below is false on a NaN.
 func (v *Video) Validate() error {
-	if v.W <= 0 || v.H <= 0 || v.FPS <= 0 || v.ChunkSec <= 0 {
+	if v.W <= 0 || v.H <= 0 || v.FPS <= 0 || v.ChunkSec <= 0 || !finite(v.ChunkSec) {
 		return fmt.Errorf("manifest: bad video header %dx%d@%d/%vs", v.W, v.H, v.FPS, v.ChunkSec)
 	}
 	if v.FirstChunk < 0 || v.FirstChunk > len(v.Chunks) {
@@ -171,6 +178,11 @@ func (v *Video) Validate() error {
 				return fmt.Errorf("manifest: chunk %d tile %d rect %v out of %dx%d", c.Index, ti, t.Rect, v.W, v.H)
 			}
 			area += t.Rect.Area()
+			for j := 0; j < tileFloats; j++ {
+				if f := *t.field(j); !finite(f) {
+					return fmt.Errorf("manifest: chunk %d tile %d float %d is %v", c.Index, ti, j, f)
+				}
+			}
 			// Level 0 is highest quality: sizes must not grow as
 			// quality drops.
 			for l := 1; l < codec.NumLevels; l++ {
@@ -190,23 +202,15 @@ func (v *Video) Validate() error {
 		if area != v.W*v.H {
 			return fmt.Errorf("manifest: chunk %d tiles cover %d px, want %d", c.Index, area, v.W*v.H)
 		}
+		for oi := range c.Objects {
+			for _, f := range c.Objects[oi].fields() {
+				if !finite(*f) {
+					return fmt.Errorf("manifest: chunk %d object sample %d holds %v", c.Index, oi, *f)
+				}
+			}
+		}
 	}
 	return nil
-}
-
-// Encode writes the manifest as JSON.
-func (v *Video) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(v)
-}
-
-// Decode reads a manifest written by Encode.
-func Decode(r io.Reader) (*Video, error) {
-	var v Video
-	if err := json.NewDecoder(r).Decode(&v); err != nil {
-		return nil, fmt.Errorf("manifest: decode: %w", err)
-	}
-	return &v, nil
 }
 
 // --- Lookup-table schema variants for the §6.3 compression study ---

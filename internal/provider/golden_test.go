@@ -10,16 +10,33 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pano/internal/manifest"
 	"pano/internal/scene"
 	"pano/internal/viewport"
 )
 
 const goldenPath = "testdata/manifest_sha256.json"
 
+// jsonDigest is the sha256 of m through encoding/json — what
+// (*manifest.Video).Encode wrote when the golden was captured. The
+// golden pins the provider's output, not the wire format, so it hashes
+// this rendering whatever Encode does now.
+func jsonDigest(t *testing.T, m *manifest.Video) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
 // goldenDigests preprocesses the matrix the golden pins — three genres ×
 // the four tiling modes × {four history viewers, none} at the bench
-// shape (480×240 @30, 3 s) — and returns the sha256 of each encoded
-// manifest, keyed "genre/mode/history".
+// shape (480×240 @30, 3 s) — and returns the digest of each manifest,
+// keyed "genre/mode/history". Each manifest must also come back from
+// the wire encoding with the same digest: every float its JSON prints
+// at full precision survived bit for bit.
 func goldenDigests(t *testing.T) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
@@ -37,12 +54,15 @@ func goldenDigests(t *testing.T) map[string]string {
 				if err != nil {
 					t.Fatalf("%v/%v/%s: %v", genre, mode, name, err)
 				}
-				var wire bytes.Buffer
-				if err := m.Encode(&wire); err != nil {
-					t.Fatal(err)
+				key := genre.String() + "/" + mode.String() + "/" + name
+				out[key] = jsonDigest(t, m)
+				back, err := manifest.Unmarshal(m.Marshal())
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
 				}
-				sum := sha256.Sum256(wire.Bytes())
-				out[genre.String()+"/"+mode.String()+"/"+name] = hex.EncodeToString(sum[:])
+				if got := jsonDigest(t, back); got != out[key] {
+					t.Errorf("%s: digest %s after a trip over the wire, %s before", key, got, out[key])
+				}
 			}
 		}
 	}

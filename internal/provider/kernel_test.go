@@ -100,11 +100,7 @@ func TestPreprocessWorkerCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wire bytes.Buffer
-		if err := m.Encode(&wire); err != nil {
-			t.Fatal(err)
-		}
-		return wire.Bytes()
+		return m.Marshal()
 	}
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(0)

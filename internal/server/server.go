@@ -7,7 +7,6 @@
 package server
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -55,8 +54,8 @@ const maxAge = 60 * time.Second
 // reads a handler's header values, so every response can share these
 // one-element slices.
 var (
-	cacheControl        = []string{maxAgeValue(maxAge)}
-	typeOctet, typeJSON = []string{"application/octet-stream"}, []string{"application/json"}
+	cacheControl = []string{maxAgeValue(maxAge)}
+	typeOctet    = []string{"application/octet-stream"}
 )
 
 // Option configures a Server.
@@ -102,12 +101,9 @@ func New(m *manifest.Video, opts ...Option) (*Server, error) {
 	}
 	// Encode once, so every response is byte-identical and the ETag is
 	// a hash of exactly the bytes on the wire.
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
-		return nil, fmt.Errorf("server: encode manifest: %w", err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	b := &memBackend{man: m, body: buf.Bytes(), etag: `"` + hex.EncodeToString(sum[:8]) + `"`}
+	body := m.Marshal()
+	sum := sha256.Sum256(body)
+	b := &memBackend{man: m, body: body, etag: `"` + hex.EncodeToString(sum[:8]) + `"`}
 	return newServer(m, b, opts), nil
 }
 
@@ -158,7 +154,8 @@ func (b *memBackend) Tile(k, ti int, l codec.Level) (TileStat, func() ([]byte, e
 
 // Handler returns the HTTP handler:
 //
-//	GET /manifest.json   — the native Pano manifest
+//	GET /manifest.json   — the native Pano manifest in its binary wire
+//	                       encoding (the path predates it; DESIGN.md §4)
 //	GET /manifest.mpd    — DASH MPD projection (SRD-tiled, multi-period)
 //	GET /video/{chunk}/{tile}/{level}.bin
 //
@@ -304,7 +301,7 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header()["Content-Type"] = typeJSON
+	w.Header()["Content-Type"] = typeOctet
 	w.Header()["Content-Length"] = []string{strconv.Itoa(len(body))}
 	if r.Method == http.MethodHead {
 		return

@@ -52,6 +52,9 @@ func TestManifestEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("Content-Type %q, want application/octet-stream", ct)
+	}
 	m, err := manifest.Decode(resp.Body)
 	if err != nil {
 		t.Fatal(err)

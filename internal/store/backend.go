@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -26,7 +25,7 @@ type Backend struct {
 	mu      sync.Mutex
 	cat     *Catalog
 	man     *manifest.Video
-	manJSON []byte
+	manWire []byte
 	manETag string
 	stamp   catalogStamp
 }
@@ -61,11 +60,11 @@ func (b *Backend) reload() error {
 	if err != nil {
 		return err
 	}
-	manJSON, err := b.s.Get(cat.Manifest)
+	manWire, err := b.s.Get(cat.Manifest)
 	if err != nil {
 		return fmt.Errorf("store: backend: manifest blob: %w", err)
 	}
-	man, err := manifest.Decode(bytes.NewReader(manJSON))
+	man, err := manifest.Unmarshal(manWire)
 	if err != nil {
 		return fmt.Errorf("store: backend: %w", err)
 	}
@@ -73,7 +72,7 @@ func (b *Backend) reload() error {
 	// Never adopt an older head than the one already loaded (a racing
 	// stat could observe the file mid-replacement sequence).
 	if b.cat == nil || cat.Seq >= b.cat.Seq {
-		b.cat, b.man, b.manJSON = cat, man, manJSON
+		b.cat, b.man, b.manWire = cat, man, manWire
 		// The manifest ETag is the same function of the wire bytes the
 		// static server uses (sha256[:8]): the blob digest IS that hash,
 		// so the tag falls out of the address.
@@ -118,7 +117,7 @@ func (b *Backend) Manifest() (*manifest.Video, []byte, string, error) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.man, b.manJSON, b.manETag, nil
+	return b.man, b.manWire, b.manETag, nil
 }
 
 // Tile implements server.Backend: one catalog poll and one lookup per

@@ -3,6 +3,7 @@ package store_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"pano/internal/codec"
@@ -59,6 +60,26 @@ func publishAll(t testing.TB, s *store.Store, m *manifest.Video) {
 		Seq: m.Seq + 1, Manifest: md, FirstChunk: m.FirstChunk, Tiles: tiles,
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOriginRefusesNonFiniteManifest: a manifest blob whose floats
+// include a NaN decodes — the wire carries raw bits — and is refused
+// where a store-backed origin validates its first snapshot.
+func TestOriginRefusesNonFiniteManifest(t *testing.T) {
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := tinyManifest(t)
+	m.Chunks[0].Tiles[0].AvgLuma = math.NaN()
+	publishAll(t, s, m)
+	b, err := store.NewBackend(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.NewBackend(b); err == nil {
+		t.Fatal("an origin came up over a manifest carrying a NaN")
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 type Catalog struct {
 	// Seq mirrors the manifest's publish sequence number.
 	Seq int64 `json:"seq"`
-	// Manifest is the digest of the current manifest JSON blob.
+	// Manifest is the digest of the current manifest blob (the wire
+	// encoding, manifest.Marshal).
 	Manifest string `json:"manifest"`
 	// FirstChunk mirrors the manifest's availability-window start:
 	// tiles of chunks below it answer 410 Gone.

@@ -267,14 +267,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	wallStart := time.Now()
 
 	// What a session's manifest GET moves over its link: the wire size
-	// of /manifest.json, counted through the encoder rather than
-	// buffered — less Encode's closing newline, the byte the committed
-	// baselines' session timelines were sized without.
-	var wire byteCounter
-	manifestBits := float64(0)
-	if err := cfg.Manifest.Encode(&wire); err == nil {
-		manifestBits = float64((wire - 1) * 8)
-	}
+	// of /manifest.json.
+	manifestBits := float64(8 * cfg.Manifest.WireLen())
 	prof := jnd.Default()
 	objects := newObjectIndex(cfg.Manifest)
 	var place *placement
@@ -500,14 +494,6 @@ func fold(cfg *Config, slots []sessionStats, workers []scratch) *Report {
 		}
 	}
 	return &Report{Summary: s, Results: retained}
-}
-
-// byteCounter is an io.Writer that only counts.
-type byteCounter int
-
-func (c *byteCounter) Write(p []byte) (int, error) {
-	*c += byteCounter(len(p))
-	return len(p), nil
 }
 
 // quantile reads a sorted slice at q in [0, 1] (nearest rank).

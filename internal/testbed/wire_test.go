@@ -298,7 +298,10 @@ func golden(t *testing.T, name, got string) {
 // a store-backed origin and through an edge answers, byte for byte,
 // what the fixture captured at fb86316 (before the per-request work was
 // hoisted) says — status line, every header in the order and case the
-// server writes it, and the body.
+// server writes it, and the body. The four /manifest.json entries (GET
+// and HEAD, origin and edge) were re-captured once since, when the
+// manifest's wire encoding became binary: Content-Length, Content-Type,
+// Etag and the body's hash; every tile and error entry is fb86316's.
 func TestWireGolden(t *testing.T) {
 	dir, _ := publishWire(t, wireManifest())
 	golden(t, "wire_golden.txt", newWireStack(t, dir).runScript(t))
