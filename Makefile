@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmt race race-kernels fuzz-abr fuzz-player fuzz-server fuzz-manifest testbed chaos trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
+.PHONY: build test check vet fmt race race-kernels fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider testbed chaos trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,17 @@ fuzz-server:
 # plain `go test`.
 fuzz-manifest:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 20s ./internal/manifest
+
+# Twenty seconds of fuzzing the provider's pixel kernel against the
+# per-pixel oracle it replaced (internal/provider: arbitrary rects,
+# levels and ascending anchor sets on a rendered frame and on a
+# hand-made one whose thresholds land exactly on errors; every anchor's
+# sum and Σe² bit for bit). Not part of check, for the same reason; the
+# committed seeds under internal/provider/testdata/fuzz/ — partial last
+# block column and row, the last pixel, thresholds never and always
+# reached — replay under plain `go test`.
+fuzz-provider:
+	$(GO) test -run '^$$' -fuzz FuzzPerceptibleError -fuzztime 20s ./internal/provider
 
 # The testbed every multi-hop experiment below stands on, in full under
 # the race detector: kill/revive, the breaker poll, leak-free Close.
@@ -195,7 +206,8 @@ bench: build microbench
 # real manifest's chunks at MPC-like budgets — the row to quote), the planner's cost rows for one chunk
 # (BenchmarkCostRows: exact is the Pow-and-Exp definition, table what
 # Plan runs), the provider's chunk analysis (scene render, quantizer,
-# one chunk, one video), the virtual-time session loop (one session,
+# the PMSE kernel per level over one frame's 30 tiles, one chunk, one
+# video), the virtual-time session loop (one session,
 # one netem tile), the request path hop by hop (BenchmarkOriginTileGET:
 # a store-backed origin's tile GET into a recorder; BenchmarkFleetFetch:
 # one Fetch over loopback through two origins; BenchmarkEdgeHit: a cache
@@ -206,7 +218,7 @@ bench: build microbench
 # benchstat or plain text tools.
 microbench:
 	@echo "## $$(git rev-parse --short HEAD 2>/dev/null || echo dirty) $$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> BENCH_micro.txt
-	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|CostRows|RenderFrame|ErrorPlanes|DistortRegion|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|OriginTileGET|FleetFetch|EdgeHit|ManifestWire' -benchmem \
+	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|OriginTileGET|FleetFetch|EdgeHit|ManifestWire' -benchmem \
 		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr \
 		./internal/player ./internal/scene ./internal/codec ./internal/provider \
 		./internal/client ./internal/swarm ./internal/store ./internal/fleet \

@@ -134,19 +134,23 @@ func reconstruct(qMean, qRes float64) uint8 {
 // p − Σ/B² = (B²·p − Σ)/B² are exact in float64, so the quantized mean
 // is a function of the integer Σ ∈ [0, 255·B²] and the quantized
 // residual and its bit cost functions of the integer
-// n = B²·p − Σ ∈ [−255·B², 255·B²]: those functions are tabulated.
-// Partial blocks — and every block when B does not meet the
-// precondition, the tables then being nil — evaluate them directly.
+// n = B²·p − Σ ∈ [−255·B², 255·B²]: those functions are tabulated, the
+// first two as the indices a = round(mean/dcStep) and 2b =
+// 2·round(res/step), because the decoded pixel reconstruct(a·dcStep,
+// b·step) depends on a + 2b alone (DESIGN.md §4): it is
+// pix[mean[Σ]+res[n]]. Partial blocks — and every block when B or the QP
+// does not qualify, the tables then being nil — evaluate them directly.
 type quantizer struct {
 	step  float64
 	block int       // B
 	off   int       // 255·B²: the index of n = 0 in res and bits
-	mean  []float64 // quantMean by Σ
-	res   []float64 // quantResidual by n+off
+	mean  []int16   // a + 2·max b by Σ, so that mean + res ≥ 0
+	res   []int16   // 2b by n+off
+	pix   []uint8   // the decoded pixel by mean + res
 	bits  []float64 // coefBits by n+off
 }
 
-// maxTableBlock bounds the table size (3·255·B² float64 per QP).
+// maxTableBlock bounds the table size (≈ 255·B² × 22 bytes per QP).
 const maxTableBlock = 8
 
 type quantizerKey struct{ block, qp int }
@@ -165,22 +169,41 @@ func (e *Encoder) quantizer(qp int) *quantizer {
 	b := e.BlockSize
 	q := &quantizer{step: QStep(qp), block: b}
 	if b&(b-1) == 0 && b <= maxTableBlock {
-		area := b * b
-		q.off = 255 * area
-		q.mean = make([]float64, q.off+1)
-		for sum := range q.mean {
-			q.mean[sum] = quantMean(float64(sum)/float64(area), q.step)
-		}
-		q.res = make([]float64, 2*q.off+1)
-		q.bits = make([]float64, 2*q.off+1)
-		for i := range q.res {
-			res := float64(i-q.off) / float64(area)
-			q.res[i] = quantResidual(res, q.step)
-			q.bits[i] = coefBits(res, q.step)
-		}
+		q.tabulate()
 	}
 	actual, _ := quantizers.LoadOrStore(key, q)
 	return actual.(*quantizer)
+}
+
+// tabulate fills the tables, unless two index pairs (a, b) the quantizer
+// can emit share an a + 2b and decode differently: enumerated, not argued.
+func (q *quantizer) tabulate() {
+	if !(q.step >= 0.1) { // the largest index, ≈ 1530/step, must fit int16
+		return
+	}
+	dcStep, area := q.step/2, q.block*q.block
+	maxA, maxB := int(math.Round(255/dcStep)), int(math.Round(255/q.step))
+	pix := make([]uint8, maxA+4*maxB+1)
+	for k := range pix {
+		pix[k] = reconstruct(float64(k-2*maxB)*dcStep, 0)
+	}
+	for a := 0; a <= maxA; a++ {
+		for b := -maxB; b <= maxB; b++ {
+			if reconstruct(float64(a)*dcStep, float64(b)*q.step) != pix[a+2*b+2*maxB] {
+				return
+			}
+		}
+	}
+	q.off, q.pix, q.mean = 255*area, pix, make([]int16, 255*area+1)
+	for sum := range q.mean {
+		q.mean[sum] = int16(math.Round(float64(sum)/float64(area)/dcStep)) + int16(2*maxB)
+	}
+	q.res, q.bits = make([]int16, 2*q.off+1), make([]float64, 2*q.off+1)
+	for i := range q.res {
+		res := float64(i-q.off) / float64(area)
+		q.res[i] = 2 * int16(math.Round(res/q.step))
+		q.bits[i] = coefBits(res, q.step)
+	}
 }
 
 // tabulated reports whether a w×h block can read the tables.
@@ -212,11 +235,11 @@ func blockSum(pix []uint8, stride, w, h int) int {
 func (q *quantizer) decode(dst, src []uint8, stride, w, h, sum int) {
 	area := w * h
 	if q.tabulated(w, h) {
-		qMean, res := q.mean[sum], q.res[q.off-sum:]
+		a, res := int(q.mean[sum]), q.res[q.off-sum:]
 		for y := 0; y < h; y++ {
 			out := dst[y*stride : y*stride+w]
 			for x, p := range src[y*stride : y*stride+w] {
-				out[x] = reconstruct(qMean, res[area*int(p)])
+				out[x] = q.pix[a+int(res[area*int(p)])]
 			}
 		}
 		return
@@ -255,8 +278,8 @@ func (e *Encoder) DistortRegion(f *frame.Frame, r geom.Rect, qp int) (*frame.Fra
 // ErrorPlanes fills planes with |original − decoded| per pixel of f at
 // every quality level: level l occupies planes[l*W*H:(l+1)*W*H],
 // row-major like f.Pix. The decoded pixels are DistortRegion's over the
-// whole frame; each block is visited once for all levels and the
-// decoded frames are never materialized.
+// whole frame; each block is visited once for all levels, and a flat
+// pass turns the decoded pixels the planes then hold into errors.
 func (e *Encoder) ErrorPlanes(f *frame.Frame, planes []uint8) error {
 	if err := e.checkBlockSize(); err != nil {
 		return err
@@ -277,17 +300,16 @@ func (e *Encoder) ErrorPlanes(f *frame.Frame, planes []uint8) error {
 			w, h := minInt(b, f.W-bx), minInt(b, f.H-by)
 			sum := blockSum(src, f.W, w, h)
 			for l, q := range qs {
-				dst := planes[l*size+at:]
-				q.decode(dst, src, f.W, w, h, sum)
-				for y := 0; y < h; y++ {
-					out := dst[y*f.W : y*f.W+w]
-					for x, p := range src[y*f.W : y*f.W+w] {
-						d := int(p) - int(out[x])
-						sign := d >> 63 // branch-free |d|: the sign is a coin flip
-						out[x] = uint8((d ^ sign) - sign)
-					}
-				}
+				q.decode(planes[l*size+at:], src, f.W, w, h, sum)
 			}
+		}
+	}
+	for l := range qs {
+		plane := planes[l*size : (l+1)*size]
+		for i, p := range f.Pix {
+			d := int(p) - int(plane[i])
+			sign := d >> 63 // branch-free |d|: the sign is a coin flip
+			plane[i] = uint8((d ^ sign) - sign)
 		}
 	}
 	return nil

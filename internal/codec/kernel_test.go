@@ -95,7 +95,10 @@ func noisyFrame(w, h int, seed uint64) *frame.Frame {
 
 // TestQuantTableExhaustive checks every table entry a full 4×4 block
 // can reach — and the (Σ, p) pairs it cannot — against the per-pixel
-// arithmetic, at the five levels.
+// arithmetic, at the five levels: the byte the two index tables select
+// is the reference decode of the quantized mean plus the quantized
+// residual, and no index selects two bytes (the a + 2b identity the
+// decoded-byte table stands on).
 func TestQuantTableExhaustive(t *testing.T) {
 	e := NewEncoder()
 	area := e.BlockSize * e.BlockSize
@@ -106,20 +109,22 @@ func TestQuantTableExhaustive(t *testing.T) {
 			t.Fatalf("no table for block size %d", e.BlockSize)
 		}
 		step := QStep(qp)
-		dcStep := step / 2
+		byIndex := make([]int, len(tab.pix)) // 1 + the byte every (Σ, p) reaching the index must decode to
 		for sum := 0; sum <= 255*area; sum++ {
 			mean := float64(sum) / float64(area)
-			qMean := math.Round(mean/dcStep) * dcStep
-			if tab.mean[sum] != qMean {
-				t.Fatalf("QP%d Σ=%d: table mean %v, want %v", qp, sum, tab.mean[sum], qMean)
-			}
+			qMean := quantMean(mean, step)
 			for p := 0; p < 256; p++ {
 				res := float64(p) - mean
-				want := referencePix(qMean + math.Round(res/step)*step)
+				want := referencePix(qMean + quantResidual(res, step))
 				n := area*p - sum
-				if got := reconstruct(tab.mean[sum], tab.res[n+tab.off]); got != want {
+				k := int(tab.mean[sum]) + int(tab.res[n+tab.off])
+				if got := tab.pix[k]; got != want {
 					t.Fatalf("QP%d Σ=%d p=%d: decoded %d, want %d", qp, sum, p, got, want)
 				}
+				if byIndex[k] != 0 && byIndex[k] != int(want)+1 {
+					t.Fatalf("QP%d Σ=%d p=%d: index %d decodes to %d and to %d", qp, sum, p, k, want, byIndex[k]-1)
+				}
+				byIndex[k] = int(want) + 1
 				wantBits := 0.0
 				if level := math.Round(res / step); level != 0 {
 					wantBits = 2*math.Log2(math.Abs(level)+1) + 1
@@ -129,6 +134,33 @@ func TestQuantTableExhaustive(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEveryQPTabulates: building a table enumerates every index pair
+// (a, b) the quantizer can emit and drops the tables if two pairs with
+// one a + 2b decode differently. No H.264 QP may take that exit — the
+// kernels would be correct but slow, and nothing else would notice — and
+// a QP whose indices overflow int16 must, and still decode correctly.
+func TestEveryQPTabulates(t *testing.T) {
+	e := NewEncoder()
+	for qp := 0; qp < 52; qp++ {
+		if e.quantizer(qp).pix == nil {
+			t.Errorf("QP%d: no tables", qp)
+		}
+	}
+	const tiny = -40 // step 2^(-44/6): round(255/dcStep) > MaxInt16
+	if e.quantizer(tiny).pix != nil {
+		t.Fatalf("QP%d: tables with indices beyond int16", tiny)
+	}
+	f := noisyFrame(32, 16, 5)
+	got, err := e.DistortRegion(f, geom.Rect{X1: f.W, Y1: f.H}, tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	referenceDistort(e, f, tiny)
+	if !bytes.Equal(got.Pix, f.Pix) {
+		t.Fatalf("QP%d: the direct path differs from the per-pixel quantizer", tiny)
 	}
 }
 

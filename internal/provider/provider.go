@@ -97,7 +97,10 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c *Config) fillDefaults() {
+// resolve fills zero fields with the defaults, checks the video and what
+// that leaves as it found it, and returns the number of whole chunks the
+// video holds.
+func (c *Config) resolve(v *scene.Video) (numChunks int, err error) {
 	d := DefaultConfig()
 	if c.Grid.Rows == 0 || c.Grid.Cols == 0 {
 		c.Grid = d.Grid
@@ -120,20 +123,26 @@ func (c *Config) fillDefaults() {
 	if c.LumaWindowSec == 0 {
 		c.LumaWindowSec = d.LumaWindowSec
 	}
+	if err := v.Validate(); err != nil {
+		return 0, err
+	}
+	if v.W%tiling.UnitCols != 0 || v.H%tiling.UnitRows != 0 {
+		return 0, fmt.Errorf("provider: video %dx%d not divisible by unit grid %dx%d",
+			v.W, v.H, tiling.UnitCols, tiling.UnitRows)
+	}
+	if !(c.ChunkSec*float64(v.FPS) >= 1) || c.FrameStride < 0 || c.Tiles < 0 {
+		return 0, fmt.Errorf("provider: %v s chunks at %d fps, frame stride %d, %d tiles: want a chunk of at least one frame and positive counts", c.ChunkSec, v.FPS, c.FrameStride, c.Tiles)
+	}
+	return int(float64(v.DurationSec) / c.ChunkSec), nil
 }
 
 // Preprocess builds the manifest for a video given history viewpoint
 // traces (may be empty: scores then assume a static viewpoint).
 func Preprocess(v *scene.Video, history []*viewport.Trace, cfg Config) (*manifest.Video, error) {
-	cfg.fillDefaults()
-	if err := v.Validate(); err != nil {
+	numChunks, err := cfg.resolve(v)
+	if err != nil {
 		return nil, err
 	}
-	if v.W%tiling.UnitCols != 0 || v.H%tiling.UnitRows != 0 {
-		return nil, fmt.Errorf("provider: video %dx%d not divisible by unit grid %dx%d",
-			v.W, v.H, tiling.UnitCols, tiling.UnitRows)
-	}
-	numChunks := int(float64(v.DurationSec) / cfg.ChunkSec)
 	if numChunks == 0 {
 		return nil, fmt.Errorf("provider: video shorter than one chunk")
 	}
@@ -182,15 +191,10 @@ func Preprocess(v *scene.Video, history []*viewport.Trace, cfg Config) (*manifes
 // Preprocess runs for chunk k, so a live-published chunk is
 // bit-identical to its VOD counterpart under the same Config.
 func ChunkAt(v *scene.Video, history []*viewport.Trace, cfg Config, k int) (manifest.Chunk, error) {
-	cfg.fillDefaults()
-	if err := v.Validate(); err != nil {
+	numChunks, err := cfg.resolve(v)
+	if err != nil {
 		return manifest.Chunk{}, err
 	}
-	if v.W%tiling.UnitCols != 0 || v.H%tiling.UnitRows != 0 {
-		return manifest.Chunk{}, fmt.Errorf("provider: video %dx%d not divisible by unit grid %dx%d",
-			v.W, v.H, tiling.UnitCols, tiling.UnitRows)
-	}
-	numChunks := int(float64(v.DurationSec) / cfg.ChunkSec)
 	if k < 0 || k >= numChunks {
 		return manifest.Chunk{}, fmt.Errorf("provider: chunk %d out of range [0,%d)", k, numChunks)
 	}
@@ -254,29 +258,58 @@ func (sf *sampledFrame) release() {
 // over pixels of max(d − c·anchors[i], 0)², where d is the pixel's
 // coding error and c its content JND (the PMSE numerator at action
 // ratio anchors[i]), accumulated in row-major pixel order, and returns
-// Σd² (the MSE numerator). anchors must be positive and ascending: the
-// thresholds c·a then ascend too (c > 0), so the first anchor a pixel's
-// error does not reach ends that pixel.
+// Σd² (the MSE numerator). anchors must be non-empty, positive and
+// ascending: the thresholds c·a then ascend too (c > 0).
+//
+// Which anchor stops a pixel is a coin flip, so the question is put per
+// run (the ≤ FieldBlockSize pixels of a row that share one c, a short
+// run padded with errors of 0), never per pixel: the first threshold
+// above the run's peak error ends the run, every anchor before it adds
+// all eight excesses, +0 for a pixel below it, and a sum is left holding
+// the non-zero addends of a per-pixel test in their order (DESIGN.md §4).
 func perceptibleError(sf *sampledFrame, level int, r geom.Rect, anchors, sums []float64) (sq uint64) {
-	w := sf.orig.W
-	errs := sf.errs[level]
+	const bs = jnd.FieldBlockSize
+	w, errs := sf.orig.W, sf.errs[level]
 	sums = sums[:len(anchors)]
+	var pad [bs]uint8
 	for y := r.Y0; y < r.Y1; y++ {
-		content := sf.content[y/jnd.FieldBlockSize*sf.contentCols:]
-		for x, e := range errs[y*w+r.X0 : y*w+r.X1] {
-			sq += uint64(e) * uint64(e)
-			d, c := float64(e), content[(r.X0+x)/jnd.FieldBlockSize]
+		content := sf.content[y/bs*sf.contentCols+r.X0/bs:]
+		row := errs[y*w+r.X0 : y*w+r.X1]
+		for b, n := 0, bs-r.X0%bs; len(row) > 0; b, n = b+1, bs {
+			e := &pad
+			if n = min(n, len(row)); n == bs {
+				e = (*[bs]uint8)(row)
+			} else {
+				clear(pad[copy(pad[:], row[:n]):])
+			}
+			row = row[n:]
+			e0, e1, e2, e3, e4, e5, e6, e7 := uint64(e[0]), uint64(e[1]), uint64(e[2]), uint64(e[3]), uint64(e[4]), uint64(e[5]), uint64(e[6]), uint64(e[7])
+			sq += e0*e0 + e1*e1 + e2*e2 + e3*e3 + e4*e4 + e5*e5 + e6*e6 + e7*e7
+			peak, c := float64(max(e0, e1, e2, e3, e4, e5, e6, e7)), content[b]
+			if peak < c*anchors[0] {
+				continue
+			}
+			d := [bs]uint64{floatBits(e0), floatBits(e1), floatBits(e2), floatBits(e3), floatBits(e4), floatBits(e5), floatBits(e6), floatBits(e7)}
 			for i, a := range anchors {
 				th := c * a
-				if d < th {
+				if peak < th {
 					break
 				}
-				ex := d - th
-				sums[i] += ex * ex
+				sums[i] = sums[i] + excess2(d[0], th) + excess2(d[1], th) + excess2(d[2], th) + excess2(d[3], th) +
+					excess2(d[4], th) + excess2(d[5], th) + excess2(d[6], th) + excess2(d[7], th)
 			}
 		}
 	}
 	return sq
+}
+
+func floatBits(e uint64) uint64 { return math.Float64bits(float64(e)) }
+
+// excess2 is (max(d, th) − th)², d ≥ 0 given as floatBits, th > 0: such
+// floats order as their bits do, and an integer max compiles to no branch.
+func excess2(d uint64, th float64) float64 {
+	x := math.Float64frombits(max(d, math.Float64bits(th))) - th
+	return x * x
 }
 
 // chunkFactors estimates, per unit tile, the mean action ratio over the

@@ -186,13 +186,16 @@ func (s *Store) Put(payload []byte) (string, error) {
 		return "", fmt.Errorf("store: put: %w", err)
 	}
 	final := s.blobPath(digest)
-	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("store: put: %w", err)
-	}
 	// Rename is atomic within the filesystem; a concurrent Put of the
-	// same content renames identical bytes over identical bytes.
-	if err := os.Rename(tmp, final); err != nil {
+	// same content renames identical bytes over identical bytes. The
+	// shard directory is made when the rename misses it, not per Put.
+	err := os.Rename(tmp, final)
+	if os.IsNotExist(err) {
+		if err = os.MkdirAll(filepath.Dir(final), 0o755); err == nil {
+			err = os.Rename(tmp, final)
+		}
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return "", fmt.Errorf("store: put: %w", err)
 	}

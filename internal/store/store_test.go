@@ -148,6 +148,62 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
+// payloadInShard returns a payload, one per tag, whose digest falls into
+// the given shard (the digest's first two hex digits).
+func payloadInShard(shard, tag string) []byte {
+	for i := 0; ; i++ {
+		payload := []byte(fmt.Sprintf("%s %d", tag, i))
+		if sum := sha256.Sum256(payload); hex.EncodeToString(sum[:1]) == shard {
+			return payload
+		}
+	}
+}
+
+// TestPutMakesMissingShard: Put renames first and makes the shard
+// directory only when the rename finds none, so it must work on a shard
+// that does not exist (a fresh store, or one removed from under it) as
+// on one that does, and a Put that cannot make its shard must fail and
+// leave no tmp file.
+func TestPutMakesMissingShard(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Put([]byte("first blob of its shard"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Join(dir, "blobs", first[:2])
+	if err := os.RemoveAll(shard); err != nil {
+		t.Fatal(err)
+	}
+	payload := payloadInShard(first[:2], "removed")
+	again, err := s.Put(payload)
+	if err != nil {
+		t.Fatalf("Put into a removed shard: %v", err)
+	}
+	if got, err := s.Get(again); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("blob in a re-made shard: %q, %v", got, err)
+	}
+	if _, err := s.Put(payloadInShard(first[:2], "present")); err != nil {
+		t.Fatalf("Put into an existing shard: %v", err)
+	}
+	// A file where the shard directory should be.
+	if err := os.RemoveAll(shard); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shard, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put(payloadInShard(first[:2], "blocked")); err == nil {
+		t.Fatal("Put under a shard path held by a file should error")
+	}
+	if left, _ := os.ReadDir(filepath.Join(dir, "tmp")); len(left) != 0 {
+		t.Fatalf("a failed Put left %d tmp files", len(left))
+	}
+}
+
 func TestRefsProtectFromGC(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
