@@ -48,7 +48,8 @@ race-kernels:
 # same plan where neither thinned, never over budget, no frontier exactly
 # when no upgrade fits). Not part of check: a fuzz run has no fixed end.
 # The committed seeds under internal/abr/testdata/fuzz/ are the boundary
-# cases of that last clause; plain `go test` replays them.
+# cases of that last clause (guard-*) and of the exact form of the cut on
+# heavy-tailed rows (exact-*); plain `go test` replays them.
 fuzz-abr:
 	$(GO) test -run '^$$' -fuzz FuzzAllocatePruned -fuzztime 20s ./internal/abr
 
@@ -202,8 +203,10 @@ bench: build microbench
 # Kernel micro-benchmarks (serial vs parallel vs cached), the client's
 # per-chunk tile allocator (BenchmarkAllocatePruned: synthetic 30- and
 # 72-tile rows, the same at the all-lowest budget no upgrade fits
-# (nothing_affordable, the swarm's operating point), and bench_video, a
-# real manifest's chunks at MPC-like budgets — the row to quote), the planner's cost rows for one chunk
+# (nothing_affordable, the swarm's operating point), bench_video, a
+# real manifest's chunks at the sizes of its uniform levels, and
+# vod_links, the same chunks at the budgets 0.18x/0.30x links produce —
+# the heavy-tailed row, and the one to quote), the planner's cost rows for one chunk
 # (BenchmarkCostRows: exact is the Pow-and-Exp definition, table what
 # Plan runs), the provider's chunk analysis (scene render, quantizer,
 # the PMSE kernel per level over one frame's 30 tiles, one chunk, one

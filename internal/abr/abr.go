@@ -16,15 +16,15 @@
 // benchmark).
 //
 // The pruned enumeration is what a session spends its compute on. Its
-// tile step is a merge, not a sort; the program's LP relaxation bounds
-// it, so that most partial assignments are dropped as they are formed;
-// and the frontiers and the LP tables of a call live in one pooled
-// scratch, so a call allocates only its result. AllocatePruned documents
-// the cuts and the ordering rules that make the merge the same search.
+// tile step is a merge, not a sort; a partial assignment is dropped as it
+// is formed unless cost + LPᵢ₊₁(budget − bits) ≤ incumbent, the LP
+// relaxation of the tiles still to come at the bits it has left; and the
+// frontiers and the LP tables of a call live in one pooled scratch, so a
+// call allocates only its result. AllocatePruned documents the cut and
+// the ordering rules that make the merge the same search.
 package abr
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -130,28 +130,36 @@ type paretoState struct {
 }
 
 // hullUpgrade is one step along the lower convex hull of a tile's
-// (bits, cost) rows: dBits more bits buy eff less cost per bit.
+// (bits, cost) rows: dBits more bits buy dCost less cost, eff per bit.
 type hullUpgrade struct {
-	eff, dBits float64
-	seq        int32 // position before sorting: tile-major, cheapest step first
-	tile       int32
-	from, to   uint8
+	eff, dBits, dCost float64
+	tile              int32
+	from, to          uint8
 }
+
+// lpStep is one breakpoint of a suffix's LP relaxation: bits over its
+// all-smallest size save save, and eff more per bit up to the next one.
+type lpStep struct{ bits, save, eff float64 }
 
 // prunedScratch is the working memory of one search: every tile's
 // frontier back to back in one slab (the empty assignment first), with
 // starts[i] the slab offset of tile i's frontier, and the tables of the
-// call's LP relaxation (bound).
+// call's LP relaxation (bound) and of one tile step's (suffixLP).
 type prunedScratch struct {
 	slab   []paretoState
 	starts []int
-	// ups is every tile's hull upgrades, most efficient first. restCost[i]
-	// and restBits[i] are what tiles i.. cost at the least: the sums over
-	// j ≥ i of min_l(Cost_jl + λ·Bits_jl) and of min_l Bits_jl.
-	ups                []hullUpgrade
-	restCost, restBits []float64
-	forced             Allocation
+	// ups is every tile's hull upgrades, most efficient first; hull is
+	// the same tile-major, cheapest step first, and order what is sorted.
+	ups, hull []hullUpgrade
+	order     []int32
+	rest      []suffixMin // rest[i] is of tiles i..
+	lp        []lpStep
+	forced    Allocation
 }
+
+// suffixMin sums over a suffix of the tiles what each costs at the least:
+// min_l Bits_jl, the cost of that row, and min_l(Cost_jl + λ·Bits_jl).
+type suffixMin struct{ bits, base, cost float64 }
 
 // prunedPool recycles scratch across calls: planners are shared between
 // goroutines (one Planner serves every swarm worker), so the scratch
@@ -164,13 +172,20 @@ type SearchStats struct {
 	Thinned int // tile steps whose frontier hit the cap and was thinned
 }
 
-// boundSlack is the relative rounding slack of the search's two cuts.
-// A cut compares sums of the same ≤ N+2 terms taken in different orders,
-// which differ by ≈ N·2⁻⁵³ of their magnitude; 1e-9 is five orders above
-// that for any N that fits a frontier, and five below the gap between
-// the incumbent and the LP bound (about one upgrade in N), so it costs
-// the cut nothing.
+// boundSlack is the relative rounding slack of the search's cut, which
+// compares sums of the same ≤ 2N+2 terms taken in different orders. They
+// differ by ≈ N·2⁻⁵³ of the largest sum — the all-smallest cost the exact
+// form takes its savings from, not the incumbent, which is what is left
+// and near the all-top budget can be zero. 1e-9 of that is five orders
+// above the difference for any N that fits a frontier and five below the
+// gap between the incumbent and the LP bound (about one upgrade in N).
 const boundSlack = 1e-9
+
+// exactWidth is the frontier width from which a sweep puts the exact form
+// of the cut. Its table per tile step repays itself on dozens of states,
+// not on the handful of a sweep's first steps or of a budget the tangent
+// decides: BenchmarkAllocatePruned/bench_video reads 14 µs without, 10 with.
+const exactWidth = 16
 
 // AllocatePruned is the paper's enumeration with dominance pruning: it
 // sweeps tiles one at a time, extending every non-dominated partial
@@ -181,25 +196,31 @@ const boundSlack = 1e-9
 // cap of 1024, which the bounded search below seldom reaches.
 //
 // The program is a multiple-choice knapsack, and its LP relaxation —
-// one sort of the tiles' convex-hull upgrades, filled greedily — gives a
-// multiplier λ, the efficiency of the first upgrade that does not fit,
-// and, rounded, a feasible incumbent of cost U (bound). A partial
-// assignment (bits, cost) after tile i is dropped when no completion can
-// matter:
+// one sort of the tiles' convex-hull upgrades, filled greedily — gives,
+// rounded, a feasible incumbent of cost U (bound). The same order filtered
+// to the tiles after i relaxes what a partial assignment has left to
+// decide: LPᵢ₊₁(r), the least those tiles cost on r bits, is their
+// all-smallest cost less the savings of their upgrades taken until r is
+// spent, the last one in part; +Inf where the smallest rows do not fit.
+// A partial assignment (bits, cost) after tile i is dropped when
 //
-//   - bits > budget − Σ_{j>i} min_l Bits_jl: every completion is over
-//     budget;
-//   - cost + λ·bits > U + λ·budget − Σ_{j>i} min_l(Cost_jl + λ·Bits_jl):
-//     every completion within budget costs more than the incumbent,
-//     because C ≤ C + λ·(budget − B) for any B ≤ budget and λ ≥ 0.
+//	cost + LPᵢ₊₁(budget − bits) > U:
 //
-// Both hold for every λ ≥ 0, so the cuts only ever remove states that
-// cannot lead to the answer, and a state that dominates a kept state is
-// itself kept: the frontiers are subsequences of the uncut search's, and
-// unless the cap thins one the result is the optimum. Both thresholds
-// carry boundSlack. The result is the cheapest final state within
-// budget; the incumbent where thinning lost every state as good; and
-// all-lowest when the budget is below even that.
+// no completion within budget beats the incumbent. LPᵢ₊₁ is convex, and
+// its tangent at λ, the efficiency of the first upgrade the whole LP
+// cannot fit, is the same cut to first order, one multiply a candidate,
+// and goes first; the exact form follows from exactWidth states on:
+//
+//	cost + λ·bits > U + λ·budget − Σ_{j>i} min_l(Cost_jl + λ·Bits_jl).
+//
+// The bound never falls along a path, nor from a state to one it
+// dominates, and the cut only tightens along the sweep. So it removes no
+// state that can lead to the answer, and a state that dominates a kept
+// state is itself kept: the frontiers are subsequences of the uncut
+// search's, and unless the cap thins one the result is the optimum. The
+// thresholds carry boundSlack. The result is the cheapest final state
+// within budget; the incumbent where thinning lost every state as good;
+// and all-lowest when the budget is below even that.
 //
 // A budget that fits the all-smallest plan and not its cheapest step up
 // — the all-lowest size every session's first chunk is planned with,
@@ -268,7 +289,7 @@ func smallestRows(tiles []TileChoice, a Allocation) {
 // cost and λ. a comes in as the all-smallest plan and low is its size,
 // within budget.
 func (sc *prunedScratch) bound(tiles []TileChoice, budget, low float64, a Allocation) (incumbent, lambda float64) {
-	ups := sc.ups[:0]
+	hull, order := sc.hull[:0], sc.order[:0]
 	for i := range tiles {
 		t := &tiles[i]
 		// Gift-wrap the hull from the smallest row: each step goes to the
@@ -287,20 +308,24 @@ func (sc *prunedScratch) bound(tiles []TileChoice, budget, low float64, a Alloca
 				break
 			}
 			last = min(last, eff)
-			ups = append(ups, hullUpgrade{
-				eff: last, dBits: t.Bits[to] - t.Bits[from],
-				seq: int32(len(ups)), tile: int32(i), from: uint8(from), to: uint8(to),
-			})
+			order = append(order, int32(len(hull)))
+			db, dc := t.Bits[to]-t.Bits[from], t.Cost[from]-t.Cost[to]
+			hull = append(hull, hullUpgrade{eff: last, dBits: db, dCost: dc, tile: int32(i), from: uint8(from), to: uint8(to)})
 			from = to
 		}
 	}
-	slices.SortFunc(ups, func(x, y hullUpgrade) int {
-		if x.eff != y.eff {
-			return cmp.Compare(y.eff, x.eff)
+	// The sort moves the 4-byte indices, not the upgrades.
+	slices.SortFunc(order, func(x, y int32) int {
+		if hull[x].eff > hull[y].eff || hull[x].eff == hull[y].eff && x < y {
+			return -1
 		}
-		return cmp.Compare(x.seq, y.seq)
+		return 1
 	})
-	sc.ups = ups
+	ups := sc.ups[:0]
+	for _, j := range order {
+		ups = append(ups, hull[j])
+	}
+	sc.hull, sc.order, sc.ups = hull, order, ups
 
 	// The LP optimum takes upgrades in this order until one does not
 	// fit, the break upgrade; its efficiency is λ. Two roundings of it
@@ -339,20 +364,36 @@ func (sc *prunedScratch) bound(tiles []TileChoice, budget, low float64, a Alloca
 	}
 
 	n := len(tiles)
-	sc.restCost = slices.Grow(sc.restCost[:0], n+1)[:n+1]
-	sc.restBits = slices.Grow(sc.restBits[:0], n+1)[:n+1]
-	sc.restCost[n], sc.restBits[n] = 0, 0
+	rest := slices.Grow(sc.rest[:0], n+1)[:n+1]
+	rest[n] = suffixMin{}
 	for i := n - 1; i >= 0; i-- {
-		t := &tiles[i]
-		minCost, minBits := math.Inf(1), math.Inf(1)
+		t, small := &tiles[i], smallestRow(&tiles[i])
+		minCost := math.Inf(1)
 		for l := 0; l < codec.NumLevels; l++ {
 			minCost = min(minCost, t.Cost[l]+lambda*t.Bits[l])
-			minBits = min(minBits, t.Bits[l])
 		}
-		sc.restCost[i] = sc.restCost[i+1] + minCost
-		sc.restBits[i] = sc.restBits[i+1] + minBits
+		rest[i] = suffixMin{rest[i+1].bits + t.Bits[small], rest[i+1].base + t.Cost[small], rest[i+1].cost + minCost}
 	}
+	sc.rest = rest
 	return TotalCost(tiles, a), lambda
+}
+
+// suffixLP tabulates the LP relaxation of tiles i+1.. for one tile step:
+// their hull upgrades in LP order, summed, as far as room bits reach.
+func (sc *prunedScratch) suffixLP(i int, room float64) []lpStep {
+	lp := append(sc.lp[:0], lpStep{})
+	var bits, save float64
+	for _, u := range sc.ups {
+		if int(u.tile) > i {
+			lp[len(lp)-1].eff = u.eff
+			bits, save = bits+u.dBits, save+u.dCost
+			if lp = append(lp, lpStep{bits: bits, save: save}); bits > room {
+				break
+			}
+		}
+	}
+	sc.lp = lp
+	return lp
 }
 
 // fillUpgrades applies to a, in order, every upgrade that continues its
@@ -408,28 +449,33 @@ func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier 
 		return a, SearchStats{}
 	}
 	incumbent, lambda := sc.bound(tiles, budget, low, a)
-	// No state with cost + λ·bits above limit, less what the remaining
-	// tiles add at the least, completes to a plan as cheap as the
-	// incumbent within budget.
+	// limit bounds cost + λ·bits where no tile is left, as incumbent
+	// bounds cost; slack is boundSlack of the largest sums either compares.
 	limit := incumbent + lambda*budget
-	slack := boundSlack * limit
-	limit += slack
+	slack := boundSlack * (limit + sc.rest[0].base)
 
 	var stats SearchStats
 	slab := append(sc.slab[:0], paretoState{parent: -1})
 	starts := sc.starts[:0]
 	lo := 0            // the current frontier is slab[lo:]
 	var minVal float64 // min of cost + λ·bits over it, or below
+	exact := false     // the frontier has reached exactWidth
 	for i := range tiles {
 		hi := len(slab)
 		room := codec.NumLevels * (hi - lo)
 		slab = slices.Grow(slab, room)
 		next := slab[hi : hi+room]
+		rest := &sc.rest[i+1]
 		cut := frontierCut{
 			lambda:  lambda,
-			maxBits: min(budget, budget-sc.restBits[i+1]+boundSlack*budget),
-			maxVal:  limit - sc.restCost[i+1],
+			maxBits: min(budget, budget-rest.bits+boundSlack*budget),
+			maxVal:  limit + slack - rest.cost,
 			minVal:  minVal,
+			room:    budget - rest.bits,
+			maxCost: incumbent + slack - rest.base,
+		}
+		if exact = exact || hi-lo >= exactWidth; exact {
+			cut.lp = sc.suffixLP(i, cut.room-slab[lo].bits)
 		}
 		var n int
 		n, minVal = extendFrontier(next, slab[lo:hi], &tiles[i], &cut)
@@ -467,10 +513,14 @@ func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier 
 }
 
 // frontierCut is what a tile step may keep: states of at most maxBits
-// bits and at most maxVal in cost + λ·bits. minVal is a lower bound of
-// cost + λ·bits over the parent frontier.
+// bits, of at most maxVal in cost + λ·bits (the tangent; minVal is a
+// lower bound of cost + λ·bits over the parent frontier) and, where lp is
+// set, of at most maxCost in cost − S(room − bits), lp tabulating the
+// savings S the tiles to come make of the bits a state leaves them.
 type frontierCut struct {
 	lambda, maxBits, maxVal, minVal float64
+	room, maxCost                   float64
+	lp                              []lpStep
 }
 
 // levelCursor walks the parent frontier shifted by one level's row
@@ -478,8 +528,8 @@ type frontierCut struct {
 type levelCursor struct {
 	dBits, dCost float64
 	next         int         // first unread parent
+	step         int         // the lpStep the last candidate reached: bits rise, so it only falls
 	head         paretoState // the list's current candidate
-	headVal      float64     // its cost + λ·bits
 }
 
 // advance loads the cursor's next candidate that the cut keeps and that
@@ -503,14 +553,21 @@ func (c *levelCursor) advance(cur []paretoState, cut *frontierCut, bestCost floa
 			}
 		}
 		// bestCost only falls, so a candidate dominated now stays so.
-		if cost < bestCost-1e-12 {
-			if val := cost + cut.lambda*bits; val <= cut.maxVal {
-				c.head.bits, c.head.cost, c.head.parent = bits, cost, int32(parent)
-				c.headVal = val
-				c.next = p
-				return true
+		if cost >= bestCost-1e-12 || cost+cut.lambda*bits > cut.maxVal {
+			continue
+		}
+		if cut.lp != nil {
+			r := max(cut.room-bits, 0)
+			for cut.lp[c.step].bits > r {
+				c.step--
+			}
+			if s := &cut.lp[c.step]; cost-(s.save+s.eff*(r-s.bits)) > cut.maxCost {
+				continue
 			}
 		}
+		c.head.bits, c.head.cost, c.head.parent = bits, cost, int32(parent)
+		c.next = p
+		return true
 	}
 	return false
 }
@@ -523,7 +580,7 @@ func (c *levelCursor) advance(cur []paretoState, cut *frontierCut, bestCost floa
 //
 // It merges the NumLevels shifted copies of cur by (bits, cost); on an
 // exact tie the lower level wins. A level whose reduced cost alone takes
-// the best parent past the cut is never started.
+// the best parent past the tangent is never started.
 func extendFrontier(next, cur []paretoState, t *TileChoice, cut *frontierCut) (int, float64) {
 	var (
 		cursors [codec.NumLevels]levelCursor
@@ -536,7 +593,7 @@ func extendFrontier(next, cur []paretoState, t *TileChoice, cut *frontierCut) (i
 			continue
 		}
 		c := &cursors[l]
-		c.dBits, c.dCost = t.Bits[l], t.Cost[l]
+		c.dBits, c.dCost, c.step = t.Bits[l], t.Cost[l], len(cut.lp)-1
 		c.head.level = uint8(l)
 		if c.advance(cur, cut, bestCost) {
 			live[nLive] = l
@@ -556,9 +613,7 @@ func extendFrontier(next, cur []paretoState, t *TileChoice, cut *frontierCut) (i
 			next[n] = m.head
 			n++
 			bestCost = m.head.cost
-			if m.headVal < minVal {
-				minVal = m.headVal
-			}
+			minVal = min(minVal, m.head.cost+cut.lambda*m.head.bits)
 		}
 		if !m.advance(cur, cut, bestCost) {
 			copy(live[mi:], live[mi+1:nLive])

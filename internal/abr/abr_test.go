@@ -1,10 +1,15 @@
 package abr
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -773,6 +778,46 @@ func TestPrunedMatchesReferenceOnManifest(t *testing.T) {
 	}
 }
 
+// The two vod_session calls (benchmark seeds 2019 and 7) on which the
+// search cut by the tangent alone thinned at the default cap and returned
+// a plan of ParentCost: the rows as the planner built them, so the check
+// needs no video (vod_test.go replays whole sessions). Neither thins now,
+// and both cost the optimum.
+func TestPrunedVodThinnedInstances(t *testing.T) {
+	for _, in := range vodThinnedInstances(t) {
+		if o := againstReference(t, in.Tiles, in.Budget, 0); o.thinned || !o.refThinned {
+			t.Errorf("%s: search thinned %v, reference thinned %v; want the reference alone", in.Name, o.thinned, o.refThinned)
+		}
+		a, st := SearchPruned(in.Tiles, in.Budget, 0)
+		if cost := TotalCost(in.Tiles, a); st.Thinned != 0 || cost != in.Optimum || cost >= in.ParentCost {
+			t.Errorf("%s: cost %v with %d steps thinned, want the optimum %v (was %v)", in.Name, cost, st.Thinned, in.Optimum, in.ParentCost)
+		}
+		if ref := referencePruned(in.Tiles, in.Budget, uncapped); TotalCost(in.Tiles, ref.levels) != in.Optimum {
+			t.Errorf("%s: the uncapped reference costs %v, the file says %v", in.Name, TotalCost(in.Tiles, ref.levels), in.Optimum)
+		}
+	}
+}
+
+// vodInstance is one row of testdata/vod_thinned.json.
+type vodInstance struct {
+	Name                        string
+	Budget, ParentCost, Optimum float64
+	Tiles                       []TileChoice
+}
+
+func vodThinnedInstances(t testing.TB) []vodInstance {
+	t.Helper()
+	b, err := os.ReadFile("testdata/vod_thinned.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var instances []vodInstance
+	if err := json.Unmarshal(b, &instances); err != nil || len(instances) != 2 {
+		t.Fatalf("%d instances, error %v", len(instances), err)
+	}
+	return instances
+}
+
 // Budget placements of guardInstance, around [low, low+minUp): the
 // interval on which the all-smallest plan fits and no step up from it
 // does. placeUnderSlack is the edge the search's guard really has, the
@@ -787,6 +832,11 @@ const (
 	placeBelowStep         // an ulp under low+minUp: inside the slack, searched
 	placeStep              // the cheapest upgrade fits exactly
 	placeAboveStep         // an ulp over
+	// Two placements of the exact form of the cut, on integer menus to the
+	// bit: what some prefix leaves the tiles to come is a breakpoint of
+	// their LP, or nothing.
+	placeSuffixBreak // all-smallest up to the middle tile, then a quarter of the LP's upgrades in its order
+	placePrefixTop   // all-top up to the middle tile, all-smallest after it
 	numPlaces
 )
 
@@ -796,6 +846,7 @@ const (
 	shapeFlat             // the bottom rungs identical rows: the free upgrade
 	shapeEqualBits        // the bottom rungs one size at rising cost
 	shapeZeroCost         // no cost at any level
+	shapeHeavy            // the upper rungs six times the size: a real chunk's large tiles, where the LP's gap is
 	numShapes
 )
 
@@ -817,6 +868,10 @@ func guardInstance(seed uint64, n, menu int) ([]TileChoice, float64) {
 			}
 		case shapeZeroCost:
 			t.Cost = [codec.NumLevels]float64{}
+		case shapeHeavy:
+			for l := 0; l < from; l++ {
+				t.Bits[l] *= 6
+			}
 		}
 	}
 	if place == placeMultiple {
@@ -849,6 +904,21 @@ func guardInstance(seed uint64, n, menu int) ([]TileChoice, float64) {
 		budget = low + minUp
 	case placeAboveStep:
 		budget = math.Nextafter(low+minUp, math.Inf(1))
+	case placeSuffixBreak:
+		budget = low + minUp // where the tiles from the middle one on have no upgrade
+		_, _, _, ups := lpOf(tiles, low)
+		at, k := low, 0
+		for _, u := range ups {
+			if int(u.tile) >= n/2 && k <= len(ups)/4+int(seed%4) {
+				at += u.dBits
+				budget, k = at, k+1
+			}
+		}
+	case placePrefixTop:
+		budget = low
+		for i := 0; i <= n/2; i++ {
+			budget += tiles[i].Bits[0] - slices.Min(tiles[i].Bits[:])
+		}
 	}
 	return tiles, budget
 }
@@ -894,6 +964,42 @@ func FuzzAllocatePruned(f *testing.F) {
 		tiles, budget := guardInstance(seed, 1+int(n)%72, int(menu))
 		againstReference(t, tiles, budget, int(maxFrontier))
 	})
+}
+
+// The committed exact-* seeds are the cases of the exact form of the cut
+// (TestPrunedBoundEdgeCases' last four, on guardInstance's heavy shape), so
+// each must reach a frontier of exactWidth states, or it replays nothing
+// the other seeds do not.
+func TestFuzzSeedsReachTheExactForm(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzAllocatePruned/exact-*")
+	if err != nil || len(files) < 5 {
+		t.Fatalf("%d exact-* seeds, error %v", len(files), err)
+	}
+	arg := regexp.MustCompile(`\((?:'\\x([0-9a-f]{2})'|(\d+))\)`)
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v []uint64
+		for _, m := range arg.FindAllStringSubmatch(string(b), -1) {
+			x, err := strconv.ParseUint(m[1], 16, 8)
+			if m[2] != "" {
+				x, err = strconv.ParseUint(m[2], 10, 64)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			v = append(v, x)
+		}
+		if len(v) != 4 {
+			t.Fatalf("%s: %d arguments, want seed, n, cap, menu", f, len(v))
+		}
+		tiles, budget := guardInstance(v[0], 1+int(v[1])%72, int(v[3]))
+		if menu := int(v[3]); menu/numMenus/numPlaces%numShapes != shapeHeavy || !exactFormRan(tiles, budget) {
+			t.Errorf("%s: menu %d, n=%d budget=%v never reached a frontier of %d states", f, menu, len(tiles), budget, exactWidth)
+		}
+	}
 }
 
 // flatBottom makes levels from..lowest of a tile identical rows, as the
@@ -996,12 +1102,14 @@ var sinkAllocation Allocation
 // BenchmarkAllocatePruned times one call. The 30tiles and 72tiles rows
 // are synthetic menus with smooth costs, nothing_affordable the same menus
 // at a budget of exactly the all-lowest size. bench_video is a real manifest:
-// every chunk of manifestFixture at the budgets the MPC hands the planner,
-// the sizes of its uniform levels 1–3. Real costs are heavy-tailed — one
-// large tile's upgrade can be a fifth of the budget — which is where the
-// LP gap, and so the search, is widest; the benchmark's vod_session calls
-// on its larger video average about five times this row (EXPERIMENTS.md,
-// "What bounding the search changed").
+// every chunk of manifestFixture at the sizes of its uniform levels 1–3,
+// budgets the tangent decides on frontiers of a dozen states. vod_links is
+// the same chunks at the budgets constrained links produce (vodLinkBudgets).
+// Real costs are heavy-tailed — one large tile's upgrade can be a fifth of
+// the budget — and at a fifth to a third of the top bitrate that upgrade
+// is the one the LP cannot fit: its gap, and so the search, is widest
+// there, and the exact form of the cut is what keeps the frontiers narrow
+// (EXPERIMENTS.md, "What bounding the search changed").
 func BenchmarkAllocatePruned(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -1030,24 +1138,45 @@ func BenchmarkAllocatePruned(b *testing.B) {
 			}
 		})
 	}
-	b.Run("bench_video", func(b *testing.B) {
-		m := manifestFixture(b)
-		type call struct {
-			rows   []TileChoice
-			budget float64
-		}
-		var calls []call
-		for k := 0; k < m.NumChunks(); k++ {
-			rows := manifestRows(m, k, func(i int) float64 { return 1 + 0.35*float64(i%7) })
-			for l := codec.Level(1); l <= 3; l++ {
-				calls = append(calls, call{rows, m.ChunkBits(k, l)})
+	for _, bc := range []struct {
+		name    string
+		budgets func(m *manifest.Video, k int) []float64 // of chunk k
+	}{
+		{"bench_video", func(m *manifest.Video, k int) []float64 {
+			return []float64{m.ChunkBits(k, 1), m.ChunkBits(k, 2), m.ChunkBits(k, 3)}
+		}},
+		{"vod_links", func(m *manifest.Video, k int) (out []float64) {
+			for _, frac := range vodLinkBudgets {
+				out = append(out, frac*m.ChunkBits(k, 0))
 			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c := &calls[i%len(calls)]
-			sinkAllocation = AllocatePruned(c.rows, c.budget, 0)
-		}
-	})
+			return out
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := manifestFixture(b)
+			type call struct {
+				rows   []TileChoice
+				budget float64
+			}
+			var calls []call
+			for k := 0; k < m.NumChunks(); k++ {
+				rows := manifestRows(m, k, func(i int) float64 { return 1 + 0.35*float64(i%7) })
+				for _, budget := range bc.budgets(m, k) {
+					calls = append(calls, call{rows, budget})
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := &calls[i%len(calls)]
+				sinkAllocation = AllocatePruned(c.rows, c.budget, 0)
+			}
+		})
+	}
 }
+
+// vodLinkBudgets are the budgets the MPC hands the planner on the
+// benchmark's 0.18× and 0.30× links, as shares of the chunk's top bitrate:
+// the minimum, first decile, quartiles and last decile of the 112 searched
+// calls of one vod_session pass (TestVodSessionsSearchedExactly's).
+var vodLinkBudgets = []float64{0.13, 0.17, 0.19, 0.25, 0.32, 0.35}

@@ -219,6 +219,253 @@ func TestPrunedBoundEdgeCases(t *testing.T) {
 		}
 		againstReference(t, tiles, budget, 1)
 	})
+
+	// The four below are cases of the exact form of the cut, which a sweep
+	// puts from its first frontier of exactWidth states on. Smooth synthetic
+	// rows never get there, the tangent decides them; a real chunk's
+	// heavy-tailed rows do by the third tile.
+	vod := vodThinnedInstances(t)[0]
+
+	// Integer sizes, so that sums in any order are exact: the budget leaves
+	// the all-smallest prefix ending at tile from exactly the bits of the
+	// first k upgrades of the tiles after it, r on a breakpoint of the
+	// step's table and an ulp from it on neither side.
+	t.Run("budget exactly on a suffix breakpoint", func(t *testing.T) {
+		tiles := slices.Clone(vod.Tiles)
+		for i := range tiles {
+			for l := range tiles[i].Bits {
+				tiles[i].Bits[l] = math.Ceil(tiles[i].Bits[l])
+			}
+		}
+		low, _ := smallestAndStep(tiles)
+		_, _, _, ups := lpOf(tiles, low)
+		for _, from := range []int{5, 14, 27} {
+			budget, k := low, 0
+			for _, u := range ups {
+				if int(u.tile) <= from {
+					continue
+				}
+				budget += u.dBits
+				if k++; k%5 == 1 {
+					contract(t, tiles, budget)
+					if budget > 1.5*low && !exactFormRan(tiles, budget) {
+						t.Errorf("suffix after tile %d, %d upgrades: the frontier never reached %d states", from, k, exactWidth)
+					}
+				}
+			}
+			if k == 0 {
+				t.Fatalf("no upgrades after tile %d", from)
+			}
+		}
+	})
+
+	// A tile step every candidate of which has spent what the tiles to come
+	// could have upgraded with, some by a rounding more: r clamps to 0, every
+	// cursor's pointer walks the whole table down, and what is left of the
+	// exact form is cost ≤ maxCost. A frontier differs in bits, so no sweep
+	// has such a step; it is made by hand from a sweep's 12th.
+	t.Run("r = 0 for every state", func(t *testing.T) {
+		var sc prunedScratch
+		sc.search(vod.Tiles, vod.Budget, uncapped)
+		cur, tile := slices.Clone(sc.frontier(11)), &vod.Tiles[12]
+		lp := slices.Clone(sc.suffixLP(12, math.Inf(1)))
+		if len(cur) < exactWidth || len(lp) < 10 {
+			t.Fatalf("parent frontier of %d states, table of %d steps: nothing to walk", len(cur), len(lp))
+		}
+		cut := frontierCut{
+			maxBits: math.Inf(1), maxVal: math.Inf(1),
+			room:    cur[0].bits + tile.Bits[lowest], // the smallest candidate's bits
+			maxCost: cur[len(cur)/2].cost + tile.Cost[2],
+			lp:      lp,
+		}
+		next := make([]paretoState, codec.NumLevels*len(cur))
+		n, _ := extendFrontier(next, cur, tile, &cut)
+		var want []refState
+		for pi, st := range cur {
+			for l := 0; l < codec.NumLevels; l++ {
+				if c := st.cost + tile.Cost[l]; c <= cut.maxCost {
+					want = append(want, refState{bits: st.bits + tile.Bits[l], cost: c, parent: pi, level: codec.Level(l)})
+				}
+			}
+		}
+		want = referencePrune(want, uncapped, new(refResult))
+		if n < exactWidth || n != len(want) || notIn(next[:n], want) >= 0 {
+			t.Fatalf("%d states kept, want the %d undominated candidates of cost ≤ %v", n, len(want), cut.maxCost)
+		}
+	})
+
+	// After the last tile nothing is to come: the table is the single zero
+	// step and the cut is cost ≤ U.
+	t.Run("last tile (empty suffix)", func(t *testing.T) {
+		contract(t, vod.Tiles, vod.Budget)
+		var sc prunedScratch
+		sc.search(vod.Tiles, vod.Budget, uncapped)
+		if len(sc.lp) != 1 || sc.lp[0] != (lpStep{}) {
+			t.Fatalf("the last step's table is %v, want the zero step alone", sc.lp)
+		}
+		_, U, _, _ := lpOf(vod.Tiles, vod.Budget)
+		last := sc.frontier(len(vod.Tiles) - 1)
+		for _, st := range last {
+			if st.cost > U*(1+2*boundSlack) {
+				t.Errorf("final state (%v, %v) costs more than the incumbent %v", st.bits, st.cost, U)
+			}
+		}
+		ref, cheaper := referencePruned(vod.Tiles, vod.Budget, uncapped), 0
+		for _, st := range ref.frontiers[len(vod.Tiles)-1] {
+			if st.bits <= vod.Budget && st.cost < U*(1-2*boundSlack) {
+				cheaper++
+			}
+		}
+		if cheaper < exactWidth || cheaper != len(last) {
+			t.Errorf("%d final states, the reference has %d within budget and cheaper than the incumbent", len(last), cheaper)
+		}
+	})
+
+	// One tile's step up is a fifth of the budget and the first the LP
+	// cannot fit — of the whole LP and, at what the all-smallest prefix
+	// leaves, of the suffixes of the first ten steps — so the relaxation's
+	// gap is that one tile's: where the tangent kept frontiers over the cap.
+	t.Run("one tile owns the break upgrade", func(t *testing.T) {
+		low, _ := smallestAndStep(vod.Tiles)
+		_, _, _, ups := lpOf(vod.Tiles, vod.Budget)
+		owner := -1
+		for _, from := range []int{-1, 4, 9} {
+			spent := low
+			for _, u := range ups {
+				if int(u.tile) <= from {
+					continue
+				}
+				if spent += u.dBits; spent > vod.Budget {
+					if owner < 0 {
+						owner = int(u.tile)
+					}
+					if int(u.tile) != owner || u.dBits < vod.Budget/6 {
+						t.Fatalf("suffix after tile %d: the break upgrade is tile %d's, %v bits; want tile %d's, a sixth of the budget", from, u.tile, u.dBits, owner)
+					}
+					break
+				}
+			}
+		}
+		contract(t, vod.Tiles, vod.Budget)
+		if !exactFormRan(vod.Tiles, vod.Budget) {
+			t.Errorf("the frontier never reached %d states", exactWidth)
+		}
+	})
+}
+
+// exactFormRan reports whether a search at the default cap reached a
+// frontier of exactWidth states, and so built a suffix table.
+func exactFormRan(tiles []TileChoice, budget float64) bool {
+	var sc prunedScratch
+	sc.search(tiles, budget, 1024)
+	return len(sc.lp) > 0
+}
+
+// lpDual is the optimum of the LP relaxation of tiles on at most bits
+// bits, by duality: the maximum over λ ≥ 0 of Σ_j min_l(Cost_jl + λ·Bits_jl)
+// − λ·bits, attained at 0 or at the slope between two rows of one tile.
+// Nothing of the hull, the sort or the tables of the search is in it. +Inf
+// where not even the smallest rows fit.
+func lpDual(tiles []TileChoice, bits float64) float64 {
+	low, lambdas := 0.0, []float64{0}
+	for _, t := range tiles {
+		low += slices.Min(t.Bits[:])
+		for a := 0; a < codec.NumLevels; a++ {
+			for b := 0; b < a; b++ {
+				if db, dc := t.Bits[b]-t.Bits[a], t.Cost[a]-t.Cost[b]; db != 0 && dc/db > 0 {
+					lambdas = append(lambdas, dc/db)
+				}
+			}
+		}
+	}
+	if bits < low {
+		return math.Inf(1)
+	}
+	best := math.Inf(-1)
+	for _, lambda := range lambdas {
+		g := -lambda * bits
+		for _, t := range tiles {
+			m := math.Inf(1)
+			for l := range t.Bits {
+				m = min(m, t.Cost[l]+lambda*t.Bits[l])
+			}
+			g += m
+		}
+		best = max(best, g)
+	}
+	return best
+}
+
+// The cut is the suffix LP, no more and no less. From the first tile step
+// on whose parent frontier holds exactWidth states, a state of the exact
+// reference frontier is in the search's when cost + LPᵢ₊₁(budget − bits) is
+// under the incumbent's cost and out of it when over — LPᵢ₊₁ by duality,
+// with a margin of 1e-6 of the sums either side for the two roundings.
+// Every state the search kept is checked, and every fifth it dropped.
+func TestPrunedCutIsTheSuffixLP(t *testing.T) {
+	kept, dropped, instances := 0, 0, 0
+	check := func(tiles []TileChoice, budget float64) {
+		t.Helper()
+		var sc prunedScratch
+		sc.search(tiles, budget, uncapped)
+		if len(sc.starts) != len(tiles) {
+			return // no sweep: nothing fits, or no upgrade does
+		}
+		instances++
+		ref := referencePruned(tiles, budget, uncapped)
+		inc, U, _, _ := lpOf(tiles, budget)
+		smallestRows(tiles, inc)
+		tol := 1e-6 * (U + TotalCost(tiles, inc))
+		exact := false
+		for i := range tiles {
+			width := 1
+			if i > 0 {
+				width = len(sc.frontier(i - 1))
+			}
+			if exact = exact || width >= exactWidth; !exact {
+				continue
+			}
+			ours, j := sc.frontier(i), 0
+			for s, st := range ref.frontiers[i] {
+				for j < len(ours) && ours[j].bits < st.bits {
+					j++
+				}
+				in := j < len(ours) && ours[j].bits == st.bits && ours[j].cost == st.cost
+				if !in && s%5 != 0 {
+					continue
+				}
+				v := st.cost + lpDual(tiles[i+1:], budget-st.bits)
+				if in && v > U+tol {
+					t.Fatalf("n=%d budget=%v tile %d: kept (%v, %v), bounded by %v over the incumbent %v", len(tiles), budget, i, st.bits, st.cost, v, U)
+				}
+				if !in && v < U-tol {
+					t.Fatalf("n=%d budget=%v tile %d: dropped (%v, %v), bounded by %v under the incumbent %v", len(tiles), budget, i, st.bits, st.cost, v, U)
+				}
+				if in {
+					kept++
+				} else {
+					dropped++
+				}
+			}
+		}
+	}
+	for s := 0; s < 36; s++ {
+		check(oracleInstance(uint64(1100+s), 10+(7*s)%39, s%numMenus))
+	}
+	m := manifestFixture(t)
+	for k := 0; k < m.NumChunks(); k++ {
+		rows := manifestRows(m, k, func(i int) float64 { return 1 + 0.35*float64(i%7) })
+		for _, frac := range []float64{0.18, 0.30} {
+			check(rows, frac*m.ChunkBits(k, 0))
+		}
+	}
+	for _, in := range vodThinnedInstances(t) {
+		check(in.Tiles, in.Budget)
+	}
+	t.Logf("%d instances: %d kept states under the bound, %d dropped states over it", instances, kept, dropped)
+	if instances < 30 || kept < 1000 || dropped < 1000 {
+		t.Errorf("%d instances, %d kept and %d dropped states checked: too few to mean anything", instances, kept, dropped)
+	}
 }
 
 // budgetAxisBracket brackets the optimum of the program with a textbook

@@ -225,24 +225,26 @@ func TestAllocationPruningMeasuresTheSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	pruned, greedy, exhaustive := rows[0], rows[1], rows[2]
-	if pruned.States < 1 || pruned.CapHitFrac < 0 || pruned.CapHitFrac > 1 {
-		t.Errorf("pruned row: %v states per call, cap hit on %v of calls", pruned.States, pruned.CapHitFrac)
+	if pruned.States < 1 || pruned.ThinnedFrac < 0 || pruned.ThinnedFrac > 1 {
+		t.Errorf("pruned row: %v states per call, cap hit on %v of calls", pruned.States, pruned.ThinnedFrac)
 	}
-	if pruned.CapHitFrac == 0 && (exhaustive.CostRatio < 1-1e-9 || exhaustive.CostRatio > 1+1e-9) {
+	if pruned.ThinnedFrac == 0 && (exhaustive.CostRatio < 1-1e-9 || exhaustive.CostRatio > 1+1e-9) {
 		t.Errorf("no call hit the cap, yet pruned costs %v× the exhaustive optimum", exhaustive.CostRatio)
 	}
 	if greedy.CostRatio < 1-1e-9 {
 		t.Errorf("greedy costs %v× the pruned plan: below an optimum", greedy.CostRatio)
 	}
-	if got := table.Header[len(table.Header)-2:]; got[0] != "cap_hit_pct" || got[1] != "no_search_pct" {
-		t.Errorf("last columns %q, want cap_hit_pct, no_search_pct", got)
+	if got := table.Header[len(table.Header)-3:]; got[0] != "states_per_search" || got[1] != "thinned_pct" || got[2] != "no_search_pct" {
+		t.Errorf("last columns %q, want states_per_search, thinned_pct, no_search_pct", got)
 	}
 	// Where the sessions sit: a simulator session's first chunk is planned
 	// at the all-lowest size and the rest have room to upgrade; a swarm
 	// session (RTT per object, ROADMAP item 1) never has.
 	simCalls, swarmCalls := rows[3], rows[4]
-	if simCalls.NoSearchFrac <= 0 || simCalls.NoSearchFrac > 0.5 || simCalls.States < 1 {
-		t.Errorf("sim sessions: %v of calls answered without a search, %v states per call", simCalls.NoSearchFrac, simCalls.States)
+	if simCalls.NoSearchFrac <= 0 || simCalls.NoSearchFrac > 0.5 || simCalls.States < 1 ||
+		simCalls.SearchedStates <= simCalls.States || simCalls.ThinnedFrac != 0 {
+		t.Errorf("sim sessions: %v of calls answered without a search, %v states per call, %v per searched call, %v of calls thinned",
+			simCalls.NoSearchFrac, simCalls.States, simCalls.SearchedStates, simCalls.ThinnedFrac)
 	}
 	if swarmCalls.NoSearchFrac < 0.9 {
 		t.Errorf("swarm population: %v of calls answered without a search, want nearly all", swarmCalls.NoSearchFrac)

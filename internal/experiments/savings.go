@@ -160,10 +160,13 @@ type PruneRow struct {
 	// kept per call (pruned) or the number of combinations (exhaustive
 	// bound), for scale.
 	States float64
-	// CapHitFrac is the share of the pruned allocator's calls in which a
+	// SearchedStates is States over the calls that built a frontier alone:
+	// what a searched call costs; 0 where none did or none is run.
+	SearchedStates float64
+	// ThinnedFrac is the share of the pruned allocator's calls in which a
 	// frontier hit the cap and was thinned, i.e. whose plan is an
 	// approximation; -1 on rows that run no frontier search.
-	CapHitFrac float64
+	ThinnedFrac float64
 	// NoSearchFrac is the share of its calls the pruned allocator
 	// answered without building a frontier — the budget afforded no
 	// upgrade over the all-smallest plan, or not even that plan; -1 on
@@ -192,9 +195,13 @@ func (c *searchTally) Plan(m *manifest.Video, k int, view player.ChunkView, budg
 }
 
 func (c *searchTally) row(name string) PruneRow {
-	n := float64(c.calls.Load())
-	return PruneRow{Allocator: name, States: float64(c.states.Load()) / n,
-		CapHitFrac: float64(c.thinned.Load()) / n, NoSearchFrac: float64(c.unsearched.Load()) / n}
+	n, states := float64(c.calls.Load()), float64(c.states.Load())
+	r := PruneRow{Allocator: name, States: states / n,
+		ThinnedFrac: float64(c.thinned.Load()) / n, NoSearchFrac: float64(c.unsearched.Load()) / n}
+	if searched := n - float64(c.unsearched.Load()); searched > 0 {
+		r.SearchedStates = states / searched
+	}
+	return r
 }
 
 // AllocationPruning reproduces the §6.1 claim that dominance-pruned
@@ -264,15 +271,15 @@ func AllocationPruning(d *Dataset) ([]PruneRow, *Table, error) {
 
 	rows := []PruneRow{
 		onRows.row("pruned (Pano §6.1)"),
-		{Allocator: "greedy", CostRatio: greedyRatio.Mean(), CapHitFrac: -1, NoSearchFrac: -1},
+		{Allocator: "greedy", CostRatio: greedyRatio.Mean(), ThinnedFrac: -1, NoSearchFrac: -1},
 		{Allocator: "pruned vs exhaustive (8 tiles)", CostRatio: exhRatio.Mean(),
-			States: fpow(codec.NumLevels, 8), CapHitFrac: -1, NoSearchFrac: -1},
+			States: fpow(codec.NumLevels, 8), ThinnedFrac: -1, NoSearchFrac: -1},
 		simCalls.row("pruned, sim sessions on 0.18x and 0.30x links"),
 		swarmCalls.row("pruned, swarm population of 200"),
 	}
 	t := &Table{
 		Title:  "§6.1: tile allocation — pruned enumeration vs alternatives",
-		Header: []string{"allocator", "cost_ratio", "search_space", "cap_hit_pct", "no_search_pct"},
+		Header: []string{"allocator", "cost_ratio", "search_space", "states_per_search", "thinned_pct", "no_search_pct"},
 	}
 	pct := func(frac float64) string {
 		if frac < 0 {
@@ -282,11 +289,14 @@ func AllocationPruning(d *Dataset) ([]PruneRow, *Table, error) {
 	}
 	rows[0].CostRatio = 1
 	for _, r := range rows {
-		ratio := "-"
+		ratio, searched := "-", "-"
 		if r.CostRatio > 0 {
 			ratio = fmt.Sprintf("%.4f", r.CostRatio)
 		}
-		t.Rows = append(t.Rows, []string{r.Allocator, ratio, f0(r.States), pct(r.CapHitFrac), pct(r.NoSearchFrac)})
+		if r.SearchedStates > 0 {
+			searched = f0(r.SearchedStates)
+		}
+		t.Rows = append(t.Rows, []string{r.Allocator, ratio, f0(r.States), searched, pct(r.ThinnedFrac), pct(r.NoSearchFrac)})
 	}
 	return rows, t, nil
 }
