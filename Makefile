@@ -1,6 +1,7 @@
 # Development targets. `make check` is the gate every change must pass:
-# vet, formatting, and the full test suite under the race detector
-# (which exercises the concurrent obs registry, among others).
+# vet, formatting, the full test suite once under the race detector
+# (which exercises the concurrent obs registry, among others), and the
+# experiments with their baseline gates.
 #
 # Experiment targets write BENCH_<id>.json (and the trace/cluster
 # targets <id>.perfetto.json) into the working directory. All of it is
@@ -9,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmt race race-kernels fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider testbed chaos trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
+.PHONY: build test check vet fmt race fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
 
 build:
 	$(GO) build ./...
@@ -27,21 +28,13 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# -short skips only the full paper-evaluation registry sweep (which
-# exceeds go test's default timeout under the ~10x race slowdown);
-# everything else — including the dedicated multi-goroutine registry
-# tests in internal/obs — runs with the race detector on.
+# Every package's suite, once, under the race detector; the experiment
+# targets below run none of their own. -short skips only the full
+# paper-evaluation registry sweep (which exceeds go test's default
+# timeout under the ~10x race slowdown) and the abr oracle's largest
+# seeded instances.
 race:
 	$(GO) test -race -short ./...
-
-# The parallel pixel pipeline and its golden/property suite run in full
-# (no -short) under the race detector: worker pool, field cache, the
-# serial≡parallel properties at explicit worker counts, and the
-# provider's chunk analysis (quantizer tables, pooled error planes,
-# manifest digests) with its codec and scene kernels.
-race-kernels:
-	$(GO) test -race ./internal/parallel ./internal/jnd ./internal/quality ./internal/tiling \
-		./internal/codec ./internal/scene ./internal/provider
 
 # Twenty seconds of fuzzing the bounded tile search against its oracle
 # contract (internal/abr: subsequence of the exact reference frontiers,
@@ -88,18 +81,6 @@ fuzz-manifest:
 fuzz-provider:
 	$(GO) test -run '^$$' -fuzz FuzzPerceptibleError -fuzztime 20s ./internal/provider
 
-# The testbed every multi-hop experiment below stands on, in full under
-# the race detector: kill/revive, the breaker poll, leak-free Close.
-testbed:
-	$(GO) test -race ./internal/testbed -count 1
-
-# The fault-injection suite under the race detector: the chaos
-# middleware itself plus the client's resilient fetch pipeline
-# (retry/degrade/skip ladder, concurrent-session stress).
-chaos:
-	$(GO) test -race ./internal/chaos -run . -count 1
-	$(GO) test -race ./internal/client -run 'Chaos|Retry|Degrade|Skip|Resilient|Throughput' -count 1
-
 # One traced session end to end: a seeded simulator run (per-phase
 # latency breakdown lands in BENCH_trace.json) plus a chaos-wrapped HTTP
 # session whose client and server spans stitch into one trace. The
@@ -108,81 +89,57 @@ chaos:
 trace:
 	$(GO) run ./cmd/pano-bench -scale quick trace
 
-# The edge cache tier: the coalescing/prefetch suites under the race
-# detector (stampede stress: N concurrent misses, exactly one origin
-# fetch), then the origin-offload experiment (20 concurrent overlapping
-# sessions direct vs via edge; lands in BENCH_edge.json).
+# The edge cache tier's origin-offload experiment (20 concurrent
+# overlapping sessions direct vs via edge; lands in BENCH_edge.json).
 edge:
-	$(GO) test -race ./internal/edge ./internal/graceful -count 1
 	$(GO) run ./cmd/pano-bench -scale quick edge
 
-# The telemetry layer: windowed-store, burn-rate, and handler suites
-# (including the scrape-while-serving SSE stress) under the race
-# detector, then the telemetry experiment — healthy → chaos → recovery
-# in logical time, with the rebuffer SLO paging and recovering and the
-# sampler's Step overhead measured (lands in BENCH_telemetry.json).
+# The telemetry experiment — healthy → chaos → recovery in logical
+# time, with the rebuffer SLO paging and recovering and the sampler's
+# Step overhead measured (lands in BENCH_telemetry.json).
 dash:
-	$(GO) test -race ./internal/telemetry ./internal/obs -count 1
 	$(GO) run ./cmd/pano-bench -scale quick telemetry
 
-# The virtual-time swarm: the determinism lockdown (byte-identical
-# summaries across runs and worker counts), the sim-equivalence
-# property, and the client clock-audit under the race detector; then
-# the population-scaling experiment (1k → 1M sessions, lands in
-# BENCH_swarm.json) gated against the committed baseline. Wall-clock
-# columns measure the machine, not the system, so the gate ignores
-# them.
+# The virtual-time swarm's population-scaling experiment (1k → 1M
+# sessions, lands in BENCH_swarm.json) gated against the committed
+# baseline. Wall-clock columns measure the machine, not the system, so
+# the gate ignores them.
 swarm:
-	$(GO) test -race ./internal/swarm ./internal/viewport -count 1
-	$(GO) test -race ./internal/client -run 'Clock|WallClock|Session' -count 1
 	$(GO) run ./cmd/pano-bench -scale quick swarm
 	$(GO) run ./cmd/pano-benchdiff -threshold 0.10 \
 		-ignore wall_sec,sessions_per_wall_sec \
 		baseline/BENCH_swarm.json BENCH_swarm.json
 
-# The origin fleet: ring/breaker/budget/hedge suites and the edge
-# failover tests under the race detector, then the fleet resilience
-# experiment (4 shards, one killed mid-run, swarm + live scenarios,
-# lands in BENCH_fleet.json) gated against the committed baseline.
-# live_reqs, breaker_open_ms, and wall_sec measure the machine, not
-# the system, so the gate ignores them.
+# The origin fleet's resilience experiment (4 shards, one killed
+# mid-run, swarm + live scenarios, lands in BENCH_fleet.json) gated
+# against the committed baseline. live_reqs, breaker_open_ms, and
+# wall_sec measure the machine, not the system, so the gate ignores
+# them.
 fleet:
-	$(GO) test -race ./internal/fleet -count 1
-	$(GO) test -race ./internal/edge -run 'Fleet|Outage|Hedge' -count 1
-	$(GO) test -race ./internal/swarm -run Fleet -count 1
 	$(GO) run ./cmd/pano-bench -scale quick fleet
 	$(GO) run ./cmd/pano-benchdiff -threshold 0.10 \
 		-ignore live_reqs,breaker_open_ms,wall_sec \
 		baseline/BENCH_fleet.json BENCH_fleet.json
 
-# The cluster observability plane: the /metrics text parser (incl. the
-# checked-in real-exposition fuzz corpus), federation scraper, and
-# cross-process trace assembly suites under the race detector, then the
-# cluster experiment — five live processes scraped by an obsd plane, an
-# origin killed and revived, fleet-wide SLOs paging on the merged
-# series, and the rollup proven bit-exact against per-process sums
-# (lands in BENCH_cluster.json) gated against the committed baseline.
-# The info column carries wall-clock detail (page steps, span counts),
-# so the gate ignores it.
+# The cluster observability experiment — five live processes scraped
+# by an obsd plane, an origin killed and revived, fleet-wide SLOs paging
+# on the merged series, and the rollup proven bit-exact against
+# per-process sums (lands in BENCH_cluster.json) gated against the
+# committed baseline. The info column carries wall-clock detail (page
+# steps, span counts), so the gate ignores it.
 cluster:
-	$(GO) test -race ./internal/obs ./internal/telemetry ./internal/trace -count 1
 	$(GO) run ./cmd/pano-bench -scale quick cluster
 	$(GO) run ./cmd/pano-benchdiff -threshold 0.10 \
 		-ignore info \
 		baseline/BENCH_cluster.json BENCH_cluster.json
 
-# The live-streaming subsystem: the content-addressed store (incl. the
-# crash-recovery suite), the JIT pipeline, and the live client/edge
-# behaviour under the race detector, then the live experiment — publish
-# punctuality, graceful degradation under an impossible deadline, the
-# two-origins-one-store byte/ETag proof, and an origin killed mid-feed
-# under real live sessions (lands in BENCH_live.json) gated against the
-# committed baseline. lat_*, pub_ms, and wall_sec measure the machine
-# (the feed clock is compressed), so the gate ignores them.
+# The live-streaming experiment — publish punctuality, graceful
+# degradation under an impossible deadline, the two-origins-one-store
+# byte/ETag proof, and an origin killed mid-feed under real live
+# sessions (lands in BENCH_live.json) gated against the committed
+# baseline. lat_*, pub_ms, and wall_sec measure the machine (the feed
+# clock is compressed), so the gate ignores them.
 live:
-	$(GO) test -race ./internal/store ./internal/live -count 1
-	$(GO) test -race ./internal/client -run Live -count 1
-	$(GO) test -race ./internal/edge -run 'Live|Prefetch' -count 1
 	$(GO) run ./cmd/pano-bench -scale quick live
 	$(GO) run ./cmd/pano-benchdiff -threshold 0.10 \
 		-ignore lat_mean_s,lat_max_s,pub_ms,wall_sec \
@@ -194,7 +151,7 @@ THRESHOLD ?= 0.10
 benchdiff:
 	$(GO) run ./cmd/pano-benchdiff -threshold $(THRESHOLD) $(OLD) $(NEW)
 
-check: vet fmt race race-kernels testbed chaos trace edge dash swarm fleet cluster live
+check: vet fmt race trace edge dash swarm fleet cluster live
 
 # Quick-scale paper evaluation; writes BENCH_<id>.json files.
 bench: build microbench

@@ -1,5 +1,5 @@
 // Command pano-edge runs the edge cache tier: a caching reverse proxy
-// between Pano clients and an origin pano-server, with request
+// between Pano clients and one or more origin pano-servers, with request
 // coalescing, ETag revalidation, negative caching, serve-stale on
 // origin faults, and optional prediction-driven prefetch of next-chunk
 // tiles.
@@ -11,11 +11,12 @@
 //	          [-cache-bytes 67108864] [-ttl 60s] [-prefetch 0]
 //	          [-peer-traces a.csv,b.csv] [-chaos spec] [-trace] [-pprof]
 //
-// Two or more -origins entries enable fleet mode: cache fills shard
-// across the origins on a consistent-hash ring, active /healthz probes
-// and passive error signals drive per-origin circuit breakers, failed
-// fetches fail over along the ring, and slow ones race a hedged backup
-// request — all under a token-bucket retry budget.
+// Cache fills go through an origin fleet, however many -origins there
+// are: they shard across the origins on a consistent-hash ring, active
+// /healthz probes and passive error signals drive per-origin circuit
+// breakers, failed fetches fail over along the ring, and slow ones race
+// a hedged backup request when there is a second origin — all under a
+// token-bucket retry budget. One origin is a one-shard fleet.
 //
 // -cache-bytes 0 disables caching entirely: the edge becomes a
 // transparent pass-through whose responses are byte-identical to the
@@ -27,7 +28,7 @@
 // -chaos wraps the edge's own handler in the deterministic fault
 // injector (same spec grammar as pano-server), exercising client
 // resilience against a flaky edge; a chaotic *origin* is instead
-// tolerated natively by the edge's retry ladder and serve-stale path.
+// tolerated natively by the fleet's fill ladder and serve-stale path.
 //
 // Like pano-server, the process drains in-flight responses on
 // SIGINT/SIGTERM instead of severing them.
@@ -35,9 +36,7 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
-	"net/url"
 	"os"
 	"strings"
 	"time"
@@ -49,8 +48,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8361", "listen address")
-	origins := flag.String("origins", "", "comma-separated origin base URLs; two or more enable fleet mode (consistent-hash sharding, failover, breakers, hedged fetches)")
-	probeInterval := flag.Duration("probe-interval", 2*time.Second, "fleet mode: active /healthz probe period per origin (0 = passive health only)")
+	origins := flag.String("origins", "", "comma-separated origin base URLs, sharded on a consistent-hash ring (failover, breakers, hedged fetches)")
+	probeInterval := flag.Duration("probe-interval", 2*time.Second, "active /healthz probe period per origin (0 = passive health only)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "cache byte budget (0 = pass-through, no caching)")
 	ttl := flag.Duration("ttl", 60*time.Second, "freshness TTL for cached objects")
 	negTTL := flag.Duration("neg-ttl", 5*time.Second, "TTL for cached negative (404) answers")
@@ -73,11 +72,6 @@ func main() {
 	if len(fleetOrigins) == 0 {
 		log.Fatal("pano-edge: -origins is required")
 	}
-	for _, o := range fleetOrigins {
-		if u, err := url.Parse(o); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			log.Fatalf("pano-edge: bad origin %q (want http[s]://host[:port])", o)
-		}
-	}
 	kit, err := ops.New(*enablePprof, *logRequests, *chaosSpec, *enableTrace, *sloSpec)
 	if err != nil {
 		log.Fatalf("pano-edge: %v", err)
@@ -98,8 +92,10 @@ func main() {
 		}
 	}
 
-	ecfg := edge.Config{
-		Origin:         fleetOrigins[0],
+	// edge.New validates the origin URLs.
+	e, err := edge.New(edge.Config{
+		Origins:        fleetOrigins,
+		ProbeInterval:  *probeInterval,
 		CacheBytes:     *cacheBytes,
 		TTL:            *ttl,
 		NegTTL:         *negTTL,
@@ -110,12 +106,7 @@ func main() {
 		Log:            kit.Log,
 		Tracer:         kit.Tracer,
 		Telemetry:      kit.Sampler,
-	}
-	if len(fleetOrigins) > 1 {
-		ecfg.Origins = fleetOrigins
-		ecfg.ProbeInterval = *probeInterval
-	}
-	e, err := edge.New(ecfg)
+	})
 	if err != nil {
 		log.Fatalf("pano-edge: %v", err)
 	}
@@ -125,13 +116,8 @@ func main() {
 	if *cacheBytes == 0 {
 		mode = "pass-through"
 	}
-	originDesc := fleetOrigins[0]
-	if len(fleetOrigins) > 1 {
-		originDesc = fmt.Sprintf("fleet of %d shards %s (probe %s)",
-			len(fleetOrigins), strings.Join(fleetOrigins, ","), *probeInterval)
-	}
-	log.Printf("edge (%s) for origin %s on %s (cache %d bytes, ttl %s, prefetch budget %d, %d peer traces; metrics at /metrics)",
-		mode, originDesc, *addr, *cacheBytes, *ttl, *prefetch, len(peers))
+	log.Printf("edge (%s) for %d origins %s (probe %s) on %s (cache %d bytes, ttl %s, prefetch budget %d, %d peer traces; metrics at /metrics)",
+		mode, len(fleetOrigins), strings.Join(fleetOrigins, ","), *probeInterval, *addr, *cacheBytes, *ttl, *prefetch, len(peers))
 	if err := kit.Serve(*addr, e.Handler()); err != nil {
 		log.Fatalf("pano-edge: %v", err)
 	}

@@ -25,7 +25,7 @@ func TestDebugEventsSameShapeAsOrigin(t *testing.T) {
 			return s.Handler()
 		},
 		"edge": func(el *obs.EventLog) http.Handler {
-			e, err := New(Config{Origin: "http://127.0.0.1:1", Log: el})
+			e, err := New(Config{Origins: []string{"http://127.0.0.1:1"}, Log: el})
 			if err != nil {
 				t.Fatal(err)
 			}

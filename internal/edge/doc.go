@@ -22,11 +22,13 @@
 //     cross-user demand) to warm likely next-chunk tiles, bounded by a
 //     token budget so prefetch never starves demand fetches.
 //
-// Origin fetches reuse the client's FetchPolicy retry ladder, so a
-// chaos-wrapped origin degrades the same way it does for a direct
-// client. Everything is observable: pano_edge_* metrics, edge.lookup /
-// edge.fill / edge.prefetch spans stitched into the requesting client's
-// trace, and structured events. cmd/pano-edge is the runnable binary;
+// Every origin fetch goes through internal/fleet, one origin or many: a
+// single origin is a one-shard fleet, with the same circuit breaker,
+// retry budget and FetchPolicy rounds as any other, and placement,
+// failover and hedging across shards when there are more. Everything is
+// observable: pano_edge_* metrics, edge.lookup / edge.fill /
+// edge.prefetch spans stitched into the requesting client's trace, and
+// structured events. cmd/pano-edge is the runnable binary;
 // the "edge" experiment measures origin offload and latency against
 // direct-to-origin streaming.
 package edge

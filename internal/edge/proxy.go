@@ -12,7 +12,6 @@ import (
 	"pano/internal/client"
 	"pano/internal/fleet"
 	"pano/internal/manifest"
-	"pano/internal/mathx"
 	"pano/internal/obs"
 	"pano/internal/telemetry"
 	"pano/internal/trace"
@@ -21,18 +20,17 @@ import (
 
 // Config tunes an Edge.
 type Config struct {
-	// Origin is the origin server's base URL, e.g. "http://origin:8360".
-	Origin string
-	// Origins, when non-empty, replaces Origin with a sharded origin
-	// fleet: cache fills route through internal/fleet (consistent-hash
-	// placement, circuit breakers, hedged fetches, ring failover)
-	// instead of a single origin URL.
+	// Origins are the origin base URLs, e.g. "http://origin:8360"; at
+	// least one is required. Every cache fill routes through
+	// internal/fleet (consistent-hash placement, circuit breakers, ring
+	// failover, hedged fetches when there is a second origin); one
+	// origin is a one-shard fleet.
 	Origins []string
-	// ProbeInterval enables the fleet's active health probes (fleet
-	// mode only; 0 = passive signals alone).
+	// ProbeInterval enables the fleet's active health probes (0 =
+	// passive signals alone).
 	ProbeInterval time.Duration
-	// Breaker tunes the fleet's per-origin circuit breakers (fleet mode
-	// only; zero value = fleet defaults).
+	// Breaker tunes the fleet's per-origin circuit breakers (zero value
+	// = fleet defaults).
 	Breaker fleet.BreakerConfig
 	// CacheBytes is the cache budget. 0 disables caching entirely: the
 	// edge becomes a transparent pass-through proxy whose responses are
@@ -48,9 +46,9 @@ type Config struct {
 	// the origin is faulty — revalidation degradations serve stale
 	// within this window instead of erroring (default 5m).
 	StaleFor time.Duration
-	// Fetch tunes the origin retry ladder (attempts, backoff, attempt
-	// timeout); the zero value selects client.DefaultFetchPolicy. This
-	// is the same policy type the streaming client uses, so a
+	// Fetch tunes the fleet's fill ladder (rounds, backoff, attempt
+	// timeout, hedging); the zero value selects client.DefaultFetchPolicy.
+	// This is the same policy type the streaming client uses, so a
 	// chaos-wrapped origin degrades identically for both.
 	Fetch client.FetchPolicy
 	// PrefetchBudget enables prediction-driven prefetch when > 0: the
@@ -71,7 +69,8 @@ type Config struct {
 	// Telemetry, when set, mounts /debug/slo and /debug/dash on Handler
 	// (the caller owns its Start/Stop lifecycle); nil mounts nothing.
 	Telemetry *telemetry.Sampler
-	// HTTP overrides the origin transport (tests).
+	// HTTP overrides the origin transport (tests); nil gives each origin
+	// and the pass-through relay the client package's default.
 	HTTP *http.Client
 }
 
@@ -92,9 +91,8 @@ func (c Config) withDefaults() Config {
 // Close when done (stops prefetch workers).
 type Edge struct {
 	cfg    Config
-	origin *client.Client
-	fl     *fleet.Fleet // nil = single-origin mode
-	cache  *Cache       // nil = pass-through mode
+	fl     *fleet.Fleet
+	cache  *Cache // nil = pass-through mode
 	flight flightGroup
 	pf     *prefetcher
 
@@ -103,7 +101,6 @@ type Edge struct {
 	tracer *trace.Tracer
 
 	man     atomic.Pointer[manifest.Video]
-	seq     atomic.Uint64 // per-fill RNG stream for backoff jitter
 	hitN    atomic.Uint64 // cache-absorbed requests (fresh/304/coalesced/stale)
 	missN   atomic.Uint64 // full origin body fetches
 	evictCt *obs.Counter
@@ -152,41 +149,36 @@ var xCache = func() (v [numSources][]string) {
 	return v
 }()
 
-// New validates cfg and returns an Edge.
+// New validates cfg and returns an Edge; fleet.New rejects an empty or
+// malformed Origins.
 func New(cfg Config) (*Edge, error) {
-	if cfg.Origin == "" && len(cfg.Origins) == 0 {
-		return nil, fmt.Errorf("edge: Origin or Origins is required")
+	fl, err := fleet.New(fleet.Config{
+		Origins:       cfg.Origins,
+		Fetch:         cfg.Fetch,
+		Breaker:       cfg.Breaker,
+		ProbeInterval: cfg.ProbeInterval,
+		Seed:          cfg.Fetch.Seed,
+		HTTP:          cfg.HTTP,
+		Obs:           cfg.Obs,
+		Log:           cfg.Log,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("edge: %v", err)
 	}
 	cfg = cfg.withDefaults()
+	if cfg.HTTP == nil {
+		// The pass-through relay's transport; the fleet keeps its own
+		// client per origin.
+		cfg.HTTP = client.New("").HTTP
+	}
 	e := &Edge{
 		cfg:    cfg,
+		fl:     fl,
 		reg:    cfg.Obs,
 		log:    cfg.Log,
 		tracer: cfg.Tracer,
 	}
 	e.manifestEP.name, e.mpdEP.name, e.tileEP.name, e.prefetchEP.name = "manifest", "mpd", "tile", "prefetch"
-	if len(cfg.Origins) > 0 {
-		fl, err := fleet.New(fleet.Config{
-			Origins:       cfg.Origins,
-			Fetch:         cfg.Fetch,
-			Breaker:       cfg.Breaker,
-			ProbeInterval: cfg.ProbeInterval,
-			Seed:          cfg.Fetch.Seed,
-			HTTP:          cfg.HTTP,
-			Obs:           cfg.Obs,
-			Log:           cfg.Log,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("edge: %v", err)
-		}
-		e.fl = fl
-		cfg.Origin = cfg.Origins[0]
-		e.cfg.Origin = cfg.Origins[0]
-	}
-	e.origin = client.New(cfg.Origin)
-	if cfg.HTTP != nil {
-		e.origin.HTTP = cfg.HTTP
-	}
 	if cfg.CacheBytes > 0 {
 		e.cache = NewCache(cfg.CacheBytes, cfg.StaleFor)
 		e.reg.Gauge("pano_edge_cache_budget_bytes", "configured cache byte budget").
@@ -205,12 +197,10 @@ func (e *Edge) Close() {
 	if e.pf != nil {
 		e.pf.close()
 	}
-	if e.fl != nil {
-		e.fl.Close()
-	}
+	e.fl.Close()
 }
 
-// Fleet returns the origin fleet (nil in single-origin mode).
+// Fleet returns the origin fleet.
 func (e *Edge) Fleet() *fleet.Fleet { return e.fl }
 
 // DrainPrefetch blocks until every enqueued prefetch job has finished —
@@ -445,17 +435,9 @@ func (e *Edge) fill(ctx context.Context, path string, ep *endpointSeries, stale 
 		if e.log != nil {
 			t0 = time.Now()
 		}
-		var res client.RawResult
-		var err error
-		if e.fl != nil {
-			// Fleet mode: placement, failover, and hedging live in the
-			// fleet; the ring decides which origin answers this path.
-			res, err = e.fl.Fetch(fctx, path, etag)
-		} else {
-			// Only the single origin's retry ladder draws backoff jitter.
-			rng := mathx.NewRNG(e.cfg.Fetch.Seed ^ 0xed6e ^ e.seq.Add(1))
-			res, err = e.origin.FetchRaw(fctx, path, etag, e.cfg.Fetch, rng)
-		}
+		// Placement, failover, and hedging live in the fleet; the ring
+		// decides which origin answers this path.
+		res, err := e.fl.Fetch(fctx, path, etag)
 		if err != nil {
 			sp.SetError("origin")
 			if state == Stale {
@@ -556,13 +538,9 @@ func (e *Edge) learnManifest(body []byte) *manifest.Video {
 // answer byte-for-byte — the cache-disabled mode whose wire behaviour
 // is indistinguishable from talking to the origin directly.
 func (e *Edge) passthrough(ep *endpointSeries, w http.ResponseWriter, r *http.Request) {
-	base := e.cfg.Origin
-	if e.fl != nil {
-		// Fleet mode keeps ring placement even without a cache: the
-		// path's first healthy replica serves it.
-		base = e.fl.Pick(r.URL.Path)
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, base+r.URL.RequestURI(), nil)
+	// Ring placement holds even without a cache: the path's first
+	// healthy replica serves it.
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, e.fl.Pick(r.URL.Path)+r.URL.RequestURI(), nil)
 	if err != nil {
 		http.Error(w, "edge: "+err.Error(), http.StatusBadGateway)
 		return
@@ -572,7 +550,7 @@ func (e *Edge) passthrough(ep *endpointSeries, w http.ResponseWriter, r *http.Re
 			req.Header.Add(k, v)
 		}
 	}
-	resp, err := e.origin.HTTP.Do(req)
+	resp, err := e.cfg.HTTP.Do(req)
 	if err != nil {
 		e.requestDone(ep, http.StatusBadGateway)
 		http.Error(w, "edge: origin unreachable: "+err.Error(), http.StatusBadGateway)

@@ -101,7 +101,7 @@ func newEdge(t *testing.T, origin string, mut func(*Config)) (*Edge, *httptest.S
 	t.Helper()
 	reg := obs.NewRegistry()
 	cfg := Config{
-		Origin:     origin,
+		Origins:    []string{origin},
 		CacheBytes: 32 << 20,
 		TTL:        time.Minute,
 		NegTTL:     time.Minute,
@@ -419,11 +419,11 @@ func TestEdgeConcurrentSessionsRace(t *testing.T) {
 	}
 }
 
-// TestEdgeRejectsBadConfig: Origin is required; unknown paths 404;
+// TestEdgeRejectsBadConfig: Origins is required; unknown paths 404;
 // non-GET 405.
 func TestEdgeRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
-		t.Error("missing Origin accepted")
+		t.Error("missing Origins accepted")
 	}
 	origin := newOrigin(t)
 	ots := httptest.NewServer(origin)
@@ -456,7 +456,7 @@ func hitEdge(tb testing.TB, reg *obs.Registry) (http.Handler, []string) {
 	}
 	ots := httptest.NewServer(s.Handler())
 	tb.Cleanup(ots.Close)
-	e, err := New(Config{Origin: ots.URL, CacheBytes: 32 << 20, TTL: time.Hour, Obs: reg})
+	e, err := New(Config{Origins: []string{ots.URL}, CacheBytes: 32 << 20, TTL: time.Hour, Obs: reg})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 		}
 	}
 
-	// Caching edges in fleet mode over both origins: probes + breakers
+	// Caching edges over both origins: probes + breakers
 	// give the cluster its pano_fleet_origins_open signal.
 	pol := testbed.LoopbackPolicy()
 	pol.HedgeDelay = 150 * time.Millisecond

@@ -186,7 +186,7 @@ func liveFailoverRow(d *Dataset) (r LiveScenarioResult, _ error) {
 	}()
 
 	// Two stateless origins over the publisher's directory (bring-up
-	// waits for its first catalog) behind one fleet-mode edge. A short
+	// waits for its first catalog) behind one caching edge. A short
 	// base TTL keeps the cached live manifest close to the compressed
 	// feed clock (the chunkSec/2 clamp assumes real time).
 	tb := testbed.New()

@@ -5,9 +5,9 @@
 // optionally racing a hedged backup request — under a token-bucket
 // retry/hedge budget so shard loss never becomes a retry storm.
 //
-// The edge proxy routes its cache fills through a Fleet instead of a
-// single origin URL; the swarm simulator reuses the ring, breaker, and
-// budget with virtual time to replay whole-origin outages
+// The edge proxy routes every cache fill through a Fleet, a single
+// origin being a one-shard fleet; the swarm simulator reuses the ring,
+// breaker, and budget with virtual time to replay whole-origin outages
 // deterministically at 100k+ sessions.
 package fleet
 

@@ -106,25 +106,6 @@ func (f *Frame) MeanLuma(r geom.Rect) float64 {
 	return float64(sum) / float64(r.Area())
 }
 
-// Variance returns the pixel-value variance over rectangle r clipped to
-// the frame.
-func (f *Frame) Variance(r geom.Rect) float64 {
-	r = r.Intersect(geom.Rect{X1: f.W, Y1: f.H})
-	if r.Empty() {
-		return 0
-	}
-	mean := f.MeanLuma(r)
-	var ss float64
-	for y := r.Y0; y < r.Y1; y++ {
-		row := f.Pix[y*f.W+r.X0 : y*f.W+r.X1]
-		for _, v := range row {
-			d := float64(v) - mean
-			ss += d * d
-		}
-	}
-	return ss / float64(r.Area())
-}
-
 // GradientEnergy returns the mean absolute horizontal+vertical gradient
 // over rectangle r, a cheap proxy for texture complexity used by the
 // content-dependent JND. Neighbours wrap in x and clamp in y like At.

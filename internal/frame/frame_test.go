@@ -2,7 +2,6 @@ package frame
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"pano/internal/geom"
@@ -89,17 +88,14 @@ func TestBlitBounds(t *testing.T) {
 	}
 }
 
-func TestMeanLumaAndVariance(t *testing.T) {
+func TestMeanLuma(t *testing.T) {
 	f := New(10, 10)
 	f.Fill(100)
 	all := geom.Rect{X1: 10, Y1: 10}
 	if got := f.MeanLuma(all); got != 100 {
 		t.Errorf("mean = %v, want 100", got)
 	}
-	if got := f.Variance(all); got != 0 {
-		t.Errorf("variance = %v, want 0", got)
-	}
-	// Half 0, half 200: mean 100, variance 10000.
+	// Half 0, half 200: mean 100.
 	for y := 0; y < 10; y++ {
 		for x := 0; x < 10; x++ {
 			if x < 5 {
@@ -111,9 +107,6 @@ func TestMeanLumaAndVariance(t *testing.T) {
 	}
 	if got := f.MeanLuma(all); got != 100 {
 		t.Errorf("mean = %v, want 100", got)
-	}
-	if got := f.Variance(all); math.Abs(got-10000) > 1e-9 {
-		t.Errorf("variance = %v, want 10000", got)
 	}
 	// Clipped region outside the frame yields 0.
 	if got := f.MeanLuma(geom.Rect{X0: 100, Y0: 100, X1: 110, Y1: 110}); got != 0 {

@@ -118,14 +118,6 @@ func Centroid(angles []Angle) Angle {
 	return FromVec(sum)
 }
 
-// Lerp interpolates between a and b along the short yaw arc. t in [0,1].
-func Lerp(a, b Angle, t float64) Angle {
-	return Angle{
-		Yaw:   NormYaw(a.Yaw + YawDelta(a.Yaw, b.Yaw)*t),
-		Pitch: ClampPitch(a.Pitch + (b.Pitch-a.Pitch)*t),
-	}
-}
-
 // Frame describes an equirectangular pixel grid.
 type Frame struct {
 	W, H int

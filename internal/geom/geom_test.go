@@ -82,18 +82,6 @@ func TestGreatCirclePropertySymmetricNonNegative(t *testing.T) {
 	}
 }
 
-func TestLerp(t *testing.T) {
-	a := Angle{Yaw: 170, Pitch: 0}
-	b := Angle{Yaw: -170, Pitch: 10}
-	mid := Lerp(a, b, 0.5)
-	if math.Abs(mid.Yaw-(-180)) > 1e-9 && math.Abs(mid.Yaw-180) > 1e-9 {
-		t.Errorf("Lerp across seam yaw = %v, want ±180", mid.Yaw)
-	}
-	if math.Abs(mid.Pitch-5) > 1e-9 {
-		t.Errorf("Lerp pitch = %v, want 5", mid.Pitch)
-	}
-}
-
 func TestFramePixelRoundTrip(t *testing.T) {
 	f := Frame{W: 480, H: 240}
 	for _, a := range []Angle{{0, 0}, {-179, 45}, {120, -60}, {179, 89}} {

@@ -219,22 +219,6 @@ func (v *Video) Validate() error {
 // evaluates PSPNR offline; the power fit is regressed over them.
 var AnchorRatios = []float64{1, 1.5, 2, 3, 5, 8, 12, 20}
 
-// FullTableEntry is one row of schema (a): an explicit factor
-// combination and its PSPNR per level.
-type FullTableEntry struct {
-	ChunkIdx, TileIdx int
-	Speed, DoF, Luma  float64
-	PSPNR             [codec.NumLevels]float64
-}
-
-// ReducedTableEntry is one row of schema (b): indexed by the scalar
-// action ratio.
-type ReducedTableEntry struct {
-	ChunkIdx, TileIdx int
-	Ratio             float64
-	PSPNR             [codec.NumLevels]float64
-}
-
 // FullTableSize returns the serialized size in bytes of schema (a) for
 // this manifest with n representative values per factor: one row per
 // tile per n³ combination, 8 bytes per float (3 factors + 5 levels) plus

@@ -238,12 +238,3 @@ func TestRNGIntnPanics(t *testing.T) {
 	}()
 	NewRNG(1).Intn(0)
 }
-
-func TestRNGFork(t *testing.T) {
-	r := NewRNG(5)
-	f1 := r.Fork()
-	f2 := r.Fork()
-	if f1.Uint64() == f2.Uint64() {
-		t.Error("forked streams should differ")
-	}
-}

@@ -70,10 +70,3 @@ func (r *RNG) Norm() float64 {
 func (r *RNG) NormMS(mean, std float64) float64 {
 	return mean + std*r.Norm()
 }
-
-// Fork returns an independent generator derived from this one's stream,
-// so that sub-experiments can be seeded without consuming correlated
-// state.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
-}

@@ -208,7 +208,7 @@ func FuzzPerceptibleError(f *testing.F) {
 }
 
 // TestPreprocessWorkerCountInvariant: one worker and the default pool
-// must publish the same bytes (make race-kernels runs it under -race).
+// must publish the same bytes (make race runs it under -race).
 func TestPreprocessWorkerCountInvariant(t *testing.T) {
 	v := testVideo(scene.Tourism, 4)
 	hist := testHistory(v, 2)

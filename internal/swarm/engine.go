@@ -73,15 +73,6 @@ type Config struct {
 	// Planner decides per-tile levels (default: player.NewPanoPlanner,
 	// the §6.1 search every other session loop plans with).
 	Planner player.Planner
-	// MaxChunks bounds each session's length (0 = whole video).
-	MaxChunks int
-	// BufferTargetSec is the MPC target (default 2); MaxBufferSec caps
-	// prefetch (default target+1, sim parity).
-	BufferTargetSec float64
-	MaxBufferSec    float64
-	// MaxRateBps caps the bandwidth estimate fed to the controller
-	// (0 = no cap).
-	MaxRateBps float64
 	// ScoreEvery samples ground-truth PSPNR scoring: sessions with
 	// id % ScoreEvery == 0 are scored (default 1 = all). Scoring costs
 	// about as much CPU as the session itself, so large populations
@@ -112,12 +103,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Workers <= 0 {
 		c.Workers = parallel.Workers()
-	}
-	if c.BufferTargetSec == 0 {
-		c.BufferTargetSec = 2
-	}
-	if c.MaxBufferSec == 0 {
-		c.MaxBufferSec = c.BufferTargetSec + 1
 	}
 	switch {
 	case c.RTTSec == 0:
@@ -336,13 +321,13 @@ func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, 
 		tp.hedgeDelaySec = def.HedgeDelay.Seconds() // <= 0: hedging not modelled
 	}
 
+	// sim's buffer model: a 2 s MPC target, prefetch capped at 3 s, the
+	// whole video, no cap on the bandwidth estimate.
 	res, err := client.RunSession(ctx, tp, vp, client.StreamConfig{
-		BufferTargetSec: cfg.BufferTargetSec,
-		MaxBufferSec:    cfg.MaxBufferSec,
+		BufferTargetSec: 2,
+		MaxBufferSec:    3,
 		SimModel:        true,
 		Planner:         cfg.Planner,
-		MaxChunks:       cfg.MaxChunks,
-		MaxRateBps:      cfg.MaxRateBps,
 		Fetch:           pol,
 		Clock:           clk,
 	})

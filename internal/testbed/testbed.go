@@ -177,16 +177,12 @@ type Edge struct {
 }
 
 // AddEdge starts one edge from the template and appends it to Edges. The
-// testbed fills in topology: the upstream is every origin started so far
-// (one → single-origin mode, more → fleet mode, pano-edge's own rule),
-// the transport is pooled, and trace.Middleware fronts the handler.
+// testbed fills in topology: the upstream is a fleet of every origin
+// started so far, the transport is pooled, and trace.Middleware fronts
+// the handler.
 func (tb *Testbed) AddEdge(cfg edge.Config) (*Edge, error) {
-	if len(tb.Origins) == 1 {
-		cfg.Origin = tb.Origins[0].URL
-	} else {
-		for _, o := range tb.Origins {
-			cfg.Origins = append(cfg.Origins, o.URL)
-		}
+	for _, o := range tb.Origins {
+		cfg.Origins = append(cfg.Origins, o.URL)
 	}
 	cfg.HTTP = &http.Client{Transport: tb.transport()}
 	e, err := edge.New(cfg)
@@ -200,7 +196,7 @@ func (tb *Testbed) AddEdge(cfg edge.Config) (*Edge, error) {
 	return te, nil
 }
 
-// WaitBreaker polls every (fleet-mode) edge until all agree on origin's
+// WaitBreaker polls every edge until all agree on origin's
 // breaker — Closed when want is fleet.Closed, anything but Closed
 // otherwise — and returns how long that took; it errors at the timeout.
 func (tb *Testbed) WaitBreaker(origin int, want fleet.BreakerState, timeout time.Duration) (time.Duration, error) {

@@ -172,8 +172,8 @@ func TestWaitBreakerFollowsKillAndRevive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tb.Edges[0].Fleet() == nil {
-		t.Fatal("two origins must put the edge in fleet mode")
+	if n := len(tb.Edges[0].Fleet().Origins()); n != 2 {
+		t.Fatalf("edge fleet has %d origins, want both", n)
 	}
 	if _, err := tb.WaitBreaker(0, fleet.Closed, time.Second); err != nil {
 		t.Fatalf("healthy fleet: %v", err)
@@ -196,7 +196,7 @@ func TestWaitBreakerFollowsKillAndRevive(t *testing.T) {
 	}
 }
 
-func TestSingleOriginEdgeIsNotFleetMode(t *testing.T) {
+func TestSingleOriginEdgeIsAOneShardFleet(t *testing.T) {
 	tb := New()
 	defer tb.Close()
 	if _, err := tb.AddOrigin(OriginConfig{Manifest: testManifest(t)}); err != nil {
@@ -206,22 +206,92 @@ func TestSingleOriginEdgeIsNotFleetMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Fleet() != nil {
-		t.Error("one origin must give a single-origin edge, like pano-edge -origins with one URL")
+	if got := e.Fleet().Origins(); len(got) != 1 || got[0] != tb.Origins[0].URL {
+		t.Errorf("edge fleet origins %v, want just %s", got, tb.Origins[0].URL)
 	}
 	for _, want := range []string{"miss", "hit"} {
-		resp, err := http.Get(e.URL + tile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if got := resp.Header.Get("X-Cache"); resp.StatusCode != http.StatusOK || got != want {
-			t.Errorf("GET through the edge: %d X-Cache=%q, want 200 %q", resp.StatusCode, got, want)
+		if code, xc := edgeGet(t, e, tile); code != http.StatusOK || xc != want {
+			t.Errorf("GET through the edge: %d X-Cache=%q, want 200 %q", code, xc, want)
 		}
 	}
 	if got := tb.Origins[0].TileRequests(); got != 1 {
 		t.Errorf("origin saw %d tile requests, want the one miss", got)
 	}
+}
+
+// TestSingleOriginOutageLadder: a one-origin edge runs the fleet's whole
+// outage ladder — the breaker opens, a cached tile serves stale, an
+// uncached one answers a negative-cached 502, and after the revive and
+// NegTTL the tile fills with one origin request.
+func TestSingleOriginOutageLadder(t *testing.T) {
+	const negTTL = 300 * time.Millisecond
+	tb := New()
+	defer tb.Close()
+	if _, err := tb.AddOrigin(OriginConfig{Manifest: testManifest(t)}); err != nil {
+		t.Fatal(err)
+	}
+	o, reg := tb.Origins[0], obs.NewRegistry()
+	e, err := tb.AddEdge(edge.Config{
+		ProbeInterval: 5 * time.Millisecond,
+		Breaker:       fleet.BreakerConfig{FailureThreshold: 2, OpenFor: 50 * time.Millisecond},
+		CacheBytes:    1 << 20,
+		TTL:           10 * time.Millisecond,
+		NegTTL:        negTTL,
+		StaleFor:      time.Minute,
+		Fetch:         LoopbackPolicy(),
+		Obs:           reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, uncached := server.TilePath(0, 1, 0), server.TilePath(0, 2, 0)
+	if code, xc := edgeGet(t, e, cached); code != http.StatusOK || xc != "miss" {
+		t.Fatalf("healthy fill: %d X-Cache=%q", code, xc)
+	}
+
+	o.Kill()
+	if _, err := tb.WaitBreaker(0, fleet.Open, 2*time.Second); err != nil {
+		t.Fatalf("after kill: %v", err)
+	}
+	time.Sleep(20 * time.Millisecond) // past TTL: the cached tile is stale
+	if code, xc := edgeGet(t, e, cached); code != http.StatusOK || xc != "stale" {
+		t.Errorf("expired tile during the outage: %d X-Cache=%q, want 200 stale", code, xc)
+	}
+	if code, _ := edgeGet(t, e, uncached); code != http.StatusBadGateway {
+		t.Fatalf("uncached tile during the outage: %d, want 502", code)
+	}
+	negAt := time.Now()
+	tiles, fills := o.TileRequests(), reg.CounterValue("pano_fleet_requests_total", obs.L("origin", "0"))
+	if code, xc := edgeGet(t, e, uncached); code != http.StatusBadGateway || xc != "hit" {
+		t.Errorf("repeat during the outage: %d X-Cache=%q, want the cached 502", code, xc)
+	}
+	if o.TileRequests() != tiles || reg.CounterValue("pano_fleet_requests_total", obs.L("origin", "0")) != fills {
+		t.Error("the negative-cached 502 still reached for the origin")
+	}
+
+	o.Revive()
+	if _, err := tb.WaitBreaker(0, fleet.Closed, 2*time.Second); err != nil {
+		t.Fatalf("after revive: %v", err)
+	}
+	time.Sleep(time.Until(negAt.Add(negTTL + 10*time.Millisecond)))
+	tiles = o.TileRequests()
+	if code, xc := edgeGet(t, e, uncached); code != http.StatusOK || xc != "miss" {
+		t.Errorf("after NegTTL: %d X-Cache=%q, want 200 miss", code, xc)
+	}
+	if got := o.TileRequests() - tiles; got != 1 {
+		t.Errorf("the fill took %d origin tile requests, want 1", got)
+	}
+}
+
+// edgeGet GETs path through e and returns the status and X-Cache.
+func edgeGet(t *testing.T, e *Edge, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(e.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode, resp.Header.Get("X-Cache")
 }
 
 func TestCloseIsIdempotentAndLeavesNothingBehind(t *testing.T) {

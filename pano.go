@@ -132,7 +132,7 @@ type (
 	// next-chunk tile prefetch (cross-user consensus when peer traces
 	// are configured).
 	Edge = edge.Edge
-	// EdgeConfig tunes an Edge (origin URL, cache budget, TTLs, origin
+	// EdgeConfig tunes an Edge (origin URLs, cache budget, TTLs, origin
 	// FetchPolicy, prefetch budget and peer traces, observability).
 	EdgeConfig = edge.Config
 	// TelemetrySampler periodically scrapes a Metrics registry into
@@ -171,8 +171,8 @@ type (
 	// quantiles, rebuffer ratio, concurrency curve, origin load).
 	SwarmSummary = swarm.Summary
 	// FleetConfig tunes a sharded origin fleet (origin URLs, breaker
-	// and probe settings, hedging policy); set EdgeConfig.Origins to
-	// route an edge's cache fills through one.
+	// and probe settings, hedging policy); an Edge's cache fills always
+	// route through one built from EdgeConfig.Origins.
 	FleetConfig = fleet.Config
 	// Fleet is the sharded origin delivery layer: consistent-hash
 	// placement, health-checked circuit breakers, hedged fetches, and
@@ -292,7 +292,7 @@ func NewServer(m *Manifest) (*Server, error) { return server.New(m) }
 // NewClient returns a streaming client for a server base URL.
 func NewClient(baseURL string) *Client { return panoclient.New(baseURL) }
 
-// NewEdge returns the edge cache tier for cfg.Origin; mount
+// NewEdge returns the edge cache tier for cfg.Origins; mount
 // Edge.Handler and Close when done. cfg.CacheBytes = 0 degrades to a
 // byte-transparent pass-through proxy. See cmd/pano-edge for the
 // standalone binary.
