@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmt race fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
+.PHONY: build test check vet fmt race fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider fuzz-fleet trace edge dash swarm fleet cluster live benchdiff bench microbench loc clean
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,19 @@ fuzz-manifest:
 # reached — replay under plain `go test`.
 fuzz-provider:
 	$(GO) test -run '^$$' -fuzz FuzzPerceptibleError -fuzztime 20s ./internal/provider
+
+# Twenty seconds of fuzzing the fleet's failover ladder (internal/fleet:
+# random breaker and budget states, request outcomes answered, failed,
+# slow enough to hedge or cut short, every walk held to the conservation
+# check — no half-open slot left held, the budget within [0, burst], no
+# more attempts than rounds × origins — and to the ladder's policies).
+# Not part of check, for the same reason; the committed seeds under
+# internal/fleet/testdata/fuzz/ — every breaker open, a dry budget at a
+# probe, a hedge taking a probe slot and winning or losing it, a caller
+# giving up mid-race, three rounds of failures — replay under plain
+# `go test`.
+fuzz-fleet:
+	$(GO) test -run '^$$' -fuzz FuzzLadder -fuzztime 20s ./internal/fleet
 
 # One traced session end to end: a seeded simulator run (per-phase
 # latency breakdown lands in BENCH_trace.json) plus a chaos-wrapped HTTP

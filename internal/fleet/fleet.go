@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pano/internal/client"
-	"pano/internal/mathx"
 	"pano/internal/obs"
 	"pano/internal/trace"
 )
@@ -62,11 +60,11 @@ type origin struct {
 // comment for the full model.
 type Fleet struct {
 	cfg    Config
-	pol    client.FetchPolicy
+	once   client.FetchPolicy // one attempt: retries belong to the ladder
 	ring   *Ring
 	ors    []*origin
-	budget *Budget
-	lat    *latTracker
+	lad    *Policy
+	budget *Budget // lad's
 	now    func() time.Time
 	seq    atomic.Uint64
 
@@ -103,16 +101,17 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{
 		cfg:  cfg,
-		pol:  cfg.Fetch.WithDefaults(),
 		ring: NewRing(cfg.Origins, defaultVnodes),
 		now:  cfg.Now,
 		stop: make(chan struct{}),
-		lat:  newLatTracker(),
+		lad:  NewPolicy(cfg.Fetch, cfg.Breaker, len(cfg.Origins), cfg.Seed^0xb4ea),
 	}
 	if f.now == nil {
 		f.now = time.Now
 	}
-	f.budget = NewBudget(f.pol.HedgeBudgetRatio, f.pol.HedgeBudgetBurst)
+	f.budget = f.lad.Budget()
+	f.once = f.lad.fetch
+	f.once.MaxAttempts = 1
 	for i, u := range cfg.Origins {
 		cli := client.New(u)
 		if cfg.HTTP != nil {
@@ -121,7 +120,7 @@ func New(cfg Config) (*Fleet, error) {
 		o := &origin{
 			url:   u,
 			cli:   cli,
-			brk:   NewBreaker(cfg.Breaker, cfg.Seed^0xb4ea^uint64(i)*0x9e3779b97f4a7c15),
+			brk:   f.lad.Breaker(i),
 			label: strconv.Itoa(i),
 		}
 		o.published.Store(-1)
@@ -245,39 +244,10 @@ func (f *Fleet) publishGauges() {
 	f.originsOpen.Set(float64(open))
 }
 
-// hedgeDelay resolves the backup-request delay: a fixed positive
-// HedgeDelay, or the adaptive p95 of recent fetch latencies, clamped so
-// a cold latency tracker neither hedges instantly nor never.
-func (f *Fleet) hedgeDelay() time.Duration {
-	const minDelay, maxDelay = 10 * time.Millisecond, time.Second
-	if f.pol.HedgeDelay > 0 {
-		return f.pol.HedgeDelay
-	}
-	d := f.lat.p95()
-	if d < minDelay {
-		d = minDelay
-	}
-	if d > maxDelay {
-		d = maxDelay
-	}
-	return d
-}
-
-// attemptResult is one origin request's outcome.
-type attemptResult struct {
-	res   client.RawResult
-	err   error
-	hedge bool
-	idx   int
-}
-
-// Fetch routes one conditional GET through the fleet: the key's ring
-// order is the failover ladder, each failed origin advances to the
-// next (spending budget), full rounds back off like the client's retry
-// ladder, and while a primary request is in flight a hedged backup may
-// race it. It returns the first definitive origin answer; like
-// client.FetchRaw, ctx cancellation and exhaustion (of attempts or
-// budget) are the only error paths.
+// Fetch routes one conditional GET through the fleet: it walks the
+// key's Ladder, whose doc comment is the policy. It returns the first
+// definitive origin answer; like client.FetchRaw, ctx cancellation and
+// exhaustion (of attempts, breakers or budget) are the only error paths.
 func (f *Fleet) Fetch(ctx context.Context, path, etag string) (client.RawResult, error) {
 	// The attribute boxes path: only under a traced context.
 	var span *trace.Span
@@ -290,182 +260,168 @@ func (f *Fleet) Fetch(ctx context.Context, path, etag string) (client.RawResult,
 	if span != nil {
 		span.Annotate("owner", order[0])
 	}
-
-	f.budget.Earn()
-	rng := mathx.NewRNG(f.cfg.Seed ^ key ^ f.seq.Add(1)*0x9e3779b97f4a7c15)
+	l := new(Ladder) // the hedge timer may reach it
+	f.lad.Start(l, order, f.cfg.Seed^key^f.seq.Add(1)*0x9e3779b97f4a7c15)
+	defer l.End()
 	start := f.now()
-	var lastErr error
-	tried := 0
-	for round := 0; round < f.pol.MaxAttempts; round++ {
-		for oi, idx := range order {
-			o := f.ors[idx]
-			// Every request beyond the first spends failover budget; a
-			// dry bucket ends the ladder instead of piling load onto a
-			// struggling fleet.
-			adm, probe := Admit(o.brk, f.budget, f.now(), tried > 0)
-			if adm == BreakerDenied {
-				continue
-			}
-			if adm == BudgetDry {
-				f.budgetExhausted.IncExemplar(span.TraceHex())
-				span.SetError("budget_exhausted")
-				return client.RawResult{}, fmt.Errorf("fleet: %s: retry budget exhausted after %d attempts: %w", path, tried, lastErr)
-			}
-			tried++
-			var backup *origin
-			var backupIdx int
-			if !probe {
-				backup, backupIdx = f.nextAvailable(order, oi)
-			}
-			res, err := f.attempt(ctx, span, path, etag, o, idx, backup, backupIdx, probe)
-			if err == nil {
-				if span != nil {
-					span.Annotate("origin", res.idx)
-					span.Annotate("attempts", tried)
-				}
-				if tried > 1 || res.idx != idx || res.hedge {
-					f.failovers.Inc()
-				}
-				if tried > 1 {
-					f.failoverSec.ObserveExemplar(f.now().Sub(start).Seconds(), span.TraceHex())
-				}
-				return res.res, nil
-			}
-			lastErr = err
-			if ctx.Err() != nil {
-				return client.RawResult{}, ctx.Err()
-			}
-			if f.cfg.Log != nil {
-				f.cfg.Log.Logger().Warn("fleet_failover",
-					"path", path, "origin", idx, "class", client.ErrorClass(err))
-			}
-		}
-		if round < f.pol.MaxAttempts-1 {
-			if err := (client.RealClock{}).Sleep(ctx, f.pol.Backoff(round, rng)); err != nil {
+	for {
+		switch l.Next(f.now()) {
+		case Backoff:
+			if err := (client.RealClock{}).Sleep(ctx, l.Backoff()); err != nil {
 				return client.RawResult{}, err
 			}
+			continue
+		case Dry:
+			f.budgetExhausted.IncExemplar(span.TraceHex())
+			span.SetError("budget_exhausted")
+			return client.RawResult{}, fmt.Errorf("fleet: %s: retry budget exhausted after %d attempts: %w", path, l.Attempts(), l.Err())
+		case Exhausted:
+			err, class := l.Err(), "unavailable"
+			if err != ErrUnavailable {
+				class = client.ErrorClass(err)
+			}
+			span.SetError(class)
+			return client.RawResult{}, fmt.Errorf("fleet: %s: all origins failed: %w", path, err)
+		}
+		r := f.attempt(ctx, l, span, path, etag)
+		if r.err == nil {
+			if span != nil {
+				span.Annotate("origin", r.idx)
+				span.Annotate("attempts", l.Attempts())
+			}
+			if l.Failover() {
+				f.failovers.Inc()
+			}
+			if l.Attempts() > 1 {
+				f.failoverSec.ObserveExemplar(f.now().Sub(start).Seconds(), span.TraceHex())
+			}
+			return r.res, nil
+		}
+		if ctx.Err() != nil {
+			return client.RawResult{}, ctx.Err()
+		}
+		if f.cfg.Log != nil {
+			f.cfg.Log.Logger().Warn("fleet_failover",
+				"path", path, "origin", r.idx, "class", client.ErrorClass(r.err))
 		}
 	}
-	span.SetError(client.ErrorClass(lastErr))
-	if lastErr == nil {
-		lastErr = fmt.Errorf("all origin breakers open")
-	}
-	return client.RawResult{}, fmt.Errorf("fleet: %s: all origins failed: %w", path, lastErr)
 }
 
-// nextAvailable finds the hedge target: the first origin after position
-// oi in ring order whose breaker would accept a request.
-func (f *Fleet) nextAvailable(order []int, oi int) (*origin, int) {
-	now := f.now()
-	for i := oi + 1; i < len(order); i++ {
-		if o := f.ors[order[i]]; o.brk.Available(now) {
-			return o, order[i]
-		}
-	}
-	return nil, -1
+// reply is one origin request's result, classified as it returned.
+type reply struct {
+	res   client.RawResult
+	err   error
+	out   Outcome
+	took  time.Duration
+	idx   int
+	hedge bool
 }
 
-// attempt issues one primary request to o and, if it is still in
-// flight after the hedge delay, races one budget-guarded backup request
-// against the next replica; first definitive answer wins and the loser
-// is cancelled.
-func (f *Fleet) attempt(ctx context.Context, span *trace.Span, path, etag string,
-	o *origin, idx int, backup *origin, backupIdx int, probe bool) (attemptResult, error) {
-
+// attempt runs the ladder's current rung. The primary runs on the
+// calling goroutine; if the hedge delay expires first, the timer admits
+// the backup and starts it on a goroutine of its own, and whichever
+// answers first cancels the other. Outcomes reach the ladder from this
+// goroutine only, the answer first; the reply is the answer, or the
+// primary's failure.
+func (f *Fleet) attempt(ctx context.Context, l *Ladder, span *trace.Span, path, etag string) reply {
+	primary := l.Origin()
+	delay, hedgeable := l.HedgeDelay()
+	if !hedgeable || l.Backup() < 0 {
+		p := f.request(ctx, span, primary, false, path, etag)
+		f.resolve(l, span, p)
+		return p
+	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ch := make(chan attemptResult, 2)
-	launch := func(o *origin, idx int, hedge, probe bool) {
+	var race struct {
+		sync.Mutex
+		settled bool       // the primary returned: no hedge may start
+		hedge   chan reply // set when the backup starts
+	}
+	t := time.AfterFunc(delay, func() {
+		race.Lock()
+		defer race.Unlock()
+		if race.settled {
+			return
+		}
+		if adm := l.Hedge(f.now()); adm != Admitted {
+			if adm == BudgetDry {
+				f.budgetExhausted.IncExemplar(span.TraceHex())
+			}
+			return
+		}
+		f.hedgeIssued.IncExemplar(span.TraceHex())
+		race.hedge = make(chan reply, 1)
+		go func(idx int, out chan<- reply) {
+			r := f.request(actx, span, idx, true, path, etag)
+			if r.err == nil {
+				cancel()
+			}
+			out <- r
+		}(l.Backup(), race.hedge)
+	})
+	p := f.request(actx, span, primary, false, path, etag)
+	t.Stop()
+	race.Lock()
+	race.settled = true
+	race.Unlock()
+	if race.hedge == nil {
+		f.resolve(l, span, p)
+		return p
+	}
+	if p.err == nil {
+		cancel() // the backup lost
+	}
+	h := <-race.hedge
+	if p.out != Answered && h.out == Answered {
+		f.hedgeWins.IncExemplar(span.TraceHex())
+		if f.cfg.Log != nil {
+			f.cfg.Log.Logger().Info("fleet_hedge_win", "path", path, "origin", h.idx)
+		}
+		p, h = h, p
+	}
+	f.resolve(l, span, p)
+	f.resolve(l, span, h)
+	return p
+}
+
+// request sends one request to origin idx. One cut short by actx — the
+// race was decided, or the caller gave up — is not a health signal.
+func (f *Fleet) request(actx context.Context, span *trace.Span, idx int, hedge bool, path, etag string) reply {
+	f.countRequest(idx)
+	rctx, sp := actx, (*trace.Span)(nil)
+	if span != nil {
 		name := "fleet.fetch"
 		if hedge {
 			name = "fleet.hedge"
 		}
-		rctx, sp := trace.StartSpan(actx, name, trace.A("origin", idx))
-		t0 := f.now()
-		res, err := f.fetchOnce(rctx, o, path, etag)
-		d := f.now().Sub(t0)
-		now := f.now()
-		switch {
-		case err == nil:
-			o.brk.Success(now)
-			f.lat.observe(d)
-		case actx.Err() != nil:
-			// Cancelled from outside (the race was decided, or the
-			// caller gave up): not an origin health signal.
-			if probe {
-				o.brk.ReleaseProbe()
-			}
-			if hedge {
-				f.hedgeCancelled.IncExemplar(sp.TraceHex())
-			}
-			sp.SetError("cancelled")
-		default:
-			o.brk.Failure(now)
-			f.originFailure(idx, err)
-			sp.SetError(client.ErrorClass(err))
-		}
-		f.refreshGauges()
-		sp.End()
-		ch <- attemptResult{res: res, err: err, hedge: hedge, idx: idx}
+		rctx, sp = trace.StartSpan(actx, name, trace.A("origin", idx))
 	}
-
-	f.countRequest(idx)
-	go launch(o, idx, false, probe)
-	pending := 1
-
-	var hedgeC <-chan time.Time
-	if backup != nil && f.pol.HedgingEnabled() && !probe {
-		t := time.NewTimer(f.hedgeDelay())
-		defer t.Stop()
-		hedgeC = t.C
+	t0 := f.now()
+	res, err := f.ors[idx].cli.FetchRaw(rctx, path, etag, f.once, nil)
+	r := reply{res: res, err: err, took: f.now().Sub(t0), idx: idx, hedge: hedge}
+	switch {
+	case err != nil && actx.Err() != nil:
+		r.out = Cancelled
+		sp.SetError("cancelled")
+	case err != nil:
+		r.out = Failed
+		sp.SetError(client.ErrorClass(err))
 	}
-	var firstErr error
-	for {
-		select {
-		case <-hedgeC:
-			hedgeC = nil
-			adm, bprobe := Admit(backup.brk, f.budget, f.now(), true)
-			if adm == BudgetDry {
-				f.budgetExhausted.IncExemplar(span.TraceHex())
-			}
-			if adm != Admitted {
-				continue
-			}
-			f.hedgeIssued.IncExemplar(span.TraceHex())
-			f.countRequest(backupIdx)
-			go launch(backup, backupIdx, true, bprobe)
-			pending++
-		case r := <-ch:
-			pending--
-			if r.err == nil {
-				cancel() // first definitive answer wins; the loser unwinds as cancelled
-				if r.hedge {
-					f.hedgeWins.IncExemplar(span.TraceHex())
-					if f.cfg.Log != nil {
-						f.cfg.Log.Logger().Info("fleet_hedge_win", "path", path, "origin", r.idx)
-					}
-				}
-				return r, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if pending == 0 {
-				return attemptResult{}, firstErr
-			}
-		case <-ctx.Done():
-			return attemptResult{}, ctx.Err()
-		}
-	}
+	sp.End()
+	return r
 }
 
-// fetchOnce is a single-attempt FetchRaw against one origin: retries
-// across attempts and origins belong to the fleet ladder, not the
-// per-origin client.
-func (f *Fleet) fetchOnce(ctx context.Context, o *origin, path, etag string) (client.RawResult, error) {
-	pol := f.pol
-	pol.MaxAttempts = 1
-	return o.cli.FetchRaw(ctx, path, etag, pol, nil)
+// resolve hands one request's outcome to the ladder and the metrics.
+func (f *Fleet) resolve(l *Ladder, span *trace.Span, r reply) {
+	l.Resolve(r.hedge, r.out, r.err, f.now(), r.took)
+	switch {
+	case r.out == Failed:
+		f.originFailure(r.idx, r.err)
+	case r.out == Cancelled && r.hedge:
+		f.hedgeCancelled.IncExemplar(span.TraceHex())
+	}
+	f.refreshGauges()
 }
 
 func (f *Fleet) countRequest(idx int) {
@@ -479,49 +435,4 @@ func (f *Fleet) originFailure(idx int, err error) {
 	f.cfg.Obs.Counter("pano_fleet_failures_total",
 		"origin requests that failed, by origin and error class",
 		obs.L("origin", f.ors[idx].label), obs.L("class", client.ErrorClass(err))).Inc()
-}
-
-// latTracker keeps a small reservoir of recent successful fetch
-// latencies and reports their p95 for the adaptive hedge delay. The
-// reservoir is held twice — in arrival order, to know which sample the
-// next one evicts, and ascending — so that p95, which every hedged
-// attempt reads, is an index, and observe moves at most the 128 sorted
-// samples.
-type latTracker struct {
-	mu     sync.Mutex
-	buf    [128]time.Duration // ring, arrival order
-	sorted [128]time.Duration // the same n samples, ascending
-	n      int                // filled entries
-	next   int                // ring write position
-}
-
-func newLatTracker() *latTracker { return &latTracker{} }
-
-func (l *latTracker) observe(d time.Duration) {
-	l.mu.Lock()
-	s := l.sorted[:l.n]
-	if l.n == len(l.buf) {
-		evicted, _ := slices.BinarySearch(s, l.buf[l.next])
-		s = slices.Delete(s, evicted, evicted+1)
-	} else {
-		l.n++
-	}
-	at, _ := slices.BinarySearch(s, d)
-	s = s[:len(s)+1]
-	copy(s[at+1:], s[at:])
-	s[at] = d
-	l.buf[l.next] = d
-	l.next = (l.next + 1) % len(l.buf)
-	l.mu.Unlock()
-}
-
-// p95 returns the 95th percentile of the reservoir (0 when empty — the
-// caller clamps it).
-func (l *latTracker) p95() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.n == 0 {
-		return 0
-	}
-	return l.sorted[l.n*95/100]
 }

@@ -5,10 +5,13 @@
 // optionally racing a hedged backup request — under a token-bucket
 // retry/hedge budget so shard loss never becomes a retry storm.
 //
-// The edge proxy routes every cache fill through a Fleet, a single
-// origin being a one-shard fleet; the swarm simulator reuses the ring,
-// breaker, and budget with virtual time to replay whole-origin outages
-// deterministically at 100k+ sessions.
+// That failover policy is written once, as the Ladder: a pure step
+// machine that reads no clock and starts no goroutine. Two callers walk
+// it — Fleet.Fetch on the wall clock over HTTP, through which the edge
+// proxy routes every cache fill (a single origin being a one-shard
+// fleet), and the swarm simulator on a virtual clock with analytic
+// costs, replaying whole-origin outages deterministically at 100k+
+// sessions.
 package fleet
 
 import (

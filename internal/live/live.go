@@ -52,23 +52,17 @@ type Config struct {
 	Video *scene.Video
 	// History supplies viewpoint traces for JND tiling (may be empty).
 	History []*viewport.Trace
-	// Encode is the standard per-chunk preprocessing config (zero value
-	// = provider defaults).
-	Encode provider.Config
 	// Deadline is the per-chunk publish budget measured from capture;
-	// 0 disables deadline tracking (nothing ever counts as late).
+	// 0 disables deadline tracking (nothing ever counts as late). A
+	// chunk the encode-time forecast says would miss it is encoded with
+	// DegradedConfig of the provider defaults every other chunk uses.
 	Deadline time.Duration
-	// Degraded overrides the fallback config used when the encode-time
-	// forecast would miss Deadline. nil selects DegradedConfig(Encode).
-	Degraded *provider.Config
 	// CaptureInterval paces chunk capture. 0 means real time: one chunk
 	// duration of wall clock per chunk. Benches compress it.
 	CaptureInterval time.Duration
 	// WindowChunks bounds the availability window (0 = unbounded: no
 	// chunk is ever retired).
 	WindowChunks int
-	// MaxChunks stops the feed early (0 = the whole video).
-	MaxChunks int
 	// EncodeWorkers bounds concurrent chunk encodes (default 2; the
 	// publish stage reorders, so >1 never reorders the feed).
 	EncodeWorkers int
@@ -152,19 +146,13 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = client.RealClock{}
 	}
-	chunkSec := cfg.Encode.ChunkSec
-	if chunkSec == 0 {
-		chunkSec = provider.DefaultConfig().ChunkSec
-	}
+	chunkSec := provider.DefaultConfig().ChunkSec
 	if cfg.CaptureInterval <= 0 {
 		cfg.CaptureInterval = time.Duration(chunkSec * float64(time.Second))
 	}
 	n := int(float64(cfg.Video.DurationSec) / chunkSec)
 	if n == 0 {
 		return nil, fmt.Errorf("live: video shorter than one chunk")
-	}
-	if cfg.MaxChunks > 0 && cfg.MaxChunks < n {
-		n = cfg.MaxChunks
 	}
 	p := &Pipeline{cfg: cfg, clk: cfg.Clock, numChunks: n}
 	p.pub.init(p, chunkSec)
@@ -336,18 +324,14 @@ func (p *Pipeline) encode(ctx context.Context, job capturedChunk, ewma *encodeEW
 	_, sp := p.cfg.Tracer.Start(ctx, "live.encode",
 		trace.A("component", "live"), trace.A("chunk", job.k))
 	defer sp.End()
-	cfg := p.cfg.Encode
+	var cfg provider.Config // the provider defaults
 	degraded := false
 	if p.cfg.Deadline > 0 {
 		deadline := job.capturedAt.Add(p.cfg.Deadline)
 		forecast := ewma.get()
 		if !p.clk.Now().Add(forecast).Before(deadline) {
 			degraded = true
-			if p.cfg.Degraded != nil {
-				cfg = *p.cfg.Degraded
-			} else {
-				cfg = DegradedConfig(cfg)
-			}
+			cfg = DegradedConfig(cfg)
 		}
 	}
 	t0 := p.clk.Now()

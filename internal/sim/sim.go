@@ -36,12 +36,10 @@ import (
 // Config tunes a session.
 type Config struct {
 	// BufferTargetSec is the MPC buffer target (the paper tests 1-3 s).
+	// Prefetch is capped one chunk beyond it: deeper buffers stretch the
+	// viewpoint-prediction horizon, which hurts every viewport-aware
+	// scheme (§2.1's prefetch tension).
 	BufferTargetSec float64
-	// MaxBufferSec caps prefetch (default target + 1).
-	MaxBufferSec float64
-	// Profile is the 360JND profile used for scoring (default
-	// jnd.Default()).
-	Profile *jnd.Profile
 	// ViewNoiseDeg adds uniform random viewpoint shifts in [0, n]
 	// degrees to the trace the *client* sees (§8.3 stress test);
 	// scoring always uses the clean trace.
@@ -92,15 +90,6 @@ func DefaultConfig() Config {
 func (c *Config) fillDefaults() {
 	if c.BufferTargetSec == 0 {
 		c.BufferTargetSec = 2
-	}
-	if c.MaxBufferSec == 0 {
-		// Cap prefetch at one chunk beyond the target: deeper buffers
-		// stretch the viewpoint-prediction horizon, which hurts every
-		// viewport-aware scheme (§2.1's prefetch tension).
-		c.MaxBufferSec = c.BufferTargetSec + 1
-	}
-	if c.Profile == nil {
-		c.Profile = jnd.Default()
 	}
 }
 
@@ -159,7 +148,7 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 		clientTrace = tr.AddNoise(cfg.ViewNoiseDeg, mathx.NewRNG(cfg.Seed+0x5eed))
 	}
 	res := &Result{System: pl.Name()}
-	enc, est := codec.NewEncoder(), player.NewEstimator()
+	enc, est, prof := codec.NewEncoder(), player.NewEstimator(), jnd.Default()
 	chunkPSPNR := cfg.Obs.Histogram("pano_sim_chunk_pspnr_db",
 		"delivered per-chunk viewport PSPNR", quality.PSPNRBuckets)
 	// score is the ground-truth half of the session: RunSession hands
@@ -171,15 +160,15 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 			// Pixel-accurate scoring has no staleness model; stale tiles
 			// are already pinned to the lowest level in cr.Levels, which
 			// underestimates their distortion slightly.
-			pspnr = pixelFramePSPNR(m, cfg.Scene, k, cr.Levels, tr, cfg.Profile, enc, cfg.FieldCache)
+			pspnr = pixelFramePSPNR(m, cfg.Scene, k, cr.Levels, tr, prof, enc, cfg.FieldCache)
 		} else {
-			pspnr = player.FramePSPNRDegraded(m, k, cr.Levels, cr.Stale, est.ActualView(m, tr, k), cfg.Profile)
+			pspnr = player.FramePSPNRDegraded(m, k, cr.Levels, cr.Stale, est.ActualView(m, tr, k), prof)
 		}
 		// The client's plan-time estimate uses its best-guess view
 		// (Figure 16a measures the gap to pspnr) and predates any
 		// transport loss, so it scores the planned allocation.
 		guess := est.BestGuessView(m, clientTrace, k, cr.PlayheadSec)
-		estimated := player.FramePSPNR(m, k, cr.Planned, guess, cfg.Profile)
+		estimated := player.FramePSPNR(m, k, cr.Planned, guess, prof)
 
 		trace.FromContext(ctx).Annotate("pspnr_db", pspnr)
 		chunkPSPNR.Observe(pspnr)
@@ -196,7 +185,7 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 
 	sess, err := client.RunSession(context.Background(), tp, clientTrace, client.StreamConfig{
 		BufferTargetSec: cfg.BufferTargetSec,
-		MaxBufferSec:    cfg.MaxBufferSec,
+		MaxBufferSec:    cfg.BufferTargetSec + 1,
 		SimModel:        true,
 		Planner:         pl,
 		Controller:      cfg.Controller,

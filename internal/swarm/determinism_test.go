@@ -123,6 +123,15 @@ func TestSessionParamsPure(t *testing.T) {
 // plans did not move: sessions, completed, errored, chunks and all four
 // PSPNR cells are the digits of the old pin, and bytes differs by the 69
 // of the two tiles the old timeline skipped (skipped_tiles 2 → 0).
+//
+// Re-pinned a second time, when the swarm's fleet twin started walking
+// fleet.Ladder, the policy fleet.Fetch runs: rounds with backoff, hedges
+// admitted through Admit and never on a probe, the backup chosen without
+// the outage schedule, failovers counted as the fleet counts them. The
+// plans did not move — chunks, bytes and all four PSPNR cells are
+// unchanged — while retries (513 → 468), the fleet counters, the shard
+// loads and, in the fifth digit, rebuffer and startup did; CHANGES.md
+// attributes each cell.
 func TestDefaultPlannerSummaryPinned(t *testing.T) {
 	cfg := fleetConfig(fixture(t))
 	cfg.Sessions = 2000
@@ -135,7 +144,7 @@ func TestDefaultPlannerSummaryPinned(t *testing.T) {
 	cfg.ScoreEvery = 10
 	cfg.Fetch.HedgeDelay = 150 * time.Millisecond
 	raw := summaryJSON(t, cfg)
-	const want = "cf8815e9dba4384208a81f8683edfa23b2f9de6981e8aa956fc1f72f560900b4"
+	const want = "440be80136a8403d55728934696f84f5e1e7b74e66b76971657fc765d6701340"
 	if got := sha256.Sum256(raw); hex.EncodeToString(got[:]) != want {
 		t.Errorf("summary sha256 %x, want %s:\n%s", got, want, raw)
 	}

@@ -9,19 +9,19 @@
 // is what makes deep testing of the loop tractable (and what the
 // determinism suite locks down).
 //
-// The scheduler is a single goroutine pool fed from a priority queue
-// of timed arrival events; sessions are causally independent (virtual
-// time is per-session), so each runs to completion on one worker and
-// the per-session results are folded in session-id order into a
+// The scheduler is a single goroutine pool fed the sessions in arrival
+// order; sessions are causally independent (virtual time is
+// per-session), so each runs to completion on one worker and the
+// per-session results are folded in session-id order into a
 // deterministic Summary, per-second origin-load series, and concurrency
 // curve.
 package swarm
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -232,11 +232,8 @@ type sessionStats struct {
 	originReqs  int64
 	result      *client.StreamResult
 	// fleet-mode contributions (nil/zero in single-origin runs)
-	fleetReqs    []int64
-	failovers    int64
-	hedges       int64
-	hedgeWins    int64
-	budgetDenied int64
+	fleetReqs []int64
+	fleet     fleetCounts
 }
 
 // Run simulates the population and returns its Report. Sessions are
@@ -262,18 +259,18 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		place = newPlacement(objects, cfg.Fleet)
 	}
 
-	// Arrival schedule: the priority queue orders the dispatch feed.
-	q := make(eventQueue, 0, cfg.Sessions)
+	// Arrival schedule: the dispatch feed, in arrival order.
+	q := make([]event, 0, cfg.Sessions)
 	for id := 0; id < cfg.Sessions; id++ {
 		q = append(q, event{at: sessionParams(&cfg, id).arrival, id: id, delta: +1})
 	}
-	heap.Init(&q)
+	slices.SortFunc(q, byTime)
 	feed := make(chan int, 4*cfg.Workers)
 	go func() {
 		defer close(feed)
-		for q.Len() > 0 {
+		for _, e := range q {
 			select {
-			case feed <- q.pop().id:
+			case feed <- e.id:
 			case <-ctx.Done():
 				return
 			}
@@ -315,10 +312,7 @@ func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, 
 	pol := cfg.Fetch
 	pol.Seed = p.fetchSeed
 	if cfg.Fleet != nil {
-		def := pol.WithDefaults()
-		tp.fleet = newFleetSim(cfg.Fleet, place, p.faultSeed,
-			def.HedgeBudgetRatio, def.HedgeBudgetBurst)
-		tp.hedgeDelaySec = def.HedgeDelay.Seconds() // <= 0: hedging not modelled
+		tp.fleet = newFleetSim(cfg.Fleet, place, p.faultSeed, pol)
 	}
 
 	// sim's buffer model: a 2 s MPC target, prefetch capped at 3 s, the
@@ -338,11 +332,7 @@ func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, 
 		originReqs: tp.originReqs,
 	}
 	if tp.fleet != nil {
-		st.fleetReqs = tp.fleet.reqs
-		st.failovers = tp.fleet.failovers
-		st.hedges = tp.fleet.hedges
-		st.hedgeWins = tp.fleet.hedgeWins
-		st.budgetDenied = tp.fleet.budgetDenied
+		st.fleetReqs, st.fleet = tp.fleet.reqs, tp.fleet.fleetCounts
 	}
 	if err != nil {
 		return st
@@ -394,7 +384,7 @@ func fold(cfg *Config, slots []sessionStats, workers []scratch) *Report {
 			load[sec] += n
 		}
 	}
-	merge := make(eventQueue, 0, 2*len(slots))
+	merge := make([]event, 0, 2*len(slots))
 	var retained []*client.StreamResult
 	if cfg.RetainResults {
 		retained = make([]*client.StreamResult, len(slots))
@@ -412,10 +402,10 @@ func fold(cfg *Config, slots []sessionStats, workers []scratch) *Report {
 		s.DegradedTiles += int64(st.degraded)
 		s.SkippedTiles += int64(st.skipped)
 		s.OriginRequests += st.originReqs
-		s.FleetFailovers += st.failovers
-		s.FleetHedges += st.hedges
-		s.FleetHedgeWins += st.hedgeWins
-		s.FleetBudgetDenied += st.budgetDenied
+		s.FleetFailovers += st.fleet.failovers
+		s.FleetHedges += st.fleet.hedges
+		s.FleetHedgeWins += st.fleet.hedgeWins
+		s.FleetBudgetDenied += st.fleet.budgetDenied
 		for o, n := range st.fleetReqs {
 			s.FleetShardLoad[o] += n
 		}
@@ -456,12 +446,11 @@ func fold(cfg *Config, slots []sessionStats, workers []scratch) *Report {
 		s.RebufferRatioPct = 100 * stallSum / (watchSum + stallSum)
 	}
 
-	// Concurrency curve from the event heap: +1 at arrival, -1 at end.
-	heap.Init(&merge)
+	// Concurrency curve from the sorted events: +1 at arrival, -1 at end.
+	slices.SortFunc(merge, byTime)
 	var cur int
 	var area, last float64
-	for merge.Len() > 0 {
-		e := merge.pop()
+	for _, e := range merge {
 		area += float64(cur) * (e.at - last)
 		last = e.at
 		cur += e.delta
@@ -516,7 +505,7 @@ func aggregate(reg *obs.Registry, s *Summary, slots []sessionStats) {
 	}
 	if s.FleetOrigins > 0 {
 		reg.Counter("pano_swarm_fleet_failovers_total",
-			"objects answered by a shard beyond the first attempt").Add(float64(s.FleetFailovers))
+			"objects answered after more than one attempt or by a hedge").Add(float64(s.FleetFailovers))
 		reg.Counter("pano_swarm_fleet_hedges_total",
 			"hedged backup transfers modelled across the swarm").Add(float64(s.FleetHedges))
 		reg.Counter("pano_swarm_fleet_hedge_wins_total",

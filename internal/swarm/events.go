@@ -1,6 +1,6 @@
 package swarm
 
-import "container/heap"
+import "cmp"
 
 // event is one timed occurrence in the discrete-event schedule: a
 // session arrival (delta +1) or departure (delta -1).
@@ -10,34 +10,9 @@ type event struct {
 	delta int
 }
 
-// eventQueue is a min-heap of events ordered by (time, departures
-// before arrivals, session id) — a total order, so every pop sequence
-// is deterministic regardless of push order.
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	if q[i].delta != q[j].delta {
-		return q[i].delta < q[j].delta
-	}
-	return q[i].id < q[j].id
+// byTime orders events by (time, departures before arrivals, session
+// id) — a total order, so a sorted schedule is the same however its
+// events were gathered.
+func byTime(a, b event) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.delta, b.delta), cmp.Compare(a.id, b.id))
 }
-
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
-}
-
-// pop removes and returns the earliest event.
-func (q *eventQueue) pop() event { return heap.Pop(q).(event) }

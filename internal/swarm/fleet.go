@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pano/internal/chaos"
+	"pano/internal/client"
 	"pano/internal/codec"
 	"pano/internal/fleet"
 	"pano/internal/server"
@@ -14,8 +15,9 @@ import (
 // fleet: objects place onto Origins virtual shards via the same
 // consistent-hash ring the edge uses (internal/fleet), per-shard
 // chaos.Down schedules take shards out in virtual time, and every
-// session runs its own per-shard circuit breakers, ring failover, and
-// token-bucket retry budget — the client-side view of the fault-tolerant
+// session walks each tile through fleet.Ladder — the failover policy
+// fleet.Fetch runs — over its own per-shard circuit breakers and
+// token-bucket retry budget: the client-side view of the fault-tolerant
 // delivery layer, replayed deterministically at population scale.
 type FleetConfig struct {
 	// Origins is the shard count (>= 1; failover needs >= 2).
@@ -66,35 +68,34 @@ func (p *placement) tileOrder(k, ti int, l codec.Level) []int {
 	return p.tiles[p.objects.at(k, ti, l)]
 }
 
-// fleetSim is one session's client-side fleet state: breakers, budget,
-// and the counters that fold into the Summary. All of it is
+// fleetSim is one session's client-side fleet: the ladder's breakers and
+// budget, and the counters that fold into the Summary. All of it is
 // per-session, so sessions stay causally independent and the swarm's
 // worker-count determinism holds.
 type fleetSim struct {
-	cfg    *FleetConfig
-	place  *placement
-	brks   []*fleet.Breaker
-	budget *fleet.Budget
-
-	reqs         []int64 // per-shard requests issued
-	failovers    int64   // objects answered by a shard beyond the first attempt
-	hedges       int64   // hedged backup transfers modelled
-	hedgeWins    int64   // hedges that beat the primary
-	budgetDenied int64   // ladder steps suppressed by a dry budget
+	cfg   *FleetConfig
+	place *placement
+	pol   *fleet.Policy
+	walks uint64  // ladder walks so far, a backoff seed's sequence number
+	reqs  []int64 // per-shard requests issued
+	fleetCounts
 }
 
-func newFleetSim(fc *FleetConfig, place *placement, seed uint64, ratio, burst float64) *fleetSim {
-	fs := &fleetSim{
-		cfg:    fc,
-		place:  place,
-		budget: fleet.NewBudget(ratio, burst),
-		reqs:   make([]int64, fc.Origins),
-		brks:   make([]*fleet.Breaker, fc.Origins),
+// fleetCounts are a session's fleet counters.
+type fleetCounts struct {
+	failovers    int64 // objects answered as failovers (fleet.Ladder's policy 5)
+	hedges       int64 // hedged backup requests admitted
+	hedgeWins    int64 // hedges that answered first
+	budgetDenied int64 // rungs and hedges refused by a dry budget
+}
+
+func newFleetSim(fc *FleetConfig, place *placement, seed uint64, fetch client.FetchPolicy) *fleetSim {
+	return &fleetSim{
+		cfg:   fc,
+		place: place,
+		pol:   fleet.NewPolicy(fetch, fc.Breaker, fc.Origins, seed^0xf1ee7),
+		reqs:  make([]int64, fc.Origins),
 	}
-	for i := range fs.brks {
-		fs.brks[i] = fleet.NewBreaker(fc.Breaker, seed^0xf1ee7^uint64(i)*0x9e3779b97f4a7c15)
-	}
-	return fs
 }
 
 // down reports whether shard o is inside its outage window at virtual

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pano/internal/chaos"
+	"pano/internal/client"
 	"pano/internal/codec"
 	"pano/internal/fleet"
 	"pano/internal/nettrace"
@@ -188,10 +189,10 @@ func TestFleetBudgetDryReleasesProbe(t *testing.T) {
 	}
 	clk := NewVirtualClock(0)
 	s := newNetem(m, objects, clk, &nettrace.Link{Trace: flat}, chaos.Rule{}, 1, 1e4, &scratch{})
-	s.fleet = newFleetSim(fc, place, 1, 0.001, 1)
+	s.fleet = newFleetSim(fc, place, 1, client.FetchPolicy{HedgeBudgetRatio: 0.001, HedgeBudgetBurst: 1})
 
-	s.fleet.brks[order[1]].Failure(clk.Now()) // threshold 1: successor opens
-	for s.fleet.budget.Spend() {              // drain the bucket
+	s.fleet.pol.Breaker(order[1]).Failure(clk.Now()) // threshold 1: successor opens
+	for s.fleet.pol.Budget().Spend() {               // drain the bucket
 	}
 	clk.AdvanceSec(2) // past the jittered OpenFor: the next Allow is the probe
 
@@ -201,7 +202,7 @@ func TestFleetBudgetDryReleasesProbe(t *testing.T) {
 	if s.fleet.budgetDenied == 0 {
 		t.Fatal("budget never reported dry — scenario did not reach the denied rung")
 	}
-	if !s.fleet.brks[order[1]].Available(clk.Now()) {
+	if !s.fleet.pol.Breaker(order[1]).Available(clk.Now()) {
 		t.Fatal("budget-denied ladder leaked the shard's half-open probe slot")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pano/internal/chaos"
+	"pano/internal/client"
 	"pano/internal/codec"
 	"pano/internal/fleet"
 	"pano/internal/geom"
@@ -114,6 +115,35 @@ func TestDrawCountersMatchMap(t *testing.T) {
 	}
 }
 
+// TestNetemTileDoesNotAllocate: a tile through the swarm's logical
+// network allocates nothing, single origin or walking the fleet's ladder
+// — a ladder, RNG or closure made per walk would show here as one
+// allocation per tile. (Rare events may allocate: a 500's StatusError,
+// a backoff RNG once a round ends, the load histogram's growth.)
+func TestNetemTileDoesNotAllocate(t *testing.T) {
+	f := fixture(t)
+	m := f.pano
+	objects := newObjectIndex(m)
+	rule := chaos.Rule{ErrorRate: 0.02, TruncateRate: 0.01, Latency: 20 * time.Millisecond, Jitter: 10 * time.Millisecond}
+	fc := &FleetConfig{Origins: 4, Breaker: fleet.BreakerConfig{FailureThreshold: 2, OpenFor: 2 * time.Second},
+		Outages: []chaos.Down{{}, {After: 20 * time.Second, For: 30 * time.Second}}}
+	place := newPlacement(objects, fc)
+	for _, withFleet := range []bool{false, true} {
+		s := newNetem(m, objects, NewVirtualClock(0), &nettrace.Link{Trace: f.bw[0], RTTSec: 0.05}, rule, 9, 1e6, &scratch{})
+		if withFleet {
+			s.fleet = newFleetSim(fc, place, 9, client.FetchPolicy{HedgeDelay: 150 * time.Millisecond})
+		}
+		i := 0
+		if n := testing.AllocsPerRun(2000, func() {
+			k := i % m.NumChunks()
+			s.Tile(context.Background(), k, i%len(m.Chunks[k].Tiles), codec.Level(i%codec.NumLevels))
+			i++
+		}); n != 0 {
+			t.Errorf("fleet %v: %v allocs per tile, want 0", withFleet, n)
+		}
+	}
+}
+
 // BenchmarkNetemTile is one tile request through the swarm's logical
 // network, single origin and through the fleet twin (4 shards, fixed
 // hedge delay) — the per-tile cost under client.fetchTileResilient.
@@ -134,8 +164,7 @@ func BenchmarkNetemTile(b *testing.B) {
 			clk := NewVirtualClock(0)
 			s := newNetem(m, objects, clk, &nettrace.Link{Trace: f.bw[0], RTTSec: 0.05}, rule, 9, 1e6, &scratch{})
 			if withFleet {
-				s.fleet = newFleetSim(fc, place, 9, 0.1, 8)
-				s.hedgeDelaySec = 0.15
+				s.fleet = newFleetSim(fc, place, 9, client.FetchPolicy{HedgeDelay: 150 * time.Millisecond})
 			}
 			ctx := context.Background()
 			b.ResetTimer()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"syscall"
 	"time"
@@ -36,12 +37,9 @@ type netem struct {
 
 	objects    *objectIndex
 	originReqs int64
-	// fleet, when set, shards objects across virtual origins with
-	// per-session breakers and ring failover; hedgeDelaySec > 0
-	// additionally models fixed-delay hedged transfers (the adaptive p95
-	// delay is a wall-clock construct and is not modelled here).
-	fleet         *fleetSim
-	hedgeDelaySec float64
+	// fleet, when set, shards objects across virtual origins and walks
+	// each tile through the fleet's ladder (fleetTile).
+	fleet *fleetSim
 	// w is the calling worker's scratch: the load histogram every
 	// session of the worker adds to, and this session's draw counters.
 	w *scratch
@@ -144,7 +142,7 @@ func tileKey(k, ti int, l codec.Level) uint64 {
 // this attempt, integrate the link for the transfer time, honour the
 // attempt's virtual deadline, and return the delivered bits (exactly
 // the manifest's, floats untouched) or the mapped failure. In fleet
-// mode the attempt walks the object's ring order instead (fleetTile).
+// mode the attempt walks the fleet's ladder instead (fleetTile).
 func (s *netem) Tile(ctx context.Context, k, ti int, l codec.Level) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -154,8 +152,8 @@ func (s *netem) Tile(ctx context.Context, k, ti int, l codec.Level) (float64, er
 		return s.fleetTile(ctx, k, ti, l, bits)
 	}
 	s.hit()
-	cost, ferr := s.plan(s.draw(k, ti, l), bits)
-	if err := s.advanceCost(ctx, cost); err != nil {
+	cost, ferr := s.plan(s.draw(k, ti, l), bits, s.clock.NowSec())
+	if err := s.advance(ctx, seconds(cost)); err != nil {
 		return 0, err
 	}
 	if ferr != nil {
@@ -174,10 +172,9 @@ func (s *netem) draw(k, ti int, l codec.Level) chaos.Outcome {
 	return o
 }
 
-// plan maps one attempt's fault outcome to its virtual-time cost and
-// terminal error, without moving the clock.
-func (s *netem) plan(o chaos.Outcome, bits float64) (float64, error) {
-	now := s.clock.NowSec()
+// plan maps one attempt's fault outcome, sent at virtual time now, to
+// its virtual-time cost and terminal error, without moving the clock.
+func (s *netem) plan(o chaos.Outcome, bits, now float64) (float64, error) {
 	cost := o.Latency.Seconds()
 	var ferr error
 	switch {
@@ -210,11 +207,14 @@ func (s *netem) plan(o chaos.Outcome, bits float64) (float64, error) {
 	return cost, ferr
 }
 
-// advanceCost moves the clock by cost seconds, honouring the attempt's
-// virtual deadline: an over-deadline transfer is observed as a timeout
-// at the deadline, not at completion.
-func (s *netem) advanceCost(ctx context.Context, cost float64) error {
-	done := s.clock.Now().Add(time.Duration(cost * float64(time.Second)))
+// seconds converts a cost in seconds to a duration.
+func seconds(cost float64) time.Duration { return time.Duration(cost * float64(time.Second)) }
+
+// advance moves the clock by d, honouring the attempt's virtual
+// deadline: an over-deadline transfer is observed as a timeout at the
+// deadline, not at completion.
+func (s *netem) advance(ctx context.Context, d time.Duration) error {
+	done := s.clock.Now().Add(d)
 	if dl, ok := client.VirtualDeadline(ctx); ok && done.After(dl) {
 		s.clock.AdvanceTo(dl)
 		return context.DeadlineExceeded
@@ -223,100 +223,124 @@ func (s *netem) advanceCost(ctx context.Context, cost float64) error {
 	return nil
 }
 
-// fleetTile walks the object's ring order: breaker-denied shards are
-// skipped, a down shard costs a header round-trip and fails over, a
-// fault on a live shard fails over too (the fleet ladder, not the
-// client's, owns intra-fetch retries), and every step beyond the first
-// spends retry budget. A transfer slower than the fixed hedge delay is
-// raced against a modelled backup on the next live shard.
+// fleetTile walks the object's fleet.Ladder — the policy fleet.Fetch
+// runs — in virtual time. The ladder picks the shards, admits the
+// requests and decides the hedges; this side prices them (send) and
+// races them (race).
 func (s *netem) fleetTile(ctx context.Context, k, ti int, l codec.Level, bits float64) (float64, error) {
 	fs := s.fleet
-	order := fs.place.tileOrder(k, ti, l)
-	fs.budget.Earn()
-	tried := 0
-	var lastErr error
-	for oi, shard := range order {
-		adm, _ := fleet.Admit(fs.brks[shard], fs.budget, s.clock.Now(), tried > 0)
-		if adm == fleet.BreakerDenied {
-			continue
-		}
-		if adm == fleet.BudgetDry {
-			fs.budgetDenied++
-			break
-		}
-		tried++
-		fs.reqs[shard]++
-		s.hit()
-		if fs.down(shard, s.clock.NowSec()) {
-			// Hard outage: the reset costs a header round-trip.
-			cost := s.link.DownloadTime(s.clock.NowSec(), 0)
-			if err := s.advanceCost(ctx, cost); err != nil {
-				fs.brks[shard].Failure(s.clock.Now())
+	fs.walks++
+	var lad fleet.Ladder
+	fs.pol.Start(&lad, fs.place.tileOrder(k, ti, l), s.seed^tileKey(k, ti, l)^fs.walks*0x9e3779b97f4a7c15)
+	defer lad.End()
+	for {
+		now := s.clock.Now()
+		switch lad.Next(now) {
+		case fleet.Backoff:
+			if err := s.advance(ctx, lad.Backoff()); err != nil {
 				return 0, err
 			}
-			fs.brks[shard].Failure(s.clock.Now())
-			lastErr = errConnReset
 			continue
+		case fleet.Dry:
+			fs.budgetDenied++
+			return 0, lad.Err()
+		case fleet.Exhausted:
+			return 0, lad.Err()
 		}
-		cost, ferr := s.plan(s.draw(k, ti, l), bits)
-		if ferr == nil {
-			cost = s.maybeHedge(order, oi, cost, bits)
-		}
-		if err := s.advanceCost(ctx, cost); err != nil {
-			fs.brks[shard].Failure(s.clock.Now())
+		answered, err := s.race(ctx, &lad, now, k, ti, l, bits)
+		if err != nil {
 			return 0, err
 		}
-		if ferr != nil {
-			fs.brks[shard].Failure(s.clock.Now())
-			lastErr = ferr
-			continue
+		if answered {
+			if lad.Failover() {
+				fs.failovers++
+			}
+			return bits, nil
 		}
-		fs.brks[shard].Success(s.clock.Now())
-		if tried > 1 {
-			fs.failovers++
-		}
-		return bits, nil
 	}
-	if lastErr == nil {
-		// Every breaker was open (or the budget dried up before any
-		// attempt landed): surface as a reset for the client ladder.
-		lastErr = errConnReset
-	}
-	return 0, lastErr
 }
 
-// maybeHedge models a fixed-delay hedged transfer analytically: when
-// the primary's planned transfer outlasts the hedge delay and a live
-// backup shard plus budget exist, the backup's transfer (starting at
-// now+delay over the same access link) races it and the faster time
-// wins. The loser is cancelled, so it leaves no breaker signal.
-func (s *netem) maybeHedge(order []int, oi int, cost, bits float64) float64 {
-	fs := s.fleet
-	if s.hedgeDelaySec <= 0 || cost <= s.hedgeDelaySec {
-		return cost
+// flight is one request of a rung: when it leaves and when it would
+// complete, both after the rung starts, and how it ends.
+type flight struct {
+	hedge    bool
+	from, to time.Duration
+	err      error
+}
+
+// send prices one request to shard o leaving at virtual time t: how
+// long it takes and how it ends. A shard inside its outage window resets
+// the connection after a header round trip; a live one serves the
+// primary under the object's fault plan and a hedge as a clean transfer.
+func (s *netem) send(o int, t float64, hedge bool, k, ti int, l codec.Level, bits float64) (time.Duration, error) {
+	s.fleet.reqs[o]++
+	s.hit()
+	var cost float64
+	var err error
+	switch {
+	case s.fleet.down(o, t):
+		cost, err = s.link.DownloadTime(t, 0), errConnReset
+	case hedge:
+		cost = s.link.DownloadTime(t, bits)
+	default:
+		cost, err = s.plan(s.draw(k, ti, l), bits, t)
 	}
-	backup := -1
-	now := s.clock.Now()
-	for i := oi + 1; i < len(order); i++ {
-		if fs.brks[order[i]].Available(now) && !fs.down(order[i], s.clock.NowSec()) {
-			backup = order[i]
-			break
+	return seconds(cost), err
+}
+
+// race runs the ladder's current rung: the primary and, when it is still
+// in flight as the hedge delay expires, the admitted backup. Outcomes go
+// to the ladder in completion order; the first answer wins and the loser
+// is cancelled. Whatever is still in flight at the attempt's virtual
+// deadline has failed — the twin's one timeout is the client's — and the
+// rung ends there with DeadlineExceeded; otherwise the clock moves to the
+// answer, or to the last failure.
+func (s *netem) race(ctx context.Context, lad *fleet.Ladder, now time.Time, k, ti int, l codec.Level, bits float64) (bool, error) {
+	fs := s.fleet
+	left := time.Duration(math.MaxInt64)
+	if dl, ok := client.VirtualDeadline(ctx); ok {
+		left = dl.Sub(now)
+	}
+	t := s.clock.NowSec()
+	var p, h flight
+	p.to, p.err = s.send(lad.Origin(), t, false, k, ti, l, bits)
+	fl, n := [2]*flight{&p, &h}, 1
+	if d, ok := lad.HedgeDelay(); ok && p.to > d && d < left {
+		switch lad.Hedge(now.Add(d)) {
+		case fleet.Admitted:
+			fs.hedges++
+			h.hedge, h.from = true, d
+			h.to, h.err = s.send(lad.Backup(), t+d.Seconds(), true, k, ti, l, bits)
+			h.to += d
+			if n = 2; h.to < p.to {
+				fl[0], fl[1] = &h, &p
+			}
+		case fleet.BudgetDry:
+			fs.budgetDenied++
 		}
 	}
-	if backup < 0 {
-		return cost
+	var end time.Duration // when the answer came
+	var last time.Time    // when the last request ended
+	answered := false
+	for _, f := range fl[:n] {
+		out, err, at := fleet.Failed, f.err, f.to
+		switch {
+		case answered:
+			out, err, at = fleet.Cancelled, nil, end
+		case f.to > left:
+			err, at = context.DeadlineExceeded, left
+		case f.err == nil:
+			out, end, answered = fleet.Answered, f.to, true
+			if f.hedge {
+				fs.hedgeWins++
+			}
+		}
+		last = now.Add(at)
+		lad.Resolve(f.hedge, out, err, last, at-f.from)
 	}
-	if !fs.budget.Spend() {
-		fs.budgetDenied++
-		return cost
+	s.clock.AdvanceTo(last)
+	if !answered && fl[n-1].to > left {
+		return false, context.DeadlineExceeded
 	}
-	fs.hedges++
-	fs.reqs[backup]++
-	s.hit()
-	if hcost := s.hedgeDelaySec + s.link.DownloadTime(s.clock.NowSec()+s.hedgeDelaySec, bits); hcost < cost {
-		fs.hedgeWins++
-		fs.brks[backup].Success(now)
-		return hcost
-	}
-	return cost
+	return answered, nil
 }

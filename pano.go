@@ -179,7 +179,8 @@ type (
 	// a token-bucket retry/hedge budget.
 	Fleet = fleet.Fleet
 	// SwarmFleetConfig reshards a swarm run's virtual origin the same
-	// way (ring placement, per-session breakers, outage schedules).
+	// way (ring placement, the fleet's own failover ladder over
+	// per-session breakers, outage schedules).
 	SwarmFleetConfig = swarm.FleetConfig
 )
 
