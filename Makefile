@@ -197,13 +197,16 @@ microbench:
 		./internal/client ./internal/swarm ./internal/store ./internal/fleet \
 		./internal/edge ./internal/manifest | tee -a BENCH_micro.txt
 
-# The three line counts ROADMAP quotes, so "net LoC down" is one command:
-# non-test Go outside benchmark/, test Go outside benchmark/, and the
-# non-test Go of internal/experiments (the largest package).
+# The four line counts ROADMAP quotes, so "net LoC down" is one command:
+# non-test Go outside benchmark/, test Go outside benchmark/, the
+# non-test Go of internal/experiments (the largest package), and the
+# non-test Go of the observability plane (internal/obs, telemetry and
+# trace).
 loc:
 	@echo "non-test Go outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
 	@echo "tests outside benchmark/:       $$(find . -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
 	@echo "internal/experiments non-test:  $$(find internal/experiments -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "obs+telemetry+trace non-test:   $$(find internal/obs internal/telemetry internal/trace -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 clean:
 	rm -f BENCH_*.json BENCH_micro.txt trace.perfetto.json cluster.perfetto.json

@@ -45,9 +45,7 @@ func NewKit(evlog *obs.EventLog, enableTrace bool, sloSpec string, interval time
 	}
 	if slos != nil {
 		evlog.ObserveDrops(k.Reg)
-		k.Sampler = telemetry.New(telemetry.Config{
-			Obs: k.Reg, SLOs: slos, Log: evlog, Tracer: k.Tracer, Interval: interval,
-		})
+		k.Sampler = telemetry.New(telemetry.Config{Obs: k.Reg, SLOs: slos, Log: evlog, Interval: interval})
 	}
 	return k, nil
 }

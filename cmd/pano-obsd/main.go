@@ -31,7 +31,6 @@ package main
 import (
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"time"
 
@@ -60,50 +59,21 @@ func main() {
 	if err != nil {
 		log.Fatalf("pano-obsd: %v", err)
 	}
-	if slos == nil {
-		// "" disables SLOs but federation still ticks: the sampler is the
-		// scrape clock, so it runs either way with an empty objective set.
-		slos = []telemetry.SLO{}
-	}
-
-	reg := obs.NewRegistry()
-	obs.ExportBuildInfo(reg)
 	var evlog *obs.EventLog
 	if *logEvents {
 		evlog = obs.NewEventLog(os.Stderr, 0)
-		evlog.ObserveDrops(reg)
 	}
-	sc, err := telemetry.NewScraper(telemetry.ScraperConfig{
-		Targets:      targets,
-		Timeout:      *timeout,
-		Interval:     *interval,
-		Log:          evlog,
-		Self:         reg,
-		SelfInstance: "obsd",
-	})
+	_, sampler, h, err := telemetry.NewPlane(telemetry.ScraperConfig{
+		Targets: targets, Timeout: *timeout, Interval: *interval, Log: evlog,
+	}, slos, 0)
 	if err != nil {
 		log.Fatalf("pano-obsd: %v", err)
 	}
-	sampler := telemetry.New(telemetry.Config{
-		Obs:       reg,
-		Interval:  *interval,
-		SLOs:      slos,
-		Log:       evlog,
-		Source:    sc.Collect,
-		DashExtra: sc.DashPanels,
-	})
-
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", sc.MetricsHandler())
-	mux.Handle("/debug/traces", sc.TraceHandler())
-	// The rest is the shared ops surface; /metrics and /debug/traces
-	// above are the scraper's federated views, not this process's own.
-	telemetry.Mount(mux, nil, nil, nil, sampler)
 
 	sampler.Start()
 	log.Printf("obsd federating %d targets every %s on %s (%d SLOs; /metrics, /debug/slo, /debug/dash, /debug/traces)",
 		len(targets), *interval, *addr, len(slos))
-	if err := graceful.Serve(*addr, mux, graceful.DefaultDrain, sampler); err != nil {
+	if err := graceful.Serve(*addr, h, graceful.DefaultDrain, sampler); err != nil {
 		log.Fatalf("pano-obsd: %v", err)
 	}
 	log.Printf("drained; bye")

@@ -145,23 +145,11 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 	// sessions share one registry.
 	clientReg, clientTracer := tb.NewObs()
 
-	// The obsd plane, built exactly like cmd/pano-obsd: scrape-target
-	// CSV through the flag parser, scraper as the sampler's Source.
+	// The obsd plane, built like cmd/pano-obsd: scrape-target CSV through
+	// the flag parser, then telemetry.NewPlane.
 	targetCSV := fmt.Sprintf("client=%s,edge0=%s,edge1=%s,origin0=%s,origin1=%s",
 		tb.ServeOps(clientReg, clientTracer), tb.Edges[0].URL, tb.Edges[1].URL, tb.Origins[0].URL, tb.Origins[1].URL)
 	targets, err := telemetry.ParseScrapeTargets(targetCSV)
-	if err != nil {
-		return res, nil, err
-	}
-	regD := obs.NewRegistry()
-	obs.ExportBuildInfo(regD)
-	sc, err := telemetry.NewScraper(telemetry.ScraperConfig{
-		Targets:      targets,
-		Timeout:      2 * time.Second,
-		Interval:     time.Second,
-		Self:         regD,
-		SelfInstance: "obsd",
-	})
 	if err != nil {
 		return res, nil, err
 	}
@@ -169,11 +157,12 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 	if err != nil {
 		return res, nil, err
 	}
-	smp := telemetry.New(telemetry.Config{
-		Obs: regD, SLOs: slos, Interval: time.Second, Window: 3 * time.Minute,
-		Source:    sc.Collect,
-		DashExtra: sc.DashPanels,
-	})
+	sc, smp, obsd, err := telemetry.NewPlane(telemetry.ScraperConfig{
+		Targets: targets, Timeout: 2 * time.Second, Interval: time.Second,
+	}, slos, 3*time.Minute)
+	if err != nil {
+		return res, nil, err
+	}
 
 	// Logical clock: every tick scrapes the whole fleet and evaluates
 	// the SLOs one simulated second later.
@@ -229,7 +218,7 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 	// way an operator would: one trace id, spans from client, edge, and
 	// origin processes on one timeline.
 	rec := httptest.NewRecorder()
-	sc.TraceHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?trace="+sessionTraceID, nil))
+	obsd.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?trace="+sessionTraceID, nil))
 	if rec.Code != http.StatusOK {
 		return fail("obsd trace endpoint: %d %s", rec.Code, rec.Body.String())
 	}
@@ -254,7 +243,7 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 	// the export's shape, like the trace bench does for one process.
 	assembled := sc.AssembleTraces()
 	var export bytes.Buffer
-	if err := trace.WriteAssembledChromeTrace(&export, assembled...); err != nil {
+	if err := trace.WriteChromeTrace(&export, assembled...); err != nil {
 		return res, nil, err
 	}
 	if res.PerfettoEvents, err = trace.ValidateChromeTrace(export.Bytes()); err != nil {

@@ -166,17 +166,29 @@
 //	    instances disagree on bucket layout (their per-instance series
 //	    remain).
 //
-// Event-ring overflow is itself observable: EventLog.ObserveDrops
-// mirrors the ring's drop count as pano_events_dropped_total, and the
-// telemetry sampler mirrors the tracer's bounded-store rejections as
-// the pano_trace_store_dropped_spans gauge — the two places the
-// observability layer could silently lose data.
+// The two places the observability layer could silently lose data
+// count what they lose, each under one name:
+//
+//	pano_events_dropped_total
+//	    events the event log's ring overwrote — every push past its
+//	    capacity, read or not (wired by EventLog.ObserveDrops).
+//	pano_trace_dropped_spans_total
+//	    spans the tracer's bounded store rejected (over the per-trace
+//	    span cap or the active-trace cap), beside pano_trace_spans_total
+//	    and pano_trace_traces_total, the spans it stored and the traces
+//	    it completed.
 //
 // Histograms accept an optional exemplar per observation
 // (ObserveExemplar): the trace ID of the most recent observation in
 // each bucket, rendered as "# exemplar" comment lines alongside the
 // Prometheus exposition, linking a latency bucket to a concrete trace
-// at /debug/traces.
+// at /debug/traces. Counters hold one (IncExemplar).
+//
+// The layer has one of each: WritePrometheusSeries is the only
+// exposition writer (a registry renders its Snapshot, exemplars
+// included; pano-obsd renders its merged view), and Ring is the only
+// bounded buffer (the event log, telemetry's windowed series, the
+// trace store's eviction order).
 //
 // Wiring: internal/server mounts /metrics, /debug/events, and
 // /debug/traces; internal/client.Stream, internal/sim.Run,

@@ -37,42 +37,28 @@ func (e Event) Str(key string) string {
 	return strings.TrimSpace(slog.AnyValue(v).String())
 }
 
-// ring is a fixed-capacity event buffer shared by handler clones.
+// ring is the event buffer shared by handler clones.
 type ring struct {
 	mu      sync.Mutex
-	buf     []Event
-	next    int
-	full    bool
+	events  *Ring[Event]
 	dropped uint64
 	dropCt  *Counter // optional pano_events_dropped_total mirror
 }
 
 func (r *ring) add(e Event) {
 	r.mu.Lock()
-	if r.full {
-		// The buffer already wrapped: this write overwrites the oldest
-		// retained event — silent telemetry loss, made observable here.
+	if _, overwrote := r.events.Push(e); overwrote {
+		// Silent telemetry loss, made observable here.
 		r.dropped++
 		r.dropCt.Inc()
-	}
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % len(r.buf)
-	if r.next == 0 {
-		r.full = true
 	}
 	r.mu.Unlock()
 }
 
-func (r *ring) events() []Event {
+func (r *ring) all() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Event(nil), r.buf[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return r.events.All()
 }
 
 // ringHandler is a slog.Handler capturing records into a ring and
@@ -157,7 +143,7 @@ func NewEventLog(w io.Writer, ringSize int) *EventLog {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
-	r := &ring{buf: make([]Event, ringSize)}
+	r := &ring{events: NewRing[Event](ringSize)}
 	var fwd slog.Handler
 	if w != nil {
 		fwd = slog.NewJSONHandler(w, nil)
@@ -191,9 +177,9 @@ func (l *EventLog) Session(attrs ...any) *slog.Logger {
 	return l.Logger().With(attrs...)
 }
 
-// Dropped reports how many events the ring buffer has overwritten
-// before anything read them — nonzero means the retained window is
-// shorter than the burst that produced it. Nil-safe.
+// Dropped reports how many events the ring buffer has overwritten —
+// every push past its capacity counts, read or not; nonzero means the
+// retained window is shorter than what the process logged. Nil-safe.
 func (l *EventLog) Dropped() uint64 {
 	if l == nil {
 		return 0
@@ -212,7 +198,7 @@ func (l *EventLog) ObserveDrops(reg *Registry) {
 		return
 	}
 	ct := reg.Counter("pano_events_dropped_total",
-		"events overwritten by the ring buffer before being read")
+		"events the ring buffer overwrote (every push past its capacity)")
 	l.ring.mu.Lock()
 	l.ring.dropCt = ct
 	l.ring.mu.Unlock()
@@ -223,7 +209,7 @@ func (l *EventLog) Events() []Event {
 	if l == nil {
 		return nil
 	}
-	return l.ring.events()
+	return l.ring.all()
 }
 
 // Handler serves the ring buffer, oldest first, as a JSON array of

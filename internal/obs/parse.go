@@ -481,50 +481,3 @@ func checkLabelName(s string) error {
 	}
 	return nil
 }
-
-// WritePrometheusSeries renders snapshot series in the same text
-// exposition WritePrometheus produces from a live registry — the other
-// half of the federation round trip, used by pano-obsd to serve merged
-// cluster series. Series are grouped into families and sorted by name
-// then label key; histogram Counts are re-expanded into cumulative
-// _bucket lines with the +Inf bucket and _count both carrying Count.
-// Exemplars are not part of SnapshotSeries and so are not rendered.
-func WritePrometheusSeries(w io.Writer, series []SnapshotSeries) error {
-	sorted := append([]SnapshotSeries(nil), series...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Name != sorted[j].Name {
-			return sorted[i].Name < sorted[j].Name
-		}
-		return sorted[i].Key < sorted[j].Key
-	})
-	var b strings.Builder
-	prev := ""
-	for _, ss := range sorted {
-		if ss.Name != prev {
-			prev = ss.Name
-			if ss.Help != "" {
-				fmt.Fprintf(&b, "# HELP %s %s\n", ss.Name, strings.ReplaceAll(ss.Help, "\n", " "))
-			}
-			fmt.Fprintf(&b, "# TYPE %s %s\n", ss.Name, ss.Type)
-		}
-		switch ss.Type {
-		case "histogram":
-			var cum uint64
-			for i, ub := range ss.Uppers {
-				if i < len(ss.Counts) {
-					cum += ss.Counts[i]
-				}
-				le := Label{Key: "le", Value: fmtFloat(ub)}
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", ss.Name, renderLabels(ss.Labels, &le), cum)
-			}
-			le := Label{Key: "le", Value: "+Inf"}
-			fmt.Fprintf(&b, "%s_bucket%s %d\n", ss.Name, renderLabels(ss.Labels, &le), ss.Count)
-			fmt.Fprintf(&b, "%s_sum%s %s\n", ss.Name, renderLabels(ss.Labels, nil), fmtFloat(ss.Sum))
-			fmt.Fprintf(&b, "%s_count%s %d\n", ss.Name, renderLabels(ss.Labels, nil), ss.Count)
-		default:
-			fmt.Fprintf(&b, "%s%s %s\n", ss.Name, renderLabels(ss.Labels, nil), fmtFloat(ss.Value))
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}

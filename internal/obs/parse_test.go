@@ -194,11 +194,17 @@ func TestParseRoundTripRandom(t *testing.T) {
 
 // TestWritePrometheusSeriesFixpoint checks render∘parse is the identity
 // on the rendered text — the stability pano-obsd's /metrics relies on.
+// Exemplars are comments the parser skips, so the fixpoint is over a
+// snapshot without them.
 func TestWritePrometheusSeriesFixpoint(t *testing.T) {
 	r := NewRegistry()
 	populate(r)
+	snap := r.Snapshot()
+	for i := range snap {
+		snap[i].Exemplars = nil
+	}
 	var first bytes.Buffer
-	if err := WritePrometheusSeries(&first, r.Snapshot()); err != nil {
+	if err := WritePrometheusSeries(&first, snap); err != nil {
 		t.Fatal(err)
 	}
 	series, err := ParsePrometheus(bytes.NewReader(first.Bytes()))

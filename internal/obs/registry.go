@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -496,92 +495,66 @@ func addFloat(u *atomic.Uint64, d float64) {
 }
 
 // WritePrometheus renders every metric in Prometheus text exposition
-// format (version 0.0.4): families sorted by name, series sorted by
-// label set, histograms expanded into cumulative _bucket/_sum/_count.
+// format: WritePrometheusSeries over a Snapshot.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	names := make([]string, 0, len(r.fams))
-	for n := range r.fams {
-		names = append(names, n)
-	}
-	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, n := range names {
-		fams = append(fams, r.fams[n])
-	}
-	r.mu.RUnlock()
+	return WritePrometheusSeries(w, r.Snapshot())
+}
 
+// WritePrometheusSeries renders series in Prometheus text exposition
+// format (version 0.0.4) — the one writer behind every /metrics, a
+// process's own registry and pano-obsd's merged cluster view alike.
+// Series are grouped into families and sorted by name then label key;
+// histogram Counts are re-expanded into cumulative _bucket lines with
+// the +Inf bucket and _count both carrying Count. Exemplars follow
+// their series as "# exemplar" comments (an OpenMetrics-style payload
+// on a 0.0.4-safe line: plain-text parsers skip any # line that is not
+// HELP or TYPE).
+func WritePrometheusSeries(w io.Writer, series []SnapshotSeries) error {
+	sorted := append([]SnapshotSeries(nil), series...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if sorted[i].Name != sorted[j].Name {
+			return sorted[i].Name < sorted[j].Name
+		}
+		return sorted[i].Key < sorted[j].Key
+	})
 	var b strings.Builder
-	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		f.mu.RLock()
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			e := f.series[k]
-			switch f.typ {
-			case counterType:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, renderLabels(e.labels, nil), fmtFloat(e.counter.Value()))
-				if ex, ok := e.counter.Exemplar(); ok {
-					fmt.Fprintf(&b, "# exemplar %s%s trace_id=%q %s\n",
-						f.name, renderLabels(e.labels, nil), ex.TraceID, fmtFloat(ex.Value))
-				}
-			case gaugeType:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, renderLabels(e.labels, nil), fmtFloat(e.gauge.Value()))
-			case histogramType:
-				h := e.hist
-				var cum uint64
-				for i, ub := range h.upper {
-					cum += h.counts[i].Load()
-					le := Label{Key: "le", Value: fmtFloat(ub)}
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, renderLabels(e.labels, &le), cum)
-				}
-				le := Label{Key: "le", Value: "+Inf"}
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, renderLabels(e.labels, &le), h.Count())
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, renderLabels(e.labels, nil), fmtFloat(h.Sum()))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, renderLabels(e.labels, nil), h.Count())
-				// Exemplars ride along as comments (OpenMetrics-style
-				// payload, but a 0.0.4-safe line: plain-text parsers skip
-				// any # line that is not HELP/TYPE).
-				for _, ex := range h.Exemplars() {
-					exLE := Label{Key: "le", Value: fmtFloat(ex.LE)}
-					fmt.Fprintf(&b, "# exemplar %s_bucket%s trace_id=%q %s\n",
-						f.name, renderLabels(e.labels, &exLE), ex.TraceID, fmtFloat(ex.Value))
-				}
+	prev := ""
+	for _, ss := range sorted {
+		if ss.Name != prev {
+			prev = ss.Name
+			if ss.Help != "" {
+				fmt.Fprintf(&b, "# HELP %s %s\n", ss.Name, strings.ReplaceAll(ss.Help, "\n", " "))
 			}
+			fmt.Fprintf(&b, "# TYPE %s %s\n", ss.Name, ss.Type)
 		}
-		f.mu.RUnlock()
+		labels := renderLabels(ss.Labels, nil)
+		if ss.Type != "histogram" {
+			fmt.Fprintf(&b, "%s%s %s\n", ss.Name, labels, fmtFloat(ss.Value))
+			for _, ex := range ss.Exemplars {
+				fmt.Fprintf(&b, "# exemplar %s%s trace_id=%q %s\n", ss.Name, labels, ex.TraceID, fmtFloat(ex.Value))
+			}
+			continue
+		}
+		var cum uint64
+		for i, ub := range ss.Uppers {
+			if i < len(ss.Counts) {
+				cum += ss.Counts[i]
+			}
+			le := Label{Key: "le", Value: fmtFloat(ub)}
+			fmt.Fprintf(&b, "%s_bucket%s %d\n", ss.Name, renderLabels(ss.Labels, &le), cum)
+		}
+		le := Label{Key: "le", Value: "+Inf"}
+		fmt.Fprintf(&b, "%s_bucket%s %d\n", ss.Name, renderLabels(ss.Labels, &le), ss.Count)
+		fmt.Fprintf(&b, "%s_sum%s %s\n", ss.Name, labels, fmtFloat(ss.Sum))
+		fmt.Fprintf(&b, "%s_count%s %d\n", ss.Name, labels, ss.Count)
+		for _, ex := range ss.Exemplars {
+			le := Label{Key: "le", Value: fmtFloat(ex.LE)}
+			fmt.Fprintf(&b, "# exemplar %s_bucket%s trace_id=%q %s\n",
+				ss.Name, renderLabels(ss.Labels, &le), ex.TraceID, fmtFloat(ex.Value))
+		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Handler serves the registry in Prometheus exposition format; mount it
-// at /metrics. A nil registry serves 503.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if !AllowGetHead(w, req) {
-			return
-		}
-		if r == nil {
-			http.Error(w, "metrics disabled", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if req.Method == http.MethodHead {
-			return
-		}
-		_ = r.WritePrometheus(w)
-	})
 }
 
 func fmtFloat(v float64) string {

@@ -27,6 +27,10 @@ type SnapshotSeries struct {
 	// Count and Sum are the histogram's total observations and their sum.
 	Count uint64
 	Sum   float64
+	// Exemplars are a counter's exemplar or a histogram's per-bucket
+	// ones, ordered by bucket. The exposition carries them as comments,
+	// so a parsed series has none.
+	Exemplars []Exemplar
 }
 
 // Snapshot reads every series in the registry. The read is per-series
@@ -68,12 +72,16 @@ func (r *Registry) Snapshot() []SnapshotSeries {
 			switch f.typ {
 			case counterType:
 				ss.Value = e.counter.Value()
+				if ex, ok := e.counter.Exemplar(); ok {
+					ss.Exemplars = []Exemplar{ex}
+				}
 			case gaugeType:
 				ss.Value = e.gauge.Value()
 			case histogramType:
 				ss.Uppers, ss.Counts = e.hist.Buckets()
 				ss.Count = e.hist.Count()
 				ss.Sum = e.hist.Sum()
+				ss.Exemplars = e.hist.Exemplars()
 			}
 			out = append(out, ss)
 		}

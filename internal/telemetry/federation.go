@@ -1,11 +1,13 @@
 package telemetry
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,10 +16,6 @@ import (
 	"pano/internal/obs"
 	"pano/internal/trace"
 )
-
-func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), d)
-}
 
 // GaugeAgg selects how a gauge family is merged across instances in
 // the cluster rollup. Counters always sum and histograms always merge
@@ -112,12 +110,6 @@ type ScraperConfig struct {
 	HTTP *http.Client
 	// Log receives scrape_failed events; nil disables.
 	Log *obs.EventLog
-	// Self, when set, is the scraping process's own registry: its series
-	// join the per-instance view (labelled instance=SelfInstance) so the
-	// federated /metrics also covers the federator. Self series never
-	// enter the rollup — they are observer overhead, not cluster load.
-	Self         *obs.Registry
-	SelfInstance string
 }
 
 // targetState is one target's scrape bookkeeping. series always holds
@@ -140,11 +132,16 @@ type targetState struct {
 
 // Scraper federates N /metrics endpoints: per-tick it pulls every
 // target concurrently, relabels series with instance=, merges cluster
-// rollups, and tracks staleness. Collect matches Config.Source, so a
-// Sampler pointed at it evaluates the stock SLOs fleet-wide.
+// rollups, and tracks staleness. NewPlane points a Sampler at Collect,
+// so the stock SLOs evaluate fleet-wide.
 type Scraper struct {
 	cfg    ScraperConfig
 	client *http.Client
+	// self is the plane's own registry (NewPlane): its series join the
+	// per-instance view as instance "obsd" so the federated /metrics also
+	// covers the federator, and never enter the rollup — they are
+	// observer overhead, not cluster load.
+	self *obs.Registry
 
 	mu      sync.Mutex
 	targets []*targetState
@@ -152,7 +149,6 @@ type Scraper struct {
 	// unmergeable lists histogram families whose bucket layouts differ
 	// across instances: they stay per-instance only.
 	unmergeable map[string]bool
-	collects    uint64
 
 	// instStore keeps per-instance history for the cluster dashboard's
 	// per-instance panels (the sampler's own store holds the rollup).
@@ -169,9 +165,6 @@ func NewScraper(cfg ScraperConfig) (*Scraper, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
-	}
-	if cfg.Self != nil && cfg.SelfInstance == "" {
-		cfg.SelfInstance = "obsd"
 	}
 	client := cfg.HTTP
 	if client == nil {
@@ -202,15 +195,16 @@ func NewScraper(cfg ScraperConfig) (*Scraper, error) {
 	return s, nil
 }
 
-// scrapeOne pulls and parses one target's /metrics.
-func (s *Scraper) scrapeOne(ts *targetState) ([]obs.SnapshotSeries, error) {
-	req, err := http.NewRequest(http.MethodGet, ts.metricsURL, nil)
+// get fetches one target URL within the scrape timeout and returns the
+// body of a 200 answer.
+func (s *Scraper) get(url string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.Timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := contextWithTimeout(s.cfg.Timeout)
-	defer cancel()
-	resp, err := s.client.Do(req.WithContext(ctx))
+	resp, err := s.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -219,15 +213,15 @@ func (s *Scraper) scrapeOne(ts *targetState) ([]obs.SnapshotSeries, error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
 		return nil, fmt.Errorf("status %s", resp.Status)
 	}
-	return obs.ParsePrometheus(resp.Body)
+	return io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 }
 
 // Collect performs one federation tick: scrape every target (concurrent,
 // per-target timeout), refresh staleness, rebuild the rollup, and feed
 // the per-instance view into the dashboard store. The returned series —
-// cluster rollup plus pano_federation_* meta — match what Config.Source
-// must produce, so the stock SLO engine sees exactly one series set per
-// family and burn-rate math never double-counts an instance.
+// cluster rollup plus pano_federation_* meta — are what the plane's
+// sampler observes, so the stock SLO engine sees exactly one series set
+// per family and burn-rate math never double-counts an instance.
 func (s *Scraper) Collect(now time.Time) []obs.SnapshotSeries {
 	type result struct {
 		series []obs.SnapshotSeries
@@ -239,25 +233,25 @@ func (s *Scraper) Collect(now time.Time) []obs.SnapshotSeries {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			series, err := s.scrapeOne(s.targets[i])
-			results[i] = result{series: series, err: err}
+			body, err := s.get(s.targets[i].metricsURL)
+			if err == nil {
+				results[i].series, err = obs.ParsePrometheus(bytes.NewReader(body))
+			}
+			results[i].err = err
 		}(i)
 	}
 	wg.Wait()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.collects++
 	for i, ts := range s.targets {
 		ts.scrapes++
 		if results[i].err != nil {
 			ts.failures++
 			ts.up = false
 			ts.lastErr = results[i].err.Error()
-			if s.cfg.Log != nil {
-				s.cfg.Log.Logger().Warn("scrape_failed",
-					"instance", ts.target.Instance, "url", ts.metricsURL, "err", ts.lastErr)
-			}
+			s.cfg.Log.Logger().Warn("scrape_failed",
+				"instance", ts.target.Instance, "url", ts.metricsURL, "err", ts.lastErr)
 			continue
 		}
 		ts.up = true
@@ -308,7 +302,7 @@ func (s *Scraper) buildRollupLocked() []obs.SnapshotSeries {
 			a.n++
 			switch ss.Type {
 			case "histogram":
-				if !sameUppers(a.series.Uppers, ss.Uppers) {
+				if !slices.Equal(a.series.Uppers, ss.Uppers) {
 					badFams[ss.Name] = true
 					a.bad = true
 					continue
@@ -347,12 +341,7 @@ func (s *Scraper) buildRollupLocked() []obs.SnapshotSeries {
 		}
 		out = append(out, a.series)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Key < out[j].Key
-	})
+	sortSeries(out)
 	return out
 }
 
@@ -394,24 +383,19 @@ func (s *Scraper) metaSeriesLocked() []obs.SnapshotSeries {
 			"histogram families excluded from the rollup because instances disagree on bucket layout",
 			"gauge", float64(len(s.unmergeable))),
 	)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Key < out[j].Key
-	})
+	sortSeries(out)
 	return out
 }
 
 // instanceSeriesLocked returns every target's last-good series labelled
-// with instance=, plus the Self registry's own series when configured.
+// with instance=, plus the plane's own as instance "obsd".
 func (s *Scraper) instanceSeriesLocked() []obs.SnapshotSeries {
 	var out []obs.SnapshotSeries
 	for _, ts := range s.targets {
 		out = append(out, relabelInstance(ts.series, ts.target.Instance)...)
 	}
-	if s.cfg.Self != nil {
-		out = append(out, relabelInstance(s.cfg.Self.Snapshot(), s.cfg.SelfInstance)...)
+	if s.self != nil {
+		out = append(out, relabelInstance(s.self.Snapshot(), "obsd")...)
 	}
 	return out
 }
@@ -435,16 +419,14 @@ func relabelInstance(series []obs.SnapshotSeries, instance string) []obs.Snapsho
 	return out
 }
 
-func sameUppers(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// sortSeries orders series by family, then label key.
+func sortSeries(series []obs.SnapshotSeries) {
+	sort.SliceStable(series, func(i, j int) bool {
+		if series[i].Name != series[j].Name {
+			return series[i].Name < series[j].Name
 		}
-	}
-	return true
+		return series[i].Key < series[j].Key
+	})
 }
 
 // RollupSeries returns the latest cluster rollup (after at least one
@@ -490,107 +472,81 @@ func (s *Scraper) Targets() []TargetStatus {
 	return out
 }
 
-// MetricsHandler serves the federated exposition: the cluster rollup
-// (no instance label, pano_federation_* meta included via the meta
-// series) followed by every per-instance series. Mount at /metrics on
-// pano-obsd.
-func (s *Scraper) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !obs.AllowGetHead(w, r) {
-			return
-		}
-		s.mu.Lock()
-		series := make([]obs.SnapshotSeries, 0, 2*len(s.rollup))
-		series = append(series, s.rollup...)
-		series = append(series, s.metaSeriesLocked()...)
-		series = append(series, s.instanceSeriesLocked()...)
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if r.Method == http.MethodHead {
-			return
-		}
-		_ = obs.WritePrometheusSeries(w, series)
-	})
-}
-
-// DashPanels renders per-instance dashboard panels from the scraper's
-// windowed store; pano-obsd wires it as Config.DashExtra so the
-// cluster dashboard shows rollup and per-instance series side by side.
-// Matches the per-process dashboard's self-metric suppression.
-func (s *Scraper) DashPanels(now time.Time) []DashSeries {
-	return storePanels(s.instStore, now, s.cfg.Interval*dashPoints, func(name string) bool {
-		return strings.HasPrefix(name, "pano_telemetry_")
-	})
-}
-
-// PullTraces fetches every live target's /debug/traces and parses the
-// fragments for assembly. Targets without a tracer (404/503) or
-// currently unreachable are skipped — trace assembly is best-effort by
-// design, unlike metrics staleness.
-func (s *Scraper) PullTraces() []trace.ProcessTraces {
+// exposition is what pano-obsd's /metrics serves: the cluster rollup
+// (no instance label), the pano_federation_* health series and every
+// per-instance series.
+func (s *Scraper) exposition() []obs.SnapshotSeries {
 	s.mu.Lock()
-	targets := append([]*targetState(nil), s.targets...)
-	s.mu.Unlock()
-	var out []trace.ProcessTraces
-	for _, ts := range targets {
-		req, err := http.NewRequest(http.MethodGet, ts.tracesURL, nil)
-		if err != nil {
-			continue
-		}
-		ctx, cancel := contextWithTimeout(s.cfg.Timeout)
-		resp, err := s.client.Do(req.WithContext(ctx))
-		if err != nil {
-			cancel()
-			continue
-		}
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		resp.Body.Close()
-		cancel()
-		if rerr != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		tds, err := trace.ParseChromeTrace(body)
-		if err != nil || len(tds) == 0 {
-			continue
-		}
-		out = append(out, trace.ProcessTraces{Process: ts.target.Instance, Traces: tds})
-	}
-	return out
+	defer s.mu.Unlock()
+	series := append(append([]obs.SnapshotSeries(nil), s.rollup...), s.metaSeriesLocked()...)
+	return append(series, s.instanceSeriesLocked()...)
 }
 
-// AssembleTraces pulls every target's spans and joins them on trace ID
-// into cross-process traces.
+// dashPanels renders per-instance dashboard panels from the scraper's
+// windowed store, shown beside the rollup panels of the plane's
+// sampler.
+func (s *Scraper) dashPanels(now time.Time) []DashSeries {
+	return storePanels(s.instStore, now, s.cfg.Interval*dashPoints)
+}
+
+// AssembleTraces pulls every target's /debug/traces and joins the spans
+// on trace ID into cross-process traces. Targets without a tracer
+// (404) or currently unreachable are skipped — trace assembly is
+// best-effort by design, unlike metrics staleness.
 func (s *Scraper) AssembleTraces() []*trace.TraceData {
-	return trace.AssembleTraces(s.PullTraces())
+	var procs []trace.ProcessTraces
+	for _, ts := range s.targets { // the URLs and names are immutable
+
+		body, err := s.get(ts.tracesURL)
+		if err != nil {
+			continue
+		}
+		if tds, err := trace.ParseChromeTrace(body); err == nil && len(tds) > 0 {
+			procs = append(procs, trace.ProcessTraces{Process: ts.target.Instance, Traces: tds})
+		}
+	}
+	return trace.AssembleTraces(procs)
 }
 
-// TraceHandler serves assembled cross-process traces as Chrome
-// trace-event JSON (mount at /debug/traces on pano-obsd). Assembly is
-// on demand: each GET re-pulls every target, so the view is always
-// current. ?trace=<32-hex id> selects one trace.
-func (s *Scraper) TraceHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !obs.AllowGetHead(w, r) {
-			return
+// findTrace assembles the one trace with id (nil when no target holds
+// any of its spans).
+func (s *Scraper) findTrace(id trace.TraceID) *trace.TraceData {
+	for _, td := range s.AssembleTraces() {
+		if td.ID == id {
+			return td
 		}
-		w.Header().Set("Content-Type", "application/json")
-		if r.Method == http.MethodHead {
-			return
-		}
-		assembled := s.AssembleTraces()
-		if q := r.URL.Query().Get("trace"); q != "" {
-			var one []*trace.TraceData
-			for _, td := range assembled {
-				if td.ID.String() == q {
-					one = append(one, td)
-				}
-			}
-			if len(one) == 0 {
-				http.NotFound(w, r)
-				return
-			}
-			assembled = one
-		}
-		_ = trace.WriteAssembledChromeTrace(w, assembled...)
-	})
+	}
+	return nil
+}
+
+// NewPlane assembles the cluster observability plane (cmd/pano-obsd,
+// the cluster experiment):
+//   - a scraper over cfg;
+//   - the plane's own registry — build info, event-ring drops when
+//     cfg.Log is set, the sampler's self-metrics — which joins the
+//     per-instance view as instance "obsd";
+//   - a sampler that observes the federated rollup every cfg.Interval,
+//     keeps window of history (0 is Config's default) and evaluates slos
+//     (nil evaluates none: the sampler is still the scrape clock);
+//   - the handler: /metrics (rollup, federation health, per-instance
+//     series), /debug/traces (assembled across targets on demand),
+//     /debug/slo, /debug/dash and /healthz.
+func NewPlane(cfg ScraperConfig, slos []SLO, window time.Duration) (*Scraper, *Sampler, http.Handler, error) {
+	sc, err := NewScraper(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sc.self = obs.NewRegistry()
+	obs.ExportBuildInfo(sc.self)
+	cfg.Log.ObserveDrops(sc.self)
+	if slos == nil {
+		slos = []SLO{}
+	}
+	smp := New(Config{Obs: sc.self, Interval: sc.cfg.Interval, Window: window, SLOs: slos, Log: cfg.Log})
+	smp.fed = sc
+	mux := http.NewServeMux()
+	Mount(mux, nil, nil, nil, smp)
+	mux.Handle("/metrics", metricsHandler(sc.exposition))
+	mux.Handle("/debug/traces", tracesHandler(sc.findTrace, sc.AssembleTraces))
+	return sc, smp, mux, nil
 }

@@ -17,7 +17,7 @@ import (
 func metricsServer(t *testing.T, r *obs.Registry) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", r.Handler())
+	Mount(mux, r, nil, nil, nil)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
@@ -209,30 +209,22 @@ func TestScraperUnmergeableHistograms(t *testing.T) {
 	}
 }
 
-// TestScraperFedSampler wires a Scraper as a Sampler Source and checks
-// the store sees exactly the rollup (one series per family — the
-// double-count hazard federation must avoid).
+// TestScraperFedSampler checks the plane's sampler stores exactly the
+// rollup (one series per family — the double-count hazard federation
+// must avoid).
 func TestScraperFedSampler(t *testing.T) {
 	regA, regB := obs.NewRegistry(), obs.NewRegistry()
 	ctA := regA.Counter("pano_client_rebuffer_seconds_total", "stall")
 	ctB := regB.Counter("pano_client_rebuffer_seconds_total", "stall")
 	srvA, srvB := metricsServer(t, regA), metricsServer(t, regB)
-	sc, err := NewScraper(ScraperConfig{
+	sc, smp, _, err := NewPlane(ScraperConfig{
 		Targets:  []ScrapeTarget{{Instance: "a", URL: srvA.URL}, {Instance: "b", URL: srvB.URL}},
 		Interval: time.Second,
-	})
+	}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	own := obs.NewRegistry()
-	smp := New(Config{
-		Obs:       own,
-		Interval:  time.Second,
-		SLOs:      []SLO{},
-		NoRuntime: true,
-		Source:    sc.Collect,
-		DashExtra: sc.DashPanels,
-	})
+	own := sc.self
 	now := time.Unix(1700000000, 0)
 	for i := 0; i < 5; i++ {
 		ctA.Add(1)
@@ -278,21 +270,16 @@ func TestScraperMetricsHandlerRoundTrip(t *testing.T) {
 	reg.Counter("pano_x_total", "x", obs.L("edge", "a")).Add(5)
 	reg.Histogram("pano_x_seconds", "lat", obs.DefBuckets).Observe(0.2)
 	srv := metricsServer(t, reg)
-	self := obs.NewRegistry()
-	self.Gauge("pano_build_info", "build", obs.L("commit", "abc"), obs.L("go_version", "go1.x")).Set(1)
-	sc, err := NewScraper(ScraperConfig{
-		Targets:      []ScrapeTarget{{Instance: "a", URL: srv.URL}},
-		Self:         self,
-		SelfInstance: "obsd",
-	})
+	sc, _, h, err := NewPlane(ScraperConfig{Targets: []ScrapeTarget{{Instance: "a", URL: srv.URL}}}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.Collect(time.Unix(1700000000, 0))
 
-	fed := httptest.NewServer(sc.MetricsHandler())
+	fed := httptest.NewServer(h)
 	defer fed.Close()
-	resp, err := http.Get(fed.URL)
+	metricsURL := fed.URL + "/metrics"
+	resp, err := http.Get(metricsURL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,10 +311,10 @@ func TestScraperMetricsHandlerRoundTrip(t *testing.T) {
 	}
 
 	// HEAD carries headers, no body; POST is rejected.
-	if resp, err := headReq(fed.URL); err != nil || resp.code != http.StatusOK || resp.body != 0 {
+	if resp, err := headReq(metricsURL); err != nil || resp.code != http.StatusOK || resp.body != 0 {
 		t.Errorf("HEAD /metrics: %+v err=%v", resp, err)
 	}
-	if pr, err := http.Post(fed.URL, "text/plain", nil); err == nil {
+	if pr, err := http.Post(metricsURL, "text/plain", nil); err == nil {
 		if pr.StatusCode != http.StatusMethodNotAllowed || pr.Header.Get("Allow") != "GET, HEAD" {
 			t.Errorf("POST /metrics: %d Allow=%q", pr.StatusCode, pr.Header.Get("Allow"))
 		}
@@ -364,8 +351,7 @@ func TestScraperTraceAssembly(t *testing.T) {
 
 	mk := func(tr *trace.Tracer) *httptest.Server {
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.NewRegistry().Handler())
-		mux.Handle("/debug/traces", tr.Handler())
+		Mount(mux, obs.NewRegistry(), nil, tr, nil)
 		srv := httptest.NewServer(mux)
 		t.Cleanup(srv.Close)
 		return srv
@@ -373,11 +359,11 @@ func TestScraperTraceAssembly(t *testing.T) {
 	srvA, srvB := mk(trA), mk(trB)
 	// A third target without a tracer endpoint must be skipped quietly.
 	srvC := metricsServer(t, obs.NewRegistry())
-	sc, err := NewScraper(ScraperConfig{Targets: []ScrapeTarget{
+	sc, _, h, err := NewPlane(ScraperConfig{Targets: []ScrapeTarget{
 		{Instance: "client", URL: srvA.URL},
 		{Instance: "origin", URL: srvB.URL},
 		{Instance: "bare", URL: srvC.URL},
-	}})
+	}}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,9 +378,9 @@ func TestScraperTraceAssembly(t *testing.T) {
 		t.Errorf("spans = %d, want 3", len(assembled[0].Spans))
 	}
 
-	th := httptest.NewServer(sc.TraceHandler())
+	th := httptest.NewServer(h)
 	defer th.Close()
-	resp, err := http.Get(th.URL + "?trace=" + root.TraceID().String())
+	resp, err := http.Get(th.URL + "/debug/traces?trace=" + root.TraceID().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +389,7 @@ func TestScraperTraceAssembly(t *testing.T) {
 	if n, err := trace.ValidateChromeTrace(body); err != nil || n != 3 {
 		t.Errorf("assembled handler output: %d spans err=%v", n, err)
 	}
-	if resp, err := http.Get(th.URL + "?trace=00000000000000000000000000000001"); err == nil {
+	if resp, err := http.Get(th.URL + "/debug/traces?trace=00000000000000000000000000000001"); err == nil {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("unknown trace id: status %d, want 404", resp.StatusCode)
 		}

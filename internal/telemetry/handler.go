@@ -57,11 +57,9 @@ func (s *Sampler) dashSnapshot(now time.Time) DashSnapshot {
 			}
 		}
 	}
-	snap.Series = storePanels(s.store, now, s.cfg.Interval*dashPoints, func(name string) bool {
-		return strings.HasPrefix(name, "pano_telemetry_") // self-metrics would dominate the board
-	})
-	if s.cfg.DashExtra != nil {
-		snap.Series = append(snap.Series, s.cfg.DashExtra(now)...)
+	snap.Series = storePanels(s.store, now, s.cfg.Interval*dashPoints)
+	if s.fed != nil {
+		snap.Series = append(snap.Series, s.fed.dashPanels(now)...)
 	}
 	sort.SliceStable(snap.Series, func(i, j int) bool { return snap.Series[i].Name < snap.Series[j].Name })
 	return snap
@@ -69,14 +67,15 @@ func (s *Sampler) dashSnapshot(now time.Time) DashSnapshot {
 
 // storePanels renders a windowed store's families as dashboard panels:
 // gauges as raw sparklines, counters as per-interval rate deltas,
-// histograms as a p99 estimate over histWindow. Families for which skip
-// returns true are omitted; per-family fan-out is capped at
-// dashMaxPerFamily. Shared by the per-process dashboard (dashSnapshot)
-// and pano-obsd's per-instance federation panels.
-func storePanels(st *Store, now time.Time, histWindow time.Duration, skip func(name string) bool) []DashSeries {
+// histograms as a p99 estimate over histWindow. The sampler's own
+// pano_telemetry_* families are omitted (they would dominate the
+// board); per-family fan-out is capped at dashMaxPerFamily. Shared by
+// the per-process dashboard (dashSnapshot) and pano-obsd's
+// per-instance federation panels.
+func storePanels(st *Store, now time.Time, histWindow time.Duration) []DashSeries {
 	var out []DashSeries
 	for _, name := range st.Names() {
-		if skip != nil && skip(name) {
+		if strings.HasPrefix(name, "pano_telemetry_") {
 			continue
 		}
 		n := 0
@@ -88,7 +87,7 @@ func storePanels(st *Store, now time.Time, histWindow time.Duration, skip func(n
 			if len(pts) == 0 {
 				continue
 			}
-			ds := DashSeries{Name: name, Labels: labelString(sr), Kind: "gauge"}
+			ds := DashSeries{Name: name, Labels: labelString(sr.Labels), Kind: "gauge"}
 			if sr.Kind == CounterSeries {
 				ds.Kind = "rate"
 			}
@@ -124,7 +123,7 @@ func storePanels(st *Store, now time.Time, histWindow time.Duration, skip func(n
 			}
 			if q, ok := h.QuantileSince(0.99, now.Add(-histWindow)); ok {
 				out = append(out, DashSeries{
-					Name: name, Labels: labelStringH(h), Kind: "p99",
+					Name: name, Labels: labelString(h.Labels), Kind: "p99",
 					Points: []float64{q}, Last: q,
 				})
 				n++
@@ -134,17 +133,10 @@ func storePanels(st *Store, now time.Time, histWindow time.Duration, skip func(n
 	return out
 }
 
-func labelString(s *Series) string {
-	parts := make([]string, 0, len(s.Labels))
-	for _, l := range s.Labels {
-		parts = append(parts, l.Key+"="+l.Value)
-	}
-	return strings.Join(parts, ",")
-}
-
-func labelStringH(h *HistSeries) string {
-	parts := make([]string, 0, len(h.Labels))
-	for _, l := range h.Labels {
+// labelString renders a dashboard panel's labels as k=v,k=v.
+func labelString(labels []obs.Label) string {
+	parts := make([]string, 0, len(labels))
+	for _, l := range labels {
 		parts = append(parts, l.Key+"="+l.Value)
 	}
 	return strings.Join(parts, ",")

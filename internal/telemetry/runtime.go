@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"runtime"
 	rtm "runtime/metrics"
 
@@ -104,45 +105,23 @@ func cloneHist(h *rtm.Float64Histogram) *rtm.Float64Histogram {
 }
 
 // histDeltaQuantile estimates the q-quantile of cur-minus-prev on a
-// runtime/metrics histogram (len(Buckets) == len(Counts)+1; the first
-// and last boundaries may be ±Inf). An empty delta returns 0.
+// runtime/metrics histogram by obs.HistogramQuantile. A runtime
+// histogram has len(Buckets) == len(Counts)+1 edges; its first bucket
+// starts at -Inf or 0 (HistogramQuantile's lower edge is 0), and a
+// +Inf last edge is the overflow bucket, whose estimate saturates at
+// its finite lower edge. An empty delta returns 0.
 func histDeltaQuantile(q float64, cur, prev *rtm.Float64Histogram) float64 {
-	counts := make([]uint64, len(cur.Counts))
-	var total uint64
-	for i, c := range cur.Counts {
-		if prev != nil && len(prev.Counts) == len(cur.Counts) && prev.Counts[i] <= c {
-			c -= prev.Counts[i]
-		} else if prev != nil && len(prev.Counts) == len(cur.Counts) {
-			c = 0
+	counts := append([]uint64(nil), cur.Counts...)
+	if prev != nil && len(prev.Counts) == len(counts) {
+		for i, p := range prev.Counts {
+			counts[i] -= min(p, counts[i])
 		}
-		counts[i] = c
-		total += c
 	}
-	if total == 0 {
-		return 0
+	uppers := cur.Buckets[1:]
+	if math.IsInf(uppers[len(uppers)-1], 1) {
+		uppers = uppers[:len(uppers)-1]
+	} else {
+		counts = append(counts, 0)
 	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank > next {
-			cum = next
-			continue
-		}
-		lo, hi := cur.Buckets[i], cur.Buckets[i+1]
-		if lo < 0 || lo != lo { // -Inf or NaN lower edge
-			lo = 0
-		}
-		if hi > lo && hi == hi && !isInf(hi) {
-			frac := (rank - cum) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		return lo
-	}
-	return 0
+	return obs.HistogramQuantile(q, uppers, counts)
 }
-
-func isInf(v float64) bool { return v > 1e308 || v < -1e308 }

@@ -14,72 +14,17 @@ type Point struct {
 	V float64   `json:"v"`
 }
 
-// ring is a fixed-capacity Point buffer.
-type ring struct {
-	pts  []Point
-	next int
-	full bool
-}
-
-func newRing(n int) *ring { return &ring{pts: make([]Point, n)} }
-
-func (r *ring) add(p Point) {
-	r.pts[r.next] = p
-	r.next = (r.next + 1) % len(r.pts)
-	if r.next == 0 {
-		r.full = true
+// windowStart returns the index of the newest sample taken at or before
+// t among n oldest-first samples; when every one is newer it is 0, the
+// oldest (the window is clamped to available history, so a young
+// process evaluates its slow window over whatever it has — standard
+// burn-rate behaviour).
+func windowStart(n int, t time.Time, at func(i int) time.Time) int {
+	i := 0
+	for i+1 < n && !at(i+1).After(t) {
+		i++
 	}
-}
-
-// points returns the retained samples, oldest first.
-func (r *ring) points() []Point {
-	if !r.full {
-		return append([]Point(nil), r.pts[:r.next]...)
-	}
-	out := make([]Point, 0, len(r.pts))
-	out = append(out, r.pts[r.next:]...)
-	out = append(out, r.pts[:r.next]...)
-	return out
-}
-
-func (r *ring) latest() (Point, bool) {
-	if r.next == 0 && !r.full {
-		return Point{}, false
-	}
-	i := r.next - 1
-	if i < 0 {
-		i = len(r.pts) - 1
-	}
-	return r.pts[i], true
-}
-
-func (r *ring) oldest() (Point, bool) {
-	if r.full {
-		return r.pts[r.next], true
-	}
-	if r.next == 0 {
-		return Point{}, false
-	}
-	return r.pts[0], true
-}
-
-// atOrBefore returns the most recent point with T <= t; when every
-// retained point is newer it falls back to the oldest (the window is
-// clamped to available history, so a young process evaluates its slow
-// window over whatever it has — standard burn-rate behaviour).
-func (r *ring) atOrBefore(t time.Time) (Point, bool) {
-	pts := r.points()
-	if len(pts) == 0 {
-		return Point{}, false
-	}
-	best := pts[0]
-	for _, p := range pts {
-		if p.T.After(t) {
-			break
-		}
-		best = p
-	}
-	return best, true
+	return i
 }
 
 // SeriesKind distinguishes how a windowed series is interpreted.
@@ -102,12 +47,12 @@ type Series struct {
 	Labels []obs.Label
 	Kind   SeriesKind
 	mu     sync.RWMutex
-	ring   *ring
+	ring   *obs.Ring[Point]
 }
 
 func (s *Series) add(p Point) {
 	s.mu.Lock()
-	s.ring.add(p)
+	s.ring.Push(p)
 	s.mu.Unlock()
 }
 
@@ -115,37 +60,33 @@ func (s *Series) add(p Point) {
 func (s *Series) Points() []Point {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.ring.points()
+	return s.ring.All()
 }
 
 // Last returns the most recent sample (false when empty).
 func (s *Series) Last() (Point, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.ring.latest()
+	return s.ring.Newest()
 }
 
 // Oldest returns the oldest retained sample (false when empty).
 func (s *Series) Oldest() (Point, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.ring.oldest()
+	return s.ring.Oldest()
 }
 
 // DeltaSince returns the counter increase over [t, latest]; gauges
 // return the difference of endpoint samples. False when fewer than one
 // sample is retained.
 func (s *Series) DeltaSince(t time.Time) (float64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	last, ok := s.ring.latest()
-	if !ok {
+	pts := s.Points()
+	if len(pts) == 0 {
 		return 0, false
 	}
-	first, ok := s.ring.atOrBefore(t)
-	if !ok {
-		return 0, false
-	}
+	first := pts[windowStart(len(pts), t, func(i int) time.Time { return pts[i].T })]
+	last := pts[len(pts)-1]
 	d := last.V - first.V
 	if s.Kind == CounterSeries && d < 0 {
 		// Source restarted (counter reset): count from zero.
@@ -171,48 +112,26 @@ type HistSeries struct {
 	Labels []obs.Label
 	Uppers []float64
 	mu     sync.RWMutex
-	snaps  []histSnap
-	next   int
-	full   bool
+	snaps  *obs.Ring[histSnap]
 }
 
 func (h *HistSeries) add(s histSnap) {
 	h.mu.Lock()
-	h.snaps[h.next] = s
-	h.next = (h.next + 1) % len(h.snaps)
-	if h.next == 0 {
-		h.full = true
-	}
+	h.snaps.Push(s)
 	h.mu.Unlock()
-}
-
-func (h *HistSeries) ordered() []histSnap {
-	if !h.full {
-		return h.snaps[:h.next]
-	}
-	out := make([]histSnap, 0, len(h.snaps))
-	out = append(out, h.snaps[h.next:]...)
-	out = append(out, h.snaps[:h.next]...)
-	return out
 }
 
 // deltaSince returns per-bucket count deltas (and total-count delta)
 // over [t, latest], clamped to available history.
 func (h *HistSeries) deltaSince(t time.Time) (counts []uint64, n uint64, ok bool) {
 	h.mu.RLock()
-	defer h.mu.RUnlock()
-	snaps := h.ordered()
+	snaps := h.snaps.All()
+	h.mu.RUnlock()
 	if len(snaps) == 0 {
 		return nil, 0, false
 	}
 	last := snaps[len(snaps)-1]
-	first := snaps[0]
-	for _, s := range snaps {
-		if s.t.After(t) {
-			break
-		}
-		first = s
-	}
+	first := snaps[windowStart(len(snaps), t, func(i int) time.Time { return snaps[i].t })]
 	if last.count < first.count || len(last.counts) != len(first.counts) {
 		// Reset: treat the latest cumulative state as the delta.
 		return append([]uint64(nil), last.counts...), last.count, true
@@ -272,7 +191,7 @@ func (st *Store) Observe(t time.Time, snap []obs.SnapshotSeries) {
 			if h == nil {
 				h = &HistSeries{
 					Name: ss.Name, Labels: ss.Labels, Uppers: ss.Uppers,
-					snaps: make([]histSnap, st.capN),
+					snaps: obs.NewRing[histSnap](st.capN),
 				}
 				st.hists[key] = h
 				st.byName[ss.Name] = append(st.byName[ss.Name], key)
@@ -288,7 +207,7 @@ func (st *Store) Observe(t time.Time, snap []obs.SnapshotSeries) {
 				if ss.Type == "counter" {
 					kind = CounterSeries
 				}
-				s = &Series{Name: ss.Name, Labels: ss.Labels, Kind: kind, ring: newRing(st.capN)}
+				s = &Series{Name: ss.Name, Labels: ss.Labels, Kind: kind, ring: obs.NewRing[Point](st.capN)}
 				st.series[key] = s
 				st.byName[ss.Name] = append(st.byName[ss.Name], key)
 			}

@@ -154,6 +154,18 @@ type SLOStatus struct {
 	Metric      string  `json:"metric"`
 }
 
+// status is the SLO's configured shape in state, before any burn,
+// value or transition is filled in.
+func (s SLO) status(state SLOState) SLOStatus {
+	return SLOStatus{
+		Name: s.Name, Kind: s.Kind.String(), State: state.String(),
+		Threshold: s.Threshold, Budget: s.Budget,
+		WarnBurn: s.WarnBurn, PageBurn: s.PageBurn,
+		FastSec: s.FastWindow.Seconds(), SlowSec: s.SlowWindow.Seconds(),
+		Guards: s.Guards, Metric: s.Metric,
+	}
+}
+
 // sloEval is one SLO's evaluation state inside the sampler.
 type sloEval struct {
 	slo         SLO
@@ -254,14 +266,8 @@ func (e *sloEval) evaluate(st *Store, now time.Time) (from, to SLOState, changed
 		e.clearStreak = 0
 	}
 
-	e.last = SLOStatus{
-		Name: s.Name, Kind: s.Kind.String(), State: e.state.String(),
-		BurnFast: burnFast, BurnSlow: burnSlow, Value: value, HasData: hasFast,
-		Threshold: s.Threshold, Budget: s.Budget,
-		WarnBurn: s.WarnBurn, PageBurn: s.PageBurn,
-		FastSec: s.FastWindow.Seconds(), SlowSec: s.SlowWindow.Seconds(),
-		Guards: s.Guards, Metric: s.Metric,
-	}
+	e.last = s.status(e.state)
+	e.last.BurnFast, e.last.BurnSlow, e.last.Value, e.last.HasData = burnFast, burnSlow, value, hasFast
 	if s.Kind == SLOQuantile {
 		e.last.Quantile = s.Quantile
 	}

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"pano/internal/obs"
-	"pano/internal/trace"
 )
 
 // Config tunes a Sampler.
@@ -45,24 +44,9 @@ type Config struct {
 	// events); nil disables. Its ring-buffer drop count is mirrored as
 	// pano_events_dropped_total when ObserveDrops was wired.
 	Log *obs.EventLog
-	// Tracer, when set, has its bounded-store span drops mirrored each
-	// tick as the pano_trace_store_dropped_spans gauge.
-	Tracer *trace.Tracer
 	// NoRuntime disables Go runtime health sampling (heap, GC pauses,
 	// goroutines, scheduler latency).
 	NoRuntime bool
-	// Source, when set, replaces the Obs.Snapshot() scrape as the series
-	// fed into the windowed store each tick — this is how pano-obsd
-	// points the stock SLO engine at federated cluster rollups instead
-	// of its own process registry. It is called outside the sampler's
-	// lock (it may do network I/O, as the federation scraper does), once
-	// per tick, with the tick's logical time. Obs is still required: it
-	// remains the sink for telemetry's own signals.
-	Source func(now time.Time) []obs.SnapshotSeries
-	// DashExtra, when set, contributes additional dashboard panels each
-	// frame (pano-obsd adds per-instance series alongside the rollup
-	// panels the store provides). Called without the sampler lock held.
-	DashExtra func(now time.Time) []DashSeries
 }
 
 // Sampler periodically scrapes a registry into the windowed store and
@@ -73,16 +57,18 @@ type Sampler struct {
 	cfg   Config
 	store *Store
 	rt    *runtimeSampler
+	// fed, set by NewPlane only, replaces the Obs.Snapshot() scrape with
+	// the federated rollup and adds its per-instance dashboard panels.
+	fed *Scraper
 
 	mu    sync.Mutex
 	evals []*sloEval
 	lastT time.Time
 
-	scrapes    *obs.Counter
-	scrapeSec  *obs.Histogram
-	seriesLen  *obs.Gauge
-	transCt    func(slo, to string) // transition counter helper
-	traceDrops *obs.Gauge
+	scrapes   *obs.Counter
+	scrapeSec *obs.Histogram
+	seriesLen *obs.Gauge
+	transCt   func(slo, to string) // transition counter helper
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -127,16 +113,11 @@ func New(cfg Config) *Sampler {
 			"wall time of one scrape+evaluate tick", obs.ExponentialBuckets(1e-6, 4, 10)),
 		seriesLen: reg.Gauge("pano_telemetry_series",
 			"distinct series held by the windowed store"),
-		traceDrops: nil,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-		subs:       make(map[chan []byte]struct{}),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+		subs: make(map[chan []byte]struct{}),
 		sseDropped: reg.Counter("pano_telemetry_sse_dropped_total",
 			"dashboard snapshots dropped because an SSE client was slow"),
-	}
-	if cfg.Tracer != nil {
-		s.traceDrops = reg.Gauge("pano_trace_store_dropped_spans",
-			"spans the tracer's bounded store has rejected (mirror of Tracer.DroppedSpans)")
 	}
 	if !cfg.NoRuntime {
 		s.rt = newRuntimeSampler(reg)
@@ -183,19 +164,16 @@ func (s *Sampler) Step(now time.Time) {
 	}
 	t0 := time.Now()
 	var snap []obs.SnapshotSeries
-	if s.cfg.Source != nil {
-		// External source (federation): collect before taking the lock —
-		// it may block on the network, and readers must stay responsive.
-		snap = s.cfg.Source(now)
+	if s.fed != nil {
+		// Federation: collect before taking the lock — it blocks on the
+		// network, and readers must stay responsive.
+		snap = s.fed.Collect(now)
 	}
 	s.mu.Lock()
 	if s.rt != nil {
 		s.rt.sample()
 	}
-	if s.traceDrops != nil {
-		s.traceDrops.Set(float64(s.cfg.Tracer.DroppedSpans()))
-	}
-	if s.cfg.Source == nil {
+	if s.fed == nil {
 		snap = s.cfg.Obs.Snapshot()
 	}
 	s.store.Observe(now, snap)
@@ -276,14 +254,7 @@ func (s *Sampler) States() []SLOStatus {
 		out[i] = e.last
 		if out[i].Name == "" {
 			// Never evaluated yet: report the configured shape at ok.
-			slo := e.slo
-			out[i] = SLOStatus{
-				Name: slo.Name, Kind: slo.Kind.String(), State: StateOK.String(),
-				Threshold: slo.Threshold, Budget: slo.Budget,
-				WarnBurn: slo.WarnBurn, PageBurn: slo.PageBurn,
-				FastSec: slo.FastWindow.Seconds(), SlowSec: slo.SlowWindow.Seconds(),
-				Guards: slo.Guards, Metric: slo.Metric,
-			}
+			out[i] = e.slo.status(StateOK)
 		}
 	}
 	return out

@@ -4,7 +4,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 )
@@ -44,10 +43,10 @@ func ParseChromeTrace(data []byte) ([]*TraceData, error) {
 		}
 		var tid TraceID
 		var sid SpanID
-		if n, err := hex.Decode(tid[:], []byte(tidHex)); err != nil || n != len(tid) {
+		if !decodeID(tid[:], tidHex) {
 			return nil, fmt.Errorf("trace: event %d (%s): bad trace_id %q", i, ev.Name, tidHex)
 		}
-		if n, err := hex.Decode(sid[:], []byte(sidHex)); err != nil || n != len(sid) {
+		if !decodeID(sid[:], sidHex) {
 			return nil, fmt.Errorf("trace: event %d (%s): bad span_id %q", i, ev.Name, sidHex)
 		}
 		sd := SpanData{
@@ -59,7 +58,7 @@ func ParseChromeTrace(data []byte) ([]*TraceData, error) {
 		}
 		if pHex, ok := ev.Args["parent_id"].(string); ok {
 			var pid SpanID
-			if n, err := hex.Decode(pid[:], []byte(pHex)); err != nil || n != len(pid) {
+			if !decodeID(pid[:], pHex) {
 				return nil, fmt.Errorf("trace: event %d (%s): bad parent_id %q", i, ev.Name, pHex)
 			}
 			sd.Parent = pid
@@ -94,6 +93,15 @@ func ParseChromeTrace(data []byte) ([]*TraceData, error) {
 	return out, nil
 }
 
+// decodeID decodes s, exactly 2*len(id) hex digits, into id.
+func decodeID(id []byte, s string) bool {
+	if len(s) != 2*len(id) {
+		return false
+	}
+	_, err := hex.Decode(id, []byte(s))
+	return err == nil
+}
+
 // ProcessTraces is one process's contribution to cluster assembly: the
 // traces scraped from its /debug/traces endpoint, tagged with the
 // instance name they came from.
@@ -108,7 +116,8 @@ type ProcessTraces struct {
 // TraceData. Each span is tagged with a "process" attribute naming the
 // instance that recorded it; spans seen from several scrapes dedupe by
 // span ID (first wins). Traces are returned sorted by ID and spans by
-// start time, so assembly of the same fragments is byte-stable.
+// start time, so assembly of the same fragments is byte-stable;
+// WriteChromeTrace gives each process its own lane.
 func AssembleTraces(procs []ProcessTraces) []*TraceData {
 	byID := map[TraceID]*TraceData{}
 	seen := map[TraceID]map[SpanID]bool{}
@@ -156,72 +165,4 @@ func (t *TraceData) Processes() []string {
 		}
 	}
 	return out
-}
-
-// WriteAssembledChromeTrace renders assembled cross-process traces as
-// Chrome trace-event JSON with one thread track per contributing
-// process (named after it), so a single timeline shows the request
-// hopping client→edge→origin. Spans keep their process attribute in
-// args; the output passes ValidateChromeTrace and loads in Perfetto.
-func WriteAssembledChromeTrace(w io.Writer, traces ...*TraceData) error {
-	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
-	for pi, td := range traces {
-		if td == nil || len(td.Spans) == 0 {
-			continue
-		}
-		pid := pi + 1
-		name := td.ID.String()
-		if r := td.Root(); r != nil {
-			name = r.Name + " " + name
-		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
-			Args: map[string]any{"name": name},
-		})
-		tidOf := map[string]int{}
-		spans := append([]SpanData(nil), td.Spans...)
-		sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
-		for i := range spans {
-			sd := &spans[i]
-			proc, _ := sd.Attr("process").(string)
-			if proc == "" {
-				proc = "unknown"
-			}
-			tid, ok := tidOf[proc]
-			if !ok {
-				tid = len(tidOf) + 1
-				tidOf[proc] = tid
-				out.TraceEvents = append(out.TraceEvents, chromeEvent{
-					Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-					Args: map[string]any{"name": proc},
-				})
-			}
-			args := map[string]any{
-				"trace_id": sd.Trace.String(),
-				"span_id":  sd.ID.String(),
-			}
-			if !sd.Parent.IsZero() {
-				args["parent_id"] = sd.Parent.String()
-			}
-			if sd.Err != "" {
-				args["error_class"] = sd.Err
-			}
-			for _, a := range sd.Attrs {
-				args[a.Key] = a.Value
-			}
-			cat := "span"
-			if sd.Err != "" {
-				cat = "error"
-			}
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: sd.Name, Ph: "X", Cat: cat,
-				Ts:  float64(sd.Start.UnixNano()) / 1e3,
-				Dur: maxf(float64(sd.Dur.Nanoseconds())/1e3, 0.001),
-				Pid: pid, Tid: tid, Args: args,
-			})
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
 }

@@ -140,7 +140,7 @@ func TestWriteAssembledChromeTrace(t *testing.T) {
 	procs, shared := buildProcs(t)
 	assembled := AssembleTraces(procs)
 	var buf bytes.Buffer
-	if err := WriteAssembledChromeTrace(&buf, assembled...); err != nil {
+	if err := WriteChromeTrace(&buf, assembled...); err != nil {
 		t.Fatal(err)
 	}
 	spans, err := ValidateChromeTrace(buf.Bytes())
@@ -169,7 +169,7 @@ func TestWriteAssembledChromeTrace(t *testing.T) {
 	// Determinism: assembling the same fragments again renders the same
 	// bytes (the bench gate depends on this).
 	var buf2 bytes.Buffer
-	if err := WriteAssembledChromeTrace(&buf2, AssembleTraces(procs)...); err != nil {
+	if err := WriteChromeTrace(&buf2, AssembleTraces(procs)...); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -181,6 +181,8 @@ func TestParseChromeTraceRejectsBadIDs(t *testing.T) {
 	bad := []string{
 		`{"traceEvents":[{"name":"x","ph":"X","ts":1,"pid":1,"tid":1,"args":{"trace_id":"zz","span_id":"0102030405060708"}}]}`,
 		`{"traceEvents":[{"name":"x","ph":"X","ts":1,"pid":1,"tid":1,"args":{"trace_id":"000102030405060708090a0b0c0d0e0f","span_id":"nope"}}]}`,
+		// An id longer than its type is refused, not decoded past it.
+		`{"traceEvents":[{"name":"x","ph":"X","ts":1,"pid":1,"tid":1,"args":{"trace_id":"000102030405060708090a0b0c0d0e0f1011","span_id":"0102030405060708"}}]}`,
 		`not json`,
 	}
 	for _, in := range bad {

@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-
-	"pano/internal/obs"
 )
 
 // Traceparent renders the span as a W3C trace-context traceparent
@@ -90,22 +88,26 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// componentTid maps a span's component attribute to a stable thread
-// lane, so client/sim work and server work render as separate tracks.
-func componentTid(sd *SpanData) int {
-	switch sd.Attr("component") {
-	case "server":
-		return 2
-	default:
-		return 1
+// lane names the thread track a span renders on: the process that
+// recorded it when the trace was assembled across processes, else
+// "server" for a server-side span and "client" for everything else.
+func lane(sd *SpanData) string {
+	if p, _ := sd.Attr("process").(string); p != "" {
+		return p
 	}
+	if sd.Attr("component") == "server" {
+		return "server"
+	}
+	return "client"
 }
 
 // WriteChromeTrace renders traces in Chrome trace-event JSON (object
 // form, ph "X" complete events, microsecond timestamps): one process
-// per trace, one thread per component, span attributes in args. The
-// output loads directly in Perfetto (ui.perfetto.dev) and
-// chrome://tracing.
+// per trace, one thread per lane, span attributes in args. Lanes are
+// numbered from 1 in the order they first appear once the spans are
+// stably sorted by start time, so an assembled trace shows the request
+// hopping client → edge → origin on one timeline. The output loads
+// directly in Perfetto (ui.perfetto.dev) and chrome://tracing.
 func WriteChromeTrace(w io.Writer, traces ...*TraceData) error {
 	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
 	for pi, td := range traces {
@@ -121,18 +123,19 @@ func WriteChromeTrace(w io.Writer, traces ...*TraceData) error {
 			Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
 			Args: map[string]any{"name": name},
 		})
-		tids := map[int]string{1: "client", 2: "server"}
-		seen := map[int]bool{}
+		tids := map[string]int{}
 		spans := append([]SpanData(nil), td.Spans...)
-		sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+		sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
 		for i := range spans {
 			sd := &spans[i]
-			tid := componentTid(sd)
-			if !seen[tid] {
-				seen[tid] = true
+			ln := lane(sd)
+			tid, ok := tids[ln]
+			if !ok {
+				tid = len(tids) + 1
+				tids[ln] = tid
 				out.TraceEvents = append(out.TraceEvents, chromeEvent{
 					Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-					Args: map[string]any{"name": tids[tid]},
+					Args: map[string]any{"name": ln},
 				})
 			}
 			args := map[string]any{
@@ -213,41 +216,4 @@ func ValidateChromeTrace(data []byte) (int, error) {
 		}
 	}
 	return spans, nil
-}
-
-// Handler serves the store's finished traces as Chrome trace-event
-// JSON; mount it at /debug/traces. ?trace=<hex id> selects one trace
-// (404 when absent). A nil tracer serves 503; non-GET/HEAD methods get
-// 405, matching the other debug endpoints.
-func (t *Tracer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !obs.AllowGetHead(w, r) {
-			return
-		}
-		if t == nil {
-			http.Error(w, "tracing disabled", http.StatusServiceUnavailable)
-			return
-		}
-		var traces []*TraceData
-		if q := r.URL.Query().Get("trace"); q != "" {
-			var id TraceID
-			if n, err := hex.Decode(id[:], []byte(q)); err != nil || n != len(id) {
-				http.Error(w, "bad trace id", http.StatusBadRequest)
-				return
-			}
-			td := t.Trace(id)
-			if td == nil {
-				http.NotFound(w, r)
-				return
-			}
-			traces = []*TraceData{td}
-		} else {
-			traces = t.Traces()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if r.Method == http.MethodHead {
-			return
-		}
-		_ = WriteChromeTrace(w, traces...)
-	})
 }

@@ -3,6 +3,8 @@ package trace
 import (
 	"sync"
 	"time"
+
+	"pano/internal/obs"
 )
 
 // SpanData is one finished span as retained by the store.
@@ -68,7 +70,7 @@ type store struct {
 	maxTraces int
 	maxSpans  int
 	traces    map[TraceID]*TraceData
-	order     []TraceID // completion order, oldest first
+	order     *obs.Ring[TraceID] // completion order, oldest first
 	droppedN  uint64
 }
 
@@ -77,6 +79,7 @@ func newStore(maxTraces, maxSpans int) *store {
 		maxTraces: maxTraces,
 		maxSpans:  maxSpans,
 		traces:    make(map[TraceID]*TraceData),
+		order:     obs.NewRing[TraceID](maxTraces),
 	}
 }
 
@@ -105,10 +108,7 @@ func (st *store) add(sd SpanData, root bool) bool {
 	}
 	if root && !td.Complete {
 		td.Complete = true
-		st.order = append(st.order, sd.Trace)
-		for len(st.order) > st.maxTraces {
-			evict := st.order[0]
-			st.order = st.order[1:]
+		if evict, ok := st.order.Push(sd.Trace); ok {
 			delete(st.traces, evict)
 		}
 	}
@@ -120,8 +120,9 @@ func (st *store) add(sd SpanData, root bool) bool {
 func (st *store) finished() []*TraceData {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]*TraceData, 0, len(st.order))
-	for _, id := range st.order {
+	ids := st.order.All()
+	out := make([]*TraceData, 0, len(ids))
+	for _, id := range ids {
 		if td := st.traces[id]; td != nil {
 			out = append(out, td.clone())
 		}

@@ -439,61 +439,6 @@ func TestChromeTraceExportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDebugTracesHandler(t *testing.T) {
-	tr := New(Config{Seed: 14})
-	_, root := tr.Start(context.Background(), "session")
-	root.End()
-
-	ts := httptest.NewServer(tr.Handler())
-	defer ts.Close()
-
-	get := func(path string) (int, string) {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var b bytes.Buffer
-		b.ReadFrom(resp.Body)
-		return resp.StatusCode, b.String()
-	}
-	if code, body := get(""); code != http.StatusOK {
-		t.Errorf("GET = %d (%s)", code, body)
-	} else if _, err := ValidateChromeTrace([]byte(body)); err != nil {
-		t.Errorf("handler output invalid: %v", err)
-	}
-	if code, _ := get("?trace=" + root.TraceHex()); code != http.StatusOK {
-		t.Errorf("GET ?trace= = %d", code)
-	}
-	if code, _ := get("?trace=zz"); code != http.StatusBadRequest {
-		t.Errorf("bad id = %d, want 400", code)
-	}
-	if code, _ := get("?trace=" + strings.Repeat("a", 32)); code != http.StatusNotFound {
-		t.Errorf("unknown id = %d, want 404", code)
-	}
-	resp, err := http.Post(ts.URL, "text/plain", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") == "" {
-		t.Errorf("POST = %d Allow=%q, want 405 with Allow", resp.StatusCode, resp.Header.Get("Allow"))
-	}
-
-	// A nil tracer's handler answers 503.
-	var nilTr *Tracer
-	ts2 := httptest.NewServer(nilTr.Handler())
-	defer ts2.Close()
-	resp, err = http.Get(ts2.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("nil handler = %d, want 503", resp.StatusCode)
-	}
-}
-
 func TestConcurrentSpansRace(t *testing.T) {
 	tr := New(Config{Seed: 15, MaxTraces: 8, MaxSpansPerTrace: 64})
 	var wg sync.WaitGroup
