@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmt race fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider fuzz-fleet trace edge dash swarm fleet cluster live lut benchdiff bench microbench loc clean
+.PHONY: build test check vet fmt race fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider fuzz-fleet trace edge swarm fleet cluster live lut benchdiff bench microbench loc clean
 
 build:
 	$(GO) build ./...
@@ -96,10 +96,11 @@ fuzz-fleet:
 	$(GO) test -run '^$$' -fuzz FuzzLadder -fuzztime 20s ./internal/fleet
 
 # One traced session end to end: a seeded simulator run (per-phase
-# latency breakdown lands in BENCH_trace.json) plus a chaos-wrapped HTTP
-# session whose client and server spans stitch into one trace. The
-# exported trace.perfetto.json is shape-validated and loads in Perfetto
-# (ui.perfetto.dev) or chrome://tracing.
+# latency breakdown lands in BENCH_trace.json). The exported
+# trace.perfetto.json is shape-validated and loads in Perfetto
+# (ui.perfetto.dev) or chrome://tracing. Client and server spans
+# stitching across the HTTP hop is internal/client's
+# TestStreamTraceStitchesAcrossRetries, and across processes `cluster`.
 trace:
 	$(GO) run ./cmd/pano-bench -scale quick trace
 
@@ -107,12 +108,6 @@ trace:
 # overlapping sessions direct vs via edge; lands in BENCH_edge.json).
 edge:
 	$(GO) run ./cmd/pano-bench -scale quick edge
-
-# The telemetry experiment — healthy → chaos → recovery in logical
-# time, with the rebuffer SLO paging and recovering and the sampler's
-# Step overhead measured (lands in BENCH_telemetry.json).
-dash:
-	$(GO) run ./cmd/pano-bench -scale quick telemetry
 
 # The virtual-time swarm's population-scaling experiment (1k → 1M
 # sessions, lands in BENCH_swarm.json) gated against the committed
@@ -137,9 +132,10 @@ fleet:
 
 # The cluster observability experiment — five live processes scraped
 # by an obsd plane, an origin killed and revived, fleet-wide SLOs paging
-# on the merged series, and the rollup proven bit-exact against
-# per-process sums (lands in BENCH_cluster.json) gated against the
-# committed baseline. The info column carries wall-clock detail (page
+# on the merged series (and obsd's own /debug/slo reading non-ok at the
+# outage peak and ok after recovery), and the rollup proven bit-exact
+# against per-process sums (lands in BENCH_cluster.json) gated against
+# the committed baseline. The info column carries wall-clock detail (page
 # steps, span counts), so the gate ignores it.
 cluster:
 	$(GO) run ./cmd/pano-bench -scale quick cluster
@@ -177,7 +173,7 @@ THRESHOLD ?= 0.10
 benchdiff:
 	$(GO) run ./cmd/pano-benchdiff -threshold $(THRESHOLD) $(OLD) $(NEW)
 
-check: vet fmt race trace edge dash swarm fleet cluster live lut
+check: vet fmt race trace edge swarm fleet cluster live lut
 
 # Quick-scale paper evaluation; writes BENCH_<id>.json files.
 bench: build microbench
@@ -197,18 +193,20 @@ bench: build microbench
 # one netem tile), the request path hop by hop (BenchmarkOriginTileGET:
 # a store-backed origin's tile GET into a recorder; BenchmarkFleetFetch:
 # one Fetch over loopback through two origins; BenchmarkEdgeHit: a cache
-# hit over loopback, with and without a registry) and the manifest's
+# hit over loopback, with and without a registry), the manifest's
 # wire codec (BenchmarkManifestWire: encode and decode of the benchmark
-# manifest's shape, with its bytes per tile); appends to
+# manifest's shape, with its bytes per tile) and the telemetry
+# sampler's tick (BenchmarkSamplerStep: scrape and SLO evaluation over
+# a player's registry after two sim sessions); appends to
 # BENCH_micro.txt with the commit hash so runs diff across commits with
 # benchstat or plain text tools.
 microbench:
 	@echo "## $$(git rev-parse --short HEAD 2>/dev/null || echo dirty) $$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> BENCH_micro.txt
-	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|OriginTileGET|FleetFetch|EdgeHit|ManifestWire' -benchmem \
+	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|OriginTileGET|FleetFetch|EdgeHit|ManifestWire|SamplerStep' -benchmem \
 		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr \
 		./internal/player ./internal/scene ./internal/codec ./internal/provider \
 		./internal/client ./internal/swarm ./internal/store ./internal/fleet \
-		./internal/edge ./internal/manifest | tee -a BENCH_micro.txt
+		./internal/edge ./internal/manifest ./internal/telemetry | tee -a BENCH_micro.txt
 
 # The four line counts ROADMAP quotes, so "net LoC down" is one command:
 # non-test Go outside benchmark/, test Go outside benchmark/, the

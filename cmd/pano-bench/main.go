@@ -8,13 +8,14 @@
 // With no ids, every experiment runs in order. Ids match DESIGN.md §3:
 // fig1 fig3 fig4 fig6 fig7 fig8 fig10 fig13 fig14 fig15 fig16a fig16b
 // fig16c fig16d fig17a fig17b fig17c fig18a fig18b tab2 tab3 lut prune,
-// plus the extensions joint3, crossuser, parallel, chaos (streaming
-// under scripted fault profiles — abort rate, retries, degraded/skipped
-// tile fractions, mean PSPNR — lands in BENCH_chaos.json), and edge
-// (20 concurrent overlapping sessions direct vs through the
-// internal/edge caching proxy — origin offload, hit ratio, coalesced
-// fetches, tile latency percentiles — lands in BENCH_edge.json). fig14
-// writes its snapshot PNGs into ./fig14-out.
+// plus the extensions joint3, crossuser, chaos (streaming under scripted
+// fault profiles), trace (one traced sim session's per-phase
+// breakdown), edge (sessions direct vs through the caching proxy),
+// swarm (virtual-time populations), fleet (an origin shard lost
+// mid-run), cluster (the obsd plane over five processes, an origin
+// killed and revived) and live (the live pipeline and store);
+// EXPERIMENTS.md says what each measures. fig14 writes its snapshot
+// PNGs into ./fig14-out.
 //
 // Each experiment's result is also written as machine-readable JSON to
 // BENCH_<id>.json under -json-dir (default the working directory; set

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -107,6 +108,24 @@ func TestStreamTraceStitchesAcrossRetries(t *testing.T) {
 	}
 	if faultedAttempts != chaosFaults {
 		t.Errorf("faulted attempts = %d, chaos faults = %d", faultedAttempts, chaosFaults)
+	}
+	// Faults annotate handler spans and nothing else, so there are never
+	// more fault marks than handler spans.
+	var marked int
+	for i := range td.Spans {
+		for _, a := range td.Spans[i].Attrs {
+			if strings.HasPrefix(a.Key, "chaos.") {
+				if td.Spans[i].Name != "http_request" {
+					t.Errorf("chaos annotation %s on a %q span, want http_request", a.Key, td.Spans[i].Name)
+				}
+				marked++
+				break
+			}
+		}
+	}
+	if marked != chaosFaults || marked > len(reqs) {
+		t.Errorf("%d spans carry a chaos annotation, %d chaos.error faults, %d handler spans",
+			marked, chaosFaults, len(reqs))
 	}
 	// Retries recorded on spans agree with the session result: every tile
 	// gets one attempt span per failure (a retry) plus one for its

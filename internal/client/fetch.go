@@ -114,10 +114,6 @@ func (p FetchPolicy) WithDefaults() FetchPolicy {
 	return p
 }
 
-// HedgingEnabled reports whether the policy allows hedged fetches
-// (negative HedgeDelay turns them off).
-func (p FetchPolicy) HedgingEnabled() bool { return p.HedgeDelay >= 0 }
-
 // attemptTimeout derives the per-attempt deadline from buffer
 // occupancy: each attempt may spend at most half the remaining playback
 // buffer, floored at MinAttemptTimeout and capped at AttemptTimeout.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -58,10 +59,16 @@ type ClusterBenchResult struct {
 	PerfettoEvents    int // validated X events of cluster.perfetto.json
 	BuildVersions     int // distinct pano_build_info commits across the fleet
 	WallSec           float64
+
+	// SLOStateOutage and SLOStateFinal are the overall state obsd's
+	// /debug/slo serves at the outage peak and after recovery;
+	// RebufferTransitions is the rebuffer SLO's transition count there.
+	SLOStateOutage, SLOStateFinal string
+	RebufferTransitions           uint64
 }
 
 // Cluster bench topology and logical-time schedule (one tick per
-// simulated second, exactly like the telemetry bench).
+// simulated second).
 const (
 	clusterOriginCount     = 2
 	clusterEdgeCount       = 2
@@ -180,6 +187,21 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 		step++
 	}
 
+	// sloEndpoint reads obsd's /debug/slo the way an operator's curl
+	// would: the overall state and every SLO's status.
+	sloEndpoint := func() (state string, slos []telemetry.SLOStatus) {
+		rec := httptest.NewRecorder()
+		obsd.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slo", nil))
+		var body struct {
+			State string                `json:"state"`
+			SLOs  []telemetry.SLOStatus `json:"slos"`
+		}
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &body) != nil {
+			return fmt.Sprintf("unreadable (%d)", rec.Code), nil
+		}
+		return body.State, body.SLOs
+	}
+
 	liveSession := func(u int, tr *trace.Tracer) (*client.StreamResult, error) {
 		p := pol
 		p.Seed = uint64(u + 1)
@@ -296,6 +318,9 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 	if res.BreakerPageStep < 0 {
 		return fail("breaker_open SLO never paged during the outage (state %v)", smp.State("breaker_open"))
 	}
+	if res.SLOStateOutage, _ = sloEndpoint(); res.SLOStateOutage == "ok" {
+		return fail("/debug/slo reads ok at the outage peak")
+	}
 
 	// Phase 3 — revive and recover. Wall-clock wait for the breakers to
 	// close again (half-open probes succeed), then clean logical ticks
@@ -312,6 +337,18 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 	if !res.RebufferRecovered || !res.BreakerRecovered {
 		return fail("SLOs did not recover (rebuffer %v, breaker_open %v)",
 			smp.State("rebuffer"), smp.State("breaker_open"))
+	}
+	var statuses []telemetry.SLOStatus
+	if res.SLOStateFinal, statuses = sloEndpoint(); res.SLOStateFinal != "ok" {
+		return fail("/debug/slo reads %s after recovery", res.SLOStateFinal)
+	}
+	for _, st := range statuses {
+		if st.Name == "rebuffer" {
+			res.RebufferTransitions = st.Transitions
+		}
+	}
+	if res.RebufferTransitions < 2 { // escalation and recovery at the least
+		return fail("rebuffer SLO made %d transitions, want >= 2", res.RebufferTransitions)
 	}
 	if res.Aborted != 0 {
 		return fail("%d live sessions aborted", res.Aborted)
@@ -458,8 +495,8 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 			{"histogram_mismatches", f0(float64(res.HistMismatch)), fmt.Sprintf("%d rollup histogram series bucket-exact", res.HistSeries)},
 			{"unmergeable_families", f0(float64(res.Unmergeable)), "histogram layout skew across the fleet"},
 			{"origin0_stale_seen", boolCell(res.Origin0StaleSeen), "target_up{origin0}=0 while killed; series frozen"},
-			{"rebuffer_paged", boolCell(res.RebufferPageStep >= 0), fmt.Sprintf("page at step %d", res.RebufferPageStep)},
-			{"rebuffer_recovered", boolCell(res.RebufferRecovered), "burn windows drained after revival"},
+			{"rebuffer_paged", boolCell(res.RebufferPageStep >= 0), fmt.Sprintf("page at step %d; /debug/slo %s at the outage peak", res.RebufferPageStep, res.SLOStateOutage)},
+			{"rebuffer_recovered", boolCell(res.RebufferRecovered), fmt.Sprintf("burn windows drained after revival; %d transitions; /debug/slo %s", res.RebufferTransitions, res.SLOStateFinal)},
 			{"breaker_paged", boolCell(res.BreakerPageStep >= 0), fmt.Sprintf("page at step %d; cluster-only signal (each edge sits at the <=1 ceiling)", res.BreakerPageStep)},
 			{"breaker_recovered", boolCell(res.BreakerRecovered), "breakers re-closed, gauge sum back to 0"},
 			{"trace_assembled", boolCell(res.TraceProcesses >= 3), fmt.Sprintf("%d processes, %d spans on one timeline; cluster.perfetto.json: %d events", res.TraceProcesses, res.TraceSpans, res.PerfettoEvents)},

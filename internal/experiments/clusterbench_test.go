@@ -5,8 +5,9 @@ import "testing"
 // TestClusterBenchContract is the acceptance bar of the cluster bench:
 // the obsd plane federates five live processes, the rollup equals the
 // per-process sums exactly, the fleet-wide SLOs page during the origin
-// kill and recover after revival, and one session's spans assemble
-// across at least three processes into a valid Chrome trace.
+// kill and recover after revival (in the sampler and on /debug/slo),
+// and one session's spans assemble across at least three processes
+// into a valid Chrome trace.
 func TestClusterBenchContract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster bench drives five live HTTP processes plus an obsd plane")
@@ -42,6 +43,16 @@ func TestClusterBenchContract(t *testing.T) {
 	}
 	if res.BreakerPageStep < 0 || !res.BreakerRecovered {
 		t.Errorf("breaker_open SLO page/recover = %d/%v", res.BreakerPageStep, res.BreakerRecovered)
+	}
+	// The same page and recovery through obsd's /debug/slo, the bytes an
+	// operator's curl sees: non-ok at the outage peak, ok after recovery,
+	// and the rebuffer SLO escalated and came back down at the least.
+	if res.SLOStateOutage == "ok" || res.SLOStateFinal != "ok" {
+		t.Errorf("/debug/slo states outage=%q final=%q, want non-ok then ok",
+			res.SLOStateOutage, res.SLOStateFinal)
+	}
+	if res.RebufferTransitions < 2 {
+		t.Errorf("rebuffer SLO transitions = %d, want >= 2 (escalate + recover)", res.RebufferTransitions)
 	}
 	// The healthy phase must page nothing: both pages belong to the
 	// outage ticks, which begin at step clusterHealthySteps.

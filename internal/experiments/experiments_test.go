@@ -257,7 +257,7 @@ func TestAllocationPruningMeasuresTheSearch(t *testing.T) {
 // TestEveryExperimentRunsOnce holds the two sets to a partition.
 var contractTested = map[string]bool{
 	"chaos": true, "cluster": true, "edge": true, "fleet": true,
-	"live": true, "lut": true, "telemetry": true, "trace": true,
+	"live": true, "lut": true, "trace": true,
 }
 
 // TestLUTContract: binary32 keeps at least four significand bits over

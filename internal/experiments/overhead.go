@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/http/httptest"
 	"slices"
 	"time"
 
@@ -19,8 +18,8 @@ import (
 	"pano/internal/player"
 	"pano/internal/provider"
 	"pano/internal/quality"
-	"pano/internal/server"
 	"pano/internal/sim"
+	"pano/internal/testbed"
 )
 
 // Fig17aRow is one stage of the client-side CPU breakdown.
@@ -45,6 +44,8 @@ func Fig17a(d *Dataset) ([]Fig17aRow, *Table, error) {
 	v := d.Video(vi)
 	tr := d.Traces(vi)[0]
 	enc := codec.NewEncoder()
+	tb := testbed.New()
+	defer tb.Close()
 
 	for _, s := range []System{SysFlare, SysPano} {
 		mode, planner := s.components()
@@ -52,12 +53,11 @@ func Fig17a(d *Dataset) ([]Fig17aRow, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		srv, err := server.New(m)
+		origin, err := tb.AddOrigin(testbed.OriginConfig{Manifest: m})
 		if err != nil {
 			return nil, nil, err
 		}
-		ts := httptest.NewServer(srv.Handler())
-		cl := client.New(ts.URL)
+		cl := tb.Client(origin.URL)
 		est := player.NewEstimator()
 
 		var adaptMs, dlMs, decodeMs, renderMs float64
@@ -76,7 +76,6 @@ func Fig17a(d *Dataset) ([]Fig17aRow, *Table, error) {
 			t0 = time.Now()
 			for ti, l := range alloc {
 				if _, err := cl.FetchTile(context.Background(), k, ti, l); err != nil {
-					ts.Close()
 					return nil, nil, err
 				}
 			}
@@ -90,7 +89,6 @@ func Fig17a(d *Dataset) ([]Fig17aRow, *Table, error) {
 				r := m.Chunks[k].Tiles[ti].Rect
 				df, err := enc.DistortRegion(key, r, l.QP())
 				if err != nil {
-					ts.Close()
 					return nil, nil, err
 				}
 				tiles[ti] = df
@@ -100,12 +98,10 @@ func Fig17a(d *Dataset) ([]Fig17aRow, *Table, error) {
 			t0 = time.Now()
 			dst := frame.New(m.W, m.H)
 			if err := client.Stitch(m, k, tiles, dst); err != nil {
-				ts.Close()
 				return nil, nil, err
 			}
 			renderMs += time.Since(t0).Seconds() * 1e3
 		}
-		ts.Close()
 		n := float64(chunks)
 		for _, st := range []struct {
 			name string
@@ -141,22 +137,22 @@ func Fig17b(d *Dataset) ([]Fig17bRow, *Table, error) {
 	}
 	vi := d.TracedIndices()[0]
 	tr := d.Traces(vi)[0]
+	tb := testbed.New()
+	defer tb.Close()
 	for _, s := range []System{SysFlare, SysPano} {
 		mode, planner := s.components()
 		m, err := d.Manifest(vi, mode)
 		if err != nil {
 			return nil, nil, err
 		}
-		srv, err := server.New(m)
+		origin, err := tb.AddOrigin(testbed.OriginConfig{Manifest: m})
 		if err != nil {
 			return nil, nil, err
 		}
-		ts := httptest.NewServer(srv.Handler())
-		cl := client.New(ts.URL)
+		cl := tb.Client(origin.URL)
 
 		t0 := time.Now()
 		if _, err := cl.FetchManifest(context.Background()); err != nil {
-			ts.Close()
 			return nil, nil, err
 		}
 		manifestMs := time.Since(t0).Seconds() * 1e3
@@ -164,7 +160,6 @@ func Fig17b(d *Dataset) ([]Fig17bRow, *Table, error) {
 		res, err := cl.Stream(context.Background(), tr, client.StreamConfig{
 			Planner: planner, MaxChunks: 1,
 		})
-		ts.Close()
 		if err != nil {
 			return nil, nil, err
 		}

@@ -40,13 +40,11 @@ var registry = map[string]Runner{
 	// Extensions beyond the paper (see EXPERIMENTS.md).
 	"joint3":    tableOnly3(Joint3),
 	"crossuser": tableOnly3(CrossUserPrediction),
-	"parallel":  tableOnly3(ParallelBench),
 	"chaos":     tableOnly3(ChaosBench),
 	"trace":     tableOnly3(TraceBench),
 	"edge":      tableOnly3(EdgeBench),
 	"swarm":     tableOnly3(SwarmBench),
 	"fleet":     tableOnly3(FleetBench),
-	"telemetry": tableOnly3(TelemetryBench),
 	"cluster":   tableOnly3(ClusterBench),
 	"live":      tableOnly3(LiveBench),
 	"tab2": func(d *Dataset) (*Table, error) {

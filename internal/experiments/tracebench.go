@@ -2,15 +2,11 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 
-	"pano/internal/chaos"
-	"pano/internal/client"
 	"pano/internal/player"
 	"pano/internal/provider"
 	"pano/internal/sim"
-	"pano/internal/testbed"
 	"pano/internal/trace"
 )
 
@@ -35,26 +31,20 @@ type TraceBenchResult struct {
 	// SimTraceID is the traced simulator session.
 	SimTraceID string
 	Phases     []PhaseStat
-	// HTTPTraceID is a real chaos-wrapped HTTP session whose client and
-	// server spans share one trace (the W3C traceparent hop).
-	HTTPTraceID string
-	// ServerSpans counts the server-side handler spans stitched into the
-	// HTTP session's trace; ChaosFaults counts those carrying a chaos.*
-	// fault annotation.
-	ServerSpans int
-	ChaosFaults int
 	// PerfettoEvents is the validated event count of the Chrome trace
 	// export (the Table's Perfetto bytes).
 	PerfettoEvents int
 }
 
-// TraceBench records one seeded simulator session and one chaos-wrapped
-// HTTP session as span trees, breaks the simulator session down by
-// pipeline phase, exports everything as Chrome trace-event JSON (the
-// Table's Perfetto bytes; pano-bench saves them as trace.perfetto.json,
-// loadable in Perfetto), and validates the export's shape. It fails
-// when the HTTP trace does not stitch — i.e. when no server-side
-// handler span joined the client's trace.
+// TraceBench records one seeded simulator session as a span tree,
+// breaks it down by pipeline phase, exports it as Chrome trace-event
+// JSON (the Table's Perfetto bytes; pano-bench saves them as
+// trace.perfetto.json, loadable in Perfetto), and validates the
+// export's shape. The HTTP session's trace — server handler spans
+// stitched into the client's across the traceparent hop, chaos faults
+// annotated — is proven by internal/client's
+// TestStreamTraceStitchesAcrossRetries, and across processes by the
+// cluster experiment.
 func TraceBench(d *Dataset) (TraceBenchResult, *Table, error) {
 	vi := d.TracedIndices()[0]
 	m, err := d.Manifest(vi, provider.ModePano)
@@ -63,12 +53,7 @@ func TraceBench(d *Dataset) (TraceBenchResult, *Table, error) {
 	}
 	tr := d.Traces(vi)[0]
 
-	// One tracer for everything: the simulator session, the HTTP client
-	// session, and the HTTP server's handler spans, so the store holds
-	// complete stitched traces.
 	tracer := trace.New(trace.Config{Seed: 7})
-
-	// Session 1: the seeded simulator run (the per-phase breakdown).
 	link := sim.ScaledLink(m, 0.5, d.Scale.Seed+uint64(vi))
 	simRes, err := sim.Run(m, tr, link, player.NewPanoPlanner(), sim.Config{
 		Seed:  7,
@@ -78,63 +63,15 @@ func TraceBench(d *Dataset) (TraceBenchResult, *Table, error) {
 		return TraceBenchResult{}, nil, err
 	}
 
-	// Session 2: a real HTTP session through the acceptance chaos profile
-	// ("seed=7,tile-error=0.1"), traced end to end: the origin shares the
-	// tracer, so its handler spans (annotated by the chaos faults) land in
-	// the client's trace.
-	prof, err := chaos.Parse("seed=7,tile-error=0.1")
-	if err != nil {
-		return TraceBenchResult{}, nil, err
-	}
-	tb := testbed.New()
-	origin, err := tb.AddOrigin(testbed.OriginConfig{Manifest: m, Chaos: chaos.New(prof), Tracer: tracer})
-	if err != nil {
-		return TraceBenchResult{}, nil, err
-	}
-	pol := testbed.LoopbackPolicy()
-	pol.Seed = 7
-	httpRes, err := tb.Client(origin.URL).Stream(context.Background(), tr, client.StreamConfig{
-		MaxRateBps: testbed.RateCap(m),
-		Fetch:      pol,
-		Trace:      tracer,
-	})
-	tb.Close() // waits for in-flight handlers, so every server span has ended
-	if err != nil {
-		return TraceBenchResult{}, nil, err
-	}
-
-	res := TraceBenchResult{
-		SimTraceID:  simRes.TraceID,
-		HTTPTraceID: httpRes.TraceID,
-	}
-
-	traces := tracer.Traces()
-	var simTrace, httpTrace *trace.TraceData
-	for _, t := range traces {
-		switch t.ID.String() {
-		case simRes.TraceID:
+	res := TraceBenchResult{SimTraceID: simRes.TraceID}
+	var simTrace *trace.TraceData
+	for _, t := range tracer.Traces() {
+		if t.ID.String() == simRes.TraceID {
 			simTrace = t
-		case httpRes.TraceID:
-			httpTrace = t
 		}
 	}
-	if simTrace == nil || httpTrace == nil {
-		return res, nil, fmt.Errorf("tracebench: finished traces missing (sim=%v http=%v)",
-			simTrace != nil, httpTrace != nil)
-	}
-	for _, sd := range httpTrace.Spans {
-		if sd.Name == "http_request" {
-			res.ServerSpans++
-			for _, a := range sd.Attrs {
-				if len(a.Key) > 6 && a.Key[:6] == "chaos." {
-					res.ChaosFaults++
-					break
-				}
-			}
-		}
-	}
-	if res.ServerSpans == 0 {
-		return res, nil, fmt.Errorf("tracebench: no server spans stitched into client trace %s", res.HTTPTraceID)
+	if simTrace == nil {
+		return res, nil, fmt.Errorf("tracebench: finished trace %s missing", simRes.TraceID)
 	}
 
 	// Per-phase breakdown of the simulator session.
@@ -161,9 +98,9 @@ func TraceBench(d *Dataset) (TraceBenchResult, *Table, error) {
 		}
 	}
 
-	// Export both traces and validate the export's shape.
+	// Export the trace and validate the export's shape.
 	var export bytes.Buffer
-	if err := trace.WriteChromeTrace(&export, simTrace, httpTrace); err != nil {
+	if err := trace.WriteChromeTrace(&export, simTrace); err != nil {
 		return res, nil, err
 	}
 	res.PerfettoEvents, err = trace.ValidateChromeTrace(export.Bytes())
@@ -172,10 +109,8 @@ func TraceBench(d *Dataset) (TraceBenchResult, *Table, error) {
 	}
 
 	t := &Table{
-		Title: fmt.Sprintf(
-			"Per-phase session timeline (sim trace %s; http trace %s: %d server spans, %d chaos faults; trace.perfetto.json: %d events)",
-			res.SimTraceID, res.HTTPTraceID, res.ServerSpans, res.ChaosFaults,
-			res.PerfettoEvents),
+		Title: fmt.Sprintf("Per-phase session timeline (sim trace %s; trace.perfetto.json: %d events)",
+			res.SimTraceID, res.PerfettoEvents),
 		Header:   []string{"phase", "spans", "total_ms", "mean_us", "max_us", "share_pct"},
 		Perfetto: export.Bytes(),
 	}

@@ -4,7 +4,7 @@ import "testing"
 
 func TestTraceBenchContract(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trace bench streams a full HTTP session")
+		t.Skip("trace bench runs a traced simulator session")
 	}
 	d := testDataset(t)
 	res, table, err := TraceBench(d)
@@ -12,24 +12,17 @@ func TestTraceBenchContract(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if res.SimTraceID == "" || res.HTTPTraceID == "" || res.SimTraceID == res.HTTPTraceID {
-		t.Fatalf("trace ids: sim=%q http=%q", res.SimTraceID, res.HTTPTraceID)
+	if res.SimTraceID == "" {
+		t.Fatal("simulator session reported no trace id")
 	}
-	// The stitching contract: the chaos-wrapped HTTP session's trace
-	// holds server handler spans, some carrying injected-fault marks.
-	if res.ServerSpans == 0 {
-		t.Error("no server spans stitched into the client trace")
+	// The export validated and holds at least every phase span.
+	var phaseSpans int
+	for _, ph := range res.Phases {
+		phaseSpans += ph.Spans
 	}
-	if res.ChaosFaults == 0 {
-		t.Error("10% tile-error profile annotated no handler span")
-	}
-	if res.ChaosFaults > res.ServerSpans {
-		t.Errorf("chaos faults %d > server spans %d", res.ChaosFaults, res.ServerSpans)
-	}
-	// The export validated and is non-trivial.
-	if res.PerfettoEvents <= res.ServerSpans {
-		t.Errorf("perfetto events = %d, want more than the %d server spans alone",
-			res.PerfettoEvents, res.ServerSpans)
+	if res.PerfettoEvents < phaseSpans {
+		t.Errorf("perfetto events = %d, want at least the %d phase spans",
+			res.PerfettoEvents, phaseSpans)
 	}
 	// Every pipeline phase appears, with spans and a defined share.
 	if len(res.Phases) != len(tracePhases) {

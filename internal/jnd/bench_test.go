@@ -8,8 +8,10 @@ import (
 	"pano/internal/parallel"
 )
 
-// Benchmark frame matches the pano-bench "parallel" experiment so `make
-// bench` numbers and BENCH_parallel.json are directly comparable.
+// Benchmark frame: 960×480, the size tiling's BenchmarkPlan* and
+// quality's BenchmarkTilePSPNR* use too, large enough that per-call work
+// dominates goroutine overhead, so `make microbench` reads the serial
+// vs parallel speedup of all three kernels at one frame size.
 const benchW, benchH = 960, 480
 
 func runContentFieldBench(b *testing.B, workers int) {

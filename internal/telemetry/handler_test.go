@@ -255,7 +255,7 @@ func TestSSESlowClientDropsNotBlocks(t *testing.T) {
 
 // TestScrapeWhileServingStress hammers one sampler from every direction
 // at once — metric writers, Step ticks, JSON probes, dashboard loads,
-// and SSE subscribers — and relies on -race (see `make dash`) to flag
+// and SSE subscribers — and relies on -race (see `make race`) to flag
 // unsynchronized access.
 func TestScrapeWhileServingStress(t *testing.T) {
 	s, reg, _ := newTestSampler(t, DefaultSLOs()...)
