@@ -156,18 +156,21 @@ type hullUpgrade struct {
 // all-smallest size save save, and eff more per bit up to the next one.
 type lpStep struct{ bits, save, eff float64 }
 
-// prunedScratch is the working memory of one search: every tile's
-// frontier back to back in one slab (the empty assignment first), with
-// starts[i] the slab offset of tile i's frontier, and the tables of the
-// call's LP relaxation (bound) and of one tile step's (suffixLP).
+// prunedScratch is the working memory of one search: every step's
+// frontier back to back in one slab (the empty assignment first, a second
+// sweep's after the first's), with starts[i] the slab offset of the last
+// sweep's i-th, and the tables of the call's LP relaxation (bound) and of
+// one tile step's (suffixLP).
 type prunedScratch struct {
 	slab   []paretoState
 	starts []int
-	// ups is every tile's hull upgrades, most efficient first; hull is
-	// the same tile-major, cheapest step first, and order what is sorted.
+	// Tile order[i] is swept i-th; tile j at pos[j].
+	order, pos []int32
+	// ups is every tile's hull upgrades, most efficient first, merged from
+	// the per-tile runs hull[runs[k]:runs[k+1]]; the two alternate.
 	ups, hull []hullUpgrade
-	order     []int32
-	rest      []suffixMin // rest[i] is of tiles i..
+	runs      []int32
+	rest      []suffixMin // rest[i] is of the tiles swept from i on
 	lp        []lpStep
 	forced    Allocation
 }
@@ -199,8 +202,28 @@ const boundSlack = 1e-9
 // exactWidth is the frontier width from which a sweep puts the exact form
 // of the cut. Its table per tile step repays itself on dozens of states,
 // not on the handful of a sweep's first steps or of a budget the tangent
-// decides: BenchmarkAllocatePruned/bench_video reads 14 µs without, 10 with.
+// decides. BenchmarkAllocatePruned, two cores, the least of five runs:
+// bench_video 28 µs with the table from the first step, 18 from the 16th
+// state on, 20 without the exact form; vod_links 29, 29 and 68 µs.
 const exactWidth = 16
+
+// sweepOrder sets order to the order the search sweeps the tiles in:
+// widest bits span first — the top row's bits over the lowest level's —
+// ties in index order. An insertion sort, inlined: slices.SortStableFunc
+// calls its comparator through a func value and took 5× as long.
+func sweepOrder(tiles []TileChoice, order []int32) []int32 {
+	span := func(i int32) float64 { return tiles[i].Bits[0] - tiles[i].Bits[codec.NumLevels-1] }
+	order = order[:0]
+	for i := range tiles {
+		order = append(order, int32(i))
+		j, w := len(order)-1, span(int32(i))
+		for ; j > 0 && span(order[j-1]) < w; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = int32(i)
+	}
+	return order
+}
 
 // AllocatePruned is the paper's enumeration with dominance pruning: it
 // sweeps tiles one at a time, extending every non-dominated partial
@@ -211,13 +234,14 @@ const exactWidth = 16
 // cap of 1024, which the bounded search below seldom reaches.
 //
 // The program is a multiple-choice knapsack, and its LP relaxation —
-// one sort of the tiles' convex-hull upgrades, filled greedily — gives,
-// rounded, a feasible incumbent of cost U (bound). The same order filtered
-// to the tiles after i relaxes what a partial assignment has left to
-// decide: LPᵢ₊₁(r), the least those tiles cost on r bits, is their
-// all-smallest cost less the savings of their upgrades taken until r is
-// spent, the last one in part; +Inf where the smallest rows do not fit.
-// A partial assignment (bits, cost) after tile i is dropped when
+// the tiles' convex-hull upgrades merged by efficiency, filled greedily —
+// gives, rounded, a feasible incumbent of cost U (bound). The same order
+// filtered to the tiles swept after the i-th relaxes what a partial
+// assignment has left to decide: LPᵢ₊₁(r), the least those tiles cost on
+// r bits, is their all-smallest cost less the savings of their upgrades
+// taken until r is spent, the last one in part; +Inf where the smallest
+// rows do not fit. A partial assignment (bits, cost) after the i-th tile
+// is dropped when
 //
 //	cost + LPᵢ₊₁(budget − bits) > U:
 //
@@ -228,22 +252,31 @@ const exactWidth = 16
 //
 //	cost + λ·bits > U + λ·budget − Σ_{j>i} min_l(Cost_jl + λ·Bits_jl).
 //
+// The sweep takes the tiles widest bits span first (sweepOrder). The LP's
+// gap is about one upgrade, the largest it has to split; with the large
+// upgrades decided first, the LP of the many small tiles still to come
+// is tight, and the cut bites from the first steps on.
+//
 // The bound never falls along a path, nor from a state to one it
 // dominates, and the cut only tightens along the sweep. So it removes no
 // state that can lead to the answer, and a state that dominates a kept
 // state is itself kept: the frontiers are subsequences of the uncut
 // search's, and unless the cap thins one the result is the optimum. The
-// thresholds carry boundSlack. The result is the cheapest final state
-// within budget; the incumbent where thinning lost every state as good;
-// and all-lowest when the budget is below even that.
+// thresholds carry boundSlack. The result is the cheapest final state; the
+// incumbent where thinning lost every state as good; and all-lowest when
+// the budget is below even that. A state's bits are summed in sweep order,
+// TotalBits' in tile order, and at a budget within a rounding of a plan's
+// size the two can fall either side of it. So the last step keeps states
+// to boundSlack over the budget, and where the cheapest one is over by
+// TotalBits, the call is swept again in tile order, the two sums then one.
 //
 // A budget that fits the all-smallest plan and not its cheapest step up
 // — the all-lowest size every session's first chunk is planned with,
 // and every chunk of a starved one — leaves the sweep nothing to decide:
 // it would end on the all-smallest plan, so that is returned before the
-// LP is set up, by the same pass that sizes the plan. The step must miss
-// the budget by more than boundSlack of it; closer than that, the sweep
-// decides as ever.
+// tiles are ordered or the LP is set up, by the same pass that sizes the
+// plan. The step must miss the budget by more than boundSlack of it;
+// closer than that, the sweep decides as ever.
 //
 // A frontier is strictly bits-ascending and cost-descending, so its
 // copy shifted by one level's (bits, cost) is already in order and the
@@ -252,8 +285,9 @@ const exactWidth = 16
 // Parents an ulp apart can round to equal shifted bits; such a run is
 // represented by its cheapest member (levelCursor.advance). And among
 // candidates of identical (bits, cost) — flat tiles have identical
-// bottom rungs — the lower level index wins, then the lower parent
-// index: the free upgrade, as AllocateGreedy takes it.
+// bottom rungs — the lower level index of the tile being swept wins,
+// then the lower index in the previous step's frontier: the free
+// upgrade, as AllocateGreedy takes it.
 //
 // Bits and Cost must be non-negative.
 func AllocatePruned(tiles []TileChoice, budget float64, maxFrontier int) Allocation {
@@ -304,13 +338,13 @@ func smallestRows(tiles []TileChoice, a Allocation) {
 // cost and λ. a comes in as the all-smallest plan and low is its size,
 // within budget.
 func (sc *prunedScratch) bound(tiles []TileChoice, budget, low float64, a Allocation) (incumbent, lambda float64) {
-	hull, order := sc.hull[:0], sc.order[:0]
+	hull, runs := sc.hull[:0], append(sc.runs[:0], 0)
 	for i := range tiles {
 		t := &tiles[i]
 		// Gift-wrap the hull from the smallest row: each step goes to the
 		// row that saves the most cost per extra bit, the lower level on
 		// a tie. Rounding must not make a step look more efficient than
-		// the one before it, or the sort would put it first.
+		// the one before it, or the run would be out of order.
 		for from, last := int(a[i]), math.Inf(1); ; {
 			to, eff := -1, 0.0
 			for l := codec.NumLevels - 1; l >= 0; l-- {
@@ -323,24 +357,24 @@ func (sc *prunedScratch) bound(tiles []TileChoice, budget, low float64, a Alloca
 				break
 			}
 			last = min(last, eff)
-			order = append(order, int32(len(hull)))
 			db, dc := t.Bits[to]-t.Bits[from], t.Cost[from]-t.Cost[to]
 			hull = append(hull, hullUpgrade{eff: last, dBits: db, dCost: dc, tile: int32(i), from: uint8(from), to: uint8(to)})
 			from = to
 		}
+		runs = append(runs, int32(len(hull)))
 	}
-	// The sort moves the 4-byte indices, not the upgrades.
-	slices.SortFunc(order, func(x, y int32) int {
-		if hull[x].eff > hull[y].eff || hull[x].eff == hull[y].eff && x < y {
-			return -1
+	// Each tile's run is in LP order already and the runs are in tile
+	// order, so merging neighbours pairwise, the left one first on a tie,
+	// sorts by efficiency with the lower tile, then its cheaper step, first.
+	ups, dst := hull, slices.Grow(sc.ups[:0], len(hull))[:len(hull)]
+	for w, n := 1, len(runs)-1; w < n; w *= 2 {
+		for r := 0; r < n; r += 2 * w {
+			lo, mid, hi := runs[r], runs[min(r+w, n)], runs[min(r+2*w, n)]
+			mergeUps(dst[lo:hi], ups[lo:mid], ups[mid:hi])
 		}
-		return 1
-	})
-	ups := sc.ups[:0]
-	for _, j := range order {
-		ups = append(ups, hull[j])
+		ups, dst = dst, ups
 	}
-	sc.hull, sc.order, sc.ups = hull, order, ups
+	sc.ups, sc.hull, sc.runs = ups, dst, runs
 
 	// The LP optimum takes upgrades in this order until one does not
 	// fit, the break upgrade; its efficiency is λ. Two roundings of it
@@ -377,29 +411,31 @@ func (sc *prunedScratch) bound(tiles []TileChoice, budget, low float64, a Alloca
 		// The running sum is not the forward sum; an ulp over is over.
 		smallestRows(tiles, a)
 	}
-
-	n := len(tiles)
-	rest := slices.Grow(sc.rest[:0], n+1)[:n+1]
-	rest[n] = suffixMin{}
-	for i := n - 1; i >= 0; i-- {
-		t, small := &tiles[i], smallestRow(&tiles[i])
-		minCost := math.Inf(1)
-		for l := 0; l < codec.NumLevels; l++ {
-			minCost = min(minCost, t.Cost[l]+lambda*t.Bits[l])
-		}
-		rest[i] = suffixMin{rest[i+1].bits + t.Bits[small], rest[i+1].base + t.Cost[small], rest[i+1].cost + minCost}
-	}
-	sc.rest = rest
 	return TotalCost(tiles, a), lambda
 }
 
-// suffixLP tabulates the LP relaxation of tiles i+1.. for one tile step:
-// their hull upgrades in LP order, summed, as far as room bits reach.
+// mergeUps merges x and y, each most efficient first, into dst; on a tie
+// x's upgrade goes first.
+func mergeUps(dst, x, y []hullUpgrade) {
+	for len(x) > 0 && len(y) > 0 {
+		if y[0].eff > x[0].eff {
+			dst[0], y = y[0], y[1:]
+		} else {
+			dst[0], x = x[0], x[1:]
+		}
+		dst = dst[1:]
+	}
+	copy(dst[copy(dst, x):], y)
+}
+
+// suffixLP tabulates the LP relaxation of the tiles swept after the i-th
+// for one tile step: their hull upgrades in LP order, summed, as far as
+// room bits reach.
 func (sc *prunedScratch) suffixLP(i int, room float64) []lpStep {
 	lp := append(sc.lp[:0], lpStep{})
 	var bits, save float64
 	for _, u := range sc.ups {
-		if int(u.tile) > i {
+		if int(sc.pos[u.tile]) > i {
 			lp[len(lp)-1].eff = u.eff
 			bits, save = bits+u.dBits, save+u.dCost
 			if lp = append(lp, lpStep{bits: bits, save: save}); bits > room {
@@ -464,26 +500,57 @@ func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier 
 		return a, SearchStats{}
 	}
 	incumbent, lambda := sc.bound(tiles, budget, low, a)
+	var stats SearchStats
+	sc.slab, sc.order = append(sc.slab[:0], paretoState{parent: -1}), sweepOrder(tiles, sc.order)
+	plan := sc.sweep(tiles, budget, boundSlack*budget, maxFrontier, incumbent, lambda, &stats)
+	if plan != nil && TotalBits(tiles, plan) > budget {
+		slices.Sort(sc.order) // over by the caller's sum: sweep again in tile order
+		plan = sc.sweep(tiles, budget, 0, maxFrontier, incumbent, lambda, &stats)
+	}
+	if plan != nil && TotalBits(tiles, plan) <= budget {
+		copy(a, plan)
+	}
+	return a, stats
+}
+
+// sweep runs one sweep over the tiles in sc.order, final states kept to
+// over bits over the budget, and returns the plan of the cheapest final
+// state, or nil where thinning left none as good as the incumbent. Its
+// frontiers follow what the slab holds; starts indexes them.
+func (sc *prunedScratch) sweep(tiles []TileChoice, budget, over float64, maxFrontier int, incumbent, lambda float64, stats *SearchStats) Allocation {
+	n := len(tiles)
+	pos := slices.Grow(sc.pos[:0], n)[:n]
+	rest := slices.Grow(sc.rest[:0], n+1)[:n+1]
+	rest[n] = suffixMin{}
+	for i := n - 1; i >= 0; i-- {
+		j := sc.order[i]
+		t, small := &tiles[j], smallestRow(&tiles[j])
+		minCost := math.Inf(1)
+		for l := 0; l < codec.NumLevels; l++ {
+			minCost = min(minCost, t.Cost[l]+lambda*t.Bits[l])
+		}
+		rest[i] = suffixMin{rest[i+1].bits + t.Bits[small], rest[i+1].base + t.Cost[small], rest[i+1].cost + minCost}
+		pos[j] = int32(i)
+	}
+	sc.pos, sc.rest = pos, rest
 	// limit bounds cost + λ·bits where no tile is left, as incumbent
 	// bounds cost; slack is boundSlack of the largest sums either compares.
 	limit := incumbent + lambda*budget
-	slack := boundSlack * (limit + sc.rest[0].base)
+	slack := boundSlack * (limit + rest[0].base)
 
-	var stats SearchStats
-	slab := append(sc.slab[:0], paretoState{parent: -1})
-	starts := sc.starts[:0]
-	lo := 0            // the current frontier is slab[lo:]
+	slab, starts := sc.slab, sc.starts[:0]
+	lo, hi := 0, 1     // the current frontier is slab[lo:hi], the root first
 	var minVal float64 // min of cost + λ·bits over it, or below
 	exact := false     // the frontier has reached exactWidth
 	for i := range tiles {
-		hi := len(slab)
+		end := len(slab)
 		room := codec.NumLevels * (hi - lo)
 		slab = slices.Grow(slab, room)
-		next := slab[hi : hi+room]
-		rest := &sc.rest[i+1]
+		next := slab[end : end+room]
+		rest := &rest[i+1]
 		cut := frontierCut{
 			lambda:  lambda,
-			maxBits: min(budget, budget-rest.bits+boundSlack*budget),
+			maxBits: min(budget+over, budget-rest.bits+boundSlack*budget),
 			maxVal:  limit + slack - rest.cost,
 			minVal:  minVal,
 			room:    budget - rest.bits,
@@ -492,39 +559,32 @@ func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier 
 		if exact = exact || hi-lo >= exactWidth; exact {
 			cut.lp = sc.suffixLP(i, cut.room-slab[lo].bits)
 		}
-		var n int
-		n, minVal = extendFrontier(next, slab[lo:hi], &tiles[i], &cut)
-		kept := thinFrontier(next[:n], maxFrontier)
-		if kept < n {
+		var m int // candidates the step kept, before thinning
+		m, minVal = extendFrontier(next, slab[lo:hi], &tiles[sc.order[i]], &cut)
+		kept := thinFrontier(next[:m], maxFrontier)
+		if kept < m {
 			stats.Thinned++
 		}
 		stats.States += kept
-		slab = slab[:hi+kept]
-		starts = append(starts, hi)
-		lo = hi
+		slab = slab[:end+kept]
+		starts = append(starts, end)
+		lo, hi = end, end+kept
 		if kept == 0 {
 			break // thinning lost every state as good as the incumbent
 		}
 	}
 	sc.slab, sc.starts = slab, starts
-	// Pick the best final state within budget, unless thinning left
-	// nothing as good as the incumbent.
-	bestIdx := -1
-	bestCost := math.Inf(1)
-	for i, st := range slab[lo:] {
-		if st.bits <= budget && st.cost < bestCost {
-			bestCost = st.cost
-			bestIdx = i
-		}
+	// The frontier is cost-descending: its last state is the cheapest.
+	if hi == lo || slab[hi-1].cost > incumbent+slack {
+		return nil
 	}
-	if bestIdx >= 0 && bestCost <= incumbent+slack {
-		for i := len(tiles) - 1; i >= 0; i-- {
-			st := slab[starts[i]+bestIdx]
-			a[i] = codec.Level(st.level)
-			bestIdx = int(st.parent)
-		}
+	plan := sc.forced
+	for i, p := n-1, hi-1-lo; i >= 0; i-- {
+		st := slab[starts[i]+p]
+		plan[sc.order[i]] = codec.Level(st.level)
+		p = int(st.parent)
 	}
-	return a, stats
+	return plan
 }
 
 // frontierCut is what a tile step may keep: states of at most maxBits

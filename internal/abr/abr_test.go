@@ -295,11 +295,13 @@ func TestBandwidthPredictorHarmonicMean(t *testing.T) {
 // pruneDominated as they stood before the tile step became a merge and
 // before the search was bounded: a fresh candidate slice per tile, sorted
 // with sort.Slice, no cut. They are the oracle; the only copy of the old
-// algorithm. Three additions: the frontiers are returned, so is the
+// algorithm. Four additions: the frontiers are returned, so is the
 // number of thinned tile steps, and so is the ambiguous flag — the sort
 // is unstable, so where a state the filter keeps has an identical (bits,
 // cost) twin, which of the two paths the old code returned was an
-// accident of the sort.
+// accident of the sort. And the tiles are swept in the search's order
+// (referenceSweep), so that the frontiers compare step by step: the i-th
+// is over the tiles order[:i+1].
 type refState struct {
 	bits, cost float64
 	parent     int         // index into the previous frontier
@@ -309,6 +311,8 @@ type refState struct {
 type refResult struct {
 	levels    Allocation
 	frontiers [][]refState
+	order     []int32 // the tiles of frontiers[i] are order[:i+1]
+	twice     bool    // swept again in tile order
 	ambiguous bool
 	thinned   int
 }
@@ -317,29 +321,74 @@ type refResult struct {
 // it is the exact search.
 const uncapped = math.MaxInt32
 
-func referencePruned(tiles []TileChoice, budget float64, maxFrontier int) (r refResult) {
+// sweptRows returns the tiles in the search's sweep order.
+func sweptRows(tiles []TileChoice) (rows []TileChoice, order []int32) {
+	order = sweepOrder(tiles, nil)
+	for _, j := range order {
+		rows = append(rows, tiles[j])
+	}
+	return rows, order
+}
+
+// sweepPos returns each tile's position in the search's sweep order.
+func sweepPos(tiles []TileChoice) []int {
+	pos := make([]int, len(tiles))
+	for i, j := range sweepOrder(tiles, nil) {
+		pos[j] = i
+	}
+	return pos
+}
+
+// tileOrder is the identity order.
+func tileOrder(n int) []int32 {
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	return order
+}
+
+// referencePruned sweeps as the search does: in sweepOrder's order, final
+// states kept to boundSlack over the budget, and again in tile order if
+// the cheapest one's plan is over the budget by TotalBits.
+func referencePruned(tiles []TileChoice, budget float64, maxFrontier int) refResult {
+	r, fits := referenceSweep(tiles, sweepOrder(tiles, nil), budget, boundSlack*budget, maxFrontier)
+	if !fits {
+		r, _ = referenceSweep(tiles, tileOrder(len(tiles)), budget, 0, maxFrontier)
+		r.twice = true
+	}
+	return r
+}
+
+// referenceSweep is one sweep of the reference over the tiles in order,
+// states kept to over bits over the budget. It reports whether the plan
+// it picked — the cheapest final state within that — fits the budget by
+// TotalBits.
+func referenceSweep(tiles []TileChoice, order []int32, budget, over float64, maxFrontier int) (r refResult, fits bool) {
 	if maxFrontier <= 0 {
 		maxFrontier = 1024
 	}
 	n := len(tiles)
 	if n == 0 {
-		return r
+		return r, true
 	}
+	r.order = order
 	r.frontiers = make([][]refState, n)
 	cur := []refState{{bits: 0, cost: 0, parent: -1}}
 	for i := 0; i < n; i++ {
+		row := &tiles[order[i]]
 		var next []refState
 		for pi, st := range cur {
 			for l := 0; l < codec.NumLevels; l++ {
-				b := st.bits + tiles[i].Bits[l]
-				if b > budget && l != codec.NumLevels-1 {
+				b := st.bits + row.Bits[l]
+				if b > budget+over && l != codec.NumLevels-1 {
 					// Over budget: only the lowest level remains viable
 					// as a fallback path.
 					continue
 				}
 				next = append(next, refState{
 					bits:   b,
-					cost:   st.cost + tiles[i].Cost[l],
+					cost:   st.cost + row.Cost[l],
 					parent: pi,
 					level:  codec.Level(l),
 				})
@@ -354,24 +403,24 @@ func referencePruned(tiles []TileChoice, budget float64, maxFrontier int) (r ref
 	bestIdx := -1
 	bestCost := math.Inf(1)
 	for i, st := range cur {
-		if st.bits <= budget && st.cost < bestCost {
+		if st.bits <= budget+over && st.cost < bestCost {
 			bestCost = st.cost
 			bestIdx = i
 		}
 	}
 	if bestIdx < 0 {
 		r.levels = lowestLevels(n)
-		return r
+		return r, true
 	}
 	// Reconstruct.
 	r.levels = make(Allocation, n)
 	idx := bestIdx
 	for i := n - 1; i >= 0; i-- {
 		st := r.frontiers[i][idx]
-		r.levels[i] = st.level
+		r.levels[order[i]] = st.level
 		idx = st.parent
 	}
-	return r
+	return r, TotalBits(tiles, r.levels) <= budget
 }
 
 func referencePrune(states []refState, cap int, r *refResult) []refState {
@@ -500,6 +549,11 @@ func againstReference(t testing.TB, tiles []TileChoice, budget float64, maxFront
 	if kept := max(len(sc.slab)-1, 0); kept != stats.States {
 		fail("stats count %d states, the slab holds %d", stats.States, kept)
 	}
+	if len(sc.starts) > 0 {
+		if err := lpOrderErr(tiles, sc.ups); err != "" {
+			fail("LP order: %s", err)
+		}
+	}
 
 	// (d)
 	if low := TotalBits(tiles, lowestLevels(len(tiles))); budget < low {
@@ -521,6 +575,23 @@ func againstReference(t testing.TB, tiles []TileChoice, budget float64, maxFront
 		wholeLevels, _ = whole.search(tiles, budget, uncapped)
 	}
 	o = oracleOutcome{ambiguous: ref.ambiguous, thinned: stats.Thinned > 0, refThinned: ref.thinned > 0}
+	// A search swept again in tile order holds that sweep's frontiers last,
+	// after the first's in the slab; what it holds is compared with the
+	// uncapped reference's sweep in the same order.
+	twice := func(s *prunedScratch) bool { return len(s.starts) > 0 && s.starts[0] > 1 }
+	overFor := func(s *prunedScratch) float64 {
+		if twice(s) {
+			return 0
+		}
+		return boundSlack * budget
+	}
+	exactFor := func(s *prunedScratch) refResult {
+		if len(s.starts) == 0 || twice(s) == exact.twice {
+			return exact
+		}
+		r, _ := referenceSweep(tiles, s.order, budget, overFor(s), uncapped)
+		return r
+	}
 
 	// (a)
 	o.guarded = nothingAffordable(tiles, budget)
@@ -531,22 +602,29 @@ func againstReference(t testing.TB, tiles []TileChoice, budget float64, maxFront
 	} else if len(whole.starts) != len(tiles) && budget >= TotalBits(tiles, lowestLevels(len(tiles))) {
 		fail("the uncapped search stopped after %d tiles", len(whole.starts))
 	}
+	wholeRef := exactFor(whole)
 	for i := range whole.starts {
 		f := whole.frontier(i)
-		if j := notIn(f, exact.frontiers[i]); j >= 0 {
+		if j := notIn(f, wholeRef.frontiers[i]); j >= 0 {
 			fail("tile %d state %d: (%v, %v) is not in the reference frontier, or out of order", i, j, f[j].bits, f[j].cost)
 		}
 		o.states += len(f)
-		o.refStates += len(exact.frontiers[i])
+		o.refStates += len(wholeRef.frontiers[i])
 	}
 	if stats.Thinned > 0 {
-		first := -1
+		// The capped search's last sweep against the uncapped search's sweep
+		// in the same order. Its thinned steps are counted over both sweeps
+		// where it swept twice, so there the last may have thinned none.
+		first, capRef, uncut := -1, exactFor(&sc), whole
+		if twice(&sc) != twice(whole) {
+			uncut = uncappedSweep(tiles, budget, sc.order, overFor(&sc))
+		}
 		for i := range sc.starts {
-			f, w := sc.frontier(i), whole.frontier(i)
+			f, w := sc.frontier(i), uncut.frontier(i)
 			if len(f) > maxFrontier {
 				fail("tile %d: frontier of %d states over the cap", i, len(f))
 			}
-			if j := notIn(f, exact.frontiers[i]); j >= 0 {
+			if j := notIn(f, capRef.frontiers[i]); j >= 0 {
 				fail("tile %d state %d: (%v, %v) is not in the reference frontier, or out of order", i, j, f[j].bits, f[j].cost)
 			}
 			if len(f) != len(w) {
@@ -557,7 +635,7 @@ func againstReference(t testing.TB, tiles []TileChoice, budget float64, maxFront
 				break
 			}
 		}
-		if first < 0 {
+		if first < 0 && !twice(&sc) {
 			fail("stats count %d thinned steps, but every frontier is the uncapped one", stats.Thinned)
 		}
 	}
@@ -572,6 +650,15 @@ func againstReference(t testing.TB, tiles []TileChoice, budget float64, maxFront
 	}
 	if !exact.ambiguous && !slices.Equal(wholeLevels, exact.levels) {
 		fail("unthinned: levels %v, reference %v", wholeLevels, exact.levels)
+	}
+
+	// (d) for every other plan compared here, by the same tile-order sum.
+	if low := TotalBits(tiles, lowestLevels(len(tiles))); budget >= low {
+		for _, p := range []Allocation{wholeLevels, ref.levels, exact.levels} {
+			if b := TotalBits(tiles, p); b > budget {
+				fail("a compared plan %v of %v bits is over budget", p, b)
+			}
+		}
 	}
 
 	// (c)
@@ -589,6 +676,39 @@ func againstReference(t testing.TB, tiles []TileChoice, budget float64, maxFront
 		}
 	}
 	return o
+}
+
+// uncappedSweep is the search's sweep of tiles in order, uncapped, its
+// last step kept to over bits over the budget.
+func uncappedSweep(tiles []TileChoice, budget float64, order []int32, over float64) *prunedScratch {
+	sc, a := new(prunedScratch), make(Allocation, len(tiles))
+	smallestRows(tiles, a)
+	incumbent, lambda := sc.bound(tiles, budget, TotalBits(tiles, a), a)
+	sc.slab, sc.order = []paretoState{{parent: -1}}, slices.Clone(order)
+	sc.sweep(tiles, budget, over, uncapped, incumbent, lambda, new(SearchStats))
+	return sc
+}
+
+// lpOrderErr says what is wrong with ups as the LP order, or "": it must
+// be what a sort of the hull upgrades gives — efficiency descending, ties
+// to the lower tile, then to its cheaper step — and hold every tile's hull
+// chain, from its smallest row on, once.
+func lpOrderErr(tiles []TileChoice, ups []hullUpgrade) string {
+	for k := 1; k < len(ups); k++ {
+		x, y := ups[k-1], ups[k]
+		if !(x.eff > y.eff || x.eff == y.eff && (x.tile < y.tile || x.tile == y.tile && x.from > y.from)) {
+			return fmt.Sprintf("upgrade %d %+v before %+v", k, x, y)
+		}
+	}
+	next := make(Allocation, len(tiles))
+	smallestRows(tiles, next)
+	for _, u := range ups {
+		if next[u.tile] != codec.Level(u.from) || u.to >= u.from {
+			return fmt.Sprintf("tile %d steps %d→%d, its chain is at %d", u.tile, u.from, u.to, next[u.tile])
+		}
+		next[u.tile] = codec.Level(u.to)
+	}
+	return ""
 }
 
 // smallestAndStep returns the size of the all-smallest plan and its
@@ -865,10 +985,10 @@ const (
 	placeStep              // the cheapest upgrade fits exactly
 	placeAboveStep         // an ulp over
 	// Two placements of the exact form of the cut, on integer menus to the
-	// bit: what some prefix leaves the tiles to come is a breakpoint of
-	// their LP, or nothing.
-	placeSuffixBreak // all-smallest up to the middle tile, then a quarter of the LP's upgrades in its order
-	placePrefixTop   // all-top up to the middle tile, all-smallest after it
+	// bit: what some prefix of the sweep leaves the tiles to come is a
+	// breakpoint of their LP, or nothing.
+	placeSuffixBreak // all-smallest up to the middle swept tile, then a quarter of the LP's upgrades in its order
+	placePrefixTop   // all-top up to the middle swept tile, all-smallest after it
 	numPlaces
 )
 
@@ -939,16 +1059,16 @@ func guardInstance(seed uint64, n, menu int) ([]TileChoice, float64) {
 	case placeSuffixBreak:
 		budget = low + minUp // where the tiles from the middle one on have no upgrade
 		_, _, _, ups := lpOf(tiles, low)
-		at, k := low, 0
+		at, k, pos := low, 0, sweepPos(tiles)
 		for _, u := range ups {
-			if int(u.tile) >= n/2 && k <= len(ups)/4+int(seed%4) {
+			if pos[u.tile] >= n/2 && k <= len(ups)/4+int(seed%4) {
 				at += u.dBits
 				budget, k = at, k+1
 			}
 		}
 	case placePrefixTop:
 		budget = low
-		for i := 0; i <= n/2; i++ {
+		for _, i := range sweepOrder(tiles, nil)[:n/2+1] {
 			budget += tiles[i].Bits[0] - slices.Min(tiles[i].Bits[:])
 		}
 	}
@@ -998,16 +1118,16 @@ func FuzzAllocatePruned(f *testing.F) {
 	})
 }
 
-// The committed exact-* seeds are the cases of the exact form of the cut
-// (TestPrunedBoundEdgeCases' last four, on guardInstance's heavy shape), so
-// each must reach a frontier of exactWidth states, or it replays nothing
-// the other seeds do not.
-func TestFuzzSeedsReachTheExactForm(t *testing.T) {
-	files, err := filepath.Glob("testdata/fuzz/FuzzAllocatePruned/exact-*")
-	if err != nil || len(files) < 5 {
-		t.Fatalf("%d exact-* seeds, error %v", len(files), err)
+// fuzzSeedArgs reads the committed FuzzAllocatePruned seeds whose names
+// match pattern: seed, n, cap and menu of each, by file.
+func fuzzSeedArgs(t *testing.T, pattern string, atLeast int) map[string][4]uint64 {
+	t.Helper()
+	files, err := filepath.Glob("testdata/fuzz/FuzzAllocatePruned/" + pattern)
+	if err != nil || len(files) < atLeast {
+		t.Fatalf("%d %s seeds, error %v", len(files), pattern, err)
 	}
 	arg := regexp.MustCompile(`\((?:'\\x([0-9a-f]{2})'|(\d+))\)`)
+	seeds := make(map[string][4]uint64)
 	for _, f := range files {
 		b, err := os.ReadFile(f)
 		if err != nil {
@@ -1027,11 +1147,57 @@ func TestFuzzSeedsReachTheExactForm(t *testing.T) {
 		if len(v) != 4 {
 			t.Fatalf("%s: %d arguments, want seed, n, cap, menu", f, len(v))
 		}
+		seeds[f] = [4]uint64(v)
+	}
+	return seeds
+}
+
+// The committed exact-* seeds are the cases of the exact form of the cut
+// (TestPrunedBoundEdgeCases' last four, on guardInstance's heavy shape), so
+// each must reach a frontier of exactWidth states, or it replays nothing
+// the other seeds do not.
+func TestFuzzSeedsReachTheExactForm(t *testing.T) {
+	for f, v := range fuzzSeedArgs(t, "exact-*", 5) {
 		tiles, budget := guardInstance(v[0], 1+int(v[1])%72, int(v[3]))
 		if menu := int(v[3]); menu/numMenus/numPlaces%numShapes != shapeHeavy || !exactFormRan(tiles, budget) {
 			t.Errorf("%s: menu %d, n=%d budget=%v never reached a frontier of %d states", f, menu, len(tiles), budget, exactWidth)
 		}
 	}
+}
+
+// The committed order-* seeds are TestPrunedSumOrderAtTheBudget's first two
+// cases on guardInstance's budgets at a step up: the cheapest final state's
+// bits, summed in sweep order, and its plan's TotalBits are either side of
+// the budget, at least one seed each way round. (order-capped_once-centi is
+// over in tile order uncapped, and at its cap sweeps once.)
+func TestFuzzSeedsRoundEitherSide(t *testing.T) {
+	var over [2]int // [0]: over in tile order, [1]: over in sweep order
+	for f, v := range fuzzSeedArgs(t, "order-*", 3) {
+		tiles, budget := guardInstance(v[0], 1+int(v[1])%72, int(v[3]))
+		order := sweepOrder(tiles, nil)
+		r, _ := referenceSweep(tiles, order, budget, boundSlack*budget, uncapped)
+		swept, forward := sweptBits(tiles, order, r.levels), TotalBits(tiles, r.levels)
+		switch {
+		case swept <= budget && forward > budget:
+			over[0]++
+		case forward <= budget && swept > budget:
+			over[1]++
+		default:
+			t.Errorf("%s: the cheapest final state is %v bits in sweep order, %v in tile order, both on one side of the budget %v", f, swept, forward, budget)
+		}
+	}
+	if over[0] == 0 || over[1] == 0 {
+		t.Errorf("over in tile order %d, over in sweep order %d: want a seed each way round", over[0], over[1])
+	}
+}
+
+// sweptBits is a plan's size summed as a sweep in order sums it.
+func sweptBits(tiles []TileChoice, order []int32, a Allocation) float64 {
+	var s float64
+	for _, j := range order {
+		s += tiles[j].Bits[a[j]]
+	}
+	return s
 }
 
 // flatBottom makes levels from..lowest of a tile identical rows, as the
@@ -1072,6 +1238,72 @@ func TestPrunedTieTakesLowerLevel(t *testing.T) {
 		if !slices.Equal(a, want) {
 			t.Errorf("cap %d: at the all-lowest size levels %v, want %v", maxFrontier, a, want)
 		}
+	}
+}
+
+// A plan's size summed in the sweep's order and in tile order, as
+// TotalBits sums it, can round to the two sides of a budget: 1 + 2⁻⁵³
+// rounds to 1, 2⁻⁵³ + 2⁻⁵³ does not. Three tiles make it happen — two
+// whose upgrade is 2⁻⁵³ bits and one whose upgrade is 1 — with the budget
+// 1. The plan is the cheapest final state of the sweep. Over the budget
+// in tile order, it sends the call to a second sweep, in tile order; over
+// it in sweep order, it is the answer, which a last step cut at the budget
+// would have lost. The 1-bit row is above its tile's hull, so no rounding
+// of the LP is the plan and the incumbent cannot stand in for the sweep.
+// In the third case the small tiles' lowest rows are cheap enough that the
+// optimum mixes them, and in sweep order the plan dominates it: a pick
+// among the first sweep's final states would have missed it.
+func TestPrunedSumOrderAtTheBudget(t *testing.T) {
+	eps := math.Ldexp(1, -53)
+	wide := TileChoice{Bits: [codec.NumLevels]float64{2, 1, 1, 1, 0}, Cost: [codec.NumLevels]float64{0, 60, 60, 60, 100}}
+	small := TileChoice{Bits: [codec.NumLevels]float64{eps, eps, eps, eps, 0}, Cost: [codec.NumLevels]float64{1, 1, 1, 1, 1000}}
+	wider := small // its top row the widest span of the three: swept first
+	wider.Bits[0] = 8
+	wide2, small2 := wide, small
+	wide2.Cost[4], small2.Cost[4] = 110, 10
+	for _, c := range []struct {
+		name  string
+		tiles []TileChoice
+		plan  Allocation // of the cheapest final state of the sweep
+		fits  bool       // by the tile-order sum
+	}{
+		{"over in tile order", []TileChoice{small, small, wide}, Allocation{0, 0, 1}, false},
+		{"over in sweep order", []TileChoice{wide, wider, wider}, Allocation{1, 1, 1}, true},
+		{"over in tile order, the optimum dominated", []TileChoice{small2, small2, wide2}, Allocation{0, 0, 1}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const budget = 1.0
+			order := sweepOrder(c.tiles, nil)
+			if swept := sweptBits(c.tiles, order, c.plan); (swept <= budget) != !c.fits || (TotalBits(c.tiles, c.plan) <= budget) != c.fits {
+				t.Fatalf("plan %v: %v bits in sweep order, %v in tile order; want them either side of the budget", c.plan, swept, TotalBits(c.tiles, c.plan))
+			}
+			if r, fits := referenceSweep(c.tiles, order, budget, boundSlack*budget, uncapped); !slices.Equal(r.levels, c.plan) || fits != c.fits {
+				t.Fatalf("the sweep's cheapest final state is %v (fits %v), want %v", r.levels, fits, c.plan)
+			}
+			best, err := AllocateExhaustive(c.tiles, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.fits != (TotalCost(c.tiles, best) == TotalCost(c.tiles, c.plan)) {
+				t.Fatalf("exhaustive %v, the plan %v", best, c.plan)
+			}
+			// The answer is the one a sweep in tile order gives, at the
+			// exhaustive optimum's cost.
+			want, _ := referenceSweep(c.tiles, tileOrder(len(c.tiles)), budget, 0, uncapped)
+			if TotalCost(c.tiles, want.levels) != TotalCost(c.tiles, best) {
+				t.Fatalf("tile-order sweep %v, exhaustive %v", want.levels, best)
+			}
+			for _, maxFrontier := range oracleCaps {
+				if got := AllocatePruned(c.tiles, budget, maxFrontier); !slices.Equal(got, want.levels) {
+					t.Errorf("cap %d: levels %v (%v bits), want %v", maxFrontier, got, TotalBits(c.tiles, got), want.levels)
+				}
+				var sc prunedScratch
+				if sc.search(c.tiles, budget, maxFrontier); (sc.starts[0] > 1) == c.fits {
+					t.Errorf("cap %d: swept twice %v, want %v", maxFrontier, sc.starts[0] > 1, !c.fits)
+				}
+				againstReference(t, c.tiles, budget, maxFrontier)
+			}
+		})
 	}
 }
 

@@ -227,9 +227,10 @@ func TestPrunedBoundEdgeCases(t *testing.T) {
 	vod := vodThinnedInstances(t)[0]
 
 	// Integer sizes, so that sums in any order are exact: the budget leaves
-	// the all-smallest prefix ending at tile from exactly the bits of the
-	// first k upgrades of the tiles after it, r on a breakpoint of the
-	// step's table and an ulp from it on neither side.
+	// the all-smallest prefix of the sweep ending at its from-th tile
+	// exactly the bits of the first k upgrades of the tiles swept after it,
+	// r on a breakpoint of the step's table and an ulp from it on neither
+	// side.
 	t.Run("budget exactly on a suffix breakpoint", func(t *testing.T) {
 		tiles := slices.Clone(vod.Tiles)
 		for i := range tiles {
@@ -239,23 +240,35 @@ func TestPrunedBoundEdgeCases(t *testing.T) {
 		}
 		low, _ := smallestAndStep(tiles)
 		_, _, _, ups := lpOf(tiles, low)
-		for _, from := range []int{5, 14, 27} {
+		pos := sweepPos(tiles)
+		// Sweep positions early, midway and late whose budgets above 1.5×
+		// the all-smallest size the exact form decides, each of them: swept
+		// widest first, the suffixes after positions 0, 1, 3–5, 7–9, 11, 12
+		// and 14 each have one or two the tangent alone decides.
+		wide := 0
+		for _, from := range []int{2, 13, 27} {
 			budget, k := low, 0
 			for _, u := range ups {
-				if int(u.tile) <= from {
+				if pos[u.tile] <= from {
 					continue
 				}
 				budget += u.dBits
 				if k++; k%5 == 1 {
 					contract(t, tiles, budget)
-					if budget > 1.5*low && !exactFormRan(tiles, budget) {
-						t.Errorf("suffix after tile %d, %d upgrades: the frontier never reached %d states", from, k, exactWidth)
+					if budget > 1.5*low {
+						wide++
+						if !exactFormRan(tiles, budget) {
+							t.Errorf("suffix after swept tile %d, %d upgrades: the frontier never reached %d states", from, k, exactWidth)
+						}
 					}
 				}
 			}
 			if k == 0 {
-				t.Fatalf("no upgrades after tile %d", from)
+				t.Fatalf("no upgrades after swept tile %d", from)
 			}
+		}
+		if wide < 15 {
+			t.Errorf("%d budgets above 1.5× the all-smallest size, want at least 15", wide)
 		}
 	})
 
@@ -267,7 +280,7 @@ func TestPrunedBoundEdgeCases(t *testing.T) {
 	t.Run("r = 0 for every state", func(t *testing.T) {
 		var sc prunedScratch
 		sc.search(vod.Tiles, vod.Budget, uncapped)
-		cur, tile := slices.Clone(sc.frontier(11)), &vod.Tiles[12]
+		cur, tile := slices.Clone(sc.frontier(11)), &vod.Tiles[sc.order[12]]
 		lp := slices.Clone(sc.suffixLP(12, math.Inf(1)))
 		if len(cur) < exactWidth || len(lp) < 10 {
 			t.Fatalf("parent frontier of %d states, table of %d steps: nothing to walk", len(cur), len(lp))
@@ -321,26 +334,28 @@ func TestPrunedBoundEdgeCases(t *testing.T) {
 		}
 	})
 
-	// One tile's step up is a fifth of the budget and the first the LP
-	// cannot fit — of the whole LP and, at what the all-smallest prefix
-	// leaves, of the suffixes of the first ten steps — so the relaxation's
-	// gap is that one tile's: where the tangent kept frontiers over the cap.
+	// One tile's step up is a fifth of the budget and the first the whole
+	// LP cannot fit, so the relaxation's gap is that one tile's: where the
+	// tangent kept frontiers over the cap. The sweep takes that tile among
+	// its first two, and at what the all-smallest prefix leaves, the LP of
+	// every suffix after the first step breaks on an upgrade of under a
+	// tenth of the budget, if on any.
 	t.Run("one tile owns the break upgrade", func(t *testing.T) {
 		low, _ := smallestAndStep(vod.Tiles)
 		_, _, _, ups := lpOf(vod.Tiles, vod.Budget)
-		owner := -1
-		for _, from := range []int{-1, 4, 9} {
+		pos := sweepPos(vod.Tiles)
+		for from := -1; from < 10; from++ {
 			spent := low
 			for _, u := range ups {
-				if int(u.tile) <= from {
+				if pos[u.tile] <= from {
 					continue
 				}
 				if spent += u.dBits; spent > vod.Budget {
-					if owner < 0 {
-						owner = int(u.tile)
+					if from < 0 && (u.dBits < vod.Budget/6 || pos[u.tile] > 1) {
+						t.Fatalf("the break upgrade is tile %d's, %v bits, swept at %d; want a sixth of the budget among the first two", u.tile, u.dBits, pos[u.tile])
 					}
-					if int(u.tile) != owner || u.dBits < vod.Budget/6 {
-						t.Fatalf("suffix after tile %d: the break upgrade is tile %d's, %v bits; want tile %d's, a sixth of the budget", from, u.tile, u.dBits, owner)
+					if from >= 0 && u.dBits >= vod.Budget/10 {
+						t.Fatalf("suffix after swept tile %d: the break upgrade is tile %d's, %v bits; want under a tenth of the budget", from, u.tile, u.dBits)
 					}
 					break
 				}
@@ -413,6 +428,7 @@ func TestPrunedCutIsTheSuffixLP(t *testing.T) {
 		}
 		instances++
 		ref := referencePruned(tiles, budget, uncapped)
+		rows, _ := sweptRows(tiles)
 		inc, U, _, _ := lpOf(tiles, budget)
 		smallestRows(tiles, inc)
 		tol := 1e-6 * (U + TotalCost(tiles, inc))
@@ -434,7 +450,7 @@ func TestPrunedCutIsTheSuffixLP(t *testing.T) {
 				if !in && s%5 != 0 {
 					continue
 				}
-				v := st.cost + lpDual(tiles[i+1:], budget-st.bits)
+				v := st.cost + lpDual(rows[i+1:], budget-st.bits)
 				if in && v > U+tol {
 					t.Fatalf("n=%d budget=%v tile %d: kept (%v, %v), bounded by %v over the incumbent %v", len(tiles), budget, i, st.bits, st.cost, v, U)
 				}
