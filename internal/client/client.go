@@ -1,9 +1,9 @@
 // Package client implements the streaming client of §7. RunSession is
 // the adaptation loop — MPC + tile-level allocation, the fetch ladder,
 // buffer accounting — over any Transport and Clock; Client is its HTTP
-// transport (persistent connection, throughput measured from its own
-// downloads), and Stitch assembles per-tile buffers into panoramic
-// frames with row-major copies.
+// transport (a chunk's tiles pipelined on a persistent connection,
+// throughput measured from its own downloads), and Stitch assembles
+// per-tile buffers into panoramic frames with row-major copies.
 package client
 
 import (
@@ -97,16 +97,25 @@ func (c *Client) FetchManifest(ctx context.Context) (*manifest.Video, error) {
 func (c *Client) FetchTile(ctx context.Context, k, ti int, l codec.Level) ([]byte, error) {
 	resp, err := c.get(ctx, c.BaseURL+server.TilePath(k, ti, l), "")
 	if err != nil {
-		return nil, fmt.Errorf("client: tile %d/%d/%d: %w", k, ti, int(l), err)
+		return nil, tileErr(k, ti, l, err)
 	}
 	defer drainClose(resp)
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("client: tile %d/%d/%d: %w", k, ti, int(l), &StatusError{Code: resp.StatusCode})
+		return nil, tileErr(k, ti, l, &StatusError{Code: resp.StatusCode})
 	}
 	data, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
+	return checkTile(data, k, ti, l)
+}
+
+func tileErr(k, ti int, l codec.Level, err error) error {
+	return fmt.Errorf("client: tile %d/%d/%d: %w", k, ti, int(l), err)
+}
+
+// checkTile verifies a tile object's header names the tile asked for.
+func checkTile(data []byte, k, ti int, l codec.Level) ([]byte, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("client: tile %d/%d/%d: short object (%d bytes)", k, ti, int(l), len(data))
 	}
@@ -262,7 +271,9 @@ func (r *StreamResult) MOS() int { return quality.MOSFromPSPNR(r.MeanEstPSPNR) }
 // Stream runs a full adaptive session: fetch manifest, then per chunk
 // run MPC + the planner, fetch every tile at its chosen level through
 // the resilient pipeline (cfg.Fetch), and account throughput. The
-// viewpoint trace plays the role of the HMD sensor feed.
+// viewpoint trace plays the role of the HMD sensor feed. A chunk's
+// planned GETs go out as one pipelined turn on the session's own
+// connection when the client can own one (see pipeline).
 //
 // Tile failures never abort the session: a failing tile is retried with
 // backoff, re-fetched at the lowest level, and finally skipped
@@ -273,6 +284,10 @@ func (r *StreamResult) MOS() int { return quality.MOSFromPSPNR(r.MeanEstPSPNR) }
 // every exit path — success or failure — with a terminal status: "ok",
 // "tile_degraded", "tile_skipped", "manifest_error", or "canceled".
 func (c *Client) Stream(ctx context.Context, tr *viewport.Trace, cfg StreamConfig) (*StreamResult, error) {
+	if p := c.pipeline(); p != nil {
+		defer p.hangUp()
+		return RunSession(ctx, p, tr, cfg)
+	}
 	return RunSession(ctx, c, tr, cfg)
 }
 
@@ -397,6 +412,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		prof = jnd.Default()
 	}
 	ins := newFetchInstruments(cfg.Obs)
+	pipe, _ := tp.(Pipeliner)
 	fetchRNG := mathx.NewRNG(pol.Seed + 0xba0ff)
 
 	est := player.NewEstimator()
@@ -497,9 +513,20 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		// Phase: per-tile quality assignment.
 		alloc := player.PlanWithContext(cctx, cfg.Planner, m, k, view, budget)
 
-		// Phase: tile fetches through the resilient ladder.
+		// Phase: tile fetches through the resilient ladder, the first
+		// attempts sent as one turn when the transport pipelines.
 		fctx, fSpan := trace.StartSpan(cctx, "fetch")
 		t0 := clk.Now()
+		var first []trace.Reserved
+		if pipe != nil {
+			if fSpan != nil {
+				first = make([]trace.Reserved, len(alloc))
+				for ti := range first {
+					first[ti] = trace.Reserve(fctx)
+				}
+			}
+			pipe.Turn(fctx, k, alloc, first)
+		}
 		bytes := 0
 		var goodBits float64
 		var goodTime time.Duration
@@ -507,7 +534,11 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		delivered := append(abr.Allocation(nil), alloc...)
 		var stale []bool
 		for ti, l := range alloc {
-			tf, ferr := fetchTileResilient(fctx, tp, clk, k, ti, l, pol, buffer, k == 0, fetchRNG, ins, sess)
+			var span trace.Reserved
+			if first != nil {
+				span = first[ti]
+			}
+			tf, ferr := fetchTileResilient(fctx, tp, clk, k, ti, l, span, pol, buffer, k == 0, fetchRNG, ins, sess)
 			retries += tf.retries
 			if ferr != nil {
 				res.TotalRetries += retries

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -105,6 +106,60 @@ func TestFetchTileVerifiesHeader(t *testing.T) {
 	}
 	if _, err := c.FetchTile(context.Background(), 0, 9999, 2); err == nil {
 		t.Error("missing tile should error")
+	}
+}
+
+// A base URL with a percent-escaped path reaches the server as the
+// Client's own GETs do, pipelined or not: every request line carries the
+// escaped prefix. One whose userinfo, query or fragment a request line
+// cannot carry is not pipelined.
+func TestStreamUnderAnEscapedBasePath(t *testing.T) {
+	s, err := server.New(fixture(t).man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var uris []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		uris = append(uris, r.RequestURI)
+		mu.Unlock()
+		rest, ok := strings.CutPrefix(r.URL.EscapedPath(), "/a%20b")
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		r.URL.Path, r.URL.RawPath = rest, ""
+		s.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c := New(ts.URL + "/a%20b")
+	if c.pipeline() == nil {
+		t.Fatal("a plain http base URL is not pipelined")
+	}
+	res, err := c.Stream(context.Background(), fixture(t).tr, StreamConfig{Fetch: fastFetchPolicy(), MaxChunks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalRetries != 0 || len(res.Chunks) != 2 {
+		t.Errorf("%d chunks, %d retries; want 2 and 0", len(res.Chunks), res.TotalRetries)
+	}
+	want := 1 // the manifest
+	for _, cr := range res.Chunks {
+		want += len(cr.Planned)
+	}
+	if len(uris) != want {
+		t.Errorf("server saw %d requests, want %d", len(uris), want)
+	}
+	for _, u := range uris {
+		if !strings.HasPrefix(u, "/a%20b/") {
+			t.Errorf("request line carries %q, want the escaped prefix", u)
+		}
+	}
+	for _, base := range []string{"http://u:p@127.0.0.1/", "http://127.0.0.1/?x=1", "http://127.0.0.1/#f"} {
+		if New(base).pipeline() != nil {
+			t.Errorf("%s pipelined", base)
+		}
 	}
 }
 

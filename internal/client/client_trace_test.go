@@ -137,6 +137,45 @@ func TestStreamTraceStitchesAcrossRetries(t *testing.T) {
 	}
 }
 
+// Every request of a pipelined turn carries its own traceparent: the
+// server records one handler span per attempt, parented to it, and one
+// for the manifest, parented to the session.
+func TestPipelinedRequestsCarryTheirAttemptSpans(t *testing.T) {
+	tracer := trace.New(trace.Config{Seed: 11})
+	ts := tracedChaosServer(t, tracer, "")
+	res, err := New(ts.URL).Stream(context.Background(), fixture(t).tr, StreamConfig{
+		Fetch: fastFetchPolicy(), Trace: tracer, MaxChunks: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var td *trace.TraceData
+	for _, tr := range tracer.Traces() {
+		if tr.ID.String() == res.TraceID {
+			td = tr
+		}
+	}
+	if td == nil {
+		t.Fatalf("trace %s not in the store", res.TraceID)
+	}
+	served := map[trace.SpanID]int{}
+	for _, sd := range td.Find("http_request") {
+		served[sd.Parent]++
+	}
+	attempts := td.Find("attempt")
+	if len(attempts) == 0 {
+		t.Fatal("no attempt spans")
+	}
+	for _, a := range attempts {
+		if served[a.ID] != 1 {
+			t.Errorf("attempt %s parents %d handler spans, want 1", a.ID, served[a.ID])
+		}
+	}
+	if root := td.Root(); served[root.ID] != 1 {
+		t.Errorf("session parents %d handler spans, want the manifest's", served[root.ID])
+	}
+}
+
 func TestStreamTraceConcurrentSessions(t *testing.T) {
 	tracer := trace.New(trace.Config{Seed: 5, MaxTraces: 16})
 	ts := tracedChaosServer(t, tracer, "seed=7,tile-error=0.1")

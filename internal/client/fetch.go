@@ -265,9 +265,10 @@ type tileFetch struct {
 // span and every attempt its own "attempt" span — annotated with the
 // ladder rung, the buffer-derived deadline, the backoff that follows a
 // failure, and the failure's error class — so a late chunk decomposes
-// into exactly which attempt stalled and why.
+// into exactly which attempt stalled and why. The first attempt's span
+// opens under span, the id a pipelined request for it already carries.
 func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int, planned codec.Level,
-	pol FetchPolicy, bufferSec float64, startup bool, rng *mathx.RNG,
+	span trace.Reserved, pol FetchPolicy, bufferSec float64, startup bool, rng *mathx.RNG,
 	ins fetchInstruments, sess *slog.Logger) (outF tileFetch, outErr error) {
 
 	// Spans and attribute lists are built only under a traced context,
@@ -308,7 +309,11 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 			timeout := pol.attemptTimeout(bufferSec, startup)
 			actx, aspan := ctx, (*trace.Span)(nil)
 			if traced {
-				actx, aspan = trace.StartSpan(ctx, "attempt",
+				start := trace.StartSpan
+				if ri == 0 && attempt == 0 {
+					start = span.Start // the id the pipelined request already carries
+				}
+				actx, aspan = start(ctx, "attempt",
 					trace.A("attempt", attempt+1), trace.A("rung", ri), trace.A("level", int(lv)),
 					trace.A("deadline_sec", timeout.Seconds()))
 			}

@@ -3,8 +3,10 @@ package client
 import (
 	"context"
 
+	"pano/internal/abr"
 	"pano/internal/codec"
 	"pano/internal/manifest"
+	"pano/internal/trace"
 )
 
 // Transport abstracts object delivery for the session loop: the HTTP
@@ -26,6 +28,19 @@ type Transport interface {
 	// (StatusError for server answers, context.DeadlineExceeded for
 	// expiry) so the retry ladder treats both transports identically.
 	Tile(ctx context.Context, k, ti int, l codec.Level) (float64, error)
+}
+
+// Pipeliner is a Transport that sends a chunk's planned tile requests
+// as one pipelined turn. RunSession calls Turn once per chunk, after
+// planning and before the fetch ladder runs: the transport may send
+// every request (tile ti at alloc[ti]) back to back at once, and then
+// answers the ladder's first attempt at each tile — in tile order, at
+// the planned level — from that turn. Every other attempt (a retry, a
+// lowest-rung re-fetch) is a fresh request. spans is nil on an
+// untraced session; otherwise spans[ti] is the attempt span that will
+// read tile ti's answer, whose traceparent its request carries.
+type Pipeliner interface {
+	Turn(ctx context.Context, k int, alloc abr.Allocation, spans []trace.Reserved)
 }
 
 // Target implements Transport.

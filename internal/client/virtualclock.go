@@ -37,6 +37,10 @@ func (c *VirtualClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) 
 // the time axis shared by bandwidth traces and origin-load buckets.
 func (c *VirtualClock) NowSec() float64 { return c.off.Seconds() }
 
+// Elapsed returns the current virtual time past the epoch, to the
+// nanosecond: Now without the time.Time arithmetic.
+func (c *VirtualClock) Elapsed() time.Duration { return c.off }
+
 // Advance moves the clock forward by d (negative d is ignored).
 func (c *VirtualClock) Advance(d time.Duration) {
 	if d > 0 {

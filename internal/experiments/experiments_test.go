@@ -239,15 +239,18 @@ func TestAllocationPruningMeasuresTheSearch(t *testing.T) {
 	}
 	// Where the sessions sit: a simulator session's first chunk is planned
 	// at the all-lowest size and the rest have room to upgrade; a swarm
-	// session (RTT per object, ROADMAP item 1) never has.
+	// session, on slower links and under faults, has room on fewer chunks,
+	// but since the RTT is paid once per pipelined turn instead of once
+	// per object it is no longer nearly never.
 	simCalls, swarmCalls := rows[3], rows[4]
 	if simCalls.NoSearchFrac <= 0 || simCalls.NoSearchFrac > 0.5 || simCalls.States < 1 ||
 		simCalls.SearchedStates <= simCalls.States || simCalls.ThinnedFrac != 0 {
 		t.Errorf("sim sessions: %v of calls answered without a search, %v states per call, %v per searched call, %v of calls thinned",
 			simCalls.NoSearchFrac, simCalls.States, simCalls.SearchedStates, simCalls.ThinnedFrac)
 	}
-	if swarmCalls.NoSearchFrac < 0.9 {
-		t.Errorf("swarm population: %v of calls answered without a search, want nearly all", swarmCalls.NoSearchFrac)
+	if swarmCalls.NoSearchFrac <= simCalls.NoSearchFrac || swarmCalls.NoSearchFrac >= 0.9 {
+		t.Errorf("swarm population: %v of calls answered without a search, want more than the sim sessions' %v and under 0.9",
+			swarmCalls.NoSearchFrac, simCalls.NoSearchFrac)
 	}
 }
 

@@ -306,29 +306,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, prof *jnd.Profile, objects *objectIndex, place *placement, w *scratch) sessionStats {
 	p := sessionParams(cfg, id)
 	vp := cfg.Viewports[p.vp]
-	clk := NewVirtualClock(p.arrival)
-	link := &nettrace.Link{Trace: cfg.Bandwidth[p.bw], RTTSec: cfg.RTTSec}
-	tp := newNetem(cfg.Manifest, objects, clk, link, cfg.Fault, p.faultSeed, manifestBits, w)
-	pol := cfg.Fetch
-	pol.Seed = p.fetchSeed
-	if cfg.Fleet != nil {
-		tp.fleet = newFleetSim(cfg.Fleet, place, p.faultSeed, pol)
-	}
-
-	// sim's buffer model: a 2 s MPC target, prefetch capped at 3 s, the
-	// whole video, no cap on the bandwidth estimate.
-	res, err := client.RunSession(ctx, tp, vp, client.StreamConfig{
-		BufferTargetSec: 2,
-		MaxBufferSec:    3,
-		SimModel:        true,
-		Planner:         cfg.Planner,
-		Fetch:           pol,
-		Clock:           clk,
-	})
+	tp, sc := newSession(cfg, p, manifestBits, objects, place, w)
+	res, err := client.RunSession(ctx, tp, vp, sc)
 
 	st := sessionStats{
 		arrival:    p.arrival,
-		endSec:     clk.NowSec(),
+		endSec:     tp.clock.NowSec(),
 		originReqs: tp.originReqs,
 	}
 	if tp.fleet != nil {
@@ -362,6 +345,29 @@ func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, 
 		st.scored = true
 	}
 	return st
+}
+
+// newSession builds the transport and stream config of the session
+// drawn as p: its virtual clock, link, fault plan and fleet twin.
+func newSession(cfg *Config, p params, manifestBits float64, objects *objectIndex, place *placement, w *scratch) (*netem, client.StreamConfig) {
+	clk := NewVirtualClock(p.arrival)
+	link := &nettrace.Link{Trace: cfg.Bandwidth[p.bw], RTTSec: cfg.RTTSec}
+	tp := newNetem(cfg.Manifest, objects, clk, link, cfg.Fault, p.faultSeed, manifestBits, w)
+	pol := cfg.Fetch
+	pol.Seed = p.fetchSeed
+	if cfg.Fleet != nil {
+		tp.fleet = newFleetSim(cfg.Fleet, place, p.faultSeed, pol)
+	}
+	// sim's buffer model: a 2 s MPC target, prefetch capped at 3 s, the
+	// whole video, no cap on the bandwidth estimate.
+	return tp, client.StreamConfig{
+		BufferTargetSec: 2,
+		MaxBufferSec:    3,
+		SimModel:        true,
+		Planner:         cfg.Planner,
+		Fetch:           pol,
+		Clock:           clk,
+	}
 }
 
 // fold reduces the per-session slots — in session-id order, so float

@@ -2,6 +2,7 @@ package swarm
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -17,28 +18,40 @@ import (
 // swarm over a flat-bandwidth trace must reproduce sim.Run's per-chunk
 // level decisions exactly and its per-chunk PSPNR within 1e-9. This
 // pins the extracted client loop (SimModel decisions + virtual clock +
-// netem link) to the simulator's analytical model: the only remaining
-// divergence is nanosecond quantization of durations, which a flat
-// trace keeps far below the tolerance.
+// netem link) to the simulator's analytical model, at zero RTT and at
+// the link's default 50 ms: netem's pipelined turn pays the RTT once
+// per chunk, as linkTransport does. The only remaining divergence is
+// nanosecond quantization of durations, which a flat trace keeps far
+// below the tolerance.
 func TestOneSessionMatchesSim(t *testing.T) {
+	for _, rtt := range []float64{0, 0.05} {
+		t.Run(fmt.Sprintf("rtt=%gs", rtt), func(t *testing.T) { oneSessionMatchesSim(t, rtt) })
+	}
+}
+
+func oneSessionMatchesSim(t *testing.T, rtt float64) {
 	f := fixture(t)
 	m := f.pano
 	tr := f.traces[0]
 
-	// Flat link at 40% of the top encoding rate, zero RTT: download
-	// time is then linear in bits, so the client's per-tile transfers
-	// sum to exactly the simulator's one-shot per-chunk transfer.
+	// Flat link at 40% of the top encoding rate: download time is then
+	// linear in bits, so netem's turn and the simulator's one-shot
+	// per-chunk transfer integrate the same link.
 	flat := &nettrace.Trace{Mbps: make([]float64, 60)}
 	for i := range flat.Mbps {
 		flat.Mbps[i] = 0.4 * m.ChunkBits(0, 0) / m.ChunkSec / 1e6
 	}
-	link := &nettrace.Link{Trace: flat, RTTSec: 0}
+	link := &nettrace.Link{Trace: flat, RTTSec: rtt}
 
 	simRes, err := sim.Run(m, tr, link, player.NewPanoPlanner(), sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	swarmRTT := rtt
+	if rtt == 0 {
+		swarmRTT = -1 // zero RTT, matching the sim link
+	}
 	swarmCfg := Config{
 		Manifest:      m,
 		Sessions:      1,
@@ -46,7 +59,7 @@ func TestOneSessionMatchesSim(t *testing.T) {
 		Seed:          42,
 		Viewports:     f.traces[:1],
 		Bandwidth:     []*nettrace.Trace{flat},
-		RTTSec:        -1, // zero RTT, matching the sim link
+		RTTSec:        swarmRTT,
 		Planner:       player.NewPanoPlanner(),
 		RetainResults: true,
 		Fetch: client.FetchPolicy{

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pano/internal/chaos"
+	"pano/internal/client"
 	"pano/internal/manifest"
 	"pano/internal/nettrace"
 	"pano/internal/obs"
@@ -160,12 +162,52 @@ func TestFaultsSurfaceInSummary(t *testing.T) {
 	if rep.Summary.Retries == 0 {
 		t.Errorf("30%% 500s + 10%% aborts produced zero retries")
 	}
-	clean, err := Run(context.Background(), baseConfig(f))
+	// A fault-free run fails no request of an injected class. At the
+	// default deadlines it does retry: a tile larger than half the buffer
+	// outlasts its attempt deadline. Its sessions, replayed with a
+	// registry, retry as often as the run does, every time on a timeout.
+	clean := baseConfig(f)
+	rep, err = Run(context.Background(), clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.Summary.Retries != 0 {
-		t.Errorf("fault-free run recorded %d retries", clean.Summary.Retries)
+	reg := obs.NewRegistry()
+	rc := clean
+	if err := rc.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	objects := newObjectIndex(rc.Manifest)
+	replayed := 0
+	for id := range rc.Sessions {
+		p := sessionParams(&rc, id)
+		tp, sc := newSession(&rc, p, float64(8*rc.Manifest.WireLen()), objects, nil, &scratch{})
+		sc.Obs = reg
+		res, err := client.RunSession(context.Background(), tp, rc.Viewports[p.vp], sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed += res.TotalRetries
+	}
+	if replayed != int(rep.Summary.Retries) {
+		t.Fatalf("replayed sessions retried %d times, the run %d", replayed, rep.Summary.Retries)
+	}
+	for _, class := range []string{"http_5xx", "conn_reset", "truncated"} {
+		if n := reg.CounterValue("pano_client_tile_retries_total", obs.L("class", class)); n != 0 {
+			t.Errorf("fault-free run retried %v times on %s", n, class)
+		}
+	}
+	if timeouts, all := reg.CounterValue("pano_client_tile_retries_total", obs.L("class", "timeout")),
+		reg.CounterSum("pano_client_tile_retries_total"); timeouts != all || all != float64(replayed) {
+		t.Errorf("fault-free run: %v retries on timeouts of %v (%d in the results)", timeouts, all, replayed)
+	}
+	// With the deadlines out of reach it records none.
+	clean.Fetch = client.FetchPolicy{AttemptTimeout: time.Hour, MinAttemptTimeout: time.Hour}
+	rep, err = Run(context.Background(), clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Summary.Retries != 0 {
+		t.Errorf("fault-free run without deadlines recorded %d retries", rep.Summary.Retries)
 	}
 }
 

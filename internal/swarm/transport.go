@@ -9,12 +9,14 @@ import (
 	"syscall"
 	"time"
 
+	"pano/internal/abr"
 	"pano/internal/chaos"
 	"pano/internal/client"
 	"pano/internal/codec"
 	"pano/internal/fleet"
 	"pano/internal/manifest"
 	"pano/internal/nettrace"
+	"pano/internal/trace"
 )
 
 // errConnReset is the virtual transport's connection-abort error; it
@@ -27,6 +29,24 @@ var errConnReset = fmt.Errorf("swarm: connection reset: %w", syscall.ECONNRESET)
 // client.Transport. Every failure mode maps onto the same error the
 // HTTP transport would surface (StatusError, unexpected EOF, reset,
 // DeadlineExceeded), so the client's retry ladder runs unchanged.
+//
+// It charges what the HTTP client pays. A chunk's planned requests go
+// out as pipelined turns (client.Pipeliner), one per (chunk, shard):
+// a turn pays the link RTT once, on its first answer, and prices its
+// answers as sim's linkTransport prices a chunk (see answer). A reset,
+// abort, truncation or deadline ends the turn, and the shard's next
+// planned request opens a new one, RTT and all. Every request off a
+// turn — retry, lowest-rung re-fetch, failover, hedge — pays its own
+// RTT, priced as before (plan, send).
+//
+// At one origin that is the HTTP Client's charge, held to a loopback
+// wire by TestTurnsMatchLoopback. In the fleet twin a shard's turn opens
+// when the ladder first reaches one of its planned tiles: the charge of
+// a client with one pipelined connection per origin shard that sends a
+// shard's turn then. The repo has no such client (Client.Stream
+// pipelines to one base URL, fleet.Fetch sends one request at a time)
+// and no wire test checks those turns; a client that sent every shard's
+// turn at once would pay one RTT where the twin charges one per shard.
 type netem struct {
 	m            *manifest.Video
 	clock        *VirtualClock
@@ -41,8 +61,26 @@ type netem struct {
 	// each tile through the fleet's ladder (fleetTile).
 	fleet *fleetSim
 	// w is the calling worker's scratch: the load histogram every
-	// session of the worker adds to, and this session's draw counters.
+	// session of the worker adds to, and this session's draw counters
+	// and turns.
 	w *scratch
+
+	// chunk is the running chunk (Turn); opened counts the session's
+	// turns.
+	chunk  int
+	opened int64
+}
+
+// turn is one shard's pipelined turn within the chunk. It opens at the
+// first planned request the shard answers. It has held the link since
+// start (virtual time past the epoch) — since it opened, or since it
+// resumed after other requests took the link, warm — and carried bits
+// and server delay since; req is the origin request its last answer was.
+type turn struct {
+	open, warm  bool
+	start       time.Duration
+	bits, delay float64
+	req         int64
 }
 
 // objectIndex numbers a manifest's (chunk, tile, level) objects densely,
@@ -82,6 +120,10 @@ type scratch struct {
 	// seq is the running session's per-object request count — the fault
 	// draw index — over objectIndex; newNetem zeroes it.
 	seq []uint32
+	// planned is the running chunk's plan, an entry set to -1 once its
+	// request has gone out; turns is one turn per shard.
+	planned abr.Allocation
+	turns   []turn
 }
 
 func newNetem(m *manifest.Video, objects *objectIndex, clk *VirtualClock, link *nettrace.Link, fault chaos.Rule, seed uint64, manifestBits float64, w *scratch) *netem {
@@ -92,7 +134,31 @@ func newNetem(m *manifest.Video, objects *objectIndex, clk *VirtualClock, link *
 		m: m, objects: objects, clock: clk, link: link, fault: fault, seed: seed,
 		manifestBits: manifestBits,
 		w:            w,
+		chunk:        -1,
 	}
+}
+
+// Turn implements client.Pipeliner: chunk k's planned requests go out,
+// and every shard's turn starts afresh.
+func (s *netem) Turn(_ context.Context, k int, alloc abr.Allocation, _ []trace.Reserved) {
+	n := 1
+	if s.fleet != nil {
+		n = s.fleet.cfg.Origins
+	}
+	s.w.turns = slices.Grow(s.w.turns[:0], n)[:n]
+	clear(s.w.turns)
+	s.w.planned = append(s.w.planned[:0], alloc...)
+	s.chunk = k
+}
+
+// claim reports whether (k, ti, l) is tile ti's planned request of the
+// running chunk, not yet sent; it is sent now.
+func (s *netem) claim(k, ti int, l codec.Level) bool {
+	if k != s.chunk || s.w.planned[ti] != l {
+		return false
+	}
+	s.w.planned[ti] = -1
+	return true
 }
 
 // Target implements client.Transport.
@@ -151,15 +217,77 @@ func (s *netem) Tile(ctx context.Context, k, ti int, l codec.Level) (float64, er
 	if s.fleet != nil {
 		return s.fleetTile(ctx, k, ti, l, bits)
 	}
+	inTurn := s.claim(k, ti, l)
 	s.hit()
-	cost, ferr := s.plan(s.draw(k, ti, l), bits, s.clock.NowSec())
-	if err := s.advance(ctx, seconds(cost)); err != nil {
+	var cost time.Duration
+	var ferr error
+	if inTurn {
+		cost, ferr = s.answer(0, s.draw(k, ti, l), bits)
+	} else {
+		c, err := s.plan(s.draw(k, ti, l), bits, s.clock.NowSec())
+		cost, ferr = seconds(c), err
+	}
+	if err := s.advance(ctx, cost); err != nil {
+		if inTurn {
+			s.w.turns[0].open = false // the client hangs up on an expired read
+		}
 		return 0, err
 	}
 	if ferr != nil {
 		return 0, ferr
 	}
 	return bits, nil
+}
+
+// answer prices the answer to a planned request on shard o's turn,
+// asked for now: its cost from now and how it ends. While the turn holds
+// the link its answers are priced as linkTransport prices a chunk: the
+// link integrated from the turn's start over the bits carried since,
+// with the RTT once, plus the server's delays since (chaos latency and
+// stalls: the server answers a pipeline serially). When other requests
+// took the link in between, the turn resumes from now, warm: its data
+// has long been on the way, so the RTT is not paid again. A reset,
+// abort or truncation ends the turn; a 500 does not (the server keeps
+// the connection).
+func (s *netem) answer(o int, out chaos.Outcome, bits float64) (time.Duration, error) {
+	now := s.clock.Elapsed()
+	tn := &s.w.turns[o]
+	switch {
+	case !tn.open:
+		*tn = turn{open: true, start: now}
+		s.opened++
+	case tn.req != s.originReqs-1:
+		*tn = turn{open: true, warm: true, start: now}
+	}
+	tn.req = s.originReqs
+	tn.delay += out.Latency.Seconds()
+	var ferr error
+	switch {
+	case out.Abort:
+		ferr = errConnReset
+	case out.Error500:
+		ferr = &client.StatusError{Code: 500}
+	default:
+		if out.Truncate {
+			bits, ferr = bits/2, io.ErrUnexpectedEOF // half the body arrives, then the connection dies
+		}
+		if out.Stall {
+			tn.delay += s.stallFor().Seconds()
+		}
+		tn.bits += bits
+	}
+	dl := s.link.DownloadTime(tn.start.Seconds(), tn.bits)
+	if s.fault.ThrottleBps > 0 {
+		dl = max(dl, tn.bits/s.fault.ThrottleBps+s.link.RTTSec)
+	}
+	if tn.warm {
+		dl -= s.link.RTTSec
+	}
+	done := tn.start + seconds(tn.delay+dl)
+	if ferr != nil && !out.Error500 {
+		tn.open = false
+	}
+	return max(0, done-now), ferr
 }
 
 // draw consumes the object's next fault-draw index. The counter is
@@ -172,8 +300,9 @@ func (s *netem) draw(k, ti int, l codec.Level) chaos.Outcome {
 	return o
 }
 
-// plan maps one attempt's fault outcome, sent at virtual time now, to
-// its virtual-time cost and terminal error, without moving the clock.
+// plan maps one request off a turn, sent at virtual time now, to its
+// virtual-time cost — its own RTT included — and terminal error,
+// without moving the clock.
 func (s *netem) plan(o chaos.Outcome, bits, now float64) (float64, error) {
 	cost := o.Latency.Seconds()
 	var ferr error
@@ -196,15 +325,19 @@ func (s *netem) plan(o chaos.Outcome, bits, now float64) (float64, error) {
 			ferr = io.ErrUnexpectedEOF
 		}
 		if o.Stall {
-			sf := s.fault.StallFor
-			if sf <= 0 {
-				sf = 250 * time.Millisecond
-			}
-			dl += sf.Seconds()
+			dl += s.stallFor().Seconds()
 		}
 		cost += dl
 	}
 	return cost, ferr
+}
+
+// stallFor is the fault rule's mid-body stall.
+func (s *netem) stallFor() time.Duration {
+	if s.fault.StallFor <= 0 {
+		return 250 * time.Millisecond
+	}
+	return s.fault.StallFor
 }
 
 // seconds converts a cost in seconds to a duration.
@@ -226,9 +359,11 @@ func (s *netem) advance(ctx context.Context, d time.Duration) error {
 // fleetTile walks the object's fleet.Ladder — the policy fleet.Fetch
 // runs — in virtual time. The ladder picks the shards, admits the
 // requests and decides the hedges; this side prices them (send) and
-// races them (race).
+// races them (race). The tile's planned request rides its shard's turn
+// in the first round; later rounds and hedges are fresh requests.
 func (s *netem) fleetTile(ctx context.Context, k, ti int, l codec.Level, bits float64) (float64, error) {
 	fs := s.fleet
+	inTurn := s.claim(k, ti, l)
 	fs.walks++
 	var lad fleet.Ladder
 	fs.pol.Start(&lad, fs.place.tileOrder(k, ti, l), s.seed^tileKey(k, ti, l)^fs.walks*0x9e3779b97f4a7c15)
@@ -247,7 +382,8 @@ func (s *netem) fleetTile(ctx context.Context, k, ti int, l codec.Level, bits fl
 		case fleet.Exhausted:
 			return 0, lad.Err()
 		}
-		answered, err := s.race(ctx, &lad, now, k, ti, l, bits)
+		answered, err := s.race(ctx, &lad, now, k, ti, l, bits, inTurn)
+		inTurn = false // later rounds fail over: fresh requests
 		if err != nil {
 			return 0, err
 		}
@@ -260,28 +396,36 @@ func (s *netem) fleetTile(ctx context.Context, k, ti int, l codec.Level, bits fl
 	}
 }
 
-// flight is one request of a rung: when it leaves and when it would
-// complete, both after the rung starts, and how it ends.
+// flight is one request of a rung: the shard it goes to, whether it is
+// a hedge or a planned request on the shard's turn, when it leaves and
+// when it would complete, both after the rung starts, and how it ends.
 type flight struct {
-	hedge    bool
-	from, to time.Duration
-	err      error
+	o           int
+	hedge, turn bool
+	from, to    time.Duration
+	err         error
 }
 
 // send prices one request to shard o leaving at virtual time t: how
 // long it takes and how it ends. A shard inside its outage window resets
-// the connection after a header round trip; a live one serves the
-// primary under the object's fault plan and a hedge as a clean transfer.
-func (s *netem) send(o int, t float64, hedge bool, k, ti int, l codec.Level, bits float64) (time.Duration, error) {
+// the connection after a header round trip (and ends its turn); a live
+// one answers a planned request on its turn, serves any other primary
+// under the object's fault plan, and a hedge as a clean transfer.
+func (s *netem) send(o int, t float64, hedge, inTurn bool, k, ti int, l codec.Level, bits float64) (time.Duration, error) {
 	s.fleet.reqs[o]++
 	s.hit()
 	var cost float64
 	var err error
 	switch {
 	case s.fleet.down(o, t):
+		if inTurn {
+			s.w.turns[o].open = false
+		}
 		cost, err = s.link.DownloadTime(t, 0), errConnReset
 	case hedge:
 		cost = s.link.DownloadTime(t, bits)
+	case inTurn:
+		return s.answer(o, s.draw(k, ti, l), bits)
 	default:
 		cost, err = s.plan(s.draw(k, ti, l), bits, t)
 	}
@@ -295,22 +439,23 @@ func (s *netem) send(o int, t float64, hedge bool, k, ti int, l codec.Level, bit
 // deadline has failed — the twin's one timeout is the client's — and the
 // rung ends there with DeadlineExceeded; otherwise the clock moves to the
 // answer, or to the last failure.
-func (s *netem) race(ctx context.Context, lad *fleet.Ladder, now time.Time, k, ti int, l codec.Level, bits float64) (bool, error) {
+func (s *netem) race(ctx context.Context, lad *fleet.Ladder, now time.Time, k, ti int, l codec.Level, bits float64, inTurn bool) (bool, error) {
 	fs := s.fleet
 	left := time.Duration(math.MaxInt64)
 	if dl, ok := client.VirtualDeadline(ctx); ok {
 		left = dl.Sub(now)
 	}
 	t := s.clock.NowSec()
-	var p, h flight
-	p.to, p.err = s.send(lad.Origin(), t, false, k, ti, l, bits)
+	p := flight{o: lad.Origin(), turn: inTurn}
+	var h flight
+	p.to, p.err = s.send(p.o, t, false, inTurn, k, ti, l, bits)
 	fl, n := [2]*flight{&p, &h}, 1
 	if d, ok := lad.HedgeDelay(); ok && p.to > d && d < left {
 		switch lad.Hedge(now.Add(d)) {
 		case fleet.Admitted:
 			fs.hedges++
-			h.hedge, h.from = true, d
-			h.to, h.err = s.send(lad.Backup(), t+d.Seconds(), true, k, ti, l, bits)
+			h.o, h.hedge, h.from = lad.Backup(), true, d
+			h.to, h.err = s.send(h.o, t+d.Seconds(), true, false, k, ti, l, bits)
 			h.to += d
 			if n = 2; h.to < p.to {
 				fl[0], fl[1] = &h, &p
@@ -337,6 +482,9 @@ func (s *netem) race(ctx context.Context, lad *fleet.Ladder, now time.Time, k, t
 		}
 		last = now.Add(at)
 		lad.Resolve(f.hedge, out, err, last, at-f.from)
+		if f.turn && (out == fleet.Cancelled || err == context.DeadlineExceeded) {
+			s.w.turns[f.o].open = false // its answer is abandoned mid-stream
+		}
 	}
 	s.clock.AdvanceTo(last)
 	if !answered && fl[n-1].to > left {

@@ -17,7 +17,11 @@ func (s *Span) Traceparent() string {
 	if s == nil {
 		return ""
 	}
-	return "00-" + s.trace.String() + "-" + s.id.String() + "-01"
+	return traceparent(s.trace, s.id)
+}
+
+func traceparent(tid TraceID, id SpanID) string {
+	return "00-" + tid.String() + "-" + id.String() + "-01"
 }
 
 // ParseTraceparent parses a W3C traceparent header value

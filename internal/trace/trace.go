@@ -192,13 +192,13 @@ func (t *Tracer) Start(ctx context.Context, name string, attrs ...Attr) (context
 		return ctx, nil
 	}
 	if parent := FromContext(ctx); parent != nil {
-		return t.start(ctx, parent.trace, parent.id, false, name, attrs)
+		return t.start(ctx, parent.trace, t.newSpanID(), parent.id, false, name, attrs)
 	}
 	tid := t.newTraceID()
 	if !t.sampled(tid) {
 		return ctx, nil
 	}
-	return t.start(ctx, tid, SpanID{}, true, name, attrs)
+	return t.start(ctx, tid, t.newSpanID(), SpanID{}, true, name, attrs)
 }
 
 // StartRemote opens a span joining a trace begun elsewhere (the server
@@ -212,16 +212,16 @@ func (t *Tracer) StartRemote(ctx context.Context, name string, tid TraceID, pare
 	if t == nil || tid.IsZero() {
 		return ctx, nil
 	}
-	sctx, s := t.start(ctx, tid, parent, false, name, attrs)
+	sctx, s := t.start(ctx, tid, t.newSpanID(), parent, false, name, attrs)
 	s.remote = true
 	return sctx, s
 }
 
-func (t *Tracer) start(ctx context.Context, tid TraceID, parent SpanID, root bool, name string, attrs []Attr) (context.Context, *Span) {
+func (t *Tracer) start(ctx context.Context, tid TraceID, id, parent SpanID, root bool, name string, attrs []Attr) (context.Context, *Span) {
 	s := &Span{
 		tracer: t,
 		trace:  tid,
-		id:     t.newSpanID(),
+		id:     id,
 		parent: parent,
 		root:   root,
 		name:   name,
@@ -240,6 +240,46 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 		return ctx, nil
 	}
 	return parent.tracer.Start(ctx, name, attrs...)
+}
+
+// Reserved is the id of a span minted before the span opens: a request
+// written ahead of the code that waits for its answer (a pipelined GET)
+// names that code's span in its traceparent, and Start opens the span
+// under the same id later, so the server's handler span parents to it.
+// The zero Reserved, minted from an untraced context, opens spans like
+// StartSpan.
+type Reserved struct {
+	trace TraceID
+	id    SpanID
+}
+
+// Reserve mints a span id in the trace of ctx's active span (the zero
+// Reserved when ctx carries none).
+func Reserve(ctx context.Context) Reserved {
+	s := FromContext(ctx)
+	if s == nil {
+		return Reserved{}
+	}
+	return Reserved{trace: s.trace, id: s.tracer.newSpanID()}
+}
+
+// Traceparent renders the reserved span as a traceparent header value
+// ("" for the zero Reserved).
+func (r Reserved) Traceparent() string {
+	if r.id.IsZero() {
+		return ""
+	}
+	return traceparent(r.trace, r.id)
+}
+
+// Start opens a child of ctx's active span under the reserved id; with
+// the zero Reserved it is StartSpan.
+func (r Reserved) Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
+	parent := FromContext(ctx)
+	if parent == nil || r.id.IsZero() {
+		return StartSpan(ctx, name, attrs...)
+	}
+	return parent.tracer.start(ctx, parent.trace, r.id, parent.id, false, name, attrs)
 }
 
 // Span is one timed operation in a trace. All methods are nil-safe.
