@@ -185,7 +185,9 @@ bench: build microbench
 # (nothing_affordable, the swarm's operating point), bench_video, a
 # real manifest's chunks at the sizes of its uniform levels, and
 # vod_links, the same chunks at the budgets 0.18x/0.30x links produce —
-# the heavy-tailed row, and the one to quote), the planner's cost rows for one chunk
+# the heavy-tailed row, and the one to quote; BenchmarkVodSessionSearches:
+# the searched calls of one vod_session pass, with their frontier states
+# per call), the planner's cost rows for one chunk
 # (BenchmarkCostRows: exact is the Pow-and-Exp definition, table what
 # Plan runs), the provider's chunk analysis (scene render, quantizer,
 # the PMSE kernel per level over one frame's 30 tiles, one chunk, one
@@ -202,7 +204,7 @@ bench: build microbench
 # benchstat or plain text tools.
 microbench:
 	@echo "## $$(git rev-parse --short HEAD 2>/dev/null || echo dirty) $$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> BENCH_micro.txt
-	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|OriginTileGET|FleetFetch|EdgeHit|ManifestWire|SamplerStep' -benchmem \
+	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|VodSessionSearches|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|OriginTileGET|FleetFetch|EdgeHit|ManifestWire|SamplerStep' -benchmem \
 		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr \
 		./internal/player ./internal/scene ./internal/codec ./internal/provider \
 		./internal/client ./internal/swarm ./internal/store ./internal/fleet \

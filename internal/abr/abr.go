@@ -17,11 +17,13 @@
 //
 // The pruned enumeration is what a session spends its compute on. Its
 // tile step is a merge, not a sort; a partial assignment is dropped as it
-// is formed unless cost + LPᵢ₊₁(budget − bits) ≤ incumbent, the LP
-// relaxation of the tiles still to come at the bits it has left; and the
-// frontiers and the LP tables of a call live in one pooled scratch, so a
-// call allocates only its result. AllocatePruned documents the cut and
-// the ordering rules that make the merge the same search.
+// is formed unless cost + LPᵢ₊₁(budget − bits), the LP relaxation of the
+// tiles still to come at the bits it has left, is at most U, the cheapest
+// plan known, which falls as the sweep completes its states with prefixes
+// of that LP; and the frontiers and the LP tables of a call live in one
+// pooled scratch, so a call allocates only its result. AllocatePruned
+// documents the cut and the ordering rules that make the merge the same
+// search.
 package abr
 
 import (
@@ -167,7 +169,9 @@ type prunedScratch struct {
 	// Tile order[i] is swept i-th; tile j at pos[j].
 	order, pos []int32
 	// ups is every tile's hull upgrades, most efficient first, merged from
-	// the per-tile runs hull[runs[k]:runs[k+1]]; the two alternate.
+	// the per-tile runs hull[runs[k]:runs[k+1]]; the two alternate. After
+	// bound, hull is a sweep's copy of ups that suffixLP compacts to the
+	// tiles still to come.
 	ups, hull []hullUpgrade
 	runs      []int32
 	rest      []suffixMin // rest[i] is of the tiles swept from i on
@@ -200,11 +204,13 @@ type SearchStats struct {
 const boundSlack = 1e-9
 
 // exactWidth is the frontier width from which a sweep puts the exact form
-// of the cut. Its table per tile step repays itself on dozens of states,
-// not on the handful of a sweep's first steps or of a budget the tangent
-// decides. BenchmarkAllocatePruned, two cores, the least of five runs:
-// bench_video 28 µs with the table from the first step, 18 from the 16th
-// state on, 20 without the exact form; vod_links 29, 29 and 68 µs.
+// of the cut. Its table per tile step, which also completes the step's
+// states into plans that lower U, repays itself on dozens of states, not
+// on the handful of a sweep's first steps or of a budget the tangent
+// decides. BenchmarkAllocatePruned on two cores, the median of three runs
+// taken in turn, with the table from the 1st, 8th, 16th and 32nd state on:
+// 72tiles 107, 86, 64 and 63 µs; bench_video 31, 22, 20 and 22 µs;
+// vod_links 39, 28, 28 and 35 µs.
 const exactWidth = 16
 
 // sweepOrder sets order to the order the search sweeps the tiles in:
@@ -235,7 +241,8 @@ func sweepOrder(tiles []TileChoice, order []int32) []int32 {
 //
 // The program is a multiple-choice knapsack, and its LP relaxation —
 // the tiles' convex-hull upgrades merged by efficiency, filled greedily —
-// gives, rounded, a feasible incumbent of cost U (bound). The same order
+// gives, rounded, a feasible incumbent (bound); U, the cost of the
+// cheapest plan the sweep knows of, starts as its cost. The same order
 // filtered to the tiles swept after the i-th relaxes what a partial
 // assignment has left to decide: LPᵢ₊₁(r), the least those tiles cost on
 // r bits, is their all-smallest cost less the savings of their upgrades
@@ -251,6 +258,15 @@ func sweepOrder(tiles []TileChoice, order []int32) []int32 {
 // and goes first; the exact form follows from exactWidth states on:
 //
 //	cost + λ·bits > U + λ·budget − Σ_{j>i} min_l(Cost_jl + λ·Bits_jl).
+//
+// Each step that tabulates LPᵢ₊₁ also lowers U. A kept state, completed by
+// the longest prefix of that LP order whose bits leave the plan boundSlack
+// of the budget inside it, is a plan, of cost the state's plus the tiles'
+// all-smallest cost less the prefix's savings; the prefix only shortens
+// along the bits-ascending frontier, so one pointer walk finds the
+// cheapest (cheapestCompletion), and U becomes its cost where that is
+// less. U never falls below the cost of a plan, so no state that leads to
+// a cheaper one is cut.
 //
 // The sweep takes the tiles widest bits span first (sweepOrder). The LP's
 // gap is about one upgrade, the largest it has to split; with the large
@@ -430,21 +446,48 @@ func mergeUps(dst, x, y []hullUpgrade) {
 
 // suffixLP tabulates the LP relaxation of the tiles swept after the i-th
 // for one tile step: their hull upgrades in LP order, summed, as far as
-// room bits reach.
+// room bits reach. It reads them from sc.hull, the sweep's list of the
+// upgrades of the tiles not yet swept, and drops from it, as it passes
+// them, those of the tiles swept since.
 func (sc *prunedScratch) suffixLP(i int, room float64) []lpStep {
-	lp := append(sc.lp[:0], lpStep{})
+	lp, ups := append(sc.lp[:0], lpStep{}), sc.hull
 	var bits, save float64
-	for _, u := range sc.ups {
-		if int(sc.pos[u.tile]) > i {
-			lp[len(lp)-1].eff = u.eff
-			bits, save = bits+u.dBits, save+u.dCost
-			if lp = append(lp, lpStep{bits: bits, save: save}); bits > room {
-				break
-			}
+	w := 0 // ups[:w] is what was read and is still to come
+	for j, u := range ups {
+		if int(sc.pos[u.tile]) <= i {
+			continue
+		}
+		ups[w] = u
+		w++
+		lp[len(lp)-1].eff = u.eff
+		bits, save = bits+u.dBits, save+u.dCost
+		if lp = append(lp, lpStep{bits: bits, save: save}); bits > room {
+			w += copy(ups[w:], ups[j+1:]) // the rest is read at a later step
+			break
 		}
 	}
-	sc.lp = lp
+	sc.hull, sc.lp = ups[:w], lp
 	return lp
+}
+
+// cheapestCompletion returns the least cost of a plan that a state of f
+// completes with a prefix of the LP order lp tabulates, the longest that
+// keeps the state's bits within room; base is the all-smallest cost of the
+// tiles to come, and +Inf is returned where no state fits even that. f is
+// bits-ascending, so the prefix only shortens along it.
+func cheapestCompletion(f []paretoState, lp []lpStep, base, room float64) float64 {
+	best, k := math.Inf(1), len(lp)-1
+	for _, st := range f {
+		r := room - st.bits
+		for k >= 0 && lp[k].bits > r {
+			k--
+		}
+		if k < 0 {
+			break
+		}
+		best = min(best, st.cost+base-lp[k].save)
+	}
+	return best
 }
 
 // fillUpgrades applies to a, in order, every upgrade that continues its
@@ -517,6 +560,11 @@ func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier 
 // over bits over the budget, and returns the plan of the cheapest final
 // state, or nil where thinning left none as good as the incumbent. Its
 // frontiers follow what the slab holds; starts indexes them.
+//
+// The cut is against u, the cheapest plan the sweep knows of: at first
+// the incumbent, and after every step that tabulates the LP of the tiles
+// to come, the cheapest of the plans that step's states make with a
+// prefix of that LP order (cheapestCompletion), where one is cheaper.
 func (sc *prunedScratch) sweep(tiles []TileChoice, budget, over float64, maxFrontier int, incumbent, lambda float64, stats *SearchStats) Allocation {
 	n := len(tiles)
 	pos := slices.Grow(sc.pos[:0], n)[:n]
@@ -533,10 +581,12 @@ func (sc *prunedScratch) sweep(tiles []TileChoice, budget, over float64, maxFron
 		pos[j] = int32(i)
 	}
 	sc.pos, sc.rest = pos, rest
-	// limit bounds cost + λ·bits where no tile is left, as incumbent
-	// bounds cost; slack is boundSlack of the largest sums either compares.
-	limit := incumbent + lambda*budget
-	slack := boundSlack * (limit + rest[0].base)
+	sc.hull = append(sc.hull[:0], sc.ups...)
+	// slack is boundSlack of the largest sums the cut compares: cost + λ·bits
+	// where no tile is left, bounded by incumbent + λ·budget, and the
+	// all-smallest cost.
+	u := incumbent
+	slack := boundSlack * (incumbent + lambda*budget + rest[0].base)
 
 	slab, starts := sc.slab, sc.starts[:0]
 	lo, hi := 0, 1     // the current frontier is slab[lo:hi], the root first
@@ -551,10 +601,10 @@ func (sc *prunedScratch) sweep(tiles []TileChoice, budget, over float64, maxFron
 		cut := frontierCut{
 			lambda:  lambda,
 			maxBits: min(budget+over, budget-rest.bits+boundSlack*budget),
-			maxVal:  limit + slack - rest.cost,
+			maxVal:  u + lambda*budget + slack - rest.cost,
 			minVal:  minVal,
 			room:    budget - rest.bits,
-			maxCost: incumbent + slack - rest.base,
+			maxCost: u + slack - rest.base,
 		}
 		if exact = exact || hi-lo >= exactWidth; exact {
 			cut.lp = sc.suffixLP(i, cut.room-slab[lo].bits)
@@ -571,6 +621,11 @@ func (sc *prunedScratch) sweep(tiles []TileChoice, budget, over float64, maxFron
 		lo, hi = end, end+kept
 		if kept == 0 {
 			break // thinning lost every state as good as the incumbent
+		}
+		if exact {
+			// A completion's bits are summed in another order than
+			// TotalBits': boundSlack keeps it within the budget by both.
+			u = min(u, cheapestCompletion(slab[lo:hi], cut.lp, rest.base, cut.room-boundSlack*budget))
 		}
 	}
 	sc.slab, sc.starts = slab, starts

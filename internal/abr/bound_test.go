@@ -27,6 +27,62 @@ func lpOf(tiles []TileChoice, budget float64) (inc Allocation, cost, lambda floa
 	return inc, cost, lambda, sc.ups
 }
 
+// adoption is a plan a sweep took as its incumbent after a tile step: a
+// state of that step's frontier completed by the first prefix upgrades of
+// the LP order of the tiles still to come, at the cost the sweep gave it.
+type adoption struct {
+	step, state, prefix int
+	cost                float64
+}
+
+// runningIncumbents replays the incumbent of sc's last sweep from its own
+// frontiers: u[i] is the U tile step i was cut against, bound's at first,
+// and adopted lists the plans that lowered it. From the first step whose
+// parent frontier holds exactWidth states on, every state completes with
+// the longest prefix of the LP upgrades still to come (sc.ups filtered by
+// the sweep's positions) that keeps its bits boundSlack within the budget.
+func runningIncumbents(tiles []TileChoice, budget float64, sc *prunedScratch) (u []float64, adopted []adoption) {
+	_, cur, _, _ := lpOf(tiles, budget)
+	exact := false
+	for i := range sc.starts {
+		u = append(u, cur)
+		width := 1
+		if i > 0 {
+			width = len(sc.frontier(i - 1))
+		}
+		if exact = exact || width >= exactWidth; !exact {
+			continue
+		}
+		lp := []lpStep{{}}
+		for _, up := range sc.ups {
+			if int(sc.pos[up.tile]) > i {
+				last := lp[len(lp)-1]
+				lp = append(lp, lpStep{bits: last.bits + up.dBits, save: last.save + up.dCost})
+			}
+		}
+		rest := sc.rest[i+1]
+		room := budget - rest.bits - boundSlack*budget
+		best := adoption{cost: cur}
+		for s, st := range sc.frontier(i) {
+			k := len(lp) - 1
+			for k >= 0 && lp[k].bits > room-st.bits {
+				k--
+			}
+			if k < 0 {
+				continue
+			}
+			if c := st.cost + rest.base - lp[k].save; c < best.cost {
+				best = adoption{step: i, state: s, prefix: k, cost: c}
+			}
+		}
+		if best.cost < cur {
+			cur = best.cost
+			adopted = append(adopted, best)
+		}
+	}
+	return append(u, cur), adopted
+}
+
 // The cases the cut creates. Each runs the whole oracle contract at the
 // default cap and at a cap that thins, and pins what the unbounded search
 // returned for it.
@@ -276,11 +332,22 @@ func TestPrunedBoundEdgeCases(t *testing.T) {
 	// could have upgraded with, some by a rounding more: r clamps to 0, every
 	// cursor's pointer walks the whole table down, and what is left of the
 	// exact form is cost ≤ maxCost. A frontier differs in bits, so no sweep
-	// has such a step; it is made by hand from a sweep's 12th.
+	// has such a step; it is made by hand from the 12th frontier a sweep
+	// cut against bound's U alone keeps: the reference's states that
+	// cost + LP of the tiles to come (lpDual) leaves under U.
 	t.Run("r = 0 for every state", func(t *testing.T) {
 		var sc prunedScratch
 		sc.search(vod.Tiles, vod.Budget, uncapped)
-		cur, tile := slices.Clone(sc.frontier(11)), &vod.Tiles[sc.order[12]]
+		rows, _ := sweptRows(vod.Tiles)
+		_, U, _, _ := lpOf(vod.Tiles, vod.Budget)
+		var cur []paretoState
+		for _, st := range referencePruned(vod.Tiles, vod.Budget, uncapped).frontiers[11] {
+			if st.cost+lpDual(rows[12:], vod.Budget-st.bits) <= U {
+				cur = append(cur, paretoState{bits: st.bits, cost: st.cost, parent: int32(st.parent), level: uint8(st.level)})
+			}
+		}
+		tile := &vod.Tiles[sc.order[12]]
+		sc.hull = append(sc.hull[:0], sc.ups...)
 		lp := slices.Clone(sc.suffixLP(12, math.Inf(1)))
 		if len(cur) < exactWidth || len(lp) < 10 {
 			t.Fatalf("parent frontier of %d states, table of %d steps: nothing to walk", len(cur), len(lp))
@@ -308,30 +375,33 @@ func TestPrunedBoundEdgeCases(t *testing.T) {
 	})
 
 	// After the last tile nothing is to come: the table is the single zero
-	// step and the cut is cost ≤ U.
+	// step and the cut is cost ≤ U, the U the sweep holds by then. On these
+	// rows that is the optimum's cost, the plans of the steps before it
+	// having found the optimum, so the last frontier is that one state.
 	t.Run("last tile (empty suffix)", func(t *testing.T) {
-		contract(t, vod.Tiles, vod.Budget)
 		var sc prunedScratch
 		sc.search(vod.Tiles, vod.Budget, uncapped)
 		if len(sc.lp) != 1 || sc.lp[0] != (lpStep{}) {
 			t.Fatalf("the last step's table is %v, want the zero step alone", sc.lp)
 		}
-		_, U, _, _ := lpOf(vod.Tiles, vod.Budget)
+		u, _ := runningIncumbents(vod.Tiles, vod.Budget, &sc)
+		U := u[len(vod.Tiles)-1]
 		last := sc.frontier(len(vod.Tiles) - 1)
 		for _, st := range last {
 			if st.cost > U*(1+2*boundSlack) {
 				t.Errorf("final state (%v, %v) costs more than the incumbent %v", st.bits, st.cost, U)
 			}
 		}
-		ref, cheaper := referencePruned(vod.Tiles, vod.Budget, uncapped), 0
+		ref, within := referencePruned(vod.Tiles, vod.Budget, uncapped), 0
 		for _, st := range ref.frontiers[len(vod.Tiles)-1] {
-			if st.bits <= vod.Budget && st.cost < U*(1-2*boundSlack) {
-				cheaper++
+			if st.bits <= vod.Budget && st.cost <= U*(1+2*boundSlack) {
+				within++
 			}
 		}
-		if cheaper < exactWidth || cheaper != len(last) {
-			t.Errorf("%d final states, the reference has %d within budget and cheaper than the incumbent", len(last), cheaper)
+		if within == 0 || within != len(last) {
+			t.Errorf("%d final states, the reference has %d within budget and at most the incumbent %v", len(last), within, U)
 		}
+		contract(t, vod.Tiles, vod.Budget)
 	})
 
 	// One tile's step up is a fifth of the budget and the first the whole
@@ -414,16 +484,17 @@ func lpDual(tiles []TileChoice, bits float64) float64 {
 // The cut is the suffix LP, no more and no less. From the first tile step
 // on whose parent frontier holds exactWidth states, a state of the exact
 // reference frontier is in the search's when cost + LPᵢ₊₁(budget − bits) is
-// under the incumbent's cost and out of it when over — LPᵢ₊₁ by duality,
-// with a margin of 1e-6 of the sums either side for the two roundings.
-// Every state the search kept is checked, and every fifth it dropped.
+// under the incumbent in force at that step (runningIncumbents) and out of
+// it when over — LPᵢ₊₁ by duality, with a margin of 1e-6 of the sums
+// either side for the two roundings. Every state the search kept is
+// checked, and every fifth it dropped.
 func TestPrunedCutIsTheSuffixLP(t *testing.T) {
 	kept, dropped, instances := 0, 0, 0
 	check := func(tiles []TileChoice, budget float64) {
 		t.Helper()
 		var sc prunedScratch
 		sc.search(tiles, budget, uncapped)
-		if len(sc.starts) != len(tiles) {
+		if len(sc.starts) == 0 {
 			return // no sweep: nothing fits, or no upgrade does
 		}
 		instances++
@@ -432,8 +503,9 @@ func TestPrunedCutIsTheSuffixLP(t *testing.T) {
 		inc, U, _, _ := lpOf(tiles, budget)
 		smallestRows(tiles, inc)
 		tol := 1e-6 * (U + TotalCost(tiles, inc))
+		running, _ := runningIncumbents(tiles, budget, &sc)
 		exact := false
-		for i := range tiles {
+		for i := range sc.starts {
 			width := 1
 			if i > 0 {
 				width = len(sc.frontier(i - 1))
@@ -441,6 +513,7 @@ func TestPrunedCutIsTheSuffixLP(t *testing.T) {
 			if exact = exact || width >= exactWidth; !exact {
 				continue
 			}
+			U := running[i]
 			ours, j := sc.frontier(i), 0
 			for s, st := range ref.frontiers[i] {
 				for j < len(ours) && ours[j].bits < st.bits {
@@ -481,6 +554,63 @@ func TestPrunedCutIsTheSuffixLP(t *testing.T) {
 	t.Logf("%d instances: %d kept states under the bound, %d dropped states over it", instances, kept, dropped)
 	if instances < 30 || kept < 1000 || dropped < 1000 {
 		t.Errorf("%d instances, %d kept and %d dropped states checked: too few to mean anything", instances, kept, dropped)
+	}
+}
+
+// Every incumbent a sweep adopts is a plan: the state's path, then the LP
+// prefix over the tiles still to come, from their smallest rows. Summed as
+// TotalBits sums it, the plan is within the budget, and its TotalCost is
+// the U the sweep took, to the rounding of sums in another order.
+func TestPrunedAdoptedIncumbentsArePlans(t *testing.T) {
+	adoptions, instances := 0, 0
+	check := func(tiles []TileChoice, budget float64) {
+		t.Helper()
+		var sc prunedScratch
+		sc.search(tiles, budget, uncapped)
+		_, adopted := runningIncumbents(tiles, budget, &sc)
+		if len(adopted) > 0 {
+			instances++
+		}
+		for _, ad := range adopted {
+			plan := make(Allocation, len(tiles))
+			smallestRows(tiles, plan)
+			for i, p := ad.step, ad.state; i >= 0; i-- {
+				st := sc.frontier(i)[p]
+				plan[sc.order[i]] = codec.Level(st.level)
+				p = int(st.parent)
+			}
+			k := 0
+			for _, u := range sc.ups {
+				if int(sc.pos[u.tile]) > ad.step && k < ad.prefix {
+					plan[u.tile] = codec.Level(u.to)
+					k++
+				}
+			}
+			if b := TotalBits(tiles, plan); b > budget {
+				t.Fatalf("n=%d budget=%v step %d: adopted plan %v of %v bits is over budget", len(tiles), budget, ad.step, plan, b)
+			}
+			if c := TotalCost(tiles, plan); math.Abs(c-ad.cost) > costTolerance(c) {
+				t.Fatalf("n=%d budget=%v step %d: adopted U %v, its plan %v costs %v", len(tiles), budget, ad.step, ad.cost, plan, c)
+			}
+			adoptions++
+		}
+	}
+	for s := 0; s < 36; s++ {
+		check(oracleInstance(uint64(1100+s), 10+(7*s)%39, s%numMenus))
+	}
+	m := manifestFixture(t)
+	for k := 0; k < m.NumChunks(); k++ {
+		rows := manifestRows(m, k, func(i int) float64 { return 1 + 0.35*float64(i%7) })
+		for _, frac := range []float64{0.18, 0.30} {
+			check(rows, frac*m.ChunkBits(k, 0))
+		}
+	}
+	for _, in := range vodThinnedInstances(t) {
+		check(in.Tiles, in.Budget)
+	}
+	t.Logf("%d adopted incumbents over %d instances", adoptions, instances)
+	if instances < 10 || adoptions < 30 {
+		t.Errorf("%d adopted incumbents over %d instances: too few to mean anything", adoptions, instances)
 	}
 }
 
