@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmt race fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider fuzz-fleet trace edge swarm fleet cluster live lut benchdiff bench microbench loc clean
+.PHONY: build test check vet fmt race fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider fuzz-fleet fuzz-chaos trace edge swarm fleet cluster live lut benchdiff bench microbench loc clean
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,16 @@ fuzz-provider:
 # `go test`.
 fuzz-fleet:
 	$(GO) test -run '^$$' -fuzz FuzzLadder -fuzztime 20s ./internal/fleet
+
+# Twenty seconds of fuzzing the chaos spec parser (internal/chaos:
+# whatever Parse accepts and enables, String renders as a spec Parse
+# reads back to the same Profile). Not part of check, for the same
+# reason; the committed seeds under internal/chaos/testdata/fuzz/ — the
+# negative durations, NaN and infinite rates and throttles, bad window
+# numbers and seed 0 it once accepted or dropped — replay under plain
+# `go test`.
+fuzz-chaos:
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 20s ./internal/chaos
 
 # One traced session end to end: a seeded simulator run (per-phase
 # latency breakdown lands in BENCH_trace.json). The exported
@@ -192,7 +202,8 @@ bench: build microbench
 # Plan runs), the provider's chunk analysis (scene render, quantizer,
 # the PMSE kernel per level over one frame's 30 tiles, one chunk, one
 # video), the virtual-time session loop (one session,
-# one netem tile), the request path hop by hop (BenchmarkOriginTileGET:
+# one netem tile, and BenchmarkSimRun: one sim.Run over the golden
+# fixture, the loop vod_session runs), the request path hop by hop (BenchmarkOriginTileGET:
 # a store-backed origin's tile GET into a recorder; BenchmarkFleetFetch:
 # one Fetch over loopback through two origins; BenchmarkEdgeHit: a cache
 # hit over loopback, with and without a registry), the manifest's
@@ -204,10 +215,10 @@ bench: build microbench
 # benchstat or plain text tools.
 microbench:
 	@echo "## $$(git rev-parse --short HEAD 2>/dev/null || echo dirty) $$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> BENCH_micro.txt
-	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|VodSessionSearches|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|OriginTileGET|FleetFetch|EdgeHit|ManifestWire|SamplerStep' -benchmem \
+	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|VodSessionSearches|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|SimRun|OriginTileGET|FleetFetch|EdgeHit|ManifestWire|SamplerStep' -benchmem \
 		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr \
 		./internal/player ./internal/scene ./internal/codec ./internal/provider \
-		./internal/client ./internal/swarm ./internal/store ./internal/fleet \
+		./internal/client ./internal/sim ./internal/swarm ./internal/store ./internal/fleet \
 		./internal/edge ./internal/manifest ./internal/telemetry | tee -a BENCH_micro.txt
 
 # The four line counts ROADMAP quotes, so "net LoC down" is one command:

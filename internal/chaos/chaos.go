@@ -60,6 +60,15 @@ type Rule struct {
 	ThrottleBps float64
 }
 
+// Stall is the mid-body pause a stall draws: StallFor, or 250ms when it
+// is not set.
+func (r Rule) Stall() time.Duration {
+	if r.StallFor <= 0 {
+		return 250 * time.Millisecond
+	}
+	return r.StallFor
+}
+
 // active reports whether the rule can inject anything.
 func (r Rule) active() bool {
 	return r.ErrorRate > 0 || r.AbortRate > 0 || r.TruncateRate > 0 ||
@@ -331,11 +340,7 @@ func (in *Injector) Wrap(next http.Handler) http.Handler {
 		if d.Stall {
 			in.inject(endpoint, "stall", r)
 			sp.Annotate("chaos.stall", true)
-			cw.stall = true
-			cw.stallFor = rule.StallFor
-			if cw.stallFor <= 0 {
-				cw.stallFor = 250 * time.Millisecond
-			}
+			cw.stall, cw.stallFor = true, rule.Stall()
 		}
 		if rule.ThrottleBps > 0 {
 			in.count(endpoint, "throttle")

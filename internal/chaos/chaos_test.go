@@ -375,8 +375,14 @@ func TestParseRoundTrip(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
-		"tile-error", "tile-error=2", "tile-error=-0.1", "nope=1",
+		"tile-error", "tile-error=2", "tile-error=-0.1", "tile-error=NaN", "nope=1",
 		"window=5", "tile-latency=fast", "seed=x",
+		// Out of range: a negative delay would speed a request up, and
+		// none of these survives Parse(p.String()).
+		"tile-error=0.5,tile-latency=-1s", "tile-jitter=-1ms", "tile-stall-for=-250ms",
+		"manifest-latency=-2ms", "down=-1s+2s",
+		"tile-throttle-bps=-1", "tile-throttle-bps=NaN", "tile-throttle-bps=Inf", "tile-throttle-bps=-Inf",
+		"window=-5:1", "window=5:-1", "window=0:3",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
@@ -401,4 +407,26 @@ func TestDownValidate(t *testing.T) {
 			t.Errorf("case %d: Validate(%+v) = %v, want ok=%v", i, c.d, err, c.ok)
 		}
 	}
+}
+
+// FuzzParse: whatever Parse accepts and enables, String renders as a
+// spec Parse reads back to the same Profile. The committed seeds under
+// testdata/fuzz/FuzzParse are the out-of-range values Parse used to
+// accept — negative durations, NaN or infinite rates and throttles,
+// negative or zero window numbers — and seed 0, which String dropped.
+func FuzzParse(f *testing.F) {
+	f.Add("seed=7,tile-error=0.1,tile-latency=2ms,tile-jitter=1ms,window=20:5")
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil || !p.Enabled() {
+			return
+		}
+		q, err := Parse(p.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) = %+v renders %q, which does not parse: %v", spec, p, p.String(), err)
+		}
+		if q != p {
+			t.Fatalf("Parse(%q) = %+v renders %q, which parses to %+v", spec, p, p.String(), q)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -30,8 +31,9 @@ import (
 //	tile-jitter=D          uniform extra tile latency in [0, D)
 //	tile-throttle-bps=F    tile body bandwidth cap, bits/second
 //
-// R is a probability in [0, 1], D a Go duration, N/F numbers. An empty
-// spec returns a disabled (zero) Profile.
+// R is a probability in [0, 1], D a non-negative Go duration, N/F
+// non-negative numbers (P positive, F finite). An empty spec returns a
+// disabled (zero) Profile.
 func Parse(spec string) (Profile, error) {
 	p := Profile{Seed: 1}
 	if strings.TrimSpace(spec) == "" {
@@ -58,12 +60,15 @@ func Parse(spec string) (Profile, error) {
 			if p.Window.Period, err = strconv.Atoi(per); err == nil {
 				p.Window.Flaky, err = strconv.Atoi(fl)
 			}
+			if err == nil && (p.Window.Period <= 0 || p.Window.Flaky < 0) {
+				err = fmt.Errorf("window %q out of range", val)
+			}
 		case "down":
 			p.Down, err = parseDown(val)
 		case "manifest-error":
 			p.Manifest.ErrorRate, err = parseRate(val)
 		case "manifest-latency":
-			p.Manifest.Latency, err = time.ParseDuration(val)
+			p.Manifest.Latency, err = parseDuration(val)
 		case "tile-error":
 			p.Tile.ErrorRate, err = parseRate(val)
 		case "tile-abort":
@@ -73,13 +78,16 @@ func Parse(spec string) (Profile, error) {
 		case "tile-stall":
 			p.Tile.StallRate, err = parseRate(val)
 		case "tile-stall-for":
-			p.Tile.StallFor, err = time.ParseDuration(val)
+			p.Tile.StallFor, err = parseDuration(val)
 		case "tile-latency":
-			p.Tile.Latency, err = time.ParseDuration(val)
+			p.Tile.Latency, err = parseDuration(val)
 		case "tile-jitter":
-			p.Tile.Jitter, err = time.ParseDuration(val)
+			p.Tile.Jitter, err = parseDuration(val)
 		case "tile-throttle-bps":
 			p.Tile.ThrottleBps, err = strconv.ParseFloat(val, 64)
+			if err == nil && !(p.Tile.ThrottleBps >= 0 && p.Tile.ThrottleBps <= math.MaxFloat64) {
+				err = fmt.Errorf("throttle %v out of range", p.Tile.ThrottleBps)
+			}
 		default:
 			return Profile{}, fmt.Errorf("chaos: unknown spec key %q", key)
 		}
@@ -102,7 +110,7 @@ func parseDown(s string) (Down, error) {
 	}
 	var d Down
 	var err error
-	if d.After, err = time.ParseDuration(after); err != nil {
+	if d.After, err = parseDuration(after); err != nil {
 		return Down{}, err
 	}
 	forPart, every, flap := strings.Cut(rest, "/")
@@ -128,10 +136,20 @@ func parseRate(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if v < 0 || v > 1 {
+	if !(v >= 0 && v <= 1) { // NaN included
 		return 0, fmt.Errorf("rate %v outside [0, 1]", v)
 	}
 	return v, nil
+}
+
+// parseDuration parses a non-negative Go duration (a negative delay
+// would speed a request up).
+func parseDuration(s string) (time.Duration, error) {
+	d, err := time.ParseDuration(s)
+	if err == nil && d < 0 {
+		err = fmt.Errorf("duration %v is negative", d)
+	}
+	return d, err
 }
 
 // String renders the profile as a canonical spec Parse accepts.
@@ -141,9 +159,7 @@ func (p Profile) String() string {
 	}
 	var parts []string
 	add := func(key, val string) { parts = append(parts, key+"="+val) }
-	if p.Seed != 0 {
-		add("seed", strconv.FormatUint(p.Seed, 10))
-	}
+	add("seed", strconv.FormatUint(p.Seed, 10))
 	if p.Window.Period > 0 {
 		add("window", fmt.Sprintf("%d:%d", p.Window.Period, p.Window.Flaky))
 	}
@@ -176,9 +192,6 @@ func (p Profile) String() string {
 	dur("tile-stall-for", p.Tile.StallFor)
 	dur("tile-latency", p.Tile.Latency)
 	dur("tile-jitter", p.Tile.Jitter)
-	rate2 := p.Tile.ThrottleBps
-	if rate2 > 0 {
-		add("tile-throttle-bps", strconv.FormatFloat(rate2, 'g', -1, 64))
-	}
+	rate("tile-throttle-bps", p.Tile.ThrottleBps)
 	return strings.Join(parts, ",")
 }

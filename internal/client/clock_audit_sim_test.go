@@ -13,8 +13,8 @@ import (
 )
 
 // TestSimSessionNeverReadsWallClock is the clock audit for simulated
-// sessions: sim.Run is RunSession over a link transport on a virtual
-// clock, so with the real clock's time source replaced by a panicking
+// sessions: sim.Run is RunSession over VirtualNet on a virtual clock,
+// so with the real clock's time source replaced by a panicking
 // reader a full session — loss ladder and pacing included — must
 // complete, having advanced only virtual time.
 func TestSimSessionNeverReadsWallClock(t *testing.T) {

@@ -9,12 +9,13 @@ import (
 	"pano/internal/trace"
 )
 
-// Transport abstracts object delivery for the session loop: the HTTP
-// client is one implementation (paired with RealClock), and
-// internal/swarm's logical network — a nettrace link plus chaos fault
-// draws in virtual time — is another. Everything the loop learns about
-// the network (sizes, errors, elapsed time via the Clock) flows
-// through this interface, so the loop itself is transport-agnostic.
+// Transport abstracts object delivery for the session loop. It has two
+// implementations: the HTTP client (paired with RealClock), and
+// VirtualNet — a nettrace link plus chaos fault draws in virtual time,
+// the one network every simulated session streams over (sim.Run's and
+// every internal/swarm session's). Everything the loop learns about the
+// network (sizes, errors, elapsed time via the Clock) flows through this
+// interface, so the loop itself is transport-agnostic.
 type Transport interface {
 	// Target names the endpoint for logs and spans (the base URL for
 	// HTTP transports).

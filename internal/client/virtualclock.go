@@ -37,10 +37,6 @@ func (c *VirtualClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) 
 // the time axis shared by bandwidth traces and origin-load buckets.
 func (c *VirtualClock) NowSec() float64 { return c.off.Seconds() }
 
-// Elapsed returns the current virtual time past the epoch, to the
-// nanosecond: Now without the time.Time arithmetic.
-func (c *VirtualClock) Elapsed() time.Duration { return c.off }
-
 // Advance moves the clock forward by d (negative d is ignored).
 func (c *VirtualClock) Advance(d time.Duration) {
 	if d > 0 {
@@ -54,9 +50,12 @@ func (c *VirtualClock) AdvanceSec(s float64) {
 }
 
 // AdvanceTo moves the clock forward to t (never backward).
-func (c *VirtualClock) AdvanceTo(t time.Time) {
-	if d := t.Sub(epoch); d > c.off {
-		c.off = d
+func (c *VirtualClock) AdvanceTo(t time.Time) { c.advanceTo(t.Sub(epoch)) }
+
+// advanceTo moves the clock forward to off past the epoch.
+func (c *VirtualClock) advanceTo(off time.Duration) {
+	if off > c.off {
+		c.off = off
 	}
 }
 
@@ -72,12 +71,12 @@ func (c *VirtualClock) Sleep(ctx context.Context, d time.Duration) error {
 // deadlineKey finds the nearest deadlineCtx in a context chain.
 type deadlineKey struct{}
 
-// deadlineCtx is its parent context plus a virtual deadline. Value
-// answers deadlineKey with the node itself, so reading the deadline
-// boxes nothing.
+// deadlineCtx is its parent context plus a virtual deadline, dl past
+// the epoch. Value answers deadlineKey with the node itself, so reading
+// the deadline boxes nothing.
 type deadlineCtx struct {
 	context.Context
-	dl time.Time
+	dl time.Duration
 }
 
 func (d *deadlineCtx) Value(key any) any {
@@ -102,12 +101,10 @@ func nopCancel() {}
 // own node) gets a fresh node, so the clock's node never becomes its
 // own ancestor.
 func (c *VirtualClock) WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	out, dl := &c.attempt, c.Now().Add(d)
+	out, dl := &c.attempt, c.off+d
 	if cur, ok := ctx.Value(deadlineKey{}).(*deadlineCtx); ok {
 		out = new(deadlineCtx)
-		if cur.dl.Before(dl) {
-			dl = cur.dl
-		}
+		dl = min(dl, cur.dl)
 	}
 	out.Context, out.dl = ctx, dl
 	return out, nopCancel
@@ -118,7 +115,7 @@ func (c *VirtualClock) WithTimeout(ctx context.Context, d time.Duration) (contex
 // before advancing the clock past it.
 func VirtualDeadline(ctx context.Context) (time.Time, bool) {
 	if d, ok := ctx.Value(deadlineKey{}).(*deadlineCtx); ok {
-		return d.dl, true
+		return epoch.Add(d.dl), true
 	}
 	return time.Time{}, false
 }

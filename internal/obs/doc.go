@@ -48,7 +48,8 @@
 //	pano_client_tiles_degraded_total / pano_client_tiles_skipped_total
 //	    tiles that fell down the degradation ladder (§7 re-fetch at
 //	    lowest quality, then stitch-at-previous-content skip) — under
-//	    sim.Config.TileLossRate too, which walks the same ladder.
+//	    sim.Config.TileLossRate too: a lost request walks the same
+//	    ladder over client.VirtualNet, its re-fetch a fresh request.
 //	pano_chaos_requests_total / pano_chaos_injections_total
 //	    the fault-injection middleware's traffic and injected faults by
 //	    endpoint and kind (error, abort, truncate, stall, latency,

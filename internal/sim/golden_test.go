@@ -228,7 +228,13 @@ func TestGoldenLevelsHoldAt20Bits(t *testing.T) {
 // land on level 3 whole (5 levels). (2) The provider rounds every
 // manifest float to binary32 (DESIGN.md §4): PSPNR, stall, startup and
 // total bits moved in the sixth digit or later, no level.
-const otherPlannersSHA256 = "44466fb017f2c6d55357c9853ee4333f37b80a3c2918e27886cd8ba581f8c893"
+//
+// Replaced a second time when Run moved onto client.VirtualNet: a
+// lowest-rung re-fetch is a fresh request and pays its own RTT, where the
+// chunk's transfer used to carry it free. Only viewport/trace{1,2}/
+// tileloss0.1 moved (startup one RTT later, fewer bits, and the plans
+// that follow from them); every other session here is byte-identical.
+const otherPlannersSHA256 = "a8d7f535c4d6349fcaa52dc88cd04dfeed59abb8f630b7e2b75b07e50f32d911"
 
 func TestRunGoldenOtherPlannersUntouched(t *testing.T) {
 	raw, err := os.ReadFile(goldenPath)

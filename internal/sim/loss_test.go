@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"math"
 	"testing"
+	"time"
 
+	"pano/internal/nettrace"
 	"pano/internal/obs"
 	"pano/internal/player"
 )
@@ -82,5 +85,53 @@ func TestTileLossZeroIsIdentical(t *testing.T) {
 				t.Fatalf("chunk %d tile %d alloc differs", k, i)
 			}
 		}
+	}
+}
+
+// TestLostTileRefetchPaysRTT: a lost tile's lowest-rung re-fetch is a
+// fresh request, as Client.Stream sends it, so it pays its own RTT; the
+// chunk's turn pays one more, once. Chunk 0 is planned before anything
+// is downloaded, so its plan, its losses and its transfer are the same
+// at every RTT, and on a flat link its fetch — the startup delay — is
+// exactly r longer per request it sends at RTT r: the turn and each
+// re-fetch.
+func TestLostTileRefetchPaysRTT(t *testing.T) {
+	f := fixture(t)
+	flat := &nettrace.Trace{Mbps: make([]float64, 60)}
+	for i := range flat.Mbps {
+		flat.Mbps[i] = 0.3 * RateForLevel(f.pano, 0) / 1e6
+	}
+	const r = 50 * time.Millisecond
+	startup := map[time.Duration]time.Duration{}
+	refetches := 0
+	for _, rtt := range []time.Duration{0, r} {
+		cfg := DefaultConfig()
+		cfg.TileLossRate, cfg.Seed = 0.1, 7
+		cfg.Log = obs.NewEventLog(nil, 4096)
+		res, err := Run(f.pano, f.traces[0], &nettrace.Link{Trace: flat, RTTSec: rtt.Seconds()}, player.NewPanoPlanner(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		startup[rtt] = time.Duration(math.Round(res.StartupDelaySec * 1e9))
+		// A degraded tile's re-fetch reached the link; a lost re-fetch
+		// (a skipped tile) did not.
+		n := 0
+		for _, e := range cfg.Log.Find("tile_degraded") {
+			if e.Str("chunk") == "0" {
+				n++
+			}
+		}
+		if rtt == 0 {
+			refetches = n
+		} else if n != refetches {
+			t.Fatalf("chunk 0 re-fetched %d tiles at RTT %v, %d at 0", n, rtt, refetches)
+		}
+	}
+	if refetches == 0 {
+		t.Fatal("no planned tile of chunk 0 was lost and re-fetched; pick another seed")
+	}
+	if got, want := startup[r]-startup[0], r*time.Duration(1+refetches); got != want {
+		t.Errorf("startup at RTT %v is %v later than at 0, want %v (the turn and %d re-fetches)",
+			r, got, want, refetches)
 	}
 }

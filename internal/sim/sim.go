@@ -4,9 +4,11 @@
 //
 // The closed loop itself — MPC bitrate control, tile-level allocation,
 // the fetch ladder, buffer dynamics — is client.RunSession, the same
-// code an HTTP session runs. This package supplies what makes a session
-// simulated: a Transport that turns nettrace.Link into download time on
-// a virtual clock, and the ground-truth scorer. The session decides
+// code an HTTP session runs, over client.VirtualNet — the virtual network
+// every swarm session streams over too, so one function prices the link.
+// This package supplies what makes a session simulated: the network's
+// configuration (a free manifest, no attempt deadlines, an optional
+// tile-loss model) and the ground-truth scorer. The session decides
 // with what the client would know (predicted viewpoint, lower-bound
 // factors, harmonic-mean bandwidth) and is scored with what it could
 // not (the real trace, the real factors), so prediction error hurts
@@ -50,9 +52,10 @@ type Config struct {
 	// Seed drives the noise.
 	Seed uint64
 	// TileLossRate is the probability that a tile request fails for
-	// good in the simulated transport. A lost tile goes down the
+	// good before it reaches the link. A lost tile goes down the
 	// client's degradation ladder (§7): re-fetched at the lowest level,
-	// and if that draw fails too, skipped and scored as stale content.
+	// a fresh request that pays its own RTT, and if that draw fails too,
+	// skipped and scored as stale content.
 	// 0 disables the model entirely (no RNG draws).
 	TileLossRate float64
 	// Scene, when set, enables ground-truth quality scoring at unit-
@@ -178,9 +181,10 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 		res.TotalBits += cr.Bits
 	}
 	clk := client.NewVirtualClock(0)
-	tp := &linkTransport{m: m, link: link, clk: clk, chunk: -1, lossRate: cfg.TileLossRate}
+	vn := &client.VirtualNet{Video: m, Clock: clk, Link: link}
+	var tp client.Transport = vn
 	if cfg.TileLossRate > 0 {
-		tp.loss = mathx.NewRNG(cfg.Seed + 0x10e55)
+		tp = &lossyNet{VirtualNet: vn, rate: cfg.TileLossRate, rng: mathx.NewRNG(cfg.Seed + 0x10e55)}
 	}
 
 	sess, err := client.RunSession(context.Background(), tp, clientTrace, client.StreamConfig{
@@ -194,7 +198,9 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 		Obs:             cfg.Obs,
 		Log:             cfg.Log,
 		Trace:           cfg.Trace,
-		Clock:           noDeadlineClock{clk},
+		Clock:           clk,
+		// The simulated link never times a request out.
+		Fetch: client.FetchPolicy{AttemptTimeout: time.Hour, MinAttemptTimeout: time.Hour},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -222,59 +228,21 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 	return res, nil
 }
 
-// linkTransport is the simulator's client.Transport: one emulated link
-// carrying each chunk as one pipelined transfer. Every delivered tile
-// moves the virtual clock to chunkStart + DownloadTime(chunkStart,
-// bits delivered so far), so a chunk's total is the link's time for all
-// of its bits with the RTT charged once — not once per tile.
-type linkTransport struct {
-	m    *manifest.Video
-	link *nettrace.Link
-	clk  *client.VirtualClock
-
-	// The transfer in progress: chunk index, the virtual time of its
-	// first request, and the bits delivered since.
-	chunk    int
-	start    time.Time
-	startSec float64
-	bits     float64
-
-	// lossRate is Config.TileLossRate; loss is nil when it is 0, so a
-	// lossless session draws nothing.
-	lossRate float64
-	loss     *mathx.RNG
+// lossyNet is the session's network under Config.TileLossRate: a lost
+// tile request answers 404 before it reaches the link — a final answer
+// the fetch ladder does not retry at the same rung, so one draw decides
+// each rung (planned level, then lowest level, then skip) and a lost
+// request costs no link time.
+type lossyNet struct {
+	*client.VirtualNet
+	rate float64
+	rng  *mathx.RNG
 }
 
-// Target implements client.Transport.
-func (t *linkTransport) Target() string { return "sim://link" }
-
-// Manifest implements client.Transport; the manifest is already on the
-// client, so it costs no link time.
-func (t *linkTransport) Manifest(context.Context) (*manifest.Video, error) { return t.m, nil }
-
-// Tile implements client.Transport. A lost tile answers 404: a final
-// answer the fetch ladder does not retry at the same rung, so one draw
-// decides each rung — planned level, then lowest level, then skip —
-// and costs no link time.
-func (t *linkTransport) Tile(_ context.Context, k, ti int, l codec.Level) (float64, error) {
-	if k != t.chunk {
-		t.chunk, t.start, t.startSec, t.bits = k, t.clk.Now(), t.clk.NowSec(), 0
-	}
-	if t.loss != nil && t.loss.Float64() < t.lossRate {
+// Tile implements client.Transport.
+func (t *lossyNet) Tile(ctx context.Context, k, ti int, l codec.Level) (float64, error) {
+	if t.rng.Float64() < t.rate {
 		return 0, &client.StatusError{Code: 404}
 	}
-	bits := t.m.Chunks[k].Tiles[ti].Bits[l]
-	t.bits += bits
-	dl := t.link.DownloadTime(t.startSec, t.bits)
-	t.clk.AdvanceTo(t.start.Add(time.Duration(dl * float64(time.Second))))
-	return bits, nil
-}
-
-// noDeadlineClock is the virtual clock minus attempt deadlines: the
-// simulated link never times a request out, so none is installed.
-type noDeadlineClock struct{ *client.VirtualClock }
-
-// WithTimeout implements client.Clock.
-func (noDeadlineClock) WithTimeout(ctx context.Context, _ time.Duration) (context.Context, context.CancelFunc) {
-	return ctx, func() {}
+	return t.VirtualNet.Tile(ctx, k, ti, l)
 }

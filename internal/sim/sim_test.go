@@ -26,7 +26,7 @@ var (
 	fx     fixtureT
 )
 
-func fixture(t *testing.T) *fixtureT {
+func fixture(t testing.TB) *fixtureT {
 	t.Helper()
 	fxOnce.Do(func() {
 		v := scene.Generate(scene.Sports, 23, scene.Options{W: 240, H: 120, FPS: 10, DurationSec: 8})
@@ -249,5 +249,20 @@ func TestBufferTargetTradesQualityForSafety(t *testing.T) {
 			t.Errorf("stalls grew from %v to %v with larger buffer", prevStall, res.StallSec)
 		}
 		prevStall = res.StallSec
+	}
+}
+
+// BenchmarkSimRun is one Run over the golden fixture: the pano planner
+// on trace1's link at the default config — the loop vod_session runs,
+// as a per-layer row.
+func BenchmarkSimRun(b *testing.B) {
+	f := fixture(b)
+	link := testLink(f, Trace1Frac)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(f.pano, f.traces[0], link, player.NewPanoPlanner(), DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

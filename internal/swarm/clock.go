@@ -2,11 +2,10 @@ package swarm
 
 import "pano/internal/client"
 
-// VirtualClock is the discrete-event session clock. It lives in
-// internal/client, next to the Clock interface it implements, so that
-// internal/sim can run sessions on it too.
+// VirtualClock is client.VirtualClock. The package itself uses the
+// client's name; this alias and NewVirtualClock remain only for their
+// last caller, benchmark/swarm.go, and go when it moves to the client's.
 type VirtualClock = client.VirtualClock
 
-// NewVirtualClock returns a clock positioned startSec virtual seconds
-// past the global epoch (the session's arrival time).
+// NewVirtualClock is client.NewVirtualClock, kept for the same caller.
 func NewVirtualClock(startSec float64) *VirtualClock { return client.NewVirtualClock(startSec) }

@@ -1,9 +1,10 @@
 // Package swarm is a discrete-event population simulator: it drives
 // the real client session loop (client.RunSession — estimate → MPC →
 // assign → fetch → stitch → QoE) for 100k–1M concurrent viewers in one
-// process, in virtual time. Each session gets a VirtualClock, a netem
-// transport (an internal/nettrace link integrated in virtual time plus
-// internal/chaos fault draws), an internal/viewport head-motion trace,
+// process, in virtual time. Each session gets a client.VirtualClock, a
+// netem transport (client.VirtualNet — the internal/nettrace link and
+// internal/chaos fault draws sim.Run's sessions stream over too — plus
+// the fleet twin), an internal/viewport head-motion trace,
 // and a splitmix64-seeded RNG derived purely from (Seed, session id) —
 // so results are byte-identical across runs and worker counts, which
 // is what makes deep testing of the loop tractable (and what the
@@ -252,11 +253,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// of /manifest.json.
 	manifestBits := float64(8 * cfg.Manifest.WireLen())
 	prof := jnd.Default()
-	objects := newObjectIndex(cfg.Manifest)
 	var place *placement
 	if cfg.Fleet != nil {
 		// One immutable shard map shared by every session.
-		place = newPlacement(objects, cfg.Fleet)
+		place = newPlacement(cfg.Manifest, cfg.Fleet)
 	}
 
 	// Arrival schedule: the dispatch feed, in arrival order.
@@ -285,7 +285,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		go func(w *scratch) {
 			defer wg.Done()
 			for id := range feed {
-				slots[id] = runSession(ctx, &cfg, id, manifestBits, prof, objects, place, w)
+				slots[id] = runSession(ctx, &cfg, id, manifestBits, prof, place, w)
 			}
 		}(&workers[i])
 	}
@@ -303,16 +303,16 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 // runSession drives one full virtual session and, when sampled, scores
 // the delivered frames against the ground-truth viewpoint trace.
-func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, prof *jnd.Profile, objects *objectIndex, place *placement, w *scratch) sessionStats {
+func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, prof *jnd.Profile, place *placement, w *scratch) sessionStats {
 	p := sessionParams(cfg, id)
 	vp := cfg.Viewports[p.vp]
-	tp, sc := newSession(cfg, p, manifestBits, objects, place, w)
+	tp, sc := newSession(cfg, p, manifestBits, place, w)
 	res, err := client.RunSession(ctx, tp, vp, sc)
 
 	st := sessionStats{
 		arrival:    p.arrival,
-		endSec:     tp.clock.NowSec(),
-		originReqs: tp.originReqs,
+		endSec:     tp.Clock.NowSec(),
+		originReqs: tp.Requests(),
 	}
 	if tp.fleet != nil {
 		st.fleetReqs, st.fleet = tp.fleet.reqs, tp.fleet.fleetCounts
@@ -349,10 +349,10 @@ func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, 
 
 // newSession builds the transport and stream config of the session
 // drawn as p: its virtual clock, link, fault plan and fleet twin.
-func newSession(cfg *Config, p params, manifestBits float64, objects *objectIndex, place *placement, w *scratch) (*netem, client.StreamConfig) {
-	clk := NewVirtualClock(p.arrival)
+func newSession(cfg *Config, p params, manifestBits float64, place *placement, w *scratch) (*netem, client.StreamConfig) {
+	clk := client.NewVirtualClock(p.arrival)
 	link := &nettrace.Link{Trace: cfg.Bandwidth[p.bw], RTTSec: cfg.RTTSec}
-	tp := newNetem(cfg.Manifest, objects, clk, link, cfg.Fault, p.faultSeed, manifestBits, w)
+	tp := newNetem(cfg.Manifest, clk, link, cfg.Fault, p.faultSeed, manifestBits, w)
 	pol := cfg.Fetch
 	pol.Seed = p.fetchSeed
 	if cfg.Fleet != nil {

@@ -16,13 +16,13 @@ import (
 
 // TestOneSessionMatchesSim is the equivalence property: a 1-session
 // swarm over a flat-bandwidth trace must reproduce sim.Run's per-chunk
-// level decisions exactly and its per-chunk PSPNR within 1e-9. This
-// pins the extracted client loop (SimModel decisions + virtual clock +
-// netem link) to the simulator's analytical model, at zero RTT and at
-// the link's default 50 ms: netem's pipelined turn pays the RTT once
-// per chunk, as linkTransport does. The only remaining divergence is
-// nanosecond quantization of durations, which a flat trace keeps far
-// below the tolerance.
+// level decisions exactly and its per-chunk PSPNR within 1e-9, at zero
+// RTT and at the link's default 50 ms. Both sides stream over the same
+// transport, client.VirtualNet, so what this pins is the swarm's session
+// wiring: its session parameters, buffer model, clock and manifest GET
+// (which sim's free manifest skips), and netem's delegation to the
+// shared network. The manifest GET shifts the swarm's timeline; a flat
+// trace keeps the decisions and the scores where sim's are.
 func TestOneSessionMatchesSim(t *testing.T) {
 	for _, rtt := range []float64{0, 0.05} {
 		t.Run(fmt.Sprintf("rtt=%gs", rtt), func(t *testing.T) { oneSessionMatchesSim(t, rtt) })
@@ -35,8 +35,7 @@ func oneSessionMatchesSim(t *testing.T, rtt float64) {
 	tr := f.traces[0]
 
 	// Flat link at 40% of the top encoding rate: download time is then
-	// linear in bits, so netem's turn and the simulator's one-shot
-	// per-chunk transfer integrate the same link.
+	// linear in bits and the same at every start time.
 	flat := &nettrace.Trace{Mbps: make([]float64, 60)}
 	for i := range flat.Mbps {
 		flat.Mbps[i] = 0.4 * m.ChunkBits(0, 0) / m.ChunkSec / 1e6
@@ -63,8 +62,8 @@ func oneSessionMatchesSim(t *testing.T, rtt float64) {
 		Planner:       player.NewPanoPlanner(),
 		RetainResults: true,
 		Fetch: client.FetchPolicy{
-			// Attempt deadlines don't exist in sim.Run's model; push
-			// them out of reach so the ladder never intervenes.
+			// sim.Run's deadlines: out of reach, so the ladder never
+			// intervenes.
 			AttemptTimeout:    time.Hour,
 			MinAttemptTimeout: time.Hour,
 		},

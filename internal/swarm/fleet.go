@@ -8,6 +8,7 @@ import (
 	"pano/internal/client"
 	"pano/internal/codec"
 	"pano/internal/fleet"
+	"pano/internal/manifest"
 	"pano/internal/server"
 )
 
@@ -35,27 +36,26 @@ type FleetConfig struct {
 // placement is the run-wide, immutable shard map: the ring order of
 // every (chunk, tile, level) object and of the manifest, precomputed
 // once so the per-request hot path is a slice lookup, not a hash.
+// Chunks may differ in tile count (Pano tiles each chunk on its own), so
+// the table is per chunk.
 type placement struct {
-	n        int
 	manifest []int
-	objects  *objectIndex
-	tiles    [][]int // objects.at(k, ti, l) -> ring order
+	tiles    [][][codec.NumLevels][]int // [k][ti][l] -> ring order
 }
 
-func newPlacement(objects *objectIndex, fc *FleetConfig) *placement {
+func newPlacement(m *manifest.Video, fc *FleetConfig) *placement {
 	names := make([]string, fc.Origins)
 	for i := range names {
 		names[i] = shardName(i)
 	}
 	ring := fleet.NewRing(names, 0) // the fleet's default vnode count
-	p := &placement{n: fc.Origins, objects: objects}
+	p := &placement{tiles: make([][][codec.NumLevels][]int, m.NumChunks())}
 	p.manifest = ring.Order(ring.Key("/manifest.json"))
-	p.tiles = make([][]int, objects.len())
-	for k := range objects.firstTile[1:] { // every chunk
-		for ti := 0; ti < objects.tilesIn(k); ti++ {
-			for l := 0; l < codec.NumLevels; l++ {
-				key := ring.Key(server.TilePath(k, ti, codec.Level(l)))
-				p.tiles[objects.at(k, ti, codec.Level(l))] = ring.Order(key)
+	for k := range p.tiles {
+		p.tiles[k] = make([][codec.NumLevels][]int, len(m.Chunks[k].Tiles))
+		for ti := range p.tiles[k] {
+			for l := range codec.NumLevels {
+				p.tiles[k][ti][l] = ring.Order(ring.Key(server.TilePath(k, ti, codec.Level(l))))
 			}
 		}
 	}
@@ -64,9 +64,7 @@ func newPlacement(objects *objectIndex, fc *FleetConfig) *placement {
 
 func shardName(i int) string { return "shard-" + strconv.Itoa(i) }
 
-func (p *placement) tileOrder(k, ti int, l codec.Level) []int {
-	return p.tiles[p.objects.at(k, ti, l)]
-}
+func (p *placement) tileOrder(k, ti int, l codec.Level) []int { return p.tiles[k][ti][l] }
 
 // fleetSim is one session's client-side fleet: the ladder's breakers and
 // budget, and the counters that fold into the Summary. All of it is

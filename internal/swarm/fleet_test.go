@@ -25,7 +25,7 @@ func fleetConfig(f *fixtureT) Config {
 func TestPlacementCoversAllShards(t *testing.T) {
 	f := fixture(t)
 	fc := &FleetConfig{Origins: 4}
-	p := newPlacement(newObjectIndex(f.pano), fc)
+	p := newPlacement(f.pano, fc)
 	if len(p.manifest) != 4 {
 		t.Fatalf("manifest order %v", p.manifest)
 	}
@@ -173,8 +173,7 @@ func TestFleetBudgetDryReleasesProbe(t *testing.T) {
 		Origins: 2,
 		Breaker: fleet.BreakerConfig{FailureThreshold: 1, OpenFor: time.Second},
 	}
-	objects := newObjectIndex(m)
-	place := newPlacement(objects, fc)
+	place := newPlacement(m, fc)
 	order := place.tileOrder(0, 0, 0)
 	// The object's owner shard is hard-down: the first rung fails
 	// without consuming budget, so the ladder consults the budget at
@@ -187,8 +186,8 @@ func TestFleetBudgetDryReleasesProbe(t *testing.T) {
 	for i := range flat.Mbps {
 		flat.Mbps[i] = 10
 	}
-	clk := NewVirtualClock(0)
-	s := newNetem(m, objects, clk, &nettrace.Link{Trace: flat}, chaos.Rule{}, 1, 1e4, &scratch{})
+	clk := client.NewVirtualClock(0)
+	s := newNetem(m, clk, &nettrace.Link{Trace: flat}, chaos.Rule{}, 1, 1e4, &scratch{})
 	s.fleet = newFleetSim(fc, place, 1, client.FetchPolicy{HedgeBudgetRatio: 0.001, HedgeBudgetBurst: 1})
 
 	s.fleet.pol.Breaker(order[1]).Failure(clk.Now()) // threshold 1: successor opens

@@ -191,8 +191,8 @@ func turnsMatchLoopback(t *testing.T, fault string) (late []string) {
 	for i := range flat.Mbps {
 		flat.Mbps[i] = bps / 1e6
 	}
-	clk := NewVirtualClock(0)
-	tp := &faultyNetem{netem: newNetem(m, newObjectIndex(m), clk,
+	clk := client.NewVirtualClock(0)
+	tp := &faultyNetem{netem: newNetem(m, clk,
 		&nettrace.Link{Trace: flat, RTTSec: rtt.Seconds()}, chaos.Rule{}, 1, 1e4, &scratch{}), k: -1}
 	switch fault {
 	case "abort":
@@ -209,10 +209,10 @@ func turnsMatchLoopback(t *testing.T, fault string) (late []string) {
 	if vres.TotalRetries != wantRetries {
 		t.Fatalf("netem session retried %d times, want %d", vres.TotalRetries, wantRetries)
 	}
-	off := tp.originReqs - 1 - int64(tiles) // less the manifest and each tile's planned request
-	if tp.opened != int64(wireTurns) || off != int64(wireOff) {
+	off := tp.Requests() - 1 - int64(tiles) // less the manifest and each tile's planned request
+	if tp.TurnsOpened() != int64(wireTurns) || off != int64(wireOff) {
 		t.Errorf("netem: %d turns and %d requests off them; the wire: %d and %d",
-			tp.opened, off, wireTurns, wireOff)
+			tp.TurnsOpened(), off, wireTurns, wireOff)
 	}
 	for k, cr := range vres.Chunks {
 		wire, model := res.Chunks[k].Download, cr.Download
@@ -270,8 +270,8 @@ type faultyNetem struct {
 func (a *faultyNetem) Tile(ctx context.Context, k, ti int, l codec.Level) (float64, error) {
 	if k == a.k && ti == a.ti && !a.fired {
 		a.fired = true
-		a.fault = a.rule
-		defer func() { a.fault = chaos.Rule{} }()
+		a.Fault = a.rule
+		defer func() { a.Fault = chaos.Rule{} }()
 	}
 	return a.netem.Tile(ctx, k, ti, l)
 }

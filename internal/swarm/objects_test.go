@@ -41,30 +41,6 @@ func raggedManifest(t testing.TB) *manifest.Video {
 	return m
 }
 
-// TestObjectIndexRagged: the offset table numbers every object of a
-// ragged manifest exactly once, densely.
-func TestObjectIndexRagged(t *testing.T) {
-	m := raggedManifest(t)
-	x := newObjectIndex(m)
-	if want := (2 + 3 + 1 + 4) * codec.NumLevels; x.len() != want {
-		t.Fatalf("len = %d, want %d", x.len(), want)
-	}
-	next := 0
-	for k := range m.Chunks {
-		if x.tilesIn(k) != len(m.Chunks[k].Tiles) {
-			t.Fatalf("chunk %d: %d tiles, want %d", k, x.tilesIn(k), len(m.Chunks[k].Tiles))
-		}
-		for ti := range m.Chunks[k].Tiles {
-			for l := 0; l < codec.NumLevels; l++ {
-				if got := x.at(k, ti, codec.Level(l)); got != next {
-					t.Fatalf("at(%d,%d,%d) = %d, want %d", k, ti, l, got, next)
-				}
-				next++
-			}
-		}
-	}
-}
-
 // TestPlacementRaggedManifest: every object of a ragged manifest gets
 // its own ring order — the one the ring computes for its path. Sized by
 // chunk 0's tile count (two here), chunk 1's third tile aliases chunk
@@ -72,7 +48,7 @@ func TestObjectIndexRagged(t *testing.T) {
 func TestPlacementRaggedManifest(t *testing.T) {
 	m := raggedManifest(t)
 	fc := &FleetConfig{Origins: 4}
-	p := newPlacement(newObjectIndex(m), fc)
+	p := newPlacement(m, fc)
 	ring := fleet.NewRing([]string{shardName(0), shardName(1), shardName(2), shardName(3)}, 0)
 	for k := range m.Chunks {
 		for ti := range m.Chunks[k].Tiles {
@@ -86,30 +62,30 @@ func TestPlacementRaggedManifest(t *testing.T) {
 	}
 }
 
-// TestDrawCountersMatchMap: the flat per-object counters hand
-// chaos.Rule.Draw the same index, object by object, as the per-session
-// map keyed on tileKey did — over a ragged manifest, with repeats, and
-// again from zero for the worker's next session.
+// TestDrawCountersMatchMap: the VirtualNet's flat per-object counters
+// hand chaos.Rule.Draw the same index, object by object, as a
+// per-session map keyed on client.TileKey — over a ragged manifest, so
+// every object of every chunk has a counter of its own, with repeats,
+// and again from zero for the worker's next session.
 func TestDrawCountersMatchMap(t *testing.T) {
 	m := raggedManifest(t)
-	objects := newObjectIndex(m)
 	rule := chaos.Rule{ErrorRate: 0.2, TruncateRate: 0.1, StallRate: 0.1, AbortRate: 0.1,
 		Latency: 20 * time.Millisecond, Jitter: 10 * time.Millisecond}
 	link := &nettrace.Link{Trace: &nettrace.Trace{Mbps: []float64{10}}}
 	w := &scratch{}
 	for session := 0; session < 2; session++ {
 		seed := uint64(77 + session)
-		s := newNetem(m, objects, NewVirtualClock(0), link, rule, seed, 1e4, w)
+		s := newNetem(m, client.NewVirtualClock(0), link, rule, seed, 1e4, w)
 		ref := map[uint64]uint64{}
 		rng := mathx.NewRNG(5)
 		for i := 0; i < 2000; i++ {
 			k := rng.Intn(len(m.Chunks))
 			ti := rng.Intn(len(m.Chunks[k].Tiles))
 			l := codec.Level(rng.Intn(codec.NumLevels))
-			key := tileKey(k, ti, l)
+			key := client.TileKey(k, ti, l)
 			want := rule.Draw(seed, key, ref[key])
 			ref[key]++
-			if got := s.draw(k, ti, l); got != want {
+			if got := s.Draw(k, ti, l); got != want {
 				t.Fatalf("session %d draw %d on (%d,%d,%d): %+v, want %+v", session, i, k, ti, l, got, want)
 			}
 		}
@@ -124,13 +100,12 @@ func TestDrawCountersMatchMap(t *testing.T) {
 func TestNetemTileDoesNotAllocate(t *testing.T) {
 	f := fixture(t)
 	m := f.pano
-	objects := newObjectIndex(m)
 	rule := chaos.Rule{ErrorRate: 0.02, TruncateRate: 0.01, Latency: 20 * time.Millisecond, Jitter: 10 * time.Millisecond}
 	fc := &FleetConfig{Origins: 4, Breaker: fleet.BreakerConfig{FailureThreshold: 2, OpenFor: 2 * time.Second},
 		Outages: []chaos.Down{{}, {After: 20 * time.Second, For: 30 * time.Second}}}
-	place := newPlacement(objects, fc)
+	place := newPlacement(m, fc)
 	for _, withFleet := range []bool{false, true} {
-		s := newNetem(m, objects, NewVirtualClock(0), &nettrace.Link{Trace: f.bw[0], RTTSec: 0.05}, rule, 9, 1e6, &scratch{})
+		s := newNetem(m, client.NewVirtualClock(0), &nettrace.Link{Trace: f.bw[0], RTTSec: 0.05}, rule, 9, 1e6, &scratch{})
 		if withFleet {
 			s.fleet = newFleetSim(fc, place, 9, client.FetchPolicy{HedgeDelay: 150 * time.Millisecond})
 		}
@@ -151,10 +126,9 @@ func TestNetemTileDoesNotAllocate(t *testing.T) {
 func BenchmarkNetemTile(b *testing.B) {
 	f := fixture(b)
 	m := f.pano
-	objects := newObjectIndex(m)
 	rule := chaos.Rule{ErrorRate: 0.02, TruncateRate: 0.01, Latency: 20 * time.Millisecond, Jitter: 10 * time.Millisecond}
 	fc := &FleetConfig{Origins: 4, Breaker: fleet.BreakerConfig{FailureThreshold: 2, OpenFor: 2 * time.Second}}
-	place := newPlacement(objects, fc)
+	place := newPlacement(m, fc)
 	for _, withFleet := range []bool{false, true} {
 		name := "single"
 		if withFleet {
@@ -162,8 +136,8 @@ func BenchmarkNetemTile(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			clk := NewVirtualClock(0)
-			s := newNetem(m, objects, clk, &nettrace.Link{Trace: f.bw[0], RTTSec: 0.05}, rule, 9, 1e6, &scratch{})
+			clk := client.NewVirtualClock(0)
+			s := newNetem(m, clk, &nettrace.Link{Trace: f.bw[0], RTTSec: 0.05}, rule, 9, 1e6, &scratch{})
 			if withFleet {
 				s.fleet = newFleetSim(fc, place, 9, client.FetchPolicy{HedgeDelay: 150 * time.Millisecond})
 			}

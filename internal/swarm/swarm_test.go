@@ -176,11 +176,10 @@ func TestFaultsSurfaceInSummary(t *testing.T) {
 	if err := rc.fillDefaults(); err != nil {
 		t.Fatal(err)
 	}
-	objects := newObjectIndex(rc.Manifest)
 	replayed := 0
 	for id := range rc.Sessions {
 		p := sessionParams(&rc, id)
-		tp, sc := newSession(&rc, p, float64(8*rc.Manifest.WireLen()), objects, nil, &scratch{})
+		tp, sc := newSession(&rc, p, float64(8*rc.Manifest.WireLen()), nil, &scratch{})
 		sc.Obs = reg
 		res, err := client.RunSession(context.Background(), tp, rc.Viewports[p.vp], sc)
 		if err != nil {
