@@ -49,9 +49,6 @@ func (c *VirtualClock) AdvanceSec(s float64) {
 	c.Advance(time.Duration(s * float64(time.Second)))
 }
 
-// AdvanceTo moves the clock forward to t (never backward).
-func (c *VirtualClock) AdvanceTo(t time.Time) { c.advanceTo(t.Sub(epoch)) }
-
 // advanceTo moves the clock forward to off past the epoch.
 func (c *VirtualClock) advanceTo(off time.Duration) {
 	if off > c.off {
@@ -108,14 +105,4 @@ func (c *VirtualClock) WithTimeout(ctx context.Context, d time.Duration) (contex
 	}
 	out.Context, out.dl = ctx, dl
 	return out, nopCancel
-}
-
-// VirtualDeadline returns the virtual deadline a VirtualClock's
-// WithTimeout installed on ctx, if any; virtual transports check it
-// before advancing the clock past it.
-func VirtualDeadline(ctx context.Context) (time.Time, bool) {
-	if d, ok := ctx.Value(deadlineKey{}).(*deadlineCtx); ok {
-		return epoch.Add(d.dl), true
-	}
-	return time.Time{}, false
 }

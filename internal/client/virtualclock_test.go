@@ -16,9 +16,9 @@ func TestVirtualClock(t *testing.T) {
 	if got := c.NowSec(); got != 12 {
 		t.Fatalf("after advance = %v", got)
 	}
-	c.AdvanceTo(epoch.Add(5 * time.Second)) // backward: ignored
+	c.advanceTo(5 * time.Second) // backward: ignored
 	if got := c.NowSec(); got != 12 {
-		t.Fatalf("after backward AdvanceTo = %v", got)
+		t.Fatalf("after backward advanceTo = %v", got)
 	}
 	if err := c.Sleep(context.Background(), 3*time.Second); err != nil || c.NowSec() != 15 {
 		t.Fatalf("sleep: %v at %v", err, c.NowSec())
@@ -31,7 +31,7 @@ func TestVirtualClock(t *testing.T) {
 	// WithTimeout keeps the earliest deadline.
 	ctx2, _ := c.WithTimeout(context.Background(), time.Minute)
 	ctx3, _ := c.WithTimeout(ctx2, time.Hour)
-	dl, ok := VirtualDeadline(ctx3)
+	dl, ok := virtualDeadline(ctx3)
 	if !ok || dl.Sub(c.Now()) != time.Minute {
 		t.Fatalf("nested deadline = %v ok=%v", dl.Sub(c.Now()), ok)
 	}
@@ -46,7 +46,7 @@ func TestVirtualClockWithTimeoutAllocatesNothing(t *testing.T) {
 	parent := context.WithValue(context.Background(), sessionKey{}, "s")
 	allocs := testing.AllocsPerRun(100, func() {
 		ctx, cancel := c.WithTimeout(parent, time.Second)
-		dl, ok := VirtualDeadline(ctx)
+		dl, ok := virtualDeadline(ctx)
 		cancel()
 		if !ok || dl.Sub(c.Now()) != time.Second || ctx.Value(sessionKey{}) != "s" {
 			t.Fatalf("deadline %v ok=%v", dl, ok)
@@ -56,7 +56,7 @@ func TestVirtualClockWithTimeoutAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("%v allocs per WithTimeout, want 0", allocs)
 	}
-	if _, ok := VirtualDeadline(parent); ok {
+	if _, ok := virtualDeadline(parent); ok {
 		t.Error("parent context gained a deadline")
 	}
 }
@@ -83,10 +83,10 @@ func TestVirtualClockNestedWithTimeout(t *testing.T) {
 		c := NewVirtualClock(10)
 		outer, _ := c.WithTimeout(context.Background(), tc.outer)
 		inner, _ := c.WithTimeout(tc.derive(outer), tc.inner)
-		if dl, ok := VirtualDeadline(inner); !ok || dl.Sub(c.Now()) != min(tc.outer, tc.inner) {
+		if dl, ok := virtualDeadline(inner); !ok || dl.Sub(c.Now()) != min(tc.outer, tc.inner) {
 			t.Errorf("%s: inner deadline %v ok=%v", tc.name, dl.Sub(c.Now()), ok)
 		}
-		if dl, ok := VirtualDeadline(outer); !ok || dl.Sub(c.Now()) != tc.outer {
+		if dl, ok := virtualDeadline(outer); !ok || dl.Sub(c.Now()) != tc.outer {
 			t.Errorf("%s: outer deadline moved to %v ok=%v", tc.name, dl.Sub(c.Now()), ok)
 		}
 		type missKey struct{}
@@ -95,7 +95,7 @@ func TestVirtualClockNestedWithTimeout(t *testing.T) {
 		}
 		// A third level, over the nested node.
 		third, _ := c.WithTimeout(wrap(inner), time.Second)
-		if dl, _ := VirtualDeadline(third); dl.Sub(c.Now()) != time.Second {
+		if dl, _ := virtualDeadline(third); dl.Sub(c.Now()) != time.Second {
 			t.Errorf("%s: third deadline %v", tc.name, dl.Sub(c.Now()))
 		}
 		if v := third.Value(missKey{}); v != nil {
@@ -110,4 +110,13 @@ func TestVirtualClockNestedWithTimeout(t *testing.T) {
 	if ctx.Err() == nil {
 		t.Error("parent cancellation not visible through the deadline context")
 	}
+}
+
+// virtualDeadline returns the virtual deadline a VirtualClock's
+// WithTimeout installed on ctx, if any.
+func virtualDeadline(ctx context.Context) (time.Time, bool) {
+	if d, ok := ctx.Value(deadlineKey{}).(*deadlineCtx); ok {
+		return epoch.Add(d.dl), true
+	}
+	return time.Time{}, false
 }

@@ -19,12 +19,13 @@ import (
 // integrated on a VirtualClock plus chaos fault draws: the Transport of
 // every simulated session, sim.Run's and each internal/swarm session's.
 // Failures surface as the HTTP transport's do, so the fetch ladder runs
-// unchanged. It charges what Client.Stream pays: a chunk's planned
-// requests go out as one pipelined turn (Pipeliner) that pays the RTT
-// once (Answer), and every other request pays its own (Send).
-// internal/swarm's TestTurnsMatchLoopback holds this charge to a
-// loopback wire. Answer takes a shard index, so the swarm's fleet twin
-// keeps one turn per origin shard on the same pricer. The exported
+// unchanged. It charges what Client.Stream pays at one origin: a chunk's
+// planned requests go out as one pipelined turn (Pipeliner) that pays
+// the RTT once, and every other request pays its own. internal/swarm's
+// TestTurnsMatchLoopback holds this charge to a loopback wire, through
+// an edge and through an edge in front of a fleet. Serve takes the
+// server's answer as given, so the swarm's fleet twin prices a tile the
+// fleet answered behind the front on the same one turn. The exported
 // fields configure the network; Reset readies it for another session.
 type VirtualNet struct {
 	Video *manifest.Video
@@ -44,16 +45,16 @@ type VirtualNet struct {
 	firstTile []int
 	seq       []uint32
 	// planned is the running chunk's plan, an entry set to -1 once its
-	// request has gone out; turns is one turn per shard.
+	// request has gone out; tn is the chunk's turn.
 	chunk   int
 	planned abr.Allocation
-	turns   []turn
+	tn      turn
 }
 
-// turn is one shard's pipelined turn within the chunk: it has held the
-// link since start (past the epoch; warm if it resumed after other
-// requests took the link) and carried bits and server delay since; req
-// is the request its last answer was.
+// turn is the chunk's pipelined turn: it has held the link since start
+// (past the epoch; warm if it resumed after other requests took the
+// link) and carried bits and server delay since; req is the request its
+// last answer was.
 type turn struct {
 	open, warm  bool
 	start       time.Duration
@@ -65,7 +66,7 @@ type turn struct {
 func (n *VirtualNet) Reset() {
 	n.requests, n.opened, n.chunk = 0, 0, 0
 	n.firstTile, n.seq = n.firstTile[:0], n.seq[:0]
-	n.planned, n.turns = n.planned[:0], n.turns[:0]
+	n.planned, n.tn = n.planned[:0], turn{}
 }
 
 // Requests is the number of requests sent, the manifest GET included.
@@ -89,43 +90,44 @@ func (n *VirtualNet) Manifest(ctx context.Context) (*manifest.Video, error) {
 	return n.Video, nil
 }
 
-// Turn implements Pipeliner: chunk k's planned requests go out, and
-// every shard's turn starts afresh.
+// Turn implements Pipeliner: chunk k's planned requests go out on a
+// fresh turn.
 func (n *VirtualNet) Turn(_ context.Context, k int, alloc abr.Allocation, _ []trace.Reserved) {
-	clear(n.turns)
+	n.tn = turn{}
 	n.planned = append(n.planned[:0], alloc...)
 	n.chunk = k
 }
 
-// Claim reports whether (k, ti, l) is tile ti's planned request of the
-// running chunk, not yet sent; it is sent now.
-func (n *VirtualNet) Claim(k, ti int, l codec.Level) bool {
-	if k != n.chunk || ti >= len(n.planned) || n.planned[ti] != l {
-		return false
-	}
-	n.planned[ti] = -1
-	return true
+// Tile implements Transport: Serve, the server answering under the
+// object's next fault draw.
+func (n *VirtualNet) Tile(ctx context.Context, k, ti int, l codec.Level) (float64, error) {
+	return n.Serve(ctx, k, ti, l, n.Draw(k, ti, l))
 }
 
-// Tile implements Transport: the planned request is answered on the
-// turn, any other sent off it, and the clock moves to the answer within
-// the attempt's virtual deadline.
-func (n *VirtualNet) Tile(ctx context.Context, k, ti int, l codec.Level) (float64, error) {
+// Serve is Tile with the server's answer given: out is how the server
+// answers the request for (k, ti, l). Tile ti's planned request of the
+// running chunk, the first time it is sent, is answered on the turn; any
+// other is sent off it. The clock moves to the answer within the
+// attempt's virtual deadline.
+func (n *VirtualNet) Serve(ctx context.Context, k, ti int, l codec.Level, out chaos.Outcome) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
 	bits := n.Video.Chunks[k].Tiles[ti].Bits[l]
-	inTurn := n.Claim(k, ti, l)
+	inTurn := k == n.chunk && ti < len(n.planned) && n.planned[ti] == l
+	if inTurn {
+		n.planned[ti] = -1 // sent
+	}
 	var cost time.Duration
 	var ferr error
 	if inTurn {
-		cost, ferr = n.Answer(0, n.Draw(k, ti, l), bits)
+		cost, ferr = n.answer(out, bits)
 	} else {
-		cost, ferr = n.Send(n.Draw(k, ti, l), bits, n.Clock.NowSec())
+		cost, ferr = n.send(out, bits)
 	}
-	if err := n.Advance(ctx, cost); err != nil {
+	if err := n.advance(ctx, cost); err != nil {
 		if inTurn {
-			n.Hangup(0) // the client hangs up on an expired read
+			n.tn.open = false // the client hangs up on an expired read
 		}
 		return 0, err
 	}
@@ -143,7 +145,7 @@ func TileKey(k, ti int, l codec.Level) uint64 {
 
 // Draw consumes the object's next fault draw. The count is per session
 // and advances once per request, so outcomes are deterministic
-// regardless of which shard serves which request.
+// regardless of which origin serves which request.
 func (n *VirtualNet) Draw(k, ti int, l codec.Level) chaos.Outcome {
 	if n.Fault == (chaos.Rule{}) {
 		return chaos.Outcome{}
@@ -163,30 +165,18 @@ func (n *VirtualNet) Draw(k, ti int, l codec.Level) chaos.Outcome {
 	return o
 }
 
-// shard is shard o's turn.
-func (n *VirtualNet) shard(o int) *turn {
-	for len(n.turns) <= o {
-		n.turns = append(n.turns, turn{})
-	}
-	return &n.turns[o]
-}
-
-// Hangup ends shard o's turn: the client abandoned its answer
-// mid-stream.
-func (n *VirtualNet) Hangup(o int) { n.shard(o).open = false }
-
-// Answer prices the answer to a planned request on shard o's turn,
-// asked for now: its cost from now and how it ends. It is the link
-// integrated from the turn's start over the bits carried since, the RTT
-// once, plus the server's delays since (chaos latency and stalls: a
-// pipeline is answered serially). When other requests took the link in
-// between, the turn resumes from now, warm: its data has long been on
-// the way, so the RTT is not paid again. A reset, abort or truncation
-// ends the turn; a 500 does not (the server keeps the connection).
-func (n *VirtualNet) Answer(o int, out chaos.Outcome, bits float64) (time.Duration, error) {
+// answer prices the answer to a planned request on the turn, asked for
+// now: its cost from now and how it ends. It is the link integrated from
+// the turn's start over the bits carried since, the RTT once, plus the
+// server's delays since (chaos latency and stalls: a pipeline is
+// answered serially). When other requests took the link in between, the
+// turn resumes from now, warm: its data has long been on the way, so the
+// RTT is not paid again. A reset, abort or truncation ends the turn; a
+// 500 does not (the server keeps the connection).
+func (n *VirtualNet) answer(out chaos.Outcome, bits float64) (time.Duration, error) {
 	n.requests++
 	now := n.Clock.off
-	tn := n.shard(o)
+	tn := &n.tn
 	switch {
 	case !tn.open:
 		*tn = turn{open: true, start: now}
@@ -220,11 +210,11 @@ func (n *VirtualNet) Answer(o int, out chaos.Outcome, bits float64) (time.Durati
 	return max(0, done-now), ferr
 }
 
-// Send prices one request off a turn, sent at virtual time now (seconds
-// past the epoch): its cost, its own RTT included, and how it ends. It
-// does not move the clock.
-func (n *VirtualNet) Send(out chaos.Outcome, bits, now float64) (time.Duration, error) {
+// send prices one request off the turn, sent now: its cost, its own RTT
+// included, and how it ends. It does not move the clock.
+func (n *VirtualNet) send(out chaos.Outcome, bits float64) (time.Duration, error) {
 	n.requests++
+	now := n.Clock.NowSec()
 	cost := out.Latency.Seconds()
 	if ferr := refusal(out); ferr != nil {
 		return seconds(cost + n.Link.DownloadTime(now+cost, 0)), ferr // a header round trip
@@ -259,10 +249,10 @@ func refusal(out chaos.Outcome) error {
 // seconds converts a cost in seconds to a duration.
 func seconds(cost float64) time.Duration { return time.Duration(cost * float64(time.Second)) }
 
-// Advance moves the clock by d, honouring the attempt's virtual
+// advance moves the clock by d, honouring the attempt's virtual
 // deadline: an over-deadline transfer is observed as a timeout at the
 // deadline, not at completion.
-func (n *VirtualNet) Advance(ctx context.Context, d time.Duration) error {
+func (n *VirtualNet) advance(ctx context.Context, d time.Duration) error {
 	done := n.Clock.off + d
 	if at, ok := ctx.Value(deadlineKey{}).(*deadlineCtx); ok && done > at.dl {
 		n.Clock.advanceTo(at.dl)

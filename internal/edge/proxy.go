@@ -34,7 +34,8 @@ type Config struct {
 	Breaker fleet.BreakerConfig
 	// CacheBytes is the cache budget. 0 disables caching entirely: the
 	// edge becomes a transparent pass-through proxy whose responses are
-	// byte-identical to talking to the origin directly.
+	// byte-identical to talking to the origin directly. It forwards each
+	// request once, to fleet.Pick's replica, with no failover.
 	CacheBytes int64
 	// TTL is the freshness lifetime of positive entries (default 60s).
 	TTL time.Duration

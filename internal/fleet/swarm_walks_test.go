@@ -17,7 +17,8 @@ import (
 // TestSwarmWalksConserve runs the swarm determinism suite's fleet config
 // — faults, a flapping shard outage, per-session breakers and hedging —
 // under the conservation checker, so the swarm's walks of the ladder are
-// held to the same rule as fleet.Fetch's.
+// held to the same rule as fleet.Fetch's. The fixed hedge delay sits
+// inside the origins' 20±10 ms latency, so that hedges race.
 func TestSwarmWalksConserve(t *testing.T) {
 	v := scene.Generate(scene.Sports, 23, scene.Options{W: 240, H: 120, FPS: 10, DurationSec: 8})
 	var views []*viewport.Trace
@@ -43,7 +44,7 @@ func TestSwarmWalksConserve(t *testing.T) {
 		},
 		ScoreEvery: 3,
 	}
-	for _, hedge := range []time.Duration{100 * time.Millisecond, 0} {
+	for _, hedge := range []time.Duration{25 * time.Millisecond, 0} {
 		cfg.Fetch.HedgeDelay = hedge
 		walks0, errs0 := fleet.Checked()
 		rep, err := swarm.Run(context.Background(), cfg)

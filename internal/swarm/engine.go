@@ -164,8 +164,9 @@ type Summary struct {
 	PeakConcurrency int     `json:"peak_concurrency"`
 	MeanConcurrency float64 `json:"mean_concurrency"`
 	VirtualSec      float64 `json:"virtual_sec"`
-	// Origin load: every tile/manifest request of every session,
-	// bucketed per virtual second.
+	// Origin load: every tile/manifest request of every session that
+	// reaches an origin (in fleet mode, the requests of the walks behind
+	// the front), bucketed per virtual second.
 	OriginRequests int64   `json:"origin_requests"`
 	OriginPeakRPS  int64   `json:"origin_peak_rps"`
 	OriginMeanRPS  float64 `json:"origin_mean_rps"`
@@ -230,7 +231,6 @@ type sessionStats struct {
 	skipped     int
 	arrival     float64
 	endSec      float64
-	originReqs  int64
 	result      *client.StreamResult
 	// fleet-mode contributions (nil/zero in single-origin runs)
 	fleetReqs []int64
@@ -309,11 +309,7 @@ func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, 
 	tp, sc := newSession(cfg, p, manifestBits, place, w)
 	res, err := client.RunSession(ctx, tp, vp, sc)
 
-	st := sessionStats{
-		arrival:    p.arrival,
-		endSec:     tp.Clock.NowSec(),
-		originReqs: tp.Requests(),
-	}
+	st := sessionStats{arrival: p.arrival, endSec: tp.Clock.NowSec()}
 	if tp.fleet != nil {
 		st.fleetReqs, st.fleet = tp.fleet.reqs, tp.fleet.fleetCounts
 	}
@@ -388,6 +384,7 @@ func fold(cfg *Config, slots []sessionStats, workers []scratch) *Report {
 		}
 		for sec, n := range wl {
 			load[sec] += n
+			s.OriginRequests += n
 		}
 	}
 	merge := make([]event, 0, 2*len(slots))
@@ -407,7 +404,6 @@ func fold(cfg *Config, slots []sessionStats, workers []scratch) *Report {
 		s.Retries += int64(st.retries)
 		s.DegradedTiles += int64(st.degraded)
 		s.SkippedTiles += int64(st.skipped)
-		s.OriginRequests += st.originReqs
 		s.FleetFailovers += st.fleet.failovers
 		s.FleetHedges += st.fleet.hedges
 		s.FleetHedgeWins += st.fleet.hedgeWins

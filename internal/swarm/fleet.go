@@ -12,14 +12,16 @@ import (
 	"pano/internal/server"
 )
 
-// FleetConfig turns the swarm's single logical origin into a sharded
-// fleet: objects place onto Origins virtual shards via the same
-// consistent-hash ring the edge uses (internal/fleet), per-shard
-// chaos.Down schedules take shards out in virtual time, and every
-// session walks each tile through fleet.Ladder — the failover policy
-// fleet.Fetch runs — over its own per-shard circuit breakers and
-// token-bucket retry budget: the client-side view of the fault-tolerant
-// delivery layer, replayed deterministically at population scale.
+// FleetConfig puts a sharded fleet behind the swarm's one origin, which
+// becomes the front a session talks to, as a client talks to an edge:
+// objects place onto Origins virtual shards via the same consistent-hash
+// ring the edge uses (internal/fleet), per-shard chaos.Down schedules
+// take shards out in virtual time, and each tile the front serves is
+// walked through fleet.Ladder — the failover policy fleet.Fetch runs
+// behind the edge — over the session's own per-shard circuit breakers
+// and token-bucket retry budget. The session still pays one pipelined
+// turn per chunk; the walk's duration is the tile's server delay on it.
+// Config.Fault then applies to the origins, not to the front.
 type FleetConfig struct {
 	// Origins is the shard count (>= 1; failover needs >= 2).
 	Origins int

@@ -20,6 +20,7 @@ import (
 	"pano/internal/client"
 	"pano/internal/codec"
 	"pano/internal/edge"
+	"pano/internal/fleet"
 	"pano/internal/manifest"
 	"pano/internal/nettrace"
 	"pano/internal/player"
@@ -48,20 +49,31 @@ import (
 // Connection set-up is charged on neither side: the proxy hands a
 // connection over at once.
 //
+// The fleet case puts a cold caching edge in front of two origins that
+// each delay a tile 5 ms, the first killed before the session: the edge
+// fills every miss by walking fleet.Ladder, failing over to the live
+// origin. netem's fleet twin, with the same delay, the first shard always
+// down and the edge's fetch policy and breaker, walks the same ladder
+// behind the front. Both sides open one turn per chunk and send nothing
+// off the turns; the live origin serves every tile, and the twin fails
+// over. netem may take longer per chunk by up to the turn's summed origin
+// delays: it charges a turn's server delays and its transfer in series
+// (the serial rule every turn has), and the wire overlaps the edge's
+// fills with the answers already on the way.
+//
 // A busy machine only ever makes the wire slower (the proxy's timers
 // and the client run late), so a session on which netem ran ahead of
 // the wire by more than the slack is streamed again, up to three times;
 // the counts, and netem never running behind by more than its bound,
 // must hold every time.
 func TestTurnsMatchLoopback(t *testing.T) {
-	for _, fault := range []string{"", "abort", "500"} {
-		name := "fault-free"
-		if fault != "" {
-			name = "one-" + fault
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name, fault string
+		fleet       bool
+	}{{"fault-free", "", false}, {"one-abort", "abort", false}, {"one-500", "500", false}, {"fleet", "", true}} {
+		t.Run(tc.name, func(t *testing.T) {
 			for try := 1; ; try++ {
-				late := turnsMatchLoopback(t, fault)
+				late := turnsMatchLoopback(t, tc.fault, tc.fleet)
 				if len(late) == 0 || try == 3 {
 					for _, miss := range late {
 						t.Error(miss)
@@ -76,8 +88,9 @@ func TestTurnsMatchLoopback(t *testing.T) {
 
 // turnsMatchLoopback streams one session over the wire and through
 // netem, checks the counts and that netem is not late, and returns the
-// chunks on which the wire was.
-func turnsMatchLoopback(t *testing.T, fault string) (late []string) {
+// chunks on which the wire was. With fleet, the edge is cold and fronts
+// two delayed origins, the first dead.
+func turnsMatchLoopback(t *testing.T, fault string, withFleet bool) (late []string) {
 	const (
 		rtt = 100 * time.Millisecond
 		// slack is what loopback adds to a chunk that netem does not
@@ -85,6 +98,8 @@ func turnsMatchLoopback(t *testing.T, fault string) (late []string) {
 		slack = 40 * time.Millisecond
 		// chunks streamed: the fault lands on the second.
 		chunks = 4
+		// delay is each fleet origin's tile delay.
+		delay = 5 * time.Millisecond
 	)
 	f := fixture(t)
 	m := f.pano
@@ -93,16 +108,31 @@ func turnsMatchLoopback(t *testing.T, fault string) (late []string) {
 	bps := 10 * testbed.RateCap(m)
 	tb := testbed.New()
 	defer tb.Close()
-	if _, err := tb.AddOrigin(testbed.OriginConfig{Manifest: m}); err != nil {
-		t.Fatal(err)
+	ecfg := edge.Config{CacheBytes: 64 << 20, Fetch: testbed.LoopbackPolicy()}
+	fc := &FleetConfig{Origins: 2, Outages: []chaos.Down{{Always: true}},
+		Breaker: fleet.BreakerConfig{FailureThreshold: 2, OpenFor: time.Minute}} // open for the whole session once tripped
+	// The fleet's origins delay every tile (rule, netem's too), and its
+	// edge stays cold: the edge's fills are what that case times.
+	origins, warm := 1, chunks
+	var rule chaos.Rule
+	if withFleet {
+		origins, warm, ecfg.Breaker, rule.Latency = fc.Origins, 0, fc.Breaker, delay
 	}
-	e, err := tb.AddEdge(edge.Config{CacheBytes: 64 << 20, Fetch: testbed.LoopbackPolicy()})
+	for range origins {
+		if _, err := tb.AddOrigin(testbed.OriginConfig{Manifest: m, Chaos: chaos.New(chaos.Profile{Tile: rule})}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if withFleet {
+		tb.Origins[0].Kill()
+	}
+	e, err := tb.AddEdge(ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A warm edge answers from its cache: the wire then times the link,
 	// not the edge's fills.
-	for k := range chunks {
+	for k := range warm {
 		for ti := range m.Chunks[k].Tiles {
 			for l := range codec.NumLevels {
 				e.Handler().ServeHTTP(httptest.NewRecorder(),
@@ -193,7 +223,10 @@ func turnsMatchLoopback(t *testing.T, fault string) (late []string) {
 	}
 	clk := client.NewVirtualClock(0)
 	tp := &faultyNetem{netem: newNetem(m, clk,
-		&nettrace.Link{Trace: flat, RTTSec: rtt.Seconds()}, chaos.Rule{}, 1, 1e4, &scratch{}), k: -1}
+		&nettrace.Link{Trace: flat, RTTSec: rtt.Seconds()}, rule, 1, 1e4, &scratch{}), k: -1}
+	if withFleet {
+		tp.fleet = newFleetSim(fc, newPlacement(m, fc), 1, ecfg.Fetch)
+	}
 	switch fault {
 	case "abort":
 		tp.k, tp.ti, tp.rule = 1, 1, chaos.Rule{AbortRate: 1}
@@ -214,6 +247,17 @@ func turnsMatchLoopback(t *testing.T, fault string) (late []string) {
 		t.Errorf("netem: %d turns and %d requests off them; the wire: %d and %d",
 			tp.TurnsOpened(), off, wireTurns, wireOff)
 	}
+	if withFleet {
+		if n := tb.Origins[1].TileRequests(); n != int64(tiles) {
+			t.Errorf("the live origin served %d tile requests, want %d", n, tiles)
+		}
+		if n := tp.fleet.reqs[1] - 1; n != int64(tiles) { // less the manifest
+			t.Errorf("netem's live shard served %d tile requests, want %d", n, tiles)
+		}
+		if tp.fleet.failovers == 0 {
+			t.Error("netem's walks never failed over from the dead shard")
+		}
+	}
 	for k, cr := range vres.Chunks {
 		wire, model := res.Chunks[k].Download, cr.Download
 		hi := wire + slack
@@ -225,6 +269,10 @@ func turnsMatchLoopback(t *testing.T, fault string) (late []string) {
 				tail += m.Chunks[1].Tiles[ti+2].Bits[l]
 			}
 			hi += time.Duration(tail / bps * float64(time.Second))
+		}
+		if withFleet {
+			// The turn's server delays, charged in series with its transfer.
+			hi += time.Duration(len(plans[k])) * delay
 		}
 		if model > hi {
 			t.Errorf("chunk %d: netem fetched it in %v, the wire in %v (want at most %v later)", k, model, wire, hi-wire)

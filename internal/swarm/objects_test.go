@@ -122,12 +122,14 @@ func TestNetemTileDoesNotAllocate(t *testing.T) {
 
 // BenchmarkNetemTile is one tile request through the swarm's logical
 // network, single origin and through the fleet twin (4 shards, fixed
-// hedge delay) — the per-tile cost under client.fetchTileResilient.
+// hedge delay, shard 1 down from 20 s to 50 s, so the walk's failover
+// path is timed too) — the per-tile cost under client.fetchTileResilient.
 func BenchmarkNetemTile(b *testing.B) {
 	f := fixture(b)
 	m := f.pano
 	rule := chaos.Rule{ErrorRate: 0.02, TruncateRate: 0.01, Latency: 20 * time.Millisecond, Jitter: 10 * time.Millisecond}
-	fc := &FleetConfig{Origins: 4, Breaker: fleet.BreakerConfig{FailureThreshold: 2, OpenFor: 2 * time.Second}}
+	fc := &FleetConfig{Origins: 4, Breaker: fleet.BreakerConfig{FailureThreshold: 2, OpenFor: 2 * time.Second},
+		Outages: []chaos.Down{{}, {After: 20 * time.Second, For: 30 * time.Second}}}
 	place := newPlacement(m, fc)
 	for _, withFleet := range []bool{false, true} {
 		name := "single"

@@ -2,7 +2,7 @@ package swarm
 
 import (
 	"context"
-	"math"
+	"errors"
 	"time"
 
 	"pano/internal/chaos"
@@ -15,16 +15,15 @@ import (
 
 // netem is one swarm session's logical network: client.VirtualNet, which
 // sim.Run streams over and which prices every request, plus the fleet
-// twin and the origin-load accounting. In the fleet twin a shard's
-// planned requests ride its own turn, opened when the ladder first
-// reaches one of them: the charge of a client with a pipeline per origin
-// shard. The repo has no such client (Client.Stream pipelines to one
-// base URL, fleet.Fetch sends one request at a time) and no wire test
-// checks those turns.
+// twin and the origin-load accounting. In fleet mode the session talks
+// to one front, as Client.Stream talks to an edge: a chunk's planned
+// requests are one pipelined turn to it, and each tile's fleet.Ladder
+// walk runs behind it (walk), its duration that tile's server delay on
+// the turn. TestTurnsMatchLoopback holds both modes to a loopback wire.
 type netem struct {
 	*client.VirtualNet
-	// fleet, when set, shards objects across virtual origins and walks
-	// each tile through the fleet's ladder (fleetTile).
+	// fleet, when set, shards objects across virtual origins behind the
+	// front and walks each tile through the fleet's ladder (walk).
 	fleet *fleetSim
 	// w is the calling worker's scratch: the load histogram every
 	// session of the worker adds to, and the network it reuses.
@@ -49,9 +48,10 @@ func newNetem(m *manifest.Video, clk *client.VirtualClock, link *nettrace.Link, 
 	return &netem{VirtualNet: n, w: w}
 }
 
-// hit records one origin request at the current virtual second.
-func (s *netem) hit() {
-	sec := int(s.Clock.NowSec())
+// hit records one origin request at virtual time t (seconds past the
+// epoch).
+func (s *netem) hit(t float64) {
+	sec := int(t)
 	if sec >= len(s.w.load) {
 		s.w.load = append(s.w.load, make([]int64, sec+1-len(s.w.load))...)
 	}
@@ -77,120 +77,116 @@ func (s *netem) Manifest(ctx context.Context) (*manifest.Video, error) {
 		}
 		s.fleet.reqs[shard]++
 	}
-	s.hit()
+	s.hit(s.Clock.NowSec())
 	return s.VirtualNet.Manifest(ctx)
 }
 
 // Tile implements client.Transport: the VirtualNet's request, or in
-// fleet mode the object's walk through the fleet's ladder (fleetTile).
+// fleet mode the front's, answered as the object's walk ended.
 func (s *netem) Tile(ctx context.Context, k, ti int, l codec.Level) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
+	if s.fleet == nil {
+		s.hit(s.Clock.NowSec())
+		return s.VirtualNet.Tile(ctx, k, ti, l)
 	}
-	if s.fleet != nil {
-		return s.fleetTile(ctx, k, ti, l, s.Video.Chunks[k].Tiles[ti].Bits[l])
-	}
-	s.hit()
-	return s.VirtualNet.Tile(ctx, k, ti, l)
+	return s.Serve(ctx, k, ti, l, s.walk(k, ti, l))
 }
 
-// fleetTile walks the object's fleet.Ladder — the policy fleet.Fetch
-// runs — in virtual time. The ladder picks the shards, admits the
-// requests and decides the hedges; this side sends them through the
-// VirtualNet's pricers (send) and races them (race). The tile's planned
-// request rides its shard's turn in the first round; later rounds and
-// hedges are fresh requests.
-func (s *netem) fleetTile(ctx context.Context, k, ti int, l codec.Level, bits float64) (float64, error) {
+// errOrigin is how a back-leg request fails — reset, refused or cut
+// short: the ladder only needs to know that it did.
+var errOrigin = errors.New("swarm: origin request failed")
+
+// walk runs the object's fleet.Ladder — the policy fleet.Fetch runs
+// behind the edge — in virtual time from now, and returns how the front
+// answers: after the walk's duration, and with the edge's 5xx when the
+// walk ended Dry or Exhausted. The ladder picks the shards, admits the
+// requests and decides the hedges; this side prices them (send) and
+// races them (race). The walk keeps its own elapsed time: the session
+// clock moves only when the front's answer is read.
+func (s *netem) walk(k, ti int, l codec.Level) chaos.Outcome {
 	fs := s.fleet
-	inTurn := s.Claim(k, ti, l)
 	fs.walks++
 	var lad fleet.Ladder
 	fs.pol.Start(&lad, fs.place.tileOrder(k, ti, l), s.Seed^client.TileKey(k, ti, l)^fs.walks*0x9e3779b97f4a7c15)
 	defer lad.End()
+	start, t0 := s.Clock.Now(), s.Clock.NowSec()
+	var took time.Duration
 	for {
-		now := s.Clock.Now()
+		now := start.Add(took)
 		switch lad.Next(now) {
 		case fleet.Backoff:
-			if err := s.Advance(ctx, lad.Backoff()); err != nil {
-				return 0, err
-			}
+			took += lad.Backoff()
 			continue
 		case fleet.Dry:
 			fs.budgetDenied++
-			return 0, lad.Err()
+			return chaos.Outcome{Latency: took, Error500: true}
 		case fleet.Exhausted:
-			return 0, lad.Err()
+			return chaos.Outcome{Latency: took, Error500: true}
 		}
-		answered, err := s.race(ctx, &lad, now, k, ti, l, bits, inTurn)
-		inTurn = false // later rounds fail over: fresh requests
-		if err != nil {
-			return 0, err
-		}
+		d, answered := s.race(&lad, now, t0+took.Seconds(), k, ti, l)
+		took += d
 		if answered {
 			if lad.Failover() {
 				fs.failovers++
 			}
-			return bits, nil
+			return chaos.Outcome{Latency: took}
 		}
 	}
 }
 
 // flight is one request of a rung: the shard it goes to, whether it is
-// a hedge or a planned request on the shard's turn, when it leaves and
-// when it would complete, both after the rung starts, and how it ends.
+// a hedge, when it leaves and when it would complete, both after the
+// rung starts, and how it ends.
 type flight struct {
-	o           int
-	hedge, turn bool
-	from, to    time.Duration
-	err         error
+	o        int
+	hedge    bool
+	from, to time.Duration
+	err      error
 }
 
-// send prices one request to shard o leaving at virtual time t: how
-// long it takes and how it ends. A shard inside its outage window resets
-// the connection after a header round trip (and ends its turn); a live
-// one answers a planned request on its turn, serves any other primary
-// under the object's fault plan, and a hedge as a clean request.
-func (s *netem) send(o int, t float64, hedge, inTurn bool, k, ti int, l codec.Level, bits float64) (time.Duration, error) {
+// send prices one back-leg request to shard o leaving at virtual time t
+// (seconds past the epoch): how long the origin takes and how it ends.
+// The edge's leg to an origin is loopback, so a request costs only its
+// server delay. A shard inside its outage window resets at once; a live
+// one serves a primary under the object's fault plan (its latency, plus
+// the stall if one is drawn) and a hedge as a clean request.
+func (s *netem) send(o int, t float64, hedge bool, k, ti int, l codec.Level) (time.Duration, error) {
 	s.fleet.reqs[o]++
-	s.hit()
+	s.hit(t)
 	switch {
 	case s.fleet.down(o, t):
-		if inTurn {
-			s.Hangup(o)
-		}
-		return s.Send(chaos.Outcome{Abort: true}, bits, t)
+		return 0, errOrigin
 	case hedge:
-		return s.Send(chaos.Outcome{}, bits, t)
-	case inTurn:
-		return s.Answer(o, s.Draw(k, ti, l), bits)
+		return 0, nil
 	}
-	return s.Send(s.Draw(k, ti, l), bits, t)
+	out := s.Draw(k, ti, l)
+	d := out.Latency
+	if out.Stall {
+		d += s.Fault.Stall()
+	}
+	if out.Abort || out.Error500 || out.Truncate {
+		return d, errOrigin
+	}
+	return d, nil
 }
 
-// race runs the ladder's current rung: the primary and, when it is still
-// in flight as the hedge delay expires, the admitted backup. Outcomes go
-// to the ladder in completion order; the first answer wins and the loser
-// is cancelled. Whatever is still in flight at the attempt's virtual
-// deadline has failed — the twin's one timeout is the client's — and the
-// rung ends there with DeadlineExceeded; otherwise the clock moves to the
-// answer, or to the last failure.
-func (s *netem) race(ctx context.Context, lad *fleet.Ladder, now time.Time, k, ti int, l codec.Level, bits float64, inTurn bool) (bool, error) {
+// race runs the ladder's current rung, admitted at now (t seconds past
+// the epoch): the primary and, when it is still in flight as the hedge
+// delay expires, the admitted backup. Outcomes go to the ladder in
+// completion order; the first answer wins and the loser is cancelled. It
+// returns how long after now the rung ended — at the answer, or at the
+// last failure — and whether it was answered.
+func (s *netem) race(lad *fleet.Ladder, now time.Time, t float64, k, ti int, l codec.Level) (time.Duration, bool) {
 	fs := s.fleet
-	left := time.Duration(math.MaxInt64)
-	if dl, ok := client.VirtualDeadline(ctx); ok {
-		left = dl.Sub(now)
-	}
-	t := s.Clock.NowSec()
-	p := flight{o: lad.Origin(), turn: inTurn}
+	p := flight{o: lad.Origin()}
 	var h flight
-	p.to, p.err = s.send(p.o, t, false, inTurn, k, ti, l, bits)
+	p.to, p.err = s.send(p.o, t, false, k, ti, l)
 	fl, n := [2]*flight{&p, &h}, 1
-	if d, ok := lad.HedgeDelay(); ok && p.to > d && d < left {
+	if d, ok := lad.HedgeDelay(); ok && p.to > d {
 		switch lad.Hedge(now.Add(d)) {
 		case fleet.Admitted:
 			fs.hedges++
 			h.o, h.hedge, h.from = lad.Backup(), true, d
-			h.to, h.err = s.send(h.o, t+d.Seconds(), true, false, k, ti, l, bits)
+			h.to, h.err = s.send(h.o, t+d.Seconds(), true, k, ti, l)
 			h.to += d
 			if n = 2; h.to < p.to {
 				fl[0], fl[1] = &h, &p
@@ -199,31 +195,21 @@ func (s *netem) race(ctx context.Context, lad *fleet.Ladder, now time.Time, k, t
 			fs.budgetDenied++
 		}
 	}
-	var end time.Duration // when the answer came
-	var last time.Time    // when the last request ended
+	var end, last time.Duration // when the answer came; when the last request ended
 	answered := false
 	for _, f := range fl[:n] {
 		out, err, at := fleet.Failed, f.err, f.to
 		switch {
 		case answered:
 			out, err, at = fleet.Cancelled, nil, end
-		case f.to > left:
-			err, at = context.DeadlineExceeded, left
 		case f.err == nil:
 			out, end, answered = fleet.Answered, f.to, true
 			if f.hedge {
 				fs.hedgeWins++
 			}
 		}
-		last = now.Add(at)
-		lad.Resolve(f.hedge, out, err, last, at-f.from)
-		if f.turn && (out == fleet.Cancelled || err == context.DeadlineExceeded) {
-			s.Hangup(f.o) // its answer is abandoned mid-stream
-		}
+		last = at
+		lad.Resolve(f.hedge, out, err, now.Add(at), at-f.from)
 	}
-	s.Clock.AdvanceTo(last)
-	if !answered && fl[n-1].to > left {
-		return false, context.DeadlineExceeded
-	}
-	return answered, nil
+	return last, answered
 }
