@@ -35,7 +35,7 @@ import (
 )
 
 func main() {
-	url := flag.String("url", "http://127.0.0.1:8360", "pano-server base URL")
+	url := flag.String("url", "http://127.0.0.1:8360", "pano-server or pano-edge base URL; the player speaks h2c (HTTP/2 without TLS, by prior knowledge), so an HTTP/1-only server fails it")
 	plannerName := flag.String("planner", "pano", "quality planner: pano, viewport, or whole")
 	buffer := flag.Float64("buffer", 2, "buffer target in seconds")
 	chunks := flag.Int("chunks", 0, "max chunks to stream (0 = all)")
@@ -60,7 +60,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	cl := client.New(*url)
+	// pano-server and pano-edge speak h2c: the session rides one
+	// connection, each chunk's tile GETs concurrent streams on it.
+	cl := client.NewH2C(*url)
 	ctx := context.Background()
 	m, err := cl.FetchManifest(ctx)
 	if err != nil {

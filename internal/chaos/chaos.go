@@ -425,7 +425,13 @@ func (w *chaosWriter) deliver(p []byte) (int, error) {
 		}
 		// Cut the connection mid-body: net/http recognizes
 		// ErrAbortHandler and closes without a trailing chunk, so the
-		// client observes a short read against Content-Length.
+		// client observes a short read against Content-Length. Over
+		// HTTP/2 the abort resets the stream and drops what is still
+		// buffered, so the head is flushed first: the answer arrives,
+		// then its body is cut, as over HTTP/1.1.
+		if f, ok := w.rw.(http.Flusher); ok {
+			f.Flush()
+		}
 		panic(http.ErrAbortHandler)
 	}
 	return w.throttled(p)

@@ -1,7 +1,7 @@
 // Package client implements the streaming client of §7. RunSession is
 // the adaptation loop — MPC + tile-level allocation, the fetch ladder,
 // buffer accounting — over any Transport and Clock; Client is its HTTP
-// transport (a chunk's tiles pipelined on a persistent connection,
+// transport (a chunk's tile GETs sent concurrently as one turn,
 // throughput measured from its own downloads), and Stitch assembles
 // per-tile buffers into panoramic frames with row-major copies.
 package client
@@ -36,25 +36,42 @@ import (
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// HTTP is the underlying client; http.DefaultClient if nil.
+	// HTTP is the underlying client; nil shares one made by New.
 	HTTP *http.Client
 }
 
-// New returns a client for the given base URL with a dedicated
-// transport (persistent connections, as in §7).
+// New returns a client for the given base URL with a dedicated HTTP/1.1
+// transport (persistent connections, as in §7): it streams from any HTTP
+// server. Each of a turn's concurrent GETs takes a connection, and the
+// idle pool (80 per host) holds a whole turn's on Pano's tiling or the
+// 6×12 grid, so the next turn reuses them instead of dialing.
 func New(baseURL string) *Client {
-	return &Client{
-		BaseURL: baseURL,
-		HTTP: &http.Client{
-			Transport: &http.Transport{MaxIdleConnsPerHost: 4},
-			Timeout:   30 * time.Second,
-		},
-	}
+	tr := &http.Transport{MaxIdleConnsPerHost: 80}
+	return &Client{BaseURL: baseURL, HTTP: &http.Client{Transport: tr, Timeout: 30 * time.Second}}
 }
+
+// NewH2C is New over an H2C transport: the session rides one
+// connection, each turn's GETs concurrent streams on it. Its server must
+// speak h2c, as pano-server and pano-edge do.
+func NewH2C(baseURL string) *Client {
+	return &Client{BaseURL: baseURL, HTTP: &http.Client{Transport: H2C(), Timeout: 30 * time.Second}}
+}
+
+// H2C returns a transport that speaks only HTTP/2 without TLS, by prior
+// knowledge (h2c): every request to a host is a stream on one
+// connection. A server that speaks only HTTP/1.1 fails every request.
+func H2C() *http.Transport {
+	tr := &http.Transport{Protocols: new(http.Protocols)}
+	tr.Protocols.SetUnencryptedHTTP2(true)
+	return tr
+}
+
+// shared is the http.Client of every Client whose HTTP is nil.
+var shared = New("").HTTP
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP == nil {
-		return http.DefaultClient
+		return shared
 	}
 	return c.HTTP
 }
@@ -71,7 +88,7 @@ func drainClose(resp *http.Response) {
 // caller's context alone — no attempt deadline — so HTTP.Timeout is
 // what bounds it.
 func (c *Client) FetchManifest(ctx context.Context) (*manifest.Video, error) {
-	resp, err := c.get(ctx, c.BaseURL+"/manifest.json", "")
+	resp, err := c.get(ctx, c.BaseURL+"/manifest.json", "", trace.FromContext(ctx).Traceparent())
 	if err != nil {
 		return nil, fmt.Errorf("client: manifest: %w", err)
 	}
@@ -95,7 +112,12 @@ func (c *Client) FetchManifest(ctx context.Context) (*manifest.Video, error) {
 
 // FetchTile downloads one tile object and verifies its header.
 func (c *Client) FetchTile(ctx context.Context, k, ti int, l codec.Level) ([]byte, error) {
-	resp, err := c.get(ctx, c.BaseURL+server.TilePath(k, ti, l), "")
+	return c.fetchTile(ctx, k, ti, l, trace.FromContext(ctx).Traceparent())
+}
+
+// fetchTile is FetchTile with the request's traceparent given.
+func (c *Client) fetchTile(ctx context.Context, k, ti int, l codec.Level, parent string) ([]byte, error) {
+	resp, err := c.get(ctx, c.BaseURL+server.TilePath(k, ti, l), "", parent)
 	if err != nil {
 		return nil, tileErr(k, ti, l, err)
 	}
@@ -104,6 +126,10 @@ func (c *Client) FetchTile(ctx context.Context, k, ti int, l codec.Level) ([]byt
 		return nil, tileErr(k, ti, l, &StatusError{Code: resp.StatusCode})
 	}
 	data, err := readBody(resp)
+	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && ctx.Err() == nil {
+		// A reset mid-body (an HTTP/2 stream's): the answer came, not its body.
+		err = fmt.Errorf("%w: %w", io.ErrUnexpectedEOF, err)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -272,8 +298,8 @@ func (r *StreamResult) MOS() int { return quality.MOSFromPSPNR(r.MeanEstPSPNR) }
 // run MPC + the planner, fetch every tile at its chosen level through
 // the resilient pipeline (cfg.Fetch), and account throughput. The
 // viewpoint trace plays the role of the HMD sensor feed. A chunk's
-// planned GETs go out as one pipelined turn on the session's own
-// connection when the client can own one (see pipeline).
+// planned GETs go out at once, as concurrent requests through c.HTTP
+// (see httpTurn): over HTTP/2, streams of one connection.
 //
 // Tile failures never abort the session: a failing tile is retried with
 // backoff, re-fetched at the lowest level, and finally skipped
@@ -284,11 +310,9 @@ func (r *StreamResult) MOS() int { return quality.MOSFromPSPNR(r.MeanEstPSPNR) }
 // every exit path — success or failure — with a terminal status: "ok",
 // "tile_degraded", "tile_skipped", "manifest_error", or "canceled".
 func (c *Client) Stream(ctx context.Context, tr *viewport.Trace, cfg StreamConfig) (*StreamResult, error) {
-	if p := c.pipeline(); p != nil {
-		defer p.hangUp()
-		return RunSession(ctx, p, tr, cfg)
-	}
-	return RunSession(ctx, c, tr, cfg)
+	t := &httpTurn{Client: c, k: -1}
+	defer t.end()
+	return RunSession(ctx, t, tr, cfg)
 }
 
 // RunSession runs the full adaptive session loop (estimate → MPC →
@@ -412,7 +436,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		prof = jnd.Default()
 	}
 	ins := newFetchInstruments(cfg.Obs)
-	pipe, _ := tp.(Pipeliner)
+	turner, _ := tp.(Turner)
 	fetchRNG := mathx.NewRNG(pol.Seed + 0xba0ff)
 
 	est := player.NewEstimator()
@@ -514,18 +538,18 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		alloc := player.PlanWithContext(cctx, cfg.Planner, m, k, view, budget)
 
 		// Phase: tile fetches through the resilient ladder, the first
-		// attempts sent as one turn when the transport pipelines.
+		// attempts sent as one turn when the transport has turns.
 		fctx, fSpan := trace.StartSpan(cctx, "fetch")
 		t0 := clk.Now()
 		var first []trace.Reserved
-		if pipe != nil {
+		if turner != nil {
 			if fSpan != nil {
 				first = make([]trace.Reserved, len(alloc))
 				for ti := range first {
 					first[ti] = trace.Reserve(fctx)
 				}
 			}
-			pipe.Turn(fctx, k, alloc, first)
+			turner.Turn(fctx, k, alloc, first)
 		}
 		bytes := 0
 		var goodBits float64

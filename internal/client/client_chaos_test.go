@@ -335,7 +335,9 @@ func TestChaosDisabledByteIdentical(t *testing.T) {
 
 	// Cap the controller's bandwidth input so decisions don't depend on
 	// noisy loopback throughput: the two sessions must then make the
-	// exact same level choices and download the exact same bytes.
+	// exact same level choices and download the exact same bytes. They
+	// stream through New, HTTP/1.1, whose idle pool holds a whole turn's
+	// connections.
 	cfg := StreamConfig{MaxRateBps: 0.35 * topRate(f.man), Fetch: FetchPolicy{Seed: 1}}
 	a, err := New(direct.URL).Stream(context.Background(), f.tr, cfg)
 	if err != nil {

@@ -3,14 +3,18 @@ package client
 import (
 	"context"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pano/internal/codec"
 	"pano/internal/frame"
+	"pano/internal/graceful"
 	"pano/internal/manifest"
 	"pano/internal/player"
 	"pano/internal/provider"
@@ -109,10 +113,28 @@ func TestFetchTileVerifiesHeader(t *testing.T) {
 	}
 }
 
-// A base URL with a percent-escaped path reaches the server as the
-// Client's own GETs do, pipelined or not: every request line carries the
-// escaped prefix. One whose userinfo, query or fragment a request line
-// cannot carry is not pipelined.
+// h2cServer serves h over HTTP/1.1 and h2c, as graceful.ServeListener
+// does; conns, when non-nil, counts the connections it accepts.
+func h2cServer(t testing.TB, h http.Handler, conns *atomic.Int64) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewUnstartedServer(h)
+	ts.Config.Protocols = graceful.Protocols()
+	if conns != nil {
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				conns.Add(1)
+			}
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// Every base URL form a request URL can be built on streams, over
+// HTTP/1.1 and h2c alike: a percent-escaped path prefix reaches the
+// server on every request, the turns' GETs included, and so does
+// userinfo, as basic auth.
 func TestStreamUnderAnEscapedBasePath(t *testing.T) {
 	s, err := server.New(fixture(t).man)
 	if err != nil {
@@ -120,9 +142,13 @@ func TestStreamUnderAnEscapedBasePath(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var uris []string
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	var authed int
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		uris = append(uris, r.RequestURI)
+		if u, p, ok := r.BasicAuth(); ok && u == "u" && p == "p" {
+			authed++
+		}
 		mu.Unlock()
 		rest, ok := strings.CutPrefix(r.URL.EscapedPath(), "/a%20b")
 		if !ok {
@@ -131,35 +157,133 @@ func TestStreamUnderAnEscapedBasePath(t *testing.T) {
 		}
 		r.URL.Path, r.URL.RawPath = rest, ""
 		s.Handler().ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-	c := New(ts.URL + "/a%20b")
-	if c.pipeline() == nil {
-		t.Fatal("a plain http base URL is not pipelined")
+	})
+	ts := h2cServer(t, h, nil)
+	host := strings.TrimPrefix(ts.URL, "http://")
+	for _, c := range []*Client{
+		New(ts.URL + "/a%20b"), New("http://u:p@" + host + "/a%20b"),
+		NewH2C(ts.URL + "/a%20b"), NewH2C("http://u:p@" + host + "/a%20b"),
+	} {
+		mu.Lock()
+		uris, authed = uris[:0], 0
+		mu.Unlock()
+		res, err := c.Stream(context.Background(), fixture(t).tr, StreamConfig{Fetch: fastFetchPolicy(), MaxChunks: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", c.BaseURL, err)
+		}
+		if res.TotalRetries != 0 || len(res.Chunks) != 2 {
+			t.Errorf("%s: %d chunks, %d retries; want 2 and 0", c.BaseURL, len(res.Chunks), res.TotalRetries)
+		}
+		want := 1 // the manifest
+		for _, cr := range res.Chunks {
+			want += len(cr.Planned)
+		}
+		mu.Lock()
+		if len(uris) != want {
+			t.Errorf("%s: server saw %d requests, want %d", c.BaseURL, len(uris), want)
+		}
+		if wantAuth := strings.Contains(c.BaseURL, "@"); wantAuth && authed != want || !wantAuth && authed != 0 {
+			t.Errorf("%s: %d of %d requests carried the userinfo", c.BaseURL, authed, want)
+		}
+		for _, u := range uris {
+			if !strings.HasPrefix(u, "/a%20b/") {
+				t.Errorf("%s: request carries %q, want the escaped prefix", c.BaseURL, u)
+			}
+		}
+		mu.Unlock()
+		c.HTTP.CloseIdleConnections()
 	}
-	res, err := c.Stream(context.Background(), fixture(t).tr, StreamConfig{Fetch: fastFetchPolicy(), MaxChunks: 2})
+}
+
+// Over h2c a session opens exactly one connection, and a chunk's planned
+// requests are all in flight before any of them is answered: each of
+// chunk 0's tile handlers holds its answer until all of them have
+// arrived.
+func TestStreamRidesOneH2CConnection(t *testing.T) {
+	f := fixture(t)
+	s, err := server.New(f.man)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalRetries != 0 || len(res.Chunks) != 2 {
-		t.Errorf("%d chunks, %d retries; want 2 and 0", len(res.Chunks), res.TotalRetries)
+	n := len(f.man.Chunks[0].Tiles)
+	var arrived, conns atomic.Int64
+	var h1, early atomic.Bool
+	all := make(chan struct{})
+	ts := h2cServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ProtoMajor != 2 {
+			h1.Store(true)
+		}
+		if strings.HasPrefix(r.URL.Path, "/video/0/") {
+			if arrived.Add(1) == int64(n) {
+				close(all)
+			}
+			select {
+			case <-all:
+			case <-time.After(2 * time.Second):
+				early.Store(true) // answered before the rest arrived
+			}
+		}
+		s.Handler().ServeHTTP(w, r)
+	}), &conns)
+	c := NewH2C(ts.URL)
+	defer c.HTTP.CloseIdleConnections()
+	res, err := c.Stream(context.Background(), f.tr, StreamConfig{Fetch: fastFetchPolicy(), MaxChunks: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := 1 // the manifest
-	for _, cr := range res.Chunks {
-		want += len(cr.Planned)
+	if early.Load() {
+		t.Errorf("chunk 0's first answer went out before all %d planned requests were in flight", n)
 	}
-	if len(uris) != want {
-		t.Errorf("server saw %d requests, want %d", len(uris), want)
+	if res.TotalRetries != 0 || len(res.Chunks) != 3 {
+		t.Errorf("%d chunks, %d retries; want 3 and 0", len(res.Chunks), res.TotalRetries)
 	}
-	for _, u := range uris {
-		if !strings.HasPrefix(u, "/a%20b/") {
-			t.Errorf("request line carries %q, want the escaped prefix", u)
+	if h1.Load() {
+		t.Error("a request arrived over HTTP/1")
+	}
+	if got := conns.Load(); got != 1 {
+		t.Errorf("the session opened %d connections, want 1", got)
+	}
+}
+
+// client.New keeps its HTTP/1.1 transport: a session streams whole from
+// a server that speaks nothing else, and its idle pool holds a turn's
+// connections, so the first turn dials them and the later turns reuse
+// them.
+func TestNewStreamsFromAnHTTP1OnlyServer(t *testing.T) {
+	f := fixture(t)
+	s, err := server.New(f.man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h2 atomic.Bool
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ProtoMajor != 1 {
+			h2.Store(true)
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
 		}
 	}
-	for _, base := range []string{"http://u:p@127.0.0.1/", "http://127.0.0.1/?x=1", "http://127.0.0.1/#f"} {
-		if New(base).pipeline() != nil {
-			t.Errorf("%s pipelined", base)
-		}
+	ts.Start()
+	defer ts.Close()
+	c := New(ts.URL)
+	defer c.HTTP.CloseIdleConnections()
+	res, err := c.Stream(context.Background(), f.tr, StreamConfig{Fetch: fastFetchPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Chunks) != f.man.NumChunks() || res.TotalRetries != 0 {
+		t.Errorf("%d of %d chunks, %d retries; want all and 0", len(res.Chunks), f.man.NumChunks(), res.TotalRetries)
+	}
+	if h2.Load() {
+		t.Error("a request arrived over HTTP/2")
+	}
+	if n := len(f.man.Chunks[0].Tiles); conns.Load() > int64(n)+1 {
+		t.Errorf("%d chunks of %d tiles opened %d connections, want at most %d", len(res.Chunks), n, conns.Load(), n+1)
 	}
 }
 

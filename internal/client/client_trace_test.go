@@ -29,8 +29,7 @@ func tracedChaosServer(t *testing.T, tracer *trace.Tracer, spec string) *httptes
 		}
 		h = chaos.New(prof).Wrap(h)
 	}
-	ts := httptest.NewServer(trace.Middleware(tracer, h))
-	t.Cleanup(ts.Close)
+	ts := h2cServer(t, trace.Middleware(tracer, h), nil)
 	return ts
 }
 
@@ -137,13 +136,13 @@ func TestStreamTraceStitchesAcrossRetries(t *testing.T) {
 	}
 }
 
-// Every request of a pipelined turn carries its own traceparent: the
+// Every request of a turn carries its own traceparent: over h2c, the
 // server records one handler span per attempt, parented to it, and one
 // for the manifest, parented to the session.
-func TestPipelinedRequestsCarryTheirAttemptSpans(t *testing.T) {
+func TestTurnRequestsCarryTheirAttemptSpans(t *testing.T) {
 	tracer := trace.New(trace.Config{Seed: 11})
 	ts := tracedChaosServer(t, tracer, "")
-	res, err := New(ts.URL).Stream(context.Background(), fixture(t).tr, StreamConfig{
+	res, err := NewH2C(ts.URL).Stream(context.Background(), fixture(t).tr, StreamConfig{
 		Fetch: fastFetchPolicy(), Trace: tracer, MaxChunks: 2,
 	})
 	if err != nil {
@@ -230,13 +229,13 @@ func TestNilTracerByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts := h2cServer(t, s.Handler(), nil)
 
 	// Cap the controller's bandwidth input so decisions don't depend on
-	// noisy loopback throughput (same trick as the chaos suite).
+	// noisy loopback throughput (same trick, and the same one h2c
+	// connection per session, as the chaos suite).
 	cfg := StreamConfig{MaxRateBps: 0.35 * topRate(f.man), Fetch: FetchPolicy{Seed: 1}}
-	plain, err := New(ts.URL).Stream(context.Background(), f.tr, cfg)
+	plain, err := NewH2C(ts.URL).Stream(context.Background(), f.tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +244,7 @@ func TestNilTracerByteIdentical(t *testing.T) {
 	}
 
 	cfg.Trace = trace.New(trace.Config{Seed: 9})
-	traced, err := New(ts.URL).Stream(context.Background(), f.tr, cfg)
+	traced, err := NewH2C(ts.URL).Stream(context.Background(), f.tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,16 +272,15 @@ func TestNilTracerByteIdentical(t *testing.T) {
 }
 
 // Overhead of the nil (disabled) tracer vs a sampling tracer on a real
-// streaming session; the per-span cost itself is benchmarked in
-// internal/trace.
+// streaming session over h2c, as pano-player streams; the per-span cost
+// itself is benchmarked in internal/trace.
 func benchmarkStream(b *testing.B, tracer *trace.Tracer) {
 	f := fixture(b)
 	s, err := server.New(f.man)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts := h2cServer(b, s.Handler(), nil)
 	cfg := StreamConfig{
 		MaxRateBps: 0.35 * topRate(f.man),
 		MaxChunks:  1,
@@ -291,7 +289,7 @@ func benchmarkStream(b *testing.B, tracer *trace.Tracer) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := New(ts.URL).Stream(context.Background(), f.tr, cfg); err != nil {
+		if _, err := NewH2C(ts.URL).Stream(context.Background(), f.tr, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

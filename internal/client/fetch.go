@@ -168,8 +168,10 @@ func retryable(err error) bool {
 //	timeout    — the attempt deadline expired (or the transport timed out)
 //	http_5xx   — a retryable server answer
 //	http_4xx   — a final server answer (the request itself is wrong)
-//	conn_reset — the connection died (reset, refused, broken pipe, EOF)
-//	truncated  — a short or corrupt body (length/header mismatch)
+//	conn_reset — the connection died, or the HTTP/2 stream was reset,
+//	             before the answer (reset, refused, broken pipe, EOF)
+//	truncated  — a short or corrupt body (length/header mismatch, or a
+//	             reset mid-body)
 //	other      — anything else
 func ErrorClass(err error) string {
 	if err == nil {
@@ -202,7 +204,7 @@ func ErrorClass(err error) string {
 		strings.Contains(msg, "header tile mismatch"):
 		return "truncated"
 	case strings.Contains(msg, "connection reset") || strings.Contains(msg, "broken pipe") ||
-		strings.Contains(msg, "EOF"):
+		strings.Contains(msg, "EOF") || strings.Contains(msg, "stream error"):
 		return "conn_reset"
 	case strings.Contains(msg, "timeout") || strings.Contains(msg, "deadline"):
 		return "timeout"

@@ -66,7 +66,7 @@ func (c *Client) FetchRaw(ctx context.Context, path, etag string, pol FetchPolic
 // fetchRawOnce is one attempt: errors are returned only for retryable
 // transport/server failures; origin answers below 500 are results.
 func (c *Client) fetchRawOnce(ctx context.Context, path, etag string) (RawResult, error) {
-	resp, err := c.get(ctx, c.BaseURL+path, etag)
+	resp, err := c.get(ctx, c.BaseURL+path, etag, trace.FromContext(ctx).Traceparent())
 	if err != nil {
 		return RawResult{}, err
 	}
@@ -92,10 +92,10 @@ func (c *Client) fetchRawOnce(ctx context.Context, path, etag string) (RawResult
 }
 
 // get issues the one kind of request this client makes: a GET of url
-// under ctx, conditional when etag is set, carrying the context's span
-// as a W3C traceparent so the server's handler span joins the trace.
-// The caller owns the response (drainClose).
-func (c *Client) get(ctx context.Context, url, etag string) (*http.Response, error) {
+// under ctx, conditional when etag is set, carrying parent (a span's
+// W3C traceparent, "" for none) so the server's handler span joins the
+// trace. The caller owns the response (drainClose).
+func (c *Client) get(ctx context.Context, url, etag, parent string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
@@ -103,8 +103,8 @@ func (c *Client) get(ctx context.Context, url, etag string) (*http.Response, err
 	if etag != "" {
 		req.Header.Set("If-None-Match", etag)
 	}
-	if s := trace.FromContext(ctx); s != nil {
-		req.Header.Set("traceparent", s.Traceparent())
+	if parent != "" {
+		req.Header.Set("traceparent", parent)
 	}
 	return c.httpClient().Do(req)
 }

@@ -254,3 +254,37 @@ func TestReadBodySizedAndNot(t *testing.T) {
 		}
 	}
 }
+
+// A reset while a body is read is a tile's truncation — its answer
+// arrived, its body did not — but FetchRaw reports the reset as it came:
+// an HTTP/1.1 connection reset mid-body, and an HTTP/2 stream reset
+// ("stream error"), are conn_reset on a raw fetch and truncated on a
+// tile fetch.
+func TestMidBodyResetClasses(t *testing.T) {
+	ts := h2cServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "1000")
+		w.Write(make([]byte, 500))
+		w.(http.Flusher).Flush()
+		if r.ProtoMajor == 2 {
+			panic(http.ErrAbortHandler) // RST_STREAM, the connection stays up
+		}
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn.(*net.TCPConn).SetLinger(0) // close with a reset
+		conn.Close()
+	}), nil)
+	for _, c := range []*Client{New(ts.URL), NewH2C(ts.URL)} {
+		_, err := c.FetchRaw(context.Background(), "/video/0/0/0.bin", "", FetchPolicy{MaxAttempts: 1}, nil)
+		if got := ErrorClass(err); got != "conn_reset" {
+			t.Errorf("FetchRaw: %v (class %q), want conn_reset", err, got)
+		}
+		_, err = c.FetchTile(context.Background(), 0, 0, 0)
+		if got := ErrorClass(err); got != "truncated" {
+			t.Errorf("FetchTile: %v (class %q), want truncated", err, got)
+		}
+		c.HTTP.CloseIdleConnections()
+	}
+}

@@ -19,14 +19,22 @@ import (
 // integrated on a VirtualClock plus chaos fault draws: the Transport of
 // every simulated session, sim.Run's and each internal/swarm session's.
 // Failures surface as the HTTP transport's do, so the fetch ladder runs
-// unchanged. It charges what Client.Stream pays at one origin: a chunk's
-// planned requests go out as one pipelined turn (Pipeliner) that pays
-// the RTT once, and every other request pays its own. internal/swarm's
+// unchanged. It charges what Client.Stream pays at one origin over h2c:
+// a chunk's planned requests go out as one turn (Turner) that pays the
+// RTT once, and every other request pays its own. A failed answer on
+// the turn — a 500, an abort, a truncation — ends only its own request,
+// as a stream reset does on the wire. internal/swarm's
 // TestTurnsMatchLoopback holds this charge to a loopback wire, through
 // an edge and through an edge in front of a fleet. Serve takes the
 // server's answer as given, so the swarm's fleet twin prices a tile the
-// fleet answered behind the front on the same one turn. The exported
-// fields configure the network; Reset readies it for another session.
+// fleet answered behind the front on the same one turn.
+//
+// Two rules diverge from the wire, knowingly: a read that times out
+// closes the turn (the next planned answer opens a new one, paying the
+// RTT again), where the wire cancels that stream alone; and a turn's
+// server delays are charged in series with its transfer, where the
+// wire's concurrent requests overlap them. The exported fields configure
+// the network; Reset readies it for another session.
 type VirtualNet struct {
 	Video *manifest.Video
 	Clock *VirtualClock
@@ -51,7 +59,7 @@ type VirtualNet struct {
 	tn      turn
 }
 
-// turn is the chunk's pipelined turn: it has held the link since start
+// turn is the chunk's turn: it has held the link since start
 // (past the epoch; warm if it resumed after other requests took the
 // link) and carried bits and server delay since; req is the request its
 // last answer was.
@@ -72,7 +80,7 @@ func (n *VirtualNet) Reset() {
 // Requests is the number of requests sent, the manifest GET included.
 func (n *VirtualNet) Requests() int64 { return n.requests }
 
-// TurnsOpened is the number of pipelined turns opened so far.
+// TurnsOpened is the number of turns opened so far.
 func (n *VirtualNet) TurnsOpened() int64 { return n.opened }
 
 // Target implements Transport.
@@ -90,8 +98,8 @@ func (n *VirtualNet) Manifest(ctx context.Context) (*manifest.Video, error) {
 	return n.Video, nil
 }
 
-// Turn implements Pipeliner: chunk k's planned requests go out on a
-// fresh turn.
+// Turn implements Turner: chunk k's planned requests go out on a fresh
+// turn.
 func (n *VirtualNet) Turn(_ context.Context, k int, alloc abr.Allocation, _ []trace.Reserved) {
 	n.tn = turn{}
 	n.planned = append(n.planned[:0], alloc...)
@@ -127,7 +135,7 @@ func (n *VirtualNet) Serve(ctx context.Context, k, ti int, l codec.Level, out ch
 	}
 	if err := n.advance(ctx, cost); err != nil {
 		if inTurn {
-			n.tn.open = false // the client hangs up on an expired read
+			n.tn.open = false // a timed-out read closes the turn (see VirtualNet)
 		}
 		return 0, err
 	}
@@ -168,11 +176,10 @@ func (n *VirtualNet) Draw(k, ti int, l codec.Level) chaos.Outcome {
 // answer prices the answer to a planned request on the turn, asked for
 // now: its cost from now and how it ends. It is the link integrated from
 // the turn's start over the bits carried since, the RTT once, plus the
-// server's delays since (chaos latency and stalls: a pipeline is
-// answered serially). When other requests took the link in between, the
-// turn resumes from now, warm: its data has long been on the way, so the
-// RTT is not paid again. A reset, abort or truncation ends the turn; a
-// 500 does not (the server keeps the connection).
+// server's delays since (chaos latency and stalls, charged in series).
+// When other requests took the link in between, the turn resumes from
+// now, warm: its data has long been on the way, so the RTT is not paid
+// again. A 500, an abort or a truncation ends its own request alone.
 func (n *VirtualNet) answer(out chaos.Outcome, bits float64) (time.Duration, error) {
 	n.requests++
 	now := n.Clock.off
@@ -189,7 +196,7 @@ func (n *VirtualNet) answer(out chaos.Outcome, bits float64) (time.Duration, err
 	ferr := refusal(out)
 	if ferr == nil {
 		if out.Truncate {
-			bits, ferr = bits/2, io.ErrUnexpectedEOF // half the body arrives, then the connection dies
+			bits, ferr = bits/2, io.ErrUnexpectedEOF // half the body arrives, then the stream is reset
 		}
 		if out.Stall {
 			tn.delay += n.Fault.Stall().Seconds()
@@ -204,9 +211,6 @@ func (n *VirtualNet) answer(out chaos.Outcome, bits float64) (time.Duration, err
 		dl -= n.Link.RTTSec
 	}
 	done := tn.start + seconds(tn.delay+dl)
-	if ferr != nil && !out.Error500 {
-		tn.open = false
-	}
 	return max(0, done-now), ferr
 }
 
@@ -225,7 +229,7 @@ func (n *VirtualNet) send(out chaos.Outcome, bits float64) (time.Duration, error
 		dl = max(dl, bits/n.Fault.ThrottleBps+n.Link.RTTSec)
 	}
 	if out.Truncate {
-		dl *= 0.5 // half the body arrives, then the connection dies
+		dl *= 0.5 // half the body arrives, then the stream is reset
 		ferr = io.ErrUnexpectedEOF
 	}
 	if out.Stall {

@@ -240,7 +240,7 @@ func TestAllocationPruningMeasuresTheSearch(t *testing.T) {
 	// Where the sessions sit: a simulator session's first chunk is planned
 	// at the all-lowest size and the rest have room to upgrade; a swarm
 	// session, on slower links and under faults, has room on fewer chunks,
-	// but since the RTT is paid once per pipelined turn instead of once
+	// but since the RTT is paid once per turn instead of once
 	// per object it is no longer nearly never.
 	simCalls, swarmCalls := rows[3], rows[4]
 	if simCalls.NoSearchFrac <= 0 || simCalls.NoSearchFrac > 0.5 || simCalls.States < 1 ||

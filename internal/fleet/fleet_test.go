@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -318,6 +319,68 @@ func TestBreakerBoundsDeadOriginTraffic(t *testing.T) {
 	// only the initial failure streaks, not 1 request per fetch.
 	if got := hits[0].Load(); got > 40 {
 		t.Errorf("dead origin absorbed %d requests; breaker is not bounding retries", got)
+	}
+}
+
+// TestInFlightFailuresFailOverFree is policy 2's late failure on the
+// wire, as an edge's concurrent fills meet it: 30 fetches owned by one
+// origin are all in flight to it when it resets every one. The first
+// two failures trip its breaker (threshold 2) and buy their failovers;
+// the other 28 come back to a tripped breaker and fail over free. So
+// the default budget (burst 8) answers all 30 from the live origin.
+func TestInFlightFailuresFailOverFree(t *testing.T) {
+	const n = 30
+	var arrived atomic.Int64
+	all := make(chan struct{})
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if arrived.Add(1) == n {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(time.Second):
+		}
+		panic(http.ErrAbortHandler)
+	}))
+	t.Cleanup(dead.Close)
+	live, hits, _ := newOriginServer(t)
+	cfg := testConfig(t, []string{dead.URL, live.URL})
+	cfg.Breaker = BreakerConfig{FailureThreshold: 2, OpenFor: time.Minute}
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var paths []string
+	for i := 0; len(paths) < n; i++ {
+		p := fmt.Sprintf("/video/%d/%d/1.bin", i/30, i%30)
+		if f.Ring().Order(f.Ring().Key(p))[0] == 0 {
+			paths = append(paths, p)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i, p := range paths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = f.Fetch(context.Background(), p, "")
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("fetch %s: %v", paths[i], err)
+		}
+	}
+	if got := arrived.Load(); got != n {
+		t.Errorf("the dead origin saw %d requests, want %d", got, n)
+	}
+	if got := hits.Load(); got != n {
+		t.Errorf("the live origin answered %d requests, want %d", got, n)
+	}
+	if got := f.budget.Tokens(); got != 6 {
+		t.Errorf("budget %v after the failovers, want 6 (8 less the two that tripped the breaker)", got)
 	}
 }
 

@@ -109,8 +109,14 @@ const (
 //     made only when a round ends.
 //  2. Admission goes through Admit. Every request beyond the object's
 //     first, a failover rung or a hedge, buys a budget token, and a dry
-//     budget ends the walk. A hedge to a half-open origin takes its probe
-//     slot, and a hedge that loses hands it back.
+//     budget ends the walk — except the rung after a late failure: a
+//     primary that fails after its origin's breaker left Closed was in
+//     flight when other requests' failures tripped it, and a walk
+//     started a moment later would have made that rung its first. So
+//     concurrent walks to an origin that dies pay for the failures that
+//     trip its breaker, not for every one in flight. A hedge to a
+//     half-open origin takes its probe slot, and a hedge that loses
+//     hands it back.
 //  3. A probe attempt is never hedged.
 //  4. The backup is the first origin after the primary, in ring order,
 //     whose breaker was Available when the attempt was admitted.
@@ -140,6 +146,7 @@ type Ladder struct {
 	probe, hedgeProbe bool
 	failed, answered  bool
 	byHedge           bool
+	late              bool // the primary failed after its breaker had tripped (policy 2)
 }
 
 // Start begins l's walk over order, an object's ring order, crediting
@@ -162,14 +169,14 @@ func (l *Ladder) Next(now time.Time) Step {
 		}
 		o := l.order[l.next]
 		l.next++
-		adm, probe := Admit(l.p.brks[o], l.p.budget, now, l.attempts > 0)
+		adm, probe := Admit(l.p.brks[o], l.p.budget, now, l.attempts > 0 && !l.late)
 		if adm == BudgetDry {
 			return Dry
 		}
 		if adm == Admitted {
 			l.attempts++
 			l.at = now
-			l.origin, l.backup, l.probe, l.failed = o, -2, probe, false
+			l.origin, l.backup, l.probe, l.failed, l.late = o, -2, probe, false, false
 			return Attempt
 		}
 	}
@@ -241,6 +248,9 @@ func (l *Ladder) Resolve(hedge bool, out Outcome, err error, now time.Time, took
 			l.answered, l.byHedge = true, hedge
 		}
 	case out == Failed:
+		if !hedge && !probe && brk.State(now) != Closed {
+			l.late = true
+		}
 		brk.Failure(now)
 		if !l.failed {
 			l.err, l.failed = err, true

@@ -119,6 +119,34 @@ func TestUnavailableFetchIsATracedFailure(t *testing.T) {
 	}
 }
 
+// TestLateFailureFailsOverFree is policy 2's exception on the ladder
+// alone: three walks are in flight to origin 0 when it dies. The first
+// two failures trip its breaker (threshold 2), and their rungs to
+// origin 1 each buy a token; the third comes back to a tripped breaker,
+// and its rung is free.
+func TestLateFailureFailsOverFree(t *testing.T) {
+	p := NewPolicy(client.FetchPolicy{HedgeDelay: -1}, BreakerConfig{FailureThreshold: 2, OpenFor: time.Minute}, 2, 1)
+	now := time.Unix(100, 0)
+	ls := make([]Ladder, 3)
+	for i := range ls {
+		p.Start(&ls[i], []int{0, 1}, uint64(i))
+		if ls[i].Next(now) != Attempt || ls[i].Origin() != 0 {
+			t.Fatalf("walk %d: first rung not origin 0", i)
+		}
+	}
+	for i, want := range []float64{7, 6, 6} {
+		ls[i].Resolve(false, Failed, errors.New("reset"), now, 0)
+		if ls[i].Next(now) != Attempt || ls[i].Origin() != 1 {
+			t.Fatalf("walk %d: no failover to origin 1", i)
+		}
+		if got := p.Budget().Tokens(); got != want {
+			t.Errorf("walk %d failed over: budget %v, want %v", i, got, want)
+		}
+		ls[i].Resolve(false, Answered, nil, now, 0)
+		ls[i].End()
+	}
+}
+
 // TestLadderHedgeDelay is policy 6 and 3: fixed above 0, the clamped p95
 // of the answers so far at 0, none below 0 — and never on a probe.
 func TestLadderHedgeDelay(t *testing.T) {

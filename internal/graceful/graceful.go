@@ -38,6 +38,16 @@ func Serve(addr string, h http.Handler, drain time.Duration, stop ...Stopper) er
 	return ServeListener(ln, h, drain, stop...)
 }
 
+// Protocols is what every server of the repo speaks on its one port:
+// HTTP/1.1, for any client, and HTTP/2 without TLS by prior knowledge
+// (h2c), for client.NewH2C's sessions, each then one connection.
+func Protocols() *http.Protocols {
+	p := new(http.Protocols)
+	p.SetHTTP1(true)
+	p.SetUnencryptedHTTP2(true)
+	return p
+}
+
 // ServeListener is Serve over an existing listener (tests use it to
 // learn the bound port before serving).
 func ServeListener(ln net.Listener, h http.Handler, drain time.Duration, stop ...Stopper) error {
@@ -50,7 +60,7 @@ func ServeListener(ln net.Listener, h http.Handler, drain time.Duration, stop ..
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
 
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, Protocols: Protocols()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -2,6 +2,7 @@ package graceful
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -9,11 +10,26 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"pano/internal/client"
 )
 
 // TestServeListenerDrains: SIGTERM while a request is in flight lets
-// the response finish instead of severing the connection.
+// the response finish instead of severing the connection, for an
+// HTTP/1.1 client and an h2c one alike.
 func TestServeListenerDrains(t *testing.T) {
+	h2c := client.H2C()
+	defer h2c.CloseIdleConnections()
+	for _, tc := range []struct {
+		name  string
+		cl    *http.Client
+		major int
+	}{{"http1", http.DefaultClient, 1}, {"h2c", &http.Client{Transport: h2c}, 2}} {
+		t.Run(tc.name, func(t *testing.T) { serveListenerDrains(t, tc.cl, tc.major) })
+	}
+}
+
+func serveListenerDrains(t *testing.T, cl *http.Client, major int) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -32,12 +48,16 @@ func TestServeListenerDrains(t *testing.T) {
 	respc := make(chan string, 1)
 	errc := make(chan error, 1)
 	go func() {
-		resp, err := http.Get("http://" + ln.Addr().String() + "/")
+		resp, err := cl.Get("http://" + ln.Addr().String() + "/")
 		if err != nil {
 			errc <- err
 			return
 		}
 		defer resp.Body.Close()
+		if resp.ProtoMajor != major {
+			errc <- fmt.Errorf("answered over HTTP/%d, want HTTP/%d", resp.ProtoMajor, major)
+			return
+		}
 		b, err := io.ReadAll(resp.Body)
 		if err != nil {
 			errc <- err

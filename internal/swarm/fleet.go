@@ -19,8 +19,8 @@ import (
 // take shards out in virtual time, and each tile the front serves is
 // walked through fleet.Ladder — the failover policy fleet.Fetch runs
 // behind the edge — over the session's own per-shard circuit breakers
-// and token-bucket retry budget. The session still pays one pipelined
-// turn per chunk; the walk's duration is the tile's server delay on it.
+// and token-bucket retry budget. The session still pays one turn per
+// chunk; the walk's duration is the tile's server delay on it.
 // Config.Fault then applies to the origins, not to the front.
 type FleetConfig struct {
 	// Origins is the shard count (>= 1; failover needs >= 2).

@@ -21,6 +21,7 @@ import (
 	"pano/internal/codec"
 	"pano/internal/edge"
 	"pano/internal/fleet"
+	"pano/internal/graceful"
 	"pano/internal/manifest"
 	"pano/internal/nettrace"
 	"pano/internal/player"
@@ -29,25 +30,26 @@ import (
 )
 
 // TestTurnsMatchLoopback is netem's ground truth. One seeded session
-// streams over loopback through a warm edge, behind a proxy that holds each
-// direction RTT/2 (chaos latency cannot stand in for the RTT: a pipeline
-// pays it per request, serially) and carries the answers of all the
-// session's connections through one bottleneck of the link's rate. The
-// wire is counted — connections dialed, and write bursts: the client's
-// bytes since the server last spoke, each one round trip — and each
-// chunk's fetch is timed. Fault-free, every chunk is exactly one turn.
-// One abort, injected at a planned request with a tail behind it, adds
-// exactly one turn (the unanswered tail, re-sent) and one request off the
-// turns (the aborted tile's retry). One 500 there adds the retry alone:
-// the server keeps the connection, and the tail's answers, already on the
-// way, are read after it (netem's warm resume). netem, fed the same plans,
-// the same fault and the same link, opens as many turns, sends as many
-// requests off them, and takes as long per chunk, within slack — except
-// after the 500, where it may take longer by up to the tail's transfer: a
-// warm resume charges the tail's bits from when the turn resumes, and the
-// wire delivered them during the retry's backoff and round trip.
-// Connection set-up is charged on neither side: the proxy hands a
-// connection over at once.
+// streams over loopback h2c through a warm edge, behind a proxy that holds
+// each direction RTT/2 (chaos latency cannot stand in for the RTT: netem
+// charges server delays in series) and carries the server's frames
+// through one bottleneck of the link's rate. The wire is counted from
+// the 9-byte h2 frame headers alone — connections dialed, and the
+// requests (HEADERS frames) of each write burst: the client's bytes
+// since the server last spoke, each one round trip — and each chunk's
+// fetch is timed. The whole session rides one connection, and every
+// chunk is exactly one turn carrying all of its planned requests. One
+// abort or one 500, injected at a planned request with a tail behind it,
+// adds one request off the turns (the retry) and nothing else: the
+// server resets that stream alone, or answers it, and the tail's answers,
+// already on the way, are read after the retry (netem's warm resume).
+// netem, fed the same plans, the same fault and the same link, opens as
+// many turns, sends as many requests off them, and takes as long per
+// chunk, within slack — except after the fault, where it may take
+// longer by up to the tail's transfer: a warm resume charges the tail's
+// bits from when the turn resumes, and the wire delivered them during
+// the retry's backoff and round trip. Connection set-up is charged on
+// neither side: the proxy hands a connection over at once.
 //
 // The fleet case puts a cold caching edge in front of two origins that
 // each delay a tile 5 ms, the first killed before the session: the edge
@@ -56,10 +58,15 @@ import (
 // down and the edge's fetch policy and breaker, walks the same ladder
 // behind the front. Both sides open one turn per chunk and send nothing
 // off the turns; the live origin serves every tile, and the twin fails
-// over. netem may take longer per chunk by up to the turn's summed origin
-// delays: it charges a turn's server delays and its transfer in series
-// (the serial rule every turn has), and the wire overlaps the edge's
-// fills with the answers already on the way.
+// over. The edge keeps the default retry budget and does not hedge: the
+// wire's first turn has all of its fills in flight to the dead origin
+// when the breaker trips, and those that fail after it fail over free
+// (fleet.Ladder's policy 2), so the wire, like the twin's serial walks,
+// pays only for the two that trip it. netem may take longer per chunk
+// by up to the turn's summed origin delays: it charges a turn's server
+// delays and its transfer in series (the serial rule every turn has),
+// and the wire overlaps the edge's concurrent fills with each other and
+// with the answers on the way.
 //
 // A busy machine only ever makes the wire slower (the proxy's timers
 // and the client run late), so a session on which netem ran ahead of
@@ -117,6 +124,13 @@ func turnsMatchLoopback(t *testing.T, fault string, withFleet bool) (late []stri
 	var rule chaos.Rule
 	if withFleet {
 		origins, warm, ecfg.Breaker, rule.Latency = fc.Origins, 0, fc.Breaker, delay
+		// The twin's dead shard resets at once and never draws a hedge.
+		// On a loaded machine the wire's dead origin can take past the
+		// adaptive hedge delay's 10 ms floor to reset, and a turn's fills
+		// in flight to it would all hedge, spending the retry budget the
+		// failovers of the two failures that trip its breaker then find
+		// dry: the budget's bound at work, not what this case times.
+		ecfg.Fetch.HedgeDelay = -1
 	}
 	for range origins {
 		if _, err := tb.AddOrigin(testbed.OriginConfig{Manifest: m, Chaos: chaos.New(chaos.Profile{Tile: rule})}); err != nil {
@@ -142,14 +156,16 @@ func turnsMatchLoopback(t *testing.T, fault string, withFleet bool) (late []stri
 	}
 	// The fault lands on chunk 1's tile 1: planned, with a tail behind it.
 	inj := &injector{kind: fault}
-	front := httptest.NewServer(inj.wrap(e.Handler(), "/video/1/1/"))
+	front := httptest.NewUnstartedServer(inj.wrap(e.Handler(), "/video/1/1/"))
+	front.Config.Protocols = graceful.Protocols()
+	front.Start()
 	defer front.Close()
 	px := newDelayProxy(t, strings.TrimPrefix(front.URL, "http://"), rtt/2, bps)
 	defer px.close()
 
 	// Deadlines far beyond a loopback turn: only the injected fault fails.
 	pol := client.FetchPolicy{Seed: 7, AttemptTimeout: 5 * time.Second, MinAttemptTimeout: 2 * time.Second}
-	cl := client.New("http://" + px.addr())
+	cl := client.NewH2C("http://" + px.addr())
 	defer cl.HTTP.CloseIdleConnections()
 	res, err := cl.Stream(context.Background(), f.traces[0], client.StreamConfig{
 		Fetch: pol, MaxRateBps: testbed.RateCap(m), MaxChunks: chunks,
@@ -177,39 +193,30 @@ func turnsMatchLoopback(t *testing.T, fault string, withFleet bool) (late []stri
 		t.Fatalf("session retried %d times, want %d", res.TotalRetries, wantRetries)
 	}
 
-	// The wire: the pooled connection carries the manifest and every
-	// request off the turns; every other connection carries turns.
+	// The wire: a burst of several requests is a turn, each of the others
+	// one request off the turns, the first of them the manifest.
 	conns := px.log()
-	var wireTurns, wireOff int
-	perChunk := make([]int, chunks)
+	if len(conns) != 1 {
+		t.Errorf("%d connections dialed, want 1", len(conns))
+	}
+	var turnReqs []int
+	wireOff := -1 // less the manifest
 	for _, bursts := range conns {
-		if len(bursts) > 0 && bursts[0][0] == "/manifest.json" {
-			wireOff += len(bursts) - 1
-			continue
-		}
-		for _, paths := range bursts {
-			k, _, _, err := server.ParseTilePath(paths[0])
-			if err != nil {
-				t.Fatalf("turn starts with %q: %v", paths[0], err)
+		for _, n := range bursts {
+			if n > 1 {
+				turnReqs = append(turnReqs, n)
+			} else {
+				wireOff += n
 			}
-			wireTurns++
-			perChunk[k]++
 		}
 	}
-	wantDials := 2 // the pooled connection and the session's pipeline
-	if fault == "abort" {
-		wantDials = 3 // the aborted pipeline's successor
+	wireTurns := len(turnReqs)
+	if wireTurns != chunks {
+		t.Errorf("%d turns on the wire, want one per chunk (%d)", wireTurns, chunks)
 	}
-	if len(conns) != wantDials {
-		t.Errorf("%d connections dialed, want %d", len(conns), wantDials)
-	}
-	for k, n := range perChunk {
-		want := 1
-		if fault == "abort" && k == 1 {
-			want = 2
-		}
-		if n != want {
-			t.Errorf("chunk %d went out as %d turns, want %d", k, n, want)
+	for k, n := range turnReqs[:min(wireTurns, chunks)] {
+		if n != len(plans[k]) {
+			t.Errorf("turn %d carried %d requests, want chunk %d's %d planned", k, n, k, len(plans[k]))
 		}
 	}
 	if wireOff != wantRetries {
@@ -257,11 +264,14 @@ func turnsMatchLoopback(t *testing.T, fault string, withFleet bool) (late []stri
 		if tp.fleet.failovers == 0 {
 			t.Error("netem's walks never failed over from the dead shard")
 		}
+		if tp.fleet.budgetDenied != 0 {
+			t.Errorf("netem's retry budget went dry %d times", tp.fleet.budgetDenied)
+		}
 	}
 	for k, cr := range vres.Chunks {
 		wire, model := res.Chunks[k].Download, cr.Download
 		hi := wire + slack
-		if fault == "500" && k == 1 {
+		if fault != "" && k == 1 {
 			// The warm resume's bill: the tail's transfer, which the wire
 			// overlapped with the retry.
 			var tail float64
@@ -286,8 +296,8 @@ func turnsMatchLoopback(t *testing.T, fault string, withFleet bool) (late []stri
 }
 
 // injector fails the first tile request whose path starts with a prefix:
-// kind "abort" kills the connection before any response byte, as chaos's
-// abort does; "500" answers 500 and keeps the connection; "" never fails.
+// kind "abort" resets it before any response byte, as chaos's abort does
+// (over h2c, its stream alone); "500" answers 500; "" never fails.
 type injector struct {
 	kind  string
 	fired atomic.Bool
@@ -334,11 +344,10 @@ func (r replayPlanner) Plan(_ *manifest.Video, k int, _ player.ChunkView, _ floa
 }
 
 // delayProxy forwards each loopback connection to target, holding every
-// byte half an RTT in each direction and passing the server's answers,
+// byte half an RTT in each direction and passing the server's h2 frames,
 // of every connection, through one bottleneck of bps bits per second in
 // the order they arrive. It logs the client's write bursts per
-// connection: the GET paths of the bytes it sent since the server last
-// spoke.
+// connection: the bytes it sent since the server last spoke.
 type delayProxy struct {
 	ln     net.Listener
 	target string
@@ -448,54 +457,77 @@ func (px *delayProxy) requests(src io.Reader, seen func([]byte), line chan<- seg
 	}
 }
 
-// answers passes the server's answers on one at a time, each once the
-// bottleneck has sent its body: the link carries the bits netem counts,
-// and the headers ride free, as netem counts them.
+// h2 frame types, as the frame header's fourth byte carries them, and
+// the preface a client opens its connection with.
+const (
+	h2Data    = 0x0
+	h2Headers = 0x1
+	h2Preface = "PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"
+)
+
+// answers passes the server's h2 frames on one at a time, a DATA frame
+// once the bottleneck has sent its payload: the link carries the bits
+// netem counts, and every other frame — the answers' headers among
+// them — rides free behind what the bottleneck holds, as netem counts
+// it.
 func (px *delayProxy) answers(src io.Reader, seen func([]byte), line chan<- segment) {
 	br := bufio.NewReader(src)
 	for {
-		resp, err := http.ReadResponse(br, nil)
-		if err != nil {
+		b := make([]byte, 9)
+		if _, err := io.ReadFull(br, b); err != nil {
 			return
 		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
+		n := int(b[0])<<16 | int(b[1])<<8 | int(b[2])
+		b = append(b, make([]byte, n)...)
+		if _, err := io.ReadFull(br, b[9:]); err != nil {
 			return
 		}
-		resp.Body = io.NopCloser(bytes.NewReader(body))
-		var b bytes.Buffer
-		resp.Write(&b)
-		seen(b.Bytes())
+		seen(b)
 		now := time.Now()
 		px.mu.Lock()
 		if px.free.Before(now) {
 			px.free = now
 		}
-		px.free = px.free.Add(time.Duration(float64(8*len(body)) / px.bps * float64(time.Second)))
+		if b[3] == h2Data {
+			px.free = px.free.Add(time.Duration(float64(8*n) / px.bps * float64(time.Second)))
+		}
 		at := px.free
 		px.mu.Unlock()
-		line <- segment{at, b.Bytes()}
+		line <- segment{at, b}
 	}
 }
 
-// log returns each connection's bursts as the GET paths they carried.
-func (px *delayProxy) log() [][][]string {
+// log returns each connection's write bursts as the requests — HEADERS
+// frames — each carried, read from the 9-byte frame headers alone (no
+// HPACK decode); bursts of other frames alone are left out.
+func (px *delayProxy) log() [][]int {
 	px.mu.Lock()
 	defer px.mu.Unlock()
-	out := make([][][]string, len(px.conns))
+	out := make([][]int, len(px.conns))
 	for i, wc := range px.conns {
-		for _, b := range wc.bursts {
-			var paths []string
-			br := bufio.NewReader(bytes.NewReader(b))
-			for {
-				req, err := http.ReadRequest(br)
-				if err != nil {
-					break
-				}
-				paths = append(paths, req.URL.Path)
-				io.Copy(io.Discard, req.Body)
+		var wire []byte
+		ends := make([]int, len(wc.bursts))
+		for bi, b := range wc.bursts {
+			wire = append(wire, b...)
+			ends[bi] = len(wire)
+		}
+		counts := make([]int, len(wc.bursts))
+		off := len(h2Preface)
+		if !bytes.HasPrefix(wire, []byte(h2Preface)) {
+			off = len(wire) // not h2: nothing to count
+		}
+		for bi := 0; off+9 <= len(wire); off += 9 + (int(wire[off])<<16 | int(wire[off+1])<<8 | int(wire[off+2])) {
+			for off >= ends[bi] {
+				bi++
 			}
-			out[i] = append(out[i], paths)
+			if wire[off+3] == h2Headers {
+				counts[bi]++
+			}
+		}
+		for _, n := range counts {
+			if n > 0 {
+				out[i] = append(out[i], n)
+			}
 		}
 	}
 	return out

@@ -17,9 +17,9 @@ import (
 // sim.Run streams over and which prices every request, plus the fleet
 // twin and the origin-load accounting. In fleet mode the session talks
 // to one front, as Client.Stream talks to an edge: a chunk's planned
-// requests are one pipelined turn to it, and each tile's fleet.Ladder
-// walk runs behind it (walk), its duration that tile's server delay on
-// the turn. TestTurnsMatchLoopback holds both modes to a loopback wire.
+// requests are one turn to it, and each tile's fleet.Ladder walk runs
+// behind it (walk), its duration that tile's server delay on the turn.
+// TestTurnsMatchLoopback holds both modes to a loopback wire.
 type netem struct {
 	*client.VirtualNet
 	// fleet, when set, shards objects across virtual origins behind the

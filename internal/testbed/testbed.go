@@ -3,6 +3,10 @@
 // → M caching edges → a fan-out of client sessions. It owns what every
 // multi-hop experiment needs and none should hand-roll: tile counter,
 // kill switch, middleware order, pooled transports, breaker poll, Close.
+// Every server it starts speaks HTTP/1.1 and h2c; its session clients
+// speak h2c through a recording transport, which Client.Stream's
+// concurrent turns go through like any request, and its edges reach
+// their origins over HTTP/1.1.
 package testbed
 
 import (
@@ -18,6 +22,7 @@ import (
 	"pano/internal/client"
 	"pano/internal/edge"
 	"pano/internal/fleet"
+	"pano/internal/graceful"
 	"pano/internal/manifest"
 	"pano/internal/mathx"
 	"pano/internal/obs"
@@ -43,7 +48,9 @@ type Testbed struct {
 // New returns an empty testbed.
 func New() *Testbed {
 	tb := &Testbed{catalogWait: 10 * time.Second}
-	tb.sessions = &ttfb{base: tb.transport()}
+	tr := client.H2C()
+	tb.closers = append(tb.closers, tr.CloseIdleConnections)
+	tb.sessions = &ttfb{base: tr}
 	return tb
 }
 
@@ -64,8 +71,12 @@ func (tb *Testbed) transport() *http.Transport {
 	return tr
 }
 
+// serve serves h over loopback, HTTP/1.1 and h2c alike, as
+// graceful.ServeListener does.
 func (tb *Testbed) serve(h http.Handler) string {
-	ts := httptest.NewServer(h)
+	ts := httptest.NewUnstartedServer(h)
+	ts.Config.Protocols = graceful.Protocols()
+	ts.Start()
 	tb.closers = append(tb.closers, ts.Close)
 	return ts.URL
 }
@@ -236,8 +247,10 @@ func RateCap(m *manifest.Video) float64 {
 	return 0.35 * m.ChunkBits(0, 0) / m.ChunkSec
 }
 
-// Client returns a streaming client for url on the pooled, recording
-// transport all of the testbed's session clients share.
+// Client returns a streaming client for url on the recording transport
+// all of the testbed's session clients share. It speaks h2c, so the
+// sessions' turns are concurrent streams on that transport's
+// connections.
 func (tb *Testbed) Client(url string) *client.Client {
 	return &client.Client{BaseURL: url, HTTP: &http.Client{Transport: tb.sessions}}
 }
@@ -250,6 +263,10 @@ func (tb *Testbed) TileTTFB() *mathx.CDF {
 	return mathx.NewCDF(tb.sessions.ms)
 }
 
+// ttfb is the session clients' transport: the h2c base, each /video/
+// request's time to its response headers recorded on the way. It is an
+// http.RoundTripper like any other, so it leaves a session's turns
+// concurrent.
 type ttfb struct {
 	base http.RoundTripper
 	mu   sync.Mutex

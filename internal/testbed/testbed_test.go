@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pano/internal/chaos"
 	"pano/internal/client"
 	"pano/internal/edge"
 	"pano/internal/fleet"
@@ -20,6 +21,7 @@ import (
 	"pano/internal/provider"
 	"pano/internal/scene"
 	"pano/internal/server"
+	"pano/internal/viewport"
 )
 
 var (
@@ -103,6 +105,47 @@ func TestKilledOriginResetsAndRevivesUnchanged(t *testing.T) {
 	}
 	if after.ETag != before.ETag || string(after.Body) != string(before.Body) {
 		t.Errorf("revived origin serves a different object: ETag %s, was %s", after.ETag, before.ETag)
+	}
+}
+
+// Over h2c a chaos abort resets its stream before the answer and a
+// truncation resets it mid-body, the connection staying up either way:
+// a session classes every retry as what was injected, conn_reset per
+// abort and truncated per truncation.
+func TestH2CResetsAreClassedAsInjected(t *testing.T) {
+	v := scene.Generate(scene.Sports, 7, scene.Options{W: 240, H: 120, FPS: 10, DurationSec: 1})
+	vp := viewport.Synthesize(v, 1, viewport.DefaultSynthesizeOpts())
+	for _, tc := range []struct{ spec, kind, class string }{
+		{"seed=3,tile-abort=0.2", "abort", "conn_reset"},
+		{"seed=3,tile-truncate=0.2", "truncate", "truncated"},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			prof, err := chaos.Parse(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sreg, creg := obs.NewRegistry(), obs.NewRegistry()
+			tb := New()
+			defer tb.Close()
+			o, err := tb.AddOrigin(OriginConfig{Manifest: testManifest(t), Chaos: chaos.New(prof, chaos.WithObs(sreg))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tb.Client(o.URL).Stream(context.Background(), vp, client.StreamConfig{Fetch: LoopbackPolicy(), Obs: creg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			injected := sreg.CounterValue("pano_chaos_injections_total", obs.L("endpoint", "tile"), obs.L("kind", tc.kind))
+			if injected == 0 {
+				t.Fatal("nothing injected")
+			}
+			if got := creg.CounterValue("pano_client_tile_retries_total", obs.L("class", tc.class)); got != injected {
+				t.Errorf("%v %s retries for %v injected %ss", got, tc.class, injected, tc.kind)
+			}
+			if got := creg.CounterSum("pano_client_tile_retries_total"); got != float64(res.TotalRetries) || got != injected {
+				t.Errorf("%v retries in all, %d in the result, %v injected", got, res.TotalRetries, injected)
+			}
+		})
 	}
 }
 
