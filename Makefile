@@ -39,10 +39,14 @@ race:
 # Twenty seconds of fuzzing the bounded tile search against its oracle
 # contract (internal/abr: subsequence of the exact reference frontiers,
 # same plan where neither thinned, never over budget, no frontier exactly
-# when no upgrade fits). Not part of check: a fuzz run has no fixed end.
-# The committed seeds under internal/abr/testdata/fuzz/ are the boundary
-# cases of that last clause (guard-*) and of the exact form of the cut on
-# heavy-tailed rows (exact-*); plain `go test` replays them.
+# when no upgrade fits or when every tile's cheapest row does, those rows
+# clear of the others, and then the sweep's plan). Not part of check: a
+# fuzz run has no fixed end. The committed seeds under
+# internal/abr/testdata/fuzz/ are the boundary cases of that last clause
+# (guard-*: no upgrade fits; cheapest-*: at the all-cheapest plan's size,
+# an ulp under it, zero-cost ties at capped levels), of the exact form of
+# the cut on heavy-tailed rows (exact-*) and of the two sums' order
+# (order-*); plain `go test` replays them.
 fuzz-abr:
 	$(GO) test -run '^$$' -fuzz FuzzAllocatePruned -fuzztime 20s ./internal/abr
 

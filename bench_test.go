@@ -180,7 +180,7 @@ func BenchmarkAblationBoundKind(b *testing.B) {
 					if kind == "lower-bound" {
 						view = est.View(m, tr, k, now)
 					} else {
-						view = est.BestGuessView(m, tr, k, now)
+						view = est.View(m, tr, k, now).BestGuess(tr, now)
 					}
 					alloc := pl.Plan(m, k, view, m.ChunkBits(k, codec.Level(2)))
 					actual := est.ActualView(m, tr, k)

@@ -29,6 +29,7 @@ package abr
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -168,12 +169,12 @@ type prunedScratch struct {
 	starts []int
 	// Tile order[i] is swept i-th; tile j at pos[j].
 	order, pos []int32
-	// ups is every tile's hull upgrades, most efficient first, merged from
-	// the per-tile runs hull[runs[k]:runs[k+1]]; the two alternate. After
-	// bound, hull is a sweep's copy of ups that suffixLP compacts to the
-	// tiles still to come.
+	// ups is every tile's hull upgrades, most efficient first, sorted from
+	// hull, where bound lists them tile by tile. After bound, hull is a
+	// sweep's copy of ups that suffixLP compacts to the tiles still to
+	// come.
 	ups, hull []hullUpgrade
-	runs      []int32
+	buckets   [257]int32  // lpOrder's counts
 	rest      []suffixMin // rest[i] is of the tiles swept from i on
 	lp        []lpStep
 	forced    Allocation
@@ -240,7 +241,7 @@ func sweepOrder(tiles []TileChoice, order []int32) []int32 {
 // cap of 1024, which the bounded search below seldom reaches.
 //
 // The program is a multiple-choice knapsack, and its LP relaxation —
-// the tiles' convex-hull upgrades merged by efficiency, filled greedily —
+// the tiles' convex-hull upgrades sorted by efficiency, filled greedily —
 // gives, rounded, a feasible incumbent (bound); U, the cost of the
 // cheapest plan the sweep knows of, starts as its cost. The same order
 // filtered to the tiles swept after the i-th relaxes what a partial
@@ -292,7 +293,12 @@ func sweepOrder(tiles []TileChoice, order []int32) []int32 {
 // it would end on the all-smallest plan, so that is returned before the
 // tiles are ordered or the LP is set up, by the same pass that sizes the
 // plan. The step must miss the budget by more than boundSlack of it;
-// closer than that, the sweep decides as ever.
+// closer than that, the sweep decides as ever. At the other end, a budget
+// that fits every tile's cheapest row (cheapestRow) by TotalBits is
+// answered with that plan, the optimum, before the LP is set up, where
+// those rows are clear of the others by more than the dominance filter's
+// tolerance and the rounding of its sums (cheapestFits); then the sweep
+// would end on the same plan.
 //
 // A frontier is strictly bits-ascending and cost-descending, so its
 // copy shifted by one level's (bits, cost) is already in order and the
@@ -313,8 +319,9 @@ func AllocatePruned(tiles []TileChoice, budget float64, maxFrontier int) Allocat
 
 // SearchPruned is AllocatePruned that also reports what the search did;
 // the prune experiment and the tests read it. A call answered without a
-// sweep — no tiles, a budget below the all-smallest size, or one that
-// affords no upgrade — built no frontier and reports zero stats.
+// sweep — no tiles, a budget below the all-smallest size, one that
+// affords no upgrade, or one that affords every tile's cheapest row —
+// built no frontier and reports zero stats.
 func SearchPruned(tiles []TileChoice, budget float64, maxFrontier int) (Allocation, SearchStats) {
 	if maxFrontier <= 0 {
 		maxFrontier = 1024
@@ -341,6 +348,34 @@ func smallestRow(t *TileChoice) codec.Level {
 	return s
 }
 
+// cheapestRow returns the level of a tile's cheapest row: the least cost,
+// the fewest bits among rows of that cost, and the lower level among
+// identical rows — the row the sweep's dominance filter and its tie
+// rules keep.
+func cheapestRow(t *TileChoice) codec.Level {
+	c := 0
+	for l := 1; l < codec.NumLevels; l++ {
+		if t.Cost[l] < t.Cost[c] || t.Cost[l] == t.Cost[c] && t.Bits[l] < t.Bits[c] {
+			c = l
+		}
+	}
+	return codec.Level(c)
+}
+
+// clearOfCheapest reports whether every row of t other than its cheapest
+// row c, and not identical to it, is more than costGap costlier or more
+// than bitsGap larger: no sum over other rows can round onto, or within
+// the dominance filter's tolerance of, a sum over the cheapest rows.
+func clearOfCheapest(t *TileChoice, c codec.Level, bitsGap, costGap float64) bool {
+	for l := range t.Bits {
+		db, dc := t.Bits[l]-t.Bits[c], t.Cost[l]-t.Cost[c]
+		if (db != 0 || dc != 0) && dc <= costGap && db <= bitsGap {
+			return false
+		}
+	}
+	return true
+}
+
 // smallestRows sets a to every tile's smallest row.
 func smallestRows(tiles []TileChoice, a Allocation) {
 	for i := range tiles {
@@ -354,7 +389,7 @@ func smallestRows(tiles []TileChoice, a Allocation) {
 // cost and λ. a comes in as the all-smallest plan and low is its size,
 // within budget.
 func (sc *prunedScratch) bound(tiles []TileChoice, budget, low float64, a Allocation) (incumbent, lambda float64) {
-	hull, runs := sc.hull[:0], append(sc.runs[:0], 0)
+	hull := sc.hull[:0]
 	for i := range tiles {
 		t := &tiles[i]
 		// Gift-wrap the hull from the smallest row: each step goes to the
@@ -377,20 +412,10 @@ func (sc *prunedScratch) bound(tiles []TileChoice, budget, low float64, a Alloca
 			hull = append(hull, hullUpgrade{eff: last, dBits: db, dCost: dc, tile: int32(i), from: uint8(from), to: uint8(to)})
 			from = to
 		}
-		runs = append(runs, int32(len(hull)))
 	}
-	// Each tile's run is in LP order already and the runs are in tile
-	// order, so merging neighbours pairwise, the left one first on a tie,
-	// sorts by efficiency with the lower tile, then its cheaper step, first.
-	ups, dst := hull, slices.Grow(sc.ups[:0], len(hull))[:len(hull)]
-	for w, n := 1, len(runs)-1; w < n; w *= 2 {
-		for r := 0; r < n; r += 2 * w {
-			lo, mid, hi := runs[r], runs[min(r+w, n)], runs[min(r+2*w, n)]
-			mergeUps(dst[lo:hi], ups[lo:mid], ups[mid:hi])
-		}
-		ups, dst = dst, ups
-	}
-	sc.ups, sc.hull, sc.runs = ups, dst, runs
+	ups := slices.Grow(sc.ups[:0], len(hull))[:len(hull)]
+	lpOrder(ups, hull, &sc.buckets)
+	sc.ups, sc.hull = ups, hull
 
 	// The LP optimum takes upgrades in this order until one does not
 	// fit, the break upgrade; its efficiency is λ. Two roundings of it
@@ -430,18 +455,44 @@ func (sc *prunedScratch) bound(tiles []TileChoice, budget, low float64, a Alloca
 	return TotalCost(tiles, a), lambda
 }
 
-// mergeUps merges x and y, each most efficient first, into dst; on a tie
-// x's upgrade goes first.
-func mergeUps(dst, x, y []hullUpgrade) {
-	for len(x) > 0 && len(y) > 0 {
-		if y[0].eff > x[0].eff {
-			dst[0], y = y[0], y[1:]
-		} else {
-			dst[0], x = x[0], x[1:]
-		}
-		dst = dst[1:]
+// lpOrder sorts src, the hull upgrades tile by tile with each tile's run
+// most efficient first, into dst most efficient first. The sort is
+// stable, so a tie goes to the lower tile, then to its cheaper step. An
+// efficiency is positive (a hull step saves cost and spends bits), so its
+// bits order as it does: a counting pass on the top 8 bits of each one's
+// distance below the largest spreads the upgrades over 256 buckets in
+// order, and an insertion pass orders each bucket.
+func lpOrder(dst, src []hullUpgrade, count *[257]int32) {
+	if len(src) == 0 {
+		return
 	}
-	copy(dst[copy(dst, x):], y)
+	top, bottom := uint64(0), uint64(math.MaxUint64)
+	for i := range src {
+		k := math.Float64bits(src[i].eff)
+		top, bottom = max(top, k), min(bottom, k)
+	}
+	shift := max(bits.Len64(top-bottom)-8, 0)
+	clear(count[:])
+	for i := range src {
+		count[(top-math.Float64bits(src[i].eff))>>shift+1]++
+	}
+	for b := 1; b < len(count); b++ {
+		count[b] += count[b-1]
+	}
+	for i := range src {
+		b := (top - math.Float64bits(src[i].eff)) >> shift
+		dst[count[b]] = src[i]
+		count[b]++
+	}
+	for i := 1; i < len(dst); i++ {
+		if x := dst[i]; x.eff > dst[i-1].eff {
+			j := i
+			for ; j > 0 && dst[j-1].eff < x.eff; j-- {
+				dst[j] = dst[j-1]
+			}
+			dst[j] = x
+		}
+	}
 }
 
 // suffixLP tabulates the LP relaxation of the tiles swept after the i-th
@@ -510,8 +561,9 @@ func fillUpgrades(a Allocation, ups []hullUpgrade, spent, budget float64) int {
 }
 
 // search runs the sweep over at least one tile, leaving every frontier
-// in the scratch (none when the budget admits no plan at all, or no
-// upgrade: the two answers below that need no search).
+// in the scratch (none when the budget admits no plan at all, no upgrade,
+// or every tile's cheapest row: the three answers below that need no
+// search).
 func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier int) (Allocation, SearchStats) {
 	a := make(Allocation, len(tiles))
 	// low is the size of the all-smallest plan and minUp the cheapest
@@ -542,6 +594,49 @@ func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier 
 		// inside the slack, and left for the sweep to find.
 		return a, SearchStats{}
 	}
+	if sc.cheapestFits(tiles, budget) {
+		// Every tile's cheapest row fits: that plan is the optimum, and the
+		// sweep would end on it.
+		copy(a, sc.forced)
+		return a, SearchStats{}
+	}
+	return a, sc.searched(tiles, budget, low, maxFrontier, a)
+}
+
+// cheapestFits reports whether the plan of every tile's cheapest row,
+// which it leaves in sc.forced, fits the budget by TotalBits, and is the
+// plan a sweep ends on. The sweep ends on it wherever it fits, but for the
+// dominance filter's tolerance of 1e-12 and the rounding of its sums: a
+// plan with another row within those of the cheapest rows' cost and size
+// could take its place. So every other row must be clear of its tile's
+// cheapest by more than that: boundSlack of the budget in bits, or 2e-12
+// and boundSlack of the plan's cost in cost. Where one is not, the sweep
+// decides.
+func (sc *prunedScratch) cheapestFits(tiles []TileChoice, budget float64) bool {
+	top := slices.Grow(sc.forced[:0], len(tiles))[:len(tiles)]
+	sc.forced = top
+	var bits, cost float64
+	for i := range tiles {
+		top[i] = cheapestRow(&tiles[i])
+		bits += tiles[i].Bits[top[i]]
+		cost += tiles[i].Cost[top[i]]
+	}
+	if bits > budget {
+		return false
+	}
+	bitsGap, costGap := boundSlack*budget, 2e-12+boundSlack*cost
+	for i := range tiles {
+		if !clearOfCheapest(&tiles[i], top[i], bitsGap, costGap) {
+			return false
+		}
+	}
+	return true
+}
+
+// searched is search past its exits: bound, then the sweep, and the sweep
+// again in tile order where the first one's plan is over by TotalBits. a
+// comes in as the all-smallest plan, of low bits, and leaves as the plan.
+func (sc *prunedScratch) searched(tiles []TileChoice, budget, low float64, maxFrontier int, a Allocation) SearchStats {
 	incumbent, lambda := sc.bound(tiles, budget, low, a)
 	var stats SearchStats
 	sc.slab, sc.order = append(sc.slab[:0], paretoState{parent: -1}), sweepOrder(tiles, sc.order)
@@ -553,7 +648,7 @@ func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier 
 	if plan != nil && TotalBits(tiles, plan) <= budget {
 		copy(a, plan)
 	}
-	return a, stats
+	return stats
 }
 
 // sweep runs one sweep over the tiles in sc.order, final states kept to

@@ -1,6 +1,7 @@
 package abr
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -495,6 +497,7 @@ func notIn(f []paretoState, ref []refState) int {
 type oracleOutcome struct {
 	ambiguous           bool // the reference's path was an accident of its sort
 	guarded             bool // no upgrade fit: answered without a search
+	cheapest            bool // every tile's cheapest row fit: answered without a search
 	thinned, refThinned bool // at the instance's cap
 	states, refStates   int  // frontier states kept by the exact (uncapped) searches
 }
@@ -520,8 +523,10 @@ func costTolerance(cost float64) float64 { return 1e-9 * (1 + math.Abs(cost)) }
 //	    reference's at the same cap;
 //	(d) the plan is within budget, or all-lowest when nothing is;
 //	(e) on a budget that fits the all-smallest plan and no step up from it
-//	    (nothingAffordable), and on no other, the search builds no frontier
-//	    and reports zero stats; (b) then holds its answer, the all-smallest
+//	    (nothingAffordable), or one that fits every tile's cheapest row
+//	    where those rows are clear of the others (cheapestAffordable), and
+//	    on no other, the search builds no frontier and reports zero stats;
+//	    (b) then holds its answer, the all-smallest or the all-cheapest
 //	    plan, to the reference's like any other;
 //
 // and, on instances of at most exhaustiveTiles tiles, that the search run
@@ -595,9 +600,10 @@ func againstReference(t testing.TB, tiles []TileChoice, budget float64, maxFront
 
 	// (a)
 	o.guarded = nothingAffordable(tiles, budget)
-	if o.guarded {
+	o.cheapest = !o.guarded && cheapestAffordable(tiles, budget)
+	if o.guarded || o.cheapest {
 		if len(whole.starts) != 0 || stats != (SearchStats{}) {
-			fail("no upgrade fits, and the search still built %d frontiers, stats %+v", len(whole.starts), stats)
+			fail("no upgrade fits, or every cheapest row does (%v), and the search still built %d frontiers, stats %+v", o.cheapest, len(whole.starts), stats)
 		}
 	} else if len(whole.starts) != len(tiles) && budget >= TotalBits(tiles, lowestLevels(len(tiles))) {
 		fail("the uncapped search stopped after %d tiles", len(whole.starts))
@@ -728,12 +734,58 @@ func smallestAndStep(tiles []TileChoice) (low, minUp float64) {
 	return low, minUp
 }
 
-// nothingAffordable restates the one case the search answers without
-// searching: the all-smallest plan fits the budget and its cheapest step
-// up does not, by more than the rounding slack of the cuts.
+// nothingAffordable restates the first of the two cases the search
+// answers without searching: the all-smallest plan fits the budget and
+// its cheapest step up does not, by more than the rounding slack of the
+// cuts.
 func nothingAffordable(tiles []TileChoice, budget float64) bool {
 	low, minUp := smallestAndStep(tiles)
 	return budget >= low && low+minUp > budget+boundSlack*budget
+}
+
+// cheapestAffordable restates the other: the plan of every tile's
+// cheapest row — the least cost, then the fewest bits, then the lower
+// level — fits the budget by TotalBits, and every other row of a tile
+// but an identical one is more than boundSlack of the budget larger or
+// more than 2e-12 and boundSlack of that plan's cost costlier than the
+// tile's cheapest.
+func cheapestAffordable(tiles []TileChoice, budget float64) bool {
+	top := cheapestRows(tiles)
+	if TotalBits(tiles, top) > budget {
+		return false
+	}
+	cost := TotalCost(tiles, top)
+	for i, t := range tiles {
+		c := top[i]
+		for l := range t.Bits {
+			same := t.Bits[l] == t.Bits[c] && t.Cost[l] == t.Cost[c]
+			if !same && t.Bits[l]-t.Bits[c] <= boundSlack*budget && t.Cost[l]-t.Cost[c] <= 2e-12+boundSlack*cost {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// cheapestRows returns every tile's cheapest row: the least cost, then
+// the fewest bits, then the lower level.
+func cheapestRows(tiles []TileChoice) Allocation {
+	top, levels := make(Allocation, len(tiles)), make([]codec.Level, codec.NumLevels)
+	for l := range levels {
+		levels[l] = codec.Level(l)
+	}
+	for i, t := range tiles {
+		top[i] = slices.MinFunc(levels, func(x, y codec.Level) int {
+			if c := cmp.Compare(t.Cost[x], t.Cost[y]); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(t.Bits[x], t.Bits[y]); c != 0 {
+				return c
+			}
+			return cmp.Compare(x, y)
+		})
+	}
+	return top
 }
 
 // exhaustiveTiles is the largest instance the oracle also brute-forces:
@@ -989,6 +1041,11 @@ const (
 	// breakpoint of their LP, or nothing.
 	placeSuffixBreak // all-smallest up to the middle swept tile, then a quarter of the LP's upgrades in its order
 	placePrefixTop   // all-top up to the middle swept tile, all-smallest after it
+	// Two placements of the all-cheapest exit: the size of the plan of
+	// every tile's cheapest row, summed as TotalBits sums it, and an ulp
+	// under it, where the sweep decides.
+	placeCheapest
+	placeUnderCheapest
 	numPlaces
 )
 
@@ -999,6 +1056,7 @@ const (
 	shapeEqualBits        // the bottom rungs one size at rising cost
 	shapeZeroCost         // no cost at any level
 	shapeHeavy            // the upper rungs six times the size: a real chunk's large tiles, where the LP's gap is
+	shapeCapped           // the upper rungs cost nothing, as at a PSPNR capped at 100 dB: zero-cost ties, the fewest bits cheapest
 	numShapes
 )
 
@@ -1023,6 +1081,10 @@ func guardInstance(seed uint64, n, menu int) ([]TileChoice, float64) {
 		case shapeHeavy:
 			for l := 0; l < from; l++ {
 				t.Bits[l] *= 6
+			}
+		case shapeCapped:
+			for l := 0; l < from; l++ {
+				t.Cost[l] = 0
 			}
 		}
 	}
@@ -1066,6 +1128,10 @@ func guardInstance(seed uint64, n, menu int) ([]TileChoice, float64) {
 				budget, k = at, k+1
 			}
 		}
+	case placeCheapest:
+		budget = TotalBits(tiles, cheapestRows(tiles))
+	case placeUnderCheapest:
+		budget = math.Nextafter(TotalBits(tiles, cheapestRows(tiles)), 0)
 	case placePrefixTop:
 		budget = low
 		for _, i := range sweepOrder(tiles, nil)[:n/2+1] {
@@ -1081,7 +1147,7 @@ func guardInstance(seed uint64, n, menu int) ([]TileChoice, float64) {
 // — (e) says which calls may skip the sweep, (b) that what they return is
 // what the reference's sweep ends on.
 func TestPrunedGuardMatchesSearch(t *testing.T) {
-	var guarded, calls [numPlaces]int
+	var guarded, cheapest, calls [numPlaces]int
 	for s := 0; s < 96; s++ {
 		n := 1 + (5*s)%48
 		if s%8 == 0 {
@@ -1091,17 +1157,96 @@ func TestPrunedGuardMatchesSearch(t *testing.T) {
 			shape := (s + place) % numShapes
 			tiles, budget := guardInstance(uint64(7000+s), n, s%numMenus+numMenus*(place+numPlaces*shape))
 			calls[place]++
-			if againstReference(t, tiles, budget, oracleCaps[s%len(oracleCaps)]).guarded {
+			o := againstReference(t, tiles, budget, oracleCaps[s%len(oracleCaps)])
+			if o.guarded {
 				guarded[place]++
+			}
+			if o.cheapest {
+				cheapest[place]++
 			}
 		}
 	}
-	t.Logf("answered without a search, by placement: %v of %v", guarded, calls)
+	t.Logf("answered without a search, by placement: no upgrade fits %v, every cheapest row fits %v, of %v", guarded, cheapest, calls)
 	for place := placeBelowLow; place < numPlaces; place++ {
-		inside := place >= placeLow && place <= placeUnderSlack
-		if inside && guarded[place] != calls[place] || !inside && guarded[place] != 0 {
-			t.Errorf("placement %d: %d of %d calls answered without a search", place, guarded[place], calls[place])
+		switch place {
+		case placeCheapest:
+			// A plan of every tile's smallest row as its cheapest is the
+			// guard's, on a budget no upgrade fits.
+			if guarded[place]+cheapest[place] != calls[place] {
+				t.Errorf("at the all-cheapest size: %d + %d of %d calls answered without a search", guarded[place], cheapest[place], calls[place])
+			}
+		case placeUnderCheapest:
+			if guarded[place]+cheapest[place] != 0 {
+				t.Errorf("an ulp under the all-cheapest size: %d + %d of %d calls answered without a search", guarded[place], cheapest[place], calls[place])
+			}
+		default:
+			inside := place >= placeLow && place <= placeUnderSlack
+			if inside && guarded[place] != calls[place] || !inside && guarded[place] != 0 {
+				t.Errorf("placement %d: %d of %d calls answered without a search", place, guarded[place], calls[place])
+			}
 		}
+	}
+}
+
+// The all-cheapest exit is the sweep's answer. On budgets at the size of
+// every tile's cheapest row, an ulp either side and half as much again,
+// over every row shape and rounding, SearchPruned returns what its sweep
+// returns run on the same rows past the exits. Every fifth instance gets a
+// row within the dominance filter's tolerance of a cheapest row, in cost
+// with fewer bits or in bits at the same cost: there the exit must stand
+// aside, and on some the sweep's plan is not the all-cheapest one, which
+// is what the exit's margins are for.
+func TestCheapestExitIsTheSweep(t *testing.T) {
+	var fired, nearTies, differs int
+	for s := 0; s < 240; s++ {
+		n := 1 + (7*s)%40
+		tiles, _ := guardInstance(uint64(9000+s), n, s%numMenus+numMenus*numPlaces*(s%numShapes))
+		near := s%5 == 4
+		if near {
+			top := cheapestRows(tiles)
+			t0, c := &tiles[0], top[0]
+			if c > 0 && (s%2 == 1 || int(c) == codec.NumLevels-1) {
+				// One level up: the same cost, a hair larger.
+				t0.Cost[c-1], t0.Bits[c-1] = t0.Cost[c], math.Nextafter(t0.Bits[c], math.Inf(1))
+			} else {
+				// One level down: fewer bits, a hair costlier.
+				t0.Cost[c+1] = t0.Cost[c] + 5e-13
+			}
+			nearTies++
+		}
+		top := cheapestRows(tiles)
+		size := TotalBits(tiles, top)
+		for _, budget := range []float64{size, math.Nextafter(size, 0), math.Nextafter(size, math.Inf(1)), 1.5 * size} {
+			a := make(Allocation, n)
+			smallestRows(tiles, a)
+			low := TotalBits(tiles, a)
+			if budget < low {
+				continue // the all-lowest fallback
+			}
+			got, st := SearchPruned(tiles, budget, uncapped)
+			exit := cheapestAffordable(tiles, budget) && !nothingAffordable(tiles, budget)
+			if exit != (st == SearchStats{} && !nothingAffordable(tiles, budget)) {
+				t.Fatalf("instance %d budget %v: cheapestAffordable %v, stats %+v", s, budget, exit, st)
+			}
+			if near && exit {
+				t.Fatalf("instance %d budget %v: the exit took a cheapest row with a row within the tolerance", s, budget)
+			}
+			var sc prunedScratch
+			sc.searched(tiles, budget, low, uncapped, a)
+			if !slices.Equal(got, a) {
+				t.Fatalf("instance %d budget %v (exit %v): search %v, its sweep %v", s, budget, exit, got, a)
+			}
+			if exit {
+				fired++
+			}
+			if near && budget >= size && !slices.Equal(a, top) {
+				differs++
+			}
+		}
+	}
+	t.Logf("the exit answered %d calls; %d instances with a near tie, on %d calls of which the sweep's plan is not the all-cheapest", fired, nearTies, differs)
+	if fired < 240 || differs == 0 {
+		t.Errorf("the exit answered %d calls, and the near ties moved the sweep off the all-cheapest plan on %d", fired, differs)
 	}
 }
 
@@ -1188,6 +1333,32 @@ func TestFuzzSeedsRoundEitherSide(t *testing.T) {
 	}
 	if over[0] == 0 || over[1] == 0 {
 		t.Errorf("over in tile order %d, over in sweep order %d: want a seed each way round", over[0], over[1])
+	}
+}
+
+// The committed cheapest-* seeds are the all-cheapest exit's boundary: at
+// the size of every tile's cheapest row the search answers without a
+// sweep, an ulp under it the sweep decides, and the capped ones tie rows
+// at zero cost, where the cheapest is the smaller.
+func TestFuzzSeedsAtTheCheapestPlan(t *testing.T) {
+	for f, v := range fuzzSeedArgs(t, "cheapest-*", 5) {
+		tiles, budget := guardInstance(v[0], 1+int(v[1])%72, int(v[3]))
+		under := strings.Contains(f, "ulp_under")
+		if _, st := SearchPruned(tiles, budget, int(v[2])); cheapestAffordable(tiles, budget) == under || (st == SearchStats{}) != !under {
+			t.Errorf("%s: n=%d budget=%v: all-cheapest exit %v, stats %+v", f, len(tiles), budget, !under, st)
+		}
+		if !strings.Contains(f, "capped") {
+			continue
+		}
+		top, ties := cheapestRows(tiles), 0
+		for i, c := range top {
+			if c > 0 && tiles[i].Cost[0] == 0 && tiles[i].Cost[c] == 0 {
+				ties++
+			}
+		}
+		if ties == 0 {
+			t.Errorf("%s: no tile's cheapest row is a smaller zero-cost tie with the top row", f)
+		}
 	}
 }
 

@@ -158,10 +158,12 @@ func checkTile(data []byte, k, ti int, l codec.Level) ([]byte, error) {
 type ChunkResult struct {
 	Chunk int
 	// Planned is the planner's allocation, before any transport loss,
-	// and PlayheadSec the media time that was playing when the chunk was
-	// planned: the plan-time facts a scorer needs next to what arrived.
+	// PlayheadSec the media time that was playing when the chunk was
+	// planned, and View what the planner was told of the viewpoint: the
+	// plan-time facts a scorer needs next to what arrived.
 	Planned     abr.Allocation
 	PlayheadSec float64
+	View        player.ChunkView
 	// Levels are the delivered per-tile levels: degraded tiles show the
 	// level they were actually fetched at, skipped tiles the lowest
 	// level (their on-screen content is the previous chunk's, §7).
@@ -238,10 +240,12 @@ type StreamConfig struct {
 	// by ±frac, alternating sign per chunk (§8.3's throughput error).
 	BWErrorFrac float64
 	// ScoreChunk, when set, is called once per streamed chunk with its
-	// final ChunkResult (valid for the call only), inside the chunk's
-	// "stitch" span (carried by ctx). It is how a caller that knows more
-	// than the session does — sim.Run holds the clean viewpoint trace —
-	// scores what was delivered.
+	// final ChunkResult, inside the chunk's "stitch" span (carried by
+	// ctx). The pointer is valid for the call only; a copy may be kept,
+	// as the slices it holds are the chunk's own and never written
+	// again. It is how a caller that knows more than the session does —
+	// sim.Run holds the clean viewpoint trace — scores what was
+	// delivered.
 	ScoreChunk func(ctx context.Context, cr *ChunkResult)
 	// Live tunes low-latency behaviour against a live manifest
 	// (edge-poll cadence, skip-to-edge policy, dead-feed timeout). It is
@@ -610,7 +614,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			bw.Observe(thr)
 		}
 		res.Chunks = append(res.Chunks, ChunkResult{
-			Chunk: k, Planned: alloc, PlayheadSec: nowMedia,
+			Chunk: k, Planned: alloc, PlayheadSec: nowMedia, View: view,
 			Levels: delivered, Bytes: bytes, Bits: goodBits, Download: dl, Throughput: thr,
 			Retries: retries, Degraded: degraded, Skipped: skipped, Stale: stale,
 		})
@@ -655,8 +659,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 				cfg.ScoreChunk(sctx, &res.Chunks[len(res.Chunks)-1])
 			}
 			if instrumented {
-				guess := est.BestGuessView(m, tr, k, nowMedia)
-				e := player.FramePSPNRDegraded(m, k, delivered, stale, guess, prof)
+				e := player.FramePSPNRDegraded(m, k, delivered, stale, view.BestGuess(tr, nowMedia), prof)
 				if sSpan != nil {
 					sSpan.Annotate("est_pspnr_db", e)
 				}

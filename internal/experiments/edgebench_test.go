@@ -42,7 +42,7 @@ func TestEdgeBenchContract(t *testing.T) {
 	if res.Edge.CacheBytesUsed <= 0 {
 		t.Error("edge cache is empty after 20 sessions")
 	}
-	if res.Direct.TileP50Ms <= 0 || res.Edge.TileP50Ms <= 0 {
+	if res.Direct.ChunkP50Ms <= 0 || res.Edge.ChunkP50Ms <= 0 {
 		t.Error("latency percentiles not measured")
 	}
 }

@@ -80,12 +80,12 @@ func (e *Estimator) View(m *manifest.Video, tr *viewport.Trace, k int, now float
 	}
 }
 
-// BestGuessView is View with the speed *estimate* (the current speed)
-// instead of the conservative lower bound. Quality selection uses the
-// bound (§6.1); the client's PSPNR *prediction* — whose accuracy
-// Figure 16(a) measures — uses the best guess.
-func (e *Estimator) BestGuessView(m *manifest.Video, tr *viewport.Trace, k int, now float64) ChunkView {
-	v := e.View(m, tr, k, now)
+// BestGuess is the view v, built by View at media time now over tr, with
+// the speed *estimate* (the current speed) instead of the conservative
+// lower bound. Quality selection uses the bound (§6.1); the client's
+// PSPNR *prediction* — whose accuracy Figure 16(a) measures — uses the
+// best guess, so a session derives it from the view it planned with.
+func (v ChunkView) BestGuess(tr *viewport.Trace, now float64) ChunkView {
 	v.SpeedLB = tr.SpeedAt(now)
 	return v
 }

@@ -129,12 +129,15 @@ func TestBestGuessViewUsesCurrentSpeed(t *testing.T) {
 	m, tr := fixture(t)
 	est := NewEstimator()
 	now := 2.0
-	guess := est.BestGuessView(m, tr, 3, now)
+	view := est.View(m, tr, 3, now)
+	guess := view.BestGuess(tr, now)
 	if got, want := guess.SpeedLB, tr.SpeedAt(now); got != want {
 		t.Errorf("best guess speed = %v, want current %v", got, want)
 	}
+	if guess.Center != view.Center || guess.LumaChange != view.LumaChange || guess.FocusDoF != view.FocusDoF {
+		t.Errorf("best guess %+v moved more than the speed of %+v", guess, view)
+	}
 	// The conservative view never exceeds the best guess.
-	view := est.View(m, tr, 3, now)
 	if view.SpeedLB > guess.SpeedLB+1e-9 {
 		t.Errorf("lower bound %v exceeds best guess %v", view.SpeedLB, guess.SpeedLB)
 	}

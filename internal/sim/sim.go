@@ -13,11 +13,16 @@
 // factors, harmonic-mean bandwidth) and is scored with what it could
 // not (the real trace, the real factors), so prediction error hurts
 // exactly as it would in a deployment.
+//
+// The scorer runs beside the loop, on a goroutine of its own: the loop
+// hands it each chunk's result and plans the next chunk while the last
+// one is scored, so a session's critical path is its decisions.
 package sim
 
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"pano/internal/abr"
@@ -134,7 +139,9 @@ type Result struct {
 func (r *Result) MOS() int { return quality.MOSFromPSPNR(r.MeanPSPNR) }
 
 // Run simulates one full playback session: client.RunSession over the
-// link on a virtual clock, each chunk scored against the clean trace.
+// link on a virtual clock, each chunk scored against the clean trace by
+// a scorer that runs beside the loop on a goroutine of its own. Run
+// returns, on every path, only after that goroutine has exited.
 func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.Planner, cfg Config) (*Result, error) {
 	cfg.fillDefaults()
 	if m.NumChunks() == 0 {
@@ -151,35 +158,8 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 		clientTrace = tr.AddNoise(cfg.ViewNoiseDeg, mathx.NewRNG(cfg.Seed+0x5eed))
 	}
 	res := &Result{System: pl.Name()}
-	enc, est, prof := codec.NewEncoder(), player.NewEstimator(), jnd.Default()
-	chunkPSPNR := cfg.Obs.Histogram("pano_sim_chunk_pspnr_db",
-		"delivered per-chunk viewport PSPNR", quality.PSPNRBuckets)
-	// score is the ground-truth half of the session: RunSession hands
-	// it what was planned and what arrived, chunk by chunk.
-	score := func(ctx context.Context, cr *client.ChunkResult) {
-		k := cr.Chunk
-		var pspnr float64
-		if cfg.Scene != nil {
-			// Pixel-accurate scoring has no staleness model; stale tiles
-			// are already pinned to the lowest level in cr.Levels, which
-			// underestimates their distortion slightly.
-			pspnr = pixelFramePSPNR(m, cfg.Scene, k, cr.Levels, tr, prof, enc, cfg.FieldCache)
-		} else {
-			pspnr = player.FramePSPNRDegraded(m, k, cr.Levels, cr.Stale, est.ActualView(m, tr, k), prof)
-		}
-		// The client's plan-time estimate uses its best-guess view
-		// (Figure 16a measures the gap to pspnr) and predates any
-		// transport loss, so it scores the planned allocation.
-		guess := est.BestGuessView(m, clientTrace, k, cr.PlayheadSec)
-		estimated := player.FramePSPNR(m, k, cr.Planned, guess, prof)
-
-		trace.FromContext(ctx).Annotate("pspnr_db", pspnr)
-		chunkPSPNR.Observe(pspnr)
-		res.PerChunkPSPNR = append(res.PerChunkPSPNR, pspnr)
-		res.PerChunkEstPSPNR = append(res.PerChunkEstPSPNR, estimated)
-		res.PerChunkAlloc = append(res.PerChunkAlloc, cr.Levels)
-		res.TotalBits += cr.Bits
-	}
+	sc := startScorer(m, tr, clientTrace, cfg, res)
+	defer sc.wait() // a session that panics leaves no scorer behind
 	clk := client.NewVirtualClock(0)
 	vn := &client.VirtualNet{Video: m, Clock: clk, Link: link}
 	var tp client.Transport = vn
@@ -194,7 +174,7 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 		Planner:         pl,
 		Controller:      cfg.Controller,
 		BWErrorFrac:     cfg.BWErrorFrac,
-		ScoreChunk:      score,
+		ScoreChunk:      sc.enqueue,
 		Obs:             cfg.Obs,
 		Log:             cfg.Log,
 		Trace:           cfg.Trace,
@@ -202,6 +182,7 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 		// The simulated link never times a request out.
 		Fetch: client.FetchPolicy{AttemptTimeout: time.Hour, MinAttemptTimeout: time.Hour},
 	})
+	sc.wait()
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
@@ -226,6 +207,79 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 		"mean_pspnr_db", res.MeanPSPNR, "mos", res.MOS(),
 		"buffering_pct", res.BufferingRatio, "bandwidth_mbps", res.BandwidthMbps)
 	return res, nil
+}
+
+// scorer is the ground-truth half of a session, run beside the loop on a
+// goroutine of its own: RunSession hands it what was planned and what
+// arrived, chunk by chunk, and goes on to plan the next chunk while the
+// scorer scores this one. Its channel holds every chunk of the video, so
+// the loop never waits on it.
+type scorer struct {
+	chunks chan scoreJob
+	done   chan struct{}
+	stop   sync.Once
+}
+
+// scoreJob is one chunk to score, and the span that shows its scoring
+// (nil in an untraced session).
+type scoreJob struct {
+	cr   client.ChunkResult
+	span *trace.Span
+}
+
+// startScorer starts the goroutine that scores a session's chunks into
+// res, in chunk order: the delivered viewport PSPNR against the clean
+// trace tr, the plan-time estimate against the client's trace, the
+// delivered levels and bits.
+func startScorer(m *manifest.Video, tr, clientTrace *viewport.Trace, cfg Config, res *Result) *scorer {
+	sc := &scorer{chunks: make(chan scoreJob, m.NumChunks()), done: make(chan struct{})}
+	enc, est, prof := codec.NewEncoder(), player.NewEstimator(), jnd.Default()
+	chunkPSPNR := cfg.Obs.Histogram("pano_sim_chunk_pspnr_db",
+		"delivered per-chunk viewport PSPNR", quality.PSPNRBuckets)
+	go func() {
+		defer close(sc.done)
+		for j := range sc.chunks {
+			cr := &j.cr
+			k := cr.Chunk
+			var pspnr float64
+			if cfg.Scene != nil {
+				// Pixel-accurate scoring has no staleness model; stale tiles
+				// are already pinned to the lowest level in cr.Levels, which
+				// underestimates their distortion slightly.
+				pspnr = pixelFramePSPNR(m, cfg.Scene, k, cr.Levels, tr, prof, enc, cfg.FieldCache)
+			} else {
+				pspnr = player.FramePSPNRDegraded(m, k, cr.Levels, cr.Stale, est.ActualView(m, tr, k), prof)
+			}
+			// The client's plan-time estimate uses its best-guess view
+			// (Figure 16a measures the gap to pspnr) and predates any
+			// transport loss, so it scores the planned allocation.
+			estimated := player.FramePSPNR(m, k, cr.Planned, cr.View.BestGuess(clientTrace, cr.PlayheadSec), prof)
+
+			j.span.Annotate("pspnr_db", pspnr)
+			j.span.End()
+			chunkPSPNR.Observe(pspnr)
+			res.PerChunkPSPNR = append(res.PerChunkPSPNR, pspnr)
+			res.PerChunkEstPSPNR = append(res.PerChunkEstPSPNR, estimated)
+			res.PerChunkAlloc = append(res.PerChunkAlloc, cr.Levels)
+			res.TotalBits += cr.Bits
+		}
+	}()
+	return sc
+}
+
+// enqueue is the session's ScoreChunk: it copies the chunk's result (the
+// slices it holds are the chunk's own and never written again), opens a
+// "score" span under the chunk's stitch span, and returns.
+func (sc *scorer) enqueue(ctx context.Context, cr *client.ChunkResult) {
+	_, span := trace.StartSpan(ctx, "score")
+	sc.chunks <- scoreJob{cr: *cr, span: span}
+}
+
+// wait closes the scorer's queue and returns when every chunk handed to
+// it is scored and its goroutine has exited. It may be called again.
+func (sc *scorer) wait() {
+	sc.stop.Do(func() { close(sc.chunks) })
+	<-sc.done
 }
 
 // lossyNet is the session's network under Config.TileLossRate: a lost

@@ -24,7 +24,6 @@ import (
 	"pano/internal/fleet"
 	"pano/internal/graceful"
 	"pano/internal/manifest"
-	"pano/internal/mathx"
 	"pano/internal/obs"
 	"pano/internal/server"
 	"pano/internal/store"
@@ -39,8 +38,8 @@ type Testbed struct {
 	Origins []*Origin
 	Edges   []*Edge
 
-	catalogWait time.Duration // a store-backed origin's wait for the publisher's first catalog
-	sessions    *ttfb
+	catalogWait time.Duration   // a store-backed origin's wait for the publisher's first catalog
+	sessions    *http.Transport // the session clients' h2c transport
 	procs       uint64
 	closers     []func()
 }
@@ -48,9 +47,8 @@ type Testbed struct {
 // New returns an empty testbed.
 func New() *Testbed {
 	tb := &Testbed{catalogWait: 10 * time.Second}
-	tr := client.H2C()
-	tb.closers = append(tb.closers, tr.CloseIdleConnections)
-	tb.sessions = &ttfb{base: tr}
+	tb.sessions = client.H2C()
+	tb.closers = append(tb.closers, tb.sessions.CloseIdleConnections)
 	return tb
 }
 
@@ -247,42 +245,11 @@ func RateCap(m *manifest.Video) float64 {
 	return 0.35 * m.ChunkBits(0, 0) / m.ChunkSec
 }
 
-// Client returns a streaming client for url on the recording transport
-// all of the testbed's session clients share. It speaks h2c, so the
-// sessions' turns are concurrent streams on that transport's
-// connections.
+// Client returns a streaming client for url on the transport all of the
+// testbed's session clients share. It speaks h2c, so the sessions'
+// turns are concurrent streams on that transport's connections.
 func (tb *Testbed) Client(url string) *client.Client {
 	return &client.Client{BaseURL: url, HTTP: &http.Client{Transport: tb.sessions}}
-}
-
-// TileTTFB is the time to first byte, in milliseconds, of every /video/
-// request the testbed's clients made (failed ones included).
-func (tb *Testbed) TileTTFB() *mathx.CDF {
-	tb.sessions.mu.Lock()
-	defer tb.sessions.mu.Unlock()
-	return mathx.NewCDF(tb.sessions.ms)
-}
-
-// ttfb is the session clients' transport: the h2c base, each /video/
-// request's time to its response headers recorded on the way. It is an
-// http.RoundTripper like any other, so it leaves a session's turns
-// concurrent.
-type ttfb struct {
-	base http.RoundTripper
-	mu   sync.Mutex
-	ms   []float64
-}
-
-func (t *ttfb) RoundTrip(req *http.Request) (*http.Response, error) {
-	if !strings.HasPrefix(req.URL.Path, "/video/") {
-		return t.base.RoundTrip(req)
-	}
-	t0 := time.Now()
-	resp, err := t.base.RoundTrip(req)
-	t.mu.Lock()
-	t.ms = append(t.ms, float64(time.Since(t0).Microseconds())/1000)
-	t.mu.Unlock()
-	return resp, err
 }
 
 // Sessions runs n sessions concurrently, session u starting u×stagger
