@@ -1,13 +1,9 @@
 package abr
 
 import (
-	"context"
 	"math"
-	"strconv"
 
 	"pano/internal/codec"
-	"pano/internal/obs"
-	"pano/internal/trace"
 )
 
 // ChunkPlan gives the MPC controller one future chunk's menu: total size
@@ -33,10 +29,6 @@ type MPC struct {
 	// BufferPenalty converts deviation from the buffer target into
 	// quality units (keeps the controller near its target).
 	BufferPenalty float64
-	// Obs, when set, records decision latency into the
-	// pano_abr_decision_seconds histogram and the chosen level into
-	// pano_abr_level_decisions_total (nil = disabled).
-	Obs *obs.Registry
 }
 
 // NewMPC returns a controller with the paper's defaults: 3-chunk
@@ -58,51 +50,6 @@ func NewMPC(targetBufferSec float64) *MPC {
 // evaluated as-is). The resulting level's Bits value is the chunk's tile
 // budget.
 func (m *MPC) PickLevel(bufferSec, predBWbps, chunkSec float64, prev codec.Level, horizon []ChunkPlan) codec.Level {
-	return m.PickLevelCtx(context.Background(), bufferSec, predBWbps, chunkSec, prev, horizon)
-}
-
-// ContextController is implemented by controllers that carry tracing
-// context through the decision (the MPC opens an "mpc" span as a child
-// of the context's chunk span and exemplar-links its latency
-// histogram). Callers holding a traced context should prefer it.
-type ContextController interface {
-	Controller
-	PickLevelCtx(ctx context.Context, bufferSec, predBWbps, chunkSec float64, prev codec.Level, horizon []ChunkPlan) codec.Level
-}
-
-var _ ContextController = (*MPC)(nil)
-
-// PickLevelCtx is PickLevel under a context: when ctx carries an active
-// trace span, the decision runs inside a child "mpc" span (annotated
-// with the chosen level and horizon depth, §6.1's decision step), and
-// the pano_abr_decision_seconds observation carries the trace id as an
-// exemplar so a slow decision bucket links to its trace.
-func (m *MPC) PickLevelCtx(ctx context.Context, bufferSec, predBWbps, chunkSec float64, prev codec.Level, horizon []ChunkPlan) codec.Level {
-	if m.Obs == nil && trace.FromContext(ctx) == nil {
-		return m.pickLevel(bufferSec, predBWbps, chunkSec, prev, horizon)
-	}
-	_, sp := trace.StartSpan(ctx, "mpc",
-		trace.A("buffer_sec", bufferSec), trace.A("pred_bps", predBWbps))
-	t := obs.NewTimer(nil)
-	lv := m.pickLevel(bufferSec, predBWbps, chunkSec, prev, horizon)
-	d := t.ObserveDuration()
-	sp.Annotate("level", int(lv))
-	sp.Annotate("horizon", len(horizon))
-	sp.End()
-	if m.Obs != nil {
-		m.Obs.Histogram("pano_abr_decision_seconds",
-			"MPC chunk-level decision latency", nil).ObserveExemplar(d.Seconds(), sp.TraceHex())
-		m.Obs.Counter("pano_abr_level_decisions_total", "MPC decisions by chosen level",
-			obs.L("level", levelLabel(lv))).Inc()
-	}
-	return lv
-}
-
-func levelLabel(l codec.Level) string {
-	return "L" + strconv.Itoa(int(l))
-}
-
-func (m *MPC) pickLevel(bufferSec, predBWbps, chunkSec float64, prev codec.Level, horizon []ChunkPlan) codec.Level {
 	if len(horizon) == 0 {
 		return codec.Level(codec.NumLevels - 1)
 	}
@@ -153,11 +100,6 @@ type BandwidthPredictor struct {
 	// Window is the number of recent observations used.
 	Window  int
 	samples []float64
-	// Obs, when set, records |predicted-actual|/actual into the
-	// pano_abr_bw_prediction_error_ratio histogram on every
-	// observation that follows a prediction (the §8.3 robustness
-	// variable). nil = disabled.
-	Obs *obs.Registry
 }
 
 // NewBandwidthPredictor returns a predictor over the last 5 downloads.
@@ -165,21 +107,10 @@ func NewBandwidthPredictor() *BandwidthPredictor {
 	return &BandwidthPredictor{Window: 5}
 }
 
-// BWErrorBuckets are relative-error bounds for the predicted-vs-actual
-// bandwidth histogram (0 = perfect; the paper stresses up to 40%).
-var BWErrorBuckets = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6}
-
 // Observe records a measured throughput in bits/s.
 func (p *BandwidthPredictor) Observe(bps float64) {
 	if bps <= 0 {
 		return
-	}
-	if p.Obs != nil {
-		if pred := p.Predict(); pred > 0 {
-			p.Obs.Histogram("pano_abr_bw_prediction_error_ratio",
-				"relative error of the harmonic-mean bandwidth prediction vs the next measured throughput",
-				BWErrorBuckets).Observe(math.Abs(pred-bps) / bps)
-		}
 	}
 	p.samples = append(p.samples, bps)
 	if len(p.samples) > p.Window {

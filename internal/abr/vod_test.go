@@ -78,23 +78,31 @@ func vodSessions(tb testing.TB, pl *vodPlanner) int {
 // (testdata/vod_thinned.json holds them without the video). The work is
 // pinned as a count: the frontier states kept per searched call are exact
 // and deterministic, 149 since the sweep lowers its incumbent to the plans
-// it finds (302 against the rounded LP's alone), held to at most 175.
+// it finds (302 against the rounded LP's alone), held to at most 175. That
+// mean moves with which calls search — an exit that answers a cheap call
+// without a sweep raises it while the work falls — so the work itself is
+// pinned as the pass's total over every plan call: 16 686 states, held to
+// at most 19 470 (the per-call bound's margin, 175/150).
 func TestVodSessionsSearchedExactly(t *testing.T) {
 	pl := &vodPlanner{PanoPlanner: player.NewPanoPlanner(), t: t}
 	chunks := vodSessions(t, pl)
 	perSearch := float64(pl.states) / float64(len(pl.searched))
-	t.Logf("%d calls, %d searched, %.0f frontier states per searched call", pl.calls, len(pl.searched), perSearch)
+	t.Logf("%d calls, %d searched, %.0f frontier states per searched call, %d in the pass",
+		pl.calls, len(pl.searched), perSearch, pl.states)
 	if pl.calls != chunks || len(pl.searched) < pl.calls*3/4 {
 		t.Errorf("%d calls of which %d searched: the sessions did not exercise the search", pl.calls, len(pl.searched))
 	}
 	if perSearch > 175 {
 		t.Errorf("%.0f frontier states per searched call, want at most 175", perSearch)
 	}
+	if pl.states > 19470 {
+		t.Errorf("%d frontier states over the pass, want at most 19 470", pl.states)
+	}
 }
 
 // BenchmarkVodSessionSearches times SearchPruned over the searched calls
 // of the pass TestVodSessionsSearchedExactly replays, one call per op, and
-// reports the frontier states they keep per call.
+// reports the frontier states they keep per call and over the pass.
 func BenchmarkVodSessionSearches(b *testing.B) {
 	pl := &vodPlanner{PanoPlanner: player.NewPanoPlanner()}
 	vodSessions(b, pl)
@@ -106,6 +114,7 @@ func BenchmarkVodSessionSearches(b *testing.B) {
 		sinkSearch, _ = abr.SearchPruned(c.rows, c.budget, 0)
 	}
 	b.ReportMetric(float64(pl.states)/float64(len(calls)), "states/call")
+	b.ReportMetric(float64(pl.states), "states/pass")
 }
 
 var sinkSearch abr.Allocation

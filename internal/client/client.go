@@ -16,6 +16,7 @@ import (
 	"math"
 	"net/http"
 	"slices"
+	"strconv"
 	"time"
 
 	"pano/internal/abr"
@@ -199,8 +200,8 @@ type StreamConfig struct {
 	// is effectively unbounded. 0 = no cap.
 	MaxRateBps float64
 	// Obs receives per-chunk QoE metrics (estimated PSPNR, rebuffer
-	// seconds, bytes, ABR decisions); nil disables instrumentation at
-	// zero cost.
+	// seconds, bytes) and the decision phases' latency and outcomes; nil
+	// disables instrumentation at zero cost.
 	Obs *obs.Registry
 	// Log receives structured per-chunk events and a session_summary
 	// event that fires on every exit path, success or failure, with a
@@ -226,12 +227,9 @@ type StreamConfig struct {
 	// 0 disables pacing — the historical HTTP behaviour, where the
 	// real link is the pace.
 	MaxBufferSec float64
-	// SimModel selects the chunk-level control model of the simulated
-	// sessions (sim.Run, the swarm): cold start pins prev to the lowest
-	// level, the MPC horizon uses reference-PSPNR qualities
-	// (player.MeanRefPSPNR/10) instead of level ranks, and leftover
-	// predicted capacity tops up the tile budget. Off (the default)
-	// keeps the HTTP client's historical model bit-for-bit.
+	// Deprecated: every session runs one chunk-level model (see
+	// RunSession), so nothing reads SimModel; it is kept only so that
+	// existing callers still compile.
 	SimModel bool
 	// Controller overrides the chunk-level bitrate algorithm (default:
 	// the §6.1 MPC at BufferTargetSec; abr.NewBOLA is the alternative).
@@ -325,6 +323,9 @@ func (c *Client) Stream(ctx context.Context, tr *viewport.Trace, cfg StreamConfi
 // HTTP and the wall clock, sim.Run over one emulated link and
 // internal/swarm over a logical network, both in virtual time. See
 // Stream for the loop's contract.
+// Every session runs one chunk-level model (cold start at the lowest
+// level, horizonRow's qualities, leftover capacity topping up the
+// budget), and the loop times and traces its own phases.
 func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg StreamConfig) (result *StreamResult, err error) {
 	if cfg.BufferTargetSec == 0 {
 		cfg.BufferTargetSec = 2
@@ -332,7 +333,6 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	if cfg.Planner == nil {
 		cfg.Planner = player.NewPanoPlanner()
 	}
-	cfg.Planner = player.Instrument(cfg.Planner, cfg.Obs)
 	if cfg.Clock == nil {
 		cfg.Clock = RealClock{}
 	}
@@ -440,21 +440,21 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		prof = jnd.Default()
 	}
 	ins := newFetchInstruments(cfg.Obs)
+	dec := newDecisionInstruments(cfg.Obs, cfg.Planner.Name())
 	turner, _ := tp.(Turner)
 	fetchRNG := mathx.NewRNG(pol.Seed + 0xba0ff)
 
 	est := player.NewEstimator()
 	mpc := abr.NewMPC(cfg.BufferTargetSec)
-	mpc.Obs = cfg.Obs
 	var ctrl abr.Controller = mpc
 	if cfg.Controller != nil {
 		ctrl = cfg.Controller
 	}
 	bw := abr.NewBandwidthPredictor()
-	bw.Obs = cfg.Obs
 	live := m.Live
 	livePol := cfg.Live.withDefaults(m.ChunkSec)
-	menus := horizonMemo{simModel: cfg.SimModel}
+	var liveLat *obs.Gauge
+	var menus horizonMemo
 	if n := m.NumChunks() - m.FirstChunk; !live && n > 0 {
 		if cfg.MaxChunks > 0 && cfg.MaxChunks < n {
 			n = cfg.MaxChunks
@@ -497,7 +497,8 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		}
 		// Phase: bandwidth + viewpoint estimation.
 		_, eSpan := trace.StartSpan(cctx, "estimate")
-		pred := bw.Predict()
+		raw := bw.Predict()
+		pred := raw
 		if cfg.MaxRateBps > 0 && pred > cfg.MaxRateBps {
 			pred = cfg.MaxRateBps
 		}
@@ -511,12 +512,10 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		horizon := menus.window(m, k, min(k+mpc.Horizon, m.NumChunks()))
 		var budget float64
 		if pred == 0 {
+			// Cold start pins prev so the switch penalty binds from
+			// chunk 1.
 			budget = horizon[0].Bits[codec.NumLevels-1]
-			if cfg.SimModel {
-				// Cold start pins prev so the switch penalty binds from
-				// chunk 1.
-				prev = codec.Level(codec.NumLevels - 1)
-			}
+			prev = codec.Level(codec.NumLevels - 1)
 		} else {
 			if cfg.BWErrorFrac > 0 {
 				sign := 1.0
@@ -525,21 +524,19 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 				}
 				pred *= 1 + sign*cfg.BWErrorFrac
 			}
-			lv := pickLevelCtx(cctx, ctrl, buffer, pred, m.ChunkSec, prev, horizon)
+			lv := dec.pickLevel(cctx, ctrl, buffer, pred, m.ChunkSec, prev, horizon)
 			budget = horizon[0].Bits[lv]
 			prev = lv
-			if cfg.SimModel {
-				// The level menu is coarse; fill the remaining predicted
-				// capacity so the tile allocator can spend what the link
-				// actually offers (identically for every system).
-				capacity := 0.9 * pred * (m.ChunkSec + math.Max(0, buffer-cfg.BufferTargetSec))
-				if capacity > budget {
-					budget = math.Min(capacity, horizon[0].Bits[0])
-				}
+			// The level menu is coarse; fill the remaining predicted
+			// capacity so the tile allocator can spend what the link
+			// actually offers (identically for every system).
+			capacity := 0.9 * pred * (m.ChunkSec + math.Max(0, buffer-cfg.BufferTargetSec))
+			if capacity > budget {
+				budget = math.Min(capacity, horizon[0].Bits[0])
 			}
 		}
 		// Phase: per-tile quality assignment.
-		alloc := player.PlanWithContext(cctx, cfg.Planner, m, k, view, budget)
+		alloc := dec.plan(cctx, cfg.Planner, m, k, view, budget)
 
 		// Phase: tile fetches through the resilient ladder, the first
 		// attempts sent as one turn when the transport has turns.
@@ -611,6 +608,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 				goodTime = time.Microsecond
 			}
 			thr = goodBits / goodTime.Seconds()
+			dec.predictionError(raw, thr)
 			bw.Observe(thr)
 		}
 		res.Chunks = append(res.Chunks, ChunkResult{
@@ -691,8 +689,11 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			if lat > res.LiveLatencyMaxSec {
 				res.LiveLatencyMaxSec = lat
 			}
-			cfg.Obs.Gauge("pano_client_live_latency_sec",
-				"playhead-to-edge live latency after each chunk").Set(lat)
+			if liveLat == nil {
+				liveLat = cfg.Obs.Gauge("pano_client_live_latency_sec",
+					"playhead-to-edge live latency after each chunk")
+			}
+			liveLat.Set(lat)
 			if chunkSpan != nil {
 				chunkSpan.Annotate("live_latency_sec", lat)
 			}
@@ -713,19 +714,15 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 }
 
 // horizonRow is chunk j's menu for the chunk-level controller: its size
-// at each uniform level and that level's quality.
-func horizonRow(m *manifest.Video, j int, simModel bool) abr.ChunkPlan {
+// at each uniform level and that level's quality, the area-weighted
+// reference PSPNR in dB/10 — MOS-like units, so the rebuffer and buffer
+// penalties bind (a level step is worth ~1-2 units, far less than a
+// second of stall).
+func horizonRow(m *manifest.Video, j int) abr.ChunkPlan {
 	var p abr.ChunkPlan
 	for l := 0; l < codec.NumLevels; l++ {
 		p.Bits[l] = m.ChunkBits(j, codec.Level(l))
-		if simModel {
-			// Normalize dB to MOS-like units so the rebuffer and buffer
-			// penalties bind (a level step is worth ~1-2 units, far less
-			// than a second of stall).
-			p.Quality[l] = player.MeanRefPSPNR(m, j, codec.Level(l)) / 10
-		} else {
-			p.Quality[l] = float64(codec.NumLevels - l)
-		}
+		p.Quality[l] = player.MeanRefPSPNR(m, j, codec.Level(l)) / 10
 	}
 	return p
 }
@@ -735,10 +732,9 @@ func horizonRow(m *manifest.Video, j int, simModel bool) abr.ChunkPlan {
 // sees rather than once per chunk that looks ahead to it; a live
 // refresh is a new *manifest.Video (or a longer one) and starts over.
 type horizonMemo struct {
-	simModel bool
-	m        *manifest.Video
-	rows     []abr.ChunkPlan
-	have     []bool
+	m    *manifest.Video
+	rows []abr.ChunkPlan
+	have []bool
 }
 
 // window returns the rows of chunks [lo, hi) of m, valid until the next
@@ -752,29 +748,101 @@ func (h *horizonMemo) window(m *manifest.Video, lo, hi int) []abr.ChunkPlan {
 	}
 	for j := lo; j < hi; j++ {
 		if !h.have[j] {
-			h.rows[j], h.have[j] = horizonRow(m, j, h.simModel), true
+			h.rows[j], h.have[j] = horizonRow(m, j), true
 		}
 	}
 	return h.rows[lo:hi]
 }
 
-// pickLevelCtx routes the chunk-level decision through the controller's
-// PickLevelCtx when it has one (the MPC does, opening its own "mpc"
-// span); plain controllers get wrapped in an "mpc" span here so the
-// decision phase always appears in the trace.
-func pickLevelCtx(ctx context.Context, c abr.Controller, bufferSec, predBWbps, chunkSec float64, prev codec.Level, horizon []abr.ChunkPlan) codec.Level {
-	if cc, ok := c.(abr.ContextController); ok {
-		return cc.PickLevelCtx(ctx, bufferSec, predBWbps, chunkSec, prev, horizon)
+// BWErrorBuckets are relative-error bounds for the predicted-vs-actual
+// bandwidth histogram (0 = perfect; the paper stresses up to 40%).
+var BWErrorBuckets = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6}
+
+// decisionInstruments are a session's obs handles on its two decision
+// phases, all nil without a registry. A level's decision counter is
+// resolved at that level's first pick, so no series exists before its
+// traffic.
+type decisionInstruments struct {
+	reg    *obs.Registry
+	plans  *obs.Counter                  // pano_planner_plans_total{planner}
+	planS  *obs.Histogram                // pano_planner_plan_seconds{planner}
+	pickS  *obs.Histogram                // pano_abr_decision_seconds
+	picks  [codec.NumLevels]*obs.Counter // pano_abr_level_decisions_total{level}
+	bwErrs *obs.Histogram                // pano_abr_bw_prediction_error_ratio
+}
+
+func newDecisionInstruments(reg *obs.Registry, planner string) decisionInstruments {
+	lbl := obs.L("planner", planner)
+	return decisionInstruments{
+		reg: reg,
+		plans: reg.Counter("pano_planner_plans_total",
+			"tile-level allocation calls by planner", lbl),
+		planS: reg.Histogram("pano_planner_plan_seconds",
+			"tile-level allocation latency by planner", nil, lbl),
+		pickS: reg.Histogram("pano_abr_decision_seconds",
+			"chunk-level bitrate decision latency", nil),
+		bwErrs: reg.Histogram("pano_abr_bw_prediction_error_ratio",
+			"relative error of the harmonic-mean bandwidth prediction vs the next measured throughput",
+			BWErrorBuckets),
 	}
-	if trace.FromContext(ctx) == nil {
+}
+
+// pickLevel is the chunk-level decision (§6.1's MPC step, or whichever
+// Controller the session runs). Under a traced ctx it runs inside an
+// "mpc" span annotated with the chosen level and the horizon's depth;
+// with a registry its latency, exemplar-linked to the trace, and its
+// level are recorded.
+func (d *decisionInstruments) pickLevel(ctx context.Context, c abr.Controller, bufferSec, predBWbps, chunkSec float64, prev codec.Level, horizon []abr.ChunkPlan) codec.Level {
+	if d.reg == nil && trace.FromContext(ctx) == nil {
 		return c.PickLevel(bufferSec, predBWbps, chunkSec, prev, horizon)
 	}
 	_, sp := trace.StartSpan(ctx, "mpc",
 		trace.A("buffer_sec", bufferSec), trace.A("pred_bps", predBWbps))
+	t := obs.NewTimer(nil)
 	lv := c.PickLevel(bufferSec, predBWbps, chunkSec, prev, horizon)
+	sec := t.ObserveDuration().Seconds()
 	sp.Annotate("level", int(lv))
+	sp.Annotate("horizon", len(horizon))
 	sp.End()
+	if d.reg != nil {
+		d.pickS.ObserveExemplar(sec, sp.TraceHex())
+		if d.picks[lv] == nil {
+			d.picks[lv] = d.reg.Counter("pano_abr_level_decisions_total",
+				"chunk-level decisions by chosen level", obs.L("level", "L"+strconv.Itoa(int(lv))))
+		}
+		d.picks[lv].Inc()
+	}
 	return lv
+}
+
+// plan is the per-tile quality assignment (§6.1's PSPNR assignment
+// step) under the chunk's budget. Under a traced ctx it runs inside an
+// "assign" span annotated with the plan's tile count; with a registry
+// the call is timed, exemplar-linked to the trace, and counted.
+func (d *decisionInstruments) plan(ctx context.Context, p player.Planner, m *manifest.Video, k int, view player.ChunkView, budget float64) abr.Allocation {
+	if d.reg == nil && trace.FromContext(ctx) == nil {
+		return p.Plan(m, k, view, budget)
+	}
+	_, sp := trace.StartSpan(ctx, "assign",
+		trace.A("planner", p.Name()), trace.A("budget_bits", budget))
+	t := obs.NewTimer(nil)
+	a := p.Plan(m, k, view, budget)
+	sec := t.ObserveDuration().Seconds()
+	sp.Annotate("tiles", len(a))
+	sp.End()
+	d.planS.ObserveExemplar(sec, sp.TraceHex())
+	d.plans.Inc()
+	return a
+}
+
+// predictionError records how far the harmonic-mean prediction made
+// before a chunk (pred: before MaxRateBps and BWErrorFrac) was from the
+// throughput the chunk then measured, |pred−thr|/thr, the §8.3
+// robustness variable. A chunk with no prediction records nothing.
+func (d *decisionInstruments) predictionError(pred, thr float64) {
+	if pred > 0 {
+		d.bwErrs.Observe(math.Abs(pred-thr) / thr)
+	}
 }
 
 // Stitch assembles per-tile luma buffers into a panoramic frame using

@@ -2,8 +2,10 @@ package client
 
 import (
 	"context"
+	"go/build"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -57,7 +59,7 @@ func TestStreamRecordsQoEMetrics(t *testing.T) {
 	if got := reg.CounterValue("pano_client_sessions_total", obs.L("status", "ok")); got != 1 {
 		t.Errorf("sessions ok counter = %v", got)
 	}
-	// MPC decision latency flows through from abr.
+	// The loop timed its MPC decisions.
 	if got := reg.HistogramCount("pano_abr_decision_seconds"); got == 0 {
 		t.Error("no ABR decision latency recorded")
 	}
@@ -190,5 +192,23 @@ func TestStreamUninstrumentedPaysNothing(t *testing.T) {
 	// Without Obs/Log the estimate pipeline must stay off.
 	if res.MeanEstPSPNR != 0 {
 		t.Errorf("MeanEstPSPNR computed without instrumentation: %v", res.MeanEstPSPNR)
+	}
+}
+
+// TestDecisionPackagesDoNotWatch: RunSession instruments the chunk-level
+// decision and the tile assignment itself, so the packages that make
+// them (their tests included) import neither the metrics nor the
+// tracing layer.
+func TestDecisionPackagesDoNotWatch(t *testing.T) {
+	for _, dir := range []string{"../abr", "../player"} {
+		pkg, err := build.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range slices.Concat(pkg.Imports, pkg.TestImports, pkg.XTestImports) {
+			if imp == "pano/internal/obs" || imp == "pano/internal/trace" {
+				t.Errorf("%s imports %s", dir, imp)
+			}
+		}
 	}
 }

@@ -59,8 +59,8 @@ func TestFetchTileResilientAllocatesNothing(t *testing.T) {
 }
 
 // TestHorizonMemoMatchesFresh: the memoised MPC menus are the rows the
-// loop used to rebuild per chunk, for every chunk and either control
-// model, and a manifest swap (a live refresh) recomputes them.
+// loop used to rebuild per chunk, for every chunk, and a manifest swap
+// (a live refresh) recomputes them.
 func TestHorizonMemoMatchesFresh(t *testing.T) {
 	full := fixture(t).man
 	// A second manifest with different sizes behind every row.
@@ -77,25 +77,22 @@ func TestHorizonMemoMatchesFresh(t *testing.T) {
 		swapped.Chunks[k].Tiles = tiles
 	}
 	const horizon = 3
-	for _, simModel := range []bool{false, true} {
-		memo := horizonMemo{simModel: simModel}
-		for _, m := range []*manifest.Video{full, liveCopy(full, 2, 1, true), &swapped, full} {
-			n := m.NumChunks()
-			for k := 0; k < n; k++ {
-				got := memo.window(m, k, min(k+horizon, n))
-				if len(got) != min(horizon, n-k) {
-					t.Fatalf("window(%d) has %d rows", k, len(got))
-				}
-				for i, row := range got {
-					if want := horizonRow(m, k+i, simModel); row != want {
-						t.Fatalf("simModel=%v chunk %d: memo %+v, fresh %+v", simModel, k+i, row, want)
-					}
+	var memo horizonMemo
+	for _, m := range []*manifest.Video{full, liveCopy(full, 2, 1, true), &swapped, full} {
+		n := m.NumChunks()
+		for k := 0; k < n; k++ {
+			got := memo.window(m, k, min(k+horizon, n))
+			if len(got) != min(horizon, n-k) {
+				t.Fatalf("window(%d) has %d rows", k, len(got))
+			}
+			for i, row := range got {
+				if want := horizonRow(m, k+i); row != want {
+					t.Fatalf("chunk %d: memo %+v, fresh %+v", k+i, row, want)
 				}
 			}
 		}
 	}
 	// The rows the loop reads as budgets are the manifest's own sums.
-	memo := horizonMemo{simModel: true}
 	for k := 0; k < full.NumChunks(); k++ {
 		row := memo.window(full, k, k+1)[0]
 		for l := 0; l < codec.NumLevels; l++ {
@@ -137,7 +134,7 @@ func BenchmarkRunSessionVirtual(b *testing.B) {
 				clk := NewVirtualClock(0)
 				tp := &rateTransport{m: benchMan, clk: clk, bps: topRate(benchMan) / 2}
 				res, err := RunSession(context.Background(), tp, benchView, StreamConfig{
-					Planner: bc.planner, SimModel: true, Clock: clk, MaxBufferSec: 3,
+					Planner: bc.planner, Clock: clk, MaxBufferSec: 3,
 				})
 				if err != nil || len(res.Chunks) != 8 {
 					b.Fatalf("session: %v", err)

@@ -30,7 +30,7 @@
 //	    session mean PSPNR and its Table 3 opinion-score band, as
 //	    estimated / against ground truth.
 //	pano_abr_decision_seconds
-//	    MPC chunk-level decision latency, the §6.1 runtime overhead.
+//	    chunk-level decision latency (any controller), §6.1's overhead.
 //	pano_abr_bw_prediction_error_ratio
 //	    |predicted − actual|/actual throughput, the §8.3 robustness
 //	    variable (Figure 17's throughput-error axis).
@@ -192,8 +192,8 @@
 // trace store's eviction order).
 //
 // Wiring: internal/server mounts /metrics, /debug/events, and
-// /debug/traces; internal/client.Stream, internal/sim.Run,
-// internal/abr, and internal/player accept a *Registry (nil = off);
+// /debug/traces; client.RunSession (under Stream, sim.Run and swarm)
+// takes a *Registry (nil = off) and records the decision phases itself;
 // cmd/pano-server adds optional net/http/pprof; cmd/pano-obsd
 // federates every process's /metrics into the cluster view above.
 package obs

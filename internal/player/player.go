@@ -183,7 +183,7 @@ func (p *PanoPlanner) Plan(m *manifest.Video, k int, view ChunkView, budget floa
 
 // MeanRefPSPNR returns the area-weighted mean reference PSPNR of chunk
 // k at level l — the chunk-level quality axis the MPC horizon uses
-// (the SimModel session loop normalizes it to MOS-like units).
+// (the session loop normalizes it to MOS-like units).
 func MeanRefPSPNR(m *manifest.Video, k int, l codec.Level) float64 {
 	var num, den float64
 	for i := range m.Chunks[k].Tiles {

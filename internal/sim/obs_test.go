@@ -1,12 +1,21 @@
 package sim
 
 import (
+	"context"
 	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"pano/internal/abr"
+	"pano/internal/client"
+	"pano/internal/codec"
+	"pano/internal/nettrace"
 	"pano/internal/obs"
 	"pano/internal/player"
+	"pano/internal/trace"
 )
 
 // TestRunRecordsQoEMetrics asserts the registry agrees with the run's
@@ -110,5 +119,175 @@ func TestRunNopRegistryUnchanged(t *testing.T) {
 	if plain.MeanPSPNR != instr.MeanPSPNR || plain.StallSec != instr.StallSec ||
 		plain.TotalBits != instr.TotalBits {
 		t.Errorf("instrumentation changed the result: %+v vs %+v", plain, instr)
+	}
+}
+
+// recordingController is the session's MPC with its picks counted by
+// level, so a test can hold the decision counter to them.
+type recordingController struct {
+	abr.Controller
+	picks [codec.NumLevels]int
+}
+
+func (c *recordingController) PickLevel(bufferSec, predBWbps, chunkSec float64, prev codec.Level, horizon []abr.ChunkPlan) codec.Level {
+	lv := c.Controller.PickLevel(bufferSec, predBWbps, chunkSec, prev, horizon)
+	c.picks[lv]++
+	return lv
+}
+
+// runVirtual runs one client session of the fixture's Pano manifest
+// over the emulated link in virtual time, with sim.Run's session
+// parameters and whatever cfg adds.
+func runVirtual(t *testing.T, link *nettrace.Link, cfg client.StreamConfig) *client.StreamResult {
+	t.Helper()
+	f := fixture(t)
+	clk := client.NewVirtualClock(0)
+	cfg.BufferTargetSec, cfg.MaxBufferSec, cfg.Clock = 2, 3, clk
+	cfg.Fetch = client.FetchPolicy{AttemptTimeout: time.Hour, MinAttemptTimeout: time.Hour}
+	res, err := client.RunSession(context.Background(), &client.VirtualNet{Video: f.pano, Clock: clk, Link: link},
+		f.traces[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Chunks) != f.pano.NumChunks() {
+		t.Fatalf("streamed %d of %d chunks", len(res.Chunks), f.pano.NumChunks())
+	}
+	return res
+}
+
+// replayPredictions replays the session's harmonic-mean predictions
+// from the throughputs its chunks measured: the number of chunks that
+// had a prediction above 0 before they were decided, the largest such
+// prediction, and Σ|pred−thr|/thr over the chunks that then measured a
+// throughput.
+func replayPredictions(res *client.StreamResult) (decided int, maxPred float64, errCount int, errSum float64) {
+	bw := abr.NewBandwidthPredictor()
+	for _, cr := range res.Chunks {
+		pred := bw.Predict()
+		if pred > 0 {
+			decided++
+			maxPred = math.Max(maxPred, pred)
+		}
+		if cr.Throughput > 0 {
+			if pred > 0 {
+				errCount++
+				errSum += math.Abs(pred-cr.Throughput) / cr.Throughput
+			}
+			bw.Observe(cr.Throughput)
+		}
+	}
+	return decided, maxPred, errCount, errSum
+}
+
+// TestSessionRecordsItsDecisions holds the loop's decision instruments
+// to what the session did: each level's decision counter is the MPC's
+// picks at that level, one per chunk that had a prediction; the
+// bandwidth-error histogram is the replayed raw predictions' error,
+// under a MaxRateBps cap that binds (so a capped prediction recorded
+// in place of the raw one would show); and the planner ran once per
+// chunk.
+func TestSessionRecordsItsDecisions(t *testing.T) {
+	f := fixture(t)
+	link := testLink(f, 0.35)
+	_, uncapped, _, _ := replayPredictions(runVirtual(t, link, client.StreamConfig{}))
+	limit := 0.8 * uncapped
+
+	reg := obs.NewRegistry()
+	ctl := &recordingController{Controller: abr.NewMPC(2)}
+	res := runVirtual(t, link, client.StreamConfig{Obs: reg, Controller: ctl, MaxRateBps: limit})
+	decided, maxPred, errCount, errSum := replayPredictions(res)
+	if maxPred <= limit || errCount < 3 {
+		t.Fatalf("vacuous session: max prediction %v under the %v cap, %d prediction errors", maxPred, limit, errCount)
+	}
+	total := 0
+	for l, n := range ctl.picks {
+		total += n
+		if got := reg.CounterValue("pano_abr_level_decisions_total", obs.L("level", "L"+strconv.Itoa(l))); got != float64(n) {
+			t.Errorf("level L%d: counter %v, MPC picked it %d times", l, got, n)
+		}
+	}
+	if total != decided {
+		t.Errorf("MPC decided %d chunks, %d had a prediction above 0", total, decided)
+	}
+	if got := reg.HistogramCount("pano_abr_decision_seconds"); got != uint64(decided) {
+		t.Errorf("decision latency observations %d, want %d", got, decided)
+	}
+	if got := reg.HistogramCount("pano_abr_bw_prediction_error_ratio"); got != uint64(errCount) {
+		t.Errorf("prediction error observations %d, want %d", got, errCount)
+	}
+	if got := reg.HistogramSum("pano_abr_bw_prediction_error_ratio"); math.Abs(got-errSum) > 1e-9*errSum {
+		t.Errorf("prediction error sum %v, replayed raw predictions give %v", got, errSum)
+	}
+	if got := reg.CounterValue("pano_planner_plans_total", obs.L("planner", "pano")); got != float64(len(res.Chunks)) {
+		t.Errorf("planner calls %v, want %d", got, len(res.Chunks))
+	}
+}
+
+// TestBOLASessionWatchesItsDecisions: the loop instruments whichever
+// controller the session runs, so a BOLA session shows one "mpc" span
+// per decision, under its chunk's span, and records its decision
+// latency and levels like the MPC's.
+func TestBOLASessionWatchesItsDecisions(t *testing.T) {
+	f := fixture(t)
+	reg := obs.NewRegistry()
+	tracer := trace.New(trace.Config{Seed: 5})
+	ctl := &recordingController{Controller: abr.NewBOLA(3)}
+	res := runVirtual(t, testLink(f, 0.35), client.StreamConfig{Obs: reg, Trace: tracer, Controller: ctl})
+	decided, _, _, _ := replayPredictions(res)
+	if decided < len(res.Chunks)-1 {
+		t.Fatalf("%d of %d chunks decided", decided, len(res.Chunks))
+	}
+	var td *trace.TraceData
+	for _, tr := range tracer.Traces() {
+		if tr.ID.String() == res.TraceID {
+			td = tr
+		}
+	}
+	if td == nil {
+		t.Fatalf("session trace %q not stored", res.TraceID)
+	}
+	byID := map[trace.SpanID]*trace.SpanData{}
+	for i := range td.Spans {
+		byID[td.Spans[i].ID] = &td.Spans[i]
+	}
+	spans := td.Find("mpc")
+	if len(spans) != decided {
+		t.Errorf("%d mpc spans, %d decisions", len(spans), decided)
+	}
+	for _, sp := range spans {
+		if p := byID[sp.Parent]; p == nil || p.Name != "chunk" {
+			t.Errorf("mpc span's parent is %+v, want a chunk span", p)
+		}
+		if sp.Attr("level") == nil || sp.Attr("horizon") == nil || sp.Attr("pred_bps") == nil {
+			t.Errorf("mpc span attributes %+v", sp.Attrs)
+		}
+	}
+	if got := reg.HistogramCount("pano_abr_decision_seconds"); got != uint64(decided) {
+		t.Errorf("BOLA decision latency observations %d, want %d", got, decided)
+	}
+	for l, n := range ctl.picks {
+		if got := reg.CounterValue("pano_abr_level_decisions_total", obs.L("level", "L"+strconv.Itoa(l))); got != float64(n) {
+			t.Errorf("level L%d: counter %v, BOLA picked it %d times", l, got, n)
+		}
+	}
+}
+
+// TestWatchedSessionUnchanged: a session with a registry, an event log
+// and a tracer returns the StreamResult of a bare one. The two fields
+// documented to differ are the only ones cleared: MeanEstPSPNR (computed
+// only when Obs or Log is attached) and TraceID.
+func TestWatchedSessionUnchanged(t *testing.T) {
+	f := fixture(t)
+	link := testLink(f, 0.35)
+	bare := runVirtual(t, link, client.StreamConfig{})
+	watched := runVirtual(t, link, client.StreamConfig{
+		Obs: obs.NewRegistry(), Log: obs.NewEventLog(nil, 16), Trace: trace.New(trace.Config{Seed: 9}),
+	})
+	if watched.MeanEstPSPNR <= 0 || watched.TraceID == "" {
+		t.Fatalf("session was not watched: est %v, trace %q", watched.MeanEstPSPNR, watched.TraceID)
+	}
+	watched.MeanEstPSPNR, watched.TraceID = 0, ""
+	if !reflect.DeepEqual(bare, watched) {
+		t.Errorf("watching changed the session:\nbare    %+v\nwatched %+v", bare, watched)
 	}
 }

@@ -170,7 +170,6 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 	sess, err := client.RunSession(context.Background(), tp, clientTrace, client.StreamConfig{
 		BufferTargetSec: cfg.BufferTargetSec,
 		MaxBufferSec:    cfg.BufferTargetSec + 1,
-		SimModel:        true,
 		Planner:         pl,
 		Controller:      cfg.Controller,
 		BWErrorFrac:     cfg.BWErrorFrac,

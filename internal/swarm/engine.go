@@ -354,12 +354,12 @@ func newSession(cfg *Config, p params, manifestBits float64, place *placement, w
 	if cfg.Fleet != nil {
 		tp.fleet = newFleetSim(cfg.Fleet, place, p.faultSeed, pol)
 	}
-	// sim's buffer model: a 2 s MPC target, prefetch capped at 3 s, the
-	// whole video, no cap on the bandwidth estimate.
+	// sim.Run's session parameters at its default buffer target: a 2 s
+	// MPC target, prefetch capped at 3 s, the whole video, no cap on the
+	// bandwidth estimate (the chunk-level model is every session's).
 	return tp, client.StreamConfig{
 		BufferTargetSec: 2,
 		MaxBufferSec:    3,
-		SimModel:        true,
 		Planner:         cfg.Planner,
 		Fetch:           pol,
 		Clock:           clk,
