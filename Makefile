@@ -219,7 +219,7 @@ bench: build microbench
 # benchstat or plain text tools.
 microbench:
 	@echo "## $$(git rev-parse --short HEAD 2>/dev/null || echo dirty) $$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> BENCH_micro.txt
-	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|Plan|AllocatePruned|VodSessionSearches|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|SimRun|OriginTileGET|FleetFetch|EdgeHit|ManifestWire|SamplerStep' -benchmem \
+	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|TilePMSE|Plan|AllocatePruned|VodSessionSearches|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|SimRun|OriginTileGET|FleetFetch|EdgeHit|ManifestWire|SamplerStep' -benchmem \
 		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr \
 		./internal/player ./internal/scene ./internal/codec ./internal/provider \
 		./internal/client ./internal/sim ./internal/swarm ./internal/store ./internal/fleet \

@@ -29,6 +29,7 @@ import (
 
 	"pano/internal/mathx"
 	"pano/internal/obs"
+	"pano/internal/server"
 	"pano/internal/trace"
 )
 
@@ -208,9 +209,9 @@ func (in *Injector) Profile() Profile { return in.p }
 // injector never touches (e.g. /metrics).
 func (in *Injector) endpointRule(path string) (string, Rule, bool) {
 	switch {
-	case path == "/manifest.json" || path == "/manifest.mpd":
+	case path == server.ManifestPath || path == server.MPDPath:
 		return "manifest", in.p.Manifest, true
-	case strings.HasPrefix(path, "/video/"):
+	case strings.HasPrefix(path, server.TilePrefix):
 		return "tile", in.p.Tile, true
 	}
 	return "", Rule{}, false

@@ -8,7 +8,6 @@ package client
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -89,7 +88,7 @@ func drainClose(resp *http.Response) {
 // caller's context alone — no attempt deadline — so HTTP.Timeout is
 // what bounds it.
 func (c *Client) FetchManifest(ctx context.Context) (*manifest.Video, error) {
-	resp, err := c.get(ctx, c.BaseURL+"/manifest.json", "", trace.FromContext(ctx).Traceparent())
+	resp, err := c.get(ctx, c.BaseURL+server.ManifestPath, "", trace.FromContext(ctx).Traceparent())
 	if err != nil {
 		return nil, fmt.Errorf("client: manifest: %w", err)
 	}
@@ -134,25 +133,14 @@ func (c *Client) fetchTile(ctx context.Context, k, ti int, l codec.Level, parent
 	if err != nil {
 		return nil, err
 	}
-	return checkTile(data, k, ti, l)
+	if err := server.CheckTileHeader(data, k, ti); err != nil {
+		return nil, tileErr(k, ti, l, err)
+	}
+	return data, nil
 }
 
 func tileErr(k, ti int, l codec.Level, err error) error {
 	return fmt.Errorf("client: tile %d/%d/%d: %w", k, ti, int(l), err)
-}
-
-// checkTile verifies a tile object's header names the tile asked for.
-func checkTile(data []byte, k, ti int, l codec.Level) ([]byte, error) {
-	if len(data) < 16 {
-		return nil, fmt.Errorf("client: tile %d/%d/%d: short object (%d bytes)", k, ti, int(l), len(data))
-	}
-	if gk := binary.BigEndian.Uint32(data[0:]); int(gk) != k {
-		return nil, fmt.Errorf("client: tile %d/%d/%d: header chunk mismatch %d", k, ti, int(l), gk)
-	}
-	if gt := binary.BigEndian.Uint32(data[4:]); int(gt) != ti {
-		return nil, fmt.Errorf("client: tile %d/%d/%d: header tile mismatch %d", k, ti, int(l), gt)
-	}
-	return data, nil
 }
 
 // ChunkResult records one chunk's streaming outcome.
@@ -452,7 +440,8 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	}
 	bw := abr.NewBandwidthPredictor()
 	live := m.Live
-	livePol := cfg.Live.withDefaults(m.ChunkSec)
+	livePol := cfg.Live.withDefaults(m)
+	liveIns := liveInstruments{reg: cfg.Obs}
 	var liveLat *obs.Gauge
 	var menus horizonMemo
 	if n := m.NumChunks() - m.FirstChunk; !live && n > 0 {
@@ -474,7 +463,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			// Never schedule a fetch at or past the live edge: block here
 			// polling the manifest (and let the catch-up policy move k)
 			// until chunk k is published, the feed ends, or it times out.
-			sr, lerr := liveEdgeSync(ctx, tp, clk, m, k, livePol, &buffer, res, cfg.Obs, rebufTotal, sess)
+			sr, lerr := liveEdgeSync(ctx, tp, clk, m, k, livePol, &buffer, res, &liveIns, rebufTotal, sess)
 			if lerr != nil {
 				return nil, lerr
 			}
@@ -563,7 +552,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			if first != nil {
 				span = first[ti]
 			}
-			tf, ferr := fetchTileResilient(fctx, tp, clk, k, ti, l, span, pol, buffer, k == 0, fetchRNG, ins, sess)
+			tf, ferr := fetchTileResilient(fctx, tp, clk, k, ti, l, span, pol, buffer, k == 0, fetchRNG, &ins, sess)
 			retries += tf.retries
 			if ferr != nil {
 				res.TotalRetries += retries

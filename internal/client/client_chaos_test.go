@@ -208,7 +208,7 @@ func TestFetchResilientDeadlineExpiryMidBody(t *testing.T) {
 
 	t0 := time.Now()
 	tf, err := fetchTileResilient(context.Background(), New(ts.URL), RealClock{}, 0, 0, 0,
-		trace.Reserved{}, pol, 0, true, rng, ins, el.Session())
+		trace.Reserved{}, pol, 0, true, rng, &ins, el.Session())
 	elapsed := time.Since(t0)
 	if err != nil {
 		t.Fatalf("deadline expiry must resolve to a skip, not an error: %v", err)
@@ -232,7 +232,7 @@ func TestFetchResilientDeadlineExpiryMidBody(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := fetchTileResilient(ctx, New(ts.URL), RealClock{}, 0, 0, 0,
-		trace.Reserved{}, pol, 0, true, rng, ins, el.Session()); err == nil {
+		trace.Reserved{}, pol, 0, true, rng, &ins, el.Session()); err == nil {
 		t.Error("canceled context must propagate an error")
 	}
 }

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net"
 	"net/http"
@@ -110,6 +111,23 @@ func TestFetchTileVerifiesHeader(t *testing.T) {
 	}
 	if _, err := c.FetchTile(context.Background(), 0, 9999, 2); err == nil {
 		t.Error("missing tile should error")
+	}
+	// A body that is not the tile asked for — short, or another chunk's
+	// or tile's — fails server's header check and is a truncation.
+	bodies := map[string][]byte{
+		server.TilePath(0, 1, 2): server.TilePayload(0, 1, 2, 64)[:15],
+		server.TilePath(1, 1, 2): server.TilePayload(0, 1, 2, 64),
+		server.TilePath(0, 2, 2): server.TilePayload(0, 1, 2, 64),
+	}
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(bodies[r.URL.Path])
+	}))
+	defer bad.Close()
+	for _, at := range [][2]int{{0, 1}, {1, 1}, {0, 2}} {
+		_, err := New(bad.URL).FetchTile(context.Background(), at[0], at[1], 2)
+		if !errors.Is(err, server.ErrTileHeader) || ErrorClass(err) != "truncated" {
+			t.Errorf("tile %d/%d: %v (class %q), want server.ErrTileHeader, truncated", at[0], at[1], err, ErrorClass(err))
+		}
 	}
 }
 

@@ -7,13 +7,16 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"pano/internal/codec"
 	"pano/internal/mathx"
 	"pano/internal/obs"
+	"pano/internal/server"
 	"pano/internal/trace"
 )
 
@@ -191,7 +194,7 @@ func ErrorClass(err error) string {
 	if errors.As(err, &ne) && ne.Timeout() {
 		return "timeout"
 	}
-	if errors.Is(err, io.ErrUnexpectedEOF) {
+	if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, server.ErrTileHeader) {
 		return "truncated"
 	}
 	if errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.ECONNREFUSED) ||
@@ -200,9 +203,6 @@ func ErrorClass(err error) string {
 	}
 	msg := err.Error()
 	switch {
-	case strings.Contains(msg, "short object") || strings.Contains(msg, "header chunk mismatch") ||
-		strings.Contains(msg, "header tile mismatch"):
-		return "truncated"
 	case strings.Contains(msg, "connection reset") || strings.Contains(msg, "broken pipe") ||
 		strings.Contains(msg, "EOF") || strings.Contains(msg, "stream error"):
 		return "conn_reset"
@@ -212,6 +212,9 @@ func ErrorClass(err error) string {
 	return "other"
 }
 
+// errorClasses are ErrorClass's answers, in the order of its doc.
+var errorClasses = [...]string{"timeout", "http_5xx", "http_4xx", "conn_reset", "truncated", "other"}
+
 // fetchInstruments are the per-session obs handles of the resilient
 // pipeline (all nil-safe).
 type fetchInstruments struct {
@@ -219,6 +222,9 @@ type fetchInstruments struct {
 	attempts *obs.Histogram // pano_client_tile_attempt_seconds
 	degraded *obs.Counter   // pano_client_tiles_degraded_total
 	skipped  *obs.Counter   // pano_client_tiles_skipped_total
+	// retries are pano_client_tile_retries_total{class}, one slot per
+	// errorClasses entry, each resolved at its class's first retry.
+	retries [len(errorClasses)]atomic.Pointer[obs.Counter]
 }
 
 func newFetchInstruments(reg *obs.Registry) fetchInstruments {
@@ -235,11 +241,8 @@ func newFetchInstruments(reg *obs.Registry) fetchInstruments {
 
 // retry counts one failed attempt under its error class, so chaos runs
 // aggregate by failure mode instead of raw error strings.
-func (ins fetchInstruments) retry(class string) {
-	if ins.reg == nil {
-		return
-	}
-	ins.reg.Counter("pano_client_tile_retries_total",
+func (ins *fetchInstruments) retry(class string) {
+	ins.reg.CounterIn(&ins.retries[slices.Index(errorClasses[:], class)], "pano_client_tile_retries_total",
 		"failed tile fetch attempts that were retried or degraded, by error class",
 		obs.L("class", class)).Inc()
 }
@@ -271,7 +274,7 @@ type tileFetch struct {
 // opens under span, the id a pipelined request for it already carries.
 func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int, planned codec.Level,
 	span trace.Reserved, pol FetchPolicy, bufferSec float64, startup bool, rng *mathx.RNG,
-	ins fetchInstruments, sess *slog.Logger) (outF tileFetch, outErr error) {
+	ins *fetchInstruments, sess *slog.Logger) (outF tileFetch, outErr error) {
 
 	// Spans and attribute lists are built only under a traced context,
 	// event argument lists only with a log attached (sess non-nil): the

@@ -47,7 +47,7 @@ func TestFetchTileResilientAllocatesNothing(t *testing.T) {
 	ctx := context.Background()
 	for _, planned := range []codec.Level{0, codec.Level(codec.NumLevels - 1)} {
 		allocs := testing.AllocsPerRun(100, func() {
-			tf, err := fetchTileResilient(ctx, tp, clk, 1, 0, planned, trace.Reserved{}, pol, 2, false, rng, ins, nil)
+			tf, err := fetchTileResilient(ctx, tp, clk, 1, 0, planned, trace.Reserved{}, pol, 2, false, rng, &ins, nil)
 			if err != nil || tf.skipped || tf.level != planned {
 				t.Fatalf("fetch: %+v, %v", tf, err)
 			}

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"log/slog"
+	"sync/atomic"
 	"time"
 
 	"pano/internal/manifest"
@@ -14,8 +15,8 @@ import (
 // selects defaults derived from the chunk duration.
 type LivePolicy struct {
 	// PollInterval is the manifest refresh cadence while the session is
-	// blocked at the live edge (default: half a chunk duration, matching
-	// the origin's live manifest max-age).
+	// blocked at the live edge (default: the manifest's
+	// RefreshInterval, the origin's live max-age).
 	PollInterval time.Duration
 	// MaxLatencyChunks is the live rebuffer policy: when the playhead
 	// falls further than this many chunks behind the edge (a stall, or
@@ -30,13 +31,10 @@ type LivePolicy struct {
 	EdgeTimeout time.Duration
 }
 
-func (p LivePolicy) withDefaults(chunkSec float64) LivePolicy {
-	chunk := time.Duration(chunkSec * float64(time.Second))
+func (p LivePolicy) withDefaults(m *manifest.Video) LivePolicy {
+	chunk := time.Duration(m.ChunkSec * float64(time.Second))
 	if p.PollInterval <= 0 {
-		p.PollInterval = chunk / 2
-	}
-	if p.PollInterval <= 0 {
-		p.PollInterval = 100 * time.Millisecond
+		p.PollInterval = m.RefreshInterval()
 	}
 	if p.MaxLatencyChunks <= 0 {
 		p.MaxLatencyChunks = 4
@@ -48,6 +46,18 @@ func (p LivePolicy) withDefaults(chunkSec float64) LivePolicy {
 		}
 	}
 	return p
+}
+
+// liveInstruments are a session's live-edge counters, each resolved at
+// its first use (nil-safe).
+type liveInstruments struct {
+	reg                      *obs.Registry
+	skips, timeouts, waitSec atomic.Pointer[obs.Counter]
+}
+
+func (li *liveInstruments) skip(n int) {
+	li.reg.CounterIn(&li.skips, "pano_client_live_skips_total",
+		"chunks skipped by the live catch-up policy").Add(float64(n))
 }
 
 // liveSyncResult is what one edge synchronisation resolves to.
@@ -70,7 +80,7 @@ type liveSyncResult struct {
 // out-of-reach manifest ends the session cleanly (ended=true), never
 // aborts it.
 func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Video, k int,
-	pol LivePolicy, buffer *float64, res *StreamResult, reg *obs.Registry,
+	pol LivePolicy, buffer *float64, res *StreamResult, ins *liveInstruments,
 	rebufTotal *obs.Counter, sess *slog.Logger) (liveSyncResult, error) {
 
 	var waited time.Duration
@@ -80,8 +90,7 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 		// every tile of k. Skip to the window start (at minimum).
 		if k < m.FirstChunk {
 			res.LiveSkippedChunks += m.FirstChunk - k
-			reg.Counter("pano_client_live_skips_total",
-				"chunks skipped by the live catch-up policy").Add(float64(m.FirstChunk - k))
+			ins.skip(m.FirstChunk - k)
 			if sess != nil {
 				sess.Info("live_skip", "reason", "window_expired", "from", k, "to", m.FirstChunk)
 			}
@@ -93,8 +102,7 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 			if edge-k > pol.MaxLatencyChunks {
 				to := edge - 1
 				res.LiveSkippedChunks += to - k
-				reg.Counter("pano_client_live_skips_total",
-					"chunks skipped by the live catch-up policy").Add(float64(to - k))
+				ins.skip(to - k)
 				if sess != nil {
 					sess.Info("live_skip", "reason", "latency", "from", k, "to", to)
 				}
@@ -110,7 +118,7 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 			if sess != nil {
 				sess.Warn("live_edge_timeout", "chunk", k, "waited_sec", waited.Seconds())
 			}
-			reg.Counter("pano_client_live_edge_timeouts_total",
+			ins.reg.CounterIn(&ins.timeouts, "pano_client_live_edge_timeouts_total",
 				"sessions that gave up waiting for the live edge to move").Inc()
 			return liveSyncResult{m: m, k: k, ended: true}, nil
 		}
@@ -124,7 +132,7 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 		}
 		waited += d
 		res.LiveEdgeWaitSec += d.Seconds()
-		reg.Counter("pano_client_live_edge_wait_seconds_total",
+		ins.reg.CounterIn(&ins.waitSec, "pano_client_live_edge_wait_seconds_total",
 			"seconds spent blocked at the live edge").Add(d.Seconds())
 		// Playback continues while we wait: drain the buffer, and count
 		// the dry remainder as a stall.

@@ -8,6 +8,7 @@ import (
 
 	"pano/internal/codec"
 	"pano/internal/manifest"
+	"pano/internal/obs"
 )
 
 // scriptedTransport serves a scripted sequence of manifest refreshes —
@@ -51,6 +52,32 @@ func liveCopy(m *manifest.Video, n int, seq int64, stillLive bool) *manifest.Vid
 
 func livePolicy() LivePolicy {
 	return LivePolicy{PollInterval: time.Millisecond, EdgeTimeout: 5 * time.Second}
+}
+
+// liveCountersMatch fails unless reg's live counters equal the session's
+// live figures (timeouts is how many edge timeouts it should have
+// counted), and a counter has a series only once its event happened.
+func liveCountersMatch(t *testing.T, reg *obs.Registry, res *StreamResult, timeouts float64) {
+	t.Helper()
+	want := map[string]float64{
+		"pano_client_live_skips_total":             float64(res.LiveSkippedChunks),
+		"pano_client_live_edge_timeouts_total":     timeouts,
+		"pano_client_live_edge_wait_seconds_total": res.LiveEdgeWaitSec,
+	}
+	seen := map[string]bool{}
+	for _, s := range reg.Snapshot() {
+		if w, ok := want[s.Name]; ok {
+			seen[s.Name] = true
+			if s.Value != w || w == 0 {
+				t.Errorf("%s = %v, want %v (and no series before its first event)", s.Name, s.Value, w)
+			}
+		}
+	}
+	for name, w := range want {
+		if w != 0 && !seen[name] {
+			t.Errorf("%s has no series, want %v", name, w)
+		}
+	}
 }
 
 // TestLiveSessionFollowsEdge: a session blocked at the edge resumes when
@@ -97,8 +124,9 @@ func TestLiveSessionSkipsExpiredWindow(t *testing.T) {
 		liveCopy(full, 1, 1, true),
 		slid,
 	}}
+	reg := obs.NewRegistry()
 	res, err := RunSession(context.Background(), tp, fixture(t).tr, StreamConfig{
-		Live: livePolicy(),
+		Live: livePolicy(), Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +134,7 @@ func TestLiveSessionSkipsExpiredWindow(t *testing.T) {
 	if res.LiveSkippedChunks != 1 {
 		t.Fatalf("LiveSkippedChunks = %d, want 1", res.LiveSkippedChunks)
 	}
+	liveCountersMatch(t, reg, res, 0)
 	want := []int{0, 2}
 	if len(res.Chunks) != len(want) {
 		t.Fatalf("streamed %d chunks, want %d", len(res.Chunks), len(want))
@@ -127,7 +156,8 @@ func TestLiveSessionSkipsToEdgeWhenBehind(t *testing.T) {
 	}}
 	pol := livePolicy()
 	pol.MaxLatencyChunks = 1
-	res, err := RunSession(context.Background(), tp, fixture(t).tr, StreamConfig{Live: pol})
+	reg := obs.NewRegistry()
+	res, err := RunSession(context.Background(), tp, fixture(t).tr, StreamConfig{Live: pol, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +170,7 @@ func TestLiveSessionSkipsToEdgeWhenBehind(t *testing.T) {
 	if res.LiveSkippedChunks != 1 {
 		t.Fatalf("LiveSkippedChunks = %d, want 1", res.LiveSkippedChunks)
 	}
+	liveCountersMatch(t, reg, res, 0)
 }
 
 // TestLiveSessionEdgeTimeoutEndsCleanly: a feed that dies (manifest
@@ -150,8 +181,9 @@ func TestLiveSessionEdgeTimeoutEndsCleanly(t *testing.T) {
 	tp := &scriptedTransport{full: full, script: []*manifest.Video{
 		liveCopy(full, 1, 1, true),
 	}}
+	reg := obs.NewRegistry()
 	res, err := RunSession(context.Background(), tp, fixture(t).tr, StreamConfig{
-		Live: LivePolicy{PollInterval: time.Millisecond, EdgeTimeout: 20 * time.Millisecond},
+		Live: LivePolicy{PollInterval: time.Millisecond, EdgeTimeout: 20 * time.Millisecond}, Obs: reg,
 	})
 	if err != nil {
 		t.Fatalf("dead feed aborted the session: %v", err)
@@ -161,6 +193,29 @@ func TestLiveSessionEdgeTimeoutEndsCleanly(t *testing.T) {
 	}
 	if res.LiveEdgeWaitSec <= 0 {
 		t.Fatal("no edge wait recorded before timing out")
+	}
+	liveCountersMatch(t, reg, res, 1)
+
+	// Left to its defaults, the session polls at the manifest's refresh
+	// cadence — half a chunk — for 30 chunk durations.
+	for _, chunkSec := range []float64{1, 0.5} {
+		m := liveCopy(full, 1, 1, true)
+		m.ChunkSec = chunkSec
+		tp := &scriptedTransport{full: full, script: []*manifest.Video{m}}
+		res, err := RunSession(context.Background(), tp, fixture(t).tr, StreamConfig{Clock: NewVirtualClock(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		polls := tp.calls - 1 // the first call is the session's manifest
+		want := time.Duration(chunkSec * float64(time.Second) / 2)
+		if polls == 0 || time.Duration(res.LiveEdgeWaitSec/float64(polls)*float64(time.Second)) != want ||
+			m.RefreshInterval() != want {
+			t.Errorf("%gs chunks: %d polls over %.2fs, RefreshInterval %v; want one every %v",
+				chunkSec, polls, res.LiveEdgeWaitSec, m.RefreshInterval(), want)
+		}
+		if wait := time.Duration(float64(polls) * float64(want)); wait != 30*time.Duration(chunkSec*float64(time.Second)) {
+			t.Errorf("%gs chunks: waited %v at the edge, want 30 chunks", chunkSec, wait)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ type RawResult struct {
 }
 
 // FetchRaw performs a resilient conditional GET of an arbitrary origin
-// path ("/manifest.json", "/video/0/3/1.bin", ...). When etag is
+// path (server.ManifestPath, a server.TilePath, ...). When etag is
 // non-empty the request carries If-None-Match and a 304 answer comes
 // back as NotModified — the revalidation fast path. Retryable failures
 // (5xx, transport errors, per-attempt deadline expiry) follow pol's

@@ -12,7 +12,7 @@ import (
 // expiry, which Refresh advances under the cache lock after a 304
 // revalidation.
 type Entry struct {
-	// Key is the request path ("/video/3/7/1.bin", "/manifest.json").
+	// Key is the request path (a server.TilePath, server.ManifestPath).
 	Key string
 	// Status is the origin status this entry replays: 200 for positive
 	// entries, 404 (or any other definitive non-5xx answer) for negative

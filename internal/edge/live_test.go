@@ -88,28 +88,55 @@ func TestPrefetchSkipsRetiredWindow(t *testing.T) {
 }
 
 // TestLiveManifestTTLClamped: a live manifest expires from the edge
-// cache within half a chunk, so the next client poll reaches the origin
-// and sees the moved edge; tiles keep the full TTL.
+// cache within half a chunk (manifest.Video.RefreshInterval, which the
+// origin's max-age also reads), so the next client poll reaches the
+// origin and sees the moved edge; tiles keep the full TTL.
 func TestLiveManifestTTLClamped(t *testing.T) {
-	lm := liveFixture(t, 2, 1)
-	origin := newLiveOrigin(t, lm)
-	ots := httptest.NewServer(origin)
-	defer ots.Close()
-	_, ets, _ := newEdge(t, ots.URL, nil)
+	for _, tc := range []struct {
+		chunkSec float64
+		ttl      time.Duration
+	}{{1, 500 * time.Millisecond}, {0.5, 250 * time.Millisecond}} {
+		lm := liveFixture(t, 2, 1)
+		lm.ChunkSec = tc.chunkSec
+		origin := newLiveOrigin(t, lm)
+		ots := httptest.NewServer(origin)
+		defer ots.Close()
+		e, ets, _ := newEdge(t, ots.URL, nil)
 
-	get(t, ets.URL+"/manifest.json")
-	_, _, h := get(t, ets.URL+"/manifest.json")
-	if h.Get("X-Cache") != "hit" {
-		t.Fatalf("immediate refetch X-Cache %q, want hit", h.Get("X-Cache"))
-	}
-	if got := origin.manifests.Load(); got != 1 {
-		t.Fatalf("origin manifest fetches %d, want 1", got)
-	}
-	// ChunkSec 1s → live TTL 500ms. Past it, the edge revalidates.
-	time.Sleep(600 * time.Millisecond)
-	get(t, ets.URL+"/manifest.json")
-	if got := origin.manifests.Load(); got != 2 {
-		t.Errorf("origin manifest fetches %d after live TTL, want 2", got)
+		// The origin's max-age is whole seconds: half a chunk renders 0.
+		if _, _, h := get(t, ots.URL+server.ManifestPath); h.Get("Cache-Control") != "max-age=0" {
+			t.Errorf("%gs chunks: origin Cache-Control %q, want max-age=0", tc.chunkSec, h.Get("Cache-Control"))
+		}
+		get(t, ets.URL+server.ManifestPath)
+		ent, st := e.cache.Get(server.ManifestPath, time.Now())
+		if st != Fresh {
+			t.Fatalf("%gs chunks: manifest not cached fresh (state %v)", tc.chunkSec, st)
+		}
+		if ttl := ent.expires().Sub(time.Unix(0, ent.fetchedNs.Load())); ttl != tc.ttl || lm.RefreshInterval() != tc.ttl {
+			t.Errorf("%gs chunks: edge TTL %v, RefreshInterval %v, want %v", tc.chunkSec, ttl, lm.RefreshInterval(), tc.ttl)
+		}
+		if ent, _ := e.cache.Get(server.TilePath(0, 0, 0), time.Now()); ent != nil {
+			t.Fatal("tile cached before any tile request")
+		}
+		get(t, ets.URL+server.TilePath(0, 0, 0))
+		if ent, _ := e.cache.Get(server.TilePath(0, 0, 0), time.Now()); ent == nil ||
+			ent.expires().Sub(time.Unix(0, ent.fetchedNs.Load())) != time.Minute {
+			t.Errorf("%gs chunks: a live feed's tile lost the full TTL", tc.chunkSec)
+		}
+
+		_, _, h := get(t, ets.URL+server.ManifestPath)
+		if h.Get("X-Cache") != "hit" {
+			t.Fatalf("immediate refetch X-Cache %q, want hit", h.Get("X-Cache"))
+		}
+		if got := origin.manifests.Load(); got != 2 {
+			t.Fatalf("origin manifest fetches %d, want 2 (one direct, one fill)", got)
+		}
+		// Past the live TTL, the edge revalidates.
+		time.Sleep(tc.ttl + 100*time.Millisecond)
+		get(t, ets.URL+server.ManifestPath)
+		if got := origin.manifests.Load(); got != 3 {
+			t.Errorf("origin manifest fetches %d after live TTL, want 3", got)
+		}
 	}
 }
 

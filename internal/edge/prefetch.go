@@ -155,8 +155,13 @@ func (p *prefetcher) observe(path string) {
 		return
 	}
 	// Popularity fallback: warm the tile covering this tile's center one
-	// chunk later.
-	if nti, ok := tileAtCenter(m, next, k, ti); ok {
+	// chunk later — position-stable across Pano's per-chunk variable
+	// tilings.
+	if k < 0 || ti < 0 || ti >= len(m.Chunks[k].Tiles) {
+		return
+	}
+	r := m.Chunks[k].Tiles[ti].Rect
+	if nti, ok := m.Chunks[next].TileAt((r.X0+r.X1)/2, (r.Y0+r.Y1)/2); ok {
 		p.enqueueLocked(next, nti, lv)
 	}
 }
@@ -186,28 +191,6 @@ func (d *chunkDemand) majorityLevel(fallback codec.Level) codec.Level {
 		}
 	}
 	return best
-}
-
-// tileAtCenter maps tile ti of chunk k to the tile of chunk next whose
-// rect contains ti's center — position-stable across Pano's per-chunk
-// variable tilings.
-func tileAtCenter(m *manifest.Video, next, k, ti int) (int, bool) {
-	if k < 0 || k >= m.NumChunks() || next < 0 || next >= m.NumChunks() {
-		return 0, false
-	}
-	tiles := m.Chunks[k].Tiles
-	if ti < 0 || ti >= len(tiles) {
-		return 0, false
-	}
-	r := tiles[ti].Rect
-	cx, cy := (r.X0+r.X1)/2, (r.Y0+r.Y1)/2
-	for nti := range m.Chunks[next].Tiles {
-		nr := &m.Chunks[next].Tiles[nti].Rect
-		if cx >= nr.X0 && cx < nr.X1 && cy >= nr.Y0 && cy < nr.Y1 {
-			return nti, true
-		}
-	}
-	return 0, false
 }
 
 // PredictTiles returns the tiles of chunk k under the peers' consensus

@@ -80,26 +80,37 @@ func TestPredictTiles(t *testing.T) {
 }
 
 // TestTileAtCenter: the popularity fallback's position mapping finds,
-// for every tile of chunk 0, the chunk-1 tile covering its center.
+// for every tile of chunk 0, the chunk-1 tile covering its center; a
+// demand path naming no tile of the manifest warms nothing.
 func TestTileAtCenter(t *testing.T) {
 	m, _ := fixture(t)
 	for ti := range m.Chunks[0].Tiles {
-		nti, ok := tileAtCenter(m, 1, 0, ti)
+		r := m.Chunks[0].Tiles[ti].Rect
+		cx, cy := (r.X0+r.X1)/2, (r.Y0+r.Y1)/2
+		nti, ok := m.Chunks[1].TileAt(cx, cy)
 		if !ok {
 			t.Fatalf("tile %d: no chunk-1 tile covers its center", ti)
 		}
-		r := m.Chunks[0].Tiles[ti].Rect
-		nr := m.Chunks[1].Tiles[nti].Rect
-		cx, cy := (r.X0+r.X1)/2, (r.Y0+r.Y1)/2
-		if cx < nr.X0 || cx >= nr.X1 || cy < nr.Y0 || cy >= nr.Y1 {
+		if !m.Chunks[1].Tiles[nti].Rect.Contains(cx, cy) {
 			t.Errorf("tile %d mapped to %d, whose rect misses the center", ti, nti)
 		}
 	}
-	if _, ok := tileAtCenter(m, m.NumChunks(), 0, 0); ok {
-		t.Error("out-of-range next chunk accepted")
+	e, err := New(Config{Origins: []string{"http://127.0.0.1:1"}, CacheBytes: 1 << 20, PrefetchBudget: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := tileAtCenter(m, 1, 0, len(m.Chunks[0].Tiles)); ok {
-		t.Error("out-of-range tile index accepted")
+	defer e.Close()
+	e.man.Store(m)
+	for _, path := range []string{
+		server.TilePath(-1, 0, 0),                     // out-of-range chunk
+		server.TilePath(0, len(m.Chunks[0].Tiles), 0), // out-of-range tile
+		server.TilePath(0, -1, 0),                     // negative tile
+		server.TilePath(m.NumChunks()-1, 0, 0),        // no next chunk
+	} {
+		e.pf.observe(path)
+	}
+	if n := len(e.pf.planned); n != 0 {
+		t.Errorf("demand for tiles the manifest lacks planned %d warms, want 0", n)
 	}
 }
 
@@ -157,7 +168,8 @@ func TestPrefetchPopularityFallback(t *testing.T) {
 	get(t, ets.URL+"/manifest.json")
 	get(t, ets.URL+"/video/0/0/0.bin")
 
-	nti, ok := tileAtCenter(m, 1, 0, 0)
+	r := m.Chunks[0].Tiles[0].Rect
+	nti, ok := m.Chunks[1].TileAt((r.X0+r.X1)/2, (r.Y0+r.Y1)/2)
 	if !ok {
 		t.Fatal("fixture has no position-stable successor tile")
 	}

@@ -13,6 +13,7 @@ import (
 	"pano/internal/fleet"
 	"pano/internal/manifest"
 	"pano/internal/obs"
+	"pano/internal/server"
 	"pano/internal/telemetry"
 	"pano/internal/trace"
 	"pano/internal/viewport"
@@ -240,13 +241,13 @@ func (e *Edge) CacheBytes() int64 {
 // server.
 func (e *Edge) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/manifest.json", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc(server.ManifestPath, func(w http.ResponseWriter, r *http.Request) {
 		e.proxy(&e.manifestEP, w, r)
 	})
-	mux.HandleFunc("/manifest.mpd", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc(server.MPDPath, func(w http.ResponseWriter, r *http.Request) {
 		e.proxy(&e.mpdEP, w, r)
 	})
-	mux.HandleFunc("/video/", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc(server.TilePrefix, func(w http.ResponseWriter, r *http.Request) {
 		e.proxy(&e.tileEP, w, r)
 	})
 	telemetry.Mount(mux, e.reg, e.log, e.tracer, e.cfg.Telemetry)
@@ -486,15 +487,13 @@ func (e *Edge) fill(ctx context.Context, path string, ep *endpointSeries, stale 
 		if res.Status != http.StatusOK {
 			ttl = e.cfg.NegTTL // negative caching
 		}
-		if path == "/manifest.json" && res.Status == http.StatusOK {
+		if path == server.ManifestPath && res.Status == http.StatusOK {
 			// Learn before inserting so the TTL decision can see a live
 			// manifest: a live head cached for the full positive TTL would
 			// freeze the edge for every client behind this cache. Clamp it
-			// to half a chunk, the origin's own live refresh cadence.
+			// to the live refresh cadence, the origin's own.
 			if m := e.learnManifest(res.Body); m != nil && m.Live {
-				if lt := time.Duration(m.ChunkSec / 2 * float64(time.Second)); lt > 0 && lt < ttl {
-					ttl = lt
-				}
+				ttl = min(ttl, m.RefreshInterval())
 			}
 		}
 		evicted := e.cache.Put(ent, now, ttl)

@@ -20,6 +20,7 @@ import (
 	"pano/internal/quality"
 	"pano/internal/sim"
 	"pano/internal/testbed"
+	"pano/internal/trace"
 )
 
 // Fig17aRow is one stage of the client-side CPU breakdown.
@@ -31,9 +32,12 @@ type Fig17aRow struct {
 
 // Fig17a reproduces Figure 17(a): per-chunk client CPU time split into
 // quality adaptation, downloading, decoding, and rendering, for Pano
-// vs the viewport-driven baseline. Decoding is proxied by the codec's
-// per-pixel reconstruction over the downloaded tiles; rendering by the
-// row-major tile stitch of §7.
+// vs the viewport-driven baseline. Adaptation (estimate, mpc, assign)
+// and download (fetch: the chunk's turn of tile GETs) are phases of a
+// traced three-chunk Client.Stream session, as the trace experiment
+// breaks them down. Decoding is proxied by the codec's per-pixel
+// reconstruction of the delivered tiles; rendering by the row-major
+// tile stitch of §7.
 func Fig17a(d *Dataset) ([]Fig17aRow, *Table, error) {
 	var rows []Fig17aRow
 	t := &Table{
@@ -57,37 +61,30 @@ func Fig17a(d *Dataset) ([]Fig17aRow, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		cl := tb.Client(origin.URL)
-		est := player.NewEstimator()
-
-		var adaptMs, dlMs, decodeMs, renderMs float64
-		chunks := m.NumChunks()
-		if chunks > 3 {
-			chunks = 3
+		tracer := trace.New(trace.Config{Seed: 7})
+		res, err := tb.Client(origin.URL).Stream(context.Background(), tr, client.StreamConfig{
+			Planner: planner, MaxChunks: 3, MaxRateBps: testbed.RateCap(m),
+			Fetch: testbed.LoopbackPolicy(), Trace: tracer,
+		})
+		if err != nil {
+			return nil, nil, err
 		}
-		for k := 0; k < chunks; k++ {
-			view := est.View(m, tr, k, float64(k)*m.ChunkSec)
-			budget := m.ChunkBits(k, codec.Level(1))
+		_, ph, err := sessionPhases(tracer, res.TraceID) // estimate, mpc, assign, fetch, stitch
+		if err != nil {
+			return nil, nil, err
+		}
+		adaptMs := (ph[0].TotalSec + ph[1].TotalSec + ph[2].TotalSec) * 1e3
+		dlMs := ph[3].TotalSec * 1e3
 
-			t0 := time.Now()
-			alloc := planner.Plan(m, k, view, budget)
-			adaptMs += time.Since(t0).Seconds() * 1e3
-
-			t0 = time.Now()
-			for ti, l := range alloc {
-				if _, err := cl.FetchTile(context.Background(), k, ti, l); err != nil {
-					return nil, nil, err
-				}
-			}
-			dlMs += time.Since(t0).Seconds() * 1e3
-
+		var decodeMs, renderMs float64
+		for _, ch := range res.Chunks {
+			k := ch.Chunk
 			// Decode proxy: reconstruct every tile's pixels at its level.
 			key := v.RenderFrame(k * v.FPS)
 			tiles := map[int]*frame.Frame{}
-			t0 = time.Now()
-			for ti, l := range alloc {
-				r := m.Chunks[k].Tiles[ti].Rect
-				df, err := enc.DistortRegion(key, r, l.QP())
+			t0 := time.Now()
+			for ti, l := range ch.Levels {
+				df, err := enc.DistortRegion(key, m.Chunks[k].Tiles[ti].Rect, l.QP())
 				if err != nil {
 					return nil, nil, err
 				}
@@ -96,24 +93,18 @@ func Fig17a(d *Dataset) ([]Fig17aRow, *Table, error) {
 			decodeMs += time.Since(t0).Seconds() * 1e3
 
 			t0 = time.Now()
-			dst := frame.New(m.W, m.H)
-			if err := client.Stitch(m, k, tiles, dst); err != nil {
+			if err := client.Stitch(m, k, tiles, frame.New(m.W, m.H)); err != nil {
 				return nil, nil, err
 			}
 			renderMs += time.Since(t0).Seconds() * 1e3
 		}
-		n := float64(chunks)
-		for _, st := range []struct {
-			name string
-			ms   float64
-		}{
-			{"adaptation", adaptMs / n}, {"download", dlMs / n},
-			{"decode", decodeMs / n}, {"render", renderMs / n},
-		} {
-			rows = append(rows, Fig17aRow{System: s, Stage: st.name, MsPerChunk: st.ms})
+		n := float64(len(res.Chunks))
+		cells := []string{s.String()}
+		for i, ms := range []float64{adaptMs, dlMs, decodeMs, renderMs} {
+			rows = append(rows, Fig17aRow{System: s, Stage: t.Header[i+1], MsPerChunk: ms / n})
+			cells = append(cells, f2(ms/n))
 		}
-		t.Rows = append(t.Rows, []string{s.String(),
-			f2(adaptMs / n), f2(dlMs / n), f2(decodeMs / n), f2(renderMs / n)})
+		t.Rows = append(t.Rows, cells)
 	}
 	return rows, t, nil
 }

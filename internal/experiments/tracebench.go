@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"pano/internal/player"
 	"pano/internal/provider"
@@ -64,39 +65,11 @@ func TraceBench(d *Dataset) (TraceBenchResult, *Table, error) {
 	}
 
 	res := TraceBenchResult{SimTraceID: simRes.TraceID}
-	var simTrace *trace.TraceData
-	for _, t := range tracer.Traces() {
-		if t.ID.String() == simRes.TraceID {
-			simTrace = t
-		}
+	simTrace, phases, err := sessionPhases(tracer, simRes.TraceID)
+	if err != nil {
+		return res, nil, err
 	}
-	if simTrace == nil {
-		return res, nil, fmt.Errorf("tracebench: finished trace %s missing", simRes.TraceID)
-	}
-
-	// Per-phase breakdown of the simulator session.
-	var phaseTotal float64
-	for _, ph := range tracePhases {
-		spans := simTrace.Find(ph)
-		st := PhaseStat{Phase: ph, Spans: len(spans)}
-		for _, sd := range spans {
-			s := sd.Dur.Seconds()
-			st.TotalSec += s
-			if s > st.MaxSec {
-				st.MaxSec = s
-			}
-		}
-		if st.Spans > 0 {
-			st.MeanSec = st.TotalSec / float64(st.Spans)
-		}
-		phaseTotal += st.TotalSec
-		res.Phases = append(res.Phases, st)
-	}
-	if phaseTotal > 0 {
-		for i := range res.Phases {
-			res.Phases[i].Share = res.Phases[i].TotalSec / phaseTotal
-		}
-	}
+	res.Phases = phases
 
 	// Export the trace and validate the export's shape.
 	var export bytes.Buffer
@@ -125,4 +98,40 @@ func TraceBench(d *Dataset) (TraceBenchResult, *Table, error) {
 		})
 	}
 	return res, t, nil
+}
+
+// sessionPhases finds the finished trace of the session whose hex id is
+// id and sums its spans by pipeline phase, in tracePhases order, with
+// each phase's share of the summed phase time.
+func sessionPhases(tracer *trace.Tracer, id string) (*trace.TraceData, []PhaseStat, error) {
+	traces := tracer.Traces()
+	i := slices.IndexFunc(traces, func(t *trace.TraceData) bool { return t.ID.String() == id })
+	if i < 0 {
+		return nil, nil, fmt.Errorf("finished trace %q missing", id)
+	}
+	td := traces[i]
+	var phases []PhaseStat
+	var phaseTotal float64
+	for _, ph := range tracePhases {
+		spans := td.Find(ph)
+		st := PhaseStat{Phase: ph, Spans: len(spans)}
+		for _, sd := range spans {
+			s := sd.Dur.Seconds()
+			st.TotalSec += s
+			if s > st.MaxSec {
+				st.MaxSec = s
+			}
+		}
+		if st.Spans > 0 {
+			st.MeanSec = st.TotalSec / float64(st.Spans)
+		}
+		phaseTotal += st.TotalSec
+		phases = append(phases, st)
+	}
+	if phaseTotal > 0 {
+		for i := range phases {
+			phases[i].Share = phases[i].TotalSec / phaseTotal
+		}
+	}
+	return td, phases, nil
 }

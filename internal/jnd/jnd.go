@@ -235,20 +235,6 @@ func ContentFieldWorkers(orig *frame.Frame, r geom.Rect, workers int) []float64 
 	return out
 }
 
-// MeanContentJND returns the average content-dependent JND over r —
-// the per-tile summary the provider stores offline.
-func MeanContentJND(orig *frame.Frame, r geom.Rect) float64 {
-	c := ContentField(orig, r)
-	if len(c) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range c {
-		s += v
-	}
-	return s / float64(len(c))
-}
-
 func sqrt(x float64) float64 {
 	if x <= 0 {
 		return 0

@@ -31,6 +31,7 @@ package manifest
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"pano/internal/codec"
 	"pano/internal/geom"
@@ -99,6 +100,18 @@ type Chunk struct {
 	Objects []ObjectSample `json:"objects,omitempty"`
 }
 
+// TileAt returns the index of the first tile whose rect contains pixel
+// (x, y); ok is false when none does (on a valid manifest, a pixel
+// outside the frame).
+func (c *Chunk) TileAt(x, y int) (int, bool) {
+	for i := range c.Tiles {
+		if c.Tiles[i].Rect.Contains(x, y) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
 // Video is the complete manifest.
 type Video struct {
 	Name     string  `json:"name"`
@@ -139,6 +152,13 @@ func (v *Video) LiveEdge() int { return len(v.Chunks) }
 // past-edge chunks 404 until published).
 func (v *Video) ChunkAvailable(k int) bool {
 	return k >= v.FirstChunk && k < len(v.Chunks)
+}
+
+// RefreshInterval is a live manifest's refresh cadence, half a chunk
+// floored at 100 ms: the origin's live max-age, the edge's live TTL
+// (each capped at its own) and the client's default poll.
+func (v *Video) RefreshInterval() time.Duration {
+	return max(time.Duration(v.ChunkSec*float64(time.Second)/2), 100*time.Millisecond)
 }
 
 // DurationSec returns the video duration in seconds.

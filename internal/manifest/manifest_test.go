@@ -100,6 +100,43 @@ func TestChunkBits(t *testing.T) {
 	}
 }
 
+// TestChunkTileAt: on a ragged tiling — rects of unequal size, one
+// overlapping another, a hole no rect covers — TileAt answers every
+// pixel with the first tile whose rect contains it, and ok=false only
+// where none does.
+func TestChunkTileAt(t *testing.T) {
+	const w, h = 37, 23
+	c := Chunk{Tiles: []Tile{
+		{Rect: geom.Rect{X0: 0, Y0: 0, X1: 20, Y1: 9}},
+		{Rect: geom.Rect{X0: 20, Y0: 0, X1: 37, Y1: 13}},
+		{Rect: geom.Rect{X0: 0, Y0: 9, X1: 11, Y1: 23}},
+		{Rect: geom.Rect{X0: 15, Y0: 5, X1: 30, Y1: 23}}, // under tiles 0 and 1 in part
+		{Rect: geom.Rect{X0: 30, Y0: 13, X1: 37, Y1: 23}},
+	}}
+	holes := 0
+	for y := -1; y <= h; y++ {
+		for x := -1; x <= w; x++ {
+			want, wantOK := 0, false
+			for i := range c.Tiles {
+				r := c.Tiles[i].Rect
+				if x >= r.X0 && x < r.X1 && y >= r.Y0 && y < r.Y1 {
+					want, wantOK = i, true
+					break
+				}
+			}
+			if !wantOK && x >= 0 && x < w && y >= 0 && y < h {
+				holes++
+			}
+			if got, ok := c.TileAt(x, y); got != want || ok != wantOK {
+				t.Fatalf("TileAt(%d, %d) = %d, %v; want %d, %v", x, y, got, ok, want, wantOK)
+			}
+		}
+	}
+	if holes == 0 {
+		t.Fatal("the tiling has no uncovered pixel to check")
+	}
+}
+
 func TestPowerLUTEval(t *testing.T) {
 	l := PowerLUT{ACoeff: 1, BExp: 0.2}
 	if got := l.PSPNR(60, 1); math.Abs(got-60) > 1e-9 {

@@ -146,7 +146,7 @@ const StalePMSEFactor = 2.0
 // distortion instead of their allocated level. A nil mask scores every
 // tile as delivered.
 func FramePSPNRDegraded(m *manifest.Video, k int, alloc abr.Allocation, stale []bool, view ChunkView, prof *jnd.Profile) float64 {
-	var num, den float64
+	var pool quality.PMSEPool
 	for i := range m.Chunks[k].Tiles {
 		t := &m.Chunks[k].Tiles[i]
 		ratio := 1.0
@@ -158,31 +158,22 @@ func FramePSPNRDegraded(m *manifest.Video, k int, alloc abr.Allocation, stale []
 			lv = codec.Level(codec.NumLevels - 1)
 			pmseFactor = StalePMSEFactor
 		}
-		p := EstimatePSPNR(t, lv, ratio)
-		area := float64(t.Rect.Area())
-		num += area * pmseFactor * PMSEFromPSPNR(p)
-		den += area
+		// The factor (1 or 2) scales by a power of two, which is exact:
+		// area·(factor·pmse) is area·factor·pmse to the bit.
+		pool.Add(float64(t.Rect.Area()), pmseFactor*PMSEFromPSPNR(EstimatePSPNR(t, lv, ratio)))
 	}
-	if den == 0 {
-		return 0
-	}
-	return quality.PSPNRFromPMSE(num / den)
+	return pool.PSPNR()
 }
 
 // FramePSNR is the JND-agnostic whole-panorama PSNR of a delivered
 // chunk — the "PSNR" reference predictor of Figure 8.
 func FramePSNR(m *manifest.Video, k int, alloc abr.Allocation) float64 {
-	var num, den float64
+	var pool quality.PMSEPool
 	for i := range m.Chunks[k].Tiles {
 		t := &m.Chunks[k].Tiles[i]
-		area := float64(t.Rect.Area())
-		num += area * PMSEFromPSPNR(t.PSNR[alloc[i]])
-		den += area
+		pool.Add(float64(t.Rect.Area()), PMSEFromPSPNR(t.PSNR[alloc[i]]))
 	}
-	if den == 0 {
-		return 0
-	}
-	return quality.PSPNRFromPMSE(num / den)
+	return pool.PSPNR()
 }
 
 // ViewportPSPNR scores the quality the user actually perceives for
@@ -195,7 +186,7 @@ func ViewportPSPNR(m *manifest.Video, k int, alloc abr.Allocation, actual ChunkV
 	g := geom.Frame{W: m.W, H: m.H}
 	vp := geom.DefaultViewport(actual.Center)
 	foot := vp.Footprint(g)
-	var num, den float64
+	var pool quality.PMSEPool
 	for i := range m.Chunks[k].Tiles {
 		t := &m.Chunks[k].Tiles[i]
 		overlap := 0
@@ -209,12 +200,7 @@ func ViewportPSPNR(m *manifest.Video, k int, alloc abr.Allocation, actual ChunkV
 		if prof != nil {
 			ratio = prof.ActionRatio(FactorsFor(t, actual))
 		}
-		p := EstimatePSPNR(t, alloc[i], ratio)
-		num += float64(overlap) * PMSEFromPSPNR(p)
-		den += float64(overlap)
+		pool.Add(float64(overlap), PMSEFromPSPNR(EstimatePSPNR(t, alloc[i], ratio)))
 	}
-	if den == 0 {
-		return 0
-	}
-	return quality.PSPNRFromPMSE(num / den)
+	return pool.PSPNR()
 }

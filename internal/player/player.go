@@ -41,15 +41,8 @@ type ChunkView struct {
 // TileAt returns the index of the chunk's tile containing angle a, or 0
 // if no tile matches (which cannot happen on a valid manifest).
 func TileAt(m *manifest.Video, k int, a geom.Angle) int {
-	g := geom.Frame{W: m.W, H: m.H}
-	x, y := g.ToPixel(a)
-	tiles := m.Chunks[k].Tiles
-	for i := range tiles {
-		if tiles[i].Rect.Contains(x, y) {
-			return i
-		}
-	}
-	return 0
+	i, _ := m.Chunks[k].TileAt(geom.Frame{W: m.W, H: m.H}.ToPixel(a))
+	return i
 }
 
 // FactorsFor derives the 360JND factors for one tile of chunk k under a

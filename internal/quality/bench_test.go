@@ -32,21 +32,21 @@ func runTilePSPNRBench(b *testing.B, workers int) {
 func BenchmarkTilePSPNRSerial(b *testing.B)   { runTilePSPNRBench(b, 1) }
 func BenchmarkTilePSPNRParallel(b *testing.B) { runTilePSPNRBench(b, 0) }
 
-// BenchmarkTilePSPNRCached measures the steady-state cost with a warm
+// BenchmarkTilePMSECached measures the steady-state cost with a warm
 // per-chunk field cache: only PMSE and the JND scaling remain.
-func BenchmarkTilePSPNRCached(b *testing.B) {
+func BenchmarkTilePMSECached(b *testing.B) {
 	rng := mathx.NewRNG(0xBE9C)
 	orig := randFrame(rng, benchW, benchH)
 	enc := perturb(rng, orig, 12)
 	r := geom.Rect{X1: benchW, Y1: benchH}
 	cache := jnd.NewFieldCache(4, nil)
-	if _, err := TilePSPNRCached(jnd.Default(), cache, "k", orig, enc, r, jnd.Factors{}); err != nil {
+	if _, err := TilePMSE(jnd.Default(), cache, "k", orig, enc, r, jnd.Factors{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TilePSPNRCached(jnd.Default(), cache, "k", orig, enc, r, jnd.Factors{}); err != nil {
+		if _, err := TilePMSE(jnd.Default(), cache, "k", orig, enc, r, jnd.Factors{}); err != nil {
 			b.Fatal(err)
 		}
 	}

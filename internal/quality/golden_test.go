@@ -69,7 +69,6 @@ const (
 	goldenField0      = 9.477561938604461
 	goldenFieldMid    = 9.334918122363387
 	goldenFieldLast   = 7.6484375
-	goldenMeanContent = 5.57219744914546
 	goldenPMSEFull    = 2.2863449514322274
 	goldenPSPNRFull   = 44.53938605849036
 	goldenPSPNRMoving = 70.37739992993632
@@ -110,7 +109,7 @@ func TestGoldenPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pmseSub, err := TilePMSE(jnd.Default(), orig, encSub, sub, jnd.Factors{})
+	pmseSub, err := TilePMSE(jnd.Default(), nil, "", orig, encSub, sub, jnd.Factors{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +117,11 @@ func TestGoldenPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggregate := AggregatePSPNR(
-		[]float64{pmseFull, pmseSub, 25},
-		[]float64{float64(full.Area()), float64(sub.Area()), 512})
+	var pool PMSEPool
+	pool.Add(float64(full.Area()), pmseFull)
+	pool.Add(float64(sub.Area()), pmseSub)
+	pool.Add(512, 25)
+	aggregate := pool.PSPNR()
 
 	if os.Getenv("PANO_GOLDEN_PRINT") != "" {
 		t.Logf("goldenFieldLen    = %d", len(field))
@@ -128,7 +129,6 @@ func TestGoldenPipeline(t *testing.T) {
 		t.Logf("goldenField0      = %v", field[0])
 		t.Logf("goldenFieldMid    = %v", field[len(field)/2])
 		t.Logf("goldenFieldLast   = %v", field[len(field)-1])
-		t.Logf("goldenMeanContent = %v", jnd.MeanContentJND(orig, full))
 		t.Logf("goldenPMSEFull    = %v", pmseFull)
 		t.Logf("goldenPSPNRFull   = %v", pspnrFull)
 		t.Logf("goldenPSPNRMoving = %v", pspnrMoving)
@@ -147,14 +147,13 @@ func TestGoldenPipeline(t *testing.T) {
 		{"field[0]", field[0], goldenField0},
 		{"field[mid]", field[len(field)/2], goldenFieldMid},
 		{"field[last]", field[len(field)-1], goldenFieldLast},
-		{"MeanContentJND", jnd.MeanContentJND(orig, full), goldenMeanContent},
 		{"PMSE full", pmseFull, goldenPMSEFull},
 		{"TilePSPNR static", pspnrFull, goldenPSPNRFull},
 		{"TilePSPNR moving", pspnrMoving, goldenPSPNRMoving},
 		{"TilePSPNR nil profile", pspnrNil, goldenPSPNRNilPro},
 		{"TilePMSE sub", pmseSub, goldenPMSESub},
 		{"TilePSPNR sub", pspnrSub, goldenPSPNRSub},
-		{"AggregatePSPNR", aggregate, goldenAggregate},
+		{"PMSEPool", aggregate, goldenAggregate},
 	}
 	if len(field) != goldenFieldLen {
 		t.Errorf("field len = %d, want %d", len(field), goldenFieldLen)

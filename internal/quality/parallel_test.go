@@ -89,33 +89,25 @@ func TestTilePSPNRSerialParallelAndCachedAgree(t *testing.T) {
 		enc := perturb(rng, sub, 25)
 		f := jnd.Factors{SpeedDegS: rng.Range(0, 20), LumaChange: rng.Range(0, 100)}
 
-		ref, err := TilePSPNR(prof, orig, enc, r, f)
+		pmseRef, err := TilePMSE(prof, nil, "", orig, enc, r, f)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if ref, err := TilePSPNR(prof, orig, enc, r, f); err != nil || ref != PSPNRFromPMSE(pmseRef) {
+			t.Fatalf("trial %d: TilePSPNR %v (%v), want PSPNRFromPMSE(TilePMSE) %v", trial, ref, err, PSPNRFromPMSE(pmseRef))
+		}
 		cache := jnd.NewFieldCache(8, nil)
 		for pass := 0; pass < 2; pass++ { // second pass is a cache hit
-			got, err := TilePSPNRCached(prof, cache, "k", orig, enc, r, f)
+			got, err := TilePMSE(prof, cache, "k", orig, enc, r, f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != ref {
-				t.Fatalf("trial %d pass %d: cached PSPNR %v, want %v", trial, pass, got, ref)
+			if got != pmseRef {
+				t.Fatalf("trial %d pass %d: cached PMSE %v, want %v", trial, pass, got, pmseRef)
 			}
 		}
 		if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
 			t.Fatalf("trial %d: cache stats (%v, %v), want (1, 1)", trial, hits, misses)
-		}
-		pmseRef, err := TilePMSE(prof, orig, enc, r, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pmseCached, err := tilePMSE(prof, cache, "k", orig, enc, r, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pmseCached != pmseRef {
-			t.Fatalf("trial %d: cached PMSE %v, want %v", trial, pmseCached, pmseRef)
 		}
 	}
 }
@@ -129,11 +121,11 @@ func TestTilePSPNRDegenerateRectsMatchSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := perturb(rng, sub, 30)
-	want, err := TilePSPNR(nil, orig, enc, onePix, jnd.Factors{})
+	want, err := TilePMSE(nil, nil, "", orig, enc, onePix, jnd.Factors{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TilePSPNRCached(nil, jnd.NewFieldCache(2, nil), "k", orig, enc, onePix, jnd.Factors{})
+	got, err := TilePMSE(nil, jnd.NewFieldCache(2, nil), "k", orig, enc, onePix, jnd.Factors{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +136,7 @@ func TestTilePSPNRDegenerateRectsMatchSerial(t *testing.T) {
 	// Empty and out-of-bounds rects error identically, never panic.
 	for _, r := range []geom.Rect{{}, {X0: 3, Y0: 3, X1: 3, Y1: 9}, {X0: -2, Y0: 0, X1: 4, Y1: 4}} {
 		_, err1 := TilePSPNR(nil, orig, enc, r, jnd.Factors{})
-		_, err2 := TilePSPNRCached(nil, jnd.NewFieldCache(2, nil), "k", orig, enc, r, jnd.Factors{})
+		_, err2 := TilePMSE(nil, jnd.NewFieldCache(2, nil), "k", orig, enc, r, jnd.Factors{})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("rect %v: serial err %v vs cached err %v", r, err1, err2)
 		}

@@ -95,32 +95,18 @@ func ScaleField(field []float64, k float64) []float64 {
 // content JND from orig scaled by the action ratio of factors f under
 // profile p. Pass a nil profile for traditional (content-only) PSPNR.
 func TilePSPNR(p *jnd.Profile, orig *frame.Frame, enc *frame.Frame, r geom.Rect, f jnd.Factors) (float64, error) {
-	pmse, err := tilePMSE(p, nil, "", orig, enc, r, f)
+	pmse, err := TilePMSE(p, nil, "", orig, enc, r, f)
 	if err != nil {
 		return 0, err
 	}
 	return PSPNRFromPMSE(pmse), nil
 }
 
-// TilePSPNRCached is TilePSPNR with the content-JND field served from
-// cache under (chunkKey, r); chunkKey must identify the original
-// pixels (e.g. video name + frame index). A nil cache computes fresh.
-func TilePSPNRCached(p *jnd.Profile, cache *jnd.FieldCache, chunkKey string, orig *frame.Frame, enc *frame.Frame, r geom.Rect, f jnd.Factors) (float64, error) {
-	pmse, err := tilePMSE(p, cache, chunkKey, orig, enc, r, f)
-	if err != nil {
-		return 0, err
-	}
-	return PSPNRFromPMSE(pmse), nil
-}
-
-// TilePMSE is TilePSPNR but returns the raw perceptible MSE, which the
-// tile-level allocator aggregates area-weighted before converting to dB
-// (§6.1).
-func TilePMSE(p *jnd.Profile, orig *frame.Frame, enc *frame.Frame, r geom.Rect, f jnd.Factors) (float64, error) {
-	return tilePMSE(p, nil, "", orig, enc, r, f)
-}
-
-func tilePMSE(p *jnd.Profile, cache *jnd.FieldCache, chunkKey string, orig *frame.Frame, enc *frame.Frame, r geom.Rect, f jnd.Factors) (float64, error) {
+// TilePMSE is TilePSPNR's perceptible MSE (Equations 2–4), before a
+// chunk pools it (PMSEPool), with the content field served from cache
+// under (chunkKey, r). chunkKey must identify the original pixels (e.g.
+// video name + frame index); a nil cache computes the field fresh.
+func TilePMSE(p *jnd.Profile, cache *jnd.FieldCache, chunkKey string, orig *frame.Frame, enc *frame.Frame, r geom.Rect, f jnd.Factors) (float64, error) {
 	content := cache.ContentField(chunkKey, orig, r)
 	ratio := 1.0
 	if p != nil {
@@ -134,21 +120,23 @@ func tilePMSE(p *jnd.Profile, cache *jnd.FieldCache, chunkKey string, orig *fram
 	return PMSE(sub, enc, field)
 }
 
-// AggregatePSPNR combines per-tile PMSEs into the chunk PSPNR of §6.1:
-// P = 20·log10(255/sqrt(M)) with M the area-weighted mean of tile PMSEs.
-func AggregatePSPNR(pmses, areas []float64) float64 {
-	if len(pmses) == 0 || len(pmses) != len(areas) {
+// PMSEPool pools tile PMSEs into a chunk's PSPNR (§6.1): Equation 1 of
+// their mean weighted by area (or viewport overlap). Every chunk-level
+// PSPNR, estimated or measured, pools through it; the zero value is empty.
+type PMSEPool struct{ num, den float64 }
+
+// Add pools pmse under weight w.
+func (p *PMSEPool) Add(w, pmse float64) {
+	p.num += w * pmse
+	p.den += w
+}
+
+// PSPNR returns the pooled PSPNR, or 0 when no weight was added.
+func (p *PMSEPool) PSPNR() float64 {
+	if p.den == 0 {
 		return 0
 	}
-	var num, den float64
-	for i := range pmses {
-		num += pmses[i] * areas[i]
-		den += areas[i]
-	}
-	if den == 0 {
-		return 0
-	}
-	return PSPNRFromPMSE(num / den)
+	return PSPNRFromPMSE(p.num / p.den)
 }
 
 // MOS bands of Table 3: PSPNR ≤45 → 1, 46–53 → 2, 54–61 → 3,

@@ -8,6 +8,7 @@ import (
 	"pano/internal/frame"
 	"pano/internal/geom"
 	"pano/internal/jnd"
+	"pano/internal/mathx"
 	"pano/internal/scene"
 )
 
@@ -147,24 +148,75 @@ func TestTilePSPNRMonotoneInQP(t *testing.T) {
 	}
 }
 
-func TestAggregatePSPNR(t *testing.T) {
+func TestPMSEPool(t *testing.T) {
+	pooled := func(pmses, areas []float64) float64 {
+		var pool PMSEPool
+		for i := range pmses {
+			pool.Add(areas[i], pmses[i])
+		}
+		return pool.PSPNR()
+	}
 	// Equal areas, PMSEs 4 and 16 -> mean 10.
-	got := AggregatePSPNR([]float64{4, 16}, []float64{100, 100})
+	got := pooled([]float64{4, 16}, []float64{100, 100})
 	want := PSPNRFromPMSE(10)
 	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("aggregate = %v, want %v", got, want)
+		t.Errorf("pooled = %v, want %v", got, want)
 	}
 	// Weighting matters.
-	skew := AggregatePSPNR([]float64{4, 16}, []float64{300, 100})
-	if skew <= got {
+	if skew := pooled([]float64{4, 16}, []float64{300, 100}); skew <= got {
 		t.Error("weighting toward the better tile should raise PSPNR")
 	}
 	// Degenerate inputs.
-	if AggregatePSPNR(nil, nil) != 0 {
-		t.Error("empty aggregate should be 0")
+	if pooled(nil, nil) != 0 {
+		t.Error("an empty pool should be 0")
 	}
-	if AggregatePSPNR([]float64{1}, []float64{0}) != 0 {
+	if pooled([]float64{1}, []float64{0}) != 0 {
 		t.Error("zero total area should be 0")
+	}
+
+	// PMSEPool is bit-equal to the inline poolings it replaced: area·pmse
+	// (the estimators and the pixel scorer), pmse·area (the deleted
+	// AggregatePSPNR) and a stale tile's area·factor·pmse over area alone
+	// (FramePSPNRDegraded), on random areas, overlaps and PMSEs.
+	rng := mathx.NewRNG(45)
+	for trial := 0; trial < 2000; trial++ {
+		var pool, stale PMSEPool
+		var num, den, aggNum, staleNum float64
+		for range 1 + rng.Intn(72) {
+			w := float64(1 + rng.Intn(400*200))
+			if rng.Intn(8) == 0 {
+				w = float64(rng.Intn(3)) // thin overlaps, zero included
+			}
+			pmse := math.Exp(rng.Range(-12, 10))
+			factor := 1.0
+			if rng.Intn(3) == 0 {
+				factor = 2 // player.StalePMSEFactor
+			}
+			pool.Add(w, pmse)
+			num += w * pmse
+			den += w
+			aggNum += pmse * w
+			stale.Add(w, factor*pmse)
+			staleNum += w * factor * pmse
+		}
+		old := func(num, den float64) float64 {
+			if den == 0 {
+				return 0
+			}
+			return PSPNRFromPMSE(num / den)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"area·pmse", pool.PSPNR(), old(num, den)},
+			{"pmse·area", pool.PSPNR(), old(aggNum, den)},
+			{"area·factor·pmse", stale.PSPNR(), old(staleNum, den)},
+		} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Fatalf("trial %d %s: pooled %v, inline %v", trial, c.name, c.got, c.want)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"pano/internal/codec"
 	"pano/internal/manifest"
@@ -58,20 +57,4 @@ func NewBackend(b Backend, opts ...Option) (*Server, error) {
 		return nil, fmt.Errorf("server: backend: %w", err)
 	}
 	return newServer(man, b, opts), nil
-}
-
-// liveManifestMaxAge shortens the manifest's advertised freshness while
-// a feed is live: a manifest cached for the VOD default (60 s) would
-// hide half a minute of published chunks from every client behind an
-// edge. Half a chunk duration keeps refresh latency under one chunk
-// without hammering the origin; immutable tiles keep the full TTL.
-func liveManifestMaxAge(chunkSec float64, def time.Duration) time.Duration {
-	d := time.Duration(chunkSec * float64(time.Second) / 2)
-	if d < 100*time.Millisecond {
-		d = 100 * time.Millisecond
-	}
-	if d > def {
-		d = def
-	}
-	return d
 }

@@ -4,9 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -125,6 +129,53 @@ func TestParseTilePathMatchesSplit(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// objectPathLiteral matches an object path written out as a quoted
+// literal instead of through ManifestPath, MPDPath or TilePrefix.
+var objectPathLiteral = regexp.MustCompile(`"/manifest\.json"|"/manifest\.mpd"|"/video/`)
+
+// TestObjectPathsHaveOneHome: the object paths are written out once,
+// here. Non-test Go outside this package and benchmark/ (which calls the
+// program as it stands) names them through the constants, so a renamed
+// path is one edit.
+func TestObjectPathsHaveOneHome(t *testing.T) {
+	files := 0
+	err := filepath.WalkDir(filepath.Join("..", ".."), func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", "benchmark", ".bench_build", "testdata":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		files++
+		if filepath.Dir(path) == filepath.Join("..", "..", "internal", "server") {
+			return nil // this package
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if lit := objectPathLiteral.FindString(line); lit != "" {
+				t.Errorf("%s:%d writes %s; use server.ManifestPath, MPDPath or TilePrefix", path, i+1, lit)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 100 {
+		t.Fatalf("scan found %d non-test Go files; the scan is broken", files)
 	}
 }
 

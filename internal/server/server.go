@@ -44,6 +44,15 @@ type Server struct {
 	lastModified []string
 }
 
+// The object paths Handler serves (§6.2's plain objects at fixed paths);
+// every hop that routes, caches, places, counts or fault-injects by
+// path names them through these.
+const (
+	ManifestPath = "/manifest.json"
+	MPDPath      = "/manifest.mpd"
+	TilePrefix   = "/video/"
+)
+
 // maxAge is the freshness lifetime advertised in Cache-Control on
 // manifest and tile responses: downstream HTTP caches — the
 // internal/edge tier included — revalidate with If-None-Match after this
@@ -164,9 +173,9 @@ func (b *memBackend) Tile(k, ti int, l codec.Level) (TileStat, func() ([]byte, e
 // whichever of WithObs, WithEventLog, WithTracer, WithTelemetry is set.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/manifest.json", s.instrument("manifest", s.handleManifest))
-	mux.HandleFunc("/manifest.mpd", s.instrument("mpd", s.handleMPD))
-	mux.HandleFunc("/video/", s.instrument("tile", s.handleTile))
+	mux.HandleFunc(ManifestPath, s.instrument("manifest", s.handleManifest))
+	mux.HandleFunc(MPDPath, s.instrument("mpd", s.handleMPD))
+	mux.HandleFunc(TilePrefix, s.instrument("tile", s.handleTile))
 	telemetry.Mount(mux, s.reg, s.log, s.tracer, s.tel)
 	return mux
 }
@@ -292,9 +301,10 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 	}
 	control := cacheControl
 	if man.Live {
-		// A live manifest changes every publish; don't let caches
-		// hold it for the VOD lifetime.
-		control = []string{maxAgeValue(liveManifestMaxAge(man.ChunkSec, maxAge))}
+		// A live manifest changes every publish: a manifest cached for
+		// the VOD lifetime would hide published chunks from every client
+		// behind an edge. Immutable tiles keep the full lifetime.
+		control = []string{maxAgeValue(min(man.RefreshInterval(), maxAge))}
 	}
 	s.cacheHeaders(w, etag, control)
 	if obs.ETagMatch(r.Header.Get("If-None-Match"), etag) {
@@ -341,6 +351,23 @@ func TilePayload(k, ti int, l codec.Level, size int) []byte {
 	return buf
 }
 
+// ErrTileHeader marks a tile object whose header does not name the tile
+// asked for: a short or misrouted body.
+var ErrTileHeader = errors.New("bad tile header")
+
+// CheckTileHeader verifies that data is tile (k, ti)'s object: at least
+// TilePayload's 16-byte header, naming that chunk and tile. Its errors
+// wrap ErrTileHeader.
+func CheckTileHeader(data []byte, k, ti int) error {
+	if len(data) < 16 {
+		return fmt.Errorf("%w: short object (%d bytes)", ErrTileHeader, len(data))
+	}
+	if gk, gt := binary.BigEndian.Uint32(data[0:]), binary.BigEndian.Uint32(data[4:]); int(gk) != k || int(gt) != ti {
+		return fmt.Errorf("%w: it names tile %d/%d", ErrTileHeader, gk, gt)
+	}
+	return nil
+}
+
 // TileETag returns the strong entity tag of a tile object. TilePayload
 // is a pure function of (chunk, tile, level, size), so a mix of exactly
 // those inputs identifies the content without generating it — the 304
@@ -374,7 +401,7 @@ func TileETag(k, ti int, l codec.Level, size int) string {
 // every tile request at the origin and allocates nothing for a path
 // that parses.
 func ParseTilePath(path string) (chunk, tile int, level codec.Level, err error) {
-	c, rest, ok := strings.Cut(strings.TrimPrefix(path, "/video/"), "/")
+	c, rest, ok := strings.Cut(strings.TrimPrefix(path, TilePrefix), "/")
 	t, lv, ok2 := strings.Cut(rest, "/")
 	if !ok || !ok2 || strings.IndexByte(lv, '/') >= 0 || !strings.HasSuffix(lv, ".bin") {
 		return 0, 0, 0, fmt.Errorf("server: bad tile path %q", path)
@@ -403,7 +430,7 @@ func TilePath(chunk, tile int, level codec.Level) string {
 // AppendTilePath appends TilePath's rendering to dst, for callers that
 // only look the path up (a catalog keyed by it) and need no string.
 func AppendTilePath(dst []byte, chunk, tile int, level codec.Level) []byte {
-	dst = append(dst, "/video/"...)
+	dst = append(dst, TilePrefix...)
 	dst = strconv.AppendInt(dst, int64(chunk), 10)
 	dst = append(dst, '/')
 	dst = strconv.AppendInt(dst, int64(tile), 10)

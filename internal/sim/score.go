@@ -48,16 +48,7 @@ func pixelFramePSPNR(m *manifest.Video, v *scene.Video, k int, alloc abr.Allocat
 	g := geom.Frame{W: m.W, H: m.H}
 	cells := tiling.Grid12x24.Rects(m.W, m.H)
 
-	tileAt := func(x, y int) int {
-		for i := range m.Chunks[k].Tiles {
-			if m.Chunks[k].Tiles[i].Rect.Contains(x, y) {
-				return i
-			}
-		}
-		return 0
-	}
-
-	var num, den float64
+	var pool quality.PMSEPool
 	for _, cell := range cells {
 		cx, cy := (cell.X0+cell.X1)/2, (cell.Y0+cell.Y1)/2
 		a := g.ToAngle(cx, cy)
@@ -68,33 +59,23 @@ func pixelFramePSPNR(m *manifest.Video, v *scene.Video, k int, alloc abr.Allocat
 		} else {
 			depth = v.BgDepthAt(a)
 		}
-		ratio := prof.ActionRatio(jnd.Factors{
+		factors := jnd.Factors{
 			SpeedDegS:  math.Abs(vpSpeed - objSpeed),
 			DoFDiff:    math.Abs(depth - focusDoF),
 			LumaChange: lumaSwing,
-		})
-
-		qp := alloc[tileAt(cx, cy)].QP()
-		encCell, err := enc.DistortRegion(orig, cell, qp)
+		}
+		ti, _ := m.Chunks[k].TileAt(cx, cy)
+		encCell, err := enc.DistortRegion(orig, cell, alloc[ti].QP())
 		if err != nil {
 			continue
 		}
-		origCell, err := orig.Region(cell)
+		pmse, err := quality.TilePMSE(prof, cache, cacheKey, orig, encCell, cell, factors)
 		if err != nil {
 			continue
 		}
-		field := quality.ScaleField(cache.ContentField(cacheKey, orig, cell), ratio)
-		pmse, err := quality.PMSE(origCell, encCell, field)
-		if err != nil {
-			continue
-		}
-		num += float64(cell.Area()) * pmse
-		den += float64(cell.Area())
+		pool.Add(float64(cell.Area()), pmse)
 	}
-	if den == 0 {
-		return 0
-	}
-	return quality.PSPNRFromPMSE(num / den)
+	return pool.PSPNR()
 }
 
 // maxLumaSwing is the ground-truth luminance change of the viewport

@@ -52,7 +52,7 @@ func newPlacement(m *manifest.Video, fc *FleetConfig) *placement {
 	}
 	ring := fleet.NewRing(names, 0) // the fleet's default vnode count
 	p := &placement{tiles: make([][][codec.NumLevels][]int, m.NumChunks())}
-	p.manifest = ring.Order(ring.Key("/manifest.json"))
+	p.manifest = ring.Order(ring.Key(server.ManifestPath))
 	for k := range p.tiles {
 		p.tiles[k] = make([][codec.NumLevels][]int, len(m.Chunks[k].Tiles))
 		for ti := range p.tiles[k] {

@@ -4,9 +4,9 @@
 // multi-hop experiment needs and none should hand-roll: tile counter,
 // kill switch, middleware order, pooled transports, breaker poll, Close.
 // Every server it starts speaks HTTP/1.1 and h2c; its session clients
-// speak h2c through a recording transport, which Client.Stream's
-// concurrent turns go through like any request, and its edges reach
-// their origins over HTTP/1.1.
+// share one h2c transport (client.H2C), which Client.Stream's concurrent
+// turns go through like any request, and its edges reach their origins
+// over HTTP/1.1.
 package testbed
 
 import (
@@ -129,7 +129,7 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if o.down.Load() {
 		panic(http.ErrAbortHandler)
 	}
-	if strings.HasPrefix(r.URL.Path, "/video/") {
+	if strings.HasPrefix(r.URL.Path, server.TilePrefix) {
 		o.tiles.Add(1)
 	}
 	o.h.ServeHTTP(w, r)

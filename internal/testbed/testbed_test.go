@@ -145,6 +145,12 @@ func TestH2CResetsAreClassedAsInjected(t *testing.T) {
 			if got := creg.CounterSum("pano_client_tile_retries_total"); got != float64(res.TotalRetries) || got != injected {
 				t.Errorf("%v retries in all, %d in the result, %v injected", got, res.TotalRetries, injected)
 			}
+			// A class's series exists only once it has a retry.
+			for _, s := range creg.Snapshot() {
+				if s.Name == "pano_client_tile_retries_total" && (s.Labels[0].Value != tc.class || s.Value == 0) {
+					t.Errorf("retries series %s = %v, want only %s, nonzero", s.Key, s.Value, tc.class)
+				}
+			}
 		})
 	}
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // runPlanBench scores the 12×24 unit grid with a real pixel kernel
-// (mean content-JND per unit tile, as the provider's Equation-5 scoring
-// does) so the benchmark reflects what Plan actually parallelizes.
+// (the summed content-JND field of each unit tile, the field the
+// provider's Equation-5 scoring reads) so the benchmark reflects what
+// Plan actually parallelizes.
 func runPlanBench(b *testing.B, workers int) {
 	const w, h = 960, 480
 	rng := mathx.NewRNG(0xBE9C)
@@ -23,7 +24,11 @@ func runPlanBench(b *testing.B, workers int) {
 	full := geom.Rect{X1: w, Y1: h}
 	score := func(r, c int) float64 {
 		u := UnitRect{R0: r, C0: c, R1: r + 1, C1: c + 1}
-		return jnd.MeanContentJND(f, u.Pixels(w, h, UnitRows, UnitCols).Intersect(full))
+		var s float64
+		for _, v := range jnd.ContentField(f, u.Pixels(w, h, UnitRows, UnitCols).Intersect(full)) {
+			s += v
+		}
+		return s
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
