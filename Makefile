@@ -207,7 +207,9 @@ bench: build microbench
 # the PMSE kernel per level over one frame's 30 tiles, one chunk, one
 # video), the virtual-time session loop (one session,
 # one netem tile, and BenchmarkSimRun: one sim.Run over the golden
-# fixture, the loop vod_session runs), the request path hop by hop (BenchmarkOriginTileGET:
+# fixture, the loop vod_session runs, per tier of watching — bare,
+# metrics, metrics_events and traced — so each tier's cost over bare
+# reads off one run), the request path hop by hop (BenchmarkOriginTileGET:
 # a store-backed origin's tile GET into a recorder; BenchmarkFleetFetch:
 # one Fetch over loopback through two origins; BenchmarkEdgeHit: a cache
 # hit over loopback, with and without a registry), the manifest's

@@ -88,7 +88,7 @@ func drainClose(resp *http.Response) {
 // caller's context alone — no attempt deadline — so HTTP.Timeout is
 // what bounds it.
 func (c *Client) FetchManifest(ctx context.Context) (*manifest.Video, error) {
-	resp, err := c.get(ctx, c.BaseURL+server.ManifestPath, "", trace.FromContext(ctx).Traceparent())
+	resp, err := c.get(ctx, c.BaseURL+server.ManifestPath, "")
 	if err != nil {
 		return nil, fmt.Errorf("client: manifest: %w", err)
 	}
@@ -112,12 +112,7 @@ func (c *Client) FetchManifest(ctx context.Context) (*manifest.Video, error) {
 
 // FetchTile downloads one tile object and verifies its header.
 func (c *Client) FetchTile(ctx context.Context, k, ti int, l codec.Level) ([]byte, error) {
-	return c.fetchTile(ctx, k, ti, l, trace.FromContext(ctx).Traceparent())
-}
-
-// fetchTile is FetchTile with the request's traceparent given.
-func (c *Client) fetchTile(ctx context.Context, k, ti int, l codec.Level, parent string) ([]byte, error) {
-	resp, err := c.get(ctx, c.BaseURL+server.TilePath(k, ti, l), "", parent)
+	resp, err := c.get(ctx, c.BaseURL+server.TilePath(k, ti, l), "")
 	if err != nil {
 		return nil, tileErr(k, ti, l, err)
 	}
@@ -199,10 +194,13 @@ type StreamConfig struct {
 	// degradation ladder). The zero value selects DefaultFetchPolicy.
 	Fetch FetchPolicy
 	// Trace, when set, records the session as a span tree — session →
-	// chunk → {estimate, mpc, assign, fetch → tile_fetch → attempt,
-	// stitch} — with the client's traceparent header stitching
-	// server-side handler spans into the same trace. nil disables
-	// tracing at zero cost (no span is ever allocated).
+	// chunk → {estimate, mpc, assign, fetch, stitch} — with the
+	// client's traceparent header stitching server-side handler spans
+	// into the same trace: the manifest GET's under the session span,
+	// a chunk's tile GETs under its fetch span. A tile opens spans
+	// only when its first attempt fails (fetch → tile_fetch →
+	// attempt, one per later try). nil disables tracing at zero cost
+	// (no span is ever allocated).
 	Trace *trace.Tracer
 	// Clock supplies every time observation the loop makes (downloads,
 	// backoffs, attempt deadlines, pacing). nil selects RealClock;
@@ -531,28 +529,20 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		// attempts sent as one turn when the transport has turns.
 		fctx, fSpan := trace.StartSpan(cctx, "fetch")
 		t0 := clk.Now()
-		var first []trace.Reserved
 		if turner != nil {
-			if fSpan != nil {
-				first = make([]trace.Reserved, len(alloc))
-				for ti := range first {
-					first[ti] = trace.Reserve(fctx)
-				}
-			}
-			turner.Turn(fctx, k, alloc, first)
+			turner.Turn(fctx, k, alloc)
 		}
 		bytes := 0
 		var goodBits float64
-		var goodTime time.Duration
-		var retries, degraded, skipped int
+		var goodTime, slowest time.Duration
+		var retries, degraded, skipped, slowTile int
 		delivered := append(abr.Allocation(nil), alloc...)
 		var stale []bool
 		for ti, l := range alloc {
-			var span trace.Reserved
-			if first != nil {
-				span = first[ti]
+			tf, ferr := fetchTileResilient(fctx, tp, clk, k, ti, l, pol, buffer, k == 0, fetchRNG, &ins, sess)
+			if tf.first > slowest {
+				slowest, slowTile = tf.first, ti
 			}
-			tf, ferr := fetchTileResilient(fctx, tp, clk, k, ti, l, span, pol, buffer, k == 0, fetchRNG, &ins, sess)
 			retries += tf.retries
 			if ferr != nil {
 				res.TotalRetries += retries
@@ -583,6 +573,9 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			dl = time.Microsecond
 		}
 		if fSpan != nil {
+			fSpan.Annotate("tiles", len(alloc))
+			fSpan.Annotate("slowest_tile", slowTile)
+			fSpan.Annotate("slowest_sec", slowest.Seconds())
 			fSpan.Annotate("bytes", bytes)
 			fSpan.Annotate("retries", retries)
 			fSpan.Annotate("tiles_degraded", degraded)

@@ -14,7 +14,6 @@ import (
 	"pano/internal/mathx"
 	"pano/internal/obs"
 	"pano/internal/server"
-	"pano/internal/trace"
 )
 
 // fastFetchPolicy keeps the ladder's timing cost negligible in tests.
@@ -208,7 +207,7 @@ func TestFetchResilientDeadlineExpiryMidBody(t *testing.T) {
 
 	t0 := time.Now()
 	tf, err := fetchTileResilient(context.Background(), New(ts.URL), RealClock{}, 0, 0, 0,
-		trace.Reserved{}, pol, 0, true, rng, &ins, el.Session())
+		pol, 0, true, rng, &ins, el.Session())
 	elapsed := time.Since(t0)
 	if err != nil {
 		t.Fatalf("deadline expiry must resolve to a skip, not an error: %v", err)
@@ -232,7 +231,7 @@ func TestFetchResilientDeadlineExpiryMidBody(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := fetchTileResilient(ctx, New(ts.URL), RealClock{}, 0, 0, 0,
-		trace.Reserved{}, pol, 0, true, rng, &ins, el.Session()); err == nil {
+		pol, 0, true, rng, &ins, el.Session()); err == nil {
 		t.Error("canceled context must propagate an error")
 	}
 }

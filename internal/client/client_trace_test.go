@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -69,8 +70,9 @@ func TestStreamTraceStitchesAcrossRetries(t *testing.T) {
 	}
 
 	// Every server handler span must stitch into THIS trace, parented to
-	// the client span whose request it served (an attempt span for tiles,
-	// the session span for the manifest).
+	// the client span whose request it served: the session span for the
+	// manifest, the chunk's fetch span for a turn's GET (a tile's first
+	// attempt), an attempt span for every later try.
 	byID := map[trace.SpanID]*trace.SpanData{}
 	for i := range td.Spans {
 		byID[td.Spans[i].ID] = &td.Spans[i]
@@ -79,34 +81,82 @@ func TestStreamTraceStitchesAcrossRetries(t *testing.T) {
 	if len(reqs) == 0 {
 		t.Fatal("no server spans stitched into the client trace")
 	}
-	var chaosFaults, faultedAttempts int
+	// A tile opens a tile_fetch span only when its first attempt fails,
+	// one per (fetch span, tile), so the turn GET a fault hit names it.
+	type tileKey struct {
+		fetch trace.SpanID
+		tile  int
+	}
+	tileSpans := map[tileKey]*trace.SpanData{}
+	var tileRetries int
+	for _, sd := range td.Find("tile_fetch") {
+		key := tileKey{sd.Parent, sd.Attr("tile").(int)}
+		if p := byID[sd.Parent]; p == nil || p.Name != "fetch" {
+			t.Errorf("tile_fetch span's parent is %+v, want a fetch span", p)
+		}
+		if tileSpans[key] != nil {
+			t.Errorf("tile %d has two tile_fetch spans under one fetch span", key.tile)
+		}
+		tileSpans[key] = sd
+		r := sd.Attr("retries").(int)
+		if r < 1 {
+			t.Errorf("tile_fetch span for tile %d records %d retries, want >= 1", key.tile, r)
+		}
+		tileRetries += r
+	}
+	// So the tile_fetch spans are exactly the tiles that retried.
+	if tileRetries != res.TotalRetries {
+		t.Errorf("tile_fetch spans record %d retries, the session %d", tileRetries, res.TotalRetries)
+	}
+	// Every chaos fault maps to exactly one client record of its class:
+	// the attempt span that sent the request, or — for a turn GET — the
+	// first-attempt class of its tile's tile_fetch span.
+	claimed := map[*trace.SpanData]bool{}
+	var chaosFaults int
 	for _, sd := range reqs {
 		parent, ok := byID[sd.Parent]
 		if !ok {
 			t.Fatalf("server span %s parented to unknown span %s", sd.ID, sd.Parent)
 		}
-		if parent.Name != "attempt" && parent.Name != "session" {
-			t.Errorf("server span parented to %q span, want attempt or session", parent.Name)
+		if parent.Name != "attempt" && parent.Name != "fetch" && parent.Name != "session" {
+			t.Errorf("server span parented to %q span, want attempt, fetch or session", parent.Name)
 		}
 		if sd.Attr("chaos.error") == nil {
 			continue
 		}
 		chaosFaults++
-		// The fault must land on the handler span of the attempt that
-		// failed: that attempt recorded the matching error class.
-		if parent.Name != "attempt" {
-			t.Errorf("chaos fault annotated a %q-parented span, want attempt", parent.Name)
-		} else if parent.Err != "http_5xx" {
-			t.Errorf("faulted attempt span has class %q, want http_5xx", parent.Err)
-		} else {
-			faultedAttempts++
+		var rec *trace.SpanData
+		var class any
+		switch parent.Name {
+		case "attempt":
+			rec, class = parent, parent.Err
+		case "fetch":
+			_, ti, _, err := server.ParseTilePath(sd.Attr("path").(string))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec = tileSpans[tileKey{parent.ID, ti}]; rec == nil {
+				t.Errorf("faulted turn GET %s: its tile opened no tile_fetch span", sd.Attr("path"))
+				continue
+			}
+			class = rec.Attr("first_class")
+		default:
+			t.Errorf("chaos fault annotated a %q-parented span, want attempt or fetch", parent.Name)
+			continue
 		}
+		if class != "http_5xx" {
+			t.Errorf("fault on %s recorded as class %v, want http_5xx", sd.Attr("path"), class)
+		}
+		if claimed[rec] {
+			t.Errorf("client record %s claimed by two faults", rec.ID)
+		}
+		claimed[rec] = true
 	}
 	if chaosFaults == 0 {
 		t.Error("no handler span carries a chaos fault annotation")
 	}
-	if faultedAttempts != chaosFaults {
-		t.Errorf("faulted attempts = %d, chaos faults = %d", faultedAttempts, chaosFaults)
+	if len(claimed) != chaosFaults {
+		t.Errorf("%d client records for %d chaos faults", len(claimed), chaosFaults)
 	}
 	// Faults annotate handler spans and nothing else, so there are never
 	// more fault marks than handler spans.
@@ -126,20 +176,20 @@ func TestStreamTraceStitchesAcrossRetries(t *testing.T) {
 		t.Errorf("%d spans carry a chaos annotation, %d chaos.error faults, %d handler spans",
 			marked, chaosFaults, len(reqs))
 	}
-	// Retries recorded on spans agree with the session result: every tile
-	// gets one attempt span per failure (a retry) plus one for its
-	// success — except skipped tiles, which never succeed.
-	want := res.TotalRetries + len(td.Find("tile_fetch")) - res.SkippedTiles
+	// Retries recorded on spans agree with the session result: a retried
+	// tile's first failure is on its tile_fetch span, every later try has
+	// an attempt span, and only a skipped tile ends on a failure.
+	want := res.TotalRetries - res.SkippedTiles
 	if got := len(td.Find("attempt")); got != want {
 		t.Errorf("attempt spans = %d, want %d (%d retries, %d skipped)",
 			got, want, res.TotalRetries, res.SkippedTiles)
 	}
 }
 
-// Every request of a turn carries its own traceparent: over h2c, the
-// server records one handler span per attempt, parented to it, and one
-// for the manifest, parented to the session.
-func TestTurnRequestsCarryTheirAttemptSpans(t *testing.T) {
+// Every request of a turn carries the chunk's fetch span: over h2c, the
+// server records one handler span per planned GET, parented to that
+// chunk's fetch span, and one for the manifest, parented to the session.
+func TestTurnRequestsCarryTheirFetchSpan(t *testing.T) {
 	tracer := trace.New(trace.Config{Seed: 11})
 	ts := tracedChaosServer(t, tracer, "")
 	res, err := NewH2C(ts.URL).Stream(context.Background(), fixture(t).tr, StreamConfig{
@@ -157,21 +207,32 @@ func TestTurnRequestsCarryTheirAttemptSpans(t *testing.T) {
 	if td == nil {
 		t.Fatalf("trace %s not in the store", res.TraceID)
 	}
-	served := map[trace.SpanID]int{}
+	served := map[trace.SpanID][]string{}
 	for _, sd := range td.Find("http_request") {
-		served[sd.Parent]++
+		served[sd.Parent] = append(served[sd.Parent], sd.Attr("path").(string))
 	}
-	attempts := td.Find("attempt")
-	if len(attempts) == 0 {
-		t.Fatal("no attempt spans")
+	fetches := td.Find("fetch")
+	if len(fetches) != len(res.Chunks) {
+		t.Fatalf("%d fetch spans, %d chunks", len(fetches), len(res.Chunks))
 	}
-	for _, a := range attempts {
-		if served[a.ID] != 1 {
-			t.Errorf("attempt %s parents %d handler spans, want 1", a.ID, served[a.ID])
+	for i, f := range fetches {
+		cr := res.Chunks[i]
+		var want []string
+		for ti, l := range cr.Planned {
+			want = append(want, server.TilePath(cr.Chunk, ti, l))
+		}
+		got := served[f.ID]
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("chunk %d's fetch span parents handler spans %v, want its planned GETs %v", cr.Chunk, got, want)
 		}
 	}
-	if root := td.Root(); served[root.ID] != 1 {
-		t.Errorf("session parents %d handler spans, want the manifest's", served[root.ID])
+	if root := td.Root(); !slices.Equal(served[root.ID], []string{server.ManifestPath}) {
+		t.Errorf("session parents handler spans %v, want the manifest's", served[root.ID])
+	}
+	if n := len(td.Find("tile_fetch")) + len(td.Find("attempt")); n != 0 {
+		t.Errorf("a fault-free session opened %d tile_fetch and attempt spans, want 0", n)
 	}
 }
 

@@ -258,6 +258,8 @@ type tileFetch struct {
 	// throughput accounting excludes retry overhead and the bandwidth
 	// predictor is not poisoned by failures.
 	goodput time.Duration
+	// first is the first attempt's duration, failed or not.
+	first time.Duration
 }
 
 // fetchTileResilient runs the §7 degradation ladder for one tile:
@@ -266,40 +268,28 @@ type tileFetch struct {
 // session context itself is canceled; every server-side failure mode
 // resolves to a degraded or skipped outcome so the session continues.
 //
-// When ctx carries a trace span, the tile gets a "tile_fetch" child
-// span and every attempt its own "attempt" span — annotated with the
+// Under a traced ctx the ladder records what went wrong and nothing
+// else: a tile whose first attempt succeeds opens no span (the chunk's
+// "fetch" span carries the tiles' first-attempt durations). When the
+// first attempt fails, the tile opens a "tile_fetch" span carrying the
+// planned level and that attempt's error class and seconds, and every
+// later attempt opens an "attempt" span under it — annotated with the
 // ladder rung, the buffer-derived deadline, the backoff that follows a
 // failure, and the failure's error class — so a late chunk decomposes
-// into exactly which attempt stalled and why. The first attempt's span
-// opens under span, the id a pipelined request for it already carries.
+// into exactly which attempt stalled and why.
 func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int, planned codec.Level,
-	span trace.Reserved, pol FetchPolicy, bufferSec float64, startup bool, rng *mathx.RNG,
-	ins *fetchInstruments, sess *slog.Logger) (outF tileFetch, outErr error) {
+	pol FetchPolicy, bufferSec float64, startup bool, rng *mathx.RNG,
+	ins *fetchInstruments, sess *slog.Logger) (tileFetch, error) {
 
 	// Spans and attribute lists are built only under a traced context,
 	// event argument lists only with a log attached (sess non-nil): the
 	// unobserved ladder allocates nothing per tile.
-	traced := trace.FromContext(ctx) != nil
-	if traced {
-		var tspan *trace.Span
-		ctx, tspan = trace.StartSpan(ctx, "tile_fetch",
-			trace.A("tile", ti), trace.A("planned_level", int(planned)))
-		defer func() {
-			tspan.Annotate("retries", outF.retries)
-			tspan.Annotate("level", int(outF.level))
-			switch {
-			case outErr != nil:
-				tspan.SetError("canceled")
-			case outF.skipped:
-				tspan.Annotate("outcome", "skipped")
-			case outF.degraded:
-				tspan.Annotate("outcome", "degraded")
-			default:
-				tspan.Annotate("outcome", "ok")
-			}
-			tspan.End()
-		}()
+	span := trace.FromContext(ctx)
+	var exemplar string
+	if span != nil && ins.attempts != nil {
+		exemplar = span.TraceHex()
 	}
+	var tspan *trace.Span // the tile_fetch span, open from the first failure on
 
 	out := tileFetch{level: planned}
 	lowest := codec.Level(codec.NumLevels - 1)
@@ -313,12 +303,8 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 		for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 			timeout := pol.attemptTimeout(bufferSec, startup)
 			actx, aspan := ctx, (*trace.Span)(nil)
-			if traced {
-				start := trace.StartSpan
-				if ri == 0 && attempt == 0 {
-					start = span.Start // the id the pipelined request already carries
-				}
-				actx, aspan = start(ctx, "attempt",
+			if tspan != nil {
+				actx, aspan = trace.StartSpan(ctx, "attempt",
 					trace.A("attempt", attempt+1), trace.A("rung", ri), trace.A("level", int(lv)),
 					trace.A("deadline_sec", timeout.Seconds()))
 			}
@@ -327,7 +313,10 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 			bits, err := tp.Tile(actx, k, ti, lv)
 			d := clk.Since(t0)
 			cancel()
-			ins.attempts.ObserveExemplar(d.Seconds(), aspan.TraceHex())
+			ins.attempts.ObserveExemplar(d.Seconds(), exemplar)
+			if out.retries == 0 {
+				out.first = d
+			}
 			if err == nil {
 				aspan.End()
 				out.bits, out.level, out.goodput = bits, lv, d
@@ -340,7 +329,7 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 							"level", int(lv), "retries", out.retries)
 					}
 				}
-				return out, nil
+				return endTileSpan(tspan, out, nil)
 			}
 			class := ErrorClass(err)
 			aspan.SetError(class)
@@ -348,7 +337,12 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 				// The session itself was canceled (or hit its overall
 				// deadline): propagate instead of degrading.
 				aspan.End()
-				return out, err
+				return endTileSpan(tspan, out, err)
+			}
+			if span != nil && tspan == nil {
+				ctx, tspan = trace.StartSpan(ctx, "tile_fetch",
+					trace.A("tile", ti), trace.A("planned_level", int(planned)),
+					trace.A("first_class", class), trace.A("first_sec", d.Seconds()))
 			}
 			lastErr = err
 			out.retries++
@@ -372,7 +366,7 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 			aspan.End()
 			if backoff > 0 {
 				if err := clk.Sleep(ctx, backoff); err != nil {
-					return out, err
+					return endTileSpan(tspan, out, err)
 				}
 			}
 		}
@@ -384,5 +378,27 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 			"chunk", k, "tile", ti, "planned_level", int(planned),
 			"retries", out.retries, "class", ErrorClass(lastErr), "error", lastErr.Error())
 	}
-	return out, nil
+	return endTileSpan(tspan, out, nil)
+}
+
+// endTileSpan closes the tile_fetch span s, when the ladder opened one,
+// with the ladder's outcome, and returns that outcome.
+func endTileSpan(s *trace.Span, out tileFetch, err error) (tileFetch, error) {
+	if s == nil {
+		return out, err
+	}
+	s.Annotate("retries", out.retries)
+	s.Annotate("level", int(out.level))
+	switch {
+	case err != nil:
+		s.SetError("canceled")
+	case out.skipped:
+		s.Annotate("outcome", "skipped")
+	case out.degraded:
+		s.Annotate("outcome", "degraded")
+	default:
+		s.Annotate("outcome", "ok")
+	}
+	s.End()
+	return out, err
 }

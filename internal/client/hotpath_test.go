@@ -34,9 +34,10 @@ func (t *rateTransport) Tile(_ context.Context, k, ti int, l codec.Level) (float
 }
 
 // TestFetchTileResilientAllocatesNothing pins the mechanism behind the
-// swarm's session rate: with no span in the context, no event log and no
-// registry, a successful tile fetch on a virtual clock builds no span,
-// attribute list, argument list, deadline context or rung slice.
+// swarm's session rate: with no event log and no registry, a successful
+// tile fetch on a virtual clock builds no span, attribute list, argument
+// list, deadline context or rung slice — untraced, and traced too, since
+// a clean first attempt records nothing of its own.
 func TestFetchTileResilientAllocatesNothing(t *testing.T) {
 	m := fixture(t).man
 	clk := NewVirtualClock(0)
@@ -44,16 +45,19 @@ func TestFetchTileResilientAllocatesNothing(t *testing.T) {
 	pol := DefaultFetchPolicy()
 	rng := mathx.NewRNG(1)
 	ins := newFetchInstruments(nil)
-	ctx := context.Background()
-	for _, planned := range []codec.Level{0, codec.Level(codec.NumLevels - 1)} {
-		allocs := testing.AllocsPerRun(100, func() {
-			tf, err := fetchTileResilient(ctx, tp, clk, 1, 0, planned, trace.Reserved{}, pol, 2, false, rng, &ins, nil)
-			if err != nil || tf.skipped || tf.level != planned {
-				t.Fatalf("fetch: %+v, %v", tf, err)
+	traced, root := trace.New(trace.Config{Seed: 1}).Start(context.Background(), "fetch")
+	defer root.End()
+	for name, ctx := range map[string]context.Context{"untraced": context.Background(), "traced": traced} {
+		for _, planned := range []codec.Level{0, codec.Level(codec.NumLevels - 1)} {
+			allocs := testing.AllocsPerRun(100, func() {
+				tf, err := fetchTileResilient(ctx, tp, clk, 1, 0, planned, pol, 2, false, rng, &ins, nil)
+				if err != nil || tf.skipped || tf.level != planned {
+					t.Fatalf("fetch: %+v, %v", tf, err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s, planned level %d: %v allocs per clean tile fetch, want 0", name, planned, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("planned level %d: %v allocs per untraced tile fetch, want 0", planned, allocs)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"pano/internal/abr"
 	"pano/internal/codec"
 	"pano/internal/manifest"
-	"pano/internal/trace"
 )
 
 // Transport abstracts object delivery for the session loop. It has two
@@ -39,11 +38,10 @@ type Transport interface {
 // (tile ti at alloc[ti]) at once, and then answers the ladder's first
 // attempt at each tile — at the planned level — from that turn. Every
 // other attempt (a retry, a lowest-rung re-fetch) is a fresh request.
-// spans is nil on an untraced session; otherwise spans[ti] is the
-// attempt span that will read tile ti's answer, whose traceparent its
-// request carries.
+// The turn's requests go out under ctx, so on a traced session each
+// carries the traceparent of the chunk's "fetch" span.
 type Turner interface {
-	Turn(ctx context.Context, k int, alloc abr.Allocation, spans []trace.Reserved)
+	Turn(ctx context.Context, k int, alloc abr.Allocation)
 }
 
 // Target implements Transport.
@@ -87,24 +85,20 @@ type slot struct {
 	err    error
 }
 
-// Turn implements Turner: chunk k's planned GETs all start now, each
-// carrying the traceparent of its reserved attempt span.
-func (t *httpTurn) Turn(ctx context.Context, k int, alloc abr.Allocation, spans []trace.Reserved) {
+// Turn implements Turner: chunk k's planned GETs all start now, under
+// ctx.
+func (t *httpTurn) Turn(ctx context.Context, k int, alloc abr.Allocation) {
 	t.end()
 	t.k = k
 	t.slots = slices.Grow(t.slots[:0], len(alloc))[:len(alloc)]
 	for ti, l := range alloc {
-		var parent string
-		if spans != nil {
-			parent = spans[ti].Traceparent()
-		}
 		rctx, cancel := context.WithCancel(ctx)
 		s := &t.slots[ti]
 		*s = slot{l: l, done: make(chan struct{}), cancel: cancel}
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			s.data, s.err = t.fetchTile(rctx, k, ti, l, parent)
+			s.data, s.err = t.FetchTile(rctx, k, ti, l)
 			close(s.done)
 		}()
 	}

@@ -12,7 +12,6 @@ import (
 	"pano/internal/codec"
 	"pano/internal/manifest"
 	"pano/internal/nettrace"
-	"pano/internal/trace"
 )
 
 // VirtualNet is one session's logical network, a nettrace link
@@ -100,7 +99,7 @@ func (n *VirtualNet) Manifest(ctx context.Context) (*manifest.Video, error) {
 
 // Turn implements Turner: chunk k's planned requests go out on a fresh
 // turn.
-func (n *VirtualNet) Turn(_ context.Context, k int, alloc abr.Allocation, _ []trace.Reserved) {
+func (n *VirtualNet) Turn(_ context.Context, k int, alloc abr.Allocation) {
 	n.tn = turn{}
 	n.planned = append(n.planned[:0], alloc...)
 	n.chunk = k

@@ -168,8 +168,8 @@ func TestWindowRetirementAndGone(t *testing.T) {
 	if m.FirstChunk != n-2 {
 		t.Fatalf("FirstChunk = %d, want %d", m.FirstChunk, n-2)
 	}
-	if m.ChunkAvailable(0) || !m.ChunkAvailable(n-1) {
-		t.Fatal("availability window wrong")
+	if m.NumChunks()-m.FirstChunk != 2 {
+		t.Fatalf("availability window [%d, %d), want 2 chunks", m.FirstChunk, m.NumChunks())
 	}
 	b, err := store.NewBackend(s)
 	if err != nil {

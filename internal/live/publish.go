@@ -58,7 +58,7 @@ func (pb *publisher) init(p *Pipeline, chunkSec float64) {
 func (pb *publisher) edge() int {
 	pb.mu.Lock()
 	defer pb.mu.Unlock()
-	return pb.man.LiveEdge()
+	return pb.man.NumChunks()
 }
 
 func (pb *publisher) seqNum() int64 {
@@ -131,7 +131,7 @@ func (pb *publisher) publish(ctx context.Context, ec encodedChunk, last bool) er
 	}
 	expired := 0
 	if cfg.WindowChunks > 0 {
-		for pb.man.LiveEdge()-pb.man.FirstChunk > cfg.WindowChunks {
+		for pb.man.NumChunks()-pb.man.FirstChunk > cfg.WindowChunks {
 			pb.retireLocked(pb.man.FirstChunk)
 			pb.man.FirstChunk++
 			expired++
@@ -161,7 +161,7 @@ func (pb *publisher) publish(ctx context.Context, ec encodedChunk, last bool) er
 		pb.rep.Degraded++
 	}
 	pb.rep.Expired += expired
-	edge, seq := pb.man.LiveEdge(), pb.man.Seq
+	edge, seq := pb.man.NumChunks(), pb.man.Seq
 	pb.mu.Unlock()
 
 	cfg.Obs.Counter("pano_live_published_chunks_total", "chunks published to the store").Inc()

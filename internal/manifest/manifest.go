@@ -143,17 +143,6 @@ type Video struct {
 // NumChunks returns the number of chunks.
 func (v *Video) NumChunks() int { return len(v.Chunks) }
 
-// LiveEdge returns the index of the first not-yet-published chunk. For
-// a VOD manifest this is simply the chunk count.
-func (v *Video) LiveEdge() int { return len(v.Chunks) }
-
-// ChunkAvailable reports whether chunk k is published and still inside
-// the availability window (below-window chunks answer 410 Gone, at-or-
-// past-edge chunks 404 until published).
-func (v *Video) ChunkAvailable(k int) bool {
-	return k >= v.FirstChunk && k < len(v.Chunks)
-}
-
 // RefreshInterval is a live manifest's refresh cadence, half a chunk
 // floored at 100 ms: the origin's live max-age, the edge's live TTL
 // (each capped at its own) and the client's default poll.

@@ -237,11 +237,9 @@ func TestLiveFieldsRoundTrip(t *testing.T) {
 	if !back.Live || back.Seq != 42 || back.FirstChunk != 1 || back.WindowChunks != 8 {
 		t.Fatalf("live fields lost in round trip: %+v", back)
 	}
-	if back.LiveEdge() != 2 {
-		t.Fatalf("LiveEdge = %d, want 2", back.LiveEdge())
-	}
-	if back.ChunkAvailable(0) || !back.ChunkAvailable(1) || back.ChunkAvailable(2) {
-		t.Fatal("ChunkAvailable window wrong")
+	// The availability window is [FirstChunk, NumChunks): chunk 1 alone.
+	if back.NumChunks() != 2 {
+		t.Fatalf("live edge = %d, want 2", back.NumChunks())
 	}
 }
 

@@ -104,12 +104,20 @@
 //	    estimation, the MPC chunk-level bitrate decision
 //	    (pano_abr_decision_seconds is this span aggregated), and the
 //	    tile-level quality allocation (pano_planner_plan_seconds).
-//	fetch, tile_fetch, attempt
-//	    the §7 transport: the chunk's tile downloads, one tile's trip
-//	    down the retry/degrade/skip ladder, and each HTTP try —
-//	    annotated with rung, deadline, backoff, and error class
-//	    (pano_client_tile_attempt_seconds aggregates attempts; its
-//	    exemplars point back at these traces).
+//	fetch
+//	    the §7 transport: the chunk's tile downloads, annotated with
+//	    tiles, bytes, retries, degraded and skipped tiles, and the
+//	    slowest first attempt (slowest_tile, slowest_sec). Every turn
+//	    GET carries this span's traceparent, so a tile's handler span
+//	    parents to it; a tile whose first attempt succeeds opens no
+//	    span of its own.
+//	tile_fetch, attempt
+//	    only where the first attempt failed: the tile's trip down the
+//	    retry/degrade/skip ladder (planned level, the first attempt's
+//	    first_class and first_sec, the outcome) and each later HTTP
+//	    try under it — annotated with rung, deadline, backoff, and
+//	    error class (pano_client_tile_attempt_seconds aggregates every
+//	    attempt; its exemplars point back at these traces).
 //	stitch
 //	    §7's stitch-and-score step (the est_pspnr_db annotation feeds
 //	    pano_client_est_pspnr_db; a simulated session's pspnr_db

@@ -151,16 +151,7 @@ func NewEventLog(w io.Writer, ringSize int) *EventLog {
 	return &EventLog{ring: r, logger: slog.New(&ringHandler{ring: r, fwd: fwd})}
 }
 
-// discardHandler drops everything (stand-in for slog.DiscardHandler,
-// which needs go >= 1.24).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
-
-var nopLogger = slog.New(discardHandler{})
+var nopLogger = slog.New(slog.DiscardHandler)
 
 // Logger returns the underlying *slog.Logger (a discard logger when l
 // is nil), so call sites never need a nil check before logging.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -268,6 +269,79 @@ func TestBOLASessionWatchesItsDecisions(t *testing.T) {
 	for l, n := range ctl.picks {
 		if got := reg.CounterValue("pano_abr_level_decisions_total", obs.L("level", "L"+strconv.Itoa(l))); got != float64(n) {
 			t.Errorf("level L%d: counter %v, BOLA picked it %d times", l, got, n)
+		}
+	}
+}
+
+// TestTracedChunkSpans pins what a fault-free traced session records:
+// per chunk, the chunk span and its phases — estimate, mpc (absent on
+// chunk 0, whose level is the cold start's), assign, fetch, stitch and
+// the scorer's score — and no span per tile, since a tile whose first
+// attempt succeeds has nothing to record beyond the fetch span's
+// attributes. The session span is the one span outside the chunks.
+func TestTracedChunkSpans(t *testing.T) {
+	f := fixture(t)
+	cfg := DefaultConfig()
+	cfg.Trace = trace.New(trace.Config{Seed: 3})
+	res, err := Run(f.pano, f.traces[0], testLink(f, Trace1Frac), player.NewPanoPlanner(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DegradedTiles != 0 || res.SkippedTiles != 0 {
+		t.Fatalf("session not fault-free: %d degraded, %d skipped tiles", res.DegradedTiles, res.SkippedTiles)
+	}
+	var td *trace.TraceData
+	for _, x := range cfg.Trace.Traces() {
+		if x.ID.String() == res.TraceID {
+			td = x
+		}
+	}
+	if td == nil {
+		t.Fatalf("trace %q not stored", res.TraceID)
+	}
+	byID := map[trace.SpanID]*trace.SpanData{}
+	for i := range td.Spans {
+		byID[td.Spans[i].ID] = &td.Spans[i]
+	}
+	perChunk := map[int][]string{}
+	for i := range td.Spans {
+		sd := &td.Spans[i]
+		if sd.Name == "session" {
+			continue
+		}
+		c := sd
+		for c != nil && c.Name != "chunk" {
+			c = byID[c.Parent]
+		}
+		if c == nil {
+			t.Fatalf("%q span outside every chunk", sd.Name)
+		}
+		k := c.Attr("chunk").(int)
+		perChunk[k] = append(perChunk[k], sd.Name)
+	}
+	n := f.pano.NumChunks()
+	if len(perChunk) != n {
+		t.Fatalf("spans under %d chunks, want %d", len(perChunk), n)
+	}
+	for k, names := range perChunk {
+		want := []string{"assign", "chunk", "estimate", "fetch", "mpc", "score", "stitch"}
+		if k == 0 {
+			want = slices.DeleteFunc(want, func(s string) bool { return s == "mpc" })
+		}
+		slices.Sort(names)
+		if !slices.Equal(names, want) {
+			t.Errorf("chunk %d spans %v, want %v", k, names, want)
+		}
+	}
+	// The session span, seven per chunk, and chunk 0 without its mpc.
+	if got, want := len(td.Spans), 7*n; got != want {
+		t.Errorf("%d spans in the session, want %d", got, want)
+	}
+	for _, sd := range td.Find("fetch") {
+		for _, key := range []string{"tiles", "slowest_tile", "slowest_sec"} {
+			if sd.Attr(key) == nil {
+				t.Errorf("fetch span lacks %s: %+v", key, sd.Attrs)
+			}
 		}
 	}
 }

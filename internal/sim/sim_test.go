@@ -7,9 +7,11 @@ import (
 
 	"pano/internal/manifest"
 	"pano/internal/nettrace"
+	"pano/internal/obs"
 	"pano/internal/player"
 	"pano/internal/provider"
 	"pano/internal/scene"
+	"pano/internal/trace"
 	"pano/internal/viewport"
 )
 
@@ -254,15 +256,32 @@ func TestBufferTargetTradesQualityForSafety(t *testing.T) {
 
 // BenchmarkSimRun is one Run over the golden fixture: the pano planner
 // on trace1's link at the default config — the loop vod_session runs,
-// as a per-layer row.
+// as a per-layer row — once per tier of watching: bare, with a metrics
+// registry, with metrics and an event log, and traced. A tier's cost
+// over bare is what watching a session costs.
 func BenchmarkSimRun(b *testing.B) {
 	f := fixture(b)
 	link := testLink(f, Trace1Frac)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(f.pano, f.traces[0], link, player.NewPanoPlanner(), DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
+	tiers := []struct {
+		name  string
+		watch func(*Config)
+	}{
+		{"bare", func(*Config) {}},
+		{"metrics", func(c *Config) { c.Obs = obs.NewRegistry() }},
+		{"metrics_events", func(c *Config) { c.Obs, c.Log = obs.NewRegistry(), obs.NewEventLog(nil, 0) }},
+		{"traced", func(c *Config) { c.Trace = trace.New(trace.Config{Seed: 1}) }},
+	}
+	for _, tier := range tiers {
+		b.Run(tier.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			tier.watch(&cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(f.pano, f.traces[0], link, player.NewPanoPlanner(), cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -344,14 +344,6 @@ func (s *Store) Stats() Stats {
 	return Stats{Blobs: len(s.blobs), Bytes: s.bytes}
 }
 
-// Has reports whether the store holds digest.
-func (s *Store) Has(digest string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.blobs[digest]
-	return ok
-}
-
 func (s *Store) count(name, help string) {
 	s.reg.Counter(name, help).Inc()
 }

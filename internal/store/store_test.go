@@ -41,8 +41,8 @@ func TestPutGetRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc.Close()
-	if !s.Has(digest) {
-		t.Fatal("Has(digest) = false after Put")
+	if !indexed(s, digest) {
+		t.Fatal("digest not indexed after Put")
 	}
 }
 
@@ -136,7 +136,7 @@ func TestCrashRecovery(t *testing.T) {
 	if _, err := os.Stat(tornPath); !os.IsNotExist(err) {
 		t.Fatal("torn blob survived reopen")
 	}
-	if s2.Has(torn) {
+	if indexed(s2, torn) {
 		t.Fatal("torn blob was indexed")
 	}
 	got, err := s2.Get(good)
@@ -218,8 +218,8 @@ func TestRefsProtectFromGC(t *testing.T) {
 	if removed != 1 || reclaimed != int64(len("loose")) {
 		t.Fatalf("GC removed %d (%d bytes), want 1 (%d)", removed, reclaimed, len("loose"))
 	}
-	if !s.Has(pinned) || s.Has(loose) {
-		t.Fatalf("GC kept wrong blobs: pinned=%v loose=%v", s.Has(pinned), s.Has(loose))
+	if !indexed(s, pinned) || indexed(s, loose) {
+		t.Fatalf("GC kept wrong blobs: pinned=%v loose=%v", indexed(s, pinned), indexed(s, loose))
 	}
 	if err := s.Release(pinned); err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestGCRetentionHorizon(t *testing.T) {
 	if removed, _ := s.GC(time.Hour); removed != 0 {
 		t.Fatalf("GC inside retention removed %d, want 0", removed)
 	}
-	if !s.Has(d) {
+	if !indexed(s, d) {
 		t.Fatal("blob inside retention horizon was collected")
 	}
 }
@@ -371,4 +371,12 @@ func TestGetSizedMatchesGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("collected", digest, len(payload))
+}
+
+// indexed reports whether s's index holds digest.
+func indexed(s *Store, digest string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.blobs[digest]
+	return ok
 }

@@ -242,46 +242,6 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 	return parent.tracer.Start(ctx, name, attrs...)
 }
 
-// Reserved is the id of a span minted before the span opens: a request
-// written ahead of the code that waits for its answer (a pipelined GET)
-// names that code's span in its traceparent, and Start opens the span
-// under the same id later, so the server's handler span parents to it.
-// The zero Reserved, minted from an untraced context, opens spans like
-// StartSpan.
-type Reserved struct {
-	trace TraceID
-	id    SpanID
-}
-
-// Reserve mints a span id in the trace of ctx's active span (the zero
-// Reserved when ctx carries none).
-func Reserve(ctx context.Context) Reserved {
-	s := FromContext(ctx)
-	if s == nil {
-		return Reserved{}
-	}
-	return Reserved{trace: s.trace, id: s.tracer.newSpanID()}
-}
-
-// Traceparent renders the reserved span as a traceparent header value
-// ("" for the zero Reserved).
-func (r Reserved) Traceparent() string {
-	if r.id.IsZero() {
-		return ""
-	}
-	return traceparent(r.trace, r.id)
-}
-
-// Start opens a child of ctx's active span under the reserved id; with
-// the zero Reserved it is StartSpan.
-func (r Reserved) Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
-	parent := FromContext(ctx)
-	if parent == nil || r.id.IsZero() {
-		return StartSpan(ctx, name, attrs...)
-	}
-	return parent.tracer.start(ctx, parent.trace, r.id, parent.id, false, name, attrs)
-}
-
 // Span is one timed operation in a trace. All methods are nil-safe.
 type Span struct {
 	tracer *Tracer
