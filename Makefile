@@ -203,10 +203,14 @@ bench: build microbench
 # the searched calls of one vod_session pass, with their frontier states
 # per call), the planner's cost rows for one chunk
 # (BenchmarkCostRows: exact is the Pow-and-Exp definition, table what
-# Plan runs), the provider's chunk analysis (scene render, quantizer,
-# the PMSE kernel per level over one frame's 30 tiles, one chunk, one
-# video), the virtual-time session loop (one session,
-# one netem tile, and BenchmarkSimRun: one sim.Run over the golden
+# Plan runs, settled a whole Plan at the all-lowest budget, which no
+# upgrade fits and abr.Starved answers before the rows are built), the
+# provider's chunk analysis (scene render, quantizer, the PMSE kernel
+# per level over one frame's 30 tiles, one chunk, one video), the
+# virtual-time session loop (one session, one netem tile, one tile
+# through the client's fetch ladder over netem as a session fetches it
+# (BenchmarkFetchTile; both tile benchmarks single origin and through
+# the fleet twin), and BenchmarkSimRun: one sim.Run over the golden
 # fixture, the loop vod_session runs, per tier of watching — bare,
 # metrics, metrics_events and traced — so each tier's cost over bare
 # reads off one run), the request path hop by hop (BenchmarkOriginTileGET:
@@ -221,7 +225,7 @@ bench: build microbench
 # benchstat or plain text tools.
 microbench:
 	@echo "## $$(git rev-parse --short HEAD 2>/dev/null || echo dirty) $$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> BENCH_micro.txt
-	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|TilePMSE|Plan|AllocatePruned|VodSessionSearches|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|SimRun|OriginTileGET|FleetFetch|EdgeHit|ManifestWire|SamplerStep' -benchmem \
+	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|TilePMSE|Plan|AllocatePruned|VodSessionSearches|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|FetchTile|SimRun|OriginTileGET|FleetFetch|EdgeHit|ManifestWire|SamplerStep' -benchmem \
 		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr \
 		./internal/player ./internal/scene ./internal/codec ./internal/provider \
 		./internal/client ./internal/sim ./internal/swarm ./internal/store ./internal/fleet \

@@ -23,7 +23,10 @@
 // of that LP; and the frontiers and the LP tables of a call live in one
 // pooled scratch, so a call allocates only its result. AllocatePruned
 // documents the cut and the ordering rules that make the merge the same
-// search.
+// search. Budgets too small for any upgrade — every chunk of a starved
+// session — are answered before a search by Starved, which reads a tile's
+// costs only where two of its levels tie at its smallest size, so a
+// planner asks it before it builds the costs at all.
 package abr
 
 import (
@@ -291,9 +294,11 @@ func sweepOrder(tiles []TileChoice, order []int32) []int32 {
 // — the all-lowest size every session's first chunk is planned with,
 // and every chunk of a starved one — leaves the sweep nothing to decide:
 // it would end on the all-smallest plan, so that is returned before the
-// tiles are ordered or the LP is set up, by the same pass that sizes the
-// plan. The step must miss the budget by more than boundSlack of it;
-// closer than that, the sweep decides as ever. At the other end, a budget
+// tiles are ordered or the LP is set up. That exit and the one below the
+// all-smallest size live in Starved, the pass that sizes the plan, which a
+// planner can also call before it builds the rows' costs. The step must
+// miss the budget by more than boundSlack of it; closer than that, the
+// sweep decides as ever. At the other end, a budget
 // that fits every tile's cheapest row (cheapestRow) by TotalBits is
 // answered with that plan, the optimum, before the LP is set up, where
 // those rows are clear of the others by more than the dominance filter's
@@ -319,9 +324,9 @@ func AllocatePruned(tiles []TileChoice, budget float64, maxFrontier int) Allocat
 
 // SearchPruned is AllocatePruned that also reports what the search did;
 // the prune experiment and the tests read it. A call answered without a
-// sweep — no tiles, a budget below the all-smallest size, one that
-// affords no upgrade, or one that affords every tile's cheapest row —
-// built no frontier and reports zero stats.
+// sweep — no tiles, a budget below the all-smallest size or one that
+// affords no upgrade (both answered by Starved), or one that affords every
+// tile's cheapest row — built no frontier and reports zero stats.
 func SearchPruned(tiles []TileChoice, budget float64, maxFrontier int) (Allocation, SearchStats) {
 	if maxFrontier <= 0 {
 		maxFrontier = 1024
@@ -335,13 +340,98 @@ func SearchPruned(tiles []TileChoice, budget float64, maxFrontier int) (Allocati
 	return a, stats
 }
 
+// Starved is the one home of the two answers at the low end of the budget
+// axis, which no search decides: below the all-smallest plan's size
+// nothing fits, and the plan is all-lowest; at or above it, where even the
+// cheapest step up from it misses the budget by more than boundSlack of
+// the budget, no upgrade fits, and the plan is the all-smallest one —
+// every tile at its smallest row (smallestRow). It returns that plan, or
+// nil where the budget affords an upgrade and a search decides.
+// AllocatePruned answers through it before anything else.
+//
+// It reads the rows' bits, and a tile's costs only at the levels of its
+// smallest size where two or more levels have it, the one place
+// smallestRow reads cost. So a caller may pass rows whose costs are not
+// built yet, with fill, which builds tiles[i]'s costs at least at the
+// levels of its smallest size: Starved calls it for the tiles tied there
+// only, and only when it answers that no upgrade fits. fill is nil where
+// the rows are whole.
+func Starved(tiles []TileChoice, budget float64, fill func(i int)) Allocation {
+	a, _ := starved(tiles, budget, fill)
+	return a
+}
+
+// starved is Starved that also returns low, the all-smallest plan's size,
+// which a search past it starts from.
+func starved(tiles []TileChoice, budget float64, fill func(i int)) (Allocation, float64) {
+	// minUp is the cheapest step up from the all-smallest plan: the
+	// fewest extra bits any row of any tile costs over its tile's
+	// smallest.
+	low, minUp := 0.0, math.Inf(1)
+	for i := range tiles {
+		t := &tiles[i]
+		small := t.Bits[smallestBits(t)]
+		low += small
+		for _, b := range t.Bits {
+			if d := b - small; d > 0 && d < minUp {
+				minUp = d
+			}
+		}
+	}
+	switch {
+	case budget < low:
+		return lowestLevels(len(tiles)), low
+	case low+minUp > budget+boundSlack*budget:
+		// A plan whose forward sum rounds under a budget this sum rounds
+		// over is inside the slack, and left for the search to find.
+		a := make(Allocation, len(tiles))
+		for i := range tiles {
+			t := &tiles[i]
+			s := smallestBits(t)
+			if ties(t, t.Bits[s]) > 1 {
+				if fill != nil {
+					fill(i)
+				}
+				s = smallestRow(t)
+			}
+			a[i] = s
+		}
+		return a, low
+	}
+	return nil, low
+}
+
+// smallestBits returns the level of the fewest bits, scanning up from the
+// lowest level; where others tie it, smallestRow decides among them, and
+// where none does, it is smallestRow's answer.
+func smallestBits(t *TileChoice) codec.Level {
+	s := codec.Level(codec.NumLevels - 1)
+	for l := s - 1; l >= 0; l-- {
+		if t.Bits[l] < t.Bits[s] {
+			s = l
+		}
+	}
+	return s
+}
+
+// ties counts the levels of t with bits b.
+func ties(t *TileChoice, b float64) int {
+	n := 0
+	for _, x := range t.Bits {
+		if x == b {
+			n++
+		}
+	}
+	return n
+}
+
 // smallestRow returns the level of a tile's row with the fewest bits:
 // the lowest level, unless a level above it costs no more at the same
 // size (flat tiles), which is then the free upgrade.
 func smallestRow(t *TileChoice) codec.Level {
-	s := codec.Level(codec.NumLevels - 1)
+	s := smallestBits(t)
 	for l := s - 1; l >= 0; l-- {
-		if t.Bits[l] < t.Bits[s] || t.Bits[l] == t.Bits[s] && t.Cost[l] <= t.Cost[s] {
+		if t.Bits[l] == t.Bits[s] && t.Cost[l] <= t.Cost[s] {
 			s = l
 		}
 	}
@@ -561,39 +651,17 @@ func fillUpgrades(a Allocation, ups []hullUpgrade, spent, budget float64) int {
 }
 
 // search runs the sweep over at least one tile, leaving every frontier
-// in the scratch (none when the budget admits no plan at all, no upgrade,
-// or every tile's cheapest row: the three answers below that need no
-// search).
+// in the scratch (none when the budget admits no plan at all or no
+// upgrade, Starved's answers, or every tile's cheapest row: the three
+// answers that need no search).
 func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier int) (Allocation, SearchStats) {
-	a := make(Allocation, len(tiles))
-	// low is the size of the all-smallest plan and minUp the cheapest
-	// step up from it: the fewest extra bits any row of any tile costs
-	// over its tile's smallest.
-	low, minUp := 0.0, math.Inf(1)
-	for i := range tiles {
-		t := &tiles[i]
-		a[i] = smallestRow(t)
-		small := t.Bits[a[i]]
-		low += small
-		for _, b := range t.Bits {
-			if d := b - small; d > 0 && d < minUp {
-				minUp = d
-			}
-		}
-	}
-	if budget < low {
-		// Nothing fits: the fallback is all-lowest.
-		for i := range a {
-			a[i] = codec.Level(codec.NumLevels - 1)
-		}
+	a, low := starved(tiles, budget, nil)
+	if a != nil {
+		// Nothing fits, or no upgrade does: the sweep would end on a.
 		return a, SearchStats{}
 	}
-	if low+minUp > budget+boundSlack*budget {
-		// No upgrade fits: the sweep would end on a as it stands. A plan
-		// whose forward sum rounds under a budget this sum rounds over is
-		// inside the slack, and left for the sweep to find.
-		return a, SearchStats{}
-	}
+	a = make(Allocation, len(tiles))
+	smallestRows(tiles, a)
 	if sc.cheapestFits(tiles, budget) {
 		// Every tile's cheapest row fits: that plan is the optimum, and the
 		// sweep would end on it.

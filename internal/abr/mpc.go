@@ -63,33 +63,50 @@ func (m *MPC) PickLevel(bufferSec, predBWbps, chunkSec float64, prev codec.Level
 	if predBWbps <= 0 {
 		predBWbps = 1e3
 	}
+	// dls[step][l] is horizon[step]'s download time at level l. Every node
+	// of the tree at that step reads it, so it is divided once per call.
+	var few [4][codec.NumLevels]float64
+	dls := few[:0]
+	if h > len(few) {
+		dls = make([][codec.NumLevels]float64, 0, h)
+	}
+	for _, p := range horizon[:h] {
+		var row [codec.NumLevels]float64
+		for l := range row {
+			row[l] = p.Bits[l] / predBWbps
+		}
+		dls = append(dls, row)
+	}
 	bestFirst := codec.Level(codec.NumLevels - 1)
 	bestScore := math.Inf(-1)
-	seq := make([]codec.Level, h)
-	var rec func(step int, buf, score float64, last codec.Level)
-	rec = func(step int, buf, score float64, last codec.Level) {
-		if step == h {
-			if score > bestScore {
-				bestScore = score
-				bestFirst = seq[0]
-			}
-			return
-		}
+	// first is the sequence's first level, the one a better score commits.
+	// The last step scores its leaves in place.
+	var rec func(step int, buf, score float64, last, first codec.Level)
+	rec = func(step int, buf, score float64, last, first codec.Level) {
 		for l := 0; l < codec.NumLevels; l++ {
 			lv := codec.Level(l)
-			dl := horizon[step].Bits[l] / predBWbps
-			rebuf := math.Max(dl-buf, 0)
-			nb := math.Max(buf-dl, 0) + chunkSec
+			if step == 0 {
+				first = lv
+			}
+			// The builtin max is math.Max, NaN and signed zeros alike,
+			// without the call.
+			dl := dls[step][l]
+			rebuf := max(dl-buf, 0)
+			nb := max(buf-dl, 0) + chunkSec
 			s := score + horizon[step].Quality[l] - m.RebufPenalty*rebuf -
 				m.BufferPenalty*math.Abs(nb-m.TargetBufferSec)
 			if last >= 0 {
 				s -= m.SwitchPenalty * math.Abs(float64(lv-last))
 			}
-			seq[step] = lv
-			rec(step+1, nb, s, lv)
+			if step+1 < h {
+				rec(step+1, nb, s, lv, first)
+			} else if s > bestScore {
+				bestScore = s
+				bestFirst = first
+			}
 		}
 	}
-	rec(0, bufferSec, 0, prev)
+	rec(0, bufferSec, 0, prev, bestFirst)
 	return bestFirst
 }
 

@@ -236,31 +236,48 @@ type Outcome struct {
 }
 
 // Draw resolves the fault plan for the n-th request with the given
-// draw key under rule r. The draws happen in a fixed order so each
-// fault type's stream is stable as other rates change, and precedence
-// is abort > 500 > truncate|stall. The HTTP middleware keys its own
-// draws with KeyString(path), so a non-HTTP transport keyed the same
-// way reproduces its sequence exactly.
-func (r Rule) Draw(seed, key, n uint64) Outcome {
+// draw key under rule r into out. The draws happen in a fixed order so
+// each fault type's stream is stable as other rates change, and
+// precedence is abort > 500 > truncate|stall. The HTTP middleware keys
+// its own draws with KeyString(path), so a non-HTTP transport keyed the
+// same way reproduces its sequence exactly.
+//
+// Draw fills out rather than returning it: an Outcome is five fields, so
+// it lives in memory, and a returned one is stored field by field and
+// then copied whole, a load that stalls on those stores — once per
+// request of a simulated session.
+func (r Rule) Draw(seed, key, n uint64, out *Outcome) {
 	rng := mathx.NewRNG(seed ^ key ^ (n * 0x9e3779b97f4a7c15))
-	uAbort := rng.Float64()
-	uErr := rng.Float64()
-	uTrunc := rng.Float64()
-	uStall := rng.Float64()
-	uJitter := rng.Float64()
-
-	var d Outcome
-	switch {
-	case uAbort < r.AbortRate:
-		d.Abort = true
-	case uErr < r.ErrorRate:
-		d.Error500 = true
-	default:
-		d.Truncate = uTrunc < r.TruncateRate
-		d.Stall = uStall < r.StallRate
+	uAbort := uniform(rng, r.AbortRate)
+	uErr := uniform(rng, r.ErrorRate)
+	uTrunc := uniform(rng, r.TruncateRate)
+	uStall := uniform(rng, r.StallRate)
+	var uJitter float64 // the last draw: with no jitter, none is needed
+	if r.Jitter != 0 {
+		uJitter = rng.Float64()
 	}
-	d.Latency = r.Latency + time.Duration(float64(r.Jitter)*uJitter)
-	return d
+
+	abort := uAbort < r.AbortRate
+	err500 := !abort && uErr < r.ErrorRate
+	served := !abort && !err500
+	*out = Outcome{
+		Abort: abort, Error500: err500,
+		Truncate: served && uTrunc < r.TruncateRate,
+		Stall:    served && uStall < r.StallRate,
+		Latency:  r.Latency + time.Duration(float64(r.Jitter)*uJitter),
+	}
+}
+
+// uniform is rng's next uniform, compared against a fault's rate p. No
+// uniform in [0, 1) is below a rate that is not above 0, so for such a
+// rate the draw is skipped rather than computed and 1 stands in for it;
+// the draws after it are the ones they would have been.
+func uniform(rng *mathx.RNG, p float64) float64 {
+	if p > 0 {
+		return rng.Float64()
+	}
+	rng.Skip()
+	return 1
 }
 
 // KeyString hashes a request path into a draw key (fnv-64a), matching
@@ -273,8 +290,9 @@ func KeyString(path string) uint64 {
 
 // decide draws the request's fault plan from (seed, path, per-path
 // attempt n).
-func decide(seed uint64, path string, n uint64, r Rule) Outcome {
-	return r.Draw(seed, KeyString(path), n)
+func decide(seed uint64, path string, n uint64, r Rule) (out Outcome) {
+	r.Draw(seed, KeyString(path), n, &out)
+	return out
 }
 
 // Wrap returns a handler injecting the profile's faults in front of

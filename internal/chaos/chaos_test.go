@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"pano/internal/mathx"
 	"pano/internal/obs"
 )
 
@@ -51,6 +52,45 @@ func TestDisabledProfilePassthroughIdentity(t *testing.T) {
 	}
 	if (Profile{}).Enabled() {
 		t.Error("zero profile reports enabled")
+	}
+}
+
+// Draw skips the uniforms no fault can fall below and nothing else: over
+// rules with zero, negative and positive rates and jitter, every outcome
+// is the one drawing all five uniforms in order gives.
+func TestDrawSkipsOnlyWhatCannotFire(t *testing.T) {
+	drawAll := func(r Rule, seed, key, n uint64) Outcome {
+		rng := mathx.NewRNG(seed ^ key ^ (n * 0x9e3779b97f4a7c15))
+		uAbort, uErr, uTrunc, uStall, uJitter := rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()
+		var d Outcome
+		switch {
+		case uAbort < r.AbortRate:
+			d.Abort = true
+		case uErr < r.ErrorRate:
+			d.Error500 = true
+		default:
+			d.Truncate = uTrunc < r.TruncateRate
+			d.Stall = uStall < r.StallRate
+		}
+		d.Latency = r.Latency + time.Duration(float64(r.Jitter)*uJitter)
+		return d
+	}
+	for i, r := range []Rule{
+		{},
+		{ErrorRate: 0.3},
+		{AbortRate: 0.2, StallRate: 0.4},
+		{TruncateRate: 0.5, Jitter: 10 * time.Millisecond},
+		{ErrorRate: 0.1, AbortRate: 0.1, TruncateRate: 0.1, StallRate: 0.1, Latency: 20 * time.Millisecond, Jitter: 10 * time.Millisecond},
+		{ErrorRate: 0.02, TruncateRate: 0.01, Latency: 20 * time.Millisecond, Jitter: 10 * time.Millisecond},
+		{AbortRate: -1, StallRate: 1, Jitter: -5 * time.Millisecond},
+	} {
+		for n := uint64(0); n < 2000; n++ {
+			var got Outcome
+			r.Draw(7, KeyString("/video/0/1/2.bin"), n, &got)
+			if want := drawAll(r, 7, KeyString("/video/0/1/2.bin"), n); got != want {
+				t.Fatalf("rule %d draw %d: %+v, drawing every uniform %+v", i, n, got, want)
+			}
+		}
 	}
 }
 

@@ -428,7 +428,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	ins := newFetchInstruments(cfg.Obs)
 	dec := newDecisionInstruments(cfg.Obs, cfg.Planner.Name())
 	turner, _ := tp.(Turner)
-	fetchRNG := mathx.NewRNG(pol.Seed + 0xba0ff)
+	fetcher := Fetcher{tp: tp, clk: clk, pol: pol, rng: mathx.NewRNG(pol.Seed + 0xba0ff), ins: &ins, sess: sess}
 
 	est := player.NewEstimator()
 	mpc := abr.NewMPC(cfg.BufferTargetSec)
@@ -538,8 +538,9 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		var retries, degraded, skipped, slowTile int
 		delivered := append(abr.Allocation(nil), alloc...)
 		var stale []bool
+		var tf tileFetch
 		for ti, l := range alloc {
-			tf, ferr := fetchTileResilient(fctx, tp, clk, k, ti, l, pol, buffer, k == 0, fetchRNG, &ins, sess)
+			ferr := fetcher.fetch(fctx, k, ti, l, buffer, k == 0, &tf)
 			if tf.first > slowest {
 				slowest, slowTile = tf.first, ti
 			}
@@ -629,7 +630,9 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		chunksTotal.Inc()
 		bytesTotal.Add(float64(bytes))
 		rebufTotal.Add(stall)
-		dlSeconds.ObserveExemplar(dl.Seconds(), chunkSpan.TraceHex())
+		if dlSeconds != nil {
+			dlSeconds.ObserveExemplar(dl.Seconds(), chunkSpan.TraceHex())
+		}
 		bufGauge.Set(buffer)
 		if instrumented || cfg.ScoreChunk != nil {
 			// Phase: stitch + viewport-quality scoring of what was
@@ -812,7 +815,9 @@ func (d *decisionInstruments) plan(ctx context.Context, p player.Planner, m *man
 	sec := t.ObserveDuration().Seconds()
 	sp.Annotate("tiles", len(a))
 	sp.End()
-	d.planS.ObserveExemplar(sec, sp.TraceHex())
+	if d.planS != nil {
+		d.planS.ObserveExemplar(sec, sp.TraceHex())
+	}
 	d.plans.Inc()
 	return a
 }

@@ -203,11 +203,11 @@ func TestFetchResilientDeadlineExpiryMidBody(t *testing.T) {
 	reg := obs.NewRegistry()
 	ins := newFetchInstruments(reg)
 	var el *obs.EventLog
-	rng := mathx.NewRNG(1)
+	f := Fetcher{tp: New(ts.URL), clk: RealClock{}, pol: pol, rng: mathx.NewRNG(1), ins: &ins, sess: el.Session()}
 
 	t0 := time.Now()
-	tf, err := fetchTileResilient(context.Background(), New(ts.URL), RealClock{}, 0, 0, 0,
-		pol, 0, true, rng, &ins, el.Session())
+	var tf tileFetch
+	err = f.fetch(context.Background(), 0, 0, 0, 0, true, &tf)
 	elapsed := time.Since(t0)
 	if err != nil {
 		t.Fatalf("deadline expiry must resolve to a skip, not an error: %v", err)
@@ -230,8 +230,7 @@ func TestFetchResilientDeadlineExpiryMidBody(t *testing.T) {
 	// A canceled session context propagates instead of degrading.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := fetchTileResilient(ctx, New(ts.URL), RealClock{}, 0, 0, 0,
-		pol, 0, true, rng, &ins, el.Session()); err == nil {
+	if err := f.fetch(ctx, 0, 0, 0, 0, true, &tf); err == nil {
 		t.Error("canceled context must propagate an error")
 	}
 }

@@ -122,7 +122,7 @@ func (p FetchPolicy) WithDefaults() FetchPolicy {
 // buffer, floored at MinAttemptTimeout and capped at AttemptTimeout.
 // During startup (nothing is playing yet) the full AttemptTimeout
 // applies.
-func (p FetchPolicy) attemptTimeout(bufferSec float64, startup bool) time.Duration {
+func (p *FetchPolicy) attemptTimeout(bufferSec float64, startup bool) time.Duration {
 	if startup {
 		return p.AttemptTimeout
 	}
@@ -262,11 +262,46 @@ type tileFetch struct {
 	first time.Duration
 }
 
-// fetchTileResilient runs the §7 degradation ladder for one tile:
+// Fetcher is one session's tile-fetch ladder: what every tile it fetches
+// shares. RunSession builds one per session, instruments and event log
+// attached; NewFetcher builds one unobserved.
+type Fetcher struct {
+	tp   Transport
+	clk  Clock
+	pol  FetchPolicy // as WithDefaults returns it
+	rng  *mathx.RNG  // the backoff jitter
+	ins  *fetchInstruments
+	sess *slog.Logger // nil without an event log
+}
+
+// NewFetcher returns a session's ladder over tp on clk under pol, its
+// backoff jittered by rng, with no registry, event log or span: the
+// per-tile path that a Transport's benchmarks time with the ladder over
+// it.
+func NewFetcher(tp Transport, clk Clock, pol FetchPolicy, rng *mathx.RNG) *Fetcher {
+	return &Fetcher{tp: tp, clk: clk, pol: pol.WithDefaults(), rng: rng, ins: &unobserved}
+}
+
+// unobserved are the instruments of no registry: a ladder writes nothing
+// to them, so every NewFetcher shares them.
+var unobserved fetchInstruments
+
+// Fetch runs tile ti of chunk k through the ladder, as RunSession runs
+// each tile it planned past the first chunk. It returns the level the
+// tile was delivered at, ok false when the ladder skipped it, and an
+// error only when ctx was canceled.
+func (f *Fetcher) Fetch(ctx context.Context, k, ti int, planned codec.Level, bufferSec float64) (level codec.Level, ok bool, err error) {
+	var out tileFetch
+	err = f.fetch(ctx, k, ti, planned, bufferSec, false, &out)
+	return out.level, !out.skipped, err
+}
+
+// fetch runs the §7 degradation ladder for one tile:
 // bounded retries with jittered backoff at the planned level, then at
 // the lowest level, then a skip. It returns an error only when the
 // session context itself is canceled; every server-side failure mode
 // resolves to a degraded or skipped outcome so the session continues.
+// The outcome goes to out, which the caller reuses tile after tile.
 //
 // Under a traced ctx the ladder records what went wrong and nothing
 // else: a tile whose first attempt succeeds opens no span (the chunk's
@@ -277,10 +312,9 @@ type tileFetch struct {
 // ladder rung, the buffer-derived deadline, the backoff that follows a
 // failure, and the failure's error class — so a late chunk decomposes
 // into exactly which attempt stalled and why.
-func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int, planned codec.Level,
-	pol FetchPolicy, bufferSec float64, startup bool, rng *mathx.RNG,
-	ins *fetchInstruments, sess *slog.Logger) (tileFetch, error) {
-
+func (f *Fetcher) fetch(ctx context.Context, k, ti int, planned codec.Level,
+	bufferSec float64, startup bool, out *tileFetch) error {
+	tp, clk, pol, ins, sess := f.tp, f.clk, &f.pol, f.ins, f.sess
 	// Spans and attribute lists are built only under a traced context,
 	// event argument lists only with a log attached (sess non-nil): the
 	// unobserved ladder allocates nothing per tile.
@@ -291,7 +325,7 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 	}
 	var tspan *trace.Span // the tile_fetch span, open from the first failure on
 
-	out := tileFetch{level: planned}
+	*out = tileFetch{level: planned}
 	lowest := codec.Level(codec.NumLevels - 1)
 	rungs := [2]codec.Level{planned, lowest}
 	nRungs := 2
@@ -299,9 +333,11 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 		nRungs = 1
 	}
 	var lastErr error
+	// Every attempt of the tile gets the same deadline: the buffer it is
+	// derived from moves only between tiles.
+	timeout := pol.attemptTimeout(bufferSec, startup)
 	for ri, lv := range rungs[:nRungs] {
 		for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-			timeout := pol.attemptTimeout(bufferSec, startup)
 			actx, aspan := ctx, (*trace.Span)(nil)
 			if tspan != nil {
 				actx, aspan = trace.StartSpan(ctx, "attempt",
@@ -313,7 +349,9 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 			bits, err := tp.Tile(actx, k, ti, lv)
 			d := clk.Since(t0)
 			cancel()
-			ins.attempts.ObserveExemplar(d.Seconds(), exemplar)
+			if ins.attempts != nil {
+				ins.attempts.ObserveExemplar(d.Seconds(), exemplar)
+			}
 			if out.retries == 0 {
 				out.first = d
 			}
@@ -358,7 +396,7 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 			}
 			var backoff time.Duration
 			if attempt < pol.MaxAttempts-1 {
-				backoff = pol.Backoff(attempt, rng)
+				backoff = pol.Backoff(attempt, f.rng)
 				if aspan != nil {
 					aspan.Annotate("backoff_sec", backoff.Seconds())
 				}
@@ -382,10 +420,10 @@ func fetchTileResilient(ctx context.Context, tp Transport, clk Clock, k, ti int,
 }
 
 // endTileSpan closes the tile_fetch span s, when the ladder opened one,
-// with the ladder's outcome, and returns that outcome.
-func endTileSpan(s *trace.Span, out tileFetch, err error) (tileFetch, error) {
+// with the ladder's outcome out, and returns err.
+func endTileSpan(s *trace.Span, out *tileFetch, err error) error {
 	if s == nil {
-		return out, err
+		return err
 	}
 	s.Annotate("retries", out.retries)
 	s.Annotate("level", int(out.level))
@@ -400,5 +438,5 @@ func endTileSpan(s *trace.Span, out tileFetch, err error) (tileFetch, error) {
 		s.Annotate("outcome", "ok")
 	}
 	s.End()
-	return out, err
+	return err
 }

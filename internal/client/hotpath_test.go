@@ -42,15 +42,15 @@ func TestFetchTileResilientAllocatesNothing(t *testing.T) {
 	m := fixture(t).man
 	clk := NewVirtualClock(0)
 	tp := &rateTransport{m: m, clk: clk, bps: topRate(m)}
-	pol := DefaultFetchPolicy()
-	rng := mathx.NewRNG(1)
 	ins := newFetchInstruments(nil)
+	f := Fetcher{tp: tp, clk: clk, pol: DefaultFetchPolicy(), rng: mathx.NewRNG(1), ins: &ins}
 	traced, root := trace.New(trace.Config{Seed: 1}).Start(context.Background(), "fetch")
 	defer root.End()
+	var tf tileFetch
 	for name, ctx := range map[string]context.Context{"untraced": context.Background(), "traced": traced} {
 		for _, planned := range []codec.Level{0, codec.Level(codec.NumLevels - 1)} {
 			allocs := testing.AllocsPerRun(100, func() {
-				tf, err := fetchTileResilient(ctx, tp, clk, 1, 0, planned, pol, 2, false, rng, &ins, nil)
+				err := f.fetch(ctx, 1, 0, planned, 2, false, &tf)
 				if err != nil || tf.skipped || tf.level != planned {
 					t.Fatalf("fetch: %+v, %v", tf, err)
 				}

@@ -5,17 +5,15 @@ import (
 	"time"
 )
 
-// epoch anchors virtual time. It is a constant (not time.Now) so every
-// run of the same configuration produces byte-identical timelines.
-var epoch = time.Unix(0, 0).UTC()
-
 // VirtualClock implements Clock in discrete-event time — the clock of
 // every simulated session (internal/sim, internal/swarm): Sleep
 // advances instead of blocking, WithTimeout installs a logical
-// deadline the virtual transport honours, and Now derives from a fixed
-// epoch plus the session's accumulated offset. Each running session
-// owns exactly one goroutine, so the clock is deliberately unlocked —
-// sharing one VirtualClock across goroutines is a bug.
+// deadline the virtual transport honours, and Now is the session's
+// accumulated offset past a fixed epoch, the Unix epoch (a constant, not
+// time.Now, so every run of the same configuration produces
+// byte-identical timelines). Each running session owns exactly one
+// goroutine, so the clock is deliberately unlocked — sharing one
+// VirtualClock across goroutines is a bug.
 type VirtualClock struct {
 	off     time.Duration // virtual time since epoch
 	attempt deadlineCtx   // the context WithTimeout hands out
@@ -28,10 +26,11 @@ func NewVirtualClock(startSec float64) *VirtualClock {
 }
 
 // Now implements Clock.
-func (c *VirtualClock) Now() time.Time { return epoch.Add(c.off) }
+func (c *VirtualClock) Now() time.Time { return time.Unix(0, int64(c.off)).UTC() }
 
-// Since implements Clock.
-func (c *VirtualClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+// Since implements Clock. A time this clock handed out is the epoch plus
+// an offset, its UnixNano, so what elapsed is a difference of offsets.
+func (c *VirtualClock) Since(t time.Time) time.Duration { return c.off - time.Duration(t.UnixNano()) }
 
 // NowSec returns the current virtual time in seconds past the epoch —
 // the time axis shared by bandwidth traces and origin-load buckets.
@@ -83,6 +82,17 @@ func (d *deadlineCtx) Value(key any) any {
 	return d.Context.Value(key)
 }
 
+// deadlineOf returns the nearest deadline node of ctx, nil when it has
+// none. An attempt's context is the node WithTimeout handed out, so a
+// transport honouring it finds it without walking the chain again.
+func deadlineOf(ctx context.Context) *deadlineCtx {
+	d, ok := ctx.(*deadlineCtx)
+	if !ok {
+		d, _ = ctx.Value(deadlineKey{}).(*deadlineCtx)
+	}
+	return d
+}
+
 func nopCancel() {}
 
 // WithTimeout implements Clock: the returned context carries a
@@ -99,7 +109,7 @@ func nopCancel() {}
 // own ancestor.
 func (c *VirtualClock) WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
 	out, dl := &c.attempt, c.off+d
-	if cur, ok := ctx.Value(deadlineKey{}).(*deadlineCtx); ok {
+	if cur := deadlineOf(ctx); cur != nil {
 		out = new(deadlineCtx)
 		dl = min(dl, cur.dl)
 	}

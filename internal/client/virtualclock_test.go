@@ -116,7 +116,7 @@ func TestVirtualClockNestedWithTimeout(t *testing.T) {
 // WithTimeout installed on ctx, if any.
 func virtualDeadline(ctx context.Context) (time.Time, bool) {
 	if d, ok := ctx.Value(deadlineKey{}).(*deadlineCtx); ok {
-		return epoch.Add(d.dl), true
+		return time.Unix(0, int64(d.dl)).UTC(), true
 	}
 	return time.Time{}, false
 }

@@ -59,12 +59,13 @@ type VirtualNet struct {
 }
 
 // turn is the chunk's turn: it has held the link since start
-// (past the epoch; warm if it resumed after other requests took the
-// link) and carried bits and server delay since; req is the request its
-// last answer was.
+// (past the epoch, startSec in seconds; warm if it resumed after other
+// requests took the link) and carried bits and server delay since; req
+// is the request its last answer was.
 type turn struct {
 	open, warm  bool
 	start       time.Duration
+	startSec    float64
 	bits, delay float64
 	req         int64
 }
@@ -108,7 +109,9 @@ func (n *VirtualNet) Turn(_ context.Context, k int, alloc abr.Allocation) {
 // Tile implements Transport: Serve, the server answering under the
 // object's next fault draw.
 func (n *VirtualNet) Tile(ctx context.Context, k, ti int, l codec.Level) (float64, error) {
-	return n.Serve(ctx, k, ti, l, n.Draw(k, ti, l))
+	var out chaos.Outcome
+	n.Draw(k, ti, l, &out)
+	return n.Serve(ctx, k, ti, l, out)
 }
 
 // Serve is Tile with the server's answer given: out is how the server
@@ -128,9 +131,9 @@ func (n *VirtualNet) Serve(ctx context.Context, k, ti int, l codec.Level, out ch
 	var cost time.Duration
 	var ferr error
 	if inTurn {
-		cost, ferr = n.answer(out, bits)
+		cost, ferr = n.answer(&out, bits)
 	} else {
-		cost, ferr = n.send(out, bits)
+		cost, ferr = n.send(&out, bits)
 	}
 	if err := n.advance(ctx, cost); err != nil {
 		if inTurn {
@@ -150,26 +153,36 @@ func TileKey(k, ti int, l codec.Level) uint64 {
 	return 1<<63 | uint64(k)<<24 | uint64(ti)<<4 | uint64(l)
 }
 
-// Draw consumes the object's next fault draw. The count is per session
-// and advances once per request, so outcomes are deterministic
-// regardless of which origin serves which request.
-func (n *VirtualNet) Draw(k, ti int, l codec.Level) chaos.Outcome {
-	if n.Fault == (chaos.Rule{}) {
-		return chaos.Outcome{}
-	}
-	if len(n.seq) == 0 {
-		n.firstTile = append(n.firstTile[:0], 0)
-		for c, ch := range n.Video.Chunks {
-			n.firstTile = append(n.firstTile, n.firstTile[c]+len(ch.Tiles))
-		}
-		size := n.firstTile[len(n.Video.Chunks)] * codec.NumLevels
-		n.seq = slices.Grow(n.seq[:0], size)[:size]
-		clear(n.seq)
+// Draw consumes the object's next fault draw into out (see
+// chaos.Rule.Draw). The count is per session and advances once per
+// request, so outcomes are deterministic regardless of which origin
+// serves which request.
+func (n *VirtualNet) Draw(k, ti int, l codec.Level, out *chaos.Outcome) {
+	if len(n.seq) == 0 && !n.countDraws() {
+		*out = chaos.Outcome{}
+		return
 	}
 	c := &n.seq[(n.firstTile[k]+ti)*codec.NumLevels+int(l)]
-	o := n.Fault.Draw(n.Seed, TileKey(k, ti, l), uint64(*c))
+	seq := *c
 	*c++
-	return o
+	n.Fault.Draw(n.Seed, TileKey(k, ti, l), uint64(seq), out)
+}
+
+// countDraws sizes seq, one zeroed count per object, at a session's first
+// draw, and reports whether there are draws to count: the zero rule draws
+// nothing.
+func (n *VirtualNet) countDraws() bool {
+	if n.Fault == (chaos.Rule{}) {
+		return false
+	}
+	n.firstTile = append(n.firstTile[:0], 0)
+	for c, ch := range n.Video.Chunks {
+		n.firstTile = append(n.firstTile, n.firstTile[c]+len(ch.Tiles))
+	}
+	size := n.firstTile[len(n.Video.Chunks)] * codec.NumLevels
+	n.seq = slices.Grow(n.seq[:0], size)[:size]
+	clear(n.seq)
+	return true
 }
 
 // answer prices the answer to a planned request on the turn, asked for
@@ -179,16 +192,16 @@ func (n *VirtualNet) Draw(k, ti int, l codec.Level) chaos.Outcome {
 // When other requests took the link in between, the turn resumes from
 // now, warm: its data has long been on the way, so the RTT is not paid
 // again. A 500, an abort or a truncation ends its own request alone.
-func (n *VirtualNet) answer(out chaos.Outcome, bits float64) (time.Duration, error) {
+func (n *VirtualNet) answer(out *chaos.Outcome, bits float64) (time.Duration, error) {
 	n.requests++
 	now := n.Clock.off
 	tn := &n.tn
 	switch {
 	case !tn.open:
-		*tn = turn{open: true, start: now}
+		*tn = turn{open: true, start: now, startSec: now.Seconds()}
 		n.opened++
 	case tn.req != n.requests-1:
-		*tn = turn{open: true, warm: true, start: now}
+		*tn = turn{open: true, warm: true, start: now, startSec: now.Seconds()}
 	}
 	tn.req = n.requests
 	tn.delay += out.Latency.Seconds()
@@ -202,7 +215,7 @@ func (n *VirtualNet) answer(out chaos.Outcome, bits float64) (time.Duration, err
 		}
 		tn.bits += bits
 	}
-	dl := n.Link.DownloadTime(tn.start.Seconds(), tn.bits)
+	dl := n.Link.DownloadTime(tn.startSec, tn.bits)
 	if n.Fault.ThrottleBps > 0 {
 		dl = max(dl, tn.bits/n.Fault.ThrottleBps+n.Link.RTTSec)
 	}
@@ -215,7 +228,7 @@ func (n *VirtualNet) answer(out chaos.Outcome, bits float64) (time.Duration, err
 
 // send prices one request off the turn, sent now: its cost, its own RTT
 // included, and how it ends. It does not move the clock.
-func (n *VirtualNet) send(out chaos.Outcome, bits float64) (time.Duration, error) {
+func (n *VirtualNet) send(out *chaos.Outcome, bits float64) (time.Duration, error) {
 	n.requests++
 	now := n.Clock.NowSec()
 	cost := out.Latency.Seconds()
@@ -239,7 +252,7 @@ func (n *VirtualNet) send(out chaos.Outcome, bits float64) (time.Duration, error
 
 // refusal is how a request the server refuses ends — reset before any
 // byte (an abort) or answered 500 — and nil for any other.
-func refusal(out chaos.Outcome) error {
+func refusal(out *chaos.Outcome) error {
 	switch {
 	case out.Abort:
 		return syscall.ECONNRESET
@@ -257,7 +270,7 @@ func seconds(cost float64) time.Duration { return time.Duration(cost * float64(t
 // deadline, not at completion.
 func (n *VirtualNet) advance(ctx context.Context, d time.Duration) error {
 	done := n.Clock.off + d
-	if at, ok := ctx.Value(deadlineKey{}).(*deadlineCtx); ok && done > at.dl {
+	if at := deadlineOf(ctx); at != nil && done > at.dl {
 		n.Clock.advanceTo(at.dl)
 		return context.DeadlineExceeded
 	}

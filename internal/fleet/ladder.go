@@ -151,10 +151,13 @@ type Ladder struct {
 
 // Start begins l's walk over order, an object's ring order, crediting
 // the budget with its primary request; seed drives the backoff jitter.
+// l may hold an earlier walk: Start resets what the walk reads before it
+// writes it, and Next sets the attempt's own fields as it admits one.
 func (p *Policy) Start(l *Ladder, order []int, seed uint64) {
 	p.budget.Earn()
-	*l = Ladder{}
-	l.p, l.order, l.seed = p, order, seed
+	l.p, l.order, l.seed, l.rng = p, order, seed, nil
+	l.round, l.next, l.attempts, l.err = 0, 0, 0, nil
+	l.answered, l.byHedge, l.late = false, false, false
 }
 
 // Next admits the next rung at now.

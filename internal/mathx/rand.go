@@ -26,6 +26,10 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// Skip advances the stream past one draw without computing it: the
+// draws after it are the ones they would have been.
+func (r *RNG) Skip() { r.state += 0x9e3779b97f4a7c15 }
+
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

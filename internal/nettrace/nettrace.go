@@ -53,9 +53,13 @@ func (t *Trace) BandwidthAt(tm float64) float64 {
 	if len(t.Mbps) == 0 {
 		return 0
 	}
-	i := int(tm/SampleInterval) % len(t.Mbps)
-	if i < 0 {
-		i += len(t.Mbps)
+	i := int(tm / SampleInterval)
+	if i < 0 || i >= len(t.Mbps) {
+		// Past the end, wrap: a division, which a time inside the trace
+		// does without.
+		if i %= len(t.Mbps); i < 0 {
+			i += len(t.Mbps)
+		}
 	}
 	return t.Mbps[i] * 1e6
 }

@@ -90,17 +90,20 @@ func planPMSE(lut manifest.PowerLUT, ref, a, lnA float64) float64 {
 
 // CostRows builds the allocator's input for chunk k under view — one
 // row per tile, Cost[l] = area · estimated PMSE at level l — into dst,
-// which is grown when too short, and returns it. It is the only place
-// the rows are built: Plan allocates over exactly these.
+// which is grown when too short, and returns it. It and Plan's exit build
+// rows the one way, buildRows: Plan allocates over exactly these.
 func (p *PanoPlanner) CostRows(dst []abr.TileChoice, m *manifest.Video, k int, view ChunkView) []abr.TileChoice {
-	prof := p.Profile
-	if prof == nil {
-		prof = jnd.Default()
-	}
 	tiles := m.Chunks[k].Tiles
 	dst = slices.Grow(dst[:0], len(tiles))[:len(tiles)]
+	prof := p.profile()
 	// Equation 4's luminance factor depends on the view alone.
-	fl := prof.Fl(view.LumaChange)
+	p.buildRows(dst, tiles, view, prof, prof.Fl(view.LumaChange))
+	return dst
+}
+
+// buildRows builds rows[i] from tiles[i] under view, fl being the view's
+// luminance factor under prof.
+func (p *PanoPlanner) buildRows(rows []abr.TileChoice, tiles []manifest.Tile, view ChunkView, prof *jnd.Profile, fl float64) {
 	for i := range tiles {
 		t := &tiles[i]
 		ratio, lnA := 1.0, 0.0
@@ -116,10 +119,27 @@ func (p *PanoPlanner) CostRows(dst []abr.TileChoice, m *manifest.Video, k int, v
 			}
 		}
 		area := float64(t.Rect.Area())
-		dst[i].Bits = t.Bits
-		for l := range dst[i].Cost {
-			dst[i].Cost[l] = area * planPMSE(t.LUT[l], t.RefPSPNR[l], ratio, lnA)
+		rows[i].Bits = t.Bits
+		for l := range rows[i].Cost {
+			rows[i].Cost[l] = area * planPMSE(t.LUT[l], t.RefPSPNR[l], ratio, lnA)
 		}
 	}
+}
+
+// bitsRows sets dst, grown when too short, to chunk k's rows with their
+// bits only, and returns it.
+func bitsRows(dst []abr.TileChoice, m *manifest.Video, k int) []abr.TileChoice {
+	tiles := m.Chunks[k].Tiles
+	dst = slices.Grow(dst[:0], len(tiles))[:len(tiles)]
+	for i := range tiles {
+		dst[i].Bits = tiles[i].Bits
+	}
 	return dst
+}
+
+func (p *PanoPlanner) profile() *jnd.Profile {
+	if p.Profile == nil {
+		return jnd.Default()
+	}
+	return p.Profile
 }

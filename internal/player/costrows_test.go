@@ -312,11 +312,18 @@ func TestPlanMatchesExactRows(t *testing.T) {
 	}
 }
 
-var sinkRows []abr.TileChoice
+var (
+	sinkRows []abr.TileChoice
+	sinkPlan abr.Allocation
+)
 
 // BenchmarkCostRows times the planner's input for one chunk of the
 // benchmark's 30-tile manifest, cycling over its chunks and viewers:
-// exact is the Pow-and-Exp definition, table what Plan runs.
+// exact is the Pow-and-Exp definition, table what Plan runs. settled is
+// a whole Plan at the chunk's all-lowest budget, which affords no
+// upgrade — a starved session's every chunk — answered by abr.Starved
+// from the bits, with the costs built only for tiles tied at their
+// smallest size: what such a chunk pays where it paid table and more.
 func BenchmarkCostRows(b *testing.B) {
 	m, trs := benchFixture(b)
 	est := NewEstimator()
@@ -343,6 +350,13 @@ func BenchmarkCostRows(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := &calls[i%len(calls)]
 			sinkRows = p.CostRows(sinkRows, m, c.k, c.view)
+		}
+	})
+	b.Run("settled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := &calls[i%len(calls)]
+			sinkPlan = p.Plan(m, c.k, c.view, m.ChunkBits(c.k, codec.Level(codec.NumLevels-1)))
 		}
 	})
 }

@@ -2,6 +2,7 @@ package player
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -9,6 +10,10 @@ import (
 	"pano/internal/abr"
 	"pano/internal/codec"
 	"pano/internal/jnd"
+	"pano/internal/manifest"
+	"pano/internal/provider"
+	"pano/internal/scene"
+	"pano/internal/viewport"
 )
 
 // raceEnabled is set by race_test.go under the race detector.
@@ -197,10 +202,12 @@ func TestPanoPlannerSharedAcrossGoroutines(t *testing.T) {
 
 // Warm, Plan allocates the plan it returns and nothing else: the cost
 // rows, the search's frontiers and its LP tables all come from pools, and
-// the lowest-level budget is answered without a search. The figure is
-// the one the unbounded search and the inline row loop had. sync.Pool
-// drops items at random under the race detector, so the pin is skipped
-// there; TestPanoPlannerSharedAcrossGoroutines is what runs under -race.
+// the budgets at the low end — under the all-lowest size, at it, and
+// short of the cheapest step up — are answered by abr.Starved, the costs
+// its ties need built on demand. The figure is the one the unbounded
+// search and the inline row loop had. sync.Pool drops items at random
+// under the race detector, so the pin is skipped there;
+// TestPanoPlannerSharedAcrossGoroutines is what runs under -race.
 func TestPanoPlannerPlanAllocatesOnlyThePlan(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -208,14 +215,122 @@ func TestPanoPlannerPlanAllocatesOnlyThePlan(t *testing.T) {
 	m, tr := fixture(t)
 	est := NewEstimator()
 	pl := NewPanoPlanner()
+	exits := 0
 	for k := 0; k < m.NumChunks(); k++ {
 		view := est.View(m, tr, k, float64(k)*m.ChunkSec)
+		budgets := starvedBudgets(m, k)[:3]
 		for l := 0; l < codec.NumLevels; l++ {
-			budget := m.ChunkBits(k, codec.Level(l))
+			budgets = append(budgets, m.ChunkBits(k, codec.Level(l)))
+		}
+		rows := pl.CostRows(nil, m, k, view)
+		for _, budget := range budgets {
+			if abr.Starved(rows, budget, nil) != nil {
+				exits++
+			}
 			pl.Plan(m, k, view, budget) // warm both pools
 			if allocs := testing.AllocsPerRun(20, func() { pl.Plan(m, k, view, budget) }); allocs != 1 {
-				t.Errorf("chunk %d at the level-%d budget: %v allocs per Plan, want 1", k, l, allocs)
+				t.Errorf("chunk %d at budget %.0f: %v allocs per Plan, want 1", k, budget, allocs)
 			}
+		}
+	}
+	if exits < 3*m.NumChunks() {
+		t.Errorf("%d plans answered by the exit, want at least the %d low-end budgets", exits, 3*m.NumChunks())
+	}
+}
+
+// swarmFixture is internal/swarm's test population: its manifest and
+// the four viewers it was tiled with.
+func swarmFixture(t testing.TB) (*manifest.Video, []*viewport.Trace) {
+	t.Helper()
+	swarmFixtureOnce.Do(func() {
+		v := scene.Generate(scene.Sports, 23, scene.Options{W: 240, H: 120, FPS: 10, DurationSec: 8})
+		for i := uint64(1); i <= 4; i++ {
+			swarmFixtureTrs = append(swarmFixtureTrs, viewport.Synthesize(v, i, viewport.DefaultSynthesizeOpts()))
+		}
+		m, err := provider.Preprocess(v, swarmFixtureTrs, provider.DefaultConfig())
+		if err != nil {
+			panic(err)
+		}
+		swarmFixtureMan = m
+	})
+	return swarmFixtureMan, swarmFixtureTrs
+}
+
+var (
+	swarmFixtureOnce sync.Once
+	swarmFixtureMan  *manifest.Video
+	swarmFixtureTrs  []*viewport.Trace
+)
+
+// starvedBudgets are chunk k's budgets at the low end — an ulp under the
+// all-lowest size, at it, and halfway to its cheapest step up — and a
+// ladder of seven from there to the all-highest size.
+func starvedBudgets(m *manifest.Video, k int) []float64 {
+	lo, hi := m.ChunkBits(k, codec.Level(codec.NumLevels-1)), m.ChunkBits(k, 0)
+	minUp := math.Inf(1)
+	for _, t := range m.Chunks[k].Tiles {
+		small := slices.Min(t.Bits[:])
+		for _, b := range t.Bits {
+			if d := b - small; d > 0 {
+				minUp = min(minUp, d)
+			}
+		}
+	}
+	out := []float64{math.Nextafter(lo, 0), lo, lo + minUp/2}
+	for r := 1; r <= 7; r++ {
+		out = append(out, lo*math.Pow(hi/lo, float64(r)/7))
+	}
+	return out
+}
+
+// Plan is AllocatePruned over CostRows, exit or not. On the benchmark's
+// manifest with its eight viewers (vod_session's) and on the swarm
+// tests' population, at every chunk and the low-end budgets and a ladder
+// above them, the plan Plan returns — answered by abr.Starved before any
+// cost is built where no upgrade fits — is the one the whole rows give.
+// Both manifests tie tiles at their smallest size, so the exit builds
+// some costs on demand.
+func TestPlanIsCostRowsAndAllocatePruned(t *testing.T) {
+	for _, fx := range []struct {
+		name string
+		load func(testing.TB) (*manifest.Video, []*viewport.Trace)
+	}{{"vod", benchFixture}, {"swarm", swarmFixture}} {
+		m, trs := fx.load(t)
+		p, est := NewPanoPlanner(), NewEstimator()
+		var rows []abr.TileChoice
+		calls, exits, tied := 0, 0, 0
+		for _, tr := range trs {
+			for k := 0; k < m.NumChunks(); k++ {
+				view := est.View(m, tr, k, float64(k)*m.ChunkSec)
+				for _, budget := range starvedBudgets(m, k) {
+					rows = p.CostRows(rows, m, k, view)
+					want := abr.AllocatePruned(rows, budget, 0)
+					if got := p.Plan(m, k, view, budget); !slices.Equal(got, want) {
+						t.Fatalf("%s chunk %d budget %.0f: Plan %v, AllocatePruned over CostRows %v", fx.name, k, budget, got, want)
+					}
+					calls++
+					if abr.Starved(rows, budget, nil) != nil {
+						exits++
+					}
+				}
+			}
+		}
+		for _, c := range m.Chunks {
+			for _, tl := range c.Tiles {
+				small, n := slices.Min(tl.Bits[:]), 0
+				for _, b := range tl.Bits {
+					if b == small {
+						n++
+					}
+				}
+				if n > 1 {
+					tied++
+				}
+			}
+		}
+		t.Logf("%s: %d of %d plans answered by the exit; %d tiles tie at their smallest size", fx.name, exits, calls, tied)
+		if exits == 0 || tied == 0 {
+			t.Errorf("%s: the exit never answered, or no tile ties at its smallest size", fx.name)
 		}
 	}
 }

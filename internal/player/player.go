@@ -166,11 +166,23 @@ func (p *PanoPlanner) Name() string {
 // sessions (every swarm worker calls the same Planner).
 var costRowsPool = sync.Pool{New: func() any { return new([]abr.TileChoice) }}
 
-// Plan implements Planner.
+// Plan implements Planner: abr.AllocatePruned over CostRows. A budget
+// that affords no upgrade over the all-smallest plan is answered by
+// abr.Starved from the rows' bits before the costs are built; then only a
+// tile with levels tied at its smallest size has its row built.
 func (p *PanoPlanner) Plan(m *manifest.Video, k int, view ChunkView, budget float64) abr.Allocation {
 	rows := costRowsPool.Get().(*[]abr.TileChoice)
 	defer costRowsPool.Put(rows)
-	*rows = p.CostRows(*rows, m, k, view)
+	r := bitsRows(*rows, m, k)
+	*rows = r
+	tiles := m.Chunks[k].Tiles
+	if a := abr.Starved(r, budget, func(i int) {
+		prof := p.profile()
+		p.buildRows(r[i:i+1], tiles[i:i+1], view, prof, prof.Fl(view.LumaChange))
+	}); a != nil {
+		return a
+	}
+	*rows = p.CostRows(r, m, k, view)
 	return abr.AllocatePruned(*rows, budget, 0)
 }
 

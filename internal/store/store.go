@@ -47,9 +47,12 @@ type Store struct {
 	// catalog and opens a blob on every request.
 	catalogPath, blobDir, tmpDir string
 
-	reg  *obs.Registry
-	log  *obs.EventLog
-	gets atomic.Pointer[obs.Counter] // pano_store_gets_total, resolved by the first read
+	reg *obs.Registry
+	log *obs.EventLog
+	// The series every read or write moves, each resolved by its first
+	// use (obs.Registry.CounterIn): a live chunk is 150 puts.
+	gets, puts, putBytes atomic.Pointer[obs.Counter] // pano_store_gets_total, _puts_total, _put_bytes_total
+	blobsG, bytesG       atomic.Pointer[obs.Gauge]   // pano_store_blobs, pano_store_bytes
 
 	mu    sync.Mutex
 	blobs map[string]*blobState
@@ -205,8 +208,8 @@ func (s *Store) Put(payload []byte) (string, error) {
 		s.bytes += int64(len(payload))
 	}
 	s.mu.Unlock()
-	s.count("pano_store_puts_total", "blobs written")
-	s.reg.Counter("pano_store_put_bytes_total", "payload bytes written").Add(float64(len(payload)))
+	s.reg.CounterIn(&s.puts, "pano_store_puts_total", "blobs written").Inc()
+	s.reg.CounterIn(&s.putBytes, "pano_store_put_bytes_total", "payload bytes written").Add(float64(len(payload)))
 	s.gauges()
 	return digest, nil
 }
@@ -359,6 +362,6 @@ func (s *Store) gauges() {
 	s.mu.Lock()
 	blobs, bytes := len(s.blobs), s.bytes
 	s.mu.Unlock()
-	s.reg.Gauge("pano_store_blobs", "blobs indexed").Set(float64(blobs))
-	s.reg.Gauge("pano_store_bytes", "bytes held by indexed blobs").Set(float64(bytes))
+	s.reg.GaugeIn(&s.blobsG, "pano_store_blobs", "blobs indexed").Set(float64(blobs))
+	s.reg.GaugeIn(&s.bytesG, "pano_store_bytes", "bytes held by indexed blobs").Set(float64(bytes))
 }

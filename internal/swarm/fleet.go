@@ -39,10 +39,14 @@ type FleetConfig struct {
 // every (chunk, tile, level) object and of the manifest, precomputed
 // once so the per-request hot path is a slice lookup, not a hash.
 // Chunks may differ in tile count (Pano tiles each chunk on its own), so
-// the table is per chunk.
+// an object's index counts the tiles of the chunks before it (first). A
+// ring order names every origin once, so the orders are n apart in one
+// flat table.
 type placement struct {
 	manifest []int
-	tiles    [][][codec.NumLevels][]int // [k][ti][l] -> ring order
+	n        int   // origins
+	first    []int // first[k]: the tiles in chunks before k
+	orders   []int // object (first[k]+ti)·NumLevels+l's order at its index·n
 }
 
 func newPlacement(m *manifest.Video, fc *FleetConfig) *placement {
@@ -51,13 +55,15 @@ func newPlacement(m *manifest.Video, fc *FleetConfig) *placement {
 		names[i] = shardName(i)
 	}
 	ring := fleet.NewRing(names, 0) // the fleet's default vnode count
-	p := &placement{tiles: make([][][codec.NumLevels][]int, m.NumChunks())}
+	p := &placement{n: fc.Origins, first: make([]int, m.NumChunks())}
 	p.manifest = ring.Order(ring.Key(server.ManifestPath))
-	for k := range p.tiles {
-		p.tiles[k] = make([][codec.NumLevels][]int, len(m.Chunks[k].Tiles))
-		for ti := range p.tiles[k] {
+	for k := range p.first {
+		if k > 0 {
+			p.first[k] = p.first[k-1] + len(m.Chunks[k-1].Tiles)
+		}
+		for ti := range m.Chunks[k].Tiles {
 			for l := range codec.NumLevels {
-				p.tiles[k][ti][l] = ring.Order(ring.Key(server.TilePath(k, ti, codec.Level(l))))
+				p.orders = append(p.orders, ring.Order(ring.Key(server.TilePath(k, ti, codec.Level(l))))...)
 			}
 		}
 	}
@@ -66,7 +72,10 @@ func newPlacement(m *manifest.Video, fc *FleetConfig) *placement {
 
 func shardName(i int) string { return "shard-" + strconv.Itoa(i) }
 
-func (p *placement) tileOrder(k, ti int, l codec.Level) []int { return p.tiles[k][ti][l] }
+func (p *placement) tileOrder(k, ti int, l codec.Level) []int {
+	i := ((p.first[k]+ti)*codec.NumLevels + int(l)) * p.n
+	return p.orders[i : i+p.n : i+p.n]
+}
 
 // fleetSim is one session's client-side fleet: the ladder's breakers and
 // budget, and the counters that fold into the Summary. All of it is
@@ -76,8 +85,9 @@ type fleetSim struct {
 	cfg   *FleetConfig
 	place *placement
 	pol   *fleet.Policy
-	walks uint64  // ladder walks so far, a backoff seed's sequence number
-	reqs  []int64 // per-shard requests issued
+	walks uint64       // ladder walks so far, a backoff seed's sequence number
+	reqs  []int64      // per-shard requests issued
+	lad   fleet.Ladder // the running walk's, reused walk after walk
 	fleetCounts
 }
 

@@ -88,7 +88,8 @@ func (s *netem) Tile(ctx context.Context, k, ti int, l codec.Level) (float64, er
 		s.hit(s.Clock.NowSec())
 		return s.VirtualNet.Tile(ctx, k, ti, l)
 	}
-	return s.Serve(ctx, k, ti, l, s.walk(k, ti, l))
+	took, answered := s.walk(k, ti, l)
+	return s.Serve(ctx, k, ti, l, chaos.Outcome{Latency: took, Error500: !answered})
 }
 
 // errOrigin is how a back-leg request fails — reset, refused or cut
@@ -97,38 +98,44 @@ var errOrigin = errors.New("swarm: origin request failed")
 
 // walk runs the object's fleet.Ladder — the policy fleet.Fetch runs
 // behind the edge — in virtual time from now, and returns how the front
-// answers: after the walk's duration, and with the edge's 5xx when the
-// walk ended Dry or Exhausted. The ladder picks the shards, admits the
-// requests and decides the hedges; this side prices them (send) and
-// races them (race). The walk keeps its own elapsed time: the session
-// clock moves only when the front's answer is read.
-func (s *netem) walk(k, ti int, l codec.Level) chaos.Outcome {
+// answers: after took, the walk's duration, and with the edge's 5xx
+// unless answered, when the walk ended Dry or Exhausted. The ladder picks
+// the shards, admits the requests and decides the hedges; this side
+// prices them (send) and races them (race). The walk keeps its own
+// elapsed time: the session clock moves only when the front's answer is
+// read.
+func (s *netem) walk(k, ti int, l codec.Level) (took time.Duration, answered bool) {
 	fs := s.fleet
 	fs.walks++
-	var lad fleet.Ladder
-	fs.pol.Start(&lad, fs.place.tileOrder(k, ti, l), s.Seed^client.TileKey(k, ti, l)^fs.walks*0x9e3779b97f4a7c15)
+	lad := &fs.lad
+	fs.pol.Start(lad, fs.place.tileOrder(k, ti, l), s.Seed^client.TileKey(k, ti, l)^fs.walks*0x9e3779b97f4a7c15)
 	defer lad.End()
 	start, t0 := s.Clock.Now(), s.Clock.NowSec()
-	var took time.Duration
 	for {
-		now := start.Add(took)
+		// A rung starts took after the walk: now on the ladder's clock, t
+		// in seconds past the epoch, the same instant as the walk's start
+		// for the first rung.
+		now, t := start, t0
+		if took > 0 {
+			now, t = start.Add(took), t0+took.Seconds()
+		}
 		switch lad.Next(now) {
 		case fleet.Backoff:
 			took += lad.Backoff()
 			continue
 		case fleet.Dry:
 			fs.budgetDenied++
-			return chaos.Outcome{Latency: took, Error500: true}
+			return took, false
 		case fleet.Exhausted:
-			return chaos.Outcome{Latency: took, Error500: true}
+			return took, false
 		}
-		d, answered := s.race(&lad, now, t0+took.Seconds(), k, ti, l)
+		d, answered := s.race(lad, now, t, k, ti, l)
 		took += d
 		if answered {
 			if lad.Failover() {
 				fs.failovers++
 			}
-			return chaos.Outcome{Latency: took}
+			return took, true
 		}
 	}
 }
@@ -158,7 +165,8 @@ func (s *netem) send(o int, t float64, hedge bool, k, ti int, l codec.Level) (ti
 	case hedge:
 		return 0, nil
 	}
-	out := s.Draw(k, ti, l)
+	var out chaos.Outcome
+	s.Draw(k, ti, l, &out)
 	d := out.Latency
 	if out.Stall {
 		d += s.Fault.Stall()
