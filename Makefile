@@ -204,18 +204,24 @@ bench: build microbench
 # per call), the planner's cost rows for one chunk
 # (BenchmarkCostRows: exact is the Pow-and-Exp definition, table what
 # Plan runs, settled a whole Plan at the all-lowest budget, which no
-# upgrade fits and abr.Starved answers before the rows are built), the
+# upgrade fits and the chunk's floor from the manifest's table answers
+# before the rows are built, plan a whole Plan at each uniform level's
+# size in turn), the
 # provider's chunk analysis (scene render, quantizer, the PMSE kernel
 # per level over one frame's 30 tiles, one chunk, one video), the
 # virtual-time session loop (one session, one netem tile, one tile
 # through the client's fetch ladder over netem as a session fetches it
 # (BenchmarkFetchTile; both tile benchmarks single origin and through
-# the fleet twin), and BenchmarkSimRun: one sim.Run over the golden
+# the fleet twin, each pass over the video a session whose clock restarts
+# inside the first 30 s), and BenchmarkSimRun: one sim.Run over the golden
 # fixture, the loop vod_session runs, per tier of watching — bare,
 # metrics, metrics_events and traced — so each tier's cost over bare
 # reads off one run), the request path hop by hop (BenchmarkOriginTileGET:
 # a store-backed origin's tile GET into a recorder; BenchmarkFleetFetch:
-# one Fetch over loopback through two origins; BenchmarkEdgeHit: a cache
+# one Fetch over loopback through two origins; BenchmarkCleanWalk: a
+# walk's steady-state admission, one budget credit, breaker admission and
+# breaker success, from one goroutine and from two sharing them, which
+# take no lock; BenchmarkEdgeHit: a cache
 # hit over loopback, with and without a registry), the manifest's
 # wire codec (BenchmarkManifestWire: encode and decode of the benchmark
 # manifest's shape, with its bytes per tile) and the telemetry
@@ -225,7 +231,7 @@ bench: build microbench
 # benchstat or plain text tools.
 microbench:
 	@echo "## $$(git rev-parse --short HEAD 2>/dev/null || echo dirty) $$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> BENCH_micro.txt
-	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|TilePMSE|Plan|AllocatePruned|VodSessionSearches|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|FetchTile|SimRun|OriginTileGET|FleetFetch|EdgeHit|ManifestWire|SamplerStep' -benchmem \
+	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|TilePMSE|Plan|AllocatePruned|VodSessionSearches|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|FetchTile|SimRun|OriginTileGET|FleetFetch|CleanWalk|EdgeHit|ManifestWire|SamplerStep' -benchmem \
 		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr \
 		./internal/player ./internal/scene ./internal/codec ./internal/provider \
 		./internal/client ./internal/sim ./internal/swarm ./internal/store ./internal/fleet \

@@ -26,7 +26,9 @@
 // search. Budgets too small for any upgrade — every chunk of a starved
 // session — are answered before a search by Starved, which reads a tile's
 // costs only where two of its levels tie at its smallest size, so a
-// planner asks it before it builds the costs at all.
+// planner asks it before it builds the costs at all. What it reads of the
+// bits is a Floor, which a planner of fixed bits (a manifest's) keeps per
+// chunk and answers from, Starved and search alike.
 package abr
 
 import (
@@ -181,6 +183,10 @@ type prunedScratch struct {
 	rest      []suffixMin // rest[i] is of the tiles swept from i on
 	lp        []lpStep
 	forced    Allocation
+	// floor is the call's, where the caller brings none; small is the
+	// all-smallest plan, every tile at its smallest row (bound sets it).
+	floor Floor
+	small Allocation
 }
 
 // suffixMin sums over a suffix of the tiles what each costs at the least:
@@ -340,104 +346,6 @@ func SearchPruned(tiles []TileChoice, budget float64, maxFrontier int) (Allocati
 	return a, stats
 }
 
-// Starved is the one home of the two answers at the low end of the budget
-// axis, which no search decides: below the all-smallest plan's size
-// nothing fits, and the plan is all-lowest; at or above it, where even the
-// cheapest step up from it misses the budget by more than boundSlack of
-// the budget, no upgrade fits, and the plan is the all-smallest one —
-// every tile at its smallest row (smallestRow). It returns that plan, or
-// nil where the budget affords an upgrade and a search decides.
-// AllocatePruned answers through it before anything else.
-//
-// It reads the rows' bits, and a tile's costs only at the levels of its
-// smallest size where two or more levels have it, the one place
-// smallestRow reads cost. So a caller may pass rows whose costs are not
-// built yet, with fill, which builds tiles[i]'s costs at least at the
-// levels of its smallest size: Starved calls it for the tiles tied there
-// only, and only when it answers that no upgrade fits. fill is nil where
-// the rows are whole.
-func Starved(tiles []TileChoice, budget float64, fill func(i int)) Allocation {
-	a, _ := starved(tiles, budget, fill)
-	return a
-}
-
-// starved is Starved that also returns low, the all-smallest plan's size,
-// which a search past it starts from.
-func starved(tiles []TileChoice, budget float64, fill func(i int)) (Allocation, float64) {
-	// minUp is the cheapest step up from the all-smallest plan: the
-	// fewest extra bits any row of any tile costs over its tile's
-	// smallest.
-	low, minUp := 0.0, math.Inf(1)
-	for i := range tiles {
-		t := &tiles[i]
-		small := t.Bits[smallestBits(t)]
-		low += small
-		for _, b := range t.Bits {
-			if d := b - small; d > 0 && d < minUp {
-				minUp = d
-			}
-		}
-	}
-	switch {
-	case budget < low:
-		return lowestLevels(len(tiles)), low
-	case low+minUp > budget+boundSlack*budget:
-		// A plan whose forward sum rounds under a budget this sum rounds
-		// over is inside the slack, and left for the search to find.
-		a := make(Allocation, len(tiles))
-		for i := range tiles {
-			t := &tiles[i]
-			s := smallestBits(t)
-			if ties(t, t.Bits[s]) > 1 {
-				if fill != nil {
-					fill(i)
-				}
-				s = smallestRow(t)
-			}
-			a[i] = s
-		}
-		return a, low
-	}
-	return nil, low
-}
-
-// smallestBits returns the level of the fewest bits, scanning up from the
-// lowest level; where others tie it, smallestRow decides among them, and
-// where none does, it is smallestRow's answer.
-func smallestBits(t *TileChoice) codec.Level {
-	s := codec.Level(codec.NumLevels - 1)
-	for l := s - 1; l >= 0; l-- {
-		if t.Bits[l] < t.Bits[s] {
-			s = l
-		}
-	}
-	return s
-}
-
-// ties counts the levels of t with bits b.
-func ties(t *TileChoice, b float64) int {
-	n := 0
-	for _, x := range t.Bits {
-		if x == b {
-			n++
-		}
-	}
-	return n
-}
-
-// smallestRow returns the level of a tile's row with the fewest bits:
-// the lowest level, unless a level above it costs no more at the same
-// size (flat tiles), which is then the free upgrade.
-func smallestRow(t *TileChoice) codec.Level {
-	s := smallestBits(t)
-	for l := s - 1; l >= 0; l-- {
-		if t.Bits[l] == t.Bits[s] && t.Cost[l] <= t.Cost[s] {
-			s = l
-		}
-	}
-	return s
-}
-
 // cheapestRow returns the level of a tile's cheapest row: the least cost,
 // the fewest bits among rows of that cost, and the lower level among
 // identical rows — the row the sweep's dominance filter and its tie
@@ -466,19 +374,13 @@ func clearOfCheapest(t *TileChoice, c codec.Level, bitsGap, costGap float64) boo
 	return true
 }
 
-// smallestRows sets a to every tile's smallest row.
-func smallestRows(tiles []TileChoice, a Allocation) {
-	for i := range tiles {
-		a[i] = smallestRow(&tiles[i])
-	}
-}
-
 // bound solves the LP relaxation of the call into the scratch tables. It
 // leaves the incumbent — the cheaper of two roundings of the LP optimum,
 // feasible by the forward sum the final pick uses — in a and returns its
 // cost and λ. a comes in as the all-smallest plan and low is its size,
-// within budget.
+// within budget; bound keeps the plan in sc.small for the sweeps.
 func (sc *prunedScratch) bound(tiles []TileChoice, budget, low float64, a Allocation) (incumbent, lambda float64) {
+	sc.small = append(sc.small[:0], a...)
 	hull := sc.hull[:0]
 	for i := range tiles {
 		t := &tiles[i]
@@ -540,7 +442,7 @@ func (sc *prunedScratch) bound(tiles []TileChoice, budget, low float64, a Alloca
 	}
 	if TotalBits(tiles, a) > budget {
 		// The running sum is not the forward sum; an ulp over is over.
-		smallestRows(tiles, a)
+		copy(a, sc.small)
 	}
 	return TotalCost(tiles, a), lambda
 }
@@ -655,20 +557,30 @@ func fillUpgrades(a Allocation, ups []hullUpgrade, spent, budget float64) int {
 // upgrade, Starved's answers, or every tile's cheapest row: the three
 // answers that need no search).
 func (sc *prunedScratch) search(tiles []TileChoice, budget float64, maxFrontier int) (Allocation, SearchStats) {
-	a, low := starved(tiles, budget, nil)
-	if a != nil {
+	sc.floor.of(tiles)
+	return sc.searchFrom(&sc.floor, tiles, budget, maxFrontier)
+}
+
+// searchFrom is search with f the floor of tiles' bits.
+func (sc *prunedScratch) searchFrom(f *Floor, tiles []TileChoice, budget float64, maxFrontier int) (Allocation, SearchStats) {
+	if a := f.Starved(budget, func(i int) codec.Level { return TieRow(&tiles[i], f.Small[i]) }); a != nil {
 		// Nothing fits, or no upgrade does: the sweep would end on a.
 		return a, SearchStats{}
 	}
-	a = make(Allocation, len(tiles))
-	smallestRows(tiles, a)
+	a := make(Allocation, len(tiles))
 	if sc.cheapestFits(tiles, budget) {
 		// Every tile's cheapest row fits: that plan is the optimum, and the
 		// sweep would end on it.
 		copy(a, sc.forced)
 		return a, SearchStats{}
 	}
-	return a, sc.searched(tiles, budget, low, maxFrontier, a)
+	copy(a, f.Small)
+	for i, t := range f.Tied {
+		if t {
+			a[i] = TieRow(&tiles[i], a[i])
+		}
+	}
+	return a, sc.searched(tiles, budget, f.Low, maxFrontier, a)
 }
 
 // cheapestFits reports whether the plan of every tile's cheapest row,
@@ -735,7 +647,7 @@ func (sc *prunedScratch) sweep(tiles []TileChoice, budget, over float64, maxFron
 	rest[n] = suffixMin{}
 	for i := n - 1; i >= 0; i-- {
 		j := sc.order[i]
-		t, small := &tiles[j], smallestRow(&tiles[j])
+		t, small := &tiles[j], sc.small[j]
 		minCost := math.Inf(1)
 		for l := 0; l < codec.NumLevels; l++ {
 			minCost = min(minCost, t.Cost[l]+lambda*t.Bits[l])

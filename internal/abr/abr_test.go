@@ -1615,3 +1615,10 @@ func BenchmarkAllocatePruned(b *testing.B) {
 // the minimum, first decile, quartiles and last decile of the 112 searched
 // calls of one vod_session pass (TestVodSessionsSearchedExactly's).
 var vodLinkBudgets = []float64{0.13, 0.17, 0.19, 0.25, 0.32, 0.35}
+
+// smallestRows sets a to every tile's smallest row.
+func smallestRows(tiles []TileChoice, a Allocation) {
+	for i := range tiles {
+		a[i] = smallestRow(&tiles[i])
+	}
+}

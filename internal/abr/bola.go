@@ -14,7 +14,8 @@ type Controller interface {
 	// PickLevel chooses the next chunk's level given the buffer, the
 	// predicted bandwidth in bits/s, the chunk duration, the previous
 	// level (-1 at start), and per-chunk plans for the lookahead
-	// horizon (at least one entry).
+	// horizon (at least one entry). The session loop's horizon rows are
+	// the manifest's shared table (player.Horizon): read-only.
 	PickLevel(bufferSec, predBWbps, chunkSec float64, prev codec.Level, horizon []ChunkPlan) codec.Level
 }
 

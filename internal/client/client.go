@@ -14,7 +14,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
 	"time"
 
@@ -441,7 +440,6 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	livePol := cfg.Live.withDefaults(m)
 	liveIns := liveInstruments{reg: cfg.Obs}
 	var liveLat *obs.Gauge
-	var menus horizonMemo
 	if n := m.NumChunks() - m.FirstChunk; !live && n > 0 {
 		if cfg.MaxChunks > 0 && cfg.MaxChunks < n {
 			n = cfg.MaxChunks
@@ -496,7 +494,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		}
 		// Phase: chunk-level MPC decision. horizon[0] is chunk k's own
 		// menu: its Bits are the budget of whichever level is picked.
-		horizon := menus.window(m, k, min(k+mpc.Horizon, m.NumChunks()))
+		horizon := player.Horizon(m, k, min(k+mpc.Horizon, m.NumChunks()))
 		var budget float64
 		if pred == 0 {
 			// Cold start pins prev so the switch penalty binds from
@@ -696,47 +694,6 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			"Table 3 opinion-score band of the estimated session quality").Set(float64(res.MOS()))
 	}
 	return res, nil
-}
-
-// horizonRow is chunk j's menu for the chunk-level controller: its size
-// at each uniform level and that level's quality, the area-weighted
-// reference PSPNR in dB/10 — MOS-like units, so the rebuffer and buffer
-// penalties bind (a level step is worth ~1-2 units, far less than a
-// second of stall).
-func horizonRow(m *manifest.Video, j int) abr.ChunkPlan {
-	var p abr.ChunkPlan
-	for l := 0; l < codec.NumLevels; l++ {
-		p.Bits[l] = m.ChunkBits(j, codec.Level(l))
-		p.Quality[l] = player.MeanRefPSPNR(m, j, codec.Level(l)) / 10
-	}
-	return p
-}
-
-// horizonMemo keeps a session's horizon rows. A row is a function of
-// the manifest alone, so it is computed once per manifest the session
-// sees rather than once per chunk that looks ahead to it; a live
-// refresh is a new *manifest.Video (or a longer one) and starts over.
-type horizonMemo struct {
-	m    *manifest.Video
-	rows []abr.ChunkPlan
-	have []bool
-}
-
-// window returns the rows of chunks [lo, hi) of m, valid until the next
-// call.
-func (h *horizonMemo) window(m *manifest.Video, lo, hi int) []abr.ChunkPlan {
-	if n := m.NumChunks(); h.m != m || len(h.rows) != n {
-		h.m = m
-		h.rows = slices.Grow(h.rows[:0], n)[:n]
-		h.have = slices.Grow(h.have[:0], n)[:n]
-		clear(h.have)
-	}
-	for j := lo; j < hi; j++ {
-		if !h.have[j] {
-			h.rows[j], h.have[j] = horizonRow(m, j), true
-		}
-	}
-	return h.rows[lo:hi]
 }
 
 // BWErrorBuckets are relative-error bounds for the predicted-vs-actual

@@ -62,52 +62,6 @@ func TestFetchTileResilientAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestHorizonMemoMatchesFresh: the memoised MPC menus are the rows the
-// loop used to rebuild per chunk, for every chunk, and a manifest swap
-// (a live refresh) recomputes them.
-func TestHorizonMemoMatchesFresh(t *testing.T) {
-	full := fixture(t).man
-	// A second manifest with different sizes behind every row.
-	swapped := *full
-	swapped.Chunks = append([]manifest.Chunk(nil), full.Chunks...)
-	for k := range swapped.Chunks {
-		tiles := append([]manifest.Tile(nil), swapped.Chunks[k].Tiles...)
-		for i := range tiles {
-			for l := range tiles[i].Bits {
-				tiles[i].Bits[l] *= 1.5
-				tiles[i].RefPSPNR[l] *= 0.9
-			}
-		}
-		swapped.Chunks[k].Tiles = tiles
-	}
-	const horizon = 3
-	var memo horizonMemo
-	for _, m := range []*manifest.Video{full, liveCopy(full, 2, 1, true), &swapped, full} {
-		n := m.NumChunks()
-		for k := 0; k < n; k++ {
-			got := memo.window(m, k, min(k+horizon, n))
-			if len(got) != min(horizon, n-k) {
-				t.Fatalf("window(%d) has %d rows", k, len(got))
-			}
-			for i, row := range got {
-				if want := horizonRow(m, k+i); row != want {
-					t.Fatalf("chunk %d: memo %+v, fresh %+v", k+i, row, want)
-				}
-			}
-		}
-	}
-	// The rows the loop reads as budgets are the manifest's own sums.
-	for k := 0; k < full.NumChunks(); k++ {
-		row := memo.window(full, k, k+1)[0]
-		for l := 0; l < codec.NumLevels; l++ {
-			if row.Bits[l] != full.ChunkBits(k, codec.Level(l)) ||
-				row.Quality[l] != player.MeanRefPSPNR(full, k, codec.Level(l))/10 {
-				t.Fatalf("chunk %d level %d: row %+v", k, l, row)
-			}
-		}
-	}
-}
-
 var (
 	benchOnce sync.Once
 	benchMan  *manifest.Video

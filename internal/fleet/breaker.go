@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pano/internal/mathx"
@@ -65,8 +66,17 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // reads a clock itself — callers pass `now` in — so the same type
 // serves the HTTP fleet under wall time and the swarm under virtual
 // time.
+//
+// Transitions take the mutex; the steady state does not. clean is set,
+// under the mutex, exactly when the breaker is Closed with no failure
+// streak and no probe out (Allow's transitions stay outside Closed, so
+// Success, Failure and ReleaseProbe republish it), and there Allow,
+// Available and State answer from it alone and Success has nothing to
+// do. A reader that sees it set while a Failure is under way is ordered
+// before that Failure, as it would be had it taken the lock first.
 type Breaker struct {
-	cfg BreakerConfig
+	cfg   BreakerConfig
+	clean atomic.Bool
 
 	mu      sync.Mutex
 	rng     *mathx.RNG
@@ -79,7 +89,14 @@ type Breaker struct {
 // NewBreaker returns a closed breaker; seed drives the open-interval
 // jitter.
 func NewBreaker(cfg BreakerConfig, seed uint64) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults(), rng: mathx.NewRNG(seed)}
+	b := &Breaker{cfg: cfg.withDefaults(), rng: mathx.NewRNG(seed)}
+	b.clean.Store(true)
+	return b
+}
+
+// settle publishes whether the breaker is clean; mu is held.
+func (b *Breaker) settle() {
+	b.clean.Store(b.state == Closed && b.fails == 0 && !b.probing)
 }
 
 // Allow reports whether a request may go to this origin now. When the
@@ -88,6 +105,9 @@ func NewBreaker(cfg BreakerConfig, seed uint64) *Breaker {
 // Success or Failure, and concurrent requests are rejected until it
 // does.
 func (b *Breaker) Allow(now time.Time) (ok, probe bool) {
+	if b.clean.Load() {
+		return true, false
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -113,6 +133,9 @@ func (b *Breaker) Allow(now time.Time) (ok, probe bool) {
 // without consuming the half-open probe slot — the read-only form of
 // Allow for routing decisions that don't issue a request themselves.
 func (b *Breaker) Available(now time.Time) bool {
+	if b.clean.Load() {
+		return true
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -131,6 +154,7 @@ func (b *Breaker) Available(now time.Time) bool {
 func (b *Breaker) ReleaseProbe() {
 	b.mu.Lock()
 	b.probing = false
+	b.settle()
 	b.mu.Unlock()
 }
 
@@ -138,11 +162,15 @@ func (b *Breaker) ReleaseProbe() {
 // definitive answer. It closes a half-open breaker and resets the
 // failure streak.
 func (b *Breaker) Success(now time.Time) {
+	if b.clean.Load() {
+		return
+	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.state = Closed
 	b.fails = 0
 	b.probing = false
+	b.settle()
+	b.mu.Unlock()
 }
 
 // Failure records a request the origin failed to answer. A half-open
@@ -158,6 +186,7 @@ func (b *Breaker) Failure(now time.Time) {
 		b.fails = 0
 		b.until = now.Add(b.openFor())
 	}
+	b.settle()
 }
 
 // openFor draws the jittered open interval.
@@ -169,6 +198,9 @@ func (b *Breaker) openFor() time.Duration {
 // State returns the breaker's position, resolving a due open → half-open
 // transition so observers see "half_open" once the probe window starts.
 func (b *Breaker) State(now time.Time) BreakerState {
+	if b.clean.Load() {
+		return Closed
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == Open && !now.Before(b.until) {

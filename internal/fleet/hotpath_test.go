@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"pano/internal/client"
 	"pano/internal/obs"
 )
 
@@ -253,5 +254,37 @@ func BenchmarkFleetFetch(b *testing.B) {
 		if err != nil || len(res.Body) != len(body) {
 			b.Fatalf("fetch: %d bytes, %v", len(res.Body), err)
 		}
+	}
+}
+
+// BenchmarkCleanWalk is the steady state of a walk's admission: one
+// Budget.Earn, Breaker.Allow and Breaker.Success per op on one healthy
+// origin's breaker and the fleet's budget, from one goroutine (a swarm
+// session's own policy) and from two sharing them (fleet.Fetch's
+// concurrent walks).
+func BenchmarkCleanWalk(b *testing.B) {
+	for _, g := range []int{1, 2} {
+		b.Run("goroutines="+strconv.Itoa(g), func(b *testing.B) {
+			b.ReportAllocs()
+			pol := NewPolicy(client.FetchPolicy{}, BreakerConfig{}, 1, 7)
+			brk, budget := pol.Breaker(0), pol.Budget()
+			now := time.Unix(100, 0)
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for w := 0; w < g; w++ {
+				wg.Add(1)
+				go func(n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						budget.Earn()
+						if ok, _ := brk.Allow(now); !ok {
+							panic("a healthy origin's breaker refused a request")
+						}
+						brk.Success(now)
+					}
+				}(b.N/g + min(w, b.N%g))
+			}
+			wg.Wait()
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"pano/internal/abr"
+	"pano/internal/codec"
 	"pano/internal/jnd"
 	"pano/internal/manifest"
 	"pano/internal/quality"
@@ -90,8 +91,8 @@ func planPMSE(lut manifest.PowerLUT, ref, a, lnA float64) float64 {
 
 // CostRows builds the allocator's input for chunk k under view — one
 // row per tile, Cost[l] = area · estimated PMSE at level l — into dst,
-// which is grown when too short, and returns it. It and Plan's exit build
-// rows the one way, buildRows: Plan allocates over exactly these.
+// which is grown when too short, and returns it. It, Plan and Plan's exit
+// (tiedRow) build costs the one way: Plan allocates over exactly these.
 func (p *PanoPlanner) CostRows(dst []abr.TileChoice, m *manifest.Video, k int, view ChunkView) []abr.TileChoice {
 	tiles := m.Chunks[k].Tiles
 	dst = slices.Grow(dst[:0], len(tiles))[:len(tiles)]
@@ -106,18 +107,8 @@ func (p *PanoPlanner) CostRows(dst []abr.TileChoice, m *manifest.Video, k int, v
 func (p *PanoPlanner) buildRows(rows []abr.TileChoice, tiles []manifest.Tile, view ChunkView, prof *jnd.Profile, fl float64) {
 	for i := range tiles {
 		t := &tiles[i]
-		ratio, lnA := 1.0, 0.0
-		if !p.Traditional {
-			f := FactorsFor(t, view)
-			// prof.ActionRatio(f), in its order of multiplication; 1 + (A − 1)
-			// rounds A the way the golden sessions' plans were computed.
-			ratio = 1 + (prof.Fv(f.SpeedDegS)*prof.Fd(f.DoFDiff)*fl - 1)
-			// A ratio below 1 clamps to 1 (PowerLUT.PSPNR); NaN stays NaN
-			// and falls through to the exact formula.
-			if !(ratio <= 1) {
-				lnA = math.Log(ratio)
-			}
-		}
+		ratio := p.actionRatio(t, view, prof, fl)
+		lnA := lnRatio(ratio)
 		area := float64(t.Rect.Area())
 		rows[i].Bits = t.Bits
 		for l := range rows[i].Cost {
@@ -126,15 +117,47 @@ func (p *PanoPlanner) buildRows(rows []abr.TileChoice, tiles []manifest.Tile, vi
 	}
 }
 
-// bitsRows sets dst, grown when too short, to chunk k's rows with their
-// bits only, and returns it.
-func bitsRows(dst []abr.TileChoice, m *manifest.Video, k int) []abr.TileChoice {
-	tiles := m.Chunks[k].Tiles
-	dst = slices.Grow(dst[:0], len(tiles))[:len(tiles)]
-	for i := range tiles {
-		dst[i].Bits = tiles[i].Bits
+// tiedRow is abr.TieRow for tile t, whose level s shares its bits with
+// other levels, under view: flat, the table's answer for the tile, where
+// it names one and the ratio is not NaN; otherwise TieRow over the
+// tile's row with its costs built at those levels, as buildRows builds
+// them.
+func (p *PanoPlanner) tiedRow(t *manifest.Tile, s codec.Level, flat int8, view ChunkView, prof *jnd.Profile, fl float64) codec.Level {
+	ratio := p.actionRatio(t, view, prof, fl)
+	if flat >= 0 && ratio == ratio {
+		return codec.Level(flat)
 	}
-	return dst
+	lnA := lnRatio(ratio)
+	area := float64(t.Rect.Area())
+	row := abr.TileChoice{Bits: t.Bits}
+	for l := range row.Cost {
+		if t.Bits[l] == t.Bits[s] {
+			row.Cost[l] = area * planPMSE(t.LUT[l], t.RefPSPNR[l], ratio, lnA)
+		}
+	}
+	return abr.TieRow(&row, s)
+}
+
+// actionRatio is tile t's action ratio under view, fl being the view's
+// luminance factor under prof; 1 for the traditional ablation.
+func (p *PanoPlanner) actionRatio(t *manifest.Tile, view ChunkView, prof *jnd.Profile, fl float64) float64 {
+	if p.Traditional {
+		return 1
+	}
+	f := FactorsFor(t, view)
+	// prof.ActionRatio(f), in its order of multiplication; 1 + (A − 1)
+	// rounds A the way the golden sessions' plans were computed.
+	return 1 + (prof.Fv(f.SpeedDegS)*prof.Fd(f.DoFDiff)*fl - 1)
+}
+
+// lnRatio is ln max(ratio, 1), the planPMSE argument: a ratio below 1
+// clamps to 1 (PowerLUT.PSPNR); NaN stays NaN and falls through to the
+// exact formula.
+func lnRatio(ratio float64) float64 {
+	if !(ratio <= 1) {
+		return math.Log(ratio)
+	}
+	return 0
 }
 
 func (p *PanoPlanner) profile() *jnd.Profile {

@@ -321,9 +321,12 @@ var (
 // benchmark's 30-tile manifest, cycling over its chunks and viewers:
 // exact is the Pow-and-Exp definition, table what Plan runs. settled is
 // a whole Plan at the chunk's all-lowest budget, which affords no
-// upgrade — a starved session's every chunk — answered by abr.Starved
-// from the bits, with the costs built only for tiles tied at their
-// smallest size: what such a chunk pays where it paid table and more.
+// upgrade — a starved session's every chunk — answered by the chunk's
+// floor from the manifest's table, with costs built only at the tied
+// levels of tiles tied at their smallest size and the table does not
+// settle: what such a chunk pays where it paid table and more. plan is a
+// whole Plan at each uniform level's size in turn, the all-lowest one
+// settled and the others searched.
 func BenchmarkCostRows(b *testing.B) {
 	m, trs := benchFixture(b)
 	est := NewEstimator()
@@ -357,6 +360,13 @@ func BenchmarkCostRows(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := &calls[i%len(calls)]
 			sinkPlan = p.Plan(m, c.k, c.view, m.ChunkBits(c.k, codec.Level(codec.NumLevels-1)))
+		}
+	})
+	b.Run("plan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := &calls[i%len(calls)]
+			sinkPlan = p.Plan(m, c.k, c.view, m.ChunkBits(c.k, codec.Level(i/len(calls)%codec.NumLevels)))
 		}
 	})
 }

@@ -11,6 +11,7 @@ package player
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"pano/internal/abr"
@@ -166,24 +167,29 @@ func (p *PanoPlanner) Name() string {
 // sessions (every swarm worker calls the same Planner).
 var costRowsPool = sync.Pool{New: func() any { return new([]abr.TileChoice) }}
 
-// Plan implements Planner: abr.AllocatePruned over CostRows. A budget
-// that affords no upgrade over the all-smallest plan is answered by
-// abr.Starved from the rows' bits before the costs are built; then only a
-// tile with levels tied at its smallest size has its row built.
+// Plan implements Planner: abr.AllocatePruned over CostRows. The chunk's
+// floor comes from the manifest's table (tableOf), so a budget that
+// affords no upgrade over the all-smallest plan is answered by its
+// Starved before any cost is built; then only a tile with levels tied at
+// its smallest size needs its costs, at those levels, and none where the
+// table names its level (flatLevel). Past the exit, the rows are built
+// and searched from the same floor.
 func (p *PanoPlanner) Plan(m *manifest.Video, k int, view ChunkView, budget float64) abr.Allocation {
-	rows := costRowsPool.Get().(*[]abr.TileChoice)
-	defer costRowsPool.Put(rows)
-	r := bitsRows(*rows, m, k)
-	*rows = r
+	c := tableOf(m).chunk(m, k)
 	tiles := m.Chunks[k].Tiles
-	if a := abr.Starved(r, budget, func(i int) {
-		prof := p.profile()
-		p.buildRows(r[i:i+1], tiles[i:i+1], view, prof, prof.Fl(view.LumaChange))
+	prof := p.profile()
+	// Equation 4's luminance factor depends on the view alone.
+	fl := prof.Fl(view.LumaChange)
+	if a := c.floor.Starved(budget, func(i int) codec.Level {
+		return p.tiedRow(&tiles[i], c.floor.Small[i], c.flat[i], view, prof, fl)
 	}); a != nil {
 		return a
 	}
-	*rows = p.CostRows(r, m, k, view)
-	return abr.AllocatePruned(*rows, budget, 0)
+	rows := costRowsPool.Get().(*[]abr.TileChoice)
+	defer costRowsPool.Put(rows)
+	*rows = slices.Grow((*rows)[:0], len(tiles))[:len(tiles)]
+	p.buildRows(*rows, tiles, view, prof, fl)
+	return c.floor.AllocatePruned(*rows, budget, 0)
 }
 
 // MeanRefPSPNR returns the area-weighted mean reference PSPNR of chunk

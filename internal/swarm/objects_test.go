@@ -124,9 +124,11 @@ func TestNetemTileDoesNotAllocate(t *testing.T) {
 
 // BenchmarkNetemTile is one tile request through the swarm's logical
 // network, single origin and through the fleet twin (4 shards, fixed
-// hedge delay, shard 1 down from 20 s to 50 s, so the walk's failover
-// path is timed too) — the per-tile cost under the client's fetch
-// ladder, which BenchmarkFetchTile adds.
+// hedge delay, shard 1 down from 20 s to 50 s) — the per-tile cost under
+// the client's fetch ladder, which BenchmarkFetchTile adds. A pass over
+// the video's tiles is one session: the clock restarts at an arrival
+// cycled through the first 30 s, as BenchmarkFetchTile's does, so the
+// outage stays in every run and the walk's failover path is timed too.
 func BenchmarkNetemTile(b *testing.B) {
 	f := fixture(b)
 	m := f.pano
@@ -147,12 +149,20 @@ func BenchmarkNetemTile(b *testing.B) {
 				s.fleet = newFleetSim(fc, place, 9, client.FetchPolicy{HedgeDelay: 150 * time.Millisecond})
 			}
 			ctx := context.Background()
+			k, ti, sessions := 0, 0, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k := i % m.NumChunks()
+				if k == 0 && ti == 0 {
+					*clk = *client.NewVirtualClock(float64(sessions % 30))
+					s.VirtualNet.Reset()
+					sessions++
+				}
 				// Faulted attempts return errors by design; both outcomes
 				// are the path being timed.
-				_, _ = s.Tile(ctx, k, i%len(m.Chunks[k].Tiles), codec.Level(i%codec.NumLevels))
+				_, _ = s.Tile(ctx, k, ti, codec.Level(i%codec.NumLevels))
+				if ti++; ti == len(m.Chunks[k].Tiles) {
+					ti, k = 0, (k+1)%m.NumChunks()
+				}
 			}
 		})
 	}
