@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmt race fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider fuzz-fleet fuzz-chaos trace edge swarm fleet cluster live lut benchdiff bench microbench loc clean
+.PHONY: build test check vet fmt race fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider fuzz-fleet fuzz-client fuzz-chaos trace edge swarm fleet cluster live lut benchdiff bench microbench loc clean
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,17 @@ fuzz-provider:
 # `go test`.
 fuzz-fleet:
 	$(GO) test -run '^$$' -fuzz FuzzLadder -fuzztime 20s ./internal/fleet
+
+# Twenty seconds of fuzzing a session's playout ledger (internal/client:
+# arbitrary sequences of time passing, chunks landing and pacing idles,
+# every second counted once as startup, playback or stall, no stall
+# before the first chunk lands and no startup after). Not part of check,
+# for the same reason; the committed seeds under
+# internal/client/testdata/fuzz/ — a wait before the first chunk, a
+# stall after it, an idle to a cap, a paced VOD session — replay under
+# plain `go test`.
+fuzz-client:
+	$(GO) test -run '^$$' -fuzz FuzzPlayout -fuzztime 20s ./internal/client
 
 # Twenty seconds of fuzzing the chaos spec parser (internal/chaos:
 # whatever Parse accepts and enables, String renders as a spec Parse

@@ -31,7 +31,7 @@ func main() {
 	fmt.Println("t(s)  5s-luma-swing  Fl(swing)  tolerable distortion vs static")
 	var maxSwing float64
 	for ts := 1.0; ts < 9.5; ts += 2 {
-		swing := viewer.MaxLumaChange(ts, 5, video.LumaAt)
+		swing := viewer.MaxLumaChange(ts, 5, 0.05, video.LumaAt) // 5 s back, every trace sample
 		if swing > maxSwing {
 			maxSwing = swing
 		}

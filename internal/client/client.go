@@ -171,7 +171,7 @@ type ChunkResult struct {
 
 // StreamConfig tunes a streaming session.
 type StreamConfig struct {
-	// BufferTargetSec is the MPC target (default 2).
+	// BufferTargetSec is the MPC target (default DefaultBufferTargetSec).
 	BufferTargetSec float64
 	// Planner decides per-tile levels (default Pano's).
 	Planner player.Planner
@@ -206,11 +206,10 @@ type StreamConfig struct {
 	// internal/swarm injects a virtual clock to run sessions in
 	// discrete-event time.
 	Clock Clock
-	// MaxBufferSec caps prefetch: when the post-chunk buffer would exceed
-	// it, the session idles on the Clock without draining (playback
-	// continues against buffered media).
-	// 0 disables pacing — the historical HTTP behaviour, where the
-	// real link is the pace.
+	// MaxBufferSec caps prefetch: when a chunk lands the buffer over it,
+	// the session idles on the Clock while playback drains the buffer
+	// down to the cap. 0 disables pacing — the historical HTTP
+	// behaviour, where the real link is the pace.
 	MaxBufferSec float64
 	// Deprecated: every session runs one chunk-level model (see
 	// RunSession), so nothing reads SimModel; it is kept only so that
@@ -241,11 +240,13 @@ type StreamConfig struct {
 type StreamResult struct {
 	Manifest *manifest.Video
 	Chunks   []ChunkResult
-	// StartupDelay is manifest fetch + first chunk download.
+	// StartupDelay is the time from the session's start to the first
+	// chunk landing: the manifest fetch, any wait at a live edge and
+	// the first chunk's download.
 	StartupDelay time.Duration
 	TotalBytes   int
-	// RebufferSec is the total stall time implied by the playout
-	// buffer model (download time exceeding the buffer).
+	// RebufferSec is the total stall: the time after the first chunk
+	// landed that the playout buffer could not cover.
 	RebufferSec float64
 	// MeanEstPSPNR is the session-average client-estimated viewport
 	// PSPNR. It is only computed when Obs or Log is attached (the
@@ -275,7 +276,13 @@ type StreamResult struct {
 	// streamed while the manifest was live.
 	LiveLatencyMeanSec float64
 	LiveLatencyMaxSec  float64
+
+	// play is the session's playout ledger, as the session left it.
+	play playout
 }
+
+// DefaultBufferTargetSec is the MPC target of a session naming none.
+const DefaultBufferTargetSec = 2
 
 // MOS returns the Table 3 opinion-score band of the session's
 // estimated quality (meaningful only when MeanEstPSPNR was computed).
@@ -310,10 +317,11 @@ func (c *Client) Stream(ctx context.Context, tr *viewport.Trace, cfg StreamConfi
 // Stream for the loop's contract.
 // Every session runs one chunk-level model (cold start at the lowest
 // level, horizonRow's qualities, leftover capacity topping up the
-// budget), and the loop times and traces its own phases.
+// budget), and the loop times and traces its own phases. Its buffer,
+// startup and stalls are one playout ledger's (see playout).
 func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg StreamConfig) (result *StreamResult, err error) {
 	if cfg.BufferTargetSec == 0 {
-		cfg.BufferTargetSec = 2
+		cfg.BufferTargetSec = DefaultBufferTargetSec
 	}
 	if cfg.Planner == nil {
 		cfg.Planner = player.NewPanoPlanner()
@@ -326,6 +334,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	pol := cfg.Fetch.WithDefaults()
 
 	res := &StreamResult{}
+	play := &res.play
 	// sess is nil without an event log and traced false without a span
 	// in ctx: every call site below checks before it builds an argument
 	// list, so an unobserved session boxes and allocates nothing for
@@ -348,6 +357,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	stage := "manifest"
 	start := clk.Now()
 	defer func() {
+		res.RebufferSec = play.stall
 		status := "ok"
 		switch {
 		case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
@@ -400,6 +410,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	}
 	stage = "stream"
 	res.Manifest = m
+	play.pass(clk.Since(start).Seconds())
 	tiles0 := 0
 	if len(m.Chunks) > 0 {
 		tiles0 = len(m.Chunks[0].Tiles)
@@ -446,25 +457,32 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		}
 		res.Chunks = make([]ChunkResult, 0, n)
 	}
-	var buffer, estSum float64
-	var liveLatSum float64
+	var estSum, liveLatSum float64
 	liveChunks := 0
 	prev := codec.Level(-1)
-	streamed := 0
 	for k := m.FirstChunk; ; k++ {
-		if cfg.MaxChunks > 0 && streamed >= cfg.MaxChunks {
+		if cfg.MaxChunks > 0 && len(res.Chunks) >= cfg.MaxChunks {
 			break
 		}
 		if live {
 			// Never schedule a fetch at or past the live edge: block here
 			// polling the manifest (and let the catch-up policy move k)
 			// until chunk k is published, the feed ends, or it times out.
-			sr, lerr := liveEdgeSync(ctx, tp, clk, m, k, livePol, &buffer, res, &liveIns, rebufTotal, sess)
+			sr, lerr := liveEdgeSync(ctx, tp, clk, m, k, livePol, &liveIns, sess)
 			if lerr != nil {
 				return nil, lerr
 			}
 			m, k, live = sr.m, sr.k, sr.m.Live
 			res.Manifest = m
+			res.LiveSkippedChunks += sr.skipped
+			if sr.waited > 0 {
+				// Playback went on while the session waited.
+				res.LiveEdgeWaits++
+				res.LiveEdgeWaitSec += sr.waited.Seconds()
+				liveIns.reg.CounterIn(&liveIns.waitSec, "pano_client_live_edge_wait_seconds_total",
+					"seconds spent blocked at the live edge").Add(sr.waited.Seconds())
+				rebufTotal.Add(play.pass(sr.waited.Seconds()))
+			}
 			if sr.ended {
 				break
 			}
@@ -476,10 +494,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		if traced {
 			cctx, chunkSpan = trace.StartSpan(ctx, "chunk", trace.A("chunk", k))
 		}
-		nowMedia := float64(k)*m.ChunkSec - buffer
-		if nowMedia < 0 {
-			nowMedia = 0
-		}
+		nowMedia := max(0, float64(k)*m.ChunkSec-play.buffer) // the playhead
 		// Phase: bandwidth + viewpoint estimation.
 		_, eSpan := trace.StartSpan(cctx, "estimate")
 		raw := bw.Predict()
@@ -509,13 +524,13 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 				}
 				pred *= 1 + sign*cfg.BWErrorFrac
 			}
-			lv := dec.pickLevel(cctx, ctrl, buffer, pred, m.ChunkSec, prev, horizon)
+			lv := dec.pickLevel(cctx, ctrl, play.buffer, pred, m.ChunkSec, prev, horizon)
 			budget = horizon[0].Bits[lv]
 			prev = lv
 			// The level menu is coarse; fill the remaining predicted
 			// capacity so the tile allocator can spend what the link
 			// actually offers (identically for every system).
-			capacity := 0.9 * pred * (m.ChunkSec + math.Max(0, buffer-cfg.BufferTargetSec))
+			capacity := 0.9 * pred * (m.ChunkSec + math.Max(0, play.buffer-cfg.BufferTargetSec))
 			if capacity > budget {
 				budget = math.Min(capacity, horizon[0].Bits[0])
 			}
@@ -537,8 +552,11 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		delivered := append(abr.Allocation(nil), alloc...)
 		var stale []bool
 		var tf tileFetch
+		// Every attempt of the chunk gets the same deadline: the buffer it
+		// is derived from moves only between chunks.
+		deadline := pol.attemptTimeout(play.buffer, !play.started)
 		for ti, l := range alloc {
-			ferr := fetcher.fetch(fctx, k, ti, l, buffer, k == 0, &tf)
+			ferr := fetcher.fetch(fctx, k, ti, l, deadline, &tf)
 			if tf.first > slowest {
 				slowest, slowTile = tf.first, ti
 			}
@@ -568,9 +586,6 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			goodTime += tf.goodput
 		}
 		dl := clk.Since(t0)
-		if dl <= 0 {
-			dl = time.Microsecond
-		}
 		if fSpan != nil {
 			fSpan.Annotate("tiles", len(alloc))
 			fSpan.Annotate("slowest_tile", slowTile)
@@ -601,28 +616,17 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		res.TotalRetries += retries
 		res.DegradedTiles += degraded
 		res.SkippedTiles += skipped
-		if streamed == 0 {
+		stall := play.pass(dl.Seconds())
+		if play.land(m.ChunkSec) {
 			res.StartupDelay = clk.Since(start)
 		}
-		var stall float64
-		if streamed > 0 && dl.Seconds() > buffer {
-			stall = dl.Seconds() - buffer
-			res.RebufferSec += stall
-		}
-		buffer = buffer - dl.Seconds()
-		if buffer < 0 {
-			buffer = 0
-		}
-		buffer += m.ChunkSec
-		if cfg.MaxBufferSec > 0 && buffer > cfg.MaxBufferSec {
-			// Paced prefetch: idle without draining — playback continues
-			// against the buffered media.
-			idle := buffer - cfg.MaxBufferSec
+		if idle := play.idleTo(cfg.MaxBufferSec); idle > 0 {
+			// Paced prefetch: playback drains the surplus while the
+			// session idles.
 			if serr := clk.Sleep(ctx, time.Duration(idle*float64(time.Second))); serr != nil {
 				chunkSpan.End()
 				return nil, serr
 			}
-			buffer = cfg.MaxBufferSec
 		}
 
 		chunksTotal.Inc()
@@ -631,7 +635,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		if dlSeconds != nil {
 			dlSeconds.ObserveExemplar(dl.Seconds(), chunkSpan.TraceHex())
 		}
-		bufGauge.Set(buffer)
+		bufGauge.Set(play.buffer)
 		if instrumented || cfg.ScoreChunk != nil {
 			// Phase: stitch + viewport-quality scoring of what was
 			// actually delivered (degraded/stale tiles included).
@@ -646,11 +650,11 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 				}
 				estPSPNR.Observe(e)
 				estSum += e
-				res.MeanEstPSPNR = estSum / float64(streamed+1)
+				res.MeanEstPSPNR = estSum / float64(len(res.Chunks))
 				if sess != nil {
 					sess.Debug("chunk_done",
 						"chunk", k, "bytes", bytes, "download_sec", dl.Seconds(),
-						"throughput_bps", thr, "stall_sec", stall, "buffer_sec", buffer,
+						"throughput_bps", thr, "stall_sec", stall, "buffer_sec", play.buffer,
 						"est_pspnr_db", e, "retries", retries,
 						"tiles_degraded", degraded, "tiles_skipped", skipped)
 				}
@@ -660,13 +664,13 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		if chunkSpan != nil {
 			chunkSpan.Annotate("bytes", bytes)
 			chunkSpan.Annotate("stall_sec", stall)
-			chunkSpan.Annotate("buffer_sec", buffer)
+			chunkSpan.Annotate("buffer_sec", play.buffer)
 			chunkSpan.Annotate("throughput_bps", thr)
 		}
 		if live {
 			// Live latency: fully published chunks between the playhead
 			// and the edge, plus the media already buffered.
-			lat := float64(m.NumChunks()-k-1)*m.ChunkSec + buffer
+			lat := float64(m.NumChunks()-k-1)*m.ChunkSec + play.buffer
 			liveLatSum += lat
 			liveChunks++
 			if lat > res.LiveLatencyMaxSec {
@@ -682,7 +686,6 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			}
 		}
 		chunkSpan.End()
-		streamed++
 	}
 	if liveChunks > 0 {
 		res.LiveLatencyMeanSec = liveLatSum / float64(liveChunks)

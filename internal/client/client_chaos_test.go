@@ -207,7 +207,7 @@ func TestFetchResilientDeadlineExpiryMidBody(t *testing.T) {
 
 	t0 := time.Now()
 	var tf tileFetch
-	err = f.fetch(context.Background(), 0, 0, 0, 0, true, &tf)
+	err = f.fetch(context.Background(), 0, 0, 0, pol.AttemptTimeout, &tf)
 	elapsed := time.Since(t0)
 	if err != nil {
 		t.Fatalf("deadline expiry must resolve to a skip, not an error: %v", err)
@@ -230,7 +230,7 @@ func TestFetchResilientDeadlineExpiryMidBody(t *testing.T) {
 	// A canceled session context propagates instead of degrading.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := f.fetch(ctx, 0, 0, 0, 0, true, &tf); err == nil {
+	if err := f.fetch(ctx, 0, 0, 0, pol.AttemptTimeout, &tf); err == nil {
 		t.Error("canceled context must propagate an error")
 	}
 }

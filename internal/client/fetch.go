@@ -120,7 +120,8 @@ func (p FetchPolicy) WithDefaults() FetchPolicy {
 // attemptTimeout derives the per-attempt deadline from buffer
 // occupancy: each attempt may spend at most half the remaining playback
 // buffer, floored at MinAttemptTimeout and capped at AttemptTimeout.
-// During startup (nothing is playing yet) the full AttemptTimeout
+// During startup — before the session's first chunk lands, whichever
+// chunk that is — nothing is playing yet and the full AttemptTimeout
 // applies.
 func (p *FetchPolicy) attemptTimeout(bufferSec float64, startup bool) time.Duration {
 	if startup {
@@ -292,16 +293,17 @@ var unobserved fetchInstruments
 // error only when ctx was canceled.
 func (f *Fetcher) Fetch(ctx context.Context, k, ti int, planned codec.Level, bufferSec float64) (level codec.Level, ok bool, err error) {
 	var out tileFetch
-	err = f.fetch(ctx, k, ti, planned, bufferSec, false, &out)
+	err = f.fetch(ctx, k, ti, planned, f.pol.attemptTimeout(bufferSec, false), &out)
 	return out.level, !out.skipped, err
 }
 
-// fetch runs the §7 degradation ladder for one tile:
-// bounded retries with jittered backoff at the planned level, then at
-// the lowest level, then a skip. It returns an error only when the
-// session context itself is canceled; every server-side failure mode
-// resolves to a degraded or skipped outcome so the session continues.
-// The outcome goes to out, which the caller reuses tile after tile.
+// fetch runs the §7 degradation ladder for one tile, every attempt
+// under the deadline timeout: bounded retries with jittered backoff at
+// the planned level, then at the lowest level, then a skip. It returns
+// an error only when the session context itself is canceled; every
+// server-side failure mode resolves to a degraded or skipped outcome so
+// the session continues. The outcome goes to out, which the caller
+// reuses tile after tile.
 //
 // Under a traced ctx the ladder records what went wrong and nothing
 // else: a tile whose first attempt succeeds opens no span (the chunk's
@@ -312,8 +314,7 @@ func (f *Fetcher) Fetch(ctx context.Context, k, ti int, planned codec.Level, buf
 // ladder rung, the buffer-derived deadline, the backoff that follows a
 // failure, and the failure's error class — so a late chunk decomposes
 // into exactly which attempt stalled and why.
-func (f *Fetcher) fetch(ctx context.Context, k, ti int, planned codec.Level,
-	bufferSec float64, startup bool, out *tileFetch) error {
+func (f *Fetcher) fetch(ctx context.Context, k, ti int, planned codec.Level, timeout time.Duration, out *tileFetch) error {
 	tp, clk, pol, ins, sess := f.tp, f.clk, &f.pol, f.ins, f.sess
 	// Spans and attribute lists are built only under a traced context,
 	// event argument lists only with a log attached (sess non-nil): the
@@ -333,9 +334,6 @@ func (f *Fetcher) fetch(ctx context.Context, k, ti int, planned codec.Level,
 		nRungs = 1
 	}
 	var lastErr error
-	// Every attempt of the tile gets the same deadline: the buffer it is
-	// derived from moves only between tiles.
-	timeout := pol.attemptTimeout(bufferSec, startup)
 	for ri, lv := range rungs[:nRungs] {
 		for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 			actx, aspan := ctx, (*trace.Span)(nil)

@@ -60,36 +60,40 @@ func (li *liveInstruments) skip(n int) {
 		"chunks skipped by the live catch-up policy").Add(float64(n))
 }
 
-// liveSyncResult is what one edge synchronisation resolves to.
+// liveSyncResult is what one edge synchronisation resolves to: the
+// manifest and chunk to go on with, whether the session ended, the
+// chunks it skipped and the time it waited at the edge.
 type liveSyncResult struct {
-	m     *manifest.Video
-	k     int
-	ended bool
+	m       *manifest.Video
+	k       int
+	ended   bool
+	skipped int
+	waited  time.Duration
 }
 
 // liveEdgeSync blocks until chunk k is streamable against a live
 // manifest: it skips forward when k fell out of the availability window
 // or too far behind the edge, and while k is AT the edge it polls the
 // manifest — the client never schedules a fetch past the edge, the
-// refresh is how it learns the edge moved. Waiting drains the playout
-// buffer like real playback would; once the buffer runs dry the
-// remainder of the wait is a stall (counted as rebuffering, bounded by
-// pol.EdgeTimeout + the skip policy rather than unbounded).
+// refresh is how it learns the edge moved. It returns the time it
+// waited, which the caller's playout ledger plays out like any other
+// time that passes: startup before the first chunk has landed, buffered
+// media and then a stall after (bounded by pol.EdgeTimeout and the skip
+// policy).
 //
 // Only ctx cancellation returns an error; a dead feed or an
 // out-of-reach manifest ends the session cleanly (ended=true), never
 // aborts it.
 func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Video, k int,
-	pol LivePolicy, buffer *float64, res *StreamResult, ins *liveInstruments,
-	rebufTotal *obs.Counter, sess *slog.Logger) (liveSyncResult, error) {
+	pol LivePolicy, ins *liveInstruments, sess *slog.Logger) (liveSyncResult, error) {
 
-	var waited time.Duration
-	blocked := false
+	var skipped int
+	var waited, quiet time.Duration // quiet: waited since the edge last moved
 	for {
 		// Behind the availability window: the origin would answer 410 for
 		// every tile of k. Skip to the window start (at minimum).
 		if k < m.FirstChunk {
-			res.LiveSkippedChunks += m.FirstChunk - k
+			skipped += m.FirstChunk - k
 			ins.skip(m.FirstChunk - k)
 			if sess != nil {
 				sess.Info("live_skip", "reason", "window_expired", "from", k, "to", m.FirstChunk)
@@ -101,50 +105,33 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 			// instead of draining a backlog that keeps growing.
 			if edge-k > pol.MaxLatencyChunks {
 				to := edge - 1
-				res.LiveSkippedChunks += to - k
+				skipped += to - k
 				ins.skip(to - k)
 				if sess != nil {
 					sess.Info("live_skip", "reason", "latency", "from", k, "to", to)
 				}
 				k = to
 			}
-			return liveSyncResult{m: m, k: k}, nil
+			return liveSyncResult{m: m, k: k, skipped: skipped, waited: waited}, nil
 		}
 		if !m.Live {
 			// Feed ended and k is past the final chunk: end of session.
-			return liveSyncResult{m: m, k: k, ended: true}, nil
+			return liveSyncResult{m: m, k: k, ended: true, skipped: skipped, waited: waited}, nil
 		}
-		if waited >= pol.EdgeTimeout {
+		if quiet >= pol.EdgeTimeout {
 			if sess != nil {
-				sess.Warn("live_edge_timeout", "chunk", k, "waited_sec", waited.Seconds())
+				sess.Warn("live_edge_timeout", "chunk", k, "waited_sec", quiet.Seconds())
 			}
 			ins.reg.CounterIn(&ins.timeouts, "pano_client_live_edge_timeouts_total",
 				"sessions that gave up waiting for the live edge to move").Inc()
-			return liveSyncResult{m: m, k: k, ended: true}, nil
-		}
-		if !blocked {
-			blocked = true
-			res.LiveEdgeWaits++
+			return liveSyncResult{m: m, k: k, ended: true, skipped: skipped, waited: waited}, nil
 		}
 		d := pol.PollInterval
 		if err := clk.Sleep(ctx, d); err != nil {
 			return liveSyncResult{}, err
 		}
 		waited += d
-		res.LiveEdgeWaitSec += d.Seconds()
-		ins.reg.CounterIn(&ins.waitSec, "pano_client_live_edge_wait_seconds_total",
-			"seconds spent blocked at the live edge").Add(d.Seconds())
-		// Playback continues while we wait: drain the buffer, and count
-		// the dry remainder as a stall.
-		ds := d.Seconds()
-		if *buffer >= ds {
-			*buffer -= ds
-		} else {
-			stall := ds - *buffer
-			*buffer = 0
-			res.RebufferSec += stall
-			rebufTotal.Add(stall)
-		}
+		quiet += d
 		m2, err := tp.Manifest(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -161,7 +148,7 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 		// backwards (e.g. a lagging origin behind a different edge cache).
 		if m2.NumChunks() >= m.NumChunks() && m2.Seq >= m.Seq {
 			if m2.NumChunks() > m.NumChunks() {
-				waited = 0 // the edge moved; restart the death watch
+				quiet = 0 // the edge moved; restart the death watch
 			}
 			m = m2
 		}

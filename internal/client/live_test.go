@@ -13,10 +13,14 @@ import (
 
 // scriptedTransport serves a scripted sequence of manifest refreshes —
 // each Manifest call returns the next entry (sticking at the last) —
-// and answers every tile instantly at its manifest size. It is the
+// and answers every tile at its manifest size: instantly, or tileDelay
+// later on clk within the attempt's virtual deadline. It is the
 // deterministic stand-in for an origin whose live edge moves.
 type scriptedTransport struct {
 	full *manifest.Video // sizes for Tile, regardless of script position
+
+	clk       *VirtualClock
+	tileDelay time.Duration
 
 	mu     sync.Mutex
 	script []*manifest.Video
@@ -38,6 +42,14 @@ func (f *scriptedTransport) Manifest(ctx context.Context) (*manifest.Video, erro
 }
 
 func (f *scriptedTransport) Tile(ctx context.Context, k, ti int, l codec.Level) (float64, error) {
+	if f.tileDelay > 0 {
+		done := f.clk.off + f.tileDelay
+		if at := deadlineOf(ctx); at != nil && done > at.dl {
+			f.clk.advanceTo(at.dl)
+			return 0, context.DeadlineExceeded
+		}
+		f.clk.advanceTo(done)
+	}
 	return f.full.Chunks[k].Tiles[ti].Bits[l], nil
 }
 

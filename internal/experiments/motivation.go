@@ -9,6 +9,7 @@ import (
 	"pano/internal/mathx"
 	"pano/internal/scene"
 	"pano/internal/tiling"
+	"pano/internal/viewport"
 )
 
 // Fig3Result holds the three factor distributions of Figure 3 and the
@@ -34,7 +35,7 @@ func Fig3(d *Dataset) (*Fig3Result, *Table, error) {
 			end := tr.Duration()
 			for ts := 0.5; ts < end; ts += 0.25 {
 				speeds = append(speeds, tr.SpeedAt(ts))
-				lumas = append(lumas, tr.MaxLumaChange(ts, 5, v.LumaAt))
+				lumas = append(lumas, tr.MaxLumaChange(ts, viewport.LumaWindowSec, viewport.RefreshInterval, v.LumaAt))
 				dofs = append(dofs, viewportDoFSpread(v, tr.At(ts), ts))
 			}
 		}

@@ -83,8 +83,8 @@
 //	    atomic catalog-head replacements.
 //	pano_client_live_edge_wait_seconds_total / pano_client_live_edge_timeouts_total
 //	    time sessions spent blocked at the live edge polling for the
-//	    manifest to grow, and sessions that gave up on a dead feed
-//	    (ending cleanly, never aborting).
+//	    manifest to grow (counted as each wait ends), and sessions that
+//	    gave up on a dead feed (ending cleanly, never aborting).
 //	pano_client_live_skips_total / pano_client_live_latency_sec
 //	    chunks skipped by the low-latency policy (window expiry or
 //	    skip-to-edge) and the session's current edge latency; the edge

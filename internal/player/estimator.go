@@ -21,8 +21,6 @@ type Estimator struct {
 	// SpeedWindowSec is the lookback for the lower-bound speed
 	// estimate (the paper uses the last 2 s).
 	SpeedWindowSec float64
-	// LumaWindowSec is the luminance-change lookback (~5 s).
-	LumaWindowSec float64
 }
 
 // NewEstimator returns an estimator with the paper's windows.
@@ -30,23 +28,26 @@ func NewEstimator() *Estimator {
 	return &Estimator{
 		Pred:           viewport.NewPredictor(),
 		SpeedWindowSec: 2,
-		LumaWindowSec:  5,
 	}
 }
 
-// lumaAlongTrace returns the manifest luminance under the viewpoint at
-// media time u: the AvgLuma of the tile the viewpoint is in.
-func lumaAlongTrace(m *manifest.Video, tr *viewport.Trace, u float64) float64 {
-	k := int(u / m.ChunkSec)
-	if k < 0 {
-		k = 0
+// chunkView is chunk k's view with the viewpoint at center moving at
+// speed, its focus the DoF of the tile under center and its l factor
+// read at media time t over tr: the largest swing of the manifest
+// luminance under the viewpoint — the AvgLuma of the tile it is in —
+// over the last viewport.LumaWindowSec, at every fifth trace sample.
+func chunkView(m *manifest.Video, tr *viewport.Trace, k int, center geom.Angle, speed, t float64) ChunkView {
+	swing := tr.MaxLumaChange(t, viewport.LumaWindowSec, 5*viewport.RefreshInterval, func(a geom.Angle, u float64) float64 {
+		c := clampChunk(m, int(u/m.ChunkSec))
+		return m.Chunks[c].Tiles[TileAt(m, c, a)].AvgLuma
+	})
+	k = clampChunk(m, k)
+	return ChunkView{
+		Center:     center,
+		SpeedLB:    speed,
+		LumaChange: swing,
+		FocusDoF:   m.Chunks[k].Tiles[TileAt(m, k, center)].AvgDoF,
 	}
-	if k >= m.NumChunks() {
-		k = m.NumChunks() - 1
-	}
-	a := tr.At(u)
-	ti := TileAt(m, k, a)
-	return m.Chunks[k].Tiles[ti].AvgLuma
 }
 
 // View builds the predicted ChunkView for chunk k, deciding at media
@@ -59,25 +60,7 @@ func (e *Estimator) View(m *manifest.Video, tr *viewport.Trace, k int, now float
 		horizon = 0
 	}
 	center := e.Pred.Predict(tr, now, horizon)
-	speedLB := tr.MinSpeedIn(math.Max(0, now-e.SpeedWindowSec), now)
-
-	// Luminance swing of the viewport over the recent window, read off
-	// the manifest tiles the viewpoint visited.
-	ref := lumaAlongTrace(m, tr, now)
-	var swing float64
-	for u := math.Max(0, now-e.LumaWindowSec); u <= now+1e-9; u += 5 * viewport.RefreshInterval {
-		if d := math.Abs(lumaAlongTrace(m, tr, u) - ref); d > swing {
-			swing = d
-		}
-	}
-
-	focusTile := TileAt(m, clampChunk(m, k), center)
-	return ChunkView{
-		Center:     center,
-		SpeedLB:    speedLB,
-		LumaChange: swing,
-		FocusDoF:   m.Chunks[clampChunk(m, k)].Tiles[focusTile].AvgDoF,
-	}
+	return chunkView(m, tr, k, center, tr.MinSpeedIn(math.Max(0, now-e.SpeedWindowSec), now), now)
 }
 
 // BestGuess is the view v, built by View at media time now over tr, with
@@ -96,22 +79,7 @@ func (v ChunkView) BestGuess(tr *viewport.Trace, now float64) ChunkView {
 // View and ActualView is exactly the estimation error of Figure 16(a).
 func (e *Estimator) ActualView(m *manifest.Video, tr *viewport.Trace, k int) ChunkView {
 	tMid := (float64(k) + 0.5) * m.ChunkSec
-	center := tr.At(tMid)
-	ref := lumaAlongTrace(m, tr, tMid)
-	var swing float64
-	for u := math.Max(0, tMid-e.LumaWindowSec); u <= tMid+1e-9; u += 5 * viewport.RefreshInterval {
-		if d := math.Abs(lumaAlongTrace(m, tr, u) - ref); d > swing {
-			swing = d
-		}
-	}
-	kc := clampChunk(m, k)
-	focusTile := TileAt(m, kc, center)
-	return ChunkView{
-		Center:     center,
-		SpeedLB:    tr.SpeedAt(tMid),
-		LumaChange: swing,
-		FocusDoF:   m.Chunks[kc].Tiles[focusTile].AvgDoF,
-	}
+	return chunkView(m, tr, k, tr.At(tMid), tr.SpeedAt(tMid), tMid)
 }
 
 func clampChunk(m *manifest.Video, k int) int {

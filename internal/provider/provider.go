@@ -79,21 +79,18 @@ type Config struct {
 	Profile *jnd.Profile
 	// Encoder is the codec model (default codec.NewEncoder()).
 	Encoder *codec.Encoder
-	// LumaWindowSec is the luminance-change lookback (default 5 s).
-	LumaWindowSec float64
 }
 
 // DefaultConfig returns Pano's defaults.
 func DefaultConfig() Config {
 	return Config{
-		Mode:          ModePano,
-		Grid:          tiling.Grid6x12,
-		Tiles:         tiling.DefaultTiles,
-		ChunkSec:      1,
-		FrameStride:   10,
-		Profile:       jnd.Default(),
-		Encoder:       codec.NewEncoder(),
-		LumaWindowSec: 5,
+		Mode:        ModePano,
+		Grid:        tiling.Grid6x12,
+		Tiles:       tiling.DefaultTiles,
+		ChunkSec:    1,
+		FrameStride: 10,
+		Profile:     jnd.Default(),
+		Encoder:     codec.NewEncoder(),
 	}
 }
 
@@ -119,9 +116,6 @@ func (c *Config) resolve(v *scene.Video) (numChunks int, err error) {
 	}
 	if c.Encoder == nil {
 		c.Encoder = d.Encoder
-	}
-	if c.LumaWindowSec == 0 {
-		c.LumaWindowSec = d.LumaWindowSec
 	}
 	if err := v.Validate(); err != nil {
 		return 0, err
@@ -333,7 +327,7 @@ func (p *preprocessor) chunkFactors(k int, rects []geom.Rect) []float64 {
 		viewers[i] = viewer{
 			speed:    tr.SpeedAt(tMid),
 			focusDoF: p.video.DepthAt(tr.At(tMid), tMid),
-			luma:     tr.MaxLumaChange(tMid, p.cfg.LumaWindowSec, p.video.LumaAt),
+			luma:     tr.MaxLumaChange(tMid, viewport.LumaWindowSec, viewport.RefreshInterval, p.video.LumaAt),
 		}
 	}
 	parallel.For(len(rects), func(i int) {

@@ -143,7 +143,8 @@ func runVirtual(t *testing.T, link *nettrace.Link, cfg client.StreamConfig) *cli
 	t.Helper()
 	f := fixture(t)
 	clk := client.NewVirtualClock(0)
-	cfg.BufferTargetSec, cfg.MaxBufferSec, cfg.Clock = 2, 3, clk
+	run := StreamConfig(0)
+	cfg.BufferTargetSec, cfg.MaxBufferSec, cfg.Clock = run.BufferTargetSec, run.MaxBufferSec, clk
 	cfg.Fetch = client.FetchPolicy{AttemptTimeout: time.Hour, MinAttemptTimeout: time.Hour}
 	res, err := client.RunSession(context.Background(), &client.VirtualNet{Video: f.pano, Clock: clk, Link: link},
 		f.traces[0], cfg)

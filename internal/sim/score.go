@@ -34,7 +34,7 @@ func pixelFramePSPNR(m *manifest.Video, v *scene.Video, k int, alloc abr.Allocat
 	center := tr.At(tMid)
 	vpSpeed := tr.SpeedAt(tMid)
 	focusDoF := v.DepthAt(center, tMid)
-	lumaSwing := maxLumaSwing(v, tr, tMid)
+	lumaSwing := tr.MaxLumaChange(tMid, viewport.LumaWindowSec, 5*viewport.RefreshInterval, v.LumaAt)
 
 	fidx := int(tMid * float64(v.FPS))
 	if fidx >= v.Frames() {
@@ -76,17 +76,4 @@ func pixelFramePSPNR(m *manifest.Video, v *scene.Video, k int, alloc abr.Allocat
 		pool.Add(float64(cell.Area()), pmse)
 	}
 	return pool.PSPNR()
-}
-
-// maxLumaSwing is the ground-truth luminance change of the viewport
-// over the preceding 5 s window.
-func maxLumaSwing(v *scene.Video, tr *viewport.Trace, t float64) float64 {
-	ref := v.LumaAt(tr.At(t), t)
-	var swing float64
-	for u := math.Max(0, t-5); u <= t+1e-9; u += 5 * viewport.RefreshInterval {
-		if d := math.Abs(v.LumaAt(tr.At(u), u) - ref); d > swing {
-			swing = d
-		}
-	}
-	return swing
 }

@@ -90,15 +90,26 @@ type Config struct {
 	Trace *trace.Tracer
 }
 
-// DefaultConfig returns a 2 s buffer target session.
+// DefaultConfig returns a session at the client's default buffer target.
 func DefaultConfig() Config {
-	return Config{BufferTargetSec: 2}
+	return Config{BufferTargetSec: client.DefaultBufferTargetSec}
 }
 
-func (c *Config) fillDefaults() {
-	if c.BufferTargetSec == 0 {
-		c.BufferTargetSec = 2
+// StreamConfig returns the client parameters of a simulated session at MPC
+// buffer target targetSec (0: the client's default), prefetch capped a
+// second beyond it. Run streams under them, as every swarm session does.
+func StreamConfig(targetSec float64) client.StreamConfig {
+	if targetSec == 0 {
+		targetSec = client.DefaultBufferTargetSec
 	}
+	return client.StreamConfig{BufferTargetSec: targetSec, MaxBufferSec: targetSec + 1}
+}
+
+// TablePSPNR is the table-model ground truth of chunk cr as delivered,
+// scored from the manifest under est's ActualView over tr: Run's score
+// without a scene, and the swarm's for the sessions it samples.
+func TablePSPNR(m *manifest.Video, tr *viewport.Trace, cr *client.ChunkResult, est *player.Estimator, prof *jnd.Profile) float64 {
+	return player.FramePSPNRDegraded(m, cr.Chunk, cr.Levels, cr.Stale, est.ActualView(m, tr, cr.Chunk), prof)
 }
 
 // Result summarizes one session.
@@ -143,7 +154,6 @@ func (r *Result) MOS() int { return quality.MOSFromPSPNR(r.MeanPSPNR) }
 // a scorer that runs beside the loop on a goroutine of its own. Run
 // returns, on every path, only after that goroutine has exited.
 func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.Planner, cfg Config) (*Result, error) {
-	cfg.fillDefaults()
 	if m.NumChunks() == 0 {
 		return nil, fmt.Errorf("sim: empty manifest")
 	}
@@ -167,20 +177,16 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 		tp = &lossyNet{VirtualNet: vn, rate: cfg.TileLossRate, rng: mathx.NewRNG(cfg.Seed + 0x10e55)}
 	}
 
-	sess, err := client.RunSession(context.Background(), tp, clientTrace, client.StreamConfig{
-		BufferTargetSec: cfg.BufferTargetSec,
-		MaxBufferSec:    cfg.BufferTargetSec + 1,
-		Planner:         pl,
-		Controller:      cfg.Controller,
-		BWErrorFrac:     cfg.BWErrorFrac,
-		ScoreChunk:      sc.enqueue,
-		Obs:             cfg.Obs,
-		Log:             cfg.Log,
-		Trace:           cfg.Trace,
-		Clock:           clk,
-		// The simulated link never times a request out.
-		Fetch: client.FetchPolicy{AttemptTimeout: time.Hour, MinAttemptTimeout: time.Hour},
-	})
+	scfg := StreamConfig(cfg.BufferTargetSec)
+	scfg.Planner = pl
+	scfg.Controller = cfg.Controller
+	scfg.BWErrorFrac = cfg.BWErrorFrac
+	scfg.ScoreChunk = sc.enqueue
+	scfg.Obs, scfg.Log, scfg.Trace = cfg.Obs, cfg.Log, cfg.Trace
+	scfg.Clock = clk
+	// The simulated link never times a request out.
+	scfg.Fetch = client.FetchPolicy{AttemptTimeout: time.Hour, MinAttemptTimeout: time.Hour}
+	sess, err := client.RunSession(context.Background(), tp, clientTrace, scfg)
 	sc.wait()
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -247,7 +253,7 @@ func startScorer(m *manifest.Video, tr, clientTrace *viewport.Trace, cfg Config,
 				// underestimates their distortion slightly.
 				pspnr = pixelFramePSPNR(m, cfg.Scene, k, cr.Levels, tr, prof, enc, cfg.FieldCache)
 			} else {
-				pspnr = player.FramePSPNRDegraded(m, k, cr.Levels, cr.Stale, est.ActualView(m, tr, k), prof)
+				pspnr = TablePSPNR(m, tr, cr, est, prof)
 			}
 			// The client's plan-time estimate uses its best-guess view
 			// (Figure 16a measures the gap to pspnr) and predates any

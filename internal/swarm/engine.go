@@ -37,6 +37,7 @@ import (
 	"pano/internal/parallel"
 	"pano/internal/player"
 	"pano/internal/quality"
+	"pano/internal/sim"
 	"pano/internal/viewport"
 )
 
@@ -333,9 +334,8 @@ func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, 
 		// trajectory — the population analogue of sim.Run's scoring.
 		est := player.NewEstimator()
 		var sum float64
-		for _, cr := range res.Chunks {
-			actual := est.ActualView(cfg.Manifest, vp, cr.Chunk)
-			sum += player.FramePSPNRDegraded(cfg.Manifest, cr.Chunk, cr.Levels, cr.Stale, actual, prof)
+		for i := range res.Chunks {
+			sum += sim.TablePSPNR(cfg.Manifest, vp, &res.Chunks[i], est, prof)
 		}
 		st.meanPSPNR = sum / float64(len(res.Chunks))
 		st.scored = true
@@ -354,16 +354,10 @@ func newSession(cfg *Config, p params, manifestBits float64, place *placement, w
 	if cfg.Fleet != nil {
 		tp.fleet = newFleetSim(cfg.Fleet, place, p.faultSeed, pol)
 	}
-	// sim.Run's session parameters at its default buffer target: a 2 s
-	// MPC target, prefetch capped at 3 s, the whole video, no cap on the
-	// bandwidth estimate (the chunk-level model is every session's).
-	return tp, client.StreamConfig{
-		BufferTargetSec: 2,
-		MaxBufferSec:    3,
-		Planner:         cfg.Planner,
-		Fetch:           pol,
-		Clock:           clk,
-	}
+	// sim.Run's session parameters at its default buffer target.
+	sc := sim.StreamConfig(0)
+	sc.Planner, sc.Fetch, sc.Clock = cfg.Planner, pol, clk
+	return tp, sc
 }
 
 // fold reduces the per-session slots — in session-id order, so float

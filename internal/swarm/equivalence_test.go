@@ -93,8 +93,7 @@ func oneSessionMatchesSim(t *testing.T, rtt float64) {
 					k, ti, cr.Levels[ti], want[ti])
 			}
 		}
-		actual := est.ActualView(m, tr, k)
-		got := player.FramePSPNRDegraded(m, k, cr.Levels, cr.Stale, actual, prof)
+		got := sim.TablePSPNR(m, tr, &cr, est, prof)
 		if diff := math.Abs(got - simRes.PerChunkPSPNR[k]); diff > 1e-9 {
 			t.Fatalf("chunk %d: PSPNR %v vs sim %v (diff %g)", k, got, simRes.PerChunkPSPNR[k], diff)
 		}

@@ -26,6 +26,10 @@ import (
 // matching mainstream VR devices (§8.1).
 const RefreshInterval = 0.05
 
+// LumaWindowSec is the lookback of the 360JND model's luminance factor
+// l (Equation 4): the largest swing over the last 5 s.
+const LumaWindowSec = 5
+
 // Trace is a viewpoint trajectory sampled every RefreshInterval seconds
 // starting at t = 0. Yaw values are stored unwrapped (continuous across
 // the ±180° seam) so that finite differences and regression are
@@ -108,12 +112,13 @@ func (tr *Trace) MinSpeedIn(t0, t1 float64) float64 {
 }
 
 // MaxLumaChange returns the largest luminance swing seen by the
-// viewpoint over the window [t-window, t], given a luminance lookup for
-// the viewpoint's position — the l factor of the 360JND model.
-func (tr *Trace) MaxLumaChange(t, window float64, lumaAt func(geom.Angle, float64) float64) float64 {
+// viewpoint over the window [t-window, t], sampled every step seconds,
+// given a luminance lookup for the viewpoint's position — the l factor
+// of the 360JND model.
+func (tr *Trace) MaxLumaChange(t, window, step float64, lumaAt func(geom.Angle, float64) float64) float64 {
 	ref := lumaAt(tr.At(t), t)
 	var maxDiff float64
-	for u := math.Max(0, t-window); u <= t+1e-9; u += RefreshInterval {
+	for u := math.Max(0, t-window); u <= t+1e-9; u += step {
 		d := math.Abs(lumaAt(tr.At(u), u) - ref)
 		if d > maxDiff {
 			maxDiff = d

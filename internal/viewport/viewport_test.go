@@ -233,12 +233,12 @@ func TestMaxLumaChange(t *testing.T) {
 	tr := linearTrace(0, 0, 201)
 	// Luminance ramps down over time at the fixed viewpoint.
 	luma := func(_ geom.Angle, t float64) float64 { return 200 - 20*t }
-	got := tr.MaxLumaChange(5, 5, luma)
+	got := tr.MaxLumaChange(5, 5, RefreshInterval, luma)
 	if math.Abs(got-100) > 1e-6 {
 		t.Errorf("luma change = %v, want 100", got)
 	}
 	// Window clips at t=0.
-	got = tr.MaxLumaChange(2, 5, luma)
+	got = tr.MaxLumaChange(2, 5, RefreshInterval, luma)
 	if math.Abs(got-40) > 1e-6 {
 		t.Errorf("clipped luma change = %v, want 40", got)
 	}
