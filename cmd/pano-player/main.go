@@ -143,7 +143,7 @@ func main() {
 	fmt.Printf("total: %d bytes over %d chunks (planner=%s)\n",
 		res.TotalBytes, len(res.Chunks), pl.Name())
 	fmt.Printf("qoe: est PSPNR %.1f dB (MOS %d), rebuffer %.2fs\n",
-		res.MeanEstPSPNR, res.MOS(), res.RebufferSec)
+		res.MeanEstPSPNR(), res.MOS(), res.RebufferSec)
 }
 
 func writeTrace(path string, tracer *trace.Tracer) error {

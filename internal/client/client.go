@@ -141,12 +141,10 @@ func tileErr(k, ti int, l codec.Level, err error) error {
 type ChunkResult struct {
 	Chunk int
 	// Planned is the planner's allocation, before any transport loss,
-	// PlayheadSec the media time that was playing when the chunk was
-	// planned, and View what the planner was told of the viewpoint: the
-	// plan-time facts a scorer needs next to what arrived.
-	Planned     abr.Allocation
-	PlayheadSec float64
-	View        player.ChunkView
+	// and Guess its view's player.ChunkView.BestGuess: the plan-time
+	// facts the PSPNR estimate and a scorer read next to what arrived.
+	Planned abr.Allocation
+	Guess   player.ChunkView
 	// Levels are the delivered per-tile levels: degraded tiles show the
 	// level they were actually fetched at, skipped tiles the lowest
 	// level (their on-screen content is the previous chunk's, §7).
@@ -183,7 +181,7 @@ type StreamConfig struct {
 	MaxRateBps float64
 	// Obs receives per-chunk QoE metrics (estimated PSPNR, rebuffer
 	// seconds, bytes) and the decision phases' latency and outcomes; nil
-	// disables instrumentation at zero cost.
+	// disables them at zero cost, and the result is the same either way.
 	Obs *obs.Registry
 	// Log receives structured per-chunk events and a session_summary
 	// event that fires on every exit path, success or failure, with a
@@ -248,10 +246,6 @@ type StreamResult struct {
 	// RebufferSec is the total stall: the time after the first chunk
 	// landed that the playout buffer could not cover.
 	RebufferSec float64
-	// MeanEstPSPNR is the session-average client-estimated viewport
-	// PSPNR. It is only computed when Obs or Log is attached (the
-	// estimate costs CPU); 0 otherwise.
-	MeanEstPSPNR float64
 	// TotalRetries, DegradedTiles, and SkippedTiles aggregate the
 	// resilient pipeline's outcomes over the session.
 	TotalRetries  int
@@ -263,7 +257,7 @@ type StreamResult struct {
 	TraceID string
 	// LiveEdgeWaits counts the times the session caught up with the live
 	// edge and blocked polling the manifest; LiveEdgeWaitSec is the total
-	// time spent blocked there. Zero for VOD sessions.
+	// time spent blocked there, refreshes included. Zero for VOD sessions.
 	LiveEdgeWaits   int
 	LiveEdgeWaitSec float64
 	// LiveSkippedChunks counts chunks skipped by the live catch-up
@@ -284,9 +278,26 @@ type StreamResult struct {
 // DefaultBufferTargetSec is the MPC target of a session naming none.
 const DefaultBufferTargetSec = 2
 
-// MOS returns the Table 3 opinion-score band of the session's
-// estimated quality (meaningful only when MeanEstPSPNR was computed).
-func (r *StreamResult) MOS() int { return quality.MOSFromPSPNR(r.MeanEstPSPNR) }
+// estProfile is the 360JND profile of every session's PSPNR estimate.
+var estProfile = jnd.Default()
+
+// estPSPNR is the §6.1 estimate of the viewport PSPNR cr delivered, under its Guess.
+func (cr *ChunkResult) estPSPNR(m *manifest.Video) float64 {
+	return player.FramePSPNRDegraded(m, cr.Chunk, cr.Levels, cr.Stale, cr.Guess, estProfile)
+}
+
+// MeanEstPSPNR returns the mean estimated viewport PSPNR of the delivered
+// chunks (0 without any), a watched session's pano_client_session_pspnr_db.
+func (r *StreamResult) MeanEstPSPNR() float64 {
+	var sum float64
+	for i := range r.Chunks {
+		sum += r.Chunks[i].estPSPNR(r.Manifest)
+	}
+	return sum / float64(max(1, len(r.Chunks)))
+}
+
+// MOS returns the Table 3 opinion-score band of MeanEstPSPNR.
+func (r *StreamResult) MOS() int { return quality.MOSFromPSPNR(r.MeanEstPSPNR()) }
 
 // Stream runs a full adaptive session: fetch manifest, then per chunk
 // run MPC + the planner, fetch every tile at its chosen level through
@@ -356,6 +367,8 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	}
 	stage := "manifest"
 	start := clk.Now()
+	play.at = start
+	var estSum, estMean, liveLatSum float64 // estMean: a watched session's running MeanEstPSPNR
 	defer func() {
 		res.RebufferSec = play.stall
 		status := "ok"
@@ -394,9 +407,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			"elapsed_sec", clk.Since(start).Seconds(),
 			"retries", res.TotalRetries,
 			"tiles_degraded", res.DegradedTiles, "tiles_skipped", res.SkippedTiles,
-		}
-		if instrumented {
-			args = append(args, "mean_est_pspnr_db", res.MeanEstPSPNR, "mos", res.MOS())
+			"mean_est_pspnr_db", estMean, "mos", quality.MOSFromPSPNR(estMean),
 		}
 		if err != nil {
 			args = append(args, "error", err.Error())
@@ -410,7 +421,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	}
 	stage = "stream"
 	res.Manifest = m
-	play.pass(clk.Since(start).Seconds())
+	play.read(clk)
 	tiles0 := 0
 	if len(m.Chunks) > 0 {
 		tiles0 = len(m.Chunks[0].Tiles)
@@ -431,10 +442,6 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	estPSPNR := cfg.Obs.Histogram("pano_client_est_pspnr_db",
 		"client-estimated per-chunk viewport PSPNR", quality.PSPNRBuckets)
 	bufGauge := cfg.Obs.Gauge("pano_client_buffer_sec", "playback buffer after each chunk")
-	var prof *jnd.Profile
-	if instrumented {
-		prof = jnd.Default()
-	}
 	ins := newFetchInstruments(cfg.Obs)
 	dec := newDecisionInstruments(cfg.Obs, cfg.Planner.Name())
 	turner, _ := tp.(Turner)
@@ -457,7 +464,6 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		}
 		res.Chunks = make([]ChunkResult, 0, n)
 	}
-	var estSum, liveLatSum float64
 	liveChunks := 0
 	prev := codec.Level(-1)
 	for k := m.FirstChunk; ; k++ {
@@ -475,13 +481,12 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			m, k, live = sr.m, sr.k, sr.m.Live
 			res.Manifest = m
 			res.LiveSkippedChunks += sr.skipped
+			rebufTotal.Add(play.read(clk)) // playback went on while the session waited
 			if sr.waited > 0 {
-				// Playback went on while the session waited.
 				res.LiveEdgeWaits++
 				res.LiveEdgeWaitSec += sr.waited.Seconds()
 				liveIns.reg.CounterIn(&liveIns.waitSec, "pano_client_live_edge_wait_seconds_total",
 					"seconds spent blocked at the live edge").Add(sr.waited.Seconds())
-				rebufTotal.Add(play.pass(sr.waited.Seconds()))
 			}
 			if sr.ended {
 				break
@@ -608,7 +613,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			bw.Observe(thr)
 		}
 		res.Chunks = append(res.Chunks, ChunkResult{
-			Chunk: k, Planned: alloc, PlayheadSec: nowMedia, View: view,
+			Chunk: k, Planned: alloc, Guess: view.BestGuess(tr, nowMedia),
 			Levels: delivered, Bytes: bytes, Bits: goodBits, Download: dl, Throughput: thr,
 			Retries: retries, Degraded: degraded, Skipped: skipped, Stale: stale,
 		})
@@ -616,14 +621,14 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		res.TotalRetries += retries
 		res.DegradedTiles += degraded
 		res.SkippedTiles += skipped
-		stall := play.pass(dl.Seconds())
+		stall := play.read(clk)
 		if play.land(m.ChunkSec) {
-			res.StartupDelay = clk.Since(start)
+			res.StartupDelay = play.at.Sub(start)
 		}
 		if idle := play.idleTo(cfg.MaxBufferSec); idle > 0 {
 			// Paced prefetch: playback drains the surplus while the
 			// session idles.
-			if serr := clk.Sleep(ctx, time.Duration(idle*float64(time.Second))); serr != nil {
+			if serr := clk.Sleep(ctx, idle); serr != nil {
 				chunkSpan.End()
 				return nil, serr
 			}
@@ -644,13 +649,13 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 				cfg.ScoreChunk(sctx, &res.Chunks[len(res.Chunks)-1])
 			}
 			if instrumented {
-				e := player.FramePSPNRDegraded(m, k, delivered, stale, view.BestGuess(tr, nowMedia), prof)
+				e := res.Chunks[len(res.Chunks)-1].estPSPNR(m)
 				if sSpan != nil {
 					sSpan.Annotate("est_pspnr_db", e)
 				}
 				estPSPNR.Observe(e)
 				estSum += e
-				res.MeanEstPSPNR = estSum / float64(len(res.Chunks))
+				estMean = estSum / float64(len(res.Chunks))
 				if sess != nil {
 					sess.Debug("chunk_done",
 						"chunk", k, "bytes", bytes, "download_sec", dl.Seconds(),
@@ -692,9 +697,9 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	}
 	if instrumented {
 		cfg.Obs.Gauge("pano_client_session_pspnr_db",
-			"session mean client-estimated viewport PSPNR").Set(res.MeanEstPSPNR)
+			"session mean client-estimated viewport PSPNR").Set(estMean)
 		cfg.Obs.Gauge("pano_client_session_mos",
-			"Table 3 opinion-score band of the estimated session quality").Set(float64(res.MOS()))
+			"Table 3 opinion-score band of the estimated session quality").Set(float64(quality.MOSFromPSPNR(estMean)))
 	}
 	return res, nil
 }

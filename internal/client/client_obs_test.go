@@ -50,8 +50,8 @@ func TestStreamRecordsQoEMetrics(t *testing.T) {
 	if got := reg.HistogramCount("pano_client_est_pspnr_db"); got != uint64(len(res.Chunks)) {
 		t.Errorf("est pspnr observations %d, want %d", got, len(res.Chunks))
 	}
-	if res.MeanEstPSPNR <= 0 {
-		t.Errorf("MeanEstPSPNR = %v", res.MeanEstPSPNR)
+	if res.MeanEstPSPNR() <= 0 {
+		t.Errorf("MeanEstPSPNR = %v", res.MeanEstPSPNR())
 	}
 	if mos := res.MOS(); mos < 1 || mos > 5 {
 		t.Errorf("MOS = %d", mos)
@@ -183,15 +183,28 @@ func TestStreamCancellationFiresSummary(t *testing.T) {
 	}
 }
 
-func TestStreamUninstrumentedPaysNothing(t *testing.T) {
+// TestStreamEstimateNeedsNoWatcher: the session's PSPNR estimate is read
+// off its chunks, so an unwatched session reports the one a watched
+// session does (a cold-start chunk, planned alike over any link), and a
+// watched session's pano_client_session_pspnr_db is that estimate to
+// the bit. That watching costs a bare session nothing is held by
+// BenchmarkRunSessionVirtual's allocation rows.
+func TestStreamEstimateNeedsNoWatcher(t *testing.T) {
 	ts := testServer(t)
-	res, err := New(ts.URL).Stream(context.Background(), fixture(t).tr, StreamConfig{MaxChunks: 1})
+	bare, err := New(ts.URL).Stream(context.Background(), fixture(t).tr, StreamConfig{MaxChunks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Without Obs/Log the estimate pipeline must stay off.
-	if res.MeanEstPSPNR != 0 {
-		t.Errorf("MeanEstPSPNR computed without instrumentation: %v", res.MeanEstPSPNR)
+	watched, err, reg, _ := streamWithObs(t, ts.URL, context.Background(), StreamConfig{MaxChunks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := bare.MeanEstPSPNR()
+	if est <= 0 || watched.MeanEstPSPNR() != est {
+		t.Errorf("MeanEstPSPNR: unwatched %v, watched %v", est, watched.MeanEstPSPNR())
+	}
+	if got := reg.GaugeValue("pano_client_session_pspnr_db"); got != watched.MeanEstPSPNR() {
+		t.Errorf("pano_client_session_pspnr_db %v, MeanEstPSPNR %v", got, watched.MeanEstPSPNR())
 	}
 }
 

@@ -62,7 +62,7 @@ func (li *liveInstruments) skip(n int) {
 
 // liveSyncResult is what one edge synchronisation resolves to: the
 // manifest and chunk to go on with, whether the session ended, the
-// chunks it skipped and the time it waited at the edge.
+// chunks it skipped and the clock across its polls and refreshes.
 type liveSyncResult struct {
 	m       *manifest.Video
 	k       int
@@ -75,11 +75,11 @@ type liveSyncResult struct {
 // manifest: it skips forward when k fell out of the availability window
 // or too far behind the edge, and while k is AT the edge it polls the
 // manifest — the client never schedules a fetch past the edge, the
-// refresh is how it learns the edge moved. It returns the time it
-// waited, which the caller's playout ledger plays out like any other
-// time that passes: startup before the first chunk has landed, buffered
-// media and then a stall after (bounded by pol.EdgeTimeout and the skip
-// policy).
+// refresh is how it learns the edge moved. Its wait, refreshes
+// included, is time the caller's playout ledger reads off the clock:
+// startup before the first chunk has landed, buffered media and then a
+// stall after (bounded by pol.EdgeTimeout, over poll intervals alone,
+// and the skip policy).
 //
 // Only ctx cancellation returns an error; a dead feed or an
 // out-of-reach manifest ends the session cleanly (ended=true), never
@@ -87,8 +87,8 @@ type liveSyncResult struct {
 func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Video, k int,
 	pol LivePolicy, ins *liveInstruments, sess *slog.Logger) (liveSyncResult, error) {
 
-	var skipped int
-	var waited, quiet time.Duration // quiet: waited since the edge last moved
+	skipped, t0 := 0, clk.Now()
+	var waited, quiet time.Duration // quiet: poll intervals since the edge last moved
 	for {
 		// Behind the availability window: the origin would answer 410 for
 		// every tile of k. Skip to the window start (at minimum).
@@ -130,9 +130,9 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 		if err := clk.Sleep(ctx, d); err != nil {
 			return liveSyncResult{}, err
 		}
-		waited += d
 		quiet += d
 		m2, err := tp.Manifest(ctx)
+		waited = clk.Since(t0)
 		if err != nil {
 			if ctx.Err() != nil {
 				return liveSyncResult{}, ctx.Err()

@@ -12,15 +12,16 @@ import (
 )
 
 // scriptedTransport serves a scripted sequence of manifest refreshes —
-// each Manifest call returns the next entry (sticking at the last) —
-// and answers every tile at its manifest size: instantly, or tileDelay
-// later on clk within the attempt's virtual deadline. It is the
-// deterministic stand-in for an origin whose live edge moves.
+// each Manifest call returns the next entry (sticking at the last),
+// instantly or manifestDelay later on clk — and answers every tile at
+// its manifest size: instantly, or tileDelay later on clk within the
+// attempt's virtual deadline. It is the deterministic stand-in for an
+// origin whose live edge moves.
 type scriptedTransport struct {
 	full *manifest.Video // sizes for Tile, regardless of script position
 
-	clk       *VirtualClock
-	tileDelay time.Duration
+	clk                      *VirtualClock
+	tileDelay, manifestDelay time.Duration
 
 	mu     sync.Mutex
 	script []*manifest.Video
@@ -38,6 +39,9 @@ func (f *scriptedTransport) Manifest(ctx context.Context) (*manifest.Video, erro
 		f.idx++
 	}
 	f.calls++
+	if f.manifestDelay > 0 {
+		f.clk.Advance(f.manifestDelay)
+	}
 	return m, nil
 }
 

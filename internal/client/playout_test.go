@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,42 +14,75 @@ import (
 	"pano/internal/obs"
 )
 
-// The ledger's three moves, as the property test and FuzzPlayout drive
-// them.
+// The ledger's moves, as the property test and FuzzPlayout drive them:
+// the clock runs v seconds and the ledger reads it (opRead, or opJitter
+// at an odd nanosecond, as a wall clock reads), a chunk of v seconds
+// lands, or the ledger idles to a cap of v and the clock sleeps what it
+// asks (opIdle) or past it (opOversleep).
 const (
-	opPass = iota // a download or a wait: time passes
-	opLand        // a chunk lands
-	opIdle        // a pacing idle down to a cap
+	opRead = iota
+	opLand
+	opIdle
+	opJitter
+	opOversleep
 	numOps
 )
 
-// step applies one move to p and fails t unless the ledger's rules hold
+// ledger is a playout ledger started at its virtual clock's epoch, and
+// the moves step has made on it.
+type ledger struct {
+	p     playout
+	clk   *VirtualClock
+	moves int
+}
+
+func newLedger() *ledger {
+	clk := NewVirtualClock(0)
+	return &ledger{p: playout{at: clk.Now()}, clk: clk}
+}
+
+// step applies one move to l and fails t unless the ledger's rules hold
 // across it: every second counted once (elapsed + buffer = startup +
-// media + stall), a buffer never negative or over a pacing cap, no stall
-// before the first chunk has landed and no startup after, and what a
-// move returns being exactly what it added.
-func step(t testing.TB, p *playout, op int, v float64) {
+// media + stall), elapsed the clock's span from the start to the last
+// reading (within a nanosecond per move), a buffer never negative or
+// over a pacing cap, no stall before the first chunk has landed and no
+// startup after, and what a move returns being exactly what it added.
+func step(t testing.TB, l *ledger, op int, v float64) {
 	t.Helper()
+	p := &l.p
 	before := *p
+	d := time.Duration(v * float64(time.Second))
 	switch op {
-	case opPass:
-		stall := p.pass(v)
-		if p.stall != before.stall+stall {
-			t.Fatalf("pass(%v) returned stall %v, the ledger went from %v to %v", v, stall, before.stall, p.stall)
+	case opRead, opJitter:
+		if op == opJitter {
+			d += time.Duration(int64(d) % 997)
+		}
+		l.clk.Advance(d)
+		stall := p.read(l.clk)
+		if p.at != l.clk.Now() || p.stall != before.stall+stall {
+			t.Fatalf("read after %v: at %v (clock %v), returned stall %v, the ledger went from %v to %v",
+				d, p.at, l.clk.Now(), stall, before.stall, p.stall)
 		}
 		if !before.started && stall != 0 {
-			t.Fatalf("pass(%v) stalled %v before the first chunk landed", v, stall)
+			t.Fatalf("read after %v stalled %v before the first chunk landed", d, stall)
 		}
 	case opLand:
 		if first := p.land(v); first != !before.started {
 			t.Fatalf("land: first %v after started %v", first, before.started)
 		}
-	case opIdle:
-		idle := p.idleTo(v)
-		if idle < 0 || (v > 0 && p.buffer > v) || p.elapsed != before.elapsed+idle {
-			t.Fatalf("idleTo(%v) from buffer %v: idle %v, buffer %v", v, before.buffer, idle, p.buffer)
+	case opIdle, opOversleep:
+		sleep := p.idleTo(v)
+		idle := before.buffer - p.buffer
+		if idle < 0 || (v > 0 && p.buffer > v) || p.elapsed != before.elapsed+idle ||
+			sleep != time.Duration(idle*float64(time.Second)) || p.at != before.at.Add(sleep) {
+			t.Fatalf("idleTo(%v) from buffer %v: sleep %v, buffer %v, at %v from %v", v, before.buffer, sleep, p.buffer, p.at, before.at)
 		}
+		if op == opOversleep {
+			sleep += time.Millisecond + sleep/4 // counted at the next reading
+		}
+		l.clk.Advance(sleep)
 	}
+	l.moves++
 	if p.buffer < 0 || p.stall < before.stall || p.startup < before.startup {
 		t.Fatalf("after op %d(%v): %+v from %+v", op, v, *p, before)
 	}
@@ -56,6 +90,9 @@ func step(t testing.TB, p *playout, op int, v float64) {
 		t.Fatalf("startup grew after the first chunk landed: %+v from %+v", *p, before)
 	}
 	checkIdentity(t, p)
+	if span := p.at.Sub(time.Unix(0, 0)).Seconds(); math.Abs(p.elapsed-span) > 1e-9*float64(l.moves)+1e-12*span {
+		t.Fatalf("after %d moves the ledger counted %vs, the clock read %vs from the start", l.moves, p.elapsed, span)
+	}
 }
 
 // checkIdentity fails t unless p counts every second once: within 1e-9 s
@@ -72,60 +109,51 @@ func checkIdentity(t testing.TB, p *playout) {
 
 // TestPlayoutCountsEverySecondOnce drives the ledger through seeded
 // random sessions — a manifest fetch, live waits before and between
-// chunks, downloads of any length, chunks of any length, pacing caps
-// above and below the buffer — holding step's rules at every move.
+// chunks, downloads of any length read at any nanosecond, chunks of any
+// length, pacing caps above and below the buffer, sleeps that overrun
+// them — holding step's rules at every move.
 func TestPlayoutCountsEverySecondOnce(t *testing.T) {
 	rng := mathx.NewRNG(0x91a7)
 	for s := 0; s < 500; s++ {
-		var p playout
-		step(t, &p, opPass, rng.Range(0, 0.2))
+		l := newLedger()
+		step(t, l, opRead, rng.Range(0, 0.2))
 		chunkSec := rng.Range(0.25, 2)
 		capSec := []float64{0, rng.Range(0, 4)}[rng.Intn(2)]
 		for c := rng.Intn(40); c > 0; c-- {
 			for w := rng.Intn(3); w > 0 && rng.Intn(3) == 0; w-- {
-				step(t, &p, opPass, rng.Range(0, 1.5))
+				step(t, l, opRead, rng.Range(0, 1.5))
 			}
-			step(t, &p, opPass, rng.Range(0, 3*chunkSec))
-			step(t, &p, opLand, chunkSec)
-			step(t, &p, opIdle, capSec)
+			step(t, l, []int{opRead, opJitter}[rng.Intn(2)], rng.Range(0, 3*chunkSec))
+			step(t, l, opLand, chunkSec)
+			step(t, l, []int{opIdle, opOversleep}[rng.Intn(2)], capSec)
 		}
 	}
 }
 
 // FuzzPlayout holds the ledger to step's rules under arbitrary move
-// sequences: each three input bytes are a move (first byte mod 3) and
-// its seconds (the next two, big-endian, in 1/1024 s). The committed
+// sequences: each three input bytes are a move (first byte mod numOps)
+// and its seconds (the next two, big-endian, in 1/1024 s). The committed
 // seeds under testdata/fuzz/FuzzPlayout/ are the shapes a session takes:
-// a wait before the first chunk, a stall after it, an idle to a cap,
-// and a paced VOD session.
+// a wait before the first chunk, a stall after it, an idle to a cap, a
+// paced VOD session, and a wall-clock one whose readings jitter and
+// whose idles oversleep.
 func FuzzPlayout(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var p playout
+		l := newLedger()
 		for ; len(data) >= 3; data = data[3:] {
-			step(t, &p, int(data[0])%numOps, float64(uint16(data[1])<<8|uint16(data[2]))/1024)
+			step(t, l, int(data[0])%numOps, float64(uint16(data[1])<<8|uint16(data[2]))/1024)
 		}
 	})
 }
 
 // checkSession fails t unless the session res, which began at chunk
-// first and ran for elapsed on a virtual clock, counts every second once
-// — its ledger's identity, the ledger agreeing with the session's own
-// figures and, within the pacing idle's nanosecond rounding, with the
-// clock — plays every chunk once or counts it as skipped, and delivered
+// first and ran for elapsed on a virtual clock, holds checkLedger's
+// rules, plays every chunk once or counts it as skipped, and delivered
 // exactly the tile sizes at the levels it fetched.
 func checkSession(t *testing.T, res *StreamResult, first int, elapsed time.Duration) {
 	t.Helper()
-	p, m := &res.play, res.Manifest
-	checkIdentity(t, p)
-	n := len(res.Chunks)
-	if p.stall != res.RebufferSec || math.Abs(p.startup-res.StartupDelay.Seconds()) > 1e-9 ||
-		math.Abs(p.media-float64(n)*m.ChunkSec) > 1e-9 {
-		t.Fatalf("ledger %+v; session: rebuffer %v, startup %v, %d chunks of %vs",
-			*p, res.RebufferSec, res.StartupDelay, n, m.ChunkSec)
-	}
-	if d := elapsed.Seconds() - p.elapsed; math.Abs(d) > 1e-9*float64(n+1) {
-		t.Fatalf("clock ran %v, ledger counted %vs", elapsed, p.elapsed)
-	}
+	checkLedger(t, res, elapsed)
+	m, n := res.Manifest, len(res.Chunks)
 	next := first
 	bytes := 0
 	for _, cr := range res.Chunks {
@@ -150,6 +178,26 @@ func checkSession(t *testing.T, res *StreamResult, first int, elapsed time.Durat
 	}
 	if bytes != res.TotalBytes {
 		t.Fatalf("delivered %d bytes, its tiles at the levels fetched hold %d", res.TotalBytes, bytes)
+	}
+}
+
+// checkLedger fails t unless the session res, whose clock ran for
+// elapsed from its start to its ledger's last reading, counts every
+// second once: its ledger's identity, the ledger agreeing with the
+// session's own figures and, within the pacing idle's nanosecond
+// rounding, with the clock.
+func checkLedger(t *testing.T, res *StreamResult, elapsed time.Duration) {
+	t.Helper()
+	p, m := &res.play, res.Manifest
+	checkIdentity(t, p)
+	n := len(res.Chunks)
+	if p.stall != res.RebufferSec || math.Abs(p.startup-res.StartupDelay.Seconds()) > 1e-9 ||
+		math.Abs(p.media-float64(n)*m.ChunkSec) > 1e-9 {
+		t.Fatalf("ledger %+v; session: rebuffer %v, startup %v, %d chunks of %vs",
+			*p, res.RebufferSec, res.StartupDelay, n, m.ChunkSec)
+	}
+	if d := elapsed.Seconds() - p.elapsed; math.Abs(d) > 1e-9*float64(n+1) {
+		t.Fatalf("clock ran %v, ledger counted %vs", elapsed, p.elapsed)
 	}
 }
 
@@ -198,43 +246,75 @@ func TestVirtualSessionsCountEverySecondOnce(t *testing.T) {
 // waits at the edge longer than its buffer holds. The wait before the
 // first chunk is startup — in StartupDelay and LiveEdgeWaitSec, not in
 // RebufferSec or the rebuffer counter — and only what the buffer could
-// not cover of the wait after it is a stall.
+// not cover of the wait after it is a stall. A refresh that takes time
+// is wait time like the poll interval before it.
 func TestLiveWaitBeforeTheFirstChunkIsStartup(t *testing.T) {
 	full := fixture(t).man
 	empty := liveCopy(full, 0, 1, true)
 	head := liveCopy(full, 1, 2, true)
-	tp := &scriptedTransport{full: full, script: []*manifest.Video{
-		empty, empty, head, // two polls before chunk 0
-		head, head, head, head, liveCopy(full, 3, 3, false), // five after it
-	}}
-	clk := NewVirtualClock(0)
 	poll := 300 * time.Millisecond
-	reg := obs.NewRegistry()
-	res, err := RunSession(context.Background(), tp, fixture(t).tr, StreamConfig{
-		Clock: clk, Obs: reg, Live: LivePolicy{PollInterval: poll, EdgeTimeout: 10 * time.Second},
-	})
+	for _, refresh := range []time.Duration{0, 40 * time.Millisecond} {
+		clk := NewVirtualClock(0)
+		tp := &scriptedTransport{full: full, clk: clk, manifestDelay: refresh, script: []*manifest.Video{
+			empty, empty, head, // two polls before chunk 0
+			head, head, head, head, liveCopy(full, 3, 3, false), // five after it
+		}}
+		reg := obs.NewRegistry()
+		res, err := RunSession(context.Background(), tp, fixture(t).tr, StreamConfig{
+			Clock: clk, Obs: reg, Live: LivePolicy{PollInterval: poll, EdgeTimeout: 10 * time.Second},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSession(t, res, 0, clk.Since(time.Unix(0, 0)))
+		if len(res.Chunks) != 3 {
+			t.Fatalf("refresh %v: streamed %d chunks, want 3", refresh, len(res.Chunks))
+		}
+		if want := refresh + 2*(poll+refresh); res.StartupDelay != want {
+			t.Errorf("refresh %v: StartupDelay %v, want the manifest and the %v waited before chunk 0", refresh, res.StartupDelay, want)
+		}
+		if want := (7 * (poll + refresh)).Seconds(); math.Abs(res.LiveEdgeWaitSec-want) > 1e-12 || res.LiveEdgeWaits != 2 {
+			t.Errorf("refresh %v: %d waits of %vs at the edge, want 2 of %vs", refresh, res.LiveEdgeWaits, res.LiveEdgeWaitSec, want)
+		}
+		if want := (5 * (poll + refresh)).Seconds() - full.ChunkSec; res.RebufferSec != want {
+			t.Errorf("refresh %v: RebufferSec %v, want %v: the wait after chunk 0 past its buffer, none of the wait before", refresh, res.RebufferSec, want)
+		}
+		for _, s := range reg.Snapshot() {
+			if s.Name == "pano_client_rebuffer_seconds_total" && s.Value != res.RebufferSec {
+				t.Errorf("refresh %v: %s = %v, want %v", refresh, s.Name, s.Value, res.RebufferSec)
+			}
+		}
+		liveCountersMatch(t, reg, res, 0)
+	}
+}
+
+// TestWallClockSessionCountsEverySecondOnce: a loopback HTTP session on
+// the wall clock, where estimating, planning and scoring a chunk take
+// time, counts every second once: its ledger's elapsed is the clock
+// from the session's start to the ledger's last reading, the session's
+// last, within a nanosecond per chunk.
+func TestWallClockSessionCountsEverySecondOnce(t *testing.T) {
+	ts := testServer(t)
+	var mu sync.Mutex
+	var first, last time.Time
+	defer SetWallNow(func() time.Time {
+		now := time.Now()
+		mu.Lock()
+		defer mu.Unlock()
+		if first.IsZero() {
+			first = now
+		}
+		last = now
+		return now
+	})()
+	res, err := New(ts.URL).Stream(context.Background(), fixture(t).tr, StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSession(t, res, 0, clk.Since(time.Unix(0, 0)))
-	if len(res.Chunks) != 3 {
-		t.Fatalf("streamed %d chunks, want 3", len(res.Chunks))
+	if len(res.Chunks) != res.Manifest.NumChunks() {
+		t.Fatalf("streamed %d of %d chunks", len(res.Chunks), res.Manifest.NumChunks())
 	}
-	if res.StartupDelay != 2*poll {
-		t.Errorf("StartupDelay %v, want the %v waited before chunk 0", res.StartupDelay, 2*poll)
-	}
-	if want := (7 * poll).Seconds(); math.Abs(res.LiveEdgeWaitSec-want) > 1e-12 || res.LiveEdgeWaits != 2 {
-		t.Errorf("%d waits of %vs at the edge, want 2 of %vs", res.LiveEdgeWaits, res.LiveEdgeWaitSec, want)
-	}
-	if want := (5 * poll).Seconds() - full.ChunkSec; res.RebufferSec != want {
-		t.Errorf("RebufferSec %v, want %v: the wait after chunk 0 past its buffer, none of the wait before", res.RebufferSec, want)
-	}
-	for _, s := range reg.Snapshot() {
-		if s.Name == "pano_client_rebuffer_seconds_total" && s.Value != res.RebufferSec {
-			t.Errorf("%s = %v, want %v", s.Name, s.Value, res.RebufferSec)
-		}
-	}
-	liveCountersMatch(t, reg, res, 0)
+	checkLedger(t, res, last.Sub(first))
 }
 
 // TestTheFirstChunkGetsTheStartupDeadline: whichever chunk a session

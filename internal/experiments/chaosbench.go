@@ -120,7 +120,7 @@ func ChaosBench(d *Dataset) (ChaosBenchResult, *Table, error) {
 			degraded += out.DegradedTiles
 			skipped += out.SkippedTiles
 			pr.TotalRetries += out.TotalRetries
-			pspnrSum += out.MeanEstPSPNR
+			pspnrSum += out.MeanEstPSPNR()
 			rebufSum += out.RebufferSec
 		}
 		tb.Close()

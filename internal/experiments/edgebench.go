@@ -115,7 +115,7 @@ func EdgeBench(d *Dataset) (EdgeBenchResult, *Table, error) {
 			front = e.URL
 		}
 
-		clientReg := obs.NewRegistry() // enables the client's PSPNR estimate
+		clientReg := obs.NewRegistry() // counts the sessions' tile attempts
 		ar := EdgeArmResult{Arm: name, Sessions: edgeBenchSessions}
 		outs, aborts := testbed.Sessions(edgeBenchSessions, sessionStagger, func(u int) (*client.StreamResult, error) {
 			p := pol
@@ -132,7 +132,7 @@ func EdgeBench(d *Dataset) (EdgeBenchResult, *Table, error) {
 		ar.Aborts = aborts
 		var chunkMs []float64
 		for _, out := range outs {
-			ar.MeanEstPSPNR += out.MeanEstPSPNR
+			ar.MeanEstPSPNR += out.MeanEstPSPNR()
 			ar.MeanRebufferSec += out.RebufferSec
 			for _, c := range out.Chunks {
 				chunkMs = append(chunkMs, float64(c.Download.Microseconds())/1000)

@@ -234,14 +234,12 @@ func FleetBench(d *Dataset) (FleetBenchResult, *Table, error) {
 			}()
 		}
 
-		clientReg := obs.NewRegistry()
 		outs, aborted := testbed.Sessions(fleetLiveSessions, sessionStagger, func(u int) (*client.StreamResult, error) {
 			p := pol
 			p.Seed = uint64(u + 1)
 			return tb.Client(tb.Edges[u%fleetEdgeCount].URL).Stream(context.Background(), traces[pick[u]], client.StreamConfig{
 				MaxRateBps: rateCap,
 				Fetch:      p,
-				Obs:        clientReg,
 			})
 		})
 		watch.Wait()
@@ -249,7 +247,7 @@ func FleetBench(d *Dataset) (FleetBenchResult, *Table, error) {
 		r.Aborted = aborted
 		for _, out := range outs {
 			r.SkippedTiles += int64(out.SkippedTiles)
-			r.MeanEstPSPNR += out.MeanEstPSPNR
+			r.MeanEstPSPNR += out.MeanEstPSPNR()
 		}
 		if len(outs) > 0 {
 			r.MeanEstPSPNR /= float64(len(outs))

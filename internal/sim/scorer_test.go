@@ -126,7 +126,10 @@ func (p panicPlanner) Plan(m *manifest.Video, k int, view player.ChunkView, budg
 func TestScorerExitsWithRun(t *testing.T) {
 	f := fixture(t)
 	// settle waits out a goroutine that has signalled its end and not
-	// yet returned; one that leaked is still counted 100 ms on.
+	// yet returned; one that leaked is still counted 100 ms on. The count
+	// may also fall below before: the runtime goroutine that runs
+	// cleanups (the planner's tables register some) can be counted before
+	// a session and be gone after, so only a rise is a leak.
 	settle := func(want int) int {
 		n := runtime.NumGoroutine()
 		for i := 0; i < 100 && n > want; i++ {
@@ -140,7 +143,7 @@ func TestScorerExitsWithRun(t *testing.T) {
 	if _, err := Run(f.pano, f.traces[0], testLink(f, 0.3), player.NewPanoPlanner(), DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if n := settle(before); n != before {
+	if n := settle(before); n > before {
 		t.Errorf("%d goroutines after a session, %d before", n, before)
 	}
 
@@ -152,14 +155,14 @@ func TestScorerExitsWithRun(t *testing.T) {
 		}()
 		Run(f.pano, f.traces[0], testLink(f, 0.3), panicPlanner{player.NewPanoPlanner(), 3}, DefaultConfig())
 	}()
-	if n := settle(before); n != before {
+	if n := settle(before); n > before {
 		t.Errorf("%d goroutines after a session that panicked, %d before", n, before)
 	}
 
 	if _, err := Run(&manifest.Video{}, f.traces[0], testLink(f, 0.3), player.NewPanoPlanner(), DefaultConfig()); err == nil {
 		t.Error("an empty manifest ran")
 	}
-	if n := settle(before); n != before {
+	if n := settle(before); n > before {
 		t.Errorf("%d goroutines after a failed session, %d before", n, before)
 	}
 }

@@ -168,7 +168,7 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 		clientTrace = tr.AddNoise(cfg.ViewNoiseDeg, mathx.NewRNG(cfg.Seed+0x5eed))
 	}
 	res := &Result{System: pl.Name()}
-	sc := startScorer(m, tr, clientTrace, cfg, res)
+	sc := startScorer(m, tr, cfg, res)
 	defer sc.wait() // a session that panics leaves no scorer behind
 	clk := client.NewVirtualClock(0)
 	vn := &client.VirtualNet{Video: m, Clock: clk, Link: link}
@@ -234,9 +234,9 @@ type scoreJob struct {
 
 // startScorer starts the goroutine that scores a session's chunks into
 // res, in chunk order: the delivered viewport PSPNR against the clean
-// trace tr, the plan-time estimate against the client's trace, the
+// trace tr, the plan-time estimate under the client's best guess, the
 // delivered levels and bits.
-func startScorer(m *manifest.Video, tr, clientTrace *viewport.Trace, cfg Config, res *Result) *scorer {
+func startScorer(m *manifest.Video, tr *viewport.Trace, cfg Config, res *Result) *scorer {
 	sc := &scorer{chunks: make(chan scoreJob, m.NumChunks()), done: make(chan struct{})}
 	enc, est, prof := codec.NewEncoder(), player.NewEstimator(), jnd.Default()
 	chunkPSPNR := cfg.Obs.Histogram("pano_sim_chunk_pspnr_db",
@@ -258,7 +258,7 @@ func startScorer(m *manifest.Video, tr, clientTrace *viewport.Trace, cfg Config,
 			// The client's plan-time estimate uses its best-guess view
 			// (Figure 16a measures the gap to pspnr) and predates any
 			// transport loss, so it scores the planned allocation.
-			estimated := player.FramePSPNR(m, k, cr.Planned, cr.View.BestGuess(clientTrace, cr.PlayheadSec), prof)
+			estimated := player.FramePSPNR(m, k, cr.Planned, cr.Guess, prof)
 
 			j.span.Annotate("pspnr_db", pspnr)
 			j.span.End()
