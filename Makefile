@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmt race fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider fuzz-fleet fuzz-client fuzz-chaos trace edge swarm fleet cluster live lut benchdiff bench microbench loc clean
+.PHONY: build test check vet fmt race fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider fuzz-fleet fuzz-client fuzz-chaos fuzz-telemetry exports trace edge swarm fleet cluster live lut benchdiff bench microbench loc clean
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,23 @@ fuzz-client:
 fuzz-chaos:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 20s ./internal/chaos
 
+# Twenty seconds of fuzzing the SLO spec parser (internal/telemetry:
+# never panics, and every SLO ParseSLOs accepts can alert — finite
+# fields, a budget or a quantile's ceiling above 0, 0 < warn <= page
+# burns and 0 < fast <= slow windows). Not part of check, for the same
+# reason; the committed seeds under internal/telemetry/testdata/fuzz/ —
+# the NaN and infinite budgets, bounds and burns, the negative budget and
+# the zero quantile ceiling it once accepted — replay under plain
+# `go test`.
+fuzz-telemetry:
+	$(GO) test -run '^$$' -fuzz FuzzParseSLOs -fuzztime 20s ./internal/telemetry
+
+# The export guard (exports_test.go, tier-1) verbose: every exported
+# name under internal/ and cmd/internal/ needs a non-test caller, and
+# each allowlisted exception is printed with its reason.
+exports:
+	$(GO) test -count=1 -run '^TestEveryExportHasACaller$$' -v .
+
 # One traced session end to end: a seeded simulator run (per-phase
 # latency breakdown lands in BENCH_trace.json). The exported
 # trace.perfetto.json is shape-validated and loads in Perfetto
@@ -220,12 +237,10 @@ bench: build microbench
 # size in turn), the
 # provider's chunk analysis (scene render, quantizer, the PMSE kernel
 # per level over one frame's 30 tiles, one chunk, one video), the
-# virtual-time session loop (one session, one netem tile, one tile
-# through the client's fetch ladder over netem as a session fetches it
-# (BenchmarkFetchTile; both tile benchmarks single origin and through
-# the fleet twin, each pass over the video a session whose clock restarts
-# inside the first 30 s), and BenchmarkSimRun: one sim.Run over the golden
-# fixture, the loop vod_session runs, per tier of watching — bare,
+# virtual-time session loop (one session, one netem tile single origin
+# and through the fleet twin, each pass over the video a session whose
+# clock restarts inside the first 30 s, and BenchmarkSimRun: one sim.Run
+# over the golden fixture, the loop vod_session runs, per tier of watching — bare,
 # metrics, metrics_events and traced — so each tier's cost over bare
 # reads off one run), the request path hop by hop (BenchmarkOriginTileGET:
 # a store-backed origin's tile GET into a recorder; BenchmarkFleetFetch:
@@ -242,7 +257,7 @@ bench: build microbench
 # benchstat or plain text tools.
 microbench:
 	@echo "## $$(git rev-parse --short HEAD 2>/dev/null || echo dirty) $$(date -u +%Y-%m-%dT%H:%M:%SZ)" >> BENCH_micro.txt
-	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|TilePMSE|Plan|AllocatePruned|VodSessionSearches|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|FetchTile|SimRun|OriginTileGET|FleetFetch|CleanWalk|EdgeHit|ManifestWire|SamplerStep' -benchmem \
+	$(GO) test -run XXX -bench 'ContentField|FieldCache|TilePSPNR|TilePMSE|Plan|AllocatePruned|VodSessionSearches|CostRows|RenderFrame|ErrorPlanes|DistortRegion|PerceptibleError|ChunkAt|Preprocess|RunSessionVirtual|NetemTile|SimRun|OriginTileGET|FleetFetch|CleanWalk|EdgeHit|ManifestWire|SamplerStep' -benchmem \
 		./internal/jnd ./internal/quality ./internal/tiling ./internal/abr \
 		./internal/player ./internal/scene ./internal/codec ./internal/provider \
 		./internal/client ./internal/sim ./internal/swarm ./internal/store ./internal/fleet \

@@ -263,9 +263,11 @@ func BenchmarkPSPNRFrame(b *testing.B) {
 	prof := jnd.Default()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := quality.TilePSPNR(prof, f, enc, r, jnd.Factors{SpeedDegS: 10}); err != nil {
+		pmse, err := quality.TilePMSE(prof, nil, "", f, enc, r, jnd.Factors{SpeedDegS: 10})
+		if err != nil {
 			b.Fatal(err)
 		}
+		_ = quality.PSPNRFromPMSE(pmse)
 	}
 }
 

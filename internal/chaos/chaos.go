@@ -168,13 +168,6 @@ func WithEventLog(l *obs.EventLog) Option {
 	return func(in *Injector) { in.log = l }
 }
 
-// WithNow replaces the Down schedule's clock (tests drive outage
-// windows deterministically with a fake clock). The injector's start
-// time is read from the clock when New returns.
-func WithNow(now func() time.Time) Option {
-	return func(in *Injector) { in.now = now }
-}
-
 // Injector wraps handlers with the faults of one Profile. It is safe
 // for concurrent use; decision determinism is per (path, attempt), so
 // concurrent sessions do not perturb each other's draws (only the
@@ -201,9 +194,6 @@ func New(p Profile, opts ...Option) *Injector {
 	in.start = in.now()
 	return in
 }
-
-// Profile returns the injector's configuration.
-func (in *Injector) Profile() Profile { return in.p }
 
 // endpointRule classifies a request path; ok is false for paths the
 // injector never touches (e.g. /metrics).

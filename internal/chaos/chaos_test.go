@@ -318,7 +318,7 @@ func TestDownSchedule(t *testing.T) {
 
 func TestDownOutageAbortsEveryPath(t *testing.T) {
 	in := New(Profile{Down: Down{Always: true}})
-	if !in.Profile().Enabled() {
+	if !in.p.Enabled() {
 		t.Fatal("down-only profile must report enabled")
 	}
 	ts := httptest.NewServer(in.Wrap(backend(32)))

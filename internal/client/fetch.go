@@ -265,7 +265,7 @@ type tileFetch struct {
 
 // Fetcher is one session's tile-fetch ladder: what every tile it fetches
 // shares. RunSession builds one per session, instruments and event log
-// attached; NewFetcher builds one unobserved.
+// attached.
 type Fetcher struct {
 	tp   Transport
 	clk  Clock
@@ -273,28 +273,6 @@ type Fetcher struct {
 	rng  *mathx.RNG  // the backoff jitter
 	ins  *fetchInstruments
 	sess *slog.Logger // nil without an event log
-}
-
-// NewFetcher returns a session's ladder over tp on clk under pol, its
-// backoff jittered by rng, with no registry, event log or span: the
-// per-tile path that a Transport's benchmarks time with the ladder over
-// it.
-func NewFetcher(tp Transport, clk Clock, pol FetchPolicy, rng *mathx.RNG) *Fetcher {
-	return &Fetcher{tp: tp, clk: clk, pol: pol.WithDefaults(), rng: rng, ins: &unobserved}
-}
-
-// unobserved are the instruments of no registry: a ladder writes nothing
-// to them, so every NewFetcher shares them.
-var unobserved fetchInstruments
-
-// Fetch runs tile ti of chunk k through the ladder, as RunSession runs
-// each tile it planned past the first chunk. It returns the level the
-// tile was delivered at, ok false when the ladder skipped it, and an
-// error only when ctx was canceled.
-func (f *Fetcher) Fetch(ctx context.Context, k, ti int, planned codec.Level, bufferSec float64) (level codec.Level, ok bool, err error) {
-	var out tileFetch
-	err = f.fetch(ctx, k, ti, planned, f.pol.attemptTimeout(bufferSec, false), &out)
-	return out.level, !out.skipped, err
 }
 
 // fetch runs the §7 degradation ladder for one tile, every attempt

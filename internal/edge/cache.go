@@ -170,15 +170,6 @@ func (c *Cache) Refresh(key string, now time.Time, ttl time.Duration) bool {
 	return true
 }
 
-// Remove drops key if present.
-func (c *Cache) Remove(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		c.removeLocked(el)
-	}
-}
-
 func (c *Cache) removeLocked(el *list.Element) {
 	e := el.Value.(*Entry)
 	c.ll.Remove(el)
@@ -186,23 +177,9 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.used -= c.cost(e)
 }
 
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Bytes returns the accounted size of the cache.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.used
-}
-
-// Evictions returns how many entries budget pressure has removed.
-func (c *Cache) Evictions() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
 }

@@ -44,7 +44,7 @@ func TestPrefetchStopsAtLiveEdge(t *testing.T) {
 	e, ets, reg := newEdge(t, ots.URL, func(c *Config) { c.PrefetchBudget = 8 })
 
 	get(t, ets.URL+"/manifest.json")
-	if e.Manifest() == nil || !e.Manifest().Live {
+	if e.man.Load() == nil || !e.man.Load().Live {
 		t.Fatal("edge did not learn the live manifest")
 	}
 	// Demand at the edge (last published chunk).
@@ -165,7 +165,7 @@ func TestLearnManifestMonotonic(t *testing.T) {
 	if got := e.learnManifest(poisoned.Marshal()); got != nil {
 		t.Fatal("manifest with a NaN size adopted")
 	}
-	if m := e.Manifest(); m.NumChunks() != 3 || m.Seq != 3 {
+	if m := e.man.Load(); m.NumChunks() != 3 || m.Seq != 3 {
 		t.Fatalf("edge regressed to %d chunks seq %d", m.NumChunks(), m.Seq)
 	}
 }

@@ -129,7 +129,7 @@ func TestPrefetchConsensusWarm(t *testing.T) {
 	})
 
 	get(t, ets.URL+"/manifest.json")
-	if e.Manifest() == nil {
+	if e.man.Load() == nil {
 		t.Fatal("edge did not learn the manifest from its own traffic")
 	}
 	get(t, ets.URL+"/video/0/0/1.bin")
@@ -237,7 +237,7 @@ func TestPrefetchNeedsManifest(t *testing.T) {
 	if got := reg.CounterValue("pano_edge_prefetch_total", obs.L("result", "warmed")); got != 0 {
 		t.Errorf("warmed %v tiles without tile geometry", got)
 	}
-	if e.Manifest() != nil {
+	if e.man.Load() != nil {
 		t.Error("manifest learned from tile traffic?")
 	}
 }

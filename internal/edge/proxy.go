@@ -213,10 +213,6 @@ func (e *Edge) DrainPrefetch() {
 	}
 }
 
-// Manifest returns the origin manifest the edge has learned from
-// traffic (nil until a manifest response passes through).
-func (e *Edge) Manifest() *manifest.Video { return e.man.Load() }
-
 // CacheBytes reports the bytes currently held by the cache (0 in
 // pass-through mode).
 func (e *Edge) CacheBytes() int64 {

@@ -147,12 +147,6 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// Origins returns the configured origin URLs (index = origin id).
-func (f *Fleet) Origins() []string { return f.cfg.Origins }
-
-// Ring exposes the placement ring (read-only).
-func (f *Fleet) Ring() *Ring { return f.ring }
-
 // Close stops the health probers and waits for them.
 func (f *Fleet) Close() {
 	f.stopOnce.Do(func() { close(f.stop) })

@@ -42,7 +42,7 @@ func TestRingDeterministicAndStable(t *testing.T) {
 	rev := NewRing([]string{"http://d:1", "http://c:1", "http://b:1", "http://a:1"}, 64)
 	for i := 0; i < 200; i++ {
 		k := r1.Key(fmt.Sprintf("/video/%d/0/0.bin", i))
-		if origins[r1.Order(k)[0]] != rev.Origins()[rev.Order(k)[0]] {
+		if origins[r1.Order(k)[0]] != rev.origins[rev.Order(k)[0]] {
 			t.Fatalf("owner moved under origin-list reordering (key %d)", k)
 		}
 	}
@@ -354,7 +354,7 @@ func TestInFlightFailuresFailOverFree(t *testing.T) {
 	var paths []string
 	for i := 0; len(paths) < n; i++ {
 		p := fmt.Sprintf("/video/%d/%d/1.bin", i/30, i%30)
-		if f.Ring().Order(f.Ring().Key(p))[0] == 0 {
+		if f.ring.Order(f.ring.Key(p))[0] == 0 {
 			paths = append(paths, p)
 		}
 	}
@@ -411,7 +411,7 @@ func TestHedgedFetchWinsOnSlowPrimary(t *testing.T) {
 	var path string
 	for i := 0; ; i++ {
 		p := fmt.Sprintf("/video/%d/3/1.bin", i)
-		if f.Ring().Order(f.Ring().Key(p))[0] == 0 {
+		if f.ring.Order(f.ring.Key(p))[0] == 0 {
 			path = p
 			break
 		}
@@ -534,7 +534,7 @@ func TestPickAvoidsOpenBreakers(t *testing.T) {
 	var path string
 	for i := 0; ; i++ {
 		p := "/video/" + strconv.Itoa(i) + "/0/0.bin"
-		if f.Ring().Order(f.Ring().Key(p))[0] == 0 {
+		if f.ring.Order(f.ring.Key(p))[0] == 0 {
 			path = p
 			break
 		}

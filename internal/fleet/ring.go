@@ -78,9 +78,6 @@ func NewRing(origins []string, vnodes int) *Ring {
 	return r
 }
 
-// Origins returns the configured origin names (index = origin id).
-func (r *Ring) Origins() []string { return r.origins }
-
 // Key hashes an object path into a ring key.
 func (r *Ring) Key(path string) uint64 { return hashKey(path) }
 

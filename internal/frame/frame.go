@@ -30,9 +30,6 @@ func New(w, h int) *Frame {
 	return &Frame{W: w, H: h, Pix: make([]uint8, w*h)}
 }
 
-// Geometry returns the frame's equirectangular geometry descriptor.
-func (f *Frame) Geometry() geom.Frame { return geom.Frame{W: f.W, H: f.H} }
-
 // At returns the pixel at (x, y). Out-of-range coordinates wrap in x
 // (the equirectangular seam) and clamp in y.
 func (f *Frame) At(x, y int) uint8 {

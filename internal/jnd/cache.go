@@ -20,7 +20,7 @@ type FieldKey struct {
 }
 
 // FieldCache is a size-bounded, concurrency-safe LRU cache of
-// content-JND fields. Repeated TilePSPNR/TilePMSE calls during
+// content-JND fields. Repeated TilePMSE calls during
 // adaptation hit the same (chunk, rect) pairs over and over — C(i,j)
 // depends only on the original pixels (§4), so recomputing it per call
 // is pure waste. A nil *FieldCache is valid and computes every field
@@ -120,22 +120,4 @@ func (c *FieldCache) ContentField(chunk string, orig *frame.Frame, r geom.Rect) 
 	}
 	c.mu.Unlock()
 	return field
-}
-
-// Len returns the number of cached fields.
-func (c *FieldCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Stats returns cumulative hit and miss counts (0, 0 for a nil cache).
-func (c *FieldCache) Stats() (hits, misses float64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.hits.Value(), c.misses.Value()
 }

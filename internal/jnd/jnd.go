@@ -20,7 +20,6 @@
 package jnd
 
 import (
-	"fmt"
 	"math"
 
 	"pano/internal/frame"
@@ -35,11 +34,6 @@ type Factors struct {
 	SpeedDegS  float64 // relative viewpoint-moving speed, deg/s
 	DoFDiff    float64 // depth-of-field difference, dioptre
 	LumaChange float64 // luminance change in the last 5 s, grey levels
-}
-
-// Zero reports whether all factors are zero (static viewing).
-func (f Factors) Zero() bool {
-	return f.SpeedDegS == 0 && f.DoFDiff == 0 && f.LumaChange == 0
 }
 
 // Profile holds the empirical multiplier curves as piecewise-linear
@@ -70,34 +64,6 @@ func Default() *Profile {
 	}
 }
 
-// Validate checks monotonicity and the F(0)=1 normalization.
-func (p *Profile) Validate() error {
-	check := func(name string, xs, ys []float64) error {
-		if len(xs) != len(ys) || len(xs) < 2 {
-			return fmt.Errorf("jnd: %s anchors malformed", name)
-		}
-		if ys[0] != 1 {
-			return fmt.Errorf("jnd: %s multiplier at 0 is %v, want 1", name, ys[0])
-		}
-		for i := 1; i < len(xs); i++ {
-			if xs[i] <= xs[i-1] {
-				return fmt.Errorf("jnd: %s x anchors not increasing", name)
-			}
-			if ys[i] < ys[i-1] {
-				return fmt.Errorf("jnd: %s multiplier not monotone", name)
-			}
-		}
-		return nil
-	}
-	if err := check("speed", p.SpeedX, p.SpeedY); err != nil {
-		return err
-	}
-	if err := check("dof", p.DoFX, p.DoFY); err != nil {
-		return err
-	}
-	return check("luma", p.LumaX, p.LumaY)
-}
-
 // Fv returns the viewpoint-speed multiplier at v deg/s.
 func (p *Profile) Fv(v float64) float64 {
 	if v < 0 {
@@ -125,12 +91,6 @@ func (p *Profile) Fl(l float64) float64 {
 // ActionRatio returns A(v,d,l) = Fv*Fd*Fl (Equation 4).
 func (p *Profile) ActionRatio(f Factors) float64 {
 	return p.Fv(f.SpeedDegS) * p.Fd(f.DoFDiff) * p.Fl(f.LumaChange)
-}
-
-// JND returns the full 360JND for a pixel whose content-dependent JND
-// is c, under viewpoint factors f.
-func (p *Profile) JND(c float64, f Factors) float64 {
-	return c * p.ActionRatio(f)
 }
 
 // --- Content-dependent JND (Chou & Li 1995) ---

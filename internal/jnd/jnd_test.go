@@ -73,9 +73,6 @@ func TestActionRatioIsProduct(t *testing.T) {
 	if got := p.ActionRatio(f); math.Abs(got-want) > 1e-12 {
 		t.Errorf("ActionRatio = %v, want product %v", got, want)
 	}
-	if got := p.JND(5, f); math.Abs(got-5*want) > 1e-12 {
-		t.Errorf("JND = %v, want %v", got, 5*want)
-	}
 }
 
 func TestFactorsZero(t *testing.T) {

@@ -162,9 +162,6 @@ func New(cfg Config) (*Pipeline, error) {
 // Edge returns the published live edge (chunks visible to clients).
 func (p *Pipeline) Edge() int { return p.pub.edge() }
 
-// Seq returns the current publish sequence number.
-func (p *Pipeline) Seq() int64 { return p.pub.seqNum() }
-
 // Manifest returns a snapshot of the currently published manifest
 // (decoded fresh from the published bytes; callers own the copy). nil
 // before the first publish.

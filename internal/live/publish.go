@@ -61,12 +61,6 @@ func (pb *publisher) edge() int {
 	return pb.man.NumChunks()
 }
 
-func (pb *publisher) seqNum() int64 {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	return pb.man.Seq
-}
-
 func (pb *publisher) manifestWire() []byte {
 	pb.mu.Lock()
 	defer pb.mu.Unlock()

@@ -135,15 +135,6 @@ func (m *MPD) Encode(w io.Writer) error {
 	return enc.Flush()
 }
 
-// DecodeMPD parses an MPD written by Encode.
-func DecodeMPD(r io.Reader) (*MPD, error) {
-	var m MPD
-	if err := xml.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("manifest: mpd decode: %w", err)
-	}
-	return &m, nil
-}
-
 // xsDuration renders seconds as an xs:duration ("PT12.5S").
 func xsDuration(sec float64) string {
 	return fmt.Sprintf("PT%.3fS", sec)

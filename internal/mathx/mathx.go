@@ -52,22 +52,6 @@ type Power struct {
 	B float64
 }
 
-// Eval evaluates the power law at x. Eval(0) returns 0 when B > 0, A when
-// B == 0, and +Inf when B < 0.
-func (p Power) Eval(x float64) float64 {
-	if x == 0 {
-		switch {
-		case p.B > 0:
-			return 0
-		case p.B == 0:
-			return p.A
-		default:
-			return math.Inf(1)
-		}
-	}
-	return p.A * math.Pow(x, p.B)
-}
-
 // FitPower fits y = A*x^B by least squares in log-log space. All xs and ys
 // must be strictly positive; non-positive points are skipped. It returns
 // ErrInsufficientData if fewer than two usable points remain.
@@ -93,10 +77,8 @@ func FitPower(xs, ys []float64) (Power, error) {
 // Stats accumulates running moments without storing samples.
 // The zero value is ready to use.
 type Stats struct {
-	n          int
-	mean, m2   float64
-	min, max   float64
-	hasExtreme bool
+	n             int
+	mean, m2, max float64
 }
 
 // Add records one observation.
@@ -105,17 +87,10 @@ func (s *Stats) Add(x float64) {
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
-	if !s.hasExtreme || x < s.min {
-		s.min = x
-	}
-	if !s.hasExtreme || x > s.max {
+	if s.n == 1 || x > s.max {
 		s.max = x
 	}
-	s.hasExtreme = true
 }
-
-// N returns the number of observations.
-func (s *Stats) N() int { return s.n }
 
 // Mean returns the sample mean, or 0 with no observations.
 func (s *Stats) Mean() float64 { return s.mean }
@@ -139,9 +114,6 @@ func (s *Stats) StdErr() float64 {
 	return s.Std() / math.Sqrt(float64(s.n))
 }
 
-// Min returns the minimum observation, or 0 with no observations.
-func (s *Stats) Min() float64 { return s.min }
-
 // Max returns the maximum observation, or 0 with no observations.
 func (s *Stats) Max() float64 { return s.max }
 
@@ -157,9 +129,6 @@ func NewCDF(samples []float64) *CDF {
 	sort.Float64s(s)
 	return &CDF{sorted: s}
 }
-
-// N returns the number of samples.
-func (c *CDF) N() int { return len(c.sorted) }
 
 // At returns P(X <= x) in [0, 1].
 func (c *CDF) At(x float64) float64 {
@@ -186,24 +155,6 @@ func (c *CDF) Quantile(q float64) float64 {
 		i = 0
 	}
 	return c.sorted[i]
-}
-
-// Points returns up to n evenly spaced (x, P(X<=x)) pairs for plotting.
-func (c *CDF) Points(n int) (xs, ps []float64) {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil, nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	xs = make([]float64, n)
-	ps = make([]float64, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(c.sorted) - 1) / maxInt(n-1, 1)
-		xs[i] = c.sorted[idx]
-		ps[i] = float64(idx+1) / float64(len(c.sorted))
-	}
-	return xs, ps
 }
 
 // Mean returns the sample mean of the CDF's underlying data.
@@ -249,11 +200,4 @@ func RoundSignificand(x float64, bits int) float64 {
 	}
 	frac, exp := math.Frexp(x) // |frac| in [0.5, 1)
 	return math.Ldexp(math.RoundToEven(math.Ldexp(frac, bits)), exp-bits)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

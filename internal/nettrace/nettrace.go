@@ -5,7 +5,7 @@
 // dataset, with means 0.71 and 1.05 Mbps (§8.1). This package generates
 // LTE-like synthetic traces — a three-state Markov channel (good /
 // degraded / outage) with AR(1) rate evolution within a state — scaled
-// to a target mean, and parses external "t,mbps" CSV traces. The Link
+// to a target mean, and writes them as "t,mbps" CSV. The Link
 // type integrates a trace to answer "when does a download of B bits
 // started at time t finish?", which is all the streaming simulator
 // needs.
@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
-	"strings"
 
 	"pano/internal/mathx"
 )
@@ -31,9 +29,6 @@ const SampleInterval = 1.0
 type Trace struct {
 	Mbps []float64
 }
-
-// Len returns the number of samples.
-func (t *Trace) Len() int { return len(t.Mbps) }
 
 // Mean returns the average throughput in Mbps.
 func (t *Trace) Mean() float64 {
@@ -174,9 +169,6 @@ func (l *Link) DownloadTime(start, bits float64) float64 {
 	return t - start + l.RTTSec
 }
 
-// MeanThroughput returns the link's average throughput in bits/second.
-func (l *Link) MeanThroughput() float64 { return l.Trace.Mean() * 1e6 }
-
 // WriteCSV serializes the trace as "t,mbps" rows.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -189,38 +181,4 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ParseCSV reads a "t,mbps" CSV trace (header and comment lines are
-// skipped).
-func ParseCSV(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	tr := &Trace{}
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "t,") || strings.HasPrefix(text, "#") {
-			continue
-		}
-		parts := strings.Split(text, ",")
-		if len(parts) < 2 {
-			return nil, fmt.Errorf("nettrace: line %d: want 2 fields", line)
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("nettrace: line %d: bad mbps: %v", line, err)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("nettrace: line %d: negative bandwidth", line)
-		}
-		tr.Mbps = append(tr.Mbps, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if tr.Len() == 0 {
-		return nil, fmt.Errorf("nettrace: empty trace")
-	}
-	return tr, nil
 }

@@ -10,8 +10,8 @@ import (
 func TestSynthesizeLTEMeanAndShape(t *testing.T) {
 	for _, target := range []float64{0.71, 1.05} {
 		tr := SynthesizeLTE(1, 600, target)
-		if tr.Len() != 600 {
-			t.Fatalf("len = %d", tr.Len())
+		if len(tr.Mbps) != 600 {
+			t.Fatalf("len = %d", len(tr.Mbps))
 		}
 		if m := tr.Mean(); math.Abs(m-target) > 1e-9 {
 			t.Errorf("mean = %v, want %v", m, target)
@@ -23,8 +23,8 @@ func TestSynthesizeLTEMeanAndShape(t *testing.T) {
 			s += v
 			s2 += v * v
 		}
-		mean := s / float64(tr.Len())
-		std := math.Sqrt(s2/float64(tr.Len()) - mean*mean)
+		mean := s / float64(len(tr.Mbps))
+		std := math.Sqrt(s2/float64(len(tr.Mbps)) - mean*mean)
 		if std/mean < 0.15 {
 			t.Errorf("CoV = %v, want bursty trace", std/mean)
 		}
@@ -145,8 +145,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != tr.Len() {
-		t.Fatalf("round trip length %d vs %d", back.Len(), tr.Len())
+	if len(back.Mbps) != len(tr.Mbps) {
+		t.Fatalf("round trip length %d vs %d", len(back.Mbps), len(tr.Mbps))
 	}
 	for i := range tr.Mbps {
 		if math.Abs(back.Mbps[i]-tr.Mbps[i]) > 1e-3 {

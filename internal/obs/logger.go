@@ -168,18 +168,6 @@ func (l *EventLog) Session(attrs ...any) *slog.Logger {
 	return l.Logger().With(attrs...)
 }
 
-// Dropped reports how many events the ring buffer has overwritten —
-// every push past its capacity counts, read or not; nonzero means the
-// retained window is shorter than what the process logged. Nil-safe.
-func (l *EventLog) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.ring.mu.Lock()
-	defer l.ring.mu.Unlock()
-	return l.ring.dropped
-}
-
 // ObserveDrops mirrors ring-buffer overwrites into reg as
 // pano_events_dropped_total, so silent event loss is itself a scrapable
 // signal. Call once at wiring time; nil receiver or registry is a

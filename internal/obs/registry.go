@@ -70,10 +70,6 @@ func NewRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
 }
 
-// Nop returns the no-op registry (nil). Instrumented packages take a
-// *Registry and treat nil as "observability disabled".
-func Nop() *Registry { return nil }
-
 // family returns (creating if needed) the family for name, enforcing
 // that a metric name keeps one type for the life of the registry.
 func (r *Registry) family(name, help string, typ metricType, buckets []float64) *family {
@@ -323,14 +319,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add adjusts the value by d.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	addFloat(&g.bits, d)
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -461,15 +449,6 @@ func (h *Histogram) Sum() float64 {
 
 // DefBuckets are latency-oriented default bounds in seconds.
 var DefBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
-
-// LinearBuckets returns n bounds starting at start, spaced by width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start + float64(i)*width
-	}
-	return b
-}
 
 // ExponentialBuckets returns n bounds starting at start, each factor
 // times the previous.

@@ -21,8 +21,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("CounterValue = %v, want 3.5", got)
 	}
 	g := r.Gauge("pano_test_gauge", "test gauge")
-	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	if got := g.Value(); got != 5 {
 		t.Fatalf("gauge = %v, want 5", got)
 	}
@@ -131,7 +130,7 @@ func TestTypeMismatchPanics(t *testing.T) {
 }
 
 func TestNopRegistryAndInstruments(t *testing.T) {
-	r := Nop()
+	var r *Registry
 	// Every call on the nil registry and its nil instruments must be a
 	// safe no-op.
 	r.Counter("x", "").Inc()
@@ -161,10 +160,6 @@ func TestTimerRecordsSeconds(t *testing.T) {
 	}
 	if h.Count() != 1 || h.Sum() <= 0 {
 		t.Fatalf("histogram count=%d sum=%v", h.Count(), h.Sum())
-	}
-	Time(h, func() {})
-	if h.Count() != 2 {
-		t.Fatalf("Time did not record")
 	}
 }
 

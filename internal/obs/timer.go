@@ -23,10 +23,3 @@ func (t Timer) ObserveDuration() time.Duration {
 	t.h.Observe(d.Seconds())
 	return d
 }
-
-// Time runs f and records its duration into h.
-func Time(h *Histogram, f func()) {
-	t := NewTimer(h)
-	f()
-	t.ObserveDuration()
-}

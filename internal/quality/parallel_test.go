@@ -7,6 +7,7 @@ import (
 	"pano/internal/geom"
 	"pano/internal/jnd"
 	"pano/internal/mathx"
+	"pano/internal/obs"
 )
 
 var workerCounts = []int{1, 2, 8}
@@ -96,7 +97,8 @@ func TestTilePSPNRSerialParallelAndCachedAgree(t *testing.T) {
 		if ref, err := TilePSPNR(prof, orig, enc, r, f); err != nil || ref != PSPNRFromPMSE(pmseRef) {
 			t.Fatalf("trial %d: TilePSPNR %v (%v), want PSPNRFromPMSE(TilePMSE) %v", trial, ref, err, PSPNRFromPMSE(pmseRef))
 		}
-		cache := jnd.NewFieldCache(8, nil)
+		reg := obs.NewRegistry()
+		cache := jnd.NewFieldCache(8, reg)
 		for pass := 0; pass < 2; pass++ { // second pass is a cache hit
 			got, err := TilePMSE(prof, cache, "k", orig, enc, r, f)
 			if err != nil {
@@ -106,7 +108,7 @@ func TestTilePSPNRSerialParallelAndCachedAgree(t *testing.T) {
 				t.Fatalf("trial %d pass %d: cached PMSE %v, want %v", trial, pass, got, pmseRef)
 			}
 		}
-		if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
+		if hits, misses := reg.CounterValue("pano_jnd_field_cache_hits_total"), reg.CounterValue("pano_jnd_field_cache_misses_total"); hits != 1 || misses != 1 {
 			t.Fatalf("trial %d: cache stats (%v, %v), want (1, 1)", trial, hits, misses)
 		}
 	}

@@ -90,22 +90,14 @@ func ScaleField(field []float64, k float64) []float64 {
 	return out
 }
 
-// TilePSPNR computes the PSPNR of region r: orig vs enc (enc is the
-// distorted rendering of the same region, sized r.W() x r.H()), with the
-// content JND from orig scaled by the action ratio of factors f under
-// profile p. Pass a nil profile for traditional (content-only) PSPNR.
-func TilePSPNR(p *jnd.Profile, orig *frame.Frame, enc *frame.Frame, r geom.Rect, f jnd.Factors) (float64, error) {
-	pmse, err := TilePMSE(p, nil, "", orig, enc, r, f)
-	if err != nil {
-		return 0, err
-	}
-	return PSPNRFromPMSE(pmse), nil
-}
-
-// TilePMSE is TilePSPNR's perceptible MSE (Equations 2–4), before a
-// chunk pools it (PMSEPool), with the content field served from cache
-// under (chunkKey, r). chunkKey must identify the original pixels (e.g.
-// video name + frame index); a nil cache computes the field fresh.
+// TilePMSE is the perceptible MSE (Equations 2–4) of region r, before a
+// chunk pools it (PMSEPool): orig vs enc (enc is the distorted rendering
+// of the same region, sized r.W() x r.H()), with the content JND from
+// orig scaled by the action ratio of factors f under profile p; a nil
+// profile gives traditional (content-only) PMSE. The content field is
+// served from cache under (chunkKey, r). chunkKey must identify the
+// original pixels (e.g. video name + frame index); a nil cache computes
+// the field fresh. PSPNRFromPMSE turns it into the tile's PSPNR.
 func TilePMSE(p *jnd.Profile, cache *jnd.FieldCache, chunkKey string, orig *frame.Frame, enc *frame.Frame, r geom.Rect, f jnd.Factors) (float64, error) {
 	content := cache.ContentField(chunkKey, orig, r)
 	ratio := 1.0

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/xml"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -79,8 +80,8 @@ func TestMPDEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/dash+xml" {
 		t.Errorf("content type %q", ct)
 	}
-	mpd, err := manifest.DecodeMPD(resp.Body)
-	if err != nil {
+	var mpd manifest.MPD
+	if err := xml.NewDecoder(resp.Body).Decode(&mpd); err != nil {
 		t.Fatal(err)
 	}
 	if len(mpd.Periods) != testManifest(t).NumChunks() {

@@ -89,7 +89,7 @@ func TestScaledLinkOperatingPoint(t *testing.T) {
 	f := fixture(t)
 	link := ScaledLink(f.pano, 0.5, 1)
 	want := 0.5 * RateForLevel(f.pano, 0)
-	if got := link.MeanThroughput(); math.Abs(got-want)/want > 0.01 {
+	if got := link.Trace.Mean() * 1e6; math.Abs(got-want)/want > 0.01 {
 		t.Errorf("link mean %v, want %v", got, want)
 	}
 	if RateForLevel(&manifest.Video{}, 0) != 0 {

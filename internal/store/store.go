@@ -19,7 +19,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -42,9 +41,8 @@ const tmpGrace = time.Minute
 // Store is one content-addressed blob directory. Safe for concurrent
 // use.
 type Store struct {
-	dir string
-	// The three paths under dir, joined once: an origin stats the
-	// catalog and opens a blob on every request.
+	// The three paths under the store's root, joined once: an origin
+	// stats the catalog and opens a blob on every request.
 	catalogPath, blobDir, tmpDir string
 
 	reg *obs.Registry
@@ -92,7 +90,6 @@ func WithEventLog(l *obs.EventLog) Option {
 // one read of the store, paid once per process start.
 func Open(dir string, opts ...Option) (*Store, error) {
 	s := &Store{
-		dir:         dir,
 		catalogPath: filepath.Join(dir, catalogName),
 		blobDir:     filepath.Join(dir, "blobs"),
 		tmpDir:      filepath.Join(dir, "tmp"),
@@ -158,9 +155,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	s.gauges()
 	return s, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // blobPath shards blobs by the digest's first byte to keep directory
 // fan-out bounded.
@@ -247,20 +241,6 @@ func (s *Store) getSized(digest string, size int) ([]byte, error) {
 	return s.Get(digest)
 }
 
-// Open returns a reader over the blob (large-object path; Get is the
-// convenience form).
-func (s *Store) Open(digest string) (io.ReadCloser, error) {
-	f, err := os.Open(s.lookupPath(digest))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, digest)
-		}
-		return nil, fmt.Errorf("store: open: %w", err)
-	}
-	s.countGet()
-	return f, nil
-}
-
 // lookupPath returns the on-disk path for a digest, or an impossible
 // path for malformed digests (so the read fails cleanly).
 func (s *Store) lookupPath(digest string) string {
@@ -332,19 +312,6 @@ func (s *Store) GC(retention time.Duration) (removed int, reclaimed int64) {
 	}
 	s.gauges()
 	return removed, reclaimed
-}
-
-// Stats summarizes the store.
-type Stats struct {
-	Blobs int
-	Bytes int64
-}
-
-// Stats returns current blob and byte totals.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{Blobs: len(s.blobs), Bytes: s.bytes}
 }
 
 func (s *Store) count(name, help string) {

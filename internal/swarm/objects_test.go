@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"pano/internal/abr"
 	"pano/internal/chaos"
 	"pano/internal/client"
 	"pano/internal/codec"
@@ -125,10 +124,10 @@ func TestNetemTileDoesNotAllocate(t *testing.T) {
 // BenchmarkNetemTile is one tile request through the swarm's logical
 // network, single origin and through the fleet twin (4 shards, fixed
 // hedge delay, shard 1 down from 20 s to 50 s) — the per-tile cost under
-// the client's fetch ladder, which BenchmarkFetchTile adds. A pass over
-// the video's tiles is one session: the clock restarts at an arrival
-// cycled through the first 30 s, as BenchmarkFetchTile's does, so the
-// outage stays in every run and the walk's failover path is timed too.
+// the client's fetch ladder. A pass over the video's tiles is one
+// session: the clock restarts at an arrival cycled through the first
+// 30 s, so the outage stays in every run and the walk's failover path is
+// timed too.
 func BenchmarkNetemTile(b *testing.B) {
 	f := fixture(b)
 	m := f.pano
@@ -162,64 +161,6 @@ func BenchmarkNetemTile(b *testing.B) {
 				_, _ = s.Tile(ctx, k, ti, codec.Level(i%codec.NumLevels))
 				if ti++; ti == len(m.Chunks[k].Tiles) {
 					ti, k = 0, (k+1)%m.NumChunks()
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFetchTile is one tile through the client's degradation ladder
-// over the swarm's logical network, as a session fetches it: each chunk's
-// planned levels go out as one turn, and every tile of the chunk is then
-// fetched through the session's client.Fetcher, single origin and through
-// the fleet twin of BenchmarkNetemTile. A pass over the video is one
-// session: the clock restarts at an arrival cycled through the first 30 s,
-// so the outage of shard 1 (20 s to 50 s) stays in every run.
-func BenchmarkFetchTile(b *testing.B) {
-	f := fixture(b)
-	m := f.pano
-	rule := chaos.Rule{ErrorRate: 0.02, TruncateRate: 0.01, Latency: 20 * time.Millisecond, Jitter: 10 * time.Millisecond}
-	fc := &FleetConfig{Origins: 4, Breaker: fleet.BreakerConfig{FailureThreshold: 2, OpenFor: 2 * time.Second},
-		Outages: []chaos.Down{{}, {After: 20 * time.Second, For: 30 * time.Second}}}
-	place := newPlacement(m, fc)
-	plans := make([]abr.Allocation, m.NumChunks())
-	for k := range plans {
-		for ti := range m.Chunks[k].Tiles {
-			plans[k] = append(plans[k], codec.Level((k+ti)%codec.NumLevels))
-		}
-	}
-	pol := client.FetchPolicy{HedgeDelay: 150 * time.Millisecond}
-	for _, withFleet := range []bool{false, true} {
-		name := "single"
-		if withFleet {
-			name = "fleet"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			clk := client.NewVirtualClock(0)
-			s := newNetem(m, clk, &nettrace.Link{Trace: f.bw[0], RTTSec: 0.05}, rule, 9, 1e6, &scratch{})
-			if withFleet {
-				s.fleet = newFleetSim(fc, place, 9, pol)
-			}
-			ladder := client.NewFetcher(s, clk, pol, mathx.NewRNG(9))
-			ctx := context.Background()
-			k, ti, sessions := 0, 0, 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if ti == 0 {
-					if k == 0 {
-						*clk = *client.NewVirtualClock(float64(sessions % 30))
-						s.VirtualNet.Reset()
-						sessions++
-					}
-					s.Turn(ctx, k, plans[k])
-				}
-				// A skipped tile is a path being timed too.
-				if _, _, err := ladder.Fetch(ctx, k, ti, plans[k][ti], 2); err != nil {
-					b.Fatal(err)
-				}
-				if ti++; ti == len(plans[k]) {
-					ti, k = 0, (k+1)%len(plans)
 				}
 			}
 		})

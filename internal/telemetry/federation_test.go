@@ -172,8 +172,8 @@ func TestScraperStaleTargetFreezesSeries(t *testing.T) {
 
 func TestScraperUnmergeableHistograms(t *testing.T) {
 	regA, regB := obs.NewRegistry(), obs.NewRegistry()
-	regA.Histogram("pano_x_seconds", "lat", obs.LinearBuckets(0, 1, 3)).Observe(1)
-	regB.Histogram("pano_x_seconds", "lat", obs.LinearBuckets(0, 2, 3)).Observe(1)
+	regA.Histogram("pano_x_seconds", "lat", []float64{0, 1, 2}).Observe(1)
+	regB.Histogram("pano_x_seconds", "lat", []float64{0, 2, 4}).Observe(1)
 	regA.Counter("pano_ok_total", "fine").Add(1)
 	regB.Counter("pano_ok_total", "fine").Add(2)
 	srvA, srvB := metricsServer(t, regA), metricsServer(t, regB)
@@ -343,7 +343,8 @@ func TestScraperTraceAssembly(t *testing.T) {
 	trB := trace.New(trace.Config{Seed: 0x200})
 	ctx, root := trA.Start(context.Background(), "stream", trace.A("component", "client"))
 	_, child := trA.Start(ctx, "tile_fetch")
-	_, remote := trB.StartRemote(context.Background(), "http_request", root.TraceID(), child.SpanID(),
+	tid, parent, _, _ := trace.ParseTraceparent(child.Traceparent())
+	_, remote := trB.StartRemote(context.Background(), "http_request", tid, parent,
 		trace.A("component", "server"))
 	remote.End()
 	child.End()
@@ -380,7 +381,7 @@ func TestScraperTraceAssembly(t *testing.T) {
 
 	th := httptest.NewServer(h)
 	defer th.Close()
-	resp, err := http.Get(th.URL + "/debug/traces?trace=" + root.TraceID().String())
+	resp, err := http.Get(th.URL + "/debug/traces?trace=" + root.TraceHex())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -279,6 +280,57 @@ func TestParseSLOs(t *testing.T) {
 			t.Errorf("ParseSLOs(%q) accepted, want error", bad)
 		}
 	}
+}
+
+// TestParseSLOsRejectsSilencingValues: each of these values used to
+// parse into an SLO that could never alert (a NaN or infinite budget,
+// bound or burn, a budget at or below 0, a quantile ceiling of 0).
+func TestParseSLOsRejectsSilencingValues(t *testing.T) {
+	for _, c := range []struct{ spec, slo string }{
+		{"rebuffer<=NaN", "rebuffer"},
+		{"rebuffer<=Inf", "rebuffer"},
+		{"rebuffer<=0.05!NaN/NaN", "rebuffer"},
+		{"rebuffer<=0.05!1/Inf", "rebuffer"},
+		{"pspnr_floor>=NaN", "pspnr_floor"},
+		{"pspnr_floor>=-Inf", "pspnr_floor"},
+		{"rebuffer<=-3", "rebuffer"},
+		{"rebuffer<=0", "rebuffer"},
+		{"tile_p99<=0", "tile_p99"},
+	} {
+		_, err := ParseSLOs(c.spec)
+		if err == nil || !strings.Contains(err.Error(), c.slo) {
+			t.Errorf("ParseSLOs(%q) = %v, want an error naming %s", c.spec, err, c.slo)
+		}
+	}
+}
+
+// FuzzParseSLOs: ParseSLOs never panics, and every SLO it accepts can
+// alert — finite fields, a budget (a quantile's ceiling) above 0,
+// 0 < warn <= page and 0 < fast <= slow windows.
+func FuzzParseSLOs(f *testing.F) {
+	f.Add("rebuffer<=0.02@30s/5m!2/6;edge_hit=off")
+	f.Fuzz(func(t *testing.T, spec string) {
+		slos, err := ParseSLOs(spec)
+		if err != nil {
+			return
+		}
+		for _, s := range slos {
+			d := s.withDefaults()
+			for _, v := range []float64{s.Threshold, s.Budget, s.Quantile, s.WarnBurn, s.PageBurn} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("ParseSLOs(%q): %s has a non-finite field: %+v", spec, s.Name, s)
+				}
+			}
+			bound := s.Budget
+			if s.Kind == SLOQuantile {
+				bound = s.Threshold
+			}
+			if !(bound > 0) || !(0 < s.WarnBurn && s.WarnBurn <= s.PageBurn) ||
+				!(0 < d.FastWindow && d.FastWindow <= d.SlowWindow) {
+				t.Fatalf("ParseSLOs(%q): %s cannot alert: %+v", spec, s.Name, s)
+			}
+		}
+	})
 }
 
 func TestDefaultSLOsShape(t *testing.T) {

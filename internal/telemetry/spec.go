@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,7 +87,9 @@ func DefaultSLOs() []SLO {
 // (SLOCeil/SLOQuantile), ">=v" sets the floor (SLOFloor), "=off"
 // removes it. Two optional suffixes tune evaluation:
 // "@fast/slow" sets the windows (Go durations, e.g. "@30s/5m") and
-// "!warn/page" the burn thresholds (e.g. "!2/6"):
+// "!warn/page" the burn thresholds (e.g. "!2/6"). Every bound and burn
+// must be finite, a budget and a quantile's ceiling above 0, and
+// 0 < warn <= page: any other value would silence the SLO.
 //
 //	"rebuffer<=0.02@30s/5m!2/6"
 func ParseSLOs(spec string) ([]SLO, error) {
@@ -131,11 +134,14 @@ func ParseSLOs(spec string) ([]SLO, error) {
 			removed[name] = true
 		case op == "=" || op == "<=" || op == ">=":
 			v, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("telemetry: SLO %s: bad bound %q", name, val)
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("telemetry: SLO %s: bad bound %q (want a finite number)", name, val)
 			}
 			switch s.Kind {
 			case SLORate:
+				if v <= 0 {
+					return nil, fmt.Errorf("telemetry: SLO %s: budget %v, want > 0", name, v)
+				}
 				s.Budget = v
 			case SLOFloor:
 				if op == "<=" {
@@ -145,6 +151,9 @@ func ParseSLOs(spec string) ([]SLO, error) {
 			default: // SLOCeil, SLOQuantile
 				if op == ">=" {
 					return nil, fmt.Errorf("telemetry: SLO %s is a ceiling; use <=", name)
+				}
+				if s.Kind == SLOQuantile && v <= 0 {
+					return nil, fmt.Errorf("telemetry: SLO %s: quantile ceiling %v, want > 0", name, v)
 				}
 				s.Threshold = v
 			}
@@ -210,11 +219,11 @@ func parseBurns(s string) (warn, page float64, err error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("bad burns %q (want warn/page, e.g. 2/6)", s)
 	}
-	if warn, err = strconv.ParseFloat(a, 64); err != nil || warn <= 0 {
-		return 0, 0, fmt.Errorf("bad warn burn %q", a)
+	if warn, err = strconv.ParseFloat(a, 64); err != nil || !(warn > 0) || math.IsInf(warn, 1) {
+		return 0, 0, fmt.Errorf("bad warn burn %q (want finite and > 0)", a)
 	}
-	if page, err = strconv.ParseFloat(b, 64); err != nil || page < warn {
-		return 0, 0, fmt.Errorf("bad page burn %q (want page >= warn)", b)
+	if page, err = strconv.ParseFloat(b, 64); err != nil || !(page >= warn) || math.IsInf(page, 1) {
+		return 0, 0, fmt.Errorf("bad page burn %q (want finite and >= warn)", b)
 	}
 	return warn, page, nil
 }

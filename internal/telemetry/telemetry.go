@@ -138,22 +138,6 @@ func New(cfg Config) *Sampler {
 	return s
 }
 
-// Interval returns the configured scrape period (0 on nil).
-func (s *Sampler) Interval() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.cfg.Interval
-}
-
-// Store exposes the windowed series store (nil on the no-op sampler).
-func (s *Sampler) Store() *Store {
-	if s == nil {
-		return nil
-	}
-	return s.store
-}
-
 // Step performs one scrape+evaluate tick at logical time now. Tests
 // and deterministic simulations call this directly with synthetic
 // time; Start drives it with wall time. Safe for concurrent use with

@@ -216,7 +216,7 @@ func TestWaitBreakerFollowsKillAndRevive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(tb.Edges[0].Fleet().Origins()); n != 2 {
+	if n := len(tb.Edges[0].Fleet().Snapshot()); n != 2 {
 		t.Fatalf("edge fleet has %d origins, want both", n)
 	}
 	if _, err := tb.WaitBreaker(0, fleet.Closed, time.Second); err != nil {
@@ -250,7 +250,7 @@ func TestSingleOriginEdgeIsAOneShardFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Fleet().Origins(); len(got) != 1 || got[0] != tb.Origins[0].URL {
+	if got := e.Fleet().Snapshot(); len(got) != 1 || got[0].URL != tb.Origins[0].URL {
 		t.Errorf("edge fleet origins %v, want just %s", got, tb.Origins[0].URL)
 	}
 	for _, want := range []string{"miss", "hit"} {

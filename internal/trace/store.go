@@ -140,12 +140,6 @@ func (st *store) get(id TraceID) *TraceData {
 	return td.clone()
 }
 
-func (st *store) dropped() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.droppedN
-}
-
 func (t *TraceData) clone() *TraceData {
 	return &TraceData{ID: t.ID, Spans: append([]SpanData(nil), t.Spans...), Complete: t.Complete}
 }

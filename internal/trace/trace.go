@@ -118,9 +118,6 @@ func New(cfg Config) *Tracer {
 	return t
 }
 
-// Nop returns the no-op tracer (nil), mirroring obs.Nop.
-func Nop() *Tracer { return nil }
-
 // splitmix64 is the id-generation mix (SplitMix64 finalizer).
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -259,22 +256,6 @@ type Span struct {
 	ended    bool
 }
 
-// TraceID returns the span's trace id (zero on nil).
-func (s *Span) TraceID() TraceID {
-	if s == nil {
-		return TraceID{}
-	}
-	return s.trace
-}
-
-// SpanID returns the span's id (zero on nil).
-func (s *Span) SpanID() SpanID {
-	if s == nil {
-		return SpanID{}
-	}
-	return s.id
-}
-
 // TraceHex returns the hex trace id, or "" on nil — the form histogram
 // exemplars and log fields want.
 func (s *Span) TraceHex() string {
@@ -388,12 +369,4 @@ func (t *Tracer) Trace(id TraceID) *TraceData {
 		return nil
 	}
 	return t.store.get(id)
-}
-
-// DroppedSpans returns how many spans the bounded store rejected.
-func (t *Tracer) DroppedSpans() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.store.dropped()
 }

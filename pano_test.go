@@ -64,7 +64,7 @@ func TestFacadeBaselines(t *testing.T) {
 	if tr.Mean() < 1.0 || tr.Mean() > 1.1 {
 		t.Errorf("LTE mean = %v", tr.Mean())
 	}
-	if NewLink(tr).MeanThroughput() <= 0 {
+	if NewLink(tr).Trace.Mean() <= 0 {
 		t.Error("link throughput")
 	}
 }
