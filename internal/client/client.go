@@ -23,6 +23,7 @@ import (
 	"pano/internal/jnd"
 	"pano/internal/manifest"
 	"pano/internal/mathx"
+	"pano/internal/nettrace"
 	"pano/internal/obs"
 	"pano/internal/player"
 	"pano/internal/quality"
@@ -370,7 +371,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	play.at = start
 	var estSum, estMean, liveLatSum float64 // estMean: a watched session's running MeanEstPSPNR
 	defer func() {
-		res.RebufferSec = play.stall
+		res.RebufferSec = play.stall.Seconds()
 		status := "ok"
 		switch {
 		case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
@@ -422,6 +423,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 	stage = "stream"
 	res.Manifest = m
 	play.read(clk)
+	chunkDur, maxBuffer := nettrace.Nanos(m.ChunkSec), nettrace.Nanos(cfg.MaxBufferSec)
 	tiles0 := 0
 	if len(m.Chunks) > 0 {
 		tiles0 = len(m.Chunks[0].Tiles)
@@ -481,7 +483,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 			m, k, live = sr.m, sr.k, sr.m.Live
 			res.Manifest = m
 			res.LiveSkippedChunks += sr.skipped
-			rebufTotal.Add(play.read(clk)) // playback went on while the session waited
+			rebufTotal.Add(play.read(clk).Seconds()) // playback went on while the session waited
 			if sr.waited > 0 {
 				res.LiveEdgeWaits++
 				res.LiveEdgeWaitSec += sr.waited.Seconds()
@@ -499,7 +501,8 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		if traced {
 			cctx, chunkSpan = trace.StartSpan(ctx, "chunk", trace.A("chunk", k))
 		}
-		nowMedia := max(0, float64(k)*m.ChunkSec-play.buffer) // the playhead
+		buffered := play.buffer.Seconds()
+		nowMedia := max(0, float64(k)*m.ChunkSec-buffered) // the playhead
 		// Phase: bandwidth + viewpoint estimation.
 		_, eSpan := trace.StartSpan(cctx, "estimate")
 		raw := bw.Predict()
@@ -529,13 +532,13 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 				}
 				pred *= 1 + sign*cfg.BWErrorFrac
 			}
-			lv := dec.pickLevel(cctx, ctrl, play.buffer, pred, m.ChunkSec, prev, horizon)
+			lv := dec.pickLevel(cctx, ctrl, buffered, pred, m.ChunkSec, prev, horizon)
 			budget = horizon[0].Bits[lv]
 			prev = lv
 			// The level menu is coarse; fill the remaining predicted
 			// capacity so the tile allocator can spend what the link
 			// actually offers (identically for every system).
-			capacity := 0.9 * pred * (m.ChunkSec + math.Max(0, play.buffer-cfg.BufferTargetSec))
+			capacity := 0.9 * pred * (m.ChunkSec + math.Max(0, buffered-cfg.BufferTargetSec))
 			if capacity > budget {
 				budget = math.Min(capacity, horizon[0].Bits[0])
 			}
@@ -621,11 +624,11 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		res.TotalRetries += retries
 		res.DegradedTiles += degraded
 		res.SkippedTiles += skipped
-		stall := play.read(clk)
-		if play.land(m.ChunkSec) {
-			res.StartupDelay = play.at.Sub(start)
+		stall := play.read(clk).Seconds()
+		if play.land(chunkDur) {
+			res.StartupDelay = play.startup
 		}
-		if idle := play.idleTo(cfg.MaxBufferSec); idle > 0 {
+		if idle := play.idleTo(maxBuffer); idle > 0 {
 			// Paced prefetch: playback drains the surplus while the
 			// session idles.
 			if serr := clk.Sleep(ctx, idle); serr != nil {
@@ -640,7 +643,8 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		if dlSeconds != nil {
 			dlSeconds.ObserveExemplar(dl.Seconds(), chunkSpan.TraceHex())
 		}
-		bufGauge.Set(play.buffer)
+		buffered = play.buffer.Seconds()
+		bufGauge.Set(buffered)
 		if instrumented || cfg.ScoreChunk != nil {
 			// Phase: stitch + viewport-quality scoring of what was
 			// actually delivered (degraded/stale tiles included).
@@ -659,7 +663,7 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 				if sess != nil {
 					sess.Debug("chunk_done",
 						"chunk", k, "bytes", bytes, "download_sec", dl.Seconds(),
-						"throughput_bps", thr, "stall_sec", stall, "buffer_sec", play.buffer,
+						"throughput_bps", thr, "stall_sec", stall, "buffer_sec", buffered,
 						"est_pspnr_db", e, "retries", retries,
 						"tiles_degraded", degraded, "tiles_skipped", skipped)
 				}
@@ -669,13 +673,13 @@ func RunSession(ctx context.Context, tp Transport, tr *viewport.Trace, cfg Strea
 		if chunkSpan != nil {
 			chunkSpan.Annotate("bytes", bytes)
 			chunkSpan.Annotate("stall_sec", stall)
-			chunkSpan.Annotate("buffer_sec", play.buffer)
+			chunkSpan.Annotate("buffer_sec", buffered)
 			chunkSpan.Annotate("throughput_bps", thr)
 		}
 		if live {
 			// Live latency: fully published chunks between the playhead
 			// and the edge, plus the media already buffered.
-			lat := float64(m.NumChunks()-k-1)*m.ChunkSec + play.buffer
+			lat := float64(m.NumChunks()-k-1)*m.ChunkSec + buffered
 			liveLatSum += lat
 			liveChunks++
 			if lat > res.LiveLatencyMaxSec {

@@ -123,11 +123,11 @@ func (p FetchPolicy) WithDefaults() FetchPolicy {
 // During startup — before the session's first chunk lands, whichever
 // chunk that is — nothing is playing yet and the full AttemptTimeout
 // applies.
-func (p *FetchPolicy) attemptTimeout(bufferSec float64, startup bool) time.Duration {
+func (p *FetchPolicy) attemptTimeout(buffer time.Duration, startup bool) time.Duration {
 	if startup {
 		return p.AttemptTimeout
 	}
-	t := time.Duration(bufferSec / 2 * float64(time.Second))
+	t := buffer / 2
 	if t < p.MinAttemptTimeout {
 		return p.MinAttemptTimeout
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"pano/internal/codec"
 	"pano/internal/manifest"
@@ -50,7 +51,7 @@ func TestFetchTileResilientAllocatesNothing(t *testing.T) {
 	for name, ctx := range map[string]context.Context{"untraced": context.Background(), "traced": traced} {
 		for _, planned := range []codec.Level{0, codec.Level(codec.NumLevels - 1)} {
 			allocs := testing.AllocsPerRun(100, func() {
-				err := f.fetch(ctx, 1, 0, planned, f.pol.attemptTimeout(2, false), &tf)
+				err := f.fetch(ctx, 1, 0, planned, f.pol.attemptTimeout(2*time.Second, false), &tf)
 				if err != nil || tf.skipped || tf.level != planned {
 					t.Fatalf("fetch: %+v, %v", tf, err)
 				}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pano/internal/manifest"
+	"pano/internal/nettrace"
 	"pano/internal/obs"
 )
 
@@ -32,7 +33,6 @@ type LivePolicy struct {
 }
 
 func (p LivePolicy) withDefaults(m *manifest.Video) LivePolicy {
-	chunk := time.Duration(m.ChunkSec * float64(time.Second))
 	if p.PollInterval <= 0 {
 		p.PollInterval = m.RefreshInterval()
 	}
@@ -40,7 +40,7 @@ func (p LivePolicy) withDefaults(m *manifest.Video) LivePolicy {
 		p.MaxLatencyChunks = 4
 	}
 	if p.EdgeTimeout <= 0 {
-		p.EdgeTimeout = 30 * chunk
+		p.EdgeTimeout = 30 * nettrace.Nanos(m.ChunkSec)
 		if p.EdgeTimeout <= 0 {
 			p.EdgeTimeout = 30 * time.Second
 		}

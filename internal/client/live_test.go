@@ -47,12 +47,11 @@ func (f *scriptedTransport) Manifest(ctx context.Context) (*manifest.Video, erro
 
 func (f *scriptedTransport) Tile(ctx context.Context, k, ti int, l codec.Level) (float64, error) {
 	if f.tileDelay > 0 {
-		done := f.clk.off + f.tileDelay
-		if at := deadlineOf(ctx); at != nil && done > at.dl {
-			f.clk.advanceTo(at.dl)
+		if at := deadlineOf(ctx); at != nil && f.clk.off+f.tileDelay > at.dl {
+			f.clk.Advance(at.dl - f.clk.off)
 			return 0, context.DeadlineExceeded
 		}
-		f.clk.advanceTo(done)
+		f.clk.Advance(f.tileDelay)
 	}
 	return f.full.Chunks[k].Tiles[ti].Bits[l], nil
 }

@@ -15,10 +15,10 @@ import (
 )
 
 // The ledger's moves, as the property test and FuzzPlayout drive them:
-// the clock runs v seconds and the ledger reads it (opRead, or opJitter
-// at an odd nanosecond, as a wall clock reads), a chunk of v seconds
-// lands, or the ledger idles to a cap of v and the clock sleeps what it
-// asks (opIdle) or past it (opOversleep).
+// the clock runs d and the ledger reads it (opRead, or opJitter at an odd
+// nanosecond, as a wall clock reads), a chunk of d lands, or the ledger
+// idles to a cap of d and the clock sleeps what it asks (opIdle) or past
+// it (opOversleep).
 const (
 	opRead = iota
 	opLand
@@ -42,16 +42,15 @@ func newLedger() *ledger {
 }
 
 // step applies one move to l and fails t unless the ledger's rules hold
-// across it: every second counted once (elapsed + buffer = startup +
-// media + stall), elapsed the clock's span from the start to the last
-// reading (within a nanosecond per move), a buffer never negative or
-// over a pacing cap, no stall before the first chunk has landed and no
-// startup after, and what a move returns being exactly what it added.
-func step(t testing.TB, l *ledger, op int, v float64) {
+// across it, exactly: every nanosecond counted once (elapsed + buffer ==
+// startup + media + stall), elapsed the clock's span from the start to
+// the last reading, a buffer never negative or over a pacing cap, no
+// stall before the first chunk has landed and no startup after, and what
+// a move returns being what it added.
+func step(t testing.TB, l *ledger, op int, d time.Duration) {
 	t.Helper()
 	p := &l.p
 	before := *p
-	d := time.Duration(v * float64(time.Second))
 	switch op {
 	case opRead, opJitter:
 		if op == opJitter {
@@ -67,15 +66,15 @@ func step(t testing.TB, l *ledger, op int, v float64) {
 			t.Fatalf("read after %v stalled %v before the first chunk landed", d, stall)
 		}
 	case opLand:
-		if first := p.land(v); first != !before.started {
+		if first := p.land(d); first != !before.started {
 			t.Fatalf("land: first %v after started %v", first, before.started)
 		}
 	case opIdle, opOversleep:
-		sleep := p.idleTo(v)
+		sleep := p.idleTo(d)
 		idle := before.buffer - p.buffer
-		if idle < 0 || (v > 0 && p.buffer > v) || p.elapsed != before.elapsed+idle ||
-			sleep != time.Duration(idle*float64(time.Second)) || p.at != before.at.Add(sleep) {
-			t.Fatalf("idleTo(%v) from buffer %v: sleep %v, buffer %v, at %v from %v", v, before.buffer, sleep, p.buffer, p.at, before.at)
+		if idle < 0 || (d > 0 && p.buffer > d) || p.elapsed != before.elapsed+idle ||
+			sleep != idle || p.at != before.at.Add(sleep) {
+			t.Fatalf("idleTo(%v) from buffer %v: sleep %v, buffer %v, at %v from %v", d, before.buffer, sleep, p.buffer, p.at, before.at)
 		}
 		if op == opOversleep {
 			sleep += time.Millisecond + sleep/4 // counted at the next reading
@@ -84,26 +83,23 @@ func step(t testing.TB, l *ledger, op int, v float64) {
 	}
 	l.moves++
 	if p.buffer < 0 || p.stall < before.stall || p.startup < before.startup {
-		t.Fatalf("after op %d(%v): %+v from %+v", op, v, *p, before)
+		t.Fatalf("after op %d(%v): %+v from %+v", op, d, *p, before)
 	}
 	if before.started && p.startup != before.startup {
 		t.Fatalf("startup grew after the first chunk landed: %+v from %+v", *p, before)
 	}
 	checkIdentity(t, p)
-	if span := p.at.Sub(time.Unix(0, 0)).Seconds(); math.Abs(p.elapsed-span) > 1e-9*float64(l.moves)+1e-12*span {
-		t.Fatalf("after %d moves the ledger counted %vs, the clock read %vs from the start", l.moves, p.elapsed, span)
+	if span := p.at.Sub(time.Unix(0, 0)); p.elapsed != span {
+		t.Fatalf("after %d moves the ledger counted %v, the clock read %v from the start", l.moves, p.elapsed, span)
 	}
 }
 
-// checkIdentity fails t unless p counts every second once: within 1e-9 s
-// while the ledger holds under 1000 s, as every session here does, and
-// within 1e-12 of its size beyond, where fuzzed sequences run.
+// checkIdentity fails t unless p counts every nanosecond once.
 func checkIdentity(t testing.TB, p *playout) {
 	t.Helper()
-	r := p.elapsed + p.buffer - (p.startup + p.media + p.stall)
-	if math.Abs(r) > 1e-9*max(1, (p.elapsed+p.media)/1000) {
-		t.Fatalf("elapsed %v + buffer %v != startup %v + media %v + stall %v (residual %g)",
-			p.elapsed, p.buffer, p.startup, p.media, p.stall, r)
+	if p.elapsed+p.buffer != p.startup+p.media+p.stall {
+		t.Fatalf("elapsed %v + buffer %v != startup %v + media %v + stall %v",
+			p.elapsed, p.buffer, p.startup, p.media, p.stall)
 	}
 }
 
@@ -114,34 +110,35 @@ func checkIdentity(t testing.TB, p *playout) {
 // them — holding step's rules at every move.
 func TestPlayoutCountsEverySecondOnce(t *testing.T) {
 	rng := mathx.NewRNG(0x91a7)
+	sec := func(lo, hi float64) time.Duration { return nettrace.Nanos(rng.Range(lo, hi)) }
 	for s := 0; s < 500; s++ {
 		l := newLedger()
-		step(t, l, opRead, rng.Range(0, 0.2))
-		chunkSec := rng.Range(0.25, 2)
-		capSec := []float64{0, rng.Range(0, 4)}[rng.Intn(2)]
+		step(t, l, opRead, sec(0, 0.2))
+		chunk := sec(0.25, 2)
+		capped := []time.Duration{0, sec(0, 4)}[rng.Intn(2)]
 		for c := rng.Intn(40); c > 0; c-- {
 			for w := rng.Intn(3); w > 0 && rng.Intn(3) == 0; w-- {
-				step(t, l, opRead, rng.Range(0, 1.5))
+				step(t, l, opRead, sec(0, 1.5))
 			}
-			step(t, l, []int{opRead, opJitter}[rng.Intn(2)], rng.Range(0, 3*chunkSec))
-			step(t, l, opLand, chunkSec)
-			step(t, l, []int{opIdle, opOversleep}[rng.Intn(2)], capSec)
+			step(t, l, []int{opRead, opJitter}[rng.Intn(2)], sec(0, 3*chunk.Seconds()))
+			step(t, l, opLand, chunk)
+			step(t, l, []int{opIdle, opOversleep}[rng.Intn(2)], capped)
 		}
 	}
 }
 
 // FuzzPlayout holds the ledger to step's rules under arbitrary move
 // sequences: each three input bytes are a move (first byte mod numOps)
-// and its seconds (the next two, big-endian, in 1/1024 s). The committed
-// seeds under testdata/fuzz/FuzzPlayout/ are the shapes a session takes:
-// a wait before the first chunk, a stall after it, an idle to a cap, a
-// paced VOD session, and a wall-clock one whose readings jitter and
-// whose idles oversleep.
+// and its span (the next two, big-endian, in 1/1024 s, rounded to the
+// nanosecond). The committed seeds under testdata/fuzz/FuzzPlayout/ are
+// the shapes a session takes: a wait before the first chunk, a stall
+// after it, an idle to a cap, a paced VOD session, and a wall-clock one
+// whose readings jitter and whose idles oversleep.
 func FuzzPlayout(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l := newLedger()
 		for ; len(data) >= 3; data = data[3:] {
-			step(t, l, int(data[0])%numOps, float64(uint16(data[1])<<8|uint16(data[2]))/1024)
+			step(t, l, int(data[0])%numOps, nettrace.Nanos(float64(uint16(data[1])<<8|uint16(data[2]))/1024))
 		}
 	})
 }
@@ -183,21 +180,20 @@ func checkSession(t *testing.T, res *StreamResult, first int, elapsed time.Durat
 
 // checkLedger fails t unless the session res, whose clock ran for
 // elapsed from its start to its ledger's last reading, counts every
-// second once: its ledger's identity, the ledger agreeing with the
-// session's own figures and, within the pacing idle's nanosecond
-// rounding, with the clock.
+// nanosecond once: its ledger's identity, the ledger agreeing with the
+// session's own figures and with the clock, exactly.
 func checkLedger(t *testing.T, res *StreamResult, elapsed time.Duration) {
 	t.Helper()
 	p, m := &res.play, res.Manifest
 	checkIdentity(t, p)
 	n := len(res.Chunks)
-	if p.stall != res.RebufferSec || math.Abs(p.startup-res.StartupDelay.Seconds()) > 1e-9 ||
-		math.Abs(p.media-float64(n)*m.ChunkSec) > 1e-9 {
+	if p.stall.Seconds() != res.RebufferSec || p.startup != res.StartupDelay ||
+		p.media != time.Duration(n)*nettrace.Nanos(m.ChunkSec) {
 		t.Fatalf("ledger %+v; session: rebuffer %v, startup %v, %d chunks of %vs",
 			*p, res.RebufferSec, res.StartupDelay, n, m.ChunkSec)
 	}
-	if d := elapsed.Seconds() - p.elapsed; math.Abs(d) > 1e-9*float64(n+1) {
-		t.Fatalf("clock ran %v, ledger counted %vs", elapsed, p.elapsed)
+	if elapsed != p.elapsed {
+		t.Fatalf("clock ran %v, ledger counted %v", elapsed, p.elapsed)
 	}
 }
 
@@ -276,7 +272,7 @@ func TestLiveWaitBeforeTheFirstChunkIsStartup(t *testing.T) {
 		if want := (7 * (poll + refresh)).Seconds(); math.Abs(res.LiveEdgeWaitSec-want) > 1e-12 || res.LiveEdgeWaits != 2 {
 			t.Errorf("refresh %v: %d waits of %vs at the edge, want 2 of %vs", refresh, res.LiveEdgeWaits, res.LiveEdgeWaitSec, want)
 		}
-		if want := (5 * (poll + refresh)).Seconds() - full.ChunkSec; res.RebufferSec != want {
+		if want := (5*(poll+refresh) - nettrace.Nanos(full.ChunkSec)).Seconds(); res.RebufferSec != want {
 			t.Errorf("refresh %v: RebufferSec %v, want %v: the wait after chunk 0 past its buffer, none of the wait before", refresh, res.RebufferSec, want)
 		}
 		for _, s := range reg.Snapshot() {
@@ -290,9 +286,9 @@ func TestLiveWaitBeforeTheFirstChunkIsStartup(t *testing.T) {
 
 // TestWallClockSessionCountsEverySecondOnce: a loopback HTTP session on
 // the wall clock, where estimating, planning and scoring a chunk take
-// time, counts every second once: its ledger's elapsed is the clock
+// time, counts every nanosecond once: its ledger's elapsed is the clock
 // from the session's start to the ledger's last reading, the session's
-// last, within a nanosecond per chunk.
+// last, exactly — monotonic readings subtract as integers.
 func TestWallClockSessionCountsEverySecondOnce(t *testing.T) {
 	ts := testServer(t)
 	var mu sync.Mutex

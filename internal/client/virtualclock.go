@@ -3,6 +3,8 @@ package client
 import (
 	"context"
 	"time"
+
+	"pano/internal/nettrace"
 )
 
 // VirtualClock implements Clock in discrete-event time — the clock of
@@ -11,9 +13,10 @@ import (
 // deadline the virtual transport honours, and Now is the session's
 // accumulated offset past a fixed epoch, the Unix epoch (a constant, not
 // time.Now, so every run of the same configuration produces
-// byte-identical timelines). Each running session owns exactly one
-// goroutine, so the clock is deliberately unlocked — sharing one
-// VirtualClock across goroutines is a bug.
+// byte-identical timelines), in virtual time's one base (see VirtualNet).
+// Each running session owns exactly one goroutine, so the clock is
+// deliberately unlocked — sharing one VirtualClock across goroutines is a
+// bug.
 type VirtualClock struct {
 	off     time.Duration // virtual time since epoch
 	attempt deadlineCtx   // the context WithTimeout hands out
@@ -22,7 +25,7 @@ type VirtualClock struct {
 // NewVirtualClock returns a clock positioned startSec virtual seconds
 // past the global epoch (the session's arrival time).
 func NewVirtualClock(startSec float64) *VirtualClock {
-	return &VirtualClock{off: time.Duration(startSec * float64(time.Second))}
+	return &VirtualClock{off: nettrace.Nanos(startSec)}
 }
 
 // Now implements Clock.
@@ -32,28 +35,15 @@ func (c *VirtualClock) Now() time.Time { return time.Unix(0, int64(c.off)).UTC()
 // an offset, its UnixNano, so what elapsed is a difference of offsets.
 func (c *VirtualClock) Since(t time.Time) time.Duration { return c.off - time.Duration(t.UnixNano()) }
 
-// NowSec returns the current virtual time in seconds past the epoch —
-// the time axis shared by bandwidth traces and origin-load buckets.
-func (c *VirtualClock) NowSec() float64 { return c.off.Seconds() }
+// Offset returns the current virtual instant, the time past the epoch:
+// the axis of bandwidth traces, outage schedules and origin-load buckets.
+func (c *VirtualClock) Offset() time.Duration { return c.off }
 
 // Advance moves the clock forward by d (negative d is ignored).
-func (c *VirtualClock) Advance(d time.Duration) {
-	if d > 0 {
-		c.off += d
-	}
-}
+func (c *VirtualClock) Advance(d time.Duration) { c.off += max(0, d) }
 
 // AdvanceSec moves the clock forward by s seconds.
-func (c *VirtualClock) AdvanceSec(s float64) {
-	c.Advance(time.Duration(s * float64(time.Second)))
-}
-
-// advanceTo moves the clock forward to off past the epoch.
-func (c *VirtualClock) advanceTo(off time.Duration) {
-	if off > c.off {
-		c.off = off
-	}
-}
+func (c *VirtualClock) AdvanceSec(s float64) { c.Advance(nettrace.Nanos(s)) }
 
 // Sleep implements Clock: it advances virtual time instantly.
 func (c *VirtualClock) Sleep(ctx context.Context, d time.Duration) error {

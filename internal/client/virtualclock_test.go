@@ -8,20 +8,19 @@ import (
 
 func TestVirtualClock(t *testing.T) {
 	c := NewVirtualClock(10)
-	if got := c.NowSec(); got != 10 {
+	if got := c.Offset(); got != 10*time.Second {
 		t.Fatalf("start = %v", got)
 	}
 	c.Advance(2 * time.Second)
 	c.Advance(-5 * time.Second) // ignored
-	if got := c.NowSec(); got != 12 {
+	if got := c.Offset(); got != 12*time.Second {
 		t.Fatalf("after advance = %v", got)
 	}
-	c.advanceTo(5 * time.Second) // backward: ignored
-	if got := c.NowSec(); got != 12 {
-		t.Fatalf("after backward advanceTo = %v", got)
+	if err := c.Sleep(context.Background(), 3*time.Second); err != nil || c.Offset() != 15*time.Second {
+		t.Fatalf("sleep: %v at %v", err, c.Offset())
 	}
-	if err := c.Sleep(context.Background(), 3*time.Second); err != nil || c.NowSec() != 15 {
-		t.Fatalf("sleep: %v at %v", err, c.NowSec())
+	if c.AdvanceSec(0.0000000026); c.Offset() != 15*time.Second+3 {
+		t.Fatalf("AdvanceSec(2.6ns) to %v: float seconds round to the nearest nanosecond", c.Offset())
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -28,6 +28,12 @@ import (
 // server's answer as given, so the swarm's fleet twin prices a tile the
 // fleet answered behind the front on the same one turn.
 //
+// Time has one base: an instant is the clock's offset, int64 nanoseconds
+// past the epoch, and a span a time.Duration, summed exactly. Float
+// seconds become time by one rounding rule, nettrace.Nanos (the nearest
+// nanosecond), where a trace is integrated or a fault rule prices a
+// transfer; they come back only at the result boundary.
+//
 // Two rules diverge from the wire, knowingly: a read that times out
 // closes the turn (the next planned answer opens a new one, paying the
 // RTT again), where the wire cancels that stream alone; and a turn's
@@ -58,16 +64,16 @@ type VirtualNet struct {
 	tn      turn
 }
 
-// turn is the chunk's turn: it has held the link since start
-// (past the epoch, startSec in seconds; warm if it resumed after other
-// requests took the link) and carried bits and server delay since; req
-// is the request its last answer was.
+// turn is the chunk's turn: it has held the link since start (past the
+// epoch; warm if it resumed after other requests took the link) and
+// carried bits and server delay since; req is the request its last
+// answer was.
 type turn struct {
-	open, warm  bool
-	start       time.Duration
-	startSec    float64
-	bits, delay float64
-	req         int64
+	open, warm bool
+	start      time.Duration
+	bits       float64
+	delay      time.Duration
+	req        int64
 }
 
 // Reset readies n for a new session, keeping its buffers.
@@ -93,7 +99,7 @@ func (n *VirtualNet) Manifest(ctx context.Context) (*manifest.Video, error) {
 	}
 	if n.ManifestBits > 0 {
 		n.requests++
-		n.Clock.AdvanceSec(n.Link.DownloadTime(n.Clock.NowSec(), n.ManifestBits))
+		n.Clock.Advance(n.Link.DownloadTime(n.Clock.off, n.ManifestBits))
 	}
 	return n.Video, nil
 }
@@ -198,56 +204,58 @@ func (n *VirtualNet) answer(out *chaos.Outcome, bits float64) (time.Duration, er
 	tn := &n.tn
 	switch {
 	case !tn.open:
-		*tn = turn{open: true, start: now, startSec: now.Seconds()}
+		*tn = turn{open: true, start: now}
 		n.opened++
 	case tn.req != n.requests-1:
-		*tn = turn{open: true, warm: true, start: now, startSec: now.Seconds()}
+		*tn = turn{open: true, warm: true, start: now}
 	}
 	tn.req = n.requests
-	tn.delay += out.Latency.Seconds()
+	tn.delay += out.Latency
 	ferr := refusal(out)
 	if ferr == nil {
 		if out.Truncate {
 			bits, ferr = bits/2, io.ErrUnexpectedEOF // half the body arrives, then the stream is reset
 		}
 		if out.Stall {
-			tn.delay += n.Fault.Stall().Seconds()
+			tn.delay += n.Fault.Stall()
 		}
 		tn.bits += bits
 	}
-	dl := n.Link.DownloadTime(tn.startSec, tn.bits)
-	if n.Fault.ThrottleBps > 0 {
-		dl = max(dl, tn.bits/n.Fault.ThrottleBps+n.Link.RTTSec)
-	}
+	dl := n.transfer(tn.start, tn.bits)
 	if tn.warm {
-		dl -= n.Link.RTTSec
+		dl -= nettrace.Nanos(n.Link.RTTSec)
 	}
-	done := tn.start + seconds(tn.delay+dl)
-	return max(0, done-now), ferr
+	return max(0, tn.start+tn.delay+dl-now), ferr
 }
 
 // send prices one request off the turn, sent now: its cost, its own RTT
 // included, and how it ends. It does not move the clock.
 func (n *VirtualNet) send(out *chaos.Outcome, bits float64) (time.Duration, error) {
 	n.requests++
-	now := n.Clock.NowSec()
-	cost := out.Latency.Seconds()
+	at := n.Clock.off + out.Latency
 	if ferr := refusal(out); ferr != nil {
-		return seconds(cost + n.Link.DownloadTime(now+cost, 0)), ferr // a header round trip
+		return out.Latency + n.Link.DownloadTime(at, 0), ferr // a header round trip
 	}
 	var ferr error
-	dl := n.Link.DownloadTime(now+cost, bits)
-	if n.Fault.ThrottleBps > 0 {
-		dl = max(dl, bits/n.Fault.ThrottleBps+n.Link.RTTSec)
-	}
+	dl := n.transfer(at, bits)
 	if out.Truncate {
-		dl *= 0.5 // half the body arrives, then the stream is reset
+		dl /= 2 // half the body arrives, then the stream is reset
 		ferr = io.ErrUnexpectedEOF
 	}
 	if out.Stall {
-		dl += n.Fault.Stall().Seconds()
+		dl += n.Fault.Stall()
 	}
-	return seconds(cost + dl), ferr
+	return out.Latency + dl, ferr
+}
+
+// transfer is how long bits sent at instant at take over the link, RTT
+// included, and no less than the fault rule's throttle allows.
+func (n *VirtualNet) transfer(at time.Duration, bits float64) time.Duration {
+	dl := n.Link.DownloadTime(at, bits)
+	if n.Fault.ThrottleBps > 0 {
+		dl = max(dl, nettrace.Nanos(bits/n.Fault.ThrottleBps+n.Link.RTTSec))
+	}
+	return dl
 }
 
 // refusal is how a request the server refuses ends — reset before any
@@ -262,18 +270,14 @@ func refusal(out *chaos.Outcome) error {
 	return nil
 }
 
-// seconds converts a cost in seconds to a duration.
-func seconds(cost float64) time.Duration { return time.Duration(cost * float64(time.Second)) }
-
 // advance moves the clock by d, honouring the attempt's virtual
 // deadline: an over-deadline transfer is observed as a timeout at the
 // deadline, not at completion.
 func (n *VirtualNet) advance(ctx context.Context, d time.Duration) error {
-	done := n.Clock.off + d
-	if at := deadlineOf(ctx); at != nil && done > at.dl {
-		n.Clock.advanceTo(at.dl)
+	if at := deadlineOf(ctx); at != nil && n.Clock.off+d > at.dl {
+		n.Clock.Advance(at.dl - n.Clock.off)
 		return context.DeadlineExceeded
 	}
-	n.Clock.advanceTo(done)
+	n.Clock.Advance(d)
 	return nil
 }

@@ -16,16 +16,21 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"pano/internal/mathx"
 )
 
-// SampleInterval is the trace sampling period in seconds.
-const SampleInterval = 1.0
+// SampleInterval is the trace sampling period.
+const SampleInterval = time.Second
 
-// Trace is a bandwidth time series in Mbps sampled every SampleInterval
-// seconds. Playback beyond the end wraps around, so short traces can
-// drive long sessions.
+// Nanos rounds sec seconds to the nearest nanosecond: the one rule by
+// which float seconds enter virtual time (see client.VirtualNet).
+func Nanos(sec float64) time.Duration { return time.Duration(math.Round(sec * float64(time.Second))) }
+
+// Trace is a bandwidth time series in Mbps sampled every SampleInterval.
+// Playback beyond the end wraps around, so short traces can drive long
+// sessions.
 type Trace struct {
 	Mbps []float64
 }
@@ -42,13 +47,13 @@ func (t *Trace) Mean() float64 {
 	return s / float64(len(t.Mbps))
 }
 
-// BandwidthAt returns the throughput in bits/second at time tm (>= 0),
-// wrapping past the end of the trace.
-func (t *Trace) BandwidthAt(tm float64) float64 {
+// BandwidthAt returns the throughput in bits/second at instant at (>= 0)
+// past the trace's start, wrapping past the end of the trace.
+func (t *Trace) BandwidthAt(at time.Duration) float64 {
 	if len(t.Mbps) == 0 {
 		return 0
 	}
-	i := int(tm / SampleInterval)
+	i := int(at / SampleInterval)
 	if i < 0 || i >= len(t.Mbps) {
 		// Past the end, wrap: a division, which a time inside the trace
 		// does without.
@@ -139,34 +144,30 @@ type Link struct {
 // NewLink returns a link over the trace with a 50 ms RTT.
 func NewLink(t *Trace) *Link { return &Link{Trace: t, RTTSec: 0.05} }
 
-// DownloadTime returns how long a transfer of bits started at time
-// start takes, by integrating the trace's bandwidth (plus one RTT).
-func (l *Link) DownloadTime(start, bits float64) float64 {
+// DownloadTime returns how long a transfer of bits started at instant
+// start takes, one RTT included: the trace's bandwidth integrated from
+// start, sample by sample, to the instant the last bit lands, which Nanos
+// rounds within its sample.
+func (l *Link) DownloadTime(start time.Duration, bits float64) time.Duration {
+	rtt := Nanos(l.RTTSec)
 	if bits <= 0 {
-		return l.RTTSec
+		return rtt
 	}
-	t := start
-	remaining := bits
-	// Integrate in sub-interval steps aligned to the trace grid.
+	t, remaining := start, bits
 	for i := 0; i < 1<<20; i++ { // hard cap guards against zero traces
 		bw := l.Trace.BandwidthAt(t)
 		if bw <= 0 {
 			bw = 1e3 // floor: 1 kbps keeps the integral finite
 		}
-		// Time to the next trace boundary.
-		boundary := math.Floor(t/SampleInterval)*SampleInterval + SampleInterval
-		dt := boundary - t
-		if dt <= 0 {
-			dt = SampleInterval
-		}
-		can := bw * dt
+		boundary := (t/SampleInterval + 1) * SampleInterval
+		can := bw * (boundary - t).Seconds()
 		if can >= remaining {
-			return t + remaining/bw - start + l.RTTSec
+			return t + Nanos(remaining/bw) - start + rtt
 		}
 		remaining -= can
 		t = boundary
 	}
-	return t - start + l.RTTSec
+	return t - start + rtt
 }
 
 // WriteCSV serializes the trace as "t,mbps" rows.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestSynthesizeLTEMeanAndShape(t *testing.T) {
@@ -59,14 +60,14 @@ func TestSynthesizeDeterministic(t *testing.T) {
 
 func TestBandwidthAtWraps(t *testing.T) {
 	tr := &Trace{Mbps: []float64{1, 2, 3}}
-	if tr.BandwidthAt(0) != 1e6 || tr.BandwidthAt(1.5) != 2e6 {
+	if tr.BandwidthAt(0) != 1e6 || tr.BandwidthAt(1500*time.Millisecond) != 2e6 || tr.BandwidthAt(time.Second-1) != 1e6 {
 		t.Error("lookup wrong")
 	}
-	if tr.BandwidthAt(3) != 1e6 || tr.BandwidthAt(4) != 2e6 {
+	if tr.BandwidthAt(3*time.Second) != 1e6 || tr.BandwidthAt(4*time.Second) != 2e6 {
 		t.Error("should wrap past the end")
 	}
 	empty := &Trace{}
-	if empty.BandwidthAt(1) != 0 {
+	if empty.BandwidthAt(time.Second) != 0 {
 		t.Error("empty trace bandwidth should be 0")
 	}
 }
@@ -90,12 +91,11 @@ func TestDownloadTimeConstantRate(t *testing.T) {
 	tr := &Trace{Mbps: []float64{2, 2, 2, 2}} // 2 Mbps constant
 	l := NewLink(tr)
 	// 1 Mbit at 2 Mbps = 0.5 s + RTT.
-	got := l.DownloadTime(0, 1e6)
-	if math.Abs(got-(0.5+l.RTTSec)) > 1e-9 {
-		t.Errorf("download time = %v, want %v", got, 0.5+l.RTTSec)
+	if got, want := l.DownloadTime(0, 1e6), 550*time.Millisecond; got != want {
+		t.Errorf("download time = %v, want %v", got, want)
 	}
 	// Zero bits costs one RTT.
-	if l.DownloadTime(0, 0) != l.RTTSec {
+	if l.DownloadTime(0, 0) != 50*time.Millisecond {
 		t.Error("empty download should cost one RTT")
 	}
 }
@@ -105,29 +105,42 @@ func TestDownloadTimeVariableRate(t *testing.T) {
 	tr := &Trace{Mbps: []float64{1, 4, 4, 4}}
 	l := NewLink(tr)
 	l.RTTSec = 0
-	got := l.DownloadTime(0, 3e6)
-	if math.Abs(got-1.5) > 1e-9 {
-		t.Errorf("download time = %v, want 1.5", got)
+	if got := l.DownloadTime(0, 3e6); got != 1500*time.Millisecond {
+		t.Errorf("download time = %v, want 1.5s", got)
 	}
 	// Mid-interval start.
-	got = l.DownloadTime(0.5, 0.5e6) // finishes exactly at t=1.0
-	if math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("mid-start download = %v, want 0.5", got)
+	if got := l.DownloadTime(500*time.Millisecond, 0.5e6); got != 500*time.Millisecond { // finishes exactly at t=1.0
+		t.Errorf("mid-start download = %v, want 0.5s", got)
+	}
+	// A start one nanosecond before a sample boundary: the nanosecond at
+	// 1 Mbps carries a thousandth of a bit, the rest goes at 4 Mbps, and
+	// the end rounds to the nanosecond.
+	if got, want := l.DownloadTime(time.Second-1, 4e6), time.Second+1; got != want {
+		t.Errorf("download from a nanosecond before the boundary = %v, want %v", got, want)
 	}
 }
 
 func TestDownloadTimeSurvivesZeroBandwidth(t *testing.T) {
 	tr := &Trace{Mbps: []float64{0}}
 	l := NewLink(tr)
-	got := l.DownloadTime(0, 1e3)
-	if math.IsInf(got, 0) || math.IsNaN(got) {
-		t.Fatalf("download time = %v", got)
-	}
-	if got <= 0 {
-		t.Fatal("download should take positive time")
+	if got := l.DownloadTime(0, 1e3); got <= 0 {
+		t.Fatalf("download time = %v, want a positive span", got)
 	}
 }
 
+// TestNanosRoundsToTheNearestNanosecond: the one float-to-virtual-time
+// rule rounds, half away from zero, rather than truncating.
+func TestNanosRoundsToTheNearestNanosecond(t *testing.T) {
+	for _, c := range []struct {
+		sec  float64
+		want time.Duration
+	}{{0, 0}, {1.5, 1500 * time.Millisecond}, {0.05, 50 * time.Millisecond},
+		{1e-9, 1}, {0.4e-9, 0}, {0.5e-9, 1}, {2.6e-9, 3}, {-2.6e-9, -3}} {
+		if got := Nanos(c.sec); got != c.want {
+			t.Errorf("Nanos(%v) = %v, want %v", c.sec, got, c.want)
+		}
+	}
+}
 func TestMeanThroughput(t *testing.T) {
 	l := NewLink(&Trace{Mbps: []float64{1, 3}})
 	if l.MeanThroughput() != 2e6 {

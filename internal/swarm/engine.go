@@ -19,6 +19,7 @@
 package swarm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -198,7 +199,7 @@ type Report struct {
 // params are one session's derived parameters — a pure function of
 // (Config.Seed, id), so execution order never matters.
 type params struct {
-	arrival   float64
+	arrival   time.Duration // the instant past the swarm epoch
 	vp, bw    int
 	faultSeed uint64
 	fetchSeed uint64
@@ -209,7 +210,7 @@ func sessionParams(cfg *Config, id int) params {
 	var p params
 	u := rng.Float64() // always drawn, so the stream is stable
 	if cfg.ArrivalWindowSec > 0 {
-		p.arrival = u * cfg.ArrivalWindowSec
+		p.arrival = nettrace.Nanos(u * cfg.ArrivalWindowSec)
 	}
 	p.vp = rng.Intn(len(cfg.Viewports))
 	p.bw = rng.Intn(len(cfg.Bandwidth))
@@ -230,12 +231,28 @@ type sessionStats struct {
 	retries     int
 	degraded    int
 	skipped     int
-	arrival     float64
-	endSec      float64
+	arrival     time.Duration
+	end         time.Duration
 	result      *client.StreamResult
 	// fleet-mode contributions (nil/zero in single-origin runs)
 	fleetReqs []int64
 	fleet     fleetCounts
+}
+
+// event is one timed occurrence in the discrete-event schedule: a
+// session arrival (delta +1) or departure (delta -1) at virtual instant
+// at.
+type event struct {
+	at    time.Duration
+	id    int
+	delta int
+}
+
+// byTime orders events by (time, departures before arrivals, session
+// id) — a total order, so a sorted schedule is the same however its
+// events were gathered.
+func byTime(a, b event) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.delta, b.delta), cmp.Compare(a.id, b.id))
 }
 
 // Run simulates the population and returns its Report. Sessions are
@@ -310,7 +327,7 @@ func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, 
 	tp, sc := newSession(cfg, p, manifestBits, place, w)
 	res, err := client.RunSession(ctx, tp, vp, sc)
 
-	st := sessionStats{arrival: p.arrival, endSec: tp.Clock.NowSec()}
+	st := sessionStats{arrival: p.arrival, end: tp.Clock.Offset()}
 	if tp.fleet != nil {
 		st.fleetReqs, st.fleet = tp.fleet.reqs, tp.fleet.fleetCounts
 	}
@@ -346,7 +363,8 @@ func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, 
 // newSession builds the transport and stream config of the session
 // drawn as p: its virtual clock, link, fault plan and fleet twin.
 func newSession(cfg *Config, p params, manifestBits float64, place *placement, w *scratch) (*netem, client.StreamConfig) {
-	clk := client.NewVirtualClock(p.arrival)
+	clk := client.NewVirtualClock(0)
+	clk.Advance(p.arrival)
 	link := &nettrace.Link{Trace: cfg.Bandwidth[p.bw], RTTSec: cfg.RTTSec}
 	tp := newNetem(cfg.Manifest, clk, link, cfg.Fault, p.faultSeed, manifestBits, w)
 	pol := cfg.Fetch
@@ -369,6 +387,7 @@ func fold(cfg *Config, slots []sessionStats, workers []scratch) *Report {
 		s.FleetShardLoad = make([]int64, cfg.Fleet.Origins)
 	}
 	var stallSum, watchSum, startupSum float64
+	var virtual, spans time.Duration // the timeline's extent; the sessions' summed span
 	var pspnr []float64
 	var load []int64
 	for i := range workers {
@@ -411,11 +430,9 @@ func fold(cfg *Config, slots []sessionStats, workers []scratch) *Report {
 		if st.scored {
 			pspnr = append(pspnr, st.meanPSPNR)
 		}
-		if st.endSec > s.VirtualSec {
-			s.VirtualSec = st.endSec
-		}
+		virtual, spans = max(virtual, st.end), spans+st.end-st.arrival
 		merge = append(merge, event{at: st.arrival, id: id, delta: +1},
-			event{at: st.endSec, id: id, delta: -1})
+			event{at: st.end, id: id, delta: -1})
 		if retained != nil {
 			retained[id] = st.result
 		}
@@ -443,19 +460,16 @@ func fold(cfg *Config, slots []sessionStats, workers []scratch) *Report {
 	}
 
 	// Concurrency curve from the sorted events: +1 at arrival, -1 at end.
+	// Its area is the sessions' summed span.
 	slices.SortFunc(merge, byTime)
 	var cur int
-	var area, last float64
 	for _, e := range merge {
-		area += float64(cur) * (e.at - last)
-		last = e.at
 		cur += e.delta
-		if cur > s.PeakConcurrency {
-			s.PeakConcurrency = cur
-		}
+		s.PeakConcurrency = max(s.PeakConcurrency, cur)
 	}
-	if s.VirtualSec > 0 {
-		s.MeanConcurrency = area / s.VirtualSec
+	if virtual > 0 {
+		s.VirtualSec = virtual.Seconds()
+		s.MeanConcurrency = float64(spans) / float64(virtual)
 		s.OriginMeanRPS = float64(s.OriginRequests) / s.VirtualSec
 	}
 	for _, n := range load {

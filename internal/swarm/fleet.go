@@ -109,10 +109,10 @@ func newFleetSim(fc *FleetConfig, place *placement, seed uint64, fetch client.Fe
 }
 
 // down reports whether shard o is inside its outage window at virtual
-// time t (seconds since the swarm epoch).
-func (fs *fleetSim) down(o int, tSec float64) bool {
+// instant at (past the swarm epoch).
+func (fs *fleetSim) down(o int, at time.Duration) bool {
 	if o >= len(fs.cfg.Outages) {
 		return false
 	}
-	return fs.cfg.Outages[o].At(time.Duration(tSec * float64(time.Second)))
+	return fs.cfg.Outages[o].At(at)
 }

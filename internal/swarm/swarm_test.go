@@ -135,6 +135,70 @@ func TestRetainResults(t *testing.T) {
 	}
 }
 
+// benchmarkShape is a fleet-mode population under the swarm_population
+// benchmark's fault rule, outage shape and hedge delay.
+func benchmarkShape(f *fixtureT) Config {
+	cfg := fleetConfig(f)
+	cfg.ArrivalWindowSec = 30
+	cfg.Fault = chaos.Rule{
+		ErrorRate: 0.02, TruncateRate: 0.01,
+		Latency: 20 * time.Millisecond, Jitter: 10 * time.Millisecond,
+	}
+	cfg.Fleet.Outages = []chaos.Down{{}, {After: 20 * time.Second, For: 30 * time.Second}}
+	cfg.ScoreEvery = 10
+	cfg.Fetch.HedgeDelay = 150 * time.Millisecond
+	return cfg
+}
+
+// TestSwarmConservesBytesAndChunks: in a seeded population of the
+// benchmark's shape, every completed session streamed each of its
+// manifest's chunks once, a chunk's bytes are its fetched tiles' sizes
+// at the levels delivered (a stale tile moved none), a session's total is
+// the sum over its chunks, and the Summary's bytes are the sum over the
+// completed sessions.
+func TestSwarmConservesBytesAndChunks(t *testing.T) {
+	f := fixture(t)
+	cfg := benchmarkShape(f)
+	cfg.Sessions = 400
+	cfg.RetainResults = true
+	rep, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var completed int
+	var total int64
+	for id, res := range rep.Results {
+		if res == nil {
+			continue
+		}
+		completed++
+		m := res.Manifest
+		if want := m.NumChunks() - m.FirstChunk; len(res.Chunks) != want {
+			t.Fatalf("session %d streamed %d chunks, want %d", id, len(res.Chunks), want)
+		}
+		sum := 0
+		for _, cr := range res.Chunks {
+			bytes := 0
+			for ti, l := range cr.Levels {
+				if cr.Stale == nil || !cr.Stale[ti] {
+					bytes += int(m.Chunks[cr.Chunk].Tiles[ti].Bits[l]) / 8
+				}
+			}
+			if cr.Bytes != bytes {
+				t.Fatalf("session %d chunk %d: %d bytes, its tiles at the levels delivered hold %d", id, cr.Chunk, cr.Bytes, bytes)
+			}
+			sum += cr.Bytes
+		}
+		if res.TotalBytes != sum {
+			t.Fatalf("session %d: TotalBytes %d, its chunks hold %d", id, res.TotalBytes, sum)
+		}
+		total += int64(res.TotalBytes)
+	}
+	if s := rep.Summary; completed != s.Completed || completed == 0 || s.Bytes != total {
+		t.Fatalf("summary: %d completed with %d bytes; the retained sessions: %d with %d", s.Completed, s.Bytes, completed, total)
+	}
+}
+
 func TestScoreEverySamples(t *testing.T) {
 	f := fixture(t)
 	cfg := baseConfig(f)

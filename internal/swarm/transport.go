@@ -48,10 +48,10 @@ func newNetem(m *manifest.Video, clk *client.VirtualClock, link *nettrace.Link, 
 	return &netem{VirtualNet: n, w: w}
 }
 
-// hit records one origin request at virtual time t (seconds past the
-// epoch).
-func (s *netem) hit(t float64) {
-	sec := int(t)
+// hit records one origin request at virtual instant at, in the bucket of
+// its whole second past the epoch.
+func (s *netem) hit(at time.Duration) {
+	sec := int(at / time.Second)
 	if sec >= len(s.w.load) {
 		s.w.load = append(s.w.load, make([]int64, sec+1-len(s.w.load))...)
 	}
@@ -67,17 +67,18 @@ func (s *netem) Manifest(ctx context.Context) (*manifest.Video, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	now := s.Clock.Offset()
 	if s.fleet != nil {
 		shard := s.fleet.place.manifest[0]
 		for _, o := range s.fleet.place.manifest {
-			if !s.fleet.down(o, s.Clock.NowSec()) {
+			if !s.fleet.down(o, now) {
 				shard = o
 				break
 			}
 		}
 		s.fleet.reqs[shard]++
 	}
-	s.hit(s.Clock.NowSec())
+	s.hit(now)
 	return s.VirtualNet.Manifest(ctx)
 }
 
@@ -85,7 +86,7 @@ func (s *netem) Manifest(ctx context.Context) (*manifest.Video, error) {
 // fleet mode the front's, answered as the object's walk ended.
 func (s *netem) Tile(ctx context.Context, k, ti int, l codec.Level) (float64, error) {
 	if s.fleet == nil {
-		s.hit(s.Clock.NowSec())
+		s.hit(s.Clock.Offset())
 		return s.VirtualNet.Tile(ctx, k, ti, l)
 	}
 	took, answered := s.walk(k, ti, l)
@@ -110,16 +111,10 @@ func (s *netem) walk(k, ti int, l codec.Level) (took time.Duration, answered boo
 	lad := &fs.lad
 	fs.pol.Start(lad, fs.place.tileOrder(k, ti, l), s.Seed^client.TileKey(k, ti, l)^fs.walks*0x9e3779b97f4a7c15)
 	defer lad.End()
-	start, t0 := s.Clock.Now(), s.Clock.NowSec()
+	start := s.Clock.Offset()
 	for {
-		// A rung starts took after the walk: now on the ladder's clock, t
-		// in seconds past the epoch, the same instant as the walk's start
-		// for the first rung.
-		now, t := start, t0
-		if took > 0 {
-			now, t = start.Add(took), t0+took.Seconds()
-		}
-		switch lad.Next(now) {
+		at := start + took // the rung's instant
+		switch lad.Next(instant(at)) {
 		case fleet.Backoff:
 			took += lad.Backoff()
 			continue
@@ -129,7 +124,7 @@ func (s *netem) walk(k, ti int, l codec.Level) (took time.Duration, answered boo
 		case fleet.Exhausted:
 			return took, false
 		}
-		d, answered := s.race(lad, now, t, k, ti, l)
+		d, answered := s.race(lad, at, k, ti, l)
 		took += d
 		if answered {
 			if lad.Failover() {
@@ -150,17 +145,20 @@ type flight struct {
 	err      error
 }
 
-// send prices one back-leg request to shard o leaving at virtual time t
-// (seconds past the epoch): how long the origin takes and how it ends.
+// instant is virtual instant at as the ladder's time.Time.
+func instant(at time.Duration) time.Time { return time.Unix(0, int64(at)) }
+
+// send prices one back-leg request to shard o leaving at virtual instant
+// at: how long the origin takes and how it ends.
 // The edge's leg to an origin is loopback, so a request costs only its
 // server delay. A shard inside its outage window resets at once; a live
 // one serves a primary under the object's fault plan (its latency, plus
 // the stall if one is drawn) and a hedge as a clean request.
-func (s *netem) send(o int, t float64, hedge bool, k, ti int, l codec.Level) (time.Duration, error) {
+func (s *netem) send(o int, at time.Duration, hedge bool, k, ti int, l codec.Level) (time.Duration, error) {
 	s.fleet.reqs[o]++
-	s.hit(t)
+	s.hit(at)
 	switch {
-	case s.fleet.down(o, t):
+	case s.fleet.down(o, at):
 		return 0, errOrigin
 	case hedge:
 		return 0, nil
@@ -177,24 +175,24 @@ func (s *netem) send(o int, t float64, hedge bool, k, ti int, l codec.Level) (ti
 	return d, nil
 }
 
-// race runs the ladder's current rung, admitted at now (t seconds past
-// the epoch): the primary and, when it is still in flight as the hedge
-// delay expires, the admitted backup. Outcomes go to the ladder in
-// completion order; the first answer wins and the loser is cancelled. It
-// returns how long after now the rung ended — at the answer, or at the
-// last failure — and whether it was answered.
-func (s *netem) race(lad *fleet.Ladder, now time.Time, t float64, k, ti int, l codec.Level) (time.Duration, bool) {
+// race runs the ladder's current rung, admitted at instant at: the
+// primary and, when it is still in flight as the hedge delay expires, the
+// admitted backup. Outcomes go to the ladder in completion order; the
+// first answer wins and the loser is cancelled. It returns how long after
+// at the rung ended — at the answer, or at the last failure — and whether
+// it was answered.
+func (s *netem) race(lad *fleet.Ladder, at time.Duration, k, ti int, l codec.Level) (time.Duration, bool) {
 	fs := s.fleet
 	p := flight{o: lad.Origin()}
 	var h flight
-	p.to, p.err = s.send(p.o, t, false, k, ti, l)
+	p.to, p.err = s.send(p.o, at, false, k, ti, l)
 	fl, n := [2]*flight{&p, &h}, 1
 	if d, ok := lad.HedgeDelay(); ok && p.to > d {
-		switch lad.Hedge(now.Add(d)) {
+		switch lad.Hedge(instant(at + d)) {
 		case fleet.Admitted:
 			fs.hedges++
 			h.o, h.hedge, h.from = lad.Backup(), true, d
-			h.to, h.err = s.send(h.o, t+d.Seconds(), true, k, ti, l)
+			h.to, h.err = s.send(h.o, at+d, true, k, ti, l)
 			h.to += d
 			if n = 2; h.to < p.to {
 				fl[0], fl[1] = &h, &p
@@ -206,18 +204,18 @@ func (s *netem) race(lad *fleet.Ladder, now time.Time, t float64, k, ti int, l c
 	var end, last time.Duration // when the answer came; when the last request ended
 	answered := false
 	for _, f := range fl[:n] {
-		out, err, at := fleet.Failed, f.err, f.to
+		out, err, to := fleet.Failed, f.err, f.to
 		switch {
 		case answered:
-			out, err, at = fleet.Cancelled, nil, end
+			out, err, to = fleet.Cancelled, nil, end
 		case f.err == nil:
 			out, end, answered = fleet.Answered, f.to, true
 			if f.hedge {
 				fs.hedgeWins++
 			}
 		}
-		last = at
-		lad.Resolve(f.hedge, out, err, now.Add(at), at-f.from)
+		last = to
+		lad.Resolve(f.hedge, out, err, instant(at+to), to-f.from)
 	}
 	return last, answered
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"strings"
 	"time"
 
@@ -96,20 +97,24 @@ func (s SLO) withDefaults() SLO {
 	if s.Quantile <= 0 || s.Quantile >= 1 {
 		s.Quantile = 0.99
 	}
-	if s.WarnBurn <= 0 {
+	if unset(s.WarnBurn) {
 		s.WarnBurn = 2
 	}
-	if s.PageBurn <= 0 {
+	if unset(s.PageBurn) {
 		s.PageBurn = 6
 	}
 	if s.ClearAfter <= 0 {
 		s.ClearAfter = 3
 	}
-	if s.Budget <= 0 {
+	if unset(s.Budget) {
 		s.Budget = 0.1
 	}
 	return s
 }
+
+// unset reports whether a budget or burn takes its default: it is not
+// finite and positive (a NaN or infinite one would silence the SLO).
+func unset(v float64) bool { return !(v > 0) || math.IsInf(v, 1) }
 
 func (s SLO) metrics() []string { return strings.Split(s.Metric, "|") }
 

@@ -104,6 +104,34 @@ func TestYoungProcessBurnClampsToHistory(t *testing.T) {
 	}
 }
 
+// TestCodeBuiltSLOTakesDefaultsForNonFiniteFields: an SLO built in code
+// (Config.SLOs), which ParseSLOs never sees, with a NaN or infinite
+// budget or burn takes that field's default, so a full stall pages it.
+func TestCodeBuiltSLOTakesDefaultsForNonFiniteFields(t *testing.T) {
+	for _, field := range []string{"budget", "warn", "page"} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			slo := rateSLO()
+			switch field {
+			case "budget":
+				slo.Budget = v
+			case "warn":
+				slo.WarnBurn = v
+			case "page":
+				slo.PageBurn = v
+			}
+			s, reg, _ := newTestSampler(t, slo)
+			bad := reg.Counter("bad_seconds_total", "stall seconds")
+			for sec := 0; sec < 15; sec++ {
+				bad.Add(1)
+				s.Step(at(sec))
+			}
+			if got, st := s.State("stall"), s.States()[0]; got != StatePage {
+				t.Errorf("%s %v: state %v at burns %v/%v under a full stall, want page", field, v, got, st.BurnFast, st.BurnSlow)
+			}
+		}
+	}
+}
+
 func TestFlapDampingHoldsStateThroughBlips(t *testing.T) {
 	slo := rateSLO()
 	slo.ClearAfter = 3
