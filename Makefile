@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmt race fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider fuzz-fleet fuzz-client fuzz-chaos fuzz-telemetry exports trace edge swarm fleet cluster live lut benchdiff bench microbench loc clean
+.PHONY: build test check vet fmt race fuzz-abr fuzz-player fuzz-server fuzz-manifest fuzz-provider fuzz-fleet fuzz-client fuzz-chaos fuzz-telemetry fuzz-store exports knobs trace edge swarm fleet cluster live lut benchdiff bench microbench loc clean
 
 build:
 	$(GO) build ./...
@@ -131,11 +131,29 @@ fuzz-chaos:
 fuzz-telemetry:
 	$(GO) test -run '^$$' -fuzz FuzzParseSLOs -fuzztime 20s ./internal/telemetry
 
+# Twenty seconds of fuzzing the store's catalog decoder
+# (internal/store: ReadCatalog never panics, every head it accepts names
+# its manifest and tiles by sha256 digests and its tiles by sizes a read
+# can allocate, and no read over an accepted head opens a path outside
+# the store root). Not part of check, for the same reason; the committed
+# seeds under internal/store/testdata/fuzz/ — a tile or manifest digest
+# climbing out of the store, a size of 1<<62, a negative size, an
+# uppercase digest, a torn head — replay under plain `go test`.
+fuzz-store:
+	$(GO) test -run '^$$' -fuzz FuzzReadCatalog -fuzztime 20s ./internal/store
+
 # The export guard (exports_test.go, tier-1) verbose: every exported
 # name under internal/ and cmd/internal/ needs a non-test caller, and
 # each allowlisted exception is printed with its reason.
 exports:
 	$(GO) test -count=1 -run '^TestEveryExportHasACaller$$' -v .
+
+# The knob guard (knobs_test.go, tier-1) verbose: every exported field
+# of a *Config, *Policy, *Options or *Opts struct under internal/ and
+# cmd/internal/ needs a non-test setter outside its package, and each
+# allowlisted exception is printed with its reason.
+knobs:
+	$(GO) test -count=1 -run '^TestEveryKnobIsSet$$' -v .
 
 # One traced session end to end: a seeded simulator run (per-phase
 # latency breakdown lands in BENCH_trace.json). The exported

@@ -65,7 +65,7 @@ func main() {
 	}
 	_, sampler, h, err := telemetry.NewPlane(telemetry.ScraperConfig{
 		Targets: targets, Timeout: *timeout, Interval: *interval, Log: evlog,
-	}, slos, 0)
+	}, slos)
 	if err != nil {
 		log.Fatalf("pano-obsd: %v", err)
 	}

@@ -13,18 +13,28 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// allowed is one name the export guard lets stand without a non-test
-// caller. Class is one of the closed set in allowClasses.
+// allowed is one name a guard lets stand. Class is one of the closed set
+// in allowClasses.
 type allowed struct{ class, why string }
 
+// in reports whether a names one of classes and gives a one-line reason.
+func (a allowed) in(classes string) bool {
+	return len(a.class) == 1 && strings.Contains(classes, a.class) && a.why != "" && !strings.Contains(a.why, "\n")
+}
+
+// allowClasses is the closed set of reasons both guards accept; each
+// guard takes only its own classes: exports (a)-(d), knobs (a), (e), (f).
 var allowClasses = map[string]string{
 	"a": "documented in README.md or DESIGN.md as API",
 	"b": "a reference implementation or golden input tests compare against",
 	"c": "cross-package test support",
 	"d": "the implicit zero value of an enum",
+	"e": "a seam through which tests swap in a fake clock or client",
+	"f": "named by benchmark/, whose harness builds against it unchanged",
 }
 
 // exportAllowlist names, as pkg.Name or pkg.Type.Method, the exported
@@ -82,7 +92,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 		if !seen[key] {
 			t.Errorf("exportAllowlist names %s, which is not an exported identifier under internal/ or cmd/internal/", key)
 		}
-		if allowClasses[a.class] == "" || a.why == "" || strings.Contains(a.why, "\n") {
+		if !a.in("abcd") {
 			t.Errorf("exportAllowlist %s: want a class in (a)-(d) and a one-line reason, got %q %q", key, a.class, a.why)
 		}
 	}
@@ -99,17 +109,36 @@ type module struct {
 	decls  map[types.Object]ast.Node
 	used   map[types.Object]bool
 	ifaces map[*types.Interface]bool
+	// sets holds, per struct field, the import paths of the packages
+	// whose non-test files write it.
+	sets map[*types.Var]map[string]bool
 }
 
+var (
+	moduleOnce sync.Once
+	moduleVal  *module
+	moduleErr  error
+)
+
+// loadModule type-checks the module once per test binary; both guards
+// read the same result.
 func loadModule(t *testing.T) *module {
 	t.Helper()
+	moduleOnce.Do(func() { moduleVal, moduleErr = typeCheckModule() })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleVal
+}
+
+func typeCheckModule() (*module, error) {
 	root, err := os.Getwd()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	fset := token.NewFileSet()
 	m := &module{
@@ -122,6 +151,7 @@ func loadModule(t *testing.T) *module {
 		decls:  map[types.Object]ast.Node{},
 		used:   map[types.Object]bool{},
 		ifaces: map[*types.Interface]bool{},
+		sets:   map[*types.Var]map[string]bool{},
 	}
 	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -139,15 +169,15 @@ func loadModule(t *testing.T) *module {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	for p := range m.dirs {
 		if _, err := m.Import(p); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
 	m.collectInterfaces()
-	return m
+	return m, nil
 }
 
 func modulePath(gomod string) string {
@@ -197,6 +227,7 @@ func (m *module) Import(path string) (*types.Package, error) {
 	}
 	m.pkgs[path] = pkg
 	m.record(files, info)
+	m.recordSets(path, files, info)
 	return pkg, nil
 }
 

@@ -22,7 +22,6 @@ func fastFetchPolicy() FetchPolicy {
 		MaxAttempts:       2,
 		BaseBackoff:       time.Millisecond,
 		MaxBackoff:        4 * time.Millisecond,
-		JitterFrac:        0.5,
 		AttemptTimeout:    2 * time.Second,
 		MinAttemptTimeout: 50 * time.Millisecond,
 		Seed:              7,

@@ -41,12 +41,10 @@ type FetchPolicy struct {
 	// sees at most 2*MaxAttempts requests before it is skipped.
 	MaxAttempts int
 	// BaseBackoff is the first retry delay (default 50ms); each retry
-	// doubles it up to MaxBackoff (default 1s).
+	// doubles it up to MaxBackoff (default 1s), and backoffJitterFrac
+	// randomizes it.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// JitterFrac randomizes each backoff within ±JitterFrac/2 of itself
-	// (default 0.5) so synchronized clients don't retry in lockstep.
-	JitterFrac float64
 	// AttemptTimeout caps one attempt (default 5s). MinAttemptTimeout
 	// (default 100ms) floors the buffer-derived deadline so progress is
 	// always possible even with an empty buffer.
@@ -61,14 +59,11 @@ type FetchPolicy struct {
 	// selects an adaptive delay tracking the observed p95 fetch latency,
 	// a negative value disables hedging.
 	HedgeDelay time.Duration
-	// HedgeBudgetRatio is the token-bucket earn rate guarding hedges and
-	// failover retries: each primary request earns this many tokens and
-	// each hedge or failover spends one (default 0.1 — at most ~10%
-	// extra origin load, so shard loss never becomes a retry storm).
-	// HedgeBudgetBurst caps the bucket (default 8).
-	HedgeBudgetRatio float64
-	HedgeBudgetBurst float64
 }
+
+// backoffJitterFrac randomizes each backoff within ±backoffJitterFrac/2
+// of itself, so synchronized clients don't retry in lockstep.
+const backoffJitterFrac = 0.5
 
 // DefaultFetchPolicy returns the default resilient policy.
 func DefaultFetchPolicy() FetchPolicy {
@@ -76,11 +71,8 @@ func DefaultFetchPolicy() FetchPolicy {
 		MaxAttempts:       3,
 		BaseBackoff:       50 * time.Millisecond,
 		MaxBackoff:        time.Second,
-		JitterFrac:        0.5,
 		AttemptTimeout:    5 * time.Second,
 		MinAttemptTimeout: 100 * time.Millisecond,
-		HedgeBudgetRatio:  0.1,
-		HedgeBudgetBurst:  8,
 	}
 }
 
@@ -99,20 +91,11 @@ func (p FetchPolicy) WithDefaults() FetchPolicy {
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = d.MaxBackoff
 	}
-	if p.JitterFrac <= 0 {
-		p.JitterFrac = d.JitterFrac
-	}
 	if p.AttemptTimeout <= 0 {
 		p.AttemptTimeout = d.AttemptTimeout
 	}
 	if p.MinAttemptTimeout <= 0 {
 		p.MinAttemptTimeout = d.MinAttemptTimeout
-	}
-	if p.HedgeBudgetRatio <= 0 {
-		p.HedgeBudgetRatio = d.HedgeBudgetRatio
-	}
-	if p.HedgeBudgetBurst <= 0 {
-		p.HedgeBudgetBurst = d.HedgeBudgetBurst
 	}
 	return p
 }
@@ -148,8 +131,9 @@ func (p FetchPolicy) Backoff(attempt int, rng *mathx.RNG) time.Duration {
 	if d > p.MaxBackoff {
 		d = p.MaxBackoff
 	}
-	if p.JitterFrac > 0 && rng != nil {
-		d = time.Duration(float64(d) * (1 - p.JitterFrac/2 + p.JitterFrac*rng.Float64()))
+	if rng != nil {
+		const j = backoffJitterFrac
+		d = time.Duration(float64(d) * (1 - j/2 + j*rng.Float64()))
 	}
 	return d
 }

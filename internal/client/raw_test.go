@@ -21,7 +21,6 @@ func rawTestPolicy() FetchPolicy {
 		MaxAttempts:    3,
 		BaseBackoff:    time.Millisecond,
 		MaxBackoff:     4 * time.Millisecond,
-		JitterFrac:     0.5,
 		AttemptTimeout: 2 * time.Second,
 	}
 }

@@ -92,7 +92,6 @@ func fastPolicy() client.FetchPolicy {
 		MaxAttempts:    2,
 		BaseBackoff:    time.Millisecond,
 		MaxBackoff:     2 * time.Millisecond,
-		JitterFrac:     0.5,
 		AttemptTimeout: 2 * time.Second,
 	}
 }

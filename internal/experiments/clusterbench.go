@@ -166,7 +166,7 @@ func ClusterBench(d *Dataset) (ClusterBenchResult, *Table, error) {
 	}
 	sc, smp, obsd, err := telemetry.NewPlane(telemetry.ScraperConfig{
 		Targets: targets, Timeout: 2 * time.Second, Interval: time.Second,
-	}, slos, 3*time.Minute)
+	}, slos)
 	if err != nil {
 		return res, nil, err
 	}

@@ -14,7 +14,6 @@ import (
 	"pano/internal/mathx"
 	"pano/internal/provider"
 	"pano/internal/scene"
-	"pano/internal/tiling"
 	"pano/internal/viewport"
 )
 
@@ -171,9 +170,6 @@ func (d *Dataset) Manifest(i int, mode provider.Mode) (*manifest.Video, error) {
 	}
 	cfg := provider.DefaultConfig()
 	cfg.Mode = mode
-	if mode == provider.ModeUniform {
-		cfg.Grid = tiling.Grid6x12
-	}
 	m, err := provider.Preprocess(d.videos[i], trs, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: video %d mode %v: %w", i, mode, err)

@@ -13,7 +13,7 @@ import (
 // refused one leaves breaker and budget untouched.
 func TestAdmitConservesSlotsAndTokens(t *testing.T) {
 	t0 := time.Unix(100, 0)
-	cfg := BreakerConfig{FailureThreshold: 1, OpenFor: time.Second, JitterFrac: 0.001}
+	cfg := BreakerConfig{FailureThreshold: 1, OpenFor: time.Second} // open for 0.75 s to 1.25 s
 	type breakerAt func() (*Breaker, time.Time)
 	closed := func() (*Breaker, time.Time) { return NewBreaker(cfg, 1), t0 }
 	open := func() (*Breaker, time.Time) {

@@ -42,12 +42,13 @@ type BreakerConfig struct {
 	// OpenFor is the base interval an open breaker rejects traffic
 	// before admitting a half-open probe (default 2s).
 	OpenFor time.Duration
-	// JitterFrac spreads each open interval uniformly within
-	// ±JitterFrac/2 of OpenFor (default 0.5), so a fleet of breakers
-	// opened by the same outage doesn't probe in lockstep. The jitter
-	// is drawn from a seeded RNG, which keeps swarm runs deterministic.
-	JitterFrac float64
 }
+
+// openJitterFrac spreads each open interval uniformly within
+// ±openJitterFrac/2 of OpenFor, so a fleet of breakers opened by the
+// same outage doesn't probe in lockstep. The jitter is drawn from a
+// seeded RNG, which keeps swarm runs deterministic.
+const openJitterFrac = 0.5
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.FailureThreshold <= 0 {
@@ -55,9 +56,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.OpenFor <= 0 {
 		c.OpenFor = 2 * time.Second
-	}
-	if c.JitterFrac <= 0 {
-		c.JitterFrac = 0.5
 	}
 	return c
 }
@@ -191,7 +189,7 @@ func (b *Breaker) Failure(now time.Time) {
 
 // openFor draws the jittered open interval.
 func (b *Breaker) openFor() time.Duration {
-	j := b.cfg.JitterFrac
+	const j = openJitterFrac
 	return time.Duration(float64(b.cfg.OpenFor) * (1 - j/2 + j*b.rng.Float64()))
 }
 

@@ -84,7 +84,7 @@ func (b *refBreaker) Failure(now time.Time) {
 	if b.state == HalfOpen || b.fails >= b.cfg.FailureThreshold {
 		b.state = Open
 		b.fails = 0
-		j := b.cfg.JitterFrac
+		const j = openJitterFrac
 		b.until = now.Add(time.Duration(float64(b.cfg.OpenFor) * (1 - j/2 + j*b.rng.Float64())))
 	}
 }

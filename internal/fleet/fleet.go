@@ -38,8 +38,6 @@ type Config struct {
 	// structured failover/breaker events. Both nil-safe.
 	Obs *obs.Registry
 	Log *obs.EventLog
-	// Now is the wall clock (tests may override).
-	Now func() time.Time
 }
 
 // origin is one shard: its base URL, raw-fetch client, and breaker,
@@ -64,8 +62,8 @@ type Fleet struct {
 	ring   *Ring
 	ors    []*origin
 	lad    *Policy
-	budget *Budget // lad's
-	now    func() time.Time
+	budget *Budget          // lad's
+	now    func() time.Time // the wall clock; tests set a fake one
 	seq    atomic.Uint64
 
 	stop     chan struct{}
@@ -102,12 +100,9 @@ func New(cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:  cfg,
 		ring: NewRing(cfg.Origins, defaultVnodes),
-		now:  cfg.Now,
+		now:  time.Now,
 		stop: make(chan struct{}),
 		lad:  NewPolicy(cfg.Fetch, cfg.Breaker, len(cfg.Origins), cfg.Seed^0xb4ea),
-	}
-	if f.now == nil {
-		f.now = time.Now
 	}
 	f.budget = f.lad.Budget()
 	f.once = f.lad.fetch

@@ -399,12 +399,11 @@ func TestHedgedFetchWinsOnSlowPrimary(t *testing.T) {
 
 	cfg := testConfig(t, []string{ts0.URL, ts1.URL})
 	cfg.Fetch.HedgeDelay = 20 * time.Millisecond
-	cfg.Fetch.HedgeBudgetRatio = 1
-	cfg.Fetch.HedgeBudgetBurst = 100
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setBudget(f, 1, 100)
 	defer f.Close()
 
 	// Find a path owned by the slow origin.
@@ -456,13 +455,12 @@ func TestBudgetExhaustionStopsRetryStorm(t *testing.T) {
 		d.Store(true)
 	}
 	cfg := testConfig(t, urls)
-	cfg.Fetch.HedgeBudgetRatio = 0.1
-	cfg.Fetch.HedgeBudgetBurst = 3
 	cfg.Breaker = BreakerConfig{FailureThreshold: 1000, OpenFor: time.Minute} // isolate the budget
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setBudget(f, 0.1, 3)
 	defer f.Close()
 	tctx, root := trace.New(trace.Config{Seed: 5}).Start(context.Background(), "test")
 	defer root.End()
@@ -558,13 +556,12 @@ func TestBudgetExhaustionReleasesProbe(t *testing.T) {
 	ts0, _, down0 := newOriginServer(t)
 	ts1, _, _ := newOriginServer(t)
 	cfg := testConfig(t, []string{ts0.URL, ts1.URL})
-	cfg.Fetch.HedgeBudgetRatio = 0.001
-	cfg.Fetch.HedgeBudgetBurst = 1
 	cfg.Breaker = BreakerConfig{FailureThreshold: 1, OpenFor: time.Millisecond}
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setBudget(f, 0.001, 1)
 	defer f.Close()
 
 	// A path owned by origin 0, so the ladder reaches origin 1 with
@@ -591,4 +588,11 @@ func TestBudgetExhaustionReleasesProbe(t *testing.T) {
 	if !f.ors[1].brk.Available(f.now()) {
 		t.Fatal("budget-exhausted ladder leaked origin 1's half-open probe slot")
 	}
+}
+
+// setBudget replaces f's retry/hedge budget with a full one that earns
+// ratio tokens per primary request and holds at most burst.
+func setBudget(f *Fleet, ratio, burst float64) {
+	f.lad.budget = NewBudget(ratio, burst)
+	f.budget = f.lad.budget
 }

@@ -144,11 +144,11 @@ func TestBreakerGaugePublishedOnChange(t *testing.T) {
 	f, err := New(Config{
 		Origins: []string{"http://a:1", "http://b:1"}, Obs: reg,
 		Breaker: BreakerConfig{FailureThreshold: 2, OpenFor: time.Second},
-		Now:     func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.now = func() time.Time { return now }
 	defer f.Close()
 	gauge := func(i int) float64 {
 		return reg.GaugeValue("pano_fleet_breaker_state", obs.L("origin", strconv.Itoa(i)))

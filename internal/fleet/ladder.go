@@ -61,14 +61,23 @@ type Policy struct {
 	lat    *latTracker // nil unless HedgeDelay is 0
 }
 
+// The retry/hedge budget: each primary request earns budgetRatio tokens
+// and each hedge or failover spends one, so they add at most ~10 %
+// extra origin load and shard loss never becomes a retry storm; the
+// bucket holds at most budgetBurst.
+const (
+	budgetRatio = 0.1
+	budgetBurst = 8
+)
+
 // NewPolicy builds the shared state of n origins. Breaker i draws its
-// jitter from seed ^ i·φ; the budget is the fetch policy's.
+// jitter from seed ^ i·φ.
 func NewPolicy(fetch client.FetchPolicy, brk BreakerConfig, n int, seed uint64) *Policy {
 	p := &Policy{fetch: fetch.WithDefaults(), brks: make([]*Breaker, n)}
 	for i := range p.brks {
 		p.brks[i] = NewBreaker(brk, seed^uint64(i)*0x9e3779b97f4a7c15)
 	}
-	p.budget = NewBudget(p.fetch.HedgeBudgetRatio, p.fetch.HedgeBudgetBurst)
+	p.budget = NewBudget(budgetRatio, budgetBurst)
 	if p.fetch.HedgeDelay == 0 {
 		p.lat = newLatTracker()
 	}

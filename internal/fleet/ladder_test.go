@@ -214,10 +214,11 @@ func FuzzLadder(f *testing.F) {
 		fetch := client.FetchPolicy{
 			MaxAttempts: 1 + in.next(3),
 			BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond,
-			HedgeDelay:       []time.Duration{-1, 0, 20 * time.Millisecond}[in.next(3)],
-			HedgeBudgetRatio: 0.5, HedgeBudgetBurst: float64(1 + in.next(3)),
+			HedgeDelay: []time.Duration{-1, 0, 20 * time.Millisecond}[in.next(3)],
 		}
+		burst := float64(1 + in.next(3))
 		p := NewPolicy(fetch, BreakerConfig{FailureThreshold: 1 + in.next(2), OpenFor: 100 * time.Millisecond}, n, uint64(in.next(256)))
+		p.budget = NewBudget(0.5, burst)
 		now := time.Unix(1000, 0)
 		for _, b := range p.brks {
 			switch in.next(3) {

@@ -137,9 +137,9 @@ func TestLiveHTTPSemantics(t *testing.T) {
 	_, rep := runFeed(t, live.Config{
 		Video: v, History: trs, Store: s,
 		CaptureInterval: time.Millisecond, WindowChunks: 2,
-		// Long retention: retired chunks leave the catalog but their
-		// blobs survive, which is exactly the 410 regime.
-		Retention: time.Hour,
+		// The 30 s retention outlives the test: retired chunks leave the
+		// catalog but their blobs survive, which is exactly the 410
+		// regime.
 	})
 	if rep.Expired == 0 {
 		t.Fatal("test needs a slid window")

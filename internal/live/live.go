@@ -11,7 +11,7 @@
 //
 //	capture  — paces chunk arrival (CaptureInterval per chunk; the
 //	           chunk's publish deadline starts here)
-//	encode   — EncodeWorkers concurrent provider.ChunkAt calls; when
+//	encode   — encodeWorkers concurrent provider.ChunkAt calls; when
 //	           the EWMA encode-time forecast says the standard config
 //	           would miss the deadline, the chunk drops to the degraded
 //	           rung (uniform grid, single sampled frame) instead of
@@ -41,7 +41,6 @@ import (
 	"pano/internal/provider"
 	"pano/internal/scene"
 	"pano/internal/store"
-	"pano/internal/tiling"
 	"pano/internal/trace"
 	"pano/internal/viewport"
 )
@@ -63,22 +62,26 @@ type Config struct {
 	// WindowChunks bounds the availability window (0 = unbounded: no
 	// chunk is ever retired).
 	WindowChunks int
-	// EncodeWorkers bounds concurrent chunk encodes (default 2; the
-	// publish stage reorders, so >1 never reorders the feed).
-	EncodeWorkers int
 	// Store receives published blobs and the catalog head. Required.
 	Store *store.Store
-	// Retention is the GC horizon for retired blobs (default 30 s);
-	// it must exceed the reading origins' catalog refresh lag.
-	Retention time.Duration
-	// Clock paces capture and measures deadlines (nil = wall clock).
-	Clock client.Clock
 	// Obs, Log, and Tracer attach metrics, structured events, and
 	// spans; nil disables each at zero cost.
 	Obs    *obs.Registry
 	Log    *obs.EventLog
 	Tracer *trace.Tracer
 }
+
+// wall paces capture and measures deadlines.
+var wall client.RealClock
+
+const (
+	// encodeWorkers bounds concurrent chunk encodes; the publish stage
+	// reorders, so more than one never reorders the feed.
+	encodeWorkers = 2
+	// retention is the GC horizon for retired blobs; it must exceed the
+	// reading origins' catalog refresh lag.
+	retention = 30 * time.Second
+)
 
 // DegradedConfig derives the cheap ladder rung from a standard encode
 // config: a uniform grid (no per-chunk efficiency clustering) and a
@@ -87,7 +90,6 @@ type Config struct {
 func DegradedConfig(base provider.Config) provider.Config {
 	d := base
 	d.Mode = provider.ModeUniform
-	d.Grid = tiling.Grid6x12
 	d.FrameStride = 1 << 20 // one sample per chunk
 	return d
 }
@@ -119,7 +121,6 @@ func (r *Report) OnTimeFrac() float64 {
 // Pipeline is one live feed. Create with New, drive with Run.
 type Pipeline struct {
 	cfg       Config
-	clk       client.Clock
 	numChunks int
 
 	pub publisher
@@ -137,25 +138,12 @@ func New(cfg Config) (*Pipeline, error) {
 	if err := cfg.Video.Validate(); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	if cfg.EncodeWorkers <= 0 {
-		cfg.EncodeWorkers = 2
-	}
-	if cfg.Retention <= 0 {
-		cfg.Retention = 30 * time.Second
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = client.RealClock{}
-	}
-	chunkSec := provider.DefaultConfig().ChunkSec
 	if cfg.CaptureInterval <= 0 {
-		cfg.CaptureInterval = time.Duration(chunkSec * float64(time.Second))
+		cfg.CaptureInterval = time.Duration(provider.ChunkSec * float64(time.Second))
 	}
-	n := int(float64(cfg.Video.DurationSec) / chunkSec)
-	if n == 0 {
-		return nil, fmt.Errorf("live: video shorter than one chunk")
-	}
-	p := &Pipeline{cfg: cfg, clk: cfg.Clock, numChunks: n}
-	p.pub.init(p, chunkSec)
+	n := int(float64(cfg.Video.DurationSec) / provider.ChunkSec)
+	p := &Pipeline{cfg: cfg, numChunks: n}
+	p.pub.init(p, provider.ChunkSec)
 	return p, nil
 }
 
@@ -209,22 +197,22 @@ func (p *Pipeline) Run(ctx context.Context) (*Report, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	jobs := make(chan capturedChunk, p.cfg.EncodeWorkers)
-	encoded := make(chan encodedChunk, p.cfg.EncodeWorkers)
+	jobs := make(chan capturedChunk, encodeWorkers)
+	encoded := make(chan encodedChunk, encodeWorkers)
 
 	// Capture stage: the feed's metronome.
 	go func() {
 		defer close(jobs)
-		start := p.clk.Now()
+		start := wall.Now()
 		for k := 0; k < p.numChunks; k++ {
 			target := start.Add(time.Duration(k) * p.cfg.CaptureInterval)
-			if d := target.Sub(p.clk.Now()); d > 0 {
-				if p.clk.Sleep(ctx, d) != nil {
+			if d := target.Sub(wall.Now()); d > 0 {
+				if wall.Sleep(ctx, d) != nil {
 					return
 				}
 			}
 			select {
-			case jobs <- capturedChunk{k: k, capturedAt: p.clk.Now()}:
+			case jobs <- capturedChunk{k: k, capturedAt: wall.Now()}:
 			case <-ctx.Done():
 				return
 			}
@@ -234,7 +222,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Report, error) {
 	// Encode stage.
 	var ewma encodeEWMA
 	done := make(chan struct{})
-	for w := 0; w < p.cfg.EncodeWorkers; w++ {
+	for w := 0; w < encodeWorkers; w++ {
 		go func() {
 			for job := range jobs {
 				select {
@@ -246,7 +234,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Report, error) {
 		}()
 	}
 	go func() {
-		for w := 0; w < p.cfg.EncodeWorkers; w++ {
+		for w := 0; w < encodeWorkers; w++ {
 			<-done
 		}
 		close(encoded)
@@ -326,14 +314,14 @@ func (p *Pipeline) encode(ctx context.Context, job capturedChunk, ewma *encodeEW
 	if p.cfg.Deadline > 0 {
 		deadline := job.capturedAt.Add(p.cfg.Deadline)
 		forecast := ewma.get()
-		if !p.clk.Now().Add(forecast).Before(deadline) {
+		if !wall.Now().Add(forecast).Before(deadline) {
 			degraded = true
 			cfg = DegradedConfig(cfg)
 		}
 	}
-	t0 := p.clk.Now()
+	t0 := wall.Now()
 	ch, err := provider.ChunkAt(p.cfg.Video, p.cfg.History, cfg, job.k)
-	dur := p.clk.Since(t0)
+	dur := wall.Since(t0)
 	if err == nil && !degraded {
 		ewma.observe(dur)
 	}

@@ -44,7 +44,7 @@ func TestPipelinePublishesWholeFeed(t *testing.T) {
 		Video: v, History: trs, Store: s,
 		CaptureInterval: time.Millisecond, Deadline: time.Minute,
 	})
-	chunkSec := provider.DefaultConfig().ChunkSec
+	chunkSec := provider.ChunkSec
 	wantChunks := int(float64(v.DurationSec) / chunkSec)
 	if rep.Chunks != wantChunks {
 		t.Fatalf("published %d chunks, want %d", rep.Chunks, wantChunks)

@@ -137,10 +137,10 @@ func (pb *publisher) publish(ctx context.Context, ec encodedChunk, last bool) er
 		return err
 	}
 	if expired > 0 {
-		cfg.Store.GC(cfg.Retention)
+		cfg.Store.GC(retention)
 	}
 
-	lat := pb.p.clk.Since(ec.capturedAt)
+	lat := wall.Since(ec.capturedAt)
 	late := cfg.Deadline > 0 && lat > cfg.Deadline
 	pb.mu.Lock()
 	pb.rep.Chunks++

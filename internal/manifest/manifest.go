@@ -36,6 +36,7 @@ import (
 	"pano/internal/codec"
 	"pano/internal/geom"
 	"pano/internal/mathx"
+	"pano/internal/nettrace"
 )
 
 // ObjectSample is one entry of a tile's object-trajectory track: the
@@ -144,10 +145,11 @@ type Video struct {
 func (v *Video) NumChunks() int { return len(v.Chunks) }
 
 // RefreshInterval is a live manifest's refresh cadence, half a chunk
-// floored at 100 ms: the origin's live max-age, the edge's live TTL
-// (each capped at its own) and the client's default poll.
+// (rounded to the nanosecond, as every float second is) floored at
+// 100 ms: the origin's live max-age, the edge's live TTL (each capped at
+// its own) and the client's default poll.
 func (v *Video) RefreshInterval() time.Duration {
-	return max(time.Duration(v.ChunkSec*float64(time.Second)/2), 100*time.Millisecond)
+	return max(nettrace.Nanos(v.ChunkSec/2), 100*time.Millisecond)
 }
 
 // DurationSec returns the video duration in seconds.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"testing"
+	"time"
 
 	"pano/internal/codec"
 	"pano/internal/geom"
@@ -258,5 +259,25 @@ func TestValidateRejectsBadLiveFields(t *testing.T) {
 	v.WindowChunks = -2
 	if err := v.Validate(); err == nil {
 		t.Error("negative window should fail")
+	}
+}
+
+// TestRefreshIntervalRoundsToTheNanosecond: half a chunk enters virtual
+// time by nettrace.Nanos's rounding, like every other float second. At
+// 2.01 s chunks truncating ChunkSec·1e9/2 read 1.004999999 s; the
+// repo's 1 s and 0.5 s chunks and the 100 ms floor read as before.
+func TestRefreshIntervalRoundsToTheNanosecond(t *testing.T) {
+	for _, tc := range []struct {
+		chunkSec float64
+		want     time.Duration
+	}{
+		{2.01, 1005 * time.Millisecond},
+		{1, 500 * time.Millisecond},
+		{0.5, 250 * time.Millisecond},
+		{0.1, 100 * time.Millisecond},
+	} {
+		if got := (&Video{ChunkSec: tc.chunkSec}).RefreshInterval(); got != tc.want {
+			t.Errorf("%v s chunks: RefreshInterval = %v, want %v", tc.chunkSec, got, tc.want)
+		}
 	}
 }

@@ -252,20 +252,16 @@ func TestUnusableEncoderRejected(t *testing.T) {
 }
 
 // TestDegenerateConfigRejected: the defaults replace zeros only, so a
-// chunk too short to hold a frame used to index samples[0] of none, a
-// negative stride to append sample indices forever and a negative chunk
-// length or tile count to reach make with a negative length.
+// negative stride used to append sample indices forever and a negative
+// tile count to reach make with a negative length.
 func TestDegenerateConfigRejected(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		v := testVideo(scene.Sports, 1)
 		for name, set := range map[string]func(*Config){
-			"chunk without a frame": func(c *Config) { c.ChunkSec = 0.01 },
-			"negative chunk":        func(c *Config) { c.ChunkSec = -1 },
-			"NaN chunk":             func(c *Config) { c.ChunkSec = math.NaN() },
-			"negative stride":       func(c *Config) { c.FrameStride = -1 },
-			"negative tiles":        func(c *Config) { c.Tiles = -30 },
+			"negative stride": func(c *Config) { c.FrameStride = -1 },
+			"negative tiles":  func(c *Config) { c.Tiles = -30 },
 		} {
 			cfg := DefaultConfig()
 			set(&cfg)

@@ -63,20 +63,20 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
+// ChunkSec is the chunk duration every manifest is cut to.
+const ChunkSec = 1.0
+
+// profile is the 360JND profile efficiency scores weigh tiles with.
+var profile = jnd.Default()
+
 // Config controls preprocessing.
 type Config struct {
 	Mode Mode
-	// Grid is the uniform grid for ModeUniform (default 6×12, Flare's).
-	Grid tiling.Grid
 	// Tiles is N, the number of variable-size tiles (default 30).
 	Tiles int
-	// ChunkSec is the chunk duration (default 1 s).
-	ChunkSec float64
 	// FrameStride samples one frame in this many for quality estimation
 	// (default 10, the §6.3 optimization; 1 = per-frame PSPNR).
 	FrameStride int
-	// Profile is the 360JND profile (default jnd.Default()).
-	Profile *jnd.Profile
 	// Encoder is the codec model (default codec.NewEncoder()).
 	Encoder *codec.Encoder
 }
@@ -85,11 +85,8 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Mode:        ModePano,
-		Grid:        tiling.Grid6x12,
 		Tiles:       tiling.DefaultTiles,
-		ChunkSec:    1,
 		FrameStride: 10,
-		Profile:     jnd.Default(),
 		Encoder:     codec.NewEncoder(),
 	}
 }
@@ -99,20 +96,11 @@ func DefaultConfig() Config {
 // video holds.
 func (c *Config) resolve(v *scene.Video) (numChunks int, err error) {
 	d := DefaultConfig()
-	if c.Grid.Rows == 0 || c.Grid.Cols == 0 {
-		c.Grid = d.Grid
-	}
 	if c.Tiles == 0 {
 		c.Tiles = d.Tiles
 	}
-	if c.ChunkSec == 0 {
-		c.ChunkSec = d.ChunkSec
-	}
 	if c.FrameStride == 0 {
 		c.FrameStride = d.FrameStride
-	}
-	if c.Profile == nil {
-		c.Profile = d.Profile
 	}
 	if c.Encoder == nil {
 		c.Encoder = d.Encoder
@@ -124,21 +112,24 @@ func (c *Config) resolve(v *scene.Video) (numChunks int, err error) {
 		return 0, fmt.Errorf("provider: video %dx%d not divisible by unit grid %dx%d",
 			v.W, v.H, tiling.UnitCols, tiling.UnitRows)
 	}
-	if !(c.ChunkSec*float64(v.FPS) >= 1) || c.FrameStride < 0 || c.Tiles < 0 {
-		return 0, fmt.Errorf("provider: %v s chunks at %d fps, frame stride %d, %d tiles: want a chunk of at least one frame and positive counts", c.ChunkSec, v.FPS, c.FrameStride, c.Tiles)
+	if c.FrameStride < 0 || c.Tiles < 0 {
+		return 0, fmt.Errorf("provider: frame stride %d, %d tiles: want positive counts", c.FrameStride, c.Tiles)
 	}
-	return int(float64(v.DurationSec) / c.ChunkSec), nil
+	return int(float64(v.DurationSec) / ChunkSec), nil
 }
 
 // Preprocess builds the manifest for a video given history viewpoint
 // traces (may be empty: scores then assume a static viewpoint).
 func Preprocess(v *scene.Video, history []*viewport.Trace, cfg Config) (*manifest.Video, error) {
+	return preprocess(v, history, cfg, tiling.Grid6x12)
+}
+
+// preprocess is Preprocess with grid as ModeUniform's grid, which is
+// otherwise 6×12, Flare's.
+func preprocess(v *scene.Video, history []*viewport.Trace, cfg Config, grid tiling.Grid) (*manifest.Video, error) {
 	numChunks, err := cfg.resolve(v)
 	if err != nil {
 		return nil, err
-	}
-	if numChunks == 0 {
-		return nil, fmt.Errorf("provider: video shorter than one chunk")
 	}
 	out := &manifest.Video{
 		Name:     v.Name,
@@ -146,9 +137,9 @@ func Preprocess(v *scene.Video, history []*viewport.Trace, cfg Config) (*manifes
 		W:        v.W,
 		H:        v.H,
 		FPS:      v.FPS,
-		ChunkSec: cfg.ChunkSec,
+		ChunkSec: ChunkSec,
 	}
-	p := &preprocessor{cfg: cfg, video: v, history: history}
+	p := &preprocessor{cfg: cfg, grid: grid, video: v, history: history}
 
 	// Chunks are independent; preprocess them in parallel (each worker
 	// renders, distorts, and analyzes its own frames — there is no
@@ -192,7 +183,7 @@ func ChunkAt(v *scene.Video, history []*viewport.Trace, cfg Config, k int) (mani
 	if k < 0 || k >= numChunks {
 		return manifest.Chunk{}, fmt.Errorf("provider: chunk %d out of range [0,%d)", k, numChunks)
 	}
-	p := &preprocessor{cfg: cfg, video: v, history: history}
+	p := &preprocessor{cfg: cfg, grid: tiling.Grid6x12, video: v, history: history}
 	ch, err := p.chunk(k)
 	if err != nil {
 		return manifest.Chunk{}, fmt.Errorf("provider: chunk %d: %w", k, err)
@@ -202,6 +193,7 @@ func ChunkAt(v *scene.Video, history []*viewport.Trace, cfg Config, k int) (mani
 
 type preprocessor struct {
 	cfg     Config
+	grid    tiling.Grid // ModeUniform's
 	video   *scene.Video
 	history []*viewport.Trace
 }
@@ -311,7 +303,7 @@ func excess2(d uint64, th float64) float64 {
 // scores with realistic viewing behaviour, §5's "calculating efficiency
 // scores offline").
 func (p *preprocessor) chunkFactors(k int, rects []geom.Rect) []float64 {
-	tMid := (float64(k) + 0.5) * p.cfg.ChunkSec
+	tMid := (float64(k) + 0.5) * ChunkSec
 	out := make([]float64, len(rects))
 	if len(p.history) == 0 {
 		for i := range out {
@@ -334,7 +326,7 @@ func (p *preprocessor) chunkFactors(k int, rects []geom.Rect) []float64 {
 		objSpeed, tileDoF := p.tileMotionDepth(rects[i], tMid)
 		var sumA float64
 		for _, vw := range viewers {
-			sumA += p.cfg.Profile.ActionRatio(jnd.Factors{
+			sumA += profile.ActionRatio(jnd.Factors{
 				SpeedDegS:  math.Abs(vw.speed - objSpeed),
 				DoFDiff:    math.Abs(tileDoF - vw.focusDoF),
 				LumaChange: vw.luma,
@@ -370,7 +362,7 @@ func (p *preprocessor) tileMotionDepth(r geom.Rect, t float64) (objSpeed, depth 
 }
 
 func (p *preprocessor) chunk(k int) (manifest.Chunk, error) {
-	framesPerChunk := int(p.cfg.ChunkSec * float64(p.video.FPS))
+	framesPerChunk := int(ChunkSec * float64(p.video.FPS))
 	first := k * framesPerChunk
 
 	// Sampled frames for quality estimation (1 in FrameStride), analyzed
@@ -439,7 +431,7 @@ func (p *preprocessor) chunk(k int) (manifest.Chunk, error) {
 				return (pHi - pLo) / float64(codec.NumLevels-1) // Equation 5
 			})
 	case ModeUniform:
-		layout, err = tiling.UniformLayout(p.cfg.Grid)
+		layout, err = tiling.UniformLayout(p.grid)
 	case ModeClusTile:
 		layout, err = tiling.Plan(tiling.UnitRows, tiling.UnitCols, p.cfg.Tiles,
 			func(row, col int) float64 {
@@ -461,7 +453,7 @@ func (p *preprocessor) chunk(k int) (manifest.Chunk, error) {
 	// monotonicity clamps and the LUT fit run in a serial pass per tile
 	// afterwards, because level l reads the clamped level l-1.
 	ch := manifest.Chunk{Index: k}
-	tMid := (float64(k) + 0.5) * p.cfg.ChunkSec
+	tMid := (float64(k) + 0.5) * ChunkSec
 	nTiles := len(layout.Tiles)
 	tiles := make([]manifest.Tile, nTiles)
 	parallel.For(nTiles, func(i int) {
@@ -536,7 +528,7 @@ func (p *preprocessor) chunk(k int) (manifest.Chunk, error) {
 		for _, o := range p.video.Objects {
 			pos := o.PositionAt(tt)
 			ch.Objects = append(ch.Objects, manifest.ObjectSample{
-				T: tt - float64(k)*p.cfg.ChunkSec, Yaw: pos.Yaw, Pitch: pos.Pitch,
+				T: tt - float64(k)*ChunkSec, Yaw: pos.Yaw, Pitch: pos.Pitch,
 				SpeedDeg: o.SpeedDegS(), Depth: o.Depth,
 			})
 		}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -29,6 +30,43 @@ type Catalog struct {
 type TileRef struct {
 	Digest string `json:"digest"`
 	Size   int    `json:"size"`
+}
+
+// maxTileSize bounds a tile's size in a catalog head: a reader allocates
+// that many bytes before it reads the blob, and no tile object comes
+// near it.
+const maxTileSize = 64 << 20
+
+// validDigest reports whether d names a blob the way Put does: the
+// sha256 of its bytes as 64 lowercase hex characters. Nothing else may
+// reach blobPath, which joins the digest into a path under the store.
+func validDigest(d string) bool {
+	if len(d) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(d); i++ {
+		if c := d[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// check refuses a head naming a blob by anything but a digest, or a
+// tile by a size outside [0, maxTileSize].
+func (c *Catalog) check() error {
+	if !validDigest(c.Manifest) {
+		return fmt.Errorf("manifest digest %q is not 64 lowercase hex", c.Manifest)
+	}
+	for path, ref := range c.Tiles {
+		if !validDigest(ref.Digest) {
+			return fmt.Errorf("tile %s: digest %q is not 64 lowercase hex", path, ref.Digest)
+		}
+		if ref.Size < 0 || ref.Size > maxTileSize {
+			return fmt.Errorf("tile %s: size %d outside [0, %d]", path, ref.Size, maxTileSize)
+		}
+	}
+	return nil
 }
 
 // catalogName is the catalog's filename under the store root.
@@ -61,7 +99,9 @@ func (s *Store) WriteCatalog(c *Catalog) error {
 }
 
 // ReadCatalog loads the current catalog head. ErrNotFound means no
-// publication has happened yet.
+// publication has happened yet. A head that is not JSON, or that names a
+// blob by anything but a digest or a tile by an impossible size, is an
+// error.
 func (s *Store) ReadCatalog() (*Catalog, error) {
 	data, err := os.ReadFile(s.CatalogPath())
 	if err != nil {
@@ -72,6 +112,9 @@ func (s *Store) ReadCatalog() (*Catalog, error) {
 	}
 	var c Catalog
 	if err := json.Unmarshal(data, &c); err != nil {
+		return nil, fmt.Errorf("store: catalog: %w", err)
+	}
+	if err := c.check(); err != nil {
 		return nil, fmt.Errorf("store: catalog: %w", err)
 	}
 	if c.Tiles == nil {

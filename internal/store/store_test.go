@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -287,9 +288,10 @@ func TestCatalogRoundtrip(t *testing.T) {
 	if _, err := s.ReadCatalog(); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("ReadCatalog(empty store) = %v, want ErrNotFound", err)
 	}
+	man, tile := strings.Repeat("ab", 32), strings.Repeat("0f", 32)
 	cat := &Catalog{
-		Seq: 7, Manifest: "abc123", FirstChunk: 2,
-		Tiles: map[string]TileRef{"/video/2/0/1.bin": {Digest: "def", Size: 99}},
+		Seq: 7, Manifest: man, FirstChunk: 2,
+		Tiles: map[string]TileRef{"/video/2/0/1.bin": {Digest: tile, Size: 99}},
 	}
 	if err := s.WriteCatalog(cat); err != nil {
 		t.Fatal(err)
@@ -298,14 +300,14 @@ func TestCatalogRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != 7 || got.Manifest != "abc123" || got.FirstChunk != 2 {
+	if got.Seq != 7 || got.Manifest != man || got.FirstChunk != 2 {
 		t.Fatalf("catalog head mismatch: %+v", got)
 	}
-	if ref := got.Tiles["/video/2/0/1.bin"]; ref.Digest != "def" || ref.Size != 99 {
+	if ref := got.Tiles["/video/2/0/1.bin"]; ref.Digest != tile || ref.Size != 99 {
 		t.Fatalf("tile ref mismatch: %+v", ref)
 	}
 	// Replacement is atomic whole-document: a second write fully wins.
-	if err := s.WriteCatalog(&Catalog{Seq: 8, Manifest: "zzz"}); err != nil {
+	if err := s.WriteCatalog(&Catalog{Seq: 8, Manifest: tile}); err != nil {
 		t.Fatal(err)
 	}
 	got, err = s.ReadCatalog()

@@ -61,9 +61,6 @@ type Config struct {
 	Viewports []*viewport.Trace
 	// Bandwidth is the pool of throughput traces sessions draw from.
 	Bandwidth []*nettrace.Trace
-	// RTTSec is the per-object round-trip time (0 selects the link
-	// default of 50 ms; negative disables the RTT entirely).
-	RTTSec float64
 	// Fault injects transport faults per tile request, with the same
 	// seeded draw streams as the chaos HTTP middleware.
 	Fault chaos.Rule
@@ -81,10 +78,6 @@ type Config struct {
 	// about as much CPU as the session itself, so large populations
 	// sample it.
 	ScoreEvery int
-	// RetainResults keeps every session's full StreamResult on the
-	// Report — for tests and small populations only (memory scales
-	// with Sessions).
-	RetainResults bool
 	// Obs, when set, receives the aggregated population QoE after the
 	// run (pano_swarm_* counters, gauges, and the session-PSPNR
 	// histogram); nil disables it.
@@ -106,12 +99,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Workers <= 0 {
 		c.Workers = parallel.Workers()
-	}
-	switch {
-	case c.RTTSec == 0:
-		c.RTTSec = 0.05
-	case c.RTTSec < 0:
-		c.RTTSec = 0
 	}
 	if c.ScoreEvery <= 0 {
 		c.ScoreEvery = 1
@@ -191,9 +178,6 @@ type Report struct {
 	WallSec float64 `json:"wall_sec"`
 	// SessionsPerWallSec is the simulation rate.
 	SessionsPerWallSec float64 `json:"sessions_per_wall_sec"`
-	// Results holds each session's StreamResult (session id order)
-	// when Config.RetainResults was set; nil otherwise.
-	Results []*client.StreamResult `json:"-"`
 }
 
 // params are one session's derived parameters — a pure function of
@@ -233,7 +217,6 @@ type sessionStats struct {
 	skipped     int
 	arrival     time.Duration
 	end         time.Duration
-	result      *client.StreamResult
 	// fleet-mode contributions (nil/zero in single-origin runs)
 	fleetReqs []int64
 	fleet     fleetCounts
@@ -262,6 +245,20 @@ func byTime(a, b event) int {
 // worker count. ctx cancellation stops the run (canceled sessions
 // count as errored).
 func Run(ctx context.Context, cfg Config) (*Report, error) {
+	return run(ctx, cfg, runOpts{rttSec: linkRTTSec})
+}
+
+// linkRTTSec is every session link's per-object round-trip time.
+const linkRTTSec = 0.05
+
+// runOpts are what a run takes beyond its Config: the links' RTT and,
+// when set, a hook each worker hands a completed session's result to.
+type runOpts struct {
+	rttSec float64
+	keep   func(id int, res *client.StreamResult)
+}
+
+func run(ctx context.Context, cfg Config, o runOpts) (*Report, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
@@ -303,7 +300,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		go func(w *scratch) {
 			defer wg.Done()
 			for id := range feed {
-				slots[id] = runSession(ctx, &cfg, id, manifestBits, prof, place, w)
+				slots[id] = runSession(ctx, &cfg, &o, id, manifestBits, prof, place, w)
 			}
 		}(&workers[i])
 	}
@@ -321,10 +318,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 // runSession drives one full virtual session and, when sampled, scores
 // the delivered frames against the ground-truth viewpoint trace.
-func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, prof *jnd.Profile, place *placement, w *scratch) sessionStats {
+func runSession(ctx context.Context, cfg *Config, o *runOpts, id int, manifestBits float64, prof *jnd.Profile, place *placement, w *scratch) sessionStats {
 	p := sessionParams(cfg, id)
 	vp := cfg.Viewports[p.vp]
-	tp, sc := newSession(cfg, p, manifestBits, place, w)
+	tp, sc := newSession(cfg, o.rttSec, p, manifestBits, place, w)
 	res, err := client.RunSession(ctx, tp, vp, sc)
 
 	st := sessionStats{arrival: p.arrival, end: tp.Clock.Offset()}
@@ -342,8 +339,8 @@ func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, 
 	st.retries = res.TotalRetries
 	st.degraded = res.DegradedTiles
 	st.skipped = res.SkippedTiles
-	if cfg.RetainResults {
-		st.result = res
+	if o.keep != nil {
+		o.keep(id, res)
 	}
 	if id%cfg.ScoreEvery == 0 && len(res.Chunks) > 0 {
 		// Ground-truth QoE: re-score what was actually delivered
@@ -361,11 +358,12 @@ func runSession(ctx context.Context, cfg *Config, id int, manifestBits float64, 
 }
 
 // newSession builds the transport and stream config of the session
-// drawn as p: its virtual clock, link, fault plan and fleet twin.
-func newSession(cfg *Config, p params, manifestBits float64, place *placement, w *scratch) (*netem, client.StreamConfig) {
+// drawn as p: its virtual clock, link of rtt seconds, fault plan and
+// fleet twin.
+func newSession(cfg *Config, rtt float64, p params, manifestBits float64, place *placement, w *scratch) (*netem, client.StreamConfig) {
 	clk := client.NewVirtualClock(0)
 	clk.Advance(p.arrival)
-	link := &nettrace.Link{Trace: cfg.Bandwidth[p.bw], RTTSec: cfg.RTTSec}
+	link := &nettrace.Link{Trace: cfg.Bandwidth[p.bw], RTTSec: rtt}
 	tp := newNetem(cfg.Manifest, clk, link, cfg.Fault, p.faultSeed, manifestBits, w)
 	pol := cfg.Fetch
 	pol.Seed = p.fetchSeed
@@ -401,10 +399,6 @@ func fold(cfg *Config, slots []sessionStats, workers []scratch) *Report {
 		}
 	}
 	merge := make([]event, 0, 2*len(slots))
-	var retained []*client.StreamResult
-	if cfg.RetainResults {
-		retained = make([]*client.StreamResult, len(slots))
-	}
 	for id := range slots {
 		st := &slots[id]
 		if st.ok {
@@ -433,9 +427,6 @@ func fold(cfg *Config, slots []sessionStats, workers []scratch) *Report {
 		virtual, spans = max(virtual, st.end), spans+st.end-st.arrival
 		merge = append(merge, event{at: st.arrival, id: id, delta: +1},
 			event{at: st.end, id: id, delta: -1})
-		if retained != nil {
-			retained[id] = st.result
-		}
 	}
 
 	s.ScoredSessions = len(pspnr)
@@ -477,7 +468,7 @@ func fold(cfg *Config, slots []sessionStats, workers []scratch) *Report {
 			s.OriginPeakRPS = n
 		}
 	}
-	return &Report{Summary: s, Results: retained}
+	return &Report{Summary: s}
 }
 
 // quantile reads a sorted slice at q in [0, 1] (nearest rank).

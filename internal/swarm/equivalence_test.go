@@ -1,7 +1,6 @@
 package swarm
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -47,20 +46,14 @@ func oneSessionMatchesSim(t *testing.T, rtt float64) {
 		t.Fatal(err)
 	}
 
-	swarmRTT := rtt
-	if rtt == 0 {
-		swarmRTT = -1 // zero RTT, matching the sim link
-	}
 	swarmCfg := Config{
-		Manifest:      m,
-		Sessions:      1,
-		Workers:       1,
-		Seed:          42,
-		Viewports:     f.traces[:1],
-		Bandwidth:     []*nettrace.Trace{flat},
-		RTTSec:        swarmRTT,
-		Planner:       player.NewPanoPlanner(),
-		RetainResults: true,
+		Manifest:  m,
+		Sessions:  1,
+		Workers:   1,
+		Seed:      42,
+		Viewports: f.traces[:1],
+		Bandwidth: []*nettrace.Trace{flat},
+		Planner:   player.NewPanoPlanner(),
 		Fetch: client.FetchPolicy{
 			// sim.Run's deadlines: out of reach, so the ladder never
 			// intervenes.
@@ -68,14 +61,11 @@ func oneSessionMatchesSim(t *testing.T, rtt float64) {
 			MinAttemptTimeout: time.Hour,
 		},
 	}
-	rep, err := Run(context.Background(), swarmCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Summary.Completed != 1 || len(rep.Results) != 1 {
+	rep, results := runKeeping(t, swarmCfg, rtt)
+	if rep.Summary.Completed != 1 || results[0] == nil {
 		t.Fatalf("swarm session failed: %+v", rep.Summary)
 	}
-	res := rep.Results[0]
+	res := results[0]
 	if len(res.Chunks) != len(simRes.PerChunkAlloc) {
 		t.Fatalf("chunk counts: swarm %d, sim %d", len(res.Chunks), len(simRes.PerChunkAlloc))
 	}

@@ -192,7 +192,7 @@ func TestFleetBudgetDryReleasesProbe(t *testing.T) {
 	}
 	clk := client.NewVirtualClock(0)
 	s := newNetem(m, clk, &nettrace.Link{Trace: flat}, chaos.Rule{}, 1, 1e4, &scratch{})
-	s.fleet = newFleetSim(fc, place, 1, client.FetchPolicy{HedgeBudgetRatio: 0.001, HedgeBudgetBurst: 1})
+	s.fleet = newFleetSim(fc, place, 1, client.FetchPolicy{})
 
 	s.fleet.pol.Breaker(order[1]).Failure(clk.Now()) // threshold 1: successor opens
 	for s.fleet.pol.Budget().Spend() {               // drain the bucket

@@ -111,28 +111,6 @@ func TestRunProducesSaneSummary(t *testing.T) {
 	if rep.WallSec <= 0 || rep.SessionsPerWallSec <= 0 {
 		t.Errorf("wall accounting: %v %v", rep.WallSec, rep.SessionsPerWallSec)
 	}
-	if rep.Results != nil {
-		t.Errorf("Results retained without RetainResults")
-	}
-}
-
-func TestRetainResults(t *testing.T) {
-	f := fixture(t)
-	cfg := baseConfig(f)
-	cfg.Sessions = 8
-	cfg.RetainResults = true
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 8 {
-		t.Fatalf("retained %d results", len(rep.Results))
-	}
-	for i, r := range rep.Results {
-		if r == nil || len(r.Chunks) != f.pano.NumChunks() {
-			t.Fatalf("session %d result missing or short: %+v", i, r)
-		}
-	}
 }
 
 // benchmarkShape is a fleet-mode population under the swarm_population
@@ -160,14 +138,10 @@ func TestSwarmConservesBytesAndChunks(t *testing.T) {
 	f := fixture(t)
 	cfg := benchmarkShape(f)
 	cfg.Sessions = 400
-	cfg.RetainResults = true
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, results := runKeeping(t, cfg, linkRTTSec)
 	var completed int
 	var total int64
-	for id, res := range rep.Results {
+	for id, res := range results {
 		if res == nil {
 			continue
 		}
@@ -243,7 +217,7 @@ func TestFaultsSurfaceInSummary(t *testing.T) {
 	replayed := 0
 	for id := range rc.Sessions {
 		p := sessionParams(&rc, id)
-		tp, sc := newSession(&rc, p, float64(8*rc.Manifest.WireLen()), nil, &scratch{})
+		tp, sc := newSession(&rc, linkRTTSec, p, float64(8*rc.Manifest.WireLen()), nil, &scratch{})
 		sc.Obs = reg
 		res, err := client.RunSession(context.Background(), tp, rc.Viewports[p.vp], sc)
 		if err != nil {
@@ -330,4 +304,18 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d: no error", i)
 		}
 	}
+}
+
+// runKeeping runs cfg over links of rtt seconds and returns each
+// completed session's result by session id (nil where it failed).
+func runKeeping(t *testing.T, cfg Config, rtt float64) (*Report, []*client.StreamResult) {
+	t.Helper()
+	results := make([]*client.StreamResult, cfg.Sessions)
+	rep, err := run(context.Background(), cfg, runOpts{rttSec: rtt, keep: func(id int, res *client.StreamResult) {
+		results[id] = res
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, results
 }

@@ -105,9 +105,6 @@ type ScraperConfig struct {
 	// Interval is the expected scrape period; it only shapes the
 	// dashboard's histogram quantile window (default 1s).
 	Interval time.Duration
-	// HTTP is the client used for scrapes (default http.DefaultClient;
-	// tests inject httptest clients here).
-	HTTP *http.Client
 	// Log receives scrape_failed events; nil disables.
 	Log *obs.EventLog
 }
@@ -135,8 +132,7 @@ type targetState struct {
 // rollups, and tracks staleness. NewPlane points a Sampler at Collect,
 // so the stock SLOs evaluate fleet-wide.
 type Scraper struct {
-	cfg    ScraperConfig
-	client *http.Client
+	cfg ScraperConfig
 	// self is the plane's own registry (NewPlane): its series join the
 	// per-instance view as instance "obsd" so the federated /metrics also
 	// covers the federator, and never enter the rollup — they are
@@ -166,13 +162,8 @@ func NewScraper(cfg ScraperConfig) (*Scraper, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	client := cfg.HTTP
-	if client == nil {
-		client = http.DefaultClient
-	}
 	s := &Scraper{
 		cfg:         cfg,
-		client:      client,
 		unmergeable: map[string]bool{},
 		instStore:   NewStore(2 * dashPoints),
 	}
@@ -204,7 +195,7 @@ func (s *Scraper) get(url string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := s.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -525,13 +516,13 @@ func (s *Scraper) findTrace(id trace.TraceID) *trace.TraceData {
 //   - the plane's own registry — build info, event-ring drops when
 //     cfg.Log is set, the sampler's self-metrics — which joins the
 //     per-instance view as instance "obsd";
-//   - a sampler that observes the federated rollup every cfg.Interval,
-//     keeps window of history (0 is Config's default) and evaluates slos
-//     (nil evaluates none: the sampler is still the scrape clock);
+//   - a sampler that observes the federated rollup every cfg.Interval
+//     and evaluates slos (nil evaluates none: the sampler is still the
+//     scrape clock);
 //   - the handler: /metrics (rollup, federation health, per-instance
 //     series), /debug/traces (assembled across targets on demand),
 //     /debug/slo, /debug/dash and /healthz.
-func NewPlane(cfg ScraperConfig, slos []SLO, window time.Duration) (*Scraper, *Sampler, http.Handler, error) {
+func NewPlane(cfg ScraperConfig, slos []SLO) (*Scraper, *Sampler, http.Handler, error) {
 	sc, err := NewScraper(cfg)
 	if err != nil {
 		return nil, nil, nil, err
@@ -542,7 +533,7 @@ func NewPlane(cfg ScraperConfig, slos []SLO, window time.Duration) (*Scraper, *S
 	if slos == nil {
 		slos = []SLO{}
 	}
-	smp := New(Config{Obs: sc.self, Interval: sc.cfg.Interval, Window: window, SLOs: slos, Log: cfg.Log})
+	smp := New(Config{Obs: sc.self, Interval: sc.cfg.Interval, SLOs: slos, Log: cfg.Log})
 	smp.fed = sc
 	mux := http.NewServeMux()
 	Mount(mux, nil, nil, nil, smp)

@@ -220,7 +220,7 @@ func TestScraperFedSampler(t *testing.T) {
 	sc, smp, _, err := NewPlane(ScraperConfig{
 		Targets:  []ScrapeTarget{{Instance: "a", URL: srvA.URL}, {Instance: "b", URL: srvB.URL}},
 		Interval: time.Second,
-	}, nil, 0)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestScraperMetricsHandlerRoundTrip(t *testing.T) {
 	reg.Counter("pano_x_total", "x", obs.L("edge", "a")).Add(5)
 	reg.Histogram("pano_x_seconds", "lat", obs.DefBuckets).Observe(0.2)
 	srv := metricsServer(t, reg)
-	sc, _, h, err := NewPlane(ScraperConfig{Targets: []ScrapeTarget{{Instance: "a", URL: srv.URL}}}, nil, 0)
+	sc, _, h, err := NewPlane(ScraperConfig{Targets: []ScrapeTarget{{Instance: "a", URL: srv.URL}}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestScraperTraceAssembly(t *testing.T) {
 		{Instance: "client", URL: srvA.URL},
 		{Instance: "origin", URL: srvB.URL},
 		{Instance: "bare", URL: srvC.URL},
-	}}, nil, 0)
+	}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

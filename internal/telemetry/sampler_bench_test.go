@@ -42,9 +42,9 @@ func BenchmarkSamplerStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const window = 3 * time.Minute
+	const window = time.Hour // what the sampler retains: fill every ring
 	smp := telemetry.New(telemetry.Config{
-		Obs: reg, SLOs: slos, Log: evlog, Interval: time.Second, Window: window,
+		Obs: reg, SLOs: slos, Log: evlog, Interval: time.Second,
 	})
 	now := time.Unix(1700000000, 0)
 	for i := 0; i < int(window/time.Second); i++ {

@@ -23,7 +23,7 @@ func newTestSampler(t *testing.T, slos ...SLO) (*Sampler, *obs.Registry, *obs.Ev
 	t.Helper()
 	reg := obs.NewRegistry()
 	evlog := obs.NewEventLog(nil, 0)
-	s := New(Config{Obs: reg, SLOs: slos, Log: evlog, NoRuntime: true})
+	s := newSampler(Config{Obs: reg, SLOs: slos, Log: evlog}, false)
 	if s == nil {
 		t.Fatal("New returned nil for a valid config")
 	}

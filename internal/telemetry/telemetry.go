@@ -31,12 +31,9 @@ type Config struct {
 	// signals (SLO state gauges, transition counters, self-metrics).
 	// Required.
 	Obs *obs.Registry
-	// Interval is the scrape period (default 1s).
+	// Interval is the scrape period (default 1s). Each series ring
+	// retains window/Interval samples, capped at 7200.
 	Interval time.Duration
-	// Window is how much history each series ring retains (default
-	// 1h — enough to cover the default slow burn window). Capacity is
-	// Window/Interval samples, capped at 7200.
-	Window time.Duration
 	// SLOs is the objective set to evaluate each tick (nil =
 	// DefaultSLOs()). An explicitly empty non-nil slice evaluates none.
 	SLOs []SLO
@@ -44,10 +41,11 @@ type Config struct {
 	// events); nil disables. Its ring-buffer drop count is mirrored as
 	// pano_events_dropped_total when ObserveDrops was wired.
 	Log *obs.EventLog
-	// NoRuntime disables Go runtime health sampling (heap, GC pauses,
-	// goroutines, scheduler latency).
-	NoRuntime bool
 }
+
+// window is how much history each series ring retains: enough to cover
+// the default slow burn window.
+const window = time.Hour
 
 // Sampler periodically scrapes a registry into the windowed store and
 // evaluates SLO burn rates. Create with New, then either Start (wall
@@ -81,22 +79,22 @@ type Sampler struct {
 	sseDropped *obs.Counter
 }
 
-// New returns a sampler over cfg.Obs. Returns nil (the no-op sampler)
-// when cfg.Obs is nil.
-func New(cfg Config) *Sampler {
+// New returns a sampler over cfg.Obs that also samples Go runtime
+// health (heap, GC pauses, goroutines, scheduler latency). Returns nil
+// (the no-op sampler) when cfg.Obs is nil.
+func New(cfg Config) *Sampler { return newSampler(cfg, true) }
+
+func newSampler(cfg Config, runtime bool) *Sampler {
 	if cfg.Obs == nil {
 		return nil
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = time.Hour
-	}
 	if cfg.SLOs == nil {
 		cfg.SLOs = DefaultSLOs()
 	}
-	capN := int(cfg.Window / cfg.Interval)
+	capN := int(window / cfg.Interval)
 	if capN < 2 {
 		capN = 2
 	}
@@ -119,7 +117,7 @@ func New(cfg Config) *Sampler {
 		sseDropped: reg.Counter("pano_telemetry_sse_dropped_total",
 			"dashboard snapshots dropped because an SSE client was slow"),
 	}
-	if !cfg.NoRuntime {
+	if runtime {
 		s.rt = newRuntimeSampler(reg)
 	}
 	for _, slo := range cfg.SLOs {

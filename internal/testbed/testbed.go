@@ -233,7 +233,6 @@ func LoopbackPolicy() client.FetchPolicy {
 		MaxAttempts:       3,
 		BaseBackoff:       500 * time.Microsecond,
 		MaxBackoff:        2 * time.Millisecond,
-		JitterFrac:        0.5,
 		AttemptTimeout:    2 * time.Second,
 		MinAttemptTimeout: 20 * time.Millisecond,
 	}

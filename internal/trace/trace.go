@@ -1,7 +1,7 @@
 // Package trace is the repo's zero-dependency span tracer: a bounded
 // in-memory store of session→chunk→tile→attempt span trees with
 // context.Context propagation, W3C traceparent stitching across the
-// HTTP hop, deterministic sampling, and three export paths (JSONL via
+// HTTP hop, deterministic ids, and three export paths (JSONL via
 // the obs event log, Chrome trace-event JSON loadable in Perfetto or
 // chrome://tracing, and exemplar trace IDs on obs histograms).
 //
@@ -55,19 +55,15 @@ type Attr struct {
 // A is shorthand for constructing an Attr.
 func A(key string, value any) Attr { return Attr{Key: key, Value: value} }
 
-// Config tunes a Tracer.
+// maxSpansPerTrace bounds one trace's span count; spans beyond the cap
+// are counted as dropped, not stored.
+const maxSpansPerTrace = 4096
+
+// Config tunes a Tracer. Every root span is traced.
 type Config struct {
-	// SampleRate is the fraction of new root spans that are traced,
-	// decided deterministically from the trace id (<= 0 or >= 1 means
-	// every root is sampled). Unsampled roots cost nothing downstream:
-	// Start returns a nil span and no child ever allocates.
-	SampleRate float64
 	// MaxTraces bounds how many traces the in-memory store retains
 	// (default 64); the oldest finished trace is evicted first.
 	MaxTraces int
-	// MaxSpansPerTrace bounds one trace's span count (default 4096);
-	// spans beyond the cap are counted as dropped, not stored.
-	MaxSpansPerTrace int
 	// Seed drives span/trace id generation (ids are unique per tracer
 	// for any seed; a fixed seed makes them reproducible for tests).
 	Seed uint64
@@ -84,11 +80,10 @@ type Config struct {
 // Tracer creates spans and retains finished traces in a bounded store.
 // All methods are safe for concurrent use; a nil *Tracer is a no-op.
 type Tracer struct {
-	sampleRate float64
-	seed       uint64
-	ctr        atomic.Uint64
-	store      *store
-	log        *obs.EventLog
+	seed  uint64
+	ctr   atomic.Uint64
+	store *store
+	log   *obs.EventLog
 
 	spansTotal   *obs.Counter
 	tracesTotal  *obs.Counter
@@ -100,14 +95,10 @@ func New(cfg Config) *Tracer {
 	if cfg.MaxTraces <= 0 {
 		cfg.MaxTraces = 64
 	}
-	if cfg.MaxSpansPerTrace <= 0 {
-		cfg.MaxSpansPerTrace = 4096
-	}
 	t := &Tracer{
-		sampleRate: cfg.SampleRate,
-		seed:       cfg.Seed,
-		store:      newStore(cfg.MaxTraces, cfg.MaxSpansPerTrace),
-		log:        cfg.Log,
+		seed:  cfg.Seed,
+		store: newStore(cfg.MaxTraces, maxSpansPerTrace),
+		log:   cfg.Log,
 	}
 	if cfg.Obs != nil {
 		t.spansTotal = cfg.Obs.Counter("pano_trace_spans_total", "spans finished by the tracer")
@@ -153,19 +144,6 @@ func (t *Tracer) newSpanID() SpanID {
 	return id
 }
 
-// sampled decides a root's fate deterministically from its trace id, so
-// the same seed reproduces the same sampled set.
-func (t *Tracer) sampled(id TraceID) bool {
-	if t.sampleRate <= 0 || t.sampleRate >= 1 {
-		return true
-	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(id[i])
-	}
-	return float64(v)/float64(^uint64(0)) < t.sampleRate
-}
-
 // ctxKey carries the active span through a context.
 type ctxKey struct{}
 
@@ -180,10 +158,9 @@ func ContextWith(ctx context.Context, s *Span) context.Context {
 	return context.WithValue(ctx, ctxKey{}, s)
 }
 
-// Start opens a span. With no active span in ctx it opens a new root
-// (subject to sampling); otherwise it opens a child of the active span.
-// On a nil tracer, or for an unsampled root, it returns ctx unchanged
-// and a nil span. The caller must End the span.
+// Start opens a span. With no active span in ctx it opens a new root;
+// otherwise it opens a child of the active span. On a nil tracer it
+// returns ctx unchanged and a nil span. The caller must End the span.
 func (t *Tracer) Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
@@ -191,11 +168,7 @@ func (t *Tracer) Start(ctx context.Context, name string, attrs ...Attr) (context
 	if parent := FromContext(ctx); parent != nil {
 		return t.start(ctx, parent.trace, t.newSpanID(), parent.id, false, name, attrs)
 	}
-	tid := t.newTraceID()
-	if !t.sampled(tid) {
-		return ctx, nil
-	}
-	return t.start(ctx, tid, t.newSpanID(), SpanID{}, true, name, attrs)
+	return t.start(ctx, t.newTraceID(), t.newSpanID(), SpanID{}, true, name, attrs)
 }
 
 // StartRemote opens a span joining a trace begun elsewhere (the server

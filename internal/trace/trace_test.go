@@ -157,44 +157,9 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSamplingDeterministicAndRoughlyProportional(t *testing.T) {
-	const n = 2000
-	count := func() int {
-		tr := New(Config{Seed: 9, SampleRate: 0.25, MaxTraces: 4 * n})
-		kept := 0
-		for i := 0; i < n; i++ {
-			_, sp := tr.Start(context.Background(), "s")
-			if sp != nil {
-				kept++
-				sp.End()
-			}
-		}
-		return kept
-	}
-	a, b := count(), count()
-	if a != b {
-		t.Fatalf("sampling not deterministic: %d vs %d", a, b)
-	}
-	if a < n/8 || a > n/2 {
-		t.Fatalf("sampled %d of %d at rate 0.25", a, n)
-	}
-	// Children of a sampled root are always kept; unsampled roots are nil,
-	// so their children never start (StartSpan sees no parent).
-	tr := New(Config{Seed: 9, SampleRate: 0.0001})
-	for i := 0; i < 200; i++ {
-		ctx, sp := tr.Start(context.Background(), "s")
-		if sp == nil {
-			if _, child := StartSpan(ctx, "c"); child != nil {
-				t.Fatal("unsampled root produced a child span")
-			}
-		} else {
-			sp.End()
-		}
-	}
-}
-
 func TestStoreBounds(t *testing.T) {
-	tr := New(Config{Seed: 5, MaxTraces: 3, MaxSpansPerTrace: 4})
+	tr := New(Config{Seed: 5, MaxTraces: 3})
+	tr.store.maxSpans = 4
 	var roots []*Span
 	var ids []TraceID
 	for i := 0; i < 5; i++ {
@@ -437,7 +402,7 @@ func TestChromeTraceExportRoundTrip(t *testing.T) {
 }
 
 func TestConcurrentSpansRace(t *testing.T) {
-	tr := New(Config{Seed: 15, MaxTraces: 8, MaxSpansPerTrace: 64})
+	tr := New(Config{Seed: 15, MaxTraces: 8})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -460,7 +425,7 @@ func TestConcurrentSpansRace(t *testing.T) {
 		t.Fatalf("finished traces = %d, want 8", got)
 	}
 	if tr.DroppedSpans() != 0 {
-		t.Errorf("dropped %d spans; 51 per trace fits the 64 cap", tr.DroppedSpans())
+		t.Errorf("dropped %d spans; 51 per trace fits the %d cap", tr.DroppedSpans(), maxSpansPerTrace)
 	}
 }
 
@@ -475,7 +440,8 @@ func BenchmarkStartSpanDisabled(b *testing.B) {
 }
 
 func BenchmarkStartSpanEnabled(b *testing.B) {
-	tr := New(Config{Seed: 1, MaxTraces: 2, MaxSpansPerTrace: 1 << 20})
+	tr := New(Config{Seed: 1, MaxTraces: 2})
+	tr.store.maxSpans = 1 << 20
 	ctx, root := tr.Start(context.Background(), "session")
 	defer root.End()
 	b.ReportAllocs()

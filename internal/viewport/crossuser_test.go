@@ -12,13 +12,12 @@ import (
 // objects, plus traces for a peer pool and a held-out user.
 func crossUserFixture() (*scene.Video, []*Trace, *Trace) {
 	v := scene.Generate(scene.Sports, 77, scene.Options{W: 120, H: 60, FPS: 10, DurationSec: 20})
-	opts := DefaultSynthesizeOpts()
-	opts.TrackFraction = 1 // strong cross-user consensus
+	// Tracking objects all the time: strong cross-user consensus.
 	var peers []*Trace
 	for i := 0; i < 6; i++ {
-		peers = append(peers, Synthesize(v, uint64(100+i), opts))
+		peers = append(peers, synthesize(v, uint64(100+i), 1))
 	}
-	user := Synthesize(v, 999, opts)
+	user := synthesize(v, 999, 1)
 	return v, peers, user
 }
 

@@ -193,25 +193,32 @@ func (p *Predictor) PredictError(tr *Trace, now, horizon float64) float64 {
 	return geom.GreatCircleDeg(p.Predict(tr, now, horizon), tr.At(now+horizon))
 }
 
-// SynthesizeOpts tunes trace synthesis.
-type SynthesizeOpts struct {
-	// TrackFraction is the fraction of time spent tracking an object
-	// (the paper uses 0.7, matching real traces).
-	TrackFraction float64
-	// HeadNoiseDeg is the std-dev of per-sample head jitter in degrees.
-	HeadNoiseDeg float64
-	// SwitchMeanSec is the mean dwell before re-picking a target.
-	SwitchMeanSec float64
-}
+// SynthesizeOpts carries no settings: synthesis runs at the §8.5
+// constants below. It stays Synthesize's parameter because the benchmark
+// harness passes DefaultSynthesizeOpts().
+type SynthesizeOpts struct{}
 
 // DefaultSynthesizeOpts returns the §8.5 settings.
-func DefaultSynthesizeOpts() SynthesizeOpts {
-	return SynthesizeOpts{TrackFraction: 0.7, HeadNoiseDeg: 0.3, SwitchMeanSec: 5}
-}
+func DefaultSynthesizeOpts() SynthesizeOpts { return SynthesizeOpts{} }
+
+// The §8.5 synthesis settings.
+const (
+	// trackFraction is the fraction of time spent tracking an object
+	// (the paper uses 0.7, matching real traces).
+	trackFraction = 0.7
+	// headNoiseDeg is the std-dev of per-sample head jitter in degrees.
+	headNoiseDeg = 0.3
+	// switchMeanSec is the mean dwell before re-picking a target.
+	switchMeanSec = 5.0
+)
 
 // Synthesize generates a viewpoint trace for a video: alternating
 // object-tracking and free-look phases with smooth saccade transitions.
-func Synthesize(v *scene.Video, seed uint64, opts SynthesizeOpts) *Trace {
+func Synthesize(v *scene.Video, seed uint64, _ SynthesizeOpts) *Trace {
+	return synthesize(v, seed, trackFraction)
+}
+
+func synthesize(v *scene.Video, seed uint64, trackFraction float64) *Trace {
 	rng := mathx.NewRNG(seed*0x9e3779b9 + 1)
 	n := int(float64(v.DurationSec)/RefreshInterval) + 1
 	tr := &Trace{YawDeg: make([]float64, n), PitchDeg: make([]float64, n)}
@@ -221,7 +228,7 @@ func Synthesize(v *scene.Video, seed uint64, opts SynthesizeOpts) *Trace {
 		fixed geom.Angle
 	}
 	pick := func() target {
-		if len(v.Objects) > 0 && rng.Float64() < opts.TrackFraction {
+		if len(v.Objects) > 0 && rng.Float64() < trackFraction {
 			return target{obj: rng.Intn(len(v.Objects))}
 		}
 		return target{obj: -1, fixed: geom.Angle{
@@ -230,7 +237,7 @@ func Synthesize(v *scene.Video, seed uint64, opts SynthesizeOpts) *Trace {
 		}}
 	}
 	cur := pick()
-	nextSwitch := rng.Range(0.5, 2*opts.SwitchMeanSec)
+	nextSwitch := rng.Range(0.5, 2*switchMeanSec)
 
 	// The head lags its target with a first-order filter, which yields
 	// the smooth-pursuit speeds seen in real traces.
@@ -246,7 +253,7 @@ func Synthesize(v *scene.Video, seed uint64, opts SynthesizeOpts) *Trace {
 		t := float64(i) * RefreshInterval
 		if t >= nextSwitch {
 			cur = pick()
-			nextSwitch = t + rng.Range(0.5, 2*opts.SwitchMeanSec)
+			nextSwitch = t + rng.Range(0.5, 2*switchMeanSec)
 		}
 		var goal geom.Angle
 		if cur.obj >= 0 {
@@ -261,8 +268,8 @@ func Synthesize(v *scene.Video, seed uint64, opts SynthesizeOpts) *Trace {
 		if alpha > 1 {
 			alpha = 1
 		}
-		yaw += dy*alpha + rng.NormMS(0, opts.HeadNoiseDeg)
-		pitch = geom.ClampPitch(pitch + dp*alpha + rng.NormMS(0, opts.HeadNoiseDeg))
+		yaw += dy*alpha + rng.NormMS(0, headNoiseDeg)
+		pitch = geom.ClampPitch(pitch + dp*alpha + rng.NormMS(0, headNoiseDeg))
 		tr.YawDeg[i] = yaw
 		tr.PitchDeg[i] = pitch
 	}

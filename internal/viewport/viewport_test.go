@@ -154,12 +154,10 @@ func TestSynthesizeDeterministicAndCoversDuration(t *testing.T) {
 }
 
 func TestSynthesizeTracksObjects(t *testing.T) {
-	// With TrackFraction 1, the viewpoint should stay near some object
+	// Always tracking an object, the viewpoint should stay near some object
 	// most of the time.
 	v := testVideo()
-	opts := DefaultSynthesizeOpts()
-	opts.TrackFraction = 1
-	tr := Synthesize(v, 4, opts)
+	tr := synthesize(v, 4, 1)
 	near := 0
 	total := 0
 	for ti := 2.0; ti < 18; ti += 0.25 {

@@ -119,7 +119,7 @@ type (
 	// header). Pass it via SimConfig.Trace, StreamConfig.Trace, or
 	// server.WithTracer; nil disables tracing at zero cost.
 	Tracer = trace.Tracer
-	// TracerConfig tunes a Tracer (sampling, store bounds, obs/event-log
+	// TracerConfig tunes a Tracer (store bounds, ids, obs/event-log
 	// sinks).
 	TracerConfig = trace.Config
 	// TraceData is one finished trace (all spans, cloned out of the
