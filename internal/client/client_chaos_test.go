@@ -200,9 +200,9 @@ func TestFetchResilientDeadlineExpiryMidBody(t *testing.T) {
 	pol := fastFetchPolicy()
 	pol.AttemptTimeout = 40 * time.Millisecond
 	reg := obs.NewRegistry()
-	ins := newFetchInstruments(reg)
-	var el *obs.EventLog
-	f := Fetcher{tp: New(ts.URL), clk: RealClock{}, pol: pol, rng: mathx.NewRNG(1), ins: &ins, sess: el.Session()}
+	w := &watcher{reg: reg}
+	w.streaming(fixture(t).man)
+	f := Fetcher{tp: New(ts.URL), clk: RealClock{}, pol: pol, rng: mathx.NewRNG(1), w: w}
 
 	t0 := time.Now()
 	var tf tileFetch

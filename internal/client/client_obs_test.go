@@ -208,9 +208,9 @@ func TestStreamEstimateNeedsNoWatcher(t *testing.T) {
 	}
 }
 
-// TestDecisionPackagesDoNotWatch: RunSession instruments the chunk-level
-// decision and the tile assignment itself, so the packages that make
-// them (their tests included) import neither the metrics nor the
+// TestDecisionPackagesDoNotWatch: the session's watcher times the
+// chunk-level decision and the tile assignment, so the packages that
+// make them (their tests included) import neither the metrics nor the
 // tracing layer.
 func TestDecisionPackagesDoNotWatch(t *testing.T) {
 	for _, dir := range []string{"../abr", "../player"} {

@@ -2,13 +2,10 @@ package client
 
 import (
 	"context"
-	"log/slog"
-	"sync/atomic"
 	"time"
 
 	"pano/internal/manifest"
 	"pano/internal/nettrace"
-	"pano/internal/obs"
 )
 
 // LivePolicy tunes live-edge behaviour; it is only consulted when the
@@ -48,18 +45,6 @@ func (p LivePolicy) withDefaults(m *manifest.Video) LivePolicy {
 	return p
 }
 
-// liveInstruments are a session's live-edge counters, each resolved at
-// its first use (nil-safe).
-type liveInstruments struct {
-	reg                      *obs.Registry
-	skips, timeouts, waitSec atomic.Pointer[obs.Counter]
-}
-
-func (li *liveInstruments) skip(n int) {
-	li.reg.CounterIn(&li.skips, "pano_client_live_skips_total",
-		"chunks skipped by the live catch-up policy").Add(float64(n))
-}
-
 // liveSyncResult is what one edge synchronisation resolves to: the
 // manifest and chunk to go on with, whether the session ended, the
 // chunks it skipped and the clock across its polls and refreshes.
@@ -85,7 +70,7 @@ type liveSyncResult struct {
 // out-of-reach manifest ends the session cleanly (ended=true), never
 // aborts it.
 func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Video, k int,
-	pol LivePolicy, ins *liveInstruments, sess *slog.Logger) (liveSyncResult, error) {
+	pol LivePolicy, w *watcher) (liveSyncResult, error) {
 
 	skipped, t0 := 0, clk.Now()
 	var waited, quiet time.Duration // quiet: poll intervals since the edge last moved
@@ -94,10 +79,7 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 		// every tile of k. Skip to the window start (at minimum).
 		if k < m.FirstChunk {
 			skipped += m.FirstChunk - k
-			ins.skip(m.FirstChunk - k)
-			if sess != nil {
-				sess.Info("live_skip", "reason", "window_expired", "from", k, "to", m.FirstChunk)
-			}
+			w.liveSkip("window_expired", k, m.FirstChunk)
 			k = m.FirstChunk
 		}
 		if edge := m.NumChunks(); k < edge {
@@ -106,10 +88,7 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 			if edge-k > pol.MaxLatencyChunks {
 				to := edge - 1
 				skipped += to - k
-				ins.skip(to - k)
-				if sess != nil {
-					sess.Info("live_skip", "reason", "latency", "from", k, "to", to)
-				}
+				w.liveSkip("latency", k, to)
 				k = to
 			}
 			return liveSyncResult{m: m, k: k, skipped: skipped, waited: waited}, nil
@@ -119,11 +98,7 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 			return liveSyncResult{m: m, k: k, ended: true, skipped: skipped, waited: waited}, nil
 		}
 		if quiet >= pol.EdgeTimeout {
-			if sess != nil {
-				sess.Warn("live_edge_timeout", "chunk", k, "waited_sec", quiet.Seconds())
-			}
-			ins.reg.CounterIn(&ins.timeouts, "pano_client_live_edge_timeouts_total",
-				"sessions that gave up waiting for the live edge to move").Inc()
+			w.liveTimeout(k, quiet)
 			return liveSyncResult{m: m, k: k, ended: true, skipped: skipped, waited: waited}, nil
 		}
 		d := pol.PollInterval
@@ -139,9 +114,7 @@ func liveEdgeSync(ctx context.Context, tp Transport, clk Clock, m *manifest.Vide
 			}
 			// Transient refresh failure: keep the old manifest, retry
 			// until EdgeTimeout. Refresh errors never abort a session.
-			if sess != nil {
-				sess.Debug("live_refresh_error", "error", err.Error())
-			}
+			w.liveRefreshFailed(err)
 			continue
 		}
 		// Monotonicity: never adopt a refresh whose edge or sequence went

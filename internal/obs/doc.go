@@ -119,9 +119,11 @@
 //	    error class (pano_client_tile_attempt_seconds aggregates every
 //	    attempt; its exemplars point back at these traces).
 //	stitch
-//	    §7's stitch-and-score step (the est_pspnr_db annotation feeds
-//	    pano_client_est_pspnr_db; a simulated session's pspnr_db
-//	    annotation feeds pano_sim_chunk_pspnr_db).
+//	    §7's stitch-and-score step, opened only where a caller scores
+//	    the delivered chunk (StreamConfig.ScoreChunk: sim.Run's scorer,
+//	    whose score span's pspnr_db feeds pano_sim_chunk_pspnr_db).
+//	    pano_client_est_pspnr_db is observed once per delivered chunk
+//	    when the session ends, off StreamResult.MeanEstPSPNR's pass.
 //	http_request
 //	    the §6.2 server's handler span, stitched into the client's
 //	    trace via the W3C traceparent header and annotated with any
@@ -201,7 +203,8 @@
 //
 // Wiring: internal/server mounts /metrics, /debug/events, and
 // /debug/traces; client.RunSession (under Stream, sim.Run and swarm)
-// takes a *Registry (nil = off) and records the decision phases itself;
+// takes a *Registry (nil = off), and its per-session watcher records
+// every phase;
 // cmd/pano-server adds optional net/http/pprof; cmd/pano-obsd
 // federates every process's /metrics into the cluster view above.
 package obs

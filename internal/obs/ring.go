@@ -34,15 +34,25 @@ func (r *Ring[T]) All() []T {
 	return append(append(make([]T, 0, len(r.buf)), r.buf[r.next:]...), r.buf[:r.next]...)
 }
 
-// Oldest returns the oldest retained value (false when empty).
-func (r *Ring[T]) Oldest() (T, bool) {
+// Len returns how many values the ring retains.
+func (r *Ring[T]) Len() int {
 	if r.full {
-		return r.buf[r.next], true
+		return len(r.buf)
 	}
-	return r.buf[0], r.next > 0
+	return r.next
 }
 
-// Newest returns the most recently pushed value (false when empty).
-func (r *Ring[T]) Newest() (T, bool) {
-	return r.buf[(r.next+len(r.buf)-1)%len(r.buf)], r.full || r.next > 0
+// At returns the i-th oldest retained value, 0 <= i < Len(): a read in
+// place, where All copies.
+func (r *Ring[T]) At(i int) T {
+	if r.full {
+		i = (r.next + i) % len(r.buf)
+	}
+	return r.buf[i]
 }
+
+// Oldest returns the oldest retained value (false when empty).
+func (r *Ring[T]) Oldest() (T, bool) { return r.At(0), r.Len() > 0 }
+
+// Newest returns the most recently pushed value (false when empty).
+func (r *Ring[T]) Newest() (T, bool) { return r.buf[(r.next+len(r.buf)-1)%len(r.buf)], r.Len() > 0 }

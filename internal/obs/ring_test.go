@@ -36,3 +36,21 @@ func TestRingHandsBackWhatItOverwrites(t *testing.T) {
 		t.Error("All shares the ring's storage")
 	}
 }
+
+// TestRingAtReadsWhatAllCopies: Len and At read the retained values in
+// place, in All's order, before the ring fills and after it wraps.
+func TestRingAtReadsWhatAllCopies(t *testing.T) {
+	r := NewRing[int](4)
+	for v := 1; v <= 10; v++ {
+		all := r.All()
+		if r.Len() != len(all) {
+			t.Fatalf("after %d pushes: Len %d, All holds %d", v-1, r.Len(), len(all))
+		}
+		for i, want := range all {
+			if got := r.At(i); got != want {
+				t.Fatalf("after %d pushes: At(%d) = %d, All has %d", v-1, i, got, want)
+			}
+		}
+		r.Push(v)
+	}
+}

@@ -15,16 +15,12 @@ type Point struct {
 }
 
 // windowStart returns the index of the newest sample taken at or before
-// t among n oldest-first samples; when every one is newer it is 0, the
-// oldest (the window is clamped to available history, so a young
-// process evaluates its slow window over whatever it has — standard
-// burn-rate behaviour).
+// t among n samples in ascending time order, found by binary search;
+// when every one is newer it is 0, the oldest (the window is clamped to
+// available history, so a young process evaluates its slow window over
+// whatever it has — standard burn-rate behaviour).
 func windowStart(n int, t time.Time, at func(i int) time.Time) int {
-	i := 0
-	for i+1 < n && !at(i+1).After(t) {
-		i++
-	}
-	return i
+	return max(0, sort.Search(n, func(i int) bool { return at(i).After(t) })-1)
 }
 
 // SeriesKind distinguishes how a windowed series is interpreted.
@@ -81,12 +77,14 @@ func (s *Series) Oldest() (Point, bool) {
 // return the difference of endpoint samples. False when fewer than one
 // sample is retained.
 func (s *Series) DeltaSince(t time.Time) (float64, bool) {
-	pts := s.Points()
-	if len(pts) == 0 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := s.ring.Len()
+	if n == 0 {
 		return 0, false
 	}
-	first := pts[windowStart(len(pts), t, func(i int) time.Time { return pts[i].T })]
-	last := pts[len(pts)-1]
+	first := s.ring.At(windowStart(n, t, func(i int) time.Time { return s.ring.At(i).T }))
+	last := s.ring.At(n - 1)
 	d := last.V - first.V
 	if s.Kind == CounterSeries && d < 0 {
 		// Source restarted (counter reset): count from zero.
@@ -125,13 +123,13 @@ func (h *HistSeries) add(s histSnap) {
 // over [t, latest], clamped to available history.
 func (h *HistSeries) deltaSince(t time.Time) (counts []uint64, n uint64, ok bool) {
 	h.mu.RLock()
-	snaps := h.snaps.All()
-	h.mu.RUnlock()
-	if len(snaps) == 0 {
+	defer h.mu.RUnlock()
+	k := h.snaps.Len()
+	if k == 0 {
 		return nil, 0, false
 	}
-	last := snaps[len(snaps)-1]
-	first := snaps[windowStart(len(snaps), t, func(i int) time.Time { return snaps[i].t })]
+	last := h.snaps.At(k - 1)
+	first := h.snaps.At(windowStart(k, t, func(i int) time.Time { return h.snaps.At(i).t }))
 	if last.count < first.count || len(last.counts) != len(first.counts) {
 		// Reset: treat the latest cumulative state as the delta.
 		return append([]uint64(nil), last.counts...), last.count, true
@@ -323,15 +321,15 @@ func (st *Store) ViolationFrac(names []string, since time.Time, threshold float6
 	var bad int
 	for _, name := range names {
 		for _, s := range st.Family(name) {
-			for _, p := range s.Points() {
-				if p.T.Before(since) {
-					continue
-				}
+			s.mu.RLock()
+			r := s.ring
+			for i := sort.Search(r.Len(), func(i int) bool { return !r.At(i).T.Before(since) }); i < r.Len(); i++ {
 				n++
-				if (above && p.V > threshold) || (!above && p.V < threshold) {
+				if v := r.At(i).V; (above && v > threshold) || (!above && v < threshold) {
 					bad++
 				}
 			}
+			s.mu.RUnlock()
 		}
 	}
 	if n == 0 {
