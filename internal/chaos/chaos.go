@@ -297,7 +297,7 @@ func (in *Injector) Wrap(next http.Handler) http.Handler {
 		// a down origin answers nothing, health probes included.
 		if in.p.Down.active() && in.p.Down.At(in.now().Sub(in.start)) {
 			in.inject("all", "down", r)
-			trace.FromContext(r.Context()).Annotate("chaos.down", true)
+			trace.FromContext(r.Context()).Annotate(trace.A("chaos.down", true))
 			panic(http.ErrAbortHandler)
 		}
 		endpoint, rule, ok := in.endpointRule(r.URL.Path)
@@ -326,34 +326,34 @@ func (in *Injector) Wrap(next http.Handler) http.Handler {
 		sp := trace.FromContext(r.Context())
 		if d.Latency > 0 {
 			in.count(endpoint, "latency")
-			sp.Annotate("chaos.latency_sec", d.Latency.Seconds())
+			sp.Annotate(trace.A("chaos.latency_sec", d.Latency.Seconds()))
 			time.Sleep(d.Latency)
 		}
 		switch {
 		case d.Abort:
 			in.inject(endpoint, "abort", r)
-			sp.Annotate("chaos.abort", true)
+			sp.Annotate(trace.A("chaos.abort", true))
 			panic(http.ErrAbortHandler)
 		case d.Error500:
 			in.inject(endpoint, "error", r)
-			sp.Annotate("chaos.error", true)
+			sp.Annotate(trace.A("chaos.error", true))
 			http.Error(w, "chaos: injected error", http.StatusInternalServerError)
 			return
 		}
 		cw := &chaosWriter{rw: w, throttleBps: rule.ThrottleBps, truncateAt: -1, stallAt: -1}
 		if d.Truncate {
 			in.inject(endpoint, "truncate", r)
-			sp.Annotate("chaos.truncate", true)
+			sp.Annotate(trace.A("chaos.truncate", true))
 			cw.truncate = true
 		}
 		if d.Stall {
 			in.inject(endpoint, "stall", r)
-			sp.Annotate("chaos.stall", true)
+			sp.Annotate(trace.A("chaos.stall", true))
 			cw.stall, cw.stallFor = true, rule.Stall()
 		}
 		if rule.ThrottleBps > 0 {
 			in.count(endpoint, "throttle")
-			sp.Annotate("chaos.throttle_bps", rule.ThrottleBps)
+			sp.Annotate(trace.A("chaos.throttle_bps", rule.ThrottleBps))
 		}
 		next.ServeHTTP(cw, r)
 	})

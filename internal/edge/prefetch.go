@@ -263,7 +263,7 @@ func (p *prefetcher) run(job prefetchJob) {
 	now := time.Now()
 	ent, state := e.cache.Get(path, now)
 	if state == Fresh {
-		sp.Annotate("outcome", "already_cached")
+		sp.Annotate(trace.A("outcome", "already_cached"))
 		e.prefetchCount("dup")
 		return
 	}
@@ -273,8 +273,7 @@ func (p *prefetcher) run(job prefetchJob) {
 		sp.SetError("origin")
 		e.prefetchCount("error")
 	default:
-		sp.Annotate("outcome", "warmed")
-		sp.Annotate("bytes", len(fr.entry.Body))
+		sp.Annotate(trace.A("outcome", "warmed"), trace.A("bytes", len(fr.entry.Body)))
 		e.prefetchCount("warmed")
 		e.log.Logger().Debug("edge_prefetch",
 			"chunk", job.k, "tile", job.ti, "level", int(job.l), "bytes", len(fr.entry.Body))

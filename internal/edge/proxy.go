@@ -271,7 +271,7 @@ func (e *Edge) proxy(ep *endpointSeries, w http.ResponseWriter, r *http.Request)
 	now := time.Now()
 	ent, state := e.cache.Get(path, now)
 	if lsp != nil {
-		lsp.Annotate("state", state.String())
+		lsp.Annotate(trace.A("state", state.String()))
 	}
 
 	src := srcHit
@@ -293,7 +293,7 @@ func (e *Edge) proxy(ep *endpointSeries, w http.ResponseWriter, r *http.Request)
 				e.log.Logger().Warn("edge_stale_serve",
 					"path", path, "age_sec", ent.Age(now).Seconds(), "error", fr.err.Error())
 			}
-			lsp.Annotate("served", "stale")
+			lsp.Annotate(trace.A("served", "stale"))
 		case fr.err != nil:
 			e.reg.Counter("pano_edge_origin_errors_total",
 				"requests failed: origin unreachable and nothing cached").Inc()
@@ -322,7 +322,7 @@ func (e *Edge) proxy(ep *endpointSeries, w http.ResponseWriter, r *http.Request)
 	}
 	e.updateHitRatio()
 	if lsp != nil {
-		lsp.Annotate("src", src.String())
+		lsp.Annotate(trace.A("src", src.String()))
 	}
 	e.serve(ep, w, r, ent, src, now)
 	if ep == &e.tileEP && e.pf != nil {
@@ -467,7 +467,7 @@ func (e *Edge) fill(ctx context.Context, path string, ep *endpointSeries, stale 
 			e.reg.Counter("pano_edge_revalidations_total",
 				"stale-entry revalidations against the origin by outcome",
 				obs.L("result", "304")).Inc()
-			sp.Annotate("revalidated", true)
+			sp.Annotate(trace.A("revalidated", true))
 			return &fillResult{entry: stale, revalidated: true}
 		}
 		if state == Stale {
@@ -498,8 +498,7 @@ func (e *Edge) fill(ctx context.Context, path string, ep *endpointSeries, stale 
 		}
 		e.countBytes(srcOrigin, len(res.Body))
 		if sp != nil {
-			sp.Annotate("status", res.Status)
-			sp.Annotate("bytes", len(res.Body))
+			sp.Annotate(trace.A("status", res.Status), trace.A("bytes", len(res.Body)))
 		}
 		if e.log != nil {
 			e.log.Logger().Debug("edge_fill",

@@ -247,7 +247,7 @@ func (f *Fleet) Fetch(ctx context.Context, path, etag string) (client.RawResult,
 	key := f.ring.Key(path)
 	order := f.ring.Order(key)
 	if span != nil {
-		span.Annotate("owner", order[0])
+		span.Annotate(trace.A("owner", order[0]))
 	}
 	l := new(Ladder) // the hedge timer may reach it
 	f.lad.Start(l, order, f.cfg.Seed^key^f.seq.Add(1)*0x9e3779b97f4a7c15)
@@ -275,8 +275,7 @@ func (f *Fleet) Fetch(ctx context.Context, path, etag string) (client.RawResult,
 		r := f.attempt(ctx, l, span, path, etag)
 		if r.err == nil {
 			if span != nil {
-				span.Annotate("origin", r.idx)
-				span.Annotate("attempts", l.Attempts())
+				span.Annotate(trace.A("origin", r.idx), trace.A("attempts", l.Attempts()))
 			}
 			if l.Failover() {
 				f.failovers.Inc()

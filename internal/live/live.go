@@ -272,8 +272,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Report, error) {
 		return nil, fmt.Errorf("live: feed stopped at chunk %d of %d", next, p.numChunks)
 	}
 	rep := p.pub.report()
-	span.Annotate("deadline_misses", rep.DeadlineMisses)
-	span.Annotate("degraded", rep.Degraded)
+	span.Annotate(trace.A("deadline_misses", rep.DeadlineMisses), trace.A("degraded", rep.Degraded))
 	return rep, nil
 }
 
@@ -325,8 +324,7 @@ func (p *Pipeline) encode(ctx context.Context, job capturedChunk, ewma *encodeEW
 	if err == nil && !degraded {
 		ewma.observe(dur)
 	}
-	sp.Annotate("degraded", degraded)
-	sp.Annotate("encode_sec", dur.Seconds())
+	sp.Annotate(trace.A("degraded", degraded), trace.A("encode_sec", dur.Seconds()))
 	if err != nil {
 		sp.SetError("encode")
 	}

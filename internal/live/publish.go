@@ -177,8 +177,7 @@ func (pb *publisher) publish(ctx context.Context, ec encodedChunk, last bool) er
 		"capture-to-publish latency per chunk", nil).Observe(lat.Seconds())
 	cfg.Obs.Histogram("pano_live_encode_seconds",
 		"per-chunk encode time", nil).Observe(ec.encodeTime.Seconds())
-	sp.Annotate("latency_sec", lat.Seconds())
-	sp.Annotate("late", late)
+	sp.Annotate(trace.A("latency_sec", lat.Seconds()), trace.A("late", late))
 	cfg.Log.Logger().Info("live_publish",
 		"chunk", ec.k, "tiles", len(ec.chunk.Tiles), "edge", edge, "seq", seq,
 		"latency_sec", lat.Seconds(), "late", late, "degraded", ec.degraded,

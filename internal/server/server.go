@@ -219,9 +219,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		// only for a span or a log that exists.
 		sp := trace.FromContext(r.Context())
 		if sp != nil {
-			sp.Annotate("endpoint", endpoint)
-			sp.Annotate("code", sw.code)
-			sp.Annotate("bytes", sw.bytes)
+			sp.Annotate(trace.A("endpoint", endpoint), trace.A("code", sw.code), trace.A("bytes", sw.bytes))
 			if sw.code >= 500 {
 				sp.SetError("http_5xx")
 			}

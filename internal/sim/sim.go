@@ -260,7 +260,7 @@ func startScorer(m *manifest.Video, tr *viewport.Trace, cfg Config, res *Result)
 			// transport loss, so it scores the planned allocation.
 			estimated := player.FramePSPNR(m, k, cr.Planned, cr.Guess, prof)
 
-			j.span.Annotate("pspnr_db", pspnr)
+			j.span.Annotate(trace.A("pspnr_db", pspnr))
 			j.span.End()
 			chunkPSPNR.Observe(pspnr)
 			res.PerChunkPSPNR = append(res.PerChunkPSPNR, pspnr)

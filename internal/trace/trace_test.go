@@ -23,7 +23,7 @@ func TestNilTracerAndSpanAreSafe(t *testing.T) {
 		t.Fatal("nil tracer modified the context")
 	}
 	// Every span method must be a no-op on nil.
-	sp.Annotate("k", "v")
+	sp.Annotate(A("k", "v"))
 	sp.SetError("timeout")
 	sp.End()
 	if got := sp.TraceHex(); got != "" {
@@ -231,7 +231,7 @@ func TestMiddlewareStitchesAndSurvivesAbort(t *testing.T) {
 	var aborts int
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sp := FromContext(r.Context())
-		sp.Annotate("handled", true)
+		sp.Annotate(A("handled", true))
 		if r.URL.Path == "/abort" {
 			aborts++
 			sp.SetError("conn_reset")
@@ -411,7 +411,7 @@ func TestConcurrentSpansRace(t *testing.T) {
 			ctx, root := tr.Start(context.Background(), "session")
 			for i := 0; i < 50; i++ {
 				_, c := StartSpan(ctx, "chunk")
-				c.Annotate("i", i)
+				c.Annotate(A("i", i))
 				if i%7 == 0 {
 					c.SetError("timeout")
 				}
@@ -434,7 +434,7 @@ func BenchmarkStartSpanDisabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, sp := StartSpan(ctx, "chunk")
-		sp.Annotate("k", i)
+		sp.Annotate(A("k", i))
 		sp.End()
 	}
 }
