@@ -69,9 +69,11 @@ fuzz-server:
 # its input, and whatever it accepts re-encodes to exactly the input).
 # Not part of check, for the same reason; the committed seeds under
 # internal/manifest/testdata/fuzz/ — an encoding cut at each section
-# boundary, forged counts, oversized and padded varints, binary32 NaNs,
-# infinities, a subnormal and −0, a zero LUT coefficient, a version-1
-# encoding — replay under plain `go test`.
+# boundary, a truncated section, forged counts, oversized and padded
+# varints, non-canonical packings, codes past their step's range, what
+# NaNs, −0 and a subnormal encode to, a live manifest, a tile at each
+# column's extreme, a zero LUT coefficient, version-1 and version-2
+# encodings — replay under plain `go test`.
 fuzz-manifest:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 20s ./internal/manifest
 
@@ -215,13 +217,13 @@ live:
 		-ignore lat_mean_s,lat_max_s,pub_ms,wall_sec \
 		baseline/BENCH_live.json BENCH_live.json
 
-# The §6.3 lookup-table experiment — schema sizes, the manifest's bytes
-# per tile on the wire, and the precision knee of each manifest field
-# group (the fewest significand bits no plan of its sessions needs more
-# of; lands in BENCH_lut.json) — gated against the committed baseline.
-# Every cell is deterministic, so the gate is exact: a change that grows
-# the manifest or moves a knee fails it. The knees are the quick
-# dataset's; the benchmark's video is not measured here.
+# The §6.3 lookup-table experiment — schema sizes, and on the quick and
+# the benchmark video the manifest's bytes per tile on the wire by field
+# group, each group's identity and consequence knees next to the wire's
+# precision, and what the wire's rounding does to the plans (lands in
+# BENCH_lut.json) — gated against the committed baseline. Every cell is
+# deterministic, so the gate is exact: a change that grows the manifest
+# or moves a knee fails it.
 lut:
 	$(GO) run ./cmd/pano-bench -scale quick lut
 	$(GO) run ./cmd/pano-benchdiff -threshold 1e-9 \

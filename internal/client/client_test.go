@@ -78,15 +78,17 @@ func TestFetchManifestBadServer(t *testing.T) {
 	}
 }
 
-// TestFetchManifestRejectsNonFinite: the wire carries raw float bits, so
-// a NaN can arrive; Validate after the decode is the client's one gate.
-// JSON — what the path's name still says — is not a manifest at all.
+// TestFetchManifestRejectsNonFinite: Validate after the decode is the
+// client's one gate. The wire has no code for a NaN — the encoder writes
+// it as code 0 — so a server's NaN LUT coefficient arrives as a = 0,
+// which Validate refuses. JSON — what the path's name still says — is
+// not a manifest at all.
 func TestFetchManifestRejectsNonFinite(t *testing.T) {
 	poisoned, err := manifest.Unmarshal(fixture(t).man.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	poisoned.Chunks[1].Tiles[0].LUT[2].BExp = math.NaN()
+	poisoned.Chunks[1].Tiles[0].LUT[2].ACoeff = math.NaN()
 	for name, body := range map[string][]byte{"NaN": poisoned.Marshal(), "JSON": []byte(`{"name":"x"}`)} {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Write(body)

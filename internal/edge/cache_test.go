@@ -2,6 +2,8 @@ package edge
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -134,5 +136,140 @@ func TestCacheReplace(t *testing.T) {
 	}
 	if got := c.Bytes(); got != 10+entryOverhead {
 		t.Errorf("bytes %d, want %d", got, 10+entryOverhead)
+	}
+}
+
+// refCache is the model the cache is checked against: a map of entries
+// with their accounted cost and times, and their recency as a list of
+// keys, most recent first.
+type refCache struct {
+	max, used int64
+	staleFor  time.Duration
+	entries   map[string]refEntry
+	order     []string
+}
+
+type refEntry struct {
+	cost    int64
+	expires time.Time
+}
+
+// touch makes key the most recent.
+func (r *refCache) touch(key string) {
+	r.order = append([]string{key}, slices.DeleteFunc(r.order, func(k string) bool { return k == key })...)
+}
+
+func (r *refCache) drop(key string) {
+	if e, ok := r.entries[key]; ok {
+		r.order = slices.DeleteFunc(r.order, func(k string) bool { return k == key })
+		r.used -= e.cost
+		delete(r.entries, key)
+	}
+}
+
+func (r *refCache) put(key string, cost int64, now time.Time, ttl time.Duration) int {
+	if cost > r.max {
+		return 0
+	}
+	r.drop(key)
+	r.entries[key] = refEntry{cost: cost, expires: now.Add(ttl)}
+	r.touch(key)
+	r.used += cost
+	evicted := 0
+	for r.used > r.max {
+		r.drop(r.order[len(r.order)-1])
+		evicted++
+	}
+	return evicted
+}
+
+func (r *refCache) get(key string, now time.Time) State {
+	e, ok := r.entries[key]
+	switch {
+	case !ok:
+		return Miss
+	case now.After(e.expires.Add(r.staleFor)):
+		r.drop(key)
+		return Miss
+	}
+	r.touch(key)
+	if now.After(e.expires) {
+		return Stale
+	}
+	return Fresh
+}
+
+// TestCacheMatchesModel drives the cache and refCache with one random
+// sequence of Put, Get and Refresh — bodies up to, at and past the
+// whole budget, reads at an entry's expiry and at the end of its stale
+// window, each to the nanosecond — and checks after every step that
+// they answer alike, that the accounted bytes agree, and that Bytes()
+// never exceeds the budget.
+func TestCacheMatchesModel(t *testing.T) {
+	const maxBytes = 8 * (512 + entryOverhead)
+	const staleFor = 3 * time.Second
+	c := NewCache(maxBytes, staleFor)
+	ref := &refCache{max: maxBytes, staleFor: staleFor, entries: map[string]refEntry{}}
+	rng := rand.New(rand.NewSource(14))
+	now := time.Unix(1_700_000_000, 0)
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"}
+	bodies := []int{0, 1, 511, 512, 513, 2000, maxBytes - entryOverhead, maxBytes - entryOverhead + 1}
+	for step := 0; step < 20000; step++ {
+		key := keys[rng.Intn(len(keys))]
+		now = now.Add(time.Duration(rng.Intn(300)) * time.Millisecond)
+		var what string
+		switch op := rng.Intn(10); {
+		case op < 4:
+			n := bodies[rng.Intn(len(bodies))]
+			if rng.Intn(2) == 0 {
+				n = rng.Intn(3000)
+			}
+			ttl := time.Duration(rng.Intn(4000)) * time.Millisecond
+			got, want := c.Put(ent(key, n), now, ttl), ref.put(key, int64(n)+entryOverhead, now, ttl)
+			what = fmt.Sprintf("Put(%s, %d B, ttl %v) evicted %d, model %d", key, n, ttl, got, want)
+			if got != want {
+				t.Fatalf("step %d: %s", step, what)
+			}
+			if n+entryOverhead <= maxBytes {
+				if _, st := c.Get(key, now); st != Fresh || ref.get(key, now) != Fresh {
+					t.Fatalf("step %d: %s: the entry just put reads %v", step, what, st)
+				}
+			}
+		case op < 9:
+			// At an entry's expiry or the end of its stale window, or a
+			// nanosecond either side.
+			if e, ok := ref.entries[key]; ok && rng.Intn(2) == 0 {
+				edge := e.expires
+				if rng.Intn(2) == 0 {
+					edge = edge.Add(staleFor)
+				}
+				if at := edge.Add(time.Duration(rng.Intn(3)-1) * time.Nanosecond); !at.Before(now) {
+					now = at
+				}
+			}
+			_, got := c.Get(key, now)
+			want := ref.get(key, now)
+			what = fmt.Sprintf("Get(%s) = %v, model %v", key, got, want)
+			if got != want {
+				t.Fatalf("step %d: %s", step, what)
+			}
+		default:
+			ttl := time.Duration(rng.Intn(4000)) * time.Millisecond
+			_, want := ref.entries[key]
+			if want {
+				e := ref.entries[key]
+				e.expires = now.Add(ttl)
+				ref.entries[key] = e
+				ref.touch(key)
+			}
+			got := c.Refresh(key, now, ttl)
+			what = fmt.Sprintf("Refresh(%s) = %v, model %v", key, got, want)
+			if got != want {
+				t.Fatalf("step %d: %s", step, what)
+			}
+		}
+		if got := c.Bytes(); got != ref.used || got > maxBytes || c.Len() != len(ref.order) {
+			t.Fatalf("step %d: after %s: %d bytes in %d entries, model %d in %d (budget %d)", step, what, got, c.Len(), ref.used, len(ref.order), maxBytes)
+		}
 	}
 }

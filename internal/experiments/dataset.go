@@ -152,6 +152,13 @@ func (d *Dataset) Traces(i int) []*viewport.Trace {
 	return trs
 }
 
+// history is what video i's manifests are preprocessed with: its first
+// four traces.
+func (d *Dataset) history(i int) []*viewport.Trace {
+	trs := d.Traces(i)
+	return trs[:min(len(trs), 4)]
+}
+
 // Manifest returns (building if needed) the manifest of video i under
 // the given tiling mode, using the video's own traces as history.
 func (d *Dataset) Manifest(i int, mode provider.Mode) (*manifest.Video, error) {
@@ -162,15 +169,10 @@ func (d *Dataset) Manifest(i int, mode provider.Mode) (*manifest.Video, error) {
 	}
 	d.mu.Unlock()
 
-	// History: a subset of the video's traces (avoid holding the lock
-	// through preprocessing).
-	trs := d.Traces(i)
-	if len(trs) > 4 {
-		trs = trs[:4]
-	}
+	// Not holding the lock through preprocessing.
 	cfg := provider.DefaultConfig()
 	cfg.Mode = mode
-	m, err := provider.Preprocess(d.videos[i], trs, cfg)
+	m, err := provider.Preprocess(d.videos[i], d.history(i), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: video %d mode %v: %w", i, mode, err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pano/internal/manifest"
 	"pano/internal/mathx"
 	"pano/internal/scene"
 )
@@ -263,23 +265,42 @@ var contractTested = map[string]bool{
 	"live": true, "lut": true, "trace": true,
 }
 
-// TestLUTContract: binary32 keeps at least four significand bits over
-// what each field group's plans were measured to need, and over what
-// they need with every float rounded at once. It measures the quick
-// dataset's sessions only, not the benchmark's video, where one link
-// seed needs 21 bits with every float rounded (EXPERIMENTS.md, lut).
+// TestLUTContract: on the quick and the benchmark video the wire keeps
+// at least one bit of precision over every field group's consequence
+// knee, and with every group at the wire's precision at once no plan
+// costs more at the exact sizes than at the wire's and mean plan PSPNR
+// falls by at most maxFallDB; the benchmark video takes at most 40 B
+// per tile on the wire.
 func TestLUTContract(t *testing.T) {
 	res, table, err := LookupTableCompression(testDataset(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Knees) != len(kneeGroups)+1 {
-		t.Fatalf("%d knee rows, want one per group and one for every float", len(res.Knees))
+	if len(res.Knees) != 2*len(manifest.FieldGroups) || len(res.Wire) != 2 {
+		t.Fatalf("%d knee rows and %d wire rows, want one per group and one per video", len(res.Knees), len(res.Wire))
 	}
 	for _, k := range res.Knees {
-		if k.Bits > binary32Bits-4 || k.Levels == 0 {
-			t.Errorf("%s: knee at %d of %d bits over %d levels", k.Group, k.Bits, binary32Bits, k.Levels)
+		if k.Wire < k.Consequence+1 {
+			t.Errorf("%s, %s: the wire's precision %d has no bit over the consequence knee %d", k.Video, k.Group, k.Wire, k.Consequence)
 		}
+		if k.Identity < k.Consequence {
+			t.Errorf("%s, %s: identity knee %d coarser than the consequence knee %d", k.Video, k.Group, k.Identity, k.Consequence)
+		}
+	}
+	for _, w := range res.Wire {
+		if w.OverBudget != 0 || w.FallDB > maxFallDB {
+			t.Errorf("%s: at the wire's precision %d plans over budget and PSPNR falls %.4f dB", w.Video, w.OverBudget, w.FallDB)
+		}
+		sum := 0.0
+		for _, b := range w.GroupBytes {
+			sum += b
+		}
+		if math.Abs(sum-w.BytesPerTile) > 1e-9 {
+			t.Errorf("%s: the groups' bytes per tile sum to %v, the wire takes %v", w.Video, sum, w.BytesPerTile)
+		}
+	}
+	if b := res.Wire[1].BytesPerTile; b > 40 {
+		t.Errorf("the benchmark video takes %.1f B per tile", b)
 	}
 	checkTable(t, "lut", table)
 }

@@ -20,12 +20,13 @@
 // On the wire (/manifest.json, the store's manifest blob, the files of
 // pano-tracegen and pano-server -manifest) a Video is one canonical
 // binary encoding — wire.go — that carries every tile and object float
-// as IEEE-754 binary32. The provider rounds each float it emits to
-// binary32 (Chunk.RoundToWire), so the wire is lossless for every
-// manifest it makes; the `lut` experiment measures how many of those 24
-// significand bits the plans use. The json tags below serve only a test
-// or debugger that json.Marshals one; /manifest.mpd is the
-// human-readable view.
+// as an integer code at its field group's step (FieldGroups): sizes
+// log-quantized and rounded up, the rest fixed-point, each step the
+// group's consequence knee plus a margin, as the `lut` experiment
+// measures it. The provider rounds each float it emits to its step
+// (Chunk.RoundToWire), so the wire is lossless for every manifest it
+// makes. The json tags below serve only a test or debugger that
+// json.Marshals one; /manifest.mpd is the human-readable view.
 package manifest
 
 import (
@@ -171,46 +172,35 @@ func (v *Video) ChunkBits(k int, l codec.Level) float64 {
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// finite32 reports whether f stays finite at binary32, the precision
-// the wire carries tile and object floats at: a float64 past binary32's
-// range would reach the far side as an infinity. 0x1.ffffffp127 is
-// MaxFloat32 plus half its ulp, the least magnitude float32() rounds to
-// an infinity; a NaN fails the comparison.
-func finite32(f float64) bool { return math.Abs(f) < 0x1.ffffffp127 }
-
-// nonFinite names the first of t's floats that is not finite32, or
-// returns "".
-func (t *Tile) nonFinite() string {
-	switch {
-	case !finite32(t.AvgLuma):
-		return "AvgLuma"
-	case !finite32(t.AvgDoF):
-		return "AvgDoF"
-	case !finite32(t.ObjSpeedDeg):
-		return "ObjSpeedDeg"
+// unrepresentable names the first of c's floats that its group's step
+// cannot hold (a NaN, an infinity, a value past the step's range, a size
+// not above zero), or returns "".
+func (c *Chunk) unrepresentable() string {
+	bad := ""
+	for ci := range columns {
+		col := &columns[ci]
+		st, i := col.step(), 0
+		top := st.top()
+		col.visit(c, func(x *float64) {
+			if bad == "" && !st.representable(*x, top) {
+				kind := "tile"
+				if col.obj != nil {
+					kind = "object sample"
+				}
+				bad = fmt.Sprintf("%s %d %s", kind, i, col.name)
+			}
+			i++
+		})
 	}
-	for l := 0; l < codec.NumLevels; l++ {
-		switch {
-		case !finite32(t.Bits[l]):
-			return fmt.Sprintf("Bits[%d]", l)
-		case !finite32(t.PSNR[l]):
-			return fmt.Sprintf("PSNR[%d]", l)
-		case !finite32(t.RefPSPNR[l]):
-			return fmt.Sprintf("RefPSPNR[%d]", l)
-		case !finite32(t.LUT[l].ACoeff):
-			return fmt.Sprintf("LUT[%d].ACoeff", l)
-		case !finite32(t.LUT[l].BExp):
-			return fmt.Sprintf("LUT[%d].BExp", l)
-		}
-	}
-	return ""
+	return bad
 }
 
 // Validate checks structural invariants: tiles partition the frame,
 // sizes grow with quality, PSPNR values are sane, LUT coefficients are
-// positive, and every float is finite — tile and object floats at
-// binary32, so a valid Video survives Marshal and Unmarshal — since each
-// range check below is false on a NaN.
+// positive, and every tile and object float lies in its step's range,
+// so a valid Video survives Marshal and Unmarshal rounded, not
+// saturated — and is not a NaN, on which each range check below is
+// false.
 func (v *Video) Validate() error {
 	if v.W <= 0 || v.H <= 0 || v.FPS <= 0 || v.ChunkSec <= 0 || !finite(v.ChunkSec) {
 		return fmt.Errorf("manifest: bad video header %dx%d@%d/%vs", v.W, v.H, v.FPS, v.ChunkSec)
@@ -230,9 +220,6 @@ func (v *Video) Validate() error {
 				return fmt.Errorf("manifest: chunk %d tile %d rect %v out of %dx%d", c.Index, ti, t.Rect, v.W, v.H)
 			}
 			area += t.Rect.Area()
-			if name := t.nonFinite(); name != "" {
-				return fmt.Errorf("manifest: chunk %d tile %d %s is not finite at binary32", c.Index, ti, name)
-			}
 			// Level 0 is highest quality: sizes must not grow as
 			// quality drops.
 			for l := 1; l < codec.NumLevels; l++ {
@@ -257,11 +244,8 @@ func (v *Video) Validate() error {
 		if area != v.W*v.H {
 			return fmt.Errorf("manifest: chunk %d tiles cover %d px, want %d", c.Index, area, v.W*v.H)
 		}
-		for oi := range c.Objects {
-			o := &c.Objects[oi]
-			if !finite32(o.T) || !finite32(o.Yaw) || !finite32(o.Pitch) || !finite32(o.SpeedDeg) || !finite32(o.Depth) {
-				return fmt.Errorf("manifest: chunk %d object sample %d is not finite at binary32", c.Index, oi)
-			}
+		if name := c.unrepresentable(); name != "" {
+			return fmt.Errorf("manifest: chunk %d %s is not representable on the wire", c.Index, name)
 		}
 	}
 	return nil
@@ -273,8 +257,9 @@ func (v *Video) Validate() error {
 // evaluates PSPNR offline; the power fit is regressed over them.
 var AnchorRatios = []float64{1, 1.5, 2, 3, 5, 8, 12, 20}
 
-// The schema sizes below count every float at the wire's width — 4
-// bytes, binary32 — and 8 bytes of row addressing per row.
+// The schema sizes below count every float as Figure 12 does, at 4
+// bytes, and 8 bytes of row addressing per row.
+const schemaFloatBytes = 4
 
 // FullTableSize returns the serialized size in bytes of schema (a) for
 // this manifest with n representative values per factor: one row per
@@ -286,7 +271,7 @@ func (v *Video) FullTableSize(nPerFactor int) int {
 		rows += len(c.Tiles)
 	}
 	combos := nPerFactor * nPerFactor * nPerFactor
-	const rowBytes = 8 + floatBytes*(3+codec.NumLevels)
+	const rowBytes = 8 + schemaFloatBytes*(3+codec.NumLevels)
 	return rows * combos * rowBytes
 }
 
@@ -297,7 +282,7 @@ func (v *Video) ReducedTableSize() int {
 	for _, c := range v.Chunks {
 		rows += len(c.Tiles)
 	}
-	const rowBytes = 8 + floatBytes*(1+codec.NumLevels)
+	const rowBytes = 8 + schemaFloatBytes*(1+codec.NumLevels)
 	return rows * len(AnchorRatios) * rowBytes
 }
 
@@ -308,7 +293,7 @@ func (v *Video) PowerTableSize() int {
 	for _, c := range v.Chunks {
 		rows += len(c.Tiles)
 	}
-	const rowBytes = 8 + floatBytes*3*codec.NumLevels
+	const rowBytes = 8 + schemaFloatBytes*3*codec.NumLevels
 	return rows * rowBytes
 }
 

@@ -10,7 +10,7 @@ import (
 	"pano/internal/geom"
 )
 
-// sampleVideo is a valid two-tile manifest on the binary32 grid, as the
+// sampleVideo is a valid two-tile manifest on the wire's grid, as the
 // provider emits one.
 func sampleVideo() *Video {
 	v := &Video{Name: "test", Genre: "Sports", W: 100, H: 50, FPS: 30, ChunkSec: 1}

@@ -13,122 +13,509 @@ import (
 
 // The wire encoding; DESIGN.md §4 "The manifest on the wire" has the
 // byte table. Magic, version, a varint header, then one length-prefixed
-// self-contained section per chunk: tile rects as varints, every tile and
-// object float as its little-endian IEEE-754 binary32 bits, column by
-// column. Canonical — a Video has one encoding and Unmarshal accepts
+// self-contained section per chunk. A section carries its tiles and
+// object samples column by column as integer codes, each column
+// bit-packed at the fewest bits its codes span in that chunk: the
+// column's least code and its width head the section (frame of
+// reference), and so does the grid every tile rect lies on. A float's
+// code is its value at its field group's step (FieldGroups) — sizes
+// log-quantized and rounded up, every other float fixed-point — and the
+// levels of a size or a PSNR after the first go as the previous level's
+// code minus their own, which takes fewer bits. The steps belong to the
+// format and the bases, widths and grid to the section, so a section
+// decodes alone and a live head appends chunks without touching the ones
+// before. Canonical — a Video has one encoding and Unmarshal accepts
 // nothing else — so the hash of the bytes, the manifest's ETag,
 // identifies it; and lossless for what the provider emits, which it
-// rounds to binary32 where it builds a chunk (RoundToWire).
+// rounds to the steps where it builds a chunk (RoundToWire).
 const (
 	wireMagic   = "PANO"
-	wireVersion = 2
+	wireVersion = 3
 
-	floatBytes   = 4                     // binary32
-	tileFloats   = 3 + 5*codec.NumLevels // per tile on the wire
-	objectFloats = 5                     // per object sample
-
-	// The fewest bytes a tile (four rect varints, its floats) and a
-	// chunk section (length, index, two counts) can take.
-	minTileBytes  = 4 + floatBytes*tileFloats
+	// A section holds at least minTileBytes per tile and minObjectBytes
+	// per object sample after its counts, zero-padded where its columns
+	// take fewer (a chunk of identical tiles packs to nothing), so a
+	// forged count cannot make Unmarshal allocate more than 16 times its
+	// input: a Tile is 256 bytes, an ObjectSample 40. The provider's
+	// tiles take about 30 bytes each, so the pad never binds on them.
+	minTileBytes   = 16
+	minObjectBytes = 4
+	// The fewest bytes a chunk section (length, index, two counts) takes.
 	minChunkBytes = 4
+
+	maxWidth = 64 // a column's width in bits: a code difference is a uint64
 )
 
-// Floats calls f on every float of c the wire carries, in wire order:
-// the tile floats column by column — AvgLuma, AvgDoF, ObjSpeedDeg, then
-// Bits, PSNR, RefPSPNR, LUT.ACoeff and LUT.BExp, each level by level —
-// each column over every tile, then every object sample's T, Yaw, Pitch,
-// SpeedDeg and Depth. Encoder, decoder and RoundToWire all walk a chunk
-// through it, and so does whatever rounds a manifest further to measure
-// the precision its plans need.
-func (c *Chunk) Floats(f func(*float64)) {
-	column := func(at func(*Tile) *float64) {
-		for i := range c.Tiles {
-			f(at(&c.Tiles[i]))
+// step is how one field group's floats become integer codes. Fixed
+// point (log false): the code is round(x·2^prec) and the value
+// code·2^-prec, codes within ±2^53, where both are exact. Sizes (log):
+// x is rounded up to prec significand bits, and the code counts those
+// values upward from 2^-64; the largest lies below 2^64.
+type step struct {
+	log   bool
+	prec  int
+	scale float64 // 2^prec; scaling by it is exact
+}
+
+func newStep(log bool, prec int) step { return step{log: log, prec: prec, scale: math.Ldexp(1, prec)} }
+
+const (
+	maxFixedCode = 1 << 53
+	logExpBias   = 64  // the least size is 2^-64 bits
+	logExps      = 128 // binades from 2^-64 up to 2^64
+)
+
+func (s step) minCode() int64 {
+	if s.log {
+		return 0
+	}
+	return -maxFixedCode
+}
+
+func (s step) maxCode() int64 {
+	if s.log {
+		return logExps<<(s.prec-1) - 1
+	}
+	return maxFixedCode
+}
+
+// code is x's code: x rounded to the step (a size up) and saturated at
+// the ends of the range. A NaN takes code 0 and a size at or below 2^-64
+// the least size; Validate refuses every value the range does not hold
+// (representable), so only an invalid Video is saturated.
+func (s step) code(x float64) int64 {
+	if s.log {
+		switch {
+		case !(x > 0x1p-64):
+			return 0
+		case x >= 0x1p64:
+			return s.maxCode()
+		}
+		fr, e := math.Frexp(x) // x = fr·2^e, fr in [½, 1)
+		half := int64(1) << (s.prec - 1)
+		m := int64(math.Ceil(math.Ldexp(fr, s.prec))) // in [half, 2·half]
+		if m == 2*half {
+			m, e = half, e+1
+		}
+		return min(int64(e-1+logExpBias)*half+m-half, s.maxCode())
+	}
+	y := math.Round(x * s.scale)
+	if y != y {
+		return 0
+	}
+	return int64(max(-maxFixedCode, min(maxFixedCode, y)))
+}
+
+// value is the float code c stands for; c lies in [minCode, maxCode].
+func (s step) value(c int64) float64 {
+	if s.log {
+		half := int64(1) << (s.prec - 1)
+		return math.Ldexp(float64(half+c%half), int(c/half)-logExpBias-(s.prec-1))
+	}
+	return float64(c) / s.scale
+}
+
+// representable reports whether x lies in the step's range, so that
+// value(code(x)) is x rounded and not saturated; it is false on a NaN.
+// top is s.top().
+func (s step) representable(x, top float64) bool {
+	if s.log {
+		return x > 0 && x <= top
+	}
+	return math.Abs(x) <= top
+}
+
+// top is the largest value the step holds.
+func (s step) top() float64 { return s.value(s.maxCode()) }
+
+// FieldGroup is a set of a manifest's floats that share one step on the
+// wire. Prec is the wire's precision: the group's consequence knee — the
+// coarsest step at which no plan priced at the true sizes exceeds its
+// budget and mean plan PSPNR by the true tables falls by at most
+// 0.01 dB, measured by the lut experiment on the quick and the
+// benchmark video — plus a margin of two bits, a step four times finer.
+type FieldGroup struct {
+	Name string
+	// Log marks the sizes: log-quantized to Prec significand bits and
+	// rounded up, so a plan priced at the wire's sizes never costs less
+	// than the tiles do. Every other group is fixed-point at a step of
+	// 2^-Prec.
+	Log  bool
+	Prec int
+}
+
+func (g *FieldGroup) step(prec int) step { return newStep(g.Log, prec) }
+
+// The field groups, indexed as in FieldGroups.
+const (
+	groupBits = iota
+	groupPSNR
+	groupRefPSPNR
+	groupLUTA
+	groupLUTB
+	groupScalars
+	groupObjects
+)
+
+// FieldGroups are the manifest's float groups with the wire's
+// precision of each. Object samples are read by no planner, so no step
+// moves a plan; theirs, 1/64, keeps a sample's time within a quarter
+// frame at 60 fps and its angles and speeds to 1/64°.
+var FieldGroups = []FieldGroup{
+	groupBits:     {Name: "Bits", Log: true, Prec: 14},
+	groupPSNR:     {Name: "PSNR", Prec: 5},
+	groupRefPSPNR: {Name: "RefPSPNR", Prec: 4},
+	groupLUTA:     {Name: "LUT.a", Prec: 11},
+	groupLUTB:     {Name: "LUT.b", Prec: 9},
+	groupScalars:  {Name: "tile scalars", Prec: 8},
+	groupObjects:  {Name: "object samples", Prec: 6},
+}
+
+// column is one float column of a section: the group it belongs to, the
+// float of a tile (or of an object sample) it carries, and whether it is
+// sent as the previous column's code minus its own.
+type column struct {
+	name  string
+	group int
+	delta bool
+	tile  func(*Tile) *float64
+	obj   func(*ObjectSample) *float64
+}
+
+// A section's columns: four int columns, X0, Y0, W and H on the chunk's
+// grid, then the float columns, tileFloats of them per tile and
+// objectFloats per object sample.
+const (
+	rectColumns  = 4
+	tileFloats   = 3 + 5*codec.NumLevels
+	objectFloats = 5
+)
+
+// columns are a section's float columns in wire order: the tile scalars,
+// then Bits, PSNR, RefPSPNR, LUT.a and LUT.b level by level, then the
+// object samples' T, Yaw, Pitch, SpeedDeg and Depth.
+var columns = func() []column {
+	cs := []column{
+		{name: "AvgLuma", group: groupScalars, tile: func(t *Tile) *float64 { return &t.AvgLuma }},
+		{name: "AvgDoF", group: groupScalars, tile: func(t *Tile) *float64 { return &t.AvgDoF }},
+		{name: "ObjSpeedDeg", group: groupScalars, tile: func(t *Tile) *float64 { return &t.ObjSpeedDeg }},
+	}
+	levels := func(name string, group int, delta bool, at func(t *Tile, l int) *float64) {
+		for l := 0; l < codec.NumLevels; l++ {
+			cs = append(cs, column{name: fmt.Sprintf("%s[%d]", name, l), group: group, delta: delta && l > 0,
+				tile: func(t *Tile) *float64 { return at(t, l) }})
 		}
 	}
-	column(func(t *Tile) *float64 { return &t.AvgLuma })
-	column(func(t *Tile) *float64 { return &t.AvgDoF })
-	column(func(t *Tile) *float64 { return &t.ObjSpeedDeg })
-	for l := 0; l < codec.NumLevels; l++ {
-		column(func(t *Tile) *float64 { return &t.Bits[l] })
+	levels("Bits", groupBits, true, func(t *Tile, l int) *float64 { return &t.Bits[l] })
+	levels("PSNR", groupPSNR, true, func(t *Tile, l int) *float64 { return &t.PSNR[l] })
+	levels("RefPSPNR", groupRefPSPNR, true, func(t *Tile, l int) *float64 { return &t.RefPSPNR[l] })
+	levels("LUT.ACoeff", groupLUTA, false, func(t *Tile, l int) *float64 { return &t.LUT[l].ACoeff })
+	levels("LUT.BExp", groupLUTB, false, func(t *Tile, l int) *float64 { return &t.LUT[l].BExp })
+	for _, o := range []struct {
+		name string
+		at   func(*ObjectSample) *float64
+	}{
+		{"T", func(o *ObjectSample) *float64 { return &o.T }},
+		{"Yaw", func(o *ObjectSample) *float64 { return &o.Yaw }},
+		{"Pitch", func(o *ObjectSample) *float64 { return &o.Pitch }},
+		{"SpeedDeg", func(o *ObjectSample) *float64 { return &o.SpeedDeg }},
+		{"Depth", func(o *ObjectSample) *float64 { return &o.Depth }},
+	} {
+		cs = append(cs, column{name: o.name, group: groupObjects, obj: o.at})
 	}
-	for l := 0; l < codec.NumLevels; l++ {
-		column(func(t *Tile) *float64 { return &t.PSNR[l] })
+	return cs
+}()
+
+// columnRows lists, in wire order, the rows of each column a section
+// with nt tiles and no object samples carries: a column of no rows is
+// not sent.
+func columnRows(nt, no int) []int {
+	rows := make([]int, 0, rectColumns+len(columns))
+	for range rectColumns {
+		if nt > 0 {
+			rows = append(rows, nt)
+		}
 	}
-	for l := 0; l < codec.NumLevels; l++ {
-		column(func(t *Tile) *float64 { return &t.RefPSPNR[l] })
+	for ci := range columns {
+		if n := columns[ci].rows(nt, no); n > 0 {
+			rows = append(rows, n)
+		}
 	}
-	for l := 0; l < codec.NumLevels; l++ {
-		column(func(t *Tile) *float64 { return &t.LUT[l].ACoeff })
+	return rows
+}
+
+// rows is how many codes the column carries in a section with nt tiles
+// and no object samples.
+func (col *column) rows(nt, no int) int {
+	if col.obj != nil {
+		return no
 	}
-	for l := 0; l < codec.NumLevels; l++ {
-		column(func(t *Tile) *float64 { return &t.LUT[l].BExp })
+	return nt
+}
+
+func (col *column) step() step { return FieldGroups[col.group].step(FieldGroups[col.group].Prec) }
+
+// visit calls f on the column's float of every row of c.
+func (col *column) visit(c *Chunk, f func(*float64)) {
+	if col.obj != nil {
+		for i := range c.Objects {
+			f(col.obj(&c.Objects[i]))
+		}
+		return
 	}
-	for i := range c.Objects {
-		o := &c.Objects[i]
-		f(&o.T)
-		f(&o.Yaw)
-		f(&o.Pitch)
-		f(&o.SpeedDeg)
-		f(&o.Depth)
+	for i := range c.Tiles {
+		f(col.tile(&c.Tiles[i]))
 	}
 }
 
-// RoundToWire rounds every float of c's tiles and object samples to
-// binary32, the precision Marshal writes, so that c survives the wire
-// unchanged: Unmarshal(Marshal(v)) deep-equals v once every chunk of v
-// has been rounded. The provider rounds each chunk it emits.
+// Round rounds every float of group g in c to the group's step at
+// precision prec, as the wire would round it at that precision.
+func (g *FieldGroup) Round(c *Chunk, prec int) {
+	s := g.step(prec)
+	for i := range columns {
+		if col := &columns[i]; FieldGroups[col.group].Name == g.Name {
+			col.visit(c, func(x *float64) { *x = s.value(s.code(*x)) })
+		}
+	}
+}
+
+// RoundToWire rounds every float of c's tiles and object samples to its
+// group's step, the precision Marshal writes, so that c survives the
+// wire unchanged: Unmarshal(Marshal(v)) deep-equals v once every chunk
+// of v has been rounded, and rounding twice is rounding once. The
+// provider rounds each chunk it emits.
 func (c *Chunk) RoundToWire() {
-	c.Floats(func(x *float64) { *x = float64(float32(*x)) })
+	for i := range FieldGroups {
+		g := &FieldGroups[i]
+		g.Round(c, g.Prec)
+	}
 }
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
+func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
+
 // Integers are signed (zig-zag) varints, so every int a Video can hold
 // — not only the ones Validate admits — encodes and Marshal cannot fail.
-func varintLen[T int | int64](x T) int { return uvarintLen(uint64(x)<<1 ^ uint64(int64(x)>>63)) }
+func varintLen[T int | int64](x T) int { return uvarintLen(zigzag(int64(x))) }
 
 func appendInt[T int | int64](b []byte, x T) []byte { return binary.AppendVarint(b, int64(x)) }
-
-// appendFloat writes f rounded to binary32; a float64 outside its range
-// becomes an infinity, which Unmarshal refuses.
-func appendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(f)))
-}
 
 func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// wireLen is the length of c's section, excluding its length prefix.
-func (c *Chunk) wireLen() int {
-	n := varintLen(c.Index) + uvarintLen(uint64(len(c.Tiles))) + uvarintLen(uint64(len(c.Objects)))
-	for i := range c.Tiles {
-		r := c.Tiles[i].Rect
-		n += varintLen(r.X0) + varintLen(r.Y0) + varintLen(r.W()) + varintLen(r.H())
+// absU is |x| as a uint64, exact for math.MinInt64 too.
+func absU(x int64) uint64 {
+	if x < 0 {
+		return -uint64(x)
 	}
-	return n + floatBytes*(tileFloats*len(c.Tiles)+objectFloats*len(c.Objects))
+	return uint64(x)
 }
 
-// WireLen returns len(v.Marshal()) without encoding: the bytes a
-// client's manifest GET moves.
-func (v *Video) WireLen() int {
-	n := len(wireMagic) + 1 + len(v.Name) + len(v.Genre) + 8 + 1 +
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// onGrid is x/g, exact: g divides x.
+func onGrid(x int64, g uint64) int64 {
+	if x < 0 {
+		return -int64(absU(x) / g)
+	}
+	return int64(uint64(x) / g)
+}
+
+// offGrid is q·g, and false where that is past int64.
+func offGrid(q int64, g uint64) (int64, bool) {
+	hi, lo := bits.Mul64(absU(q), g)
+	if q < 0 {
+		return -int64(lo), hi == 0 && lo <= 1<<63
+	}
+	return int64(lo), hi == 0 && lo < 1<<63
+}
+
+// section is one chunk's encoding worked out: the grid its rects lie
+// on, every column's codes (the four rect columns, then columns, tile
+// columns only with tiles and object columns only with samples), each
+// column's least code and width, and the bytes after its counts.
+type section struct {
+	grid   uint64
+	codes  [][]int64
+	group  []int // each column's field group, -1 for a rect column
+	base   []int64
+	width  []int
+	packed int // bits of packed codes
+	body   int
+}
+
+// rectInts are the four ints a tile's rect goes as.
+func rectInts(t *Tile) [rectColumns]int64 {
+	r := t.Rect
+	return [rectColumns]int64{int64(r.X0), int64(r.Y0), int64(r.W()), int64(r.H())}
+}
+
+func (c *Chunk) section() *section {
+	nt, no := len(c.Tiles), len(c.Objects)
+	rows := columnRows(nt, no)
+	total := 0
+	for _, n := range rows {
+		total += n
+	}
+	buf := make([]int64, total) // every column's codes, one after another
+	codesOf := func(n int) []int64 {
+		codes := buf[:n:n]
+		buf = buf[n:]
+		return codes
+	}
+	s := &section{
+		codes: make([][]int64, 0, len(rows)), group: make([]int, 0, len(rows)),
+		base: make([]int64, 0, len(rows)), width: make([]int, 0, len(rows)),
+	}
+	add := func(group int, codes []int64) {
+		lo, hi := codes[0], codes[0]
+		for _, x := range codes {
+			lo, hi = min(lo, x), max(hi, x)
+		}
+		w := bits.Len64(uint64(hi - lo))
+		s.codes, s.group = append(s.codes, codes), append(s.group, group)
+		s.base, s.width = append(s.base, lo), append(s.width, w)
+		s.packed += w * len(codes)
+		s.body += varintLen(lo) + 1
+	}
+	if nt > 0 {
+		for i := range c.Tiles {
+			for _, x := range rectInts(&c.Tiles[i]) {
+				s.grid = gcd(s.grid, absU(x))
+			}
+		}
+		s.grid = max(s.grid, 1)
+		s.body += uvarintLen(s.grid)
+		for j := 0; j < rectColumns; j++ {
+			codes := codesOf(nt)
+			for i := range c.Tiles {
+				codes[i] = onGrid(rectInts(&c.Tiles[i])[j], s.grid)
+			}
+			add(-1, codes)
+		}
+	}
+	// prev holds the previous column's codes, for a delta column to be
+	// sent as prev's minus its own.
+	var prev, cur []int64
+	for ci := range columns {
+		col := &columns[ci]
+		n := col.rows(nt, no)
+		if n == 0 {
+			continue
+		}
+		st := col.step()
+		cur = cur[:0]
+		col.visit(c, func(x *float64) { cur = append(cur, st.code(*x)) })
+		codes := codesOf(n)
+		for i, q := range cur {
+			if codes[i] = q; col.delta {
+				codes[i] = prev[i] - q
+			}
+		}
+		add(col.group, codes)
+		prev, cur = cur, prev
+	}
+	s.body = max(s.body+(s.packed+7)/8, minTileBytes*nt+minObjectBytes*no)
+	return s
+}
+
+// sectionLen is the length of c's section excluding its length prefix.
+func (c *Chunk) sectionLen(s *section) int {
+	return varintLen(c.Index) + uvarintLen(uint64(len(c.Tiles))) + uvarintLen(uint64(len(c.Objects))) + s.body
+}
+
+func (v *Video) headerLen() int {
+	return len(wireMagic) + 1 + len(v.Name) + len(v.Genre) + 8 + 1 +
 		uvarintLen(uint64(len(v.Name))) + uvarintLen(uint64(len(v.Genre))) +
 		varintLen(v.W) + varintLen(v.H) + varintLen(v.FPS) +
 		varintLen(v.Seq) + varintLen(v.FirstChunk) + varintLen(v.WindowChunks) +
 		uvarintLen(uint64(len(v.Chunks)))
+}
+
+// WireLen returns len(v.Marshal()), working out each section's columns
+// but writing none: the bytes a client's manifest GET moves.
+func (v *Video) WireLen() int {
+	n := v.headerLen()
 	for i := range v.Chunks {
-		s := v.Chunks[i].wireLen()
+		s := v.Chunks[i].sectionLen(v.Chunks[i].section())
 		n += uvarintLen(uint64(s)) + s
 	}
 	return n
 }
 
+// WireBytes splits v's encoding by what it carries: for each field
+// group in FieldGroups order, then the tile rects, the bytes of its
+// columns' heads and packed codes; last the framing — header, section
+// lengths, indices, counts, grids, the packed bits' last partial byte
+// and the floor's pads. The parts sum to WireLen.
+func (v *Video) WireBytes() []float64 {
+	out := make([]float64, len(FieldGroups)+2)
+	rects, framing := len(FieldGroups), len(FieldGroups)+1
+	total := float64(v.headerLen())
+	for i := range v.Chunks {
+		c := &v.Chunks[i]
+		s := c.section()
+		n := c.sectionLen(s)
+		total += float64(uvarintLen(uint64(n)) + n)
+		for j, g := range s.group {
+			if g < 0 {
+				g = rects
+			}
+			out[g] += float64(varintLen(s.base[j])+1) + float64(s.width[j]*len(s.codes[j]))/8
+		}
+	}
+	out[framing] = total
+	for _, b := range out[:framing] {
+		out[framing] -= b
+	}
+	return out
+}
+
+// bitWriter appends bits to b, least significant first; flush writes
+// the last partial byte, zero-padded.
+type bitWriter struct {
+	b   []byte
+	acc uint64 // n pending bits, n < 8 between writes
+	n   int
+}
+
+func (w *bitWriter) write(x uint64, width int) {
+	if width > 56 {
+		w.write(x&(1<<32-1), 32)
+		x, width = x>>32, width-32
+	}
+	w.acc |= (x & (1<<width - 1)) << w.n
+	for w.n += width; w.n >= 8; w.n -= 8 {
+		w.b = append(w.b, byte(w.acc))
+		w.acc >>= 8
+	}
+}
+
+func (w *bitWriter) flush() {
+	if w.n > 0 {
+		w.b = append(w.b, byte(w.acc))
+		w.acc, w.n = 0, 0
+	}
+}
+
 // Marshal returns the wire encoding, appended into one buffer made at
 // exactly its size.
 func (v *Video) Marshal() []byte {
-	b := append(make([]byte, 0, v.WireLen()), wireMagic...)
+	secs := make([]*section, len(v.Chunks))
+	n := v.headerLen()
+	for i := range v.Chunks {
+		secs[i] = v.Chunks[i].section()
+		s := v.Chunks[i].sectionLen(secs[i])
+		n += uvarintLen(uint64(s)) + s
+	}
+	b := append(make([]byte, 0, n), wireMagic...)
 	b = appendString(appendString(append(b, wireVersion), v.Name), v.Genre)
 	b = appendInt(appendInt(appendInt(b, v.W), v.H), v.FPS)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.ChunkSec)) // the chunk clock stays exact
@@ -139,15 +526,26 @@ func (v *Video) Marshal() []byte {
 	b = appendInt(appendInt(appendInt(append(b, live), v.Seq), v.FirstChunk), v.WindowChunks)
 	b = binary.AppendUvarint(b, uint64(len(v.Chunks)))
 	for i := range v.Chunks {
-		c := &v.Chunks[i]
-		b = appendInt(binary.AppendUvarint(b, uint64(c.wireLen())), c.Index)
+		c, s := &v.Chunks[i], secs[i]
+		b = appendInt(binary.AppendUvarint(b, uint64(c.sectionLen(s))), c.Index)
 		b = binary.AppendUvarint(b, uint64(len(c.Tiles)))
 		b = binary.AppendUvarint(b, uint64(len(c.Objects)))
-		for ti := range c.Tiles {
-			r := c.Tiles[ti].Rect
-			b = appendInt(appendInt(appendInt(appendInt(b, r.X0), r.Y0), r.W()), r.H())
+		start := len(b)
+		if len(c.Tiles) > 0 {
+			b = binary.AppendUvarint(b, s.grid)
 		}
-		c.Floats(func(x *float64) { b = appendFloat(b, *x) })
+		for j := range s.codes {
+			b = append(appendInt(b, s.base[j]), byte(s.width[j]))
+		}
+		w := bitWriter{b: b}
+		for j, codes := range s.codes {
+			for _, x := range codes {
+				w.write(uint64(x-s.base[j]), s.width[j])
+			}
+		}
+		w.flush()
+		b = w.b
+		b = append(b, make([]byte, s.body-(len(b)-start))...) // the floor's zero pad
 	}
 	return b
 }
@@ -170,7 +568,8 @@ func Decode(r io.Reader) (*Video, error) {
 var (
 	errTruncated = errors.New("truncated")
 	errVarint    = errors.New("malformed or non-minimal varint")
-	errNonFinite = errors.New("NaN or infinite float")
+	errRange     = errors.New("code out of range")
+	errPacking   = errors.New("non-canonical packing")
 )
 
 // wireReader walks an encoded manifest. The first failure sticks and
@@ -232,23 +631,6 @@ func (r *wireReader) bytes(n int) []byte {
 	return p
 }
 
-// float reads a binary32 and refuses a NaN or an infinity: Validate
-// would refuse one anyway, and a signalling NaN does not survive the
-// float32 → float64 → float32 trip bit for bit, so accepting one would
-// break "accepted ⇒ re-encodes to the input".
-func (r *wireReader) float() float64 {
-	p := r.bytes(floatBytes)
-	if p == nil {
-		return 0
-	}
-	x := binary.LittleEndian.Uint32(p)
-	if x&0x7f800000 == 0x7f800000 {
-		r.fail(errNonFinite)
-		return 0
-	}
-	return float64(math.Float32frombits(x))
-}
-
 // float64 reads the header's ChunkSec, a raw binary64.
 func (r *wireReader) float64() float64 {
 	if p := r.bytes(8); p != nil {
@@ -258,7 +640,8 @@ func (r *wireReader) float64() float64 {
 }
 
 // Unmarshal decodes a wire encoding. It accepts exactly what Marshal
-// writes — this version, minimal varints, no trailing bytes — so
+// writes — this version, minimal varints, each column at its least code
+// and width, codes in range, zero pads, no trailing bytes — so
 // Unmarshal(b).Marshal() is b again, and allocates one []Chunk plus one
 // []Tile and one []ObjectSample per chunk. Callers run Validate.
 func Unmarshal(b []byte) (*Video, error) {
@@ -297,25 +680,170 @@ func Unmarshal(b []byte) (*Video, error) {
 	return v, nil
 }
 
+// bitReader reads the bits a bitWriter wrote from b, which holds at
+// least as many as are read.
+type bitReader struct {
+	b   []byte
+	acc uint64 // n bits read from b and not yet returned
+	n   int
+}
+
+func (br *bitReader) read(width int) uint64 {
+	if width > 56 {
+		lo := br.read(32)
+		return lo | br.read(width-32)<<32
+	}
+	for ; br.n < width; br.n += 8 {
+		br.acc |= uint64(br.b[0]) << br.n
+		br.b = br.b[1:]
+	}
+	x := br.acc & (1<<width - 1)
+	br.acc >>= width
+	br.n -= width
+	return x
+}
+
+// packedColumn is a column's head: its least code and width.
+type packedColumn struct {
+	base  int64
+	width int
+}
+
+// column reads the next column of n codes from br, calling f with each,
+// and fails unless the column's least code is its base, its widest
+// offset takes exactly its width, and no code passes int64.
+func (r *wireReader) column(br *bitReader, h packedColumn, n int, f func(i int, code int64)) {
+	var lo, hi uint64 = math.MaxUint64, 0
+	limit := uint64(math.MaxInt64) - uint64(h.base) // the widest offset base can take
+	for i := 0; i < n; i++ {
+		off := br.read(h.width)
+		lo, hi = min(lo, off), max(hi, off)
+		if off > limit {
+			r.fail(errRange)
+			return
+		}
+		f(i, h.base+int64(off))
+	}
+	if lo != 0 || bits.Len64(hi) != h.width {
+		r.fail(errPacking)
+	}
+}
+
 // chunk decodes one section; r holds exactly the section's bytes.
 func (r *wireReader) chunk(c *Chunk) {
 	c.Index = r.int()
-	nt, no := r.count(minTileBytes), r.count(floatBytes*objectFloats)
+	nt := r.count(minTileBytes)
+	no := r.count(minObjectBytes)
+	if r.err == nil && minTileBytes*nt+minObjectBytes*no > len(r.b) {
+		r.fail(errTruncated)
+	}
+	if r.err != nil {
+		return
+	}
+	body := len(r.b)
+	var grid uint64
+	if nt > 0 {
+		if grid = r.uvarint(); grid == 0 {
+			r.fail(errPacking)
+		}
+	}
+	// The heads first, a base and a width byte for each column the
+	// counts imply, then the packed bits they add up to.
+	var heads [rectColumns + tileFloats + objectFloats]packedColumn
+	packed := 0
+	for j, n := range columnRows(nt, no) {
+		heads[j].base = r.int64()
+		if w := r.bytes(1); w != nil {
+			if heads[j].width = int(w[0]); w[0] > maxWidth {
+				r.fail(errPacking)
+			}
+		}
+		packed += heads[j].width * n
+	}
+	p := r.bytes((packed + 7) / 8)
+	if r.err != nil {
+		return
+	}
+	if packed%8 != 0 && p[len(p)-1]>>(packed%8) != 0 {
+		r.fail(errPacking) // the last byte's pad bits are zero
+		return
+	}
+	// The floor's pad, zeros, and nothing after it.
+	want := max(body-len(r.b), minTileBytes*nt+minObjectBytes*no)
+	for _, x := range r.bytes(want - (body - len(r.b))) {
+		if x != 0 {
+			r.fail(errPacking)
+		}
+	}
+	if r.err == nil && len(r.b) != 0 {
+		r.fail(fmt.Errorf("%d bytes past the section's columns", len(r.b)))
+	}
+	if r.err != nil {
+		return
+	}
+
+	br := bitReader{b: p}
+	j := 0
 	if nt > 0 {
 		c.Tiles = make([]Tile, nt)
-	}
-	for ti := range c.Tiles {
-		rc := &c.Tiles[ti].Rect
-		rc.X0, rc.Y0 = r.int(), r.int()
-		rc.X1, rc.Y1 = rc.X0+r.int(), rc.Y0+r.int()
-	}
-	// A section is self-contained: what is left is its floats, exactly.
-	if want := floatBytes * (tileFloats*nt + objectFloats*no); len(r.b) != want {
-		r.fail(fmt.Errorf("%d bytes of floats, want %d for %d tiles and %d objects", len(r.b), want, nt, no))
-		return
+		var g uint64 // of the codes: 1 unless the grid is not the rects' greatest
+		for k := 0; k < rectColumns; k++ {
+			r.column(&br, heads[j], nt, func(i int, q int64) {
+				g = gcd(g, absU(q))
+				x, ok := offGrid(q, grid)
+				if !ok {
+					r.fail(errRange)
+				}
+				rc := &c.Tiles[i].Rect
+				switch k {
+				case 0:
+					rc.X0 = int(x)
+				case 1:
+					rc.Y0 = int(x)
+				case 2:
+					rc.X1 = rc.X0 + int(x)
+				case 3:
+					rc.Y1 = rc.Y0 + int(x)
+				}
+			})
+			j++
+		}
+		if g != 1 && !(g == 0 && grid == 1) {
+			r.fail(errPacking)
+		}
 	}
 	if no > 0 {
 		c.Objects = make([]ObjectSample, no)
 	}
-	c.Floats(func(x *float64) { *x = r.float() })
+	var prev *column
+	for ci := range columns {
+		col := &columns[ci]
+		n := col.rows(nt, no)
+		if n == 0 {
+			continue
+		}
+		st := col.step()
+		var prevStep step
+		if col.delta {
+			prevStep = prev.step()
+		}
+		var at func(i int) *float64
+		if col.obj != nil {
+			at = func(i int) *float64 { return col.obj(&c.Objects[i]) }
+		} else {
+			at = func(i int) *float64 { return col.tile(&c.Tiles[i]) }
+		}
+		r.column(&br, heads[j], n, func(i int, q int64) {
+			if col.delta {
+				q = prevStep.code(*prev.tile(&c.Tiles[i])) - q
+			}
+			if q < st.minCode() || q > st.maxCode() {
+				r.fail(errRange)
+				return
+			}
+			*at(i) = st.value(q)
+		})
+		j++
+		prev = col
+	}
 }

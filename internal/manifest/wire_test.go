@@ -19,22 +19,24 @@ import (
 	"pano/internal/geom"
 )
 
-// Floats the round trip must carry bit for bit: both zeros, binary32
-// subnormals, the 100 dB cap and the a=1, b=0 fallback of FitPowerLUT,
-// and binary32's extremes.
-var edgeFloats = []float64{
-	0, math.Copysign(0, -1), 1, 100,
-	0x1p-149, -3 * 0x1p-149, 0x1p-127,
-	math.MaxFloat32, -math.MaxFloat32,
+// edgeCodes are codes of step s the round trip must carry: both ends of
+// its range, zero and its neighbours, and the codes of 1 and 100 (the
+// a=1, b=0 fallback of FitPowerLUT and the PSPNR cap).
+func edgeCodes(s step) []int64 {
+	return []int64{s.minCode(), s.minCode() + 1, s.maxCode(), s.maxCode() - 1,
+		max(s.minCode(), -1), 0, 1, s.code(1), s.code(100)}
 }
 
 var edgeInts = []int{0, 1, -1, 63, 64, -64, -65, 8191, 8192, 1 << 31, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1}
 
-func genFloat(rng *rand.Rand) float64 {
+// genCode draws a code of step s: an edge code, or one near the code of
+// a plausible value.
+func genCode(rng *rand.Rand, s step) int64 {
 	if rng.Intn(3) == 0 {
-		return edgeFloats[rng.Intn(len(edgeFloats))]
+		e := edgeCodes(s)
+		return e[rng.Intn(len(e))]
 	}
-	return float64(float32(rng.NormFloat64() * 1e3))
+	return s.code(rng.NormFloat64() * 1e3)
 }
 
 func genInt(rng *rand.Rand) int {
@@ -44,14 +46,24 @@ func genInt(rng *rand.Rand) int {
 	return rng.Intn(4096) - 1024
 }
 
+// genFloats sets every tile and object float of c to the value of a
+// random code of its column's step: on the wire's grid, anywhere in its
+// range.
+func genFloats(rng *rand.Rand, c *Chunk) {
+	for ci := range columns {
+		st := columns[ci].step()
+		columns[ci].visit(c, func(x *float64) { *x = st.value(genCode(rng, st)) })
+	}
+}
+
 // genVideo draws a manifest of the given shape — tiles[k] tiles and
 // objects[k] samples in chunk k — with every other field random and
-// every float on the binary32 grid. It is not valid and need not be: the
+// every float on the wire's grid. It is not valid and need not be: the
 // codec is total over Video.
 func genVideo(rng *rand.Rand, tiles, objects []int) *Video {
 	v := &Video{
 		Name: "video-\x00-é", Genre: "Sports",
-		W: genInt(rng), H: genInt(rng), FPS: genInt(rng), ChunkSec: genFloat(rng),
+		W: genInt(rng), H: genInt(rng), FPS: genInt(rng), ChunkSec: rng.NormFloat64(),
 		Live: rng.Intn(2) == 0, Seq: int64(genInt(rng)), FirstChunk: genInt(rng), WindowChunks: genInt(rng),
 	}
 	for k := range tiles {
@@ -60,7 +72,7 @@ func genVideo(rng *rand.Rand, tiles, objects []int) *Video {
 			c.Tiles = append(c.Tiles, Tile{Rect: geom.Rect{X0: genInt(rng), Y0: genInt(rng), X1: genInt(rng), Y1: genInt(rng)}})
 		}
 		c.Objects = make([]ObjectSample, objects[k])
-		c.Floats(func(x *float64) { *x = genFloat(rng) })
+		genFloats(rng, &c)
 		v.Chunks = append(v.Chunks, c)
 	}
 	return v
@@ -107,8 +119,16 @@ func wireCases() map[string]*Video {
 	rng := rand.New(rand.NewSource(2019))
 	live := genVideo(rng, []int{2, 2}, []int{1, 0})
 	live.Live, live.Seq, live.FirstChunk, live.WindowChunks = true, math.MaxInt64-1, 1, 8
+	onGrid := genVideo(rng, []int{5}, []int{1})
+	for i := range onGrid.Chunks[0].Tiles {
+		onGrid.Chunks[0].Tiles[i].Rect = geom.Rect{X0: 20 * i, Y0: -40, X1: 20*i + 60, Y1: 100}
+	}
+	zeroRects := &Video{Chunks: []Chunk{{Tiles: make([]Tile, 3)}}}
+	zeroRects.Chunks[0].RoundToWire()
 	cases := map[string]*Video{
 		"sample":     sampleVideo(),
+		"on a grid":  onGrid,
+		"zero rects": zeroRects,
 		"zero":       {},
 		"no chunks":  genVideo(rng, nil, nil),
 		"no tiles":   genVideo(rng, []int{0}, []int{0}),
@@ -176,21 +196,23 @@ func TestUnmarshalRejectsEveryTruncation(t *testing.T) {
 	}
 }
 
-// TestMarshalRoundsToBinary32: a manifest off the binary32 grid comes
+// TestMarshalRoundsToTheSteps: a manifest off the wire's grid comes
 // back as RoundToWire makes it, and RoundToWire puts it on the grid for
 // good — rounding twice is rounding once.
-func TestMarshalRoundsToBinary32(t *testing.T) {
+func TestMarshalRoundsToTheSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	v := genVideo(rng, []int{3, 1}, []int{2, 0})
 	for k := range v.Chunks {
-		v.Chunks[k].Floats(func(x *float64) { *x = rng.NormFloat64() * 1e3 })
+		for ci := range columns {
+			columns[ci].visit(&v.Chunks[k], func(x *float64) { *x = rng.NormFloat64() * 1e3 })
+		}
 	}
 	back, err := Unmarshal(v.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sameVideo(v, back) {
-		t.Fatal("float64s off the binary32 grid survived the wire unchanged")
+		t.Fatal("float64s off the wire's grid survived the wire unchanged")
 	}
 	for k := range v.Chunks {
 		v.Chunks[k].RoundToWire()
@@ -206,6 +228,98 @@ func TestMarshalRoundsToBinary32(t *testing.T) {
 	}
 }
 
+// TestStepCodes: on every step of the wire, and on coarser and finer
+// ones, a code's value codes back to itself and is representable; a
+// size rounds up to at most one step above, every other float to the
+// nearest step; and what the range cannot hold is not representable.
+func TestStepCodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, g := range FieldGroups {
+		for _, prec := range []int{g.Prec, 1, g.Prec + 9} {
+			s := g.step(prec)
+			codes := edgeCodes(s)
+			for i := 0; i < 200; i++ {
+				codes = append(codes, genCode(rng, s))
+			}
+			for _, c := range codes {
+				if x := s.value(c); s.code(x) != c || !s.representable(x, s.top()) {
+					t.Errorf("%s at %d: code %d is %v, which codes to %d (representable %v)", g.Name, prec, c, x, s.code(x), s.representable(x, s.top()))
+				}
+			}
+			for i := 0; i < 200; i++ {
+				x := math.Abs(rng.NormFloat64()) * math.Pow(10, float64(rng.Intn(9)-3))
+				if !g.Log && rng.Intn(2) == 0 {
+					x = -x
+				}
+				r := s.value(s.code(x))
+				if g.Log {
+					if next := s.value(s.code(x) + 1); r < x || next <= r || r > x*(1+math.Ldexp(1, 1-prec)) {
+						t.Errorf("%s at %d: %v rounds to %v", g.Name, prec, x, r)
+					}
+				} else if math.Abs(r-x) > math.Ldexp(0.5, -prec) {
+					t.Errorf("%s at %d: %v rounds to %v", g.Name, prec, x, r)
+				}
+			}
+			past := math.Nextafter(s.value(s.maxCode()), math.Inf(1))
+			if !g.Log {
+				past = math.Ldexp(maxFixedCode+2, -prec)
+			}
+			for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), past, -past} {
+				if s.representable(x, s.top()) {
+					t.Errorf("%s at %d: %v representable", g.Name, prec, x)
+				}
+			}
+			if g.Log && (s.representable(0, s.top()) || s.representable(-1, s.top())) {
+				t.Errorf("%s at %d: a size of 0 or -1 representable", g.Name, prec)
+			}
+		}
+	}
+}
+
+// TestColumnsCoverEveryFloat: the section's columns carry every float
+// of a Tile and an ObjectSample once, as the reflection of the structs
+// counts them, and each group's Round reaches exactly its columns.
+func TestColumnsCoverEveryFloat(t *testing.T) {
+	var floats func(reflect.Type) int
+	floats = func(ty reflect.Type) int {
+		switch ty.Kind() {
+		case reflect.Float64:
+			return 1
+		case reflect.Array:
+			return ty.Len() * floats(ty.Elem())
+		case reflect.Struct:
+			n := 0
+			for i := 0; i < ty.NumField(); i++ {
+				n += floats(ty.Field(i).Type)
+			}
+			return n
+		}
+		return 0
+	}
+	if got, want := tileFloats, floats(reflect.TypeOf(Tile{})); got != want {
+		t.Errorf("%d tile columns, a Tile has %d floats", got, want)
+	}
+	if got, want := objectFloats, floats(reflect.TypeOf(ObjectSample{})); got != want {
+		t.Errorf("%d object columns, an ObjectSample has %d floats", got, want)
+	}
+	if len(columns) != tileFloats+objectFloats {
+		t.Fatalf("%d columns, want %d", len(columns), tileFloats+objectFloats)
+	}
+	c := Chunk{Tiles: make([]Tile, 1), Objects: make([]ObjectSample, 1)}
+	seen := map[*float64]string{}
+	for ci := range columns {
+		columns[ci].visit(&c, func(x *float64) {
+			if prev, ok := seen[x]; ok {
+				t.Errorf("%s and %s carry one float", prev, columns[ci].name)
+			}
+			seen[x] = columns[ci].name
+		})
+	}
+	if len(seen) != tileFloats+objectFloats {
+		t.Errorf("the columns reach %d floats", len(seen))
+	}
+}
+
 // splice returns wire with the n bytes at off replaced by with.
 func splice(wire []byte, off, n int, with ...byte) []byte {
 	out := append([]byte{}, wire[:off]...)
@@ -213,29 +327,65 @@ func splice(wire []byte, off, n int, with ...byte) []byte {
 	return append(out, wire[off+n:]...)
 }
 
-// malformed returns inputs Unmarshal must refuse, by name. They are cut
-// from two encodings whose offsets are easy to state: the zero Video
-// (magic, version, then 18 bytes: two empty strings, three zero ints,
-// ChunkSec, the live flag, three zero ints, no chunks) and one chunk
-// with one tile and one object sample (the same header, then a two-byte
-// section length, index, tile count, object count, four rect bytes and
-// the floats, the tile's AvgLuma first).
+// oneChunk is a manifest of one chunk with one zero tile and one zero
+// object sample, and where its section's parts start: the zero Video's
+// header (magic, version, 18 bytes: two empty strings, three zero ints,
+// ChunkSec, the live flag, three zero ints), the chunk count, then a
+// one-byte section length, the index, the tile and object counts, the
+// grid (1), and a head — base 0, width 0 — for each of the 37 columns,
+// whose codes pack to no bits, so the section ends at its last head.
+func oneChunk() (wire []byte, sec, grid, heads int) {
+	c := Chunk{Tiles: make([]Tile, 1), Objects: make([]ObjectSample, 1)}
+	wire = (&Video{Chunks: []Chunk{c}}).Marshal()
+	hdr := len((&Video{}).Marshal()) - 1 // offset of the chunk count
+	sec = hdr + 2                        // the section's first byte, the index
+	return wire, sec, sec + 3, sec + 4
+}
+
+// withPacked returns a oneChunk encoding whose column j has width w and
+// whose section ends with the packed bytes p (the section length byte
+// follows).
+func withPacked(j int, w byte, p ...byte) []byte {
+	wire, sec, _, heads := oneChunk()
+	out := splice(wire, heads+2*j+1, 1, w)
+	out = append(out, p...)
+	out[sec-1] += byte(len(p))
+	return out
+}
+
+// floorPadded is a oneChunk encoding with 15 object samples, whose
+// section the floor pads by one byte, set to pad: 0 is the canonical
+// encoding, anything else is refused.
+func floorPadded(pad byte) []byte {
+	wire, sec, _, _ := oneChunk()
+	wire = splice(wire, sec+2, 1, 15)
+	wire[sec-1]++
+	return append(wire, pad)
+}
+
+// malformed returns inputs Unmarshal must refuse, by name.
 func malformed() map[string][]byte {
 	zero := (&Video{}).Marshal()
-	chunk := Chunk{Tiles: make([]Tile, 1), Objects: make([]ObjectSample, 1)}
-	one := (&Video{Chunks: []Chunk{chunk}}).Marshal()
-	hdr := len(zero) - 1 // offset of the chunk count
-	sec := hdr + 3       // offset of the section's first byte, the index
-	luma := sec + 3 + 4  // offset of the first float
-	f32 := func(x uint32) []byte { return binary.LittleEndian.AppendUint32(nil, x) }
+	one, sec, grid, heads := oneChunk()
+	hdr := sec - 2
 	huge := binary.AppendUvarint(nil, math.MaxUint64)
-	secLen := func(n int) []byte { return binary.AppendUvarint(nil, uint64(n)) }
+	secLen := int(one[sec-1])
+	bitsCol := rectColumns + 3 // Bits[0], a log column
+	lumaCol := rectColumns     // AvgLuma, a fixed-point column
+	// edit splices one and keeps its section length right.
+	edit := func(in []byte, off, n int, with ...byte) []byte {
+		out := splice(in, off, n, with...)
+		out[sec-1] += byte(len(with) - n)
+		return out
+	}
+	code := func(c int64) []byte { return binary.AppendVarint(nil, c) }
+	maxSize := FieldGroups[groupBits].step(FieldGroups[groupBits].Prec).maxCode()
 	return map[string][]byte{
 		"wrong magic":           splice(zero, 0, 1, 'Q'),
 		"json":                  []byte(`{"name":"x"}`),
 		"version 0":             splice(zero, 4, 1, 0),
-		"version 1":             splice(zero, 4, 1, 1),
-		"version 3":             splice(zero, 4, 1, 3),
+		"version 2":             splice(zero, 4, 1, 2),
+		"version 4":             splice(zero, 4, 1, 4),
 		"trailing garbage":      append(zero[:len(zero):len(zero)], "garbage"...),
 		"padded varint":         splice(zero, 5, 1, 0x80, 0x00),
 		"varint past 64 bits":   splice(zero, 5, 1, bytes.Repeat([]byte{0xff}, 11)...),
@@ -243,31 +393,50 @@ func malformed() map[string][]byte {
 		"live flag 2":           splice(zero, 5+2+3+8, 1, 2),
 		"chunk count 2^64-1":    splice(zero, hdr, 1, huge...),
 		"chunk count 2":         splice(one, hdr, 1, 2),
-		"section length +1":     splice(one, hdr+1, 2, secLen(chunk.wireLen()+1)...),
-		"section length -1":     splice(one, hdr+1, 2, secLen(chunk.wireLen()-1)...),
-		"section length 2^64-1": splice(one, hdr+1, 2, huge...),
+		"section length +1":     splice(one, sec-1, 1, byte(secLen+1)),
+		"section length -1":     splice(one, sec-1, 1, byte(secLen-1)),
+		"section length 2^64-1": splice(one, sec-1, 1, huge...),
 		"tile count 2^64-1":     splice(one, sec+1, 1, huge...),
-		"tile count 2":          splice(one, sec+1, 1, 2),
+		"tile count past floor": splice(one, sec+1, 1, byte(secLen/minTileBytes+1)),
 		"object count 2^64-1":   splice(one, sec+2, 1, huge...),
 		"object count 0":        splice(one, sec+2, 1, 0),
-		"padded rect varint":    splice(one, sec+3, 1, 0x80, 0x00),
-		"quiet NaN":             splice(one, luma, 4, f32(0x7fc00000)...),
-		"signalling NaN":        splice(one, luma, 4, f32(0x7f800001)...),
-		"+Inf":                  splice(one, luma, 4, f32(0x7f800000)...),
-		"-Inf":                  splice(one, len(one)-4, 4, f32(0xff800000)...),
+		"grid 0":                splice(one, grid, 1, 0),
+		"grid 2 on zero rects":  splice(one, grid, 1, 2),
+		"padded grid varint":    edit(one, grid, 1, 0x81, 0x00),
+		"width 65":              splice(one, heads+1, 1, 65),
+		"width too wide":        withPacked(0, 1, 0x00),
+		"base above least code": withPacked(0, 1, 0x01),
+		"pad bits set":          withPacked(0, 1, 0x81),
+		"padded base varint":    edit(one, heads, 1, 0x80, 0x00),
+		"fixed code 2^53+1":     edit(one, heads+2*lumaCol, 1, code(maxFixedCode+1)...),
+		"fixed code -2^53-1":    edit(one, heads+2*lumaCol, 1, code(-maxFixedCode-1)...),
+		"size code -1":          edit(one, heads+2*bitsCol, 1, code(-1)...),
+		"size code past max":    edit(one, heads+2*bitsCol, 1, code(maxSize+1)...),
+		"size delta past zero":  edit(one, heads+2*(bitsCol+1), 1, code(1)...),
+		"offset past int64":     splice(withPacked(0, 64, bytes.Repeat([]byte{0xff}, 8)...), heads, 1, code(1)...),
+		"rect past int64":       edit(splice(one, grid, 1, 2), heads, 1, code(1<<62)...),
+		"floor pad set":         floorPadded(1),
 	}
 }
 
 func TestUnmarshalRejectsMalformed(t *testing.T) {
+	if _, err := Unmarshal(floorPadded(0)); err != nil {
+		t.Errorf("a section padded to its floor: %v", err)
+	}
 	for name, in := range malformed() {
 		if v, err := Unmarshal(in); err == nil {
 			t.Errorf("%s: decoded to %+v", name, v)
 		}
 	}
 	for name, want := range map[string]error{
-		"padded varint": errVarint, "varint past 64 bits": errVarint, "padded rect varint": errVarint,
+		"padded varint": errVarint, "varint past 64 bits": errVarint, "padded grid varint": errVarint, "padded base varint": errVarint,
 		"chunk count 2^64-1": errTruncated, "tile count 2^64-1": errTruncated, "name longer than rest": errTruncated,
-		"quiet NaN": errNonFinite, "signalling NaN": errNonFinite, "+Inf": errNonFinite, "-Inf": errNonFinite,
+		"tile count past floor": errTruncated,
+		"grid 0":                errPacking, "grid 2 on zero rects": errPacking, "width 65": errPacking,
+		"width too wide": errPacking, "base above least code": errPacking, "pad bits set": errPacking,
+		"fixed code 2^53+1": errRange, "fixed code -2^53-1": errRange, "size code -1": errRange,
+		"size code past max": errRange, "size delta past zero": errRange, "offset past int64": errRange,
+		"rect past int64": errRange, "floor pad set": errPacking,
 	} {
 		if _, err := Unmarshal(malformed()[name]); !errors.Is(err, want) {
 			t.Errorf("%s: %v, want %v", name, err, want)
@@ -277,12 +446,13 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 
 // FuzzDecode: Unmarshal never panics, never allocates more than a
 // constant times its input (every count is checked against the bytes
-// left before make), and whatever it accepts re-encodes to exactly the
-// input — the encoding is canonical — and Validate is total over it. The
-// committed seeds under testdata/fuzz/FuzzDecode (seedOutcomes) are an
-// encoding cut at each section boundary, the forged counts and varints
-// of malformed, binary32 NaNs, infinities, a subnormal and −0, a zero
-// LUT coefficient and a version-1 encoding.
+// left, at a section's floor per row, before make), and whatever it
+// accepts re-encodes to exactly the input — the encoding is canonical —
+// and Validate is total over it. The committed seeds under
+// testdata/fuzz/FuzzDecode (seedOutcomes) are an encoding cut at each
+// section boundary, a truncated section, the forged counts, varints and
+// packings of malformed, a live manifest, a tile at each column's
+// extreme code, a zero LUT coefficient and a version-2 encoding.
 func FuzzDecode(f *testing.F) {
 	for _, v := range wireCases() {
 		f.Add(v.Marshal())
@@ -300,8 +470,8 @@ func FuzzDecode(f *testing.F) {
 			runtime.ReadMemStats(&after)
 			return after.TotalAlloc - before.TotalAlloc
 		}
-		// A 56-byte Chunk per 4-byte empty section is the worst ratio;
-		// the slack covers the Video and a formatted error. TotalAlloc
+		// A 256-byte Tile per 16 bytes of section floor is the worst
+		// ratio; the slack covers the Video and a formatted error. TotalAlloc
 		// is the process's, so a reading over the limit is taken again:
 		// another goroutine's allocation does not repeat, the decoder's
 		// does.
@@ -327,6 +497,11 @@ func FuzzDecode(f *testing.F) {
 // error Unmarshal refuses it with, or for the seeds it accepts, what
 // Validate says. A seed cut at a section boundary keeps meeting the
 // check its name says it reaches; a file not listed here is a crasher.
+// The float-* seeds are what binary32's specials became: an infinity is
+// a code past its step's range, and the encoder writes a NaN as code 0
+// — a luma of 0, which is valid, or the least size, which here leaves a
+// size growing with level — a −0 as 0 and a subnormal as the step's
+// nearest value.
 var seedOutcomes = map[string]string{
 	"count-overflow-chunks":      "manifest: decode: truncated",
 	"count-overflow-section":     "manifest: decode: chunk section 0: truncated",
@@ -344,17 +519,25 @@ var seedOutcomes = map[string]string{
 	"cut-7-after-rects":          "manifest: decode: chunk section 0: truncated",
 	"cut-8-after-tile-columns":   "manifest: decode: chunk section 0: truncated",
 	"cut-9-after-first-section":  "manifest: decode: chunk section 1: truncated",
-	"float-nan-quiet":            "manifest: decode: chunk section 0: NaN or infinite float",
-	"float-nan-signalling":       "manifest: decode: chunk section 0: NaN or infinite float",
-	"float-inf":                  "manifest: decode: chunk section 0: NaN or infinite float",
-	"float-neg-inf":              "manifest: decode: chunk section 1: NaN or infinite float",
+	"extremes":                   "valid, then manifest: bad video header 0x0@0/0s",
+	"float-inf":                  "manifest: decode: chunk section 0: code out of range",
+	"float-nan-quiet":            "valid",
+	"float-nan-signalling":       "valid, then manifest: chunk 0 tile 0 size grows from level 0 to 1",
+	"float-neg-inf":              "manifest: decode: chunk section 1: code out of range",
 	"float-negative-zero":        "valid",
 	"float-subnormal":            "valid",
+	"live-three-chunks":          "valid",
 	"lut-coefficient-zero":       "valid, then manifest: chunk 0 tile 0 level 0 LUT coefficient 0 not positive",
+	"packing-base-above-least":   "manifest: decode: chunk section 0: non-canonical packing",
+	"packing-pad-bits":           "manifest: decode: chunk section 0: non-canonical packing",
+	"packing-width-too-wide":     "manifest: decode: chunk section 0: non-canonical packing",
+	"range-size-code":            "manifest: decode: chunk section 0: code out of range",
+	"truncated-section":          "manifest: decode: chunk section 1: truncated",
 	"valid-two-chunks":           "valid",
 	"varint-11-bytes":            "manifest: decode: malformed or non-minimal varint",
 	"varint-padded":              "manifest: decode: malformed or non-minimal varint",
 	"version-1":                  "manifest: decode: unknown version 1",
+	"version-2":                  "manifest: decode: unknown version 2",
 }
 
 func TestFuzzSeedsReachTheirChecks(t *testing.T) {
@@ -389,17 +572,16 @@ func TestFuzzSeedsReachTheirChecks(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsNonFinite: every range check in Validate is false
-// on a NaN, so each float is checked for one — and for an infinity, and
-// for −1e39, which binary32 cannot hold. On the wire a tile or object
-// float is binary32 and Unmarshal refuses the NaN or infinity (−1e39
-// becomes −Inf) before Validate sees it; ChunkSec is binary64 and
-// reaches Validate on the far side (−1e39 there is refused as a
-// non-positive chunk length).
+// TestValidateRejectsNonFinite: every range check in Validate is
+// false on a NaN, so each float is checked for one — and for an
+// infinity, and for a value past its step's range. Marshal is total
+// over them all: it saturates each at the end of its range (a NaN at
+// code 0), and what Unmarshal gets back decodes. ChunkSec is binary64
+// and reaches the far side as it is, where Validate refuses it again.
 func TestValidateRejectsNonFinite(t *testing.T) {
 	withObject := func() *Video {
 		v := sampleVideo()
-		v.Chunks[0].Objects = []ObjectSample{{T: 0.1, Yaw: 10, Pitch: -5, SpeedDeg: 3, Depth: 0.5}}
+		v.Chunks[0].Objects = []ObjectSample{{T: 0.125, Yaw: 10, Pitch: -5, SpeedDeg: 3, Depth: 0.5}}
 		return v
 	}
 	if err := withObject().Validate(); err != nil {
@@ -416,39 +598,23 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		}
 	}
 	for name := range fields(withObject()) {
-		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e39} {
+		bads := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e300}
+		if name != "ChunkSec" {
+			bads = append(bads, 1e300) // past every step's range
+		}
+		for _, bad := range bads {
 			v := withObject()
 			*fields(v)[name] = bad
 			if err := v.Validate(); err == nil {
 				t.Errorf("%s = %v validated", name, bad)
 			}
 			back, err := Unmarshal(v.Marshal())
-			if name != "ChunkSec" {
-				if !errors.Is(err, errNonFinite) {
-					t.Errorf("%s = %v: decoded with %v, want %v", name, bad, err, errNonFinite)
-				}
-				continue
-			}
 			if err != nil {
 				t.Fatalf("%s = %v: %v", name, bad, err)
 			}
-			if err := back.Validate(); err == nil {
+			if name == "ChunkSec" && back.Validate() == nil {
 				t.Errorf("%s = %v validated after the wire", name, bad)
 			}
-		}
-	}
-}
-
-// TestFinite32IsTheConversion: finite32 is true exactly where float32()
-// gives a finite value, at the edge of binary32's range as elsewhere.
-func TestFinite32IsTheConversion(t *testing.T) {
-	edge := 0x1.ffffffp127
-	for _, x := range []float64{
-		0, 1, -1, math.MaxFloat32, -math.MaxFloat32, math.Nextafter(edge, 0), edge, -edge,
-		math.Nextafter(edge, math.Inf(1)), math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
-	} {
-		if got, want := finite32(x), !math.IsInf(float64(float32(x)), 0) && !math.IsNaN(x); got != want {
-			t.Errorf("finite32(%v) = %v, float32() says %v", x, got, want)
 		}
 	}
 }
@@ -478,11 +644,14 @@ func benchVideo() *Video {
 			x, y := i%6*80, i/6*48
 			c.Tiles = append(c.Tiles, Tile{Rect: geom.Rect{X0: x, Y0: y, X1: x + 80, Y1: y + 48}})
 		}
-		c.Floats(func(x *float64) { *x = 1 + rng.Float64()*99 })
+		for ci := range columns {
+			columns[ci].visit(&c, func(x *float64) { *x = 1 + rng.Float64()*99 })
+		}
 		for i := range c.Tiles {
 			slices.Sort(c.Tiles[i].Bits[:])
 			slices.Reverse(c.Tiles[i].Bits[:])
 		}
+		c.RoundToWire()
 		v.Chunks = append(v.Chunks, c)
 	}
 	return v

@@ -187,17 +187,3 @@ func Interp(x float64, xs, ys []float64) float64 {
 	t := (x - xs[i-1]) / (xs[i] - xs[i-1])
 	return ys[i-1] + t*(ys[i]-ys[i-1])
 }
-
-// RoundSignificand rounds x to the nearest float whose significand has
-// bits bits (the leading one included), ties to even, with no limit on
-// the exponent: 53 leaves a float64 as it is, and 24 is binary32's
-// precision, so RoundSignificand(x, 24) == float64(float32(x)) wherever x
-// is in binary32's normal range. 0, NaN and infinities are returned as
-// they are.
-func RoundSignificand(x float64, bits int) float64 {
-	if x == 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-		return x
-	}
-	frac, exp := math.Frexp(x) // |frac| in [0.5, 1)
-	return math.Ldexp(math.RoundToEven(math.Ldexp(frac, bits)), exp-bits)
-}

@@ -238,34 +238,3 @@ func TestRNGIntnPanics(t *testing.T) {
 	}()
 	NewRNG(1).Intn(0)
 }
-
-// TestRoundSignificand: 24 bits is the float32 conversion over binary32's
-// normal range, fewer bits round to nearest with ties to even, and 53
-// bits (or more) is the identity.
-func TestRoundSignificand(t *testing.T) {
-	rng := NewRNG(24)
-	for i := 0; i < 10000; i++ {
-		x := (rng.Float64() - 0.5) * math.Pow(2, float64(rng.Intn(200)-100))
-		if got, want := RoundSignificand(x, 24), float64(float32(x)); got != want {
-			t.Fatalf("RoundSignificand(%v, 24) = %v, float32 gives %v", x, got, want)
-		}
-		if RoundSignificand(x, 53) != x || RoundSignificand(x, 60) != x {
-			t.Fatalf("RoundSignificand(%v, 53) moved it", x)
-		}
-	}
-	for _, c := range []struct {
-		x    float64
-		bits int
-		want float64
-	}{
-		{1.25, 2, 1}, {1.75, 2, 2}, {-1.75, 2, -2}, {1.5, 1, 2}, {2.5, 2, 2}, {3.5, 2, 4},
-		{99.9, 1, 128}, {0x1p-1074, 1, 0x1p-1074}, {0, 3, 0}, {math.Inf(-1), 3, math.Inf(-1)},
-	} {
-		if got := RoundSignificand(c.x, c.bits); got != c.want {
-			t.Errorf("RoundSignificand(%v, %d) = %v, want %v", c.x, c.bits, got, c.want)
-		}
-	}
-	if !math.IsNaN(RoundSignificand(math.NaN(), 8)) {
-		t.Error("NaN did not stay NaN")
-	}
-}

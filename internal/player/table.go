@@ -17,7 +17,8 @@ import (
 // controller's menu of the chunk (horizonRow), and what abr.Starved reads
 // of the chunk's bits (abr.Floor) and of its tied tiles' rows (flatLevel).
 // Those are computed once per manifest, chunk by chunk as sessions first
-// reach it, into a table every session and swarm worker shares.
+// reach it, into a table every session and swarm worker shares; so is
+// whether the manifest validates (Validate).
 //
 // The table is keyed by the *manifest.Video and its chunk count, so a
 // manifest grown in place (a live manifest held by the publisher, or a
@@ -32,18 +33,21 @@ import (
 // than by growing: no path in the repo does. The provider builds a
 // Video before it returns it, the live publisher appends chunks to its
 // own Video and hands sessions decoded copies, and the experiments that
-// round a manifest's fields round a fresh decoded copy before any
-// session reads it. The swarm's placement relies on the same. A manifest
-// must also live on the heap (weak.Make refuses a package-level Video):
-// every manifest in the repo is allocated by its decoder or its builder.
+// round a manifest's fields round a fresh copy before any session reads
+// it. The swarm's placement relies on the same. A manifest must also
+// live on the heap (weak.Make refuses a package-level Video): every
+// manifest in the repo is allocated by its decoder or its builder.
 
 // videoTable is one manifest's table, sized for its first n chunks;
-// chunk k's entry is filled by the first call that needs it (once[k]).
+// chunk k's entry is filled by the first call that needs it (once[k]),
+// and the manifest's Validate verdict by the first Validate.
 type videoTable struct {
-	n       int
-	once    []sync.Once
-	horizon []abr.ChunkPlan
-	chunks  []chunkFacts
+	n         int
+	once      []sync.Once
+	horizon   []abr.ChunkPlan
+	chunks    []chunkFacts
+	validOnce sync.Once
+	valid     error
 }
 
 // chunkFacts is what Plan's low end reads of one chunk: the floor of its
@@ -69,6 +73,15 @@ func tableOf(m *manifest.Video) *videoTable {
 		runtime.AddCleanup(m, func(key weak.Pointer[manifest.Video]) { tables.Delete(key) }, key)
 	}
 	return t
+}
+
+// Validate is m.Validate(), run once per manifest: the verdict is kept in
+// m's table, so the sessions that share a manifest pay for one check, and
+// a manifest that fails it fails every call.
+func Validate(m *manifest.Video) error {
+	t := tableOf(m)
+	t.validOnce.Do(func() { t.valid = m.Validate() })
+	return t.valid
 }
 
 // chunk returns chunk k's facts, filling its entry on first use.

@@ -74,9 +74,11 @@ func goldenDigests(t *testing.T) map[string]string {
 // (table-driven quantizer, fused PMSE kernel, separable scene render)
 // and any rewrite of them must reproduce the same bits.
 //
-// Re-pinned once since, for one cause: the provider rounds every float
-// it emits to binary32, the wire's precision (DESIGN.md §4), so every
-// digest moved while no structure did.
+// Re-pinned twice since, each time for one cause and with no structure
+// moving: the provider rounded every float it emits to binary32, the
+// wire's precision then; and then to each field group's step, the wire's
+// precision now (DESIGN.md §4), which also changed the bytes every
+// digest is taken over.
 //
 // To regenerate after an intended behaviour change, delete the golden
 // file and run the test once: it rewrites the file and fails.

@@ -121,13 +121,22 @@ func (c *Config) resolve(v *scene.Video) (numChunks int, err error) {
 // Preprocess builds the manifest for a video given history viewpoint
 // traces (may be empty: scores then assume a static viewpoint).
 func Preprocess(v *scene.Video, history []*viewport.Trace, cfg Config) (*manifest.Video, error) {
-	return preprocess(v, history, cfg, tiling.Grid6x12)
+	return preprocess(&preprocessor{cfg: cfg, grid: tiling.Grid6x12, video: v, history: history})
 }
 
-// preprocess is Preprocess with grid as ModeUniform's grid, which is
-// otherwise 6×12, Flare's.
-func preprocess(v *scene.Video, history []*viewport.Trace, cfg Config, grid tiling.Grid) (*manifest.Video, error) {
-	numChunks, err := cfg.resolve(v)
+// PreprocessExact is Preprocess before the wire's rounding: every float
+// as the provider measured it, off the field groups' steps. It is what
+// the lut experiment measures the wire's precision against; what it
+// returns does not survive Marshal unchanged, so nothing serves it.
+func PreprocessExact(v *scene.Video, history []*viewport.Trace, cfg Config) (*manifest.Video, error) {
+	return preprocess(&preprocessor{cfg: cfg, grid: tiling.Grid6x12, video: v, history: history, exact: true})
+}
+
+// preprocess builds p's video's manifest; p.grid is ModeUniform's grid,
+// 6×12 (Flare's) but in tests.
+func preprocess(p *preprocessor) (*manifest.Video, error) {
+	v := p.video
+	numChunks, err := p.cfg.resolve(v)
 	if err != nil {
 		return nil, err
 	}
@@ -139,8 +148,6 @@ func preprocess(v *scene.Video, history []*viewport.Trace, cfg Config, grid tili
 		FPS:      v.FPS,
 		ChunkSec: ChunkSec,
 	}
-	p := &preprocessor{cfg: cfg, grid: grid, video: v, history: history}
-
 	// Chunks are independent; preprocess them in parallel (each worker
 	// renders, distorts, and analyzes its own frames — there is no
 	// shared mutable state). The per-chunk kernels fan out further
@@ -196,6 +203,7 @@ type preprocessor struct {
 	grid    tiling.Grid // ModeUniform's
 	video   *scene.Video
 	history []*viewport.Trace
+	exact   bool // PreprocessExact's: emit chunks unrounded
 }
 
 // sampledFrame bundles one analyzed frame: the original, its content
@@ -534,7 +542,10 @@ func (p *preprocessor) chunk(k int) (manifest.Chunk, error) {
 		}
 	}
 	// What the provider emits is what the wire carries: VOD, live and
-	// every decoded copy hold the same binary32 values (DESIGN.md §4).
-	ch.RoundToWire()
+	// every decoded copy hold the same values, each float at its field
+	// group's step (DESIGN.md §4).
+	if !p.exact {
+		ch.RoundToWire()
+	}
 	return ch, nil
 }

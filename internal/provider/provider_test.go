@@ -74,8 +74,10 @@ func TestPreprocessModes(t *testing.T) {
 }
 
 // TestEmitsOnTheWireGrid: in every tiling mode, what Preprocess and
-// ChunkAt emit is on the wire's binary32 grid — Unmarshal(Marshal(m))
-// deep-equals m — and a chunk made alone is the VOD chunk.
+// ChunkAt emit is on the wire's grid, every float at its field group's
+// step — Unmarshal(Marshal(m)) deep-equals m — a chunk made alone is the
+// VOD chunk, and PreprocessExact's manifest is Preprocess's before
+// RoundToWire, off the grid.
 func TestEmitsOnTheWireGrid(t *testing.T) {
 	v := testVideo(scene.Sports, 8)
 	hist := testHistory(v, 2)
@@ -95,6 +97,19 @@ func TestEmitsOnTheWireGrid(t *testing.T) {
 		}
 		if !reflect.DeepEqual(trip(m), m) {
 			t.Errorf("%v: Preprocess's manifest changed over the wire", mode)
+		}
+		exact, err := PreprocessExact(v, hist, cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if reflect.DeepEqual(trip(exact), exact) {
+			t.Errorf("%v: PreprocessExact's manifest is on the wire's grid", mode)
+		}
+		for k := range exact.Chunks {
+			exact.Chunks[k].RoundToWire()
+		}
+		if !reflect.DeepEqual(exact, m) {
+			t.Errorf("%v: PreprocessExact's manifest rounded is not Preprocess's", mode)
 		}
 		live := *m
 		live.Chunks = nil
@@ -180,7 +195,7 @@ func TestPanoTilesFewerThanUniformFine(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Mode = ModeUniform
-	fine, err := preprocess(v, hist, cfg, tiling.Grid12x24)
+	fine, err := preprocess(&preprocessor{cfg: cfg, grid: tiling.Grid12x24, video: v, history: hist})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,11 +176,11 @@ func TestRunGolden(t *testing.T) {
 	}
 }
 
-// TestGoldenLevelsHoldAt20Bits: the manifest's floats have precision to
-// spare where the goldens live. Every golden session, planned on its
-// manifest with every float rounded from binary32's 24 significand bits
-// to 20, delivers the golden's levels, chunk by chunk.
-func TestGoldenLevelsHoldAt20Bits(t *testing.T) {
+// TestGoldenQualityHoldsOneBitCoarser: the wire's steps have precision
+// to spare where the goldens live. Planned on their manifests with every
+// field group rounded one bit coarser than the wire's step, the golden
+// sessions deliver a mean PSPNR within 0.01 dB of the goldens'.
+func TestGoldenQualityHoldsOneBitCoarser(t *testing.T) {
 	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
@@ -195,19 +195,25 @@ func TestGoldenLevelsHoldAt20Bits(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := range r.Chunks {
-			r.Chunks[k].Floats(func(x *float64) { *x = mathx.RoundSignificand(*x, 20) })
+			for i := range manifest.FieldGroups {
+				g := &manifest.FieldGroups[i]
+				g.Round(&r.Chunks[k], g.Prec-1)
+			}
 		}
 		return r
 	})
 	if len(got) != len(want) {
 		t.Fatalf("%d sessions, golden has %d", len(got), len(want))
 	}
+	var golden, coarser mathx.Stats
 	for i, w := range want {
-		for k := range w.Levels {
-			if k >= len(got[i].Levels) || fmt.Sprint(got[i].Levels[k]) != fmt.Sprint(w.Levels[k]) {
-				t.Errorf("%s chunk %d: levels move at 20 significand bits", w.Name, k)
-			}
+		for k := range w.PSPNR {
+			golden.Add(w.PSPNR[k])
+			coarser.Add(got[i].PSPNR[k])
 		}
+	}
+	if fall := golden.Mean() - coarser.Mean(); fall > 0.01 {
+		t.Errorf("one bit coarser, mean PSPNR falls %.4f dB", fall)
 	}
 }
 
@@ -234,7 +240,12 @@ func TestGoldenLevelsHoldAt20Bits(t *testing.T) {
 // chunk's transfer used to carry it free. Only viewport/trace{1,2}/
 // tileloss0.1 moved (startup one RTT later, fewer bits, and the plans
 // that follow from them); every other session here is byte-identical.
-const otherPlannersSHA256 = "a8d7f535c4d6349fcaa52dc88cd04dfeed59abb8f630b7e2b75b07e50f32d911"
+//
+// Replaced a third time when the wire's binary32 floats became codes at
+// each field group's step (DESIGN.md §4): every session's PSPNR, bits
+// and timings moved with the manifest's values, and a few tile levels
+// with them.
+const otherPlannersSHA256 = "d3bda7dbcbb12c3eccd3949e7c7c35484dfb62b132a6b73ce7763e4bf94a3a47"
 
 func TestRunGoldenOtherPlannersUntouched(t *testing.T) {
 	raw, err := os.ReadFile(goldenPath)

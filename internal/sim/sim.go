@@ -157,7 +157,7 @@ func Run(m *manifest.Video, tr *viewport.Trace, link *nettrace.Link, pl player.P
 	if m.NumChunks() == 0 {
 		return nil, fmt.Errorf("sim: empty manifest")
 	}
-	if err := m.Validate(); err != nil {
+	if err := player.Validate(m); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 

@@ -305,8 +305,10 @@ func golden(t *testing.T, name, got string) {
 // Etag and the body's hash. They and the two /manifest.mpd body hashes
 // were re-captured a second time when the encoding went to binary32
 // floats and the fixture's tiles gained a LUT coefficient of 1 (they
-// had 0, which Validate now refuses; the MPD prints it). Every tile and
-// error entry is fb86316's.
+// had 0, which Validate now refuses; the MPD prints it), and the four
+// /manifest.json entries a third time when the floats became bit-packed
+// codes at each field group's step (744 → 357 B). Every tile and error
+// entry is fb86316's.
 func TestWireGolden(t *testing.T) {
 	dir, _ := publishWire(t, wireManifest())
 	golden(t, "wire_golden.txt", newWireStack(t, dir).runScript(t))

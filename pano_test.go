@@ -46,6 +46,25 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSimulateRefusesAnInvalidManifestEveryTime: a session validates
+// its manifest once per manifest and keeps the verdict, so a second
+// session over an invalid manifest is refused as the first was.
+func TestSimulateRefusesAnInvalidManifestEveryTime(t *testing.T) {
+	v := GenerateVideo(Sports, 1, VideoOptions{W: 240, H: 120, FPS: 10, DurationSec: 2})
+	tr := SynthesizeTrace(v, 2)
+	m, err := Preprocess(v, []*ViewTrace{tr}, DefaultPreprocess())
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := ScaledLink(m, 0.4, 7)
+	m.Chunks[1].Tiles[0].RefPSPNR[2] = 150
+	for i := 0; i < 2; i++ {
+		if _, err := Simulate(m, tr, link, NewPanoPlanner(), DefaultSimConfig()); err == nil {
+			t.Errorf("session %d over an invalid manifest ran", i+1)
+		}
+	}
+}
+
 func TestFacadeJND(t *testing.T) {
 	p := DefaultJND()
 	if p.ActionRatio(JNDFactors{}) != 1 {
