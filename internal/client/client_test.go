@@ -78,18 +78,24 @@ func TestFetchManifestBadServer(t *testing.T) {
 	}
 }
 
-// TestFetchManifestRejectsNonFinite: Validate after the decode is the
-// client's one gate. The wire has no code for a NaN — the encoder writes
-// it as code 0 — so a server's NaN LUT coefficient arrives as a = 0,
-// which Validate refuses. JSON — what the path's name still says — is
-// not a manifest at all.
+// TestFetchManifestRejectsNonFinite: the decode and Validate after it
+// are the client's one gate. The wire has no code for a NaN or an
+// infinity — the encoder writes each as a code past its step's range,
+// which the decoder refuses — so a server's NaN or infinite LUT
+// exponent never reaches a plan. JSON — what the path's name still
+// says — is not a manifest at all.
 func TestFetchManifestRejectsNonFinite(t *testing.T) {
-	poisoned, err := manifest.Unmarshal(fixture(t).man.Marshal())
-	if err != nil {
-		t.Fatal(err)
+	poison := func(b float64) []byte {
+		m, err := manifest.Unmarshal(fixture(t).man.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Chunks[1].Tiles[0].LUT[2].BExp = b
+		return m.Marshal()
 	}
-	poisoned.Chunks[1].Tiles[0].LUT[2].ACoeff = math.NaN()
-	for name, body := range map[string][]byte{"NaN": poisoned.Marshal(), "JSON": []byte(`{"name":"x"}`)} {
+	for name, body := range map[string][]byte{
+		"NaN": poison(math.NaN()), "Inf": poison(math.Inf(1)), "JSON": []byte(`{"name":"x"}`),
+	} {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Write(body)
 		}))

@@ -276,7 +276,7 @@ func TestLUTContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Knees) != 2*len(manifest.FieldGroups) || len(res.Wire) != 2 {
+	if len(res.Knees) != 2*len(manifest.FieldGroups()) || len(res.Wire) != 2 {
 		t.Fatalf("%d knee rows and %d wire rows, want one per group and one per video", len(res.Knees), len(res.Wire))
 	}
 	for _, k := range res.Knees {

@@ -173,13 +173,14 @@ func (w WireRow) rows(knees []KneeRow) [][]string {
 	rows := [][]string{
 		{"bytes per tile on the wire, " + v, fmt.Sprintf("%.1f", w.BytesPerTile)},
 	}
+	groups := manifest.FieldGroups()
 	names := []string{"rects", "framing"}
 	for i, b := range w.GroupBytes {
 		name := ""
-		if i < len(manifest.FieldGroups) {
-			name = manifest.FieldGroups[i].Name
+		if i < len(groups) {
+			name = groups[i].Name
 		} else {
-			name = names[i-len(manifest.FieldGroups)]
+			name = names[i-len(groups)]
 		}
 		rows = append(rows, []string{fmt.Sprintf("bytes per tile, %s: %s", v, name), fmt.Sprintf("%.2f", b)})
 	}
@@ -416,8 +417,7 @@ func (kv *kneeVideo) measure() (WireRow, []KneeRow, error) {
 	}
 
 	var knees []KneeRow
-	for gi := range manifest.FieldGroups {
-		g := &manifest.FieldGroups[gi]
+	for _, g := range manifest.FieldGroups() {
 		finest, coarsest := g.Prec+kneeScanFiner, kneeCoarsest
 		if g.Log {
 			finest, coarsest = min(finest, kneeLogFinest), kneeLogCoarsest

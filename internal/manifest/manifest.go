@@ -176,31 +176,31 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 // cannot hold (a NaN, an infinity, a value past the step's range, a size
 // not above zero), or returns "".
 func (c *Chunk) unrepresentable() string {
-	bad := ""
-	for ci := range columns {
-		col := &columns[ci]
-		st, i := col.step(), 0
-		top := st.top()
-		col.visit(c, func(x *float64) {
-			if bad == "" && !st.representable(*x, top) {
-				kind := "tile"
-				if col.obj != nil {
-					kind = "object sample"
-				}
-				bad = fmt.Sprintf("%s %d %s", kind, i, col.name)
+	for i := range c.Tiles {
+		f := c.Tiles[i].floats()
+		for j, x := range &f {
+			if !tileCols[j].step.representable(*x) {
+				return fmt.Sprintf("tile %d %s", i, tileCols[j].name)
 			}
-			i++
-		})
+		}
 	}
-	return bad
+	for i := range c.Objects {
+		f := c.Objects[i].floats()
+		for k, x := range &f {
+			if !objectCols[k].step.representable(*x) {
+				return fmt.Sprintf("object sample %d %s", i, objectCols[k].name)
+			}
+		}
+	}
+	return ""
 }
 
 // Validate checks structural invariants: tiles partition the frame,
 // sizes grow with quality, PSPNR values are sane, LUT coefficients are
 // positive, and every tile and object float lies in its step's range,
-// so a valid Video survives Marshal and Unmarshal rounded, not
-// saturated — and is not a NaN, on which each range check below is
-// false.
+// so a valid Video survives Marshal and Unmarshal rounded — and is not
+// a NaN, on which each range check below is false. Marshal writes a
+// float out of range as a reserved code that Unmarshal refuses.
 func (v *Video) Validate() error {
 	if v.W <= 0 || v.H <= 0 || v.FPS <= 0 || v.ChunkSec <= 0 || !finite(v.ChunkSec) {
 		return fmt.Errorf("manifest: bad video header %dx%d@%d/%vs", v.W, v.H, v.FPS, v.ChunkSec)

@@ -50,14 +50,19 @@ const (
 // point (log false): the code is round(x·2^prec) and the value
 // code·2^-prec, codes within ±2^53, where both are exact. Sizes (log):
 // x is rounded up to prec significand bits, and the code counts those
-// values upward from 2^-64; the largest lies below 2^64.
+// values upward from 2^-64 — the binary64 bits of x above the dropped
+// ones, less those of 2^-64 — so the largest lies below 2^64. Code
+// maxCode+1 is reserved for what the range cannot hold.
 type step struct {
 	log   bool
-	prec  int
-	scale float64 // 2^prec; scaling by it is exact
+	sh    uint    // log: the significand bits a size drops, 53-prec
+	off   int64   // log: the bits of 2^-64 above sh, code 0's
+	scale float64 // fixed: 2^prec; scaling by it is exact
+	inv   float64 // fixed: 2^-prec
+	max   int64   // the largest code
+	least float64 // the least value the range holds: -top, or the least positive float for sizes
+	top   float64 // the largest value, max's
 }
-
-func newStep(log bool, prec int) step { return step{log: log, prec: prec, scale: math.Ldexp(1, prec)} }
 
 const (
 	maxFixedCode = 1 << 53
@@ -65,68 +70,70 @@ const (
 	logExps      = 128 // binades from 2^-64 up to 2^64
 )
 
-func (s step) minCode() int64 {
+func newStep(log bool, prec int) step {
+	s := step{log: log}
+	if log {
+		s.sh = uint(53 - prec)
+		s.off = int64(1023-logExpBias) << (prec - 1)
+		s.max = logExps<<(prec-1) - 1
+	} else {
+		s.scale, s.inv = math.Ldexp(1, prec), math.Ldexp(1, -prec)
+		s.max = maxFixedCode
+	}
+	s.top, s.least = s.value(s.max), -s.value(s.max)
+	if log {
+		s.least = math.SmallestNonzeroFloat64
+	}
+	return s
+}
+
+func (s *step) minCode() int64 {
 	if s.log {
 		return 0
 	}
 	return -maxFixedCode
 }
 
-func (s step) maxCode() int64 {
-	if s.log {
-		return logExps<<(s.prec-1) - 1
-	}
-	return maxFixedCode
-}
+func (s *step) maxCode() int64 { return s.max }
 
-// code is x's code: x rounded to the step (a size up) and saturated at
-// the ends of the range. A NaN takes code 0 and a size at or below 2^-64
-// the least size; Validate refuses every value the range does not hold
-// (representable), so only an invalid Video is saturated.
-func (s step) code(x float64) int64 {
-	if s.log {
-		switch {
-		case !(x > 0x1p-64):
-			return 0
-		case x >= 0x1p64:
-			return s.maxCode()
-		}
-		fr, e := math.Frexp(x) // x = fr·2^e, fr in [½, 1)
-		half := int64(1) << (s.prec - 1)
-		m := int64(math.Ceil(math.Ldexp(fr, s.prec))) // in [half, 2·half]
-		if m == 2*half {
-			m, e = half, e+1
-		}
-		return min(int64(e-1+logExpBias)*half+m-half, s.maxCode())
-	}
-	y := math.Round(x * s.scale)
-	if y != y {
+// representable reports whether x lies in the step's range, so that
+// value(code(x)) is x rounded; it is false on a NaN.
+func (s *step) representable(x float64) bool { return x >= s.least && x <= s.top }
+
+// code is x's code: x rounded to the step (a size up), a size at or
+// below 2^-64 the least. A value the range does not hold — a NaN, an
+// infinity, a size not above zero, anything past the ends — takes the
+// reserved code maxCode+1, which Unmarshal refuses, so no float that
+// Validate refuses (representable) reaches a receiver as a plausible
+// value.
+func (s *step) code(x float64) int64 {
+	switch {
+	case !s.representable(x):
+		return s.max + 1
+	case s.log && x <= 0x1p-64:
 		return 0
+	case s.log:
+		return int64((math.Float64bits(x)+(1<<s.sh-1))>>s.sh) - s.off
 	}
-	return int64(max(-maxFixedCode, min(maxFixedCode, y)))
+	return int64(math.Round(x * s.scale))
 }
 
 // value is the float code c stands for; c lies in [minCode, maxCode].
-func (s step) value(c int64) float64 {
+func (s *step) value(c int64) float64 {
 	if s.log {
-		half := int64(1) << (s.prec - 1)
-		return math.Ldexp(float64(half+c%half), int(c/half)-logExpBias-(s.prec-1))
+		return math.Float64frombits(uint64(c+s.off) << s.sh)
 	}
-	return float64(c) / s.scale
+	return float64(c) * s.inv
 }
 
-// representable reports whether x lies in the step's range, so that
-// value(code(x)) is x rounded and not saturated; it is false on a NaN.
-// top is s.top().
-func (s step) representable(x, top float64) bool {
-	if s.log {
-		return x > 0 && x <= top
+// round is x on the step's grid; a value the range does not hold stays
+// as it is, for Validate to name.
+func (s *step) round(x float64) float64 {
+	if !s.representable(x) {
+		return x
 	}
-	return math.Abs(x) <= top
+	return s.value(s.code(x))
 }
-
-// top is the largest value the step holds.
-func (s step) top() float64 { return s.value(s.maxCode()) }
 
 // FieldGroup is a set of a manifest's floats that share one step on the
 // wire. Prec is the wire's precision: the group's consequence knee — the
@@ -142,11 +149,11 @@ type FieldGroup struct {
 	// 2^-Prec.
 	Log  bool
 	Prec int
+
+	index int // in fieldGroups
 }
 
-func (g *FieldGroup) step(prec int) step { return newStep(g.Log, prec) }
-
-// The field groups, indexed as in FieldGroups.
+// The field groups, indexed as in fieldGroups.
 const (
 	groupBits = iota
 	groupPSNR
@@ -157,124 +164,45 @@ const (
 	groupObjects
 )
 
-// FieldGroups are the manifest's float groups with the wire's
-// precision of each. Object samples are read by no planner, so no step
-// moves a plan; theirs, 1/64, keeps a sample's time within a quarter
-// frame at 60 fps and its angles and speeds to 1/64°.
-var FieldGroups = []FieldGroup{
-	groupBits:     {Name: "Bits", Log: true, Prec: 14},
-	groupPSNR:     {Name: "PSNR", Prec: 5},
-	groupRefPSPNR: {Name: "RefPSPNR", Prec: 4},
-	groupLUTA:     {Name: "LUT.a", Prec: 11},
-	groupLUTB:     {Name: "LUT.b", Prec: 9},
-	groupScalars:  {Name: "tile scalars", Prec: 8},
-	groupObjects:  {Name: "object samples", Prec: 6},
+// fieldGroups are the manifest's float groups with the wire's precision
+// of each; they are the format, so nothing outside sets them. Object
+// samples are read by no planner, so no step moves a plan; theirs,
+// 1/64, keeps a sample's time within a quarter frame at 60 fps and its
+// angles and speeds to 1/64°.
+var fieldGroups = [...]FieldGroup{
+	groupBits:     {Name: "Bits", Log: true, Prec: 14, index: groupBits},
+	groupPSNR:     {Name: "PSNR", Prec: 5, index: groupPSNR},
+	groupRefPSPNR: {Name: "RefPSPNR", Prec: 4, index: groupRefPSPNR},
+	groupLUTA:     {Name: "LUT.a", Prec: 11, index: groupLUTA},
+	groupLUTB:     {Name: "LUT.b", Prec: 9, index: groupLUTB},
+	groupScalars:  {Name: "tile scalars", Prec: 8, index: groupScalars},
+	groupObjects:  {Name: "object samples", Prec: 6, index: groupObjects},
 }
 
-// column is one float column of a section: the group it belongs to, the
-// float of a tile (or of an object sample) it carries, and whether it is
-// sent as the previous column's code minus its own.
-type column struct {
-	name  string
-	group int
-	delta bool
-	tile  func(*Tile) *float64
-	obj   func(*ObjectSample) *float64
-}
+// FieldGroups returns a copy of the manifest's float groups with the
+// wire's precision of each, in the order of WireBytes.
+func FieldGroups() []FieldGroup { return append([]FieldGroup(nil), fieldGroups[:]...) }
 
-// A section's columns: four int columns, X0, Y0, W and H on the chunk's
-// grid, then the float columns, tileFloats of them per tile and
-// objectFloats per object sample.
-const (
-	rectColumns  = 4
-	tileFloats   = 3 + 5*codec.NumLevels
-	objectFloats = 5
-)
-
-// columns are a section's float columns in wire order: the tile scalars,
-// then Bits, PSNR, RefPSPNR, LUT.a and LUT.b level by level, then the
-// object samples' T, Yaw, Pitch, SpeedDeg and Depth.
-var columns = func() []column {
-	cs := []column{
-		{name: "AvgLuma", group: groupScalars, tile: func(t *Tile) *float64 { return &t.AvgLuma }},
-		{name: "AvgDoF", group: groupScalars, tile: func(t *Tile) *float64 { return &t.AvgDoF }},
-		{name: "ObjSpeedDeg", group: groupScalars, tile: func(t *Tile) *float64 { return &t.ObjSpeedDeg }},
-	}
-	levels := func(name string, group int, delta bool, at func(t *Tile, l int) *float64) {
-		for l := 0; l < codec.NumLevels; l++ {
-			cs = append(cs, column{name: fmt.Sprintf("%s[%d]", name, l), group: group, delta: delta && l > 0,
-				tile: func(t *Tile) *float64 { return at(t, l) }})
-		}
-	}
-	levels("Bits", groupBits, true, func(t *Tile, l int) *float64 { return &t.Bits[l] })
-	levels("PSNR", groupPSNR, true, func(t *Tile, l int) *float64 { return &t.PSNR[l] })
-	levels("RefPSPNR", groupRefPSPNR, true, func(t *Tile, l int) *float64 { return &t.RefPSPNR[l] })
-	levels("LUT.ACoeff", groupLUTA, false, func(t *Tile, l int) *float64 { return &t.LUT[l].ACoeff })
-	levels("LUT.BExp", groupLUTB, false, func(t *Tile, l int) *float64 { return &t.LUT[l].BExp })
-	for _, o := range []struct {
-		name string
-		at   func(*ObjectSample) *float64
-	}{
-		{"T", func(o *ObjectSample) *float64 { return &o.T }},
-		{"Yaw", func(o *ObjectSample) *float64 { return &o.Yaw }},
-		{"Pitch", func(o *ObjectSample) *float64 { return &o.Pitch }},
-		{"SpeedDeg", func(o *ObjectSample) *float64 { return &o.SpeedDeg }},
-		{"Depth", func(o *ObjectSample) *float64 { return &o.Depth }},
-	} {
-		cs = append(cs, column{name: o.name, group: groupObjects, obj: o.at})
-	}
-	return cs
-}()
-
-// columnRows lists, in wire order, the rows of each column a section
-// with nt tiles and no object samples carries: a column of no rows is
-// not sent.
-func columnRows(nt, no int) []int {
-	rows := make([]int, 0, rectColumns+len(columns))
-	for range rectColumns {
-		if nt > 0 {
-			rows = append(rows, nt)
-		}
-	}
-	for ci := range columns {
-		if n := columns[ci].rows(nt, no); n > 0 {
-			rows = append(rows, n)
-		}
-	}
-	return rows
-}
-
-// rows is how many codes the column carries in a section with nt tiles
-// and no object samples.
-func (col *column) rows(nt, no int) int {
-	if col.obj != nil {
-		return no
-	}
-	return nt
-}
-
-func (col *column) step() step { return FieldGroups[col.group].step(FieldGroups[col.group].Prec) }
-
-// visit calls f on the column's float of every row of c.
-func (col *column) visit(c *Chunk, f func(*float64)) {
-	if col.obj != nil {
-		for i := range c.Objects {
-			f(col.obj(&c.Objects[i]))
-		}
-		return
-	}
-	for i := range c.Tiles {
-		f(col.tile(&c.Tiles[i]))
-	}
-}
+func (g FieldGroup) step(prec int) step { return newStep(g.Log, prec) }
 
 // Round rounds every float of group g in c to the group's step at
 // precision prec, as the wire would round it at that precision.
-func (g *FieldGroup) Round(c *Chunk, prec int) {
+func (g FieldGroup) Round(c *Chunk, prec int) {
 	s := g.step(prec)
-	for i := range columns {
-		if col := &columns[i]; FieldGroups[col.group].Name == g.Name {
-			col.visit(c, func(x *float64) { *x = s.value(s.code(*x)) })
+	for i := range c.Tiles {
+		f := c.Tiles[i].floats()
+		for j, x := range &f {
+			if tileCols[j].group == g.index {
+				*x = s.round(*x)
+			}
+		}
+	}
+	if g.index == groupObjects {
+		for i := range c.Objects {
+			f := c.Objects[i].floats()
+			for _, x := range &f {
+				*x = s.round(*x)
+			}
 		}
 	}
 }
@@ -282,13 +210,111 @@ func (g *FieldGroup) Round(c *Chunk, prec int) {
 // RoundToWire rounds every float of c's tiles and object samples to its
 // group's step, the precision Marshal writes, so that c survives the
 // wire unchanged: Unmarshal(Marshal(v)) deep-equals v once every chunk
-// of v has been rounded, and rounding twice is rounding once. The
-// provider rounds each chunk it emits.
+// of a v that Validate accepts has been rounded, and rounding twice is
+// rounding once. The provider rounds each chunk it emits.
 func (c *Chunk) RoundToWire() {
-	for i := range FieldGroups {
-		g := &FieldGroups[i]
-		g.Round(c, g.Prec)
+	for i := range c.Tiles {
+		f := c.Tiles[i].floats()
+		for j, x := range &f {
+			*x = tileCols[j].step.round(*x)
+		}
 	}
+	for i := range c.Objects {
+		f := c.Objects[i].floats()
+		for k, x := range &f {
+			*x = objectCols[k].step.round(*x)
+		}
+	}
+}
+
+// A section's columns: four int columns, X0, Y0, W and H on the chunk's
+// grid, and tileFloats float columns, all of one row per tile; then
+// objectFloats float columns of one row per object sample.
+const (
+	rectColumns  = 4
+	tileFloats   = 3 + 5*codec.NumLevels
+	tileColumns  = rectColumns + tileFloats
+	objectFloats = 5
+	maxColumns   = tileColumns + objectFloats
+)
+
+// column is one float column of a section: its name, its field group
+// and step, and whether it is sent as the previous column's code minus
+// its own.
+type column struct {
+	name  string
+	group int
+	delta bool
+	step  step
+}
+
+func wireStep(g int) step { return fieldGroups[g].step(fieldGroups[g].Prec) }
+
+// tileCols are a tile's float columns in wire order, the order of
+// Tile.floats: the tile scalars, then Bits, PSNR, RefPSPNR, LUT.a and
+// LUT.b level by level; a size or PSNR level after the first is a delta.
+var tileCols = func() (cs [tileFloats]column) {
+	for j, name := range []string{"AvgLuma", "AvgDoF", "ObjSpeedDeg"} {
+		cs[j] = column{name: name, group: groupScalars, step: wireStep(groupScalars)}
+	}
+	for k, g := range []struct {
+		name  string
+		group int
+		delta bool
+	}{{"Bits", groupBits, true}, {"PSNR", groupPSNR, true}, {"RefPSPNR", groupRefPSPNR, true},
+		{"LUT.ACoeff", groupLUTA, false}, {"LUT.BExp", groupLUTB, false}} {
+		for l := range codec.NumLevels {
+			cs[3+k*codec.NumLevels+l] = column{name: fmt.Sprintf("%s[%d]", g.name, l), group: g.group,
+				delta: g.delta && l > 0, step: wireStep(g.group)}
+		}
+	}
+	return cs
+}()
+
+// objectCols are an object sample's float columns in wire order, the
+// order of ObjectSample.floats.
+var objectCols = func() (cs [objectFloats]column) {
+	for k, name := range []string{"T", "Yaw", "Pitch", "SpeedDeg", "Depth"} {
+		cs[k] = column{name: name, group: groupObjects, step: wireStep(groupObjects)}
+	}
+	return cs
+}()
+
+// floats are t's floats in wire order (tileCols).
+func (t *Tile) floats() [tileFloats]*float64 {
+	f := [tileFloats]*float64{&t.AvgLuma, &t.AvgDoF, &t.ObjSpeedDeg}
+	const n = codec.NumLevels
+	for l := range n {
+		f[3+l], f[3+n+l], f[3+2*n+l] = &t.Bits[l], &t.PSNR[l], &t.RefPSPNR[l]
+		f[3+3*n+l], f[3+4*n+l] = &t.LUT[l].ACoeff, &t.LUT[l].BExp
+	}
+	return f
+}
+
+// floats are o's floats in wire order (objectCols).
+func (o *ObjectSample) floats() [objectFloats]*float64 {
+	return [objectFloats]*float64{&o.T, &o.Yaw, &o.Pitch, &o.SpeedDeg, &o.Depth}
+}
+
+// columnGroup is the field group of a section's column j, -1 for a
+// rect column.
+func columnGroup(j int) int {
+	switch {
+	case j < rectColumns:
+		return -1
+	case j < tileColumns:
+		return tileCols[j-rectColumns].group
+	}
+	return objectCols[j-tileColumns].group
+}
+
+// columnRows is how many codes a section with nt tiles and no object
+// samples carries in its column j: a column of no rows is not sent.
+func columnRows(j, nt, no int) int {
+	if j < tileColumns {
+		return nt
+	}
+	return no
 }
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
@@ -338,17 +364,24 @@ func offGrid(q int64, g uint64) (int64, bool) {
 }
 
 // section is one chunk's encoding worked out: the grid its rects lie
-// on, every column's codes (the four rect columns, then columns, tile
-// columns only with tiles and object columns only with samples), each
-// column's least code and width, and the bytes after its counts.
+// on, every column's codes, each sent column's least code and width,
+// and the bytes after its counts.
 type section struct {
 	grid   uint64
-	codes  [][]int64
-	group  []int // each column's field group, -1 for a rect column
-	base   []int64
-	width  []int
+	codes  []int64 // column after column: tileColumns of nt, then objectFloats of no
+	base   [maxColumns]int64
+	width  [maxColumns]uint8
 	packed int // bits of packed codes
 	body   int
+}
+
+// column is column j's codes.
+func (s *section) column(j, nt, no int) []int64 {
+	if j < tileColumns {
+		return s.codes[j*nt : (j+1)*nt]
+	}
+	k := tileColumns*nt + (j-tileColumns)*no
+	return s.codes[k : k+no]
 }
 
 // rectInts are the four ints a tile's rect goes as.
@@ -357,34 +390,15 @@ func rectInts(t *Tile) [rectColumns]int64 {
 	return [rectColumns]int64{int64(r.X0), int64(r.Y0), int64(r.W()), int64(r.H())}
 }
 
-func (c *Chunk) section() *section {
+// codeCount is how many codes c's section carries.
+func (c *Chunk) codeCount() int { return tileColumns*len(c.Tiles) + objectFloats*len(c.Objects) }
+
+// section works out c's section into s, its codes into codes, which
+// holds codeCount. Tiles are coded row by row, each keeping its codes of
+// the previous column for the delta columns, as the decoder does.
+func (c *Chunk) section(s *section, codes []int64) {
 	nt, no := len(c.Tiles), len(c.Objects)
-	rows := columnRows(nt, no)
-	total := 0
-	for _, n := range rows {
-		total += n
-	}
-	buf := make([]int64, total) // every column's codes, one after another
-	codesOf := func(n int) []int64 {
-		codes := buf[:n:n]
-		buf = buf[n:]
-		return codes
-	}
-	s := &section{
-		codes: make([][]int64, 0, len(rows)), group: make([]int, 0, len(rows)),
-		base: make([]int64, 0, len(rows)), width: make([]int, 0, len(rows)),
-	}
-	add := func(group int, codes []int64) {
-		lo, hi := codes[0], codes[0]
-		for _, x := range codes {
-			lo, hi = min(lo, x), max(hi, x)
-		}
-		w := bits.Len64(uint64(hi - lo))
-		s.codes, s.group = append(s.codes, codes), append(s.group, group)
-		s.base, s.width = append(s.base, lo), append(s.width, w)
-		s.packed += w * len(codes)
-		s.body += varintLen(lo) + 1
-	}
+	*s = section{codes: codes}
 	if nt > 0 {
 		for i := range c.Tiles {
 			for _, x := range rectInts(&c.Tiles[i]) {
@@ -393,42 +407,67 @@ func (c *Chunk) section() *section {
 		}
 		s.grid = max(s.grid, 1)
 		s.body += uvarintLen(s.grid)
-		for j := 0; j < rectColumns; j++ {
-			codes := codesOf(nt)
-			for i := range c.Tiles {
-				codes[i] = onGrid(rectInts(&c.Tiles[i])[j], s.grid)
+	}
+	var raw [tileFloats]int64
+	for i := range c.Tiles {
+		t := &c.Tiles[i]
+		for j, x := range rectInts(t) {
+			codes[j*nt+i] = onGrid(x, s.grid)
+		}
+		f := t.floats()
+		for j, x := range &f {
+			raw[j] = tileCols[j].step.code(*x)
+		}
+		for j, q := range raw {
+			if tileCols[j].delta {
+				q = raw[j-1] - q
 			}
-			add(-1, codes)
+			codes[(rectColumns+j)*nt+i] = q
 		}
 	}
-	// prev holds the previous column's codes, for a delta column to be
-	// sent as prev's minus its own.
-	var prev, cur []int64
-	for ci := range columns {
-		col := &columns[ci]
-		n := col.rows(nt, no)
-		if n == 0 {
+	obj := codes[tileColumns*nt:]
+	for i := range c.Objects {
+		f := c.Objects[i].floats()
+		for k, x := range &f {
+			obj[k*no+i] = objectCols[k].step.code(*x)
+		}
+	}
+	for j := range maxColumns {
+		col := s.column(j, nt, no)
+		if len(col) == 0 {
 			continue
 		}
-		st := col.step()
-		cur = cur[:0]
-		col.visit(c, func(x *float64) { cur = append(cur, st.code(*x)) })
-		codes := codesOf(n)
-		for i, q := range cur {
-			if codes[i] = q; col.delta {
-				codes[i] = prev[i] - q
-			}
+		lo, hi := col[0], col[0]
+		for _, x := range col[1:] {
+			lo, hi = min(lo, x), max(hi, x)
 		}
-		add(col.group, codes)
-		prev, cur = cur, prev
+		w := bits.Len64(uint64(hi - lo))
+		s.base[j], s.width[j] = lo, uint8(w)
+		s.packed += w * len(col)
+		s.body += varintLen(lo) + 1
 	}
 	s.body = max(s.body+(s.packed+7)/8, minTileBytes*nt+minObjectBytes*no)
-	return s
 }
 
 // sectionLen is the length of c's section excluding its length prefix.
 func (c *Chunk) sectionLen(s *section) int {
 	return varintLen(c.Index) + uvarintLen(uint64(len(c.Tiles))) + uvarintLen(uint64(len(c.Objects))) + s.body
+}
+
+// sections works out every chunk's section, their codes in one buffer.
+func (v *Video) sections() []section {
+	total := 0
+	for i := range v.Chunks {
+		total += v.Chunks[i].codeCount()
+	}
+	codes := make([]int64, total)
+	secs := make([]section, len(v.Chunks))
+	for i := range v.Chunks {
+		n := v.Chunks[i].codeCount()
+		v.Chunks[i].section(&secs[i], codes[:n:n])
+		codes = codes[n:]
+	}
+	return secs
 }
 
 func (v *Video) headerLen() int {
@@ -439,16 +478,19 @@ func (v *Video) headerLen() int {
 		uvarintLen(uint64(len(v.Chunks)))
 }
 
-// WireLen returns len(v.Marshal()), working out each section's columns
-// but writing none: the bytes a client's manifest GET moves.
-func (v *Video) WireLen() int {
+// wireLen is the encoding's length over the worked-out sections.
+func (v *Video) wireLen(secs []section) int {
 	n := v.headerLen()
 	for i := range v.Chunks {
-		s := v.Chunks[i].sectionLen(v.Chunks[i].section())
+		s := v.Chunks[i].sectionLen(&secs[i])
 		n += uvarintLen(uint64(s)) + s
 	}
 	return n
 }
+
+// WireLen returns len(v.Marshal()), working out each section's columns
+// but writing none: the bytes a client's manifest GET moves.
+func (v *Video) WireLen() int { return v.wireLen(v.sections()) }
 
 // WireBytes splits v's encoding by what it carries: for each field
 // group in FieldGroups order, then the tile rects, the bytes of its
@@ -456,66 +498,60 @@ func (v *Video) WireLen() int {
 // lengths, indices, counts, grids, the packed bits' last partial byte
 // and the floor's pads. The parts sum to WireLen.
 func (v *Video) WireBytes() []float64 {
-	out := make([]float64, len(FieldGroups)+2)
-	rects, framing := len(FieldGroups), len(FieldGroups)+1
-	total := float64(v.headerLen())
+	out := make([]float64, len(fieldGroups)+2)
+	rects, framing := len(fieldGroups), len(fieldGroups)+1
+	secs := v.sections()
 	for i := range v.Chunks {
-		c := &v.Chunks[i]
-		s := c.section()
-		n := c.sectionLen(s)
-		total += float64(uvarintLen(uint64(n)) + n)
-		for j, g := range s.group {
+		s, nt, no := &secs[i], len(v.Chunks[i].Tiles), len(v.Chunks[i].Objects)
+		for j := range maxColumns {
+			n := columnRows(j, nt, no)
+			if n == 0 {
+				continue
+			}
+			g := columnGroup(j)
 			if g < 0 {
 				g = rects
 			}
-			out[g] += float64(varintLen(s.base[j])+1) + float64(s.width[j]*len(s.codes[j]))/8
+			out[g] += float64(varintLen(s.base[j])+1) + float64(int(s.width[j])*n)/8
 		}
 	}
-	out[framing] = total
+	out[framing] = float64(v.wireLen(secs))
 	for _, b := range out[:framing] {
 		out[framing] -= b
 	}
 	return out
 }
 
-// bitWriter appends bits to b, least significant first; flush writes
-// the last partial byte, zero-padded.
+// bitWriter appends bits to b, least significant first, a word at a
+// time; flush writes the last partial word, zero-padded to a byte.
 type bitWriter struct {
 	b   []byte
-	acc uint64 // n pending bits, n < 8 between writes
-	n   int
+	acc uint64 // n pending bits, n < 64 between writes
+	n   uint
 }
 
-func (w *bitWriter) write(x uint64, width int) {
-	if width > 56 {
-		w.write(x&(1<<32-1), 32)
-		x, width = x>>32, width-32
-	}
-	w.acc |= (x & (1<<width - 1)) << w.n
-	for w.n += width; w.n >= 8; w.n -= 8 {
-		w.b = append(w.b, byte(w.acc))
-		w.acc >>= 8
+// write appends x's low width bits; x has no bits above them.
+func (w *bitWriter) write(x uint64, width uint) {
+	w.acc |= x << w.n
+	if w.n += width; w.n >= 64 {
+		w.b = binary.LittleEndian.AppendUint64(w.b, w.acc)
+		w.n -= 64
+		w.acc = x >> (width - w.n) // x's bits past the word; none if it ended there
 	}
 }
 
 func (w *bitWriter) flush() {
-	if w.n > 0 {
+	for ; w.n > 0; w.n -= min(w.n, 8) {
 		w.b = append(w.b, byte(w.acc))
-		w.acc, w.n = 0, 0
+		w.acc >>= 8
 	}
 }
 
 // Marshal returns the wire encoding, appended into one buffer made at
 // exactly its size.
 func (v *Video) Marshal() []byte {
-	secs := make([]*section, len(v.Chunks))
-	n := v.headerLen()
-	for i := range v.Chunks {
-		secs[i] = v.Chunks[i].section()
-		s := v.Chunks[i].sectionLen(secs[i])
-		n += uvarintLen(uint64(s)) + s
-	}
-	b := append(make([]byte, 0, n), wireMagic...)
+	secs := v.sections()
+	b := append(make([]byte, 0, v.wireLen(secs)), wireMagic...)
 	b = appendString(appendString(append(b, wireVersion), v.Name), v.Genre)
 	b = appendInt(appendInt(appendInt(b, v.W), v.H), v.FPS)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.ChunkSec)) // the chunk clock stays exact
@@ -526,21 +562,25 @@ func (v *Video) Marshal() []byte {
 	b = appendInt(appendInt(appendInt(append(b, live), v.Seq), v.FirstChunk), v.WindowChunks)
 	b = binary.AppendUvarint(b, uint64(len(v.Chunks)))
 	for i := range v.Chunks {
-		c, s := &v.Chunks[i], secs[i]
+		c, s := &v.Chunks[i], &secs[i]
+		nt, no := len(c.Tiles), len(c.Objects)
 		b = appendInt(binary.AppendUvarint(b, uint64(c.sectionLen(s))), c.Index)
-		b = binary.AppendUvarint(b, uint64(len(c.Tiles)))
-		b = binary.AppendUvarint(b, uint64(len(c.Objects)))
+		b = binary.AppendUvarint(b, uint64(nt))
+		b = binary.AppendUvarint(b, uint64(no))
 		start := len(b)
-		if len(c.Tiles) > 0 {
+		if nt > 0 {
 			b = binary.AppendUvarint(b, s.grid)
 		}
-		for j := range s.codes {
-			b = append(appendInt(b, s.base[j]), byte(s.width[j]))
+		for j := range maxColumns {
+			if columnRows(j, nt, no) > 0 {
+				b = append(appendInt(b, s.base[j]), s.width[j])
+			}
 		}
 		w := bitWriter{b: b}
-		for j, codes := range s.codes {
-			for _, x := range codes {
-				w.write(uint64(x-s.base[j]), s.width[j])
+		for j := range maxColumns {
+			base, width := s.base[j], uint(s.width[j])
+			for _, x := range s.column(j, nt, no) {
+				w.write(uint64(x-base), width)
 			}
 		}
 		w.flush()
@@ -680,22 +720,19 @@ func Unmarshal(b []byte) (*Video, error) {
 	return v, nil
 }
 
-// bitReader reads the bits a bitWriter wrote from b, which holds at
-// least as many as are read.
+// bitReader reads the bits a bitWriter wrote from b, least significant
+// first, a word at a time where b holds one; b holds at least as many
+// bits as are read.
 type bitReader struct {
 	b   []byte
-	acc uint64 // n bits read from b and not yet returned
-	n   int
+	acc uint64 // n bits read from b and not yet returned, then some of the next
+	n   uint
 }
 
-func (br *bitReader) read(width int) uint64 {
-	if width > 56 {
-		lo := br.read(32)
-		return lo | br.read(width-32)<<32
-	}
-	for ; br.n < width; br.n += 8 {
-		br.acc |= uint64(br.b[0]) << br.n
-		br.b = br.b[1:]
+// read returns the next width bits, width ≤ 56.
+func (br *bitReader) read(width uint) uint64 {
+	if br.n < width {
+		br.refill(width)
 	}
 	x := br.acc & (1<<width - 1)
 	br.acc >>= width
@@ -703,33 +740,51 @@ func (br *bitReader) read(width int) uint64 {
 	return x
 }
 
-// packedColumn is a column's head: its least code and width.
+// refill tops acc up to at least width bits.
+func (br *bitReader) refill(width uint) {
+	if len(br.b) >= 8 {
+		// The word's bits past the whole bytes taken are in acc
+		// already; the next refill ORs the same bits there.
+		br.acc |= binary.LittleEndian.Uint64(br.b) << br.n
+		k := (63 - br.n) / 8
+		br.b, br.n = br.b[k:], br.n+8*k
+	}
+	for ; br.n < width; br.n += 8 {
+		br.acc |= uint64(br.b[0]) << br.n
+		br.b = br.b[1:]
+	}
+}
+
+// packedColumn is one column of a section being read: its head (least
+// code, width), the widest offset the base leaves room for in int64,
+// the least and greatest offsets read, and a reader at its bits.
 type packedColumn struct {
-	base  int64
-	width int
+	base   int64
+	width  uint
+	limit  uint64
+	lo, hi uint64
+	br     bitReader
 }
 
-// column reads the next column of n codes from br, calling f with each,
-// and fails unless the column's least code is its base, its widest
-// offset takes exactly its width, and no code passes int64.
-func (r *wireReader) column(br *bitReader, h packedColumn, n int, f func(i int, code int64)) {
-	var lo, hi uint64 = math.MaxUint64, 0
-	limit := uint64(math.MaxInt64) - uint64(h.base) // the widest offset base can take
-	for i := 0; i < n; i++ {
-		off := br.read(h.width)
-		lo, hi = min(lo, off), max(hi, off)
-		if off > limit {
-			r.fail(errRange)
-			return
-		}
-		f(i, h.base+int64(off))
+// next is the column's next code, and false if it is past int64.
+func (pc *packedColumn) next() (int64, bool) {
+	var off uint64
+	if pc.width <= 56 {
+		off = pc.br.read(pc.width)
+	} else {
+		off = pc.br.read(32) | pc.br.read(pc.width-32)<<32
 	}
-	if lo != 0 || bits.Len64(hi) != h.width {
-		r.fail(errPacking)
-	}
+	pc.lo, pc.hi = min(pc.lo, off), max(pc.hi, off)
+	return pc.base + int64(off), off <= pc.limit
 }
 
-// chunk decodes one section; r holds exactly the section's bytes.
+// canonical reports whether the column's least offset is zero and its
+// widest takes exactly its width.
+func (pc *packedColumn) canonical() bool { return pc.lo == 0 && bits.Len64(pc.hi) == int(pc.width) }
+
+// chunk decodes one section; r holds exactly the section's bytes. It
+// reads the tiles row by row, one reader per column, so a delta column
+// takes the previous column's code of the row as the encoder kept it.
 func (r *wireReader) chunk(c *Chunk) {
 	c.Index = r.int()
 	nt := r.count(minTileBytes)
@@ -749,16 +804,24 @@ func (r *wireReader) chunk(c *Chunk) {
 	}
 	// The heads first, a base and a width byte for each column the
 	// counts imply, then the packed bits they add up to.
-	var heads [rectColumns + tileFloats + objectFloats]packedColumn
+	var cols [maxColumns]packedColumn
+	var start [maxColumns]int
 	packed := 0
-	for j, n := range columnRows(nt, no) {
-		heads[j].base = r.int64()
+	for j := range maxColumns {
+		n := columnRows(j, nt, no)
+		if n == 0 {
+			continue
+		}
+		pc := &cols[j]
+		pc.base, pc.lo = r.int64(), math.MaxUint64
+		pc.limit = uint64(math.MaxInt64) - uint64(pc.base)
 		if w := r.bytes(1); w != nil {
-			if heads[j].width = int(w[0]); w[0] > maxWidth {
+			if pc.width = uint(w[0]); w[0] > maxWidth {
 				r.fail(errPacking)
 			}
 		}
-		packed += heads[j].width * n
+		start[j] = packed
+		packed += int(pc.width) * n
 	}
 	p := r.bytes((packed + 7) / 8)
 	if r.err != nil {
@@ -781,69 +844,71 @@ func (r *wireReader) chunk(c *Chunk) {
 	if r.err != nil {
 		return
 	}
+	for j := range maxColumns {
+		if columnRows(j, nt, no) > 0 {
+			cols[j].br = bitReader{b: p[start[j]/8:]}
+			cols[j].br.read(uint(start[j] % 8))
+		}
+	}
 
-	br := bitReader{b: p}
-	j := 0
 	if nt > 0 {
 		c.Tiles = make([]Tile, nt)
-		var g uint64 // of the codes: 1 unless the grid is not the rects' greatest
-		for k := 0; k < rectColumns; k++ {
-			r.column(&br, heads[j], nt, func(i int, q int64) {
-				g = gcd(g, absU(q))
-				x, ok := offGrid(q, grid)
-				if !ok {
-					r.fail(errRange)
-				}
-				rc := &c.Tiles[i].Rect
-				switch k {
-				case 0:
-					rc.X0 = int(x)
-				case 1:
-					rc.Y0 = int(x)
-				case 2:
-					rc.X1 = rc.X0 + int(x)
-				case 3:
-					rc.Y1 = rc.Y0 + int(x)
-				}
-			})
-			j++
+	}
+	var g uint64 // of the rect codes: 1 unless the grid is not the rects' greatest
+	var raw [tileFloats]int64
+	for i := range c.Tiles {
+		var rect [rectColumns]int
+		for k := range rect {
+			q, ok := cols[k].next()
+			g = gcd(g, absU(q))
+			x, inRange := offGrid(q, grid)
+			if !ok || !inRange {
+				r.fail(errRange)
+				return
+			}
+			rect[k] = int(x)
 		}
-		if g != 1 && !(g == 0 && grid == 1) {
-			r.fail(errPacking)
+		t := &c.Tiles[i]
+		t.Rect.X0, t.Rect.Y0 = rect[0], rect[1]
+		t.Rect.X1, t.Rect.Y1 = rect[0]+rect[2], rect[1]+rect[3]
+		f := t.floats()
+		for j, x := range &f {
+			col := &tileCols[j]
+			q, ok := cols[rectColumns+j].next()
+			if col.delta {
+				// prev − q: no wrap lands in range, for both lie
+				// within ±2^63 and the range within ±2^53.
+				q = raw[j-1] - q
+			}
+			if !ok || q < col.step.minCode() || q > col.step.max {
+				r.fail(errRange)
+				return
+			}
+			raw[j], *x = q, col.step.value(q)
 		}
 	}
 	if no > 0 {
 		c.Objects = make([]ObjectSample, no)
 	}
-	var prev *column
-	for ci := range columns {
-		col := &columns[ci]
-		n := col.rows(nt, no)
-		if n == 0 {
-			continue
-		}
-		st := col.step()
-		var prevStep step
-		if col.delta {
-			prevStep = prev.step()
-		}
-		var at func(i int) *float64
-		if col.obj != nil {
-			at = func(i int) *float64 { return col.obj(&c.Objects[i]) }
-		} else {
-			at = func(i int) *float64 { return col.tile(&c.Tiles[i]) }
-		}
-		r.column(&br, heads[j], n, func(i int, q int64) {
-			if col.delta {
-				q = prevStep.code(*prev.tile(&c.Tiles[i])) - q
-			}
-			if q < st.minCode() || q > st.maxCode() {
+	for i := range c.Objects {
+		f := c.Objects[i].floats()
+		for k, x := range &f {
+			col := &objectCols[k]
+			q, ok := cols[tileColumns+k].next()
+			if !ok || q < col.step.minCode() || q > col.step.max {
 				r.fail(errRange)
 				return
 			}
-			*at(i) = st.value(q)
-		})
-		j++
-		prev = col
+			*x = col.step.value(q)
+		}
+	}
+	for j := range maxColumns {
+		if columnRows(j, nt, no) > 0 && !cols[j].canonical() {
+			r.fail(errPacking)
+			return
+		}
+	}
+	if nt > 0 && g != 1 && !(g == 0 && grid == 1) {
+		r.fail(errPacking)
 	}
 }

@@ -36,7 +36,32 @@ func genCode(rng *rand.Rand, s step) int64 {
 		e := edgeCodes(s)
 		return e[rng.Intn(len(e))]
 	}
-	return s.code(rng.NormFloat64() * 1e3)
+	return s.code(plausible(rng, s))
+}
+
+// plausible draws a value step s holds: a size above zero, any other
+// float of either sign.
+func plausible(rng *rand.Rand, s step) float64 {
+	x := rng.NormFloat64() * 1e3
+	if s.log {
+		return math.Abs(x)
+	}
+	return x
+}
+
+// eachFloat calls f on every tile and object float of c, column by
+// column as the wire lays them out, with its column.
+func eachFloat(c *Chunk, f func(col *column, x *float64)) {
+	for j := range tileCols {
+		for i := range c.Tiles {
+			f(&tileCols[j], c.Tiles[i].floats()[j])
+		}
+	}
+	for k := range objectCols {
+		for i := range c.Objects {
+			f(&objectCols[k], c.Objects[i].floats()[k])
+		}
+	}
 }
 
 func genInt(rng *rand.Rand) int {
@@ -50,10 +75,7 @@ func genInt(rng *rand.Rand) int {
 // random code of its column's step: on the wire's grid, anywhere in its
 // range.
 func genFloats(rng *rand.Rand, c *Chunk) {
-	for ci := range columns {
-		st := columns[ci].step()
-		columns[ci].visit(c, func(x *float64) { *x = st.value(genCode(rng, st)) })
-	}
+	eachFloat(c, func(col *column, x *float64) { *x = col.step.value(genCode(rng, col.step)) })
 }
 
 // genVideo draws a manifest of the given shape — tiles[k] tiles and
@@ -123,8 +145,7 @@ func wireCases() map[string]*Video {
 	for i := range onGrid.Chunks[0].Tiles {
 		onGrid.Chunks[0].Tiles[i].Rect = geom.Rect{X0: 20 * i, Y0: -40, X1: 20*i + 60, Y1: 100}
 	}
-	zeroRects := &Video{Chunks: []Chunk{{Tiles: make([]Tile, 3)}}}
-	zeroRects.Chunks[0].RoundToWire()
+	zeroRects := &Video{Chunks: []Chunk{{Tiles: []Tile{leastTile(), leastTile(), leastTile()}}}}
 	cases := map[string]*Video{
 		"sample":     sampleVideo(),
 		"on a grid":  onGrid,
@@ -203,9 +224,7 @@ func TestMarshalRoundsToTheSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	v := genVideo(rng, []int{3, 1}, []int{2, 0})
 	for k := range v.Chunks {
-		for ci := range columns {
-			columns[ci].visit(&v.Chunks[k], func(x *float64) { *x = rng.NormFloat64() * 1e3 })
-		}
+		eachFloat(&v.Chunks[k], func(col *column, x *float64) { *x = plausible(rng, col.step) })
 	}
 	back, err := Unmarshal(v.Marshal())
 	if err != nil {
@@ -231,10 +250,11 @@ func TestMarshalRoundsToTheSteps(t *testing.T) {
 // TestStepCodes: on every step of the wire, and on coarser and finer
 // ones, a code's value codes back to itself and is representable; a
 // size rounds up to at most one step above, every other float to the
-// nearest step; and what the range cannot hold is not representable.
+// nearest step; and what the range cannot hold is not representable,
+// takes the reserved code past the range and is left as it is by round.
 func TestStepCodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, g := range FieldGroups {
+	for _, g := range FieldGroups() {
 		for _, prec := range []int{g.Prec, 1, g.Prec + 9} {
 			s := g.step(prec)
 			codes := edgeCodes(s)
@@ -242,8 +262,8 @@ func TestStepCodes(t *testing.T) {
 				codes = append(codes, genCode(rng, s))
 			}
 			for _, c := range codes {
-				if x := s.value(c); s.code(x) != c || !s.representable(x, s.top()) {
-					t.Errorf("%s at %d: code %d is %v, which codes to %d (representable %v)", g.Name, prec, c, x, s.code(x), s.representable(x, s.top()))
+				if x := s.value(c); s.code(x) != c || !s.representable(x) {
+					t.Errorf("%s at %d: code %d is %v, which codes to %d (representable %v)", g.Name, prec, c, x, s.code(x), s.representable(x))
 				}
 			}
 			for i := 0; i < 200; i++ {
@@ -264,13 +284,14 @@ func TestStepCodes(t *testing.T) {
 			if !g.Log {
 				past = math.Ldexp(maxFixedCode+2, -prec)
 			}
-			for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), past, -past} {
-				if s.representable(x, s.top()) {
-					t.Errorf("%s at %d: %v representable", g.Name, prec, x)
-				}
+			bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), past, -past}
+			if g.Log {
+				bad = append(bad, 0, -1)
 			}
-			if g.Log && (s.representable(0, s.top()) || s.representable(-1, s.top())) {
-				t.Errorf("%s at %d: a size of 0 or -1 representable", g.Name, prec)
+			for _, x := range bad {
+				if s.representable(x) || s.code(x) != s.maxCode()+1 || math.Float64bits(s.round(x)) != math.Float64bits(x) {
+					t.Errorf("%s at %d: %v representable %v, code %d, rounds to %v", g.Name, prec, x, s.representable(x), s.code(x), s.round(x))
+				}
 			}
 		}
 	}
@@ -302,21 +323,29 @@ func TestColumnsCoverEveryFloat(t *testing.T) {
 	if got, want := objectFloats, floats(reflect.TypeOf(ObjectSample{})); got != want {
 		t.Errorf("%d object columns, an ObjectSample has %d floats", got, want)
 	}
-	if len(columns) != tileFloats+objectFloats {
-		t.Fatalf("%d columns, want %d", len(columns), tileFloats+objectFloats)
-	}
 	c := Chunk{Tiles: make([]Tile, 1), Objects: make([]ObjectSample, 1)}
 	seen := map[*float64]string{}
-	for ci := range columns {
-		columns[ci].visit(&c, func(x *float64) {
-			if prev, ok := seen[x]; ok {
-				t.Errorf("%s and %s carry one float", prev, columns[ci].name)
-			}
-			seen[x] = columns[ci].name
-		})
-	}
+	eachFloat(&c, func(col *column, x *float64) {
+		if prev, ok := seen[x]; ok {
+			t.Errorf("%s and %s carry one float", prev, col.name)
+		}
+		seen[x] = col.name
+	})
 	if len(seen) != tileFloats+objectFloats {
 		t.Errorf("the columns reach %d floats", len(seen))
+	}
+	// Each group's Round reaches exactly its columns: at a precision of
+	// 1, a step of 1/2, every float of 0.3 it reaches moves.
+	for _, g := range FieldGroups() {
+		for x := range seen {
+			*x = 0.3
+		}
+		g.Round(&c, 1)
+		eachFloat(&c, func(col *column, x *float64) {
+			if moved := *x != 0.3; moved != (col.group == g.index) {
+				t.Errorf("%s's Round: %s moved %v", g.Name, col.name, moved)
+			}
+		})
 	}
 }
 
@@ -327,7 +356,18 @@ func splice(wire []byte, off, n int, with ...byte) []byte {
 	return append(out, wire[off+n:]...)
 }
 
-// oneChunk is a manifest of one chunk with one zero tile and one zero
+// leastTile is a zero Tile but for its sizes, which are the least one,
+// 2^-64 bits: every float of it takes code 0. A size of 0 is not
+// representable.
+func leastTile() Tile {
+	var t Tile
+	for l := range t.Bits {
+		t.Bits[l] = 0x1p-64
+	}
+	return t
+}
+
+// oneChunk is a manifest of one chunk with one leastTile and one zero
 // object sample, and where its section's parts start: the zero Video's
 // header (magic, version, 18 bytes: two empty strings, three zero ints,
 // ChunkSec, the live flag, three zero ints), the chunk count, then a
@@ -335,7 +375,7 @@ func splice(wire []byte, off, n int, with ...byte) []byte {
 // grid (1), and a head — base 0, width 0 — for each of the 37 columns,
 // whose codes pack to no bits, so the section ends at its last head.
 func oneChunk() (wire []byte, sec, grid, heads int) {
-	c := Chunk{Tiles: make([]Tile, 1), Objects: make([]ObjectSample, 1)}
+	c := Chunk{Tiles: []Tile{leastTile()}, Objects: make([]ObjectSample, 1)}
 	wire = (&Video{Chunks: []Chunk{c}}).Marshal()
 	hdr := len((&Video{}).Marshal()) - 1 // offset of the chunk count
 	sec = hdr + 2                        // the section's first byte, the index
@@ -379,7 +419,8 @@ func malformed() map[string][]byte {
 		return out
 	}
 	code := func(c int64) []byte { return binary.AppendVarint(nil, c) }
-	maxSize := FieldGroups[groupBits].step(FieldGroups[groupBits].Prec).maxCode()
+	bitsStep := wireStep(groupBits)
+	maxSize := bitsStep.maxCode()
 	return map[string][]byte{
 		"wrong magic":           splice(zero, 0, 1, 'Q'),
 		"json":                  []byte(`{"name":"x"}`),
@@ -498,10 +539,9 @@ func FuzzDecode(f *testing.F) {
 // Validate says. A seed cut at a section boundary keeps meeting the
 // check its name says it reaches; a file not listed here is a crasher.
 // The float-* seeds are what binary32's specials became: an infinity is
-// a code past its step's range, and the encoder writes a NaN as code 0
-// — a luma of 0, which is valid, or the least size, which here leaves a
-// size growing with level — a −0 as 0 and a subnormal as the step's
-// nearest value.
+// a code past its step's range, and so is a NaN, which the encoder
+// writes as the reserved code; a −0 goes as 0 and a subnormal as the
+// step's nearest value.
 var seedOutcomes = map[string]string{
 	"count-overflow-chunks":      "manifest: decode: truncated",
 	"count-overflow-section":     "manifest: decode: chunk section 0: truncated",
@@ -521,8 +561,8 @@ var seedOutcomes = map[string]string{
 	"cut-9-after-first-section":  "manifest: decode: chunk section 1: truncated",
 	"extremes":                   "valid, then manifest: bad video header 0x0@0/0s",
 	"float-inf":                  "manifest: decode: chunk section 0: code out of range",
-	"float-nan-quiet":            "valid",
-	"float-nan-signalling":       "valid, then manifest: chunk 0 tile 0 size grows from level 0 to 1",
+	"float-nan-quiet":            "manifest: decode: chunk section 0: code out of range",
+	"float-nan-signalling":       "manifest: decode: chunk section 0: code out of range",
 	"float-neg-inf":              "manifest: decode: chunk section 1: code out of range",
 	"float-negative-zero":        "valid",
 	"float-subnormal":            "valid",
@@ -575,9 +615,10 @@ func TestFuzzSeedsReachTheirChecks(t *testing.T) {
 // TestValidateRejectsNonFinite: every range check in Validate is
 // false on a NaN, so each float is checked for one — and for an
 // infinity, and for a value past its step's range. Marshal is total
-// over them all: it saturates each at the end of its range (a NaN at
-// code 0), and what Unmarshal gets back decodes. ChunkSec is binary64
-// and reaches the far side as it is, where Validate refuses it again.
+// over them all and writes each as its step's reserved code, past the
+// range, so Unmarshal refuses what Validate refuses: no receiver reads
+// a plausible value in its place. ChunkSec is binary64 and reaches the
+// far side as it is, where Validate refuses it again.
 func TestValidateRejectsNonFinite(t *testing.T) {
 	withObject := func() *Video {
 		v := sampleVideo()
@@ -587,20 +628,25 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 	if err := withObject().Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// fields are every float of tile 1 and of the object sample, by
+	// column, and ChunkSec.
 	fields := func(v *Video) map[string]*float64 {
-		tl, o := &v.Chunks[0].Tiles[1], &v.Chunks[0].Objects[0]
-		return map[string]*float64{
-			"ChunkSec": &v.ChunkSec, "AvgLuma": &tl.AvgLuma, "AvgDoF": &tl.AvgDoF, "ObjSpeedDeg": &tl.ObjSpeedDeg,
-			"Bits": &tl.Bits[0], "PSNR": &tl.PSNR[2], "RefPSPNR": &tl.RefPSPNR[4],
-			"LUT.ACoeff": &tl.LUT[3].ACoeff, "LUT.BExp": &tl.LUT[0].BExp,
-			"object T": &o.T, "object Yaw": &o.Yaw, "object Pitch": &o.Pitch,
-			"object SpeedDeg": &o.SpeedDeg, "object Depth": &o.Depth,
+		m := map[string]*float64{"ChunkSec": &v.ChunkSec}
+		for j, x := range v.Chunks[0].Tiles[1].floats() {
+			m[tileCols[j].name] = x
 		}
+		for k, x := range v.Chunks[0].Objects[0].floats() {
+			m["object "+objectCols[k].name] = x
+		}
+		return m
 	}
 	for name := range fields(withObject()) {
-		bads := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e300}
+		bads := []float64{math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Inf(1), math.Inf(-1), -1e300}
 		if name != "ChunkSec" {
 			bads = append(bads, 1e300) // past every step's range
+		}
+		if strings.HasPrefix(name, "Bits") {
+			bads = append(bads, 0, -1)
 		}
 		for _, bad := range bads {
 			v := withObject()
@@ -609,11 +655,12 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 				t.Errorf("%s = %v validated", name, bad)
 			}
 			back, err := Unmarshal(v.Marshal())
-			if err != nil {
-				t.Fatalf("%s = %v: %v", name, bad, err)
-			}
-			if name == "ChunkSec" && back.Validate() == nil {
-				t.Errorf("%s = %v validated after the wire", name, bad)
+			if name == "ChunkSec" {
+				if err != nil || back.Validate() == nil {
+					t.Errorf("%s = %v: decoded with %v, then validated", name, bad, err)
+				}
+			} else if !errors.Is(err, errRange) {
+				t.Errorf("%s = %v: decoded with %v, want %v", name, bad, err, errRange)
 			}
 		}
 	}
@@ -644,9 +691,7 @@ func benchVideo() *Video {
 			x, y := i%6*80, i/6*48
 			c.Tiles = append(c.Tiles, Tile{Rect: geom.Rect{X0: x, Y0: y, X1: x + 80, Y1: y + 48}})
 		}
-		for ci := range columns {
-			columns[ci].visit(&c, func(x *float64) { *x = 1 + rng.Float64()*99 })
-		}
+		eachFloat(&c, func(_ *column, x *float64) { *x = 1 + rng.Float64()*99 })
 		for i := range c.Tiles {
 			slices.Sort(c.Tiles[i].Bits[:])
 			slices.Reverse(c.Tiles[i].Bits[:])

@@ -195,8 +195,7 @@ func TestGoldenQualityHoldsOneBitCoarser(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := range r.Chunks {
-			for i := range manifest.FieldGroups {
-				g := &manifest.FieldGroups[i]
+			for _, g := range manifest.FieldGroups() {
 				g.Round(&r.Chunks[k], g.Prec-1)
 			}
 		}

@@ -64,13 +64,15 @@ func publishAll(t testing.TB, s *store.Store, m *manifest.Video) {
 }
 
 // TestOriginRefusesNonFiniteManifest: no store-backed origin comes up
-// over a bad manifest blob. The wire has no code for a NaN — the encoder
-// writes it as code 0, the least size — so a NaN size decodes to a size
-// that grows with level, and it and a zero LUT coefficient are refused
-// where the origin validates its first snapshot.
+// over a bad manifest blob. A NaN or an infinity is refused where the
+// store decodes the blob (the encoder writes each as a code past its
+// step's range, which the decoder refuses); a zero LUT coefficient
+// decodes and is refused where the origin validates its first snapshot.
 func TestOriginRefusesNonFiniteManifest(t *testing.T) {
 	for name, corrupt := range map[string]func(*manifest.Tile){
-		"NaN size":   func(tl *manifest.Tile) { tl.Bits[0] = math.NaN() },
+		"NaN luma":   func(tl *manifest.Tile) { tl.AvgLuma = math.NaN() },
+		"NaN size":   func(tl *manifest.Tile) { tl.Bits[len(tl.Bits)-1] = math.NaN() },
+		"Inf PSNR":   func(tl *manifest.Tile) { tl.PSNR[1] = math.Inf(1) },
 		"zero LUT a": func(tl *manifest.Tile) { tl.LUT[2].ACoeff = 0 },
 	} {
 		s, err := store.Open(t.TempDir())
